@@ -64,7 +64,7 @@ fn bench_patching(c: &mut Criterion) {
         )
     } as *mut u8;
     assert!(!page.is_null());
-    c.bench_function("patch_syscall_site (incl. 2x mprotect)", |b| {
+    c.bench_function("patch_syscall_site (RWX page: VMA query, no mprotect)", |b| {
         b.iter(|| unsafe {
             page.write(0x0f);
             page.add(1).write(0x05);

@@ -2,6 +2,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The file sizes (bytes) served in the paper's Figure 5 sweep.
 pub const PAPER_FILE_SIZES: &[usize] = &[
@@ -35,7 +36,12 @@ impl Docroot {
     ///
     /// Propagates filesystem errors.
     pub fn create(sizes: &[usize]) -> io::Result<Docroot> {
-        let dir = std::env::temp_dir().join(format!("lp-httpd-root-{}", std::process::id()));
+        // One directory per docroot, not per process: each `Drop`
+        // removes its own, never one a sibling is still serving from.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("lp-httpd-root-{}-{unique}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         for &size in sizes {
             std::fs::write(dir.join(format!("file_{size}")), pattern(size))?;

@@ -173,11 +173,10 @@ extern "C" fn dump_stats() {
         out.push_str("-- top syscalls --\n");
         // SAFETY: set once from a leaked box.
         for (nr, count) in unsafe { &*counter }.top().into_iter().take(15) {
-            out.push_str(&format!(
-                "{:>10}  {}\n",
-                count,
-                syscalls::nr::name(nr).unwrap_or("?")
-            ));
+            match syscalls::nr::name(nr) {
+                Some(name) => out.push_str(&format!("{count:>10}  {name}\n")),
+                None => out.push_str(&format!("{count:>10}  syscall_{nr}\n")),
+            }
         }
     }
     // SAFETY: writing an owned buffer to our private fd.

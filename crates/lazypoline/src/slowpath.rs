@@ -111,7 +111,7 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
         Some(EmulationReason::RewritingDisabled)
     } else if blocklist::contains(page) {
         // Negative cache hit: this page's mprotect window is known
-        // broken — skip the lock + maps walk + doomed mprotect.
+        // broken — skip the lock + VMA lookup + doomed mprotect.
         Some(EmulationReason::Unpatchable)
     } else {
         match patch_with_retry(insn, page) {
@@ -146,9 +146,7 @@ unsafe fn patch_once(insn: usize) -> Result<zpoline::PatchOutcome, zpoline::Patc
         // Page-granular batch rewriting: one SIGSYS pays the
         // lock/mprotect cost for every verifiable site on the page.
         zpoline::patch_page_sites(insn).map(|batch| {
-            for _ in 0..batch.extra_patched {
-                counters::bump(&SITES_PATCHED);
-            }
+            counters::add(&SITES_PATCHED, batch.extra_patched as u64);
             batch.site
         })
     } else {

@@ -171,6 +171,18 @@ syscall_table! {
     (161, CHROOT, "chroot");
     (162, SYNC, "sync");
     (186, GETTID, "gettid");
+    (188, SETXATTR, "setxattr");
+    (189, LSETXATTR, "lsetxattr");
+    (190, FSETXATTR, "fsetxattr");
+    (191, GETXATTR, "getxattr");
+    (192, LGETXATTR, "lgetxattr");
+    (193, FGETXATTR, "fgetxattr");
+    (194, LISTXATTR, "listxattr");
+    (195, LLISTXATTR, "llistxattr");
+    (196, FLISTXATTR, "flistxattr");
+    (197, REMOVEXATTR, "removexattr");
+    (198, LREMOVEXATTR, "lremovexattr");
+    (199, FREMOVEXATTR, "fremovexattr");
     (200, TKILL, "tkill");
     (201, TIME, "time");
     (202, FUTEX, "futex");

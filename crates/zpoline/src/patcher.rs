@@ -1,4 +1,4 @@
-//! In-place patching of a single verified syscall site.
+//! In-place patching of verified syscall sites.
 //!
 //! Used by both the static scanner and lazypoline's lazy slow path
 //! (paper §IV-A(b)): "we implement the rewrite by temporarily changing
@@ -8,7 +8,7 @@
 //!
 //! Everything here is written to be callable from a `SIGSYS` handler:
 //! no allocation, no locks other than the dedicated spinlock, and the
-//! `/proc/self/maps` lookup uses raw syscalls into a stack buffer.
+//! mapping lookup uses raw syscalls into stack buffers.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,8 +91,7 @@ impl Drop for SpinGuard {
     }
 }
 
-/// Page protection bits of a mapped region, as parsed from
-/// `/proc/self/maps`.
+/// Page protection bits of a mapped region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegionPerms {
     /// Readable.
@@ -120,9 +119,10 @@ impl RegionPerms {
     }
 }
 
-/// Looks up the protection of the mapping containing `addr` by reading
-/// `/proc/self/maps` with raw syscalls into a stack buffer (no
-/// allocation — safe inside a signal handler).
+/// Looks up the protection of the mapping containing `addr` on a
+/// `/proc/self/maps` fd, with raw syscalls and stack buffers only (no
+/// allocation — safe inside a signal handler): one `PROCMAP_QUERY`
+/// where the kernel has it, else the text of the whole file.
 pub fn region_perms(addr: usize) -> Option<RegionPerms> {
     let path = b"/proc/self/maps\0";
     // SAFETY: open(2) with a NUL-terminated path; fd closed below.
@@ -130,24 +130,48 @@ pub fn region_perms(addr: usize) -> Option<RegionPerms> {
     if Errno::from_ret(fd).is_some() {
         return None;
     }
-    let mut result = None;
+    let result = query_perms(fd, addr).unwrap_or_else(|_| parse_perms(fd, addr));
+    // SAFETY: closing the fd we opened.
+    unsafe { raw::syscall1(nr::CLOSE, fd) };
+    result
+}
+
+/// Asks the kernel for the one VMA covering `addr` (`PROCMAP_QUERY`,
+/// Linux ≥ 6.11). `Ok(None)` is its `ENOENT`: nothing is mapped there;
+/// any other error (`ENOTTY` on older kernels) means "read the text".
+fn query_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
+    // _IOWR('f', 17, struct procmap_query); the struct is 13 u64 words:
+    // size, query_flags (0: the covering VMA, whatever its protection),
+    // query_addr in; vma_start, vma_end, vma_flags (1 r, 2 w, 4 x), …
+    // out. Name and build-id sizes stay 0, so neither is copied out.
+    const PROCMAP_QUERY: u64 = 0xc068_6611;
+    let mut q = [0u64; 13];
+    q[0] = std::mem::size_of_val(&q) as u64;
+    q[2] = addr as u64;
+    // SAFETY: the kernel reads and writes `q[0]` bytes of our buffer.
+    let r = unsafe { raw::syscall3(nr::IOCTL, fd, PROCMAP_QUERY, q.as_mut_ptr() as u64) };
+    match Errno::result(r) {
+        Ok(_) => Ok(Some(RegionPerms {
+            read: q[5] & 1 != 0,
+            write: q[5] & 2 != 0,
+            exec: q[5] & 4 != 0,
+        })),
+        Err(Errno::ENOENT) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Reads the maps fd as text until a line covers `addr`.
+fn parse_perms(fd: u64, addr: usize) -> Option<RegionPerms> {
     let mut buf = [0u8; 4096];
     let mut carry = [0u8; 128]; // longest prefix we need: "start-end perms"
     let mut carry_len = 0usize;
-    'outer: loop {
+    loop {
         // SAFETY: reading into our stack buffer.
-        let n = unsafe {
-            raw::syscall3(
-                nr::READ,
-                fd,
-                buf.as_mut_ptr() as u64,
-                buf.len() as u64,
-            )
-        };
+        let n = unsafe { raw::syscall3(nr::READ, fd, buf.as_mut_ptr() as u64, buf.len() as u64) };
         let n = match Errno::result(n) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => return None,
             Ok(n) => n as usize,
-            Err(_) => break,
         };
         let mut line_start = 0usize;
         for i in 0..n {
@@ -162,9 +186,8 @@ pub fn region_perms(addr: usize) -> Option<RegionPerms> {
                 } else {
                     parse_maps_line(&buf[line_start..i], addr)
                 };
-                if let Some(p) = parsed {
-                    result = Some(p);
-                    break 'outer;
+                if parsed.is_some() {
+                    return parsed;
                 }
                 line_start = i + 1;
             }
@@ -175,9 +198,6 @@ pub fn region_perms(addr: usize) -> Option<RegionPerms> {
         carry[carry_len..carry_len + take].copy_from_slice(&buf[line_start..line_start + take]);
         carry_len += take;
     }
-    // SAFETY: closing the fd we opened.
-    unsafe { raw::syscall1(nr::CLOSE, fd) };
-    result
 }
 
 /// Parses one `/proc/self/maps` line; returns the perms if `addr` lies
@@ -202,31 +222,121 @@ fn parse_maps_line(line: &[u8], addr: usize) -> Option<RegionPerms> {
 }
 
 fn parse_hex(s: &[u8]) -> Option<usize> {
-    if s.is_empty() || s.len() > 16 {
-        return None;
-    }
-    let mut v = 0usize;
-    for &b in s {
-        let d = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            b'A'..=b'F' => b - b'A' + 10,
-            _ => return None,
-        };
-        v = (v << 4) | d as usize;
-    }
-    Some(v)
+    usize::from_str_radix(std::str::from_utf8(s).ok()?, 16).ok()
 }
 
-/// Rewrites the 2-byte `syscall` at `addr` to `call rax`.
+/// Stores `call rax` over `site` if it still holds `syscall`; returns
+/// how many sites that rewrote.
+unsafe fn store_call_rax(site: usize) -> usize {
+    let hit = (site as *const [u8; 2]).read() == SYSCALL_BYTES;
+    if hit {
+        let call_rax = u16::from_le_bytes(CALL_RAX_BYTES);
+        (site as *mut u8).cast::<u16>().write_unaligned(call_rax);
+    }
+    hit as usize
+}
+
+/// The one patch window behind every entry point: rewrites the listed
+/// `sites` (ascending, all starting on one page) and, with `sweep`,
+/// every site the anchored forward sweep verifies after `sites[0]`.
+/// Returns how many it rewrote; 0 means every listed site already held
+/// `call rax`. `perms` is the mapping's protection, if the caller has it.
 ///
-/// The write happens under the global rewrite spinlock with the page(s)
-/// temporarily set writable-and-executable (keeping execute permission
-/// so threads racing through the same page never fault), then the
-/// original protection is restored. The 2-byte store is a single
-/// unaligned `u16` write; on x86-64 this is atomic with respect to
-/// instruction fetch when it does not cross a cache line, matching the
-/// C prototype's behaviour.
+/// The writes happen under the global rewrite spinlock. A mapping that
+/// is not already readable and writable (an RWX JIT page is) is set
+/// writable-and-executable meanwhile — keeping execute permission so
+/// threads racing through the page never fault — and restored after.
+/// Each 2-byte store is a single unaligned `u16` write; on x86-64 this
+/// is atomic with respect to instruction fetch when it does not cross a
+/// cache line, matching the C prototype's behaviour.
+pub(crate) unsafe fn patch_window(
+    sites: &[usize],
+    sweep: bool,
+    perms: Option<RegionPerms>,
+) -> Result<usize, PatchError> {
+    if !Trampoline::is_installed() {
+        return Err(PatchError::TrampolineMissing);
+    }
+    let _guard = SpinGuard::lock();
+
+    let mut pending = false;
+    for &site in sites {
+        match (site as *const [u8; 2]).read() {
+            CALL_RAX_BYTES => {}
+            SYSCALL_BYTES => pending = true,
+            found => return Err(PatchError::NotSyscallInsn { found }),
+        }
+    }
+    if !pending {
+        return Ok(0);
+    }
+
+    let (addr, last) = (sites[0], sites[sites.len() - 1]);
+    let orig = perms.or_else(|| region_perms(addr));
+    let orig = orig.ok_or(PatchError::UnmappedAddress)?;
+    let page = addr & !4095;
+    // The last site may straddle into a page `orig` says nothing about.
+    let len = if last + 2 > page + 4096 { 8192 } else { 4096 };
+    let open = !(orig.read && orig.write) || len > 4096;
+    let protect = |prot: i32| {
+        let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, prot as u64);
+        Errno::result(r).map_err(PatchError::MprotectFailed)
+    };
+
+    // Fault seam: models the opening mprotect failing (transient VMA
+    // pressure or a hardened page). Checked on every attempt, before the
+    // real syscall, so an injected failure leaves the page untouched,
+    // exactly like a real EAGAIN/ENOMEM would.
+    if let Some(e) = faultinject::check(faultinject::Site::PatchMprotect) {
+        return Err(PatchError::MprotectFailed(Errno::new(e)));
+    }
+    if open {
+        protect(libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC)?;
+    }
+    let mut patched: usize = sites.iter().map(|&site| store_call_rax(site)).sum();
+    if sweep {
+        patched += sweep_after(addr, page + 4096);
+    }
+    if open {
+        protect(orig.prot())?;
+    }
+    Ok(patched)
+}
+
+/// Rewrites every `syscall` site that the forward sweep from the
+/// just-patched `anchor` verifies before `page_end`; returns the count.
+/// Runs inside the window: the rest of the page is the anchor's
+/// mapping (they are page-granular), readable even if execute-only.
+unsafe fn sweep_after(anchor: usize, page_end: usize) -> usize {
+    let tail = std::slice::from_raw_parts(anchor as *const u8, page_end - anchor);
+    // Every site the sweep can report is a `0f 05` pair wholly on the
+    // page: the last such pair bounds the decode, and a page without one
+    // (most JIT pages) needs none. Trailing 64-byte blocks with no `0f`
+    // are ruled out by a fold that vectorizes (0.2 µs a page, not 2 µs).
+    // The anchor, now `call rax`, still decodes as 2 bytes.
+    let no_0f = |block: &&[u8]| !block.iter().fold(false, |hit, &b| hit | (b == 0x0f));
+    let clean = tail.rchunks(64).take_while(no_0f).count() * 64;
+    let dirty = &tail[..(tail.len().saturating_sub(clean) + 1).min(tail.len())];
+    let Some(last) = dirty.windows(2).rposition(|pair| pair == SYSCALL_BYTES) else {
+        return 0;
+    };
+    let mut patched = 0usize;
+    for (off, insn) in disasm::sweep(tail) {
+        // Past the last candidate no instruction can end in one; at an
+        // unknown one synchronization can no longer be argued.
+        if off > last || !insn.known {
+            break;
+        }
+        let site = anchor + off + insn.len - 2;
+        if insn.is_syscall && site + 2 <= page_end {
+            patched += store_call_rax(site);
+        }
+    }
+    patched
+}
+
+/// Rewrites the 2-byte `syscall` at `addr` to `call rax`, in a window
+/// of its own (see [`patch_page_sites`] for the batching variant).
 ///
 /// # Errors
 ///
@@ -239,48 +349,7 @@ fn parse_hex(s: &[u8]) -> Option<usize> {
 /// instruction (e.g. taken from a SUD `SIGSYS` `si_call_addr`) and the
 /// trampoline must remain installed for the life of the process.
 pub unsafe fn patch_syscall_site(addr: usize) -> Result<PatchOutcome, PatchError> {
-    if !Trampoline::is_installed() {
-        return Err(PatchError::TrampolineMissing);
-    }
-    let _guard = SpinGuard::lock();
-
-    let p = addr as *const u8;
-    let found = [p.read(), p.add(1).read()];
-    if found == CALL_RAX_BYTES {
-        return Ok(PatchOutcome::AlreadyPatched);
-    }
-    if found != SYSCALL_BYTES {
-        return Err(PatchError::NotSyscallInsn { found });
-    }
-
-    let orig = region_perms(addr).ok_or(PatchError::UnmappedAddress)?;
-
-    let page = addr & !4095;
-    // The 2-byte instruction may straddle a page boundary.
-    let len = if addr + 2 > page + 4096 { 8192 } else { 4096 };
-
-    // Fault seam: models the opening mprotect failing (transient VMA
-    // pressure or a hardened page). Checked before the real syscall so
-    // an injected failure leaves the page untouched, exactly like a
-    // real EAGAIN/ENOMEM would.
-    if let Some(e) = faultinject::check(faultinject::Site::PatchMprotect) {
-        return Err(PatchError::MprotectFailed(Errno::new(e)));
-    }
-    let rwx = libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC;
-    let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, rwx as u64);
-    if let Err(e) = Errno::result(r) {
-        return Err(PatchError::MprotectFailed(e));
-    }
-
-    (addr as *mut u8)
-        .cast::<u16>()
-        .write_unaligned(u16::from_le_bytes(CALL_RAX_BYTES));
-
-    let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, orig.prot() as u64);
-    if let Err(e) = Errno::result(r) {
-        return Err(PatchError::MprotectFailed(e));
-    }
-    Ok(PatchOutcome::Patched)
+    patch_page(addr, false).map(|batch| batch.site)
 }
 
 /// Result of a successful [`patch_page_sites`] call.
@@ -295,15 +364,15 @@ pub struct BatchOutcome {
 
 /// Rewrites the faulting `syscall` at `addr` *and* every later
 /// rewritable `syscall` site on the same executable page, all under a
-/// single spinlock acquisition and a single `mprotect` open/close
-/// window.
+/// single spinlock acquisition and a single patch window.
 ///
 /// A `SIGSYS` delivery already proves `addr` is a genuine, executed
 /// syscall instruction. Batch rewriting amortizes the per-site cost
-/// (two `mprotect` calls + lock traffic) across every site the sweep
-/// can verify on that page: code pages routinely hold several syscall
-/// stubs (vsyscall wrappers cluster in libc), and each one patched
-/// here is a future `SIGSYS` that never fires.
+/// (mapping lookup, lock traffic, two `mprotect` calls on a read-only
+/// page) across every site the sweep can verify on that page: code
+/// pages routinely hold several syscall stubs (vsyscall wrappers
+/// cluster in libc), and each one patched here is a future `SIGSYS`
+/// that never fires.
 ///
 /// The extra sites come from a heuristic disassembly sweep, which is
 /// only trustworthy when started from a known instruction boundary —
@@ -327,87 +396,18 @@ pub struct BatchOutcome {
 ///
 /// # Safety
 ///
-/// Same contract as [`patch_syscall_site`]: `addr` must come from a
-/// SUD `SIGSYS` (`si_call_addr - 2`) and the trampoline must outlive
-/// the process's code.
+/// Same contract as [`patch_syscall_site`].
 pub unsafe fn patch_page_sites(addr: usize) -> Result<BatchOutcome, PatchError> {
-    if !Trampoline::is_installed() {
-        return Err(PatchError::TrampolineMissing);
-    }
-    let _guard = SpinGuard::lock();
+    patch_page(addr, true)
+}
 
-    let p = addr as *const u8;
-    let found = [p.read(), p.add(1).read()];
-    if found == CALL_RAX_BYTES {
-        return Ok(BatchOutcome {
-            site: PatchOutcome::AlreadyPatched,
-            extra_patched: 0,
-        });
-    }
-    if found != SYSCALL_BYTES {
-        return Err(PatchError::NotSyscallInsn { found });
-    }
-
-    let orig = region_perms(addr).ok_or(PatchError::UnmappedAddress)?;
-
-    let page = addr & !4095;
-    // The 2-byte instruction may straddle a page boundary.
-    let len = if addr + 2 > page + 4096 { 8192 } else { 4096 };
-
-    // Fault seam: models the opening mprotect failing (transient VMA
-    // pressure or a hardened page). Checked before the real syscall so
-    // an injected failure leaves the page untouched, exactly like a
-    // real EAGAIN/ENOMEM would.
-    if let Some(e) = faultinject::check(faultinject::Site::PatchMprotect) {
-        return Err(PatchError::MprotectFailed(Errno::new(e)));
-    }
-    let rwx = libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC;
-    let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, rwx as u64);
-    if let Err(e) = Errno::result(r) {
-        return Err(PatchError::MprotectFailed(e));
-    }
-
-    (addr as *mut u8)
-        .cast::<u16>()
-        .write_unaligned(u16::from_le_bytes(CALL_RAX_BYTES));
-
-    // Sweep forward from the anchor inside the RWX window (mappings
-    // are page-granular, so the whole page belongs to `addr`'s
-    // mapping, and RWX guarantees it is readable even for an
-    // execute-only region). The anchor itself now decodes as
-    // `call rax` — also 2 bytes, so decode continues at `addr + 2`
-    // exactly as it would have.
-    let anchor_off = addr - page;
-    let tail = std::slice::from_raw_parts((page + anchor_off) as *const u8, 4096 - anchor_off);
-    let mut extra_patched = 0usize;
-    for (off, insn) in disasm::sweep(tail) {
-        if !insn.known {
-            // Synchronization can no longer be argued past this point.
-            break;
-        }
-        if !insn.is_syscall {
-            continue;
-        }
-        let site = addr + off + insn.len - 2;
-        if site == addr || site + 2 > page + 4096 {
-            continue;
-        }
-        let sp = site as *const u8;
-        if [sp.read(), sp.add(1).read()] == SYSCALL_BYTES {
-            (site as *mut u8)
-                .cast::<u16>()
-                .write_unaligned(u16::from_le_bytes(CALL_RAX_BYTES));
-            extra_patched += 1;
-        }
-    }
-
-    let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, orig.prot() as u64);
-    if let Err(e) = Errno::result(r) {
-        return Err(PatchError::MprotectFailed(e));
-    }
-    Ok(BatchOutcome {
-        site: PatchOutcome::Patched,
-        extra_patched,
+unsafe fn patch_page(addr: usize, sweep: bool) -> Result<BatchOutcome, PatchError> {
+    patch_window(&[addr], sweep, None).map(|patched| BatchOutcome {
+        site: match patched {
+            0 => PatchOutcome::AlreadyPatched,
+            _ => PatchOutcome::Patched,
+        },
+        extra_patched: patched.saturating_sub(1),
     })
 }
 
@@ -447,26 +447,73 @@ mod tests {
         assert_eq!(parse_hex(b"11112222333344445"), None); // > 16 digits
     }
 
+    /// One anonymous private mapping of `pages` pages.
+    unsafe fn map_pages(pages: usize, prot: i32) -> *mut u8 {
+        let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS;
+        let p = libc::mmap(std::ptr::null_mut(), pages * 4096, prot, flags, -1, 0);
+        assert_ne!(p, libc::MAP_FAILED);
+        p as *mut u8
+    }
+
+    const RWX: i32 = libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC;
+
+    fn perms(read: bool, write: bool, exec: bool) -> Option<RegionPerms> {
+        Some(RegionPerms { read, write, exec })
+    }
+
+    /// Runs `lookup` on a fresh `/proc/self/maps` fd.
+    fn on_maps_fd<T>(lookup: impl FnOnce(u64) -> T) -> T {
+        use std::os::fd::AsRawFd;
+        let maps = std::fs::File::open("/proc/self/maps").unwrap();
+        lookup(maps.as_raw_fd() as u64)
+    }
+
     #[test]
-    fn region_perms_finds_our_code_and_stack() {
-        let code = region_perms(patch_syscall_site as *const () as usize).unwrap();
-        assert!(code.exec && !code.write, "text should be r-x: {code:?}");
+    fn procmap_query_and_text_parser_agree() {
         let local = 0u8;
-        let stack = region_perms(&local as *const u8 as usize).unwrap();
-        assert!(stack.read && stack.write && !stack.exec);
-        // A freshly unmapped page must report no region.
         unsafe {
-            let p = libc::mmap(
-                std::ptr::null_mut(),
-                4096,
-                libc::PROT_READ,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-                -1,
-                0,
-            );
-            assert_ne!(p, libc::MAP_FAILED);
-            libc::munmap(p, 4096);
-            assert_eq!(region_perms(p as usize), None);
+            let rwx = map_pages(1, RWX);
+            let none = map_pages(1, libc::PROT_NONE);
+            // Just unmapped, and low enough that no concurrent test's
+            // `mmap` is handed the address before the lookups below.
+            const MAP_FIXED_NOREPLACE: i32 = 0x10_0000;
+            let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | MAP_FIXED_NOREPLACE;
+            let gone = libc::mmap(0x1_0000 as *mut _, 4096, libc::PROT_READ, flags, -1, 0);
+            assert_eq!(gone as usize, 0x1_0000);
+            assert_eq!(region_perms(gone as usize), perms(true, false, false));
+            libc::munmap(gone, 4096);
+            let cases = [
+                (
+                    patch_syscall_site as *const () as usize,
+                    perms(true, false, true),
+                ),
+                (&local as *const u8 as usize, perms(true, true, false)),
+                (rwx as usize + 100, perms(true, true, true)),
+                (none as usize, perms(false, false, false)),
+                (gone as usize, None),
+            ];
+            for (addr, expect) in cases {
+                assert_eq!(
+                    on_maps_fd(|fd| parse_perms(fd, addr)),
+                    expect,
+                    "text, {addr:#x}"
+                );
+                assert_eq!(region_perms(addr), expect, "region_perms, {addr:#x}");
+                match on_maps_fd(|fd| query_perms(fd, addr)) {
+                    Ok(got) => assert_eq!(got, expect, "PROCMAP_QUERY, {addr:#x}"),
+                    // Before Linux 6.11: region_perms just took the text.
+                    Err(e) => assert_eq!(e, Errno::ENOTTY, "{addr:#x}"),
+                }
+            }
+            // After a failed query the same fd still reads from its start.
+            let text = patch_syscall_site as *const () as usize;
+            let after_query = on_maps_fd(|fd| {
+                let _ = query_perms(fd, 0);
+                parse_perms(fd, text)
+            });
+            assert_eq!(after_query, perms(true, false, true));
+            libc::munmap(rwx.cast(), 4096);
+            libc::munmap(none.cast(), 4096);
         }
     }
 
@@ -532,17 +579,9 @@ mod tests {
     /// Maps one RWX page filled with `ret` (0xc3 — decodes cleanly so
     /// the sweep stays synchronized) and returns its base.
     unsafe fn mk_code_page() -> *mut u8 {
-        let page = libc::mmap(
-            std::ptr::null_mut(),
-            4096,
-            libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC,
-            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-            -1,
-            0,
-        );
-        assert_ne!(page, libc::MAP_FAILED);
-        std::ptr::write_bytes(page as *mut u8, 0xc3, 4096);
-        page as *mut u8
+        let page = map_pages(1, RWX);
+        std::ptr::write_bytes(page, 0xc3, 4096);
+        page
     }
 
     #[test]
@@ -623,6 +662,194 @@ mod tests {
             assert_eq!(std::slice::from_raw_parts(p.add(1000), 2), &SYSCALL_BYTES);
             assert_eq!(std::slice::from_raw_parts(p.add(3000), 2), &SYSCALL_BYTES);
             libc::munmap(p as *mut _, 4096);
+        }
+    }
+
+    /// True (after installing it) when this host can hold a trampoline.
+    fn trampoline_ready() -> bool {
+        if !Trampoline::is_installed() && !Trampoline::environment_supported() {
+            return false;
+        }
+        Trampoline::install().unwrap();
+        true
+    }
+
+    /// What the batch rewrite did before the candidate bound: patch the
+    /// anchor, then decode the whole rest of the page. Kept as the
+    /// oracle of the differential test below, on a plain copy.
+    fn full_sweep_oracle(page: &mut [u8; 4096], anchor: usize) {
+        page[anchor..anchor + 2].copy_from_slice(&CALL_RAX_BYTES);
+        let mut sites = Vec::new();
+        for (off, insn) in disasm::sweep(&page[anchor..]) {
+            if !insn.known {
+                break;
+            }
+            let site = anchor + off + insn.len - 2;
+            if insn.is_syscall && site != anchor && site + 2 <= 4096 {
+                sites.push(site);
+            }
+        }
+        for site in sites {
+            if page[site..site + 2] == SYSCALL_BYTES {
+                page[site..site + 2].copy_from_slice(&CALL_RAX_BYTES);
+            }
+        }
+    }
+
+    /// xorshift64*: the seeded pages below need no more.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// A seeded page and an anchor on it. Even seeds look like a JIT
+    /// page: `ret` fill, getpid stubs and `mov eax, 0x50f` decoys in
+    /// random 16-byte slots (so decoys land before, between and after
+    /// the real sites), sometimes an undecodable byte among them; the
+    /// anchor is any of the stubs. Odd seeds are bytes drawn from a
+    /// small alphabet that desynchronizes the sweep, around one pair.
+    fn seeded_page(seed: u64) -> ([u8; 4096], usize) {
+        const STUB: [u8; 8] = [0xb8, 0x27, 0, 0, 0, 0x0f, 0x05, 0xc3];
+        const DECOY: [u8; 5] = [0xb8, 0x0f, 0x05, 0x00, 0x00];
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut page = [0xc3u8; 4096];
+        if seed % 2 == 1 {
+            const ALPHABET: [u8; 12] = [
+                0x0f, 0x05, 0xc3, 0x90, 0x48, 0xb8, 0xe8, 0x06, 0xff, 0xd0, 0x00, 0x66,
+            ];
+            for b in page.iter_mut() {
+                *b = ALPHABET[rng.below(ALPHABET.len())];
+            }
+            let anchor = rng.below(4095);
+            page[anchor..anchor + 2].copy_from_slice(&SYSCALL_BYTES);
+            return (page, anchor);
+        }
+        let mut stubs = Vec::new();
+        for slot in 0..256 {
+            match rng.below(16) {
+                0 | 1 => {
+                    page[slot * 16..slot * 16 + 8].copy_from_slice(&STUB);
+                    stubs.push(slot * 16 + 5);
+                }
+                2 | 3 => page[slot * 16..slot * 16 + 5].copy_from_slice(&DECOY),
+                4 if seed.is_multiple_of(4) && slot > 128 => page[slot * 16] = 0x06,
+                _ => {}
+            }
+        }
+        if stubs.is_empty() {
+            page[..8].copy_from_slice(&STUB);
+            stubs.push(5);
+        }
+        let anchor = stubs[rng.below(stubs.len())];
+        (page, anchor)
+    }
+
+    #[test]
+    fn bounded_sweep_patches_what_the_full_sweep_patched() {
+        if !trampoline_ready() {
+            return;
+        }
+        let mut cases: Vec<_> = (0..400).map(seeded_page).collect();
+        // The last pair of a page straddling two of the 64-byte blocks
+        // the candidate scan works in, the later one without any `0f`.
+        for block_end in [64, 1024, 4032] {
+            let mut page = [0xc3u8; 4096];
+            for site in [5, block_end - 1] {
+                page[site..site + 2].copy_from_slice(&SYSCALL_BYTES);
+            }
+            cases.push((page, 5));
+        }
+        unsafe {
+            let p = map_pages(1, RWX);
+            for (case, (page, anchor)) in cases.into_iter().enumerate() {
+                let mut expect = page;
+                full_sweep_oracle(&mut expect, anchor);
+                let patched = (0..4096).filter(|&i| expect[i] != page[i]).count() / 2;
+
+                std::ptr::copy_nonoverlapping(page.as_ptr(), p, 4096);
+                let out = patch_page_sites(p as usize + anchor).unwrap();
+                let got = std::slice::from_raw_parts(p, 4096);
+                let diff: Vec<usize> = (0..4096).filter(|&i| got[i] != expect[i]).collect();
+                assert!(
+                    diff.is_empty(),
+                    "case {case}, anchor {anchor}: differs at {diff:?}"
+                );
+                assert_eq!(out.extra_patched, patched - 1, "case {case}");
+            }
+            libc::munmap(p.cast(), 4096);
+        }
+    }
+
+    #[test]
+    fn anchor_at_the_page_end_stays_on_its_page() {
+        if !trampoline_ready() {
+            return;
+        }
+        unsafe {
+            // Anchor in the last two bytes: the sweep has nothing left,
+            // and the site opening the next page is not its to patch.
+            let p = map_pages(2, RWX);
+            std::ptr::write_bytes(p, 0xc3, 8192);
+            for off in [4094, 4096] {
+                std::ptr::copy_nonoverlapping(SYSCALL_BYTES.as_ptr(), p.add(off), 2);
+            }
+            let out = patch_page_sites(p as usize + 4094).unwrap();
+            assert_eq!((out.site, out.extra_patched), (PatchOutcome::Patched, 0));
+            assert_eq!(
+                std::slice::from_raw_parts(p.add(4094), 4),
+                &[0xff, 0xd0, 0x0f, 0x05]
+            );
+
+            // Anchor straddling the page end: its own two bytes are the
+            // only store that may cross.
+            std::ptr::write_bytes(p, 0xc3, 8192);
+            for off in [4095, 4097] {
+                std::ptr::copy_nonoverlapping(SYSCALL_BYTES.as_ptr(), p.add(off), 2);
+            }
+            let out = patch_page_sites(p as usize + 4095).unwrap();
+            assert_eq!((out.site, out.extra_patched), (PatchOutcome::Patched, 0));
+            assert_eq!(
+                std::slice::from_raw_parts(p.add(4095), 4),
+                &[0xff, 0xd0, 0x0f, 0x05]
+            );
+            assert!(std::slice::from_raw_parts(p.add(4099), 4093)
+                .iter()
+                .all(|&b| b == 0xc3));
+            for page in [p, p.add(4096)] {
+                assert_eq!(region_perms(page as usize), perms(true, true, true));
+            }
+            libc::munmap(p.cast(), 8192);
+        }
+    }
+
+    #[test]
+    fn window_leaves_the_protection_it_found() {
+        if !trampoline_ready() {
+            return;
+        }
+        unsafe {
+            for prot in [RWX, libc::PROT_READ | libc::PROT_EXEC] {
+                let p = map_pages(1, libc::PROT_READ | libc::PROT_WRITE);
+                std::ptr::write_bytes(p, 0xc3, 4096);
+                for off in [0, 1000] {
+                    std::ptr::copy_nonoverlapping(SYSCALL_BYTES.as_ptr(), p.add(off), 2);
+                }
+                assert_eq!(libc::mprotect(p.cast(), 4096, prot), 0);
+                let before = region_perms(p as usize);
+                assert_eq!(before.map(|r| r.prot()), Some(prot));
+
+                let out = patch_page_sites(p as usize).unwrap();
+                assert_eq!((out.site, out.extra_patched), (PatchOutcome::Patched, 1));
+                assert_eq!(std::slice::from_raw_parts(p.add(1000), 2), &CALL_RAX_BYTES);
+                assert_eq!(region_perms(p as usize), before, "prot {prot:#x}");
+                libc::munmap(p.cast(), 4096);
+            }
         }
     }
 }

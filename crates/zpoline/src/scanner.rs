@@ -16,7 +16,7 @@
 use std::io;
 
 use crate::disasm;
-use crate::patcher::{self, PatchOutcome};
+use crate::patcher::{self, PatchError, RegionPerms};
 
 /// An executable mapping of the current process.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,6 +25,8 @@ pub struct ExecRegion {
     pub start: usize,
     /// One past the last mapped address.
     pub end: usize,
+    /// Protection of the mapping (always executable).
+    pub perms: RegionPerms,
     /// Backing path (empty for anonymous mappings).
     pub path: String,
 }
@@ -79,7 +81,17 @@ pub fn exec_regions() -> io::Result<Vec<ExecRegion>> {
         if start == 0 {
             continue; // the trampoline page
         }
-        out.push(ExecRegion { start, end, path });
+        let perms = RegionPerms {
+            read: perms.contains('r'),
+            write: perms.contains('w'),
+            exec: true,
+        };
+        out.push(ExecRegion {
+            start,
+            end,
+            perms,
+            path,
+        });
     }
     Ok(out)
 }
@@ -128,29 +140,33 @@ pub unsafe fn scan_range(start: usize, len: usize) -> ScanReport {
     find_syscall_sites(start, bytes)
 }
 
+/// Patches `sites` (ascending, as a scan reports them) with one patch
+/// window per page instead of one per site: libc's several hundred
+/// sites sit on a few dozen pages. `perms` is the protection of the
+/// mapping holding them all, when known. Returns the number patched.
+unsafe fn patch_by_page(sites: &[usize], perms: Option<RegionPerms>) -> Result<usize, PatchError> {
+    let mut patched = 0;
+    for page_sites in sites.chunk_by(|a, b| a / 4096 == b / 4096) {
+        patched += patcher::patch_window(page_sites, false, perms)?;
+    }
+    Ok(patched)
+}
+
 /// Scans and patches every syscall site found in `[start, start+len)`;
 /// returns the number of sites patched.
 ///
 /// # Errors
 ///
-/// Propagates the first [`patcher::PatchError`]; earlier patches remain
-/// applied (there is no rollback — rewriting is one-way, as in zpoline).
+/// Propagates the first [`PatchError`]; earlier pages remain patched
+/// (there is no rollback — rewriting is one-way, as in zpoline).
 ///
 /// # Safety
 ///
 /// The range must be mapped, readable, and contain code whose decoded
 /// `syscall` boundaries are genuine instruction boundaries. The
 /// trampoline must be installed.
-pub unsafe fn rewrite_range(start: usize, len: usize) -> Result<usize, patcher::PatchError> {
-    let report = scan_range(start, len);
-    let mut patched = 0;
-    for site in report.sites {
-        match patcher::patch_syscall_site(site)? {
-            PatchOutcome::Patched => patched += 1,
-            PatchOutcome::AlreadyPatched => {}
-        }
-    }
-    Ok(patched)
+pub unsafe fn rewrite_range(start: usize, len: usize) -> Result<usize, PatchError> {
+    patch_by_page(&scan_range(start, len).sites, None)
 }
 
 /// Statically rewrites every executable region of the process whose
@@ -182,17 +198,8 @@ pub unsafe fn rewrite_process<F: FnMut(&ExecRegion) -> bool>(
         }
         let report = scan_range(region.start, region.len());
         unknown += report.unknown_bytes;
-        for site in report.sites {
-            match patcher::patch_syscall_site(site) {
-                Ok(PatchOutcome::Patched) => patched += 1,
-                Ok(PatchOutcome::AlreadyPatched) => {}
-                Err(e) => {
-                    return Err(io::Error::other(
-                        format!("patching {site:#x} in {}: {e}", region.path),
-                    ))
-                }
-            }
-        }
+        patched += patch_by_page(&report.sites, Some(region.perms))
+            .map_err(|e| io::Error::other(format!("patching {}: {e}", region.path)))?;
     }
     Ok((patched, unknown))
 }
@@ -298,13 +305,16 @@ mod live_scan_tests {
     /// about undecodable bytes.
     #[test]
     fn scan_this_process_image() {
-        let regions = exec_regions().unwrap();
+        // File-backed text only: the anonymous executable pages are
+        // other tests' JIT pages, patched and unmapped under our feet.
+        let mut regions = exec_regions().unwrap();
+        regions.retain(|r| !r.path.is_empty());
         let mut total_sites = 0usize;
         let mut total_bytes = 0usize;
         let mut total_unknown = 0usize;
         for region in &regions {
             // SAFETY: regions come from /proc/self/maps and stay mapped
-            // (this process does not unmap code).
+            // (this process does not unmap the objects it loaded).
             let report = unsafe { scan_range(region.start, region.len()) };
             total_sites += report.sites.len();
             total_bytes += region.len();

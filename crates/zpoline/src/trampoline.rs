@@ -253,6 +253,10 @@ extern "C" {
 
 static TRAMPOLINE_INSTALLED: AtomicBool = AtomicBool::new(false);
 
+/// Held while page zero is being mapped, filled or probed. (The guard
+/// protects no data, so a poisoned lock is taken all the same.)
+static PAGE_ZERO: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Handle to the installed page-zero trampoline.
 ///
 /// The mapping is process-global and irrevocable by design: rewritten
@@ -281,6 +285,13 @@ impl Trampoline {
         // Acquire pairs with the Release store at the end of a
         // concurrent install, so a caller that observes `true` also
         // observes the fully written trampoline page.
+        if TRAMPOLINE_INSTALLED.load(Ordering::Acquire) {
+            return Ok(Trampoline { sled_len });
+        }
+        // One installer (or prober) at a time: a second `MAP_FIXED`
+        // would replace the page the first is still filling, and the
+        // first's `mprotect` would pull it out from under the second.
+        let _page_zero = PAGE_ZERO.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if TRAMPOLINE_INSTALLED.load(Ordering::Acquire) {
             return Ok(Trampoline { sled_len });
         }
@@ -381,6 +392,10 @@ impl Trampoline {
         }
         static PROBE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *PROBE.get_or_init(|| {
+            let _page_zero = PAGE_ZERO.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            if Self::is_installed() {
+                return true;
+            }
             // SAFETY: PROT_NONE mapping at a fixed address nothing can
             // legitimately occupy before the trampoline exists;
             // immediately unmapped.

@@ -554,9 +554,14 @@ fn scenario_fault_unpatchable_page() {
     // retry, then blocklist; the syscall itself must still succeed via
     // emulation, and the site's bytes stay untouched.
     interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
+    // An RWX page, which the patcher opens no mprotect window on: the
+    // seam stands in for the mprotect all the same. (Looked up before
+    // init, while the lookup's raw syscalls are nobody's business.)
+    let p = unsafe { emit_getpid_page(2) };
+    let perms = zpoline::patcher::region_perms(p as usize).expect("mapped");
+    assert!(perms.read && perms.write && perms.exec, "{perms:?}");
     let engine = lazypoline::init(Config::default()).expect("init");
     unsafe {
-        let p = emit_getpid_page(2);
         let pid = std::process::id() as u64;
         let f0: extern "C" fn() -> u64 = std::mem::transmute(p);
         let f1: extern "C" fn() -> u64 = std::mem::transmute(p.add(64));
@@ -629,6 +634,102 @@ fn scenario_fault_unpatchable_page() {
         libc::munmap(p as *mut _, 4096);
     }
     engine.unenroll_current_thread();
+}
+
+fn scenario_rwx_patch_without_mprotect() {
+    // The patcher must not mprotect a page that is already writable.
+    // Proved by taking mprotect away: a seccomp filter fails every one
+    // with EPERM, after which an RWX page still patches (anchor plus
+    // swept site) and an r-x page cannot — the control that shows the
+    // filter bites.
+    #[repr(C)]
+    struct SockFilter {
+        code: u16,
+        jt: u8,
+        jf: u8,
+        k: u32,
+    }
+    #[repr(C)]
+    struct SockFprog {
+        len: u16,
+        filter: *const SockFilter,
+    }
+    const SECCOMP_RET_ERRNO: u32 = 0x0005_0000;
+    const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
+    let insn = |code, jt, jf, k| SockFilter { code, jt, jf, k };
+    let filter = [
+        // A = seccomp_data.nr; if A != mprotect skip the errno return.
+        insn(0x20, 0, 0, 0),
+        insn(0x15, 0, 1, syscalls::nr::MPROTECT as u32),
+        insn(0x06, 0, 0, SECCOMP_RET_ERRNO | libc::EPERM as u32),
+        insn(0x06, 0, 0, SECCOMP_RET_ALLOW),
+    ];
+    let prog = SockFprog {
+        len: filter.len() as u16,
+        filter: filter.as_ptr(),
+    };
+    const PR_SET_SECCOMP: libc::c_int = 22;
+    const PR_SET_NO_NEW_PRIVS: libc::c_int = 38;
+    const SECCOMP_MODE_FILTER: libc::c_ulong = 2;
+
+    zpoline::Trampoline::install().expect("trampoline");
+    unsafe {
+        let rwx = emit_getpid_page(2);
+        let rx = emit_getpid_page(1);
+        let seam = emit_getpid_page(1);
+        assert_eq!(
+            libc::mprotect(rx.cast(), 4096, libc::PROT_READ | libc::PROT_EXEC),
+            0
+        );
+        let perms_of = |p: *mut u8| zpoline::patcher::region_perms(p as usize).map(|r| r.prot());
+
+        assert_eq!(
+            libc::prctl(PR_SET_NO_NEW_PRIVS, 1 as libc::c_ulong, 0, 0, 0),
+            0
+        );
+        let armed = libc::prctl(
+            PR_SET_SECCOMP,
+            SECCOMP_MODE_FILTER,
+            &prog as *const SockFprog,
+        );
+        assert_eq!(armed, 0, "seccomp filter refused");
+        assert_eq!(
+            libc::mprotect(rwx.cast(), 4096, libc::PROT_READ),
+            -1,
+            "filter inactive"
+        );
+
+        let out = zpoline::patch_page_sites(rwx as usize + 5).expect("no mprotect needed");
+        assert_eq!(
+            (out.site, out.extra_patched),
+            (zpoline::PatchOutcome::Patched, 1)
+        );
+        assert_eq!(
+            std::slice::from_raw_parts(rwx.add(64 + 5), 2),
+            &[0xff, 0xd0]
+        );
+        assert_eq!(perms_of(rwx), perms_of(seam));
+
+        assert_eq!(
+            zpoline::patch_page_sites(rx as usize + 5),
+            Err(zpoline::PatchError::MprotectFailed(syscalls::Errno::EPERM))
+        );
+        assert_eq!(std::slice::from_raw_parts(rx.add(5), 2), &[0x0f, 0x05]);
+        assert_eq!(perms_of(rx), Some(libc::PROT_READ | libc::PROT_EXEC));
+
+        // The fault seam fires on every attempt, window or no window.
+        faultinject::arm(
+            faultinject::Site::PatchMprotect,
+            faultinject::Schedule::EveryNth(1),
+            None,
+        );
+        assert_eq!(
+            zpoline::patch_page_sites(seam as usize + 5),
+            Err(zpoline::PatchError::MprotectFailed(syscalls::Errno::EAGAIN))
+        );
+        faultinject::disarm(faultinject::Site::PatchMprotect);
+        assert_eq!(std::slice::from_raw_parts(seam.add(5), 2), &[0x0f, 0x05]);
+    }
 }
 
 fn scenario_fault_soak() {
@@ -1661,6 +1762,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("batch_ablation", scenario_batch_ablation),
     ("fault_sud_only", scenario_fault_sud_only),
     ("fault_unpatchable_page", scenario_fault_unpatchable_page),
+    ("rwx_patch_without_mprotect", scenario_rwx_patch_without_mprotect),
     ("fault_soak", scenario_fault_soak),
     ("fault_soak_sudonly", scenario_fault_soak_sudonly),
     ("panic_quarantine", scenario_panic_quarantine),
