@@ -123,17 +123,6 @@ fn print_tables(sweep: &SweepConfig, results: &Fig5Results) {
     }
     print!("{}", lat.render());
 
-    let cmp = &results.comparison;
-    println!(
-        "\ngenerator: open-loop {:.0} rps ({} conns) vs legacy closed-loop {:.0} rps \
-         ({} conns) at {} thread(s) — {:.1}x",
-        cmp.open_loop_rps,
-        cmp.connections,
-        cmp.closed_loop_rps,
-        cmp.threads,
-        cmp.threads,
-        cmp.speedup,
-    );
     println!(
         "\n(paper, single worker: lazypoline-no-xstate >= 94.7% of baseline, within ~2-4pp of \
          zpoline;\n xstate preservation costs <= 4.7pp; SUD roughly halves throughput at small \
@@ -178,7 +167,6 @@ fn to_json(sweep: &SweepConfig, results: &Fig5Results) -> Json {
                 .field("cells", Json::Arr(cells))
         })
         .collect();
-    let cmp = &results.comparison;
     Json::obj()
         .field("bench", Json::Str("fig5".into()))
         .field("native_supported", Json::Bool(true))
@@ -201,13 +189,4 @@ fn to_json(sweep: &SweepConfig, results: &Fig5Results) -> Json {
             ),
         )
         .field("rows", Json::Arr(rows))
-        .field(
-            "generator_comparison",
-            Json::obj()
-                .field("threads", Json::Int(cmp.threads as u64))
-                .field("connections", Json::Int(cmp.connections as u64))
-                .field("open_loop_rps", Json::Num(cmp.open_loop_rps))
-                .field("closed_loop_rps", Json::Num(cmp.closed_loop_rps))
-                .field("speedup", Json::Num(cmp.speedup)),
-        )
 }

@@ -36,39 +36,15 @@ fn with_stats(row: Json, stats: Option<&mechanism::StatsSnapshot>) -> Json {
     } else {
         s.events_dropped as f64 / observed as f64
     };
-    row.field("drop_rate", Json::Num(drop_rate)).field(
-        "mechanism_stats",
-        Json::obj()
-            .field("mechanism", Json::Str(s.mechanism.into()))
-            .field("dispatches", Json::Int(s.dispatches))
-            .field("slow_path_hits", Json::Int(s.slow_path_hits))
-            .field("sites_patched", Json::Int(s.sites_patched))
-            .field("unpatchable_emulations", Json::Int(s.unpatchable_emulations))
-            .field(
-                "disabled_mode_emulations",
-                Json::Int(s.disabled_mode_emulations),
-            )
-            .field("signals_wrapped", Json::Int(s.signals_wrapped))
-            .field("patch_retries", Json::Int(s.patch_retries))
-            .field("pages_blocklisted", Json::Int(s.pages_blocklisted))
-            .field("quarantined_handlers", Json::Int(s.quarantined_handlers))
-            .field("events_recorded", Json::Int(s.events_recorded))
-            .field("events_dropped", Json::Int(s.events_dropped))
-            .field("events_spilled", Json::Int(s.events_spilled))
-            .field("ring_grows", Json::Int(s.ring_grows))
-            .field("ring_near_full", Json::Int(s.ring_near_full))
-            .field("drain_yields", Json::Int(s.drain_yields))
-            .field("drain_shards", Json::Int(s.drain_shards))
-            .field("replay_divergences", Json::Int(s.replay_divergences))
-            .field("bypass_blocked", Json::Int(s.bypass_blocked))
-            .field("pkru_switches", Json::Int(s.pkru_switches))
-            .field("hooks_loaded", Json::Int(s.hooks_loaded))
-            .field("hook_dispatches", Json::Int(s.hook_dispatches))
-            .field("hook_reloads", Json::Int(s.hook_reloads))
-            .field("sfip_checks", Json::Int(s.sfip_checks))
-            .field("sfip_violations", Json::Int(s.sfip_violations))
-            .field("sfip_mode", Json::Str(s.sfip_mode.into())),
-    )
+    let counters = s
+        .counters()
+        .fold(
+            Json::obj().field("mechanism", Json::Str(s.mechanism.into())),
+            |obj, (name, value)| obj.field(name, Json::Int(value)),
+        )
+        .field("sfip_mode", Json::Str(s.sfip_mode.into()));
+    row.field("drop_rate", Json::Num(drop_rate))
+        .field("mechanism_stats", counters)
 }
 
 fn main() {

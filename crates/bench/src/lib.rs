@@ -5,7 +5,7 @@
 //!   per intercepted syscall under each interposition configuration.
 //! * [`macrobench`] — the native Figure 5 web-server benchmark:
 //!   forked server processes under each configuration, measured with
-//!   the wrk-like client.
+//!   the open-loop load generator.
 //! * [`report`] — plain-text table formatting and statistics.
 //!
 //! Iteration counts and durations are scaled down from the paper's

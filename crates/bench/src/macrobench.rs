@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use httpd::{Docroot, Flavor, LoadConfig, OpenLoopConfig, Server, ServerConfig, StopFlag};
+use httpd::{Docroot, Flavor, OpenLoopConfig, Server, ServerConfig, StopFlag};
 use mechanism::replay;
 
 use crate::{env_f64, env_u64};
@@ -222,7 +222,7 @@ impl ServerChild {
         );
         // Recording needs a trace sink: without `LP_TRACE_OUT` the
         // recorder has no drain thread and the rings overflow.
-        let trace = mech.ends_with("+record").then(|| {
+        let trace = mech.split('+').skip(1).any(|l| l == "record").then(|| {
             std::env::temp_dir().join(format!(
                 "lp_fig5_{}_{}.lptrace",
                 std::process::id(),
@@ -330,10 +330,13 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
     let path = httpd::docroot::path_for_size(cfg.size);
 
     // Warmup: drives every hot syscall site at least once (rewriting).
-    let _ = httpd::run_load(&LoadConfig {
+    let _ = httpd::run_open_loop(&OpenLoopConfig {
         port: child.port,
         path: path.clone(),
         connections: 2,
+        threads: 1,
+        rate: 0.0,
+        pipeline: 1,
         duration: Duration::from_millis(300),
     });
 
@@ -372,90 +375,15 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
     })
 }
 
-/// Open-loop vs thread-per-connection generator throughput against the
-/// same uninstrumented server, at equal client thread count.
-#[derive(Clone, Debug)]
-pub struct GeneratorComparison {
-    /// Client threads both generators ran with.
-    pub threads: usize,
-    /// Connections the open-loop generator multiplexed over them.
-    pub connections: usize,
-    /// Open-loop saturation throughput.
-    pub open_loop_rps: f64,
-    /// Legacy closed-loop throughput (one thread per connection, so
-    /// `threads` connections).
-    pub closed_loop_rps: f64,
-    /// `open_loop_rps / closed_loop_rps`.
-    pub speedup: f64,
-}
-
-/// Measures both generators against a `none` server: the legacy
-/// thread-per-connection client ping-pongs one request per thread,
-/// the open-loop generator multiplexes the sweep's highest connection
-/// count over the same number of threads.
-///
-/// # Errors
-///
-/// I/O errors from the fork/pipe/load plumbing.
-pub fn run_generator_comparison(
-    docroot: &Docroot,
-    sweep: &SweepConfig,
-) -> io::Result<GeneratorComparison> {
-    let connections = sweep.connections.last().copied().unwrap_or(1);
-    let child = ServerChild::spawn(docroot, sweep.flavor, sweep.workers, "none")?;
-    let path = httpd::docroot::path_for_size(sweep.size);
-    let duration = Duration::from_secs_f64(sweep.secs);
-
-    let _ = httpd::run_load(&LoadConfig {
-        port: child.port,
-        path: path.clone(),
-        connections: 2,
-        duration: Duration::from_millis(300),
-    });
-
-    let closed = httpd::run_load(&LoadConfig {
-        port: child.port,
-        path: path.clone(),
-        connections: sweep.threads,
-        duration,
-    })?;
-    let open = httpd::run_open_loop(&OpenLoopConfig {
-        port: child.port,
-        path,
-        connections,
-        threads: sweep.threads,
-        rate: 0.0,
-        pipeline: sweep.pipeline,
-        duration,
-    })?;
-    child.stop_and_stats()?;
-
-    let closed_rps = closed.rps();
-    let open_rps = open.rps();
-    Ok(GeneratorComparison {
-        threads: sweep.threads,
-        connections,
-        open_loop_rps: open_rps,
-        closed_loop_rps: closed_rps,
-        speedup: if closed_rps > 0.0 {
-            open_rps / closed_rps
-        } else {
-            0.0
-        },
-    })
-}
-
 /// Everything the Figure 5 sweep measures.
 #[derive(Clone, Debug)]
 pub struct Fig5Results {
     /// All (connections × mechanism) cells, in sweep order.
     pub cells: Vec<MacroCell>,
-    /// The generator self-measurement.
-    pub comparison: GeneratorComparison,
 }
 
 /// Runs the whole Figure 5 sweep: the connection ladder against every
-/// mechanism row, then the generator comparison.
+/// mechanism row.
 ///
 /// # Errors
 ///
@@ -494,16 +422,7 @@ pub fn run_fig5(sweep: &SweepConfig) -> io::Result<Fig5Results> {
             cells.push(cell);
         }
     }
-    let comparison = run_generator_comparison(&docroot, sweep)?;
-    eprintln!(
-        "  generators @ {} thread(s): open-loop {:.0} req/s ({} conns) vs closed-loop {:.0} req/s ({:.1}x)",
-        comparison.threads,
-        comparison.open_loop_rps,
-        comparison.connections,
-        comparison.closed_loop_rps,
-        comparison.speedup,
-    );
-    Ok(Fig5Results { cells, comparison })
+    Ok(Fig5Results { cells })
 }
 
 /// The server child body: process-group leader, signal plumbing,

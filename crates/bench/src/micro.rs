@@ -75,9 +75,9 @@ pub struct MicroResults {
     /// Full lazypoline with the flight recorder mirroring every
     /// syscall into the per-thread rings (record-overhead row).
     pub lazypoline_record: Measurement,
-    /// Full lazypoline dispatching into a compiled-in two-handler
-    /// [`interpose::ChainHandler`] — the baseline the loaded-hook row
-    /// is judged against.
+    /// Full lazypoline dispatching into a compiled-in two-entry
+    /// [`interpose::HookStack`] — the baseline the loaded-hook row is
+    /// judged against.
     pub lazypoline_chain: Measurement,
     /// Full lazypoline under the `lazypoline+hooks` backend with the
     /// no-op `hook_noop` cdylib loaded via `LP_HOOKS` — same stack
@@ -251,11 +251,10 @@ fn passthrough_handler() -> Box<dyn interpose::SyscallHandler> {
 /// one no-op member) — structurally the same stack the
 /// `lazypoline+hooks` row runs, with zero `dlopen` in sight.
 fn chain_handler() -> Box<dyn interpose::SyscallHandler> {
-    Box::new(
-        interpose::ChainHandler::new()
-            .push(Box::new(interpose::PassthroughHandler))
-            .push(Box::new(interpose::PassthroughHandler)),
-    )
+    let stack = interpose::HookStack::new();
+    stack.attach(Box::new(interpose::PassthroughHandler), 0);
+    stack.attach(Box::new(interpose::PassthroughHandler), 0);
+    Box::new(stack)
 }
 
 /// The Table II measurement plan, in execution order.

@@ -252,35 +252,39 @@ pub fn parse_specs(spec: &str) -> Result<Vec<HookSpec>, HookLoadError> {
 /// Anything containing `/` is used verbatim. A bare name is tried as
 /// `lib<name>.so` (and as-is, for names already shaped like a
 /// filename) next to the running executable and in its ancestor
-/// directories' `deps/` — where cargo puts workspace cdylib artifacts
-/// relative to test and bench binaries. If nothing is found the bare
+/// directories — see [`resolve_from`]. If nothing is found the bare
 /// name is returned unchanged, letting `dlopen` run its normal
 /// `LD_LIBRARY_PATH` search (and produce the error if that fails too).
 pub fn resolve_library(library: &str) -> PathBuf {
     if library.contains('/') {
         return PathBuf::from(library);
     }
-    let mut candidates = Vec::new();
-    if library.ends_with(".so") {
-        candidates.push(library.to_string());
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| resolve_from(exe.parent()?, library))
+        .unwrap_or_else(|| PathBuf::from(library))
+}
+
+/// Walks up from `start` (four levels) looking for the bare `library`
+/// name where cargo puts workspace cdylib artifacts relative to test
+/// and bench binaries: the directory itself, its `deps/`, and — once
+/// the walk reaches `target/` — the sibling profile directories
+/// `release/` and `debug/`. A test binary in `target/debug/deps/`
+/// therefore finds its own profile's artifact first and falls back to
+/// the one `cargo build --release` emitted (`cargo test` builds the
+/// hook crates' test harnesses, not their `.so`).
+fn resolve_from(start: &Path, library: &str) -> Option<PathBuf> {
+    let file = if library.ends_with(".so") {
+        library.to_string()
     } else {
-        candidates.push(format!("lib{library}.so"));
-    }
-    if let Ok(exe) = std::env::current_exe() {
-        let mut dir = exe.parent().map(Path::to_path_buf);
-        for _ in 0..4 {
-            let Some(d) = dir else { break };
-            for cand in &candidates {
-                for probe in [d.join(cand), d.join("deps").join(cand)] {
-                    if probe.exists() {
-                        return probe;
-                    }
-                }
-            }
-            dir = d.parent().map(Path::to_path_buf);
-        }
-    }
-    PathBuf::from(library)
+        format!("lib{library}.so")
+    };
+    start.ancestors().take(4).find_map(|d| {
+        ["", "deps", "release", "debug"]
+            .iter()
+            .map(|sub| d.join(sub).join(&file))
+            .find(|probe| probe.exists())
+    })
 }
 
 fn last_dlerror() -> String {
@@ -663,6 +667,28 @@ mod tests {
             resolve_library("definitely_not_built"),
             PathBuf::from("definitely_not_built")
         );
+
+        // A tree shaped like cargo's: the test binary lives in
+        // target/debug/deps, the cdylib only in target/release.
+        let target = std::env::temp_dir().join(format!("lp_resolve_{}", std::process::id()));
+        let deps = target.join("debug/deps");
+        let release = target.join("release");
+        std::fs::create_dir_all(&deps).unwrap();
+        std::fs::create_dir_all(&release).unwrap();
+        std::fs::write(release.join("libhook_x.so"), b"").unwrap();
+        assert_eq!(
+            resolve_from(&deps, "hook_x"),
+            Some(release.join("libhook_x.so")),
+            "sibling profile dir is probed"
+        );
+        assert_eq!(resolve_from(&deps, "hook_y"), None);
+        // The running profile's own artifact wins over the sibling's.
+        std::fs::write(target.join("debug/libhook_x.so"), b"").unwrap();
+        assert_eq!(
+            resolve_from(&deps, "libhook_x.so"),
+            Some(target.join("debug/libhook_x.so"))
+        );
+        std::fs::remove_dir_all(&target).unwrap();
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! nonblocking keep-alive connections, recording per-request latency
 //! into the log-bucketed [`hist::Histogram`] (p50/p99/p999 per cell —
 //! the same observables Figure 5 plots, plus the tail the paper's
-//! mean-RPS table hides). The legacy closed-loop [`wrk`] client is
-//! kept as the comparison baseline the open-loop harness is measured
-//! against.
+//! mean-RPS table hides).
 
 #![deny(missing_docs)]
 
@@ -34,10 +32,8 @@ pub mod hist;
 pub mod http;
 pub mod loadgen;
 pub mod server;
-pub mod wrk;
 
 pub use docroot::Docroot;
 pub use hist::Histogram;
 pub use loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use server::{Flavor, Server, ServerConfig, StopFlag};
-pub use wrk::{run_load, LoadConfig, LoadReport};

@@ -1,15 +1,14 @@
 //! Open-loop epoll load generator — the harness side of "production
 //! traffic".
 //!
-//! The legacy [`wrk`](crate::wrk) client is closed-loop,
-//! thread-per-connection: each thread fires a request, blocks on the
-//! response, fires the next. That design cannot express thousands of
-//! concurrent connections (a thread each), and — worse for
-//! measurement — it *coordinates with the server*: when the server
+//! A closed-loop, thread-per-connection client (each thread fires a
+//! request, blocks on the response, fires the next) cannot express
+//! thousands of concurrent connections (a thread each), and — worse
+//! for measurement — it *coordinates with the server*: when the server
 //! stalls, the client politely stops offering load, so the stall never
 //! shows up in the numbers (coordinated omission).
 //!
-//! This module is the replacement: `threads` event-loop threads
+//! This module avoids both: `threads` event-loop threads
 //! multiplex `connections` nonblocking keep-alive connections through
 //! epoll. Request *admission* is open-loop — a virtual schedule admits
 //! one request every `1/rate` seconds no matter what the server is
@@ -559,10 +558,13 @@ mod tests {
     use crate::docroot::{path_for_size, Docroot};
     use crate::server::{Flavor, Server, ServerConfig};
 
-    fn serve() -> (u16, std::sync::Arc<crate::server::StopFlag>, Docroot) {
-        let root = Docroot::create(&[1024]).unwrap();
+    fn serve(
+        size: usize,
+        flavor: Flavor,
+    ) -> (u16, std::sync::Arc<crate::server::StopFlag>, Docroot) {
+        let root = Docroot::create(&[size]).unwrap();
         let (port, stop, _handle) = Server::spawn_in_thread(ServerConfig {
-            flavor: Flavor::LighttpdLike,
+            flavor,
             workers: 1,
             docroot: root.path().to_path_buf(),
         })
@@ -572,33 +574,40 @@ mod tests {
 
     #[test]
     fn saturation_mode_reports_throughput_and_latency() {
-        let (port, stop, _root) = serve();
-        let report = run_open_loop(&OpenLoopConfig {
-            port,
-            path: path_for_size(1024),
-            connections: 8,
-            threads: 2,
-            rate: 0.0,
-            pipeline: 2,
-            duration: Duration::from_millis(300),
-        })
-        .unwrap();
-        stop.stop();
-        assert!(report.requests > 50, "{report:?}");
-        assert_eq!(report.errors, 0, "{report:?}");
-        assert_eq!(
-            report.latency.count(),
-            report.requests,
-            "one latency sample per completed request"
-        );
-        assert_eq!(report.body_bytes, report.requests * 1024);
-        let (p50, p99, p999) = report.latency.summary();
-        assert!(p50 > 0 && p50 <= p99 && p99 <= p999, "{report:?}");
+        // A small in-memory body, and a 64 KiB one read from disk in
+        // chunks (many `write`s and partial reads per response).
+        for (size, flavor, at_least) in [
+            (1024, Flavor::LighttpdLike, 50),
+            (65536, Flavor::NginxLike, 5),
+        ] {
+            let (port, stop, _root) = serve(size, flavor);
+            let report = run_open_loop(&OpenLoopConfig {
+                port,
+                path: path_for_size(size),
+                connections: 8,
+                threads: 2,
+                rate: 0.0,
+                pipeline: 2,
+                duration: Duration::from_millis(300),
+            })
+            .unwrap();
+            stop.stop();
+            assert!(report.requests > at_least, "{size}: {report:?}");
+            assert_eq!(report.errors, 0, "{size}: {report:?}");
+            assert_eq!(
+                report.latency.count(),
+                report.requests,
+                "one latency sample per completed request"
+            );
+            assert_eq!(report.body_bytes, report.requests * size as u64);
+            let (p50, p99, p999) = report.latency.summary();
+            assert!(p50 > 0 && p50 <= p99 && p99 <= p999, "{size}: {report:?}");
+        }
     }
 
     #[test]
     fn rate_mode_admits_close_to_schedule() {
-        let (port, stop, _root) = serve();
+        let (port, stop, _root) = serve(1024, Flavor::LighttpdLike);
         let report = run_open_loop(&OpenLoopConfig {
             port,
             path: path_for_size(1024),

@@ -80,8 +80,8 @@ impl InterestSet {
         self.bits[(nr / 64) as usize] & (1u64 << (nr % 64)) != 0
     }
 
-    /// The union of two sets (used by
-    /// [`ChainHandler`](crate::ChainHandler) to combine children).
+    /// The union of two sets (used by [`HookStack`](crate::HookStack)
+    /// to combine its entries).
     pub fn union(&self, other: &InterestSet) -> InterestSet {
         let mut bits = [0u64; WORDS];
         for (i, b) in bits.iter_mut().enumerate() {

@@ -23,7 +23,6 @@
 
 #![deny(missing_docs)]
 
-mod chain;
 mod count;
 mod interest;
 mod latency;
@@ -34,7 +33,6 @@ mod rewrite;
 mod stack;
 mod trace;
 
-pub use chain::ChainHandler;
 pub use count::CountHandler;
 pub use interest::InterestSet;
 pub use latency::{LatencyHandler, LATENCY_BUCKETS};

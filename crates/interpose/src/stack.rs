@@ -1,8 +1,9 @@
 //! Priority-ordered, runtime-mutable handler stacks.
 //!
-//! [`HookStack`] generalizes [`ChainHandler`](crate::ChainHandler) from
-//! a build-once composition into a stack that can be **attached to and
-//! detached from while syscalls are in flight**. Dispatch is lock-free:
+//! [`HookStack`] is the suite's one handler-composition primitive: a
+//! stack that can be **attached to and detached from while syscalls are
+//! in flight**. A build-once chain is the same stack with every entry
+//! attached at priority 0 before it is installed. Dispatch is lock-free:
 //! the stack's entry list lives behind one `AtomicPtr` to an immutable
 //! snapshot, so the hot path pays a single acquire load — mutations
 //! build a new snapshot off to the side and swap it in (RCU style).
@@ -17,9 +18,10 @@
 //! attach order). Returning [`Action::Passthrough`] from `handle` *is*
 //! the `call_next` of stackable-hook designs: control falls to the next
 //! entry down. The first non-`Passthrough` decision wins and the rest
-//! of the stack is skipped for that event — exactly the
-//! `ChainHandler` contract, now with an ordering knob. `post` hooks run
-//! in the same order, folding the return value top to bottom.
+//! of the stack is skipped for that event. Earlier entries may rewrite
+//! the event for later ones (a redirect followed by a policy check sees
+//! the redirected fd). `post` hooks run in the same order, folding the
+//! return value top to bottom.
 //!
 //! # Interest recomputation protocol
 //!
@@ -350,6 +352,52 @@ mod tests {
         let mut allowed = SyscallEvent::new(SyscallArgs::nullary(nr::READ));
         assert_eq!(s.handle(&mut allowed), Action::Passthrough);
         assert_eq!(tail.count(nr::READ), 1);
+    }
+
+    #[test]
+    fn first_decision_wins_but_all_priors_run() {
+        let counter = CountHandler::new();
+        // CountHandler clones share their Arc-backed counters, so the
+        // stack's counts stay observable after the original is boxed.
+        let observer = counter.clone();
+        let s = HookStack::new();
+        s.attach(Box::new(counter), 0);
+        s.attach(
+            Box::new(PolicyBuilder::allow_by_default().deny(nr::EXECVE).build()),
+            0,
+        );
+
+        let mut allowed = SyscallEvent::new(SyscallArgs::nullary(nr::READ));
+        assert_eq!(s.handle(&mut allowed), Action::Passthrough);
+        let mut denied = SyscallEvent::new(SyscallArgs::nullary(nr::EXECVE));
+        assert_eq!(s.handle(&mut denied), Action::Fail(Errno::EPERM));
+
+        // The counter sat *before* the deny (same priority, attached
+        // first), so it observed both calls — including the one the
+        // policy then refused.
+        assert_eq!(observer.count(nr::READ), 1);
+        assert_eq!(observer.count(nr::EXECVE), 1);
+        assert_eq!(observer.total(), 2);
+    }
+
+    #[test]
+    fn earlier_rewrites_visible_to_later() {
+        use crate::FdRedirectHandler;
+        // Redirect fd 1 → 7, then deny writes to fd ≥ 3: the redirected
+        // call must be judged by its *rewritten* fd.
+        let s = HookStack::new();
+        s.attach(Box::new(FdRedirectHandler::new(1, 7)), 0);
+        s.attach(
+            Box::new(
+                PolicyBuilder::allow_by_default()
+                    .deny_write_to_fd_at_or_above(3)
+                    .build(),
+            ),
+            0,
+        );
+        let mut ev = SyscallEvent::new(SyscallArgs::new(nr::WRITE, [1, 0, 0, 0, 0, 0]));
+        assert_eq!(s.handle(&mut ev), Action::Fail(Errno::EBADF));
+        assert_eq!(ev.call.args[0], 7);
     }
 
     #[test]

@@ -527,7 +527,9 @@ mod tests {
         // Unit tests never run engine init (it would rewrite this test
         // process); the health snapshot must still be readable.
         let h = health();
-        assert_eq!(h.stats, stats());
+        // Sibling tests bump the process-wide counters from their own
+        // threads, so one pair of reads can straddle an update.
+        assert!((0..100).any(|_| health().stats == stats()));
         assert!(h.patch_blocklist_pages <= crate::blocklist::CAPACITY as u64);
     }
 

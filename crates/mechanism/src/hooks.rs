@@ -1,11 +1,8 @@
-//! The `<base>+hooks` dynamic backend: any static mechanism with a
-//! runtime [`HookStack`] installed as its handler — the caller's
-//! compiled-in handler at priority 0, plus every hook library named by
-//! `LP_HOOKS=lib.so[:prio],...` loaded through the `lp_hook_v1` ABI
-//! and stacked by priority.
-//!
-//! Like `<base>+record`, the name carries payload and therefore lives
-//! outside the static tables: parsed on first lookup, leaked, cached.
+//! The `+hooks` layer: a runtime [`HookStack`] as the handler — what
+//! the name puts below it (the caller's compiled-in handler, or the
+//! next layer's wrapper around it) at priority 0, plus every hook
+//! library named by `LP_HOOKS=lib.so[:prio],...` loaded through the
+//! `lp_hook_v1` ABI and stacked by priority.
 //!
 //! # Propagation
 //!
@@ -25,15 +22,12 @@ use std::time::{Duration, SystemTime};
 
 use hookabi::LoadedHook;
 use interpose::{Action, HookId, HookStack, InterestSet, SyscallEvent, SyscallHandler};
-use sim_interpose::Traits;
 
-use crate::{
-    static_by_name, ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome,
-    StatsSnapshot,
-};
+use crate::layer::{LayerGuard, Wrapped};
+use crate::{InstallError, StatsSnapshot};
 
-/// Environment variable naming the hook libraries a `<base>+hooks`
-/// backend loads at install: comma-separated `path-or-name[:priority]`
+/// Environment variable naming the hook libraries a `+hooks` layer
+/// loads at install: comma-separated `path-or-name[:priority]`
 /// (see `hookabi::parse_specs`). Unset or empty: the stack holds only
 /// the compiled-in handler.
 pub const HOOKS_ENV: &str = "LP_HOOKS";
@@ -60,27 +54,6 @@ pub fn hook_reloads() -> u64 {
     HOOK_RELOADS.load(Ordering::Relaxed)
 }
 
-/// Process-lifetime cache of constructed `+hooks` backends, keyed by
-/// the full name (same pattern as the record/replay cache).
-static CACHE: Mutex<Vec<(String, &'static dyn Mechanism)>> = Mutex::new(Vec::new());
-
-/// Parses `<base>+hooks`; `None` if the name has no `+hooks` suffix or
-/// the base is not a static backend.
-pub(crate) fn dynamic_by_name(name: &str) -> Option<&'static dyn Mechanism> {
-    let mut cache = CACHE.lock().unwrap();
-    if let Some((_, m)) = cache.iter().find(|(k, _)| k == name) {
-        return Some(*m);
-    }
-    let base_name = name.strip_suffix("+hooks")?;
-    let base = static_by_name(base_name)?;
-    let built: &'static dyn Mechanism = Box::leak(Box::new(HooksBackend {
-        key: Box::leak(name.to_string().into_boxed_str()),
-        base,
-    }));
-    cache.push((name.to_string(), built));
-    Some(built)
-}
-
 /// Shares one [`LoadedHook`] between the stack entry (which needs a
 /// `Box<dyn SyscallHandler>`) and the install guard (which needs the
 /// hook back for `fini` at detach).
@@ -101,76 +74,43 @@ impl SyscallHandler for SharedHook {
     }
 }
 
-/// `<base>+hooks`: the base mechanism dispatching into a runtime
-/// [`HookStack`].
-struct HooksBackend {
-    key: &'static str,
-    base: &'static dyn Mechanism,
-}
+/// Loads every hook named by `LP_HOOKS` (a bad library is a typed
+/// install error before anything arms), stacks them around `handler`,
+/// and hands back a clone of the stack as the handler to install —
+/// clones share state, so runtime attach/detach through the guard's
+/// `stack()` mutates the live handler (and a stack that ends up the
+/// outermost handler recognises itself as installed, keeping the
+/// interest cache in sync).
+///
+/// With `LP_HOOKS_WATCH=1` the watcher thread starts here, before the
+/// base arms, so — like the recorder's drain thread — it is never
+/// enrolled in interposition and its own `stat`s stay out of the hooks.
+pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallError> {
+    let spec = std::env::var(HOOKS_ENV).unwrap_or_default();
+    let loaded = hookabi::load_from_spec(&spec).map_err(InstallError::Hook)?;
 
-impl Mechanism for HooksBackend {
-    fn name(&self) -> &'static str {
-        self.key
+    let stack = HookStack::new();
+    // The handler below anchors the stack at priority 0;
+    // spec/descriptor priorities place each hook around it.
+    stack.attach(handler, 0);
+    let mut hooks = Vec::with_capacity(loaded.len());
+    for h in loaded {
+        let h = Arc::new(h);
+        let prio = h.priority();
+        let id = stack.attach_dynamic(Box::new(SharedHook(Arc::clone(&h))), prio);
+        let mtime = mtime_of(h.origin());
+        hooks.push(WatchedHook { id, hook: h, mtime });
     }
-
-    fn traits(&self) -> Traits {
-        self.base.traits()
-    }
-
-    fn is_available(&self) -> bool {
-        self.base.is_available()
-    }
-
-    fn install(
-        &self,
-        handler: Box<dyn SyscallHandler>,
-    ) -> Result<ActiveMechanism, InstallError> {
-        // Load every hook *before* arming the base: a bad library is a
-        // typed install error, never a half-armed mechanism.
-        let spec = std::env::var(HOOKS_ENV).unwrap_or_default();
-        let loaded = hookabi::load_from_spec(&spec).map_err(InstallError::Hook)?;
-
-        let stack = HookStack::new();
-        // The compiled-in handler anchors the stack at priority 0;
-        // spec/descriptor priorities place each hook around it.
-        stack.attach(handler, 0);
-        let mut hooks = Vec::with_capacity(loaded.len());
-        for h in loaded {
-            let h = Arc::new(h);
-            let prio = h.priority();
-            let id = stack.attach_dynamic(Box::new(SharedHook(Arc::clone(&h))), prio);
-            let mtime = mtime_of(h.origin());
-            hooks.push(WatchedHook { id, hook: h, mtime });
-        }
-        let hooks = Arc::new(Mutex::new(hooks));
-
-        let dispatch_base = interpose::hook_dispatches();
-        let reload_base = hook_reloads();
-        // The base installs a clone of the stack as the process-global
-        // handler — clones share state, so runtime attach/detach
-        // through the guard's `stack()` mutates the live handler (and
-        // the stack recognises itself as installed, keeping the
-        // interest cache in sync).
-        let base = self.base.install(Box::new(stack.clone()))?;
-        let watcher = if std::env::var(HOOKS_WATCH_ENV).is_ok_and(|v| v == "1")
-            && !hooks.lock().unwrap().is_empty()
-        {
-            Some(Watcher::spawn(stack.clone(), Arc::clone(&hooks)))
-        } else {
-            None
-        };
-        Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Hooks(Box::new(HooksActive {
-                base,
-                stack,
-                hooks,
-                dispatch_base,
-                reload_base,
-                watcher,
-            })),
-        ))
-    }
+    let watch = std::env::var(HOOKS_WATCH_ENV).is_ok_and(|v| v == "1") && !hooks.is_empty();
+    let hooks = Arc::new(Mutex::new(hooks));
+    let guard = HooksGuard {
+        stack: stack.clone(),
+        dispatch_base: interpose::hook_dispatches(),
+        reload_base: hook_reloads(),
+        watcher: watch.then(|| Watcher::spawn(stack.clone(), Arc::clone(&hooks))),
+        hooks,
+    };
+    Ok((Box::new(stack), LayerGuard::Hooks(guard)))
 }
 
 /// One attached dynamic hook plus the mtime the watcher compares
@@ -186,7 +126,7 @@ fn mtime_of(path: &str) -> Option<SystemTime> {
 }
 
 /// The `LP_HOOKS_WATCH` housekeeping thread: stopped and joined when
-/// the owning [`HooksActive`] drops, *before* the hooks detach.
+/// the owning [`HooksGuard`] drops, *before* the hooks detach.
 struct Watcher {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -223,7 +163,7 @@ impl Drop for Watcher {
 
 /// One watcher pass: reload every hook whose library mtime moved.
 /// The swap is `detach` → `fini` → reload → `attach` (the order the
-/// manual [`HooksActive::detach_hook`] path uses); dispatch racing the
+/// manual [`HooksGuard::detach_hook`] path uses); dispatch racing the
 /// window simply misses the hook for a few events — the stack's RCU
 /// snapshots make both edges safe against in-flight syscalls.
 fn sweep(stack: &HookStack, hooks: &Mutex<Vec<WatchedHook>>) {
@@ -264,42 +204,25 @@ fn sweep(stack: &HookStack, hooks: &Mutex<Vec<WatchedHook>>) {
     }
 }
 
-/// Live `<base>+hooks` installation: the base guard, the shared stack,
-/// and the loaded hooks (kept for `fini` + reporting; shared with the
-/// optional mtime watcher).
-pub(crate) struct HooksActive {
-    base: ActiveMechanism,
+/// An installed `+hooks` layer: the shared stack and the loaded hooks
+/// (kept for `fini` + reporting; shared with the optional mtime
+/// watcher).
+pub(crate) struct HooksGuard {
     stack: HookStack,
     hooks: Arc<Mutex<Vec<WatchedHook>>>,
     /// `interpose::hook_dispatches()` at install, for delta reporting.
     dispatch_base: u64,
     /// [`hook_reloads`] at install, for delta reporting.
     reload_base: u64,
-    /// The `LP_HOOKS_WATCH` thread; drop order stops it before the
-    /// hooks detach.
+    /// The `LP_HOOKS_WATCH` thread.
     watcher: Option<Watcher>,
 }
 
-impl HooksActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let mut s = self.base.stats();
-        s.mechanism = mechanism;
+impl HooksGuard {
+    pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
         s.hooks_loaded = self.stack.dynamic_len() as u64;
         s.hook_dispatches = interpose::hook_dispatches().saturating_sub(self.dispatch_base);
         s.hook_reloads = hook_reloads().saturating_sub(self.reload_base);
-        s
-    }
-
-    pub(crate) fn detach(&mut self) {
-        self.base.detach();
-    }
-
-    pub(crate) fn set_xstate(&mut self, mask: zpoline::XstateMask) -> bool {
-        self.base.set_xstate(mask)
-    }
-
-    pub(crate) fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
-        self.base.run_program(program)
     }
 
     pub(crate) fn stack(&self) -> &HookStack {
@@ -315,7 +238,7 @@ impl HooksActive {
             .collect()
     }
 
-    pub(crate) fn detach_hook(&mut self, id: HookId) -> bool {
+    pub(crate) fn detach_hook(&self, id: HookId) -> bool {
         let mut hooks = self.hooks.lock().unwrap();
         let Some(pos) = hooks.iter().position(|w| w.id == id) else {
             return false;
@@ -329,12 +252,14 @@ impl HooksActive {
     }
 }
 
-impl Drop for HooksActive {
+impl Drop for HooksGuard {
     fn drop(&mut self) {
-        // Teardown order: the watcher thread stops first (it mutates
-        // the stack), then the base guard (still held) keeps the stack
-        // valid while we detach; fini runs per surviving hook. The
-        // libraries themselves stay mapped forever (hookabi docs).
+        // The watcher thread stops first (it mutates the stack), then
+        // each surviving hook detaches and runs its `fini`.
+        // `ActiveMechanism` drops this guard while the base is still
+        // armed, so a stack that is the installed handler narrows the
+        // interest cache as it empties. The libraries themselves stay
+        // mapped forever (hookabi docs).
         self.watcher = None;
         for w in self.hooks.lock().unwrap().drain(..) {
             if self.stack.detach(w.id) {

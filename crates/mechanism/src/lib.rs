@@ -34,13 +34,21 @@
 //! `sim:seccomp-user`, `sim:sud`, `sim:zpoline`, `sim:lazypoline-nox`,
 //! `sim:lazypoline`, `sim:lazypoline-hardened`.
 //!
-//! Dynamic (parsed by [`by_name`], composed over the rows above):
-//! `<base>+record` (flight recorder around any backend),
-//! `replay:<trace-path>` (deterministic replay of a recorded trace),
-//! `<base>+hooks` (a runtime [`interpose::HookStack`] as the
-//! handler, loading every `lp_hook_v1` library named by `LP_HOOKS`),
-//! and `<base>+sfip` (syscall-flow-integrity enforcement of a learned
-//! `LPSFIP1` policy named by `LP_SFIP_POLICY`).
+//! # Composed names: `base(+layer)*`
+//!
+//! [`by_name`] also parses one grammar over the rows above:
+//!
+//! | piece | meaning |
+//! |-------|---------|
+//! | `base` | any static row, or `replay:<trace-path>` (deterministic replay of a recorded trace; the path is the whole remainder, so it takes no layers) |
+//! | `+record` | the flight recorder around the handler (`LP_TRACE_OUT=<path>` also drains the rings into a trace file) |
+//! | `+hooks` | a runtime [`interpose::HookStack`] as the handler: what is below it at priority 0, plus every `lp_hook_v1` library named by `LP_HOOKS` |
+//! | `+sfip` | syscall-flow-integrity enforcement of the learned `LPSFIP1` policy named by `LP_SFIP_POLICY` |
+//!
+//! Each layer appears at most once. Written order is event flow, left
+//! to right = outside in: under `lazypoline+record+sfip` lazypoline
+//! dispatches into the recorder, which calls the SFIP check, which
+//! calls the caller's handler ("audit what you enforce").
 //!
 //! # One-way caveats
 //!
@@ -56,12 +64,14 @@
 #![deny(missing_docs)]
 
 mod hooks;
+mod layer;
 mod native;
 mod record_replay;
 mod sfip;
 mod sim;
 
 use interpose::SyscallHandler;
+use layer::LayerGuard;
 pub use hooks::{HOOKS_ENV, HOOKS_WATCH_ENV};
 pub use record_replay::TRACE_OUT_ENV;
 pub use replay;
@@ -106,10 +116,10 @@ pub enum InstallError {
     Init(lazypoline::InitError),
     /// A raw kernel interface (prctl/sigaction) failed.
     Io(std::io::Error),
-    /// A `<base>+hooks` backend could not load a hook library named by
+    /// A `+hooks` layer could not load a hook library named by
     /// `LP_HOOKS` (bad spec, dlopen failure, ABI mismatch, …).
     Hook(hookabi::HookLoadError),
-    /// A `<base>+sfip` backend could not load the policy named by
+    /// A `+sfip` layer could not load the policy named by
     /// `LP_SFIP_POLICY` (missing path, bad magic/version/geometry,
     /// unknown `LP_SFIP_POLICY_ACTION`, …).
     Policy(::sfip::PolicyError),
@@ -154,84 +164,104 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Uniform per-installation statistics, reported as **deltas since
-/// install** so drivers can attribute counts to one measurement phase.
-///
-/// Engine-backed natives report the full counter set (including the
-/// robustness counters: patch retries, blocklisted pages, quarantined
-/// handlers). `sud-raw` counts each `SIGSYS` trip as both a dispatch
-/// and a slow-path hit. Simulated backends map the sim kernel's
-/// counters (observed syscalls → `dispatches`, SUD/SIGSYS deliveries →
-/// `slow_path_hits`); counters without a simulated equivalent stay 0.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Registry key of the mechanism that produced this snapshot.
-    pub mechanism: &'static str,
+/// Declares [`StatsSnapshot`] and [`StatsSnapshot::counters`] from one
+/// field list, so a new counter is one line here and every emitter that
+/// iterates `counters()` picks it up.
+macro_rules! stats_snapshot {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Uniform per-installation statistics, reported as **deltas since
+        /// install** so drivers can attribute counts to one measurement phase.
+        ///
+        /// Engine-backed natives report the full counter set (including the
+        /// robustness counters: patch retries, blocklisted pages, quarantined
+        /// handlers). `sud-raw` counts each `SIGSYS` trip as both a dispatch
+        /// and a slow-path hit. Simulated backends map the sim kernel's
+        /// counters (observed syscalls → `dispatches`, SUD/SIGSYS deliveries →
+        /// `slow_path_hits`); counters without a simulated equivalent stay 0.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            /// Registry key of the mechanism that produced this snapshot.
+            pub mechanism: &'static str,
+            $($(#[$doc])* pub $field: u64,)*
+            /// The `+sfip` violation action (`kill`|`quarantine`|`count`;
+            /// empty without that layer).
+            pub sfip_mode: &'static str,
+        }
+
+        impl StatsSnapshot {
+            /// Every numeric counter as `(field name, value)`, in
+            /// declaration order — what report and JSON emitters iterate
+            /// instead of naming the fields again.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)*].into_iter()
+            }
+        }
+    };
+}
+
+stats_snapshot! {
     /// Syscalls that reached the mechanism's dispatcher.
-    pub dispatches: u64,
+    dispatches,
     /// Slow-path (`SIGSYS`) trips.
-    pub slow_path_hits: u64,
+    slow_path_hits,
     /// Syscall sites rewritten to `call rax`.
-    pub sites_patched: u64,
+    sites_patched,
     /// Syscalls emulated because their site is unpatchable.
-    pub unpatchable_emulations: u64,
+    unpatchable_emulations,
     /// Syscalls emulated because lazy rewriting is off.
-    pub disabled_mode_emulations: u64,
+    disabled_mode_emulations,
     /// Application signal deliveries routed through the wrapper.
-    pub signals_wrapped: u64,
+    signals_wrapped,
     /// Patch re-attempts after transient `mprotect` failures.
-    pub patch_retries: u64,
+    patch_retries,
     /// Pages inserted into the unpatchable-page blocklist.
-    pub pages_blocklisted: u64,
+    pages_blocklisted,
     /// Interposer handlers quarantined after panicking.
-    pub quarantined_handlers: u64,
+    quarantined_handlers,
     /// Syscall events the flight recorder captured (nonzero only under
-    /// a `<base>+record` backend or a manually installed recorder).
-    pub events_recorded: u64,
+    /// a `+record` layer or a manually installed recorder).
+    events_recorded,
     /// Syscall events the flight recorder dropped to its overflow
     /// policy.
-    pub events_dropped: u64,
-    /// Divergences replay detected between the execution and its trace
-    /// (nonzero only under `replay:<path>`).
-    pub replay_divergences: u64,
+    events_dropped,
     /// Records the drain path spilled from the rings into a trace file
     /// (async drain-thread sweeps and synchronous drains).
-    pub events_spilled: u64,
+    events_spilled,
     /// Adaptive capacity doublings of flight-recorder rings.
-    pub ring_grows: u64,
+    ring_grows,
     /// Ring pushes that observed near-full (≥3/4) occupancy —
     /// recorder backpressure short of an actual drop.
-    pub ring_near_full: u64,
+    ring_near_full,
     /// Near-full pushes that yielded the producer (`LP_DRAIN_YIELD`).
-    pub drain_yields: u64,
+    drain_yields,
     /// Drainer threads partitioning the ring pool in the most recent
     /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    pub drain_shards: u64,
+    drain_shards,
+    /// Divergences replay detected between the execution and its trace
+    /// (nonzero only under `replay:<path>`).
+    replay_divergences,
     /// Escape attempts the hardened backstop caught (nonzero only
     /// under `lazypoline-hardened` / `sim:lazypoline-hardened`).
-    pub bypass_blocked: u64,
+    bypass_blocked,
     /// WRPKRU open/close pairs around protected-selector writes
     /// (nonzero only with the pkey layer armed).
-    pub pkru_switches: u64,
+    pkru_switches,
     /// Dynamically loaded hooks currently attached to the handler stack
-    /// (a gauge, not a delta; nonzero only under `<base>+hooks`).
-    pub hooks_loaded: u64,
+    /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
+    hooks_loaded,
     /// Syscall events dispatched into dynamically loaded hooks since
     /// install (one count per hook per event that reaches it).
-    pub hook_dispatches: u64,
+    hook_dispatches,
     /// Hook libraries reloaded by the `LP_HOOKS_WATCH` mtime watcher
-    /// since install (nonzero only under `<base>+hooks` with the
-    /// watcher enabled).
-    pub hook_reloads: u64,
+    /// since install (nonzero only under `+hooks` with the watcher
+    /// enabled).
+    hook_reloads,
     /// Syscall-flow transition checks performed since install (nonzero
-    /// only under `<base>+sfip`).
-    pub sfip_checks: u64,
+    /// only under a `+sfip` layer).
+    sfip_checks,
     /// Syscall-flow violations observed since install (nonzero only
-    /// under `<base>+sfip`).
-    pub sfip_violations: u64,
-    /// The `<base>+sfip` violation action (`kill`|`quarantine`|`count`;
-    /// empty for other backends).
-    pub sfip_mode: &'static str,
+    /// under a `+sfip` layer).
+    sfip_violations,
 }
 
 impl StatsSnapshot {
@@ -255,26 +285,57 @@ pub struct SimOutcome {
     pub observed: Vec<u64>,
 }
 
-/// A live installation: handler registered, mechanism armed. Teardown
-/// runs on drop (mechanism first, then handler restoration).
+/// A live installation: handler registered, mechanism armed.
+///
+/// Teardown runs on drop, and its order is load-bearing: each `+hooks`
+/// layer goes first (its watcher thread stops, then its hooks detach
+/// and `fini` while the base still holds the stack installed); then the
+/// base disarms (mechanism first, then handler restoration), so its
+/// last events land in the rings; only then do the remaining layer
+/// guards drop, which is where a `+record` session's final drain runs.
 #[must_use = "dropping the guard immediately tears the mechanism down"]
 pub struct ActiveMechanism {
     name: &'static str,
+    // Declared before `layers`: fields drop in declaration order.
     inner: Inner,
+    /// Guards of the installed layers, innermost first; empty for a
+    /// static row.
+    layers: Vec<LayerGuard>,
 }
 
 pub(crate) enum Inner {
     Native(Box<native::NativeActive>),
     Sim(sim::SimActive),
-    Record(Box<record_replay::RecordActive>),
-    Replay(Box<record_replay::ReplayActive>),
-    Hooks(Box<hooks::HooksActive>),
-    Sfip(Box<sfip::SfipActive>),
+}
+
+impl Drop for ActiveMechanism {
+    fn drop(&mut self) {
+        self.layers.retain(|g| !matches!(g, LayerGuard::Hooks(_)));
+    }
 }
 
 impl ActiveMechanism {
     pub(crate) fn new(name: &'static str, inner: Inner) -> ActiveMechanism {
-        ActiveMechanism { name, inner }
+        ActiveMechanism {
+            name,
+            inner,
+            layers: Vec::new(),
+        }
+    }
+
+    /// Re-labels a freshly installed base as the composed name whose
+    /// layers (already wrapped into the base's handler) `layers` guard.
+    pub(crate) fn layered(mut self, name: &'static str, layers: Vec<LayerGuard>) -> Self {
+        self.name = name;
+        self.layers = layers;
+        self
+    }
+
+    fn hooks(&self) -> Option<&hooks::HooksGuard> {
+        self.layers.iter().find_map(|g| match g {
+            LayerGuard::Hooks(h) => Some(h),
+            _ => None,
+        })
     }
 
     /// The registry key of the installed mechanism.
@@ -282,77 +343,68 @@ impl ActiveMechanism {
         self.name
     }
 
-    /// Counters accumulated since install (see [`StatsSnapshot`]).
+    /// Counters accumulated since install (see [`StatsSnapshot`]): the
+    /// base's snapshot, then each layer fills in its own fields.
     pub fn stats(&self) -> StatsSnapshot {
-        match &self.inner {
+        let mut s = match &self.inner {
             Inner::Native(n) => n.snapshot(self.name),
             Inner::Sim(s) => s.snapshot(self.name),
-            Inner::Record(r) => r.snapshot(self.name),
-            Inner::Replay(r) => r.snapshot(self.name),
-            Inner::Hooks(h) => h.snapshot(self.name),
-            Inner::Sfip(s) => s.snapshot(self.name),
+        };
+        for g in &self.layers {
+            g.fill(&mut s);
         }
+        s
     }
 
-    /// The runtime hook stack of a `<base>+hooks` backend — a clone
-    /// shares state with the installed handler, so attaching/detaching
-    /// through it mutates live dispatch. `None` for other backends.
+    /// The runtime hook stack of a `+hooks` layer — a clone shares
+    /// state with the installed handler, so attaching/detaching through
+    /// it mutates live dispatch. `None` without that layer.
     pub fn hook_stack(&self) -> Option<&interpose::HookStack> {
-        match &self.inner {
-            Inner::Hooks(h) => Some(h.stack()),
-            _ => None,
-        }
+        self.hooks().map(hooks::HooksGuard::stack)
     }
 
-    /// The dynamically loaded hooks of a `<base>+hooks` backend:
-    /// `(id, name, priority)` per hook, in load order. Empty for other
-    /// backends.
+    /// The dynamically loaded hooks of a `+hooks` layer:
+    /// `(id, name, priority)` per hook, in load order. Empty without
+    /// that layer.
     pub fn loaded_hooks(&self) -> Vec<(interpose::HookId, String, i32)> {
-        match &self.inner {
-            Inner::Hooks(h) => h.loaded(),
-            _ => Vec::new(),
-        }
+        self.hooks()
+            .map(hooks::HooksGuard::loaded)
+            .unwrap_or_default()
     }
 
     /// Detaches one dynamically loaded hook mid-flight: removes it from
     /// the stack (narrowing the interest cache after the swap) and runs
     /// its `fini`. Returns `false` if the id is unknown or already
-    /// detached, or the backend is not `<base>+hooks`.
+    /// detached, or there is no `+hooks` layer.
     pub fn detach_hook(&mut self, id: interpose::HookId) -> bool {
-        match &mut self.inner {
-            Inner::Hooks(h) => h.detach_hook(id),
-            _ => false,
-        }
+        self.hooks().is_some_and(|h| h.detach_hook(id))
     }
 
-    /// Ends a `<base>+record` backend's trace session early, returning
-    /// the summary (events written, events dropped). `None` for other
-    /// backends, or when no trace file was requested
-    /// (`LP_TRACE_OUT` unset), or after the session already finished.
-    /// Without this call the session finishes on drop, best-effort.
+    /// Ends a `+record` layer's trace session early, returning the
+    /// summary (events written, events dropped). `None` without that
+    /// layer, or when no trace file was requested (`LP_TRACE_OUT`
+    /// unset), or after the session already finished. Without this call
+    /// the session finishes on drop, best-effort.
     pub fn finish_recording(&mut self) -> Option<std::io::Result<replay::RecordSummary>> {
-        match &mut self.inner {
-            Inner::Record(r) => r.finish_recording(),
+        self.layers.iter_mut().find_map(|g| match g {
+            LayerGuard::Record(session) => session.take().map(replay::Recorder::finish),
             _ => None,
-        }
+        })
     }
 
     /// The first divergence a `replay:<path>` backend observed, if any.
     /// `None` for other backends or while the replay is on-script.
     pub fn replay_divergence(&self) -> Option<replay::Divergence> {
-        match &self.inner {
-            Inner::Replay(r) => r.first_divergence(),
-            _ => None,
-        }
+        self.replay_state()?.first_divergence()
     }
 
     /// The shared replay progress state of a `replay:<path>` backend
     /// (trace length, cursor position, divergence count).
     pub fn replay_state(&self) -> Option<&std::sync::Arc<replay::ReplayState>> {
-        match &self.inner {
-            Inner::Replay(r) => Some(r.state()),
+        self.layers.iter().find_map(|g| match g {
+            LayerGuard::Replay(state) => Some(state),
             _ => None,
-        }
+        })
     }
 
     /// Stops interposing on the calling thread while keeping the
@@ -361,13 +413,8 @@ impl ActiveMechanism {
     /// pure rewriting), raw-SUD backends park the selector at ALLOW.
     /// No-op for `none` and simulated backends.
     pub fn detach(&mut self) {
-        match &mut self.inner {
-            Inner::Native(n) => n.detach(),
-            Inner::Record(r) => r.detach(),
-            Inner::Replay(r) => r.detach(),
-            Inner::Hooks(h) => h.detach(),
-            Inner::Sfip(s) => s.detach(),
-            Inner::Sim(_) => {}
+        if let Inner::Native(n) = &mut self.inner {
+            n.detach();
         }
     }
 
@@ -378,10 +425,6 @@ impl ActiveMechanism {
     pub fn set_xstate(&mut self, mask: XstateMask) -> bool {
         match &mut self.inner {
             Inner::Native(n) => n.set_xstate(mask),
-            Inner::Record(r) => r.set_xstate(mask),
-            Inner::Replay(r) => r.set_xstate(mask),
-            Inner::Hooks(h) => h.set_xstate(mask),
-            Inner::Sfip(s) => s.set_xstate(mask),
             Inner::Sim(_) => false,
         }
     }
@@ -392,14 +435,14 @@ impl ActiveMechanism {
     /// [`StatsSnapshot`] counters. Errors with [`RunError::NotSimulated`]
     /// on native backends.
     pub fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
-        match &mut self.inner {
-            Inner::Sim(s) => s.run(program),
-            Inner::Record(r) => r.run_program(program),
-            Inner::Replay(r) => r.run_program(program),
-            Inner::Hooks(h) => h.run_program(program),
-            Inner::Sfip(s) => s.run_program(program),
-            Inner::Native(_) => Err(RunError::NotSimulated),
+        let Inner::Sim(sim) = &mut self.inner else {
+            return Err(RunError::NotSimulated);
+        };
+        let out = sim.run(program);
+        for g in &mut self.layers {
+            g.after_run();
         }
+        out
     }
 }
 
@@ -416,35 +459,17 @@ pub fn names() -> Vec<&'static str> {
     all().map(|m| m.name()).collect()
 }
 
-/// Looks a backend up by registry key.
-///
-/// Besides the static names above, two **dynamic** name forms are
-/// recognised (constructed on first lookup, cached for the process):
-///
-/// * `<base>+record` — any static backend with the flight recorder
-///   composed around the handler (e.g. `lazypoline+record`,
-///   `sim:lazypoline+record`). Set `LP_TRACE_OUT=<path>` to also drain
-///   the rings into a trace file.
-/// * `replay:<trace-path>` — deterministic replay of a recorded trace;
-///   the base mechanism comes from the trace header's source mechanism
-///   (override with `LP_REPLAY_BASE`).
-/// * `<base>+hooks` — any static backend with a runtime
-///   [`interpose::HookStack`] as its handler (e.g. `lazypoline+hooks`,
-///   `sim:lazypoline+hooks`): the compiled-in handler at priority 0
-///   plus every `lp_hook_v1` library named by `LP_HOOKS`.
-/// * `<base>+sfip` — any static backend with syscall-flow-integrity
-///   enforcement around the handler: the `LPSFIP1` policy named by
-///   `LP_SFIP_POLICY` is checked per transition, with
-///   `LP_SFIP_POLICY_ACTION=kill|quarantine|count` on violation.
+/// Looks a backend up by registry key: a static name above, or a
+/// composed `base(+layer)*` name (see the crate docs for the grammar),
+/// constructed on first lookup and cached for the process. `None` for
+/// anything else — an unknown base or layer, a repeated layer, an empty
+/// piece.
 pub fn by_name(name: &str) -> Option<&'static dyn Mechanism> {
-    static_by_name(name)
-        .or_else(|| record_replay::dynamic_by_name(name))
-        .or_else(|| hooks::dynamic_by_name(name))
-        .or_else(|| sfip::dynamic_by_name(name))
+    static_by_name(name).or_else(|| layer::composed_by_name(name))
 }
 
-/// Static-registry lookup only — used internally so dynamic backends
-/// resolve their base without recursing into the dynamic parser.
+/// Static-registry lookup only: what a composed name's base, a trace
+/// header's source mechanism, and `LP_REPLAY_BASE` resolve through.
 pub(crate) fn static_by_name(name: &str) -> Option<&'static dyn Mechanism> {
     all().find(|m| m.name() == name)
 }
@@ -473,8 +498,8 @@ impl std::fmt::Display for UnknownMechanism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown mechanism {:?} (valid: {}; dynamic forms: \
-             <base>+record, replay:<trace-path>, <base>+hooks, <base>+sfip)",
+            "unknown mechanism {:?} (valid: base(+layer)* with base one of {}, or \
+             replay:<trace-path>; layer one of record, hooks, sfip, each at most once)",
             self.0,
             names().join(", ")
         )
@@ -566,15 +591,17 @@ mod tests {
         assert!(by_name("no-such-mechanism").is_none());
         let err = UnknownMechanism("no-such-mechanism".into()).to_string();
         assert!(err.contains("lazypoline"), "error lists valid names: {err}");
-        // The dynamic name forms are part of the valid vocabulary and
-        // must appear in the error too.
-        for form in [
-            "<base>+record",
+        // The grammar is part of the valid vocabulary and must appear
+        // in the error too.
+        for piece in [
+            "base(+layer)*",
             "replay:<trace-path>",
-            "<base>+hooks",
-            "<base>+sfip",
+            "record, hooks, sfip",
         ] {
-            assert!(err.contains(form), "error lists dynamic form {form}: {err}");
+            assert!(
+                err.contains(piece),
+                "error prints the grammar ({piece}): {err}"
+            );
         }
     }
 
@@ -636,6 +663,57 @@ mod tests {
                 Ok(_) => panic!("install must fail without a policy"),
             }
         }
+    }
+
+    #[test]
+    fn grammar_composes_layers_and_rejects_malformed_names() {
+        for (name, base) in [
+            ("lazypoline+record+sfip", "lazypoline"),
+            ("lazypoline-hardened+hooks+sfip", "lazypoline-hardened"),
+            ("sim:lazypoline+hooks+sfip", "sim:lazypoline"),
+            ("sim:ptrace+sfip+hooks+record", "sim:ptrace"),
+        ] {
+            let m = by_name(name).unwrap_or_else(|| panic!("{name} must parse"));
+            assert_eq!(m.name(), name);
+            assert_eq!(m.traits(), by_name(base).unwrap().traits());
+            assert_eq!(m.is_available(), by_name(base).unwrap().is_available());
+            // Repeat lookups hit the one cache.
+            assert!(std::ptr::eq(m, by_name(name).unwrap()));
+        }
+        for bad in [
+            "lazypoline+hooks+hooks",
+            "lazypoline+record+sfip+record",
+            "lazypoline+nope",
+            "+sfip",
+            "lazypoline+",
+            "lazypoline++sfip",
+            "replay:",
+        ] {
+            assert!(by_name(bad).is_none(), "{bad:?} must not parse");
+        }
+        // `replay:` takes the whole remainder as its path.
+        let r = by_name("replay:/tmp/a+record").expect("replay path may contain '+'");
+        assert_eq!(r.name(), "replay:/tmp/a+record");
+        assert_eq!(
+            names().len(),
+            19,
+            "composed names never join the static list"
+        );
+    }
+
+    #[test]
+    fn counters_iterate_every_numeric_field_in_declaration_order() {
+        let s = StatsSnapshot {
+            dispatches: 7,
+            drain_shards: 2,
+            sfip_violations: 3,
+            ..StatsSnapshot::zero("x")
+        };
+        let all: Vec<_> = s.counters().collect();
+        assert_eq!(all.first(), Some(&("dispatches", 7)));
+        assert_eq!(all.last(), Some(&("sfip_violations", 3)));
+        assert!(all.contains(&("drain_shards", 2)));
+        assert_eq!(all.iter().map(|(_, v)| v).sum::<u64>(), 12);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use interpose::SyscallHandler;
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 use zpoline::XstateMask;
 
+use crate::record_replay::fill_recorder_deltas;
 use crate::{ActiveMechanism, InstallError, Inner, Mechanism, StatsSnapshot};
 
 /// One registry row: a name bound to a concrete native configuration.
@@ -288,23 +289,11 @@ impl NativeActive {
         let mut s = StatsSnapshot::zero(mechanism);
         // Quarantine and the recorder/replay counters are
         // registry-level, not engine-level: report them for every
-        // backend (the raw-SUD handler dispatches through the same
-        // registry, and a record/replay wrapper may envelop any of
-        // them).
+        // backend.
         s.quarantined_handlers = now
             .quarantined_handlers
             .saturating_sub(self.base.quarantined_handlers);
-        s.events_recorded = now.events_recorded.saturating_sub(self.base.events_recorded);
-        s.events_dropped = now.events_dropped.saturating_sub(self.base.events_dropped);
-        s.replay_divergences = now
-            .replay_divergences
-            .saturating_sub(self.base.replay_divergences);
-        s.events_spilled = now.events_spilled.saturating_sub(self.base.events_spilled);
-        s.ring_grows = now.ring_grows.saturating_sub(self.base.ring_grows);
-        s.ring_near_full = now.ring_near_full.saturating_sub(self.base.ring_near_full);
-        s.drain_yields = now.drain_yields.saturating_sub(self.base.drain_yields);
-        // A configuration value, not a counter: report it as-is.
-        s.drain_shards = now.drain_shards;
+        fill_recorder_deltas(&mut s, &self.base, &now);
         match &self.kind {
             NativeKind::Nothing | NativeKind::SudAllow => {}
             NativeKind::RawSud { .. } => {

@@ -1,28 +1,21 @@
-//! Dynamic record/replay backends: `<base>+record` composes the
-//! flight recorder around any static backend; `replay:<trace-path>`
-//! re-executes a workload against a recorded trace.
-//!
-//! These are *names with payload*, so they cannot live in the static
-//! registry tables: [`dynamic_by_name`] parses the name on first
-//! lookup, builds the backend, leaks it (the registry hands out
-//! `&'static dyn Mechanism`), and caches it so repeated lookups of the
-//! same name return the same instance.
+//! Record/replay payloads: the `+record` layer composes the flight
+//! recorder around any stack; the `replay:<trace-path>` base
+//! re-executes a workload against a recorded trace. Also the
+//! recorder-counter deltas every base reports.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::Path;
+use std::sync::Arc;
 
 use interpose::SyscallHandler;
-use replay::{Divergence, RecordHandler, RecordSummary, Recorder, ReplayHandler, ReplayState};
+use replay::{RecordHandler, Recorder, ReplayHandler, ReplayState};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 
-use crate::{
-    static_by_name, ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome,
-    StatsSnapshot,
-};
+use crate::layer::{LayerGuard, Wrapped};
+use crate::{static_by_name, InstallError, Mechanism, StatsSnapshot};
 
-/// Environment variable naming the trace file a `<base>+record`
-/// backend drains its rings into. Unset: the flight recorder still
-/// runs (rings + counters), but nothing is written to disk.
+/// Environment variable naming the trace file a `+record` layer drains
+/// its rings into. Unset: the flight recorder still runs (rings +
+/// counters), but nothing is written to disk.
 pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
 
 /// Environment variable overriding the base mechanism a
@@ -30,228 +23,94 @@ pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
 /// source mechanism).
 pub const REPLAY_BASE_ENV: &str = "LP_REPLAY_BASE";
 
-/// Process-lifetime cache of constructed dynamic backends, keyed by
-/// the full name. Keeps repeated `by_name` calls from leaking a new
-/// backend each time.
-static CACHE: Mutex<Vec<(String, &'static dyn Mechanism)>> = Mutex::new(Vec::new());
+/// Writes the recorder/replay counters into `s` as deltas between two
+/// [`lazypoline::stats`] reads (which gather them whether or not the
+/// engine ever initialised). They are registry-level, not engine-level,
+/// so every base — native or simulated — reports them: the raw-SUD
+/// handler dispatches through the same registry, and a `+record` layer
+/// may envelop any base.
+pub(crate) fn fill_recorder_deltas(
+    s: &mut StatsSnapshot,
+    base: &lazypoline::Stats,
+    now: &lazypoline::Stats,
+) {
+    s.events_recorded = now.events_recorded.saturating_sub(base.events_recorded);
+    s.events_dropped = now.events_dropped.saturating_sub(base.events_dropped);
+    s.events_spilled = now.events_spilled.saturating_sub(base.events_spilled);
+    s.ring_grows = now.ring_grows.saturating_sub(base.ring_grows);
+    s.ring_near_full = now.ring_near_full.saturating_sub(base.ring_near_full);
+    s.drain_yields = now.drain_yields.saturating_sub(base.drain_yields);
+    s.replay_divergences = now
+        .replay_divergences
+        .saturating_sub(base.replay_divergences);
+    // A configuration value, not a counter: report it as-is.
+    s.drain_shards = now.drain_shards;
+}
 
-/// Parses a dynamic backend name; `None` if `name` matches neither
-/// form (or names an unknown base).
-pub(crate) fn dynamic_by_name(name: &str) -> Option<&'static dyn Mechanism> {
-    let mut cache = CACHE.lock().unwrap();
-    if let Some((_, m)) = cache.iter().find(|(k, _)| k == name) {
-        return Some(*m);
-    }
-    let built: &'static dyn Mechanism = if let Some(base_name) = name.strip_suffix("+record") {
-        let base = static_by_name(base_name)?;
-        Box::leak(Box::new(RecordBackend {
-            key: Box::leak(name.to_string().into_boxed_str()),
-            base,
-        }))
-    } else if let Some(path) = name.strip_prefix("replay:") {
-        if path.is_empty() {
-            return None;
+/// The `+record` layer: a [`RecordHandler`] around `handler`, plus the
+/// trace session if `LP_TRACE_OUT` names a file. The session opens
+/// before the base arms so its header names the base and no early event
+/// is missed — and it names the *static* base, so `replay:` can resolve
+/// it with a static lookup.
+pub(crate) fn wrap_record(
+    base_name: &'static str,
+    handler: Box<dyn SyscallHandler>,
+) -> Result<Wrapped, InstallError> {
+    let session = match std::env::var(TRACE_OUT_ENV) {
+        Ok(path) if !path.is_empty() => {
+            Some(Recorder::to_path(path.as_ref(), base_name).map_err(InstallError::Io)?)
         }
-        Box::leak(Box::new(ReplayBackend {
-            key: Box::leak(name.to_string().into_boxed_str()),
-            path: PathBuf::from(path),
-        }))
-    } else {
-        return None;
+        _ => None,
     };
-    cache.push((name.to_string(), built));
-    Some(built)
+    Ok((
+        Box::new(RecordHandler::wrapping(handler)),
+        LayerGuard::Record(session),
+    ))
 }
 
-// ——— record ————————————————————————————————————————————————————————
+/// Table I row of a `replay:<path>` backend.
+pub(crate) const REPLAY_TRAITS: Traits = Traits {
+    name: "deterministic replay",
+    expressiveness: Expressiveness::Full,
+    exhaustive: true,
+    efficiency: Efficiency::High,
+};
 
-/// `<base>+record`: the base mechanism with a [`RecordHandler`]
-/// wrapped around the caller's handler.
-struct RecordBackend {
-    key: &'static str,
-    base: &'static dyn Mechanism,
+/// The `replay:<path>` base: loads the trace, picks the static row to
+/// re-execute under, and wraps `handler` as the [`ReplayHandler`]'s
+/// observer.
+pub(crate) fn wrap_replay(
+    path: &Path,
+    handler: Box<dyn SyscallHandler>,
+) -> Result<(&'static dyn Mechanism, Wrapped), InstallError> {
+    let state = ReplayState::load(path).map_err(|e| InstallError::Io(e.into()))?;
+    let base = replay_base_for(&state.header().source_mechanism)?;
+    if !base.is_available() {
+        return Err(InstallError::Unsupported(
+            "replay base mechanism unavailable on this host",
+        ));
+    }
+    let replayer = ReplayHandler::new(Arc::clone(&state)).observing(handler);
+    Ok((base, (Box::new(replayer), LayerGuard::Replay(state))))
 }
 
-impl Mechanism for RecordBackend {
-    fn name(&self) -> &'static str {
-        self.key
-    }
-
-    fn traits(&self) -> Traits {
-        self.base.traits()
-    }
-
-    fn is_available(&self) -> bool {
-        self.base.is_available()
-    }
-
-    fn install(
-        &self,
-        handler: Box<dyn SyscallHandler>,
-    ) -> Result<ActiveMechanism, InstallError> {
-        // Open the trace session (if requested) before arming the base
-        // so its header names the base and no early event is missed.
-        let recorder = match std::env::var(TRACE_OUT_ENV) {
-            Ok(path) if !path.is_empty() => Some(
-                Recorder::to_path(path.as_ref(), self.base.name()).map_err(InstallError::Io)?,
-            ),
-            _ => None,
-        };
-        let base = self
-            .base
-            .install(Box::new(RecordHandler::wrapping(handler)))?;
-        Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Record(Box::new(RecordActive { base, recorder })),
-        ))
-    }
-}
-
-/// Live `<base>+record` installation: the base guard plus the optional
-/// trace session. Field order is teardown order — the base disarms
-/// (its last events land in the rings) before the recorder's drop
-/// performs the final drain.
-pub(crate) struct RecordActive {
-    base: ActiveMechanism,
-    recorder: Option<Recorder>,
-}
-
-impl RecordActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        // The base snapshot already carries the recorder counters
-        // (they are registry-level, reported by every backend kind);
-        // only the attribution changes.
-        let mut s = self.base.stats();
-        s.mechanism = mechanism;
-        s
-    }
-
-    pub(crate) fn detach(&mut self) {
-        self.base.detach();
-    }
-
-    pub(crate) fn set_xstate(&mut self, mask: zpoline::XstateMask) -> bool {
-        self.base.set_xstate(mask)
-    }
-
-    pub(crate) fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
-        let out = self.base.run_program(program);
-        // Drain between guest runs so rings never overflow across a
-        // multi-run session (each sim run can observe more events than
-        // one ring holds).
-        if let Some(rec) = &mut self.recorder {
-            let _ = rec.drain();
-        }
-        out
-    }
-
-    pub(crate) fn finish_recording(&mut self) -> Option<std::io::Result<RecordSummary>> {
-        Some(self.recorder.take()?.finish())
-    }
-}
-
-// ——— replay ————————————————————————————————————————————————————————
-
-/// `replay:<trace-path>`: deterministic replay of a recorded trace.
-struct ReplayBackend {
-    key: &'static str,
-    path: PathBuf,
-}
-
-impl ReplayBackend {
-    /// The base mechanism to re-execute under: `LP_REPLAY_BASE` if
-    /// set, else the trace's own source mechanism, else the paper's
-    /// subject (`lazypoline` / `sim:lazypoline` by source family).
-    fn base_for(&self, source: &str) -> Result<&'static dyn Mechanism, InstallError> {
-        if let Ok(name) = std::env::var(REPLAY_BASE_ENV) {
-            if !name.is_empty() {
-                return static_by_name(&name)
-                    .ok_or(InstallError::Unsupported("LP_REPLAY_BASE names no backend"));
-            }
-        }
-        if let Some(m) = static_by_name(source) {
-            return Ok(m);
-        }
-        let fallback = if source.starts_with("sim:") {
-            "sim:lazypoline"
-        } else {
-            "lazypoline"
-        };
-        static_by_name(fallback).ok_or(InstallError::Unsupported("no replay base backend"))
-    }
-}
-
-impl Mechanism for ReplayBackend {
-    fn name(&self) -> &'static str {
-        self.key
-    }
-
-    fn traits(&self) -> Traits {
-        Traits {
-            name: "deterministic replay",
-            expressiveness: Expressiveness::Full,
-            exhaustive: true,
-            efficiency: Efficiency::High,
+/// The base mechanism to re-execute under: `LP_REPLAY_BASE` if set,
+/// else the trace's own source mechanism, else the paper's subject
+/// (`lazypoline` / `sim:lazypoline` by source family).
+fn replay_base_for(source: &str) -> Result<&'static dyn Mechanism, InstallError> {
+    if let Ok(name) = std::env::var(REPLAY_BASE_ENV) {
+        if !name.is_empty() {
+            return static_by_name(&name)
+                .ok_or(InstallError::Unsupported("LP_REPLAY_BASE names no backend"));
         }
     }
-
-    /// The trace is only read at install; a bad path surfaces there as
-    /// a structured [`InstallError::Io`], not here.
-    fn is_available(&self) -> bool {
-        true
+    if let Some(m) = static_by_name(source) {
+        return Ok(m);
     }
-
-    fn install(
-        &self,
-        handler: Box<dyn SyscallHandler>,
-    ) -> Result<ActiveMechanism, InstallError> {
-        let state =
-            ReplayState::load(&self.path).map_err(|e| InstallError::Io(e.into()))?;
-        let base = self.base_for(&state.header().source_mechanism)?;
-        if !base.is_available() {
-            return Err(InstallError::Unsupported(
-                "replay base mechanism unavailable on this host",
-            ));
-        }
-        let replayer = ReplayHandler::new(Arc::clone(&state)).observing(handler);
-        let base = base.install(Box::new(replayer))?;
-        Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Replay(Box::new(ReplayActive { base, state })),
-        ))
-    }
-}
-
-/// Live `replay:<path>` installation.
-pub(crate) struct ReplayActive {
-    base: ActiveMechanism,
-    state: Arc<ReplayState>,
-}
-
-impl ReplayActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let mut s = self.base.stats();
-        s.mechanism = mechanism;
-        s
-    }
-
-    pub(crate) fn detach(&mut self) {
-        self.base.detach();
-    }
-
-    pub(crate) fn set_xstate(&mut self, mask: zpoline::XstateMask) -> bool {
-        self.base.set_xstate(mask)
-    }
-
-    pub(crate) fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
-        self.base.run_program(program)
-    }
-
-    pub(crate) fn first_divergence(&self) -> Option<Divergence> {
-        self.state.first_divergence()
-    }
-
-    pub(crate) fn state(&self) -> &Arc<ReplayState> {
-        &self.state
-    }
+    let fallback = if source.starts_with("sim:") {
+        "sim:lazypoline"
+    } else {
+        "lazypoline"
+    };
+    static_by_name(fallback).ok_or(InstallError::Unsupported("no replay base backend"))
 }

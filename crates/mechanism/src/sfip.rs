@@ -1,5 +1,5 @@
-//! The dynamic `<base>+sfip` backend: syscall-flow-integrity
-//! enforcement composed around any static backend.
+//! The `+sfip` layer: syscall-flow-integrity enforcement composed
+//! around any stack.
 //!
 //! `LP_SFIP_POLICY=<path>` names the `LPSFIP1` policy to enforce
 //! (required — an `+sfip` install without a policy is a typed
@@ -9,111 +9,47 @@
 //! additionally enforces the per-site origin sets when the policy
 //! carries them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ::sfip::{Policy, SfipHandler, ViolationAction};
 use interpose::SyscallHandler;
 
-use crate::{
-    static_by_name, ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome,
-    StatsSnapshot,
-};
+use crate::layer::{LayerGuard, Wrapped};
+use crate::{InstallError, StatsSnapshot};
 
-/// Process-lifetime cache of constructed `<base>+sfip` backends, keyed
-/// by the full name (same idiom as the record/replay and hooks caches).
-static CACHE: Mutex<Vec<(String, &'static dyn Mechanism)>> = Mutex::new(Vec::new());
-
-/// Parses `<base>+sfip`; `None` for other shapes or an unknown base.
-pub(crate) fn dynamic_by_name(name: &str) -> Option<&'static dyn Mechanism> {
-    let base_name = name.strip_suffix("+sfip")?;
-    let mut cache = CACHE.lock().unwrap();
-    if let Some((_, m)) = cache.iter().find(|(k, _)| k == name) {
-        return Some(*m);
-    }
-    let base = static_by_name(base_name)?;
-    let built: &'static dyn Mechanism = Box::leak(Box::new(SfipBackend {
-        key: Box::leak(name.to_string().into_boxed_str()),
-        base,
-    }));
-    cache.push((name.to_string(), built));
-    Some(built)
+/// Loads and validates the policy, action and origins switch, then
+/// wraps `handler` in an [`SfipHandler`].
+pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallError> {
+    let path = match std::env::var(::sfip::POLICY_ENV) {
+        Ok(p) if !p.is_empty() => p,
+        _ => return Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)),
+    };
+    let policy = Policy::load(path.as_ref()).map_err(InstallError::Policy)?;
+    let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
+    let check_origins = std::env::var(::sfip::ORIGINS_ENV).is_ok_and(|v| v == "1");
+    let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
+    Ok((
+        Box::new(enforcer),
+        LayerGuard::Sfip(SfipGuard {
+            action,
+            checks_base: ::sfip::checks(),
+            violations_base: ::sfip::violations(),
+        }),
+    ))
 }
 
-/// `<base>+sfip`: the base mechanism with an [`SfipHandler`] wrapped
-/// around the caller's handler.
-struct SfipBackend {
-    key: &'static str,
-    base: &'static dyn Mechanism,
-}
-
-impl Mechanism for SfipBackend {
-    fn name(&self) -> &'static str {
-        self.key
-    }
-
-    fn traits(&self) -> sim_interpose::Traits {
-        self.base.traits()
-    }
-
-    fn is_available(&self) -> bool {
-        self.base.is_available()
-    }
-
-    fn install(
-        &self,
-        handler: Box<dyn SyscallHandler>,
-    ) -> Result<ActiveMechanism, InstallError> {
-        // Load and validate everything before arming the base, so a
-        // bad policy or action leaves nothing half-installed.
-        let path = match std::env::var(::sfip::POLICY_ENV) {
-            Ok(p) if !p.is_empty() => p,
-            _ => return Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)),
-        };
-        let policy = Policy::load(path.as_ref()).map_err(InstallError::Policy)?;
-        let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
-        let check_origins = std::env::var(::sfip::ORIGINS_ENV).is_ok_and(|v| v == "1");
-        let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
-        let base = self.base.install(Box::new(enforcer))?;
-        Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Sfip(Box::new(SfipActive {
-                base,
-                action,
-                checks_base: ::sfip::checks(),
-                violations_base: ::sfip::violations(),
-            })),
-        ))
-    }
-}
-
-/// Live `<base>+sfip` installation: the base guard plus install-time
-/// counter baselines so the snapshot reports deltas.
-pub(crate) struct SfipActive {
-    base: ActiveMechanism,
+/// An installed `+sfip` layer: the action plus install-time counter
+/// baselines so the snapshot reports deltas.
+pub(crate) struct SfipGuard {
     action: ViolationAction,
     checks_base: u64,
     violations_base: u64,
 }
 
-impl SfipActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let mut s = self.base.stats();
-        s.mechanism = mechanism;
+impl SfipGuard {
+    pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
         s.sfip_checks = ::sfip::checks().saturating_sub(self.checks_base);
         s.sfip_violations = ::sfip::violations().saturating_sub(self.violations_base);
         s.sfip_mode = self.action.name();
-        s
-    }
-
-    pub(crate) fn detach(&mut self) {
-        self.base.detach();
-    }
-
-    pub(crate) fn set_xstate(&mut self, mask: zpoline::XstateMask) -> bool {
-        self.base.set_xstate(mask)
-    }
-
-    pub(crate) fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
-        self.base.run_program(program)
     }
 }

@@ -5,6 +5,7 @@
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 use sim_interpose::{mechanism_traits, Interposed, Traits};
 
+use crate::record_replay::fill_recorder_deltas;
 use crate::{ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome, StatsSnapshot};
 
 /// One registry row: a name bound to a simulated mechanism model.
@@ -87,16 +88,10 @@ pub(crate) struct SimActive {
     handler: Box<dyn SyscallHandler>,
     dispatches: u64,
     slow_path_hits: u64,
-    /// Process-global recorder/replay counters at install time, so the
-    /// snapshot reports deltas attributable to this installation (same
+    /// Process-global counters at install, so the snapshot reports the
+    /// recorder/replay deltas attributable to this installation (same
     /// contract as the native backends).
-    base_recorded: u64,
-    base_dropped: u64,
-    base_divergences: u64,
-    base_spilled: u64,
-    base_grows: u64,
-    base_near_full: u64,
-    base_drain_yields: u64,
+    base: lazypoline::Stats,
 }
 
 impl SimActive {
@@ -109,13 +104,7 @@ impl SimActive {
             handler,
             dispatches: 0,
             slow_path_hits: 0,
-            base_recorded: replay::events_recorded(),
-            base_dropped: replay::events_dropped(),
-            base_divergences: replay::replay_divergences(),
-            base_spilled: replay::events_spilled(),
-            base_grows: replay::ring::total_grows(),
-            base_near_full: replay::ring::total_near_full(),
-            base_drain_yields: replay::ring::total_drain_yields(),
+            base: lazypoline::stats(),
         }
     }
 
@@ -166,17 +155,7 @@ impl SimActive {
         let mut s = StatsSnapshot::zero(mechanism);
         s.dispatches = self.dispatches;
         s.slow_path_hits = self.slow_path_hits;
-        s.events_recorded = replay::events_recorded().saturating_sub(self.base_recorded);
-        s.events_dropped = replay::events_dropped().saturating_sub(self.base_dropped);
-        s.replay_divergences =
-            replay::replay_divergences().saturating_sub(self.base_divergences);
-        s.events_spilled = replay::events_spilled().saturating_sub(self.base_spilled);
-        s.ring_grows = replay::ring::total_grows().saturating_sub(self.base_grows);
-        s.ring_near_full = replay::ring::total_near_full().saturating_sub(self.base_near_full);
-        s.drain_yields =
-            replay::ring::total_drain_yields().saturating_sub(self.base_drain_yields);
-        // A configuration value, not a counter: report it as-is.
-        s.drain_shards = replay::drain_shards();
+        fill_recorder_deltas(&mut s, &self.base, &lazypoline::stats());
         s
     }
 }

@@ -29,7 +29,7 @@ fn main() {
         );
         return;
     }
-    let backend = if base.name().ends_with("+record") {
+    let backend = if base.name().split('+').skip(1).any(|l| l == "record") {
         base // LP_MECHANISM already asked for recording
     } else {
         mechanism::by_name(&format!("{}+record", base.name()))

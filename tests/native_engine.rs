@@ -1130,6 +1130,25 @@ fn scenario_mechanism_differential() {
     }
 }
 
+/// Whether the composed mechanism name `name` stacks `layer` anywhere
+/// above its base (`lazypoline+hooks+sfip` has both `hooks` and `sfip`).
+fn has_layer(name: &str, layer: &str) -> bool {
+    name.split('+').skip(1).any(|l| l == layer)
+}
+
+/// Every `+hooks` / `+sfip` layer a composed name carries must have
+/// done something, or the CI matrix row that selected it is vacuous.
+fn assert_layers_ran(stats: &mechanism::StatsSnapshot) {
+    let name = stats.mechanism;
+    if has_layer(name, "hooks") {
+        assert!(stats.hooks_loaded > 0, "{name}: LP_HOOKS loaded no hooks");
+        assert!(stats.hook_dispatches > 0, "{name}: loaded hooks saw no syscalls");
+    }
+    if has_layer(name, "sfip") {
+        assert!(stats.sfip_checks > 0, "{name}: no syscalls were flow-checked");
+    }
+}
+
 fn scenario_mechanism_smoke() {
     // Honors whatever LP_MECHANISM the harness (e.g. the CI mechanism
     // matrix) passed through: the named backend must install, interpose
@@ -1149,7 +1168,7 @@ fn scenario_mechanism_smoke() {
         }
     }
     let mut scratch = Scratch(None);
-    if backend.name().ends_with("+sfip") && std::env::var_os(sfip::POLICY_ENV).is_none() {
+    if has_layer(backend.name(), "sfip") && std::env::var_os(sfip::POLICY_ENV).is_none() {
         let path = std::env::temp_dir().join(format!("lp-smoke-{}.sfip", std::process::id()));
         sfip::Policy::allow_all("smoke").save(&path).expect("policy saves");
         std::env::set_var(sfip::POLICY_ENV, &path);
@@ -1168,22 +1187,7 @@ fn scenario_mechanism_smoke() {
             .run_program(&sim_workloads::bench::microbench(50))
             .expect("sim run");
         assert_eq!(outcome.exit, 0, "{}: bad exit", active.mechanism_name());
-        if active.mechanism_name().ends_with("+hooks") {
-            let s = active.stats();
-            assert!(
-                s.hooks_loaded > 0,
-                "{}: LP_HOOKS loaded no hooks — the matrix row is vacuous",
-                active.mechanism_name()
-            );
-        }
-        if active.mechanism_name().ends_with("+sfip") {
-            let s = active.stats();
-            assert!(
-                s.sfip_checks > 0,
-                "{}: no syscalls were flow-checked — the matrix row is vacuous",
-                active.mechanism_name()
-            );
-        }
+        assert_layers_ran(&active.stats());
         println!(
             "mechanism {}: simulated, {} syscalls observed",
             active.mechanism_name(),
@@ -1212,21 +1216,7 @@ fn scenario_mechanism_smoke() {
     std::fs::remove_file(&tmp).unwrap();
     active.detach();
     let stats = active.stats();
-    if active.mechanism_name().ends_with("+hooks") {
-        assert!(
-            stats.hooks_loaded > 0,
-            "{}: LP_HOOKS loaded no hooks — the matrix row is vacuous",
-            active.mechanism_name()
-        );
-        assert!(stats.hook_dispatches > 0, "loaded hooks saw no syscalls");
-    }
-    if active.mechanism_name().ends_with("+sfip") {
-        assert!(
-            stats.sfip_checks > 0,
-            "{}: no syscalls were flow-checked — the matrix row is vacuous",
-            active.mechanism_name()
-        );
-    }
+    assert_layers_ran(&stats);
     println!(
         "mechanism {}: {} dispatches, {} slow-path, {} patched",
         active.mechanism_name(),
@@ -1297,6 +1287,54 @@ fn scenario_record_replay_native() {
     );
     drop(active);
     std::fs::remove_file(&trace).unwrap();
+}
+
+fn scenario_compose_record_sfip() {
+    // Two layers in one name against the real engine: lazypoline
+    // dispatches into the recorder, which calls the SFIP check, which
+    // calls the handler — one install audits what it enforces.
+    let policy = std::env::temp_dir().join(format!("lp-compose-{}.sfip", std::process::id()));
+    sfip::Policy::allow_all("compose").save(&policy).expect("policy saves");
+    std::env::set_var(sfip::POLICY_ENV, &policy);
+    std::env::set_var(sfip::ACTION_ENV, "count");
+    let trace = std::env::temp_dir().join(format!("lp-compose-{}.lpt", std::process::id()));
+    std::env::set_var("LP_TRACE_OUT", &trace);
+    let mut active = mechanism::by_name("lazypoline+record+sfip")
+        .expect("layers compose natively")
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("native composed install");
+    let pid = std::process::id() as u64;
+    for _ in 0..10 {
+        assert_eq!(asm_getpid(), pid);
+    }
+    active.detach();
+    // Finish first: it joins the drain thread, so nothing dispatches
+    // while the two layers' counters are read.
+    let summary = active
+        .finish_recording()
+        .expect("the record layer holds a trace session")
+        .expect("trace finishes");
+    let stats = active.stats();
+    assert_eq!(stats.mechanism, "lazypoline+record+sfip");
+    assert_eq!(stats.sfip_mode, "count");
+    assert_eq!(stats.sfip_violations, 0, "{stats:?}");
+    assert!(summary.events >= 10, "recorded {} events", summary.events);
+    // Every recorded syscall was flow-checked on its way in (a thread
+    // that exits is checked but never reaches the recorder's `post`).
+    assert!(stats.sfip_checks >= summary.events, "{stats:?}");
+    assert!(stats.events_recorded >= summary.events, "{stats:?}");
+    drop(active);
+
+    let (header, records) = replay::read_trace_path(&trace).expect("recorded trace parses");
+    assert_eq!(header.source_mechanism, "lazypoline", "the static base, for replay:");
+    let getpids = records.iter().filter(|r| r.sysno == syscalls::nr::GETPID).count();
+    assert!(getpids >= 10, "the getpid loop must appear in the trace");
+    println!(
+        "compose record+sfip: {} events recorded, {} flow checks",
+        summary.events, stats.sfip_checks
+    );
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&policy).unwrap();
 }
 
 /// `dlsym`s a `() -> u64` counter getter out of an example hook library
@@ -1771,6 +1809,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("mechanism_differential", scenario_mechanism_differential),
     ("mechanism_smoke", scenario_mechanism_smoke),
     ("record_replay_native", scenario_record_replay_native),
+    ("compose_record_sfip", scenario_compose_record_sfip),
     ("hook_stack_native", scenario_hook_stack_native),
     ("escape_plain", scenario_escape_plain),
     ("escape_quarantine", scenario_escape_quarantine),

@@ -240,6 +240,107 @@ fn sfip_install_errors_are_typed() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Saves an allow-everything policy and points `LP_SFIP_POLICY` (count
+/// mode) at it; the caller removes both variables and the file.
+fn export_allow_all(tag: &str) -> PathBuf {
+    let path = temp(tag, "sfip");
+    sfip::Policy::allow_all("test")
+        .save(&path)
+        .expect("policy saves");
+    std::env::set_var(sfip::POLICY_ENV, &path);
+    std::env::set_var(sfip::ACTION_ENV, "count");
+    path
+}
+
+#[test]
+fn record_and_sfip_compose_in_one_install() {
+    let _g = sfip_lock();
+    let policy = export_allow_all("compose");
+    let trace = temp("compose", "lpt");
+    std::env::set_var("LP_TRACE_OUT", &trace);
+    let mut active = mechanism::by_name("sim:lazypoline+record+sfip")
+        .expect("layers compose in one name")
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("both layers install");
+    for var in ["LP_TRACE_OUT", sfip::POLICY_ENV, sfip::ACTION_ENV] {
+        std::env::remove_var(var);
+    }
+    let out = active
+        .run_program(&sim_workloads::jit::build())
+        .expect("guest runs");
+    assert_eq!(out.exit, 0);
+    let observed = out.observed.len() as u64;
+
+    // Audit what you enforce: one snapshot carries both layers' counts.
+    let stats = active.stats();
+    assert_eq!(stats.mechanism, "sim:lazypoline+record+sfip");
+    assert_eq!(stats.sfip_mode, "count");
+    assert_eq!(stats.sfip_checks, observed);
+    assert_eq!(stats.sfip_violations, 0);
+    assert_eq!(stats.events_recorded, observed);
+    let summary = active
+        .finish_recording()
+        .expect("the record layer holds a trace session")
+        .expect("trace finishes");
+    assert_eq!(summary.events, observed);
+    drop(active);
+
+    // The header names the static base, so `replay:` can resolve it.
+    let (header, records) = replay::read_trace_path(&trace).expect("trace decodes");
+    assert_eq!(header.source_mechanism, "sim:lazypoline");
+    assert_eq!(records.len() as u64, observed);
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&policy).unwrap();
+}
+
+#[test]
+fn written_layer_order_is_event_flow() {
+    let _g = sfip_lock();
+    let policy = export_allow_all("order");
+    let anchored = |name: &str, handler: &str| {
+        let active = mechanism::by_name(name)
+            .expect("composed name parses")
+            .install(Box::new(interpose::CountHandler::new()))
+            .expect("composed name installs");
+        let entries = active
+            .hook_stack()
+            .expect("+hooks exposes its stack")
+            .entries();
+        entries.contains(&(handler.to_string(), 0))
+    };
+    // hooks outside sfip: the stack dispatches into the SFIP wrapper,
+    // which hides the caller's handler from it.
+    assert!(anchored("sim:lazypoline+hooks+sfip", "sfip"));
+    assert!(!anchored("sim:lazypoline+hooks+sfip", "count"));
+    // sfip outside hooks: the stack holds the caller's handler itself.
+    assert!(anchored("sim:lazypoline+sfip+hooks", "count"));
+    assert!(!anchored("sim:lazypoline+sfip+hooks", "sfip"));
+    std::env::remove_var(sfip::POLICY_ENV);
+    std::env::remove_var(sfip::ACTION_ENV);
+    std::fs::remove_file(&policy).unwrap();
+}
+
+#[test]
+fn failing_second_layer_leaves_no_recorder_behind() {
+    let _g = sfip_lock();
+    std::env::remove_var(sfip::POLICY_ENV);
+    let trace = temp("halfinstall", "lpt");
+    std::env::set_var("LP_TRACE_OUT", &trace);
+    let backend = mechanism::by_name("sim:lazypoline+record+sfip").unwrap();
+    match backend.install(Box::new(interpose::PassthroughHandler)) {
+        Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
+        Err(other) => panic!("expected NoPolicyPath, got {other}"),
+        Ok(_) => panic!("install without a policy cannot succeed"),
+    }
+    assert!(!trace.exists(), "no trace file was created");
+    // No session is left active: the next recording opens normally.
+    let session = replay::Recorder::to_path(&trace, "sim:lazypoline")
+        .expect("no recorder session was left behind");
+    std::env::remove_var("LP_TRACE_OUT");
+    session.finish().expect("trace finishes");
+    std::fs::remove_file(&trace).unwrap();
+}
+
 #[test]
 fn policy_roundtrips_through_the_on_disk_format() {
     let _g = sfip_lock();
