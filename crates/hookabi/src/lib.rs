@@ -267,12 +267,13 @@ pub fn resolve_library(library: &str) -> PathBuf {
 
 /// Walks up from `start` (four levels) looking for the bare `library`
 /// name where cargo puts workspace cdylib artifacts relative to test
-/// and bench binaries: the directory itself, its `deps/`, and — once
-/// the walk reaches `target/` — the sibling profile directories
-/// `release/` and `debug/`. A test binary in `target/debug/deps/`
-/// therefore finds its own profile's artifact first and falls back to
-/// the one `cargo build --release` emitted (`cargo test` builds the
-/// hook crates' test harnesses, not their `.so`).
+/// and bench binaries: the directory itself and its `deps/`. Only a
+/// `debug/` profile directory also falls back to its sibling
+/// `release/`: a test binary in `target/debug/deps/` finds its own
+/// profile's artifact first, else the one `cargo build --release`
+/// emitted (`cargo test` builds the hook crates' test harnesses, not
+/// their `.so`). A release binary never picks up an unoptimised
+/// `target/debug/` hook.
 fn resolve_from(start: &Path, library: &str) -> Option<PathBuf> {
     let file = if library.ends_with(".so") {
         library.to_string()
@@ -280,9 +281,11 @@ fn resolve_from(start: &Path, library: &str) -> Option<PathBuf> {
         format!("lib{library}.so")
     };
     start.ancestors().take(4).find_map(|d| {
-        ["", "deps", "release", "debug"]
-            .iter()
-            .map(|sub| d.join(sub).join(&file))
+        let release = d.ends_with("debug").then(|| d.with_file_name("release"));
+        [Some(d.to_path_buf()), Some(d.join("deps")), release]
+            .into_iter()
+            .flatten()
+            .map(|dir| dir.join(&file))
             .find(|probe| probe.exists())
     })
 }
@@ -682,12 +685,15 @@ mod tests {
             "sibling profile dir is probed"
         );
         assert_eq!(resolve_from(&deps, "hook_y"), None);
-        // The running profile's own artifact wins over the sibling's.
+        // The running profile's own artifact wins over the sibling's,
+        // and a release binary never falls back to a debug artifact.
         std::fs::write(target.join("debug/libhook_x.so"), b"").unwrap();
+        std::fs::write(target.join("debug/libhook_y.so"), b"").unwrap();
         assert_eq!(
             resolve_from(&deps, "libhook_x.so"),
             Some(target.join("debug/libhook_x.so"))
         );
+        assert_eq!(resolve_from(&release.join("deps"), "hook_y"), None);
         std::fs::remove_dir_all(&target).unwrap();
     }
 

@@ -23,7 +23,7 @@ use std::time::{Duration, SystemTime};
 use hookabi::LoadedHook;
 use interpose::{Action, HookId, HookStack, InterestSet, SyscallEvent, SyscallHandler};
 
-use crate::layer::{LayerGuard, Wrapped};
+use crate::layer::LayerGuard;
 use crate::{InstallError, StatsSnapshot};
 
 /// Environment variable naming the hook libraries a `+hooks` layer
@@ -81,11 +81,9 @@ impl SyscallHandler for SharedHook {
 /// `stack()` mutates the live handler (and a stack that ends up the
 /// outermost handler recognises itself as installed, keeping the
 /// interest cache in sync).
-///
-/// With `LP_HOOKS_WATCH=1` the watcher thread starts here, before the
-/// base arms, so — like the recorder's drain thread — it is never
-/// enrolled in interposition and its own `stat`s stay out of the hooks.
-pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallError> {
+pub(crate) fn wrap(
+    handler: Box<dyn SyscallHandler>,
+) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
     let spec = std::env::var(HOOKS_ENV).unwrap_or_default();
     let loaded = hookabi::load_from_spec(&spec).map_err(InstallError::Hook)?;
 
@@ -101,14 +99,12 @@ pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallE
         let mtime = mtime_of(h.origin());
         hooks.push(WatchedHook { id, hook: h, mtime });
     }
-    let watch = std::env::var(HOOKS_WATCH_ENV).is_ok_and(|v| v == "1") && !hooks.is_empty();
-    let hooks = Arc::new(Mutex::new(hooks));
     let guard = HooksGuard {
         stack: stack.clone(),
+        hooks: Arc::new(Mutex::new(hooks)),
         dispatch_base: interpose::hook_dispatches(),
         reload_base: hook_reloads(),
-        watcher: watch.then(|| Watcher::spawn(stack.clone(), Arc::clone(&hooks))),
-        hooks,
+        watcher: None,
     };
     Ok((Box::new(stack), LayerGuard::Hooks(guard)))
 }
@@ -219,6 +215,17 @@ pub(crate) struct HooksGuard {
 }
 
 impl HooksGuard {
+    /// Starts the `LP_HOOKS_WATCH=1` thread. Runs once the base has
+    /// armed, so the watcher is enrolled in interposition like any
+    /// other thread of the process.
+    pub(crate) fn start_watcher(&mut self) {
+        if std::env::var(HOOKS_WATCH_ENV).is_ok_and(|v| v == "1")
+            && !self.hooks.lock().unwrap().is_empty()
+        {
+            self.watcher = Some(Watcher::spawn(self.stack.clone(), Arc::clone(&self.hooks)));
+        }
+    }
+
     pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
         s.hooks_loaded = self.stack.dynamic_len() as u64;
         s.hook_dispatches = interpose::hook_dispatches().saturating_sub(self.dispatch_base);

@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use interpose::SyscallHandler;
+use replay::{RecordHandler, ReplayHandler};
 use sim_interpose::Traits;
 
 use crate::{
@@ -32,9 +33,6 @@ pub(crate) enum Layer {
     Sfip,
 }
 
-/// What a [`Layer::wrap`] (or a `replay:` base) hands back.
-pub(crate) type Wrapped = (Box<dyn SyscallHandler>, LayerGuard);
-
 impl Layer {
     fn parse(word: &str) -> Option<Layer> {
         match word {
@@ -47,18 +45,18 @@ impl Layer {
 
     /// Loads and validates the layer's payload from the environment,
     /// then wraps `handler` in the layer's concrete handler type.
-    /// `base_name` is the static row the stack will install on (the
-    /// recorder stamps it into the trace header).
     fn wrap(
         self,
-        base_name: &'static str,
         handler: Box<dyn SyscallHandler>,
-    ) -> Result<Wrapped, InstallError> {
-        match self {
-            Layer::Record => record_replay::wrap_record(base_name, handler),
-            Layer::Hooks => hooks::wrap(handler),
-            Layer::Sfip => sfip::wrap(handler),
-        }
+    ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
+        Ok(match self {
+            Layer::Record => (
+                Box::new(RecordHandler::wrapping(handler)),
+                LayerGuard::Record(None),
+            ),
+            Layer::Hooks => hooks::wrap(handler)?,
+            Layer::Sfip => sfip::wrap(handler)?,
+        })
     }
 }
 
@@ -84,6 +82,28 @@ impl LayerGuard {
         match self {
             LayerGuard::Hooks(h) => h.fill(s),
             LayerGuard::Sfip(g) => g.fill(s),
+            LayerGuard::Record(_) | LayerGuard::Replay(_) => {}
+        }
+    }
+
+    /// Runs once every layer's payload has validated, right before the
+    /// base arms: the one fallible side effect, the `+record` trace
+    /// session, opens here — so its header names `base_name` (the
+    /// static row the stack installs on), no early event is missed, and
+    /// a bad sibling layer never leaves a trace file behind.
+    fn open(&mut self, base_name: &str) -> Result<(), InstallError> {
+        if let LayerGuard::Record(session) = self {
+            *session = record_replay::open_session(base_name)?;
+        }
+        Ok(())
+    }
+
+    /// Runs right after the base armed: what must not predate it (the
+    /// `+hooks` watcher thread, the `+sfip` counter baselines).
+    fn armed(&mut self) {
+        match self {
+            LayerGuard::Hooks(h) => h.start_watcher(),
+            LayerGuard::Sfip(g) => g.rebase(),
             LayerGuard::Record(_) | LayerGuard::Replay(_) => {}
         }
     }
@@ -172,26 +192,36 @@ impl Mechanism for Composed {
         &self,
         mut handler: Box<dyn SyscallHandler>,
     ) -> Result<ActiveMechanism, InstallError> {
-        // Every layer loads and validates before the base arms, so a
-        // bad library, policy or trace leaves nothing half-installed.
-        // Handlers nest from the inside out, so the last-written layer
-        // wraps (and validates) first; an error drops the guards built
-        // so far.
+        // Every layer loads and validates before anything with a side
+        // effect outside this process happens, and all of it before the
+        // base arms: a bad library, policy or trace leaves no trace
+        // file, thread or armed mechanism behind (hooks that did load
+        // run their `fini` as their guard drops). Handlers nest from
+        // the inside out, so the last-written layer wraps first.
         let mut guards = Vec::new();
         let base = match &self.base {
             Base::Static(m) => *m,
             Base::Replay(path) => {
-                let (base, (replayer, guard)) = record_replay::wrap_replay(path, handler)?;
-                handler = replayer;
-                guards.push(guard);
+                let (base, state) = record_replay::load_replay(path)?;
+                handler = Box::new(ReplayHandler::new(Arc::clone(&state)).observing(handler));
+                guards.push(LayerGuard::Replay(state));
                 base
             }
         };
         for layer in self.layers.iter().rev() {
-            let (wrapped, guard) = layer.wrap(base.name(), handler)?;
+            let (wrapped, guard) = layer.wrap(handler)?;
             handler = wrapped;
             guards.push(guard);
         }
-        Ok(base.install(handler)?.layered(self.key, guards))
+        for guard in &mut guards {
+            guard.open(base.name())?;
+        }
+        let mut active = base.install(handler)?;
+        active.name = self.key;
+        active.layers = guards;
+        for guard in &mut active.layers {
+            guard.armed();
+        }
+        Ok(active)
     }
 }

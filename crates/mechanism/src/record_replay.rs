@@ -6,11 +6,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use interpose::SyscallHandler;
-use replay::{RecordHandler, Recorder, ReplayHandler, ReplayState};
+use replay::{Recorder, ReplayState};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 
-use crate::layer::{LayerGuard, Wrapped};
 use crate::{static_by_name, InstallError, Mechanism, StatsSnapshot};
 
 /// Environment variable naming the trace file a `+record` layer drains
@@ -47,25 +45,16 @@ pub(crate) fn fill_recorder_deltas(
     s.drain_shards = now.drain_shards;
 }
 
-/// The `+record` layer: a [`RecordHandler`] around `handler`, plus the
-/// trace session if `LP_TRACE_OUT` names a file. The session opens
-/// before the base arms so its header names the base and no early event
-/// is missed — and it names the *static* base, so `replay:` can resolve
+/// The `+record` layer's trace session, if `LP_TRACE_OUT` names a
+/// file. Its header names the *static* base, so `replay:` can resolve
 /// it with a static lookup.
-pub(crate) fn wrap_record(
-    base_name: &'static str,
-    handler: Box<dyn SyscallHandler>,
-) -> Result<Wrapped, InstallError> {
-    let session = match std::env::var(TRACE_OUT_ENV) {
-        Ok(path) if !path.is_empty() => {
-            Some(Recorder::to_path(path.as_ref(), base_name).map_err(InstallError::Io)?)
-        }
-        _ => None,
-    };
-    Ok((
-        Box::new(RecordHandler::wrapping(handler)),
-        LayerGuard::Record(session),
-    ))
+pub(crate) fn open_session(base_name: &str) -> Result<Option<Recorder>, InstallError> {
+    match std::env::var(TRACE_OUT_ENV) {
+        Ok(path) if !path.is_empty() => Recorder::to_path(path.as_ref(), base_name)
+            .map(Some)
+            .map_err(InstallError::Io),
+        _ => Ok(None),
+    }
 }
 
 /// Table I row of a `replay:<path>` backend.
@@ -76,13 +65,11 @@ pub(crate) const REPLAY_TRAITS: Traits = Traits {
     efficiency: Efficiency::High,
 };
 
-/// The `replay:<path>` base: loads the trace, picks the static row to
-/// re-execute under, and wraps `handler` as the [`ReplayHandler`]'s
-/// observer.
-pub(crate) fn wrap_replay(
+/// The `replay:<path>` base: loads the trace and picks the static row
+/// to re-execute under.
+pub(crate) fn load_replay(
     path: &Path,
-    handler: Box<dyn SyscallHandler>,
-) -> Result<(&'static dyn Mechanism, Wrapped), InstallError> {
+) -> Result<(&'static dyn Mechanism, Arc<ReplayState>), InstallError> {
     let state = ReplayState::load(path).map_err(|e| InstallError::Io(e.into()))?;
     let base = replay_base_for(&state.header().source_mechanism)?;
     if !base.is_available() {
@@ -90,8 +77,7 @@ pub(crate) fn wrap_replay(
             "replay base mechanism unavailable on this host",
         ));
     }
-    let replayer = ReplayHandler::new(Arc::clone(&state)).observing(handler);
-    Ok((base, (Box::new(replayer), LayerGuard::Replay(state))))
+    Ok((base, state))
 }
 
 /// The base mechanism to re-execute under: `LP_REPLAY_BASE` if set,

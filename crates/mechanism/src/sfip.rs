@@ -14,12 +14,14 @@ use std::sync::Arc;
 use ::sfip::{Policy, SfipHandler, ViolationAction};
 use interpose::SyscallHandler;
 
-use crate::layer::{LayerGuard, Wrapped};
+use crate::layer::LayerGuard;
 use crate::{InstallError, StatsSnapshot};
 
 /// Loads and validates the policy, action and origins switch, then
 /// wraps `handler` in an [`SfipHandler`].
-pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallError> {
+pub(crate) fn wrap(
+    handler: Box<dyn SyscallHandler>,
+) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
     let path = match std::env::var(::sfip::POLICY_ENV) {
         Ok(p) if !p.is_empty() => p,
         _ => return Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)),
@@ -28,14 +30,12 @@ pub(crate) fn wrap(handler: Box<dyn SyscallHandler>) -> Result<Wrapped, InstallE
     let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
     let check_origins = std::env::var(::sfip::ORIGINS_ENV).is_ok_and(|v| v == "1");
     let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
-    Ok((
-        Box::new(enforcer),
-        LayerGuard::Sfip(SfipGuard {
-            action,
-            checks_base: ::sfip::checks(),
-            violations_base: ::sfip::violations(),
-        }),
-    ))
+    let guard = SfipGuard {
+        action,
+        checks_base: 0,
+        violations_base: 0,
+    };
+    Ok((Box::new(enforcer), LayerGuard::Sfip(guard)))
 }
 
 /// An installed `+sfip` layer: the action plus install-time counter
@@ -47,6 +47,12 @@ pub(crate) struct SfipGuard {
 }
 
 impl SfipGuard {
+    /// Reads the counter baselines; runs once the base has armed.
+    pub(crate) fn rebase(&mut self) {
+        self.checks_base = ::sfip::checks();
+        self.violations_base = ::sfip::violations();
+    }
+
     pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
         s.sfip_checks = ::sfip::checks().saturating_sub(self.checks_base);
         s.sfip_violations = ::sfip::violations().saturating_sub(self.violations_base);

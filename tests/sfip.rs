@@ -326,13 +326,17 @@ fn failing_second_layer_leaves_no_recorder_behind() {
     std::env::remove_var(sfip::POLICY_ENV);
     let trace = temp("halfinstall", "lpt");
     std::env::set_var("LP_TRACE_OUT", &trace);
-    let backend = mechanism::by_name("sim:lazypoline+record+sfip").unwrap();
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
-        Err(other) => panic!("expected NoPolicyPath, got {other}"),
-        Ok(_) => panic!("install without a policy cannot succeed"),
+    // Whichever side of the recorder the failing layer is written on:
+    // the trace only opens once every layer's payload has validated.
+    for name in ["sim:lazypoline+record+sfip", "sim:lazypoline+sfip+record"] {
+        let backend = mechanism::by_name(name).unwrap();
+        match backend.install(Box::new(interpose::PassthroughHandler)) {
+            Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
+            Err(other) => panic!("{name}: expected NoPolicyPath, got {other}"),
+            Ok(_) => panic!("{name}: install without a policy cannot succeed"),
+        }
+        assert!(!trace.exists(), "{name}: no trace file was created");
     }
-    assert!(!trace.exists(), "no trace file was created");
     // No session is left active: the next recording opens normally.
     let session = replay::Recorder::to_path(&trace, "sim:lazypoline")
         .expect("no recorder session was left behind");
