@@ -292,10 +292,43 @@ mod tests {
 
     #[test]
     fn frame_rsp_offset_matches_stub_layout() {
-        // 10 frame qwords (80) + xsave anchor conventions: the stub
-        // builds the frame 208 below its entry rsp, and the app rsp at
-        // the call site is entry+8.
-        assert_eq!(FRAME_TO_APP_RSP, 216);
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use zpoline::{Trampoline, XstateMask};
+
         assert_eq!(std::mem::size_of::<RawFrame>(), 80);
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping stub layout test");
+            return;
+        }
+
+        // What `do_rt_sigreturn` would load into rsp for this frame.
+        static REPORTED_RSP: AtomicUsize = AtomicUsize::new(0);
+        unsafe extern "C" fn report_rsp(frame: *mut RawFrame) -> u64 {
+            REPORTED_RSP.store(frame as usize + FRAME_TO_APP_RSP, Ordering::SeqCst);
+            0
+        }
+
+        Trampoline::install().unwrap();
+        let prev = zpoline::set_dispatcher(report_rsp).expect("install registers one");
+        // With and without a save area carved between the frame and
+        // the dispatcher: the frame does not move.
+        for mask in [XstateMask::None, XstateMask::Avx] {
+            zpoline::set_xstate_mask(mask);
+            let site_rsp: usize;
+            unsafe {
+                // An already-rewritten site: `call rax` with rax = nr.
+                core::arch::asm!(
+                    "mov {site_rsp}, rsp",
+                    "call rax",
+                    site_rsp = out(reg) site_rsp,
+                    inlateout("rax") nr::GETPID => _,
+                    in("rdi") 0u64, in("rsi") 0u64, in("rdx") 0u64,
+                    in("r10") 0u64, in("r8") 0u64, in("r9") 0u64,
+                    out("rcx") _, out("r11") _,
+                );
+            }
+            assert_eq!(REPORTED_RSP.load(Ordering::SeqCst), site_rsp, "{mask:?}");
+        }
+        zpoline::set_dispatcher(prev);
     }
 }

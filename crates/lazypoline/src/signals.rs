@@ -289,7 +289,11 @@ unsafe extern "C" fn lp_sigreturn_pop() -> u64 {
 // context immediately after a kernel sigreturn; must be fully
 // transparent. Flag-mutating instructions are avoided outside the
 // pushfq/popfq window; extended state is preserved around the Rust
-// helper via xsave64/xrstor64 (mask shared with the fast-path stub).
+// helper by the fast-path stub's own save/restore text (same mask).
+// Straight after a sigreturn the kernel has marked x87 in use, so this
+// takes the stub's x87-live case; its normaliser hands the thread back
+// with x87 marked initial again (when it is), and the application's
+// next syscall pays the cheap case.
 std::arch::global_asm!(
     r#"
     .text
@@ -312,35 +316,15 @@ lp_sigreturn_tramp:
     push r10
     push r11
     pushfq                        # [rbp-96]; flags free to clobber below
-    xor ebx, ebx
-    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
-    movzx eax, byte ptr [rax]
-    test eax, eax
-    jz 2f
-    lea rsp, [rsp - 4160]
-    and rsp, -64
-    mov rbx, rsp
-    xor edx, edx
-    mov qword ptr [rbx + 512], rdx
-    mov qword ptr [rbx + 520], rdx
-    mov qword ptr [rbx + 528], rdx
-    mov qword ptr [rbx + 536], rdx
-    mov qword ptr [rbx + 544], rdx
-    mov qword ptr [rbx + 552], rdx
-    mov qword ptr [rbx + 560], rdx
-    mov qword ptr [rbx + 568], rdx
-    xsave64 [rbx]
-2:
+"#,
+    zpoline::xstate_save_asm!(),
+    r#"
     and rsp, -16
     call lp_sigreturn_pop@PLT         # rax = resume rip; selector restored
     mov qword ptr [rbp - 16], rax
-    test rbx, rbx
-    jz 3f
-    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
-    movzx eax, byte ptr [rax]
-    xor edx, edx
-    xrstor64 [rbx]
-3:
+"#,
+    zpoline::xstate_restore_asm!(),
+    r#"
     lea rsp, [rbp - 96]
     popfq
     pop r11

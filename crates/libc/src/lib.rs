@@ -221,6 +221,17 @@ pub const EPOLL_CTL_MOD: c_int = 3;
 pub const EFD_CLOEXEC: c_int = 0x80000;
 pub const EFD_NONBLOCK: c_int = 0x800;
 
+/// One CPUID leaf as glibc recorded it: `eax`, `ebx`, `ecx`, `edx`.
+#[repr(C)]
+#[derive(Clone, Copy, Debug)]
+pub struct cpuid_feature {
+    pub cpuid_array: [c_uint; 4],
+    pub active_array: [c_uint; 4],
+}
+
+/// Index of CPUID.(EAX=0DH, ECX=1) for `__x86_get_cpuid_feature_leaf`.
+pub const CPUID_INDEX_D_ECX_1: c_uint = 3;
+
 /// Packed on x86-64, matching the kernel's `__attribute__((packed))`.
 #[repr(C, packed)]
 #[derive(Clone, Copy)]
@@ -311,6 +322,10 @@ extern "C" {
     pub fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
     pub fn dlclose(handle: *mut c_void) -> c_int;
     pub fn dlerror() -> *mut c_char;
+
+    // <sys/platform/x86.h> (glibc 2.33): the CPUID leaves ld.so read at
+    // start-up. Never null; an unknown index yields an all-zero entry.
+    pub fn __x86_get_cpuid_feature_leaf(index: c_uint) -> *const cpuid_feature;
 
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;

@@ -8,8 +8,8 @@
 //! bytes are a `nop` sled. Because the syscall calling convention keeps
 //! the syscall number in `rax`, the `call rax` lands inside the sled and
 //! slides into an assembly entry stub that preserves the full register
-//! image, optionally XSAVEs extended state, and calls a registered
-//! dispatcher.
+//! image, saves the live part of the extended state, and calls a
+//! registered dispatcher.
 //!
 //! Three pieces compose:
 //!

@@ -10,8 +10,8 @@
 //! 0x000..0x200: 90 90 90 ... ; nop sled, slides to…
 //! 0x200: movabs r11, lp_zpoline_entry ; jmp r11
 //!         ▼
-//! lp_zpoline_entry (asm below): save registers → optional XSAVE →
-//!       call the registered dispatcher → optional XRSTOR → restore →
+//! lp_zpoline_entry (asm below): save registers → save live xstate →
+//!       call the registered dispatcher → restore xstate → restore →
 //!       ret   ; straight back to the instruction after the call site
 //! ```
 //!
@@ -19,18 +19,71 @@
 //!
 //! On x86-64 Linux, `syscall` clobbers only `rax` (return value), `rcx`
 //! and `r11`. The stub preserves every other general-purpose register
-//! exactly, and — when an [`XstateMask`] is set — uses `xsave64`/
-//! `xrstor64` to preserve x87/SSE/AVX state across the dispatcher, since
-//! compilers freely keep live values in `xmm` registers across syscalls
-//! (the paper's Listing 1 shows glibc's pthread initialization doing
-//! exactly that).
+//! exactly, and — when an [`XstateMask`] is set — the x87/SSE/AVX state
+//! the mask names across the dispatcher, since compilers freely keep
+//! live values in `xmm` registers across syscalls (the paper's Listing 1
+//! shows glibc's pthread initialization doing exactly that). No handler
+//! declares what it touches: a Rust handler, a `dlopen`ed hook or
+//! glibc's vector string functions use `xmm`/`ymm` unannounced.
 //!
-//! Deviation from the C prototype: the XSAVE area lives on the
+//! What a dispatch pays for depends on what is *live*, which the stub
+//! reads with `xgetbv` (`ecx = 1`: `XCR0 & XINUSE`, the components not
+//! in their initial configuration). The text is
+//! [`xstate_save_asm!`](crate::xstate_save_asm) /
+//! [`xstate_restore_asm!`](crate::xstate_restore_asm), shared with
+//! lazypoline's sigreturn trampoline. Three cases:
+//!
+//! 1. **x87 in its initial configuration** (the rule in an x86-64
+//!    process). Entry stores `MXCSR` and `xmm0–15` with legacy-SSE
+//!    `movaps` when the `ymm` uppers are clean (`XINUSE[2] = 0`), or
+//!    `ymm0–15` with `vmovdqu` when they are live — never a 256-bit VEX
+//!    instruction on clean uppers, which would flip an
+//!    application-visible `XINUSE` bit and carry SSE/AVX transition
+//!    penalties into application code. Exit reads `xgetbv(1)` again and
+//!    compares with the entry's record: x87 now in use (the handler ran
+//!    `fld`, `printf("%Lf")`, MMX; or a signal returned in the middle of
+//!    the dispatch) → `xrstor64` with RFBM = 1 from a static all-zero
+//!    image, whose `XSTATE_BV[0] = 0` loads the initial configuration
+//!    *and* returns `XINUSE[0]` to 0 (`fninit` does neither: it leaves
+//!    the data registers and the bit); uppers clean on entry and live
+//!    now → `vzeroupper`; then the registers and `MXCSR` come back as
+//!    stored. Restoring "initial" is exact because initial is what
+//!    entry observed.
+//! 2. **x87 live on entry** → `xsave64`/`xrstor64` under the mask, as
+//!    the C prototype does on every dispatch, plus a *normaliser*. (So
+//!    does an entry with `ZMM_Hi256` live, `XINUSE[6]`, under a mask
+//!    that names AVX: case 1's VEX moves and `vzeroupper` zero bits
+//!    511:256 of `zmm0–15`, which the pair leaves alone.) The
+//!    kernel ORs FP|SSE into the `XSTATE_BV` of every signal frame
+//!    (`save_xstate_epilog`), so a thread comes back from every
+//!    `sigreturn` — every SIGSYS of a lazily rewritten site — with
+//!    `XINUSE[0] = 1` although x87 still holds its initial values. When
+//!    the saved x87 image is byte-equal to the initial configuration,
+//!    the stub clears bit 0 of the area's `XSTATE_BV`; the `xrstor64`
+//!    at exit then loads the same values and returns the thread to
+//!    `XINUSE[0] = 0`, so its next dispatch is case 1. A thread whose
+//!    x87 unit really holds state keeps this path for as long as it
+//!    does.
+//! 3. **No `xgetbv(1)`** (CPUID.(EAX=0DH,ECX=1):EAX bit 2 clear, read
+//!    once in [`Trampoline::install`]) → case 2 without the normaliser
+//!    on every dispatch: the C prototype's stub.
+//!
+//! The mask ([`XstateMask`]) bounds all three; `None` skips everything.
+//! Exit restores under the mask *recorded at entry*, so a mask changed
+//! in the middle of a dispatch cannot make the two halves disagree.
+//! `XINUSE[1]` (SSE) is not tracked: the `xmm` registers are saved
+//! whenever the mask names them, and the kernel sets that bit on every
+//! signal return anyway. The AVX-512 components are outside the mask,
+//! as in the prototype: the stub neither saves nor writes them.
+//!
+//! Deviation from the C prototype: the save area lives on the
 //! (64-byte-aligned) stack rather than in a dedicated `%gs`-relative
 //! per-task region. Stack placement nests naturally across reentrant
 //! interposer invocations (the paper manages its off-stack region "as a
-//! stack" for the same reason) at the cost of ~4 KiB of stack per
-//! nesting level.
+//! stack" for the same reason; each level restores what *it* saw on
+//! entry) at the cost of ~4 KiB of stack per nesting level. And the
+//! prototype pays `xsave`/`xrstor` on every dispatch, where this stub
+//! pays for what is live.
 //!
 //! # Red zone
 //!
@@ -40,7 +93,7 @@
 //! zone by moving `rsp` down 128 bytes before its own pushes.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
 use syscalls::MAX_SYSCALL_NR;
 
@@ -126,11 +179,25 @@ impl XstateMask {
 
 // ——— Globals read by the asm stub ———————————————————————————————————
 //
-// LP_XSTATE_MASK: one byte, the XSAVE RFBM (0 = skip xsave entirely).
+// LP_XSTATE_MASK: one byte, the XSAVE RFBM (0 = preserve no xstate).
+// LP_XGETBV1: one byte, non-zero once `Trampoline::install` has seen
+//   CPUID report `xgetbv` with `ecx = 1`; zero → always `xsave64`.
+// LP_XSTATE_INIT: an all-zero XSAVE image; `xrstor64` from it loads
+//   the initial configuration of the components in RFBM.
 // LP_DISPATCH_PTR: the registered dispatcher (never 0 once installed).
 
 #[no_mangle]
 static mut LP_XSTATE_MASK: u8 = 0b111;
+
+#[no_mangle]
+static LP_XGETBV1: AtomicU8 = AtomicU8::new(0);
+
+/// Legacy region (512 bytes) + XSAVE header (64 bytes).
+#[repr(C, align(64))]
+struct XsaveImage([u8; 576]);
+
+#[no_mangle]
+static LP_XSTATE_INIT: XsaveImage = XsaveImage([0; 576]);
 
 #[no_mangle]
 static LP_DISPATCH_PTR: AtomicUsize = AtomicUsize::new(0);
@@ -163,14 +230,179 @@ pub fn set_dispatcher(f: DispatchFn) -> Option<DispatchFn> {
 /// trampoline entries on all threads.
 pub fn set_xstate_mask(mask: XstateMask) {
     // SAFETY: single-byte store; the asm stub reads it with a plain
-    // load, and either value yields a consistent save/restore pair
-    // because the stub re-reads the byte only once per entry.
+    // load, once per entry, and records the value in its save area: the
+    // exit restores under that record, so a store that lands in the
+    // middle of a dispatch cannot split a save/restore pair.
     unsafe { std::ptr::write_volatile(std::ptr::addr_of_mut!(LP_XSTATE_MASK), mask.rfbm()) };
 }
 
 /// Reads the current xstate preservation mask byte (RFBM encoding).
 pub fn xstate_mask_byte() -> u8 {
     unsafe { std::ptr::read_volatile(std::ptr::addr_of!(LP_XSTATE_MASK)) }
+}
+
+/// Whether `xgetbv` with `ecx = 1` exists: CPUID.(EAX=0DH, ECX=1):EAX
+/// bit 2, from glibc's record of the leaf (`x86_cpu_XGETBV_ECX_1` in
+/// `<sys/platform/x86.h>`; all-zero where leaf 0DH does not exist).
+/// Executing `cpuid` here would trap to the hypervisor in a VM — 10 µs
+/// and more of a set-up that takes 100 — and `is_x86_feature_detected!`
+/// walks a dozen leaves on its first call.
+fn cpu_has_xgetbv1() -> bool {
+    // SAFETY: glibc returns a pointer to static data for every index.
+    let leaf = unsafe { *libc::__x86_get_cpuid_feature_leaf(libc::CPUID_INDEX_D_ECX_1) };
+    leaf.cpuid_array[0] & (1 << 2) != 0
+}
+
+/// Assembly text (Intel syntax) that saves the live part of the
+/// extended state the configured [`XstateMask`] names — the module docs
+/// of [`trampoline`](crate::trampoline) give the three cases. For
+/// `global_asm!` stubs that call into Rust from application context:
+/// the entry stub here and lazypoline's sigreturn trampoline.
+///
+/// Carves one 64-byte-aligned area of 4096 bytes below `rsp` and leaves
+/// its address in `rbx` (0, and `rsp` untouched, under
+/// [`XstateMask::None`]); the caller restores `rsp` from its own
+/// anchor. Clobbers `rax`, `rcx`, `rdx`, `rsi` and the flags. Area
+/// layout: the XSAVE image, or `xmm`/`ymm` `i` at `16*i`/`32*i`; at
+/// 1024 the mask at entry, at 1028 `XINUSE & mask` at entry (bit 0 set:
+/// the area holds an XSAVE image), at 1032 `MXCSR`.
+#[macro_export]
+macro_rules! xstate_save_asm {
+    () => {
+        r#"
+    xor ebx, ebx
+    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
+    movzx eax, byte ptr [rax]
+    test eax, eax
+    jz 29f
+    # 4096 bytes cover x87+SSE+AVX (832) with ample slack on every
+    # xsave-capable CPU.
+    sub rsp, 4096 + 64
+    and rsp, -64
+    mov rbx, rsp
+    mov esi, eax
+    mov dword ptr [rbx + 1024], eax
+    mov rcx, qword ptr [rip + LP_XGETBV1@GOTPCREL]
+    cmp byte ptr [rcx], 0
+    je 21f                        # eax = mask: bit 0 set, so xsave64
+    mov ecx, 1
+    xgetbv                        # eax = XCR0 & XINUSE
+    # ZMM_Hi256 (bit 6) live and the mask names AVX (bit 2): the VEX
+    # moves and vzeroupper below would zero bits 511:256 of zmm0-15,
+    # which xsave64/xrstor64 under the mask leave alone. Record bit 0.
+    mov ecx, eax
+    and ecx, 0x40
+    shr ecx, 4
+    and ecx, esi
+    shr ecx, 2
+    and eax, esi
+    or eax, ecx
+21:
+    mov dword ptr [rbx + 1028], eax
+    test al, 1
+    jnz 24f                       # x87 or ZMM_Hi256 live
+    test sil, 2
+    jz 29f                        # mask X87: nothing live to save
+    stmxcsr dword ptr [rbx + 1032]
+    test al, 4
+    jnz 22f
+    # Uppers clean (or not asked for): legacy SSE only. A 256-bit VEX
+    # instruction here would set XINUSE[2].
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movaps xmmword ptr [rbx + 16*\i], xmm\i
+    .endr
+    jmp 29f
+22:
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    vmovdqu ymmword ptr [rbx + 32*\i], ymm\i
+    .endr
+    jmp 29f
+24:
+    # The XSAVE header (bytes 512..576) must be zero before XSAVE.
+    xor edx, edx
+    .irp o,512,520,528,536,544,552,560,568
+    mov qword ptr [rbx + \o], rdx
+    .endr
+    mov eax, esi                  # edx:eax = RFBM
+    xsave64 [rbx]
+    mov rcx, qword ptr [rip + LP_XGETBV1@GOTPCREL]
+    cmp byte ptr [rcx], 0
+    je 29f
+    # Normaliser: x87 reads "in use" but byte-equal to its initial
+    # configuration (every signal return leaves it so) — FCW 0x37f with
+    # FSW, FTW and FOP zero; FIP, FDP and ST0-7 (32..160) zero; bytes
+    # 24..32 are MXCSR and its mask, not x87. Clear XSTATE_BV[0]: the
+    # xrstor64 at exit loads the same values and resets XINUSE[0].
+    cmp qword ptr [rbx], 0x37f
+    jne 29f
+    mov rax, qword ptr [rbx + 8]
+    or rax, qword ptr [rbx + 16]
+    .irp o,32,40,48,56,64,72,80,88,96,104,112,120,128,136,144,152
+    or rax, qword ptr [rbx + \o]
+    .endr
+    jnz 29f
+    and byte ptr [rbx + 512], 0xfe
+29:
+"#
+    };
+}
+
+/// Assembly text (Intel syntax) that undoes [`xstate_save_asm!`](crate::xstate_save_asm)
+/// from the record in the area `rbx` points to (nothing when `rbx` is
+/// 0): every component of the entry's mask is as it was on entry,
+/// `XINUSE` bits 0 and 2 included. Clobbers `rax`, `rcx`, `rdx`, `rsi`,
+/// `rdi` and the flags; leaves `rsp` alone.
+#[macro_export]
+macro_rules! xstate_restore_asm {
+    () => {
+        r#"
+    test rbx, rbx
+    jz 39f
+    # Under the mask this entry saved with, not LP_XSTATE_MASK: that one
+    # may have changed since, and RFBM wider than the image initialises
+    # what the image lacks.
+    mov esi, dword ptr [rbx + 1024]
+    mov edi, dword ptr [rbx + 1028]
+    test dil, 1
+    jnz 34f
+    mov ecx, 1
+    xgetbv
+    and eax, esi
+    mov edx, edi
+    not edx
+    and eax, edx                  # live now, initial on entry
+    test al, 4
+    jz 30f
+    vzeroupper
+30:
+    test al, 1
+    jz 31f
+    mov eax, 1                    # edx:eax = RFBM: x87 only
+    xor edx, edx
+    mov rcx, qword ptr [rip + LP_XSTATE_INIT@GOTPCREL]
+    xrstor64 [rcx]                # XSTATE_BV[0] = 0: initial x87, XINUSE[0] = 0
+31:
+    test sil, 2
+    jz 39f
+    ldmxcsr dword ptr [rbx + 1032]
+    test dil, 4
+    jnz 33f
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movaps xmm\i, xmmword ptr [rbx + 16*\i]
+    .endr
+    jmp 39f
+33:
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    vmovdqu ymm\i, ymmword ptr [rbx + 32*\i]
+    .endr
+    jmp 39f
+34:
+    mov eax, esi                  # edx:eax = RFBM
+    xor edx, edx
+    xrstor64 [rbx]
+39:
+"#
+    };
 }
 
 std::arch::global_asm!(
@@ -185,7 +417,7 @@ lp_zpoline_entry:
     sub rsp, 128                  # protect the rest of the red zone
     push qword ptr [rsp + 128]    # frame.ret_addr
     push rbp                      # frame.saved_rbp
-    push rbx                      # frame.saved_rbx (rbx = our xsave anchor)
+    push rbx                      # frame.saved_rbx (rbx = our xstate anchor)
     push r9                       # frame.a6
     push r8                       # frame.a5
     push r10                      # frame.a4
@@ -194,42 +426,19 @@ lp_zpoline_entry:
     push rdi                      # frame.a1
     push rax                      # frame.nr
     mov rbp, rsp                  # rbp = &RawFrame
-    xor ebx, ebx                  # rbx = xsave area or 0
-    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
-    movzx eax, byte ptr [rax]
-    test eax, eax
-    je 2f
-    # Carve an aligned XSAVE area; 4096 bytes covers x87+SSE+AVX with
-    # ample slack on every xsave-capable CPU.
-    sub rsp, 4096 + 64
-    and rsp, -64
-    mov rbx, rsp
-    # The XSAVE header (bytes 512..576) must be zero before XSAVE.
-    xor edx, edx
-    mov qword ptr [rbx + 512], rdx
-    mov qword ptr [rbx + 520], rdx
-    mov qword ptr [rbx + 528], rdx
-    mov qword ptr [rbx + 536], rdx
-    mov qword ptr [rbx + 544], rdx
-    mov qword ptr [rbx + 552], rdx
-    mov qword ptr [rbx + 560], rdx
-    mov qword ptr [rbx + 568], rdx
-    xsave64 [rbx]                 # eax = RFBM low bits, edx = 0
-2:
+"#,
+    xstate_save_asm!(),
+    r#"
     mov rdi, rbp                  # arg0 = &RawFrame
     mov rax, qword ptr [rip + LP_DISPATCH_PTR@GOTPCREL]
     mov rax, qword ptr [rax]
     and rsp, -16                  # C ABI alignment for the call
     call rax                      # rax = syscall result
-    test rbx, rbx
-    je 3f
     mov qword ptr [rbp], rax      # stash result in frame.nr slot
-    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
-    movzx eax, byte ptr [rax]
-    xor edx, edx
-    xrstor64 [rbx]
+"#,
+    xstate_restore_asm!(),
+    r#"
     mov rax, qword ptr [rbp]      # reload result
-3:
     lea rsp, [rbp + 8]            # drop frame.nr (rax now holds result)
     pop rdi
     pop rsi
@@ -303,6 +512,10 @@ impl Trampoline {
         if let Some(e) = faultinject::check(faultinject::Site::TrampolineInstall) {
             return Err(io::Error::from_raw_os_error(e));
         }
+
+        // Published by the Release store of TRAMPOLINE_INSTALLED below,
+        // like the page itself; until then no rewritten site exists.
+        LP_XGETBV1.store(cpu_has_xgetbv1() as u8, Ordering::Relaxed);
 
         LP_DISPATCH_PTR
             .compare_exchange(
@@ -424,9 +637,18 @@ impl Trampoline {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Mutex, MutexGuard};
     use syscalls::{nr, Errno};
 
     static SEEN_NR: AtomicU64 = AtomicU64::new(0);
+
+    /// The dispatcher, the mask and the `xgetbv(1)` byte are process
+    /// globals; tests that set one hold this while they depend on it.
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
+    fn lock_globals() -> MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     unsafe extern "C" fn counting_dispatch(frame: *mut RawFrame) -> u64 {
         SEEN_NR.store((*frame).nr, Ordering::SeqCst);
@@ -459,6 +681,7 @@ mod tests {
             eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
             return;
         }
+        let _globals = lock_globals();
         let t = Trampoline::install().unwrap();
         assert_eq!(t.sled_len(), 512);
         assert!(Trampoline::is_installed());
@@ -485,17 +708,9 @@ mod tests {
         assert_eq!(Errno::from_ret(r), Some(Errno::EBADF));
     }
 
-    #[test]
-    fn xstate_preserved_across_trampoline() {
-        if !Trampoline::environment_supported() {
-            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
-            return;
-        }
-        Trampoline::install().unwrap();
-        set_xstate_mask(XstateMask::Avx);
-
-        // Load a sentinel into xmm7, cross the trampoline, read it back.
-        // This is exactly the glibc pattern from the paper's Listing 1.
+    /// Loads a sentinel into xmm7, crosses the trampoline, reads it
+    /// back: exactly the glibc pattern from the paper's Listing 1.
+    fn xmm7_across_trampoline() {
         let before: u64 = 0xdead_beef_cafe_f00d;
         let after: u64;
         unsafe {
@@ -515,6 +730,164 @@ mod tests {
     }
 
     #[test]
+    fn xstate_preserved_across_trampoline() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        set_xstate_mask(XstateMask::Avx);
+        xmm7_across_trampoline();
+    }
+
+    /// Entered under `X87`, widens the mask before it returns — what
+    /// `ActiveMechanism::set_xstate` on another thread does to a
+    /// dispatch in flight.
+    unsafe extern "C" fn widening_dispatch(frame: *mut RawFrame) -> u64 {
+        set_xstate_mask(XstateMask::Avx);
+        syscalls::raw::syscall((*frame).syscall_args())
+    }
+
+    #[test]
+    fn mask_widened_mid_dispatch_restores_under_entry_mask() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        let prev = set_dispatcher(widening_dispatch).expect("install registers one");
+        set_xstate_mask(XstateMask::X87);
+        // Restoring under the *new* mask would run XRSTOR with RFBM = 7
+        // over an image that holds x87 only, i.e. zero xmm0-15.
+        xmm7_across_trampoline();
+        set_dispatcher(prev);
+    }
+
+    /// A handler nobody vetted, in baseline x86-64 only so that the test
+    /// runs on every host: junk in `xmm7`, a value left on the x87
+    /// stack, MXCSR rounding changed. (`scenario_xstate` in
+    /// `tests/native_engine.rs` is the full register canary.)
+    unsafe extern "C" fn clobbering_dispatch(frame: *mut RawFrame) -> u64 {
+        static ROUND_TO_ZERO: u32 = 0x7f80;
+        std::arch::asm!(
+            "pcmpeqd xmm7, xmm7",
+            "fld1",
+            "ldmxcsr [{rz}]",
+            rz = in(reg) &ROUND_TO_ZERO,
+            out("xmm7") _,
+            out("st(0)") _, out("st(1)") _, out("st(2)") _, out("st(3)") _,
+            out("st(4)") _, out("st(5)") _, out("st(6)") _, out("st(7)") _,
+        );
+        syscalls::raw::syscall((*frame).syscall_args())
+    }
+
+    /// Crosses the trampoline with a sentinel in `xmm7`, MXCSR rounding
+    /// up and x87 either initial or holding a value; the clobbering
+    /// dispatcher must be invisible under mask `Avx`.
+    fn clobbering_dispatcher_is_invisible() {
+        let prev = set_dispatcher(clobbering_dispatch).expect("install registers one");
+        set_xstate_mask(XstateMask::Avx);
+        for x87_live in [false, true] {
+            // Twice: the first crossing must leave the thread in a state
+            // the second handles as well.
+            for round in 0..2 {
+                let (xmm7_in, st0_in, mxcsr_in) = (0xdead_beef_cafe_f00d_u64, 1234.5678_f64, 0x5f80_u32);
+                let xmm7_out: u64;
+                let (mut st0_out, mut mxcsr_out, mut mxcsr_caller) = (0.0_f64, 0u32, 0u32);
+                let mut fsw = [0u16; 2]; // x87 status word (stack top) before, after
+                unsafe {
+                    std::arch::asm!(
+                        "stmxcsr [{caller}]",
+                        "mov eax, 1",
+                        "xor edx, edx",
+                        "xrstor64 [{init}]",      // x87 initial, XINUSE[0] = 0
+                        "test {live:e}, {live:e}",
+                        "jz 2f",
+                        "fld qword ptr [{st0_in}]",
+                        "2:",
+                        "movq xmm7, {xmm7_in}",
+                        "ldmxcsr [{mxcsr_in}]",
+                        "fnstsw word ptr [{fsw}]",
+                        "mov eax, 39",            // getpid
+                        "call rax",
+                        "fnstsw word ptr [{fsw} + 2]",
+                        "stmxcsr [{mxcsr_out}]",
+                        "movq {xmm7_out}, xmm7",
+                        "test {live:e}, {live:e}",
+                        "jz 3f",
+                        "fstp qword ptr [{st0_out}]",
+                        "3:",
+                        "mov eax, 1",
+                        "xor edx, edx",
+                        "xrstor64 [{init}]",
+                        "ldmxcsr [{caller}]",
+                        caller = in(reg) &mut mxcsr_caller,
+                        init = in(reg) &LP_XSTATE_INIT,
+                        live = in(reg) x87_live as u32,
+                        st0_in = in(reg) &st0_in,
+                        st0_out = in(reg) &mut st0_out,
+                        xmm7_in = in(reg) xmm7_in,
+                        xmm7_out = out(reg) xmm7_out,
+                        mxcsr_in = in(reg) &mxcsr_in,
+                        mxcsr_out = in(reg) &mut mxcsr_out,
+                        fsw = in(reg) &mut fsw,
+                        out("rax") _, out("rcx") _, out("rdx") _, out("r11") _,
+                        out("xmm7") _,
+                        out("st(0)") _, out("st(1)") _, out("st(2)") _, out("st(3)") _,
+                        out("st(4)") _, out("st(5)") _, out("st(6)") _, out("st(7)") _,
+                    );
+                }
+                let cell = format!("x87_live={x87_live} round={round}");
+                assert_eq!(xmm7_out, xmm7_in, "xmm7, {cell}");
+                assert_eq!(mxcsr_out, mxcsr_in, "MXCSR, {cell}");
+                assert_eq!(fsw[1], fsw[0], "x87 status word, {cell}");
+                if x87_live {
+                    assert_eq!(st0_out, st0_in, "st(0), {cell}");
+                }
+            }
+        }
+        set_dispatcher(prev);
+    }
+
+    #[test]
+    fn clobbering_dispatcher_invisible_across_trampoline() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        assert_eq!(LP_XGETBV1.load(Ordering::Relaxed), cpu_has_xgetbv1() as u8);
+        clobbering_dispatcher_is_invisible();
+    }
+
+    #[test]
+    fn stub_without_xgetbv1_preserves_the_same() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        // As on a CPU whose CPUID lacks the bit: every dispatch takes
+        // xsave64/xrstor64, no normaliser.
+        let detected = LP_XGETBV1.swap(0, Ordering::Relaxed);
+        set_xstate_mask(XstateMask::Avx);
+        xmm7_across_trampoline();
+        clobbering_dispatcher_is_invisible();
+        LP_XGETBV1.store(detected, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn xgetbv1_detection_matches_cpuid() {
+        use core::arch::x86_64::{__cpuid, __cpuid_count};
+        let cpuid = __cpuid(0).eax >= 0xd && __cpuid_count(0xd, 1).eax & (1 << 2) != 0;
+        assert_eq!(cpu_has_xgetbv1(), cpuid);
+    }
+
+    #[test]
     fn xstate_mask_encoding() {
         assert_eq!(XstateMask::None.rfbm(), 0);
         assert_eq!(XstateMask::X87.rfbm(), 1);
@@ -525,6 +898,7 @@ mod tests {
 
     #[test]
     fn mask_round_trip() {
+        let _globals = lock_globals();
         let orig = xstate_mask_byte();
         set_xstate_mask(XstateMask::Sse);
         assert_eq!(xstate_mask_byte(), 3);

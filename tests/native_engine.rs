@@ -190,30 +190,556 @@ fn scenario_sud_only() {
     assert!(stats.slow_path_hits >= 5, "{stats:?}");
 }
 
-fn scenario_xstate() {
-    let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
-    // Interposed getpid with a live xmm sentinel (the Listing 1
-    // pattern) — via the *slow path first*, then the fast path.
-    for round in 0..3u64 {
-        let sentinel = 0xfeed_0000_0000_0000u64 | round;
-        let after: u64;
-        let pid: u64;
-        unsafe {
-            std::arch::asm!(
-                "movq xmm9, {sent}",
-                "mov eax, 39",
-                "syscall",
-                "movq {after}, xmm9",
-                sent = in(reg) sentinel,
-                after = out(reg) after,
-                out("rax") pid,
-                out("rcx") _, out("r11") _,
-                in("rdi") 0u64, in("rsi") 0u64, in("rdx") 0u64,
-                in("r10") 0u64, in("r8") 0u64, in("r9") 0u64,
-            );
+// ——— xstate: the register canary ———————————————————————————————————
+
+/// Everything one execution of [`lp_xstate_cell`] is given and observes.
+/// The routine addresses the fields through `offset_of!`.
+#[repr(C, align(64))]
+struct XstateCell {
+    /// An all-zero XSAVE image: `xrstor64` from it with RFBM = 1 puts
+    /// x87 in its initial configuration and clears `XINUSE[0]`.
+    zero_image: [u8; 576],
+    /// `fxsave64` just before and just after the syscall.
+    fx_before: [u8; 512],
+    fx_after: [u8; 512],
+    vec_in: [[u8; 32]; 16],
+    vec_out: [[u8; 32]; 16],
+    /// rbx rbp rdi rsi rdx r8 r9 r10 r12 r13 r14 r15.
+    gpr_in: [u64; 12],
+    /// rax, then the twelve above.
+    gpr_out: [u64; 13],
+    rsp_before: u64,
+    rsp_after: u64,
+    /// `xgetbv(1)`.
+    inuse_before: u32,
+    inuse_after: u32,
+    mxcsr_in: u32,
+    mxcsr_caller: u32,
+    /// `zmm3` in full, when `zmm_live`: bits 255:0 are `vec_in[3]`.
+    zmm_in: [u8; 64],
+    zmm_out: [u8; 64],
+    /// What of the CPU the routine may use: AVX instructions,
+    /// `xgetbv` with `ecx = 1`.
+    avx: u32,
+    xgetbv1: u32,
+    /// Entry state: 0 = `ymm` uppers clean, `xmm0-15` hold the low
+    /// halves of `vec_in`; 1 = `ymm0-15` hold `vec_in`.
+    uppers_live: u32,
+    /// Entry state: `zmm3` holds `zmm_in` (AVX-512F, with `uppers_live`).
+    zmm_live: u32,
+    /// Entry state: 0 = x87 initial; 1 = `fcw_in` and two values on the
+    /// stack; 2 = `fcw_in` alone; 3 = a value pushed and popped (stack
+    /// empty, control and status words as initial, but FIP and a data
+    /// register are not).
+    x87_mode: u32,
+    fcw_in: u16,
+}
+
+// One interposed `getpid` with every register in a known state.
+// Position-independent and self-contained, so that a copy on a fresh
+// page is a fresh syscall site. SysV: rdi = &mut XstateCell.
+std::arch::global_asm!(
+    r#"
+    .text
+    .globl lp_xstate_cell
+    .globl lp_xstate_cell_end
+    .type lp_xstate_cell, @function
+lp_xstate_cell:
+    push rbp
+    push rbx
+    push r12
+    push r13
+    push r14
+    push r15
+    push rdi                      # [rsp] = cell, across the syscall
+    mov r12, rdi
+    stmxcsr dword ptr [r12 + {mxcsr_caller}]
+    ldmxcsr dword ptr [r12 + {mxcsr_in}]
+    mov eax, 1
+    xor edx, edx
+    xrstor64 [r12 + {zero_image}]
+    cmp dword ptr [r12 + {x87_mode}], 0
+    je 1f
+    cmp dword ptr [r12 + {x87_mode}], 3
+    je 6f
+    fldcw word ptr [r12 + {fcw_in}]
+    cmp dword ptr [r12 + {x87_mode}], 2
+    je 1f
+    fld1
+    fldpi
+    jmp 1f
+6:
+    fld1
+    fstp st(0)
+1:
+    cmp dword ptr [r12 + {avx}], 0
+    je 7f
+    vzeroupper
+7:
+    cmp dword ptr [r12 + {uppers_live}], 0
+    jne 2f
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movups xmm\i, xmmword ptr [r12 + {vec_in} + 32*\i]
+    .endr
+    jmp 3f
+2:
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    vmovdqu ymm\i, ymmword ptr [r12 + {vec_in} + 32*\i]
+    .endr
+    cmp dword ptr [r12 + {zmm_live}], 0
+    je 3f
+    vmovdqu64 zmm3, zmmword ptr [r12 + {zmm_in}]
+3:
+    fxsave64 [r12 + {fx_before}]
+    cmp dword ptr [r12 + {xgetbv1}], 0
+    je 8f
+    mov ecx, 1
+    xgetbv
+    mov dword ptr [r12 + {inuse_before}], eax
+8:
+    mov qword ptr [r12 + {rsp_before}], rsp
+    mov rbx, qword ptr [r12 + {gpr_in} + 0]
+    mov rbp, qword ptr [r12 + {gpr_in} + 8]
+    mov rdi, qword ptr [r12 + {gpr_in} + 16]
+    mov rsi, qword ptr [r12 + {gpr_in} + 24]
+    mov rdx, qword ptr [r12 + {gpr_in} + 32]
+    mov r8, qword ptr [r12 + {gpr_in} + 40]
+    mov r9, qword ptr [r12 + {gpr_in} + 48]
+    mov r10, qword ptr [r12 + {gpr_in} + 56]
+    mov r13, qword ptr [r12 + {gpr_in} + 72]
+    mov r14, qword ptr [r12 + {gpr_in} + 80]
+    mov r15, qword ptr [r12 + {gpr_in} + 88]
+    mov r12, qword ptr [r12 + {gpr_in} + 64]
+    mov eax, 39                   # getpid
+    syscall
+    push r15
+    push r14
+    push r13
+    push r12
+    push r10
+    push r9
+    push r8
+    push rdx
+    push rsi
+    push rdi
+    push rbp
+    push rbx
+    push rax
+    mov r12, qword ptr [rsp + 104]
+    lea rax, [rsp + 104]
+    mov qword ptr [r12 + {rsp_after}], rax
+    cmp dword ptr [r12 + {xgetbv1}], 0
+    je 9f
+    mov ecx, 1
+    xgetbv
+    mov dword ptr [r12 + {inuse_after}], eax
+9:
+    fxsave64 [r12 + {fx_after}]
+    cmp dword ptr [r12 + {avx}], 0
+    jne 4f
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movups xmmword ptr [r12 + {vec_out} + 32*\i], xmm\i
+    .endr
+    jmp 5f
+4:
+    # Stores: clean uppers read as zero and stay clean.
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    vmovdqu ymmword ptr [r12 + {vec_out} + 32*\i], ymm\i
+    .endr
+    cmp dword ptr [r12 + {zmm_live}], 0
+    je 5f
+    vmovdqu64 zmmword ptr [r12 + {zmm_out}], zmm3
+5:
+    mov rsi, rsp
+    lea rdi, [r12 + {gpr_out}]
+    mov ecx, 13
+    rep movsq
+    # Hand the thread back to Rust as Rust expects it.
+    mov eax, 1
+    xor edx, edx
+    xrstor64 [r12 + {zero_image}]
+    cmp dword ptr [r12 + {avx}], 0
+    je 12f
+    vzeroupper
+12:
+    ldmxcsr dword ptr [r12 + {mxcsr_caller}]
+    add rsp, 112
+    pop r15
+    pop r14
+    pop r13
+    pop r12
+    pop rbx
+    pop rbp
+    ret
+lp_xstate_cell_end:
+    .size lp_xstate_cell, . - lp_xstate_cell
+"#,
+    zero_image = const std::mem::offset_of!(XstateCell, zero_image),
+    fx_before = const std::mem::offset_of!(XstateCell, fx_before),
+    fx_after = const std::mem::offset_of!(XstateCell, fx_after),
+    vec_in = const std::mem::offset_of!(XstateCell, vec_in),
+    vec_out = const std::mem::offset_of!(XstateCell, vec_out),
+    gpr_in = const std::mem::offset_of!(XstateCell, gpr_in),
+    gpr_out = const std::mem::offset_of!(XstateCell, gpr_out),
+    rsp_before = const std::mem::offset_of!(XstateCell, rsp_before),
+    rsp_after = const std::mem::offset_of!(XstateCell, rsp_after),
+    inuse_before = const std::mem::offset_of!(XstateCell, inuse_before),
+    inuse_after = const std::mem::offset_of!(XstateCell, inuse_after),
+    mxcsr_in = const std::mem::offset_of!(XstateCell, mxcsr_in),
+    mxcsr_caller = const std::mem::offset_of!(XstateCell, mxcsr_caller),
+    zmm_in = const std::mem::offset_of!(XstateCell, zmm_in),
+    zmm_out = const std::mem::offset_of!(XstateCell, zmm_out),
+    avx = const std::mem::offset_of!(XstateCell, avx),
+    xgetbv1 = const std::mem::offset_of!(XstateCell, xgetbv1),
+    uppers_live = const std::mem::offset_of!(XstateCell, uppers_live),
+    zmm_live = const std::mem::offset_of!(XstateCell, zmm_live),
+    x87_mode = const std::mem::offset_of!(XstateCell, x87_mode),
+    fcw_in = const std::mem::offset_of!(XstateCell, fcw_in),
+);
+
+extern "C" {
+    fn lp_xstate_cell(cell: *mut XstateCell);
+    static lp_xstate_cell_end: u8;
+}
+
+type XstateCellFn = unsafe extern "C" fn(*mut XstateCell);
+
+/// A copy of [`lp_xstate_cell`] on a page of its own: a syscall site
+/// nothing has executed yet.
+unsafe fn fresh_xstate_cell_site() -> XstateCellFn {
+    let start = lp_xstate_cell as *const () as *const u8;
+    let len = (&raw const lp_xstate_cell_end).offset_from(start);
+    let code = std::slice::from_raw_parts(start, len as usize);
+    assert!(code.len() <= 4096);
+    let page = ret_filled_rwx_page();
+    std::ptr::copy_nonoverlapping(code.as_ptr(), page, code.len());
+    std::mem::transmute::<*mut u8, XstateCellFn>(page)
+}
+
+/// The byte every vector register holds after [`XstateClobber`] ran.
+const XSTATE_JUNK: u8 = 0xa5;
+
+/// How [`XstateClobber`] writes the vector registers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Clobber {
+    /// Not at all: the handler only passes through.
+    Nothing = 0,
+    /// `xmm0-15` with legacy SSE: what a baseline x86-64 build does.
+    Sse = 1,
+    /// `ymm0-15` with VEX, uppers left dirty.
+    Avx = 2,
+}
+
+static XSTATE_CLOBBER: AtomicU64 = AtomicU64::new(Clobber::Nothing as u64);
+
+/// A handler nobody vetted: on `getpid` it overwrites the vector
+/// registers as [`XSTATE_CLOBBER`] says, pushes a value on the x87
+/// stack, drops FCW to single precision and MXCSR to round-to-zero —
+/// then passes through.
+struct XstateClobber;
+
+impl SyscallHandler for XstateClobber {
+    fn handle(&self, ev: &mut SyscallEvent) -> Action {
+        static JUNK: [u8; 32] = [XSTATE_JUNK; 32];
+        static SINGLE_PRECISION: u16 = 0x007f;
+        static ROUND_TO_ZERO: u32 = 0x7f80;
+        let clobber = XSTATE_CLOBBER.load(Ordering::Relaxed);
+        if ev.call.nr == syscalls::nr::GETPID && clobber != Clobber::Nothing as u64 {
+            // Deliberately breaks the rules for Rust inline asm (x87
+            // stack, FCW and MXCSR are not put back): that is the
+            // handler being modelled, and nothing up to the stub's exit
+            // does floating-point arithmetic.
+            unsafe {
+                std::arch::asm!(
+                    "cmp {clobber}, 2",
+                    "je 2f",
+                    ".irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
+                    "movups xmm\\i, [{junk}]",
+                    ".endr",
+                    "jmp 3f",
+                    "2:",
+                    ".irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
+                    "vmovdqu ymm\\i, [{junk}]",
+                    ".endr",
+                    "3:",
+                    "fld1",
+                    "fldcw [{fcw}]",
+                    "ldmxcsr [{mxcsr}]",
+                    clobber = in(reg) clobber,
+                    junk = in(reg) &JUNK,
+                    fcw = in(reg) &SINGLE_PRECISION,
+                    mxcsr = in(reg) &ROUND_TO_ZERO,
+                    out("ymm0") _, out("ymm1") _, out("ymm2") _, out("ymm3") _,
+                    out("ymm4") _, out("ymm5") _, out("ymm6") _, out("ymm7") _,
+                    out("ymm8") _, out("ymm9") _, out("ymm10") _, out("ymm11") _,
+                    out("ymm12") _, out("ymm13") _, out("ymm14") _, out("ymm15") _,
+                    out("st(0)") _, out("st(1)") _, out("st(2)") _, out("st(3)") _,
+                    out("st(4)") _, out("st(5)") _, out("st(6)") _, out("st(7)") _,
+                );
+            }
         }
-        assert_eq!(pid, std::process::id() as u64, "round {round}");
-        assert_eq!(after, sentinel, "xmm9 clobbered in round {round}");
+        Action::Passthrough
+    }
+}
+
+/// What of the CPU one pass over the canary uses. Without AVX the cells
+/// hold and check `xmm0-15` only and the handler clobbers with legacy
+/// SSE; without `xgetbv(1)` — where the stub is `xsave64`/`xrstor64` on
+/// every dispatch — `XINUSE` is not read.
+#[derive(Clone, Copy, Debug)]
+struct Canary {
+    avx: bool,
+    xgetbv1: bool,
+    avx512f: bool,
+}
+
+impl Canary {
+    fn detected() -> Canary {
+        Canary {
+            avx: std::arch::is_x86_feature_detected!("avx"),
+            xgetbv1: core::arch::x86_64::__cpuid_count(0xd, 1).eax & (1 << 2) != 0,
+            avx512f: std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The part every x86-64 host has.
+    const BASELINE: Canary = Canary { avx: false, xgetbv1: false, avx512f: false };
+
+    fn clobber(self) -> Clobber {
+        if self.avx {
+            Clobber::Avx
+        } else {
+            Clobber::Sse
+        }
+    }
+}
+
+/// An entry state of the canary.
+#[derive(Clone, Copy, Debug)]
+struct EntryState {
+    name: &'static str,
+    uppers_live: bool,
+    /// See [`XstateCell::x87_mode`].
+    x87_mode: u32,
+    zmm_live: bool,
+}
+
+const fn entry_state(name: &'static str, uppers_live: bool, x87_mode: u32) -> EntryState {
+    EntryState { name, uppers_live, x87_mode, zmm_live: false }
+}
+
+const XSTATE_ENTRY_STATES: [EntryState; 5] = [
+    entry_state("x87 initial, uppers clean", false, 0),
+    entry_state("uppers live", true, 0),
+    entry_state("x87 live: two values, FCW", false, 1),
+    entry_state("x87 live: FCW alone", false, 2),
+    entry_state("x87 live: pushed and popped", false, 3),
+];
+
+/// AVX-512 hosts: a pattern in all of `zmm3`. No mask names
+/// `ZMM_Hi256`, so neither the stub nor `xsave64` under any mask may
+/// write bits 511:256 — but a VEX instruction does, so this state runs
+/// under the handlers that execute none.
+const XSTATE_ZMM_STATE: EntryState =
+    EntryState { name: "zmm3 live", uppers_live: true, x87_mode: 0, zmm_live: true };
+
+/// Runs one cell at `site` and checks every component `mask` names;
+/// `sigsys` is whether this execution should be the site's first.
+unsafe fn xstate_cell(
+    site: XstateCellFn,
+    canary: Canary,
+    mask: mechanism::XstateMask,
+    state: EntryState,
+    sigsys: bool,
+    what: &str,
+) {
+    let clobber = if state.zmm_live { Clobber::Sse } else { canary.clobber() };
+    xstate_cell_under(site, canary, clobber, mask, state, sigsys, what)
+}
+
+unsafe fn xstate_cell_under(
+    site: XstateCellFn,
+    canary: Canary,
+    clobber: Clobber,
+    mask: mechanism::XstateMask,
+    state: EntryState,
+    sigsys: bool,
+    what: &str,
+) {
+    let cell = format!("mask {mask:?}, {}, {what}, {clobber:?} clobbered, {canary:?}", state.name);
+    let pid = std::process::id() as u64;
+    let mut c: Box<XstateCell> = Box::new(std::mem::zeroed());
+    for (i, v) in c.vec_in.iter_mut().enumerate() {
+        *v = std::array::from_fn(|b| (0x10 * i + b + 1) as u8);
+    }
+    c.zmm_in = std::array::from_fn(|b| if b < 32 { c.vec_in[3][b] } else { 0xc0 + b as u8 });
+    c.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
+    c.mxcsr_in = 0x5f80; // round up: neither the default nor the handler's
+    c.fcw_in = 0x0b7f; // round up, extended precision: likewise
+    c.avx = canary.avx as u32;
+    c.xgetbv1 = canary.xgetbv1 as u32;
+    c.uppers_live = state.uppers_live as u32;
+    c.x87_mode = state.x87_mode;
+    c.zmm_live = state.zmm_live as u32;
+    assert!(canary.avx || !state.uppers_live, "{cell}");
+    assert!(canary.avx512f || !state.zmm_live, "{cell}");
+
+    XSTATE_CLOBBER.store(clobber as u64, Ordering::Relaxed);
+    let slow_path_hits = lazypoline::stats().slow_path_hits;
+    site(&mut *c);
+    let slow_path_hits = lazypoline::stats().slow_path_hits - slow_path_hits;
+    assert_eq!(slow_path_hits, sigsys as u64, "SIGSYS trips, {cell}");
+
+    // General-purpose registers: all but rax/rcx/r11, under every mask.
+    assert_eq!(c.gpr_out[0], pid, "rax, {cell}");
+    assert_eq!(c.gpr_out[1..], c.gpr_in, "GPRs, {cell}");
+    assert_eq!(c.rsp_after, c.rsp_before, "rsp, {cell}");
+
+    let rfbm = mask.rfbm();
+    if canary.xgetbv1 {
+        // The set-up took; ZMM_Hi256 (bit 6) sends the stub down its
+        // xsave64 path, so it must not linger from an earlier cell.
+        assert_eq!(c.inuse_before & 1, (state.x87_mode != 0) as u32, "set-up, {cell}");
+        assert_eq!(c.inuse_before & 4, (state.uppers_live as u32) << 2, "set-up, {cell}");
+        assert_eq!(c.inuse_before & 0x40, (state.zmm_live as u32) << 6, "set-up, {cell}");
+        let named = (rfbm & 5) as u32 | 0x40;
+        assert_eq!(c.inuse_after & named, c.inuse_before & named, "XINUSE, {cell}");
+    }
+    if rfbm & 1 != 0 {
+        assert_eq!(c.fx_after[..24], c.fx_before[..24], "x87 environment, {cell}");
+        assert_eq!(c.fx_after[32..160], c.fx_before[32..160], "ST0-7, {cell}");
+    }
+    if rfbm & 2 != 0 {
+        assert_eq!(c.fx_after[24..28], c.fx_before[24..28], "MXCSR, {cell}");
+        assert_eq!(c.fx_after[24..28], c.mxcsr_in.to_le_bytes(), "MXCSR, {cell}");
+    }
+    for (i, (got, want)) in c.vec_out.iter().zip(&c.vec_in).enumerate() {
+        if rfbm & 2 != 0 {
+            assert_eq!(got[..16], want[..16], "xmm{i}, {cell}");
+        }
+        if rfbm & 4 != 0 && canary.avx {
+            let uppers = if state.uppers_live { want[16..].to_vec() } else { vec![0; 16] };
+            assert_eq!(got[16..], uppers, "ymm{i} upper half, {cell}");
+        }
+    }
+    if state.zmm_live {
+        assert_eq!(c.zmm_out[32..], c.zmm_in[32..], "zmm3 bits 511:256, {cell}");
+    }
+    if rfbm == 0 {
+        // Nothing is preserved, so the handler must show: xmm15 is not
+        // a register the dispatcher's own code has a use for.
+        match clobber {
+            Clobber::Nothing => {}
+            Clobber::Sse => assert_eq!(c.vec_out[15][..16], [XSTATE_JUNK; 16], "xmm15 under None, {cell}"),
+            Clobber::Avx => assert_eq!(c.vec_out[15], [XSTATE_JUNK; 32], "ymm15 under None, {cell}"),
+        }
+    }
+}
+
+fn xinuse() -> u32 {
+    let eax: u32;
+    unsafe { std::arch::asm!("xgetbv", in("ecx") 1, out("eax") eax, out("edx") _) };
+    eax
+}
+
+fn scenario_xstate() {
+    use mechanism::XstateMask;
+    let detected = Canary::detected();
+    if !(detected.avx && detected.xgetbv1) {
+        println!("xstate: {detected:?}, running the baseline cells only");
+    }
+    let mut active = install("lazypoline", Box::new(XstateClobber));
+
+    // mask × entry state × {first execution: SIGSYS, then the stub;
+    // the same site again: the stub alone} — with what every x86-64 host
+    // has, then with what this one has.
+    let mut rewritten = None;
+    for canary in [Canary::BASELINE, detected] {
+        for mask in [XstateMask::None, XstateMask::X87, XstateMask::Sse, XstateMask::Avx] {
+            assert!(active.set_xstate(mask), "lazypoline is engine-backed");
+            for state in XSTATE_ENTRY_STATES {
+                if state.uppers_live && !canary.avx {
+                    continue;
+                }
+                unsafe {
+                    let site = fresh_xstate_cell_site();
+                    xstate_cell(site, canary, mask, state, true, "fresh site");
+                    xstate_cell(site, canary, mask, state, false, "rewritten site");
+                    rewritten = Some(site);
+                }
+            }
+            if canary.avx512f {
+                for clobber in [Clobber::Nothing, Clobber::Sse] {
+                    unsafe {
+                        let site = fresh_xstate_cell_site();
+                        xstate_cell_under(site, canary, clobber, mask, XSTATE_ZMM_STATE, true, "fresh site");
+                        xstate_cell_under(site, canary, clobber, mask, XSTATE_ZMM_STATE, false, "rewritten site");
+                    }
+                }
+            }
+        }
+    }
+    // The remaining cells reuse the last site; the mask stays `Avx`.
+    let site = rewritten.expect("cells ran");
+    let states = XSTATE_ENTRY_STATES
+        .into_iter()
+        .filter(|s| detected.avx || !s.uppers_live)
+        .chain(detected.avx512f.then_some(XSTATE_ZMM_STATE));
+
+    // An application signal delivered in application code: the kernel's
+    // sigreturn marks x87 in use, the sigreturn trampoline must hand the
+    // thread back with the mark cleared — and the next dispatch holds.
+    static READY: AtomicU64 = AtomicU64::new(0);
+    static HANDLED: AtomicU64 = AtomicU64::new(0);
+    extern "C" fn on_usr1(_sig: libc::c_int) {
+        HANDLED.store(1, Ordering::SeqCst);
+    }
+    extern "C" {
+        fn pthread_self() -> usize;
+        fn pthread_kill(thread: usize, sig: libc::c_int) -> libc::c_int;
+    }
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = on_usr1 as *const () as usize;
+        assert_eq!(libc::sigaction(libc::SIGUSR1, &sa, std::ptr::null_mut()), 0);
+        let main_thread = pthread_self();
+        let killer = std::thread::spawn(move || {
+            while READY.load(Ordering::SeqCst) == 0 {
+                std::hint::spin_loop();
+            }
+            assert_eq!(pthread_kill(main_thread, libc::SIGUSR1), 0);
+        });
+        if detected.xgetbv1 {
+            assert_eq!(xinuse() & 1, 0, "x87 marked in use before the signal");
+        }
+        READY.store(1, Ordering::SeqCst);
+        while HANDLED.load(Ordering::SeqCst) == 0 {
+            std::hint::spin_loop(); // no syscall: the signal lands here
+        }
+        if detected.xgetbv1 {
+            assert_eq!(xinuse() & 1, 0, "sigreturn trampoline left x87 marked in use");
+        }
+        for state in states.clone() {
+            xstate_cell(site, detected, XstateMask::Avx, state, false, "after SIGUSR1");
+        }
+        killer.join().expect("killer thread");
+        assert!(active.stats().signals_wrapped >= 1);
+    }
+
+    // A fork child's first dispatches.
+    unsafe {
+        let pid = libc::fork();
+        assert!(pid >= 0);
+        if pid == 0 {
+            for state in states {
+                xstate_cell(site, detected, XstateMask::Avx, state, false, "fork child");
+            }
+            libc::_exit(33);
+        }
+        let mut status = 0;
+        libc::waitpid(pid, &mut status, 0);
+        assert!(libc::WIFEXITED(status));
+        assert_eq!(libc::WEXITSTATUS(status), 33, "canary failed in the fork child");
     }
     active.detach();
     assert!(active.stats().sites_patched >= 1);
@@ -397,12 +923,10 @@ fn scenario_path_remap() {
     assert!(!untouched.is_empty(), "unrelated opens broke");
 }
 
-/// Emits `count` tiny JIT functions (`mov eax, GETPID; syscall; ret`)
-/// at 64-byte intervals on one freshly mapped RWX page, padding with
-/// `ret` so a linear sweep of the page stays synchronized. Returns the
-/// page base.
-unsafe fn emit_getpid_page(count: usize) -> *mut u8 {
-    assert!(count * 64 <= 4096);
+/// One freshly mapped RWX page of `ret`: room for code that must be a
+/// syscall site nothing has executed yet, and a linear sweep of the
+/// page stays synchronized past it.
+unsafe fn ret_filled_rwx_page() -> *mut u8 {
     let page = libc::mmap(
         std::ptr::null_mut(),
         4096,
@@ -412,8 +936,17 @@ unsafe fn emit_getpid_page(count: usize) -> *mut u8 {
         0,
     );
     assert_ne!(page, libc::MAP_FAILED);
-    let p = page as *mut u8;
-    std::ptr::write_bytes(p, 0xc3, 4096);
+    std::ptr::write_bytes(page as *mut u8, 0xc3, 4096);
+    page as *mut u8
+}
+
+/// Emits `count` tiny JIT functions (`mov eax, GETPID; syscall; ret`)
+/// at 64-byte intervals on one freshly mapped RWX page, padding with
+/// `ret` so a linear sweep of the page stays synchronized. Returns the
+/// page base.
+unsafe fn emit_getpid_page(count: usize) -> *mut u8 {
+    assert!(count * 64 <= 4096);
+    let p = ret_filled_rwx_page();
     for i in 0..count {
         let code: [u8; 8] = [
             0xb8,
