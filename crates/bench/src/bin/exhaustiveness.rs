@@ -75,8 +75,10 @@ fn native_confirmation() {
             Action::Passthrough
         }
     }
-    interpose::set_global_handler(Box::new(Spy));
-    let engine = lazypoline::init(lazypoline::Config::default()).expect("init");
+    let mut active = mechanism::by_name("lazypoline")
+        .expect("registered")
+        .install(Box::new(Spy))
+        .expect("install");
 
     // Emit `mov eax, 39; syscall; ret` at runtime — after interposition
     // was armed, where no static scan can see it.
@@ -94,11 +96,11 @@ fn native_confirmation() {
         std::ptr::copy_nonoverlapping(code.as_ptr(), page as *mut u8, code.len());
         std::mem::transmute(page)
     };
-    let before = engine.stats();
+    let before = active.stats();
     let pid = jit();
     let pid2 = jit();
-    engine.unenroll_current_thread();
-    let after = engine.stats();
+    active.detach();
+    let after = active.stats();
 
     assert_eq!(pid, std::process::id() as u64);
     assert_eq!(pid2, pid);

@@ -1,63 +1,166 @@
-//! `LD_PRELOAD` shim: arm lazypoline inside *arbitrary, unmodified*
-//! binaries — the paper's deployment model ("non-intrusive").
+//! `LD_PRELOAD` shim: interpose *arbitrary, unmodified* binaries — the
+//! paper's deployment model ("non-intrusive").
 //!
 //! ```sh
-//! cargo build -p lazypoline-preload --release
-//! LAZYPOLINE_MODE=count LAZYPOLINE_STATS=1 \
+//! cargo build --release
+//! LP_MECHANISM=lazypoline+record LP_TRACE_OUT=/tmp/ls.%p.lpt LAZYPOLINE_STATS=1 \
 //!   LD_PRELOAD=target/release/liblazypoline_preload.so  ls -l
 //! ```
 //!
-//! Environment knobs:
+//! The shim is a caller of the mechanism registry like any in-repo
+//! driver: its constructor (`.init_array`, before `main`) builds the
+//! *mode handler*, resolves `LP_MECHANISM`, installs, and keeps the
+//! [`ActiveMechanism`] for the life of the process.
 //!
 //! | Variable | Values | Effect |
 //! |---|---|---|
-//! | `LAZYPOLINE_MODE` | `passthrough` (default), `trace`, `count` | interposer choice |
-//! | `LAZYPOLINE_XSTATE` | `avx` (default), `sse`, `x87`, `none` | extended-state preservation (paper §IV-B(b)) |
-//! | `LAZYPOLINE_STATS` | `1` | dump engine counters at exit |
-//! | `LAZYPOLINE_FAULTS` | `site:schedule[:ERRNO],…` | arm fault-injection seams (testing only) |
-//! | `LP_HOOKS` | `lib.so[:prio],…` | dlopen `lp_hook_v1` hook libraries into a runtime stack around the mode handler |
+//! | `LP_MECHANISM` | `base(+layer)*`, default `lazypoline` | mechanism and layers (`lp-mechanism` crate docs) |
+//! | `LAZYPOLINE_MODE` | `passthrough` (default), `trace`, `count` | the mode handler, innermost in the stack |
+//! | `LAZYPOLINE_XSTATE` | `avx`, `sse`, `x87`, `none`; default: the base's | `ActiveMechanism::set_xstate` (paper §IV-B(b)) |
+//! | `LAZYPOLINE_STATS` | `1` | dump the installation's counters when the process ends |
+//! | `LAZYPOLINE_FAULTS` | `site:schedule[:ERRNO],…` | fault-injection seams (`lp-faultinject` crate docs) |
+//! | `LP_HOOKS`, `LP_HOOKS_WATCH` | `lib.so[:prio],…` | `+hooks` |
+//! | `LP_TRACE_OUT`, `LP_DRAIN`, `LP_RING_CAPACITY`, … | path, a literal `%p` is the pid | `+record` |
+//! | `LP_SFIP_POLICY`, `LP_SFIP_POLICY_ACTION`, `LP_SFIP_ORIGINS` | path, `kill`\|`quarantine`\|`count` | `+sfip` |
 //!
-//! `LP_HOOKS` is the execve-propagation story for runtime hook stacks:
-//! loaded libraries don't survive an `execve`, but the environment does
-//! — a preloaded shim in the new image re-reads the same variable and
-//! reloads the same hook set before `main`. Paths with a `/` are passed
-//! to `dlopen` verbatim; prefer absolute paths here, since the
-//! preloaded process's working directory and `current_exe` are the
-//! *application's*, not the build tree's. A hook that fails to load
-//! disables the whole `LP_HOOKS` set (with a diagnostic) rather than
-//! running a partial policy stack.
+//! **One compatibility rule:** a non-empty `LP_HOOKS` with no `hooks`
+//! layer in the name appends `+hooks` as the last, innermost layer, so
+//! `LP_HOOKS=… LD_PRELOAD=… ls -l` works without naming a mechanism.
 //!
-//! `LAZYPOLINE_FAULTS` (e.g. `trampoline_install:first=1` or
-//! `patch_mprotect:every=3:EAGAIN`) arms the engine's built-in fault
-//! seams before initialization; the engine then *degrades* instead of
-//! failing — `trampoline_install` forces `Mode::SudOnly`, `sud_enroll`
-//! forces `Mode::PrescanOnly`, and patch faults exercise the retry and
-//! page-blocklist machinery. The resulting mode and robustness counters
-//! are visible programmatically via `lazypoline::health()` and in the
-//! `LAZYPOLINE_STATS=1` dump. Sites: `trampoline_install`,
-//! `patch_mprotect`, `sud_enroll`, `selector_write`,
-//! `slowpath_emulate`; schedules: `nth=N`, `every=N`, `first=K`.
+//! **One failure rule, no silent fallback:** an unknown name, an unknown
+//! `LAZYPOLINE_MODE` or `LAZYPOLINE_XSTATE`, a row that cannot interpose
+//! a preloaded process (`sim:*` runs guest programs; `sud-raw` disarms
+//! after one syscall and relies on its caller to re-arm) or any install
+//! error prints one `lazypoline-preload: disabled (<why>)` line and the
+//! application runs uninterposed. Nothing is ever half-installed.
 //!
-//! The constructor runs from `.init_array` before `main`, so every
-//! syscall the application itself makes is interposed. Syscalls made
-//! by the dynamic loader *before* our constructor are inherently out of
-//! reach — the same holds for the C prototype.
+//! **The window is constructor to `exit_group`.** The mode handler is
+//! innermost in every stack and ends the process itself when it sees
+//! `exit_group`: it finishes a `+record` session, prints the dump and
+//! issues the call, so no layer sees that one syscall — neither the
+//! trace a policy is learned from nor the run it is enforced on — and
+//! everything before it (stdio's final flush; `exit` or `_exit`) is in
+//! both. Rows that dispatch nothing (`none`, `sud-allow`) never see the
+//! end: no dump, and a trace keeps its `.part` name, as after a fatal
+//! signal or a successful `execve`. A preloaded descendant arms the same
+//! configuration again (`%p` keeps traces apart); fork children stay
+//! interposed but own no trace and print no dump; `lazypoline-hardened`
+//! does not survive `execve` (its seccomp filter does). DESIGN.md §4, §11.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use interpose::{CountHandler, PassthroughHandler, SyscallHandler, TraceHandler, TraceSink};
-use lazypoline::{Config, XstateMask};
+use interpose::{
+    Action, CountHandler, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler,
+    TraceHandler, TraceSink,
+};
+use mechanism::{ActiveMechanism, StatsSnapshot, XstateMask};
+use syscalls::nr;
 
-static COUNTER: AtomicPtr<CountHandler> = AtomicPtr::new(std::ptr::null_mut());
+/// The installation, kept for the life of the process.
+static ACTIVE: AtomicPtr<ActiveMechanism> = AtomicPtr::new(std::ptr::null_mut());
 
-/// Hooks loaded from `LP_HOOKS` at init (0 when unset); drives the
-/// hooks section of the stats dump.
-static HOOKS_LOADED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// The mode handler (none of the three has a `post`) plus what the end
+/// of the window needs.
+struct UntilExit {
+    mode: Box<dyn SyscallHandler>,
+    /// The process that installed; fork children finish nothing.
+    pid: u32,
+    /// A clone of the `count` mode handler, for the top-syscalls table.
+    counter: Option<CountHandler>,
+    /// `LAZYPOLINE_STATS=1`: a private dup of stderr taken at init —
+    /// coreutils close fd 2 in an `atexit` handler, long before the end.
+    stats_fd: Option<libc::c_int>,
+}
 
-/// Private dup of stderr taken at init: programs like coreutils close
-/// fd 2 in their own atexit handlers, which run *before* ours (LIFO),
-/// so stats must go to a descriptor the application cannot reach.
-static STATS_FD: std::sync::atomic::AtomicI32 = std::sync::atomic::AtomicI32::new(2);
+impl SyscallHandler for UntilExit {
+    fn handle(&self, event: &mut SyscallEvent) -> Action {
+        let action = self.mode.handle(event);
+        if event.call.nr == nr::EXIT_GROUP {
+            // The pid first: a `vfork` child shares `ACTIVE` with its parent.
+            if self.pid == std::process::id() {
+                self.finish();
+            }
+            // SAFETY: the application's own call, from dispatch context.
+            unsafe { syscalls::raw::syscall1(nr::EXIT_GROUP, event.call.args[0]) };
+        }
+        action
+    }
+    fn interest(&self) -> InterestSet {
+        self.mode.interest().union(&InterestSet::of(&[nr::EXIT_GROUP]))
+    }
+}
+
+impl UntilExit {
+    /// Finishes the trace and prints the dump, once — from dispatch
+    /// context, where nothing this does is interposed.
+    fn finish(&self) {
+        // SAFETY: null, or the constructor's leak; the swap hands it to
+        // one caller, and it is never freed.
+        let taken = ACTIVE.swap(std::ptr::null_mut(), Ordering::SeqCst);
+        let Some(active) = (unsafe { taken.as_mut() }) else {
+            return;
+        };
+        if let Some(Err(e)) = active.finish_recording() {
+            eprintln!("lazypoline-preload: trace not finished ({e})");
+        }
+        if let Some(fd) = self.stats_fd {
+            let out = render_dump(&active.stats(), self.counter.as_ref());
+            // SAFETY: writing an owned buffer to our private fd.
+            unsafe { libc::write(fd, out.as_ptr() as *const libc::c_void, out.len()) };
+        }
+    }
+}
+
+fn env(name: &str) -> String {
+    std::env::var(name).unwrap_or_default()
+}
+
+/// Builds the mode handler, resolves the mechanism, installs.
+fn arm() -> Result<ActiveMechanism, String> {
+    let mut counter = None;
+    let mode: Box<dyn SyscallHandler> = match env("LAZYPOLINE_MODE").as_str() {
+        "" | "passthrough" => Box::new(PassthroughHandler),
+        "trace" => Box::new(TraceHandler::with_sink(TraceSink::Stderr)),
+        "count" => Box::new(counter.insert(CountHandler::new()).clone()),
+        other => return Err(format!("LAZYPOLINE_MODE={other:?}: not passthrough|trace|count")),
+    };
+    let xstate = match env("LAZYPOLINE_XSTATE").as_str() {
+        "" => None,
+        "avx" => Some(XstateMask::Avx),
+        "sse" => Some(XstateMask::Sse),
+        "x87" => Some(XstateMask::X87),
+        "none" => Some(XstateMask::None),
+        other => return Err(format!("LAZYPOLINE_XSTATE={other:?}: not avx|sse|x87|none")),
+    };
+    let mut name = env(mechanism::ENV_VAR);
+    if name.is_empty() {
+        name.push_str(mechanism::DEFAULT_MECHANISM);
+    }
+    if !env(mechanism::HOOKS_ENV).is_empty() && !name.split('+').any(|piece| piece == "hooks") {
+        name.push_str("+hooks");
+    }
+    if name.starts_with("sim:") || name.split('+').next() == Some("sud-raw") {
+        return Err(format!("{name} cannot interpose a preloaded process"));
+    }
+    let mechanism = mechanism::by_name(&name)
+        .ok_or_else(|| mechanism::UnknownMechanism(name.clone()).to_string())?;
+    // The shim's own syscalls come before the install: after it, this
+    // thread's syscalls are the application's flow to every layer.
+    let pid = std::process::id();
+    let stats_fd = (env("LAZYPOLINE_STATS") == "1")
+        // SAFETY: duplicating our own stderr; on failure keep fd 2.
+        .then(|| unsafe { libc::fcntl(2, libc::F_DUPFD_CLOEXEC, 700) }.max(2));
+    let handler = UntilExit { mode, pid, counter, stats_fd };
+    let mut active = mechanism.install(Box::new(handler)).map_err(|e| {
+        // SAFETY: closing the descriptor duplicated above.
+        stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
+        e.to_string()
+    })?;
+    if let Some(mask) = xstate {
+        active.set_xstate(mask);
+    }
+    Ok(active)
+}
 
 /// The constructor entry registered in `.init_array`.
 ///
@@ -65,124 +168,49 @@ static STATS_FD: std::sync::atomic::AtomicI32 = std::sync::atomic::AtomicI32::ne
 ///
 /// Called once by the dynamic loader during process startup.
 unsafe extern "C" fn preload_ctor() {
-    let mode = std::env::var("LAZYPOLINE_MODE").unwrap_or_default();
-    let xstate = match std::env::var("LAZYPOLINE_XSTATE").as_deref() {
-        Ok("none") => XstateMask::None,
-        Ok("x87") => XstateMask::X87,
-        Ok("sse") => XstateMask::Sse,
-        _ => XstateMask::Avx,
-    };
-
-    let handler: Box<dyn SyscallHandler> = match mode.as_str() {
-        "trace" => Box::new(TraceHandler::with_sink(TraceSink::Stderr)),
-        "count" => {
-            let leaked: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-            COUNTER.store(leaked as *const _ as *mut _, Ordering::SeqCst);
-            struct Fwd(&'static CountHandler);
-            impl SyscallHandler for Fwd {
-                fn handle(&self, ev: &mut interpose::SyscallEvent) -> interpose::Action {
-                    self.0.handle(ev)
-                }
-                fn name(&self) -> &str {
-                    "count"
-                }
-            }
-            Box::new(Fwd(leaked))
-        }
-        _ => Box::new(PassthroughHandler),
-    };
-
-    // LP_HOOKS: wrap the mode handler in a runtime hook stack and load
-    // every named library around it (mode handler anchors priority 0).
-    let handler: Box<dyn SyscallHandler> = match std::env::var("LP_HOOKS") {
-        Ok(spec) if !spec.is_empty() => match hookabi::load_from_spec(&spec) {
-            Ok(loaded) => {
-                let stack = interpose::HookStack::new();
-                stack.attach(handler, 0);
-                for hook in loaded {
-                    let prio = hook.priority();
-                    stack.attach_dynamic(Box::new(hook), prio);
-                }
-                HOOKS_LOADED.store(stack.dynamic_len() as u64, Ordering::SeqCst);
-                Box::new(stack)
-            }
-            Err(e) => {
-                // All-or-nothing: a partial policy stack is worse than
-                // none, so one bad spec entry disables the whole set.
-                eprintln!("lazypoline-preload: LP_HOOKS disabled ({e})");
-                handler
-            }
-        },
-        _ => handler,
-    };
-    interpose::set_global_handler(handler);
-
-    let config = Config {
-        xstate,
-        ..Config::default()
-    };
-    match lazypoline::init(config) {
-        Ok(engine) => {
-            // The engine must outlive main; prevent the drop-unenroll.
-            std::mem::forget(engine);
-            if std::env::var("LAZYPOLINE_STATS").as_deref() == Ok("1") {
-                let fd = libc::fcntl(2, libc::F_DUPFD_CLOEXEC, 700);
-                if fd >= 0 {
-                    STATS_FD.store(fd, Ordering::SeqCst);
-                }
-                libc::atexit(dump_stats);
-            }
-        }
-        Err(e) => {
-            eprintln!("lazypoline-preload: disabled ({e})");
-        }
+    match arm() {
+        Ok(active) => ACTIVE.store(Box::into_raw(Box::new(active)), Ordering::SeqCst),
+        Err(why) => eprintln!("lazypoline-preload: disabled ({why})"),
     }
 }
 
-extern "C" fn dump_stats() {
-    let fd = STATS_FD.load(Ordering::SeqCst);
-    let mut out = String::new();
-    let h = lazypoline::health();
-    let s = h.stats;
-    out.push_str("-- lazypoline stats --\n");
-    out.push_str(&format!("mode                     : {:?}\n", h.mode));
-    out.push_str(&format!("slow-path (SIGSYS) trips : {}\n", s.slow_path_hits));
-    out.push_str(&format!("sites lazily rewritten   : {}\n", s.sites_patched));
-    out.push_str(&format!("dispatcher invocations   : {}\n", s.dispatches));
-    out.push_str(&format!("unpatchable emulations   : {}\n", s.unpatchable_emulations));
-    out.push_str(&format!("disabled-mode emulations : {}\n", s.disabled_mode_emulations));
-    out.push_str(&format!("signals wrapped          : {}\n", s.signals_wrapped));
-    // Robustness lines appear only when something actually degraded,
-    // keeping the healthy-path dump short.
-    if s.patch_retries + s.pages_blocklisted + s.quarantined_handlers + h.faults_injected > 0 {
-        out.push_str(&format!("patch retries            : {}\n", s.patch_retries));
-        out.push_str(&format!("pages blocklisted        : {}\n", s.pages_blocklisted));
-        out.push_str(&format!("handlers quarantined     : {}\n", s.quarantined_handlers));
-        out.push_str(&format!("faults injected          : {}\n", h.faults_injected));
-    }
-    let hooks = HOOKS_LOADED.load(Ordering::SeqCst);
-    if hooks > 0 {
-        out.push_str(&format!("hooks loaded             : {hooks}\n"));
-        out.push_str(&format!(
-            "hook dispatches          : {}\n",
-            interpose::hook_dispatches()
-        ));
-    }
-    let counter = COUNTER.load(Ordering::SeqCst);
-    if !counter.is_null() {
-        out.push_str("-- top syscalls --\n");
-        // SAFETY: set once from a leaked box.
-        for (nr, count) in unsafe { &*counter }.top().into_iter().take(15) {
-            match syscalls::nr::name(nr) {
-                Some(name) => out.push_str(&format!("{count:>10}  {name}\n")),
-                None => out.push_str(&format!("{count:>10}  syscall_{nr}\n")),
-            }
+/// The counters lpbench's `stats_field` reads by label prefix: always
+/// printed. Every other counter prints under its [`StatsSnapshot`] field
+/// name when it is not zero, so nothing here names a layer's counters.
+const LABELLED: [(&str, &str); 6] = [
+    ("slow_path_hits", "slow-path (SIGSYS) trips"),
+    ("sites_patched", "sites lazily rewritten"),
+    ("dispatches", "dispatcher invocations"),
+    ("unpatchable_emulations", "unpatchable emulations"),
+    ("patch_retries", "patch retries"),
+    ("pages_blocklisted", "pages blocklisted"),
+];
+
+fn render_dump(s: &StatsSnapshot, counter: Option<&CountHandler>) -> String {
+    let mut out = String::from("-- lazypoline stats --\n");
+    let mut line = |label: &str, value: &dyn std::fmt::Display| {
+        out.push_str(&format!("{label:<25}: {value}\n"));
+    };
+    line("mechanism", &s.mechanism);
+    line("mode", &format_args!("{:?}", lazypoline::mode()));
+    for (field, value) in s.counters() {
+        match LABELLED.iter().find(|(f, _)| *f == field) {
+            Some((_, label)) => line(label, &value),
+            None if value != 0 => line(field, &value),
+            None => {}
         }
     }
-    // SAFETY: writing an owned buffer to our private fd.
-    unsafe {
-        libc::write(fd, out.as_ptr() as *const libc::c_void, out.len());
+    if !s.sfip_mode.is_empty() {
+        line("sfip_mode", &s.sfip_mode);
     }
+    if let Some(counter) = counter {
+        out.push_str("-- top syscalls --\n");
+        for (nr, count) in counter.top().into_iter().take(15) {
+            let name = nr::name(nr).map_or_else(|| format!("syscall_{nr}"), str::to_string);
+            out.push_str(&format!("{count:>10}  {name}\n"));
+        }
+    }
+    out
 }
 
 #[used]
@@ -198,5 +226,31 @@ mod tests {
         // The static must survive to link time with the right type.
         let f: unsafe extern "C" fn() = PRELOAD_CTOR;
         assert_eq!(f as usize, preload_ctor as *const () as usize);
+    }
+
+    #[test]
+    fn dump_keeps_the_parsed_labels_and_names_no_layer() {
+        let s = StatsSnapshot {
+            mechanism: "lazypoline+hooks",
+            dispatches: 510,
+            sites_patched: 100,
+            hooks_loaded: 1,
+            ..StatsSnapshot::default()
+        };
+        let dump = render_dump(&s, None);
+        // What lpbench's `stats_field` does: first line with the prefix.
+        let field = |label: &str| {
+            dump.lines()
+                .find_map(|l| l.strip_prefix(label))
+                .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
+        };
+        assert_eq!(field("dispatcher invocations"), Some(510));
+        assert_eq!(field("sites lazily rewritten"), Some(100));
+        for (_, label) in LABELLED {
+            assert!(field(label).is_some(), "{label} missing:\n{dump}");
+        }
+        assert_eq!(field("hooks_loaded"), Some(1), "{dump}");
+        assert_eq!(field("hook_dispatches"), None, "zero counters stay out");
+        assert!(!dump.contains("top syscalls"));
     }
 }

@@ -31,8 +31,6 @@ use zpoline::RawFrame;
 
 use crate::raw_internal;
 
-const SIG_UNBLOCK: u64 = 1;
-
 const CLONE_VM: u64 = 0x100;
 const CLONE_VFORK: u64 = 0x4000;
 const CLONE_SETTLS: u64 = 0x0008_0000;
@@ -198,17 +196,7 @@ unsafe extern "C" fn lp_clone_child_init() {
     // SIGSYS turns the first intercepted syscall into a straight kill,
     // so unblock it unconditionally before arming the selector.
     let sigsys_mask: u64 = 1 << (libc::SIGSYS as u64 - 1);
-    raw_internal::syscall(SyscallArgs::new(
-        nr::RT_SIGPROCMASK,
-        [
-            SIG_UNBLOCK,
-            &sigsys_mask as *const u64 as u64,
-            0,
-            8,
-            0,
-            0,
-        ],
-    ));
+    raw_internal::rt_sigprocmask(raw_internal::SIG_UNBLOCK, &sigsys_mask, std::ptr::null_mut());
     // Hardened mode: adopt a protected selector slot for this fresh
     // thread (its own cache line on the pkey slab) and close the slab
     // before arming, mirroring the parent's enrollment.

@@ -525,10 +525,36 @@ mod tests {
     #[test]
     fn mode_defaults_to_uninitialized_in_unit_tests() {
         // Unit tests never run engine init (it would rewrite this test
-        // process); the health snapshot must still be readable.
+        // process); the health snapshot must still be readable, and
+        // agree with itself. Sibling tests bump the counters meanwhile,
+        // so a second read is compared as "no counter went backwards".
         let h = health();
-        assert_eq!(h.stats, stats());
+        assert_eq!(h.quarantined_handlers, h.stats.quarantined_handlers);
+        assert_eq!(h.patch_retries, h.stats.patch_retries);
         assert!(h.patch_blocklist_pages <= crate::blocklist::CAPACITY as u64);
+        let (a, b) = (h.stats, stats());
+        for (name, before, after) in [
+            ("slow_path_hits", a.slow_path_hits, b.slow_path_hits),
+            ("sites_patched", a.sites_patched, b.sites_patched),
+            ("dispatches", a.dispatches, b.dispatches),
+            ("unpatchable_emulations", a.unpatchable_emulations, b.unpatchable_emulations),
+            ("disabled_mode_emulations", a.disabled_mode_emulations, b.disabled_mode_emulations),
+            ("signals_wrapped", a.signals_wrapped, b.signals_wrapped),
+            ("patch_retries", a.patch_retries, b.patch_retries),
+            ("pages_blocklisted", a.pages_blocklisted, b.pages_blocklisted),
+            ("quarantined_handlers", a.quarantined_handlers, b.quarantined_handlers),
+            ("events_recorded", a.events_recorded, b.events_recorded),
+            ("events_dropped", a.events_dropped, b.events_dropped),
+            ("replay_divergences", a.replay_divergences, b.replay_divergences),
+            ("events_spilled", a.events_spilled, b.events_spilled),
+            ("ring_grows", a.ring_grows, b.ring_grows),
+            ("ring_near_full", a.ring_near_full, b.ring_near_full),
+            ("drain_yields", a.drain_yields, b.drain_yields),
+            ("bypass_blocked", a.bypass_blocked, b.bypass_blocked),
+            ("pkru_switches", a.pkru_switches, b.pkru_switches),
+        ] {
+            assert!(after >= before, "{name}: {before} -> {after}");
+        }
     }
 
     // End-to-end engine tests live in the workspace `tests/` directory

@@ -158,14 +158,26 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
 /// sigreturn trampoline installed by the signal wrapper, which
 /// re-establishes the selector (step ④).
 unsafe fn do_rt_sigreturn(frame: &mut RawFrame) -> ! {
+    rt_sigreturn_at((frame as *mut RawFrame as usize + FRAME_TO_APP_RSP) as u64)
+}
+
+/// [`do_rt_sigreturn`] for a caller that knows the application's `rsp`
+/// at its `rt_sigreturn` instruction some other way: the slow path
+/// reads it from the interrupted context, and abandons its own signal
+/// frame by never returning.
+///
+/// # Safety
+///
+/// `app_rsp` must be the stack pointer of this thread at an
+/// `rt_sigreturn` instruction, i.e. just above a kernel signal frame.
+pub(crate) unsafe fn rt_sigreturn_at(app_rsp: u64) -> ! {
     sud::set_selector(Dispatch::Allow);
-    let frame_rsp = (frame as *mut RawFrame as usize + FRAME_TO_APP_RSP) as u64;
     core::arch::asm!(
         "mov rsp, {0}",
         "mov eax, 15", // rt_sigreturn
         "syscall",
         "ud2",
-        in(reg) frame_rsp,
+        in(reg) app_rsp,
         options(noreturn),
     );
 }

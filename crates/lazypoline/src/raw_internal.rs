@@ -61,6 +61,23 @@ pub(crate) unsafe fn rt_sigaction(sig: i32, new: u64, old: u64) -> u64 {
     ))
 }
 
+/// `rt_sigprocmask` on the kernel's 8-byte signal set.
+///
+/// # Safety
+///
+/// `new` must be null or point at a signal set, `old` likewise.
+#[inline(never)]
+pub(crate) unsafe fn rt_sigprocmask(how: u64, new: *const u64, old: *mut u64) -> u64 {
+    syscall(SyscallArgs::new(
+        syscalls::nr::RT_SIGPROCMASK,
+        [how, new as u64, old as u64, 8, 0, 0],
+    ))
+}
+
+/// The `how` values of [`rt_sigprocmask`] the engine uses.
+pub(crate) const SIG_UNBLOCK: u64 = 1;
+pub(crate) const SIG_SETMASK: u64 = 2;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -204,6 +204,18 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
 ) {
     counters::bump(&SIGNALS_WRAPPED);
     let prev_selector = sud::selector().as_byte();
+    // A signal that arrives while the slow path emulates a syscall
+    // (`kill` to self, a child exiting under `wait4`) nests inside the
+    // `SIGSYS` handler, where `SIGSYS` is blocked: the application
+    // handler's first syscall — or this wrapper's own `rt_sigreturn` —
+    // would kill the process. Application handlers always run with
+    // `SIGSYS` deliverable; returning restores the interrupted mask.
+    sud::set_selector(sud::Dispatch::Allow);
+    raw_internal::rt_sigprocmask(
+        raw_internal::SIG_UNBLOCK,
+        &SIGSYS_MASK_BIT,
+        std::ptr::null_mut(),
+    );
     if tls::enrolled() {
         sud::set_selector(sud::Dispatch::Block);
     }

@@ -38,7 +38,7 @@ use crate::counters::{
     self, DISABLED_MODE_EMULATIONS, PAGES_BLOCKLISTED, PATCH_RETRIES, SITES_PATCHED,
     SLOW_PATH_HITS, UNPATCHABLE_EMULATIONS,
 };
-use crate::{blocklist, fastpath, signals, tls};
+use crate::{blocklist, fastpath, raw_internal, signals, tls};
 
 /// When false, the slow path never rewrites: every dispatched syscall
 /// is emulated in the handler, which turns the engine into a pure
@@ -201,8 +201,19 @@ unsafe fn patch_with_retry(
 /// task-management plumbing) are exempt — the kernel cannot fail those
 /// with a transient errno, and pretending it can would corrupt signal
 /// frames rather than model any real fault.
+///
+/// `execve`/`execveat` run under the interrupted context's signal mask:
+/// the mask survives into the new image, and the one in force here has
+/// `SIGSYS` blocked (this is its handler) — visible in the new image's
+/// `SigBlk`, and fatal to it on its first dispatched syscall if it is
+/// itself interposed. The handler's mask is put back if the call fails.
 unsafe fn emulate_in_handler(uc: &mut UContext) {
     let nr_ = uc.syscall_args().nr;
+    if nr_ == syscalls::nr::RT_SIGRETURN {
+        // As in the dispatcher: no notification, and the frame to
+        // restore is the one at the application's `rsp`, not ours.
+        fastpath::rt_sigreturn_at(uc.rsp());
+    }
     let injected = if fastpath::needs_emulation(nr_) {
         None
     } else {
@@ -225,7 +236,19 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
             ret_addr: uc.rip(),
         };
         let was = tls::set_in_dispatch(true);
+        let execs = matches!(nr_, syscalls::nr::EXECVE | syscalls::nr::EXECVEAT);
+        let mut handler_mask = 0u64;
+        if execs {
+            raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut handler_mask);
+        }
         let ret = fastpath::handle_syscall(&mut frame, true);
+        if execs {
+            raw_internal::rt_sigprocmask(
+                raw_internal::SIG_SETMASK,
+                &handler_mask,
+                std::ptr::null_mut(),
+            );
+        }
         tls::set_in_dispatch(was);
         ret
     };

@@ -12,8 +12,8 @@
 //! native `hook_stack` scenario proves it).
 //! *execve*: memory is wiped, but `LP_HOOKS` survives in the
 //! environment — a preloaded `lazypoline-preload` in the new image
-//! reloads the same hook set at its constructor (the preload crate
-//! reads the same variable).
+//! installs through this registry again at its constructor, and so
+//! reloads the same hook set.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -13,7 +13,12 @@ use crate::{static_by_name, InstallError, Mechanism, StatsSnapshot};
 
 /// Environment variable naming the trace file a `+record` layer drains
 /// its rings into. Unset: the flight recorder still runs (rings +
-/// counters), but nothing is written to disk.
+/// counters), but nothing is written to disk. A literal `%p` in the
+/// path is replaced by the pid (the `valgrind --log-file` convention),
+/// so a process tree that inherits one value leaves one trace each;
+/// without it the last process to finish owns the name (the session
+/// records under `<path>.<pid>.part` until then, see
+/// [`replay::Recorder`]).
 pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
 
 /// Environment variable overriding the base mechanism a
@@ -50,9 +55,12 @@ pub(crate) fn fill_recorder_deltas(
 /// it with a static lookup.
 pub(crate) fn open_session(base_name: &str) -> Result<Option<Recorder>, InstallError> {
     match std::env::var(TRACE_OUT_ENV) {
-        Ok(path) if !path.is_empty() => Recorder::to_path(path.as_ref(), base_name)
-            .map(Some)
-            .map_err(InstallError::Io),
+        Ok(path) if !path.is_empty() => {
+            let path = path.replace("%p", &std::process::id().to_string());
+            Recorder::to_path(path.as_ref(), base_name)
+                .map(Some)
+                .map_err(InstallError::Io)
+        }
         _ => Ok(None),
     }
 }

@@ -281,6 +281,16 @@ enum Mode {
 /// flight-recorder rings into it, and patches the final drop count on
 /// [`finish`](Recorder::finish).
 ///
+/// The session belongs to the process that opened it. It records into
+/// `<path>.<pid>.part` and `finish` renames that to `<path>`, so
+/// processes given the same path never share an inode (no `O_TRUNC`
+/// under a live mapping), the last finisher owns the name, and an
+/// unfinished trace is recognisable. In a process that inherited the
+/// session through `fork`, `drain`, `finish` and drop touch nothing:
+/// the file, the bytes buffered for it and the drain threads are the
+/// opener's, and the rings the child keeps pushing into are its
+/// private copy.
+///
 /// By default the session runs a dedicated drain thread that sweeps
 /// the rings continuously into an mmap-backed LPTRACE2 trace — at
 /// steady state producers never meet a full ring, so
@@ -298,6 +308,8 @@ enum Mode {
 pub struct Recorder {
     mode: Mode,
     path: PathBuf,
+    /// The process that opened the session.
+    owner_pid: u32,
     dropped_at_start: u64,
     format_version: u32,
 }
@@ -372,16 +384,18 @@ impl Recorder {
 
         let header =
             TraceHeader::new(source_mechanism, calibrate_tsc_hz()).with_version(format_version);
+        let owner_pid = std::process::id();
+        let part = part_path(path, owner_pid);
         let sink = if async_drain {
-            TraceOut::Mmap(MmapSink::create(path).map_err(release_on)?)
+            TraceOut::Mmap(MmapSink::create(&part).map_err(release_on)?)
         } else {
-            TraceOut::Buffered(BufWriter::new(File::create(path).map_err(release_on)?))
+            TraceOut::Buffered(BufWriter::new(File::create(&part).map_err(release_on)?))
         };
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
         CONFIGURED_SHARDS.store(shards as u64, Ordering::Relaxed);
         let mode = if shards > 1 {
             Mode::Sharded {
-                handle: Some(drain::spawn_sharded(writer, shards, path).map_err(release_on)?),
+                handle: Some(drain::spawn_sharded(writer, shards, &part).map_err(release_on)?),
             }
         } else if async_drain {
             Mode::Async {
@@ -396,6 +410,7 @@ impl Recorder {
         Ok(Recorder {
             mode,
             path: path.to_path_buf(),
+            owner_pid,
             dropped_at_start,
             format_version,
         })
@@ -410,20 +425,44 @@ impl Recorder {
             Mode::Sync {
                 writer: Some(writer),
                 pending,
-            } => drain::sweep(writer, pending),
+            } if std::process::id() == self.owner_pid => drain::sweep(writer, pending),
             _ => Ok(0),
         }
     }
 
     /// Final drain (async mode: stops and joins the drain thread),
-    /// patches the session's drop count into the header, and closes
-    /// the trace.
+    /// patches the session's drop count into the header, closes the
+    /// trace and renames it to the session's path. An error in a
+    /// process that did not open the session.
     pub fn finish(mut self) -> io::Result<RecordSummary> {
         self.finish_inner()
             .expect("finish on a live recorder always has a writer")
     }
 
+    /// The session was inherited through `fork`: forget it. Nothing is
+    /// flushed (the buffered bytes are a copy of what the opener will
+    /// write), joined (the drain threads exist only there), trimmed or
+    /// renamed; this process's copy of the session slot is freed.
+    fn disown(&mut self) -> Option<io::Result<RecordSummary>> {
+        let finished = Mode::Sync {
+            writer: None,
+            pending: Vec::new(),
+        };
+        match std::mem::replace(&mut self.mode, finished) {
+            Mode::Sync { writer: None, .. } => return None,
+            inherited => std::mem::forget(inherited),
+        }
+        SESSION_ACTIVE.store(false, Ordering::Release);
+        Some(Err(io::Error::other(format!(
+            "recording session belongs to process {} (inherited through fork)",
+            self.owner_pid
+        ))))
+    }
+
     fn finish_inner(&mut self) -> Option<io::Result<RecordSummary>> {
+        if std::process::id() != self.owner_pid {
+            return self.disown();
+        }
         let writer = match &mut self.mode {
             Mode::Sync { writer, pending } => {
                 writer.as_ref()?;
@@ -460,16 +499,28 @@ impl Recorder {
         };
         let dropped = ring::total_dropped() - self.dropped_at_start;
         let bytes = writer.bytes();
-        let result = writer.finalize(dropped).map(|(_, events)| RecordSummary {
-            path: self.path.clone(),
-            events,
-            dropped,
-            bytes,
-            format_version: self.format_version,
+        // The sink closes (and trims) inside `finalize`; only a
+        // complete trace takes the session's name.
+        let result = writer.finalize(dropped).and_then(|(_, events)| {
+            std::fs::rename(part_path(&self.path, self.owner_pid), &self.path)?;
+            Ok(RecordSummary {
+                path: self.path.clone(),
+                events,
+                dropped,
+                bytes,
+                format_version: self.format_version,
+            })
         });
         SESSION_ACTIVE.store(false, Ordering::Release);
         Some(result)
     }
+}
+
+/// Where process `pid`'s session on `path` records until it finishes.
+fn part_path(path: &Path, pid: u32) -> PathBuf {
+    let mut part = path.as_os_str().to_owned();
+    part.push(format!(".{pid}.part"));
+    PathBuf::from(part)
 }
 
 impl Drop for Recorder {

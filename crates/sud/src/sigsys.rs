@@ -133,6 +133,14 @@ impl UContext {
         (r11, set_r11, libc::REG_R11, "r11");
     }
 
+    /// The interrupted context's signal mask (`uc_sigmask`), as the
+    /// 8-byte kernel `sigset_t` `rt_sigprocmask` takes: what
+    /// `sigreturn` will restore, i.e. the mask the application had when
+    /// the signal arrived.
+    pub fn sigmask(&self) -> *const u64 {
+        unsafe { std::ptr::addr_of!((*self.uc).uc_sigmask).cast() }
+    }
+
     /// Extracts the full syscall invocation (number + 6 args) from the
     /// interrupted register image.
     pub fn syscall_args(&self) -> SyscallArgs {

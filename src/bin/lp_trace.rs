@@ -259,6 +259,14 @@ fn learn(paths: &[String]) -> ExitCode {
         let p = policy.get_or_insert_with(|| sfip::Policy::empty(&header.source_mechanism));
         p.fold(&records);
         eprintln!("folded {} events from {t}", records.len());
+        if header.events_dropped > 0 {
+            // A gap both hides transitions and invents one across it.
+            eprintln!(
+                "warning: {t} dropped {} events while recording; record again with a larger \
+                 LP_RING_CAPACITY (or LP_DRAIN_YIELD=1) before enforcing this policy",
+                header.events_dropped
+            );
+        }
     }
     let policy = policy.expect("learn: at least one trace");
     if policy.events_folded() == 0 {

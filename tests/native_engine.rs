@@ -32,14 +32,8 @@ fn install(name: &str, handler: Box<dyn SyscallHandler>) -> mechanism::ActiveMec
 // ——— scenarios (run in child processes) ————————————————————————————
 
 fn scenario_engine_counts() {
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    let mut active = install("lazypoline", Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    let mut active = install("lazypoline", Box::new(counter.clone()));
 
     for _ in 0..50 {
         let _ = std::fs::metadata("/tmp");
@@ -62,6 +56,18 @@ fn scenario_engine_counts() {
 }
 
 fn scenario_signals() {
+    signals_under("lazypoline");
+}
+
+/// The same under the pure slow path: every syscall is emulated inside
+/// the `SIGSYS` handler, so `raise`'s signal is delivered *nested* in
+/// it (where `SIGSYS` is blocked), and the wrapper's `rt_sigreturn` is
+/// itself emulated there.
+fn scenario_signals_sud() {
+    signals_under("sud");
+}
+
+fn signals_under(base: &str) {
     static HANDLER_RAN: AtomicU64 = AtomicU64::new(0);
     static SEEN_KILL: AtomicU64 = AtomicU64::new(0);
 
@@ -82,7 +88,7 @@ fn scenario_signals() {
         HANDLER_RAN.fetch_add(1, Ordering::SeqCst);
     }
 
-    let mut active = install("lazypoline", Box::new(Spy));
+    let mut active = install(base, Box::new(Spy));
 
     unsafe {
         // Register through libc (this rt_sigaction is itself
@@ -114,15 +120,42 @@ fn scenario_signals() {
     active.detach();
 }
 
+/// An `execve` emulated inside the `SIGSYS` handler (`sud` always)
+/// must not hand the new image the handler's signal mask: `SigBlk` bit
+/// 30 (`SIGSYS`) is application-visible, and fatal to an image that is
+/// itself interposed. `lazypoline` (the `execve` runs from the
+/// dispatcher, outside any handler) is the control.
+fn exec_sigmask_under(base: &str) {
+    let mut active = install(base, Box::new(interpose::PassthroughHandler));
+    let out = Command::new("/bin/grep")
+        .args(["SigBlk", "/proc/self/status"])
+        .output()
+        .expect("spawn grep");
+    active.detach();
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mask = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .unwrap_or_else(|| panic!("no SigBlk line: {out:?}"));
+    assert_eq!(
+        mask & (1 << (libc::SIGSYS - 1)),
+        0,
+        "{base}: the exec'd image starts with SIGSYS blocked ({text})"
+    );
+}
+
+fn scenario_exec_sigmask_sud() {
+    exec_sigmask_under("sud");
+}
+
+fn scenario_exec_sigmask_lazypoline() {
+    exec_sigmask_under("lazypoline");
+}
+
 fn scenario_threads() {
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    let mut active = install("lazypoline", Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    let mut active = install("lazypoline", Box::new(counter.clone()));
 
     // Threads created *after* enrollment are enrolled via the clone
     // shim (paper §IV-B(a)).
@@ -1042,14 +1075,8 @@ fn asm_getpid() -> u64 {
 fn scenario_fault_sud_only() {
     // The trampoline install fails (injected) → the engine must degrade
     // to Mode::SudOnly and still observe every syscall.
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    interpose::set_global_handler(Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    interpose::set_global_handler(Box::new(counter.clone()));
     faultinject::arm(
         faultinject::Site::TrampolineInstall,
         faultinject::Schedule::FirstK(1),
@@ -1268,14 +1295,8 @@ fn scenario_rwx_patch_without_mprotect() {
 fn scenario_fault_soak() {
     // Multi-threaded hammer with each seam armed in turn; nothing may
     // abort and no interposition may be lost.
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    interpose::set_global_handler(Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    interpose::set_global_handler(Box::new(counter.clone()));
 
     // Phase 1 arms via the environment path (covers arm_from_env).
     std::env::set_var("LAZYPOLINE_FAULTS", "patch_mprotect:every=5");
@@ -1478,14 +1499,8 @@ fn scenario_panic_quarantine() {
     assert_eq!(h.quarantined_handlers, 1, "{h:?}");
 
     // Installing a fresh handler lifts the quarantine.
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    interpose::set_global_handler(Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    interpose::set_global_handler(Box::new(counter.clone()));
     for _ in 0..5 {
         assert_eq!(asm_getpid(), pid);
     }
@@ -1501,14 +1516,8 @@ fn scenario_fault_prescan_only() {
     // SUD enrollment fails persistently (injected) → the engine must
     // degrade to Mode::PrescanOnly: statically rewritten libc sites
     // still dispatch, nothing SIGSYS-based runs.
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-    }
-    interpose::set_global_handler(Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    interpose::set_global_handler(Box::new(counter.clone()));
     faultinject::arm(
         faultinject::Site::SudEnroll,
         faultinject::Schedule::EveryNth(1),
@@ -1892,17 +1901,8 @@ fn scenario_hook_stack_native() {
     // survive fork's SUD re-arm, and detach mid-workload without a
     // crash or a missed syscall for the survivors.
     std::env::set_var("LP_HOOKS", "hook_count:20,hook_openat");
-    let counter: &'static CountHandler = Box::leak(Box::new(CountHandler::new()));
-    struct Fwd(&'static CountHandler);
-    impl SyscallHandler for Fwd {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            self.0.handle(ev)
-        }
-        fn name(&self) -> &str {
-            "count"
-        }
-    }
-    let mut active = install("lazypoline+hooks", Box::new(Fwd(counter)));
+    let counter = CountHandler::new();
+    let mut active = install("lazypoline+hooks", Box::new(counter.clone()));
     std::env::remove_var("LP_HOOKS");
 
     let count_total = hook_getter("hook_count", "lp_hook_count_total");
@@ -2318,6 +2318,9 @@ fn scenario_sfip_escape_kill() {
 const SCENARIOS: &[(&str, fn())] = &[
     ("engine_counts", scenario_engine_counts),
     ("signals", scenario_signals),
+    ("signals_sud", scenario_signals_sud),
+    ("exec_sigmask_sud", scenario_exec_sigmask_sud),
+    ("exec_sigmask_lazypoline", scenario_exec_sigmask_lazypoline),
     ("threads", scenario_threads),
     ("fork", scenario_fork),
     ("sud_only", scenario_sud_only),

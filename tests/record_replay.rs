@@ -517,3 +517,68 @@ fn dynamic_names_are_cached_and_bad_forms_rejected() {
     assert!(mechanism::by_name("replay:").is_none());
     assert!(mechanism::by_name("replay").is_none());
 }
+
+/// A session inherited through `fork` is the opener's: the child's
+/// `finish` and drop touch nothing (no join of a drain thread it never
+/// had, no flush of its copy of the write buffer into the shared file,
+/// no trim, no rename), and the parent's trace comes out whole.
+#[test]
+fn forked_child_leaves_the_parents_session_alone() {
+    use interpose::{SyscallEvent, SyscallHandler};
+    use syscalls::SyscallArgs;
+
+    let _g = record_lock();
+    let handler = replay::RecordHandler::passthrough();
+    let push = |n: u64| {
+        for i in 0..n {
+            let ev = SyscallEvent::new(SyscallArgs::new(syscalls::nr::GETPID, [i; 6]));
+            handler.post(&ev, i);
+        }
+    };
+    for (drain, child_finishes) in [("async", true), ("async", false), ("sync", true), ("sync", false)] {
+        let trace = temp_trace(&format!("fork_{drain}_{child_finishes}"));
+        std::env::set_var(replay::DRAIN_ENV, drain);
+        let session = replay::Recorder::to_path(&trace, "test");
+        std::env::remove_var(replay::DRAIN_ENV);
+        let mut session = session.expect("session opens");
+        push(10);
+        // Sync mode: the ten events now sit in the session's write
+        // buffer, which the child inherits a copy of.
+        session.drain().expect("drain");
+
+        // SAFETY: the child only runs the code under test, then _exits.
+        let pid = unsafe { libc::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            // No assertion may unwind into the harness's copy here:
+            // every outcome becomes an exit status.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                push(5); // the child's private rings
+                if child_finishes {
+                    session.finish().is_err() // must refuse
+                } else {
+                    let untouched = matches!(session.drain(), Ok(0));
+                    drop(session);
+                    untouched
+                }
+            }));
+            unsafe { libc::_exit(if matches!(outcome, Ok(true)) { 0 } else { 101 }) };
+        }
+        let mut status = 0;
+        assert_eq!(unsafe { libc::waitpid(pid, &mut status, 0) }, pid);
+        assert!(
+            libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
+            "{drain}/{child_finishes}: child status {status:#x}"
+        );
+
+        push(1_000);
+        let summary = session.finish().expect("the opener finishes");
+        assert_eq!((summary.events, summary.dropped), (1_010, 0), "{drain}/{child_finishes}");
+        assert_eq!(summary.path, trace);
+        let (_, records) = replay::read_trace_path(&trace).expect("trace decodes");
+        assert_eq!(records.len(), 1_010);
+        let part = PathBuf::from(format!("{}.{}.part", trace.display(), std::process::id()));
+        assert!(!part.exists(), "a finished trace leaves no .part");
+        std::fs::remove_file(&trace).unwrap();
+    }
+}
