@@ -155,11 +155,6 @@ fn to_json(sweep: &SweepConfig, results: &Fig5Results) -> Json {
                         .field("p999_ns", Json::Int(c.p999_ns))
                         .field("events_recorded", Json::Int(c.events_recorded))
                         .field("events_dropped", Json::Int(c.events_dropped))
-                        .field("drain_shards", Json::Int(c.drain_shards))
-                        .field(
-                            "shard_drained",
-                            Json::Arr(c.shard_drained.iter().map(|&d| Json::Int(d)).collect()),
-                        )
                 })
                 .collect();
             Json::obj()

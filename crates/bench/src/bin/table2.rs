@@ -149,7 +149,7 @@ fn main() {
         if let Some(r) = &results.recording {
             println!(
                 "recording row trace: {} events, {} dropped ({:.4}% drop rate), \
-                 {} bytes ({:.1} B/event, LPTRACE{})",
+                 {} bytes ({:.1} B/event)",
                 r.events,
                 r.dropped,
                 r.drop_rate() * 100.0,
@@ -159,7 +159,6 @@ fn main() {
                 } else {
                     r.bytes as f64 / r.events as f64
                 },
-                r.format_version,
             );
         }
     }
@@ -288,8 +287,7 @@ fn main() {
                             } else {
                                 r.bytes as f64 / r.events as f64
                             }),
-                        )
-                        .field("format_version", Json::Int(u64::from(r.format_version))),
+                        ),
                 );
             }
         }

@@ -27,11 +27,11 @@
 //!
 //! The sweep additionally runs [`RECORD_MECHANISM`]
 //! (`lazypoline+record`): full interposition with the flight recorder
-//! live, an async trace writer, and a **sharded drain**
-//! (`LP_DRAIN_SHARDS=2` unless overridden) — the cell that proves
-//! recording keeps up with server load without dropping events. The
-//! server child reports its recorder counters back over the control
-//! pipe before teardown (`SIGTERM` → eventfd stop → stats line).
+//! live and its drain thread encoding the LPTRACE2 trace while the
+//! server serves — the cell that proves recording keeps up with server
+//! load without dropping events. The server child reports its recorder
+//! counters back over the control pipe before teardown (`SIGTERM` →
+//! eventfd stop → stats line).
 
 use std::io::{self, Read, Write};
 use std::os::fd::FromRawFd;
@@ -48,8 +48,8 @@ use crate::{env_f64, env_u64};
 /// presentation order.
 pub const MECHANISMS: [&str; 5] = ["none", "zpoline", "lazypoline-nox", "lazypoline", "sud"];
 
-/// The recording row: lazypoline with the flight recorder and a
-/// sharded async drain. Swept after [`MECHANISMS`].
+/// The recording row: lazypoline with the flight recorder and its
+/// drain thread. Swept after [`MECHANISMS`].
 pub const RECORD_MECHANISM: &str = "lazypoline+record";
 
 /// All rows the default Figure 5 sweep runs.
@@ -92,10 +92,6 @@ pub struct MacroCell {
     pub events_recorded: u64,
     /// Recorder events dropped at full rings in the server child.
     pub events_dropped: u64,
-    /// Drain shards the child's recorder ran with (1 = single drainer).
-    pub drain_shards: u64,
-    /// Events each drain shard spooled (`replay::shard_drained`).
-    pub shard_drained: Vec<u64>,
 }
 
 /// Parameters for one forked-server measurement.
@@ -182,10 +178,6 @@ pub struct ChildStats {
     pub events_recorded: u64,
     /// `replay::events_dropped()` in the child at stop.
     pub events_dropped: u64,
-    /// `replay::drain_shards()` the child's recorder configured.
-    pub drain_shards: u64,
-    /// Per-shard spooled-event counts.
-    pub shard_drained: Vec<u64>,
 }
 
 /// Monotonic suffix for per-cell temp trace paths (several cells can
@@ -278,15 +270,15 @@ impl ServerChild {
             libc::waitpid(self.pid, std::ptr::null_mut(), 0);
         }
         if let Some(trace) = &self.trace {
-            cleanup_trace(trace);
+            cleanup_trace(trace, self.pid);
         }
         Ok(parse_stats(&tail))
     }
 }
 
-/// Parses the child's `stats <recorded> <dropped> <shards> <d0> ...`
-/// line; missing or malformed lines degrade to zeros (non-recording
-/// cells report zeros anyway).
+/// Parses the child's `stats <recorded> <dropped>` line; missing or
+/// malformed lines degrade to zeros (non-recording cells report zeros
+/// anyway).
 fn parse_stats(tail: &str) -> ChildStats {
     let mut stats = ChildStats::default();
     let Some(line) = tail.lines().rev().find(|l| l.starts_with("stats ")) else {
@@ -300,18 +292,14 @@ fn parse_stats(tail: &str) -> ChildStats {
     };
     next(&mut stats.events_recorded);
     next(&mut stats.events_dropped);
-    next(&mut stats.drain_shards);
-    stats.shard_drained = nums.by_ref().map_while(Result::ok).collect();
     stats
 }
 
-/// Removes a `+record` cell's temp trace and its per-shard spool
-/// files (the child is killed mid-session, so the spools survive it).
-fn cleanup_trace(trace: &Path) {
-    let _ = std::fs::remove_file(trace);
-    for shard in 0..replay::MAX_SHARDS {
-        let _ = std::fs::remove_file(trace.with_extension(format!("shard{shard}")));
-    }
+/// Removes what a `+record` cell left in the temp directory. The child
+/// exits mid-session, so that is not `trace` but the file its session
+/// records into until it finishes (see [`replay::Recorder`]).
+fn cleanup_trace(trace: &Path, child: i32) {
+    let _ = std::fs::remove_file(format!("{}.{child}.part", trace.display()));
 }
 
 /// Runs one cell: forks the server, installs the named mechanism in the
@@ -370,8 +358,6 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
         p999_ns: report.latency.percentile(0.999),
         events_recorded: stats.events_recorded,
         events_dropped: stats.events_dropped,
-        drain_shards: stats.drain_shards,
-        shard_drained: stats.shard_drained,
     })
 }
 
@@ -452,15 +438,12 @@ fn server_child(
     }
 
     if let Some(path) = trace {
-        // Recording cell: point the recorder at the temp trace and
-        // default to a sharded drain (the cell exists to prove the
-        // recorder keeps up with server load without drops).
+        // Recording cell: point the recorder at the temp trace (the
+        // cell exists to prove the recorder keeps up with server load
+        // without drops).
         std::env::set_var(mechanism::TRACE_OUT_ENV, path);
-        if std::env::var_os(replay::DRAIN_SHARDS_ENV).is_none() {
-            std::env::set_var(replay::DRAIN_SHARDS_ENV, "2");
-        }
         // On hosts with fewer cores than producer + drainer threads the
-        // drainers only run when the scheduler preempts the event loop,
+        // drainer only runs when the scheduler preempts the event loop,
         // so the rings must absorb a full timeslice of events (~1 ms of
         // saturated serving is >10k records). 64k records ≈ 5.6 MiB per
         // hot ring — cheap insurance against overflow drops.
@@ -498,20 +481,13 @@ fn server_child(
     let _ = server.run(&STOP);
 
     // Stopped via SIGTERM: report the recorder counters over the pipe
-    // (zeros when this cell never recorded). The drain threads are
-    // still sweeping, so per-shard counts may trail `recorded` by the
-    // in-ring residue; `dropped` is exact.
-    let mut stats = format!(
-        "stats {} {} {}",
+    // (zeros when this cell never recorded).
+    let _ = writeln!(
+        write_fd,
+        "stats {} {}",
         replay::events_recorded(),
         replay::events_dropped(),
-        replay::drain_shards(),
     );
-    for shard in 0..replay::drain_shards() as usize {
-        stats.push_str(&format!(" {}", replay::shard_drained(shard)));
-    }
-    stats.push('\n');
-    let _ = write_fd.write_all(stats.as_bytes());
     drop(write_fd);
     std::process::exit(0);
 }
@@ -591,14 +567,11 @@ mod tests {
 
     #[test]
     fn stats_line_round_trips() {
-        let s = parse_stats("port junk\nstats 1000 0 2 400 600\n");
+        let s = parse_stats("port junk\nstats 1000 3\n");
         assert_eq!(s.events_recorded, 1000);
-        assert_eq!(s.events_dropped, 0);
-        assert_eq!(s.drain_shards, 2);
-        assert_eq!(s.shard_drained, vec![400, 600]);
+        assert_eq!(s.events_dropped, 3);
         let empty = parse_stats("");
-        assert_eq!(empty.events_recorded, 0);
-        assert_eq!(empty.shard_drained, Vec::<u64>::new());
+        assert_eq!((empty.events_recorded, empty.events_dropped), (0, 0));
     }
 
     // Full cells are exercised by the fig5 binary and an integration

@@ -177,9 +177,6 @@ pub struct Stats {
     /// Near-full pushes that `sched_yield`ed the producer under the
     /// opt-in `LP_DRAIN_YIELD` knob (cumulative).
     pub drain_yields: u64,
-    /// Drainer threads partitioning the ring pool in the most recent
-    /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    pub drain_shards: u64,
     /// Escape attempts the hardened-mode seccomp backstop caught
     /// (cumulative; nonzero only under `lazypoline-hardened`).
     pub bypass_blocked: u64,
@@ -474,7 +471,6 @@ pub fn stats() -> Stats {
         ring_grows: replay::ring::total_grows(),
         ring_near_full: replay::ring::total_near_full(),
         drain_yields: replay::ring::total_drain_yields(),
-        drain_shards: replay::drain_shards(),
         bypass_blocked: crate::harden::bypass_blocked(),
         pkru_switches: sud::pkey::pkru_switch_count(),
     }

@@ -202,11 +202,15 @@ unsafe fn patch_with_retry(
 /// with a transient errno, and pretending it can would corrupt signal
 /// frames rather than model any real fault.
 ///
-/// `execve`/`execveat` run under the interrupted context's signal mask:
-/// the mask survives into the new image, and the one in force here has
-/// `SIGSYS` blocked (this is its handler) — visible in the new image's
-/// `SigBlk`, and fatal to it on its first dispatched syscall if it is
-/// itself interposed. The handler's mask is put back if the call fails.
+/// The calls that read or keep the thread's signal mask run under the
+/// interrupted context's, not the one in force here (this is `SIGSYS`'s
+/// handler: `SIGSYS` is blocked, and `sigreturn` discards whatever the
+/// mask becomes). `execve`/`execveat`: the mask survives into the new
+/// image — visible in its `SigBlk`, and fatal to it on its first
+/// dispatched syscall if it is itself interposed. `rt_sigprocmask`: the
+/// application means its own mask, so the call edits and reports that
+/// one, and the result goes into `uc_sigmask` for `sigreturn` to
+/// install. The handler's mask is put back once the call returns.
 unsafe fn emulate_in_handler(uc: &mut UContext) {
     let nr_ = uc.syscall_args().nr;
     if nr_ == syscalls::nr::RT_SIGRETURN {
@@ -236,18 +240,19 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
             ret_addr: uc.rip(),
         };
         let was = tls::set_in_dispatch(true);
-        let execs = matches!(nr_, syscalls::nr::EXECVE | syscalls::nr::EXECVEAT);
+        let app_mask = matches!(
+            nr_,
+            syscalls::nr::EXECVE | syscalls::nr::EXECVEAT | syscalls::nr::RT_SIGPROCMASK
+        );
         let mut handler_mask = 0u64;
-        if execs {
+        if app_mask {
             raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut handler_mask);
         }
         let ret = fastpath::handle_syscall(&mut frame, true);
-        if execs {
-            raw_internal::rt_sigprocmask(
-                raw_internal::SIG_SETMASK,
-                &handler_mask,
-                std::ptr::null_mut(),
-            );
+        if app_mask {
+            let mut left = 0u64;
+            raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, &handler_mask, &mut left);
+            uc.set_sigmask(left);
         }
         tls::set_in_dispatch(was);
         ret

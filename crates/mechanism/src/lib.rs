@@ -234,9 +234,6 @@ stats_snapshot! {
     ring_near_full,
     /// Near-full pushes that yielded the producer (`LP_DRAIN_YIELD`).
     drain_yields,
-    /// Drainer threads partitioning the ring pool in the most recent
-    /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    drain_shards,
     /// Divergences replay detected between the execution and its trace
     /// (nonzero only under `replay:<path>`).
     replay_divergences,
@@ -685,14 +682,14 @@ mod tests {
     fn counters_iterate_every_numeric_field_in_declaration_order() {
         let s = StatsSnapshot {
             dispatches: 7,
-            drain_shards: 2,
+            drain_yields: 2,
             sfip_violations: 3,
             ..StatsSnapshot::zero("x")
         };
         let all: Vec<_> = s.counters().collect();
         assert_eq!(all.first(), Some(&("dispatches", 7)));
         assert_eq!(all.last(), Some(&("sfip_violations", 3)));
-        assert!(all.contains(&("drain_shards", 2)));
+        assert!(all.contains(&("drain_yields", 2)));
         assert_eq!(all.iter().map(|(_, v)| v).sum::<u64>(), 12);
     }
 

@@ -46,8 +46,6 @@ pub(crate) fn fill_recorder_deltas(
     s.replay_divergences = now
         .replay_divergences
         .saturating_sub(base.replay_divergences);
-    // A configuration value, not a counter: report it as-is.
-    s.drain_shards = now.drain_shards;
 }
 
 /// The `+record` layer's trace session, if `LP_TRACE_OUT` names a

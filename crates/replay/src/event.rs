@@ -1,10 +1,10 @@
-//! The fixed-size syscall event record — the unit of both the
-//! flight-recorder rings and the on-disk trace format.
+//! The fixed-size syscall event record — the unit of the
+//! flight-recorder rings, and of the read-only LPTRACE1 trace payload.
 
-/// Encoded size of one [`EventRecord`] in a trace, in bytes.
+/// Encoded size of one [`EventRecord`] in an LPTRACE1 trace, in bytes.
 ///
 /// 8 (sysno) + 48 (args) + 8 (ret) + 8 (tsc) + 8 (site) + 4 (tid) +
-/// 4 (pad), all little-endian. The size is part of the trace format
+/// 4 (pad), all little-endian. The size is part of that format's
 /// contract (stored in the header, checked on read).
 pub const RECORD_SIZE: usize = 88;
 
@@ -42,23 +42,9 @@ impl EventRecord {
         tid: 0,
     };
 
-    /// Encodes into the fixed little-endian wire layout.
-    pub fn encode(&self) -> [u8; RECORD_SIZE] {
-        let mut out = [0u8; RECORD_SIZE];
-        out[0..8].copy_from_slice(&self.sysno.to_le_bytes());
-        for (i, a) in self.args.iter().enumerate() {
-            out[8 + i * 8..16 + i * 8].copy_from_slice(&a.to_le_bytes());
-        }
-        out[56..64].copy_from_slice(&self.ret.to_le_bytes());
-        out[64..72].copy_from_slice(&self.tsc.to_le_bytes());
-        out[72..80].copy_from_slice(&self.site.to_le_bytes());
-        out[80..84].copy_from_slice(&self.tid.to_le_bytes());
-        out
-    }
-
-    /// Decodes from the wire layout ([`encode`](EventRecord::encode)'s
-    /// inverse). Any byte pattern is a valid record — integrity is the
-    /// trace header's job, divergence detection is the replayer's.
+    /// Decodes from the LPTRACE1 wire layout (see [`RECORD_SIZE`]).
+    /// Any byte pattern is a valid record — integrity is the trace
+    /// header's job, divergence detection is the replayer's.
     pub fn decode(buf: &[u8; RECORD_SIZE]) -> EventRecord {
         let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let mut args = [0u64; 6];
@@ -81,21 +67,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let r = EventRecord {
-            sysno: syscalls::nr::READ,
-            args: [3, 0xdead_beef, 512, 1, 2, u64::MAX],
-            ret: (-11i64) as u64,
-            tsc: 0x1234_5678_9abc_def0,
-            site: 0x40_1234,
-            tid: 4242,
-        };
-        assert_eq!(EventRecord::decode(&r.encode()), r);
+    fn decode_reads_each_field_at_its_offset() {
+        // Byte i holds i, so every field must decode to the
+        // little-endian run starting at its documented offset.
+        let buf: [u8; RECORD_SIZE] = std::array::from_fn(|i| i as u8);
+        let le = |o: usize| u64::from_le_bytes(std::array::from_fn(|i| (o + i) as u8));
+        let r = EventRecord::decode(&buf);
+        assert_eq!(r.sysno, le(0));
+        assert_eq!(r.args, std::array::from_fn(|i| le(8 + 8 * i)));
+        assert_eq!((r.ret, r.tsc, r.site), (le(56), le(64), le(72)));
+        assert_eq!(r.tid, le(80) as u32);
     }
 
     #[test]
     fn zero_record_is_all_zero_bytes() {
-        assert_eq!(EventRecord::ZERO.encode(), [0u8; RECORD_SIZE]);
         assert_eq!(EventRecord::decode(&[0u8; RECORD_SIZE]), EventRecord::ZERO);
     }
 

@@ -22,8 +22,8 @@
 //! [`EventRecord`]s (count implied by file size). The v2 payload is a
 //! self-delimiting [`codec`](crate::codec) varint stream — clean EOF
 //! at a record boundary ends the trace. Readers accept both
-//! generations transparently; the writer picks one at creation
-//! ([`TraceHeader::version`]).
+//! generations transparently; the writer writes v2 only (LPTRACE1 is
+//! read-only: traces recorded before the migration keep working).
 //!
 //! Everything is little-endian. The header is written first with
 //! `events_dropped = 0` and patched in place on
@@ -43,11 +43,10 @@ pub const MAGIC: [u8; 8] = *b"LPTRACE1";
 /// Trace file magic of the compressed-varint generation.
 pub const MAGIC2: [u8; 8] = *b"LPTRACE2";
 
-/// The fixed-record format generation.
+/// The fixed-record format generation (read-only).
 pub const VERSION: u32 = 1;
 
-/// The compressed format generation — what new recordings write by
-/// default (`LP_TRACE_FORMAT=1` opts back into v1).
+/// The compressed format generation — what every recording writes.
 pub const VERSION2: u32 = 2;
 
 /// Header size in bytes.
@@ -67,7 +66,8 @@ const MECHANISM_FIELD: usize = 24;
 /// The decoded trace header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Format version ([`VERSION`]).
+    /// Format generation: [`VERSION2`], or [`VERSION`] when read from
+    /// an LPTRACE1 trace.
     pub version: u32,
     /// Architecture of the recording host ([`ARCH_X86_64`]).
     pub arch: u32,
@@ -84,10 +84,10 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
-    /// A fresh v1 (fixed-record) header for a recording on this host.
+    /// A fresh header for a recording on this host.
     pub fn new(source_mechanism: &str, tsc_hz: u64) -> TraceHeader {
         TraceHeader {
-            version: VERSION,
+            version: VERSION2,
             arch: ARCH_X86_64,
             page_size: 4096,
             tsc_hz,
@@ -107,17 +107,13 @@ impl TraceHeader {
         self
     }
 
+    /// The v2 wire layout (record size 0: records are variable-length).
     fn encode(&self) -> [u8; HEADER_SIZE] {
         let mut out = [0u8; HEADER_SIZE];
-        let (magic, record_size) = match self.version {
-            VERSION2 => (MAGIC2, 0u32),
-            _ => (MAGIC, RECORD_SIZE as u32),
-        };
-        out[0..8].copy_from_slice(&magic);
+        out[0..8].copy_from_slice(&MAGIC2);
         out[8..12].copy_from_slice(&self.version.to_le_bytes());
         out[12..16].copy_from_slice(&self.arch.to_le_bytes());
         out[16..20].copy_from_slice(&self.page_size.to_le_bytes());
-        out[20..24].copy_from_slice(&record_size.to_le_bytes());
         out[24..32].copy_from_slice(&self.tsc_hz.to_le_bytes());
         out[32..40].copy_from_slice(&self.events_dropped.to_le_bytes());
         let name = self.source_mechanism.as_bytes();
@@ -208,15 +204,13 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Streams records into the binary trace format — fixed 88-byte
-/// records for a v1 header, the compressed [`codec`](crate::codec)
-/// stream for v2.
+/// Streams records into the binary trace format: the v2 header, then
+/// the compressed [`codec`](crate::codec) stream.
 pub struct TraceWriter<W: Write + Seek> {
     out: W,
     events: u64,
     bytes: u64,
-    /// `Some` iff the header was v2.
-    encoder: Option<Lp2Encoder>,
+    encoder: Lp2Encoder,
     /// Encode scratch, reused across appends.
     scratch: Vec<u8>,
 }
@@ -224,33 +218,32 @@ pub struct TraceWriter<W: Write + Seek> {
 impl<W: Write + Seek> TraceWriter<W> {
     /// Writes the header (with `events_dropped = 0`, patched later)
     /// and readies the writer for [`append`](TraceWriter::append).
+    /// A v1 header (what reading an LPTRACE1 trace yields) is
+    /// `InvalidInput`: that generation is read-only.
     pub fn new(mut out: W, header: &TraceHeader) -> io::Result<TraceWriter<W>> {
+        if header.version != VERSION2 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("trace format {} is read-only; writers emit {VERSION2}", header.version),
+            ));
+        }
         out.write_all(&header.encode())?;
         Ok(TraceWriter {
             out,
             events: 0,
             bytes: HEADER_SIZE as u64,
-            encoder: (header.version == VERSION2).then(Lp2Encoder::new),
+            encoder: Lp2Encoder::new(),
             scratch: Vec::new(),
         })
     }
 
-    /// Appends one record in the header's format generation.
+    /// Appends one record.
     pub fn append(&mut self, rec: &EventRecord) -> io::Result<()> {
-        let n = match &mut self.encoder {
-            Some(enc) => {
-                self.scratch.clear();
-                enc.encode(rec, &mut self.scratch);
-                self.out.write_all(&self.scratch)?;
-                self.scratch.len()
-            }
-            None => {
-                self.out.write_all(&rec.encode())?;
-                RECORD_SIZE
-            }
-        };
+        self.scratch.clear();
+        self.encoder.encode(rec, &mut self.scratch);
+        self.out.write_all(&self.scratch)?;
         self.events += 1;
-        self.bytes += n as u64;
+        self.bytes += self.scratch.len() as u64;
         Ok(())
     }
 
@@ -410,6 +403,9 @@ mod tests {
         }
     }
 
+    /// The committed LPTRACE1 trace: the only v1 bytes left to read.
+    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/jit_v1.lpt");
+
     #[test]
     fn write_read_roundtrip_with_drop_patch() {
         let header = TraceHeader::new("sim:lazypoline", 2_100_000_000);
@@ -421,6 +417,7 @@ mod tests {
         assert_eq!(events, 5);
 
         let (h, recs) = read_trace(Cursor::new(cursor.into_inner())).unwrap();
+        assert_eq!(h.version, VERSION2, "new headers are stamped v2");
         assert_eq!(h.events_dropped, 42, "finalize patches the header");
         assert_eq!(h.source_mechanism, "sim:lazypoline");
         assert_eq!(h.tsc_hz, 2_100_000_000);
@@ -500,16 +497,24 @@ mod tests {
 
     #[test]
     fn truncated_record_detected() {
-        let header = TraceHeader::new("x", 0);
-        let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
-        w.append(&sample(0)).unwrap();
-        let (cursor, _) = w.finalize(0).unwrap();
-        let mut bytes = cursor.into_inner();
-        bytes.truncate(bytes.len() - 10);
+        let (h, recs) = read_trace(Cursor::new(V1_FIXTURE)).unwrap();
+        assert_eq!(h.version, VERSION);
+        assert_eq!(V1_FIXTURE.len(), HEADER_SIZE + recs.len() * RECORD_SIZE);
         assert!(matches!(
-            read_trace(Cursor::new(bytes)),
+            read_trace(Cursor::new(&V1_FIXTURE[..V1_FIXTURE.len() - 10])),
             Err(TraceError::Truncated)
         ));
+    }
+
+    #[test]
+    fn writer_refuses_a_v1_header() {
+        let (v1, _) = read_trace(Cursor::new(V1_FIXTURE)).unwrap();
+        for header in [v1, TraceHeader::new("x", 0).with_version(VERSION)] {
+            let err = TraceWriter::new(Cursor::new(Vec::new()), &header)
+                .err()
+                .expect("LPTRACE1 is read-only");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
     }
 
     #[test]

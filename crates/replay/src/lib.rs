@@ -14,10 +14,9 @@
 //!    the rings into an mmap-backed chunked file in the compressed
 //!    `LPTRACE2` encoding (delta tsc, varint args, dictionary
 //!    sysno/site), so producers keep up at full event rate with zero
-//!    drops; `LPTRACE1`'s fixed 88-byte records remain writable
-//!    (`LP_TRACE_FORMAT=1`) and both generations read back
-//!    transparently, with an strace-like [`dump_trace`] rendering
-//!    built on the shared
+//!    drops; `LPTRACE1`'s fixed-size records are read-only, and both
+//!    generations read back transparently, with an strace-like
+//!    [`dump_trace`] rendering built on the shared
 //!    [`format_syscall_line`](interpose::format_syscall_line).
 //! 3. **Deterministic replay** ([`ReplayHandler`]): re-runs a workload
 //!    against its trace, re-injecting recorded results for
@@ -32,7 +31,7 @@
 #![deny(missing_docs)]
 
 pub mod codec;
-pub mod drain;
+mod drain;
 mod event;
 pub mod format;
 mod record;
@@ -45,10 +44,9 @@ pub use format::{
     dump_trace, read_trace, read_trace_path, render_record, TraceError, TraceHeader, TraceWriter,
     HEADER_SIZE, MAGIC, MAGIC2, VERSION, VERSION2,
 };
-pub use drain::{shard_drained, MAX_SHARDS};
 pub use record::{
-    drain_shards, events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary,
-    Recorder, DRAIN_ENV, DRAIN_SHARDS_ENV, TRACE_FORMAT_ENV,
+    events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary, Recorder,
+    DRAIN_ENV,
 };
 pub use ring::RingConfigError;
 pub use replay::{

@@ -3,8 +3,7 @@
 //! [`Recorder`] session that drains the rings into a trace file.
 
 use std::cell::Cell;
-use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -12,36 +11,14 @@ use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 
 use crate::drain;
 use crate::event::EventRecord;
-use crate::format::{TraceHeader, TraceWriter, VERSION, VERSION2};
+use crate::format::{TraceHeader, TraceWriter};
 use crate::ring;
 use crate::spill::MmapSink;
 
-/// Environment variable selecting the trace format generation: `1`
-/// forces LPTRACE1 (fixed 88-byte records); unset or `2` writes the
-/// compressed LPTRACE2 default.
-pub const TRACE_FORMAT_ENV: &str = "LP_TRACE_FORMAT";
-
 /// Environment variable selecting the drain mode: unset or `async`
 /// runs the dedicated drain thread (zero drops at steady state);
-/// `sync` restores the drain-at-phase-boundaries behavior.
+/// `sync` runs the same sweep on the caller, at phase boundaries.
 pub const DRAIN_ENV: &str = "LP_DRAIN";
-
-/// Environment variable selecting how many drainer threads partition
-/// the ring pool (async mode only): unset or `1` keeps the single
-/// drainer; `2..=16` shard the pool, each shard spilling to its own
-/// side spool merged into the trace at finish. See
-/// [`drain`](crate::drain)'s module docs.
-pub const DRAIN_SHARDS_ENV: &str = "LP_DRAIN_SHARDS";
-
-/// Drainer shard count of the most recent recorder session (1 when
-/// unsharded; persists after the session for stats reporting).
-static CONFIGURED_SHARDS: AtomicU64 = AtomicU64::new(1);
-
-/// Drainer shard count configured for the current/most recent
-/// recording session (1 = single drainer).
-pub fn drain_shards() -> u64 {
-    CONFIGURED_SHARDS.load(Ordering::Relaxed)
-}
 
 /// Events successfully recorded into a ring (process lifetime).
 static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
@@ -189,8 +166,6 @@ pub struct RecordSummary {
     pub dropped: u64,
     /// Trace file size in bytes (header included).
     pub bytes: u64,
-    /// Format generation written (1 = LPTRACE1, 2 = LPTRACE2).
-    pub format_version: u32,
 }
 
 impl RecordSummary {
@@ -223,57 +198,19 @@ impl RecordSummary {
     }
 }
 
-/// The sink a recording spills into: a buffered file for synchronous
-/// phase-boundary drains, a chunked shared mapping under the async
-/// drain thread (a batch append is a memcpy into the page cache).
-enum TraceOut {
-    Buffered(BufWriter<File>),
-    Mmap(MmapSink),
-}
-
-impl Write for TraceOut {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            TraceOut::Buffered(w) => w.write(buf),
-            TraceOut::Mmap(w) => w.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            TraceOut::Buffered(w) => w.flush(),
-            TraceOut::Mmap(w) => w.flush(),
-        }
-    }
-}
-
-impl Seek for TraceOut {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        match self {
-            TraceOut::Buffered(w) => w.seek(pos),
-            TraceOut::Mmap(w) => w.seek(pos),
-        }
-    }
-}
-
-/// How the session moves records from the rings to the writer.
+/// Who runs `drain::sweep` over the session's writer.
 enum Mode {
-    /// The caller drains at phase boundaries ([`Recorder::drain`]).
+    /// The caller, at phase boundaries ([`Recorder::drain`]).
     Sync {
         /// `None` once finished (consumed by `finish` or drop).
-        writer: Option<TraceWriter<TraceOut>>,
+        writer: Option<TraceWriter<MmapSink>>,
         /// Drain buffer, reused so only the first drain grows it.
         pending: Vec<EventRecord>,
     },
-    /// The dedicated drain thread sweeps continuously.
+    /// The dedicated drain thread, continuously.
     Async {
         /// `None` once finished.
-        handle: Option<drain::DrainHandle<TraceOut>>,
-    },
-    /// M drainer threads partition the ring pool (`LP_DRAIN_SHARDS`).
-    Sharded {
-        /// `None` once finished.
-        handle: Option<drain::ShardedDrainHandle<TraceOut>>,
+        handle: Option<drain::DrainHandle>,
     },
 }
 
@@ -287,18 +224,16 @@ enum Mode {
 /// under a live mapping), the last finisher owns the name, and an
 /// unfinished trace is recognisable. In a process that inherited the
 /// session through `fork`, `drain`, `finish` and drop touch nothing:
-/// the file, the bytes buffered for it and the drain threads are the
-/// opener's, and the rings the child keeps pushing into are its
-/// private copy.
+/// the file and the drain thread are the opener's, and the rings the
+/// child keeps pushing into are its private copy.
 ///
-/// By default the session runs a dedicated drain thread that sweeps
-/// the rings continuously into an mmap-backed LPTRACE2 trace — at
-/// steady state producers never meet a full ring, so
-/// `events_dropped == 0`. `LP_DRAIN=sync` restores synchronous
-/// phase-boundary draining and `LP_TRACE_FORMAT=1` the fixed-record
-/// LPTRACE1 format. `LP_RING_CAPACITY` / `LP_MAX_RINGS` are validated
-/// and applied here (a malformed value fails the install, never
-/// silently falls back).
+/// Events reach the file one way: rings → `drain::sweep` → LPTRACE2
+/// encoder → mmap-backed sink. By default a dedicated drain thread
+/// sweeps continuously — at steady state producers never meet a full
+/// ring, so `events_dropped == 0`; under `LP_DRAIN=sync` the caller
+/// sweeps instead, at phase boundaries. `LP_RING_CAPACITY` /
+/// `LP_MAX_RINGS` are validated and applied here (a malformed value
+/// fails the install, never silently falls back).
 ///
 /// Create it *before* installing the [`RecordHandler`] — it clears
 /// stale ring contents, and the drain thread must be spawned before
@@ -311,7 +246,6 @@ pub struct Recorder {
     /// The process that opened the session.
     owner_pid: u32,
     dropped_at_start: u64,
-    format_version: u32,
 }
 
 impl Recorder {
@@ -325,17 +259,6 @@ impl Recorder {
         // Validate configuration before touching any state: a typo'd
         // LP_RING_CAPACITY must fail the install, not half-start it.
         ring::configure_from_env()?;
-        let format_version = match std::env::var(TRACE_FORMAT_ENV) {
-            Ok(s) if s == "1" => VERSION,
-            Ok(s) if s == "2" || s.is_empty() => VERSION2,
-            Err(_) => VERSION2,
-            Ok(s) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{TRACE_FORMAT_ENV}={s:?}: expected 1 or 2"),
-                ))
-            }
-        };
         let async_drain = match std::env::var(DRAIN_ENV) {
             Ok(s) if s == "sync" => false,
             Ok(s) if s == "async" || s.is_empty() => true,
@@ -347,28 +270,6 @@ impl Recorder {
                 ))
             }
         };
-        let shards = match std::env::var(DRAIN_SHARDS_ENV) {
-            Err(_) => 1,
-            Ok(s) if s.is_empty() => 1,
-            Ok(s) => match s.parse::<usize>() {
-                Ok(n) if (1..=drain::MAX_SHARDS).contains(&n) => n,
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "{DRAIN_SHARDS_ENV}={s:?}: expected 1..={}",
-                            drain::MAX_SHARDS
-                        ),
-                    ))
-                }
-            },
-        };
-        if shards > 1 && !async_drain {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{DRAIN_SHARDS_ENV}>1 requires {DRAIN_ENV}=async"),
-            ));
-        }
 
         if SESSION_ACTIVE.swap(true, Ordering::AcqRel) {
             return Err(io::Error::other("another recording session is active"));
@@ -382,22 +283,11 @@ impl Recorder {
         ring::drain_all(|_| {});
         let dropped_at_start = ring::total_dropped();
 
-        let header =
-            TraceHeader::new(source_mechanism, calibrate_tsc_hz()).with_version(format_version);
+        let header = TraceHeader::new(source_mechanism, calibrate_tsc_hz());
         let owner_pid = std::process::id();
-        let part = part_path(path, owner_pid);
-        let sink = if async_drain {
-            TraceOut::Mmap(MmapSink::create(&part).map_err(release_on)?)
-        } else {
-            TraceOut::Buffered(BufWriter::new(File::create(&part).map_err(release_on)?))
-        };
+        let sink = MmapSink::create(&part_path(path, owner_pid)).map_err(release_on)?;
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
-        CONFIGURED_SHARDS.store(shards as u64, Ordering::Relaxed);
-        let mode = if shards > 1 {
-            Mode::Sharded {
-                handle: Some(drain::spawn_sharded(writer, shards, &part).map_err(release_on)?),
-            }
-        } else if async_drain {
+        let mode = if async_drain {
             Mode::Async {
                 handle: Some(drain::spawn(writer).map_err(release_on)?),
             }
@@ -412,7 +302,6 @@ impl Recorder {
             path: path.to_path_buf(),
             owner_pid,
             dropped_at_start,
-            format_version,
         })
     }
 
@@ -440,9 +329,9 @@ impl Recorder {
     }
 
     /// The session was inherited through `fork`: forget it. Nothing is
-    /// flushed (the buffered bytes are a copy of what the opener will
-    /// write), joined (the drain threads exist only there), trimmed or
-    /// renamed; this process's copy of the session slot is freed.
+    /// trimmed (the file and its mapping are the opener's), joined (the
+    /// drain thread exists only there) or renamed; this process's copy
+    /// of the session slot is freed.
     fn disown(&mut self) -> Option<io::Result<RecordSummary>> {
         let finished = Mode::Sync {
             writer: None,
@@ -463,38 +352,18 @@ impl Recorder {
         if std::process::id() != self.owner_pid {
             return self.disown();
         }
-        let writer = match &mut self.mode {
+        let swept = match &mut self.mode {
             Mode::Sync { writer, pending } => {
-                writer.as_ref()?;
-                let sweep = drain::sweep(writer.as_mut().unwrap(), pending);
-                let writer = writer.take()?;
-                match sweep {
-                    Ok(_) => writer,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
+                let mut writer = writer.take()?;
+                drain::sweep(&mut writer, pending).map(|_| writer)
             }
-            Mode::Async { handle } => {
-                let handle = handle.take()?;
-                match handle.stop() {
-                    Ok(w) => w,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
-            }
-            Mode::Sharded { handle } => {
-                let handle = handle.take()?;
-                match handle.stop() {
-                    Ok(w) => w,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
+            Mode::Async { handle } => handle.take()?.stop(),
+        };
+        let writer = match swept {
+            Ok(writer) => writer,
+            Err(e) => {
+                SESSION_ACTIVE.store(false, Ordering::Release);
+                return Some(Err(e));
             }
         };
         let dropped = ring::total_dropped() - self.dropped_at_start;
@@ -508,7 +377,6 @@ impl Recorder {
                 events,
                 dropped,
                 bytes,
-                format_version: self.format_version,
             })
         });
         SESSION_ACTIVE.store(false, Ordering::Release);

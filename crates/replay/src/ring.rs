@@ -586,23 +586,6 @@ pub fn drain_all(mut f: impl FnMut(EventRecord)) -> usize {
         .sum()
 }
 
-/// Drains the claimed pool rings belonging to partition `shard` of
-/// `shards` (ring index modulo `shards`), passing records to `f`.
-///
-/// The partition is stable — a ring index never changes — so with one
-/// drainer thread per shard every ring still has exactly one consumer
-/// and the SPSC contract holds shard-locally. Cross-ring ordering is
-/// the caller's to resolve at merge time.
-pub fn drain_partition(shard: usize, shards: usize, mut f: impl FnMut(EventRecord)) -> usize {
-    let shards = shards.max(1);
-    RINGS[..rings_claimed()]
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % shards == shard)
-        .map(|(_, r)| r.drain(&mut f))
-        .sum()
-}
-
 /// Cumulative events dropped across the pool: full rings plus
 /// pool-exhausted threads.
 pub fn total_dropped() -> u64 {

@@ -18,12 +18,12 @@
 //! the tree; nothing here allocates per record.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::os::fd::AsRawFd;
 use std::path::Path;
 
-/// Bytes per mapped window. 4 MiB ≈ 48k LPTRACE1 records or several
-/// hundred thousand LPTRACE2 records per remap — remaps are rare.
+/// Bytes per mapped window. 4 MiB is several hundred thousand
+/// LPTRACE2 records per remap — remaps are rare.
 pub const CHUNK_SIZE: u64 = 4 << 20;
 
 const PROT_READ_WRITE: u64 = 3;
@@ -201,15 +201,6 @@ impl Drop for MmapSink {
     }
 }
 
-/// Reads back a file written through an [`MmapSink`] (plain read —
-/// the sink is write-only by design). Test helper.
-#[doc(hidden)]
-pub fn read_back(path: &Path) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    File::open(path)?.read_to_end(&mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +220,7 @@ mod tests {
             sink.seek(SeekFrom::End(0)).unwrap();
             sink.write_all(b"!").unwrap();
         }
-        let bytes = read_back(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes, b"headerOKpayload!", "patched in place, then appended");
         std::fs::remove_file(&path).unwrap();
     }
@@ -265,7 +256,7 @@ mod tests {
             sink.seek(SeekFrom::End(0)).unwrap();
             sink.write_all(b"end").unwrap();
         }
-        let bytes = read_back(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes.len(), pattern.len() + 3);
         assert_eq!(&bytes[3..5], b"zz");
         assert_eq!(&bytes[bytes.len() - 3..], b"end");

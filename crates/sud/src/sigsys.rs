@@ -141,6 +141,12 @@ impl UContext {
         unsafe { std::ptr::addr_of!((*self.uc).uc_sigmask).cast() }
     }
 
+    /// Replaces the interrupted context's signal mask: the mask the
+    /// application resumes with.
+    pub fn set_sigmask(&mut self, mask: u64) {
+        unsafe { std::ptr::addr_of_mut!((*self.uc).uc_sigmask).cast::<u64>().write(mask) }
+    }
+
     /// Extracts the full syscall invocation (number + 6 args) from the
     /// interrupted register image.
     pub fn syscall_args(&self) -> SyscallArgs {

@@ -113,12 +113,11 @@ fn record(trace: &Path, mech: &str, strict_drops: bool) -> ExitCode {
                 summary.bytes as f64 / summary.events as f64
             };
             println!(
-                "recorded {} events ({} dropped, {} bytes, {:.1} B/event, LPTRACE{}) under {} -> {}",
+                "recorded {} events ({} dropped, {} bytes, {:.1} B/event) under {} -> {}",
                 summary.events,
                 summary.dropped,
                 summary.bytes,
                 per_event,
-                summary.format_version,
                 mech,
                 summary.path.display()
             );

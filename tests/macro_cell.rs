@@ -56,8 +56,8 @@ fn record_row_reports_conserved_recorder_counters() {
         return;
     }
     // The recording cell must actually record (the server's syscalls
-    // flow into the rings), must not drop, and must run the sharded
-    // drain it defaults to.
+    // flow into the rings), must not drop, and must leave nothing of
+    // its trace in the temp directory.
     let docroot = Docroot::create(&[4096]).unwrap();
     let cell = run_cell(&docroot, &quick_cell(RECORD_MECHANISM, 4096)).unwrap();
     assert!(cell.rps > 50.0, "rps {}", cell.rps);
@@ -67,12 +67,14 @@ fn record_row_reports_conserved_recorder_counters() {
         "recording server produced no events"
     );
     assert_eq!(cell.events_dropped, 0, "recorder dropped events");
-    assert!(
-        cell.drain_shards >= 2,
-        "record row should default to a sharded drain, got {}",
-        cell.drain_shards
-    );
-    assert_eq!(cell.shard_drained.len(), cell.drain_shards as usize);
+    let prefix = format!("lp_fig5_{}_", std::process::id());
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name())
+        .filter(|name| name.to_string_lossy().starts_with(&prefix))
+        .collect();
+    assert!(left.is_empty(), "the cell left its trace behind: {left:?}");
 }
 
 #[test]

@@ -153,6 +153,59 @@ fn scenario_exec_sigmask_lazypoline() {
     exec_sigmask_under("lazypoline");
 }
 
+/// An `rt_sigprocmask` emulated inside the `SIGSYS` handler (`sud`
+/// always) must edit and report the application's mask, not the
+/// handler's (which has `SIGSYS` blocked and is discarded by
+/// `sigreturn`). `lazypoline` (the call runs from the dispatcher) is
+/// the control.
+fn sigprocmask_under(base: &str) {
+    static DELIVERED: AtomicU64 = AtomicU64::new(0);
+    extern "C" fn on_usr2(_sig: libc::c_int) {
+        DELIVERED.fetch_add(1, Ordering::SeqCst);
+    }
+    extern "C" {
+        fn sigaddset(set: *mut libc::sigset_t, sig: libc::c_int) -> libc::c_int;
+        fn sigpending(set: *mut libc::sigset_t) -> libc::c_int;
+    }
+
+    let mut active = install(base, Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = on_usr2 as *const () as usize;
+        assert_eq!(libc::sigaction(libc::SIGUSR2, &sa, std::ptr::null_mut()), 0);
+
+        let mut usr2: libc::sigset_t = std::mem::zeroed();
+        libc::sigemptyset(&mut usr2);
+        sigaddset(&mut usr2, libc::SIGUSR2);
+        assert_eq!(libc::pthread_sigmask(libc::SIG_BLOCK, &usr2, std::ptr::null_mut()), 0);
+
+        // The block sticks: the signal stays pending.
+        libc::raise(libc::SIGUSR2);
+        assert_eq!(DELIVERED.load(Ordering::SeqCst), 0, "{base}: delivered while blocked");
+        let mut pending: libc::sigset_t = std::mem::zeroed();
+        assert_eq!(sigpending(&mut pending), 0);
+        assert_eq!(libc::sigismember(&pending, libc::SIGUSR2), 1, "{base}: not pending");
+
+        // A query reads the application's mask: exactly {SIGUSR2}.
+        let mut old: libc::sigset_t = std::mem::zeroed();
+        assert_eq!(libc::pthread_sigmask(libc::SIG_BLOCK, std::ptr::null(), &mut old), 0);
+        let blocked: Vec<i32> = (1..=64).filter(|&s| libc::sigismember(&old, s) == 1).collect();
+        assert_eq!(blocked, [libc::SIGUSR2], "{base}: oldset");
+
+        assert_eq!(libc::pthread_sigmask(libc::SIG_UNBLOCK, &usr2, std::ptr::null_mut()), 0);
+        assert_eq!(DELIVERED.load(Ordering::SeqCst), 1, "{base}: unblocking delivers once");
+    }
+    active.detach();
+}
+
+fn scenario_sigprocmask_sud() {
+    sigprocmask_under("sud");
+}
+
+fn scenario_sigprocmask_lazypoline() {
+    sigprocmask_under("lazypoline");
+}
+
 fn scenario_threads() {
     let counter = CountHandler::new();
     let mut active = install("lazypoline", Box::new(counter.clone()));
@@ -2321,6 +2374,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("signals_sud", scenario_signals_sud),
     ("exec_sigmask_sud", scenario_exec_sigmask_sud),
     ("exec_sigmask_lazypoline", scenario_exec_sigmask_lazypoline),
+    ("sigprocmask_sud", scenario_sigprocmask_sud),
+    ("sigprocmask_lazypoline", scenario_sigprocmask_lazypoline),
     ("threads", scenario_threads),
     ("fork", scenario_fork),
     ("sud_only", scenario_sud_only),

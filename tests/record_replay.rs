@@ -23,9 +23,9 @@ fn temp_trace(tag: &str) -> PathBuf {
 }
 
 /// Records the fixed JIT workload under `sim:lazypoline+record` and
-/// returns the trace path (caller removes it). Traces default to
-/// LPTRACE2 since PR 6; tests that poke fixed byte offsets pin the
-/// legacy format with [`record_jit_trace_v1`].
+/// returns the trace path (caller removes it). Recordings are
+/// LPTRACE2; tests that poke fixed byte offsets start from
+/// [`jit_v1_fixture_copy`].
 fn record_jit_trace(tag: &str) -> PathBuf {
     let trace = temp_trace(tag);
     std::env::set_var("LP_TRACE_OUT", &trace);
@@ -51,12 +51,16 @@ fn record_jit_trace(tag: &str) -> PathBuf {
     trace
 }
 
-/// [`record_jit_trace`] with the trace pinned to the fixed-record
-/// LPTRACE1 layout, for tests that mutate known byte offsets.
-fn record_jit_trace_v1(tag: &str) -> PathBuf {
-    std::env::set_var(replay::TRACE_FORMAT_ENV, "1");
-    let trace = record_jit_trace(tag);
-    std::env::remove_var(replay::TRACE_FORMAT_ENV);
+fn jit_v1_fixture() -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jit_v1.lpt")
+}
+
+/// A temp copy of the committed LPTRACE1 recording of the same JIT
+/// workload (fixed-size records), for tests that mutate known byte
+/// offsets (caller removes it).
+fn jit_v1_fixture_copy(tag: &str) -> PathBuf {
+    let trace = temp_trace(tag);
+    std::fs::copy(jit_v1_fixture(), &trace).expect("fixture copies");
     trace
 }
 
@@ -94,8 +98,10 @@ fn sim_record_then_replay_with_zero_divergences() {
 
 #[test]
 fn mutated_trace_reports_structured_divergence_not_panic() {
+    // The divergence counter is process-global too, and the roundtrip
+    // test asserts it did not move.
     let _g = record_lock();
-    let trace = record_jit_trace_v1("mutated");
+    let trace = jit_v1_fixture_copy("mutated");
 
     // Flip the second record's syscall number to `write` (1).
     let mut bytes = std::fs::read(&trace).unwrap();
@@ -147,8 +153,7 @@ fn corrupt_header_is_a_structured_install_error() {
 
 #[test]
 fn truncated_trace_is_a_structured_install_error() {
-    let _g = record_lock();
-    let trace = record_jit_trace_v1("truncated");
+    let trace = jit_v1_fixture_copy("truncated");
     let bytes = std::fs::read(&trace).unwrap();
     std::fs::write(&trace, &bytes[..bytes.len() - (RECORD_SIZE / 2)]).unwrap();
 
@@ -263,7 +268,6 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
         .expect("trace finishes");
     assert_eq!(summary.dropped, 0);
     assert_eq!(summary.events, PRODUCED, "every produced event is spilled");
-    assert_eq!(summary.format_version, replay::VERSION2);
     assert!(
         summary.bytes * 2 < PRODUCED * replay::RECORD_SIZE as u64,
         "LPTRACE2 beats the fixed layout: {} bytes for {PRODUCED} events",
@@ -274,6 +278,14 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
     let (header, records) = replay::read_trace_path(&trace).unwrap();
     assert_eq!(header.version, replay::VERSION2);
     assert_eq!(records.len() as u64, PRODUCED);
+    // The sweep's cross-ring sort keeps each ring's FIFO order: per
+    // producer (`args[0]`) the `ret`s come back strictly ascending.
+    let mut last = [None; THREADS];
+    for r in &records {
+        let seen = &mut last[r.args[0] as usize];
+        assert!(*seen < Some(r.ret), "producer {} out of order at {}", r.args[0], r.ret);
+        *seen = Some(r.ret);
+    }
 
     // Restore the default geometry for whichever test records next.
     replay::ring::configure(
@@ -283,125 +295,6 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
     .unwrap();
     drop(active);
     std::fs::remove_file(&trace).unwrap();
-}
-
-#[test]
-fn sharded_drain_conserves_every_event_across_shards() {
-    use interpose::{SyscallEvent, SyscallHandler};
-    use syscalls::SyscallArgs;
-
-    let _g = record_lock();
-    const THREADS: usize = 6;
-    const PER_THREAD: u64 = 20_000;
-    const PRODUCED: u64 = THREADS as u64 * PER_THREAD;
-    const SHARDS: usize = 3;
-
-    let trace = temp_trace("shards");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    std::env::set_var(replay::DRAIN_SHARDS_ENV, SHARDS.to_string());
-    std::env::set_var(replay::ring::LP_RING_CAPACITY, "32768");
-    let backend = mechanism::by_name("sim:lazypoline+record").unwrap();
-    let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
-        .expect("session opens with sharded drain threads");
-    std::env::remove_var("LP_TRACE_OUT");
-    std::env::remove_var(replay::DRAIN_SHARDS_ENV);
-    std::env::remove_var(replay::ring::LP_RING_CAPACITY);
-    assert_eq!(replay::drain_shards(), SHARDS as u64);
-
-    let before_recorded = replay::events_recorded();
-    let before_dropped = replay::events_dropped();
-    let before_shards: Vec<u64> = (0..SHARDS).map(replay::shard_drained).collect();
-    let handler = std::sync::Arc::new(replay::RecordHandler::passthrough());
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let handler = std::sync::Arc::clone(&handler);
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let ev =
-                        SyscallEvent::new(SyscallArgs::new(syscalls::nr::GETPID, [t as u64; 6]));
-                    handler.post(&ev, i);
-                }
-            });
-        }
-    });
-
-    let recorded = replay::events_recorded() - before_recorded;
-    let dropped = replay::events_dropped() - before_dropped;
-    assert_eq!(recorded + dropped, PRODUCED, "every event accounted for");
-    assert_eq!(dropped, 0, "sharded drainers + adequate rings: nothing drops");
-
-    // Stop the shards (final sweeps run the rings dry) and merge.
-    let summary = active
-        .finish_recording()
-        .expect("a trace session is active")
-        .expect("trace finishes");
-    assert_eq!(summary.dropped, 0);
-    assert_eq!(summary.events, PRODUCED, "every produced event is spilled");
-
-    // Conservation across the partition: the per-shard spool counters
-    // sum to exactly what was recorded.
-    let drained: u64 = (0..SHARDS)
-        .map(|s| replay::shard_drained(s) - before_shards[s])
-        .sum();
-    assert_eq!(drained, PRODUCED, "recorded == sum of per-shard drained");
-    // Six producer rings claimed consecutively land on all three
-    // shards (idx % 3): the partition genuinely spreads the work.
-    let active_shards = (0..SHARDS)
-        .filter(|&s| replay::shard_drained(s) > before_shards[s])
-        .count();
-    assert!(
-        active_shards >= 2,
-        "expected multiple shards to drain, got {active_shards}"
-    );
-
-    // The merged trace is byte-compatible with the unsharded writer:
-    // same format, every event present, tsc-ordered.
-    let (header, records) = replay::read_trace_path(&trace).unwrap();
-    assert_eq!(header.version, replay::VERSION2);
-    assert_eq!(records.len() as u64, PRODUCED);
-    assert!(records.windows(2).all(|w| w[0].tsc <= w[1].tsc));
-
-    // The merge consumed and deleted the per-shard spools.
-    for shard in 0..SHARDS {
-        assert!(
-            !trace.with_extension(format!("shard{shard}")).exists(),
-            "spool {shard} should be deleted after the merge"
-        );
-    }
-
-    replay::ring::configure(
-        replay::ring::DEFAULT_RING_CAPACITY,
-        replay::ring::DEFAULT_MAX_RINGS,
-    )
-    .unwrap();
-    drop(active);
-    std::fs::remove_file(&trace).unwrap();
-}
-
-#[test]
-fn sharded_drain_requires_async_mode() {
-    let _g = record_lock();
-    let trace = temp_trace("shardsync");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    std::env::set_var(replay::DRAIN_ENV, "sync");
-    std::env::set_var(replay::DRAIN_SHARDS_ENV, "2");
-    let err = mechanism::by_name("sim:lazypoline+record")
-        .unwrap()
-        .install(Box::new(interpose::PassthroughHandler))
-        .err()
-        .expect("LP_DRAIN_SHARDS>1 with LP_DRAIN=sync must fail install");
-    std::env::remove_var(replay::DRAIN_ENV);
-    std::env::remove_var(replay::DRAIN_SHARDS_ENV);
-    std::env::remove_var("LP_TRACE_OUT");
-    match err {
-        mechanism::InstallError::Io(e) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-            assert!(e.to_string().contains("LP_DRAIN_SHARDS"), "{e}");
-        }
-        other => panic!("expected Io(InvalidInput), got {other}"),
-    }
-    let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
@@ -433,8 +326,7 @@ fn malformed_ring_capacity_env_is_a_typed_install_error() {
 /// compatibility for existing traces is part of the format contract.
 #[test]
 fn committed_lptrace1_fixture_decodes_and_replays() {
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jit_v1.lpt");
+    let fixture = jit_v1_fixture();
     let (header, records) = replay::read_trace_path(&fixture).expect("fixture decodes");
     assert_eq!(header.version, replay::VERSION);
     assert_eq!(header.source_mechanism, "sim:lazypoline");
@@ -520,8 +412,8 @@ fn dynamic_names_are_cached_and_bad_forms_rejected() {
 
 /// A session inherited through `fork` is the opener's: the child's
 /// `finish` and drop touch nothing (no join of a drain thread it never
-/// had, no flush of its copy of the write buffer into the shared file,
-/// no trim, no rename), and the parent's trace comes out whole.
+/// had, no trim of the file under the parent's mapping, no rename), and
+/// the parent's trace comes out whole.
 #[test]
 fn forked_child_leaves_the_parents_session_alone() {
     use interpose::{SyscallEvent, SyscallHandler};
@@ -542,8 +434,8 @@ fn forked_child_leaves_the_parents_session_alone() {
         std::env::remove_var(replay::DRAIN_ENV);
         let mut session = session.expect("session opens");
         push(10);
-        // Sync mode: the ten events now sit in the session's write
-        // buffer, which the child inherits a copy of.
+        // Sync mode: the ten events are now in the trace's shared
+        // mapping, which the child inherits.
         session.drain().expect("drain");
 
         // SAFETY: the child only runs the code under test, then _exits.
