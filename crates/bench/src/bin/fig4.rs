@@ -4,7 +4,10 @@
 //! zpoline-equivalent rewriting cost, the cost of *enabling* SUD (the
 //! exhaustiveness guarantee), and the cost of preserving extended
 //! state. Derived from the same measurements as Table II, exactly as
-//! in the paper. `--json` additionally writes `BENCH_fig4.json`.
+//! in the paper — whose number 500 enters the trampoline's sled twelve
+//! bytes from its end, so a `sled` segment beside the bar says what a
+//! number near the sled's start (`getpid`, 39) pays on top. `--json`
+//! additionally writes `BENCH_fig4.json`.
 
 use lp_bench::json::Json;
 use lp_bench::micro;
@@ -32,6 +35,14 @@ fn main() {
     let seg_zpoline = (zp - base).max(0.0);
     let seg_sud = (nox - zp).max(0.0);
     let seg_xstate = (full - nox).max(0.0);
+    // zpoline@39 − zpoline@500, each net of its own baseline. Not part
+    // of the bar: the bar is the paper's, measured at 500.
+    let getpid = r
+        .sled
+        .iter()
+        .find(|rows| rows.sysno == syscalls::nr::GETPID)
+        .expect("getpid is one of micro::SLED_SYSNOS");
+    let seg_sled = (getpid.zpoline.cycles() - getpid.baseline.cycles()) - (zp - base);
 
     println!("Figure 4 — lazypoline overhead breakdown (cycles per interposed syscall)\n");
     let total = full;
@@ -44,6 +55,7 @@ fn main() {
     bar("+ enabling SUD", seg_sud);
     bar("+ xstate preservation", seg_xstate);
     println!("{:<28} {total:>8.0}", "= lazypoline total");
+    println!("{:<28} {seg_sled:>+8.0}", "sled, entered at 39 not 500");
 
     println!(
         "\nfast path with SUD disabled vs zpoline: {:.2}x vs {:.2}x of baseline",
@@ -83,7 +95,8 @@ fn main() {
                     .field("rewriting", Json::Num(seg_zpoline))
                     .field("enabling_sud", Json::Num(seg_sud))
                     .field("xstate_preservation", Json::Num(seg_xstate))
-                    .field("total", Json::Num(total)),
+                    .field("total", Json::Num(total))
+                    .field("sled", Json::Num(seg_sled)),
             )
             .field(
                 "vs_baseline",
@@ -98,7 +111,11 @@ fn main() {
                 Json::obj()
                     .field("wide_hook_cycles", Json::Num(w.wide.cycles()))
                     .field("narrow_hook_cycles", Json::Num(w.narrow.cycles()))
-                    .field("speedup", Json::Num(w.wide.cycles() / w.narrow.cycles())),
+                    .field("speedup", Json::Num(w.wide.cycles() / w.narrow.cycles()))
+                    .field(
+                        "narrow_hook_trampoline_cycles",
+                        w.narrow_trampoline.as_ref().map_or(Json::Null, |m| Json::Num(m.cycles())),
+                    ),
             );
         }
         std::fs::write("BENCH_fig4.json", root.render()).expect("write BENCH_fig4.json");

@@ -9,6 +9,10 @@
 //! cargo run -p lp-bench --bin table2 --release -- --json   # also writes BENCH_table2.json
 //! ```
 //!
+//! Beside the paper's number 500, which enters the trampoline's sled
+//! twelve bytes from its end, the rewriting rows are measured at
+//! `read`, `getpid` and `epoll_wait` (JSON rows carry `sysno`).
+//!
 //! The Table II rows need SUD and a mappable page zero; the
 //! interest-filter dispatch comparison runs on any host (the filter
 //! lives entirely in the dispatcher's decision sequence).
@@ -146,6 +150,29 @@ fn main() {
             );
         }
         println!("(paper: Xeon Gold 5318S @2.1GHz, Linux 5.15; this host differs — compare shapes, not absolutes)");
+
+        // Number 500 enters the sled twelve bytes from its end; these
+        // enter where real programs do.
+        println!("\nThe rewriting rows at other numbers, each vs the same number uninterposed:\n");
+        let mut t = Table::new(["sysno", "baseline cycles", "zpoline", "lazypoline"]);
+        let at = |m: &micro::Measurement, base: f64| format!("{:.2}x ({:.0})", m.cycles() / base, m.cycles());
+        let base = results.baseline.cycles();
+        t.row([
+            "500".to_string(),
+            format!("{base:.0}"),
+            at(&results.zpoline, base),
+            at(&results.lazypoline, base),
+        ]);
+        for rows in &results.sled {
+            let base = rows.baseline.cycles();
+            t.row([
+                rows.sysno.to_string(),
+                format!("{base:.0}"),
+                at(&rows.zpoline, base),
+                at(&rows.lazypoline, base),
+            ]);
+        }
+        print!("{}", t.render());
         if let Some(r) = &results.recording {
             println!(
                 "recording row trace: {} events, {} dropped ({:.4}% drop rate), \
@@ -217,6 +244,15 @@ fn main() {
             wide - narrow,
             wide / narrow
         );
+        if let (Some(miss), Some(r)) = (&w.narrow_trampoline, &results) {
+            println!(
+                "the same miss from a rewritten site: {:.0} cycles/call, {:.2}x the bare syscall \
+                 (a hit, the lazypoline row: {:.2}x)",
+                miss.cycles(),
+                miss.cycles() / r.baseline.cycles(),
+                r.lazypoline.cycles() / r.baseline.cycles(),
+            );
+        }
     }
 
     // Batch rewriting (needs the native machinery).
@@ -233,9 +269,11 @@ fn main() {
             .field("bench", Json::Str("table2".into()))
             .field("native_supported", Json::Bool(native));
         if let Some(results) = &results {
+            let paper_sysno = Json::Int(syscalls::NONEXISTENT_SYSCALL);
             let mut rows = vec![with_stats(
                 Json::obj()
                     .field("name", Json::Str("baseline".into()))
+                    .field("sysno", paper_sysno.clone())
                     .field("cycles_per_call", Json::Num(results.baseline.cycles()))
                     .field("vs_baseline", Json::Num(1.0))
                     .field("stddev_pct", Json::Num(results.baseline.stddev_pct())),
@@ -245,6 +283,7 @@ fn main() {
                 rows.push(with_stats(
                     Json::obj()
                         .field("name", Json::Str(name.into()))
+                        .field("sysno", paper_sysno.clone())
                         .field(
                             "cycles_per_call",
                             Json::Num(ratio * results.baseline.cycles()),
@@ -258,6 +297,7 @@ fn main() {
                 rows.push(with_stats(
                     Json::obj()
                         .field("name", Json::Str("lazypoline-hardened".into()))
+                        .field("sysno", paper_sysno.clone())
                         .field("cycles_per_call", Json::Num(h.measurement.cycles()))
                         .field(
                             "vs_baseline",
@@ -267,6 +307,19 @@ fn main() {
                         .field("harden_level", Json::Str(h.harden_level.clone())),
                     Some(&h.stats),
                 ));
+            }
+            for sled in &results.sled {
+                let base = sled.baseline.cycles();
+                for m in [&sled.baseline, &sled.zpoline, &sled.lazypoline] {
+                    rows.push(
+                        Json::obj()
+                            .field("name", Json::Str(m.name.into()))
+                            .field("sysno", Json::Int(sled.sysno))
+                            .field("cycles_per_call", Json::Num(m.cycles()))
+                            .field("vs_baseline", Json::Num(m.cycles() / base))
+                            .field("stddev_pct", Json::Num(m.stddev_pct())),
+                    );
+                }
             }
             root = root
                 .field("iters", Json::Int(results.iters))
@@ -308,7 +361,11 @@ fn main() {
                     .field("runs", Json::Int(w.runs))
                     .field("wide_hook_cycles", Json::Num(w.wide.cycles()))
                     .field("narrow_hook_cycles", Json::Num(w.narrow.cycles()))
-                    .field("speedup", Json::Num(w.wide.cycles() / w.narrow.cycles())),
+                    .field("speedup", Json::Num(w.wide.cycles() / w.narrow.cycles()))
+                    .field(
+                        "narrow_hook_trampoline_cycles",
+                        w.narrow_trampoline.as_ref().map_or(Json::Null, |m| Json::Num(m.cycles())),
+                    ),
             );
         }
         if let Some(b) = &batch {

@@ -1,7 +1,12 @@
 //! The native Table II / Figure 4 microbenchmark.
 //!
 //! "We measure the CPU cycles required to interpose a non-existent
-//! syscall (number 500) 100M times" (§V-B(a)). One generic driver
+//! syscall (number 500) 100M times" (§V-B(a)). Number 500 enters the
+//! trampoline's sled twelve bytes from its end, so those rows cannot
+//! see what the sled costs the numbers programs actually use: the
+//! loops take the number as an operand, and [`SLED_SYSNOS`] are
+//! measured beside the paper's, each against the same number
+//! uninterposed. One generic driver
 //! measures every row: each Table II configuration is a *named backend*
 //! in the `mechanism` registry ([`TABLE2_PLAN`]), installed around a
 //! passthrough handler, measured, and torn down — no per-mechanism
@@ -59,6 +64,20 @@ impl Measurement {
     }
 }
 
+/// The rows that enter the trampoline, measured at one syscall number
+/// other than the paper's, with that number's own baseline.
+#[derive(Clone, Debug)]
+pub struct SledRows {
+    /// The syscall number all three loops issue.
+    pub sysno: u64,
+    /// Bare syscall round trip at this number.
+    pub baseline: Measurement,
+    /// Rewritten site, SUD disabled.
+    pub zpoline: Measurement,
+    /// Rewritten site, SUD enabled, full xstate preservation.
+    pub lazypoline: Measurement,
+}
+
 /// All Table II rows from one benchmark session.
 #[derive(Clone, Debug)]
 pub struct MicroResults {
@@ -91,6 +110,9 @@ pub struct MicroResults {
     pub lazypoline_sfip: Option<Measurement>,
     /// Pure SUD interposition (SIGSYS per syscall).
     pub sud: Measurement,
+    /// The rewriting rows again at [`SLED_SYSNOS`], where the sled is
+    /// longer than at the paper's 500.
+    pub sled: Vec<SledRows>,
     /// Per-row mechanism counters (row label → delta snapshot covering
     /// that row's install-to-teardown window), in measurement order.
     pub stats: Vec<(&'static str, mechanism::StatsSnapshot)>,
@@ -133,71 +155,77 @@ impl MicroResults {
     }
 }
 
-#[inline(never)]
-fn loop_plain(iters: u64) {
-    debug_assert!(iters > 0);
-    unsafe {
+/// One measured loop. `$site` goes into the text as an assembler
+/// comment and nowhere else: two loops with the same instructions are
+/// the same function to LLVM, which merges them, and a merged
+/// `loop_plain` is rewritten the moment `loop_fast` is. The arguments
+/// are an invalid descriptor and nothing else, so that the real calls
+/// among the numbers (`read`, `epoll_wait`) fail with `EBADF` as fast
+/// as 500 does with `ENOSYS`.
+macro_rules! syscall_loop {
+    ($site:literal, $iters:ident, $nr:ident $(, $rearm:literal, $sel:ident)?) => {
         asm!(
-            "2:",
-            "mov eax, 500",
+            concat!("2: # ", $site),
+            $($rearm,)?
+            "mov eax, {nr:e}",
             "syscall",
             "sub {c}, 1",
             "jnz 2b",
-            c = inout(reg) iters => _,
+            c = inout(reg) $iters => _,
+            nr = in(reg) $nr,
+            $($sel = in(reg) $sel,)?
+            in("rdi") u64::MAX, in("rsi") 0u64, in("rdx") 0u64, in("r10") 0u64,
             out("rax") _, out("rcx") _, out("r11") _,
-        );
-    }
+        )
+    };
 }
 
 #[inline(never)]
-fn loop_fast(iters: u64) {
+fn loop_plain(nr: u64, iters: u64) {
     debug_assert!(iters > 0);
-    unsafe {
-        asm!(
-            "2:",
-            "mov eax, 500",
-            "syscall", // ← lazily rewritten to `call rax` on first BLOCK execution
-            "sub {c}, 1",
-            "jnz 2b",
-            c = inout(reg) iters => _,
-            out("rax") _, out("rcx") _, out("r11") _,
-        );
-    }
+    unsafe { syscall_loop!("never intercepted", iters, nr) }
 }
 
 #[inline(never)]
-fn loop_sud(iters: u64) {
+fn loop_fast(nr: u64, iters: u64) {
+    debug_assert!(iters > 0);
+    // Lazily rewritten to `call rax` on its first BLOCK execution.
+    unsafe { syscall_loop!("rewritten", iters, nr) }
+}
+
+#[inline(never)]
+fn loop_sud(nr: u64, iters: u64) {
     debug_assert!(iters > 0);
     let sel = sud::selector_ptr();
-    // After the final iteration the handler has left the selector at
-    // ALLOW, so the loop exits disarmed; the backend's teardown restores
-    // the rest (SUD off, previous SIGSYS disposition).
-    unsafe {
-        asm!(
-            "2:",
-            "mov byte ptr [{sel}], 1", // re-arm BLOCK (handler left ALLOW)
-            "mov eax, 500",
-            "syscall", // every iteration: SIGSYS → handler emulates
-            "sub {c}, 1",
-            "jnz 2b",
-            c = inout(reg) iters => _,
-            sel = in(reg) sel,
-            out("rax") _, out("rcx") _, out("r11") _,
-        );
-    }
+    // Every iteration: SIGSYS → handler emulates, and leaves the
+    // selector at ALLOW, so each one re-arms BLOCK first. After the
+    // final iteration the loop exits disarmed; the backend's teardown
+    // restores the rest (SUD off, previous SIGSYS disposition).
+    unsafe { syscall_loop!("a SIGSYS every time", iters, nr, "mov byte ptr [{sel}], 1", sel) }
 }
 
-fn time_loop(f: fn(u64), iters: u64) -> f64 {
+/// A measured loop: `(syscall number, iterations)`.
+type LoopFn = fn(u64, u64);
+
+/// The paper's number.
+const PAPER_SYSNO: u64 = syscalls::NONEXISTENT_SYSCALL;
+
+/// Numbers measured beside the paper's 500: `read`, `getpid` and
+/// `epoll_wait` enter the sled at its start, near it, and in the
+/// middle.
+pub const SLED_SYSNOS: [u64; 3] = [syscalls::nr::READ, syscalls::nr::GETPID, syscalls::nr::EPOLL_WAIT];
+
+fn time_loop(f: LoopFn, nr: u64, iters: u64) -> f64 {
     let start = unsafe { _rdtsc() };
-    f(iters);
+    f(nr, iters);
     let end = unsafe { _rdtsc() };
     (end - start) as f64 / iters as f64
 }
 
-fn measure(name: &'static str, f: fn(u64), iters: u64, runs: u64) -> Measurement {
+fn measure(name: &'static str, f: LoopFn, nr: u64, iters: u64, runs: u64) -> Measurement {
     // One warmup run.
-    f(iters.clamp(1, 10_000));
-    let cycles_per_call = (0..runs).map(|_| time_loop(f, iters)).collect();
+    f(nr, iters.clamp(1, 10_000));
+    let cycles_per_call = (0..runs).map(|_| time_loop(f, nr, iters)).collect();
     Measurement {
         name,
         cycles_per_call,
@@ -218,7 +246,7 @@ struct RowSpec {
     /// Table II row label.
     label: &'static str,
     /// The measured loop.
-    body: fn(u64),
+    body: LoopFn,
     /// Builds the handler the backend installs. Every standard row
     /// uses a bare passthrough; the hook-stack rows install richer
     /// shapes so the *dispatch structure* is what varies, not the work.
@@ -347,6 +375,7 @@ const TABLE2_PLAN: [RowSpec; 7] = [
 /// rows run with a live trace session; its summary rides along.
 fn measure_row(
     row: &RowSpec,
+    nr: u64,
     iters: u64,
     runs: u64,
 ) -> (
@@ -398,12 +427,12 @@ fn measure_row(
         }
     }
     if row.prime {
-        (row.body)(1);
+        (row.body)(nr, 1);
     }
     if row.detach {
         active.detach();
     }
-    let m = measure(row.label, row.body, iters, runs);
+    let m = measure(row.label, row.body, nr, iters, runs);
     let stats = active.stats();
     let summary = if row.record {
         let s = active
@@ -459,7 +488,7 @@ pub fn run_table2() -> MicroResults {
     let mut recording = None;
     for row in &TABLE2_PLAN {
         let row_iters = if row.capped { sud_iters } else { iters };
-        let (m, s, summary) = measure_row(row, row_iters, runs);
+        let (m, s, summary) = measure_row(row, PAPER_SYSNO, row_iters, runs);
         stats.push((row.label, s));
         measurements.push(m);
         recording = recording.or(summary);
@@ -487,7 +516,7 @@ pub fn run_table2() -> MicroResults {
         handler: chain_handler,
         hooks: "",
     };
-    let (lazypoline_chain, s, _) = measure_row(&chain_row, iters, runs);
+    let (lazypoline_chain, s, _) = measure_row(&chain_row, PAPER_SYSNO, iters, runs);
     stats.push((chain_row.label, s));
 
     // Skip (don't fail) when the example cdylib isn't built — the JSON
@@ -505,7 +534,7 @@ pub fn run_table2() -> MicroResults {
                 handler: passthrough_handler,
                 hooks: "hook_noop",
             };
-            let (m, s, _) = measure_row(&row, iters, runs);
+            let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
             stats.push((row.label, s));
             Some(m)
         }
@@ -514,6 +543,24 @@ pub fn run_table2() -> MicroResults {
             None
         }
     };
+
+    // The rewriting rows once more per extra number. The counters of
+    // these windows are not kept: `stats` is keyed by row label.
+    let plan_row = |backend: &str| {
+        TABLE2_PLAN
+            .iter()
+            .find(|row| row.backend == backend)
+            .expect("a TABLE2_PLAN backend")
+    };
+    let sled = SLED_SYSNOS
+        .iter()
+        .map(|&sysno| SledRows {
+            sysno,
+            baseline: measure_row(plan_row("none"), sysno, iters, runs).0,
+            zpoline: measure_row(plan_row("zpoline"), sysno, iters, runs).0,
+            lazypoline: measure_row(plan_row("lazypoline"), sysno, iters, runs).0,
+        })
+        .collect();
 
     let mut it = measurements.into_iter();
     let (baseline, sud_enabled_allow, sud_m, lazypoline_m, lazypoline_record, lazypoline_nox, zpoline_m) = (
@@ -537,6 +584,7 @@ pub fn run_table2() -> MicroResults {
         lazypoline_hooks,
         lazypoline_sfip,
         sud: sud_m,
+        sled,
         stats,
         iters,
         runs,
@@ -586,7 +634,7 @@ fn run_sfip_row(
         handler: passthrough_handler,
         hooks: "",
     };
-    let (m, s, _) = measure_row(&row, iters, runs);
+    let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
     std::env::remove_var(sfip::POLICY_ENV);
     std::env::remove_var(sfip::ACTION_ENV);
     let _ = std::fs::remove_file(&policy_path);
@@ -617,6 +665,11 @@ pub struct HookWinCurve {
     pub wide: Measurement,
     /// Only `hook_openat` loaded (interest: `openat` only).
     pub narrow: Measurement,
+    /// The `narrow` stack installed under `lazypoline` and syscall 500
+    /// issued from a rewritten site: the miss as an application pays
+    /// for it — `call rax`, sled, entry stub — where `narrow` starts at
+    /// the decision function. `None` on hosts without SUD or page zero.
+    pub narrow_trampoline: Option<Measurement>,
 }
 
 /// Measures [`HookWinCurve`]; see the type docs.
@@ -624,33 +677,49 @@ pub fn run_hook_win_curve() -> Option<HookWinCurve> {
     let iters = env_u64("LP_BENCH_ITERS", 200_000).max(1);
     let runs = env_u64("LP_BENCH_RUNS", 10).max(1);
 
-    let measure_only = |spec: &str, name: &'static str| -> Option<Measurement> {
-        let mut hooks = match hookabi::load_from_spec(spec) {
-            Ok(h) => h,
+    // The stack must contain ONLY the loaded hook: a compiled-in
+    // anchor with all-syscalls interest would defeat the narrowing
+    // this cell exists to show.
+    let stack_of = |spec: &str| -> Option<Box<interpose::HookStack>> {
+        let hook = match hookabi::load_from_spec(spec) {
+            Ok(mut hooks) => hooks.pop()?,
             Err(e) => {
                 eprintln!("skip: hook win-curve ({e})");
                 return None;
             }
         };
-        let hook = hooks.pop()?;
-        // The stack must contain ONLY the loaded hook: a compiled-in
-        // anchor with all-syscalls interest would defeat the narrowing
-        // this cell exists to show.
         let stack = interpose::HookStack::new();
         stack.attach_dynamic(Box::new(hook), 0);
-        let guard = interpose::install_handler(Box::new(stack));
-        let m = measure(name, loop_interest_dispatch, iters, runs);
+        Some(Box::new(stack))
+    };
+    let measure_only = |spec: &str, name: &'static str| -> Option<Measurement> {
+        let guard = interpose::install_handler(stack_of(spec)?);
+        let m = measure(name, loop_interest_dispatch, PAPER_SYSNO, iters, runs);
         drop(guard);
         Some(m)
     };
 
     let wide = measure_only("hook_noop", "dispatch, loaded hook_noop (interest: all)")?;
     let narrow = measure_only("hook_openat", "dispatch, loaded hook_openat (interest: openat)")?;
+    let narrow_trampoline = if environment_supported() {
+        let active = mechanism::by_name("lazypoline")
+            .expect("registered backend")
+            .install(stack_of("hook_openat")?)
+            .expect("install");
+        loop_fast(PAPER_SYSNO, 1); // ensure the site is rewritten
+        let name = "rewritten site, loaded hook_openat (interest: openat)";
+        let m = measure(name, loop_fast, PAPER_SYSNO, iters, runs);
+        drop(active);
+        Some(m)
+    } else {
+        None
+    };
     Some(HookWinCurve {
         iters,
         runs,
         wide,
         narrow,
+        narrow_trampoline,
     })
 }
 
@@ -691,7 +760,7 @@ pub fn hardened_child_main() -> ! {
         handler: passthrough_handler,
         hooks: "",
     };
-    let (m, stats, _) = measure_row(&row, iters, runs);
+    let (m, stats, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
     let mut out = String::from("cycles");
     for c in &m.cycles_per_call {
         out.push_str(&format!(" {c}"));
@@ -801,12 +870,13 @@ pub struct DispatchCost {
 /// production decision path. (See the equivalence unit test below and
 /// `interpose_syscall_matches_dispatch_global` in `lp-interpose`.)
 #[inline(never)]
-fn loop_interest_dispatch(iters: u64) {
-    let args = syscalls::SyscallArgs::nullary(syscalls::NONEXISTENT_SYSCALL);
+fn loop_interest_dispatch(nr: u64, iters: u64) {
+    let args = syscalls::SyscallArgs::nullary(nr);
     for _ in 0..iters {
         let ret = interpose::interpose_syscall(args, 0, |call| {
-            // SAFETY: syscall 500 does not exist; the kernel returns
-            // ENOSYS without touching memory.
+            // SAFETY: only ever measured with syscall 500, which does
+            // not exist; the kernel returns ENOSYS without touching
+            // memory.
             unsafe { syscalls::raw::syscall(call) }
         });
         std::hint::black_box(ret);
@@ -825,6 +895,7 @@ pub fn run_dispatch_cost() -> DispatchCost {
     let all_syscalls = measure(
         "dispatch, all-syscalls handler",
         loop_interest_dispatch,
+        PAPER_SYSNO,
         iters,
         runs,
     );
@@ -839,6 +910,7 @@ pub fn run_dispatch_cost() -> DispatchCost {
     let interest_filtered = measure(
         "dispatch, PolicyHandler scoped to openat",
         loop_interest_dispatch,
+        PAPER_SYSNO,
         iters,
         runs,
     );
@@ -968,7 +1040,7 @@ pub fn run_xstate_sweep() -> Vec<(XstateMask, Measurement)> {
         .expect("registered backend")
         .install(Box::new(interpose::PassthroughHandler))
         .expect("install");
-    loop_fast(1); // ensure the site is rewritten
+    loop_fast(PAPER_SYSNO, 1); // ensure the site is rewritten
     let mut out = Vec::new();
     for mask in [
         XstateMask::None,
@@ -983,7 +1055,7 @@ pub fn run_xstate_sweep() -> Vec<(XstateMask, Measurement)> {
             XstateMask::Sse => "xstate: x87+sse",
             XstateMask::Avx => "xstate: x87+sse+avx",
         };
-        out.push((mask, measure(name, loop_fast, iters, runs)));
+        out.push((mask, measure(name, loop_fast, PAPER_SYSNO, iters, runs)));
     }
     // Teardown (drop) restores the default mask and unenrolls.
     out
@@ -1001,6 +1073,14 @@ mod tests {
         };
         assert!((m.cycles() - 99.66).abs() < 0.1);
         assert!(m.stddev_pct() > 0.0);
+    }
+
+    #[test]
+    fn measured_loops_are_distinct_sites() {
+        // Identical bodies get merged, and then rewriting one loop's
+        // `syscall` rewrites the baseline's.
+        let [plain, fast, sud] = [loop_plain, loop_fast, loop_sud].map(|f: LoopFn| f as usize);
+        assert!(plain != fast && fast != sud && plain != sud);
     }
 
     #[test]
@@ -1053,7 +1133,7 @@ mod tests {
         assert_eq!(via_shared, expected);
         assert_eq!(via_shared, 0xBEEF);
         // And the loop itself runs the same path without crashing.
-        loop_interest_dispatch(10);
+        loop_interest_dispatch(syscalls::NONEXISTENT_SYSCALL, 10);
     }
 
     // The full session is exercised by the `table2` binary and the

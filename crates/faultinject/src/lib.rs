@@ -223,8 +223,11 @@ impl SiteState {
 static SITES: [SiteState; NUM_SITES] = [const { SiteState::new() }; NUM_SITES];
 
 /// Count of currently armed sites. The disarmed fast path in [`check`]
-/// reads only this.
-static ARMED_SITES: AtomicUsize = AtomicUsize::new(0);
+/// reads only this — and so does zpoline's entry stub, by this name,
+/// before it issues a syscall without calling the dispatcher: while any
+/// site is armed, every dispatch takes the path the seams are on.
+#[no_mangle]
+pub static LP_FAULTS_ARMED: AtomicUsize = AtomicUsize::new(0);
 
 /// Consults the seam at `site`: `None` means proceed normally (the
 /// overwhelmingly common case), `Some(errno)` means the caller must
@@ -234,7 +237,7 @@ static ARMED_SITES: AtomicUsize = AtomicUsize::new(0);
 /// pay one fetch-add on their hit counter. Async-signal-safe.
 #[inline]
 pub fn check(site: Site) -> Option<i32> {
-    if ARMED_SITES.load(Ordering::Relaxed) == 0 {
+    if LP_FAULTS_ARMED.load(Ordering::Relaxed) == 0 {
         return None;
     }
     check_armed(site)
@@ -279,7 +282,7 @@ pub fn arm(site: Site, schedule: Schedule, errno: Option<i32>) {
     s.param.store(param, Ordering::Relaxed);
     s.hits.store(0, Ordering::Relaxed);
     if s.kind.swap(kind, Ordering::Relaxed) == KIND_DISARMED && kind != KIND_DISARMED {
-        ARMED_SITES.fetch_add(1, Ordering::Relaxed);
+        LP_FAULTS_ARMED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -287,7 +290,7 @@ pub fn arm(site: Site, schedule: Schedule, errno: Option<i32>) {
 pub fn disarm(site: Site) {
     let s = &SITES[site.index()];
     if s.kind.swap(KIND_DISARMED, Ordering::Relaxed) != KIND_DISARMED {
-        ARMED_SITES.fetch_sub(1, Ordering::Relaxed);
+        LP_FAULTS_ARMED.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

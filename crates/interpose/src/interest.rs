@@ -46,16 +46,18 @@ impl InterestSet {
     /// Builds a set from an explicit list of syscall numbers.
     /// Numbers at or above [`MAX_SYSCALL_NR`] are ignored (they are
     /// implicitly interesting — see [`InterestSet::contains`]).
-    pub fn of(nrs: &[u64]) -> InterestSet {
+    pub const fn of(nrs: &[u64]) -> InterestSet {
         let mut s = InterestSet::none();
-        for &nr in nrs {
-            s.insert(nr);
+        let mut i = 0;
+        while i < nrs.len() {
+            s.insert(nrs[i]);
+            i += 1;
         }
         s
     }
 
     /// Adds `nr` to the set. No-op for out-of-range numbers.
-    pub fn insert(&mut self, nr: u64) {
+    pub const fn insert(&mut self, nr: u64) {
         if nr < MAX_SYSCALL_NR {
             self.bits[(nr / 64) as usize] |= 1u64 << (nr % 64);
         }
@@ -107,7 +109,7 @@ impl InterestSet {
 
     /// The raw 64-bit words, low numbers first. Mechanisms cache these
     /// next to their handler pointer for a branch-free membership test.
-    pub fn words(&self) -> [u64; WORDS] {
+    pub const fn words(&self) -> [u64; WORDS] {
         self.bits
     }
 

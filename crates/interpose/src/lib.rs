@@ -38,9 +38,9 @@ pub use interest::InterestSet;
 pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};
 pub use registry::{
-    dispatch_global, global_handler, global_interested, install_handler, interpose_syscall,
-    post_global, quarantined_handlers, refresh_global_interest, set_global_handler,
-    widen_global_interest, HandlerGuard,
+    dispatch_global, global_handler, global_interested, install_handler, interest_words,
+    interpose_syscall, post_global, quarantined_handlers, refresh_global_interest,
+    set_global_handler, widen_global_interest, HandlerGuard,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
 pub use rewrite::FdRedirectHandler;

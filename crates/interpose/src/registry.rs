@@ -56,6 +56,14 @@ static INTEREST_WORDS: [AtomicU64; 8] = [
     AtomicU64::new(u64::MAX),
 ];
 
+/// The interest cache itself, for a mechanism whose gate is not Rust
+/// (zpoline's entry stub tests these words before it builds a frame):
+/// bit `nr % 64` of word `nr / 64`, exactly what [`global_interested`]
+/// reads, so there is no copy to keep coherent.
+pub const fn interest_words() -> &'static [AtomicU64; 8] {
+    &INTEREST_WORDS
+}
+
 /// Installs `handler` as the process-global interposer, replacing any
 /// previous one, and caches its [`SyscallHandler::interest`] set for
 /// the mechanisms' fast paths.

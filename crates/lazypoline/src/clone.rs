@@ -205,6 +205,8 @@ unsafe extern "C" fn lp_clone_child_init() {
     }
     crate::harden::rearm_after_clone();
     if enable_thread_with_retry() {
+        // A fresh TLS block starts zeroed, i.e. on the full path.
+        crate::tls::arm_stub_exit();
         sud::set_selector(sud::Dispatch::Block);
     }
 }

@@ -95,17 +95,24 @@ fn shard_index() -> usize {
     })
 }
 
+/// The calling thread's slot of `counter` — what the entry stub's miss
+/// exit increments (`lock inc`) for the dispatches it ends itself.
+#[inline]
+pub(crate) fn slot(counter: &Counter) -> &'static AtomicU64 {
+    &SHARDS[shard_index()].slots[counter.0]
+}
+
 /// Adds one to `counter` on the calling thread's shard.
 #[inline]
 pub(crate) fn bump(counter: &Counter) {
-    SHARDS[shard_index()].slots[counter.0].fetch_add(1, Ordering::Relaxed);
+    slot(counter).fetch_add(1, Ordering::Relaxed);
 }
 
 /// Adds `n` to `counter` on the calling thread's shard (bulk events,
 /// e.g. a static prescan reporting how many sites it rewrote).
 #[inline]
 pub(crate) fn add(counter: &Counter, n: u64) {
-    SHARDS[shard_index()].slots[counter.0].fetch_add(n, Ordering::Relaxed);
+    slot(counter).fetch_add(n, Ordering::Relaxed);
 }
 
 /// Sums `counter` across all shards. Exact once writers quiesce;

@@ -307,6 +307,7 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
     let tramp_err = match Trampoline::install() {
         Ok(_) => {
             zpoline::set_dispatcher(fastpath::lazypoline_dispatch);
+            zpoline::set_miss_exit(Some(&fastpath::MISS_EXIT));
             None
         }
         Err(e) => Some(e),
@@ -401,6 +402,7 @@ impl Engine {
         tls::set_enrolled(true);
         match sud::enable_thread() {
             Ok(()) => {
+                tls::arm_stub_exit();
                 sud::set_selector(sud::Dispatch::Block);
                 Ok(())
             }

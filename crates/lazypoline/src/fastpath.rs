@@ -21,11 +21,13 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 ///
 /// Protocol (paper §IV-A): flip the selector to ALLOW so the
 /// interposer's own syscalls bypass SUD, run the shared handler, then
-/// restore BLOCK if this thread is enrolled. Entered either directly
-/// from application code via a rewritten site (selector was BLOCK) or
-/// from the slow path's re-execution (selector already ALLOW) — the
-/// exit rule is the same for both, which is what makes selector-only
-/// SUD work.
+/// leave behind the selector the thread's block names
+/// ([`tls::leave_dispatch`]). Entered either directly from application
+/// code via a rewritten site (selector was BLOCK), from the slow
+/// path's re-execution (selector already ALLOW), or from a handler
+/// that itself reached a rewritten site (ALLOW, and it must stay so) —
+/// the exit rule is the same for all three, which is what makes
+/// selector-only SUD work.
 pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64 {
     counters::bump(&DISPATCHES);
     sud::set_selector(Dispatch::Allow);
@@ -39,55 +41,55 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
         do_rt_sigreturn(frame);
     }
 
-    // Interest fast-out: when the installed handler declared no
-    // interest in this number, skip everything — no event, no virtual
-    // call, no dispatch guard — and execute raw. One relaxed load plus
-    // a bit test. Syscalls the engine must emulate for correctness
-    // (signals, clones) never take this exit regardless of handler
-    // interest. This same exit serves the zpoline-only configuration
-    // (this dispatcher with SUD unenrolled): there `enrolled()` is
-    // false and the selector stays at ALLOW.
-    if !needs_emulation(frame.nr) && !interpose::global_interested(frame.nr) {
-        let ret = raw_internal::syscall(frame.syscall_args());
-        if tls::enrolled() {
-            sud::set_selector(Dispatch::Block);
-        }
-        return ret;
-    }
-
-    if tls::in_dispatch() {
-        // A handler re-entered the dispatcher (e.g. through a patched
-        // libc call inside the handler). Execute raw — the outer
-        // dispatch restores the selector on its own exit.
-        return raw_internal::syscall(frame.syscall_args());
-    }
-
-    let was = tls::set_in_dispatch(true);
-    let ret = handle_syscall(frame, true);
-    tls::set_in_dispatch(was);
-
-    if tls::enrolled() {
-        sud::set_selector(Dispatch::Block);
-    }
+    // Execute raw — no event, no virtual call, no dispatch guard — when
+    // the installed handler declared no interest in this number (one
+    // relaxed load plus a bit test; the entry stub takes this exit by
+    // itself on threads whose block is armed, see `MISS_EXIT`), or when
+    // a handler re-entered the dispatcher, e.g. through a patched libc
+    // call. Syscalls the engine must emulate for correctness (signals,
+    // clones) go through `handle_syscall` regardless of interest.
+    let miss = !needs_emulation(frame.nr) && !interpose::global_interested(frame.nr);
+    let ret = if miss || tls::in_dispatch() {
+        raw_internal::syscall(frame.syscall_args())
+    } else {
+        let was = tls::set_in_dispatch(true);
+        let ret = handle_syscall(frame, true);
+        tls::set_in_dispatch(was);
+        ret
+    };
+    tls::leave_dispatch();
     ret
 }
 
-/// Syscalls [`handle_syscall`] must always emulate itself, whatever the
-/// installed handler's interest: executing them raw would break signal
-/// transparency or thread/process bookkeeping. (`rt_sigreturn` is
-/// handled before the fast-out and listed for the slow path's benefit.)
+/// What this dispatcher lets zpoline's entry stub do without it: issue
+/// a syscall outside `full_path` whose bit in the interest words is
+/// clear — the `miss` above, taken before a frame exists.
+///
+/// `full_path` is the set [`handle_syscall`] must always emulate
+/// itself, whatever the installed handler's interest: executing them
+/// raw would break signal transparency or thread/process bookkeeping.
+/// (`rt_sigreturn` is handled before the fast-out and listed for the
+/// stub's and the slow path's benefit.)
+pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
+    full_path: interpose::InterestSet::of(&[
+        nr::RT_SIGRETURN,
+        nr::RT_SIGACTION,
+        nr::RT_SIGPROCMASK,
+        nr::CLONE,
+        nr::CLONE3,
+        nr::FORK,
+        nr::VFORK,
+    ])
+    .words(),
+    interest: interpose::interest_words(),
+};
+
+/// Whether `nr_` is in [`MISS_EXIT`]'s `full_path`: one table for this
+/// test and the stub's.
 #[inline]
 pub(crate) fn needs_emulation(nr_: u64) -> bool {
-    matches!(
-        nr_,
-        nr::RT_SIGRETURN
-            | nr::RT_SIGACTION
-            | nr::RT_SIGPROCMASK
-            | nr::CLONE
-            | nr::CLONE3
-            | nr::FORK
-            | nr::VFORK
-    )
+    nr_ < syscalls::MAX_SYSCALL_NR
+        && MISS_EXIT.full_path[(nr_ / 64) as usize] & (1 << (nr_ % 64)) != 0
 }
 
 /// Shared syscall handling: notify the global handler, then execute
@@ -226,6 +228,22 @@ mod tests {
         let mut f = mk_frame(nr::GETPID, [0; 6]);
         let ret = unsafe { handle_syscall(&mut f, true) };
         assert_eq!(ret, std::process::id() as u64);
+    }
+
+    #[test]
+    fn emulated_set_is_the_seven_process_control_calls() {
+        let emulated: Vec<u64> = (0..1024).filter(|&n| needs_emulation(n)).collect();
+        let mut want = vec![
+            nr::RT_SIGRETURN,
+            nr::RT_SIGACTION,
+            nr::RT_SIGPROCMASK,
+            nr::CLONE,
+            nr::CLONE3,
+            nr::FORK,
+            nr::VFORK,
+        ];
+        want.sort_unstable();
+        assert_eq!(emulated, want);
     }
 
     #[test]

@@ -183,6 +183,10 @@ pub fn prepare_pkey() -> io::Result<()> {
     HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
     sud::pkey::init_protected_slab()?;
     sud::adopt_protected_selector()?;
+    // The selector moved: the stub must not store to the old byte and
+    // issue a syscall under the new one. (Threads enrolled from here on
+    // find the slab ready and are never armed.)
+    zpoline::thread_block().disarm();
     PKEY_ACTIVE.store(sud::pkey::slab_hardware_protected(), Ordering::SeqCst);
     Ok(())
 }
@@ -412,6 +416,11 @@ fn arm_backstop_inner() -> io::Result<()> {
         Ok(())
     };
 
+    // The entry stub's miss exit issues its syscall from zpoline's text,
+    // which the filter does not admit: withdraw it first, so that every
+    // thread, armed or not, is back on the full path — and through the
+    // gate — before the filter exists.
+    zpoline::set_miss_exit(None);
     // Arm the gate *before* installing: the install syscalls themselves
     // then already run through the soon-to-be-allowlisted page, and no
     // window exists where a filtered syscall could issue from our text.
@@ -427,6 +436,7 @@ fn arm_backstop_inner() -> io::Result<()> {
         }
         Err(e) => {
             syscalls::raw::clear_syscall_gate();
+            zpoline::set_miss_exit(Some(&crate::fastpath::MISS_EXIT));
             Err(e)
         }
     }

@@ -1,14 +1,20 @@
 //! Per-thread interposition state.
 //!
-//! The paper keeps per-task state in `%gs`-relative memory regions
-//! (§IV-B(a)); this reproduction uses Rust thread-locals, which are
-//! `%fs`-relative on x86-64 and satisfy the same requirement: per-task
-//! storage addressable without spilling application registers. All
-//! thread-locals here are `const`-initialized, so accesses compile to
-//! plain TLS loads with no lazy-initialization branch — safe from
-//! signal handlers and from the dispatcher.
+//! The paper keeps per-task state in `%gs`-relative memory regions so
+//! that the entry stub reaches it without spilling an application
+//! register (§IV-A, §IV-B(a)). Here that region starts with
+//! [`zpoline::ThreadBlock`], a cache line of initial-exec TLS declared
+//! next to the stub: the two flags below live in it (with the selector
+//! address, the dispatch-counter slot and the exit selector), because
+//! the stub must read them and a Rust `thread_local!` is something no
+//! assembly can name. The sigreturn stack only Rust touches, so it
+//! stays a `const`-initialized thread-local: a plain TLS access with no
+//! lazy-initialization branch, safe from signal handlers and from the
+//! dispatcher.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::UnsafeCell;
+
+use crate::counters;
 
 /// Maximum depth of nested signal deliveries whose selector state we
 /// can track. 64 nested signals on one thread would already mean a
@@ -34,15 +40,6 @@ pub(crate) struct SigreturnStack {
 }
 
 thread_local! {
-    /// Whether this thread asked for interposition (drives the
-    /// selector value the dispatcher restores on exit).
-    static ENROLLED: Cell<bool> = const { Cell::new(false) };
-
-    /// Re-entrancy guard: set while the dispatcher runs handler code,
-    /// cleared across application signal-handler invocations (which
-    /// must be interposed normally).
-    static IN_DISPATCH: Cell<bool> = const { Cell::new(false) };
-
     /// The per-thread sigreturn stack (paper §IV-B(c)).
     static SRSTACK: UnsafeCell<SigreturnStack> = const {
         UnsafeCell::new(SigreturnStack {
@@ -52,20 +49,54 @@ thread_local! {
     };
 }
 
+/// Whether this thread asked for interposition.
 pub(crate) fn enrolled() -> bool {
-    ENROLLED.with(|c| c.get())
+    zpoline::thread_block().enrolled()
 }
 
 pub(crate) fn set_enrolled(v: bool) {
-    ENROLLED.with(|c| c.set(v));
+    zpoline::thread_block().set_enrolled(v);
 }
 
+/// Re-entrancy guard: set while the dispatcher runs handler code,
+/// cleared across application signal-handler invocations (which must
+/// be interposed normally).
 pub(crate) fn in_dispatch() -> bool {
-    IN_DISPATCH.with(|c| c.get())
+    zpoline::thread_block().in_dispatch()
 }
 
 pub(crate) fn set_in_dispatch(v: bool) -> bool {
-    IN_DISPATCH.with(|c| c.replace(v))
+    zpoline::thread_block().set_in_dispatch(v)
+}
+
+/// Ends a dispatch: the selector becomes what the block says a dispatch
+/// ending now must leave behind — BLOCK for an enrolled thread at top
+/// level, ALLOW under a running handler (whose own syscalls follow) or
+/// when not enrolled. The one exit rule, for every way out of the
+/// dispatcher and for the stub's miss exit alike.
+#[inline]
+pub(crate) fn leave_dispatch() {
+    // The block only ever derives ALLOW or BLOCK, so this cannot panic.
+    sud::set_selector(sud::Dispatch::from_byte(zpoline::thread_block().exit_selector()));
+}
+
+/// Arms the stub's miss exit for the calling thread, at enrolment: from
+/// here on a syscall nobody asked to see leaves from the entry stub. A
+/// thread whose selector is on the pkey slab is never armed — its
+/// selector takes a `WRPKRU` bracket to write, and its syscalls must
+/// come from the gate page.
+pub(crate) fn arm_stub_exit() {
+    let block = zpoline::thread_block();
+    if sud::pkey::adopted_slot().is_null() {
+        // SAFETY: `selector_ptr` is the byte `sud::enable_thread` hands
+        // the kernel for this thread, in plain TLS (no slot was
+        // adopted), and stable for the thread's lifetime;
+        // `harden::prepare_pkey` disarms the block when it moves the
+        // selector afterwards.
+        unsafe { block.arm(sud::selector_ptr(), counters::slot(&counters::DISPATCHES)) };
+    } else {
+        block.disarm();
+    }
 }
 
 /// Pushes a `(selector, rip)` pair for the sigreturn trampoline.
@@ -127,6 +158,34 @@ mod tests {
         assert!(in_dispatch());
         assert!(set_in_dispatch(false));
         assert!(!in_dispatch());
+    }
+
+    #[test]
+    fn exit_selector_follows_both_flags() {
+        use sud::Dispatch::{Allow, Block};
+        let leaves = || {
+            leave_dispatch();
+            sud::selector()
+        };
+        assert_eq!(leaves(), Allow, "not enrolled");
+        set_enrolled(true);
+        assert_eq!(leaves(), Block, "enrolled, top level");
+        set_in_dispatch(true);
+        assert_eq!(leaves(), Allow, "enrolled, under a handler");
+        set_in_dispatch(false);
+        assert_eq!(leaves(), Block);
+        set_enrolled(false);
+        assert_eq!(leaves(), Allow);
+    }
+
+    #[test]
+    fn arming_points_the_block_at_this_threads_selector() {
+        let block = zpoline::thread_block();
+        assert!(!block.armed(), "a thread starts with a zeroed block");
+        arm_stub_exit();
+        assert!(block.armed());
+        block.disarm();
+        assert!(!block.armed());
     }
 
     #[test]

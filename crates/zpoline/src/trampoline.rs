@@ -1,4 +1,5 @@
-//! The page-zero trampoline and the assembly entry stub.
+//! The page-zero trampoline, the assembly entry stub and the per-thread
+//! block the stub reads.
 //!
 //! # Control flow after rewriting
 //!
@@ -7,13 +8,74 @@
 //!       call rax             ; ← was `syscall` (0f 05), now ff d0
 //!         │ pushes return address, jumps to VA = NR (< 512)
 //!         ▼
-//! 0x000..0x200: 90 90 90 ... ; nop sled, slides to…
+//! 0x000..0x200: eb 66 90 eb 66 90 … 90 90 ; the sled: a chain of short
+//!         │                                 jumps, at most five taken
+//!         ▼
 //! 0x200: movabs r11, lp_zpoline_entry ; jmp r11
 //!         ▼
-//! lp_zpoline_entry (asm below): save registers → save live xstate →
-//!       call the registered dispatcher → restore xstate → restore →
+//! lp_zpoline_entry (asm below), on rcx and r11 alone:
+//!       NR < 512, nobody interested in it, not one the dispatcher must
+//!       emulate, no fault site armed, this thread's block armed?
+//!         │ yes: the miss exit                  │ no: label 90, the full path
+//!         ▼                                     ▼
+//!       selector ← ALLOW                      save registers → save live
+//!       bump the thread's dispatch slot       xstate → call the registered
+//!       syscall                               dispatcher → restore xstate →
+//!       selector ← the block's exit selector  restore registers
+//!         ▼                                     ▼
 //!       ret   ; straight back to the instruction after the call site
 //! ```
+//!
+//! # The sled
+//!
+//! Every one of the 512 offsets is an entry point, so whatever the sled
+//! holds must decode, from every byte, to something that changes no
+//! register, flag or stack slot and ends at `0x200`. Plain `nop`s do,
+//! and cost one decode slot each: a `read` (number 0) walked 512 of
+//! them. The sled is instead the three-byte unit `eb XX 90` repeated
+//! ([`sled`]): entered at `+0` it is `jmp rel8`, at `+1` the bytes
+//! `XX 90` are a prefixed `nop` — every `XX` used is an operand-size or
+//! segment-override prefix, which a `nop` ignores — and at `+2` a plain
+//! `nop`. `XX` is the longest of five such hops that does not pass
+//! `0x200`, and the last 38 bytes, from where even the shortest hop
+//! would, are plain `nop`s: at most five taken jumps and 43 `nop`s from
+//! any entry (the unit test walks all 512 with [`crate::disasm`]).
+//!
+//! # The miss exit and the per-thread block
+//!
+//! The paper keeps per-task state in a `%gs`-relative region so that
+//! the stub reaches it "without spilling application registers"
+//! (§IV-A, §IV-B(a)). [`ThreadBlock`] is the start of that region here:
+//! one cache line of `%fs`-relative (initial-exec) TLS, declared next to
+//! the stub, holding the address of the thread's SUD selector byte, the
+//! thread's slot of the dispatch counter, the *exit selector* — the
+//! byte a dispatch that ends now must leave in the selector — and the
+//! enrolment and in-dispatch flags the exit selector is derived from.
+//!
+//! With it, a syscall nobody asked to see never builds a frame. The
+//! dispatcher publishes a [`MissExit`] ([`set_miss_exit`]): the address
+//! of the interest words its own gate reads and a bitmap of the numbers
+//! it must handle whatever the interest. The stub tests both for `rax`
+//! using `rcx` and `r11` only — `syscall` clobbers exactly those two —
+//! and, when the thread's block is armed ([`ThreadBlock::arm`]) and no
+//! fault-injection site is, issues the `syscall` itself. Between entry
+//! and that instruction only `rcx`, `r11` and the flags change; the
+//! kernel preserves every other register and all extended state, and
+//! the stack below the `call rax` push is never written. Anything else
+//! — a hit, a number ≥ 512, an unarmed or zeroed block (a thread that
+//! never enrolled), a withdrawn `MissExit` (hardened mode: the seccomp
+//! backstop admits the gate page, not this text) — falls through to
+//! the full path, which remains the reference the tests compare with.
+//!
+//! Initial-exec TLS is what lets two instructions reach the block, and
+//! it is sound wherever this crate is linked today: into an executable,
+//! or into the `LD_PRELOAD` shim, which the dynamic loader maps before
+//! it sizes the static TLS area. The price is paid by an object that
+//! is `dlopen`ed instead: one initial-exec reference marks the whole
+//! object `DF_STATIC_TLS`, so *all* of its TLS (the shim's is ~1.3 KiB)
+//! must fit the loader's static-TLS surplus — 1664 bytes in glibc
+//! unless `glibc.rtld.optional_static_tls` raises it — and `dlopen`
+//! fails when it does not.
 //!
 //! # ABI fidelity (paper §IV-B(b))
 //!
@@ -89,11 +151,14 @@
 //!
 //! The `call rax` push itself overwrites the top 8 bytes of the
 //! System-V red zone — an inherent property of the zpoline technique
-//! that the prototype shares. The stub protects the *rest* of the red
-//! zone by moving `rsp` down 128 bytes before its own pushes.
+//! that the prototype shares. The full path protects the *rest* of the
+//! red zone by moving `rsp` down 128 bytes before its own pushes; the
+//! miss exit never moves `rsp` and writes nothing below it.
 
+use std::cell::Cell;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::mem::offset_of;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use syscalls::MAX_SYSCALL_NR;
 
@@ -185,6 +250,9 @@ impl XstateMask {
 // LP_XSTATE_INIT: an all-zero XSAVE image; `xrstor64` from it loads
 //   the initial configuration of the components in RFBM.
 // LP_DISPATCH_PTR: the registered dispatcher (never 0 once installed).
+// LP_MISS_EXIT: the dispatcher's `MissExit`, null while it has none.
+// lp_thread_block: the calling thread's `ThreadBlock` (TLS, in the asm).
+// LP_FAULTS_ARMED (crate faultinject): the number of armed fault sites.
 
 #[no_mangle]
 static mut LP_XSTATE_MASK: u8 = 0b111;
@@ -202,6 +270,163 @@ static LP_XSTATE_INIT: XsaveImage = XsaveImage([0; 576]);
 #[no_mangle]
 static LP_DISPATCH_PTR: AtomicUsize = AtomicUsize::new(0);
 
+#[no_mangle]
+static LP_MISS_EXIT: AtomicPtr<MissExit> = AtomicPtr::new(std::ptr::null_mut());
+
+/// What a dispatcher publishes ([`set_miss_exit`]) so that the entry
+/// stub can issue, by itself, the syscalls the dispatcher would only
+/// pass through. Bit `nr % 64` of word `nr / 64` in both tables.
+#[repr(C)]
+pub struct MissExit {
+    /// Numbers the dispatcher handles whatever the interest in them.
+    pub full_path: [u64; 8],
+    /// The words the dispatcher's own interest gate reads, so that a
+    /// handler swap, a widening or a quarantine reaches the stub by the
+    /// same stores.
+    pub interest: &'static [AtomicU64; 8],
+}
+
+/// Publishes (or, with `None`, withdraws) the dispatcher's
+/// [`MissExit`]. Takes effect for subsequent trampoline entries on all
+/// threads whose [`ThreadBlock`] is armed.
+pub fn set_miss_exit(exit: Option<&'static MissExit>) {
+    let p = exit.map_or(std::ptr::null_mut(), |e| e as *const MissExit as *mut MissExit);
+    // Release: the tables are read-only statics, but a reader that sees
+    // the pointer must see them as initialised.
+    LP_MISS_EXIT.store(p, Ordering::Release);
+}
+
+/// Per-thread interposition state the entry stub reads (module docs).
+///
+/// A zeroed block — every thread starts with one — is a thread that is
+/// not enrolled, not in a dispatch, and never leaves from the stub.
+/// The exit selector is derived state: every setter here recomputes it,
+/// which is why the fields are private.
+#[repr(C)]
+pub struct ThreadBlock {
+    /// Address of the thread's SUD selector byte; null = unarmed.
+    selector: Cell<*mut u8>,
+    /// The thread's slot of the dispatcher's dispatch counter.
+    dispatches: Cell<*const AtomicU64>,
+    /// The byte a dispatch that ends now must leave in the selector:
+    /// BLOCK for an enrolled thread at top level, ALLOW inside a
+    /// handler or when not enrolled.
+    exit_selector: Cell<u8>,
+    in_dispatch: Cell<bool>,
+    enrolled: Cell<bool>,
+    /// Dispatches that left from the stub (debug builds count).
+    stub_exits: Cell<u64>,
+}
+
+/// `SYSCALL_DISPATCH_FILTER_BLOCK` of `<linux/syscall_user_dispatch.h>`
+/// (ALLOW is 0, which the stub stores as a literal).
+const SELECTOR_BLOCK: u8 = 1;
+
+impl ThreadBlock {
+    /// Whether this thread asked for interposition.
+    #[inline]
+    pub fn enrolled(&self) -> bool {
+        self.enrolled.get()
+    }
+
+    /// Records whether this thread asked for interposition.
+    #[inline]
+    pub fn set_enrolled(&self, v: bool) {
+        self.enrolled.set(v);
+        self.derive_exit_selector();
+    }
+
+    /// Whether the dispatcher is running handler code on this thread.
+    #[inline]
+    pub fn in_dispatch(&self) -> bool {
+        self.in_dispatch.get()
+    }
+
+    /// Sets the in-dispatch flag, returning the previous value.
+    #[inline]
+    pub fn set_in_dispatch(&self, v: bool) -> bool {
+        let was = self.in_dispatch.replace(v);
+        self.derive_exit_selector();
+        was
+    }
+
+    /// The selector byte a dispatch that ends now must leave behind.
+    #[inline]
+    pub fn exit_selector(&self) -> u8 {
+        self.exit_selector.get()
+    }
+
+    #[inline]
+    fn derive_exit_selector(&self) {
+        let block = self.enrolled.get() && !self.in_dispatch.get();
+        self.exit_selector.set(if block { SELECTOR_BLOCK } else { 0 });
+    }
+
+    /// Arms the stub's miss exit for this thread.
+    ///
+    /// # Safety
+    ///
+    /// For as long as the block stays armed, `selector` must be the
+    /// byte the kernel polls for this thread's Syscall User Dispatch
+    /// (or, for a thread SUD is off for, any byte of its own), writable
+    /// by a plain store: the stub's `syscall` executes right after it
+    /// stores ALLOW there, and a SIGSYS on that instruction would have
+    /// the rewriter patch the stub itself.
+    #[inline]
+    pub unsafe fn arm(&self, selector: *mut u8, dispatches: &'static AtomicU64) {
+        self.dispatches.set(dispatches);
+        // The selector is the key the stub tests: a signal handler that
+        // runs between the two stores must not find it without the slot.
+        std::sync::atomic::compiler_fence(Ordering::SeqCst);
+        self.selector.set(selector);
+    }
+
+    /// Sends this thread's dispatches back through the full path.
+    #[inline]
+    pub fn disarm(&self) {
+        self.selector.set(std::ptr::null_mut());
+    }
+
+    /// Whether [`ThreadBlock::arm`] took effect.
+    #[inline]
+    pub fn armed(&self) -> bool {
+        !self.selector.get().is_null()
+    }
+
+    /// Dispatches of this thread that left from the stub's miss exit.
+    /// Counted in builds with debug assertions only — an instrument for
+    /// the tests that must know which path ran; always 0 otherwise.
+    #[inline]
+    pub fn stub_exits(&self) -> u64 {
+        self.stub_exits.get()
+    }
+}
+
+/// The calling thread's [`ThreadBlock`].
+///
+/// The `'static` is the thread's lifetime; the type is neither `Send`
+/// nor `Sync` (cells and raw pointers), so the reference cannot reach
+/// another thread.
+#[inline(always)]
+pub fn thread_block() -> &'static ThreadBlock {
+    let block: *const ThreadBlock;
+    // SAFETY: initial-exec TLS arithmetic, `lp_thread_block`'s offset
+    // from the thread pointer plus the thread pointer (`fs:[0]`); the
+    // object is 64 zero-initialised, 64-aligned bytes per thread, a
+    // valid `ThreadBlock`, and only this thread (its signal handlers
+    // included) ever touches it — through `Cell`s here, through `fs:`
+    // in the stub.
+    unsafe {
+        std::arch::asm!(
+            "mov {block}, qword ptr [rip + lp_thread_block@GOTTPOFF]",
+            "add {block}, qword ptr fs:[0]",
+            block = out(reg) block,
+            options(pure, readonly, nostack),
+        );
+        &*block
+    }
+}
+
 /// Default dispatcher: execute the syscall unchanged (the paper's
 /// "dummy" interposition function used throughout the evaluation).
 unsafe extern "C" fn passthrough_dispatch(frame: *mut RawFrame) -> u64 {
@@ -209,8 +434,11 @@ unsafe extern "C" fn passthrough_dispatch(frame: *mut RawFrame) -> u64 {
 }
 
 /// Registers the dispatcher invoked for every rewritten syscall site,
-/// returning the previous one (if any).
+/// returning the previous one (if any). A [`MissExit`] belongs to the
+/// dispatcher that published it, so this withdraws the current one: the
+/// new dispatcher sees every call until it publishes its own.
 pub fn set_dispatcher(f: DispatchFn) -> Option<DispatchFn> {
+    set_miss_exit(None);
     // Release publishes the dispatcher's code and any state it closes
     // over before the pointer becomes visible; Acquire pairs with a
     // concurrent swap so the returned previous pointer is safe to call.
@@ -407,6 +635,16 @@ macro_rules! xstate_restore_asm {
 
 std::arch::global_asm!(
     r#"
+    # One cache line of initial-exec TLS per thread: the ThreadBlock.
+    .section .tbss,"awT",@nobits
+    .globl lp_thread_block
+    .hidden lp_thread_block
+    .type lp_thread_block, @object
+    .align 64
+lp_thread_block:
+    .zero 64
+    .size lp_thread_block, 64
+
     .text
     .globl lp_zpoline_entry
     .type lp_zpoline_entry, @function
@@ -414,6 +652,51 @@ std::arch::global_asm!(
 lp_zpoline_entry:
     # On entry (via the sled): [rsp] = return address pushed by `call rax`,
     # rax = syscall nr, args in rdi/rsi/rdx/r10/r8/r9.
+    #
+    # The miss exit (module docs). `syscall` clobbers rcx and r11, so
+    # they are free; nothing else may change before it is known that
+    # this path is taken to its end.
+    cmp rax, 512
+    jae 90f                       # outside the tables: always interesting
+    mov r11, qword ptr [rip + LP_MISS_EXIT@GOTPCREL]
+    mov r11, qword ptr [r11]
+    test r11, r11
+    jz 90f                        # no dispatcher published one
+    mov ecx, eax
+    shr ecx, 6
+    shl ecx, 3
+    add rcx, qword ptr [r11 + {interest}]
+    mov rcx, qword ptr [rcx]      # interest word nr / 64
+    bt rcx, rax                   # bit nr % 64: a register bt wraps
+    jc 90f                        # a handler wants it (hits leave here)
+    mov ecx, eax
+    shr ecx, 6
+    mov rcx, qword ptr [r11 + {full_path} + rcx*8]
+    bt rcx, rax
+    jc 90f                        # the dispatcher emulates it
+    mov rcx, qword ptr [rip + LP_FAULTS_ARMED@GOTPCREL]
+    cmp qword ptr [rcx], 0
+    jne 90f                       # armed seams see every selector write
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    mov r11, qword ptr fs:[rcx + {selector}]
+    test r11, r11
+    jz 90f                        # this thread's block is not armed
+    mov byte ptr [r11], 0         # selector = ALLOW
+    mov r11, qword ptr fs:[rcx + {dispatches}]
+    lock inc qword ptr [r11]
+"#,
+    #[cfg(debug_assertions)]
+    "inc qword ptr fs:[rcx + {stub_exits}]",
+    r#"
+    syscall
+    # rax = result; rcx and r11 hold the kernel's leftovers.
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    mov r11, qword ptr fs:[rcx + {selector}]
+    movzx ecx, byte ptr fs:[rcx + {exit_selector}]
+    mov byte ptr [r11], cl
+    ret
+
+90: # The full path.
     sub rsp, 128                  # protect the rest of the red zone
     push qword ptr [rsp + 128]    # frame.ret_addr
     push rbp                      # frame.saved_rbp
@@ -452,7 +735,14 @@ lp_zpoline_entry:
     add rsp, 128                  # un-skip the red zone
     ret                           # to the instruction after the call site
     .size lp_zpoline_entry, . - lp_zpoline_entry
-"#
+"#,
+    interest = const offset_of!(MissExit, interest),
+    full_path = const offset_of!(MissExit, full_path),
+    selector = const offset_of!(ThreadBlock, selector),
+    dispatches = const offset_of!(ThreadBlock, dispatches),
+    exit_selector = const offset_of!(ThreadBlock, exit_selector),
+    #[cfg(debug_assertions)]
+    stub_exits = const offset_of!(ThreadBlock, stub_exits),
 );
 
 extern "C" {
@@ -479,6 +769,34 @@ pub struct Trampoline {
 /// Total bytes mapped at address 0 (sled + jump stub, page-rounded).
 pub const TRAMPOLINE_BYTES: usize = 4096;
 
+const SLED_LEN: usize = MAX_SYSCALL_NR as usize;
+
+/// The displacements of the sled's jumps, longest first. Each is also
+/// a prefix byte (operand size, then the DS, SS, CS and ES overrides,
+/// which 64-bit mode ignores): in front of a `nop` it makes a longer
+/// `nop`.
+const SLED_HOPS: [u8; 5] = [0x66, 0x3e, 0x36, 0x2e, 0x26];
+
+/// The sled (module docs): `eb XX 90` units, `XX` the longest hop whose
+/// target `i + 2 + XX` does not pass the end, then plain `nop`s from
+/// where the shortest would.
+pub const fn sled() -> [u8; SLED_LEN] {
+    let mut bytes = [0x90u8; SLED_LEN];
+    let mut i = 0;
+    loop {
+        let mut hop = 0;
+        while hop < SLED_HOPS.len() && i + 2 + SLED_HOPS[hop] as usize > SLED_LEN {
+            hop += 1;
+        }
+        if hop == SLED_HOPS.len() {
+            return bytes;
+        }
+        bytes[i] = 0xeb;
+        bytes[i + 1] = SLED_HOPS[hop];
+        i += 3;
+    }
+}
+
 impl Trampoline {
     /// Maps the trampoline page at virtual address 0 and arms it.
     ///
@@ -490,7 +808,7 @@ impl Trampoline {
     /// Fails with the underlying `mmap`/`mprotect` error — most commonly
     /// `EPERM` when `vm.mmap_min_addr > 0`.
     pub fn install() -> io::Result<Trampoline> {
-        let sled_len = MAX_SYSCALL_NR as usize;
+        let sled_len = SLED_LEN;
         // Acquire pairs with the Release store at the end of a
         // concurrent install, so a caller that observes `true` also
         // observes the fully written trampoline page.
@@ -552,10 +870,12 @@ impl Trampoline {
         }
 
         unsafe {
-            // nop sled covering every syscall number. The sled starts at
-            // address 0, which Rust pointer intrinsics treat as null, so
-            // the fill goes through libc (plain FFI, no null checks).
-            libc::memset(page, 0x90, sled_len);
+            // The sled, an entry point for every syscall number. It
+            // starts at address 0, which Rust pointer intrinsics treat
+            // as null, so the copy goes through libc (plain FFI, no
+            // null checks).
+            static SLED: [u8; SLED_LEN] = sled();
+            libc::memcpy(page, SLED.as_ptr().cast(), sled_len);
             // movabs r11, lp_zpoline_entry ; jmp r11
             // (r11 is syscall-clobbered, so scribbling it is ABI-clean.)
             let stub = sled_len as *mut u8; // page base is 0
@@ -585,7 +905,7 @@ impl Trampoline {
         TRAMPOLINE_INSTALLED.load(Ordering::Acquire)
     }
 
-    /// Length of the nop sled (= number of syscall numbers covered).
+    /// Length of the sled (= number of syscall numbers covered).
     pub fn sled_len(&self) -> usize {
         self.sled_len
     }
@@ -706,6 +1026,152 @@ mod tests {
             [u64::MAX, buf.as_ptr() as u64, 2, 0, 0, 0],
         ));
         assert_eq!(Errno::from_ret(r), Some(Errno::EBADF));
+    }
+
+    /// What executing the sled from `entry` does, decoded with this
+    /// crate's own decoder: (taken jumps, nops) up to offset `0x200`.
+    fn walk_sled(sled: &[u8], entry: usize) -> (usize, usize) {
+        let (mut at, mut jumps, mut nops) = (entry, 0, 0);
+        while at < sled.len() {
+            let insn = crate::disasm::decode(&sled[at..]);
+            assert!(insn.known && !insn.is_syscall, "entry {entry}: byte {at}");
+            match sled[at..at + insn.len] {
+                [0xeb, rel] => {
+                    assert!(rel < 0x80, "entry {entry}: backward jump at {at}");
+                    at += 2 + rel as usize;
+                    jumps += 1;
+                    assert!(at <= sled.len(), "entry {entry}: jump past the sled");
+                    continue;
+                }
+                // A nop, or a nop behind one prefix that it ignores.
+                [0x90] | [0x66 | 0x3e | 0x36 | 0x2e | 0x26, 0x90] => nops += 1,
+                ref other => panic!("entry {entry}: {other:02x?} at {at}"),
+            }
+            at += insn.len;
+        }
+        assert_eq!(at, sled.len(), "entry {entry} must end exactly at the stub");
+        (jumps, nops)
+    }
+
+    #[test]
+    fn sled_is_transparent_from_every_entry() {
+        let sled = sled();
+        assert_eq!(sled.len(), 0x200);
+        let walks: Vec<_> = (0..sled.len()).map(|entry| walk_sled(&sled, entry)).collect();
+        assert_eq!(walks.iter().map(|w| w.0).max(), Some(5), "taken jumps");
+        assert_eq!(walks.iter().map(|w| w.1).max(), Some(43), "nops executed");
+        // The numbers new code uses most sit where a fixed `eb 66 90`
+        // chain would leave a 103-nop tail.
+        for nr in [435, 436, 437, 439] {
+            assert!(walks[nr].0 == 1 && walks[nr].1 <= 13, "{nr}: {:?}", walks[nr]);
+        }
+    }
+
+    unsafe extern "C" fn recording_dispatch(frame: *mut RawFrame) -> u64 {
+        SEEN_NR.store((*frame).nr, Ordering::SeqCst);
+        0x5eed
+    }
+
+    #[test]
+    fn sled_delivers_the_number_it_was_entered_at() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        let prev = set_dispatcher(recording_dispatch).expect("install registers one");
+        for nr in [0, 1, 2, 39, 231, 257, 334, 435, 511] {
+            SEEN_NR.store(u64::MAX, Ordering::SeqCst);
+            assert_eq!(call_via_trampoline(syscalls::SyscallArgs::nullary(nr)), 0x5eed);
+            assert_eq!(SEEN_NR.load(Ordering::SeqCst), nr);
+        }
+        set_dispatcher(prev);
+    }
+
+    #[test]
+    fn block_starts_zeroed_and_derives_the_exit_selector() {
+        assert!(std::mem::size_of::<ThreadBlock>() <= 64);
+        std::thread::spawn(|| {
+            let block = thread_block();
+            assert_eq!(block as *const ThreadBlock as usize % 64, 0);
+            assert!(!block.armed() && !block.enrolled() && !block.in_dispatch());
+            assert_eq!(block.exit_selector(), 0);
+            block.set_enrolled(true);
+            assert_eq!(block.exit_selector(), SELECTOR_BLOCK);
+            assert!(!block.set_in_dispatch(true));
+            assert_eq!(block.exit_selector(), 0, "under a handler");
+            assert!(block.set_in_dispatch(false));
+            assert_eq!(block.exit_selector(), SELECTOR_BLOCK);
+            let other = std::thread::spawn(|| thread_block().enrolled()).join().unwrap();
+            assert!(!other, "one block per thread");
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// The miss exit against a dispatcher that would answer differently:
+    /// which of the two ran shows in the return value.
+    #[test]
+    fn miss_exit_is_taken_only_when_everything_allows_it() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
+            return;
+        }
+        static INTEREST: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
+        static EXIT: MissExit = MissExit {
+            // getuid stands in for a call the dispatcher emulates.
+            full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
+            interest: &INTEREST,
+        };
+        static DISPATCHES: AtomicU64 = AtomicU64::new(0);
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        let prev = set_dispatcher(recording_dispatch).expect("install registers one");
+        let pid = unsafe { libc::getpid() } as u64;
+        let getpid = || call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETPID));
+
+        // A thread of its own: a fresh block, and nobody else's armed.
+        std::thread::spawn(move || {
+            let block = thread_block();
+            let mut selector = 0xffu8;
+            let stub_exits = || thread_block().stub_exits();
+
+            assert_eq!(getpid(), 0x5eed, "nothing published");
+            set_miss_exit(Some(&EXIT));
+            assert_eq!(getpid(), 0x5eed, "block not armed");
+            // SAFETY: SUD is off for this thread; the byte is its own.
+            unsafe { block.arm(&mut selector, &DISPATCHES) };
+            block.set_enrolled(true);
+
+            let before = (DISPATCHES.load(Ordering::SeqCst), stub_exits());
+            assert_eq!(getpid(), pid, "the stub's own syscall");
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 1);
+            assert_eq!(stub_exits(), before.1 + cfg!(debug_assertions) as u64);
+            assert_eq!(unsafe { std::ptr::read_volatile(&selector) }, SELECTOR_BLOCK);
+            block.set_in_dispatch(true);
+            assert_eq!(getpid(), pid);
+            assert_eq!(unsafe { std::ptr::read_volatile(&selector) }, 0, "under a handler");
+            block.set_in_dispatch(false);
+
+            INTEREST[(nr::GETPID / 64) as usize].store(1 << (nr::GETPID % 64), Ordering::Relaxed);
+            assert_eq!(getpid(), 0x5eed, "a handler is interested");
+            INTEREST[(nr::GETPID / 64) as usize].store(0, Ordering::Relaxed);
+            let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
+            assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
+            faultinject::arm(faultinject::Site::PkruSwitch, faultinject::Schedule::Nth(1), None);
+            assert_eq!(getpid(), 0x5eed, "a fault site is armed");
+            faultinject::disarm(faultinject::Site::PkruSwitch);
+            assert_eq!(getpid(), pid);
+            block.disarm();
+            assert_eq!(getpid(), 0x5eed, "disarmed");
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
+        })
+        .join()
+        .unwrap();
+
+        set_dispatcher(prev);
+        assert!(LP_MISS_EXIT.load(Ordering::SeqCst).is_null(), "withdrawn with its dispatcher");
     }
 
     /// Loads a sentinel into xmm7, crosses the trampoline, reads it
