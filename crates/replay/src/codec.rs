@@ -34,6 +34,7 @@
 //! so it may allocate freely.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::EventRecord;
 use crate::format::TraceError;
@@ -101,9 +102,36 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 
 // ——— encoder ————————————————————————————————————————————————————————
 
+/// Hasher for the encoder's `(sysno, site)` key: one multiply per
+/// word and a fold, where the default SipHash was the larger half of an
+/// encode. Not collision-resistant — a program that crafts its call
+/// sites to collide slows its own recording's drain thread, no more.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        // 2^64 / golden ratio, odd: spreads a word's low bits upward.
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Not the key's path (a `u64` hashes through `write_u64`).
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes with the low bits, which a multiply leaves
+        // the poorest (sites are 16-aligned): fold the high half in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Streaming LPTRACE2 encoder: one per trace, records in trace order.
 pub struct Lp2Encoder {
-    dict: HashMap<(u64, u64), u64>,
+    dict: HashMap<(u64, u64), u64, BuildHasherDefault<PairHasher>>,
     prev_tsc: u64,
     prev_tid: u32,
 }
@@ -119,7 +147,7 @@ impl Lp2Encoder {
     /// fresh [`Lp2Decoder`].
     pub fn new() -> Lp2Encoder {
         Lp2Encoder {
-            dict: HashMap::new(),
+            dict: HashMap::default(),
             prev_tsc: 0,
             prev_tid: 0,
         }

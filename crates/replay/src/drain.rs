@@ -10,8 +10,9 @@
 //! ftruncate) are neither interposed nor recorded, and it cannot
 //! deadlock against the engine it serves.
 //!
-//! Each sweep drains every claimed ring, sorts the batch by `tsc` (the
-//! cross-thread merge key), and appends it to the writer. Between
+//! Each sweep claims what every ring holds, merges the rings by `tsc`
+//! (the cross-thread merge key) reading the records in place, and only
+//! then frees the rings (see [`sweep`]). Between
 //! empty sweeps the thread backs off adaptively — a bounded stretch of
 //! `yield_now`, then `park_timeout` — so an idle recorder costs
 //! nothing measurable. [`DrainHandle::stop`] sets the stop flag,
@@ -19,15 +20,16 @@
 //! rings are empty, so every event pushed before `stop` lands in the
 //! trace.
 
-use std::io;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::io::{self, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::event::EventRecord;
 use crate::format::TraceWriter;
-use crate::ring;
+use crate::ring::{self, SpscRing};
 use crate::spill::MmapSink;
 
 /// Records appended to a trace by drain sweeps (process lifetime),
@@ -112,11 +114,10 @@ fn run(
     mut writer: TraceWriter<MmapSink>,
     stop: &AtomicBool,
 ) -> io::Result<TraceWriter<MmapSink>> {
-    let mut pending: Vec<EventRecord> = Vec::new();
     let mut idle_sweeps = 0u32;
     loop {
         let stopping = stop.load(Ordering::Acquire);
-        let n = sweep(&mut writer, &mut pending)?;
+        let n = sweep(ring::claimed(), &mut writer)?;
         if n == 0 {
             if stopping {
                 return Ok(writer);
@@ -130,7 +131,7 @@ fn run(
                 // went near-full between the empty sweep above and the
                 // store would have read PARKED unset and skipped its
                 // wake. Only park when still empty.
-                if sweep(&mut writer, &mut pending)? == 0 {
+                if sweep(ring::claimed(), &mut writer)? == 0 {
                     std::thread::park_timeout(IDLE_PARK);
                 }
                 PARKED.store(false, Ordering::Relaxed);
@@ -144,21 +145,138 @@ fn run(
     }
 }
 
-/// One sweep: drain every ring, merge by timestamp, append.
-pub(crate) fn sweep(
-    writer: &mut TraceWriter<MmapSink>,
-    pending: &mut Vec<EventRecord>,
+/// One sweep: claim `[tail, head)` of every ring, stream the k-way
+/// merge by `tsc` into the writer, flush it, and only then free the
+/// rings and count the events as spilled — so a counted event's bytes
+/// are in the sink and its slot is the producer's again.
+///
+/// Each ring is one producer's in-order `rdtsc` stamps, so merging the
+/// rings' fronts is a stable sort of their concatenation: equal stamps
+/// go to the lower ring index, and one ring is a plain walk.
+pub(crate) fn sweep<W: Write + Seek>(
+    rings: &[SpscRing],
+    writer: &mut TraceWriter<W>,
 ) -> io::Result<usize> {
-    pending.clear();
-    ring::drain_all(|rec| pending.push(rec));
-    // One claimed ring is already in tsc order (one producer, in-order
-    // rdtsc stamps); the merge sort only earns its keep across rings.
-    if ring::rings_claimed() > 1 {
-        pending.sort_by_key(|r| r.tsc);
+    let mut spans: Vec<ring::Span> = rings.iter().filter_map(SpscRing::span).collect();
+    if spans.is_empty() {
+        return Ok(0);
     }
-    for rec in pending.iter() {
-        writer.append(rec)?;
+    let mut fronts: BinaryHeap<_> = spans
+        .iter()
+        .enumerate()
+        .filter_map(|(i, span)| Some(Reverse((span.peek()?.tsc, i))))
+        .collect();
+    while let Some(Reverse((_, i))) = fronts.pop() {
+        // The run this ring owns: up to the next ring's front.
+        let limit = fronts.peek().map(|next| next.0);
+        let span = &mut spans[i];
+        while let Some(rec) = span.peek() {
+            if limit.is_some_and(|limit| (rec.tsc, i) > limit) {
+                fronts.push(Reverse((rec.tsc, i)));
+                break;
+            }
+            writer.append(rec)?;
+            span.advance();
+        }
     }
-    EVENTS_SPILLED.fetch_add(pending.len() as u64, Ordering::Relaxed);
-    Ok(pending.len())
+    writer.flush()?;
+    let n = spans.into_iter().map(ring::Span::release).sum();
+    EVENTS_SPILLED.fetch_add(n as u64, Ordering::Relaxed);
+    Ok(n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::EventRecord;
+    use crate::format::TraceHeader;
+    use std::io::Cursor;
+
+    /// What `sweep` was before it streamed: copy every ring out, stable
+    /// sort the copy by `tsc` when more than one ring fed it, append.
+    /// The oracle the merge must match byte for byte.
+    fn collect_and_sort(
+        rings: &[SpscRing],
+        writer: &mut TraceWriter<Cursor<Vec<u8>>>,
+    ) -> io::Result<usize> {
+        let mut all: Vec<EventRecord> = Vec::new();
+        for ring in rings {
+            ring.drain(|rec| all.push(rec));
+        }
+        if rings.len() > 1 {
+            all.sort_by_key(|r| r.tsc);
+        }
+        for rec in &all {
+            writer.append(rec)?;
+        }
+        Ok(all.len())
+    }
+
+    /// Fills one ring per entry of `sizes` from a seeded generator.
+    /// Stamps within a ring never go back and step by 0–2, so equal
+    /// stamps are common inside a ring and across rings.
+    fn seeded_rings(seed: u64, sizes: &[usize]) -> Vec<SpscRing> {
+        let mut rng = proptest::test_runner::TestRng::for_case(seed);
+        let mut next = move || rng.next_u64() >> 8;
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let ring = SpscRing::with_capacity(1024);
+                let mut tsc = 1_000 + next() % 4;
+                for _ in 0..n {
+                    tsc += next() % 3;
+                    let rec = EventRecord {
+                        sysno: next() % 7,
+                        args: [next() % 5, 0, next(), 0, 0, 0],
+                        ret: next() % 4096,
+                        tsc,
+                        site: 0x40_0000 + (next() % 9) * 16,
+                        tid: 100 + i as u32,
+                    };
+                    assert!(ring.push(rec));
+                }
+                ring
+            })
+            .collect()
+    }
+
+    fn trace_bytes(
+        sizes: &[usize],
+        drain: impl Fn(&[SpscRing], &mut TraceWriter<Cursor<Vec<u8>>>) -> io::Result<usize>,
+    ) -> Vec<u8> {
+        let header = TraceHeader::new("sim:lazypoline", 3_000_000_000);
+        let mut writer = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
+        // Two rounds, so the second starts on rewound rings and on an
+        // encoder that has seen the first.
+        for round in 0..2 {
+            let rings = seeded_rings(0x5eed + round, sizes);
+            assert_eq!(
+                drain(&rings, &mut writer).unwrap(),
+                sizes.iter().sum::<usize>()
+            );
+            assert!(rings.iter().all(SpscRing::is_empty), "rings freed");
+        }
+        writer.finalize(0).unwrap().0.into_inner()
+    }
+
+    #[test]
+    fn streaming_merge_writes_what_collect_and_sort_wrote() {
+        let shapes: [&[usize]; 4] = [
+            &[700],
+            &[300, 1000],
+            // An empty ring in the middle, a full one at the end.
+            &[257, 1000, 0, 64, 1024],
+            &[0, 0],
+        ];
+        for sizes in shapes {
+            let merged = trace_bytes(sizes, sweep);
+            assert!(
+                merged == trace_bytes(sizes, collect_and_sort),
+                "{sizes:?}: merged trace differs from the sorted one"
+            );
+            let (_, records) = crate::read_trace(Cursor::new(merged)).unwrap();
+            assert_eq!(records.len(), 2 * sizes.iter().sum::<usize>());
+        }
+    }
 }

@@ -26,7 +26,8 @@
 //! read-only: traces recorded before the migration keep working).
 //!
 //! Everything is little-endian. The header is written first with
-//! `events_dropped = 0` and patched in place on
+//! `events_dropped = 0` and patched in place (with the TSC frequency,
+//! which a recording measures over its own length) on
 //! [`TraceWriter::finalize`], so a crash mid-recording leaves a
 //! readable (if drop-undercounting) trace — flight-recorder semantics.
 
@@ -34,7 +35,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::codec::{Lp2Decoder, Lp2Encoder};
+use crate::codec::{Lp2Decoder, Lp2Encoder, MAX_ENCODED_SIZE};
 use crate::event::{EventRecord, RECORD_SIZE};
 
 /// Trace file magic of the fixed-record generation.
@@ -56,9 +57,13 @@ pub const HEADER_SIZE: usize = 64;
 /// interposers support.
 pub const ARCH_X86_64: u32 = 62;
 
-/// Byte offset of the `events_dropped` header field (patched at
-/// finalize).
-const DROPPED_OFFSET: u64 = 32;
+/// Byte offset of the `tsc_hz` header field; `events_dropped` follows
+/// it, and finalize patches the pair.
+const TSC_HZ_OFFSET: u64 = 24;
+
+/// Encoded bytes [`TraceWriter::append`] collects before it writes
+/// them out on its own.
+const BATCH_BYTES: usize = 64 << 10;
 
 /// Maximum stored length of the source-mechanism name.
 const MECHANISM_FIELD: usize = 24;
@@ -210,8 +215,9 @@ pub struct TraceWriter<W: Write + Seek> {
     out: W,
     events: u64,
     bytes: u64,
+    tsc_hz: u64,
     encoder: Lp2Encoder,
-    /// Encode scratch, reused across appends.
+    /// Encoded records not yet written to `out`.
     scratch: Vec<u8>,
 }
 
@@ -232,35 +238,55 @@ impl<W: Write + Seek> TraceWriter<W> {
             out,
             events: 0,
             bytes: HEADER_SIZE as u64,
+            tsc_hz: header.tsc_hz,
             encoder: Lp2Encoder::new(),
-            scratch: Vec::new(),
+            scratch: Vec::with_capacity(BATCH_BYTES + MAX_ENCODED_SIZE),
         })
     }
 
-    /// Appends one record.
+    /// Appends one record. Its bytes reach the sink with the batch they
+    /// fill, at the next [`flush`](TraceWriter::flush), or at
+    /// [`finalize`](TraceWriter::finalize).
     pub fn append(&mut self, rec: &EventRecord) -> io::Result<()> {
-        self.scratch.clear();
-        self.encoder.encode(rec, &mut self.scratch);
-        self.out.write_all(&self.scratch)?;
+        self.bytes += self.encoder.encode(rec, &mut self.scratch) as u64;
         self.events += 1;
-        self.bytes += self.scratch.len() as u64;
+        if self.scratch.len() >= BATCH_BYTES {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Records written so far.
+    /// Writes every appended record's bytes to the sink.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.scratch)?;
+        self.scratch.clear();
+        Ok(())
+    }
+
+    /// Records appended so far.
     pub fn events(&self) -> u64 {
         self.events
     }
 
-    /// Bytes written so far (header included).
+    /// Bytes appended so far (header included).
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Patches the final drop count into the header, flushes, and
-    /// returns the underlying writer plus the record count.
+    /// Replaces the header's TSC frequency, for a recording that
+    /// calibrates while it runs; [`finalize`](TraceWriter::finalize)
+    /// writes it.
+    pub fn set_tsc_hz(&mut self, tsc_hz: u64) {
+        self.tsc_hz = tsc_hz;
+    }
+
+    /// Writes out what is buffered, patches the TSC frequency and the
+    /// final drop count into the header, flushes, and returns the
+    /// underlying writer plus the record count.
     pub fn finalize(mut self, events_dropped: u64) -> io::Result<(W, u64)> {
-        self.out.seek(SeekFrom::Start(DROPPED_OFFSET))?;
+        self.flush()?;
+        self.out.seek(SeekFrom::Start(TSC_HZ_OFFSET))?;
+        self.out.write_all(&self.tsc_hz.to_le_bytes())?;
         self.out.write_all(&events_dropped.to_le_bytes())?;
         self.out.seek(SeekFrom::End(0))?;
         self.out.flush()?;
@@ -423,6 +449,32 @@ mod tests {
         assert_eq!(h.tsc_hz, 2_100_000_000);
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[3], sample(3));
+    }
+
+    #[test]
+    fn appends_reach_the_sink_in_batches_at_flush_and_at_finalize() {
+        let header = TraceHeader::new("x", 0);
+        let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
+        w.append(&sample(0)).unwrap();
+        assert_eq!(w.out.get_ref().len(), HEADER_SIZE, "buffered, not written");
+        w.flush().unwrap();
+        assert_eq!(w.out.get_ref().len() as u64, w.bytes());
+        let (flushed, mut n) = (w.bytes(), 1);
+        while w.out.get_ref().len() as u64 == flushed {
+            assert!(w.bytes() < flushed + (BATCH_BYTES + MAX_ENCODED_SIZE) as u64);
+            w.append(&sample(n)).unwrap();
+            n += 1;
+        }
+        assert!(w.bytes() >= flushed + BATCH_BYTES as u64, "a full batch");
+        assert_eq!(w.out.get_ref().len() as u64, w.bytes(), "went out whole");
+        w.append(&sample(n)).unwrap();
+        // A session calibrates while it records; finalize stamps it.
+        w.set_tsc_hz(2_400_000_000);
+        let (cursor, events) = w.finalize(3).unwrap();
+        let (h, recs) = read_trace(Cursor::new(cursor.into_inner())).unwrap();
+        assert_eq!((h.tsc_hz, h.events_dropped), (2_400_000_000, 3));
+        assert_eq!(recs.len() as u64, events);
+        assert_eq!(recs.last(), Some(&sample(n)));
     }
 
     #[test]

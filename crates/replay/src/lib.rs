@@ -38,6 +38,7 @@ mod record;
 mod replay;
 pub mod ring;
 pub mod spill;
+mod tsc;
 
 pub use event::{EventRecord, RECORD_SIZE};
 pub use format::{

@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 
@@ -14,18 +14,16 @@ use crate::event::EventRecord;
 use crate::format::{TraceHeader, TraceWriter};
 use crate::ring;
 use crate::spill::MmapSink;
+use crate::tsc;
 
 /// Environment variable selecting the drain mode: unset or `async`
 /// runs the dedicated drain thread (zero drops at steady state);
 /// `sync` runs the same sweep on the caller, at phase boundaries.
 pub const DRAIN_ENV: &str = "LP_DRAIN";
 
-/// Events successfully recorded into a ring (process lifetime).
-static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
-
 /// Events successfully recorded into a ring since process start.
 pub fn events_recorded() -> u64 {
-    EVENTS_RECORDED.load(Ordering::Relaxed)
+    ring::total_pushed()
 }
 
 /// Events dropped by the overflow policy (full ring or exhausted ring
@@ -62,17 +60,6 @@ fn current_tid() -> u32 {
     })
 }
 
-#[inline]
-fn timestamp() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: rdtsc has no side effects or preconditions.
-    unsafe {
-        core::arch::x86_64::_rdtsc()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    0
-}
-
 /// A [`SyscallHandler`] that records every event it sees into the
 /// calling thread's flight-recorder ring, then defers the actual
 /// decision to an optional inner handler.
@@ -104,17 +91,14 @@ impl RecordHandler {
 
     #[inline]
     fn record(&self, event: &SyscallEvent, ret: u64) {
-        let ok = ring::push_current_thread(EventRecord {
+        ring::push_current_thread(EventRecord {
             sysno: event.call.nr,
             args: event.call.args,
             ret,
-            tsc: timestamp(),
+            tsc: tsc::now(),
             site: event.site as u64,
             tid: current_tid(),
         });
-        if ok {
-            EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -204,8 +188,6 @@ enum Mode {
     Sync {
         /// `None` once finished (consumed by `finish` or drop).
         writer: Option<TraceWriter<MmapSink>>,
-        /// Drain buffer, reused so only the first drain grows it.
-        pending: Vec<EventRecord>,
     },
     /// The dedicated drain thread, continuously.
     Async {
@@ -246,6 +228,8 @@ pub struct Recorder {
     /// The process that opened the session.
     owner_pid: u32,
     dropped_at_start: u64,
+    /// The clock pair taken at open; `finish` takes the other.
+    calibration: tsc::Calibration,
 }
 
 impl Recorder {
@@ -283,7 +267,9 @@ impl Recorder {
         ring::drain_all(|_| {});
         let dropped_at_start = ring::total_dropped();
 
-        let header = TraceHeader::new(source_mechanism, calibrate_tsc_hz());
+        // Uncalibrated until `finish` has a session's length to
+        // measure over.
+        let header = TraceHeader::new(source_mechanism, 0);
         let owner_pid = std::process::id();
         let sink = MmapSink::create(&part_path(path, owner_pid)).map_err(release_on)?;
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
@@ -294,7 +280,6 @@ impl Recorder {
         } else {
             Mode::Sync {
                 writer: Some(writer),
-                pending: Vec::new(),
             }
         };
         Ok(Recorder {
@@ -302,6 +287,7 @@ impl Recorder {
             path: path.to_path_buf(),
             owner_pid,
             dropped_at_start,
+            calibration: tsc::Calibration::start(),
         })
     }
 
@@ -313,8 +299,7 @@ impl Recorder {
         match &mut self.mode {
             Mode::Sync {
                 writer: Some(writer),
-                pending,
-            } if std::process::id() == self.owner_pid => drain::sweep(writer, pending),
+            } if std::process::id() == self.owner_pid => drain::sweep(ring::claimed(), writer),
             _ => Ok(0),
         }
     }
@@ -333,12 +318,9 @@ impl Recorder {
     /// drain thread exists only there) or renamed; this process's copy
     /// of the session slot is freed.
     fn disown(&mut self) -> Option<io::Result<RecordSummary>> {
-        let finished = Mode::Sync {
-            writer: None,
-            pending: Vec::new(),
-        };
+        let finished = Mode::Sync { writer: None };
         match std::mem::replace(&mut self.mode, finished) {
-            Mode::Sync { writer: None, .. } => return None,
+            Mode::Sync { writer: None } => return None,
             inherited => std::mem::forget(inherited),
         }
         SESSION_ACTIVE.store(false, Ordering::Release);
@@ -353,13 +335,13 @@ impl Recorder {
             return self.disown();
         }
         let swept = match &mut self.mode {
-            Mode::Sync { writer, pending } => {
+            Mode::Sync { writer } => {
                 let mut writer = writer.take()?;
-                drain::sweep(&mut writer, pending).map(|_| writer)
+                drain::sweep(ring::claimed(), &mut writer).map(|_| writer)
             }
             Mode::Async { handle } => handle.take()?.stop(),
         };
-        let writer = match swept {
+        let mut writer = match swept {
             Ok(writer) => writer,
             Err(e) => {
                 SESSION_ACTIVE.store(false, Ordering::Release);
@@ -368,6 +350,7 @@ impl Recorder {
         };
         let dropped = ring::total_dropped() - self.dropped_at_start;
         let bytes = writer.bytes();
+        writer.set_tsc_hz(self.calibration.finish());
         // The sink closes (and trims) inside `finalize`; only a
         // complete trace takes the session's name.
         let result = writer.finalize(dropped).and_then(|(_, events)| {
@@ -398,26 +381,6 @@ impl Drop for Recorder {
     fn drop(&mut self) {
         let _ = self.finish_inner();
     }
-}
-
-/// Estimates the TSC frequency by timing a short sleep against
-/// `CLOCK_MONOTONIC`. Good to a few percent — enough for the header's
-/// "clock calibration" field to convert trace timestamps to wall time.
-fn calibrate_tsc_hz() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let t0 = std::time::Instant::now();
-        let c0 = timestamp();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let cycles = timestamp().wrapping_sub(c0);
-        let nanos = t0.elapsed().as_nanos() as u64;
-        if nanos == 0 {
-            return 0;
-        }
-        (cycles as u128 * 1_000_000_000u128 / nanos as u128) as u64
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    0
 }
 
 #[cfg(test)]
@@ -460,7 +423,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn tsc_calibration_is_plausible() {
-        let hz = calibrate_tsc_hz();
+        let hz = tsc::Calibration::start().finish();
         // Any machine running this is somewhere between 100 MHz and 10 GHz.
         assert!(hz > 100_000_000 && hz < 10_000_000_000, "tsc_hz = {hz}");
     }

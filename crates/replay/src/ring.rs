@@ -289,16 +289,21 @@ fn unmap_slots(ptr: *mut EventRecord, capacity: usize) {
 ///
 /// # Growth protocol
 ///
-/// Only the producer ever replaces `slots`/`capacity`, and only while
-/// it observes the ring **empty** (`head == tail`). The consumer reads
-/// `slots`/`capacity` only after an `Acquire` load of `head` showed
-/// the ring non-empty — and a non-empty ring is never swapped — so the
-/// consumer always dereferences the array its records were written to.
-/// All records live in one array at any instant (a swap at empty means
-/// no record straddles generations), which keeps masked indexing with
-/// monotonic head/tail correct across capacity changes.
+/// Record `i` lives in slot `(i - base) & (capacity - 1)` of `slots`.
+/// Only the producer ever replaces `(slots, capacity, base)`, and only
+/// while it observes the ring **empty** (`head == tail`) — growth swaps
+/// the array, the rewind sets `base = head` — publishing the triple
+/// before the `Release` store of `head` that makes the ring non-empty
+/// again. The consumer reads the triple only after an `Acquire` load
+/// of `head` showed the ring non-empty, and before it publishes `tail`;
+/// a non-empty ring's triple never changes, so the consumer always
+/// computes the slots its records were written to. Empty is the only
+/// safe point: all of `[tail, head)` was pushed under one triple (a
+/// change at record `i` needs `tail == i`), so no record straddles
+/// arrays or bases, and masked indexing with monotonic head/tail stays
+/// correct across both.
 pub struct SpscRing {
-    /// Next write index (monotonic; slot = index & (capacity - 1)).
+    /// Next write index (monotonic; see "Growth protocol" for the slot).
     head: AtomicUsize,
     /// Next read index (monotonic).
     tail: AtomicUsize,
@@ -320,6 +325,8 @@ pub struct SpscRing {
     slots: AtomicPtr<EventRecord>,
     /// Power-of-two slot count (0 until mapped).
     capacity: AtomicUsize,
+    /// `head` as of the last push at empty: the index held by slot 0.
+    base: AtomicUsize,
 }
 
 impl SpscRing {
@@ -337,6 +344,7 @@ impl SpscRing {
             dropped_at_last_grow: AtomicU64::new(0),
             slots: AtomicPtr::new(std::ptr::null_mut()),
             capacity: AtomicUsize::new(0),
+            base: AtomicUsize::new(0),
         }
     }
 
@@ -380,13 +388,21 @@ impl SpscRing {
             crate::drain::wake_if_parked();
             return false;
         }
-        if occupied == 0 && self.want_grow.load(Ordering::Relaxed) {
-            (slots, cap) = self.grow_now(slots, cap);
+        let mut base = self.base.load(Ordering::Relaxed);
+        if occupied == 0 {
+            if self.want_grow.load(Ordering::Relaxed) {
+                (slots, cap) = self.grow_now(slots, cap);
+            }
+            // Rewind: a drained ring starts over at slot 0, so it only
+            // ever touches as many slots as it has been behind.
+            base = head;
+            self.base.store(base, Ordering::Release);
         }
-        // SAFETY: slot `head` is outside `[tail, head)` so the consumer
-        // is not reading it; this thread is the only producer.
+        // SAFETY: record `head` is outside `[tail, head)` so the
+        // consumer is not reading its slot; this thread is the only
+        // producer.
         unsafe {
-            *slots.add(head & (cap - 1)) = rec;
+            *slots.add(head.wrapping_sub(base) & (cap - 1)) = rec;
         }
         self.head.store(head.wrapping_add(1), Ordering::Release);
         if (occupied + 1) * NEAR_FULL_DEN >= cap * NEAR_FULL_NUM {
@@ -450,29 +466,50 @@ impl SpscRing {
         (new_slots, new_cap)
     }
 
-    /// Removes every available record in FIFO order, passing each to
-    /// `f`. Returns how many were drained. Consumer side only.
-    pub fn drain(&self, mut f: impl FnMut(EventRecord)) -> usize {
+    /// Claims everything currently buffered for the consumer, or `None`
+    /// when the ring is empty. Consumer side only; the records stay in
+    /// the ring — and the ring can neither grow nor rewind — until
+    /// [`Span::release`].
+    pub(crate) fn span(&self) -> Option<Span<'_>> {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
         if head == tail {
+            return None;
+        }
+        // Loaded after the Acquire on `head`: a non-empty ring keeps
+        // its array and base, so these are what the records were
+        // written under.
+        Some(Span {
+            ring: self,
+            slots: self.slots.load(Ordering::Acquire),
+            mask: self.capacity.load(Ordering::Acquire) - 1,
+            base: self.base.load(Ordering::Acquire),
+            next: tail,
+            head,
+        })
+    }
+
+    /// Removes every available record in FIFO order, passing each to
+    /// `f`. Returns how many were drained. Consumer side only.
+    pub fn drain(&self, mut f: impl FnMut(EventRecord)) -> usize {
+        let Some(mut span) = self.span() else {
             return 0;
+        };
+        while let Some(rec) = span.peek() {
+            f(*rec);
+            span.advance();
         }
-        // Loaded after the Acquire on `head`: a non-empty ring is never
-        // swapped, so this is the array the records were written to.
-        let slots = self.slots.load(Ordering::Acquire);
+        span.release()
+    }
+
+    /// Slot the next push writes while the ring stays non-empty (a push
+    /// at empty rewinds to slot 0 first). Racy snapshot.
+    pub fn write_slot(&self) -> usize {
         let cap = self.capacity.load(Ordering::Acquire);
-        let mut idx = tail;
-        while idx != head {
-            // SAFETY: slots in `[tail, head)` are published by the
-            // producer's Release store and not rewritten until the
-            // consumer advances tail past them.
-            let rec = unsafe { *slots.add(idx & (cap - 1)) };
-            f(rec);
-            idx = idx.wrapping_add(1);
-        }
-        self.tail.store(head, Ordering::Release);
-        head.wrapping_sub(tail)
+        self.head
+            .load(Ordering::Acquire)
+            .wrapping_sub(self.base.load(Ordering::Acquire))
+            & cap.wrapping_sub(1)
     }
 
     /// Records currently buffered (racy snapshot).
@@ -505,6 +542,48 @@ impl SpscRing {
     /// Times this ring's slot array was doubled.
     pub fn grows(&self) -> u64 {
         self.grows.load(Ordering::Relaxed)
+    }
+}
+
+/// The consumer's claim on one ring's `[tail, head)` as of
+/// [`SpscRing::span`], read in place.
+pub(crate) struct Span<'a> {
+    ring: &'a SpscRing,
+    slots: *const EventRecord,
+    mask: usize,
+    base: usize,
+    /// Next record to hand out; `head` once exhausted.
+    next: usize,
+    head: usize,
+}
+
+impl Span<'_> {
+    /// The oldest record not yet advanced past.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<&EventRecord> {
+        if self.next == self.head {
+            return None;
+        }
+        let slot = self.next.wrapping_sub(self.base) & self.mask;
+        // SAFETY: records in `[tail, head)` are published by the
+        // producer's Release store of `head` and their slots are not
+        // rewritten until `release` advances `tail` past them, which
+        // consumes the span this reference borrows.
+        Some(unsafe { &*self.slots.add(slot) })
+    }
+
+    /// Steps past the record [`peek`](Span::peek) returned.
+    #[inline]
+    pub(crate) fn advance(&mut self) {
+        debug_assert_ne!(self.next, self.head);
+        self.next = self.next.wrapping_add(1);
+    }
+
+    /// Frees the whole span for the producer and returns its length.
+    pub(crate) fn release(self) -> usize {
+        let tail = self.ring.tail.load(Ordering::Relaxed);
+        self.ring.tail.store(self.head, Ordering::Release);
+        self.head.wrapping_sub(tail)
     }
 }
 
@@ -576,32 +655,37 @@ pub fn rings_claimed() -> usize {
     NEXT_RING.load(Ordering::Relaxed).min(HARD_MAX_RINGS)
 }
 
+/// The pool rings claimed so far, in claim order.
+pub(crate) fn claimed() -> &'static [SpscRing] {
+    &RINGS[..rings_claimed()]
+}
+
+/// Records ever accepted by the pool's rings: the sum of their
+/// monotonic heads.
+pub(crate) fn total_pushed() -> u64 {
+    claimed()
+        .iter()
+        .map(|r| r.head.load(Ordering::Relaxed) as u64)
+        .sum()
+}
+
 /// Drains every claimed pool ring, passing records to `f` (per-ring
 /// FIFO order; cross-ring interleaving is the caller's to resolve,
 /// e.g. by sorting on [`EventRecord::tsc`]). Single drainer at a time.
 pub fn drain_all(mut f: impl FnMut(EventRecord)) -> usize {
-    RINGS[..rings_claimed()]
-        .iter()
-        .map(|r| r.drain(&mut f))
-        .sum()
+    claimed().iter().map(|r| r.drain(&mut f)).sum()
 }
 
 /// Cumulative events dropped across the pool: full rings plus
 /// pool-exhausted threads.
 pub fn total_dropped() -> u64 {
-    RINGS[..rings_claimed()]
-        .iter()
-        .map(SpscRing::dropped)
-        .sum::<u64>()
+    claimed().iter().map(SpscRing::dropped).sum::<u64>()
         + POOL_EXHAUSTED_DROPS.load(Ordering::Relaxed)
 }
 
 /// Cumulative near-full (backpressure) observations across the pool.
 pub fn total_near_full() -> u64 {
-    RINGS[..rings_claimed()]
-        .iter()
-        .map(SpscRing::near_full)
-        .sum()
+    claimed().iter().map(SpscRing::near_full).sum()
 }
 
 /// Cumulative adaptive ring growths (pool and standalone rings).

@@ -116,3 +116,40 @@ proptest! {
         }
     }
 }
+
+/// More distinct (sysno, site) pairs than one resize of the encoder's
+/// dictionary table holds, the all-ones pair among them: the second
+/// pass over the same pairs must find every one (a reference is a few
+/// bytes, a literal is the key again), and the stream round-trips.
+#[test]
+fn many_distinct_pairs_are_found_again_after_the_table_grows() {
+    const PAIRS: u64 = 5000;
+    let pass = |base_tsc: u64| {
+        (0..PAIRS)
+            .map(move |i| EventRecord {
+                // Real shapes: few syscall numbers, 16-aligned sites.
+                sysno: i % 11,
+                site: 0x7f00_0000_0000 + (i / 11) * 16,
+                tsc: base_tsc + i,
+                ..EventRecord::ZERO
+            })
+            .chain(std::iter::once(EventRecord {
+                sysno: u64::MAX,
+                site: u64::MAX,
+                tsc: base_tsc + PAIRS,
+                ..EventRecord::ZERO
+            }))
+    };
+    let first: Vec<EventRecord> = pass(0).collect();
+    let both: Vec<EventRecord> = pass(0).chain(pass(PAIRS + 1)).collect();
+    let literal = encode_stream(&first).len();
+    let referenced = encode_stream(&both).len() - literal;
+    assert!(
+        referenced * 2 < literal,
+        "second pass {referenced} B against {literal} B: dictionary misses"
+    );
+    let decoded = Lp2Decoder::new()
+        .decode_all(&encode_stream(&both), 0)
+        .expect("well-formed stream");
+    assert_eq!(decoded, both);
+}

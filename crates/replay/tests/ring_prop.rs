@@ -1,5 +1,9 @@
 //! Property tests for the flight-recorder ring: round-trip fidelity,
-//! ordering, and drop-counter accuracy under arbitrary workloads.
+//! ordering, and drop-counter accuracy under arbitrary workloads —
+//! across the rewinds a drained ring makes and the growth a pressed one
+//! does.
+
+use std::collections::VecDeque;
 
 use lp_replay::ring::{SpscRing, DEFAULT_RING_CAPACITY};
 use lp_replay::EventRecord;
@@ -22,7 +26,96 @@ fn rec(seq: u64) -> EventRecord {
     }
 }
 
+/// One step of an interleaving, as one thread can play it.
+#[derive(Clone, Debug)]
+enum Step {
+    /// The producer pushes this many records.
+    Burst(usize),
+    /// The consumer drains everything.
+    Drain,
+    /// The consumer drains while the producer pushes this many more:
+    /// the drain ends with the ring non-empty, so the next push finds
+    /// no empty ring to rewind or grow.
+    PartialDrain(usize),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        // Past 3/4 of 64 slots often enough to force growth, past 64
+        // (drops, and the jump to the growth ceiling) sometimes.
+        (1usize..100).prop_map(Step::Burst),
+        Just(Step::Drain),
+        (1usize..40).prop_map(Step::PartialDrain),
+    ]
+}
+
 proptest! {
+    /// Bursts, full drains, drains the producer races and forced growth
+    /// in any order: accepted records come out once each and in order,
+    /// and every observed event is in the ring, drained or counted as
+    /// dropped — whatever slot a rewind put it in.
+    #[test]
+    fn interleavings_conserve_events_across_rewinds_and_growth(
+        steps in proptest::collection::vec(arb_step(), 1..60),
+    ) {
+        let ring = SpscRing::with_capacity(64);
+        let in_flight = std::cell::RefCell::new(VecDeque::new());
+        let (mut observed, mut drained) = (0u64, 0u64);
+        let push = |observed: &mut u64| {
+            if ring.push(rec(*observed)) {
+                in_flight.borrow_mut().push_back(*observed);
+            }
+            *observed += 1;
+        };
+        for step in steps {
+            let mut racing = match step {
+                Step::Burst(n) => {
+                    (0..n).for_each(|_| push(&mut observed));
+                    continue;
+                }
+                Step::Drain => 0,
+                Step::PartialDrain(n) => n,
+            };
+            drained += ring.drain(|r| {
+                let expect = in_flight.borrow_mut().pop_front();
+                assert_eq!(Some(r), expect.map(rec), "FIFO order");
+                if racing > 0 {
+                    racing -= 1;
+                    push(&mut observed);
+                }
+            }) as u64;
+        }
+        drained += ring.drain(|r| {
+            assert_eq!(Some(r), in_flight.borrow_mut().pop_front().map(rec));
+        }) as u64;
+        prop_assert!(ring.is_empty() && in_flight.borrow().is_empty());
+        prop_assert_eq!(drained + ring.dropped(), observed, "recorded + dropped == observed");
+    }
+
+    /// The footprint property: a ring drained after every burst of at
+    /// most k events only ever writes its first k slots, however many
+    /// events pass through it.
+    #[test]
+    fn a_drained_ring_stays_in_its_first_slots(
+        k in 1usize..700,
+        bursts in proptest::collection::vec(0usize..700, 1..24),
+    ) {
+        let ring = default_ring();
+        let mut seq = 0u64;
+        for burst in bursts.into_iter().map(|b| 1 + b % k) {
+            for written in 0..burst {
+                prop_assert!(ring.push(rec(seq)));
+                seq += 1;
+                // The push wrote slot `written`; the next one is its
+                // neighbour, still inside the first k.
+                prop_assert_eq!(ring.write_slot(), written + 1);
+                prop_assert!(written < k);
+            }
+            prop_assert_eq!(ring.drain(|_| {}), burst);
+        }
+        prop_assert_eq!(ring.dropped(), 0);
+    }
+
     /// Write N (≤ capacity), drain N: every record comes back intact,
     /// in order, with zero drops.
     #[test]
@@ -87,4 +180,38 @@ proptest! {
             prop_assert_eq!(next_drain, next_push, "drain catches up to pushes");
         }
     }
+}
+
+/// Two threads, 2 M sequence-numbered records, a ring that starts at 64
+/// slots: whatever the scheduler does — rewinds on every catch-up,
+/// growth after the first overflow — the consumer sees a strictly
+/// increasing sequence and every push is drained or counted as dropped.
+#[test]
+fn two_thread_stress_keeps_order_and_accounts_for_every_push() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const PUSHED: u64 = 2_000_000;
+    let ring = SpscRing::with_capacity(64);
+    let done = AtomicBool::new(false);
+    let (mut drained, mut last) = (0u64, None);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for seq in 0..PUSHED {
+                ring.push(rec(seq));
+            }
+            done.store(true, Ordering::Release);
+        });
+        loop {
+            let finished = done.load(Ordering::Acquire);
+            drained += ring.drain(|r| {
+                assert!(last < Some(r.tsc), "{last:?} then {}", r.tsc);
+                assert_eq!(r, rec(r.tsc), "record torn");
+                last = Some(r.tsc);
+            }) as u64;
+            if finished && ring.is_empty() {
+                break;
+            }
+        }
+    });
+    assert_eq!(drained + ring.dropped(), PUSHED);
 }
