@@ -1124,8 +1124,11 @@ mod tests {
             // SAFETY: nonexistent syscall, returns ENOSYS.
             unsafe { syscalls::raw::syscall(call) }
         });
+        // The installed handler asked directly: what the shared sequence
+        // must come to for a decision that is not a passthrough.
         let mut ev = interpose::SyscallEvent::new(args);
-        let expected = match interpose::dispatch_global(&mut ev) {
+        let handler = interpose::global_handler().expect("just installed");
+        let expected = match handler.handle(&mut ev) {
             Action::Passthrough => unreachable!("Sentinel decides 500"),
             Action::Return(v) => v,
             Action::Fail(e) => e.as_ret(),

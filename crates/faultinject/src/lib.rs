@@ -223,10 +223,10 @@ impl SiteState {
 static SITES: [SiteState; NUM_SITES] = [const { SiteState::new() }; NUM_SITES];
 
 /// Count of currently armed sites. The disarmed fast path in [`check`]
-/// reads only this — and so does zpoline's entry stub, by this name,
-/// before it issues a syscall without calling the dispatcher: while any
-/// site is armed, every dispatch takes the path the seams are on.
-#[no_mangle]
+/// reads only this — and so do zpoline's entry stub and its
+/// `ThreadBlock`, before a selector store that bypasses
+/// `sud::set_selector`: while any site is armed, every dispatch takes
+/// the path the seams are on.
 pub static LP_FAULTS_ARMED: AtomicUsize = AtomicUsize::new(0);
 
 /// Consults the seam at `site`: `None` means proceed normally (the

@@ -38,9 +38,9 @@ pub use interest::InterestSet;
 pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};
 pub use registry::{
-    dispatch_global, global_handler, global_interested, install_handler, interest_words,
-    interpose_syscall, post_global, quarantined_handlers, refresh_global_interest,
-    set_global_handler, widen_global_interest, HandlerGuard,
+    global_handler, global_interested, install_handler, interest_words, interpose_event,
+    interpose_syscall, quarantined_handlers, refresh_global_interest, set_global_handler,
+    widen_global_interest, HandlerGuard,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
 pub use rewrite::FdRedirectHandler;
@@ -89,11 +89,13 @@ pub struct SyscallEvent {
 
 impl SyscallEvent {
     /// Creates an event with no site attribution.
+    #[inline]
     pub fn new(call: SyscallArgs) -> SyscallEvent {
         SyscallEvent { call, site: 0 }
     }
 
     /// Creates an event attributed to a code address.
+    #[inline]
     pub fn with_site(call: SyscallArgs, site: usize) -> SyscallEvent {
         SyscallEvent { call, site }
     }

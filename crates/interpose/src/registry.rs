@@ -13,9 +13,9 @@
 //! A handler panic must never unwind into the dispatcher: the dispatch
 //! frames sit below hand-written assembly (and, on the slow path,
 //! inside a signal handler), where unwinding is undefined behaviour and
-//! would take the whole process down for a bug in *policy* code. Both
-//! [`dispatch_global`] and [`post_global`] therefore run the handler
-//! under [`std::panic::catch_unwind`]; the first panic **quarantines**
+//! would take the whole process down for a bug in *policy* code.
+//! [`interpose_event`] therefore runs both `handle` and `post` under
+//! [`std::panic::catch_unwind`]; the first panic **quarantines**
 //! the handler — it is atomically disabled, its interest cache is
 //! zeroed (so the fast path stops even consulting it), the event is
 //! counted, and the intercepted syscall passes through unmodified.
@@ -35,7 +35,7 @@ static GLOBAL: AtomicPtr<Box<dyn SyscallHandler>> = AtomicPtr::new(std::ptr::nul
 /// hot path pays one relaxed load and a bit test instead of a virtual
 /// `interest()` call per syscall. All-ones when no handler is
 /// registered (an unfiltered mechanism must still reach
-/// [`dispatch_global`], which handles the null case).
+/// [`interpose_event`], which handles the null case).
 ///
 /// The words are updated one at a time after the handler pointer is
 /// stored, so a concurrent reader can observe a mix of the old and new
@@ -205,6 +205,7 @@ pub fn global_interested(nr: u64) -> bool {
 }
 
 /// Returns the registered handler, if any.
+#[inline]
 pub fn global_handler() -> Option<&'static dyn SyscallHandler> {
     let p = GLOBAL.load(Ordering::Acquire);
     if p.is_null() {
@@ -216,34 +217,48 @@ pub fn global_handler() -> Option<&'static dyn SyscallHandler> {
     }
 }
 
-/// Runs the global handler on `event`; [`Action::Passthrough`] when no
-/// handler is registered or the handler is quarantined. A panicking
-/// handler is quarantined and the event passes through (see the module
-/// docs).
-pub fn dispatch_global(event: &mut SyscallEvent) -> Action {
-    match global_handler() {
-        Some(h) if !QUARANTINED.load(Ordering::Relaxed) => {
-            // AssertUnwindSafe: on panic the handler is never called
-            // again (quarantine), so broken invariants are unobservable.
-            match panic::catch_unwind(AssertUnwindSafe(|| h.handle(event))) {
-                Ok(action) => action,
-                Err(_) => {
-                    quarantine_global();
-                    Action::Passthrough
-                }
-            }
+/// The per-syscall decision sequence behind the interest gate, in one
+/// pass: the global handler's `handle` on `event`, execution of a
+/// `Passthrough` (via the caller-supplied `execute`, which reads the
+/// handler's possibly-rewritten number/arguments from the event), and
+/// the handler's `post` hook on the result.
+///
+/// The handler pointer is loaded once for both halves. With no handler
+/// registered, or a quarantined one, the call passes through and
+/// nothing else runs. A panic in `handle` quarantines the handler
+/// (module docs), and the call still executes, without `post`; a panic
+/// in `post` quarantines it and leaves the syscall's real return value
+/// untouched; a handler quarantined while the call executed — by
+/// another thread's dispatch, or a nested one — is not asked to `post`.
+///
+/// A mechanism that has already tested the interest set itself (the
+/// lazypoline dispatcher: once, for its own raw exit) enters here;
+/// everything else goes through [`interpose_syscall`].
+#[inline]
+pub fn interpose_event<F>(event: &mut SyscallEvent, execute: F) -> u64
+where
+    F: FnOnce(&SyscallArgs) -> u64,
+{
+    let handler = match global_handler() {
+        Some(h) if !QUARANTINED.load(Ordering::Relaxed) => h,
+        _ => return execute(&event.call),
+    };
+    // AssertUnwindSafe: on panic the handler is never called again
+    // (quarantine), so broken invariants are unobservable.
+    let action = match panic::catch_unwind(AssertUnwindSafe(|| handler.handle(event))) {
+        Ok(action) => action,
+        Err(_) => {
+            quarantine_global();
+            return execute(&event.call);
         }
-        _ => Action::Passthrough,
-    }
-}
-
-/// Runs the global handler's post hook on an executed syscall's result.
-/// Quarantine applies as in [`dispatch_global`]; a panic here leaves the
-/// syscall's real return value untouched.
-pub fn post_global(event: &SyscallEvent, ret: u64) -> u64 {
-    match global_handler() {
-        Some(h) if !QUARANTINED.load(Ordering::Relaxed) => {
-            match panic::catch_unwind(AssertUnwindSafe(|| h.post(event, ret))) {
+    };
+    match action {
+        Action::Passthrough => {
+            let ret = execute(&event.call);
+            if QUARANTINED.load(Ordering::Relaxed) {
+                return ret;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| handler.post(event, ret))) {
                 Ok(r) => r,
                 Err(_) => {
                     quarantine_global();
@@ -251,22 +266,22 @@ pub fn post_global(event: &SyscallEvent, ret: u64) -> u64 {
                 }
             }
         }
-        _ => ret,
+        Action::Return(v) => v,
+        Action::Fail(e) => e.as_ret(),
     }
 }
 
 /// The complete per-syscall decision sequence every mechanism runs: the
-/// interest gate, event construction, [`dispatch_global`], execution of
-/// a `Passthrough` (via the caller-supplied `execute`, with the
-/// handler's possibly-rewritten number/arguments), and the
-/// [`post_global`] hook.
+/// interest gate, event construction, and [`interpose_event`].
 ///
-/// This is the **single source of truth** for that sequence.
-/// `fastpath::lazypoline_dispatch` runs it after capturing the register
-/// frame, the SUD-only interposer runs it inside its `SIGSYS` handler,
-/// and the dispatch-cost microbenchmark (`loop_interest_dispatch`) calls
-/// it directly — so the benchmark measures the production decision path
-/// by construction instead of maintaining a copy of it.
+/// This is the **single source of truth** for that sequence. The
+/// SUD-only interposer runs it inside its `SIGSYS` handler and the
+/// dispatch-cost microbenchmark (`loop_interest_dispatch`) calls it
+/// directly; `fastpath::lazypoline_dispatch`, which needs the gate's
+/// answer for itself, reads it once and enters [`interpose_event`] —
+/// the function below the gate here — so the benchmark measures the
+/// production decision path by construction instead of maintaining a
+/// copy of it.
 ///
 /// `execute` performs the (possibly rewritten) syscall and returns its
 /// raw result; it is not called for `Return`/`Fail` decisions. `site`
@@ -280,14 +295,7 @@ where
         return execute(call);
     }
     let mut event = SyscallEvent::with_site(call, site);
-    match dispatch_global(&mut event) {
-        Action::Passthrough => {
-            let ret = execute(event.call);
-            post_global(&event, ret)
-        }
-        Action::Return(v) => v,
-        Action::Fail(e) => e.as_ret(),
-    }
+    interpose_event(&mut event, |decided| execute(*decided))
 }
 
 #[cfg(test)]
@@ -295,6 +303,39 @@ mod tests {
     use super::*;
     use crate::{InterestSet, PassthroughHandler};
     use std::sync::Mutex;
+
+    /// The two halves [`interpose_event`] fused, as they were when each
+    /// was a public function that loaded the handler and the quarantine
+    /// flag for itself: the oracle the one-pass sequence is compared to.
+    fn dispatch_global(event: &mut SyscallEvent) -> Action {
+        match global_handler() {
+            Some(h) if !QUARANTINED.load(Ordering::Relaxed) => {
+                match panic::catch_unwind(AssertUnwindSafe(|| h.handle(event))) {
+                    Ok(action) => action,
+                    Err(_) => {
+                        quarantine_global();
+                        Action::Passthrough
+                    }
+                }
+            }
+            _ => Action::Passthrough,
+        }
+    }
+
+    fn post_global(event: &SyscallEvent, ret: u64) -> u64 {
+        match global_handler() {
+            Some(h) if !QUARANTINED.load(Ordering::Relaxed) => {
+                match panic::catch_unwind(AssertUnwindSafe(|| h.post(event, ret))) {
+                    Ok(r) => r,
+                    Err(_) => {
+                        quarantine_global();
+                        ret
+                    }
+                }
+            }
+            _ => ret,
+        }
+    }
 
     // The registry is process-global; serialize the tests that install
     // handlers so they don't observe each other's installs mid-assert.
@@ -480,6 +521,51 @@ mod tests {
         );
         let call = SyscallArgs::new(syscalls::nr::WRITE, [5, 0, 0, 0, 0, 0]);
         assert_eq!(interpose_syscall(call, 0, |c| c.args[0] * 10), 60 | 0x100);
+
+        // The one pass around a handler that fails in the middle of it.
+        let prev_hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        static POSTS: AtomicU64 = AtomicU64::new(0);
+        /// Panics in `handle` on getpid and in `post` on getppid; counts
+        /// the posts it was asked for.
+        struct Faulty;
+        impl SyscallHandler for Faulty {
+            fn handle(&self, event: &mut SyscallEvent) -> Action {
+                assert_ne!(event.call.nr, syscalls::nr::GETPID, "policy bug");
+                Action::Passthrough
+            }
+            fn post(&self, event: &SyscallEvent, ret: u64) -> u64 {
+                POSTS.fetch_add(1, Ordering::Relaxed);
+                assert_ne!(event.call.nr, syscalls::nr::GETPPID, "policy bug");
+                ret | 0x100
+            }
+        }
+        let posts = || POSTS.load(Ordering::Relaxed);
+        let run = |nr| interpose_syscall(SyscallArgs::nullary(nr), 0, |c| c.nr + 1);
+
+        // Healthy: handle, execute, post.
+        set_global_handler(Box::new(Faulty));
+        let events = quarantined_handlers();
+        assert_eq!(run(syscalls::nr::WRITE), (syscalls::nr::WRITE + 1) | 0x100);
+        assert_eq!(posts(), 1);
+        // Panic in `handle`: the call executes, `post` is not run.
+        assert_eq!(run(syscalls::nr::GETPID), syscalls::nr::GETPID + 1);
+        assert_eq!((posts(), quarantined_handlers()), (1, events + 1));
+        // Panic in `post`: the executed call's own result comes back.
+        set_global_handler(Box::new(Faulty));
+        assert_eq!(run(syscalls::nr::GETPPID), syscalls::nr::GETPPID + 1);
+        assert_eq!((posts(), quarantined_handlers()), (2, events + 2));
+        // Quarantined while the call executes (here by a nested dispatch
+        // whose `handle` panics): `post` is skipped for the outer one too.
+        set_global_handler(Box::new(Faulty));
+        let outer = interpose_syscall(SyscallArgs::nullary(syscalls::nr::WRITE), 0, |c| {
+            run(syscalls::nr::GETPID);
+            c.nr + 1
+        });
+        assert_eq!(outer, syscalls::nr::WRITE + 1);
+        assert_eq!((posts(), quarantined_handlers()), (2, events + 3));
+
+        panic::set_hook(prev_hook);
         set_global_handler(Box::new(PassthroughHandler));
     }
 }

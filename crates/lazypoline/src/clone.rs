@@ -72,7 +72,7 @@ pub(crate) fn reenroll_after_clone() {
 /// `fork`/`vfork` (and `clone` without a new stack).
 pub(crate) unsafe fn handle_fork(_frame: &mut RawFrame) -> u64 {
     // vfork → fork downgrade (see module docs).
-    let ret = raw_internal::syscall(SyscallArgs::nullary(nr::FORK));
+    let ret = raw_internal::syscall(&SyscallArgs::nullary(nr::FORK));
     if ret == 0 {
         reenroll_after_clone();
     }
@@ -87,7 +87,7 @@ pub(crate) unsafe fn handle_clone(frame: &mut RawFrame) -> u64 {
     if child_stack == 0 {
         // fork-like: child continues in this dispatcher frame (CoW or
         // shared stack with CLONE_VFORK semantics handled by caller).
-        let ret = raw_internal::syscall(frame.syscall_args());
+        let ret = raw_internal::syscall(&frame.syscall_args());
         if ret == 0 {
             reenroll_after_clone();
         }
@@ -165,11 +165,12 @@ std::arch::global_asm!(
     .type lp_clone_child_shim, @function
 lp_clone_child_shim:
     # rsp → [app continuation]; rax = 0 (we are the child).
-    call lp_clone_child_init@PLT
+    call {init}
     xor eax, eax
     ret
     .size lp_clone_child_shim, . - lp_clone_child_shim
-"#
+"#,
+    init = sym lp_clone_child_init,
 );
 
 extern "C" {
@@ -177,7 +178,6 @@ extern "C" {
 }
 
 /// Rust side of the child-start shim.
-#[no_mangle]
 unsafe extern "C" fn lp_clone_child_init() {
     // The parent was enrolled (it dispatched this clone). A fresh TLS
     // block (CLONE_SETTLS) says "not enrolled" — inherit the parent's

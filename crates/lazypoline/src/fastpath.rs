@@ -2,11 +2,11 @@
 //! the fast path (trampoline) and the slow path (SIGSYS emulation
 //! fallback), exactly as the paper motivates in §IV-A(c).
 
+use interpose::SyscallEvent;
 use sud::Dispatch;
 use syscalls::{nr, Errno, SyscallArgs};
 use zpoline::RawFrame;
 
-use crate::counters::{self, DISPATCHES};
 use crate::{clone, raw_internal, signals, tls};
 
 /// Byte offset from the `RawFrame` pointer to the application's `rsp`
@@ -28,9 +28,15 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 /// that itself reached a rewritten site (ALLOW, and it must stay so) —
 /// the exit rule is the same for all three, which is what makes
 /// selector-only SUD work.
+///
+/// A hit on an armed thread is one straight line: the count and both
+/// selector stores go through the thread's block (a plain `inc`, two
+/// byte stores), the interest word is read once, and the only calls
+/// are the handler's two and [`raw_internal::syscall`].
 pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64 {
-    counters::bump(&DISPATCHES);
-    sud::set_selector(Dispatch::Allow);
+    let block = zpoline::thread_block();
+    tls::count_dispatch(block);
+    tls::enter_dispatch(block);
 
     let frame = &mut *frame;
 
@@ -48,16 +54,16 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
     // a handler re-entered the dispatcher, e.g. through a patched libc
     // call. Syscalls the engine must emulate for correctness (signals,
     // clones) go through `handle_syscall` regardless of interest.
-    let miss = !needs_emulation(frame.nr) && !interpose::global_interested(frame.nr);
-    let ret = if miss || tls::in_dispatch() {
-        raw_internal::syscall(frame.syscall_args())
+    let interested = interpose::global_interested(frame.nr);
+    let ret = if block.in_dispatch() || !(interested || needs_emulation(frame.nr)) {
+        raw_internal::syscall(&frame.syscall_args())
     } else {
-        let was = tls::set_in_dispatch(true);
-        let ret = handle_syscall(frame, true);
-        tls::set_in_dispatch(was);
+        let was = block.set_in_dispatch(true);
+        let ret = handle_syscall(frame, interested);
+        block.set_in_dispatch(was);
         ret
     };
-    tls::leave_dispatch();
+    tls::leave_dispatch(block);
     ret
 }
 
@@ -97,31 +103,36 @@ pub(crate) fn needs_emulation(nr_: u64) -> bool {
 /// calls out: `rt_sigreturn`, `rt_sigaction`, `clone`, `fork`,
 /// `vfork`, plus `rt_sigprocmask` to keep `SIGSYS` deliverable).
 ///
+/// `interested` is [`interpose::global_interested`] of the frame's
+/// number, which each of the two callers — the dispatcher above and the
+/// slow path's in-handler emulation — reads exactly once; a call the
+/// handler did not ask for only gets the engine's own emulation.
+///
 /// # Safety
 ///
 /// `frame` must describe a syscall invocation from this thread, and
 /// the selector must be ALLOW.
-pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, notify: bool) -> u64 {
-    if !notify {
+#[inline]
+pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, interested: bool) -> u64 {
+    if !interested {
         return execute_frame(frame);
     }
-    // The decision sequence itself — interest gate, event construction,
-    // dispatch, passthrough execution, post hook — is not written here:
-    // it is `interpose::interpose_syscall`, the one copy shared with the
-    // SUD-only interposer and the dispatch-cost benchmark. Execution of
-    // a `Passthrough` routes back through [`execute_frame`] so the
-    // engine's emulations apply to whatever call the handler settled on.
-    let call = frame.syscall_args();
-    let site = frame.ret_addr as usize;
-    interpose::interpose_syscall(call, site, |decided| {
-        // The handler may have rewritten number/arguments.
+    // The decision sequence itself — dispatch, passthrough execution,
+    // post hook — is not written here: it is `interpose::interpose_event`,
+    // the one copy shared (behind `interpose_syscall`'s gate) with the
+    // SUD-only interposer and the dispatch-cost benchmark.
+    let mut event = SyscallEvent::with_site(frame.syscall_args(), frame.ret_addr as usize);
+    interpose::interpose_event(&mut event, |decided| {
+        // The handler may have rewritten number/arguments, so what
+        // decides between the two ways to execute is the number it
+        // settled on, not the one the frame arrived with.
+        if !needs_emulation(decided.nr) {
+            return raw_internal::syscall(decided);
+        }
+        // The engine's emulations read (and `clone`'s child resumes
+        // from) the frame.
         frame.nr = decided.nr;
-        frame.a1 = decided.args[0];
-        frame.a2 = decided.args[1];
-        frame.a3 = decided.args[2];
-        frame.a4 = decided.args[3];
-        frame.a5 = decided.args[4];
-        frame.a6 = decided.args[5];
+        [frame.a1, frame.a2, frame.a3, frame.a4, frame.a5, frame.a6] = decided.args;
         execute_frame(frame)
     })
 }
@@ -147,7 +158,7 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
         // other interposers).
         nr::CLONE3 => Errno::ENOSYS.as_ret(),
         nr::FORK | nr::VFORK => clone::handle_fork(frame),
-        _ => raw_internal::syscall(frame.syscall_args()),
+        _ => raw_internal::syscall(&frame.syscall_args()),
     }
 }
 
@@ -199,14 +210,19 @@ unsafe fn handle_sigprocmask(frame: &mut RawFrame) -> u64 {
             nr::RT_SIGPROCMASK,
             [how, &mask as *const u64 as u64, frame.a3, 8, 0, 0],
         );
-        return raw_internal::syscall(patched);
+        return raw_internal::syscall(&patched);
     }
-    raw_internal::syscall(frame.syscall_args())
+    raw_internal::syscall(&frame.syscall_args())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// As both callers do: the interest gate read once, then the frame.
+    unsafe fn handle_gated(frame: &mut RawFrame) -> u64 {
+        handle_syscall(frame, interpose::global_interested(frame.nr))
+    }
 
     fn mk_frame(nr: u64, args: [u64; 6]) -> RawFrame {
         RawFrame {
@@ -226,7 +242,7 @@ mod tests {
     #[test]
     fn plain_syscall_passes_through() {
         let mut f = mk_frame(nr::GETPID, [0; 6]);
-        let ret = unsafe { handle_syscall(&mut f, true) };
+        let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, std::process::id() as u64);
     }
 
@@ -249,7 +265,7 @@ mod tests {
     #[test]
     fn clone3_is_refused() {
         let mut f = mk_frame(nr::CLONE3, [0; 6]);
-        let ret = unsafe { handle_syscall(&mut f, true) };
+        let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(Errno::from_ret(ret), Some(Errno::ENOSYS));
     }
 
@@ -262,7 +278,7 @@ mod tests {
                 nr::RT_SIGPROCMASK,
                 [0 /*SIG_BLOCK*/, &want as *const u64 as u64, 0, 8, 0, 0],
             );
-            assert_eq!(handle_syscall(&mut f, true), 0);
+            assert_eq!(handle_gated(&mut f), 0);
             // Read back the mask: SIGUSR1 blocked, SIGSYS not.
             let mut cur: u64 = 0;
             let q = mk_frame(
@@ -270,7 +286,7 @@ mod tests {
                 [0, 0, &mut cur as *mut u64 as u64, 8, 0, 0],
             );
             let mut q = q;
-            assert_eq!(handle_syscall(&mut q, true), 0);
+            assert_eq!(handle_gated(&mut q), 0);
             assert_ne!(cur & (1 << (libc::SIGUSR1 - 1)), 0);
             assert_eq!(cur & sigsys_bit, 0);
             // Restore.
@@ -279,7 +295,7 @@ mod tests {
                 nr::RT_SIGPROCMASK,
                 [2 /*SETMASK*/, &none as *const u64 as u64, 0, 8, 0, 0],
             );
-            handle_syscall(&mut r, true);
+            handle_gated(&mut r);
         }
     }
 
@@ -305,18 +321,18 @@ mod tests {
         // getpid is outside the interest set: the handler must be
         // bypassed (no 0xDEAD) while the syscall itself still executes.
         let mut f = mk_frame(nr::GETPID, [0; 6]);
-        let ret = unsafe { handle_syscall(&mut f, true) };
+        let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, std::process::id() as u64);
 
         // 499 is inside the set: the handler decides.
         let mut f = mk_frame(499, [0; 6]);
-        let ret = unsafe { handle_syscall(&mut f, true) };
+        let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, 0xDEAD);
 
         // Emulated syscalls never bypass their emulation: clone3 is
         // refused by the engine even though the handler is indifferent.
         let mut f = mk_frame(nr::CLONE3, [0; 6]);
-        let ret = unsafe { handle_syscall(&mut f, true) };
+        let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(Errno::from_ret(ret), Some(Errno::ENOSYS));
     }
 

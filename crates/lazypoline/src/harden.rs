@@ -195,7 +195,7 @@ pub fn prepare_pkey() -> io::Result<()> {
 fn map_gate_page() -> io::Result<usize> {
     const PAGE: u64 = 4096;
     let addr = unsafe {
-        raw_internal::syscall(SyscallArgs::new(
+        raw_internal::syscall(&SyscallArgs::new(
             nr::MMAP,
             [
                 0,
@@ -212,12 +212,12 @@ fn map_gate_page() -> io::Result<usize> {
     }
     unsafe {
         core::ptr::copy_nonoverlapping(GATE_STUB.as_ptr(), addr as *mut u8, GATE_STUB.len());
-        let r = raw_internal::syscall(SyscallArgs::new(
+        let r = raw_internal::syscall(&SyscallArgs::new(
             nr::MPROTECT,
             [addr, PAGE, (libc::PROT_READ | libc::PROT_EXEC) as u64, 0, 0, 0],
         ));
         if let Some(e) = Errno::from_ret(r) {
-            raw_internal::syscall(SyscallArgs::new(nr::MUNMAP, [addr, PAGE, 0, 0, 0, 0]));
+            raw_internal::syscall(&SyscallArgs::new(nr::MUNMAP, [addr, PAGE, 0, 0, 0, 0]));
             return Err(io::Error::from_raw_os_error(e.as_i32()));
         }
     }
@@ -386,14 +386,14 @@ fn arm_backstop_inner() -> io::Result<()> {
             filter: prog.as_ptr(),
         };
         unsafe {
-            let r = raw_internal::syscall(SyscallArgs::new(
+            let r = raw_internal::syscall(&SyscallArgs::new(
                 nr::PRCTL,
                 [PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0, 0],
             ));
             if let Some(e) = Errno::from_ret(r) {
                 return Err(io::Error::from_raw_os_error(e.as_i32()));
             }
-            let r = raw_internal::syscall(SyscallArgs::new(
+            let r = raw_internal::syscall(&SyscallArgs::new(
                 nr::SECCOMP,
                 [
                     SECCOMP_SET_MODE_FILTER,
@@ -504,14 +504,14 @@ pub(crate) unsafe fn on_bypass() -> bool {
     match policy() {
         BypassPolicy::Quarantine => true,
         BypassPolicy::Kill => {
-            let pid = raw_internal::syscall(SyscallArgs::nullary(nr::GETPID));
-            raw_internal::syscall(SyscallArgs::new(
+            let pid = raw_internal::syscall(&SyscallArgs::nullary(nr::GETPID));
+            raw_internal::syscall(&SyscallArgs::new(
                 nr::KILL,
                 [pid, libc::SIGKILL as u64, 0, 0, 0, 0],
             ));
             // SIGKILL cannot be blocked; if delivery is somehow
             // deferred, refuse to continue the compromised process.
-            raw_internal::syscall(SyscallArgs::new(nr::EXIT_GROUP, [137, 0, 0, 0, 0, 0]));
+            raw_internal::syscall(&SyscallArgs::new(nr::EXIT_GROUP, [137, 0, 0, 0, 0, 0]));
             unreachable!("exit_group returned");
         }
     }

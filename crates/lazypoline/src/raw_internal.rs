@@ -27,9 +27,9 @@ use syscalls::SyscallArgs;
 ///
 /// Same contract as [`syscalls::raw::syscall`].
 #[inline(never)]
-pub(crate) unsafe fn syscall(call: SyscallArgs) -> u64 {
+pub(crate) unsafe fn syscall(call: &SyscallArgs) -> u64 {
     if syscalls::raw::gate_armed() {
-        return syscalls::raw::syscall(call);
+        return syscalls::raw::syscall(*call);
     }
     let ret;
     asm!(
@@ -55,7 +55,7 @@ pub(crate) unsafe fn syscall(call: SyscallArgs) -> u64 {
 /// `new`/`old` must be valid kernel sigaction pointers or null.
 #[inline(never)]
 pub(crate) unsafe fn rt_sigaction(sig: i32, new: u64, old: u64) -> u64 {
-    syscall(SyscallArgs::new(
+    syscall(&SyscallArgs::new(
         syscalls::nr::RT_SIGACTION,
         [sig as u64, new, old, 8, 0, 0],
     ))
@@ -68,7 +68,7 @@ pub(crate) unsafe fn rt_sigaction(sig: i32, new: u64, old: u64) -> u64 {
 /// `new` must be null or point at a signal set, `old` likewise.
 #[inline(never)]
 pub(crate) unsafe fn rt_sigprocmask(how: u64, new: *const u64, old: *mut u64) -> u64 {
-    syscall(SyscallArgs::new(
+    syscall(&SyscallArgs::new(
         syscalls::nr::RT_SIGPROCMASK,
         [how, new as u64, old as u64, 8, 0, 0],
     ))
@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn internal_syscall_works() {
-        let pid = unsafe { syscall(SyscallArgs::nullary(nr::GETPID)) };
+        let pid = unsafe { syscall(&SyscallArgs::nullary(nr::GETPID)) };
         assert_eq!(pid, std::process::id() as u64);
     }
 

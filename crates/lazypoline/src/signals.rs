@@ -109,11 +109,11 @@ pub(crate) unsafe fn handle_sigaction(frame: &mut RawFrame) -> u64 {
     // Anything unusual (bad signal, odd sigset size) goes to the kernel
     // untouched so errno semantics stay exact.
     if !(1..NSIG as i64).contains(&sig) || frame.a4 != 8 {
-        return raw_internal::syscall(frame.syscall_args());
+        return raw_internal::syscall(&frame.syscall_args());
     }
     let sig = sig as i32;
     if sig == libc::SIGKILL || sig == libc::SIGSTOP {
-        return raw_internal::syscall(frame.syscall_args());
+        return raw_internal::syscall(&frame.syscall_args());
     }
 
     let prev_app = APP_ACTIONS[sig as usize].load();
@@ -273,7 +273,6 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
 
 /// Rust side of the sigreturn trampoline: pops the `(selector, rip)`
 /// entry, restores the selector, and returns the resume address.
-#[no_mangle]
 unsafe extern "C" fn lp_sigreturn_pop() -> u64 {
     match tls::pop_sigreturn() {
         Some(e) => {
@@ -284,11 +283,11 @@ unsafe extern "C" fn lp_sigreturn_pop() -> u64 {
             // Corrupted state: a trampoline resume with no matching
             // push. Nothing sane to resume to — fail loudly.
             let msg = b"lazypoline: sigreturn stack underflow\n";
-            raw_internal::syscall(syscalls::SyscallArgs::new(
+            raw_internal::syscall(&syscalls::SyscallArgs::new(
                 syscalls::nr::WRITE,
                 [2, msg.as_ptr() as u64, msg.len() as u64, 0, 0, 0],
             ));
-            raw_internal::syscall(syscalls::SyscallArgs::new(
+            raw_internal::syscall(&syscalls::SyscallArgs::new(
                 syscalls::nr::EXIT_GROUP,
                 [117, 0, 0, 0, 0, 0],
             ));
@@ -332,7 +331,7 @@ lp_sigreturn_tramp:
     zpoline::xstate_save_asm!(),
     r#"
     and rsp, -16
-    call lp_sigreturn_pop@PLT         # rax = resume rip; selector restored
+    call {pop}                    # rax = resume rip; selector restored
     mov qword ptr [rbp - 16], rax
 "#,
     zpoline::xstate_restore_asm!(),
@@ -354,7 +353,10 @@ lp_sigreturn_tramp:
     lea rsp, [rsp + 128]
     jmp qword ptr [rsp - 152]     # resume-rip slot, now in dead stack
     .size lp_sigreturn_tramp, . - lp_sigreturn_tramp
-"#
+"#,
+    // `sym`, not a name: nothing here is a dynamic symbol of the shim.
+    pop = sym lp_sigreturn_pop,
+    stub_globals = sym zpoline::trampoline::STUB_GLOBALS,
 );
 
 extern "C" {

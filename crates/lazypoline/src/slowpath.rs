@@ -248,7 +248,7 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         if app_mask {
             raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut handler_mask);
         }
-        let ret = fastpath::handle_syscall(&mut frame, true);
+        let ret = fastpath::handle_syscall(&mut frame, interpose::global_interested(nr_));
         if app_mask {
             let mut left = 0u64;
             raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, &handler_mask, &mut left);

@@ -61,39 +61,78 @@ pub(crate) fn set_enrolled(v: bool) {
 /// Re-entrancy guard: set while the dispatcher runs handler code,
 /// cleared across application signal-handler invocations (which must
 /// be interposed normally).
-pub(crate) fn in_dispatch() -> bool {
-    zpoline::thread_block().in_dispatch()
-}
-
 pub(crate) fn set_in_dispatch(v: bool) -> bool {
     zpoline::thread_block().set_in_dispatch(v)
+}
+
+/// Counts one dispatch of this thread: with a plain `inc` when its block
+/// is armed with a slot it is the sole writer of. Anything else — a
+/// thread that shares its shard, an unarmed block — goes the counters'
+/// own way (their thread-local finds the same slot), out of line.
+#[inline]
+pub(crate) fn count_dispatch(block: &zpoline::ThreadBlock) {
+    #[cold]
+    fn by_shard() {
+        counters::bump(&counters::DISPATCHES);
+    }
+    match block.sole_writer_dispatches() {
+        Some(slot) => counters::bump_slot(slot, true),
+        None => by_shard(),
+    }
+}
+
+/// The selector store a block cannot make by itself: an unarmed block's
+/// (pkey slab, never-enrolled thread), and every store while a fault
+/// site is armed.
+#[cold]
+fn set_selector_checked(d: sud::Dispatch) {
+    sud::set_selector(d);
+}
+
+/// Begins a dispatch: the selector becomes ALLOW, so that the
+/// interposer's own syscalls bypass SUD. One byte store through the
+/// block when it is armed and no fault site is; `sud::set_selector`
+/// (pkey bracket, fault seam, write-verify) otherwise.
+#[inline]
+pub(crate) fn enter_dispatch(block: &zpoline::ThreadBlock) {
+    if !block.store_allow() {
+        set_selector_checked(sud::Dispatch::Allow);
+    }
 }
 
 /// Ends a dispatch: the selector becomes what the block says a dispatch
 /// ending now must leave behind — BLOCK for an enrolled thread at top
 /// level, ALLOW under a running handler (whose own syscalls follow) or
 /// when not enrolled. The one exit rule, for every way out of the
-/// dispatcher and for the stub's miss exit alike.
+/// dispatcher and for the stub's miss exit alike; the store itself as in
+/// [`enter_dispatch`].
 #[inline]
-pub(crate) fn leave_dispatch() {
-    // The block only ever derives ALLOW or BLOCK, so this cannot panic.
-    sud::set_selector(sud::Dispatch::from_byte(zpoline::thread_block().exit_selector()));
+pub(crate) fn leave_dispatch(block: &zpoline::ThreadBlock) {
+    if !block.store_exit_selector() {
+        // Not `Dispatch::from_byte`: its panic arm has no business
+        // under the entry stub.
+        let block_again = block.exit_selector() == sud::SYSCALL_DISPATCH_FILTER_BLOCK;
+        set_selector_checked(if block_again { sud::Dispatch::Block } else { sud::Dispatch::Allow });
+    }
 }
 
-/// Arms the stub's miss exit for the calling thread, at enrolment: from
-/// here on a syscall nobody asked to see leaves from the entry stub. A
-/// thread whose selector is on the pkey slab is never armed — its
-/// selector takes a `WRPKRU` bracket to write, and its syscalls must
-/// come from the gate page.
+/// Arms the calling thread's block, at enrolment: from here on a
+/// syscall nobody asked to see leaves from the entry stub, and a hit's
+/// selector stores and count go through the block. A thread whose
+/// selector is on the pkey slab is never armed — its selector takes a
+/// `WRPKRU` bracket to write, and its syscalls must come from the gate
+/// page.
 pub(crate) fn arm_stub_exit() {
     let block = zpoline::thread_block();
     if sud::pkey::adopted_slot().is_null() {
+        let (dispatches, sole_writer) = counters::slot(&counters::DISPATCHES);
         // SAFETY: `selector_ptr` is the byte `sud::enable_thread` hands
         // the kernel for this thread, in plain TLS (no slot was
         // adopted), and stable for the thread's lifetime;
         // `harden::prepare_pkey` disarms the block when it moves the
-        // selector afterwards.
-        unsafe { block.arm(sud::selector_ptr(), counters::slot(&counters::DISPATCHES)) };
+        // selector afterwards. The slot is this thread's own, and
+        // `sole_writer` is what the counters say of it.
+        unsafe { block.arm(sud::selector_ptr(), dispatches, sole_writer) };
     } else {
         block.disarm();
     }
@@ -153,6 +192,7 @@ mod tests {
 
     #[test]
     fn dispatch_guard_replace_semantics() {
+        let in_dispatch = || zpoline::thread_block().in_dispatch();
         assert!(!in_dispatch());
         assert!(!set_in_dispatch(true));
         assert!(in_dispatch());
@@ -164,7 +204,7 @@ mod tests {
     fn exit_selector_follows_both_flags() {
         use sud::Dispatch::{Allow, Block};
         let leaves = || {
-            leave_dispatch();
+            leave_dispatch(zpoline::thread_block());
             sud::selector()
         };
         assert_eq!(leaves(), Allow, "not enrolled");
@@ -184,8 +224,19 @@ mod tests {
         assert!(!block.armed(), "a thread starts with a zeroed block");
         arm_stub_exit();
         assert!(block.armed());
+        // Armed, the block's plain stores hit the byte `sud` reads.
+        set_enrolled(true);
+        leave_dispatch(block);
+        assert_eq!(sud::selector(), sud::Dispatch::Block);
+        enter_dispatch(block);
+        assert_eq!(sud::selector(), sud::Dispatch::Allow);
+        set_enrolled(false);
+        let before = counters::get(&counters::DISPATCHES);
+        count_dispatch(block);
         block.disarm();
         assert!(!block.armed());
+        count_dispatch(block);
+        assert!(counters::get(&counters::DISPATCHES) >= before + 2);
     }
 
     #[test]

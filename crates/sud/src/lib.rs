@@ -71,6 +71,7 @@ pub enum Dispatch {
 
 impl Dispatch {
     /// The raw selector byte value.
+    #[inline]
     pub fn as_byte(self) -> u8 {
         match self {
             Dispatch::Allow => SYSCALL_DISPATCH_FILTER_ALLOW,

@@ -339,6 +339,7 @@ pub unsafe fn protected_store(ptr: *mut u8, byte: u8) {
 }
 
 /// This thread's adopted slab slot, or null.
+#[inline]
 pub fn adopted_slot() -> *mut u8 {
     SLOT.with(Cell::get)
 }

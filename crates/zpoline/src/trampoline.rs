@@ -48,9 +48,15 @@
 //! (§IV-A, §IV-B(a)). [`ThreadBlock`] is the start of that region here:
 //! one cache line of `%fs`-relative (initial-exec) TLS, declared next to
 //! the stub, holding the address of the thread's SUD selector byte, the
-//! thread's slot of the dispatch counter, the *exit selector* — the
-//! byte a dispatch that ends now must leave in the selector — and the
-//! enrolment and in-dispatch flags the exit selector is derived from.
+//! thread's slot of the dispatch counter and whether the thread is that
+//! slot's only writer (it then counts with a plain `inc`, others with
+//! `lock inc`), the *exit selector* — the byte a dispatch that ends now
+//! must leave in the selector — and the enrolment and in-dispatch flags
+//! the exit selector is derived from. The dispatcher a *hit* reaches
+//! uses the same block for the same three stores
+//! ([`ThreadBlock::store_allow`], [`ThreadBlock::sole_writer_dispatches`],
+//! [`ThreadBlock::store_exit_selector`]), under the rule the stub
+//! follows: armed block, no fault-injection site armed.
 //!
 //! With it, a syscall nobody asked to see never builds a frame. The
 //! dispatcher publishes a [`MissExit`] ([`set_miss_exit`]): the address
@@ -243,35 +249,54 @@ impl XstateMask {
 }
 
 // ——— Globals read by the asm stub ———————————————————————————————————
-//
-// LP_XSTATE_MASK: one byte, the XSAVE RFBM (0 = preserve no xstate).
-// LP_XGETBV1: one byte, non-zero once `Trampoline::install` has seen
-//   CPUID report `xgetbv` with `ecx = 1`; zero → always `xsave64`.
-// LP_XSTATE_INIT: an all-zero XSAVE image; `xrstor64` from it loads
-//   the initial configuration of the components in RFBM.
-// LP_DISPATCH_PTR: the registered dispatcher (never 0 once installed).
-// LP_MISS_EXIT: the dispatcher's `MissExit`, null while it has none.
-// lp_thread_block: the calling thread's `ThreadBlock` (TLS, in the asm).
-// LP_FAULTS_ARMED (crate faultinject): the number of armed fault sites.
 
-#[no_mangle]
-static mut LP_XSTATE_MASK: u8 = 0b111;
+/// Everything process-global the entry stub reads, in one object so
+/// that the assembly names one symbol: passed to it as a `sym` operand
+/// and addressed `rip`-relative. (The per-thread part is
+/// `lp_thread_block`, TLS declared in the asm; the count of armed fault
+/// sites is `faultinject::LP_FAULTS_ARMED`.) Neither this nor any other
+/// name the stub uses is a dynamic symbol: an application or a second
+/// preloaded object cannot interpose on the interposer's own state.
+///
+/// Public only because [`xstate_save_asm!`](crate::xstate_save_asm) and
+/// [`xstate_restore_asm!`](crate::xstate_restore_asm) expand in other
+/// crates, whose `global_asm!` must name it; the fields are private.
+#[repr(C, align(64))]
+pub struct StubGlobals {
+    /// The registered dispatcher (never 0 once installed).
+    dispatch: AtomicUsize,
+    /// The dispatcher's [`MissExit`], null while it has none.
+    miss_exit: AtomicPtr<MissExit>,
+    /// The XSAVE RFBM (0 = preserve no xstate).
+    xstate_mask: AtomicU8,
+    /// Non-zero once [`Trampoline::install`] has seen CPUID report
+    /// `xgetbv` with `ecx = 1`; zero → always `xsave64`.
+    xgetbv1: AtomicU8,
+    /// An all-zero XSAVE image (legacy region + header); `xrstor64` from
+    /// it loads the initial configuration of the components in RFBM.
+    xstate_init: XsaveImage,
+}
 
-#[no_mangle]
-static LP_XGETBV1: AtomicU8 = AtomicU8::new(0);
-
-/// Legacy region (512 bytes) + XSAVE header (64 bytes).
 #[repr(C, align(64))]
 struct XsaveImage([u8; 576]);
 
-#[no_mangle]
-static LP_XSTATE_INIT: XsaveImage = XsaveImage([0; 576]);
+// The xstate macros spell these three offsets as literals: their text
+// expands where `offset_of!` on private fields cannot.
+const _: () = {
+    assert!(offset_of!(StubGlobals, xstate_mask) == 16);
+    assert!(offset_of!(StubGlobals, xgetbv1) == 17);
+    assert!(offset_of!(StubGlobals, xstate_init) == 64);
+};
 
-#[no_mangle]
-static LP_DISPATCH_PTR: AtomicUsize = AtomicUsize::new(0);
-
-#[no_mangle]
-static LP_MISS_EXIT: AtomicPtr<MissExit> = AtomicPtr::new(std::ptr::null_mut());
+/// The one instance (see [`StubGlobals`]).
+#[doc(hidden)]
+pub static STUB_GLOBALS: StubGlobals = StubGlobals {
+    dispatch: AtomicUsize::new(0),
+    miss_exit: AtomicPtr::new(std::ptr::null_mut()),
+    xstate_mask: AtomicU8::new(0b111),
+    xgetbv1: AtomicU8::new(0),
+    xstate_init: XsaveImage([0; 576]),
+};
 
 /// What a dispatcher publishes ([`set_miss_exit`]) so that the entry
 /// stub can issue, by itself, the syscalls the dispatcher would only
@@ -293,7 +318,7 @@ pub fn set_miss_exit(exit: Option<&'static MissExit>) {
     let p = exit.map_or(std::ptr::null_mut(), |e| e as *const MissExit as *mut MissExit);
     // Release: the tables are read-only statics, but a reader that sees
     // the pointer must see them as initialised.
-    LP_MISS_EXIT.store(p, Ordering::Release);
+    STUB_GLOBALS.miss_exit.store(p, Ordering::Release);
 }
 
 /// Per-thread interposition state the entry stub reads (module docs).
@@ -314,6 +339,9 @@ pub struct ThreadBlock {
     exit_selector: Cell<u8>,
     in_dispatch: Cell<bool>,
     enrolled: Cell<bool>,
+    /// Whether other threads write `dispatches` too: they then all
+    /// count with `lock inc`, where a sole writer uses a plain `inc`.
+    dispatches_shared: Cell<bool>,
     /// Dispatches that left from the stub (debug builds count).
     stub_exits: Cell<u64>,
 }
@@ -362,7 +390,9 @@ impl ThreadBlock {
         self.exit_selector.set(if block { SELECTOR_BLOCK } else { 0 });
     }
 
-    /// Arms the stub's miss exit for this thread.
+    /// Arms the block for this thread: the stub's miss exit, and the
+    /// plain selector stores and the count of a dispatcher that goes
+    /// through [`ThreadBlock::store_allow`] and friends.
     ///
     /// # Safety
     ///
@@ -371,17 +401,27 @@ impl ThreadBlock {
     /// (or, for a thread SUD is off for, any byte of its own), writable
     /// by a plain store: the stub's `syscall` executes right after it
     /// stores ALLOW there, and a SIGSYS on that instruction would have
-    /// the rewriter patch the stub itself.
+    /// the rewriter patch the stub itself. With `sole_writer`, no other
+    /// thread may ever write `dispatches` — this one increments it
+    /// without `lock`.
     #[inline]
-    pub unsafe fn arm(&self, selector: *mut u8, dispatches: &'static AtomicU64) {
+    pub unsafe fn arm(
+        &self,
+        selector: *mut u8,
+        dispatches: &'static AtomicU64,
+        sole_writer: bool,
+    ) {
         self.dispatches.set(dispatches);
+        self.dispatches_shared.set(!sole_writer);
         // The selector is the key the stub tests: a signal handler that
-        // runs between the two stores must not find it without the slot.
+        // runs between the stores must not find it without the slot.
         std::sync::atomic::compiler_fence(Ordering::SeqCst);
         self.selector.set(selector);
     }
 
-    /// Sends this thread's dispatches back through the full path.
+    /// Sends this thread's dispatches back through the full path, and
+    /// its dispatcher's selector stores and count back to their slow
+    /// forms.
     #[inline]
     pub fn disarm(&self) {
         self.selector.set(std::ptr::null_mut());
@@ -391,6 +431,55 @@ impl ThreadBlock {
     #[inline]
     pub fn armed(&self) -> bool {
         !self.selector.get().is_null()
+    }
+
+    /// The selector address, when one plain byte store through it is all
+    /// a selector write takes: the block is armed and no fault-injection
+    /// site is — the rule the stub's miss exit follows. (Armed seams see
+    /// every selector store, which means the caller's write-verify
+    /// path.)
+    #[inline]
+    fn plain_selector(&self) -> Option<*mut u8> {
+        let selector = self.selector.get();
+        (!selector.is_null() && faultinject::LP_FAULTS_ARMED.load(Ordering::Relaxed) == 0)
+            .then_some(selector)
+    }
+
+    /// Dispatcher entry: stores ALLOW in the selector. `false` when the
+    /// block cannot (see [`ThreadBlock::arm`]) and the caller must.
+    #[inline]
+    pub fn store_allow(&self) -> bool {
+        let Some(selector) = self.plain_selector() else {
+            return false;
+        };
+        // SAFETY: `arm`'s contract: this thread's selector byte.
+        unsafe { selector.write_volatile(0) };
+        true
+    }
+
+    /// Dispatcher exit: stores [`ThreadBlock::exit_selector`] in the
+    /// selector. `false` when the block cannot and the caller must.
+    #[inline]
+    pub fn store_exit_selector(&self) -> bool {
+        let Some(selector) = self.plain_selector() else {
+            return false;
+        };
+        // SAFETY: as in `store_allow`; the byte is ALLOW or BLOCK.
+        unsafe { selector.write_volatile(self.exit_selector.get()) };
+        true
+    }
+
+    /// The slot [`ThreadBlock::arm`] was given for this thread's
+    /// dispatch count, when the block is armed and this thread is the
+    /// slot's sole writer: the dispatcher may then count in it with a
+    /// plain `inc`, as the stub does.
+    #[inline]
+    pub fn sole_writer_dispatches(&self) -> Option<&'static AtomicU64> {
+        if !self.armed() || self.dispatches_shared.get() {
+            return None;
+        }
+        // SAFETY: `arm` stored a `&'static` before it stored the selector.
+        Some(unsafe { &*self.dispatches.get() })
     }
 
     /// Dispatches of this thread that left from the stub's miss exit.
@@ -445,7 +534,7 @@ pub fn set_dispatcher(f: DispatchFn) -> Option<DispatchFn> {
     // Nothing here needs a single global order across *other* atomics,
     // so SeqCst would only add fence cost on the path every rewritten
     // syscall's stub-load races with.
-    let old = LP_DISPATCH_PTR.swap(f as usize, Ordering::AcqRel);
+    let old = STUB_GLOBALS.dispatch.swap(f as usize, Ordering::AcqRel);
     if old == 0 {
         None
     } else {
@@ -457,16 +546,16 @@ pub fn set_dispatcher(f: DispatchFn) -> Option<DispatchFn> {
 /// Configures extended-state preservation. Takes effect for subsequent
 /// trampoline entries on all threads.
 pub fn set_xstate_mask(mask: XstateMask) {
-    // SAFETY: single-byte store; the asm stub reads it with a plain
-    // load, once per entry, and records the value in its save area: the
-    // exit restores under that record, so a store that lands in the
-    // middle of a dispatch cannot split a save/restore pair.
-    unsafe { std::ptr::write_volatile(std::ptr::addr_of_mut!(LP_XSTATE_MASK), mask.rfbm()) };
+    // Relaxed: the stub reads the byte once per entry and records the
+    // value in its save area: the exit restores under that record, so a
+    // store that lands in the middle of a dispatch cannot split a
+    // save/restore pair.
+    STUB_GLOBALS.xstate_mask.store(mask.rfbm(), Ordering::Relaxed);
 }
 
 /// Reads the current xstate preservation mask byte (RFBM encoding).
 pub fn xstate_mask_byte() -> u8 {
-    unsafe { std::ptr::read_volatile(std::ptr::addr_of!(LP_XSTATE_MASK)) }
+    STUB_GLOBALS.xstate_mask.load(Ordering::Relaxed)
 }
 
 /// Whether `xgetbv` with `ecx = 1` exists: CPUID.(EAX=0DH, ECX=1):EAX
@@ -485,7 +574,9 @@ fn cpu_has_xgetbv1() -> bool {
 /// extended state the configured [`XstateMask`] names — the module docs
 /// of [`trampoline`](crate::trampoline) give the three cases. For
 /// `global_asm!` stubs that call into Rust from application context:
-/// the entry stub here and lazypoline's sigreturn trampoline.
+/// the entry stub here and lazypoline's sigreturn trampoline. The
+/// including `global_asm!` passes the operand
+/// `stub_globals = sym zpoline::trampoline::STUB_GLOBALS`.
 ///
 /// Carves one 64-byte-aligned area of 4096 bytes below `rsp` and leaves
 /// its address in `rbx` (0, and `rsp` untouched, under
@@ -499,8 +590,7 @@ macro_rules! xstate_save_asm {
     () => {
         r#"
     xor ebx, ebx
-    mov rax, qword ptr [rip + LP_XSTATE_MASK@GOTPCREL]
-    movzx eax, byte ptr [rax]
+    movzx eax, byte ptr [rip + {stub_globals} + 16]    # xstate_mask
     test eax, eax
     jz 29f
     # 4096 bytes cover x87+SSE+AVX (832) with ample slack on every
@@ -510,8 +600,7 @@ macro_rules! xstate_save_asm {
     mov rbx, rsp
     mov esi, eax
     mov dword ptr [rbx + 1024], eax
-    mov rcx, qword ptr [rip + LP_XGETBV1@GOTPCREL]
-    cmp byte ptr [rcx], 0
+    cmp byte ptr [rip + {stub_globals} + 17], 0        # xgetbv1
     je 21f                        # eax = mask: bit 0 set, so xsave64
     mov ecx, 1
     xgetbv                        # eax = XCR0 & XINUSE
@@ -553,8 +642,7 @@ macro_rules! xstate_save_asm {
     .endr
     mov eax, esi                  # edx:eax = RFBM
     xsave64 [rbx]
-    mov rcx, qword ptr [rip + LP_XGETBV1@GOTPCREL]
-    cmp byte ptr [rcx], 0
+    cmp byte ptr [rip + {stub_globals} + 17], 0        # xgetbv1
     je 29f
     # Normaliser: x87 reads "in use" but byte-equal to its initial
     # configuration (every signal return leaves it so) — FCW 0x37f with
@@ -579,14 +667,15 @@ macro_rules! xstate_save_asm {
 /// from the record in the area `rbx` points to (nothing when `rbx` is
 /// 0): every component of the entry's mask is as it was on entry,
 /// `XINUSE` bits 0 and 2 included. Clobbers `rax`, `rcx`, `rdx`, `rsi`,
-/// `rdi` and the flags; leaves `rsp` alone.
+/// `rdi` and the flags; leaves `rsp` alone. Takes the same
+/// `stub_globals` operand.
 #[macro_export]
 macro_rules! xstate_restore_asm {
     () => {
         r#"
     test rbx, rbx
     jz 39f
-    # Under the mask this entry saved with, not LP_XSTATE_MASK: that one
+    # Under the mask this entry saved with, not the global one: that
     # may have changed since, and RFBM wider than the image initialises
     # what the image lacks.
     mov esi, dword ptr [rbx + 1024]
@@ -607,8 +696,8 @@ macro_rules! xstate_restore_asm {
     jz 31f
     mov eax, 1                    # edx:eax = RFBM: x87 only
     xor edx, edx
-    mov rcx, qword ptr [rip + LP_XSTATE_INIT@GOTPCREL]
-    xrstor64 [rcx]                # XSTATE_BV[0] = 0: initial x87, XINUSE[0] = 0
+    # xstate_init; XSTATE_BV[0] = 0: initial x87, XINUSE[0] = 0
+    xrstor64 [rip + {stub_globals} + 64]
 31:
     test sil, 2
     jz 39f
@@ -658,8 +747,7 @@ lp_zpoline_entry:
     # this path is taken to its end.
     cmp rax, 512
     jae 90f                       # outside the tables: always interesting
-    mov r11, qword ptr [rip + LP_MISS_EXIT@GOTPCREL]
-    mov r11, qword ptr [r11]
+    mov r11, qword ptr [rip + {stub_globals} + {miss_exit}]
     test r11, r11
     jz 90f                        # no dispatcher published one
     mov ecx, eax
@@ -674,8 +762,7 @@ lp_zpoline_entry:
     mov rcx, qword ptr [r11 + {full_path} + rcx*8]
     bt rcx, rax
     jc 90f                        # the dispatcher emulates it
-    mov rcx, qword ptr [rip + LP_FAULTS_ARMED@GOTPCREL]
-    cmp qword ptr [rcx], 0
+    cmp qword ptr [rip + {faults_armed}], 0
     jne 90f                       # armed seams see every selector write
     mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
     mov r11, qword ptr fs:[rcx + {selector}]
@@ -683,7 +770,11 @@ lp_zpoline_entry:
     jz 90f                        # this thread's block is not armed
     mov byte ptr [r11], 0         # selector = ALLOW
     mov r11, qword ptr fs:[rcx + {dispatches}]
-    lock inc qword ptr [r11]
+    cmp byte ptr fs:[rcx + {dispatches_shared}], 0
+    jne 80f
+    inc qword ptr [r11]           # sole writer: one instruction, so a
+                                  # signal handler's bump cannot split it
+81:
 "#,
     #[cfg(debug_assertions)]
     "inc qword ptr fs:[rcx + {stub_exits}]",
@@ -695,6 +786,9 @@ lp_zpoline_entry:
     movzx ecx, byte ptr fs:[rcx + {exit_selector}]
     mov byte ptr [r11], cl
     ret
+80: # Other threads count in the same slot.
+    lock inc qword ptr [r11]
+    jmp 81b
 
 90: # The full path.
     sub rsp, 128                  # protect the rest of the red zone
@@ -713,10 +807,8 @@ lp_zpoline_entry:
     xstate_save_asm!(),
     r#"
     mov rdi, rbp                  # arg0 = &RawFrame
-    mov rax, qword ptr [rip + LP_DISPATCH_PTR@GOTPCREL]
-    mov rax, qword ptr [rax]
     and rsp, -16                  # C ABI alignment for the call
-    call rax                      # rax = syscall result
+    call qword ptr [rip + {stub_globals} + {dispatch}]   # rax = syscall result
     mov qword ptr [rbp], rax      # stash result in frame.nr slot
 "#,
     xstate_restore_asm!(),
@@ -736,10 +828,15 @@ lp_zpoline_entry:
     ret                           # to the instruction after the call site
     .size lp_zpoline_entry, . - lp_zpoline_entry
 "#,
+    stub_globals = sym STUB_GLOBALS,
+    dispatch = const offset_of!(StubGlobals, dispatch),
+    miss_exit = const offset_of!(StubGlobals, miss_exit),
+    faults_armed = sym faultinject::LP_FAULTS_ARMED,
     interest = const offset_of!(MissExit, interest),
     full_path = const offset_of!(MissExit, full_path),
     selector = const offset_of!(ThreadBlock, selector),
     dispatches = const offset_of!(ThreadBlock, dispatches),
+    dispatches_shared = const offset_of!(ThreadBlock, dispatches_shared),
     exit_selector = const offset_of!(ThreadBlock, exit_selector),
     #[cfg(debug_assertions)]
     stub_exits = const offset_of!(ThreadBlock, stub_exits),
@@ -833,9 +930,10 @@ impl Trampoline {
 
         // Published by the Release store of TRAMPOLINE_INSTALLED below,
         // like the page itself; until then no rewritten site exists.
-        LP_XGETBV1.store(cpu_has_xgetbv1() as u8, Ordering::Relaxed);
+        STUB_GLOBALS.xgetbv1.store(cpu_has_xgetbv1() as u8, Ordering::Relaxed);
 
-        LP_DISPATCH_PTR
+        STUB_GLOBALS
+            .dispatch
             .compare_exchange(
                 0,
                 passthrough_dispatch as *const () as usize,
@@ -1141,7 +1239,10 @@ mod tests {
             set_miss_exit(Some(&EXIT));
             assert_eq!(getpid(), 0x5eed, "block not armed");
             // SAFETY: SUD is off for this thread; the byte is its own.
-            unsafe { block.arm(&mut selector, &DISPATCHES) };
+            // The slot's sole writer first: the plain `inc`.
+            unsafe { block.arm(&mut selector, &DISPATCHES, true) };
+            let slot = block.sole_writer_dispatches().expect("armed as its sole writer");
+            assert!(std::ptr::eq(slot, &DISPATCHES));
             block.set_enrolled(true);
 
             let before = (DISPATCHES.load(Ordering::SeqCst), stub_exits());
@@ -1163,15 +1264,23 @@ mod tests {
             assert_eq!(getpid(), 0x5eed, "a fault site is armed");
             faultinject::disarm(faultinject::Site::PkruSwitch);
             assert_eq!(getpid(), pid);
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
+            // One of several writers of the slot: the `lock inc` arm.
+            unsafe { block.arm(&mut selector, &DISPATCHES, false) };
+            assert!(block.sole_writer_dispatches().is_none());
+            assert_eq!(getpid(), pid);
+            assert_eq!(stub_exits(), before.1 + 4 * cfg!(debug_assertions) as u64);
             block.disarm();
             assert_eq!(getpid(), 0x5eed, "disarmed");
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 4);
+            assert!(!block.store_allow());
         })
         .join()
         .unwrap();
 
         set_dispatcher(prev);
-        assert!(LP_MISS_EXIT.load(Ordering::SeqCst).is_null(), "withdrawn with its dispatcher");
+        let published = STUB_GLOBALS.miss_exit.load(Ordering::SeqCst);
+        assert!(published.is_null(), "withdrawn with its dispatcher");
     }
 
     /// Loads a sentinel into xmm7, crosses the trampoline, reads it
@@ -1290,7 +1399,7 @@ mod tests {
                         "xrstor64 [{init}]",
                         "ldmxcsr [{caller}]",
                         caller = in(reg) &mut mxcsr_caller,
-                        init = in(reg) &LP_XSTATE_INIT,
+                        init = in(reg) &STUB_GLOBALS.xstate_init,
                         live = in(reg) x87_live as u32,
                         st0_in = in(reg) &st0_in,
                         st0_out = in(reg) &mut st0_out,
@@ -1325,7 +1434,7 @@ mod tests {
         }
         let _globals = lock_globals();
         Trampoline::install().unwrap();
-        assert_eq!(LP_XGETBV1.load(Ordering::Relaxed), cpu_has_xgetbv1() as u8);
+        assert_eq!(STUB_GLOBALS.xgetbv1.load(Ordering::Relaxed), cpu_has_xgetbv1() as u8);
         clobbering_dispatcher_is_invisible();
     }
 
@@ -1339,11 +1448,11 @@ mod tests {
         Trampoline::install().unwrap();
         // As on a CPU whose CPUID lacks the bit: every dispatch takes
         // xsave64/xrstor64, no normaliser.
-        let detected = LP_XGETBV1.swap(0, Ordering::Relaxed);
+        let detected = STUB_GLOBALS.xgetbv1.swap(0, Ordering::Relaxed);
         set_xstate_mask(XstateMask::Avx);
         xmm7_across_trampoline();
         clobbering_dispatcher_is_invisible();
-        LP_XGETBV1.store(detected, Ordering::Relaxed);
+        STUB_GLOBALS.xgetbv1.store(detected, Ordering::Relaxed);
     }
 
     #[test]
@@ -1370,6 +1479,6 @@ mod tests {
         assert_eq!(xstate_mask_byte(), 3);
         set_xstate_mask(XstateMask::Avx);
         assert_eq!(xstate_mask_byte(), 7);
-        unsafe { std::ptr::write_volatile(std::ptr::addr_of_mut!(LP_XSTATE_MASK), orig) };
+        STUB_GLOBALS.xstate_mask.store(orig, Ordering::Relaxed);
     }
 }

@@ -1308,6 +1308,103 @@ fn scenario_post_rewrite() {
     assert_eq!(seen, real + 7, "post hook did not rewrite the result");
 }
 
+/// A handler that rewrites what a hit executes, in the three ways the
+/// dispatcher tells apart by the *decided* call: into a number the
+/// engine emulates, into another plain number, and in its arguments.
+fn hit_rewrite_body() {
+    static MODE: AtomicU64 = AtomicU64::new(0);
+    static BLOCK_SIGSYS_AND_USR1: u64 = 1 << (libc::SIGSYS - 1) | 1 << (libc::SIGUSR1 - 1);
+    static PIPE_WRITE_FD: AtomicU64 = AtomicU64::new(0);
+    struct Rewriter;
+    impl SyscallHandler for Rewriter {
+        fn handle(&self, ev: &mut SyscallEvent) -> Action {
+            match (MODE.load(Ordering::Relaxed), ev.call.nr) {
+                // getpid becomes rt_sigprocmask(SIG_BLOCK, {SIGSYS, SIGUSR1}).
+                (1, syscalls::nr::GETPID) => {
+                    let set = &BLOCK_SIGSYS_AND_USR1 as *const u64 as u64;
+                    ev.call = syscalls::SyscallArgs::new(
+                        syscalls::nr::RT_SIGPROCMASK,
+                        [libc::SIG_BLOCK as u64, set, 0, 8, 0, 0],
+                    );
+                }
+                (2, syscalls::nr::GETPID) => ev.call.nr = syscalls::nr::GETPPID,
+                // A write to fd -1 goes to the pipe instead.
+                (3, syscalls::nr::WRITE) if ev.call.args[0] as i32 == -1 => {
+                    ev.call.args[0] = PIPE_WRITE_FD.load(Ordering::Relaxed);
+                }
+                _ => {}
+            }
+            Action::Passthrough
+        }
+    }
+
+    let mut fds = [0 as libc::c_int; 2];
+    assert_eq!(unsafe { libc::pipe2(fds.as_mut_ptr(), 0) }, 0);
+    PIPE_WRITE_FD.store(fds[1] as u64, Ordering::Relaxed);
+    let real_pid = std::process::id() as u64;
+    let getppid = syscalls::SyscallArgs::nullary(syscalls::nr::GETPPID);
+    let real_ppid = unsafe { syscalls::raw::syscall(getppid) };
+
+    let mut active = install("lazypoline", Box::new(Rewriter));
+    unsafe {
+        // First execution rewrites libc's site; from here on it is a hit.
+        assert_eq!(libc::getpid() as u64, real_pid);
+        let hits_before = active.stats().dispatches;
+
+        // The decided number is one the engine emulates: the fast-out
+        // must not issue it raw because the *original* one was plain.
+        MODE.store(1, Ordering::Relaxed);
+        assert_eq!(libc::getpid(), 0, "rt_sigprocmask's result");
+        MODE.store(0, Ordering::Relaxed);
+        let mut cur: libc::sigset_t = std::mem::zeroed();
+        libc::pthread_sigmask(libc::SIG_BLOCK, std::ptr::null(), &mut cur);
+        assert_eq!(libc::sigismember(&cur, libc::SIGUSR1), 1, "the rewritten call ran");
+        assert_eq!(libc::sigismember(&cur, libc::SIGSYS), 0, "without the engine's emulation");
+        // SIGSYS is still deliverable: a brand-new site is discovered.
+        let slow_before = lazypoline::stats().slow_path_hits;
+        let pid: u64;
+        std::arch::asm!(
+            "mov eax, 39",
+            "syscall",
+            out("rax") pid,
+            out("rcx") _, out("r11") _,
+        );
+        assert_eq!(pid, real_pid);
+        assert!(lazypoline::stats().slow_path_hits > slow_before);
+
+        // Another plain number: issued from the event, not the frame.
+        MODE.store(2, Ordering::Relaxed);
+        assert_eq!(libc::getpid() as u64, real_ppid);
+
+        // Rewritten arguments are the ones executed.
+        MODE.store(3, Ordering::Relaxed);
+        let msg = b"through the pipe";
+        assert_eq!(libc::write(-1, msg.as_ptr().cast(), msg.len()), msg.len() as isize);
+        MODE.store(0, Ordering::Relaxed);
+        let mut back = [0u8; 32];
+        let n = libc::read(fds[0], back.as_mut_ptr().cast(), back.len());
+        assert_eq!(&back[..n as usize], msg);
+
+        assert!(active.stats().dispatches >= hits_before + 5);
+    }
+    active.detach();
+    assert_eq!(active.stats().quarantined_handlers, 0);
+}
+
+fn scenario_hit_rewrite() {
+    hit_rewrite_body();
+    assert_eq!(faultinject::total_injected(), 0);
+}
+
+/// Again with every second selector store dropped: while a site is armed
+/// the hit path's two stores go through `sud::set_selector`'s seam and
+/// write-verify loop, not the block.
+fn scenario_hit_rewrite_faults() {
+    std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=2");
+    hit_rewrite_body();
+    assert!(faultinject::injected(faultinject::Site::SelectorWrite) > 0);
+}
+
 fn scenario_latency_histogram() {
     let h: &'static interpose::LatencyHandler =
         Box::leak(Box::new(interpose::LatencyHandler::new()));
@@ -2791,6 +2888,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("rewrite_stress", scenario_rewrite_stress),
     ("policy_native", scenario_policy_native),
     ("post_rewrite", scenario_post_rewrite),
+    ("hit_rewrite", scenario_hit_rewrite),
+    ("hit_rewrite_faults", scenario_hit_rewrite_faults),
     ("latency_histogram", scenario_latency_histogram),
     ("sigprocmask_guard", scenario_sigprocmask_guard),
     ("nested_signals", scenario_nested_signals),

@@ -385,3 +385,29 @@ fn bad_configuration_runs_uninterposed() {
     assert_eq!(dump_field(&stderr, "hooks_loaded"), 1, "{stderr}");
     assert!(dump_field(&stderr, "hook_dispatches") > 0, "{stderr}");
 }
+
+/// The shim interposes; nothing may interpose on the shim. Every name
+/// its assembly stubs use is bound inside the object: a dynamic symbol
+/// `LP_*`/`lp_*` here is one an application, or a second preloaded
+/// object, could define first and so replace the interposer's copy of.
+#[test]
+fn shim_exports_none_of_its_stub_symbols() {
+    let Some(so) = preload_so() else {
+        eprintln!("skipping: liblazypoline_preload.so not built");
+        return;
+    };
+    let out = match Command::new("nm").args(["-D", "--defined-only"]).arg(&so).output() {
+        Ok(out) if out.status.success() => out,
+        _ => {
+            eprintln!("skipping: no usable `nm`");
+            return;
+        }
+    };
+    let defined = String::from_utf8_lossy(&out.stdout);
+    let leaked: Vec<&str> = defined
+        .lines()
+        .filter_map(|l| l.split_whitespace().last())
+        .filter(|name| name.starts_with("LP_") || name.starts_with("lp_"))
+        .collect();
+    assert!(leaked.is_empty(), "{} exports {leaked:?}", so.display());
+}
