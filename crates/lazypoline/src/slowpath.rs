@@ -24,8 +24,10 @@
 //!   persistently, so the page's `SIGSYS` trips skip straight to
 //!   emulation (counted as `UNPATCHABLE_EMULATIONS`);
 //! * **patch failed** — this attempt failed, after a bounded retry for
-//!   transient `mprotect` errors; persistent `mprotect` failures insert
-//!   the page into the blocklist (also `UNPATCHABLE_EMULATIONS`).
+//!   transient `mprotect` errors; persistent `mprotect` failures, and a
+//!   protection that cannot be looked up (no `/proc`, no descriptor to
+//!   open it on), insert the page into the blocklist (also
+//!   `UNPATCHABLE_EMULATIONS`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -155,8 +157,9 @@ unsafe fn patch_once(insn: usize) -> Result<zpoline::PatchOutcome, zpoline::Patc
 }
 
 /// Patches `insn`, retrying transient `mprotect` failures a bounded
-/// number of times; a still-failing `mprotect` blocklists the page so
-/// future `SIGSYS` trips on it go straight to emulation.
+/// number of times; a still-failing `mprotect`, or a failed lookup of
+/// the mapping's protection, blocklists the page so future `SIGSYS`
+/// trips on it go straight to emulation.
 unsafe fn patch_with_retry(
     insn: usize,
     page: usize,
@@ -176,10 +179,15 @@ unsafe fn patch_with_retry(
             _ => break,
         }
     }
-    if let Err(zpoline::PatchError::MprotectFailed(_)) = result {
-        // Persistent mprotect failure: negative-cache the page.
-        // (Non-mprotect errors — unmapped address, foreign bytes — are
-        // not page properties, so they are not cached.)
+    if let Err(zpoline::PatchError::MprotectFailed(_) | zpoline::PatchError::LookupFailed(_)) =
+        result
+    {
+        // A window that cannot be opened, persistently, or whose
+        // protection cannot even be looked up (only pages that need a
+        // window get that far): negative-cache the page, or every later
+        // execution on it pays SIGSYS + `open` again. (The other errors
+        // — unmapped address, foreign bytes — are not page properties,
+        // so they are not cached.)
         if blocklist::insert(page) {
             counters::bump(&PAGES_BLOCKLISTED);
         }

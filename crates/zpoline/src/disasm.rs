@@ -14,6 +14,33 @@
 //! exactly the *heuristic* quality of static disassembly whose failure
 //! modes motivate lazypoline's dynamic approach, and the scanner
 //! propagates that uncertainty to its callers.
+//!
+//! # Two decoders, one map
+//!
+//! The opcode maps are the `const fn` matches `one_byte` and
+//! `two_byte`, written once. [`decode_general`] walks them for any
+//! input. [`decode`] first tries the shape nearly all compiled code has
+//! — no legacy prefix, at most one REX, an opcode of the one- or
+//! two-byte map, at least 16 bytes (`FAST_MIN`) left so that no length
+//! needs a bounds check — and answers it from three loads: one of two
+//! 256-entry tables the compiler derives from those same matches
+//! (opcode + immediate length, has-ModRM, the REX.W-sized immediate,
+//! the group-3 immediate), a 256-entry ModRM → length table, and the
+//! SIB byte where `mod = 00` needs it. Everything else it *declines*
+//! and hands to [`decode_general`]: legacy prefixes (`66`/`67` resize
+//! immediates and moffs), VEX/EVEX, the `0f 38`/`0f 3a` maps, `a0`-`a3`
+//! moffs, unknown opcodes, and the last 15 bytes of a buffer. The
+//! general decoder is also the oracle the differential tests
+//! (`tests/disasm_prop.rs`) hold `decode` to, byte offset by byte
+//! offset of this crate's own text and libc's.
+//!
+//! What the fast path buys is a short dependency chain, not fewer
+//! instructions: a sweep's next offset waits on this length, so the
+//! loads are kept independent of each other (fixed offsets behind a
+//! *branch* on REX, `decode_fast`) — a `ret`-filled page decodes in
+//! ~4 ns an instruction against ~10.6 through the general decoder,
+//! libc's text in ~9.9 against ~19.6 (EXPERIMENTS.md, "A SIGSYS pays
+//! for the bytes it proves").
 
 /// A decoded instruction (length + the properties the scanner needs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +107,7 @@ const fn op(modrm: bool, imm: Imm) -> OpSpec {
 }
 
 /// One-byte opcode map. `None` = invalid/unhandled in 64-bit mode.
-fn one_byte(opcode: u8) -> Option<OpSpec> {
+const fn one_byte(opcode: u8) -> Option<OpSpec> {
     Some(match opcode {
         // ALU r/m,r and r,r/m forms: 00-03, 08-0b, ... 38-3b
         0x00..=0x03
@@ -148,7 +175,7 @@ fn one_byte(opcode: u8) -> Option<OpSpec> {
 }
 
 /// Handles `0xcd` (int imm8) separately since 0xcb..=0xcf above groups it.
-fn one_byte_fixups(opcode: u8) -> Option<OpSpec> {
+const fn one_byte_fixups(opcode: u8) -> Option<OpSpec> {
     match opcode {
         0xcd => Some(op(false, Imm::B)), // int imm8
         _ => one_byte(opcode),
@@ -156,7 +183,7 @@ fn one_byte_fixups(opcode: u8) -> Option<OpSpec> {
 }
 
 /// Two-byte opcode map (after `0f`).
-fn two_byte(opcode: u8) -> Option<OpSpec> {
+const fn two_byte(opcode: u8) -> Option<OpSpec> {
     Some(match opcode {
         0x05 => op(false, Imm::None), // ← syscall
         0x00..=0x03 => op(true, Imm::None),
@@ -203,12 +230,168 @@ fn two_byte(opcode: u8) -> Option<OpSpec> {
     })
 }
 
+/// Shortest slice [`decode`] answers from its tables: longer than any
+/// instruction they describe (REX + opcode + ModRM + SIB + disp32 +
+/// imm32 = 12 bytes), so no load or length on that path needs a check.
+const FAST_MIN: usize = 16;
+
+// A fast-table entry. 0 declines: the opcode is unknown, or its length
+// depends on what only `decode_general` tracks.
+/// Opcode bytes (1, or 2 with the `0f` escape) + unconditional immediate.
+const LEN_MASK: u8 = 0x0f;
+/// A ModRM byte follows the opcode.
+const HAS_MODRM: u8 = 0x10;
+/// `mov r, imm` (`b8`-`bf`): REX.W widens the imm32 to imm64.
+const IMM_V: u8 = 0x20;
+/// Group 3 (`f6`): an imm8 when ModRM.reg ≤ 1.
+const GROUP3_B: u8 = 0x40;
+/// Group 3 (`f7`): an imm32 when ModRM.reg ≤ 1.
+const GROUP3_Z: u8 = 0x80;
+
+/// The fast-table entry of one opcode of `opcode_len` bytes, sized as
+/// under no `66`/`67` prefix (the fast path sees none).
+const fn fast_entry(spec: Option<OpSpec>, opcode_len: u8) -> u8 {
+    let Some(spec) = spec else { return 0 };
+    let (imm, flags) = match spec.imm {
+        Imm::None => (0, 0),
+        Imm::B => (1, 0),
+        Imm::W => (2, 0),
+        Imm::Z => (4, 0),
+        Imm::V => (4, IMM_V),
+        Imm::Enter => (3, 0),
+        Imm::Group3B => (0, GROUP3_B),
+        Imm::Group3Z => (0, GROUP3_Z),
+        Imm::Moffs => return 0,
+    };
+    (opcode_len + imm) | flags | if spec.modrm { HAS_MODRM } else { 0 }
+}
+
+const fn fast_table(escaped: bool) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut opcode = 0;
+    while opcode < 256 {
+        table[opcode] = if escaped {
+            fast_entry(two_byte(opcode as u8), 2)
+        } else {
+            fast_entry(one_byte_fixups(opcode as u8), 1)
+        };
+        opcode += 1;
+    }
+    table
+}
+
+// The longest instruction either table describes fits in `FAST_MIN`.
+const _: () = {
+    let tables = [fast_table(false), fast_table(true)];
+    let mut opcode = 0;
+    while opcode < 512 {
+        let entry = tables[opcode / 256][opcode % 256];
+        let mut len = 1 + (entry & LEN_MASK) as usize; // REX
+        if entry & IMM_V != 0 {
+            len += 4;
+        }
+        if entry & HAS_MODRM != 0 {
+            len += 6; // ModRM + SIB + disp32
+        }
+        if entry & (GROUP3_B | GROUP3_Z) != 0 {
+            len += 4;
+        }
+        assert!(len <= FAST_MIN);
+        opcode += 1;
+    }
+};
+
+/// [`one_byte_fixups`] as fast-table entries. Prefix, escape and
+/// VEX/EVEX bytes are not in that map, so they decline by themselves.
+static FAST_ONE: [u8; 256] = fast_table(false);
+/// [`two_byte`] as fast-table entries, indexed by the byte after `0f`
+/// (`38`/`3a` are not in that map either).
+static FAST_TWO: [u8; 256] = fast_table(true);
+
+/// In a [`FAST_MODRM`] entry: `mod = 00` with a SIB byte, whose base
+/// field 5 means "no base, disp32".
+const SIB_BASE5: u8 = 0x80;
+
+/// ModRM byte → bytes of ModRM + SIB + displacement, but for the disp32
+/// a [`SIB_BASE5`] entry may still owe. Mirrors [`modrm_len`].
+static FAST_MODRM: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut modrm = 0;
+    while modrm < 256 {
+        let (md, rm) = (modrm >> 6, modrm & 7);
+        let sib = md != 0b11 && rm == 0b100;
+        let disp = match md {
+            0b00 if rm == 0b101 => 4, // RIP-relative
+            0b01 => 1,
+            0b10 => 4,
+            _ => 0,
+        };
+        let owes = if sib && md == 0b00 { SIB_BASE5 } else { 0 };
+        table[modrm] = (1 + sib as u8 + disp) | owes;
+        modrm += 1;
+    }
+    table
+};
+
 /// Decodes the instruction at the start of `bytes`.
 ///
 /// Returns [`Insn::unknown`] (length 1) for invalid or unsupported
 /// encodings; the caller's linear sweep then advances one byte, which
 /// mirrors how real static rewriters degrade on undecodable input.
+///
+/// Answers the common shape from the tables (see the module docs) and
+/// is [`decode_general`] for everything else; the two agree everywhere.
+#[inline]
 pub fn decode(bytes: &[u8]) -> Insn {
+    if let Some(head) = bytes.first_chunk::<FAST_MIN>() {
+        let fast = if head[0] & 0xf0 == 0x40 {
+            decode_fast::<1>(head, head[0] & 0x08 != 0)
+        } else {
+            decode_fast::<0>(head, false)
+        };
+        if let Some(insn) = fast {
+            return insn;
+        }
+    }
+    decode_general(bytes)
+}
+
+/// The table-fed answer for an opcode at `head[AT]` (`AT` = 1 behind a
+/// REX prefix, whose W bit is `rex_w`), or `None` to decline. One copy
+/// per `AT`, so every load sits at a fixed offset or one past it and
+/// waits on nothing but the bytes themselves.
+#[inline(always)]
+fn decode_fast<const AT: usize>(head: &[u8; FAST_MIN], rex_w: bool) -> Option<Insn> {
+    let escaped = head[AT] == 0x0f;
+    let (entry, modrm, sib) = if escaped {
+        (FAST_TWO[head[AT + 1] as usize], head[AT + 2], head[AT + 3])
+    } else {
+        (FAST_ONE[head[AT] as usize], head[AT + 1], head[AT + 2])
+    };
+    if entry == 0 {
+        return None;
+    }
+    let mut len = AT + (entry & LEN_MASK) as usize;
+    if entry & IMM_V != 0 && rex_w {
+        len += 4;
+    }
+    if entry & HAS_MODRM != 0 {
+        let tail = FAST_MODRM[modrm as usize];
+        len += (tail & LEN_MASK) as usize;
+        if tail & SIB_BASE5 != 0 && sib & 0x07 == 0b101 {
+            len += 4;
+        }
+        if entry & (GROUP3_B | GROUP3_Z) != 0 && modrm & 0x30 == 0 {
+            len += if entry & GROUP3_Z != 0 { 4 } else { 1 };
+        }
+    }
+    Some(Insn::new(len, escaped && head[AT + 1] == 0x05))
+}
+
+/// [`decode`] without the table fast path: prefixes, VEX/EVEX, the
+/// three-byte maps and short tails, walking the opcode maps directly.
+/// The whole decoder for what `decode` declines, and its oracle.
+pub fn decode_general(bytes: &[u8]) -> Insn {
     let mut i = 0usize;
     let mut opsize16 = false;
     let mut addr32 = false;
@@ -434,6 +617,7 @@ pub struct Sweep<'a> {
 impl Iterator for Sweep<'_> {
     type Item = (usize, Insn);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, Insn)> {
         if self.pos >= self.bytes.len() {
             return None;

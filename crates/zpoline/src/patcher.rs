@@ -45,6 +45,11 @@ pub enum PatchError {
     MprotectFailed(Errno),
     /// The address is not inside any mapping of this process.
     UnmappedAddress,
+    /// The mapping's protection could not be looked up: `/proc/self/maps`
+    /// did not open (`EMFILE`, no `/proc` in a chroot) or did not read.
+    /// Like a failing `mprotect`, a property of the page's surroundings
+    /// that the next attempt will meet again.
+    LookupFailed(Errno),
     /// The trampoline is not installed, so patching would create a
     /// `call rax` into unmapped page zero.
     TrampolineMissing,
@@ -58,6 +63,7 @@ impl fmt::Display for PatchError {
             }
             PatchError::MprotectFailed(e) => write!(f, "mprotect failed: {e}"),
             PatchError::UnmappedAddress => write!(f, "address is not mapped"),
+            PatchError::LookupFailed(e) => write!(f, "mapping lookup failed: {e}"),
             PatchError::TrampolineMissing => write!(f, "trampoline page not installed"),
         }
     }
@@ -122,18 +128,37 @@ impl RegionPerms {
 /// Looks up the protection of the mapping containing `addr` on a
 /// `/proc/self/maps` fd, with raw syscalls and stack buffers only (no
 /// allocation — safe inside a signal handler): one `PROCMAP_QUERY`
-/// where the kernel has it, else the text of the whole file.
+/// where the kernel has it, else the text of the whole file. `None`
+/// when nothing is mapped there — or when the lookup itself failed,
+/// which `lookup_perms` (and [`PatchError::LookupFailed`]) tell apart.
 pub fn region_perms(addr: usize) -> Option<RegionPerms> {
+    lookup_perms(addr).ok().flatten()
+}
+
+/// [`region_perms`], with "could not look" (the errno of the `open` or
+/// `read`) kept apart from "nothing mapped" (`Ok(None)`).
+fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
     let path = b"/proc/self/maps\0";
     // SAFETY: open(2) with a NUL-terminated path; fd closed below.
     let fd = unsafe { raw::syscall3(nr::OPEN, path.as_ptr() as u64, libc::O_RDONLY as u64, 0) };
-    if Errno::from_ret(fd).is_some() {
-        return None;
-    }
-    let result = query_perms(fd, addr).unwrap_or_else(|_| parse_perms(fd, addr));
+    let fd = Errno::result(fd)?;
+    let result = query_perms(fd, addr).or_else(|_| parse_perms(fd, addr));
     // SAFETY: closing the fd we opened.
     unsafe { raw::syscall1(nr::CLOSE, fd) };
     result
+}
+
+/// Whether a store to the page at `page` would succeed, asked of the
+/// kernel without opening anything: `MADV_POPULATE_WRITE` (Linux 5.14)
+/// faults the page in writable exactly as a store would — breaking
+/// copy-on-write, as the patch about to land does anyway — and changes
+/// no byte. `EINVAL` on a mapping without write permission (and on a
+/// kernel without the advice), `ENOMEM` where nothing is mapped.
+fn store_would_succeed(page: usize) -> bool {
+    const MADV_POPULATE_WRITE: u64 = 23;
+    // SAFETY: advice on one page; nothing is written, mapped or unmapped.
+    let r = unsafe { raw::syscall3(nr::MADVISE, page as u64, 4096, MADV_POPULATE_WRITE) };
+    r == 0
 }
 
 /// Asks the kernel for the one VMA covering `addr` (`PROCMAP_QUERY`,
@@ -161,17 +186,18 @@ fn query_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
     }
 }
 
-/// Reads the maps fd as text until a line covers `addr`.
-fn parse_perms(fd: u64, addr: usize) -> Option<RegionPerms> {
+/// Reads the maps fd as text until a line covers `addr`; `Ok(None)` at
+/// its end.
+fn parse_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
     let mut buf = [0u8; 4096];
     let mut carry = [0u8; 128]; // longest prefix we need: "start-end perms"
     let mut carry_len = 0usize;
     loop {
         // SAFETY: reading into our stack buffer.
         let n = unsafe { raw::syscall3(nr::READ, fd, buf.as_mut_ptr() as u64, buf.len() as u64) };
-        let n = match Errno::result(n) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => n as usize,
+        let n = match Errno::result(n)? {
+            0 => return Ok(None),
+            n => n as usize,
         };
         let mut line_start = 0usize;
         for i in 0..n {
@@ -187,7 +213,7 @@ fn parse_perms(fd: u64, addr: usize) -> Option<RegionPerms> {
                     parse_maps_line(&buf[line_start..i], addr)
                 };
                 if parsed.is_some() {
-                    return parsed;
+                    return Ok(parsed);
                 }
                 line_start = i + 1;
             }
@@ -243,7 +269,7 @@ unsafe fn store_call_rax(site: usize) -> usize {
 /// `call rax`. `perms` is the mapping's protection, if the caller has it.
 ///
 /// The writes happen under the global rewrite spinlock. A mapping that
-/// is not already readable and writable (an RWX JIT page is) is set
+/// does not already take stores (an RWX JIT page does) is set
 /// writable-and-executable meanwhile — keeping execute permission so
 /// threads racing through the page never fault — and restored after.
 /// Each 2-byte store is a single unaligned `u16` write; on x86-64 this
@@ -272,12 +298,25 @@ pub(crate) unsafe fn patch_window(
     }
 
     let (addr, last) = (sites[0], sites[sites.len() - 1]);
-    let orig = perms.or_else(|| region_perms(addr));
-    let orig = orig.ok_or(PatchError::UnmappedAddress)?;
     let page = addr & !4095;
-    // The last site may straddle into a page `orig` says nothing about.
-    let len = if last + 2 > page + 4096 { 8192 } else { 4096 };
-    let open = !(orig.read && orig.write) || len > 4096;
+    // The last site may straddle into a page neither the probe nor the
+    // looked-up mapping says anything about.
+    let straddles = last + 2 > page + 4096;
+    let len = if straddles { 8192 } else { 4096 };
+    // A page that takes stores as it is — an RWX JIT page — needs no
+    // window, and no look at what the mapping is. `/proc` is opened only
+    // when a window has to be: its protection is what the window restores.
+    let window = if perms.is_none() && !straddles && store_would_succeed(page) {
+        None
+    } else {
+        let orig = match perms {
+            Some(perms) => perms,
+            None => lookup_perms(addr)
+                .map_err(PatchError::LookupFailed)?
+                .ok_or(PatchError::UnmappedAddress)?,
+        };
+        (!(orig.read && orig.write) || straddles).then_some(orig)
+    };
     let protect = |prot: i32| {
         let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, prot as u64);
         Errno::result(r).map_err(PatchError::MprotectFailed)
@@ -290,14 +329,14 @@ pub(crate) unsafe fn patch_window(
     if let Some(e) = faultinject::check(faultinject::Site::PatchMprotect) {
         return Err(PatchError::MprotectFailed(Errno::new(e)));
     }
-    if open {
+    if window.is_some() {
         protect(libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC)?;
     }
     let mut patched: usize = sites.iter().map(|&site| store_call_rax(site)).sum();
     if sweep {
         patched += sweep_after(addr, page + 4096);
     }
-    if open {
+    if let Some(orig) = window {
         protect(orig.prot())?;
     }
     Ok(patched)
@@ -468,8 +507,10 @@ mod tests {
         lookup(maps.as_raw_fd() as u64)
     }
 
-    #[test]
-    fn procmap_query_and_text_parser_agree() {
+    /// Runs `check` on an address in each of five mappings — r-x text,
+    /// rw- stack, rwx, `PROT_NONE`, just unmapped (at `gone`, which no
+    /// two tests may share) — and what `/proc/self/maps` says of it.
+    fn on_five_mappings(gone: usize, check: impl Fn(usize, Option<RegionPerms>)) {
         let local = 0u8;
         unsafe {
             let rwx = map_pages(1, RWX);
@@ -478,10 +519,10 @@ mod tests {
             // `mmap` is handed the address before the lookups below.
             const MAP_FIXED_NOREPLACE: i32 = 0x10_0000;
             let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | MAP_FIXED_NOREPLACE;
-            let gone = libc::mmap(0x1_0000 as *mut _, 4096, libc::PROT_READ, flags, -1, 0);
-            assert_eq!(gone as usize, 0x1_0000);
-            assert_eq!(region_perms(gone as usize), perms(true, false, false));
-            libc::munmap(gone, 4096);
+            let p = libc::mmap(gone as *mut _, 4096, libc::PROT_READ, flags, -1, 0);
+            assert_eq!(p as usize, gone);
+            assert_eq!(region_perms(gone), perms(true, false, false));
+            libc::munmap(p, 4096);
             let cases = [
                 (
                     patch_syscall_site as *const () as usize,
@@ -490,31 +531,86 @@ mod tests {
                 (&local as *const u8 as usize, perms(true, true, false)),
                 (rwx as usize + 100, perms(true, true, true)),
                 (none as usize, perms(false, false, false)),
-                (gone as usize, None),
+                (gone, None),
             ];
             for (addr, expect) in cases {
-                assert_eq!(
-                    on_maps_fd(|fd| parse_perms(fd, addr)),
-                    expect,
-                    "text, {addr:#x}"
-                );
-                assert_eq!(region_perms(addr), expect, "region_perms, {addr:#x}");
-                match on_maps_fd(|fd| query_perms(fd, addr)) {
-                    Ok(got) => assert_eq!(got, expect, "PROCMAP_QUERY, {addr:#x}"),
-                    // Before Linux 6.11: region_perms just took the text.
-                    Err(e) => assert_eq!(e, Errno::ENOTTY, "{addr:#x}"),
-                }
+                check(addr, expect);
             }
-            // After a failed query the same fd still reads from its start.
-            let text = patch_syscall_site as *const () as usize;
-            let after_query = on_maps_fd(|fd| {
-                let _ = query_perms(fd, 0);
-                parse_perms(fd, text)
-            });
-            assert_eq!(after_query, perms(true, false, true));
             libc::munmap(rwx.cast(), 4096);
             libc::munmap(none.cast(), 4096);
         }
+    }
+
+    #[test]
+    fn procmap_query_and_text_parser_agree() {
+        on_five_mappings(0x1_0000, |addr, expect| {
+            assert_eq!(
+                on_maps_fd(|fd| parse_perms(fd, addr)),
+                Ok(expect),
+                "text, {addr:#x}"
+            );
+            assert_eq!(region_perms(addr), expect, "region_perms, {addr:#x}");
+            match on_maps_fd(|fd| query_perms(fd, addr)) {
+                Ok(got) => assert_eq!(got, expect, "PROCMAP_QUERY, {addr:#x}"),
+                // Before Linux 6.11: region_perms just took the text.
+                Err(e) => assert_eq!(e, Errno::ENOTTY, "{addr:#x}"),
+            }
+        });
+        // After a failed query the same fd still reads from its start.
+        let text = patch_syscall_site as *const () as usize;
+        let after_query = on_maps_fd(|fd| {
+            let _ = query_perms(fd, 0);
+            parse_perms(fd, text)
+        });
+        assert_eq!(after_query, Ok(perms(true, false, true)));
+    }
+
+    #[test]
+    fn probe_agrees_with_region_perms() {
+        unsafe {
+            // Linux < 5.14 has no MADV_POPULATE_WRITE: the probe says no
+            // everywhere and every patch takes the lookup, as before it.
+            let rwx = map_pages(1, RWX);
+            let has_advice = store_would_succeed(rwx as usize);
+            libc::munmap(rwx.cast(), 4096);
+            if !has_advice {
+                eprintln!("no MADV_POPULATE_WRITE on this kernel; skipping");
+                return;
+            }
+        }
+        on_five_mappings(0x2_0000, |addr, expect| {
+            assert_eq!(
+                store_would_succeed(addr & !4095),
+                expect.is_some_and(|p| p.write),
+                "{addr:#x}, {expect:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn lookup_failure_is_not_an_unmapped_address() {
+        // No descriptor left to open /proc/self/maps on: "could not
+        // look" (EMFILE), where `region_perms` alone says `None` as it
+        // does for an address nothing is mapped at (ENOENT). Run in a
+        // forked child: the limit must not starve the other tests.
+        let text = patch_syscall_site as *const () as usize;
+        unsafe {
+            let pid = libc::fork();
+            assert!(pid >= 0);
+            if pid == 0 {
+                const RLIMIT_NOFILE: u64 = 7;
+                let none = [0u64; 2]; // struct rlimit: cur, max
+                let ok = raw::syscall2(nr::SETRLIMIT, RLIMIT_NOFILE, none.as_ptr() as u64) == 0
+                    && lookup_perms(text) == Err(Errno::EMFILE)
+                    && region_perms(text).is_none()
+                    && lookup_perms(0x3_0000) == Err(Errno::EMFILE);
+                libc::_exit(if ok { 0 } else { 1 });
+            }
+            let mut status = 0;
+            assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+            assert_eq!(status, 0, "child saw something other than EMFILE");
+        }
+        assert_eq!(lookup_perms(0x3_0000), Ok(None));
     }
 
     #[test]

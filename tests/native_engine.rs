@@ -1750,41 +1750,69 @@ fn scenario_fault_unpatchable_page() {
     engine.unenroll_current_thread();
 }
 
+#[repr(C)]
+struct SockFilter {
+    code: u16,
+    jt: u8,
+    jf: u8,
+    k: u32,
+}
+
+const SECCOMP_RET_KILL_PROCESS: u32 = 0x8000_0000;
+const SECCOMP_RET_ERRNO: u32 = 0x0005_0000;
+
+/// A seccomp filter that answers each syscall of `numbers` with
+/// `action` (a `SECCOMP_RET_*` value) and allows the rest. Built ahead
+/// of [`arm_seccomp`] so that arming allocates nothing.
+fn seccomp_by_number(numbers: &[u64], action: u32) -> Vec<SockFilter> {
+    const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
+    let insn = |code, jt, k| SockFilter { code, jt, jf: 0, k };
+    // A = seccomp_data.nr; one `jeq` per number, each jumping over the
+    // rest and the allow to the action.
+    let mut filter = vec![insn(0x20, 0, 0)];
+    for (i, &nr) in numbers.iter().enumerate() {
+        filter.push(insn(0x15, (numbers.len() - i) as u8, nr as u32));
+    }
+    filter.push(insn(0x06, 0, SECCOMP_RET_ALLOW));
+    filter.push(insn(0x06, 0, action));
+    filter
+}
+
+unsafe fn arm_seccomp(filter: &[SockFilter]) {
+    #[repr(C)]
+    struct SockFprog {
+        len: u16,
+        filter: *const SockFilter,
+    }
+    const PR_SET_SECCOMP: libc::c_int = 22;
+    const PR_SET_NO_NEW_PRIVS: libc::c_int = 38;
+    const SECCOMP_MODE_FILTER: libc::c_ulong = 2;
+    let prog = SockFprog {
+        len: filter.len() as u16,
+        filter: filter.as_ptr(),
+    };
+    assert_eq!(
+        libc::prctl(PR_SET_NO_NEW_PRIVS, 1 as libc::c_ulong, 0, 0, 0),
+        0
+    );
+    let armed = libc::prctl(
+        PR_SET_SECCOMP,
+        SECCOMP_MODE_FILTER,
+        &prog as *const SockFprog,
+    );
+    assert_eq!(armed, 0, "seccomp filter refused");
+}
+
 fn scenario_rwx_patch_without_mprotect() {
     // The patcher must not mprotect a page that is already writable.
     // Proved by taking mprotect away: a seccomp filter fails every one
     // with EPERM, after which an RWX page still patches (anchor plus
     // swept site) and an r-x page cannot — the control that shows the
     // filter bites.
-    #[repr(C)]
-    struct SockFilter {
-        code: u16,
-        jt: u8,
-        jf: u8,
-        k: u32,
-    }
-    #[repr(C)]
-    struct SockFprog {
-        len: u16,
-        filter: *const SockFilter,
-    }
-    const SECCOMP_RET_ERRNO: u32 = 0x0005_0000;
-    const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
-    let insn = |code, jt, jf, k| SockFilter { code, jt, jf, k };
-    let filter = [
-        // A = seccomp_data.nr; if A != mprotect skip the errno return.
-        insn(0x20, 0, 0, 0),
-        insn(0x15, 0, 1, syscalls::nr::MPROTECT as u32),
-        insn(0x06, 0, 0, SECCOMP_RET_ERRNO | libc::EPERM as u32),
-        insn(0x06, 0, 0, SECCOMP_RET_ALLOW),
-    ];
-    let prog = SockFprog {
-        len: filter.len() as u16,
-        filter: filter.as_ptr(),
-    };
-    const PR_SET_SECCOMP: libc::c_int = 22;
-    const PR_SET_NO_NEW_PRIVS: libc::c_int = 38;
-    const SECCOMP_MODE_FILTER: libc::c_ulong = 2;
+    let no_mprotect = seccomp_by_number(
+        &[syscalls::nr::MPROTECT],
+        SECCOMP_RET_ERRNO | libc::EPERM as u32,
+    );
 
     zpoline::Trampoline::install().expect("trampoline");
     unsafe {
@@ -1797,16 +1825,7 @@ fn scenario_rwx_patch_without_mprotect() {
         );
         let perms_of = |p: *mut u8| zpoline::patcher::region_perms(p as usize).map(|r| r.prot());
 
-        assert_eq!(
-            libc::prctl(PR_SET_NO_NEW_PRIVS, 1 as libc::c_ulong, 0, 0, 0),
-            0
-        );
-        let armed = libc::prctl(
-            PR_SET_SECCOMP,
-            SECCOMP_MODE_FILTER,
-            &prog as *const SockFprog,
-        );
-        assert_eq!(armed, 0, "seccomp filter refused");
+        arm_seccomp(&no_mprotect);
         assert_eq!(
             libc::mprotect(rwx.cast(), 4096, libc::PROT_READ),
             -1,
@@ -1843,6 +1862,98 @@ fn scenario_rwx_patch_without_mprotect() {
         );
         faultinject::disarm(faultinject::Site::PatchMprotect);
         assert_eq!(std::slice::from_raw_parts(seam.add(5), 2), &[0x0f, 0x05]);
+    }
+}
+
+fn scenario_rwx_patch_without_proc() {
+    // The slow path must not need `/proc` to patch a page that takes
+    // stores as it is, and a page whose protection it cannot look up
+    // must cost one failed `open`, not one per execution. Proved by
+    // taking `open` away: once the engine is up, a seccomp filter fails
+    // every `open`/`openat` with EMFILE. An RWX page still batch-patches
+    // on its first SIGSYS; an r-x page is emulated and blocklisted, and
+    // under a second filter that *kills* on `open` its next execution
+    // survives.
+    let opens = [syscalls::nr::OPEN, syscalls::nr::OPENAT];
+    let no_open = seccomp_by_number(
+        &opens,
+        SECCOMP_RET_ERRNO | syscalls::Errno::EMFILE.as_i32() as u32,
+    );
+    let open_kills = seccomp_by_number(&opens, SECCOMP_RET_KILL_PROCESS);
+    interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let rwx = emit_getpid_page(2);
+        let rx = emit_getpid_page(2);
+        assert_eq!(
+            libc::mprotect(rx.cast(), 4096, libc::PROT_READ | libc::PROT_EXEC),
+            0
+        );
+        let site = |page: *mut u8, i: usize| -> extern "C" fn() -> u64 {
+            std::mem::transmute(page.add(i * 64))
+        };
+        let pid = std::process::id() as u64;
+        let engine = lazypoline::init(Config::default()).expect("init");
+        // libc's prctl site is rewritten (through /proc: its page is
+        // r-x) by the call that arms the filter, not after it.
+        arm_seccomp(&no_open);
+        assert!(
+            std::fs::File::open("/proc/self/maps").is_err(),
+            "filter inactive"
+        );
+
+        let before = lazypoline::stats();
+        let r0 = site(rwx, 0)();
+        let r1 = site(rwx, 1)();
+        let patched = lazypoline::stats();
+        let r2 = site(rx, 0)();
+        let listed = lazypoline::stats();
+        arm_seccomp(&open_kills);
+        let armed = lazypoline::stats();
+        let r3 = site(rx, 0)();
+        let r4 = site(rx, 1)();
+        let after = lazypoline::stats();
+
+        // (Asserting only now: format!/panic machinery may syscall.)
+        assert_eq!([r0, r1, r2, r3, r4], [pid; 5]);
+        // One SIGSYS patched the anchor and the swept site, no /proc.
+        assert_eq!(patched.slow_path_hits - before.slow_path_hits, 1);
+        assert_eq!(patched.sites_patched - before.sites_patched, 2);
+        assert_eq!(
+            patched.unpatchable_emulations,
+            before.unpatchable_emulations
+        );
+        assert_eq!(patched.pages_blocklisted, before.pages_blocklisted);
+        for i in 0..2 {
+            assert_eq!(
+                std::slice::from_raw_parts(rwx.add(i * 64 + 5), 2),
+                &[0xff, 0xd0]
+            );
+        }
+        // The r-x page: emulated once, blocklisted for the failed
+        // lookup, bytes untouched…
+        assert_eq!(listed.slow_path_hits - patched.slow_path_hits, 1);
+        assert_eq!(listed.sites_patched, patched.sites_patched);
+        assert_eq!(
+            listed.unpatchable_emulations - patched.unpatchable_emulations,
+            1
+        );
+        assert_eq!(listed.pages_blocklisted - patched.pages_blocklisted, 1);
+        // …and its later executions (alive, so they opened nothing) went
+        // straight to emulation.
+        assert_eq!(after.slow_path_hits - armed.slow_path_hits, 2);
+        assert_eq!(
+            after.unpatchable_emulations - armed.unpatchable_emulations,
+            2
+        );
+        assert_eq!(after.pages_blocklisted, listed.pages_blocklisted);
+        assert_eq!(after.sites_patched, armed.sites_patched);
+        for i in 0..2 {
+            assert_eq!(
+                std::slice::from_raw_parts(rx.add(i * 64 + 5), 2),
+                &[0x0f, 0x05]
+            );
+        }
+        engine.unenroll_current_thread();
     }
 }
 
@@ -2899,6 +3010,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("fault_sud_only", scenario_fault_sud_only),
     ("fault_unpatchable_page", scenario_fault_unpatchable_page),
     ("rwx_patch_without_mprotect", scenario_rwx_patch_without_mprotect),
+    ("rwx_patch_without_proc", scenario_rwx_patch_without_proc),
     ("fault_soak", scenario_fault_soak),
     ("fault_soak_sudonly", scenario_fault_soak_sudonly),
     ("panic_quarantine", scenario_panic_quarantine),
