@@ -1,14 +1,11 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the design choices DESIGN.md calls out that are not
+//! Table II rows. (Extended-state preservation on/off, lazy rewriting
+//! on/off and batch rewriting on/off are: `table2` prints them from
+//! its one measurement session.)
 //!
-//! 1. **Extended-state granularity** (native): what each XSAVE
-//!    component level costs on the fast path — the tuning space the
-//!    paper's configurable option exposes (§IV-B(b)).
-//! 2. **Lazy rewriting on/off** (native): the hybrid against its own
-//!    slow path used alone — the paper's central claim quantified with
-//!    a single switch. Plus **batch rewriting on/off** (2b): whether a
-//!    single `SIGSYS` patches every verifiable site on the faulting
-//!    page or only the faulting one, compared by `SLOW_PATH_HITS` vs
-//!    `SITES_PATCHED` over a multi-site discovery workload.
+//! 1b. **Extended-state granularity** (native): what each XSAVE
+//!     component level costs on the fast path — the tuning space the
+//!     paper's configurable option exposes (§IV-B(b)).
 //! 3. **seccomp filter length** (simulated): how in-kernel filter cost
 //!    scales with program size (why "seccomp-bpf is fast" still
 //!    degrades with real policies).
@@ -22,38 +19,16 @@ use sim_interpose::{Interposed, Mechanism};
 use sim_kernel::seccomp::BpfProgram;
 
 fn main() {
-    native_ablations();
+    xstate_sweep();
     sim_filter_length();
     sim_signal_cost();
 }
 
-fn native_ablations() {
+fn xstate_sweep() {
     if !micro::environment_supported() {
-        println!("native ablations skipped (needs SUD + vm.mmap_min_addr=0)\n");
+        println!("native ablation skipped (needs SUD + vm.mmap_min_addr=0)\n");
         return;
     }
-    // Reuse the Table II session: it measures xstate on/off and SUD
-    // (no-rewriting) against the fast path.
-    let r = micro::run_table2();
-    let base = r.baseline.cycles();
-
-    println!("Ablation 1 — extended-state preservation (native fast path):\n");
-    let mut t = Table::new(["configuration", "cycles/call", "vs baseline"]);
-    for m in [&r.zpoline, &r.lazypoline_nox, &r.lazypoline] {
-        t.row([
-            m.name.to_string(),
-            format!("{:.0}", m.cycles()),
-            format!("{:.2}x", m.cycles() / base),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "\nxstate preservation costs {:.0} cycles/call here — the paper's \
-         configurable option lets interposers opt out when their workload \
-         (cf. Table III) does not need it.\n",
-        r.lazypoline.cycles() - r.lazypoline_nox.cycles()
-    );
-
     println!("Ablation 1b — XSAVE component granularity (native fast path):\n");
     let mut t = Table::new(["mask", "cycles/call"]);
     for (_, m) in micro::run_xstate_sweep() {
@@ -61,44 +36,6 @@ fn native_ablations() {
     }
     print!("{}", t.render());
     println!();
-
-    println!("Ablation 2 — lazy rewriting on/off (native):\n");
-    let mut t = Table::new(["configuration", "cycles/call", "vs baseline"]);
-    t.row([
-        "hybrid (lazy rewriting on)".to_string(),
-        format!("{:.0}", r.lazypoline.cycles()),
-        format!("{:.2}x", r.lazypoline.cycles() / base),
-    ]);
-    t.row([
-        "slow path only (pure SUD)".to_string(),
-        format!("{:.0}", r.sud.cycles()),
-        format!("{:.2}x", r.sud.cycles() / base),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "\nthe rewriting fast path is worth {:.1}x on this host.\n",
-        r.sud.cycles() / r.lazypoline.cycles()
-    );
-
-    println!("Ablation 2b — page-granular batch rewriting (native):\n");
-    let b = micro::run_batch_ablation();
-    let mut t = Table::new(["configuration", "SLOW_PATH_HITS", "SITES_PATCHED"]);
-    t.row([
-        "per-site rewriting (batch off)".to_string(),
-        format!("{}", b.unbatched.slow_path_hits),
-        format!("{}", b.unbatched.sites_patched),
-    ]);
-    t.row([
-        "batch rewriting (default)".to_string(),
-        format!("{}", b.batched.slow_path_hits),
-        format!("{}", b.batched.sites_patched),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "\n{} fresh sites on one page: batching collapses {} SIGSYS \
-         deliveries into {} while patching the same sites.\n",
-        b.sites, b.unbatched.slow_path_hits, b.batched.slow_path_hits
-    );
 }
 
 fn sim_filter_length() {

@@ -1,24 +1,25 @@
-//! Regenerates **Table II**: microbenchmarking overhead compared to
-//! baseline (native, on this host's real kernel), plus the
-//! dispatch-cost optimization measurements (syscall-interest filtering
-//! and batch rewriting).
+//! Regenerates **Table II** (microbenchmarking overhead compared to
+//! baseline, native, on this host's real kernel) and, from the same
+//! measurements, **Figure 4** (lazypoline's overhead breakdown) and the
+//! ablations that are Table II rows (xstate preservation, lazy and
+//! batch rewriting on/off).
 //!
 //! ```sh
 //! cargo run -p lp-bench --bin table2 --release
 //! LP_BENCH_ITERS=2000000 LP_BENCH_RUNS=10 cargo run -p lp-bench --bin table2 --release
-//! cargo run -p lp-bench --bin table2 --release -- --json   # also writes BENCH_table2.json
+//! cargo run -p lp-bench --bin table2 --release -- --json   # also writes BENCH_table2.json, BENCH_fig4.json
 //! ```
 //!
 //! Beside the paper's number 500, which enters the trampoline's sled
 //! twelve bytes from its end, the rewriting rows are measured at
 //! `read`, `getpid` and `epoll_wait` (JSON rows carry `sysno`).
 //!
-//! The Table II rows need SUD and a mappable page zero; the
-//! interest-filter dispatch comparison runs on any host (the filter
-//! lives entirely in the dispatcher's decision sequence).
+//! Everything here needs SUD and a mappable page zero. What a dispatch
+//! costs per layer (interest hits and misses, hook stacks, the hook
+//! ABI) is lpbench's ledger (`lpbench --trace 1`).
 
 use lp_bench::json::Json;
-use lp_bench::micro;
+use lp_bench::micro::{self, Measurement, MicroResults};
 use lp_bench::report::Table;
 
 /// The paper's Table II values for side-by-side comparison.
@@ -31,7 +32,7 @@ const PAPER: &[(&str, f64)] = &[
 ];
 
 /// Attaches a row's mechanism counter snapshot (install-to-teardown
-/// deltas, including the PR-2 robustness counters) to its JSON object.
+/// deltas, including the robustness counters) to its JSON object.
 fn with_stats(row: Json, stats: Option<&mechanism::StatsSnapshot>) -> Json {
     let Some(s) = stats else { return row };
     let observed = s.events_recorded + s.events_dropped;
@@ -51,6 +52,296 @@ fn with_stats(row: Json, stats: Option<&mechanism::StatsSnapshot>) -> Json {
         .field("mechanism_stats", counters)
 }
 
+/// One JSON row: a measurement at `sysno` against that number's
+/// baseline.
+fn row_json(m: &Measurement, sysno: u64, base: f64) -> Json {
+    Json::obj()
+        .field("name", Json::Str(m.name.into()))
+        .field("sysno", Json::Int(sysno))
+        .field("cycles_per_call", Json::Num(m.cycles()))
+        .field("vs_baseline", Json::Num(m.cycles() / base))
+        .field("stddev_pct", Json::Num(m.stddev_pct()))
+}
+
+fn write_json(bench: &str, root: Json) {
+    let path = format!("BENCH_{bench}.json");
+    std::fs::write(&path, root.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// Figure 4's segments of the lazypoline row as `(JSON key, label,
+/// cycles)`: the bare round trip, then what rewriting, enabling SUD and
+/// xstate preservation each add on top.
+fn fig4_segments(r: &MicroResults) -> [(&'static str, &'static str, f64); 4] {
+    let (base, zp, nox, full) = (
+        r.baseline.cycles(),
+        r.zpoline.cycles(),
+        r.lazypoline_nox.cycles(),
+        r.lazypoline.cycles(),
+    );
+    [
+        ("bare_syscall", "bare syscall round trip", base),
+        (
+            "rewriting",
+            "+ rewriting (zpoline part)",
+            (zp - base).max(0.0),
+        ),
+        ("enabling_sud", "+ enabling SUD", (nox - zp).max(0.0)),
+        (
+            "xstate_preservation",
+            "+ xstate preservation",
+            (full - nox).max(0.0),
+        ),
+    ]
+}
+
+/// What the sled adds when entered at `getpid` (39) instead of 500:
+/// zpoline@39 − zpoline@500, each net of its own baseline. Not part of
+/// the bar, which is the paper's, measured at 500.
+fn fig4_sled(r: &MicroResults) -> f64 {
+    let getpid = r
+        .sled
+        .iter()
+        .find(|rows| rows.sysno == syscalls::nr::GETPID)
+        .expect("getpid is one of micro::SLED_SYSNOS");
+    (getpid.zpoline.cycles() - getpid.baseline.cycles())
+        - (r.zpoline.cycles() - r.baseline.cycles())
+}
+
+fn print_table2(r: &MicroResults, hardened: Option<&micro::HardenedRow>) {
+    let base = r.baseline.cycles();
+    println!(
+        "Table II — microbenchmark overhead vs baseline (syscall 500 x {} iters, {} runs)\n",
+        r.iters, r.runs
+    );
+    let mut table = Table::new(["Configuration", "measured", "paper", "cycles/call", "σ%"]);
+    let mut max_sd = r.baseline.stddev_pct();
+    for m in r.rows().into_iter().chain(hardened.map(|h| &h.measurement)) {
+        let paper = PAPER
+            .iter()
+            .find(|(n, _)| *n == m.name)
+            .map(|(_, v)| format!("{v:.2}x"))
+            .unwrap_or_default();
+        table.row([
+            m.name.to_string(),
+            format!("{:.2}x", m.cycles() / base),
+            paper,
+            format!("{:.0}", m.cycles()),
+            format!("{:.2}", m.stddev_pct()),
+        ]);
+        max_sd = max_sd.max(m.stddev_pct());
+    }
+    print!("{}", table.render());
+    if let Some(h) = hardened {
+        // WRPKRU cost from this run: what the hardened row adds over
+        // plain lazypoline, spread over the switches each dispatch makes.
+        // An upper bound: the difference also carries the backstop's
+        // seccomp filter, which runs on every syscall.
+        let per_dispatch = h.stats.pkru_switches as f64 / h.stats.dispatches.max(1) as f64;
+        let added = h.measurement.cycles() - r.lazypoline.cycles();
+        println!(
+            "hardened row (child process): level {}, {} pkru switch(es) over {} dispatches \
+             ({per_dispatch:.2} per dispatch), {} bypass(es) blocked",
+            h.harden_level, h.stats.pkru_switches, h.stats.dispatches, h.stats.bypass_blocked
+        );
+        if per_dispatch > 0.0 {
+            println!(
+                "WRPKRU: {added:+.0} cycles/call over lazypoline ÷ {per_dispatch:.2} switches \
+                 = ≤ {:.1} cycles per switch (the seccomp backstop's filter is in the difference too)",
+                added / per_dispatch
+            );
+        }
+    }
+    println!("\nbaseline: {base:.0} cycles/call; max relative stddev {max_sd:.2}%");
+    if let Some(sfip_row) = &r.lazypoline_sfip {
+        // The flow-integrity check is one thread-local swap plus one
+        // bitmatrix test per syscall (target: within 10% of plain
+        // lazypoline), and a policy learned from the workload's own
+        // trace must be clean.
+        let plain = r.lazypoline.cycles();
+        let checked = sfip_row.cycles();
+        let s = r.snapshot_for(sfip_row.name);
+        println!(
+            "sfip overhead: {checked:.0} vs {plain:.0} cycles/call plain lazypoline \
+             ({:+.1}% — target within 10%); {} checks, {} violation(s), mode {}",
+            (checked / plain - 1.0) * 100.0,
+            s.map_or(0, |s| s.sfip_checks),
+            s.map_or(0, |s| s.sfip_violations),
+            s.map_or("", |s| s.sfip_mode),
+        );
+    }
+    println!("(paper: Xeon Gold 5318S @2.1GHz, Linux 5.15; this host differs — compare shapes, not absolutes)");
+
+    // Number 500 enters the sled twelve bytes from its end; these
+    // enter where real programs do.
+    println!("\nThe rewriting rows at other numbers, each vs the same number uninterposed:\n");
+    let mut t = Table::new(["sysno", "baseline cycles", "zpoline", "lazypoline"]);
+    let at = |m: &Measurement, base: f64| format!("{:.2}x ({:.0})", m.cycles() / base, m.cycles());
+    t.row([
+        "500".to_string(),
+        format!("{base:.0}"),
+        at(&r.zpoline, base),
+        at(&r.lazypoline, base),
+    ]);
+    for rows in &r.sled {
+        let base = rows.baseline.cycles();
+        t.row([
+            rows.sysno.to_string(),
+            format!("{base:.0}"),
+            at(&rows.zpoline, base),
+            at(&rows.lazypoline, base),
+        ]);
+    }
+    print!("{}", t.render());
+    if let Some(rec) = &r.recording {
+        println!(
+            "recording row trace: {} events, {} dropped ({:.4}% drop rate), {} bytes ({:.1} B/event)",
+            rec.events,
+            rec.dropped,
+            rec.drop_rate() * 100.0,
+            rec.bytes,
+            bytes_per_event(rec),
+        );
+    }
+}
+
+fn bytes_per_event(rec: &mechanism::replay::RecordSummary) -> f64 {
+    if rec.events == 0 {
+        0.0
+    } else {
+        rec.bytes as f64 / rec.events as f64
+    }
+}
+
+fn print_fig4(r: &MicroResults) {
+    let total = r.lazypoline.cycles();
+    let segments = fig4_segments(r);
+    println!("\nFigure 4 — lazypoline overhead breakdown (cycles per interposed syscall)\n");
+    for (_, label, v) in segments {
+        let width = (60.0 * v / total).round() as usize;
+        println!("{label:<28} {v:>8.0}  |{}|", "#".repeat(width));
+    }
+    println!("{:<28} {total:>8.0}", "= lazypoline total");
+    println!(
+        "{:<28} {:>+8.0}",
+        "sled, entered at 39 not 500",
+        fig4_sled(r)
+    );
+    let (_, _, xstate) = segments[3];
+    println!(
+        "(paper: xstate preservation is the largest component; here {:.0}% of total overhead)",
+        100.0 * xstate / (total - r.baseline.cycles())
+    );
+}
+
+fn print_ablations(r: &MicroResults, batch: &micro::BatchAblation) {
+    let (nox, full, sud) = (
+        r.lazypoline_nox.cycles(),
+        r.lazypoline.cycles(),
+        r.sud.cycles(),
+    );
+    println!("\nAblations from these rows (the per-component xstate sweep is `ablate`):");
+    println!(
+        "  xstate preservation on/off: {nox:.0} → {full:.0} cycles/call ({:+.0})",
+        full - nox
+    );
+    println!(
+        "  lazy rewriting on/off: hybrid {full:.0} vs slow path only (pure SUD) {sud:.0} cycles/call \
+         — the fast path is worth {:.1}x",
+        sud / full
+    );
+    println!(
+        "  batch rewriting on/off: {} fresh sites on one page, {} SIGSYS batched vs {} unbatched \
+         ({} vs {} sites patched)",
+        batch.sites,
+        batch.batched.slow_path_hits,
+        batch.unbatched.slow_path_hits,
+        batch.batched.sites_patched,
+        batch.unbatched.sites_patched,
+    );
+}
+
+fn table2_json(
+    r: &MicroResults,
+    hardened: Option<&micro::HardenedRow>,
+    batch: &micro::BatchAblation,
+) -> Json {
+    let base = r.baseline.cycles();
+    let paper_sysno = syscalls::NONEXISTENT_SYSCALL;
+    let mut rows: Vec<Json> = [&r.baseline]
+        .into_iter()
+        .chain(r.rows())
+        .map(|m| with_stats(row_json(m, paper_sysno, base), r.snapshot_for(m.name)))
+        .collect();
+    if let Some(h) = hardened {
+        rows.push(with_stats(
+            row_json(&h.measurement, paper_sysno, base)
+                .field("harden_level", Json::Str(h.harden_level.clone())),
+            Some(&h.stats),
+        ));
+    }
+    for sled in &r.sled {
+        let base = sled.baseline.cycles();
+        for m in [&sled.baseline, &sled.zpoline, &sled.lazypoline] {
+            rows.push(row_json(m, sled.sysno, base));
+        }
+    }
+    let mut root = Json::obj()
+        .field("bench", Json::Str("table2".into()))
+        .field("native_supported", Json::Bool(true))
+        .field("iters", Json::Int(r.iters))
+        .field("runs", Json::Int(r.runs))
+        .field("rows", Json::Arr(rows));
+    if let Some(rec) = &r.recording {
+        root = root.field(
+            "recording",
+            Json::obj()
+                .field("events", Json::Int(rec.events))
+                .field("events_dropped", Json::Int(rec.dropped))
+                .field("drop_rate", Json::Num(rec.drop_rate()))
+                .field("trace_bytes", Json::Int(rec.bytes))
+                .field("bytes_per_event", Json::Num(bytes_per_event(rec))),
+        );
+    }
+    let phase = |p: &micro::BatchPhase| {
+        Json::obj()
+            .field("slow_path_hits", Json::Int(p.slow_path_hits))
+            .field("sites_patched", Json::Int(p.sites_patched))
+    };
+    root.field(
+        "batch_rewriting",
+        Json::obj()
+            .field("sites", Json::Int(batch.sites as u64))
+            .field("batched", phase(&batch.batched))
+            .field("unbatched", phase(&batch.unbatched)),
+    )
+}
+
+fn fig4_json(r: &MicroResults) -> Json {
+    let base = r.baseline.cycles();
+    let segments = fig4_segments(r)
+        .into_iter()
+        .fold(Json::obj(), |obj, (key, _, v)| obj.field(key, Json::Num(v)))
+        .field("total", Json::Num(r.lazypoline.cycles()))
+        .field("sled", Json::Num(fig4_sled(r)));
+    Json::obj()
+        .field("bench", Json::Str("fig4".into()))
+        .field("native_supported", Json::Bool(true))
+        .field("iters", Json::Int(r.iters))
+        .field("runs", Json::Int(r.runs))
+        .field("segments_cycles", segments)
+        .field(
+            "vs_baseline",
+            Json::obj()
+                .field("zpoline", Json::Num(r.zpoline.cycles() / base))
+                .field(
+                    "lazypoline_no_xstate",
+                    Json::Num(r.lazypoline_nox.cycles() / base),
+                )
+                .field("lazypoline", Json::Num(r.lazypoline.cycles() / base)),
+        )
+}
+
 fn main() {
     // Child-process mode: measure only the hardened row and exit (the
     // seccomp backstop is one-way per process — see `micro::HardenedRow`).
@@ -58,336 +349,37 @@ fn main() {
         micro::hardened_child_main();
     }
     let json_mode = std::env::args().any(|a| a == "--json");
-    let native = micro::environment_supported();
-
-    let results = if native {
-        Some(micro::run_table2())
-    } else {
+    if !micro::environment_supported() {
         eprintln!(
             "skip: this host cannot run the native microbenchmark \
              (needs Linux >= 5.11 SUD and vm.mmap_min_addr = 0)"
         );
-        None
-    };
-
-    // The hardened row runs in a re-exec'd child so its one-way seccomp
-    // filter cannot leak into this process's remaining measurements.
-    let hardened = results.as_ref().and_then(|_| micro::run_hardened_row());
-
-    if let Some(results) = &results {
-        println!(
-            "Table II — microbenchmark overhead vs baseline (syscall 500 x {} iters, {} runs)\n",
-            results.iters, results.runs
-        );
-        let mut table = Table::new(["Configuration", "measured", "paper", "cycles/call", "σ%"]);
-        let mut max_sd: f64 = results.baseline.stddev_pct();
-        for (name, ratio, sd) in results.rows() {
-            let paper = PAPER
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| format!("{v:.2}x"))
-                .unwrap_or_default();
-            let cycles = ratio * results.baseline.cycles();
-            table.row([
-                name.to_string(),
-                format!("{ratio:.2}x"),
-                paper,
-                format!("{cycles:.0}"),
-                format!("{sd:.2}"),
-            ]);
-            max_sd = max_sd.max(sd);
-        }
-        if let Some(h) = &hardened {
-            let ratio = h.measurement.cycles() / results.baseline.cycles();
-            table.row([
-                h.measurement.name.to_string(),
-                format!("{ratio:.2}x"),
-                String::new(),
-                format!("{:.0}", h.measurement.cycles()),
-                format!("{:.2}", h.measurement.stddev_pct()),
-            ]);
-            max_sd = max_sd.max(h.measurement.stddev_pct());
-        }
-        print!("{}", table.render());
-        if let Some(h) = &hardened {
-            println!(
-                "hardened row: level {}, {} pkru switch(es), {} bypass(es) blocked (child process)",
-                h.harden_level, h.stats.pkru_switches, h.stats.bypass_blocked
-            );
-        }
-        println!(
-            "\nbaseline: {:.0} cycles/call; max relative stddev {:.2}%",
-            results.baseline.cycles(),
-            max_sd
-        );
-        if let Some(hooks) = &results.lazypoline_hooks {
-            // Acceptance gate: dispatching through one dlopen-loaded
-            // no-op hook should cost about what the structurally
-            // identical compiled-in chain costs (target: within 15%).
-            let chain = results.lazypoline_chain.cycles();
-            let loaded = hooks.cycles();
-            println!(
-                "loaded-hook overhead: {loaded:.0} vs {chain:.0} cycles/call \
-                 compiled-in chain ({:+.1}% — target within 15%)",
-                (loaded / chain - 1.0) * 100.0
-            );
-        }
-        if let Some(sfip_row) = &results.lazypoline_sfip {
-            // Acceptance gate: the flow-integrity check is one
-            // thread-local swap plus one bitmatrix test per syscall
-            // (target: within 10% of plain lazypoline), and a policy
-            // learned from the workload's own trace must be clean.
-            let plain = results.lazypoline.cycles();
-            let checked = sfip_row.cycles();
-            let s = results.snapshot_for(sfip_row.name);
-            println!(
-                "sfip overhead: {checked:.0} vs {plain:.0} cycles/call plain lazypoline \
-                 ({:+.1}% — target within 10%); {} checks, {} violation(s), mode {}",
-                (checked / plain - 1.0) * 100.0,
-                s.map_or(0, |s| s.sfip_checks),
-                s.map_or(0, |s| s.sfip_violations),
-                s.map_or("", |s| s.sfip_mode),
-            );
-        }
-        println!("(paper: Xeon Gold 5318S @2.1GHz, Linux 5.15; this host differs — compare shapes, not absolutes)");
-
-        // Number 500 enters the sled twelve bytes from its end; these
-        // enter where real programs do.
-        println!("\nThe rewriting rows at other numbers, each vs the same number uninterposed:\n");
-        let mut t = Table::new(["sysno", "baseline cycles", "zpoline", "lazypoline"]);
-        let at = |m: &micro::Measurement, base: f64| format!("{:.2}x ({:.0})", m.cycles() / base, m.cycles());
-        let base = results.baseline.cycles();
-        t.row([
-            "500".to_string(),
-            format!("{base:.0}"),
-            at(&results.zpoline, base),
-            at(&results.lazypoline, base),
-        ]);
-        for rows in &results.sled {
-            let base = rows.baseline.cycles();
-            t.row([
-                rows.sysno.to_string(),
-                format!("{base:.0}"),
-                at(&rows.zpoline, base),
-                at(&rows.lazypoline, base),
-            ]);
-        }
-        print!("{}", t.render());
-        if let Some(r) = &results.recording {
-            println!(
-                "recording row trace: {} events, {} dropped ({:.4}% drop rate), \
-                 {} bytes ({:.1} B/event)",
-                r.events,
-                r.dropped,
-                r.drop_rate() * 100.0,
-                r.bytes,
-                if r.events == 0 {
-                    0.0
-                } else {
-                    r.bytes as f64 / r.events as f64
-                },
-            );
-        }
-    }
-
-    // Interest-filter dispatch cost: runs everywhere.
-    let dispatch = micro::run_dispatch_cost();
-    let all = dispatch.all_syscalls.cycles();
-    let filtered = dispatch.interest_filtered.cycles();
-    println!("\nDispatch-cost optimization — syscall-interest filtering ({} iters, {} runs):\n",
-        dispatch.iters, dispatch.runs);
-    let mut t = Table::new(["handler", "cycles/dispatch", "σ%"]);
-    t.row([
-        dispatch.all_syscalls.name.to_string(),
-        format!("{all:.0}"),
-        format!("{:.2}", dispatch.all_syscalls.stddev_pct()),
-    ]);
-    t.row([
-        dispatch.interest_filtered.name.to_string(),
-        format!("{filtered:.0}"),
-        format!("{:.2}", dispatch.interest_filtered.stddev_pct()),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "\ninterest filtering saves {:.0} cycles/dispatch ({:.2}x) for handlers with precise sets",
-        all - filtered,
-        all / filtered
-    );
-
-    // The same win measured for *loaded* hooks: the stack recomputes
-    // its interest from the hook descriptors, so a narrowly scoped
-    // dlopen'ed hook gets the same raw-path shortcut a compiled-in
-    // policy does. Runs everywhere; skipped when the example hook
-    // cdylibs are not built.
-    let win_curve = micro::run_hook_win_curve();
-    if let Some(w) = &win_curve {
-        let wide = w.wide.cycles();
-        let narrow = w.narrow.cycles();
-        println!(
-            "\nLoaded-hook interest filtering ({} iters, {} runs):\n",
-            w.iters, w.runs
-        );
-        let mut t = Table::new(["hook stack", "cycles/dispatch", "σ%"]);
-        t.row([
-            w.wide.name.to_string(),
-            format!("{wide:.0}"),
-            format!("{:.2}", w.wide.stddev_pct()),
-        ]);
-        t.row([
-            w.narrow.name.to_string(),
-            format!("{narrow:.0}"),
-            format!("{:.2}", w.narrow.stddev_pct()),
-        ]);
-        print!("{}", t.render());
-        println!(
-            "\ndeclared interest saves {:.0} cycles/dispatch ({:.2}x) for loaded hooks too",
-            wide - narrow,
-            wide / narrow
-        );
-        if let (Some(miss), Some(r)) = (&w.narrow_trampoline, &results) {
-            println!(
-                "the same miss from a rewritten site: {:.0} cycles/call, {:.2}x the bare syscall \
-                 (a hit, the lazypoline row: {:.2}x)",
-                miss.cycles(),
-                miss.cycles() / r.baseline.cycles(),
-                r.lazypoline.cycles() / r.baseline.cycles(),
-            );
-        }
-    }
-
-    // Batch rewriting (needs the native machinery).
-    let batch = results.as_ref().map(|_| micro::run_batch_ablation());
-    if let Some(b) = &batch {
-        println!(
-            "\nBatch rewriting — {} fresh sites on one page: {} SIGSYS batched vs {} unbatched",
-            b.sites, b.batched.slow_path_hits, b.unbatched.slow_path_hits
-        );
-    }
-
-    if json_mode {
-        let mut root = Json::obj()
-            .field("bench", Json::Str("table2".into()))
-            .field("native_supported", Json::Bool(native));
-        if let Some(results) = &results {
-            let paper_sysno = Json::Int(syscalls::NONEXISTENT_SYSCALL);
-            let mut rows = vec![with_stats(
-                Json::obj()
-                    .field("name", Json::Str("baseline".into()))
-                    .field("sysno", paper_sysno.clone())
-                    .field("cycles_per_call", Json::Num(results.baseline.cycles()))
-                    .field("vs_baseline", Json::Num(1.0))
-                    .field("stddev_pct", Json::Num(results.baseline.stddev_pct())),
-                results.snapshot_for("baseline"),
-            )];
-            for (name, ratio, sd) in results.rows() {
-                rows.push(with_stats(
+        if json_mode {
+            for bench in ["table2", "fig4"] {
+                write_json(
+                    bench,
                     Json::obj()
-                        .field("name", Json::Str(name.into()))
-                        .field("sysno", paper_sysno.clone())
-                        .field(
-                            "cycles_per_call",
-                            Json::Num(ratio * results.baseline.cycles()),
-                        )
-                        .field("vs_baseline", Json::Num(ratio))
-                        .field("stddev_pct", Json::Num(sd)),
-                    results.snapshot_for(name),
-                ));
-            }
-            if let Some(h) = &hardened {
-                rows.push(with_stats(
-                    Json::obj()
-                        .field("name", Json::Str("lazypoline-hardened".into()))
-                        .field("sysno", paper_sysno.clone())
-                        .field("cycles_per_call", Json::Num(h.measurement.cycles()))
-                        .field(
-                            "vs_baseline",
-                            Json::Num(h.measurement.cycles() / results.baseline.cycles()),
-                        )
-                        .field("stddev_pct", Json::Num(h.measurement.stddev_pct()))
-                        .field("harden_level", Json::Str(h.harden_level.clone())),
-                    Some(&h.stats),
-                ));
-            }
-            for sled in &results.sled {
-                let base = sled.baseline.cycles();
-                for m in [&sled.baseline, &sled.zpoline, &sled.lazypoline] {
-                    rows.push(
-                        Json::obj()
-                            .field("name", Json::Str(m.name.into()))
-                            .field("sysno", Json::Int(sled.sysno))
-                            .field("cycles_per_call", Json::Num(m.cycles()))
-                            .field("vs_baseline", Json::Num(m.cycles() / base))
-                            .field("stddev_pct", Json::Num(m.stddev_pct())),
-                    );
-                }
-            }
-            root = root
-                .field("iters", Json::Int(results.iters))
-                .field("runs", Json::Int(results.runs))
-                .field("rows", Json::Arr(rows));
-            if let Some(r) = &results.recording {
-                root = root.field(
-                    "recording",
-                    Json::obj()
-                        .field("events", Json::Int(r.events))
-                        .field("events_dropped", Json::Int(r.dropped))
-                        .field("drop_rate", Json::Num(r.drop_rate()))
-                        .field("trace_bytes", Json::Int(r.bytes))
-                        .field(
-                            "bytes_per_event",
-                            Json::Num(if r.events == 0 {
-                                0.0
-                            } else {
-                                r.bytes as f64 / r.events as f64
-                            }),
-                        ),
+                        .field("bench", Json::Str(bench.into()))
+                        .field("native_supported", Json::Bool(false)),
                 );
             }
         }
-        root = root.field(
-            "interest_dispatch",
-            Json::obj()
-                .field("iters", Json::Int(dispatch.iters))
-                .field("runs", Json::Int(dispatch.runs))
-                .field("all_syscalls_cycles", Json::Num(all))
-                .field("interest_filtered_cycles", Json::Num(filtered))
-                .field("speedup", Json::Num(all / filtered)),
-        );
-        if let Some(w) = &win_curve {
-            root = root.field(
-                "hook_win_curve",
-                Json::obj()
-                    .field("iters", Json::Int(w.iters))
-                    .field("runs", Json::Int(w.runs))
-                    .field("wide_hook_cycles", Json::Num(w.wide.cycles()))
-                    .field("narrow_hook_cycles", Json::Num(w.narrow.cycles()))
-                    .field("speedup", Json::Num(w.wide.cycles() / w.narrow.cycles()))
-                    .field(
-                        "narrow_hook_trampoline_cycles",
-                        w.narrow_trampoline.as_ref().map_or(Json::Null, |m| Json::Num(m.cycles())),
-                    ),
-            );
-        }
-        if let Some(b) = &batch {
-            root = root.field(
-                "batch_rewriting",
-                Json::obj()
-                    .field("sites", Json::Int(b.sites as u64))
-                    .field(
-                        "batched",
-                        Json::obj()
-                            .field("slow_path_hits", Json::Int(b.batched.slow_path_hits))
-                            .field("sites_patched", Json::Int(b.batched.sites_patched)),
-                    )
-                    .field(
-                        "unbatched",
-                        Json::obj()
-                            .field("slow_path_hits", Json::Int(b.unbatched.slow_path_hits))
-                            .field("sites_patched", Json::Int(b.unbatched.sites_patched)),
-                    ),
-            );
-        }
-        std::fs::write("BENCH_table2.json", root.render()).expect("write BENCH_table2.json");
-        println!("\nwrote BENCH_table2.json");
+        return;
+    }
+
+    let results = micro::run_table2();
+    // The hardened row runs in a re-exec'd child so its one-way seccomp
+    // filter cannot leak into this process's remaining measurements.
+    let hardened = micro::run_hardened_row();
+    let batch = micro::run_batch_ablation();
+
+    print_table2(&results, hardened.as_ref());
+    print_fig4(&results);
+    print_ablations(&results, &batch);
+
+    if json_mode {
+        println!();
+        write_json("table2", table2_json(&results, hardened.as_ref(), &batch));
+        write_json("fig4", fig4_json(&results));
     }
 }

@@ -1,5 +1,9 @@
 //! The native Table II / Figure 4 microbenchmark.
 //!
+//! One [`run_table2`] session is the only source of these numbers: the
+//! `table2` binary renders Table II, the Figure 4 breakdown and the
+//! ablations that are Table II rows from the one [`MicroResults`].
+//!
 //! "We measure the CPU cycles required to interpose a non-existent
 //! syscall (number 500) 100M times" (§V-B(a)). Number 500 enters the
 //! trampoline's sled twelve bytes from its end, so those rows cannot
@@ -94,14 +98,10 @@ pub struct MicroResults {
     /// Full lazypoline with the flight recorder mirroring every
     /// syscall into the per-thread rings (record-overhead row).
     pub lazypoline_record: Measurement,
-    /// Full lazypoline dispatching into a compiled-in two-entry
-    /// [`interpose::HookStack`] — the baseline the loaded-hook row is
-    /// judged against.
-    pub lazypoline_chain: Measurement,
     /// Full lazypoline under the `lazypoline+hooks` backend with the
-    /// no-op `hook_noop` cdylib loaded via `LP_HOOKS` — same stack
-    /// shape as the chain row, but one handler crossed the `dlopen`
-    /// ABI. `None` when the example hook library is not built.
+    /// no-op `hook_noop` cdylib loaded via `LP_HOOKS`: every dispatch
+    /// crosses the `dlopen` ABI once. `None` when the example hook
+    /// library is not built.
     pub lazypoline_hooks: Option<Measurement>,
     /// Full lazypoline with a [`sfip::SfipHandler`] enforcing (count
     /// mode) the transition automaton learned from the `+record` row's
@@ -128,21 +128,18 @@ pub struct MicroResults {
 }
 
 impl MicroResults {
-    /// Rows in Table II order with overhead ratios vs baseline.
-    pub fn rows(&self) -> Vec<(&'static str, f64, f64)> {
-        let base = self.baseline.cycles();
+    /// The rows after the baseline, in Table II order.
+    pub fn rows(&self) -> Vec<&Measurement> {
         [
             &self.zpoline,
             &self.lazypoline_nox,
             &self.lazypoline,
             &self.lazypoline_record,
-            &self.lazypoline_chain,
         ]
         .into_iter()
         .chain(self.lazypoline_hooks.as_ref())
         .chain(self.lazypoline_sfip.as_ref())
         .chain([&self.sud, &self.sud_enabled_allow])
-        .map(|m| (m.name, m.cycles() / base, m.stddev_pct()))
         .collect()
     }
 
@@ -238,8 +235,9 @@ pub fn environment_supported() -> bool {
 }
 
 /// One Table II row: a `mechanism` registry name plus how to measure
-/// it. The driver knows nothing about what a backend *is* — install,
-/// optionally prime/detach, time the loop, snapshot the counters.
+/// it. [`measure_row`] knows nothing about what a backend *is* — install
+/// around a passthrough handler, optionally prime/detach, time the
+/// loop, snapshot the counters.
 struct RowSpec {
     /// Registry key for [`mechanism::by_name`].
     backend: &'static str,
@@ -247,10 +245,6 @@ struct RowSpec {
     label: &'static str,
     /// The measured loop.
     body: LoopFn,
-    /// Builds the handler the backend installs. Every standard row
-    /// uses a bare passthrough; the hook-stack rows install richer
-    /// shapes so the *dispatch structure* is what varies, not the work.
-    handler: fn() -> Box<dyn interpose::SyscallHandler>,
     /// `LP_HOOKS` value to export around the install (empty: leave the
     /// ambient environment alone).
     hooks: &'static str,
@@ -270,20 +264,26 @@ struct RowSpec {
     record: bool,
 }
 
-/// The standard rows' handler: a bare passthrough.
-fn passthrough_handler() -> Box<dyn interpose::SyscallHandler> {
-    Box::new(interpose::PassthroughHandler)
-}
+/// A row on the never-intercepted loop: nothing primed, detached,
+/// capped or recorded. The other rows are this with fields replaced.
+const PLAIN: RowSpec = RowSpec {
+    backend: "none",
+    label: "baseline",
+    body: loop_plain,
+    hooks: "",
+    prime: false,
+    detach: false,
+    capped: false,
+    record: false,
+};
 
-/// The loaded-hook comparator: a compiled-in two-entry chain (anchor +
-/// one no-op member) — structurally the same stack the
-/// `lazypoline+hooks` row runs, with zero `dlopen` in sight.
-fn chain_handler() -> Box<dyn interpose::SyscallHandler> {
-    let stack = interpose::HookStack::new();
-    stack.attach(Box::new(interpose::PassthroughHandler), 0);
-    stack.attach(Box::new(interpose::PassthroughHandler), 0);
-    Box::new(stack)
-}
+/// A row on the rewritten loop, primed so the site is patched before
+/// timing.
+const FAST: RowSpec = RowSpec {
+    body: loop_fast,
+    prime: true,
+    ..PLAIN
+};
 
 /// The Table II measurement plan, in execution order.
 ///
@@ -291,82 +291,40 @@ fn chain_handler() -> Box<dyn interpose::SyscallHandler> {
 /// must run before any engine-backed row initialises the engine
 /// (process-global, one-way).
 const TABLE2_PLAN: [RowSpec; 7] = [
-    RowSpec {
-        backend: "none",
-        label: "baseline",
-        body: loop_plain,
-        prime: false,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
-    },
+    PLAIN,
     RowSpec {
         backend: "sud-allow",
         label: "baseline with SUD enabled (selector=ALLOW)",
-        body: loop_plain,
-        prime: false,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..PLAIN
     },
     RowSpec {
         backend: "sud-raw",
         label: "SUD",
         body: loop_sud,
-        prime: false,
-        detach: false,
         capped: true,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..PLAIN
     },
     RowSpec {
         backend: "lazypoline",
         label: "lazypoline",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..FAST
     },
     RowSpec {
         backend: "lazypoline+record",
         label: "lazypoline+record (flight recorder)",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
         record: true,
-        handler: passthrough_handler,
-        hooks: "",
+        ..FAST
     },
     RowSpec {
         backend: "lazypoline-nox",
         label: "lazypoline without xstate preservation",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..FAST
     },
     RowSpec {
         backend: "zpoline",
         label: "zpoline",
-        body: loop_fast,
-        prime: true,
         detach: true,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..FAST
     },
 ];
 
@@ -418,7 +376,7 @@ fn measure_row(
     let backend = mechanism::by_name(row.backend)
         .unwrap_or_else(|| panic!("{} is not in the mechanism registry", row.backend));
     let mut active = backend
-        .install((row.handler)())
+        .install(Box::new(interpose::PassthroughHandler))
         .unwrap_or_else(|e| panic!("install {}: {e}", row.backend));
     if !row.hooks.is_empty() {
         match &ambient_hooks {
@@ -483,16 +441,16 @@ pub fn run_table2() -> MicroResults {
         }
     };
 
-    let mut measurements = Vec::with_capacity(TABLE2_PLAN.len());
-    let mut stats = Vec::with_capacity(TABLE2_PLAN.len() + 3);
+    let mut stats = Vec::with_capacity(TABLE2_PLAN.len() + 2);
     let mut recording = None;
-    for row in &TABLE2_PLAN {
-        let row_iters = if row.capped { sud_iters } else { iters };
-        let (m, s, summary) = measure_row(row, PAPER_SYSNO, row_iters, runs);
-        stats.push((row.label, s));
-        measurements.push(m);
-        recording = recording.or(summary);
-    }
+    let [baseline, sud_enabled_allow, sud, lazypoline, lazypoline_record, lazypoline_nox, zpoline] =
+        TABLE2_PLAN.each_ref().map(|row| {
+            let row_iters = if row.capped { sud_iters } else { iters };
+            let (m, s, summary) = measure_row(row, PAPER_SYSNO, row_iters, runs);
+            stats.push((row.label, s));
+            recording = recording.take().or(summary);
+            m
+        });
 
     // Syscall-flow-integrity row: learn the transition automaton from
     // the record row's trace, then measure the identical loop under
@@ -503,36 +461,16 @@ pub fn run_table2() -> MicroResults {
         let _ = std::fs::remove_file(&learn_trace);
     }
 
-    // Hook-stack rows: the compiled-in chain comparator, then the same
-    // stack shape with one member loaded over the `lp_hook_v1` ABI.
-    let chain_row = RowSpec {
-        backend: "lazypoline",
-        label: "lazypoline+chain (compiled-in no-op chain)",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: chain_handler,
-        hooks: "",
-    };
-    let (lazypoline_chain, s, _) = measure_row(&chain_row, PAPER_SYSNO, iters, runs);
-    stats.push((chain_row.label, s));
-
-    // Skip (don't fail) when the example cdylib isn't built — the JSON
-    // then simply lacks the row, like any unsupported configuration.
+    // One member loaded over the `lp_hook_v1` ABI. Skip (don't fail)
+    // when the example cdylib isn't built — the JSON then simply lacks
+    // the row, like any unsupported configuration.
     let lazypoline_hooks = match hookabi::load_from_spec("hook_noop") {
         Ok(_) => {
             let row = RowSpec {
                 backend: "lazypoline+hooks",
                 label: "lazypoline+hooks (loaded no-op hook)",
-                body: loop_fast,
-                prime: true,
-                detach: false,
-                capped: false,
-                record: false,
-                handler: passthrough_handler,
                 hooks: "hook_noop",
+                ..FAST
             };
             let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
             stats.push((row.label, s));
@@ -562,28 +500,16 @@ pub fn run_table2() -> MicroResults {
         })
         .collect();
 
-    let mut it = measurements.into_iter();
-    let (baseline, sud_enabled_allow, sud_m, lazypoline_m, lazypoline_record, lazypoline_nox, zpoline_m) = (
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-        it.next().unwrap(),
-    );
-
     MicroResults {
         baseline,
         sud_enabled_allow,
-        zpoline: zpoline_m,
+        zpoline,
         lazypoline_nox,
-        lazypoline: lazypoline_m,
+        lazypoline,
         lazypoline_record,
-        lazypoline_chain,
         lazypoline_hooks,
         lazypoline_sfip,
-        sud: sud_m,
+        sud,
         sled,
         stats,
         iters,
@@ -626,13 +552,7 @@ fn run_sfip_row(
     let row = RowSpec {
         backend: "lazypoline+sfip",
         label: "lazypoline+sfip (flow-integrity check)",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        ..FAST
     };
     let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
     std::env::remove_var(sfip::POLICY_ENV);
@@ -642,140 +562,66 @@ fn run_sfip_row(
     Some(m)
 }
 
-/// The interest-filtering win for *loaded* hooks: a [`interpose::HookStack`]
-/// holding only one dlopen'ed hook, measured on the shared dispatch
-/// decision path ([`interpose::interpose_syscall`]) with syscall 500.
-///
-/// * `wide` — `hook_noop` declares interest in every syscall, so each
-///   iteration builds an event and virtually dispatches through the
-///   loaded member.
-/// * `narrow` — `hook_openat` declares interest in `openat` only;
-///   syscall 500 fails the stack's recomputed interest gate and
-///   executes raw, exactly like a compiled-in scoped policy.
-///
-/// Runs on any host (no SUD, no page zero). `None` when the example
-/// hook cdylibs are not built.
-#[derive(Clone, Debug)]
-pub struct HookWinCurve {
-    /// Iterations per run.
-    pub iters: u64,
-    /// Runs per configuration.
-    pub runs: u64,
-    /// Only `hook_noop` loaded (interest: all syscalls).
-    pub wide: Measurement,
-    /// Only `hook_openat` loaded (interest: `openat` only).
-    pub narrow: Measurement,
-    /// The `narrow` stack installed under `lazypoline` and syscall 500
-    /// issued from a rewritten site: the miss as an application pays
-    /// for it — `call rax`, sled, entry stub — where `narrow` starts at
-    /// the decision function. `None` on hosts without SUD or page zero.
-    pub narrow_trampoline: Option<Measurement>,
-}
-
-/// Measures [`HookWinCurve`]; see the type docs.
-pub fn run_hook_win_curve() -> Option<HookWinCurve> {
-    let iters = env_u64("LP_BENCH_ITERS", 200_000).max(1);
-    let runs = env_u64("LP_BENCH_RUNS", 10).max(1);
-
-    // The stack must contain ONLY the loaded hook: a compiled-in
-    // anchor with all-syscalls interest would defeat the narrowing
-    // this cell exists to show.
-    let stack_of = |spec: &str| -> Option<Box<interpose::HookStack>> {
-        let hook = match hookabi::load_from_spec(spec) {
-            Ok(mut hooks) => hooks.pop()?,
-            Err(e) => {
-                eprintln!("skip: hook win-curve ({e})");
-                return None;
-            }
-        };
-        let stack = interpose::HookStack::new();
-        stack.attach_dynamic(Box::new(hook), 0);
-        Some(Box::new(stack))
-    };
-    let measure_only = |spec: &str, name: &'static str| -> Option<Measurement> {
-        let guard = interpose::install_handler(stack_of(spec)?);
-        let m = measure(name, loop_interest_dispatch, PAPER_SYSNO, iters, runs);
-        drop(guard);
-        Some(m)
-    };
-
-    let wide = measure_only("hook_noop", "dispatch, loaded hook_noop (interest: all)")?;
-    let narrow = measure_only("hook_openat", "dispatch, loaded hook_openat (interest: openat)")?;
-    let narrow_trampoline = if environment_supported() {
-        let active = mechanism::by_name("lazypoline")
-            .expect("registered backend")
-            .install(stack_of("hook_openat")?)
-            .expect("install");
-        loop_fast(PAPER_SYSNO, 1); // ensure the site is rewritten
-        let name = "rewritten site, loaded hook_openat (interest: openat)";
-        let m = measure(name, loop_fast, PAPER_SYSNO, iters, runs);
-        drop(active);
-        Some(m)
-    } else {
-        None
-    };
-    Some(HookWinCurve {
-        iters,
-        runs,
-        wide,
-        narrow,
-        narrow_trampoline,
-    })
-}
-
 /// The `lazypoline-hardened` Table II row, measured in a **child**
 /// process: the seccomp backstop is one-way per process, so installing
 /// it in the benchmark process would leave every later row (and the
-/// dispatch/batch ablations) running under the kill filter.
+/// batch ablation) running under the kill filter.
 #[derive(Clone, Debug)]
 pub struct HardenedRow {
     /// Steady-state fast-path timing under the hardened configuration.
     pub measurement: Measurement,
-    /// Counter deltas for the measured window (only the fields the
-    /// wire format carries; the rest stay 0).
+    /// Counter deltas for the measured window, every counter the other
+    /// rows carry.
     pub stats: mechanism::StatsSnapshot,
     /// The degradation-ladder rung the child reached (`Full` with MPK
     /// hardware, `BackstopOnly` without, etc.).
     pub harden_level: String,
 }
 
+/// The hardened row's label in the table and the JSON.
+const HARDENED: &str = "lazypoline-hardened";
+
 /// Child-process entry for the hardened row: installs the
 /// `lazypoline-hardened` backend, measures [`loop_fast`] in steady
-/// state, and prints the wire format ([`parse_hardened_output`]) to
+/// state, and prints the wire format ([`render_hardened_output`]) to
 /// stdout. The parent re-execs this binary with `--hardened-row`.
 pub fn hardened_child_main() -> ! {
-    if !environment_supported() || mechanism::by_name("lazypoline-hardened").is_none() {
+    if !environment_supported() || mechanism::by_name(HARDENED).is_none() {
         std::process::exit(2);
     }
     let iters = env_u64("LP_BENCH_ITERS", 200_000).max(1);
     let runs = env_u64("LP_BENCH_RUNS", 10).max(1);
     let row = RowSpec {
-        backend: "lazypoline-hardened",
-        label: "lazypoline (hardened)",
-        body: loop_fast,
-        prime: true,
-        detach: false,
-        capped: false,
-        record: false,
-        handler: passthrough_handler,
-        hooks: "",
+        backend: HARDENED,
+        label: HARDENED,
+        ..FAST
     };
     let (m, stats, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
+    let harden = format!("{:?}", lazypoline::health().harden);
+    print!(
+        "{}",
+        render_hardened_output(&m.cycles_per_call, &harden, &stats)
+    );
+    std::process::exit(0);
+}
+
+/// The child's wire format: `cycles <f64>...`, `harden <rung>`, then
+/// one `<counter> <value>` line per
+/// [`mechanism::StatsSnapshot::counters`] entry.
+fn render_hardened_output(
+    cycles: &[f64],
+    harden: &str,
+    stats: &mechanism::StatsSnapshot,
+) -> String {
     let mut out = String::from("cycles");
-    for c in &m.cycles_per_call {
+    for c in cycles {
         out.push_str(&format!(" {c}"));
     }
-    out.push_str(&format!(
-        "\nstats {} {} {} {} {}\nharden {:?}\n",
-        stats.dispatches,
-        stats.slow_path_hits,
-        stats.sites_patched,
-        stats.bypass_blocked,
-        stats.pkru_switches,
-        lazypoline::health().harden,
-    ));
-    print!("{out}");
-    std::process::exit(0);
+    out.push_str(&format!("\nharden {harden}\n"));
+    for (name, value) in stats.counters() {
+        out.push_str(&format!("{name} {value}\n"));
+    }
+    out
 }
 
 /// Runs the hardened row by re-execing the current binary with
@@ -800,30 +646,31 @@ pub fn run_hardened_row() -> Option<HardenedRow> {
     parse_hardened_output(&String::from_utf8_lossy(&out.stdout))
 }
 
-/// Parses the child's line-oriented wire format: `cycles <f64>...`,
-/// `stats <dispatches> <slow_path_hits> <sites_patched>
-/// <bypass_blocked> <pkru_switches>`, `harden <rung>`.
+/// Parses [`render_hardened_output`]'s wire format.
 fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
     let mut cycles = Vec::new();
     let mut stats = mechanism::StatsSnapshot {
-        mechanism: "lazypoline-hardened",
+        mechanism: HARDENED,
         ..Default::default()
     };
     let mut harden_level = String::new();
     for line in text.lines() {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("cycles") => cycles = it.filter_map(|t| t.parse().ok()).collect(),
-            Some("stats") => {
-                let mut n = || it.next().and_then(|t| t.parse().ok()).unwrap_or(0);
-                stats.dispatches = n();
-                stats.slow_path_hits = n();
-                stats.sites_patched = n();
-                stats.bypass_blocked = n();
-                stats.pkru_switches = n();
+        let Some((key, rest)) = line.split_once(' ') else {
+            continue;
+        };
+        match key {
+            "cycles" => {
+                cycles = rest
+                    .split_whitespace()
+                    .filter_map(|t| t.parse().ok())
+                    .collect()
             }
-            Some("harden") => harden_level = it.collect::<Vec<_>>().join(" "),
-            _ => {}
+            "harden" => harden_level = rest.to_string(),
+            name => {
+                if let (Some(counter), Ok(v)) = (stats.counter_mut(name), rest.parse()) {
+                    *counter = v;
+                }
+            }
         }
     }
     if cycles.is_empty() {
@@ -831,95 +678,12 @@ fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
     }
     Some(HardenedRow {
         measurement: Measurement {
-            name: "lazypoline (hardened)",
+            name: HARDENED,
             cycles_per_call: cycles,
         },
         stats,
         harden_level,
     })
-}
-
-/// Dispatch-cost comparison isolating the syscall-interest filter
-/// (see [`run_dispatch_cost`]).
-#[derive(Clone, Debug)]
-pub struct DispatchCost {
-    /// Iterations per run.
-    pub iters: u64,
-    /// Runs per configuration.
-    pub runs: u64,
-    /// Dispatch cost with an all-syscalls handler installed
-    /// ([`interpose::CountHandler`] — event built and virtually
-    /// dispatched on every call).
-    pub all_syscalls: Measurement,
-    /// Dispatch cost with a precisely scoped handler (a
-    /// [`interpose::PolicyBuilder`] policy touching only `openat`):
-    /// the benchmark syscall fails the interest word test and executes
-    /// raw.
-    pub interest_filtered: Measurement,
-}
-
-/// One iteration of the dispatcher's interest-gated hot-path decision
-/// sequence.
-///
-/// This loop is **not** a reproduction of that sequence: it calls the
-/// exported shared decision function [`interpose::interpose_syscall`] —
-/// the same inline function `fastpath::lazypoline_dispatch` and the
-/// raw-SUD handler run — so the benchmark cannot drift from the
-/// production decision path. (See the equivalence unit test below and
-/// `interpose_syscall_matches_dispatch_global` in `lp-interpose`.)
-#[inline(never)]
-fn loop_interest_dispatch(nr: u64, iters: u64) {
-    let args = syscalls::SyscallArgs::nullary(nr);
-    for _ in 0..iters {
-        let ret = interpose::interpose_syscall(args, 0, |call| {
-            // SAFETY: only ever measured with syscall 500, which does
-            // not exist; the kernel returns ENOSYS without touching
-            // memory.
-            unsafe { syscalls::raw::syscall(call) }
-        });
-        std::hint::black_box(ret);
-    }
-}
-
-/// Measures the per-syscall dispatch cost with an all-syscalls handler
-/// vs an interest-scoped one (syscall-interest filtering). Runs on any
-/// host — no SUD, no page zero: the filter's effect lives entirely in
-/// the dispatcher's decision sequence.
-pub fn run_dispatch_cost() -> DispatchCost {
-    let iters = env_u64("LP_BENCH_ITERS", 200_000).max(1);
-    let runs = env_u64("LP_BENCH_RUNS", 10).max(1);
-
-    let guard = interpose::install_handler(Box::new(interpose::CountHandler::new()));
-    let all_syscalls = measure(
-        "dispatch, all-syscalls handler",
-        loop_interest_dispatch,
-        PAPER_SYSNO,
-        iters,
-        runs,
-    );
-    drop(guard);
-
-    // A policy that only cares about openat: syscall 500 fails the
-    // interest test, so the shared decision function takes the raw arm.
-    let policy = interpose::PolicyBuilder::allow_by_default()
-        .deny(syscalls::nr::OPENAT)
-        .build();
-    let guard = interpose::install_handler(Box::new(policy));
-    let interest_filtered = measure(
-        "dispatch, PolicyHandler scoped to openat",
-        loop_interest_dispatch,
-        PAPER_SYSNO,
-        iters,
-        runs,
-    );
-    drop(guard);
-
-    DispatchCost {
-        iters,
-        runs,
-        all_syscalls,
-        interest_filtered,
-    }
 }
 
 /// Counter deltas from executing a page of fresh syscall sites under
@@ -1100,41 +864,20 @@ mod tests {
     }
 
     #[test]
-    fn interest_dispatch_loop_matches_dispatch_global() {
-        use interpose::{Action, SyscallEvent, SyscallHandler};
-
-        // A handler that decides 500 with a sentinel: observable only
-        // if the loop really consults the shared decision function.
-        struct Sentinel;
-        impl SyscallHandler for Sentinel {
-            fn handle(&self, ev: &mut SyscallEvent) -> Action {
-                if ev.call.nr == syscalls::NONEXISTENT_SYSCALL {
-                    Action::Return(0xBEEF)
-                } else {
-                    Action::Passthrough
-                }
-            }
-        }
-        let _guard = interpose::install_handler(Box::new(Sentinel));
-
-        let args = syscalls::SyscallArgs::nullary(syscalls::NONEXISTENT_SYSCALL);
-        let via_shared = interpose::interpose_syscall(args, 0, |call| {
-            // SAFETY: nonexistent syscall, returns ENOSYS.
-            unsafe { syscalls::raw::syscall(call) }
-        });
-        // The installed handler asked directly: what the shared sequence
-        // must come to for a decision that is not a passthrough.
-        let mut ev = interpose::SyscallEvent::new(args);
-        let handler = interpose::global_handler().expect("just installed");
-        let expected = match handler.handle(&mut ev) {
-            Action::Passthrough => unreachable!("Sentinel decides 500"),
-            Action::Return(v) => v,
-            Action::Fail(e) => e.as_ret(),
+    fn hardened_wire_format_carries_every_counter() {
+        let mut stats = mechanism::StatsSnapshot {
+            mechanism: HARDENED,
+            ..Default::default()
         };
-        assert_eq!(via_shared, expected);
-        assert_eq!(via_shared, 0xBEEF);
-        // And the loop itself runs the same path without crashing.
-        loop_interest_dispatch(syscalls::NONEXISTENT_SYSCALL, 10);
+        let names: Vec<_> = stats.counters().map(|(name, _)| name).collect();
+        for (i, name) in names.into_iter().enumerate() {
+            *stats.counter_mut(name).unwrap() = i as u64 + 1;
+        }
+        let text = render_hardened_output(&[300.5, 310.25], "Full", &stats);
+        let row = parse_hardened_output(&text).expect("parses");
+        assert_eq!(row.measurement.cycles_per_call, [300.5, 310.25]);
+        assert_eq!(row.harden_level, "Full");
+        assert_eq!(row.stats, stats);
     }
 
     // The full session is exercised by the `table2` binary and the

@@ -275,13 +275,13 @@ where
 /// interest gate, event construction, and [`interpose_event`].
 ///
 /// This is the **single source of truth** for that sequence. The
-/// SUD-only interposer runs it inside its `SIGSYS` handler and the
-/// dispatch-cost microbenchmark (`loop_interest_dispatch`) calls it
-/// directly; `fastpath::lazypoline_dispatch`, which needs the gate's
-/// answer for itself, reads it once and enters [`interpose_event`] —
-/// the function below the gate here — so the benchmark measures the
-/// production decision path by construction instead of maintaining a
-/// copy of it.
+/// SUD-only interposer runs it inside its `SIGSYS` handler and
+/// lpbench's `interpose.dispatch_hit_ns` / `dispatch_miss_ns` ledger
+/// rows call it directly; `fastpath::lazypoline_dispatch`, which needs
+/// the gate's answer for itself, reads it once and enters
+/// [`interpose_event`] — the function below the gate here — so the
+/// benchmark measures the production decision path by construction
+/// instead of maintaining a copy of it.
 ///
 /// `execute` performs the (possibly rewritten) syscall and returns its
 /// raw result; it is not called for `Return`/`Fail` decisions. `site`

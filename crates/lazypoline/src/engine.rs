@@ -36,9 +36,6 @@ pub struct Config {
     /// the handler (paper §IV-B(b); Table II benchmarks both
     /// `Avx` — full preservation, the default — and `None`).
     pub xstate: XstateMask,
-    /// Re-route signal handlers registered *before* initialization
-    /// through the wrapper protocol (recommended; see §IV-B(c)).
-    pub adopt_existing_signal_handlers: bool,
     /// Enable the lazy rewriting fast path (default). Disabling turns
     /// the engine into a pure SUD interposer: every intercepted
     /// syscall takes the SIGSYS slow path and is emulated in the
@@ -53,23 +50,14 @@ pub struct Config {
     /// batching: `SLOW_PATH_HITS` then rises to one per site while
     /// `SITES_PATCHED` stays the same.
     pub batch_rewriting: bool,
-    /// Statically pre-scan and rewrite the executable regions whose
-    /// path satisfies common safety filters before enabling SUD. This
-    /// makes the very first executions of known sites take the fast
-    /// path (zpoline-style priming); purely an optimization — the slow
-    /// path catches everything regardless. Off by default because
-    /// static disassembly is heuristic (§II-B).
-    pub static_prescan: bool,
 }
 
 impl Default for Config {
     fn default() -> Config {
         Config {
             xstate: XstateMask::Avx,
-            adopt_existing_signal_handlers: true,
             lazy_rewriting: true,
             batch_rewriting: true,
-            static_prescan: false,
         }
     }
 }
@@ -311,9 +299,9 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
     // Failure is survivable when the trampoline stands (→ PrescanOnly).
     let mut sud_err = None;
     unsafe {
-        if config.adopt_existing_signal_handlers {
-            signals::adopt_existing_handlers();
-        }
+        // Handlers registered before initialization go through the
+        // wrapper protocol too (§IV-B(c)).
+        signals::adopt_existing_handlers();
         if let Err(e) = sud::sigsys::install_sigsys_handler(slowpath::sigsys_handler) {
             sud_err = Some(e);
         }
@@ -341,35 +329,25 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
             // asked for.
             crate::slowpath::LAZY_REWRITING.store(false, Ordering::SeqCst);
         }
-        Mode::Hybrid | Mode::PrescanOnly => {
-            // PrescanOnly *needs* the prescan (it is the only way any
-            // syscall gets interposed); in Hybrid it is the configured
-            // optimization. Run it with the selector disarmed so the
-            // scan's own syscalls don't spam the slow path.
-            if decided == Mode::PrescanOnly || config.static_prescan {
-                let re_arm = tls::enrolled();
-                if re_arm {
-                    sud::set_selector(sud::Dispatch::Allow);
-                }
-                // libc only: it carries the syscall sites of every
-                // dynamically-linked binary, and its instruction stream
-                // is the one the zpoline lineage has long rewritten
-                // statically. Raw syscalls in other objects stay
-                // uninterposed in PrescanOnly — the documented
-                // exhaustiveness sacrifice of this rung. Errors are
-                // non-fatal: in Hybrid the slow path remains
-                // exhaustive; in PrescanOnly a partial rewrite still
-                // interposes what it reached.
-                if let Ok((patched, _unknown)) =
-                    unsafe { zpoline::rewrite_process(|r| r.path.contains("libc")) }
-                {
-                    counters::add(&counters::SITES_PATCHED, patched as u64);
-                }
-                if re_arm {
-                    sud::set_selector(sud::Dispatch::Block);
-                }
+        Mode::PrescanOnly => {
+            // The prescan is the only way any syscall gets interposed on
+            // this rung. SUD failed, so this thread is not enrolled and
+            // the scan's own syscalls cannot reach the slow path.
+            debug_assert!(!tls::enrolled());
+            // libc only: it carries the syscall sites of every
+            // dynamically-linked binary, and its instruction stream is
+            // the one the zpoline lineage has long rewritten statically.
+            // Raw syscalls in other objects stay uninterposed — the
+            // documented exhaustiveness sacrifice of this rung. Errors
+            // are non-fatal: a partial rewrite still interposes what it
+            // reached.
+            if let Ok((patched, _unknown)) =
+                unsafe { zpoline::rewrite_process(|r| r.path.contains("libc")) }
+            {
+                counters::add(&counters::SITES_PATCHED, patched as u64);
             }
         }
+        Mode::Hybrid => {}
         Mode::Uninitialized => unreachable!(),
     }
 
@@ -493,10 +471,8 @@ mod tests {
     fn config_default_is_full_preservation() {
         let c = Config::default();
         assert_eq!(c.xstate, XstateMask::Avx);
-        assert!(c.adopt_existing_signal_handlers);
         assert!(c.lazy_rewriting);
         assert!(c.batch_rewriting);
-        assert!(!c.static_prescan);
     }
 
     #[test]

@@ -195,6 +195,15 @@ macro_rules! stats_snapshot {
             pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
                 [$((stringify!($field), self.$field),)*].into_iter()
             }
+
+            /// The counter [`counters`](Self::counters) names `name`,
+            /// for readers that parse counters back by name.
+            pub fn counter_mut(&mut self, name: &str) -> Option<&mut u64> {
+                match name {
+                    $(stringify!($field) => Some(&mut self.$field),)*
+                    _ => None,
+                }
+            }
         }
     };
 }
@@ -693,6 +702,22 @@ mod tests {
         assert_eq!(all.last(), Some(&("sfip_violations", 3)));
         assert!(all.contains(&("ring_near_full", 2)));
         assert_eq!(all.iter().map(|(_, v)| v).sum::<u64>(), 12);
+    }
+
+    #[test]
+    fn counters_round_trip_by_name() {
+        let s = StatsSnapshot {
+            dispatches: 7,
+            pkru_switches: 28,
+            sfip_violations: 3,
+            ..StatsSnapshot::zero("x")
+        };
+        let mut back = StatsSnapshot::zero("x");
+        for (name, value) in s.counters() {
+            *back.counter_mut(name).expect("every counter has a name") = value;
+        }
+        assert_eq!(back, s);
+        assert!(back.counter_mut("sfip_mode").is_none());
     }
 
     #[test]

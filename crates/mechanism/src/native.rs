@@ -225,7 +225,6 @@ impl Mechanism for NativeBackend {
                     xstate,
                     lazy_rewriting,
                     batch_rewriting,
-                    ..lazypoline::Config::default()
                 })
                 .map_err(InstallError::Init)?;
                 NativeKind::Engine {

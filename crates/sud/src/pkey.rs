@@ -150,12 +150,17 @@ fn write_pkru(pkey: i32, val: u32) {
     SHADOW_PKRU.with(|c| c.set(val));
 }
 
-/// The slab key's write-disable bit in PKRU (bit `2k+1`). In
+/// The slab key's access-disable bit in PKRU (bit `2k`). In
 /// software-shadow mode the key is modelled as key 15 so the bit
 /// layout stays realistic.
-fn wd_bit(pkey: i32) -> u32 {
+fn ad_bit(pkey: i32) -> u32 {
     let k = if pkey >= 0 { pkey as u32 } else { 15 };
-    1 << (2 * k + 1)
+    1 << (2 * k)
+}
+
+/// The slab key's write-disable bit in PKRU (bit `2k+1`).
+fn wd_bit(pkey: i32) -> u32 {
+    ad_bit(pkey) << 1
 }
 
 /// Whether a slab exists (hardware-protected or software-shadowed).
@@ -284,26 +289,28 @@ pub fn force_software_slab_for_testing() {
     close_slab();
 }
 
-/// Sets the slab key's write-disable bit to `open ? clear : set`,
-/// preserving every other key's PKRU bits. Write-verified: a dropped
-/// `WRPKRU` (the `pkru_switch` fault seam) is detected by reading the
-/// register back and retried, then issued unconditionally — the same
-/// detected-and-repaired discipline as `set_selector`, because a
-/// missing *close* would leave the selector writable to the app and a
-/// missing *open* would make the next legitimate selector write fault.
+/// Opens (AD and WD clear) or closes (WD set, AD clear) the slab key,
+/// preserving every other key's PKRU bits. Both bits are written
+/// because a signal handler starts with the kernel's default PKRU,
+/// which access-disables every key but 0: clearing WD alone there
+/// leaves the slab unwritable, and the close must clear AD so the
+/// kernel's per-syscall selector read keeps working. Write-verified: a
+/// dropped `WRPKRU` (the `pkru_switch` fault seam) is detected by
+/// reading the register back and retried, then issued unconditionally
+/// — the same detected-and-repaired discipline as `set_selector`,
+/// because a missing *close* would leave the selector writable to the
+/// app and a missing *open* would make the next legitimate selector
+/// write fault.
 fn set_slab_write(open: bool) {
     let pkey = SLAB_PKEY.load(Ordering::Relaxed);
-    let wd = wd_bit(pkey);
-    let target = if open {
-        read_pkru(pkey) & !wd
-    } else {
-        read_pkru(pkey) | wd
-    };
+    let (ad, wd) = (ad_bit(pkey), wd_bit(pkey));
+    let cleared = read_pkru(pkey) & !(ad | wd);
+    let target = if open { cleared } else { cleared | wd };
     for _ in 0..PKRU_SWITCH_ATTEMPTS {
         if faultinject::check(faultinject::Site::PkruSwitch).is_none() {
             write_pkru(pkey, target);
         }
-        if read_pkru(pkey) & wd == target & wd {
+        if read_pkru(pkey) & (ad | wd) == target & (ad | wd) {
             PKRU_SWITCHES.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -445,6 +452,21 @@ mod tests {
         assert_eq!(unsafe { p.read_volatile() }, 1);
         faultinject::disarm(faultinject::Site::PkruSwitch);
         unsafe { protected_store(p, 0) };
+    }
+
+    #[test]
+    fn brackets_work_from_a_signal_handlers_pkru() {
+        // A signal handler starts with the kernel's default PKRU:
+        // access-disable on every key but 0.
+        force_software_slab_for_testing();
+        let (ad, wd) = (ad_bit(-1), wd_bit(-1));
+        SHADOW_PKRU.with(|c| c.set(0x5555_5554));
+        open_slab();
+        assert_eq!(SHADOW_PKRU.with(Cell::get) & (ad | wd), 0, "open must clear AD and WD");
+        close_slab();
+        assert_eq!(SHADOW_PKRU.with(Cell::get) & (ad | wd), wd, "close must leave AD clear, WD set");
+        // Every other key's bits are left as the handler found them.
+        assert_eq!(SHADOW_PKRU.with(Cell::get) & !(ad | wd), 0x5555_5554 & !(ad | wd));
     }
 
     #[test]

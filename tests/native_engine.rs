@@ -2695,6 +2695,27 @@ fn selector_is_hardware_protected() -> bool {
     )
 }
 
+/// A host whose CPU lists `pku` reaches the top rung: hardened mode may
+/// not silently fall back to `BackstopOnly` there. (The pkey bracket
+/// must also work from the SIGSYS handler, where the kernel hands over
+/// a PKRU that access-disables every key but 0.)
+fn scenario_harden_full_on_pku() {
+    let pku = std::fs::read_to_string("/proc/cpuinfo").is_ok_and(|c| {
+        c.lines()
+            .filter(|l| l.starts_with("flags"))
+            .any(|l| l.split_whitespace().any(|f| f == "pku"))
+    });
+    let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+    let _ = std::fs::metadata("/tmp");
+    let harden = lazypoline::health().harden;
+    if pku {
+        assert_eq!(harden, lazypoline::harden::HardenLevel::Full);
+        assert!(active.stats().pkru_switches > 0, "{:?}", active.stats());
+    } else {
+        println!("no pku in /proc/cpuinfo; reached {harden:?}");
+    }
+}
+
 fn scenario_escape_plain() {
     let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
     let before = active.stats().dispatches;
@@ -3021,6 +3042,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("record_replay_native", scenario_record_replay_native),
     ("compose_record_sfip", scenario_compose_record_sfip),
     ("hook_stack_native", scenario_hook_stack_native),
+    ("harden_full_on_pku", scenario_harden_full_on_pku),
     ("escape_plain", scenario_escape_plain),
     ("escape_quarantine", scenario_escape_quarantine),
     ("escape_kill", scenario_escape_kill),
