@@ -29,9 +29,9 @@
 //! (`lazypoline+record`): full interposition with the flight recorder
 //! live and its drain thread encoding the LPTRACE2 trace while the
 //! server serves — the cell that proves recording keeps up with server
-//! load without dropping events. The server child reports its recorder
-//! counters back over the control pipe before teardown (`SIGTERM` →
-//! eventfd stop → stats line).
+//! load without dropping events. The server child reports its
+//! installation's counters back over the control pipe before teardown
+//! (`SIGTERM` → eventfd stop → [`crate::render_counters`] lines).
 
 use std::io::{self, Read, Write};
 use std::os::fd::FromRawFd;
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use httpd::{Docroot, Flavor, OpenLoopConfig, Server, ServerConfig, StopFlag};
-use mechanism::replay;
+use mechanism::StatsSnapshot;
 
 use crate::{env_f64, env_u64};
 
@@ -171,15 +171,6 @@ impl Default for SweepConfig {
     }
 }
 
-/// Recorder counters a server child reports back before teardown.
-#[derive(Clone, Debug, Default)]
-pub struct ChildStats {
-    /// `replay::events_recorded()` in the child at stop.
-    pub events_recorded: u64,
-    /// `replay::events_dropped()` in the child at stop.
-    pub events_dropped: u64,
-}
-
 /// Monotonic suffix for per-cell temp trace paths (several cells can
 /// run within one parent process).
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -190,7 +181,7 @@ struct ServerChild {
     pid: i32,
     port: u16,
     /// Read end of the control pipe; the child sends its port at
-    /// startup and a stats line at shutdown.
+    /// startup and its counters at shutdown.
     pipe: std::fs::File,
     /// Temp trace path for `+record` cells (cleaned up on stop).
     trace: Option<PathBuf>,
@@ -256,12 +247,12 @@ impl ServerChild {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    /// Stops the child (SIGTERM → eventfd stop), reads its stats line,
-    /// and reaps the process group.
-    fn stop_and_stats(mut self) -> io::Result<ChildStats> {
+    /// Stops the child (SIGTERM → eventfd stop), reads its counters
+    /// (zeros where it reported none), and reaps the process group.
+    fn stop_and_stats(mut self) -> io::Result<StatsSnapshot> {
         // SIGTERM the master only: forked workers inherit the handler
         // and a copy of the write fd, and must not race it for the
-        // stats line. The master SIGKILLs them before reporting.
+        // counters. The master SIGKILLs them before reporting.
         unsafe { libc::kill(self.pid, libc::SIGTERM) };
         let mut tail = String::new();
         let _ = self.pipe.read_to_string(&mut tail);
@@ -272,32 +263,15 @@ impl ServerChild {
         if let Some(trace) = &self.trace {
             cleanup_trace(trace, self.pid);
         }
-        Ok(parse_stats(&tail))
+        let mut stats = StatsSnapshot::default();
+        crate::parse_counters(&tail, &mut stats);
+        Ok(stats)
     }
-}
-
-/// Parses the child's `stats <recorded> <dropped>` line; missing or
-/// malformed lines degrade to zeros (non-recording cells report zeros
-/// anyway).
-fn parse_stats(tail: &str) -> ChildStats {
-    let mut stats = ChildStats::default();
-    let Some(line) = tail.lines().rev().find(|l| l.starts_with("stats ")) else {
-        return stats;
-    };
-    let mut nums = line.split_whitespace().skip(1).map(|w| w.parse::<u64>());
-    let mut next = |d: &mut u64| {
-        if let Some(Ok(n)) = nums.next() {
-            *d = n;
-        }
-    };
-    next(&mut stats.events_recorded);
-    next(&mut stats.events_dropped);
-    stats
 }
 
 /// Removes what a `+record` cell left in the temp directory. The child
 /// exits mid-session, so that is not `trace` but the file its session
-/// records into until it finishes (see [`replay::Recorder`]).
+/// records into until it finishes (see [`mechanism::replay::Recorder`]).
 fn cleanup_trace(trace: &Path, child: i32) {
     let _ = std::fs::remove_file(format!("{}.{child}.part", trace.display()));
 }
@@ -445,16 +419,16 @@ fn server_child(
     }
 
     let backend = mechanism::by_name(mech).expect("validated by ServerChild::spawn");
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        // The server runs under the mechanism until SIGKILL; never tear
-        // down (teardown in the event loop would race in-flight
-        // requests for no benefit in a throwaway child).
-        Ok(active) => std::mem::forget(active),
+    // The server runs under the mechanism until SIGKILL; never tear
+    // down (teardown in the event loop would race in-flight requests
+    // for no benefit in a throwaway child): `exit` below drops nothing.
+    let active = match backend.install(Box::new(interpose::PassthroughHandler)) {
+        Ok(active) => active,
         Err(e) => {
             eprintln!("server child: mechanism {mech} unavailable: {e}");
             std::process::exit(2);
         }
-    }
+    };
 
     let server = match Server::bind(ServerConfig {
         flavor,
@@ -472,14 +446,8 @@ fn server_child(
 
     let _ = server.run(&STOP);
 
-    // Stopped via SIGTERM: report the recorder counters over the pipe
-    // (zeros when this cell never recorded).
-    let _ = writeln!(
-        write_fd,
-        "stats {} {}",
-        replay::events_recorded(),
-        replay::events_dropped(),
-    );
+    // Stopped via SIGTERM: report the installation's counters.
+    let _ = write_fd.write_all(crate::render_counters(&active.stats()).as_bytes());
     drop(write_fd);
     std::process::exit(0);
 }
@@ -559,11 +527,12 @@ mod tests {
 
     #[test]
     fn stats_line_round_trips() {
-        let s = parse_stats("port junk\nstats 1000 3\n");
-        assert_eq!(s.events_recorded, 1000);
-        assert_eq!(s.events_dropped, 3);
-        let empty = parse_stats("");
-        assert_eq!((empty.events_recorded, empty.events_dropped), (0, 0));
+        let mut s = StatsSnapshot::default();
+        crate::parse_counters("port junk\nevents_recorded 1000\nevents_dropped 3\n", &mut s);
+        assert_eq!((s.events_recorded, s.events_dropped), (1000, 3));
+        let mut empty = StatsSnapshot::default();
+        crate::parse_counters("", &mut empty);
+        assert_eq!(empty, StatsSnapshot::default());
     }
 
     // Full cells are exercised by the fig5 binary and an integration

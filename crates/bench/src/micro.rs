@@ -606,8 +606,7 @@ pub fn hardened_child_main() -> ! {
 }
 
 /// The child's wire format: `cycles <f64>...`, `harden <rung>`, then
-/// one `<counter> <value>` line per
-/// [`mechanism::StatsSnapshot::counters`] entry.
+/// the counters ([`crate::render_counters`]).
 fn render_hardened_output(
     cycles: &[f64],
     harden: &str,
@@ -618,10 +617,7 @@ fn render_hardened_output(
         out.push_str(&format!(" {c}"));
     }
     out.push_str(&format!("\nharden {harden}\n"));
-    for (name, value) in stats.counters() {
-        out.push_str(&format!("{name} {value}\n"));
-    }
-    out
+    out + &crate::render_counters(stats)
 }
 
 /// Runs the hardened row by re-execing the current binary with
@@ -648,41 +644,26 @@ pub fn run_hardened_row() -> Option<HardenedRow> {
 
 /// Parses [`render_hardened_output`]'s wire format.
 fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
-    let mut cycles = Vec::new();
+    let field = |key: &str| text.lines().find_map(|l| l.strip_prefix(key));
+    let cycles: Vec<f64> = field("cycles ")?
+        .split_whitespace()
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    if cycles.is_empty() {
+        return None;
+    }
     let mut stats = mechanism::StatsSnapshot {
         mechanism: HARDENED,
         ..Default::default()
     };
-    let mut harden_level = String::new();
-    for line in text.lines() {
-        let Some((key, rest)) = line.split_once(' ') else {
-            continue;
-        };
-        match key {
-            "cycles" => {
-                cycles = rest
-                    .split_whitespace()
-                    .filter_map(|t| t.parse().ok())
-                    .collect()
-            }
-            "harden" => harden_level = rest.to_string(),
-            name => {
-                if let (Some(counter), Ok(v)) = (stats.counter_mut(name), rest.parse()) {
-                    *counter = v;
-                }
-            }
-        }
-    }
-    if cycles.is_empty() {
-        return None;
-    }
+    crate::parse_counters(text, &mut stats);
     Some(HardenedRow {
         measurement: Measurement {
             name: HARDENED,
             cycles_per_call: cycles,
         },
         stats,
-        harden_level,
+        harden_level: field("harden ").unwrap_or_default().to_string(),
     })
 }
 

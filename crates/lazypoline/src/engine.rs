@@ -120,51 +120,82 @@ pub enum Mode {
     PrescanOnly,
 }
 
-/// Event counters since initialization.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
+/// Declares [`Stats`], [`Stats::counters`] and [`stats`] from one list
+/// of `field: source` entries. The field names are the mechanism
+/// layer's `StatsSnapshot` names, so a reader copies every counter by
+/// name instead of naming the fields again.
+macro_rules! engine_stats {
+    ($($(#[$doc:meta])* $field:ident: $read:expr,)*) => {
+        /// Event counters since process start.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Stats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Stats {
+            /// Every counter as `(field name, value)`, in declaration
+            /// order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)*].into_iter()
+            }
+        }
+
+        /// Engine-wide event counters (also available without a handle —
+        /// e.g. from benchmark reporting code).
+        pub fn stats() -> Stats {
+            Stats {
+                $($field: $read,)*
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// `SIGSYS` deliveries (slow-path trips).
-    pub slow_path_hits: u64,
+    slow_path_hits: counters::get(&counters::SLOW_PATH_HITS),
     /// Syscall sites rewritten to `call rax`.
-    pub sites_patched: u64,
+    sites_patched: counters::get(&counters::SITES_PATCHED),
     /// Syscalls that reached the dispatcher.
-    pub dispatches: u64,
+    dispatches: counters::get(&counters::DISPATCHES),
     /// Syscalls emulated in the handler because patching failed (the
     /// site or its page is unpatchable).
-    pub unpatchable_emulations: u64,
+    unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
     /// Syscalls emulated in the handler because lazy rewriting is
     /// disabled (pure-SUD configuration or [`Mode::SudOnly`]) — a
     /// configuration state, not a failure.
-    pub disabled_mode_emulations: u64,
+    disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
     /// Application signal deliveries routed through the wrapper.
-    pub signals_wrapped: u64,
+    signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
     /// Patch re-attempts after transient `mprotect` failures.
-    pub patch_retries: u64,
+    patch_retries: counters::get(&counters::PATCH_RETRIES),
     /// Pages inserted into the unpatchable-page blocklist.
-    pub pages_blocklisted: u64,
-    /// Interposer handlers quarantined after panicking (cumulative).
-    pub quarantined_handlers: u64,
-    /// Syscall events captured into the flight-recorder rings
-    /// (cumulative; nonzero only while a `record` interposer runs).
-    pub events_recorded: u64,
+    pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
+    /// Interposer handlers quarantined after panicking.
+    quarantined_handlers: interpose::quarantined_handlers(),
+    // Recorder counters live in lp-replay (its rings own the drop
+    // accounting); the engine folds them in so `health()` and the
+    // benches report one uniform counter set.
+    /// Syscall events captured into the flight-recorder rings (nonzero
+    /// only while a `record` interposer runs).
+    events_recorded: replay::events_recorded(),
     /// Syscall events the flight recorder dropped to its overflow
-    /// policy (full ring or exhausted ring pool; cumulative).
-    pub events_dropped: u64,
+    /// policy (full ring or exhausted ring pool).
+    events_dropped: replay::events_dropped(),
     /// Divergences replay handlers detected between an execution and
-    /// its trace (cumulative).
-    pub replay_divergences: u64,
+    /// its trace.
+    replay_divergences: replay::replay_divergences(),
     /// Records the drain path moved from the rings into a trace file
-    /// (cumulative; async drain-thread sweeps and synchronous drains).
-    pub events_spilled: u64,
+    /// (async drain-thread sweeps and synchronous drains).
+    events_spilled: replay::events_spilled(),
     /// Ring pushes that observed near-full (≥3/4) occupancy —
-    /// backpressure the drain thread could not absorb (cumulative).
-    pub ring_near_full: u64,
+    /// backpressure the drain thread could not absorb.
+    ring_near_full: replay::ring::total_near_full(),
     /// Escape attempts the hardened-mode seccomp backstop caught
-    /// (cumulative; nonzero only under `lazypoline-hardened`).
-    pub bypass_blocked: u64,
+    /// (nonzero only under `lazypoline-hardened`).
+    bypass_blocked: crate::harden::bypass_blocked(),
     /// WRPKRU open/close pairs around protected-selector writes
-    /// (cumulative; nonzero only with the pkey slab armed).
-    pub pkru_switches: u64,
+    /// (nonzero only with the pkey slab armed).
+    pkru_switches: sud::pkey::pkru_switch_count(),
 }
 
 /// Robustness snapshot: the active degradation-ladder rung plus the
@@ -175,12 +206,8 @@ pub struct Health {
     pub mode: Mode,
     /// Pages in the unpatchable-page blocklist.
     pub patch_blocklist_pages: u64,
-    /// Interposer handlers quarantined after panicking (cumulative).
-    pub quarantined_handlers: u64,
     /// Faults injected by the `faultinject` seams (0 in production).
     pub faults_injected: u64,
-    /// Patch re-attempts after transient `mprotect` failures.
-    pub patch_retries: u64,
     /// The hardening rung achieved ([`crate::harden::level`];
     /// `HardenLevel::Off` unless hardened install was attempted).
     pub harden: crate::harden::HardenLevel,
@@ -422,44 +449,15 @@ impl Drop for Engine {
     }
 }
 
-/// Engine-wide event counters (also available without a handle — e.g.
-/// from benchmark reporting code).
-pub fn stats() -> Stats {
-    Stats {
-        slow_path_hits: counters::get(&counters::SLOW_PATH_HITS),
-        sites_patched: counters::get(&counters::SITES_PATCHED),
-        dispatches: counters::get(&counters::DISPATCHES),
-        unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
-        disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
-        signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
-        patch_retries: counters::get(&counters::PATCH_RETRIES),
-        pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
-        quarantined_handlers: interpose::quarantined_handlers(),
-        // Recorder counters live in lp-replay (its rings own the drop
-        // accounting); the engine folds them in so `health()` and the
-        // benches report one uniform counter set.
-        events_recorded: replay::events_recorded(),
-        events_dropped: replay::events_dropped(),
-        replay_divergences: replay::replay_divergences(),
-        events_spilled: replay::events_spilled(),
-        ring_near_full: replay::ring::total_near_full(),
-        bypass_blocked: crate::harden::bypass_blocked(),
-        pkru_switches: sud::pkey::pkru_switch_count(),
-    }
-}
-
 /// Robustness snapshot (also available without a handle): the active
 /// [`Mode`] plus the counters describing degradations taken so far.
 pub fn health() -> Health {
-    let stats = stats();
     Health {
         mode: mode(),
         patch_blocklist_pages: blocklist::len() as u64,
-        quarantined_handlers: stats.quarantined_handlers,
         faults_injected: faultinject::total_injected(),
-        patch_retries: stats.patch_retries,
         harden: crate::harden::level(),
-        stats,
+        stats: stats(),
     }
 }
 
@@ -495,28 +493,8 @@ mod tests {
         // agree with itself. Sibling tests bump the counters meanwhile,
         // so a second read is compared as "no counter went backwards".
         let h = health();
-        assert_eq!(h.quarantined_handlers, h.stats.quarantined_handlers);
-        assert_eq!(h.patch_retries, h.stats.patch_retries);
         assert!(h.patch_blocklist_pages <= crate::blocklist::CAPACITY as u64);
-        let (a, b) = (h.stats, stats());
-        for (name, before, after) in [
-            ("slow_path_hits", a.slow_path_hits, b.slow_path_hits),
-            ("sites_patched", a.sites_patched, b.sites_patched),
-            ("dispatches", a.dispatches, b.dispatches),
-            ("unpatchable_emulations", a.unpatchable_emulations, b.unpatchable_emulations),
-            ("disabled_mode_emulations", a.disabled_mode_emulations, b.disabled_mode_emulations),
-            ("signals_wrapped", a.signals_wrapped, b.signals_wrapped),
-            ("patch_retries", a.patch_retries, b.patch_retries),
-            ("pages_blocklisted", a.pages_blocklisted, b.pages_blocklisted),
-            ("quarantined_handlers", a.quarantined_handlers, b.quarantined_handlers),
-            ("events_recorded", a.events_recorded, b.events_recorded),
-            ("events_dropped", a.events_dropped, b.events_dropped),
-            ("replay_divergences", a.replay_divergences, b.replay_divergences),
-            ("events_spilled", a.events_spilled, b.events_spilled),
-            ("ring_near_full", a.ring_near_full, b.ring_near_full),
-            ("bypass_blocked", a.bypass_blocked, b.bypass_blocked),
-            ("pkru_switches", a.pkru_switches, b.pkru_switches),
-        ] {
+        for ((name, before), (_, after)) in h.stats.counters().zip(stats().counters()) {
             assert!(after >= before, "{name}: {before} -> {after}");
         }
     }

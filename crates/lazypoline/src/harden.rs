@@ -474,11 +474,17 @@ pub fn policy() -> BypassPolicy {
     }
 }
 
-/// Reads `LP_HARDEN_POLICY` (`kill` | `quarantine`, default kill).
-pub fn policy_from_env() -> BypassPolicy {
+/// Reads `LP_HARDEN_POLICY` (`kill` | `quarantine`; unset or empty is
+/// kill). Any other value is an `InvalidInput` error, never a silent
+/// kill.
+pub fn policy_from_env() -> std::io::Result<BypassPolicy> {
     match std::env::var("LP_HARDEN_POLICY").as_deref() {
-        Ok("quarantine") => BypassPolicy::Quarantine,
-        _ => BypassPolicy::Kill,
+        Err(_) | Ok("" | "kill") => Ok(BypassPolicy::Kill),
+        Ok("quarantine") => Ok(BypassPolicy::Quarantine),
+        Ok(other) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("LP_HARDEN_POLICY={other:?}: expected kill or quarantine"),
+        )),
     }
 }
 
@@ -601,7 +607,7 @@ mod tests {
     #[test]
     fn policy_and_level_defaults() {
         // Unit tests never arm anything (that would be irreversible).
-        assert_eq!(policy_from_env(), BypassPolicy::Kill);
+        assert_eq!(policy_from_env().unwrap(), BypassPolicy::Kill);
         assert!(!backstop_armed());
         assert_eq!(bypass_blocked(), 0);
     }

@@ -24,7 +24,7 @@ use hookabi::LoadedHook;
 use interpose::{Action, HookId, HookStack, InterestSet, SyscallEvent, SyscallHandler};
 
 use crate::layer::LayerGuard;
-use crate::{InstallError, StatsSnapshot};
+use crate::{env_switch, InstallError};
 
 /// Environment variable naming the hook libraries a `+hooks` layer
 /// loads at install: comma-separated `path-or-name[:priority]`
@@ -32,8 +32,9 @@ use crate::{InstallError, StatsSnapshot};
 /// the compiled-in handler.
 pub const HOOKS_ENV: &str = "LP_HOOKS";
 
-/// `LP_HOOKS_WATCH=1` at install starts a housekeeping thread that
-/// polls each loaded library's mtime and, on change, hot-reloads it:
+/// `LP_HOOKS_WATCH=1` (`0` or empty: off; anything else fails the
+/// install) starts a housekeeping thread that polls each loaded
+/// library's mtime and, on change, hot-reloads it:
 /// `detach` (narrowing interest after the swap) → `fini` → re-`dlopen`
 /// → `attach` at the same priority, racing live dispatch safely via
 /// the stack's RCU snapshot swaps. Note `dlopen` of an in-place
@@ -84,6 +85,7 @@ impl SyscallHandler for SharedHook {
 pub(crate) fn wrap(
     handler: Box<dyn SyscallHandler>,
 ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
+    let watch = env_switch(HOOKS_WATCH_ENV)?;
     let spec = std::env::var(HOOKS_ENV).unwrap_or_default();
     let loaded = hookabi::load_from_spec(&spec).map_err(InstallError::Hook)?;
 
@@ -102,8 +104,7 @@ pub(crate) fn wrap(
     let guard = HooksGuard {
         stack: stack.clone(),
         hooks: Arc::new(Mutex::new(hooks)),
-        dispatch_base: interpose::hook_dispatches(),
-        reload_base: hook_reloads(),
+        watch,
         watcher: None,
     };
     Ok((Box::new(stack), LayerGuard::Hooks(guard)))
@@ -206,10 +207,8 @@ fn sweep(stack: &HookStack, hooks: &Mutex<Vec<WatchedHook>>) {
 pub(crate) struct HooksGuard {
     stack: HookStack,
     hooks: Arc<Mutex<Vec<WatchedHook>>>,
-    /// `interpose::hook_dispatches()` at install, for delta reporting.
-    dispatch_base: u64,
-    /// [`hook_reloads`] at install, for delta reporting.
-    reload_base: u64,
+    /// `LP_HOOKS_WATCH=1` at install.
+    watch: bool,
     /// The `LP_HOOKS_WATCH` thread.
     watcher: Option<Watcher>,
 }
@@ -219,17 +218,9 @@ impl HooksGuard {
     /// armed, so the watcher is enrolled in interposition like any
     /// other thread of the process.
     pub(crate) fn start_watcher(&mut self) {
-        if std::env::var(HOOKS_WATCH_ENV).is_ok_and(|v| v == "1")
-            && !self.hooks.lock().unwrap().is_empty()
-        {
+        if self.watch && !self.hooks.lock().unwrap().is_empty() {
             self.watcher = Some(Watcher::spawn(self.stack.clone(), Arc::clone(&self.hooks)));
         }
-    }
-
-    pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
-        s.hooks_loaded = self.stack.dynamic_len() as u64;
-        s.hook_dispatches = interpose::hook_dispatches().saturating_sub(self.dispatch_base);
-        s.hook_reloads = hook_reloads().saturating_sub(self.reload_base);
     }
 
     pub(crate) fn stack(&self) -> &HookStack {

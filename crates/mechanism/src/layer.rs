@@ -50,10 +50,15 @@ impl Layer {
         handler: Box<dyn SyscallHandler>,
     ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
         Ok(match self {
-            Layer::Record => (
-                Box::new(RecordHandler::wrapping(handler)),
-                LayerGuard::Record(None),
-            ),
+            Layer::Record => {
+                // `Recorder::to_path` validates it again; this catches a
+                // typo when no trace file is asked for.
+                replay::ring::configure_from_env().map_err(|e| InstallError::Io(e.into()))?;
+                (
+                    Box::new(RecordHandler::wrapping(handler)),
+                    LayerGuard::Record(None),
+                )
+            }
             Layer::Hooks => hooks::wrap(handler)?,
             Layer::Sfip => sfip::wrap(handler)?,
         })
@@ -70,18 +75,18 @@ pub(crate) enum LayerGuard {
     Replay(Arc<replay::ReplayState>),
     /// `+hooks`: the stack, its loaded hooks and their watcher.
     Hooks(hooks::HooksGuard),
-    /// `+sfip`: the action and the counter baselines.
-    Sfip(sfip::SfipGuard),
+    /// `+sfip`: the violation action.
+    Sfip(::sfip::ViolationAction),
 }
 
 impl LayerGuard {
-    /// Adds this layer's own fields to the base's snapshot. (The
-    /// recorder and replay counters are process-global and already in
-    /// every base snapshot.)
+    /// Sets the snapshot fields that are not deltas: the `+hooks`
+    /// gauge and the `+sfip` action. (Every counter is already in the
+    /// base's delta.)
     pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
         match self {
-            LayerGuard::Hooks(h) => h.fill(s),
-            LayerGuard::Sfip(g) => g.fill(s),
+            LayerGuard::Hooks(h) => s.hooks_loaded = h.stack().dynamic_len() as u64,
+            LayerGuard::Sfip(action) => s.sfip_mode = action.name(),
             LayerGuard::Record(_) | LayerGuard::Replay(_) => {}
         }
     }
@@ -99,12 +104,10 @@ impl LayerGuard {
     }
 
     /// Runs right after the base armed: what must not predate it (the
-    /// `+hooks` watcher thread, the `+sfip` counter baselines).
+    /// `+hooks` watcher thread).
     fn armed(&mut self) {
-        match self {
-            LayerGuard::Hooks(h) => h.start_watcher(),
-            LayerGuard::Sfip(g) => g.rebase(),
-            LayerGuard::Record(_) | LayerGuard::Replay(_) => {}
+        if let LayerGuard::Hooks(h) = self {
+            h.start_watcher();
         }
     }
 

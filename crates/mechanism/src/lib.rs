@@ -131,6 +131,9 @@ impl std::fmt::Display for InstallError {
             InstallError::Unsupported(why) => write!(f, "unsupported on this host: {why}"),
             InstallError::Conflict(why) => write!(f, "conflicts with process state: {why}"),
             InstallError::Init(e) => write!(f, "engine init failed: {e}"),
+            InstallError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                write!(f, "bad configuration: {e}")
+            }
             InstallError::Io(e) => write!(f, "kernel interface failed: {e}"),
             InstallError::Hook(e) => write!(f, "hook loading failed: {e}"),
             InstallError::Policy(e) => write!(f, "sfip policy failed: {e}"),
@@ -164,20 +167,34 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Declares [`StatsSnapshot`] and [`StatsSnapshot::counters`] from one
-/// field list, so a new counter is one line here and every emitter that
-/// iterates `counters()` picks it up.
+/// Declares [`StatsSnapshot`], [`StatsSnapshot::counters`] and
+/// [`StatsSnapshot::since`] from one field list, so a new counter is one
+/// line here and every emitter that iterates `counters()` — and every
+/// delta — picks it up.
 macro_rules! stats_snapshot {
     ($($(#[$doc:meta])* $field:ident,)*) => {
         /// Uniform per-installation statistics, reported as **deltas since
         /// install** so drivers can attribute counts to one measurement phase.
         ///
-        /// Engine-backed natives report the full counter set (including the
-        /// robustness counters: patch retries, blocklisted pages, quarantined
-        /// handlers). `sud-raw` counts each `SIGSYS` trip as both a dispatch
-        /// and a slow-path hit. Simulated backends map the sim kernel's
-        /// counters (observed syscalls → `dispatches`, SUD/SIGSYS deliveries →
-        /// `slow_path_hits`); counters without a simulated equivalent stay 0.
+        /// Every backend computes them the same way: one baseline of its
+        /// process-cumulative totals, read once the base has armed, and
+        /// [`since`](Self::since) that baseline at every read — so all
+        /// layers count over the same window. Which totals a base reports:
+        ///
+        /// - every base: `quarantined_handlers`, the recorder/replay
+        ///   counters (`events_*`, `ring_near_full`, `replay_divergences`),
+        ///   `hook_dispatches`, `hook_reloads`, `sfip_checks` and
+        ///   `sfip_violations`;
+        /// - engine-backed natives: also every engine counter, with
+        ///   `dispatches` counting the slow path's emulations too;
+        /// - `sud-raw`: each `SIGSYS` trip as both a dispatch and a
+        ///   slow-path hit;
+        /// - simulated backends: the sim kernel's counters (observed
+        ///   syscalls → `dispatches`, SUD/SIGSYS deliveries →
+        ///   `slow_path_hits`).
+        ///
+        /// Everything else stays 0. `hooks_loaded` (a gauge) and
+        /// `sfip_mode` are not deltas: their layers set them.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct StatsSnapshot {
             /// Registry key of the mechanism that produced this snapshot.
@@ -202,6 +219,15 @@ macro_rules! stats_snapshot {
                 match name {
                     $(stringify!($field) => Some(&mut self.$field),)*
                     _ => None,
+                }
+            }
+
+            /// Every counter minus `base`'s (saturating at 0); the
+            /// labels are this snapshot's.
+            pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.saturating_sub(base.$field),)*
+                    ..*self
                 }
             }
         }
@@ -272,15 +298,6 @@ stats_snapshot! {
     sfip_violations,
 }
 
-impl StatsSnapshot {
-    pub(crate) fn zero(mechanism: &'static str) -> StatsSnapshot {
-        StatsSnapshot {
-            mechanism,
-            ..StatsSnapshot::default()
-        }
-    }
-}
-
 /// Result of one simulated guest run.
 #[derive(Clone, Debug)]
 pub struct SimOutcome {
@@ -306,6 +323,9 @@ pub struct ActiveMechanism {
     name: &'static str,
     // Declared before `layers`: fields drop in declaration order.
     inner: Inner,
+    /// `inner`'s totals once the base had armed: the one baseline
+    /// [`stats`](Self::stats) reports deltas against.
+    base: StatsSnapshot,
     /// Guards of the installed layers, innermost first; empty for a
     /// static row.
     layers: Vec<LayerGuard>,
@@ -316,6 +336,35 @@ pub(crate) enum Inner {
     Sim(sim::SimActive),
 }
 
+impl Inner {
+    /// The process-cumulative counters in this base's reporting scope
+    /// (see [`StatsSnapshot`]).
+    fn totals(&self) -> StatsSnapshot {
+        let engine = lazypoline::stats();
+        // Registry-level, not engine-level, so every base reports them:
+        // the raw-SUD handler dispatches through the same registry, and
+        // any base can carry the layers.
+        let mut s = StatsSnapshot {
+            quarantined_handlers: engine.quarantined_handlers,
+            events_recorded: engine.events_recorded,
+            events_dropped: engine.events_dropped,
+            events_spilled: engine.events_spilled,
+            ring_near_full: engine.ring_near_full,
+            replay_divergences: engine.replay_divergences,
+            hook_dispatches: interpose::hook_dispatches(),
+            hook_reloads: hooks::hook_reloads(),
+            sfip_checks: ::sfip::checks(),
+            sfip_violations: ::sfip::violations(),
+            ..StatsSnapshot::default()
+        };
+        match self {
+            Inner::Native(n) => n.add_totals(&mut s, &engine),
+            Inner::Sim(sim) => sim.add_totals(&mut s),
+        }
+        s
+    }
+}
+
 impl Drop for ActiveMechanism {
     fn drop(&mut self) {
         self.layers.retain(|g| !matches!(g, LayerGuard::Hooks(_)));
@@ -323,9 +372,11 @@ impl Drop for ActiveMechanism {
 }
 
 impl ActiveMechanism {
+    /// Wraps a base that has just armed, taking the one baseline.
     pub(crate) fn new(name: &'static str, inner: Inner) -> ActiveMechanism {
         ActiveMechanism {
             name,
+            base: inner.totals(),
             inner,
             layers: Vec::new(),
         }
@@ -344,12 +395,11 @@ impl ActiveMechanism {
     }
 
     /// Counters accumulated since install (see [`StatsSnapshot`]): the
-    /// base's snapshot, then each layer fills in its own fields.
+    /// base's totals since the one baseline, then each layer's
+    /// non-delta fields.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = match &self.inner {
-            Inner::Native(n) => n.snapshot(self.name),
-            Inner::Sim(s) => s.snapshot(self.name),
-        };
+        let mut s = self.inner.totals().since(&self.base);
+        s.mechanism = self.name;
         for g in &self.layers {
             g.fill(&mut s);
         }
@@ -518,6 +568,19 @@ impl std::error::Error for UnknownMechanism {}
 pub fn detach_current_thread() {
     sud::set_selector(sud::Dispatch::Allow);
     let _ = sud::disable_thread();
+}
+
+/// A layer's on/off variable: unset, `""` or `0` is off, `1` is on, and
+/// anything else fails the install rather than meaning off.
+pub(crate) fn env_switch(var: &str) -> Result<bool, InstallError> {
+    match std::env::var(var).as_deref() {
+        Err(_) | Ok("" | "0") => Ok(false),
+        Ok("1") => Ok(true),
+        Ok(other) => Err(InstallError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{var}={other:?}: expected 0 or 1"),
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -695,7 +758,7 @@ mod tests {
             dispatches: 7,
             ring_near_full: 2,
             sfip_violations: 3,
-            ..StatsSnapshot::zero("x")
+            ..StatsSnapshot::default()
         };
         let all: Vec<_> = s.counters().collect();
         assert_eq!(all.first(), Some(&("dispatches", 7)));
@@ -710,14 +773,45 @@ mod tests {
             dispatches: 7,
             pkru_switches: 28,
             sfip_violations: 3,
-            ..StatsSnapshot::zero("x")
+            ..StatsSnapshot::default()
         };
-        let mut back = StatsSnapshot::zero("x");
+        let mut back = StatsSnapshot::default();
         for (name, value) in s.counters() {
             *back.counter_mut(name).expect("every counter has a name") = value;
         }
         assert_eq!(back, s);
         assert!(back.counter_mut("sfip_mode").is_none());
+    }
+
+    #[test]
+    fn since_subtracts_every_counter_and_keeps_the_labels() {
+        let base = StatsSnapshot {
+            dispatches: 5,
+            sfip_checks: 5,
+            hook_reloads: 9,
+            ..StatsSnapshot::default()
+        };
+        let now = StatsSnapshot {
+            mechanism: "x",
+            sfip_mode: "count",
+            dispatches: 12,
+            sfip_checks: 12,
+            hook_reloads: 3,
+            ..StatsSnapshot::default()
+        };
+        let d = now.since(&base);
+        assert_eq!((d.mechanism, d.sfip_mode), ("x", "count"));
+        assert_eq!((d.dispatches, d.sfip_checks), (7, 7));
+        assert_eq!(d.hook_reloads, 0, "saturates, never wraps");
+        assert_eq!(d.counters().map(|(_, v)| v).sum::<u64>(), 14);
+    }
+
+    #[test]
+    fn every_engine_counter_is_a_snapshot_counter() {
+        let mut s = StatsSnapshot::default();
+        for (name, _) in lazypoline::stats().counters() {
+            assert!(s.counter_mut(name).is_some(), "{name} has no StatsSnapshot counter");
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use interpose::SyscallHandler;
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 use zpoline::XstateMask;
 
-use crate::record_replay::fill_recorder_deltas;
 use crate::{ActiveMechanism, InstallError, Inner, Mechanism, StatsSnapshot};
 
 /// One registry row: a name bound to a concrete native configuration.
@@ -188,8 +187,6 @@ impl Mechanism for NativeBackend {
         // syscall must already see the caller's handler, not the
         // previous one. The guard reverses this order on teardown.
         let guard = interpose::install_handler(handler);
-        let base = lazypoline::stats();
-        let base_raw_dispatches = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
 
         let kind = match self.cfg {
             NativeCfg::Nothing => NativeKind::Nothing,
@@ -233,6 +230,8 @@ impl Mechanism for NativeBackend {
                 }
             }
             NativeCfg::Hardened => {
+                // A typo'd policy fails here, before anything one-way.
+                let policy = lazypoline::harden::policy_from_env().map_err(InstallError::Io)?;
                 // Ladder rung 1: protected selector — must precede
                 // init so enrollment hands the kernel the protected
                 // address. Failure (no MPK hardware) degrades.
@@ -242,8 +241,7 @@ impl Mechanism for NativeBackend {
                 // Ladder rung 2: the seccomp backstop — after init, so
                 // every legitimate syscall path (gate page, number
                 // allowlist) exists before the irreversible filter.
-                let _ =
-                    lazypoline::harden::arm_backstop(lazypoline::harden::policy_from_env());
+                let _ = lazypoline::harden::arm_backstop(policy);
                 NativeKind::Engine {
                     engine,
                     restore_xstate: false,
@@ -254,8 +252,6 @@ impl Mechanism for NativeBackend {
             self.key,
             Inner::Native(Box::new(NativeActive {
                 kind,
-                base,
-                base_raw_dispatches,
                 _guard: guard,
             })),
         ))
@@ -277,62 +273,31 @@ enum NativeKind {
 /// handler.
 pub(crate) struct NativeActive {
     kind: NativeKind,
-    base: lazypoline::Stats,
-    base_raw_dispatches: u64,
     _guard: interpose::HandlerGuard,
 }
 
 impl NativeActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let now = lazypoline::stats();
-        let mut s = StatsSnapshot::zero(mechanism);
-        // Quarantine and the recorder/replay counters are
-        // registry-level, not engine-level: report them for every
-        // backend.
-        s.quarantined_handlers = now
-            .quarantined_handlers
-            .saturating_sub(self.base.quarantined_handlers);
-        fill_recorder_deltas(&mut s, &self.base, &now);
-        match &self.kind {
+    /// Adds this base's own process-cumulative counters to the ones
+    /// every base reports (see [`StatsSnapshot`]).
+    pub(crate) fn add_totals(&self, s: &mut StatsSnapshot, engine: &lazypoline::Stats) {
+        match self.kind {
             NativeKind::Nothing | NativeKind::SudAllow => {}
             NativeKind::RawSud { .. } => {
-                let d = RAW_SUD_DISPATCHES
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(self.base_raw_dispatches);
-                s.dispatches = d;
-                s.slow_path_hits = d;
+                s.dispatches = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
+                s.slow_path_hits = s.dispatches;
             }
             NativeKind::Engine { .. } => {
+                for (name, value) in engine.counters() {
+                    *s.counter_mut(name).expect("engine counters are snapshot counters") = value;
+                }
                 // The engine counts trampoline entries in `dispatches`;
                 // slow-path *emulations* (rewriting disabled, or an
                 // unpatchable page) notify the handler without entering
-                // the trampoline. The unified snapshot reports every
+                // the trampoline. The snapshot reports every
                 // handler-visible dispatch, whichever path carried it.
-                s.dispatches = now.dispatches.saturating_sub(self.base.dispatches)
-                    + now
-                        .disabled_mode_emulations
-                        .saturating_sub(self.base.disabled_mode_emulations)
-                    + now
-                        .unpatchable_emulations
-                        .saturating_sub(self.base.unpatchable_emulations);
-                s.slow_path_hits = now.slow_path_hits.saturating_sub(self.base.slow_path_hits);
-                s.sites_patched = now.sites_patched.saturating_sub(self.base.sites_patched);
-                s.unpatchable_emulations = now
-                    .unpatchable_emulations
-                    .saturating_sub(self.base.unpatchable_emulations);
-                s.disabled_mode_emulations = now
-                    .disabled_mode_emulations
-                    .saturating_sub(self.base.disabled_mode_emulations);
-                s.signals_wrapped = now.signals_wrapped.saturating_sub(self.base.signals_wrapped);
-                s.patch_retries = now.patch_retries.saturating_sub(self.base.patch_retries);
-                s.pages_blocklisted = now
-                    .pages_blocklisted
-                    .saturating_sub(self.base.pages_blocklisted);
-                s.bypass_blocked = now.bypass_blocked.saturating_sub(self.base.bypass_blocked);
-                s.pkru_switches = now.pkru_switches.saturating_sub(self.base.pkru_switches);
+                s.dispatches += s.disabled_mode_emulations + s.unpatchable_emulations;
             }
         }
-        s
     }
 
     pub(crate) fn detach(&mut self) {

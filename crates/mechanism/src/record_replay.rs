@@ -1,7 +1,6 @@
 //! Record/replay payloads: the `+record` layer composes the flight
 //! recorder around any stack; the `replay:<trace-path>` base
-//! re-executes a workload against a recorded trace. Also the
-//! recorder-counter deltas every base reports.
+//! re-executes a workload against a recorded trace.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -9,7 +8,7 @@ use std::sync::Arc;
 use replay::{Recorder, ReplayState};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 
-use crate::{static_by_name, InstallError, Mechanism, StatsSnapshot};
+use crate::{static_by_name, InstallError, Mechanism};
 
 /// Environment variable naming the trace file a `+record` layer drains
 /// its rings into. Unset: the flight recorder still runs (rings +
@@ -25,26 +24,6 @@ pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
 /// `replay:<path>` backend installs (default: the trace header's
 /// source mechanism).
 pub const REPLAY_BASE_ENV: &str = "LP_REPLAY_BASE";
-
-/// Writes the recorder/replay counters into `s` as deltas between two
-/// [`lazypoline::stats`] reads (which gather them whether or not the
-/// engine ever initialised). They are registry-level, not engine-level,
-/// so every base — native or simulated — reports them: the raw-SUD
-/// handler dispatches through the same registry, and a `+record` layer
-/// may envelop any base.
-pub(crate) fn fill_recorder_deltas(
-    s: &mut StatsSnapshot,
-    base: &lazypoline::Stats,
-    now: &lazypoline::Stats,
-) {
-    s.events_recorded = now.events_recorded.saturating_sub(base.events_recorded);
-    s.events_dropped = now.events_dropped.saturating_sub(base.events_dropped);
-    s.events_spilled = now.events_spilled.saturating_sub(base.events_spilled);
-    s.ring_near_full = now.ring_near_full.saturating_sub(base.ring_near_full);
-    s.replay_divergences = now
-        .replay_divergences
-        .saturating_sub(base.replay_divergences);
-}
 
 /// The `+record` layer's trace session, if `LP_TRACE_OUT` names a
 /// file. Its header names the *static* base, so `replay:` can resolve

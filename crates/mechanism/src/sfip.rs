@@ -7,7 +7,7 @@
 //! `LP_SFIP_POLICY_ACTION` picks the violation action
 //! (`kill`|`quarantine`|`count`, default `kill`); `LP_SFIP_ORIGINS=1`
 //! additionally enforces the per-site origin sets when the policy
-//! carries them.
+//! carries them (`0` or empty: off; anything else fails the install).
 
 use std::sync::Arc;
 
@@ -15,10 +15,11 @@ use ::sfip::{Policy, SfipHandler, ViolationAction};
 use interpose::SyscallHandler;
 
 use crate::layer::LayerGuard;
-use crate::{InstallError, StatsSnapshot};
+use crate::{env_switch, InstallError};
 
 /// Loads and validates the policy, action and origins switch, then
-/// wraps `handler` in an [`SfipHandler`].
+/// wraps `handler` in an [`SfipHandler`]. The guard keeps the action
+/// for [`StatsSnapshot::sfip_mode`](crate::StatsSnapshot::sfip_mode).
 pub(crate) fn wrap(
     handler: Box<dyn SyscallHandler>,
 ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
@@ -28,34 +29,7 @@ pub(crate) fn wrap(
     };
     let policy = Policy::load(path.as_ref()).map_err(InstallError::Policy)?;
     let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
-    let check_origins = std::env::var(::sfip::ORIGINS_ENV).is_ok_and(|v| v == "1");
+    let check_origins = env_switch(::sfip::ORIGINS_ENV)?;
     let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
-    let guard = SfipGuard {
-        action,
-        checks_base: 0,
-        violations_base: 0,
-    };
-    Ok((Box::new(enforcer), LayerGuard::Sfip(guard)))
-}
-
-/// An installed `+sfip` layer: the action plus install-time counter
-/// baselines so the snapshot reports deltas.
-pub(crate) struct SfipGuard {
-    action: ViolationAction,
-    checks_base: u64,
-    violations_base: u64,
-}
-
-impl SfipGuard {
-    /// Reads the counter baselines; runs once the base has armed.
-    pub(crate) fn rebase(&mut self) {
-        self.checks_base = ::sfip::checks();
-        self.violations_base = ::sfip::violations();
-    }
-
-    pub(crate) fn fill(&self, s: &mut StatsSnapshot) {
-        s.sfip_checks = ::sfip::checks().saturating_sub(self.checks_base);
-        s.sfip_violations = ::sfip::violations().saturating_sub(self.violations_base);
-        s.sfip_mode = self.action.name();
-    }
+    Ok((Box::new(enforcer), LayerGuard::Sfip(action)))
 }

@@ -5,7 +5,6 @@
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 use sim_interpose::{mechanism_traits, Interposed, Traits};
 
-use crate::record_replay::fill_recorder_deltas;
 use crate::{ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome, StatsSnapshot};
 
 /// One registry row: a name bound to a simulated mechanism model.
@@ -88,10 +87,6 @@ pub(crate) struct SimActive {
     handler: Box<dyn SyscallHandler>,
     dispatches: u64,
     slow_path_hits: u64,
-    /// Process-global counters at install, so the snapshot reports the
-    /// recorder/replay deltas attributable to this installation (same
-    /// contract as the native backends).
-    base: lazypoline::Stats,
 }
 
 impl SimActive {
@@ -104,7 +99,6 @@ impl SimActive {
             handler,
             dispatches: 0,
             slow_path_hits: 0,
-            base: lazypoline::stats(),
         }
     }
 
@@ -151,11 +145,9 @@ impl SimActive {
         })
     }
 
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let mut s = StatsSnapshot::zero(mechanism);
+    /// Adds the guest counts accumulated so far (zero at install).
+    pub(crate) fn add_totals(&self, s: &mut StatsSnapshot) {
         s.dispatches = self.dispatches;
         s.slow_path_hits = self.slow_path_hits;
-        fill_recorder_deltas(&mut s, &self.base, &lazypoline::stats());
-        s
     }
 }

@@ -14,13 +14,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lazypoline_suite::hookabi::{self, HookLoadError, LoadedHook, LP_HOOK_ABI_V1};
+use lazypoline_suite::hookabi::{self, HookLoadError, HookSpec, LoadedHook, LP_HOOK_ABI_V1};
 use lazypoline_suite::mechanism;
 use lazypoline_suite::interpose::{
     self, global_interested, install_handler, interpose_syscall, quarantined_handlers,
     CountHandler, HookStack, SyscallHandler,
 };
 use lazypoline_suite::syscalls::{nr, SyscallArgs};
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 /// The registry is process-global; tests that install a handler hold
 /// this lock so they don't observe each other's stacks mid-assert.
@@ -319,4 +321,53 @@ fn in_process_descriptor_roundtrip() {
     let mut ev = interpose::SyscallEvent::new(SyscallArgs::nullary(nr::GETPID));
     assert_eq!(hook.handle(&mut ev), interpose::Action::Passthrough);
     assert_eq!(HITS.load(Ordering::Relaxed), 1);
+}
+
+/// What `parse_specs` must do with `spec`: a non-blank spec with an
+/// empty fragment is the one `BadSpec`; anything else is one spec per
+/// fragment.
+fn check_spec(spec: &str) -> Result<(), String> {
+    let empty_fragment = !spec.trim().is_empty() && spec.split(',').any(|f| f.trim().is_empty());
+    match hookabi::parse_specs(spec) {
+        Ok(specs) => {
+            prop_assert!(!empty_fragment, "{:?} parsed", spec);
+            let fragments = if spec.trim().is_empty() { 0 } else { spec.split(',').count() };
+            prop_assert_eq!(specs.len(), fragments, "{:?}", spec);
+            prop_assert!(specs.iter().all(|s| !s.library.is_empty() && !s.library.contains(',')));
+        }
+        Err(HookLoadError::BadSpec { .. }) => prop_assert!(empty_fragment, "{:?} rejected", spec),
+        Err(other) => prop_assert!(false, "{:?}: not a BadSpec: {}", spec, other),
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `LP_HOOKS` strings of any shape — separator-heavy ones and
+    /// arbitrary bytes — parse to specs or a typed `BadSpec`.
+    #[test]
+    fn any_spec_string_parses_or_is_a_bad_spec(
+        spec in "[a-z/.:, 0-9\t+é-]{0,40}",
+        noise in vec(any::<u8>(), 0..48),
+    ) {
+        check_spec(&spec)?;
+        check_spec(&String::from_utf8_lossy(&noise))?;
+    }
+
+    /// Specs rendered as `LP_HOOKS` parse back to themselves.
+    #[test]
+    fn rendered_specs_round_trip(libs in vec(("[a-z/._]{1,12}", any::<bool>(), any::<i32>()), 1..6)) {
+        let specs: Vec<HookSpec> = libs
+            .into_iter()
+            .map(|(library, with, priority)| HookSpec { library, priority: with.then_some(priority) })
+            .collect();
+        let rendered: Vec<String> = specs
+            .iter()
+            .map(|s| match s.priority {
+                Some(p) => format!("{}:{p}", s.library),
+                None => s.library.clone(),
+            })
+            .collect();
+        let back = hookabi::parse_specs(&rendered.join(",")).map_err(|e| e.to_string())?;
+        prop_assert_eq!(back, specs);
+    }
 }

@@ -1705,7 +1705,7 @@ fn scenario_fault_unpatchable_page() {
         }
         // Exactly one retry burst: initial attempt + PATCH_RETRY_LIMIT
         // retries, then the page was blocklisted.
-        assert_eq!(mid.patch_retries - before.patch_retries, 3, "{mid:?}");
+        assert_eq!(mid.stats.patch_retries - before.stats.patch_retries, 3, "{mid:?}");
         assert_eq!(
             mid.stats.pages_blocklisted - before.stats.pages_blocklisted,
             1,
@@ -1719,7 +1719,7 @@ fn scenario_fault_unpatchable_page() {
         assert_eq!(mid.faults_injected - before.faults_injected, 4);
         // The five follow-up trips short-circuited on the blocklist: no
         // further patch attempts, no further retries.
-        assert_eq!(after.patch_retries, mid.patch_retries, "{after:?}");
+        assert_eq!(after.stats.patch_retries, mid.stats.patch_retries, "{after:?}");
         assert_eq!(after.faults_injected, mid.faults_injected, "{after:?}");
         assert_eq!(
             after.stats.unpatchable_emulations - mid.stats.unpatchable_emulations,
@@ -2161,7 +2161,7 @@ fn scenario_panic_quarantine() {
         "handler kept running after its panic"
     );
     let h = lazypoline::health();
-    assert_eq!(h.quarantined_handlers, 1, "{h:?}");
+    assert_eq!(h.stats.quarantined_handlers, 1, "{h:?}");
 
     // Installing a fresh handler lifts the quarantine.
     let counter = CountHandler::new();
@@ -2173,7 +2173,7 @@ fn scenario_panic_quarantine() {
         counter.count(syscalls::nr::GETPID) >= 5,
         "interposition not revived after quarantine"
     );
-    assert_eq!(lazypoline::health().quarantined_handlers, 1);
+    assert_eq!(lazypoline::health().stats.quarantined_handlers, 1);
     engine.unenroll_current_thread();
 }
 
@@ -2497,19 +2497,23 @@ fn scenario_record_replay_native() {
 }
 
 fn scenario_compose_record_sfip() {
-    // Two layers in one name against the real engine: lazypoline
-    // dispatches into the recorder, which calls the SFIP check, which
-    // calls the handler — one install audits what it enforces.
+    // Three layers in one name against the real engine: lazypoline
+    // dispatches into the recorder, which calls the hook stack, whose
+    // anchor is the SFIP check, which calls the handler — one install
+    // audits what it enforces. The base and the three layers count
+    // over one window.
     let policy = std::env::temp_dir().join(format!("lp-compose-{}.sfip", std::process::id()));
     sfip::Policy::allow_all("compose").save(&policy).expect("policy saves");
     std::env::set_var(sfip::POLICY_ENV, &policy);
     std::env::set_var(sfip::ACTION_ENV, "count");
     let trace = std::env::temp_dir().join(format!("lp-compose-{}.lpt", std::process::id()));
     std::env::set_var("LP_TRACE_OUT", &trace);
-    let mut active = mechanism::by_name("lazypoline+record+sfip")
+    std::env::set_var("LP_HOOKS", "hook_count");
+    let mut active = mechanism::by_name("lazypoline+record+hooks+sfip")
         .expect("layers compose natively")
         .install(Box::new(interpose::PassthroughHandler))
         .expect("native composed install");
+    std::env::remove_var("LP_HOOKS");
     let pid = std::process::id() as u64;
     for _ in 0..10 {
         assert_eq!(asm_getpid(), pid);
@@ -2522,9 +2526,14 @@ fn scenario_compose_record_sfip() {
         .expect("the record layer holds a trace session")
         .expect("trace finishes");
     let stats = active.stats();
-    assert_eq!(stats.mechanism, "lazypoline+record+sfip");
+    assert_eq!(stats.mechanism, "lazypoline+record+hooks+sfip");
     assert_eq!(stats.sfip_mode, "count");
     assert_eq!(stats.sfip_violations, 0, "{stats:?}");
+    // SFIP's invariant, every syscall flow-checked, over the one
+    // baseline every layer shares.
+    assert_eq!(stats.sfip_checks, stats.dispatches, "{stats:?}");
+    assert_eq!(stats.hooks_loaded, 1, "{stats:?}");
+    assert!(stats.hook_dispatches >= 10, "{stats:?}");
     assert!(summary.events >= 10, "recorded {} events", summary.events);
     // Every recorded syscall was flow-checked on its way in (a thread
     // that exits is checked but never reaches the recorder's `post`).
@@ -2537,8 +2546,8 @@ fn scenario_compose_record_sfip() {
     let getpids = records.iter().filter(|r| r.sysno == syscalls::nr::GETPID).count();
     assert!(getpids >= 10, "the getpid loop must appear in the trace");
     println!(
-        "compose record+sfip: {} events recorded, {} flow checks",
-        summary.events, stats.sfip_checks
+        "compose record+hooks+sfip: {} events recorded, {} flow checks, {} hook dispatches",
+        summary.events, stats.sfip_checks, stats.hook_dispatches
     );
     std::fs::remove_file(&trace).unwrap();
     std::fs::remove_file(&policy).unwrap();

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use lazypoline_suite::{hookabi, replay};
+use lazypoline_suite::{hookabi, replay, sfip};
 
 fn preload_so() -> Option<PathBuf> {
     // target/<profile>/deps/../liblazypoline_preload.so — walk up from
@@ -399,22 +399,42 @@ fn fork_exec_tree() {
 
 /// One failure rule: whatever is wrong with the configuration, the
 /// application runs as if the shim were not there, and says so once.
+/// Each row's last variable is the wrong one; the ones before it are
+/// the siblings that make the layer read it.
 #[test]
 fn bad_configuration_runs_uninterposed() {
     let Some(so) = ready() else { return };
+    let (root, _) = scratch("typos");
+    let policy = root.join("all.sfip");
+    sfip::Policy::allow_all("typos").save(&policy).unwrap();
+    let policy = policy.to_str().unwrap();
+    let trace = root.join("typo.lpt");
+    let trace = trace.to_str().unwrap();
+    let sfip_with = |var, value| [("LP_MECHANISM", "lazypoline+sfip"), ("LP_SFIP_POLICY", policy), (var, value)];
     let reference = plain("/bin/ls").arg("/").output().unwrap();
-    for (var, value, why) in [
-        ("LP_MECHANISM", "lazypoline+nope", "unknown mechanism"),
-        ("LP_MECHANISM", "sim:lazypoline", "cannot interpose a preloaded process"),
-        ("LP_MECHANISM", "sud-raw", "cannot interpose a preloaded process"),
-        ("LAZYPOLINE_MODE", "cuont", "LAZYPOLINE_MODE"),
-        ("LAZYPOLINE_XSTATE", "axv", "LAZYPOLINE_XSTATE"),
-        ("LP_HOOKS", "/nonexistent.so", "hook loading failed"),
-        ("LP_MECHANISM", "lazypoline+sfip", "sfip policy failed"),
+    for (env, why) in [
+        (&[("LP_MECHANISM", "lazypoline+nope")][..], "unknown mechanism"),
+        (&[("LP_MECHANISM", "sim:lazypoline")], "cannot interpose a preloaded process"),
+        (&[("LP_MECHANISM", "sud-raw")], "cannot interpose a preloaded process"),
+        (&[("LAZYPOLINE_MODE", "cuont")], "LAZYPOLINE_MODE"),
+        (&[("LAZYPOLINE_XSTATE", "axv")], "LAZYPOLINE_XSTATE"),
+        (&[("LP_HOOKS", "/nonexistent.so")], "hook loading failed"),
+        (&[("LP_MECHANISM", "lazypoline+sfip")], "sfip policy failed"),
+        (&[("LP_MECHANISM", "lazypoline-hardened"), ("LP_HARDEN_POLICY", "qaurantine")], "LP_HARDEN_POLICY"),
+        (&[("LP_MECHANISM", "lazypoline+hooks"), ("LP_HOOKS_WATCH", "yes")], "LP_HOOKS_WATCH"),
+        (&sfip_with("LP_SFIP_ORIGINS", "on"), "LP_SFIP_ORIGINS"),
+        (&sfip_with("LP_SFIP_POLICY_ACTION", "cuont"), "LP_SFIP_POLICY_ACTION"),
+        // No trace file asked for: the ring size is still the layer's.
+        (&[("LP_MECHANISM", "lazypoline+record"), ("LP_RING_CAPACITY", "1000")], "LP_RING_CAPACITY"),
+        (
+            &[("LP_MECHANISM", "lazypoline+record"), ("LP_TRACE_OUT", trace), ("LP_DRAIN", "asnyc")],
+            "LP_DRAIN",
+        ),
     ] {
+        let (var, value) = env[env.len() - 1];
         let out = preloaded(&so, "/bin/ls")
             .arg("/")
-            .env(var, value)
+            .envs(env.iter().copied())
             .env("LAZYPOLINE_STATS", "1")
             .output()
             .unwrap();
@@ -428,6 +448,8 @@ fn bad_configuration_runs_uninterposed() {
             "{var}={value}: {stderr}"
         );
     }
+    assert!(traces_in(&root).is_empty(), "a rejected +record left a trace behind");
+    std::fs::remove_dir_all(&root).unwrap();
 
     // The compatibility rule: `LP_HOOKS` alone still loads the hooks.
     let hook = hookabi::resolve_library("hook_count");

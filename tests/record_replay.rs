@@ -324,6 +324,50 @@ fn malformed_ring_capacity_env_is_a_typed_install_error() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// `+record` reads `LP_RING_CAPACITY` in its own validation step, so the
+/// value holds, and a typo fails the install, without a trace file too.
+/// The well-formed half arms the engine, so it runs in a child process:
+/// this test binary again, running only this test.
+#[test]
+fn ring_capacity_applies_without_a_trace_file() {
+    const CHILD: &str = "LP_RR_RING_CAPACITY_CHILD";
+    let backend = mechanism::by_name("lazypoline+record").unwrap();
+    if std::env::var_os(CHILD).is_some() {
+        let installed = backend.install(Box::new(interpose::PassthroughHandler));
+        assert_eq!(replay::ring::configured_capacity(), 1024);
+        if backend.is_available() {
+            drop(installed.expect("lazypoline+record installs"));
+        }
+        return;
+    }
+
+    let _g = record_lock();
+    std::env::remove_var("LP_TRACE_OUT");
+    let capacity = replay::ring::configured_capacity();
+    std::env::set_var(replay::ring::LP_RING_CAPACITY, "1000"); // not 2^n
+    let err = backend
+        .install(Box::new(interpose::PassthroughHandler))
+        .err()
+        .expect("a malformed ring capacity must fail install without LP_TRACE_OUT too");
+    std::env::remove_var(replay::ring::LP_RING_CAPACITY);
+    assert!(
+        matches!(&err, mechanism::InstallError::Io(e) if e.to_string().contains("LP_RING_CAPACITY")),
+        "{err}"
+    );
+    assert_eq!(replay::ring::configured_capacity(), capacity, "a rejected value is not applied");
+
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "ring_capacity_applies_without_a_trace_file", "--test-threads=1"])
+        .env(CHILD, "1")
+        .env(replay::ring::LP_RING_CAPACITY, "1024")
+        .env_remove("LP_TRACE_OUT")
+        .env_remove("LAZYPOLINE_FAULTS")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("1 passed"), "{out:?}");
+}
+
 /// The committed LPTRACE1 fixture (recorded before the LPTRACE2
 /// migration) must keep decoding and replaying unchanged — backward
 /// compatibility for existing traces is part of the format contract.
