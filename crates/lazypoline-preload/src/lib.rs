@@ -22,6 +22,7 @@
 //! | `LP_HOOKS`, `LP_HOOKS_WATCH` | `lib.so[:prio],…` | `+hooks` |
 //! | `LP_TRACE_OUT`, `LP_DRAIN`, `LP_RING_CAPACITY`, … | path, a literal `%p` is the pid | `+record` |
 //! | `LP_SFIP_POLICY`, `LP_SFIP_POLICY_ACTION`, `LP_SFIP_ORIGINS` | path, `kill`\|`quarantine`\|`count` | `+sfip` |
+//! | `LP_SITE_CACHE` | directory, default `/tmp/lazypoline-<euid>`; `off` | the proven-site cache ([`sitecache`]): sites an earlier run of the program proved are patched at load |
 //!
 //! **One compatibility rule:** a non-empty `LP_HOOKS` with no `hooks`
 //! layer in the name appends `+hooks` as the last, innermost layer, so
@@ -32,7 +33,9 @@
 //! a preloaded process (`sim:*` runs guest programs; `sud-raw` disarms
 //! after one syscall and relies on its caller to re-arm) or any install
 //! error prints one `lazypoline-preload: disabled (<why>)` line and the
-//! application runs uninterposed. Nothing is ever half-installed.
+//! application runs uninterposed. Nothing is ever half-installed. The
+//! proven-site cache is outside this rule: a directory that fails its
+//! checks means no cache, which only the `LAZYPOLINE_STATS` dump says.
 //!
 //! **The window is constructor to `exit_group`.** The mode handler is
 //! innermost in every stack and ends the process itself when it sees
@@ -47,17 +50,26 @@
 //! interposed but own no trace and print no dump; `lazypoline-hardened`
 //! does not survive `execve` (its seccomp filter does). DESIGN.md §4, §11.
 
+pub mod sitecache;
+
 use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::OnceLock;
 
 use interpose::{
     Action, CountHandler, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler,
     TraceHandler, TraceSink,
 };
 use mechanism::{ActiveMechanism, StatsSnapshot, XstateMask};
+use sitecache::SiteCache;
 use syscalls::nr;
 
 /// The installation, kept for the life of the process.
 static ACTIVE: AtomicPtr<ActiveMechanism> = AtomicPtr::new(std::ptr::null_mut());
+
+/// The proven-site cache's configuration: a static, not a field of the
+/// boxed handler, so its path buffer never lands on the application's
+/// heap.
+static CACHE: OnceLock<SiteCache> = OnceLock::new();
 
 /// The mode handler (none of the three has a `post`) plus what the end
 /// of the window needs.
@@ -70,6 +82,7 @@ struct UntilExit {
     /// `LAZYPOLINE_STATS=1`: a private dup of stderr taken at init —
     /// coreutils close fd 2 in an `atexit` handler, long before the end.
     stats_fd: Option<libc::c_int>,
+    cache: &'static SiteCache,
 }
 
 impl SyscallHandler for UntilExit {
@@ -91,8 +104,9 @@ impl SyscallHandler for UntilExit {
 }
 
 impl UntilExit {
-    /// Finishes the trace and prints the dump, once — from dispatch
-    /// context, where nothing this does is interposed.
+    /// Finishes the trace, writes the proven-site cache and prints the
+    /// dump, once — from dispatch context, where nothing this does is
+    /// interposed.
     fn finish(&self) {
         // SAFETY: null, or the constructor's leak; the swap hands it to
         // one caller, and it is never freed.
@@ -103,8 +117,11 @@ impl UntilExit {
         if let Some(Err(e)) = active.finish_recording() {
             eprintln!("lazypoline-preload: trace not finished ({e})");
         }
+        let stats = active.stats();
+        self.cache.write(stats.slow_path_hits);
         if let Some(fd) = self.stats_fd {
-            let out = render_dump(&active.stats(), self.counter.as_ref());
+            let cache = self.cache.status(stats.sites_from_cache);
+            let out = render_dump(&stats, &cache, self.counter.as_ref());
             // SAFETY: writing an owned buffer to our private fd.
             unsafe { libc::write(fd, out.as_ptr() as *const libc::c_void, out.len()) };
         }
@@ -150,12 +167,17 @@ fn arm() -> Result<ActiveMechanism, String> {
     let stats_fd = (env("LAZYPOLINE_STATS") == "1")
         // SAFETY: duplicating our own stderr; on failure keep fd 2.
         .then(|| unsafe { libc::fcntl(2, libc::F_DUPFD_CLOEXEC, 700) }.max(2));
-    let handler = UntilExit { mode, pid, counter, stats_fd };
+    let (cache, proven) = SiteCache::open(&name, &env(sitecache::ENV));
+    let cache = CACHE.get_or_init(|| cache);
+    let handler = UntilExit { mode, pid, counter, stats_fd, cache };
     let mut active = mechanism.install(Box::new(handler)).map_err(|e| {
         // SAFETY: closing the descriptor duplicated above.
         stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
         e.to_string()
     })?;
+    if let Some(proven) = proven {
+        proven.apply();
+    }
     if let Some(mask) = xstate {
         active.set_xstate(mask);
     }
@@ -186,7 +208,7 @@ const LABELLED: [(&str, &str); 6] = [
     ("pages_blocklisted", "pages blocklisted"),
 ];
 
-fn render_dump(s: &StatsSnapshot, counter: Option<&CountHandler>) -> String {
+fn render_dump(s: &StatsSnapshot, cache: &str, counter: Option<&CountHandler>) -> String {
     let mut out = String::from("-- lazypoline stats --\n");
     let mut line = |label: &str, value: &dyn std::fmt::Display| {
         out.push_str(&format!("{label:<25}: {value}\n"));
@@ -203,6 +225,7 @@ fn render_dump(s: &StatsSnapshot, counter: Option<&CountHandler>) -> String {
     if !s.sfip_mode.is_empty() {
         line("sfip_mode", &s.sfip_mode);
     }
+    line("site cache", &cache);
     if let Some(counter) = counter {
         out.push_str("-- top syscalls --\n");
         for (nr, count) in counter.top().into_iter().take(15) {
@@ -237,7 +260,7 @@ mod tests {
             hooks_loaded: 1,
             ..StatsSnapshot::default()
         };
-        let dump = render_dump(&s, None);
+        let dump = render_dump(&s, "off (LP_SITE_CACHE=off)", None);
         // What lpbench's `stats_field` does: first line with the prefix.
         let field = |label: &str| {
             dump.lines()
@@ -252,5 +275,9 @@ mod tests {
         assert_eq!(field("hooks_loaded"), Some(1), "{dump}");
         assert_eq!(field("hook_dispatches"), None, "zero counters stay out");
         assert!(!dump.contains("top syscalls"));
+        assert!(
+            dump.contains("\nsite cache               : off (LP_SITE_CACHE=off)\n"),
+            "{dump}"
+        );
     }
 }

@@ -153,8 +153,11 @@ macro_rules! engine_stats {
 engine_stats! {
     /// `SIGSYS` deliveries (slow-path trips).
     slow_path_hits: counters::get(&counters::SLOW_PATH_HITS),
-    /// Syscall sites rewritten to `call rax`.
+    /// Syscall sites rewritten to `call rax` by the slow path.
     sites_patched: counters::get(&counters::SITES_PATCHED),
+    /// Syscall sites rewritten at load from the proven-site cache
+    /// ([`crate::proven::apply_proven_sites`]), not by a `SIGSYS`.
+    sites_from_cache: crate::proven::sites_from_cache(),
     /// Syscalls that reached the dispatcher.
     dispatches: counters::get(&counters::DISPATCHES),
     /// Syscalls emulated in the handler because patching failed (the

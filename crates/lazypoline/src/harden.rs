@@ -349,13 +349,7 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     // (single-threaded, self-inflicted) arming window keeps every
     // arming syscall off the rewriter's radar; BLOCK is restored on
     // all exits.
-    let was_blocked = sud::selector() == sud::Dispatch::Block;
-    sud::set_selector(sud::Dispatch::Allow);
-    let result = arm_backstop_inner();
-    if was_blocked {
-        sud::set_selector(sud::Dispatch::Block);
-    }
-    result
+    crate::proven::privately(arm_backstop_inner)
 }
 
 fn arm_backstop_inner() -> io::Result<()> {

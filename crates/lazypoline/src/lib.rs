@@ -51,6 +51,7 @@ mod counters;
 mod engine;
 mod fastpath;
 pub mod harden;
+pub mod proven;
 mod raw_internal;
 mod signals;
 mod slowpath;

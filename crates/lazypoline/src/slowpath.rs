@@ -147,7 +147,15 @@ unsafe fn patch_once(insn: usize) -> Result<zpoline::PatchOutcome, zpoline::Patc
     if BATCH_REWRITING.load(Ordering::Relaxed) {
         // Page-granular batch rewriting: one SIGSYS pays the
         // lock/mprotect cost for every verifiable site on the page.
-        zpoline::patch_page_sites(insn).map(|batch| {
+        // With the proven-site cache armed, every site it rewrites — the
+        // kernel-proved anchor and what the sweep verified from it — is
+        // logged for the next process that maps the same file.
+        let batch = if zpoline::sitelog::armed() {
+            zpoline::patch_page_sites_logged(insn)
+        } else {
+            zpoline::patch_page_sites(insn)
+        };
+        batch.map(|batch| {
             counters::add(&SITES_PATCHED, batch.extra_patched as u64);
             batch.site
         })

@@ -239,8 +239,11 @@ stats_snapshot! {
     dispatches,
     /// Slow-path (`SIGSYS`) trips.
     slow_path_hits,
-    /// Syscall sites rewritten to `call rax`.
+    /// Syscall sites rewritten to `call rax` by the slow path.
     sites_patched,
+    /// Syscall sites rewritten at load from the proven-site cache, with
+    /// no `SIGSYS` (nonzero only under the `LD_PRELOAD` shim).
+    sites_from_cache,
     /// Syscalls emulated because their site is unpatchable.
     unpatchable_emulations,
     /// Syscalls emulated because lazy rewriting is off.

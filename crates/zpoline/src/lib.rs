@@ -22,7 +22,9 @@
 //! * [`scanner`] — static discovery of syscall sites in the process
 //!   image, with the exact exhaustiveness caveats the paper describes
 //!   (§II-B): sites created *after* the scan are invisible, and byte
-//!   scanning cannot distinguish instructions from data.
+//!   scanning cannot distinguish instructions from data,
+//! * [`sitelog`] — the addresses the slow path rewrote, and the file
+//!   each executable mapping came from: a site as `(object, offset)`.
 //!
 //! # Requirements
 //!
@@ -35,10 +37,17 @@
 pub mod disasm;
 pub mod patcher;
 pub mod scanner;
+pub mod sitelog;
 pub mod trampoline;
 
-pub use patcher::{patch_page_sites, patch_syscall_site, BatchOutcome, PatchError, PatchOutcome};
-pub use scanner::{exec_regions, find_syscall_sites, rewrite_process, rewrite_range, ExecRegion};
+pub use patcher::{
+    patch_page_sites, patch_page_sites_logged, patch_syscall_site, BatchOutcome, PatchError,
+    PatchOutcome, RegionPerms,
+};
+pub use scanner::{
+    exec_regions, find_syscall_sites, rewrite_process, rewrite_range, rewrite_sites, ExecRegion,
+};
+pub use sitelog::{FileMapping, Maps};
 pub use trampoline::{
     set_dispatcher, set_miss_exit, set_xstate_mask, thread_block, DispatchFn, MissExit, RawFrame,
     ThreadBlock, Trampoline, XstateMask,

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use syscalls::{nr, raw, Errno};
 
 use crate::disasm;
+use crate::sitelog::SITE_LOG;
 use crate::trampoline::Trampoline;
 
 /// `syscall` encoding (`0f 05`).
@@ -135,17 +136,37 @@ pub fn region_perms(addr: usize) -> Option<RegionPerms> {
     lookup_perms(addr).ok().flatten()
 }
 
+/// How `/proc/self/maps` is opened, here and by [`crate::sitelog`].
+/// `O_CLOEXEC`: the SIGSYS handler opens it while the process's other
+/// threads keep running, and one of them may `execve` meanwhile — the
+/// new image must not inherit the descriptor.
+pub(crate) const MAPS_OPEN_FLAGS: i32 = libc::O_RDONLY | libc::O_CLOEXEC;
+
+/// An open `/proc/self/maps`, closed on drop (raw syscalls only).
+pub(crate) struct MapsFd(pub(crate) u64);
+
+impl MapsFd {
+    pub(crate) fn open() -> Result<MapsFd, Errno> {
+        let path = b"/proc/self/maps\0";
+        // SAFETY: open(2) with a NUL-terminated path; closed on drop.
+        let fd =
+            unsafe { raw::syscall3(nr::OPEN, path.as_ptr() as u64, MAPS_OPEN_FLAGS as u64, 0) };
+        Errno::result(fd).map(MapsFd)
+    }
+}
+
+impl Drop for MapsFd {
+    fn drop(&mut self) {
+        // SAFETY: closing the fd we opened.
+        unsafe { raw::syscall1(nr::CLOSE, self.0) };
+    }
+}
+
 /// [`region_perms`], with "could not look" (the errno of the `open` or
 /// `read`) kept apart from "nothing mapped" (`Ok(None)`).
 fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
-    let path = b"/proc/self/maps\0";
-    // SAFETY: open(2) with a NUL-terminated path; fd closed below.
-    let fd = unsafe { raw::syscall3(nr::OPEN, path.as_ptr() as u64, libc::O_RDONLY as u64, 0) };
-    let fd = Errno::result(fd)?;
-    let result = query_perms(fd, addr).or_else(|_| parse_perms(fd, addr));
-    // SAFETY: closing the fd we opened.
-    unsafe { raw::syscall1(nr::CLOSE, fd) };
-    result
+    let fd = MapsFd::open()?;
+    query_perms(fd.0, addr).or_else(|_| parse_perms(fd.0, addr))
 }
 
 /// Whether a store to the page at `page` would succeed, asked of the
@@ -189,8 +210,19 @@ fn query_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
 /// Reads the maps fd as text until a line covers `addr`; `Ok(None)` at
 /// its end.
 fn parse_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
+    // The longest prefix needed: "start-end perms".
+    scan_maps_text::<128, _>(fd, |line| parse_maps_line(line, addr))
+}
+
+/// Feeds the maps fd's lines to `f` until it returns `Some`; `Ok(None)`
+/// at the end of the file. A line that straddles two reads reaches `f`
+/// cut to its first `CARRY` bytes. Stack buffers only.
+pub(crate) fn scan_maps_text<const CARRY: usize, T>(
+    fd: u64,
+    mut f: impl FnMut(&[u8]) -> Option<T>,
+) -> Result<Option<T>, Errno> {
     let mut buf = [0u8; 4096];
-    let mut carry = [0u8; 128]; // longest prefix we need: "start-end perms"
+    let mut carry = [0u8; CARRY];
     let mut carry_len = 0usize;
     loop {
         // SAFETY: reading into our stack buffer.
@@ -202,18 +234,18 @@ fn parse_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
         let mut line_start = 0usize;
         for i in 0..n {
             if buf[i] == b'\n' {
-                let parsed = if carry_len > 0 {
+                let found = if carry_len > 0 {
                     let take = (i - line_start).min(carry.len() - carry_len);
                     carry[carry_len..carry_len + take]
                         .copy_from_slice(&buf[line_start..line_start + take]);
                     let total = carry_len + take;
                     carry_len = 0;
-                    parse_maps_line(&carry[..total], addr)
+                    f(&carry[..total])
                 } else {
-                    parse_maps_line(&buf[line_start..i], addr)
+                    f(&buf[line_start..i])
                 };
-                if parsed.is_some() {
-                    return Ok(parsed);
+                if found.is_some() {
+                    return Ok(found);
                 }
                 line_start = i + 1;
             }
@@ -247,26 +279,34 @@ fn parse_maps_line(line: &[u8], addr: usize) -> Option<RegionPerms> {
     })
 }
 
-fn parse_hex(s: &[u8]) -> Option<usize> {
+pub(crate) fn parse_hex(s: &[u8]) -> Option<usize> {
     usize::from_str_radix(std::str::from_utf8(s).ok()?, 16).ok()
 }
 
-/// Stores `call rax` over `site` if it still holds `syscall`; returns
-/// how many sites that rewrote.
-unsafe fn store_call_rax(site: usize) -> usize {
+/// Stores `call rax` over `site` if it still holds `syscall`, passing
+/// it to `note`; returns how many sites that rewrote.
+unsafe fn store_call_rax(site: usize, note: impl Fn(usize)) -> usize {
     let hit = (site as *const [u8; 2]).read() == SYSCALL_BYTES;
     if hit {
         let call_rax = u16::from_le_bytes(CALL_RAX_BYTES);
         (site as *mut u8).cast::<u16>().write_unaligned(call_rax);
+        note(site);
     }
     hit as usize
 }
 
 /// The one patch window behind every entry point: rewrites the listed
-/// `sites` (ascending, all starting on one page) and, with `sweep`,
-/// every site the anchored forward sweep verifies after `sites[0]`.
-/// Returns how many it rewrote; 0 means every listed site already held
-/// `call rax`. `perms` is the mapping's protection, if the caller has it.
+/// `sites` (ascending) and, with `sweep`, every site the anchored
+/// forward sweep verifies after `sites[0]` on its page. Returns how many
+/// it rewrote; 0 means every listed site already held `call rax`. Every
+/// site rewritten is passed to `note` (a generic, so the entry points
+/// that note nothing compile to no call at all).
+///
+/// `perms` is the protection of the one mapping holding every site, if
+/// the caller knows it; then the window spans every page from the first
+/// site's to the last's, so a mapping's sites cost one `mprotect` pair,
+/// not one per page. Without it, the sites must start on one page (the
+/// last may straddle into the next) and the page is looked up.
 ///
 /// The writes happen under the global rewrite spinlock. A mapping that
 /// does not already take stores (an RWX JIT page does) is set
@@ -279,6 +319,7 @@ pub(crate) unsafe fn patch_window(
     sites: &[usize],
     sweep: bool,
     perms: Option<RegionPerms>,
+    note: impl Fn(usize) + Copy,
 ) -> Result<usize, PatchError> {
     if !Trampoline::is_installed() {
         return Err(PatchError::TrampolineMissing);
@@ -299,10 +340,10 @@ pub(crate) unsafe fn patch_window(
 
     let (addr, last) = (sites[0], sites[sites.len() - 1]);
     let page = addr & !4095;
-    // The last site may straddle into a page neither the probe nor the
-    // looked-up mapping says anything about.
-    let straddles = last + 2 > page + 4096;
-    let len = if straddles { 8192 } else { 4096 };
+    let len = ((last + 2 + 4095) & !4095) - page;
+    // Past one page, the probe and a looked-up mapping say nothing about
+    // the rest.
+    let straddles = len > 4096;
     // A page that takes stores as it is — an RWX JIT page — needs no
     // window, and no look at what the mapping is. `/proc` is opened only
     // when a window has to be: its protection is what the window restores.
@@ -332,9 +373,9 @@ pub(crate) unsafe fn patch_window(
     if window.is_some() {
         protect(libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC)?;
     }
-    let mut patched: usize = sites.iter().map(|&site| store_call_rax(site)).sum();
+    let mut patched: usize = sites.iter().map(|&site| store_call_rax(site, note)).sum();
     if sweep {
-        patched += sweep_after(addr, page + 4096);
+        patched += sweep_after(addr, page + 4096, note);
     }
     if let Some(orig) = window {
         protect(orig.prot())?;
@@ -346,7 +387,7 @@ pub(crate) unsafe fn patch_window(
 /// just-patched `anchor` verifies before `page_end`; returns the count.
 /// Runs inside the window: the rest of the page is the anchor's
 /// mapping (they are page-granular), readable even if execute-only.
-unsafe fn sweep_after(anchor: usize, page_end: usize) -> usize {
+unsafe fn sweep_after(anchor: usize, page_end: usize, note: impl Fn(usize) + Copy) -> usize {
     let tail = std::slice::from_raw_parts(anchor as *const u8, page_end - anchor);
     // Every site the sweep can report is a `0f 05` pair wholly on the
     // page: the last such pair bounds the decode, and a page without one
@@ -368,7 +409,7 @@ unsafe fn sweep_after(anchor: usize, page_end: usize) -> usize {
         }
         let site = anchor + off + insn.len - 2;
         if insn.is_syscall && site + 2 <= page_end {
-            patched += store_call_rax(site);
+            patched += store_call_rax(site, note);
         }
     }
     patched
@@ -388,7 +429,7 @@ unsafe fn sweep_after(anchor: usize, page_end: usize) -> usize {
 /// instruction (e.g. taken from a SUD `SIGSYS` `si_call_addr`) and the
 /// trampoline must remain installed for the life of the process.
 pub unsafe fn patch_syscall_site(addr: usize) -> Result<PatchOutcome, PatchError> {
-    patch_page(addr, false).map(|batch| batch.site)
+    patch_page(addr, false, |_| {}).map(|batch| batch.site)
 }
 
 /// Result of a successful [`patch_page_sites`] call.
@@ -437,11 +478,25 @@ pub struct BatchOutcome {
 ///
 /// Same contract as [`patch_syscall_site`].
 pub unsafe fn patch_page_sites(addr: usize) -> Result<BatchOutcome, PatchError> {
-    patch_page(addr, true)
+    patch_page(addr, true, |_| {})
 }
 
-unsafe fn patch_page(addr: usize, sweep: bool) -> Result<BatchOutcome, PatchError> {
-    patch_window(&[addr], sweep, None).map(|patched| BatchOutcome {
+/// [`patch_page_sites`], logging every site it rewrites — the anchor and
+/// each one the sweep verified — in [`crate::sitelog`]'s process log.
+///
+/// # Safety
+///
+/// Same contract as [`patch_syscall_site`].
+pub unsafe fn patch_page_sites_logged(addr: usize) -> Result<BatchOutcome, PatchError> {
+    patch_page(addr, true, |site| SITE_LOG.push(site))
+}
+
+unsafe fn patch_page(
+    addr: usize,
+    sweep: bool,
+    note: impl Fn(usize) + Copy,
+) -> Result<BatchOutcome, PatchError> {
+    patch_window(&[addr], sweep, None, note).map(|patched| BatchOutcome {
         site: match patched {
             0 => PatchOutcome::AlreadyPatched,
             _ => PatchOutcome::Patched,
@@ -453,6 +508,19 @@ unsafe fn patch_page(addr: usize, sweep: bool) -> Result<BatchOutcome, PatchErro
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The SIGSYS handler's maps fd never survives another thread's
+    // `execve`.
+    const _: () = assert!(MAPS_OPEN_FLAGS & libc::O_CLOEXEC != 0);
+
+    #[test]
+    fn maps_fd_is_close_on_exec() {
+        const F_GETFD: i32 = 1;
+        const FD_CLOEXEC: i32 = 1;
+        let fd = MapsFd::open().unwrap();
+        let flags = unsafe { libc::fcntl(fd.0 as i32, F_GETFD) };
+        assert_eq!(flags & FD_CLOEXEC, FD_CLOEXEC);
+    }
 
     #[test]
     fn parse_maps_line_hit_and_miss() {

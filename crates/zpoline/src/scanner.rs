@@ -147,9 +147,32 @@ pub unsafe fn scan_range(start: usize, len: usize) -> ScanReport {
 unsafe fn patch_by_page(sites: &[usize], perms: Option<RegionPerms>) -> Result<usize, PatchError> {
     let mut patched = 0;
     for page_sites in sites.chunk_by(|a, b| a / 4096 == b / 4096) {
-        patched += patcher::patch_window(page_sites, false, perms)?;
+        patched += patcher::patch_window(page_sites, false, perms, |_| {})?;
     }
     Ok(patched)
+}
+
+/// Patches `sites` (ascending, all in one mapping of protection `perms`)
+/// in a single patch window over every page from the first site's to
+/// the last's: one `mprotect` pair for the mapping, not one per page.
+/// Returns the number patched; sites already holding `call rax` are not
+/// counted.
+///
+/// # Errors
+///
+/// The first [`PatchError`], `NotSyscallInsn` included; nothing is
+/// patched then, unless it was the closing `mprotect` that failed.
+///
+/// # Safety
+///
+/// Every site must be a genuine instruction boundary of a `syscall`
+/// (a scan's report, or a site the kernel proved), in mapped code; the
+/// trampoline must be installed.
+pub unsafe fn rewrite_sites(sites: &[usize], perms: RegionPerms) -> Result<usize, PatchError> {
+    if sites.is_empty() {
+        return Ok(0);
+    }
+    patcher::patch_window(sites, false, Some(perms), |_| {})
 }
 
 /// Scans and patches every syscall site found in `[start, start+len)`;

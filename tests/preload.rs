@@ -51,9 +51,12 @@ fn plain(program: &str) -> Command {
     cmd
 }
 
+/// `program` under the shim, with the proven-site cache off: a test
+/// that wants one names its own directory (`LP_SITE_CACHE`), so no count
+/// depends on which test ran first.
 fn preloaded(so: &Path, program: &str) -> Command {
     let mut cmd = plain(program);
-    cmd.env("LD_PRELOAD", so);
+    cmd.env("LD_PRELOAD", so).env("LP_SITE_CACHE", "off");
     cmd
 }
 
@@ -113,9 +116,11 @@ fn ls_runs_under_preload_with_stats() {
     assert!(stdout.contains("tmp"), "ls output wrong: {stdout}");
     let stderr = stderr_of(&out);
     assert!(stderr.contains("-- top syscalls --"), "count table missing: {stderr}");
-    // At least one site must have been rewritten and dispatched.
+    // At least one site must have been rewritten, at a SIGSYS or from
+    // the proven-site cache, and dispatched.
     assert!(
-        dump_field(&stderr, "sites lazily rewritten") >= 1,
+        dump_field(&stderr, "sites lazily rewritten") + dump_field(&stderr, "sites_from_cache")
+            >= 1,
         "no lazy rewriting happened:\n{stderr}"
     );
     assert!(dump_field(&stderr, "dispatcher invocations") >= 1, "{stderr}");
@@ -153,7 +158,9 @@ fn xstate_none_mode_still_works_for_coreutils() {
 }
 
 /// README's walkthrough, on `/bin/ls`: record, record once more while
-/// auditing, learn from both, enforce with the default action (kill).
+/// auditing, learn from both, enforce with the default action (kill) —
+/// every step with a warm proven-site cache, as a second run of anything
+/// has by default.
 #[test]
 fn record_learn_enforce_ls() {
     let Some(so) = ready() else { return };
@@ -161,6 +168,17 @@ fn record_learn_enforce_ls() {
     let at = |name: &str| root.join(name).to_str().unwrap().to_string();
     let reference = plain("/bin/ls").args(["-l", &dir]).output().unwrap();
     assert!(reference.status.success());
+    let cache = root.join("sites");
+    let preloaded = |so: &Path, program: &str| {
+        let mut cmd = preloaded(so, program);
+        cmd.env("LP_SITE_CACHE", &cache);
+        cmd
+    };
+    let warm_up = preloaded(&so, "/bin/ls")
+        .args(["-l", &dir])
+        .output()
+        .unwrap();
+    assert_eq!(warm_up.stdout, reference.stdout, "{warm_up:?}");
 
     let record = preloaded(&so, "/bin/ls")
         .args(["-l", &dir])
@@ -394,6 +412,441 @@ fn fork_exec_tree() {
             .unwrap_or_else(|e| panic!("{}: {e}", trace.display()));
         assert!(!events.is_empty(), "{}", trace.display());
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A fresh cache directory under `root`, for the shim to create.
+fn site_cache(root: &Path) -> PathBuf {
+    let _ = std::fs::remove_dir_all(root);
+    std::fs::create_dir_all(root).unwrap();
+    root.join("sites")
+}
+
+/// Every entry of a cache directory, with its mtime.
+fn cache_entries(cache: &Path) -> Vec<(PathBuf, std::time::SystemTime)> {
+    let mut entries: Vec<_> = std::fs::read_dir(cache)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (path, mtime)
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// An entry: magic (8 bytes), record count (8), then per object a key
+/// (72: dev major, minor as u32, inode as u64, …), an offset count (8)
+/// and the offsets, each a little-endian u64.
+const MAGIC_LEN: usize = 8;
+const KEY_LEN: usize = 72;
+
+/// One object's record: its key and its cached file offsets.
+type Record = (Vec<u8>, Vec<u64>);
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+fn entry_records(bytes: &[u8]) -> Vec<Record> {
+    let mut records = Vec::new();
+    let mut at = MAGIC_LEN + 8;
+    while at < bytes.len() {
+        let key = bytes[at..at + KEY_LEN].to_vec();
+        let n = u64_at(bytes, at + KEY_LEN) as usize;
+        at += KEY_LEN + 8;
+        records.push((key, (0..n).map(|i| u64_at(bytes, at + 8 * i)).collect()));
+        at += 8 * n;
+    }
+    assert_eq!(records.len() as u64, u64_at(bytes, MAGIC_LEN));
+    records
+}
+
+fn entry_bytes(magic: &[u8], records: &[Record]) -> Vec<u8> {
+    let mut bytes = magic[..MAGIC_LEN].to_vec();
+    bytes.extend((records.len() as u64).to_le_bytes());
+    for (key, offsets) in records {
+        bytes.extend(key);
+        bytes.extend((offsets.len() as u64).to_le_bytes());
+        offsets.iter().for_each(|o| bytes.extend(o.to_le_bytes()));
+    }
+    bytes
+}
+
+/// The records of the entry at `path` keyed to the file at `object`.
+fn records_of(path: &Path, object: &Path) -> Vec<Record> {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    if bytes.is_empty() {
+        return Vec::new();
+    }
+    entry_records(&bytes)
+        .into_iter()
+        .filter(|(key, _)| keys(key, object))
+        .collect()
+}
+
+/// `(major, minor, inode)` of the file at `path`.
+fn file_id(path: &Path) -> (u64, u64, u64) {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path).unwrap();
+    let dev = meta.dev();
+    let major = ((dev >> 8) & 0xfff) | ((dev >> 32) & !0xfff);
+    let minor = (dev & 0xff) | ((dev >> 12) & !0xff);
+    (major, minor, meta.ino())
+}
+
+/// Whether `key` is the record key of the file at `path`.
+fn keys(key: &[u8], path: &Path) -> bool {
+    let u32_at = |at: usize| u32::from_le_bytes(key[at..at + 4].try_into().unwrap()) as u64;
+    (u32_at(0), u32_at(4), u64_at(key, 8)) == file_id(path)
+}
+
+/// The path of the entry of the program at `program`: one per program,
+/// `<major>-<minor>-<inode>.sites` (hex), holding a record per object
+/// the program proved sites in.
+fn entry_of(cache: &Path, program: &Path) -> PathBuf {
+    let (major, minor, ino) = file_id(program);
+    cache.join(format!("{major:x}-{minor:x}-{ino:x}.sites"))
+}
+
+/// The libc this test binary (and so `/bin/ls`) runs with.
+fn libc_path() -> PathBuf {
+    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+    let line = maps
+        .lines()
+        .find(|l| l.contains("/libc.so.6"))
+        .expect("libc mapped");
+    PathBuf::from(&line[line.find('/').unwrap()..])
+}
+
+/// The cache keys only a file unchanged since the process started, by
+/// ctime against the coarse wall clock. A test that has just written a
+/// file waits this long before it runs a process that maps it.
+fn past_the_clock_tick() {
+    std::thread::sleep(std::time::Duration::from_millis(50));
+}
+
+/// A second run against the same cache directory takes its libc sites
+/// from the cache instead of proving them again, prints the same bytes,
+/// and writes nothing.
+#[test]
+fn site_cache_warm_run() {
+    let Some(so) = ready() else { return };
+    let root = std::env::temp_dir().join(format!("lp-preload-warm-{}", std::process::id()));
+    let cache = site_cache(&root);
+    let run = || {
+        let out = preloaded(&so, "/bin/ls")
+            .args(["-l", "/etc"])
+            .env("LP_SITE_CACHE", &cache)
+            .env("LAZYPOLINE_STATS", "1")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        out
+    };
+    let cold = run();
+    let written = cache_entries(&cache);
+    assert_eq!(written.len(), 1, "{written:?}");
+    assert_eq!(
+        records_of(&entry_of(&cache, Path::new("/bin/ls")), &libc_path()).len(),
+        1
+    );
+    let warm = run();
+    assert_eq!(cold.stdout, warm.stdout);
+    let (cold_err, warm_err) = (stderr_of(&cold), stderr_of(&warm));
+    let trips = |dump: &str| dump_field(dump, "slow-path (SIGSYS) trips");
+    assert!(
+        trips(&warm_err) < trips(&cold_err),
+        "{cold_err}\n{warm_err}"
+    );
+    assert_eq!(dump_field(&cold_err, "sites_from_cache"), 0, "{cold_err}");
+    assert!(dump_field(&warm_err, "sites_from_cache") > 0, "{warm_err}");
+    assert_eq!(
+        cache_entries(&cache),
+        written,
+        "a warm run wrote to the cache"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A program that takes fewer SIGSYS than a warm read costs gets no
+/// entry: `/bin/true` (one trip) leaves not even the directory behind.
+#[test]
+fn site_cache_skips_programs_too_short_to_gain() {
+    let Some(so) = ready() else { return };
+    let root = std::env::temp_dir().join(format!("lp-preload-short-{}", std::process::id()));
+    let cache = site_cache(&root);
+    let out = preloaded(&so, "/bin/true")
+        .env("LP_SITE_CACHE", &cache)
+        .env("LAZYPOLINE_STATS", "1")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let dump = stderr_of(&out);
+    assert!(
+        (1..4).contains(&dump_field(&dump, "slow-path (SIGSYS) trips")),
+        "{dump}"
+    );
+    assert!(!cache.exists(), "{:?}", cache_entries(&cache));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// No cached site is patched from a file that changed since, or from an
+/// entry that names a site whose bytes are not `syscall`.
+#[test]
+fn site_cache_refuses_stale_entries() {
+    let Some(so) = ready() else { return };
+    let root = std::env::temp_dir().join(format!("lp-preload-stale-{}", std::process::id()));
+    let cache = site_cache(&root);
+    let reference = plain("/bin/ls").args(["-l", "/etc"]).output().unwrap();
+    let run = |lib_dir: Option<&Path>| {
+        let mut cmd = preloaded(&so, "/bin/ls");
+        cmd.args(["-l", "/etc"])
+            .env("LP_SITE_CACHE", &cache)
+            .env("LAZYPOLINE_STATS", "1");
+        if let Some(dir) = lib_dir {
+            cmd.env("LD_LIBRARY_PATH", dir);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(out.stdout, reference.stdout);
+        stderr_of(&out)
+    };
+    let ls_entry = entry_of(&cache, Path::new("/bin/ls"));
+    // Cuts `ls`'s entry down to the record of the object at `object`
+    // (so the next run's counts are that record's alone); its bytes.
+    let only_record_of = |object: &Path| {
+        let bytes = std::fs::read(&ls_entry).unwrap();
+        let kept = records_of(&ls_entry, object);
+        assert_eq!(kept.len(), 1, "no record of {object:?} in {ls_entry:?}");
+        let bytes = entry_bytes(&bytes, &kept);
+        std::fs::write(&ls_entry, &bytes).unwrap();
+        bytes
+    };
+    let applied_nothing = |dump: &str| {
+        assert_eq!(dump_field(dump, "sites_from_cache"), 0, "{dump}");
+        assert!(dump.contains("(0 sites from 0 objects)"), "{dump}");
+        assert!(dump_field(dump, "slow-path (SIGSYS) trips") > 0, "{dump}");
+    };
+
+    // (i) A copy of libc, proved once, then rewritten in place: one byte
+    // of its build-id note (code untouched, so every cached site still
+    // reads `syscall`; only the key tells).
+    let lib_dir = root.join("lib");
+    std::fs::create_dir_all(&lib_dir).unwrap();
+    let copy = lib_dir.join("libc.so.6");
+    std::fs::copy(libc_path(), &copy).unwrap();
+    past_the_clock_tick();
+    run(Some(&lib_dir));
+    let (stale_key, _) = entry_records(&only_record_of(&copy)).remove(0);
+    let mut bytes = std::fs::read(&copy).unwrap();
+    let note = b"\x04\0\0\0\x14\0\0\0\x03\0\0\0GNU\0";
+    let at = bytes
+        .windows(note.len())
+        .position(|w| w == note)
+        .expect("a GNU build-id")
+        + note.len();
+    bytes[at] ^= 0xff;
+    std::fs::write(&copy, &bytes).unwrap();
+    past_the_clock_tick();
+    applied_nothing(&run(Some(&lib_dir)));
+    // What that run proved replaced the stale record.
+    let records = records_of(&ls_entry, &copy);
+    assert_eq!(records.len(), 1);
+    assert!(records[0].0 != stale_key);
+
+    // (ii) The system libc's record, forged: one more offset, right
+    // after a real site, where the bytes read `05 ..`, not `0f 05`.
+    std::fs::remove_dir_all(&cache).unwrap();
+    run(None);
+    let libc = libc_path();
+    let (key, mut offsets) = entry_records(&only_record_of(&libc)).remove(0);
+    let bogus = offsets[0] + 1;
+    assert!(!offsets.contains(&bogus));
+    offsets.insert(1, bogus);
+    let forged = entry_bytes(b"LPSITES2", &[(key, offsets)]);
+    std::fs::write(&ls_entry, &forged).unwrap();
+    applied_nothing(&run(None));
+    // Dropped when read; what the run wrote back holds only proved sites.
+    assert_ne!(std::fs::read(&ls_entry).unwrap_or_default(), forged);
+    let records = records_of(&ls_entry, &libc);
+    assert!(
+        records.iter().all(|(_, offsets)| !offsets.contains(&bogus)),
+        "{records:?}"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `mov eax, 39 (getpid); syscall; ret`, then zeroes to a page: a file
+/// to map and run, whose one site is at offset 5.
+const GETPID_PAGE_SITE: u64 = 5;
+
+fn getpid_page() -> Vec<u8> {
+    let mut page = vec![0u8; 4096];
+    page[..8].copy_from_slice(&[0xb8, 0x27, 0, 0, 0, 0x0f, 0x05, 0xc3]);
+    page
+}
+
+/// The child half of [`site_cache_keeps_only_sites_it_can_vouch_for`]:
+/// maps `a.bin` and calls it, so the shim proves and rewrites its site;
+/// then `keep` leaves it mapped, `remap` maps `b.bin` (the same bytes,
+/// another file) at the same address, `rewrite` changes `a.bin` under
+/// the mapping.
+fn map_and_call(dir: &Path, how: &str) {
+    use syscalls::{nr, raw};
+    let open = |name: &str| {
+        let path = std::ffi::CString::new(dir.join(name).to_str().unwrap()).unwrap();
+        // SAFETY: open(2) with a NUL-terminated path.
+        unsafe { raw::syscall2(nr::OPEN, path.as_ptr() as u64, 0) }
+    };
+    let map = |fd: u64, at: u64, flags: u64| {
+        const PROT_READ_EXEC: u64 = 0x1 | 0x4;
+        const MAP_PRIVATE: u64 = 0x02;
+        // SAFETY: a private, read-execute mapping of one page of a file.
+        unsafe {
+            raw::syscall6(
+                nr::MMAP,
+                at,
+                4096,
+                PROT_READ_EXEC,
+                MAP_PRIVATE | flags,
+                fd,
+                0,
+            )
+        }
+    };
+    let at = map(open("a.bin"), 0, 0);
+    // SAFETY: the page holds `mov eax, 39; syscall; ret`.
+    let getpid: extern "C" fn() -> i64 = unsafe { std::mem::transmute(at as usize) };
+    assert_eq!(getpid(), std::process::id() as i64);
+    match how {
+        "keep" => {}
+        "remap" => {
+            const MAP_FIXED_NOREPLACE: u64 = 0x100000;
+            // SAFETY: unmapping the page mapped above.
+            unsafe { raw::syscall2(nr::MUNMAP, at, 4096) };
+            assert_eq!(
+                map(open("b.bin"), at, MAP_FIXED_NOREPLACE),
+                at,
+                "b.bin not mapped where a.bin was"
+            );
+        }
+        "rewrite" => {
+            // In place: a truncation would unmap the rewritten page too.
+            use std::os::unix::fs::FileExt;
+            let a = std::fs::OpenOptions::new()
+                .write(true)
+                .open(dir.join("a.bin"))
+                .unwrap();
+            a.write_all_at(&[1], 4095).unwrap();
+        }
+        _ => unreachable!("{how}"),
+    }
+}
+
+/// A site counts only if what is mapped there at exit is what the
+/// process proved it in: a mapped page whose file took another's place
+/// at the same address, or whose file changed after the process started,
+/// leaves no entry, while the same page left alone does.
+#[test]
+fn site_cache_keeps_only_sites_it_can_vouch_for() {
+    if let Ok(how) = std::env::var("LP_TEST_MAP_AND_CALL") {
+        map_and_call(Path::new(&std::env::var("LP_TEST_DIR").unwrap()), &how);
+        return;
+    }
+    let Some(so) = ready() else { return };
+    let root = std::env::temp_dir().join(format!("lp-preload-vouch-{}", std::process::id()));
+    for how in ["keep", "remap", "rewrite"] {
+        let cache = site_cache(&root.join(how));
+        let dir = root.join(how).join("bin");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (dir.join("a.bin"), dir.join("b.bin"));
+        std::fs::write(&a, getpid_page()).unwrap();
+        std::fs::write(&b, getpid_page()).unwrap();
+        past_the_clock_tick();
+        let out = preloaded(&so, std::env::current_exe().unwrap().to_str().unwrap())
+            .args([
+                "site_cache_keeps_only_sites_it_can_vouch_for",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("LP_SITE_CACHE", &cache)
+            .env("LP_TEST_MAP_AND_CALL", how)
+            .env("LP_TEST_DIR", &dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{how}: {out:?}");
+        let entry = entry_of(&cache, &std::env::current_exe().unwrap());
+        let (of_a, of_b) = (records_of(&entry, &a), records_of(&entry, &b));
+        if how == "keep" {
+            let offsets: Vec<_> = of_a.into_iter().map(|(_, offsets)| offsets).collect();
+            assert_eq!(offsets, [[GETPID_PAGE_SITE]], "{how}");
+        } else {
+            assert!(
+                of_a.is_empty() && of_b.is_empty(),
+                "{how}: {of_a:?} {of_b:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The cache is no layer's business: `ls` recorded with no cache, with a
+/// cold one and with a warm one is one flow, `(sysno, ret)` for
+/// `(sysno, ret)` — none of the cache's reads and writes is in it.
+#[test]
+fn site_cache_is_invisible_to_record() {
+    use std::os::unix::process::CommandExt;
+    let Some(so) = ready() else { return };
+    let root = std::env::temp_dir().join(format!("lp-preload-invisible-{}", std::process::id()));
+    let cache = site_cache(&root);
+    let record = |setting: &Path, trace: &str| {
+        let trace = root.join(trace);
+        let mut cmd = preloaded(&so, "/bin/ls");
+        cmd.args(["-l", "/etc"])
+            .env("LP_MECHANISM", "lazypoline+record")
+            .env("LP_TRACE_OUT", &trace)
+            .env("LP_SITE_CACHE", setting);
+        // `mmap` and `brk` return addresses: the same ones every run
+        // only with the layout unrandomised.
+        const PERSONALITY: u64 = 135;
+        const ADDR_NO_RANDOMIZE: u64 = 0x0040000;
+        // SAFETY: personality(2) in the child before `execve`.
+        unsafe {
+            cmd.pre_exec(|| {
+                syscalls::raw::syscall1(PERSONALITY, ADDR_NO_RANDOMIZE);
+                Ok(())
+            })
+        };
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let (_, events) = replay::read_trace_path(&trace).expect("trace decodes");
+        events.iter().map(|e| (e.sysno, e.ret)).collect::<Vec<_>>()
+    };
+    let off = record(Path::new("off"), "off.lpt");
+    let cold = record(&cache, "cold.lpt");
+    assert!(
+        !cache_entries(&cache).is_empty(),
+        "the cold run wrote no entry"
+    );
+    let warm = record(&cache, "warm.lpt");
+    use syscalls::nr;
+    let cache_only = [
+        nr::RENAME,
+        nr::RENAMEAT,
+        nr::RENAMEAT2,
+        nr::UNLINKAT,
+        nr::MKDIR,
+        nr::MKDIRAT,
+    ];
+    assert!(
+        !off.iter().any(|(sysno, _)| cache_only.contains(sysno)),
+        "{off:?}"
+    );
+    assert_eq!(cold, off, "the cold run's flow differs");
+    assert_eq!(warm, off, "the warm run's flow differs");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
