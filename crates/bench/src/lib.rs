@@ -21,20 +21,24 @@ pub mod macrobench;
 pub mod micro;
 pub mod report;
 
-/// Reads a `u64` knob from the environment with a default.
+/// Reads a `u64` knob from the environment with a default; panics on a
+/// value that does not parse, which must not run another benchmark.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    knob(name, std::env::var(name).ok(), default)
 }
 
-/// Reads an `f64` knob from the environment with a default.
+/// Reads an `f64` knob from the environment, like [`env_u64`].
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    knob(name, std::env::var(name).ok(), default)
+}
+
+fn knob<T: std::str::FromStr>(name: &str, value: Option<String>, default: T) -> T {
+    match value.filter(|v| !v.is_empty()) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} is not a number")),
+    }
 }
 
 /// How a benchmark child reports its installation's counters: one
@@ -65,6 +69,14 @@ mod tests {
     fn env_knobs_default() {
         assert_eq!(env_u64("LP_DOES_NOT_EXIST_XYZ", 7), 7);
         assert_eq!(env_f64("LP_DOES_NOT_EXIST_XYZ", 1.5), 1.5);
+        assert_eq!(knob("LP_BENCH_ITERS", Some(String::new()), 7u64), 7);
+        assert_eq!(knob("LP_BENCH_ITERS", Some("1000000".into()), 7u64), 1_000_000);
+        // Set but malformed: a panic naming the variable and the value,
+        // never the default.
+        let malformed = std::panic::catch_unwind(|| knob("LP_BENCH_ITERS", Some("1e6".into()), 7u64));
+        let why = malformed.expect_err("1e6 is not a u64");
+        let why = why.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(why, "LP_BENCH_ITERS=\"1e6\" is not a number");
     }
 
     #[test]

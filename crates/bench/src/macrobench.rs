@@ -411,18 +411,18 @@ fn server_child(
         libc::sigaction(libc::SIGTERM, &term, std::ptr::null_mut());
     }
 
-    if let Some(path) = trace {
-        // Recording cell: point the recorder at the temp trace (the
-        // cell exists to prove the recorder keeps up with server load
-        // without drops).
-        std::env::set_var(mechanism::TRACE_OUT_ENV, path);
-    }
-
     let backend = mechanism::by_name(mech).expect("validated by ServerChild::spawn");
+    // A recording cell drains into the temp trace: the cell exists to
+    // prove the recorder keeps up with server load without drops.
     // The server runs under the mechanism until SIGKILL; never tear
     // down (teardown in the event loop would race in-flight requests
     // for no benefit in a throwaway child): `exit` below drops nothing.
-    let active = match backend.install(Box::new(interpose::PassthroughHandler)) {
+    let installed = mechanism::EnvConfig::from_env().map_err(Into::into).and_then(|ambient| {
+        let trace_out = trace.map(Path::to_path_buf).or(ambient.trace_out);
+        let cfg = mechanism::EnvConfig { trace_out, ..ambient };
+        backend.install_with(Box::new(interpose::PassthroughHandler), &cfg)
+    });
+    let active = match installed {
         Ok(active) => active,
         Err(e) => {
             eprintln!("server child: mechanism {mech} unavailable: {e}");

@@ -42,7 +42,7 @@
 use std::arch::asm;
 use std::arch::x86_64::_rdtsc;
 
-use mechanism::XstateMask;
+use mechanism::{EnvConfig, XstateMask};
 
 use crate::env_u64;
 use crate::report::{geomean, rel_stddev_pct};
@@ -245,8 +245,7 @@ struct RowSpec {
     label: &'static str,
     /// The measured loop.
     body: LoopFn,
-    /// `LP_HOOKS` value to export around the install (empty: leave the
-    /// ambient environment alone).
+    /// `LP_HOOKS` value the row installs with (empty: the session's).
     hooks: &'static str,
     /// Run one iteration after install so the lazy rewriter patches the
     /// loop's shared syscall site before timing.
@@ -257,10 +256,10 @@ struct RowSpec {
     /// Bound iterations by `LP_BENCH_SUD_ITERS` (the raw-SUD row pays a
     /// full signal round trip per iteration).
     capped: bool,
-    /// Run the row with a live trace session: `LP_TRACE_OUT` points at
-    /// a scratch trace so the `+record` backend spins up its drain
-    /// thread and spills for real — recording cost without the spill
-    /// pipeline would be a fiction.
+    /// Run the row with a live trace session (the session's
+    /// `trace_out`), so the `+record` backend spins up its drain thread
+    /// and spills for real — recording cost without the spill pipeline
+    /// would be a fiction.
     record: bool,
 }
 
@@ -328,11 +327,13 @@ const TABLE2_PLAN: [RowSpec; 7] = [
     },
 ];
 
-/// Installs `row.backend` by name, measures `row.body`, and returns the
-/// timing plus the backend's counter deltas for the window. Recording
-/// rows run with a live trace session; its summary rides along.
+/// Installs `row.backend` by name with `cfg`, measures `row.body`, and
+/// returns the timing plus the backend's counter deltas for the window.
+/// Recording rows run with a live trace session (`cfg.trace_out`); its
+/// summary rides along.
 fn measure_row(
     row: &RowSpec,
+    cfg: &EnvConfig,
     nr: u64,
     iters: u64,
     runs: u64,
@@ -341,49 +342,27 @@ fn measure_row(
     mechanism::StatsSnapshot,
     Option<mechanism::replay::RecordSummary>,
 ) {
-    // A recording row must pay for the real pipeline: trace session,
-    // drain thread, `pwrite64` spill. `LP_TRACE_OUT` set by the caller keeps
-    // the trace; otherwise it lands in a scratch file we remove.
-    let mut scratch_trace = None;
-    let mut scratch_capacity = false;
-    if row.record && std::env::var_os("LP_TRACE_OUT").is_none() {
-        let path = std::env::temp_dir().join(format!("lp_table2_{}.lpt", std::process::id()));
-        std::env::set_var("LP_TRACE_OUT", &path);
-        scratch_trace = Some(path);
+    let mut cfg = cfg.clone();
+    if !row.hooks.is_empty() {
+        cfg.hooks = row.hooks.to_string();
     }
-    if row.record && std::env::var_os(mechanism::replay::ring::LP_RING_CAPACITY).is_none() {
+    if row.record && cfg.ring_capacity.is_none() {
         // The bench thread is CPU-bound: on a single-core host the
         // drainer only runs when the producer's timeslice expires, so
         // the ring must absorb a full timeslice of production. Size it
         // to hold one whole measured run — zero drops by construction,
         // and the drainer still spills every event for the summary.
-        let capacity = (2 * iters).next_power_of_two().clamp(
-            mechanism::replay::ring::DEFAULT_RING_CAPACITY as u64,
-            mechanism::replay::ring::MAX_RING_CAPACITY as u64,
+        let capacity = (2 * iters as usize).next_power_of_two().clamp(
+            mechanism::replay::ring::DEFAULT_RING_CAPACITY,
+            mechanism::replay::ring::MAX_RING_CAPACITY,
         );
-        std::env::set_var(
-            mechanism::replay::ring::LP_RING_CAPACITY,
-            capacity.to_string(),
-        );
-        scratch_capacity = true;
-    }
-    // Hook rows pin LP_HOOKS for the install window only, restoring
-    // whatever the harness exported afterwards.
-    let ambient_hooks = std::env::var_os("LP_HOOKS");
-    if !row.hooks.is_empty() {
-        std::env::set_var("LP_HOOKS", row.hooks);
+        cfg.ring_capacity = Some(capacity);
     }
     let backend = mechanism::by_name(row.backend)
         .unwrap_or_else(|| panic!("{} is not in the mechanism registry", row.backend));
     let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
         .unwrap_or_else(|e| panic!("install {}: {e}", row.backend));
-    if !row.hooks.is_empty() {
-        match &ambient_hooks {
-            Some(v) => std::env::set_var("LP_HOOKS", v),
-            None => std::env::remove_var("LP_HOOKS"),
-        }
-    }
     if row.prime {
         (row.body)(nr, 1);
     }
@@ -392,21 +371,9 @@ fn measure_row(
     }
     let m = measure(row.label, row.body, nr, iters, runs);
     let stats = active.stats();
-    let summary = if row.record {
-        let s = active
-            .finish_recording()
-            .map(|r| r.unwrap_or_else(|e| panic!("finishing {} trace: {e}", row.backend)));
-        if let Some(path) = scratch_trace {
-            std::env::remove_var("LP_TRACE_OUT");
-            let _ = std::fs::remove_file(&path);
-        }
-        if scratch_capacity {
-            std::env::remove_var(mechanism::replay::ring::LP_RING_CAPACITY);
-        }
-        s
-    } else {
-        None
-    };
+    let summary = active
+        .finish_recording()
+        .map(|r| r.unwrap_or_else(|e| panic!("finishing {} trace: {e}", row.backend)));
     (m, stats, summary)
 }
 
@@ -428,17 +395,16 @@ pub fn run_table2() -> MicroResults {
     let sud_iters = iters.min(env_u64("LP_BENCH_SUD_ITERS", 50_000)).max(1);
 
     // The sfip row enforces an automaton learned from the `+record`
-    // row's own trace, so that trace must outlive its row: pin
-    // `LP_TRACE_OUT` to a scratch path when the harness left it unset
-    // (measure_row keeps — and never deletes — a caller-provided path).
-    let ambient_trace = std::env::var_os("LP_TRACE_OUT");
-    let learn_trace = match &ambient_trace {
-        Some(v) => std::path::PathBuf::from(v),
-        None => {
-            let p = std::env::temp_dir().join(format!("lp_table2_learn_{}.lpt", std::process::id()));
-            std::env::set_var("LP_TRACE_OUT", &p);
-            p
-        }
+    // row's own trace, so that trace must outlive its row: a scratch
+    // path when the environment names none (one it names is kept).
+    let ambient = EnvConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let scratch = ambient.trace_out.is_none();
+    let learn_trace = ambient.trace_out.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("lp_table2_learn_{}.lpt", std::process::id()))
+    });
+    let cfg = EnvConfig {
+        trace_out: Some(learn_trace.clone()),
+        ..ambient
     };
 
     let mut stats = Vec::with_capacity(TABLE2_PLAN.len() + 2);
@@ -446,7 +412,7 @@ pub fn run_table2() -> MicroResults {
     let [baseline, sud_enabled_allow, sud, lazypoline, lazypoline_record, lazypoline_nox, zpoline] =
         TABLE2_PLAN.each_ref().map(|row| {
             let row_iters = if row.capped { sud_iters } else { iters };
-            let (m, s, summary) = measure_row(row, PAPER_SYSNO, row_iters, runs);
+            let (m, s, summary) = measure_row(row, &cfg, PAPER_SYSNO, row_iters, runs);
             stats.push((row.label, s));
             recording = recording.take().or(summary);
             m
@@ -455,9 +421,8 @@ pub fn run_table2() -> MicroResults {
     // Syscall-flow-integrity row: learn the transition automaton from
     // the record row's trace, then measure the identical loop under
     // `lazypoline+sfip` (count mode — the check runs, nothing dies).
-    let lazypoline_sfip = run_sfip_row(&learn_trace, iters, runs, &mut stats);
-    if ambient_trace.is_none() {
-        std::env::remove_var("LP_TRACE_OUT");
+    let lazypoline_sfip = run_sfip_row(&cfg, &learn_trace, iters, runs, &mut stats);
+    if scratch {
         let _ = std::fs::remove_file(&learn_trace);
     }
 
@@ -472,7 +437,7 @@ pub fn run_table2() -> MicroResults {
                 hooks: "hook_noop",
                 ..FAST
             };
-            let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
+            let (m, s, _) = measure_row(&row, &cfg, PAPER_SYSNO, iters, runs);
             stats.push((row.label, s));
             Some(m)
         }
@@ -494,9 +459,9 @@ pub fn run_table2() -> MicroResults {
         .iter()
         .map(|&sysno| SledRows {
             sysno,
-            baseline: measure_row(plan_row("none"), sysno, iters, runs).0,
-            zpoline: measure_row(plan_row("zpoline"), sysno, iters, runs).0,
-            lazypoline: measure_row(plan_row("lazypoline"), sysno, iters, runs).0,
+            baseline: measure_row(plan_row("none"), &cfg, sysno, iters, runs).0,
+            zpoline: measure_row(plan_row("zpoline"), &cfg, sysno, iters, runs).0,
+            lazypoline: measure_row(plan_row("lazypoline"), &cfg, sysno, iters, runs).0,
         })
         .collect();
 
@@ -523,6 +488,7 @@ pub fn run_table2() -> MicroResults {
 /// the hooks row) when the trace is unreadable or empty — the table
 /// then simply lacks the row.
 fn run_sfip_row(
+    cfg: &EnvConfig,
     trace: &std::path::Path,
     iters: u64,
     runs: u64,
@@ -547,16 +513,17 @@ fn run_sfip_row(
         eprintln!("skip: lazypoline+sfip row (saving policy: {e})");
         return None;
     }
-    std::env::set_var(sfip::POLICY_ENV, &policy_path);
-    std::env::set_var(sfip::ACTION_ENV, "count");
+    let cfg = EnvConfig {
+        sfip_policy: Some(policy_path.clone()),
+        sfip_action: sfip::ViolationAction::Count,
+        ..cfg.clone()
+    };
     let row = RowSpec {
         backend: "lazypoline+sfip",
         label: "lazypoline+sfip (flow-integrity check)",
         ..FAST
     };
-    let (m, s, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
-    std::env::remove_var(sfip::POLICY_ENV);
-    std::env::remove_var(sfip::ACTION_ENV);
+    let (m, s, _) = measure_row(&row, &cfg, PAPER_SYSNO, iters, runs);
     let _ = std::fs::remove_file(&policy_path);
     stats.push((row.label, s));
     Some(m)
@@ -596,7 +563,8 @@ pub fn hardened_child_main() -> ! {
         label: HARDENED,
         ..FAST
     };
-    let (m, stats, _) = measure_row(&row, PAPER_SYSNO, iters, runs);
+    let cfg = EnvConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let (m, stats, _) = measure_row(&row, &cfg, PAPER_SYSNO, iters, runs);
     let harden = format!("{:?}", lazypoline::health().harden);
     print!(
         "{}",

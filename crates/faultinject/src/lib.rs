@@ -8,10 +8,11 @@
 //! mode's `pkey_alloc` / seccomp-backstop install / `WRPKRU` switches)
 //! with
 //! **deterministic schedules** (fail the Nth hit, every Nth hit, or the
-//! first K hits), armable programmatically ([`arm`]) or via the
-//! `LAZYPOLINE_FAULTS` environment variable ([`arm_from_env`]) so the
-//! `LD_PRELOAD` deployment and CI exercise the same seams without code
-//! changes.
+//! first K hits), armable programmatically ([`arm`]) or from a spec
+//! string ([`parse_spec`]) — the `LAZYPOLINE_FAULTS` variable, which
+//! `lp-mechanism`'s `EnvConfig` parses and an engine-backed install
+//! arms — so the `LD_PRELOAD` deployment and CI exercise the same seams
+//! without code changes.
 //!
 //! # Zero cost when disarmed
 //!
@@ -44,7 +45,6 @@
 
 #![deny(missing_docs)]
 
-use std::fmt;
 use std::sync::atomic::{AtomicI32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// A named failure point inside the engine.
@@ -316,89 +316,55 @@ pub fn total_injected() -> u64 {
     ALL_SITES.into_iter().map(injected).sum()
 }
 
-/// A malformed `LAZYPOLINE_FAULTS` entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpecError {
-    entry: String,
-    reason: &'static str,
+/// One entry of a spec: arm `site` with `schedule`, injecting `errno`
+/// (or the site's default).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fault {
+    /// The seam.
+    pub site: Site,
+    /// When it fails.
+    pub schedule: Schedule,
+    /// The injected errno; `None` is [`Site::default_errno`].
+    pub errno: Option<i32>,
 }
 
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fault spec {:?}: {}", self.entry, self.reason)
+/// Arms every fault in `faults`, in order.
+pub fn arm_all(faults: &[Fault]) {
+    for f in faults {
+        arm(f.site, f.schedule, f.errno);
     }
 }
 
-impl std::error::Error for SpecError {}
-
-fn bad(entry: &str, reason: &'static str) -> SpecError {
-    SpecError {
-        entry: entry.to_string(),
-        reason,
-    }
-}
-
-/// Arms sites from a spec string (`site:schedule[:ERRNO],…` — see the
-/// module docs). Returns the number of sites armed.
-///
-/// # Errors
-///
-/// Returns the first malformed entry; entries before it are already
-/// armed, entries after it are not.
-pub fn arm_from_spec(spec: &str) -> Result<usize, SpecError> {
-    let mut armed = 0;
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
+/// Parses a spec string (`site:schedule[:ERRNO],…` — see the module
+/// docs) without arming anything; `None` if any entry is malformed.
+/// Empty entries (a trailing comma) are skipped.
+pub fn parse_spec(spec: &str) -> Option<Vec<Fault>> {
+    let mut faults = Vec::new();
+    for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
         let mut parts = entry.split(':');
-        let site = parts
-            .next()
-            .and_then(Site::from_name)
-            .ok_or_else(|| bad(entry, "unknown site name"))?;
-        let sched = parts
-            .next()
-            .ok_or_else(|| bad(entry, "missing schedule (nth=N | every=N | first=K)"))?;
-        let (key, val) = sched
-            .split_once('=')
-            .ok_or_else(|| bad(entry, "schedule must be key=N"))?;
-        let n: u64 = val
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| bad(entry, "schedule count must be a positive integer"))?;
+        let site = Site::from_name(parts.next()?)?;
+        let (key, val) = parts.next()?.split_once('=')?;
+        let n: u64 = val.parse().ok().filter(|&n| n > 0)?;
         let schedule = match key {
             "nth" => Schedule::Nth(n),
             "every" => Schedule::EveryNth(n),
             "first" => Schedule::FirstK(n),
-            _ => return Err(bad(entry, "unknown schedule kind")),
+            _ => return None,
         };
         let errno = match parts.next() {
-            Some(name) => Some(errno_by_name(name).ok_or_else(|| bad(entry, "unknown errno name"))?),
+            Some(name) => Some(errno_by_name(name)?),
             None => None,
         };
         if parts.next().is_some() {
-            return Err(bad(entry, "trailing fields"));
+            return None;
         }
-        arm(site, schedule, errno);
-        armed += 1;
+        faults.push(Fault {
+            site,
+            schedule,
+            errno,
+        });
     }
-    Ok(armed)
-}
-
-/// Arms sites from the `LAZYPOLINE_FAULTS` environment variable.
-/// Returns the number of sites armed (0 when the variable is unset or
-/// empty).
-///
-/// # Errors
-///
-/// Propagates [`arm_from_spec`] parse errors.
-pub fn arm_from_env() -> Result<usize, SpecError> {
-    match std::env::var("LAZYPOLINE_FAULTS") {
-        Ok(spec) => arm_from_spec(&spec),
-        Err(_) => Ok(0),
-    }
+    Some(faults)
 }
 
 #[cfg(test)]
@@ -486,9 +452,10 @@ mod tests {
     fn hardened_sites_parse_from_spec() {
         let _g = LOCK.lock().unwrap();
         disarm_all();
-        let n = arm_from_spec("pkey_alloc:first=1,seccomp_install:first=1:EINVAL,pkru_switch:nth=2")
-            .unwrap();
-        assert_eq!(n, 3);
+        let faults =
+            parse_spec("pkey_alloc:first=1,seccomp_install:first=1:EINVAL,pkru_switch:nth=2").unwrap();
+        assert_eq!(faults.len(), 3);
+        arm_all(&faults);
         assert_eq!(check(Site::PkeyAlloc), Some(ENOSPC));
         assert_eq!(check(Site::PkeyAlloc), None);
         assert_eq!(check(Site::SeccompInstall), Some(EINVAL));
@@ -509,8 +476,9 @@ mod tests {
     fn spec_parsing_arms_sites() {
         let _g = LOCK.lock().unwrap();
         disarm_all();
-        let n = arm_from_spec("trampoline_install:first=1,patch_mprotect:every=3:ENOMEM").unwrap();
-        assert_eq!(n, 2);
+        let faults = parse_spec("trampoline_install:first=1,patch_mprotect:every=3:ENOMEM").unwrap();
+        assert_eq!(faults.len(), 2);
+        arm_all(&faults);
         assert!(is_armed(Site::TrampolineInstall));
         assert!(is_armed(Site::PatchMprotect));
         assert_eq!(check(Site::TrampolineInstall), Some(EPERM)); // default errno
@@ -523,8 +491,6 @@ mod tests {
 
     #[test]
     fn spec_rejects_garbage() {
-        let _g = LOCK.lock().unwrap();
-        disarm_all();
         for spec in [
             "nonsense:nth=1",
             "sud_enroll",
@@ -535,11 +501,10 @@ mod tests {
             "sud_enroll:nth=1:EWHAT",
             "sud_enroll:nth=1:EINTR:extra",
         ] {
-            assert!(arm_from_spec(spec).is_err(), "accepted {spec:?}");
+            assert!(parse_spec(spec).is_none(), "accepted {spec:?}");
         }
         // Empty entries are tolerated (trailing commas).
-        assert_eq!(arm_from_spec("").unwrap(), 0);
-        assert_eq!(arm_from_spec("sud_enroll:nth=5,").unwrap(), 1);
-        disarm_all();
+        assert_eq!(parse_spec("").unwrap(), []);
+        assert_eq!(parse_spec("sud_enroll:nth=5,").unwrap().len(), 1);
     }
 }

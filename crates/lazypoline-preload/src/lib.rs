@@ -8,34 +8,26 @@
 //! ```
 //!
 //! The shim is a caller of the mechanism registry like any in-repo
-//! driver: its constructor (`.init_array`, before `main`) builds the
-//! *mode handler*, resolves `LP_MECHANISM`, installs, and keeps the
-//! [`ActiveMechanism`] for the life of the process.
-//!
-//! | Variable | Values | Effect |
-//! |---|---|---|
-//! | `LP_MECHANISM` | `base(+layer)*`, default `lazypoline` | mechanism and layers (`lp-mechanism` crate docs) |
-//! | `LAZYPOLINE_MODE` | `passthrough` (default), `trace`, `count` | the mode handler, innermost in the stack |
-//! | `LAZYPOLINE_XSTATE` | `avx`, `sse`, `x87`, `none`; default: the base's | `ActiveMechanism::set_xstate` (paper §IV-B(b)) |
-//! | `LAZYPOLINE_STATS` | `1` | dump the installation's counters when the process ends |
-//! | `LAZYPOLINE_FAULTS` | `site:schedule[:ERRNO],…` | fault-injection seams (`lp-faultinject` crate docs) |
-//! | `LP_HOOKS`, `LP_HOOKS_WATCH` | `lib.so[:prio],…` | `+hooks` |
-//! | `LP_TRACE_OUT`, `LP_DRAIN`, `LP_RING_CAPACITY`, … | path, a literal `%p` is the pid | `+record` |
-//! | `LP_SFIP_POLICY`, `LP_SFIP_POLICY_ACTION`, `LP_SFIP_ORIGINS` | path, `kill`\|`quarantine`\|`count` | `+sfip` |
-//! | `LP_SITE_CACHE` | directory, default `/tmp/lazypoline-<euid>`; `off` | the proven-site cache ([`sitecache`]): sites an earlier run of the program proved are patched at load |
+//! driver: its constructor (`.init_array`, before `main`) reads the
+//! environment once (`mechanism::EnvConfig::from_env`), builds the
+//! *mode handler*, installs the `LP_MECHANISM` row with that
+//! configuration, and keeps the [`ActiveMechanism`] for the life of the
+//! process. Every variable it and the layers read is a row of
+//! EXPERIMENTS.md's runtime-knob table ("Runtime knobs");
+//! `LP_SITE_CACHE` drives the proven-site cache ([`sitecache`]).
 //!
 //! **One compatibility rule:** a non-empty `LP_HOOKS` with no `hooks`
 //! layer in the name appends `+hooks` as the last, innermost layer, so
 //! `LP_HOOKS=… LD_PRELOAD=… ls -l` works without naming a mechanism.
 //!
-//! **One failure rule, no silent fallback:** an unknown name, an unknown
-//! `LAZYPOLINE_MODE` or `LAZYPOLINE_XSTATE`, a row that cannot interpose
-//! a preloaded process (`sim:*` runs guest programs; `sud-raw` disarms
-//! after one syscall and relies on its caller to re-arm) or any install
-//! error prints one `lazypoline-preload: disabled (<why>)` line and the
-//! application runs uninterposed. Nothing is ever half-installed. The
-//! proven-site cache is outside this rule: a directory that fails its
-//! checks means no cache, which only the `LAZYPOLINE_STATS` dump says.
+//! **One failure rule, no silent fallback:** a malformed value of any
+//! runtime variable, a row that cannot interpose a preloaded process
+//! (`sim:*` runs guest programs; `sud-raw` disarms after one syscall
+//! and relies on its caller to re-arm) or any install error prints one
+//! `lazypoline-preload: disabled (<why>)` line and the application runs
+//! uninterposed. Nothing is ever half-installed. The proven-site cache
+//! is outside this rule: a directory that fails its checks means no
+//! cache, which only the `LAZYPOLINE_STATS` dump says.
 //!
 //! **The window is constructor to `exit_group`.** The mode handler is
 //! innermost in every stack and ends the process itself when it sees
@@ -59,7 +51,7 @@ use interpose::{
     Action, CountHandler, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler,
     TraceHandler, TraceSink,
 };
-use mechanism::{ActiveMechanism, StatsSnapshot, XstateMask};
+use mechanism::{ActiveMechanism, EnvConfig, HandlerMode, InstallError, StatsSnapshot};
 use sitecache::SiteCache;
 use syscalls::nr;
 
@@ -128,49 +120,36 @@ impl UntilExit {
     }
 }
 
-fn env(name: &str) -> String {
-    std::env::var(name).unwrap_or_default()
-}
-
-/// Builds the mode handler, resolves the mechanism, installs.
+/// Reads the configuration, builds the mode handler, resolves the
+/// mechanism, installs.
 fn arm() -> Result<ActiveMechanism, String> {
+    let cfg = EnvConfig::from_env().map_err(|e| InstallError::from(e).to_string())?;
     let mut counter = None;
-    let mode: Box<dyn SyscallHandler> = match env("LAZYPOLINE_MODE").as_str() {
-        "" | "passthrough" => Box::new(PassthroughHandler),
-        "trace" => Box::new(TraceHandler::with_sink(TraceSink::Stderr)),
-        "count" => Box::new(counter.insert(CountHandler::new()).clone()),
-        other => return Err(format!("LAZYPOLINE_MODE={other:?}: not passthrough|trace|count")),
+    let mode: Box<dyn SyscallHandler> = match cfg.mode {
+        HandlerMode::Passthrough => Box::new(PassthroughHandler),
+        HandlerMode::Trace => Box::new(TraceHandler::with_sink(TraceSink::Stderr)),
+        HandlerMode::Count => Box::new(counter.insert(CountHandler::new()).clone()),
     };
-    let xstate = match env("LAZYPOLINE_XSTATE").as_str() {
-        "" => None,
-        "avx" => Some(XstateMask::Avx),
-        "sse" => Some(XstateMask::Sse),
-        "x87" => Some(XstateMask::X87),
-        "none" => Some(XstateMask::None),
-        other => return Err(format!("LAZYPOLINE_XSTATE={other:?}: not avx|sse|x87|none")),
-    };
-    let mut name = env(mechanism::ENV_VAR);
-    if name.is_empty() {
-        name.push_str(mechanism::DEFAULT_MECHANISM);
-    }
-    if !env(mechanism::HOOKS_ENV).is_empty() && !name.split('+').any(|piece| piece == "hooks") {
+    let mut name = cfg.mechanism.to_string();
+    if !cfg.hooks.is_empty() && !name.split('+').any(|piece| piece == "hooks") {
         name.push_str("+hooks");
     }
     if name.starts_with("sim:") || name.split('+').next() == Some("sud-raw") {
         return Err(format!("{name} cannot interpose a preloaded process"));
     }
     let mechanism = mechanism::by_name(&name)
-        .ok_or_else(|| mechanism::UnknownMechanism(name.clone()).to_string())?;
+        .ok_or_else(|| format!("unknown mechanism {name:?}"))?;
     // The shim's own syscalls come before the install: after it, this
     // thread's syscalls are the application's flow to every layer.
     let pid = std::process::id();
-    let stats_fd = (env("LAZYPOLINE_STATS") == "1")
+    let stats_fd = cfg
+        .stats
         // SAFETY: duplicating our own stderr; on failure keep fd 2.
         .then(|| unsafe { libc::fcntl(2, libc::F_DUPFD_CLOEXEC, 700) }.max(2));
-    let (cache, proven) = SiteCache::open(&name, &env(sitecache::ENV));
+    let (cache, proven) = SiteCache::open(&name, cfg.site_cache.as_deref());
     let cache = CACHE.get_or_init(|| cache);
     let handler = UntilExit { mode, pid, counter, stats_fd, cache };
-    let mut active = mechanism.install(Box::new(handler)).map_err(|e| {
+    let mut active = mechanism.install_with(Box::new(handler), &cfg).map_err(|e| {
         // SAFETY: closing the descriptor duplicated above.
         stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
         e.to_string()
@@ -178,7 +157,7 @@ fn arm() -> Result<ActiveMechanism, String> {
     if let Some(proven) = proven {
         proven.apply();
     }
-    if let Some(mask) = xstate {
+    if let Some(mask) = cfg.xstate {
         active.set_xstate(mask);
     }
     Ok(active)

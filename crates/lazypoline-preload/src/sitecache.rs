@@ -45,13 +45,11 @@
 //! which the `LAZYPOLINE_STATS` dump says. DESIGN.md §2, "Proven-site
 //! cache".
 
+use std::os::unix::ffi::OsStrExt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lazypoline::proven::{self, FileMapping, Maps, RegionPerms};
 use syscalls::{nr, raw, Errno};
-
-/// The variable naming the cache directory (or `off`).
-pub const ENV: &str = "LP_SITE_CACHE";
 
 /// The rows whose slow path batch-rewrites; the others neither read nor
 /// write the cache.
@@ -275,12 +273,13 @@ pub(crate) struct SiteCache {
 }
 
 impl SiteCache {
-    /// The cache for mechanism `name`, with `setting` the value of
-    /// [`ENV`], and the sites it holds for this program, checked against
-    /// the mapped bytes: on (the directory passed every check, and the
-    /// slow path logs what it rewrites from now on) or off, with why.
-    /// Before the install: none of this is the application's flow.
-    pub(crate) fn open(name: &str, setting: &str) -> (SiteCache, Option<Proven>) {
+    /// The cache for mechanism `name` in directory `dir` (`None`:
+    /// `LP_SITE_CACHE=off`), and the sites it holds for this program,
+    /// checked against the mapped bytes: on (the directory passed every
+    /// check, and the slow path logs what it rewrites from now on) or
+    /// off, with why. Before the install: none of this is the
+    /// application's flow.
+    pub(crate) fn open(name: &str, dir: Option<&std::path::Path>) -> (SiteCache, Option<Proven>) {
         let row = name.split('+').next().unwrap_or_default();
         let mut cache = SiteCache {
             dir: DirPath::new(),
@@ -289,12 +288,10 @@ impl SiteCache {
             off: None,
         };
         let mut proven = None;
-        cache.off = if setting == "off" {
-            Some("LP_SITE_CACHE=off")
-        } else if !ROWS.contains(&row) {
-            Some("this row does not batch-rewrite")
-        } else {
-            cache.read(setting).map(|p| proven = p).err()
+        cache.off = match dir {
+            None => Some("LP_SITE_CACHE=off"),
+            Some(_) if !ROWS.contains(&row) => Some("this row does not batch-rewrite"),
+            Some(dir) => cache.read(dir).map(|p| proven = p).err(),
         };
         if cache.off.is_none() {
             proven::log_patched_sites();
@@ -302,15 +299,11 @@ impl SiteCache {
         (cache, proven)
     }
 
-    fn set_dir(&mut self, setting: &str) -> Result<(), &'static str> {
-        let named = if setting.is_empty() {
-            self.dir
-                .push(b"/tmp/lazypoline-")
-                .and_then(|d| d.push_num(geteuid().into(), 10))
-        } else {
-            self.dir.push(setting.as_bytes())
-        };
-        named.map(drop).ok_or("directory path too long")
+    fn set_dir(&mut self, dir: &std::path::Path) -> Result<(), &'static str> {
+        self.dir
+            .push(dir.as_os_str().as_bytes())
+            .map(drop)
+            .ok_or("directory path too long")
     }
 
     /// The directory, opened and checked: a real directory (not a
@@ -361,8 +354,8 @@ impl SiteCache {
     /// Names this program's entry and stages every record of it that
     /// checks out; `Ok(None)` when there is no entry yet. A record that
     /// does not check out is dropped from the entry.
-    fn read(&mut self, setting: &str) -> Result<Option<Proven>, &'static str> {
-        self.set_dir(setting)?;
+    fn read(&mut self, dir: &std::path::Path) -> Result<Option<Proven>, &'static str> {
+        self.set_dir(dir)?;
         // The entry is named after the file the program was started
         // from. A name only: each record is checked against the mappings.
         // SAFETY: getauxval(3) reads the auxiliary vector; AT_EXECFN is
@@ -1126,7 +1119,7 @@ mod tests {
             started: (0, 0),
             off: None,
         };
-        cache.set_dir(dir.to_str().unwrap()).unwrap();
+        cache.set_dir(dir).unwrap();
         cache
     }
 
@@ -1177,17 +1170,14 @@ mod tests {
 
     #[test]
     fn off_and_rows_that_do_not_batch_never_read() {
-        for (name, setting, why) in [
-            ("lazypoline", "off", "LP_SITE_CACHE=off"),
-            ("sud", "", "this row does not batch-rewrite"),
-            (
-                "lazypoline-nobatch+record",
-                "",
-                "this row does not batch-rewrite",
-            ),
-            ("none", "", "this row does not batch-rewrite"),
+        let dir = Some(std::path::Path::new("/tmp/lazypoline-unread"));
+        for (name, dir, why) in [
+            ("lazypoline", None, "LP_SITE_CACHE=off"),
+            ("sud", dir, "this row does not batch-rewrite"),
+            ("lazypoline-nobatch+record", dir, "this row does not batch-rewrite"),
+            ("none", dir, "this row does not batch-rewrite"),
         ] {
-            let (cache, proven) = SiteCache::open(name, setting);
+            let (cache, proven) = SiteCache::open(name, dir);
             assert_eq!(cache.off, Some(why), "{name}");
             assert_eq!(cache.status(0), format!("off ({why})"));
             assert!(proven.is_none());

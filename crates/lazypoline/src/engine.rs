@@ -22,7 +22,6 @@
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Once;
 
 use zpoline::{Trampoline, XstateMask};
 
@@ -223,10 +222,6 @@ static INITIALIZED: AtomicBool = AtomicBool::new(false);
 /// The established [`Mode`], encoded as a u8 (0 = uninitialized).
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// Arms fault seams from `LAZYPOLINE_FAULTS` exactly once per process
-/// (re-arming on a second `init` would reset schedule hit counts).
-static FAULTS_FROM_ENV: Once = Once::new();
-
 fn store_mode(m: Mode) {
     let v = match m {
         Mode::Uninitialized => 0,
@@ -282,11 +277,6 @@ pub struct Engine {
 /// # Ok::<(), lazypoline::InitError>(())
 /// ```
 pub fn init(config: Config) -> Result<Engine, InitError> {
-    FAULTS_FROM_ENV.call_once(|| {
-        if let Err(e) = faultinject::arm_from_env() {
-            eprintln!("lazypoline: ignoring LAZYPOLINE_FAULTS: {e}");
-        }
-    });
     crate::slowpath::BATCH_REWRITING.store(config.batch_rewriting, Ordering::SeqCst);
 
     if !INITIALIZED.load(Ordering::SeqCst) {

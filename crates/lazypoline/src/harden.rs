@@ -468,17 +468,15 @@ pub fn policy() -> BypassPolicy {
     }
 }
 
-/// Reads `LP_HARDEN_POLICY` (`kill` | `quarantine`; unset or empty is
-/// kill). Any other value is an `InvalidInput` error, never a silent
-/// kill.
-pub fn policy_from_env() -> std::io::Result<BypassPolicy> {
-    match std::env::var("LP_HARDEN_POLICY").as_deref() {
-        Err(_) | Ok("" | "kill") => Ok(BypassPolicy::Kill),
-        Ok("quarantine") => Ok(BypassPolicy::Quarantine),
-        Ok(other) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("LP_HARDEN_POLICY={other:?}: expected kill or quarantine"),
-        )),
+impl BypassPolicy {
+    /// Parses a policy name (`kill` | `quarantine`, the values of
+    /// `LP_HARDEN_POLICY`); `None` for anything else.
+    pub fn from_name(name: &str) -> Option<BypassPolicy> {
+        match name {
+            "kill" => Some(BypassPolicy::Kill),
+            "quarantine" => Some(BypassPolicy::Quarantine),
+            _ => None,
+        }
     }
 }
 
@@ -601,7 +599,9 @@ mod tests {
     #[test]
     fn policy_and_level_defaults() {
         // Unit tests never arm anything (that would be irreversible).
-        assert_eq!(policy_from_env().unwrap(), BypassPolicy::Kill);
+        assert_eq!(policy(), BypassPolicy::Kill);
+        assert_eq!(BypassPolicy::from_name("quarantine"), Some(BypassPolicy::Quarantine));
+        assert_eq!(BypassPolicy::from_name("Kill"), None);
         assert!(!backstop_armed());
         assert_eq!(bypass_blocked(), 0);
     }

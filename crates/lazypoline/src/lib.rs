@@ -58,6 +58,7 @@ mod slowpath;
 mod tls;
 
 pub use engine::{health, init, mode, stats, Config, Engine, Health, InitError, Mode, Stats};
+pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};
 pub use zpoline::XstateMask;
 

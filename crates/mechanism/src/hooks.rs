@@ -4,6 +4,15 @@
 //! library named by `LP_HOOKS=lib.so[:prio],...` loaded through the
 //! `lp_hook_v1` ABI and stacked by priority.
 //!
+//! `LP_HOOKS_WATCH=1` starts a housekeeping thread that polls each
+//! loaded library's mtime and, on change, hot-reloads it: `detach`
+//! (narrowing interest after the swap) → `fini` → re-`dlopen` →
+//! `attach` at the same priority, racing live dispatch safely via the
+//! stack's RCU snapshot swaps. `dlopen` of an in-place rewrite (same
+//! inode) returns the already-mapped module — the reload still re-runs
+//! `fini`/`init` and bumps [`hook_reloads`]; a *new* inode at the same
+//! path (rename-over) maps fresh code.
+//!
 //! # Propagation
 //!
 //! *fork*: the loaded libraries, the stack snapshot, and the registry's
@@ -24,24 +33,7 @@ use hookabi::LoadedHook;
 use interpose::{Action, HookId, HookStack, InterestSet, SyscallEvent, SyscallHandler};
 
 use crate::layer::LayerGuard;
-use crate::{env_switch, InstallError};
-
-/// Environment variable naming the hook libraries a `+hooks` layer
-/// loads at install: comma-separated `path-or-name[:priority]`
-/// (see `hookabi::parse_specs`). Unset or empty: the stack holds only
-/// the compiled-in handler.
-pub const HOOKS_ENV: &str = "LP_HOOKS";
-
-/// `LP_HOOKS_WATCH=1` (`0` or empty: off; anything else fails the
-/// install) starts a housekeeping thread that polls each loaded
-/// library's mtime and, on change, hot-reloads it:
-/// `detach` (narrowing interest after the swap) → `fini` → re-`dlopen`
-/// → `attach` at the same priority, racing live dispatch safely via
-/// the stack's RCU snapshot swaps. Note `dlopen` of an in-place
-/// rewrite (same inode) returns the already-mapped module — the
-/// reload still re-runs `fini`/`init` and bumps [`hook_reloads`]; a
-/// *new* inode at the same path (rename-over) maps fresh code.
-pub const HOOKS_WATCH_ENV: &str = "LP_HOOKS_WATCH";
+use crate::{EnvConfig, InstallError};
 
 /// Poll interval of the mtime watcher.
 const WATCH_INTERVAL: Duration = Duration::from_millis(25);
@@ -84,10 +76,9 @@ impl SyscallHandler for SharedHook {
 /// interest cache in sync).
 pub(crate) fn wrap(
     handler: Box<dyn SyscallHandler>,
+    cfg: &EnvConfig,
 ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
-    let watch = env_switch(HOOKS_WATCH_ENV)?;
-    let spec = std::env::var(HOOKS_ENV).unwrap_or_default();
-    let loaded = hookabi::load_from_spec(&spec).map_err(InstallError::Hook)?;
+    let loaded = hookabi::load_from_spec(&cfg.hooks).map_err(InstallError::Hook)?;
 
     let stack = HookStack::new();
     // The handler below anchors the stack at priority 0;
@@ -104,7 +95,7 @@ pub(crate) fn wrap(
     let guard = HooksGuard {
         stack: stack.clone(),
         hooks: Arc::new(Mutex::new(hooks)),
-        watch,
+        watch: cfg.hooks_watch,
         watcher: None,
     };
     Ok((Box::new(stack), LayerGuard::Hooks(guard)))

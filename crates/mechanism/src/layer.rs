@@ -20,8 +20,8 @@ use replay::{RecordHandler, ReplayHandler};
 use sim_interpose::Traits;
 
 use crate::{
-    hooks, record_replay, sfip, static_by_name, ActiveMechanism, InstallError, Mechanism,
-    StatsSnapshot,
+    hooks, record_replay, sfip, static_by_name, ActiveMechanism, ConfigError, EnvConfig,
+    InstallError, Mechanism, StatsSnapshot,
 };
 
 /// A handler layer a name can stack onto a base. Closed: nothing
@@ -43,24 +43,27 @@ impl Layer {
         }
     }
 
-    /// Loads and validates the layer's payload from the environment,
-    /// then wraps `handler` in the layer's concrete handler type.
+    /// Loads and validates the layer's payload as `cfg` names it, then
+    /// wraps `handler` in the layer's concrete handler type.
     fn wrap(
         self,
         handler: Box<dyn SyscallHandler>,
+        cfg: &EnvConfig,
     ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
         Ok(match self {
             Layer::Record => {
-                // `Recorder::to_path` validates it again; this catches a
-                // typo when no trace file is asked for.
-                replay::ring::configure_from_env().map_err(|e| InstallError::Io(e.into()))?;
+                if let Some(c) = cfg.ring_capacity {
+                    if !replay::ring::configure(c) {
+                        Err(ConfigError::new(replay::ring::LP_RING_CAPACITY, c))?;
+                    }
+                }
                 (
                     Box::new(RecordHandler::wrapping(handler)),
                     LayerGuard::Record(None),
                 )
             }
-            Layer::Hooks => hooks::wrap(handler)?,
-            Layer::Sfip => sfip::wrap(handler)?,
+            Layer::Hooks => hooks::wrap(handler, cfg)?,
+            Layer::Sfip => sfip::wrap(handler, cfg)?,
         })
     }
 }
@@ -96,9 +99,9 @@ impl LayerGuard {
     /// session, opens here — so its header names `base_name` (the
     /// static row the stack installs on), no early event is missed, and
     /// a bad sibling layer never leaves a trace file behind.
-    fn open(&mut self, base_name: &str) -> Result<(), InstallError> {
+    fn open(&mut self, base_name: &str, cfg: &EnvConfig) -> Result<(), InstallError> {
         if let LayerGuard::Record(session) = self {
-            *session = record_replay::open_session(base_name)?;
+            *session = record_replay::open_session(base_name, cfg)?;
         }
         Ok(())
     }
@@ -191,9 +194,10 @@ impl Mechanism for Composed {
         }
     }
 
-    fn install(
+    fn install_with(
         &self,
         mut handler: Box<dyn SyscallHandler>,
+        cfg: &EnvConfig,
     ) -> Result<ActiveMechanism, InstallError> {
         // Every layer loads and validates before anything with a side
         // effect outside this process happens, and all of it before the
@@ -205,21 +209,21 @@ impl Mechanism for Composed {
         let base = match &self.base {
             Base::Static(m) => *m,
             Base::Replay(path) => {
-                let (base, state) = record_replay::load_replay(path)?;
+                let (base, state) = record_replay::load_replay(path, cfg)?;
                 handler = Box::new(ReplayHandler::new(Arc::clone(&state)).observing(handler));
                 guards.push(LayerGuard::Replay(state));
                 base
             }
         };
         for layer in self.layers.iter().rev() {
-            let (wrapped, guard) = layer.wrap(handler)?;
+            let (wrapped, guard) = layer.wrap(handler, cfg)?;
             handler = wrapped;
             guards.push(guard);
         }
         for guard in &mut guards {
-            guard.open(base.name())?;
+            guard.open(base.name(), cfg)?;
         }
-        let mut active = base.install(handler)?;
+        let mut active = base.install_with(handler, cfg)?;
         active.name = self.key;
         active.layers = guards;
         for guard in &mut active.layers {

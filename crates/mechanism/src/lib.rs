@@ -6,8 +6,8 @@
 //! The paper's claim is comparative (Table I/II line lazypoline up
 //! against zpoline, SUD, seccomp, and ptrace as *peer* mechanisms), so
 //! the suite treats "which mechanism" as data, not code: drivers ask
-//! the registry for a backend [`by_name`] (or [`from_env`] via
-//! `LP_MECHANISM`), [`Mechanism::install`] it around a
+//! the registry for a backend [`by_name`] (the one `LP_MECHANISM` names
+//! is [`EnvConfig::mechanism`]), [`Mechanism::install`] it around a
 //! [`SyscallHandler`], and read a uniform [`StatsSnapshot`] from the
 //! returned [`ActiveMechanism`] guard. Adding a backend is a one-file
 //! change here; the micro/macro benchmarks, examples, and tests pick it
@@ -63,6 +63,7 @@
 
 #![deny(missing_docs)]
 
+mod config;
 mod hooks;
 mod layer;
 mod native;
@@ -70,10 +71,12 @@ mod record_replay;
 mod sfip;
 mod sim;
 
+pub use config::{
+    ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, REPLAY_BASE_ENV,
+    TRACE_OUT_ENV,
+};
 use interpose::SyscallHandler;
 use layer::LayerGuard;
-pub use hooks::{HOOKS_ENV, HOOKS_WATCH_ENV};
-pub use record_replay::TRACE_OUT_ENV;
 pub use replay;
 pub use sim_interpose::{Efficiency, Expressiveness, Traits};
 pub use zpoline::XstateMask;
@@ -94,19 +97,38 @@ pub trait Mechanism: Send + Sync {
     /// always available.
     fn is_available(&self) -> bool;
 
-    /// Activates the mechanism with `handler` as the interposer.
+    /// Activates the mechanism with `handler` as the interposer,
+    /// configured by the process environment: [`install_with`] over
+    /// [`EnvConfig::from_env`], read once per call. A malformed value of
+    /// any runtime variable fails it with [`InstallError::Config`].
+    ///
+    /// [`install_with`]: Mechanism::install_with
+    fn install(
+        &self,
+        handler: Box<dyn SyscallHandler>,
+    ) -> Result<ActiveMechanism, InstallError> {
+        self.install_with(handler, &EnvConfig::from_env()?)
+    }
+
+    /// Activates the mechanism with `handler` as the interposer and
+    /// `cfg` as its configuration; the environment is not read.
     ///
     /// The returned guard owns teardown: dropping it restores the
     /// previously installed handler, the thread's SUD selector, and
     /// (where changed) the xstate mask — see the crate docs for what
     /// native interposition cannot undo.
-    fn install(&self, handler: Box<dyn SyscallHandler>)
-        -> Result<ActiveMechanism, InstallError>;
+    fn install_with(
+        &self,
+        handler: Box<dyn SyscallHandler>,
+        cfg: &EnvConfig,
+    ) -> Result<ActiveMechanism, InstallError>;
 }
 
 /// Why [`Mechanism::install`] failed.
 #[derive(Debug)]
 pub enum InstallError {
+    /// A runtime variable holds a value it does not accept.
+    Config(ConfigError),
     /// The host lacks a kernel feature this backend needs.
     Unsupported(&'static str),
     /// The backend conflicts with process-global state already set up
@@ -128,12 +150,10 @@ pub enum InstallError {
 impl std::fmt::Display for InstallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            InstallError::Config(e) => write!(f, "bad configuration: {e}"),
             InstallError::Unsupported(why) => write!(f, "unsupported on this host: {why}"),
             InstallError::Conflict(why) => write!(f, "conflicts with process state: {why}"),
             InstallError::Init(e) => write!(f, "engine init failed: {e}"),
-            InstallError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-                write!(f, "bad configuration: {e}")
-            }
             InstallError::Io(e) => write!(f, "kernel interface failed: {e}"),
             InstallError::Hook(e) => write!(f, "hook loading failed: {e}"),
             InstallError::Policy(e) => write!(f, "sfip policy failed: {e}"),
@@ -142,6 +162,12 @@ impl std::fmt::Display for InstallError {
 }
 
 impl std::error::Error for InstallError {}
+
+impl From<ConfigError> for InstallError {
+    fn from(e: ConfigError) -> InstallError {
+        InstallError::Config(e)
+    }
+}
 
 /// Why [`ActiveMechanism::run_program`] failed.
 #[derive(Debug)]
@@ -530,36 +556,8 @@ pub(crate) fn static_by_name(name: &str) -> Option<&'static dyn Mechanism> {
 /// The environment variable drivers consult for mechanism selection.
 pub const ENV_VAR: &str = "LP_MECHANISM";
 
-/// The backend [`from_env`] falls back to: the paper's subject.
+/// The backend an unset `LP_MECHANISM` names: the paper's subject.
 pub const DEFAULT_MECHANISM: &str = "lazypoline";
-
-/// The backend named by `LP_MECHANISM`, or [`DEFAULT_MECHANISM`] when
-/// unset/empty. An unknown name is an error (listing the valid names),
-/// not a silent fallback.
-pub fn from_env() -> Result<&'static dyn Mechanism, UnknownMechanism> {
-    match std::env::var(ENV_VAR) {
-        Ok(name) if !name.is_empty() => by_name(&name).ok_or(UnknownMechanism(name)),
-        _ => Ok(by_name(DEFAULT_MECHANISM).expect("default mechanism is registered")),
-    }
-}
-
-/// `LP_MECHANISM` named a mechanism the registry does not know.
-#[derive(Debug)]
-pub struct UnknownMechanism(pub String);
-
-impl std::fmt::Display for UnknownMechanism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown mechanism {:?} (valid: base(+layer)* with base one of {}, or \
-             replay:<trace-path>; layer one of record, hooks, sfip, each at most once)",
-            self.0,
-            names().join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownMechanism {}
 
 /// Detaches the calling thread from SUD interposition without an
 /// [`ActiveMechanism`] handle: selector to ALLOW, then SUD off.
@@ -571,19 +569,6 @@ impl std::error::Error for UnknownMechanism {}
 pub fn detach_current_thread() {
     sud::set_selector(sud::Dispatch::Allow);
     let _ = sud::disable_thread();
-}
-
-/// A layer's on/off variable: unset, `""` or `0` is off, `1` is on, and
-/// anything else fails the install rather than meaning off.
-pub(crate) fn env_switch(var: &str) -> Result<bool, InstallError> {
-    match std::env::var(var).as_deref() {
-        Err(_) | Ok("" | "0") => Ok(false),
-        Ok("1") => Ok(true),
-        Ok(other) => Err(InstallError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("{var}={other:?}: expected 0 or 1"),
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -649,17 +634,15 @@ mod tests {
 
     #[test]
     fn from_env_defaults_and_rejects_unknown() {
-        // Note: reads the ambient LP_MECHANISM, so only assert the
-        // unset path when the harness did not set one.
-        if std::env::var(ENV_VAR).is_err() {
-            assert_eq!(from_env().unwrap().name(), DEFAULT_MECHANISM);
-        }
         assert!(by_name("no-such-mechanism").is_none());
-        let err = UnknownMechanism("no-such-mechanism".into()).to_string();
+        let select = |name: &str| EnvConfig::from_lookup(|v| (v == ENV_VAR).then(|| name.to_string()));
+        assert_eq!(select("").unwrap().mechanism, DEFAULT_MECHANISM);
+        let err = select("no-such-mechanism").unwrap_err().to_string();
         assert!(err.contains("lazypoline"), "error lists valid names: {err}");
         // The grammar is part of the valid vocabulary and must appear
         // in the error too.
         for piece in [
+            "LP_MECHANISM",
             "base(+layer)*",
             "replay:<trace-path>",
             "record, hooks, sfip",
@@ -675,29 +658,26 @@ mod tests {
     fn hooks_backend_composes_and_reports() {
         let m = by_name("sim:lazypoline+hooks").expect("+hooks parses over sim bases");
         // With LP_HOOKS unset the stack holds only the compiled-in
-        // handler — still a fully functional installation. (Skip when
-        // the harness exported LP_HOOKS: this test asserts emptiness.)
-        if std::env::var(HOOKS_ENV).is_err() {
-            let mut active = m
-                .install(Box::new(interpose::CountHandler::new()))
-                .expect("sim +hooks installs without hook libraries");
-            let out = active
-                .run_program(&sim_workloads::bench::microbench(20))
-                .expect("guest runs");
-            assert_eq!(out.exit, 0);
-            let s = active.stats();
-            assert_eq!(s.mechanism, "sim:lazypoline+hooks");
-            assert!(s.dispatches > 0, "compiled-in handler still dispatches");
-            assert_eq!(s.hooks_loaded, 0);
-            assert_eq!(s.hook_dispatches, 0);
-            let stack = active.hook_stack().expect("+hooks exposes its stack");
-            assert_eq!(stack.len(), 1, "compiled-in handler only");
-            assert!(active.loaded_hooks().is_empty());
-        }
+        // handler — still a fully functional installation.
+        let mut active = m
+            .install_with(Box::new(interpose::CountHandler::new()), &EnvConfig::default())
+            .expect("sim +hooks installs without hook libraries");
+        let out = active
+            .run_program(&sim_workloads::bench::microbench(20))
+            .expect("guest runs");
+        assert_eq!(out.exit, 0);
+        let s = active.stats();
+        assert_eq!(s.mechanism, "sim:lazypoline+hooks");
+        assert!(s.dispatches > 0, "compiled-in handler still dispatches");
+        assert_eq!(s.hooks_loaded, 0);
+        assert_eq!(s.hook_dispatches, 0);
+        let stack = active.hook_stack().expect("+hooks exposes its stack");
+        assert_eq!(stack.len(), 1, "compiled-in handler only");
+        assert!(active.loaded_hooks().is_empty());
         // Non-hooks backends expose no stack.
         let plain = by_name("none")
             .unwrap()
-            .install(Box::new(interpose::PassthroughHandler))
+            .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
             .unwrap();
         assert!(plain.hook_stack().is_none());
         assert!(plain.loaded_hooks().is_empty());
@@ -707,14 +687,11 @@ mod tests {
     fn sfip_backend_composes_and_requires_policy() {
         let m = by_name("sim:lazypoline+sfip").expect("+sfip parses over sim bases");
         // An +sfip install without LP_SFIP_POLICY is a typed error,
-        // never a silently unenforced mechanism. (Skip when the
-        // harness exported a policy for the whole run.)
-        if std::env::var(::sfip::POLICY_ENV).is_err() {
-            match m.install(Box::new(interpose::PassthroughHandler)) {
-                Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)) => {}
-                Err(other) => panic!("expected NoPolicyPath, got {other}"),
-                Ok(_) => panic!("install must fail without a policy"),
-            }
+        // never a silently unenforced mechanism.
+        match m.install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default()) {
+            Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)) => {}
+            Err(other) => panic!("expected NoPolicyPath, got {other}"),
+            Ok(_) => panic!("install must fail without a policy"),
         }
     }
 
@@ -822,7 +799,7 @@ mod tests {
         let m = by_name("none").unwrap();
         assert!(m.is_available());
         let active = m
-            .install(Box::new(interpose::PassthroughHandler))
+            .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
             .expect("none is always installable");
         assert_eq!(active.mechanism_name(), "none");
         let s = active.stats();
@@ -835,7 +812,7 @@ mod tests {
         let m = by_name("sim:lazypoline").unwrap();
         assert!(m.is_available());
         let mut active = m
-            .install(Box::new(interpose::CountHandler::new()))
+            .install_with(Box::new(interpose::CountHandler::new()), &EnvConfig::default())
             .expect("sim backends always install");
         let program = sim_workloads::bench::microbench(50);
         let out = active.run_program(&program).expect("guest runs");
@@ -854,7 +831,9 @@ mod tests {
     #[test]
     fn native_backend_rejects_run_program() {
         let m = by_name("none").unwrap();
-        let mut active = m.install(Box::new(interpose::PassthroughHandler)).unwrap();
+        let mut active = m
+            .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
+            .unwrap();
         assert!(matches!(
             active.run_program(&[]),
             Err(RunError::NotSimulated)

@@ -2,12 +2,32 @@
 //! engine/SUD configurations running in *this* process.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use interpose::SyscallHandler;
+use lazypoline::faultinject::{self, Fault};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 use zpoline::XstateMask;
 
-use crate::{ActiveMechanism, InstallError, Inner, Mechanism, StatsSnapshot};
+use crate::{ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, StatsSnapshot};
+
+/// Arms `LAZYPOLINE_FAULTS` once per process, at the first
+/// engine-backed install, before anything of it runs: re-arming would
+/// reset the schedules' hit counts. A later install may name the armed
+/// set again or none; any other set is refused, not silently unarmed.
+fn arm_faults(faults: &[Fault]) -> Result<(), InstallError> {
+    static ARMED: OnceLock<Vec<Fault>> = OnceLock::new();
+    let armed = ARMED.get_or_init(|| {
+        faultinject::arm_all(faults);
+        faults.to_vec()
+    });
+    if faults.is_empty() || faults == armed.as_slice() {
+        return Ok(());
+    }
+    Err(InstallError::Conflict(
+        "LAZYPOLINE_FAULTS differs from the set the process's first engine-backed install armed",
+    ))
+}
 
 /// One registry row: a name bound to a concrete native configuration.
 pub(crate) struct NativeBackend {
@@ -174,14 +194,18 @@ impl Mechanism for NativeBackend {
         }
     }
 
-    fn install(
+    fn install_with(
         &self,
         handler: Box<dyn SyscallHandler>,
+        cfg: &EnvConfig,
     ) -> Result<ActiveMechanism, InstallError> {
         if !self.is_available() {
             return Err(InstallError::Unsupported(
                 "needs Syscall User Dispatch and/or vm.mmap_min_addr = 0",
             ));
+        }
+        if matches!(self.cfg, NativeCfg::Engine { .. } | NativeCfg::Hardened) {
+            arm_faults(&cfg.faults)?;
         }
         // Handler first: once the mechanism arms, every intercepted
         // syscall must already see the caller's handler, not the
@@ -230,8 +254,6 @@ impl Mechanism for NativeBackend {
                 }
             }
             NativeCfg::Hardened => {
-                // A typo'd policy fails here, before anything one-way.
-                let policy = lazypoline::harden::policy_from_env().map_err(InstallError::Io)?;
                 // Ladder rung 1: protected selector — must precede
                 // init so enrollment hands the kernel the protected
                 // address. Failure (no MPK hardware) degrades.
@@ -241,7 +263,7 @@ impl Mechanism for NativeBackend {
                 // Ladder rung 2: the seccomp backstop — after init, so
                 // every legitimate syscall path (gate page, number
                 // allowlist) exists before the irreversible filter.
-                let _ = lazypoline::harden::arm_backstop(policy);
+                let _ = lazypoline::harden::arm_backstop(cfg.harden_policy);
                 NativeKind::Engine {
                     engine,
                     restore_xstate: false,
@@ -372,4 +394,22 @@ unsafe extern "C" fn raw_sud_handler(
         syscalls::raw::syscall(decided)
     });
     uc.set_rax(ret);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lazypoline::faultinject::{Schedule, Site};
+
+    #[test]
+    fn a_later_install_cannot_change_the_armed_faults() {
+        // Armed here, at a hit count nothing in this binary reaches.
+        let armed = [Fault { site: Site::PatchMprotect, schedule: Schedule::Nth(u64::MAX), errno: None }];
+        assert!(arm_faults(&armed).is_ok());
+        assert!(arm_faults(&armed).is_ok(), "the armed set again");
+        assert!(arm_faults(&[]).is_ok(), "no set");
+        let other = [Fault { schedule: Schedule::Nth(1), ..armed[0] }];
+        assert!(matches!(arm_faults(&other), Err(InstallError::Conflict(_))));
+        faultinject::disarm_all();
+    }
 }

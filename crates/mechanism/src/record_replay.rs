@@ -2,42 +2,34 @@
 //! recorder around any stack; the `replay:<trace-path>` base
 //! re-executes a workload against a recorded trace.
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::Path;
 use std::sync::Arc;
 
 use replay::{Recorder, ReplayState};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 
-use crate::{static_by_name, InstallError, Mechanism};
-
-/// Environment variable naming the trace file a `+record` layer drains
-/// its rings into. Unset: the flight recorder still runs (rings +
-/// counters), but nothing is written to disk. A literal `%p` in the
-/// path is replaced by the pid (the `valgrind --log-file` convention),
-/// so a process tree that inherits one value leaves one trace each;
-/// without it the last process to finish owns the name (the session
-/// records under `<path>.<pid>.part` until then, see
-/// [`replay::Recorder`]).
-pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
-
-/// Environment variable overriding the base mechanism a
-/// `replay:<path>` backend installs (default: the trace header's
-/// source mechanism).
-pub const REPLAY_BASE_ENV: &str = "LP_REPLAY_BASE";
+use crate::{static_by_name, ConfigError, EnvConfig, InstallError, Mechanism, REPLAY_BASE_ENV};
 
 /// The `+record` layer's trace session, if `LP_TRACE_OUT` names a
-/// file. Its header names the *static* base, so `replay:` can resolve
-/// it with a static lookup.
-pub(crate) fn open_session(base_name: &str) -> Result<Option<Recorder>, InstallError> {
-    match std::env::var(TRACE_OUT_ENV) {
-        Ok(path) if !path.is_empty() => {
-            let path = path.replace("%p", &std::process::id().to_string());
-            Recorder::to_path(path.as_ref(), base_name)
-                .map(Some)
-                .map_err(InstallError::Io)
-        }
-        _ => Ok(None),
+/// file, drained as `LP_DRAIN` says. Its header names the *static*
+/// base, so `replay:` can resolve it with a static lookup.
+pub(crate) fn open_session(
+    base_name: &str,
+    cfg: &EnvConfig,
+) -> Result<Option<Recorder>, InstallError> {
+    let Some(path) = &cfg.trace_out else {
+        return Ok(None);
+    };
+    // Bytewise: a path need not be UTF-8.
+    let mut path = path.as_os_str().as_bytes().to_vec();
+    while let Some(at) = path.windows(2).position(|w| w == b"%p") {
+        path.splice(at..at + 2, std::process::id().to_string().into_bytes());
     }
+    Recorder::open(Path::new(OsStr::from_bytes(&path)), base_name, cfg.drain)
+        .map(Some)
+        .map_err(InstallError::Io)
 }
 
 /// Table I row of a `replay:<path>` backend.
@@ -52,9 +44,10 @@ pub(crate) const REPLAY_TRAITS: Traits = Traits {
 /// to re-execute under.
 pub(crate) fn load_replay(
     path: &Path,
+    cfg: &EnvConfig,
 ) -> Result<(&'static dyn Mechanism, Arc<ReplayState>), InstallError> {
     let state = ReplayState::load(path).map_err(|e| InstallError::Io(e.into()))?;
-    let base = replay_base_for(&state.header().source_mechanism)?;
+    let base = replay_base_for(&state.header().source_mechanism, cfg)?;
     if !base.is_available() {
         return Err(InstallError::Unsupported(
             "replay base mechanism unavailable on this host",
@@ -66,12 +59,9 @@ pub(crate) fn load_replay(
 /// The base mechanism to re-execute under: `LP_REPLAY_BASE` if set,
 /// else the trace's own source mechanism, else the paper's subject
 /// (`lazypoline` / `sim:lazypoline` by source family).
-fn replay_base_for(source: &str) -> Result<&'static dyn Mechanism, InstallError> {
-    if let Ok(name) = std::env::var(REPLAY_BASE_ENV) {
-        if !name.is_empty() {
-            return static_by_name(&name)
-                .ok_or(InstallError::Unsupported("LP_REPLAY_BASE names no backend"));
-        }
+fn replay_base_for(source: &str, cfg: &EnvConfig) -> Result<&'static dyn Mechanism, InstallError> {
+    if let Some(name) = cfg.replay_base {
+        return static_by_name(name).ok_or_else(|| ConfigError::new(REPLAY_BASE_ENV, name).into());
     }
     if let Some(m) = static_by_name(source) {
         return Ok(m);

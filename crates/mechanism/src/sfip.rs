@@ -7,29 +7,29 @@
 //! `LP_SFIP_POLICY_ACTION` picks the violation action
 //! (`kill`|`quarantine`|`count`, default `kill`); `LP_SFIP_ORIGINS=1`
 //! additionally enforces the per-site origin sets when the policy
-//! carries them (`0` or empty: off; anything else fails the install).
+//! carries them.
 
 use std::sync::Arc;
 
-use ::sfip::{Policy, SfipHandler, ViolationAction};
+use ::sfip::{Policy, PolicyError, SfipHandler};
 use interpose::SyscallHandler;
 
 use crate::layer::LayerGuard;
-use crate::{env_switch, InstallError};
+use crate::{EnvConfig, InstallError};
 
-/// Loads and validates the policy, action and origins switch, then
-/// wraps `handler` in an [`SfipHandler`]. The guard keeps the action
-/// for [`StatsSnapshot::sfip_mode`](crate::StatsSnapshot::sfip_mode).
+/// Loads the policy `cfg` names and wraps `handler` in an
+/// [`SfipHandler`] with `cfg`'s action and origins switch. The guard
+/// keeps the action for
+/// [`StatsSnapshot::sfip_mode`](crate::StatsSnapshot::sfip_mode).
 pub(crate) fn wrap(
     handler: Box<dyn SyscallHandler>,
+    cfg: &EnvConfig,
 ) -> Result<(Box<dyn SyscallHandler>, LayerGuard), InstallError> {
-    let path = match std::env::var(::sfip::POLICY_ENV) {
-        Ok(p) if !p.is_empty() => p,
-        _ => return Err(InstallError::Policy(::sfip::PolicyError::NoPolicyPath)),
-    };
-    let policy = Policy::load(path.as_ref()).map_err(InstallError::Policy)?;
-    let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
-    let check_origins = env_switch(::sfip::ORIGINS_ENV)?;
-    let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
-    Ok((Box::new(enforcer), LayerGuard::Sfip(action)))
+    let path = cfg
+        .sfip_policy
+        .as_ref()
+        .ok_or(InstallError::Policy(PolicyError::NoPolicyPath))?;
+    let policy = Policy::load(path).map_err(InstallError::Policy)?;
+    let enforcer = SfipHandler::new(Arc::new(policy), cfg.sfip_action, cfg.sfip_origins, handler);
+    Ok((Box::new(enforcer), LayerGuard::Sfip(cfg.sfip_action)))
 }

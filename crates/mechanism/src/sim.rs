@@ -5,7 +5,10 @@
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 use sim_interpose::{mechanism_traits, Interposed, Traits};
 
-use crate::{ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome, StatsSnapshot};
+use crate::{
+    ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, RunError, SimOutcome,
+    StatsSnapshot,
+};
 
 /// One registry row: a name bound to a simulated mechanism model.
 pub(crate) struct SimBackend {
@@ -69,9 +72,10 @@ impl Mechanism for SimBackend {
         true
     }
 
-    fn install(
+    fn install_with(
         &self,
         handler: Box<dyn SyscallHandler>,
+        _cfg: &EnvConfig,
     ) -> Result<ActiveMechanism, InstallError> {
         Ok(ActiveMechanism::new(
             self.key,

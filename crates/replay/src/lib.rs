@@ -46,10 +46,9 @@ pub use format::{
     HEADER_SIZE, MAGIC, MAGIC2, VERSION, VERSION2,
 };
 pub use record::{
-    events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary, Recorder,
-    DRAIN_ENV,
+    events_dropped, events_recorded, events_spilled, DrainMode, RecordHandler, RecordSummary,
+    Recorder, DRAIN_ENV,
 };
-pub use ring::RingConfigError;
 pub use replay::{
     is_nondeterministic, replay_divergences, Divergence, DivergenceKind, ReplayHandler,
     ReplayState, NONDETERMINISTIC,

@@ -16,10 +16,32 @@ use crate::ring;
 use crate::spill::FileSink;
 use crate::tsc;
 
-/// Environment variable selecting the drain mode: unset or `async`
-/// runs the dedicated drain thread (zero drops at steady state);
-/// `sync` runs the same sweep on the caller, at phase boundaries.
+/// Environment variable selecting a `+record` session's [`DrainMode`]
+/// (`async` or `sync`; unset is `async`).
 pub const DRAIN_ENV: &str = "LP_DRAIN";
+
+/// Who runs the sweep that moves a session's rings into its trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DrainMode {
+    /// A dedicated drain thread, continuously: zero drops at steady
+    /// state.
+    Async,
+    /// The caller, at phase boundaries ([`Recorder::drain`],
+    /// [`Recorder::finish`]).
+    Sync,
+}
+
+impl DrainMode {
+    /// Parses a mode name (`async` | `sync`, the values of
+    /// [`DRAIN_ENV`]); `None` for anything else.
+    pub fn from_name(name: &str) -> Option<DrainMode> {
+        match name {
+            "async" => Some(DrainMode::Async),
+            "sync" => Some(DrainMode::Sync),
+            _ => None,
+        }
+    }
+}
 
 /// Events successfully recorded into a ring since process start.
 pub fn events_recorded() -> u64 {
@@ -210,16 +232,15 @@ enum Mode {
 /// child keeps pushing into are its private copy.
 ///
 /// Events reach the file one way: rings → `drain::sweep` → LPTRACE2
-/// encoder → `pwrite64` file sink. By default a dedicated drain thread
-/// sweeps continuously — at steady state producers never meet a full
-/// ring, so `events_dropped == 0`; under `LP_DRAIN=sync` the caller
-/// sweeps instead, at phase boundaries. Each recording thread's ring
-/// has the capacity `LP_RING_CAPACITY` named when the thread first
-/// recorded (default 131 072 records: address space, resident only as
-/// far as the drain falls behind) and keeps it; a burst longer than the
-/// ring before the drain thread runs is dropped and counted, never
-/// waited for. The variable is validated here (a malformed value fails
-/// the install, never silently falls back).
+/// encoder → `pwrite64` file sink. Under [`DrainMode::Async`] a
+/// dedicated drain thread sweeps continuously — at steady state
+/// producers never meet a full ring, so `events_dropped == 0`; under
+/// [`DrainMode::Sync`] the caller sweeps instead, at phase boundaries.
+/// Each recording thread's ring has the capacity [`ring::configure`]
+/// set when the thread first recorded (default 131 072 records: address
+/// space, resident only as far as the drain falls behind) and keeps it;
+/// a burst longer than the ring before the drain thread runs is dropped
+/// and counted, never waited for.
 ///
 /// Create it *before* installing the [`RecordHandler`] — it clears
 /// stale ring contents, and the drain thread must be spawned before
@@ -237,28 +258,19 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Opens `path` for writing, stamps the trace header, and (in the
-    /// default async mode) starts the drain thread.
+    /// A caller-drained session: [`open`](Self::open) with
+    /// [`DrainMode::Sync`].
+    pub fn to_path(path: &Path, source_mechanism: &str) -> io::Result<Recorder> {
+        Recorder::open(path, source_mechanism, DrainMode::Sync)
+    }
+
+    /// Opens `path` for writing, stamps the trace header, and under
+    /// [`DrainMode::Async`] starts the drain thread.
     ///
     /// `source_mechanism` is the registry name of the mechanism the
     /// recording will run under — replay reads it back to choose its
     /// own base mechanism.
-    pub fn to_path(path: &Path, source_mechanism: &str) -> io::Result<Recorder> {
-        // Validate configuration before touching any state: a typo'd
-        // LP_RING_CAPACITY must fail the install, not half-start it.
-        ring::configure_from_env()?;
-        let async_drain = match std::env::var(DRAIN_ENV) {
-            Ok(s) if s == "sync" => false,
-            Ok(s) if s == "async" || s.is_empty() => true,
-            Err(_) => true,
-            Ok(s) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{DRAIN_ENV}={s:?}: expected async or sync"),
-                ))
-            }
-        };
-
+    pub fn open(path: &Path, source_mechanism: &str, drain: DrainMode) -> io::Result<Recorder> {
         if SESSION_ACTIVE.swap(true, Ordering::AcqRel) {
             return Err(io::Error::other("another recording session is active"));
         }
@@ -277,14 +289,13 @@ impl Recorder {
         let owner_pid = std::process::id();
         let sink = FileSink::create(&part_path(path, owner_pid)).map_err(release_on)?;
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
-        let mode = if async_drain {
-            Mode::Async {
+        let mode = match drain {
+            DrainMode::Async => Mode::Async {
                 handle: Some(drain::spawn(writer).map_err(release_on)?),
-            }
-        } else {
-            Mode::Sync {
+            },
+            DrainMode::Sync => Mode::Sync {
                 writer: Some(writer),
-            }
+            },
         };
         Ok(Recorder {
             mode,

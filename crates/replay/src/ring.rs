@@ -56,113 +56,24 @@ const NEAR_FULL_DEN: usize = 4;
 
 // ——— runtime configuration ————————————————————————————————————————
 
-/// Why a ring configuration was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RingConfigError {
-    /// The value parsed but is not a power of two.
-    NotPowerOfTwo {
-        /// Which variable/parameter was rejected.
-        var: &'static str,
-        /// The offending value.
-        value: u64,
-    },
-    /// The value is a power of two but outside the accepted range.
-    OutOfRange {
-        /// Which variable/parameter was rejected.
-        var: &'static str,
-        /// The offending value.
-        value: u64,
-        /// Smallest accepted value.
-        min: u64,
-        /// Largest accepted value.
-        max: u64,
-    },
-    /// The value did not parse as an unsigned integer.
-    NotANumber {
-        /// Which variable/parameter was rejected.
-        var: &'static str,
-        /// The raw string.
-        value: String,
-    },
-}
-
-impl std::fmt::Display for RingConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RingConfigError::NotPowerOfTwo { var, value } => {
-                write!(f, "{var}={value} is not a power of two")
-            }
-            RingConfigError::OutOfRange {
-                var,
-                value,
-                min,
-                max,
-            } => write!(f, "{var}={value} outside accepted range [{min}, {max}]"),
-            RingConfigError::NotANumber { var, value } => {
-                write!(f, "{var}={value:?} is not an unsigned integer")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RingConfigError {}
-
-impl From<RingConfigError> for std::io::Error {
-    fn from(e: RingConfigError) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-    }
-}
-
 /// Configured per-ring capacity (0 = unset, use default). Applies to
 /// rings claimed *after* the store; already-claimed rings keep theirs.
 static CONFIG_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the capacity of rings claimed after the call. It must be a
-/// power of two in `[64, MAX_RING_CAPACITY]` (a typed
-/// [`RingConfigError`] otherwise).
-pub fn configure(capacity: usize) -> Result<(), RingConfigError> {
-    validate(capacity as u64)?;
-    CONFIG_CAPACITY.store(capacity, Ordering::Release);
-    Ok(())
+/// Sets the capacity of rings claimed after the call, if [`validate`]
+/// accepts it; `false` (and nothing set) otherwise.
+pub fn configure(capacity: usize) -> bool {
+    let ok = validate(capacity);
+    if ok {
+        CONFIG_CAPACITY.store(capacity, Ordering::Release);
+    }
+    ok
 }
 
-/// Reads [`LP_RING_CAPACITY`] and applies it. Unset/empty keeps the
-/// current setting; a malformed value is a typed error (never a silent
-/// fallback). Call this from a normal (non-signal) context —
-/// session/handler setup does.
-pub fn configure_from_env() -> Result<(), RingConfigError> {
-    if let Some(v) = env_value(LP_RING_CAPACITY)? {
-        validate(v)?;
-        CONFIG_CAPACITY.store(v as usize, Ordering::Release);
-    }
-    Ok(())
-}
-
-fn env_value(var: &'static str) -> Result<Option<u64>, RingConfigError> {
-    match std::env::var(var) {
-        Ok(s) if !s.is_empty() => s
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| RingConfigError::NotANumber { var, value: s }),
-        _ => Ok(None),
-    }
-}
-
-fn validate(value: u64) -> Result<(), RingConfigError> {
-    let var = LP_RING_CAPACITY;
-    if !value.is_power_of_two() {
-        return Err(RingConfigError::NotPowerOfTwo { var, value });
-    }
-    let (min, max) = (64, MAX_RING_CAPACITY as u64);
-    if value < min || value > max {
-        return Err(RingConfigError::OutOfRange {
-            var,
-            value,
-            min,
-            max,
-        });
-    }
-    Ok(())
+/// Whether [`configure`] would accept `capacity`: a power of two in
+/// `[64, MAX_RING_CAPACITY]`.
+pub fn validate(capacity: usize) -> bool {
+    capacity.is_power_of_two() && (64..=MAX_RING_CAPACITY).contains(&capacity)
 }
 
 /// The per-ring capacity new claims will use.
@@ -642,27 +553,17 @@ mod tests {
 
     #[test]
     fn configure_validates_and_applies() {
-        // Typed errors, no state change on failure.
-        assert!(matches!(
-            configure(1000),
-            Err(RingConfigError::NotPowerOfTwo { var, value: 1000 })
-                if var == LP_RING_CAPACITY
-        ));
-        assert!(matches!(
-            configure(16),
-            Err(RingConfigError::OutOfRange { var, value: 16, .. })
-                if var == LP_RING_CAPACITY
-        ));
-        assert!(matches!(
-            configure(MAX_RING_CAPACITY * 2),
-            Err(RingConfigError::OutOfRange { .. })
-        ));
-        // A valid configuration round-trips through the accessor.
+        // Refused, with no state change on failure.
         let cap0 = configured_capacity();
-        configure(2048).unwrap();
+        for bad in [1000, 16, MAX_RING_CAPACITY * 2] {
+            assert!(!configure(bad), "{bad}");
+            assert_eq!(configured_capacity(), cap0);
+        }
+        // A valid configuration round-trips through the accessor.
+        assert!(configure(2048));
         assert_eq!(configured_capacity(), 2048);
         // Restore (tests share the process).
-        configure(cap0).unwrap();
+        assert!(configure(cap0));
     }
 
     #[test]

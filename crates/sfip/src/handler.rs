@@ -10,7 +10,6 @@ use interpose::{InterestSet, SyscallEvent, SyscallHandler};
 use syscalls::{nr, raw, MAX_SYSCALL_NR};
 
 use crate::policy::Policy;
-use crate::PolicyError;
 
 /// Sentinel "no previous syscall on this thread yet": the first
 /// syscall of a thread's chain is always transition-allowed.
@@ -34,16 +33,14 @@ pub enum ViolationAction {
 }
 
 impl ViolationAction {
-    /// Reads [`crate::ACTION_ENV`]; unset or empty means [`ViolationAction::Kill`].
-    pub fn from_env() -> Result<ViolationAction, PolicyError> {
-        match std::env::var(crate::ACTION_ENV) {
-            Err(_) => Ok(ViolationAction::Kill),
-            Ok(v) => match v.as_str() {
-                "" | "kill" => Ok(ViolationAction::Kill),
-                "quarantine" => Ok(ViolationAction::Quarantine),
-                "count" => Ok(ViolationAction::Count),
-                other => Err(PolicyError::BadAction(other.to_string())),
-            },
+    /// Parses an action name (`kill` | `quarantine` | `count`, the
+    /// values of [`crate::ACTION_ENV`]); `None` for anything else.
+    pub fn from_name(name: &str) -> Option<ViolationAction> {
+        match name {
+            "kill" => Some(ViolationAction::Kill),
+            "quarantine" => Some(ViolationAction::Quarantine),
+            "count" => Some(ViolationAction::Count),
+            _ => None,
         }
     }
 

@@ -42,17 +42,12 @@ pub use policy::{
     MATRIX_WORDS, ROW_WORDS, VERSION,
 };
 
-/// Environment variable naming the `LPSFIP1` policy file an
-/// `"<base>+sfip"` install enforces.
+/// Names the `LPSFIP1` policy an `"<base>+sfip"` install enforces.
 pub const POLICY_ENV: &str = "LP_SFIP_POLICY";
 
-/// Environment variable selecting the violation action
-/// (`kill` | `quarantine` | `count`; default `kill`).
+/// Selects the [`ViolationAction`] by name.
 pub const ACTION_ENV: &str = "LP_SFIP_POLICY_ACTION";
 
-/// Environment variable enabling per-site origin enforcement
-/// (`LP_SFIP_ORIGINS=1`): a syscall must also be issued from an
-/// invocation site the trace recorded for that sysno. Off by default —
-/// site addresses are only stable for workloads without ASLR-sensitive
-/// re-runs.
+/// `1`: a syscall must also come from a site the trace recorded for its
+/// number. Site addresses hold within the process that learned them.
 pub const ORIGINS_ENV: &str = "LP_SFIP_ORIGINS";

@@ -81,8 +81,6 @@ pub enum PolicyError {
     /// A learning pass over zero events: there is no behaviour to
     /// learn, and an empty policy would kill the first syscall.
     EmptyTrace,
-    /// `LP_SFIP_POLICY_ACTION` names an unknown action.
-    BadAction(String),
     /// `LP_SFIP_POLICY` is not set but an `+sfip` install needs it.
     NoPolicyPath,
 }
@@ -99,10 +97,6 @@ impl fmt::Display for PolicyError {
             ),
             PolicyError::Truncated => write!(f, "policy file truncated"),
             PolicyError::EmptyTrace => write!(f, "cannot learn a policy from an empty trace"),
-            PolicyError::BadAction(a) => write!(
-                f,
-                "unknown LP_SFIP_POLICY_ACTION {a:?} (expected kill|quarantine|count)"
-            ),
             PolicyError::NoPolicyPath => {
                 write!(f, "LP_SFIP_POLICY must name an LPSFIP1 policy file")
             }

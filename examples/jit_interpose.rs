@@ -66,8 +66,8 @@ unsafe fn jit_emit_getpid() -> extern "C" fn() -> u64 {
 }
 
 fn main() {
-    let backend = match mechanism::from_env() {
-        Ok(b) => b,
+    let backend = match mechanism::EnvConfig::from_env() {
+        Ok(cfg) => mechanism::by_name(cfg.mechanism).expect("a parsed name is registered"),
         Err(e) => {
             eprintln!("skip: {e}");
             return;

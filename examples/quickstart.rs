@@ -25,8 +25,8 @@ fn engine_backed(name: &str) -> bool {
 }
 
 fn main() {
-    let backend = match mechanism::from_env() {
-        Ok(b) => b,
+    let backend = match mechanism::EnvConfig::from_env() {
+        Ok(cfg) => mechanism::by_name(cfg.mechanism).expect("a parsed name is registered"),
         Err(e) => {
             eprintln!("skip: {e}");
             return;

@@ -15,13 +15,14 @@
 //! ```
 
 fn main() {
-    let base = match mechanism::from_env() {
-        Ok(b) => b,
+    let ambient = match mechanism::EnvConfig::from_env() {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("skip: {e}");
             return;
         }
     };
+    let base = mechanism::by_name(ambient.mechanism).expect("a parsed name is registered");
     if !base.is_available() {
         eprintln!(
             "skip: {} unavailable here (needs Linux >= 5.11 SUD and/or vm.mmap_min_addr = 0)",
@@ -37,8 +38,8 @@ fn main() {
     };
 
     let trace = std::env::temp_dir().join(format!("strace_lite_{}.lpt", std::process::id()));
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    let mut active = match backend.install(Box::new(interpose::PassthroughHandler)) {
+    let cfg = mechanism::EnvConfig { trace_out: Some(trace), ..ambient };
+    let mut active = match backend.install_with(Box::new(interpose::PassthroughHandler), &cfg) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("skip: {} install failed: {e}", backend.name());

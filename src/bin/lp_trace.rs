@@ -77,9 +77,11 @@ fn record(trace: &Path, mech: &str, strict_drops: bool) -> ExitCode {
         eprintln!("skip: {mech} unavailable on this host (needs SUD / page zero)");
         return ExitCode::SUCCESS;
     }
-    // The record backend opens its trace session from this variable.
-    std::env::set_var("LP_TRACE_OUT", trace);
-    let mut active = match backend.install(Box::new(interpose::PassthroughHandler)) {
+    let installed = mechanism::EnvConfig::from_env().map_err(Into::into).and_then(|ambient| {
+        let cfg = mechanism::EnvConfig { trace_out: Some(trace.to_path_buf()), ..ambient };
+        backend.install_with(Box::new(interpose::PassthroughHandler), &cfg)
+    });
+    let mut active = match installed {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: install {name}: {e}");

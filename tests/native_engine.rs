@@ -1963,8 +1963,8 @@ fn scenario_fault_soak() {
     let counter = CountHandler::new();
     interpose::set_global_handler(Box::new(counter.clone()));
 
-    // Phase 1 arms via the environment path (covers arm_from_env).
-    std::env::set_var("LAZYPOLINE_FAULTS", "patch_mprotect:every=5");
+    // Phase 1 arms from a spec, as `LAZYPOLINE_FAULTS` does.
+    faultinject::arm_all(&faultinject::parse_spec("patch_mprotect:every=5").unwrap());
     let engine = lazypoline::init(Config::default()).expect("init");
     assert_eq!(lazypoline::mode(), lazypoline::Mode::Hybrid);
     let handles: Vec<_> = (0..4)
@@ -1989,14 +1989,14 @@ fn scenario_fault_soak() {
     );
     assert!(
         faultinject::injected(faultinject::Site::PatchMprotect) > 0,
-        "env-armed seam never fired"
+        "spec-armed seam never fired"
     );
     assert!(lazypoline::stats().patch_retries > 0, "retry path never exercised");
     faultinject::disarm(faultinject::Site::PatchMprotect);
 
     // Phase 2: dropped selector writes — repaired transparently.
     let base = counter.count(syscalls::nr::WRITE);
-    faultinject::arm_from_spec("selector_write:every=7").unwrap();
+    faultinject::arm_all(&faultinject::parse_spec("selector_write:every=7").unwrap());
     let p = std::env::temp_dir().join(format!("lp-soak-sel-{}", std::process::id()));
     for _ in 0..50 {
         std::fs::write(&p, b"y").unwrap();
@@ -2213,8 +2213,10 @@ fn scenario_fault_prescan_only() {
 fn scenario_degraded_smoke() {
     // Honors whatever LAZYPOLINE_FAULTS the harness (e.g. the CI fault
     // matrix) passed through: init must succeed — degraded if need be —
-    // and basic I/O must keep working.
+    // and basic I/O must keep working. `init` reads no environment; the
+    // faults are armed here, as an engine-backed install arms them.
     let spec = std::env::var("LAZYPOLINE_FAULTS").unwrap_or_default();
+    faultinject::arm_all(&faultinject::parse_spec(&spec).expect("the harness passes a well-formed spec"));
     interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
     let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
 
@@ -2360,8 +2362,9 @@ fn scenario_mechanism_smoke() {
     // Honors whatever LP_MECHANISM the harness (e.g. the CI mechanism
     // matrix) passed through: the named backend must install, interpose
     // a small workload, and tear down cleanly.
-    let backend = mechanism::from_env()
+    let cfg = mechanism::EnvConfig::from_env()
         .unwrap_or_else(|e| panic!("LP_MECHANISM must name a registered mechanism: {e}"));
+    let backend = mechanism::by_name(cfg.mechanism).expect("a parsed name is registered");
     // `<base>+sfip` rows need a policy at install. CI's enforce rows
     // export a learned LP_SFIP_POLICY; when the harness didn't, an
     // allow-everything policy keeps the row exercising the check path
@@ -2717,11 +2720,14 @@ fn scenario_harden_full_on_pku() {
     let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
     let _ = std::fs::metadata("/tmp");
     let harden = lazypoline::health().harden;
-    if pku {
+    // Under a LAZYPOLINE_FAULTS cell (CI's fault matrix) a rung may fail
+    // on purpose: `pkey_alloc:every=1` lands on `BackstopOnly`.
+    let faults = lazypoline::faultinject::LP_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed);
+    if pku && faults == 0 {
         assert_eq!(harden, lazypoline::harden::HardenLevel::Full);
         assert!(active.stats().pkru_switches > 0, "{:?}", active.stats());
     } else {
-        println!("no pku in /proc/cpuinfo; reached {harden:?}");
+        println!("pku: {pku}, fault sites armed: {faults}; reached {harden:?}");
     }
 }
 
@@ -2898,22 +2904,48 @@ fn scenario_sfip_native() {
     let policy =
         sfip::Policy::learn(&records, &header.source_mechanism).expect("native trace learns");
 
-    let path = sfip_arm(&policy, "count");
-    let mut active = install("lazypoline+sfip", Box::new(interpose::PassthroughHandler));
-    sfip_workload();
-    active.detach();
-    let stats = active.stats();
+    let path = std::env::temp_dir().join(format!("lp-sfip-native-{}.sfip", std::process::id()));
+    policy.save(&path).expect("policy saves");
+    // A learned number with a legal transition (getpid → getpid), issued
+    // from a site no recording saw: mapped before the first install, so
+    // its mmap is not in the checked flow.
+    let jit: extern "C" fn() -> u64 = unsafe { std::mem::transmute(emit_getpid_page(1)) };
+    let pid = std::process::id() as u64;
+    for origins in [false, true] {
+        let cfg = mechanism::EnvConfig {
+            sfip_policy: Some(path.clone()),
+            sfip_action: sfip::ViolationAction::Count,
+            sfip_origins: origins,
+            ..mechanism::EnvConfig::default()
+        };
+        let mut active = mechanism::by_name("lazypoline+sfip")
+            .expect("+sfip composes natively")
+            .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+            .unwrap_or_else(|e| panic!("install lazypoline+sfip: {e}"));
+        sfip_workload();
+        let learned = active.stats();
+        assert!(learned.sfip_checks > 0, "no syscalls were flow-checked: {learned:?}");
+        assert_eq!(
+            learned.sfip_violations, 0,
+            "origins {origins}: the learned workload must replay inside its own automaton: {learned:?}"
+        );
+        assert_eq!(asm_getpid(), pid);
+        assert_eq!(jit(), pid);
+        sfip_workload();
+        active.detach();
+        let stats = active.stats();
+        assert_eq!(
+            stats.sfip_violations, origins as u64,
+            "origins {origins}: only the JIT site is off the learned origins: {stats:?}"
+        );
+        println!(
+            "sfip native, origins {origins}: learned {} transitions, {} checks, {} violations",
+            policy.transitions(),
+            stats.sfip_checks,
+            stats.sfip_violations
+        );
+    }
     std::fs::remove_file(&path).unwrap();
-    assert!(stats.sfip_checks > 0, "no syscalls were flow-checked: {stats:?}");
-    assert_eq!(
-        stats.sfip_violations, 0,
-        "the learned workload must replay inside its own automaton: {stats:?}"
-    );
-    println!(
-        "sfip native: learned {} transitions, {} checks, 0 violations",
-        policy.transitions(),
-        stats.sfip_checks
-    );
 }
 
 fn scenario_sfip_escape_plain() {

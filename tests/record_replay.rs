@@ -2,14 +2,16 @@
 //! simulated mechanisms, plus flight-recorder accounting under
 //! concurrency.
 //!
-//! The flight-recorder rings, the recorder session, and `LP_TRACE_OUT`
-//! are process-global, so every test that records serializes behind
-//! one lock.
+//! The flight-recorder rings and the recorder session are
+//! process-global, so every test that records serializes behind one
+//! lock. Installs are configured through `install_with`, never the
+//! environment.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use lazypoline_suite::{interpose, mechanism, replay, sim_workloads};
+use mechanism::EnvConfig;
 use replay::{DivergenceKind, HEADER_SIZE, RECORD_SIZE};
 
 static RECORD_LOCK: Mutex<()> = Mutex::new(());
@@ -22,16 +24,23 @@ fn temp_trace(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lp_rr_{tag}_{}.lpt", std::process::id()))
 }
 
+/// A configuration that drains a `+record` session into `trace`.
+fn tracing_to(trace: &std::path::Path) -> EnvConfig {
+    EnvConfig {
+        trace_out: Some(trace.to_path_buf()),
+        ..EnvConfig::default()
+    }
+}
+
 /// Records the fixed JIT workload under `sim:lazypoline+record` and
 /// returns the trace path (caller removes it). Recordings are
 /// LPTRACE2; tests that poke fixed byte offsets start from
 /// [`jit_v1_fixture_copy`].
 fn record_jit_trace(tag: &str) -> PathBuf {
     let trace = temp_trace(tag);
-    std::env::set_var("LP_TRACE_OUT", &trace);
     let backend = mechanism::by_name("sim:lazypoline+record").expect("+record name parses");
     let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &tracing_to(&trace))
         .expect("sim backends always install");
     let out = active
         .run_program(&sim_workloads::jit::build())
@@ -41,7 +50,6 @@ fn record_jit_trace(tag: &str) -> PathBuf {
         .finish_recording()
         .expect("a trace session is active")
         .expect("trace finishes");
-    std::env::remove_var("LP_TRACE_OUT");
     assert_eq!(
         summary.events,
         out.observed.len() as u64,
@@ -185,7 +193,7 @@ fn multi_thread_recording_accounts_for_every_event() {
     const PER_THREAD: u64 = 5_000; // ≫ ring capacity: forces drops
 
     // The spawned threads claim fresh rings, at this capacity.
-    replay::ring::configure(1024).unwrap();
+    assert!(replay::ring::configure(1024));
     let before_recorded = replay::events_recorded();
     let before_dropped = replay::events_dropped();
 
@@ -202,7 +210,7 @@ fn multi_thread_recording_accounts_for_every_event() {
             });
         }
     });
-    replay::ring::configure(replay::ring::DEFAULT_RING_CAPACITY).unwrap();
+    assert!(replay::ring::configure(replay::ring::DEFAULT_RING_CAPACITY));
 
     let recorded = replay::events_recorded() - before_recorded;
     let dropped = replay::events_dropped() - before_dropped;
@@ -239,14 +247,14 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
     // guarantee, not a race against drainer latency — the drain thread
     // still has to spill every event for the summary to balance.
     let trace = temp_trace("soak");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    std::env::set_var(replay::ring::LP_RING_CAPACITY, "32768");
+    let cfg = EnvConfig {
+        ring_capacity: Some(32768),
+        ..tracing_to(&trace)
+    };
     let backend = mechanism::by_name("sim:lazypoline+record").unwrap();
     let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
         .expect("session opens with a live drain thread");
-    std::env::remove_var("LP_TRACE_OUT");
-    std::env::remove_var(replay::ring::LP_RING_CAPACITY);
 
     let before_recorded = replay::events_recorded();
     let before_dropped = replay::events_dropped();
@@ -295,7 +303,7 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
     }
 
     // Restore the default geometry for whichever test records next.
-    replay::ring::configure(replay::ring::DEFAULT_RING_CAPACITY).unwrap();
+    assert!(replay::ring::configure(replay::ring::DEFAULT_RING_CAPACITY));
     drop(active);
     std::fs::remove_file(&trace).unwrap();
 }
@@ -304,30 +312,37 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
 fn malformed_ring_capacity_env_is_a_typed_install_error() {
     let _g = record_lock();
     let trace = temp_trace("badcap");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    std::env::set_var(replay::ring::LP_RING_CAPACITY, "1000"); // not 2^n
+    // Not a power of two: rejected when the environment is parsed...
+    let lookup = |var: &str| (var == replay::ring::LP_RING_CAPACITY).then(|| "1000".to_string());
+    let e = EnvConfig::from_lookup(lookup).expect_err("a malformed ring capacity cannot parse");
+    assert_eq!((e.var, e.value.as_str()), (replay::ring::LP_RING_CAPACITY, "1000"));
+    assert!(e.expected.contains("power of two"), "{e}");
+    // ...and when a driver passes it to the install, before any trace
+    // file or thread exists.
+    let cfg = EnvConfig {
+        ring_capacity: Some(1000),
+        ..tracing_to(&trace)
+    };
     let err = mechanism::by_name("sim:lazypoline+record")
         .unwrap()
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
         .err()
         .expect("a malformed ring capacity must fail install, not fall back");
-    std::env::remove_var(replay::ring::LP_RING_CAPACITY);
-    std::env::remove_var("LP_TRACE_OUT");
     match err {
-        mechanism::InstallError::Io(e) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        mechanism::InstallError::Config(e) => {
+            assert_eq!(e.var, replay::ring::LP_RING_CAPACITY);
             assert!(e.to_string().contains("power of two"), "{e}");
-            assert!(e.to_string().contains("LP_RING_CAPACITY"), "{e}");
         }
-        other => panic!("expected Io(InvalidInput), got {other}"),
+        other => panic!("expected Config, got {other}"),
     }
-    let _ = std::fs::remove_file(&trace);
+    assert!(!trace.exists(), "a rejected install opens no trace");
 }
 
-/// `+record` reads `LP_RING_CAPACITY` in its own validation step, so the
-/// value holds, and a typo fails the install, without a trace file too.
-/// The well-formed half arms the engine, so it runs in a child process:
-/// this test binary again, running only this test.
+/// `+record` applies `LP_RING_CAPACITY` in its own validation step, so
+/// the value holds, and a typo fails the install, without a trace file
+/// too. The well-formed half arms the engine, so it runs in a child
+/// process: this test binary again, running only this test, configured
+/// through its environment as a user would.
 #[test]
 fn ring_capacity_applies_without_a_trace_file() {
     const CHILD: &str = "LP_RR_RING_CAPACITY_CHILD";
@@ -342,16 +357,17 @@ fn ring_capacity_applies_without_a_trace_file() {
     }
 
     let _g = record_lock();
-    std::env::remove_var("LP_TRACE_OUT");
     let capacity = replay::ring::configured_capacity();
-    std::env::set_var(replay::ring::LP_RING_CAPACITY, "1000"); // not 2^n
+    let cfg = EnvConfig {
+        ring_capacity: Some(1000), // not 2^n
+        ..EnvConfig::default()
+    };
     let err = backend
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
         .err()
         .expect("a malformed ring capacity must fail install without LP_TRACE_OUT too");
-    std::env::remove_var(replay::ring::LP_RING_CAPACITY);
     assert!(
-        matches!(&err, mechanism::InstallError::Io(e) if e.to_string().contains("LP_RING_CAPACITY")),
+        matches!(&err, mechanism::InstallError::Config(e) if e.var == replay::ring::LP_RING_CAPACITY),
         "{err}"
     );
     assert_eq!(replay::ring::configured_capacity(), capacity, "a rejected value is not applied");
@@ -445,11 +461,13 @@ fn replay_base_env_overrides_the_traces_mechanism() {
     let name = format!("replay:{}", jit_v2_fixture().display());
     let replay = mechanism::by_name(&name).unwrap();
 
-    std::env::set_var("LP_REPLAY_BASE", "none");
-    let installed = replay.install(Box::new(interpose::PassthroughHandler));
-    std::env::set_var("LP_REPLAY_BASE", "no-such-backend");
-    let unknown = replay.install(Box::new(interpose::PassthroughHandler));
-    std::env::remove_var("LP_REPLAY_BASE");
+    let base = |value: &str| {
+        let lookup = |var: &str| (var == mechanism::REPLAY_BASE_ENV).then(|| value.to_string());
+        EnvConfig::from_lookup(lookup)
+    };
+    let cfg = base("none").expect("a static row parses");
+    let installed = replay.install_with(Box::new(interpose::PassthroughHandler), &cfg);
+    let unknown = base("no-such-backend");
 
     let mut active = installed.expect("the override names an installable row");
     assert!(matches!(
@@ -457,11 +475,8 @@ fn replay_base_env_overrides_the_traces_mechanism() {
         Err(mechanism::RunError::NotSimulated)
     ));
     drop(active);
-    assert!(
-        matches!(unknown, Err(mechanism::InstallError::Unsupported(_))),
-        "{:?}",
-        unknown.err()
-    );
+    let unknown = unknown.expect_err("a name no row answers to");
+    assert_eq!(unknown.var, mechanism::REPLAY_BASE_ENV);
 }
 
 #[test]
@@ -469,11 +484,10 @@ fn record_composes_with_any_sim_mechanism_and_counts_in_stats() {
     let _g = record_lock();
     // No LP_TRACE_OUT: flight-recorder-only mode (rings + counters, no
     // file).
-    std::env::remove_var("LP_TRACE_OUT");
     let backend = mechanism::by_name("sim:zpoline+record").expect("+record composes");
     assert_eq!(backend.name(), "sim:zpoline+record");
     let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
+        .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
         .unwrap();
     let out = active
         .run_program(&sim_workloads::bench::microbench(64))
@@ -519,12 +533,10 @@ fn forked_child_leaves_the_parents_session_alone() {
             handler.post(&ev, i);
         }
     };
-    for (drain, child_finishes) in [("async", true), ("async", false), ("sync", true), ("sync", false)] {
-        let trace = temp_trace(&format!("fork_{drain}_{child_finishes}"));
-        std::env::set_var(replay::DRAIN_ENV, drain);
-        let session = replay::Recorder::to_path(&trace, "test");
-        std::env::remove_var(replay::DRAIN_ENV);
-        let mut session = session.expect("session opens");
+    use replay::DrainMode::{Async, Sync};
+    for (drain, child_finishes) in [(Async, true), (Async, false), (Sync, true), (Sync, false)] {
+        let trace = temp_trace(&format!("fork_{drain:?}_{child_finishes}"));
+        let mut session = replay::Recorder::open(&trace, "test", drain).expect("session opens");
         push(10);
         // Sync mode: the ten events are now in the trace's shared
         // mapping, which the child inherits.
@@ -552,12 +564,12 @@ fn forked_child_leaves_the_parents_session_alone() {
         assert_eq!(unsafe { libc::waitpid(pid, &mut status, 0) }, pid);
         assert!(
             libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
-            "{drain}/{child_finishes}: child status {status:#x}"
+            "{drain:?}/{child_finishes}: child status {status:#x}"
         );
 
         push(1_000);
         let summary = session.finish().expect("the opener finishes");
-        assert_eq!((summary.events, summary.dropped), (1_010, 0), "{drain}/{child_finishes}");
+        assert_eq!((summary.events, summary.dropped), (1_010, 0), "{drain:?}/{child_finishes}");
         assert_eq!(summary.path, trace);
         let (_, records) = replay::read_trace_path(&trace).expect("trace decodes");
         assert_eq!(records.len(), 1_010);

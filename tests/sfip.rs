@@ -3,13 +3,15 @@
 //! the fast path, and demonstrate the escape plain interposition
 //! misses.
 //!
-//! `LP_SFIP_*`, `LP_TRACE_OUT`, and the global sfip counters are
-//! process-wide, so every test here serializes behind one lock.
+//! The recorder session and the global sfip counters are process-wide,
+//! so every test here serializes behind one lock. Each install is
+//! configured through `install_with`, never the environment.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use lazypoline_suite::{interpose, mechanism, replay, sfip, sim_kernel, sim_workloads};
+use mechanism::{ActiveMechanism, EnvConfig, InstallError};
 use sim_kernel::sysno;
 
 static SFIP_LOCK: Mutex<()> = Mutex::new(());
@@ -22,16 +24,31 @@ fn temp(tag: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lp_sfip_{tag}_{}.{ext}", std::process::id()))
 }
 
+/// Installs `name` around a passthrough handler, configured by `cfg`.
+fn install(name: &str, cfg: &EnvConfig) -> Result<ActiveMechanism, InstallError> {
+    mechanism::by_name(name)
+        .expect("name parses")
+        .install_with(Box::new(interpose::PassthroughHandler), cfg)
+}
+
+/// `policy` enforced with `action`.
+fn enforcing(policy: &Path, action: sfip::ViolationAction) -> EnvConfig {
+    EnvConfig {
+        sfip_policy: Some(policy.to_path_buf()),
+        sfip_action: action,
+        ..EnvConfig::default()
+    }
+}
+
 /// Records the fixed JIT workload under `sim:lazypoline+record` and
 /// returns its decoded records (the learner's input).
 fn record_jit(tag: &str) -> Vec<replay::EventRecord> {
     let trace = temp(tag, "lpt");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    let mut active = mechanism::by_name("sim:lazypoline+record")
-        .expect("+record name parses")
-        .install(Box::new(interpose::PassthroughHandler))
-        .expect("sim backends always install");
-    std::env::remove_var("LP_TRACE_OUT");
+    let cfg = EnvConfig {
+        trace_out: Some(trace.clone()),
+        ..EnvConfig::default()
+    };
+    let mut active = install("sim:lazypoline+record", &cfg).expect("sim backends always install");
     let out = active
         .run_program(&sim_workloads::jit::build())
         .expect("guest runs");
@@ -47,26 +64,20 @@ fn record_jit(tag: &str) -> Vec<replay::EventRecord> {
 
 /// Learns the JIT automaton, saves it, and installs
 /// `sim:lazypoline+sfip` against it with the given action.
-fn install_sfip_jit(tag: &str, action: &str) -> (mechanism::ActiveMechanism, PathBuf) {
+fn install_sfip_jit(tag: &str, action: sfip::ViolationAction) -> (ActiveMechanism, PathBuf) {
     let records = record_jit(tag);
     let policy = sfip::Policy::learn(&records, "sim:lazypoline").expect("jit trace learns");
     let path = temp(tag, "sfip");
     policy.save(&path).expect("policy saves");
-    std::env::set_var(sfip::POLICY_ENV, &path);
-    std::env::set_var(sfip::ACTION_ENV, action);
-    let active = mechanism::by_name("sim:lazypoline+sfip")
-        .expect("+sfip name parses")
-        .install(Box::new(interpose::PassthroughHandler))
+    let active = install("sim:lazypoline+sfip", &enforcing(&path, action))
         .expect("a learned policy installs");
-    std::env::remove_var(sfip::POLICY_ENV);
-    std::env::remove_var(sfip::ACTION_ENV);
     (active, path)
 }
 
 #[test]
 fn learned_policy_is_clean_on_its_own_workload() {
     let _g = sfip_lock();
-    let (mut active, path) = install_sfip_jit("clean", "count");
+    let (mut active, path) = install_sfip_jit("clean", sfip::ViolationAction::Count);
     let out = active
         .run_program(&sim_workloads::jit::build())
         .expect("guest runs under enforcement");
@@ -93,10 +104,7 @@ fn escape_passes_plain_lazypoline_but_sfip_counts_it() {
 
     // Plain interposition fails open: the exploited JIT page's getuid
     // is just another syscall — same exit, nothing flagged.
-    let mut plain = mechanism::by_name("sim:lazypoline")
-        .unwrap()
-        .install(Box::new(interpose::PassthroughHandler))
-        .unwrap();
+    let mut plain = install("sim:lazypoline", &EnvConfig::default()).unwrap();
     let out = plain
         .run_program(&sim_workloads::jit::build_escape())
         .expect("escape runs");
@@ -107,7 +115,7 @@ fn escape_passes_plain_lazypoline_but_sfip_counts_it() {
     // Under the automaton learned from the *benign* run, the exploit's
     // two off-policy transitions (mmap→getuid, getuid→getpid) are both
     // counted; count mode still lets the program finish.
-    let (mut active, path) = install_sfip_jit("escape", "count");
+    let (mut active, path) = install_sfip_jit("escape", sfip::ViolationAction::Count);
     let out = active
         .run_program(&sim_workloads::jit::build_escape())
         .expect("count mode does not block");
@@ -122,7 +130,7 @@ fn escape_passes_plain_lazypoline_but_sfip_counts_it() {
 #[test]
 fn quarantine_freezes_checking_after_first_violation() {
     let _g = sfip_lock();
-    let (mut active, path) = install_sfip_jit("quarantine", "quarantine");
+    let (mut active, path) = install_sfip_jit("quarantine", sfip::ViolationAction::Quarantine);
     let out = active
         .run_program(&sim_workloads::jit::build_escape())
         .expect("quarantine disables and passes through");
@@ -205,66 +213,52 @@ fn committed_fixture_learns_the_jit_automaton() {
 #[test]
 fn sfip_install_errors_are_typed() {
     let _g = sfip_lock();
-    let backend = mechanism::by_name("sim:lazypoline+sfip").unwrap();
+    let name = "sim:lazypoline+sfip";
 
     // No policy path at all.
-    std::env::remove_var(sfip::POLICY_ENV);
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
+    match install(name, &EnvConfig::default()) {
+        Err(InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
         Err(other) => panic!("expected NoPolicyPath, got {other}"),
         Ok(_) => panic!("install without a policy cannot succeed"),
     }
 
     // A path that does not exist.
-    std::env::set_var(sfip::POLICY_ENV, temp("missing", "sfip"));
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        Err(mechanism::InstallError::Policy(sfip::PolicyError::Io(_))) => {}
+    let missing = enforcing(&temp("missing", "sfip"), sfip::ViolationAction::Kill);
+    match install(name, &missing) {
+        Err(InstallError::Policy(sfip::PolicyError::Io(_))) => {}
         Err(other) => panic!("expected Io, got {other}"),
         Ok(_) => panic!("a missing policy file cannot install"),
     }
 
-    // A valid policy but a nonsense action.
-    let path = temp("badaction", "sfip");
-    sfip::Policy::allow_all("test").save(&path).unwrap();
-    std::env::set_var(sfip::POLICY_ENV, &path);
-    std::env::set_var(sfip::ACTION_ENV, "explode");
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        Err(mechanism::InstallError::Policy(sfip::PolicyError::BadAction(a))) => {
-            assert_eq!(a, "explode");
-        }
-        Err(other) => panic!("expected BadAction, got {other}"),
-        Ok(_) => panic!("a nonsense action cannot install"),
-    }
-    std::env::remove_var(sfip::POLICY_ENV);
-    std::env::remove_var(sfip::ACTION_ENV);
-    std::fs::remove_file(&path).unwrap();
+    // A nonsense action: a configuration error naming the variable.
+    let lookup = |var: &str| (var == sfip::ACTION_ENV).then(|| "explode".to_string());
+    let e = EnvConfig::from_lookup(lookup).expect_err("a nonsense action cannot parse");
+    assert_eq!((e.var, e.value.as_str()), (sfip::ACTION_ENV, "explode"));
+    let shown = InstallError::from(e).to_string();
+    assert!(shown.contains("LP_SFIP_POLICY_ACTION=\"explode\""), "{shown}");
 }
 
-/// Saves an allow-everything policy and points `LP_SFIP_POLICY` (count
-/// mode) at it; the caller removes both variables and the file.
-fn export_allow_all(tag: &str) -> PathBuf {
+/// Saves an allow-everything policy and returns a configuration that
+/// enforces it in count mode; the caller removes the file.
+fn allow_all(tag: &str) -> (PathBuf, EnvConfig) {
     let path = temp(tag, "sfip");
     sfip::Policy::allow_all("test")
         .save(&path)
         .expect("policy saves");
-    std::env::set_var(sfip::POLICY_ENV, &path);
-    std::env::set_var(sfip::ACTION_ENV, "count");
-    path
+    let cfg = enforcing(&path, sfip::ViolationAction::Count);
+    (path, cfg)
 }
 
 #[test]
 fn record_and_sfip_compose_in_one_install() {
     let _g = sfip_lock();
-    let policy = export_allow_all("compose");
+    let (policy, cfg) = allow_all("compose");
     let trace = temp("compose", "lpt");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    let mut active = mechanism::by_name("sim:lazypoline+record+sfip")
-        .expect("layers compose in one name")
-        .install(Box::new(interpose::PassthroughHandler))
-        .expect("both layers install");
-    for var in ["LP_TRACE_OUT", sfip::POLICY_ENV, sfip::ACTION_ENV] {
-        std::env::remove_var(var);
-    }
+    let cfg = EnvConfig {
+        trace_out: Some(trace.clone()),
+        ..cfg
+    };
+    let mut active = install("sim:lazypoline+record+sfip", &cfg).expect("both layers install");
     let out = active
         .run_program(&sim_workloads::jit::build())
         .expect("guest runs");
@@ -296,11 +290,11 @@ fn record_and_sfip_compose_in_one_install() {
 #[test]
 fn written_layer_order_is_event_flow() {
     let _g = sfip_lock();
-    let policy = export_allow_all("order");
+    let (policy, cfg) = allow_all("order");
     let anchored = |name: &str, handler: &str| {
         let active = mechanism::by_name(name)
             .expect("composed name parses")
-            .install(Box::new(interpose::CountHandler::new()))
+            .install_with(Box::new(interpose::CountHandler::new()), &cfg)
             .expect("composed name installs");
         let entries = active
             .hook_stack()
@@ -315,23 +309,22 @@ fn written_layer_order_is_event_flow() {
     // sfip outside hooks: the stack holds the caller's handler itself.
     assert!(anchored("sim:lazypoline+sfip+hooks", "count"));
     assert!(!anchored("sim:lazypoline+sfip+hooks", "sfip"));
-    std::env::remove_var(sfip::POLICY_ENV);
-    std::env::remove_var(sfip::ACTION_ENV);
     std::fs::remove_file(&policy).unwrap();
 }
 
 #[test]
 fn failing_second_layer_leaves_no_recorder_behind() {
     let _g = sfip_lock();
-    std::env::remove_var(sfip::POLICY_ENV);
     let trace = temp("halfinstall", "lpt");
-    std::env::set_var("LP_TRACE_OUT", &trace);
+    let cfg = EnvConfig {
+        trace_out: Some(trace.clone()),
+        ..EnvConfig::default()
+    };
     // Whichever side of the recorder the failing layer is written on:
     // the trace only opens once every layer's payload has validated.
     for name in ["sim:lazypoline+record+sfip", "sim:lazypoline+sfip+record"] {
-        let backend = mechanism::by_name(name).unwrap();
-        match backend.install(Box::new(interpose::PassthroughHandler)) {
-            Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
+        match install(name, &cfg) {
+            Err(InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
             Err(other) => panic!("{name}: expected NoPolicyPath, got {other}"),
             Ok(_) => panic!("{name}: install without a policy cannot succeed"),
         }
@@ -340,7 +333,6 @@ fn failing_second_layer_leaves_no_recorder_behind() {
     // No session is left active: the next recording opens normally.
     let session = replay::Recorder::to_path(&trace, "sim:lazypoline")
         .expect("no recorder session was left behind");
-    std::env::remove_var("LP_TRACE_OUT");
     session.finish().expect("trace finishes");
     std::fs::remove_file(&trace).unwrap();
 }

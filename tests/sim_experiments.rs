@@ -275,19 +275,14 @@ fn lp_mechanism_env_selects_sim_backends() {
             "{name} missing from the registry"
         );
     }
-    // ...and LP_MECHANISM selects one (restore any ambient value: the
-    // CI mechanism matrix exports it for the whole run).
-    let ambient = std::env::var(mechanism::ENV_VAR).ok();
-    std::env::set_var(mechanism::ENV_VAR, "sim:seccomp-user");
-    let picked = mechanism::from_env().expect("selection by env");
-    assert_eq!(picked.name(), "sim:seccomp-user");
-    std::env::set_var(mechanism::ENV_VAR, "sim:definitely-not-registered");
-    match mechanism::from_env() {
-        Ok(b) => panic!("unknown name resolved to {}", b.name()),
-        Err(err) => assert!(err.to_string().contains("sim:lazypoline"), "{err}"),
-    }
-    match ambient {
-        Some(v) => std::env::set_var(mechanism::ENV_VAR, v),
-        None => std::env::remove_var(mechanism::ENV_VAR),
-    }
+    // ...and LP_MECHANISM selects one.
+    let select = |name: &str| {
+        mechanism::EnvConfig::from_lookup(|var| (var == mechanism::ENV_VAR).then(|| name.to_string()))
+    };
+    let picked = select("sim:seccomp-user").expect("selection by name");
+    assert_eq!(picked.mechanism, "sim:seccomp-user");
+    let err = select("sim:definitely-not-registered").expect_err("an unknown name is an error");
+    assert_eq!(err.var, mechanism::ENV_VAR);
+    assert!(err.to_string().contains("base(+layer)*"), "{err}");
+    assert!(err.to_string().contains("sim:lazypoline"), "{err}");
 }
