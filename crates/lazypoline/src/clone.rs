@@ -41,11 +41,11 @@ const CLONE_SETTLS: u64 = 0x0008_0000;
 /// immediate re-attempts before accepting degradation.
 const ENROLL_ATTEMPTS: u32 = 3;
 
-/// [`sud::enable_thread`] with bounded retry; returns whether SUD is
-/// enabled when it gives up.
-fn enable_thread_with_retry() -> bool {
+/// [`crate::engine::enable_sud`] with bounded retry; returns whether
+/// SUD is enabled when it gives up.
+fn enable_sud_with_retry() -> bool {
     for _ in 0..ENROLL_ATTEMPTS {
-        if sud::enable_thread().is_ok() {
+        if crate::engine::enable_sud().is_ok() {
             return true;
         }
         std::hint::spin_loop();
@@ -65,7 +65,7 @@ pub(crate) fn reenroll_after_clone() {
     if crate::tls::enrolled() {
         // After the bounded retry, ignore failure: the task degrades to
         // uninterposed rather than dying.
-        let _ = enable_thread_with_retry();
+        let _ = enable_sud_with_retry();
     }
 }
 
@@ -204,7 +204,7 @@ unsafe extern "C" fn lp_clone_child_init() {
         let _ = sud::adopt_protected_selector();
     }
     crate::harden::rearm_after_clone();
-    if enable_thread_with_retry() {
+    if enable_sud_with_retry() {
         // A fresh TLS block starts zeroed, i.e. on the full path.
         crate::tls::arm_stub_exit();
         sud::set_selector(sud::Dispatch::Block);

@@ -392,7 +392,7 @@ impl Engine {
             let _ = sud::adopt_protected_selector();
         }
         tls::set_enrolled(true);
-        match sud::enable_thread() {
+        match enable_sud() {
             Ok(()) => {
                 tls::arm_stub_exit();
                 sud::set_selector(sud::Dispatch::Block);
@@ -432,6 +432,28 @@ impl Engine {
     pub fn health(&self) -> Health {
         health()
     }
+}
+
+/// Enables SUD on the calling thread. The one function every
+/// engine-backed enrolment goes through — the main thread
+/// ([`Engine::enroll_current_thread`]), clone children and fork
+/// children (`crate::clone`) — so that no task is armed with the gate
+/// on one path and without it on another.
+///
+/// Outside hardened mode the allowed code range is the gate
+/// ([`zpoline::gate`]): the engine's own syscalls leave from there, and
+/// the kernel lets them through without reading the selector. A
+/// hardened process keeps selector-only SUD: under the shim the gate
+/// is shared-library text, which the seccomp backstop admits, so a
+/// range would let a jump into it pass both layers.
+pub(crate) fn enable_sud() -> io::Result<()> {
+    sud::set_selector(sud::Dispatch::Allow);
+    let gate = if crate::harden::attempted() {
+        0..0
+    } else {
+        zpoline::gate()
+    };
+    sud::enable_thread_with_allowlist(gate.start as u64, gate.len() as u64)
 }
 
 impl Drop for Engine {

@@ -341,14 +341,14 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     POLICY.store(policy as u8, Ordering::SeqCst);
 
     // Arm from dispatcher-like context: with the engine live the
-    // selector reads BLOCK here, and every raw syscall below would
-    // take the slow path — where the lazy rewriter would patch
-    // `raw_internal::syscall`'s instruction, the one site whose
-    // patching turns the dispatcher's passthrough into unbounded
-    // trampoline recursion. Parking the selector at ALLOW for the
-    // (single-threaded, self-inflicted) arming window keeps every
-    // arming syscall off the rewriter's radar; BLOCK is restored on
-    // all exits.
+    // selector reads BLOCK here, and every syscall below would take
+    // the slow path — the raw ones from the gate, which a hardened
+    // thread's SUD has no range for, emulated one SIGSYS each, and the
+    // `/proc` reads through libc rewritten and dispatched to the
+    // handler. Parking the selector at ALLOW for the (single-threaded,
+    // self-inflicted) arming window keeps every arming syscall off the
+    // rewriter's radar and out of the handler's sight; BLOCK is
+    // restored on all exits.
     crate::proven::privately(arm_backstop_inner)
 }
 
@@ -515,12 +515,18 @@ pub(crate) unsafe fn on_bypass() -> bool {
     }
 }
 
+/// Whether hardening was requested in this process ([`prepare_pkey`]
+/// or [`arm_backstop`]), whatever rung it reached.
+pub(crate) fn attempted() -> bool {
+    HARDEN_ATTEMPTED.load(Ordering::SeqCst)
+}
+
 /// Re-arms hardening in a fresh task (fork/clone child): PKRU is
 /// per-thread and a new thread starts with the slab open, so close it
 /// before the first dispatch. The seccomp filter itself is inherited
 /// by the kernel — nothing to re-install.
 pub(crate) fn rearm_after_clone() {
-    if HARDEN_ATTEMPTED.load(Ordering::SeqCst) {
+    if attempted() {
         sud::pkey::rearm_after_clone();
     }
 }

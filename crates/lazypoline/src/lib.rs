@@ -8,8 +8,10 @@
 //!   BLOCK. The handler rewrites the faulting `syscall` instruction to
 //!   `call rax` and resumes execution *at the rewritten instruction*,
 //!   which transfers straight into the fast path ("selector-only SUD",
-//!   §IV-A: one shared syscall-handling implementation, no allowlisted
-//!   code ranges).
+//!   §IV-A: one shared syscall-handling implementation). The one
+//!   allowlisted code range is the interposer's own syscall gate
+//!   ([`zpoline::gate`]), outside hardened mode: the kernel lets the
+//!   dispatcher's syscalls through without reading the selector.
 //! * **Fast path** — the zpoline trampoline at virtual address 0
 //!   catches the `call rax`, preserves the full register file (plus
 //!   SSE/AVX/x87 state, configurable), and invokes the dispatcher,

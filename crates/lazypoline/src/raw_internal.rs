@@ -1,27 +1,28 @@
 //! Private syscall issue points for the dispatcher.
 //!
 //! The dispatcher must never execute a `syscall` instruction that the
-//! lazy rewriter could have patched: if application code (running with
-//! the selector at BLOCK) ever executed the *same* instruction, the
-//! slow path would rewrite it to `call rax`, and the dispatcher's
-//! passthrough would then recurse into itself forever.
+//! lazy rewriter could patch: if that instruction were ever rewritten
+//! to `call rax`, the dispatcher's passthrough would recurse into
+//! itself forever. So these functions issue their syscalls from the
+//! gate ([`zpoline::gate`]), the one `syscall` behind the entry stub,
+//! which the patcher never rewrites. The gate is also the allowed code
+//! range of every engine-backed enrolment outside hardened mode, so the
+//! kernel lets these syscalls through without reading the selector.
 //!
-//! These functions are private to this crate and only ever called from
-//! dispatcher context, where the selector is ALLOW — so their `syscall`
-//! instructions can never raise `SIGSYS` and can never be rewritten.
-//! (`#[inline(never)]` keeps them from being merged into callers that
-//! might be reachable from application code.)
+//! They are only ever called from dispatcher context, where the
+//! selector is ALLOW, or before SUD is enabled on the thread: their
+//! selector protocol is the same with and without the range.
 
-use core::arch::asm;
 use syscalls::SyscallArgs;
 
-/// Issues `call` natively. Never patched; see module docs.
+/// Issues `call` from the gate. Never patched; see module docs.
 ///
 /// Under hardened mode the backstop filter only admits syscalls issued
-/// from allowlisted code, which this crate's text is not — so once the
-/// gate is armed, delegate to [`syscalls::raw::syscall`], which routes
-/// through the gate page. The recursion hazard in the module docs does
-/// not apply there: the gate page is never a rewriting candidate.
+/// from allowlisted code, which the gate need not be — so once the
+/// hardened gate page is armed, delegate to [`syscalls::raw::syscall`],
+/// which routes through that page. The recursion hazard in the module
+/// docs does not apply there: the gate page is blocklisted, never a
+/// rewriting candidate.
 ///
 /// # Safety
 ///
@@ -31,21 +32,7 @@ pub(crate) unsafe fn syscall(call: &SyscallArgs) -> u64 {
     if syscalls::raw::gate_armed() {
         return syscalls::raw::syscall(*call);
     }
-    let ret;
-    asm!(
-        "syscall",
-        inlateout("rax") call.nr => ret,
-        in("rdi") call.args[0],
-        in("rsi") call.args[1],
-        in("rdx") call.args[2],
-        in("r10") call.args[3],
-        in("r8") call.args[4],
-        in("r9") call.args[5],
-        out("rcx") _,
-        out("r11") _,
-        options(nostack),
-    );
-    ret
+    zpoline::gate_syscall(call)
 }
 
 /// `rt_sigaction` with the kernel's raw struct layout.

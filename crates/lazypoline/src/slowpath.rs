@@ -27,7 +27,10 @@
 //!   transient `mprotect` errors; persistent `mprotect` failures, and a
 //!   protection that cannot be looked up (no `/proc`, no descriptor to
 //!   open it on), insert the page into the blocklist (also
-//!   `UNPATCHABLE_EMULATIONS`).
+//!   `UNPATCHABLE_EMULATIONS`). A site in the gate (`zpoline::gate`,
+//!   the interposer's own `syscall`s, trapped only where SUD has no
+//!   range: hardened mode) always fails this way, with
+//!   `PatchError::InGate`, and is never blocklisted.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

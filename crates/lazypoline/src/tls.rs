@@ -126,7 +126,7 @@ pub(crate) fn arm_stub_exit() {
     let block = zpoline::thread_block();
     if sud::pkey::adopted_slot().is_null() {
         let (dispatches, sole_writer) = counters::slot(&counters::DISPATCHES);
-        // SAFETY: `selector_ptr` is the byte `sud::enable_thread` hands
+        // SAFETY: `selector_ptr` is the byte `engine::enable_sud` hands
         // the kernel for this thread, in plain TLS (no slot was
         // adopted), and stable for the thread's lifetime;
         // `harden::prepare_pkey` disarms the block when it moves the

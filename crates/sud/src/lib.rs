@@ -16,10 +16,13 @@
 //! * [`sigsys`] — decoding of the `SIGSYS` `siginfo_t`/`ucontext_t`
 //!   delivered on an intercepted syscall.
 //!
-//! Following the paper's *selector-only* usage (§IV-A), no allowlisted
-//! code range is installed by default: [`enable_thread`] passes
-//! `offset = len = 0`, and interposer-originated syscalls are instead
-//! exempted by flipping the selector to [`Dispatch::Allow`].
+//! [`enable_thread`] is the paper's *selector-only* usage (§IV-A): no
+//! allowlisted code range (`offset = len = 0`), and interposer-originated
+//! syscalls are exempted by flipping the selector to [`Dispatch::Allow`].
+//! [`enable_thread_with_allowlist`] also names a code range whose
+//! syscalls the kernel lets through before it reads the selector at
+//! all; lazypoline arms every plain (non-hardened) thread with its
+//! syscall gate as that range, and keeps the selector protocol as it is.
 //!
 //! # Example
 //!
@@ -210,11 +213,18 @@ pub fn enable_thread() -> io::Result<()> {
 
 /// Enables SUD with an allowlisted code range `[offset, offset + len)`.
 ///
-/// Syscall instructions inside the range never trigger dispatch,
-/// regardless of the selector. The paper's design deliberately avoids
-/// this (§IV-A: "we avoid excluding any code addresses from SUD
-/// interception"), but the traditional deployment (§II-A) is exposed for
-/// the SUD-baseline benchmarks and for tests.
+/// A syscall whose *following* instruction address (the `rip` the
+/// kernel sees) lies in the range never triggers dispatch, whatever the
+/// selector reads: so a range must end past the instruction after its
+/// last `syscall`. The kernel tests the range first and reads the
+/// selector byte only for syscalls outside it, which makes a syscall
+/// from the range cheaper than one the selector lets through.
+///
+/// The paper avoids any range (§IV-A: "we avoid excluding any code
+/// addresses from SUD interception"). lazypoline passes one, its
+/// syscall gate, on every thread of a plain (non-hardened) engine:
+/// the gate's instructions are the interposer's own, and the selector
+/// still governs every other `syscall` (DESIGN.md §2 and §11).
 ///
 /// # Errors
 ///

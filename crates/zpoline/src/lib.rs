@@ -15,8 +15,9 @@
 //! Three pieces compose:
 //!
 //! * [`trampoline`] — maps/installs the page-zero trampoline and owns
-//!   the asm entry stub, the per-thread block it reads and dispatcher
-//!   registration,
+//!   the asm entry stub, the per-thread block it reads, dispatcher
+//!   registration and the gate ([`gate`]): the interposer's own
+//!   `syscall` instructions, which SUD can be armed to let through,
 //! * [`patcher`] — patches a single verified syscall site (used both by
 //!   this crate's static mode and by lazypoline's lazy slow path),
 //! * [`scanner`] — static discovery of syscall sites in the process
@@ -49,6 +50,6 @@ pub use scanner::{
 };
 pub use sitelog::{FileMapping, Maps};
 pub use trampoline::{
-    set_dispatcher, set_miss_exit, set_xstate_mask, thread_block, DispatchFn, MissExit, RawFrame,
-    ThreadBlock, Trampoline, XstateMask,
+    gate, gate_syscall, set_dispatcher, set_miss_exit, set_xstate_mask, thread_block, DispatchFn,
+    MissExit, RawFrame, ThreadBlock, Trampoline, XstateMask,
 };

@@ -54,6 +54,9 @@ pub enum PatchError {
     /// The trampoline is not installed, so patching would create a
     /// `call rax` into unmapped page zero.
     TrampolineMissing,
+    /// The site is in the gate ([`crate::trampoline::gate`]), whose
+    /// `syscall`s are never rewritten.
+    InGate,
 }
 
 impl fmt::Display for PatchError {
@@ -66,6 +69,7 @@ impl fmt::Display for PatchError {
             PatchError::UnmappedAddress => write!(f, "address is not mapped"),
             PatchError::LookupFailed(e) => write!(f, "mapping lookup failed: {e}"),
             PatchError::TrampolineMissing => write!(f, "trampoline page not installed"),
+            PatchError::InGate => write!(f, "site is in the interposer's syscall gate"),
         }
     }
 }
@@ -78,10 +82,10 @@ impl std::error::Error for PatchError {}
 /// (the SIGSYS handler runs with the selector at ALLOW).
 static PATCH_LOCK: AtomicBool = AtomicBool::new(false);
 
-struct SpinGuard;
+pub(crate) struct SpinGuard;
 
 impl SpinGuard {
-    fn lock() -> SpinGuard {
+    pub(crate) fn lock() -> SpinGuard {
         while PATCH_LOCK
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
@@ -283,10 +287,11 @@ pub(crate) fn parse_hex(s: &[u8]) -> Option<usize> {
     usize::from_str_radix(std::str::from_utf8(s).ok()?, 16).ok()
 }
 
-/// Stores `call rax` over `site` if it still holds `syscall`, passing
-/// it to `note`; returns how many sites that rewrote.
+/// Stores `call rax` over `site` if it still holds `syscall` and is not
+/// in the gate, passing it to `note`; returns how many sites that
+/// rewrote.
 unsafe fn store_call_rax(site: usize, note: impl Fn(usize)) -> usize {
-    let hit = (site as *const [u8; 2]).read() == SYSCALL_BYTES;
+    let hit = (site as *const [u8; 2]).read() == SYSCALL_BYTES && !in_gate(site);
     if hit {
         let call_rax = u16::from_le_bytes(CALL_RAX_BYTES);
         (site as *mut u8).cast::<u16>().write_unaligned(call_rax);
@@ -295,12 +300,19 @@ unsafe fn store_call_rax(site: usize, note: impl Fn(usize)) -> usize {
     hit as usize
 }
 
+/// Whether `site` is one of the gate's `syscall`s, which no entry point
+/// rewrites: a listed one is passed over, a swept one left alone, and
+/// an anchor there is [`PatchError::InGate`].
+fn in_gate(site: usize) -> bool {
+    crate::trampoline::gate().contains(&site)
+}
+
 /// The one patch window behind every entry point: rewrites the listed
 /// `sites` (ascending) and, with `sweep`, every site the anchored
 /// forward sweep verifies after `sites[0]` on its page. Returns how many
-/// it rewrote; 0 means every listed site already held `call rax`. Every
-/// site rewritten is passed to `note` (a generic, so the entry points
-/// that note nothing compile to no call at all).
+/// it rewrote; 0 means every listed site already held `call rax` or is
+/// in the gate. Every site rewritten is passed to `note` (a generic, so
+/// the entry points that note nothing compile to no call at all).
 ///
 /// `perms` is the protection of the one mapping holding every site, if
 /// the caller knows it; then the window spans every page from the first
@@ -330,7 +342,7 @@ pub(crate) unsafe fn patch_window(
     for &site in sites {
         match (site as *const [u8; 2]).read() {
             CALL_RAX_BYTES => {}
-            SYSCALL_BYTES => pending = true,
+            SYSCALL_BYTES => pending |= !in_gate(site),
             found => return Err(PatchError::NotSyscallInsn { found }),
         }
     }
@@ -466,13 +478,16 @@ pub struct BatchOutcome {
 /// be argued). Sites before the anchor are left to their own future
 /// `SIGSYS` — the first of them to fire becomes a new, earlier anchor
 /// covering the rest. Sites whose two bytes straddle the page end are
-/// likewise skipped.
+/// likewise skipped, and so are the gate's ([`crate::trampoline::gate`]):
+/// in a statically linked binary an anchor on the entry stub's page
+/// sweeps into it.
 ///
 /// # Errors
 ///
-/// Same as [`patch_syscall_site`]. `AlreadyPatched` (with
-/// `extra_patched == 0`) means another thread won the race for this
-/// site — that thread already swept the page.
+/// Same as [`patch_syscall_site`], and [`PatchError::InGate`] for an
+/// anchor in the gate. `AlreadyPatched` (with `extra_patched == 0`)
+/// means another thread won the race for this site — that thread
+/// already swept the page.
 ///
 /// # Safety
 ///
@@ -496,6 +511,9 @@ unsafe fn patch_page(
     sweep: bool,
     note: impl Fn(usize) + Copy,
 ) -> Result<BatchOutcome, PatchError> {
+    if in_gate(addr) {
+        return Err(PatchError::InGate);
+    }
     patch_window(&[addr], sweep, None, note).map(|patched| BatchOutcome {
         site: match patched {
             0 => PatchOutcome::AlreadyPatched,

@@ -315,6 +315,48 @@ mod tests {
             libc::munmap(page, 4096);
         }
     }
+
+    #[test]
+    fn nothing_in_the_gate_is_rewritten() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping");
+            return;
+        }
+        // Installed here, not in the child: another thread of this test
+        // process may hold the install lock at the fork.
+        Trampoline::install().unwrap();
+        let gate = crate::trampoline::gate();
+        // SAFETY: the gate is this binary's text.
+        let before = unsafe { std::slice::from_raw_parts(gate.start as *const u8, gate.len()) };
+        let before = before.to_vec();
+        // The raw-syscall function's `syscall; ret` ends the gate, and
+        // the scan finds it and the miss exit's.
+        let last = gate.end - 3;
+        let sites = find_syscall_sites(gate.start, &before).sites;
+        assert!(
+            sites.len() >= 2 && sites.contains(&last),
+            "{sites:x?} in {gate:x?}"
+        );
+        // In a forked child: a rewritten gate would send this process's
+        // own stub into itself. The rewrite lock is held across the
+        // fork, so no other test's patch window is open in the child's
+        // copy of it, and each side releases its own.
+        unsafe {
+            let lock = patcher::SpinGuard::lock();
+            let pid = libc::fork();
+            drop(lock);
+            assert!(pid >= 0);
+            if pid == 0 {
+                let ok = rewrite_range(gate.start, gate.len()) == Ok(0)
+                    && crate::patch_page_sites(last) == Err(PatchError::InGate)
+                    && std::slice::from_raw_parts(gate.start as *const u8, gate.len()) == before;
+                libc::_exit(if ok { 0 } else { 1 });
+            }
+            let mut status = 0;
+            assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+            assert_eq!(status, 0, "the child rewrote a site in the gate");
+        }
+    }
 }
 
 #[cfg(test)]

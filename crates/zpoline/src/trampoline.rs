@@ -83,6 +83,26 @@
 //! unless `glibc.rtld.optional_static_tls` raises it — and `dlopen`
 //! fails when it does not.
 //!
+//! # The gate
+//!
+//! Every `syscall` the engine's hot paths execute sits in this file's
+//! one `global_asm!` block: the miss exit's, and the one in the
+//! raw-syscall function behind the stub, which [`gate_syscall`] calls
+//! (lazypoline's dispatcher issues its own syscalls through it). The
+//! block's bytes, [`gate`], are the allowed code range lazypoline arms
+//! Syscall User Dispatch with. The kernel tests that range *before* it
+//! reads the selector byte, so a syscall from the gate costs no user
+//! read of the selector, which on x86-64 is most of what SUD adds to a
+//! syscall the selector lets through. The kernel compares the address
+//! *after* the instruction, so the gate ends past the `ret` behind its
+//! last `syscall`. The selector protocol does not change: a dispatch
+//! still stores ALLOW and then the exit selector, and any `syscall`
+//! outside the gate meets the selector as before.
+//!
+//! Nothing in the gate is ever rewritten: the patcher skips every site
+//! in it ([`crate::patcher`]). A `call rax` there would send the miss
+//! exit, or the dispatcher's own syscalls, back into the stub.
+//!
 //! # ABI fidelity (paper §IV-B(b))
 //!
 //! On x86-64 Linux, `syscall` clobbers only `rax` (return value), `rcx`
@@ -400,10 +420,9 @@ impl ThreadBlock {
     /// byte the kernel polls for this thread's Syscall User Dispatch
     /// (or, for a thread SUD is off for, any byte of its own), writable
     /// by a plain store: the stub's `syscall` executes right after it
-    /// stores ALLOW there, and a SIGSYS on that instruction would have
-    /// the rewriter patch the stub itself. With `sole_writer`, no other
-    /// thread may ever write `dispatches` — this one increments it
-    /// without `lock`.
+    /// stores ALLOW there, and the stub's exit stores the exit selector
+    /// there. With `sole_writer`, no other thread may ever write
+    /// `dispatches` — this one increments it without `lock`.
     #[inline]
     pub unsafe fn arm(
         &self,
@@ -827,6 +846,21 @@ lp_zpoline_entry:
     add rsp, 128                  # un-skip the red zone
     ret                           # to the instruction after the call site
     .size lp_zpoline_entry, . - lp_zpoline_entry
+
+    # The gate's raw-syscall function (module docs), called with the
+    # registers of a `syscall`: rax = nr, args in rdi/rsi/rdx/r10/r8/r9.
+    .globl lp_zpoline_gate_syscall
+    .hidden lp_zpoline_gate_syscall
+    .type lp_zpoline_gate_syscall, @function
+lp_zpoline_gate_syscall:
+    syscall
+    ret
+    .size lp_zpoline_gate_syscall, . - lp_zpoline_gate_syscall
+    # The gate ends past the `ret`: the kernel tests the address after a
+    # `syscall` against the range SUD is armed with.
+    .globl lp_zpoline_gate_end
+    .hidden lp_zpoline_gate_end
+lp_zpoline_gate_end:
 "#,
     stub_globals = sym STUB_GLOBALS,
     dispatch = const offset_of!(StubGlobals, dispatch),
@@ -845,6 +879,40 @@ lp_zpoline_entry:
 extern "C" {
     /// The assembly entry stub (see module docs).
     pub fn lp_zpoline_entry();
+    fn lp_zpoline_gate_syscall();
+    fn lp_zpoline_gate_end();
+}
+
+/// The gate (module docs): the bytes from the entry stub to just past
+/// the raw-syscall function behind it, which hold every `syscall` the
+/// stub and [`gate_syscall`] execute, and no other.
+pub fn gate() -> std::ops::Range<usize> {
+    lp_zpoline_entry as *const () as usize..lp_zpoline_gate_end as *const () as usize
+}
+
+/// Issues `call` from the gate's `syscall` instruction.
+///
+/// # Safety
+///
+/// Same contract as [`syscalls::raw::syscall`].
+#[inline(always)]
+pub unsafe fn gate_syscall(call: &syscalls::SyscallArgs) -> u64 {
+    let ret;
+    // Not `nostack`: the `call` pushes its return address.
+    std::arch::asm!(
+        "call {gate}",
+        gate = sym lp_zpoline_gate_syscall,
+        inlateout("rax") call.nr => ret,
+        in("rdi") call.args[0],
+        in("rsi") call.args[1],
+        in("rdx") call.args[2],
+        in("r10") call.args[3],
+        in("r8") call.args[4],
+        in("r9") call.args[5],
+        out("rcx") _,
+        out("r11") _,
+    );
+    ret
 }
 
 static TRAMPOLINE_INSTALLED: AtomicBool = AtomicBool::new(false);

@@ -1245,6 +1245,104 @@ fn scenario_miss_exit_faults() {
     assert!(faultinject::is_armed(faultinject::Site::SelectorWrite));
 }
 
+/// `getpid` from the gate's own `syscall` (`zpoline::gate_syscall`).
+fn gate_getpid() -> u64 {
+    // SAFETY: getpid touches no memory.
+    unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETPID)) }
+}
+
+/// On the calling task, with the selector at BLOCK: the gate's syscall
+/// passes SUD untrapped, and a fresh JIT-page site still takes its
+/// SIGSYS and is rewritten.
+fn assert_gate_range(task: &str) {
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "{task}: selector");
+    let pid = unsafe { libc::getpid() } as u64;
+    let before = lazypoline::stats().slow_path_hits;
+    assert_eq!(gate_getpid(), pid, "{task}: getpid from the gate");
+    assert_eq!(
+        lazypoline::stats().slow_path_hits,
+        before,
+        "{task}: the gate trapped"
+    );
+
+    unsafe {
+        let page = ret_filled_rwx_page();
+        let getpid = syscall_site(page, 0, syscalls::nr::GETPID);
+        let before = lazypoline::stats().slow_path_hits;
+        assert_eq!(getpid(0, 0, 0), pid, "{task}: getpid from a JIT page");
+        assert_eq!(
+            lazypoline::stats().slow_path_hits,
+            before + 1,
+            "{task}: the JIT site's SIGSYS"
+        );
+        assert_eq!(
+            *page.add(5).cast::<[u8; 2]>(),
+            [0xff, 0xd0],
+            "{task}: the JIT site"
+        );
+        libc::munmap(page.cast(), 4096);
+    }
+}
+
+/// Every enrolment of a plain engine arms SUD with the gate as its
+/// allowed range: the main thread, a `pthread_create`d thread, a fork
+/// child.
+fn scenario_gate_range() {
+    let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    assert_gate_range("main thread");
+    // A first thread proves the sites a spawn and a join run, so the
+    // main thread's join takes no SIGSYS while the second one counts.
+    std::thread::spawn(|| ()).join().unwrap();
+    std::thread::spawn(|| assert_gate_range("thread"))
+        .join()
+        .unwrap();
+    unsafe {
+        let pid = libc::fork();
+        assert!(pid >= 0);
+        if pid == 0 {
+            let ok = std::panic::catch_unwind(|| assert_gate_range("fork child")).is_ok();
+            libc::_exit(if ok { 0 } else { 1 });
+        }
+        let mut status = 0;
+        assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+        assert_eq!(status, 0, "fork child");
+    }
+    active.detach();
+}
+
+/// A hardened engine keeps selector-only SUD: the gate's syscall at
+/// BLOCK is intercepted, and emulated — the gate is never rewritten.
+fn scenario_gate_range_hardened() {
+    std::env::set_var("LP_HARDEN_POLICY", "quarantine");
+    let _active = install(
+        "lazypoline-hardened",
+        Box::new(interpose::PassthroughHandler),
+    );
+    assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    assert_eq!(sud::selector(), sud::Dispatch::Block);
+    let pid = unsafe { libc::getpid() } as u64;
+    let before = lazypoline::stats();
+    assert_eq!(gate_getpid(), pid);
+    let after = lazypoline::stats();
+    assert_eq!(
+        after.slow_path_hits,
+        before.slow_path_hits + 1,
+        "the gate must trap"
+    );
+    assert_eq!(
+        after.unpatchable_emulations,
+        before.unpatchable_emulations + 1
+    );
+    assert_eq!(after.sites_patched, before.sites_patched);
+    assert_eq!(after.bypass_blocked, before.bypass_blocked);
+    let last = zpoline::gate().end - 3;
+    assert_eq!(
+        unsafe { *(last as *const [u8; 2]) },
+        [0x0f, 0x05],
+        "the gate was rewritten"
+    );
+}
+
 fn scenario_rewrite_stress() {
     // Many threads hammering overlapping syscall sites: the rewrite
     // spinlock and already-patched race handling must hold up.
@@ -3058,6 +3156,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("miss_exit", scenario_miss_exit),
     ("miss_exit_hardened", scenario_miss_exit_hardened),
     ("miss_exit_faults", scenario_miss_exit_faults),
+    ("gate_range", scenario_gate_range),
+    ("gate_range_hardened", scenario_gate_range_hardened),
     ("rewrite_stress", scenario_rewrite_stress),
     ("policy_native", scenario_policy_native),
     ("post_rewrite", scenario_post_rewrite),
