@@ -12,11 +12,12 @@
 //!    ~20 cycles), so a stray or malicious write from application code
 //!    faults instead of succeeding.
 //! 2. **Seccomp backstop** — a minimal BPF filter admits syscalls only
-//!    from allowlisted code: the dedicated *gate page* (through which
-//!    all of the suite's own raw syscalls are funnelled once
-//!    [`syscalls::raw::set_syscall_gate`] is armed), shared-library
-//!    text, the vdso, and a short list of numbers the dispatcher must
-//!    issue inline (`rt_sigreturn`, the clone family, the exits).
+//!    from allowlisted code: the interposer's syscall gate
+//!    ([`zpoline::gate`], from which the engine issues its own syscalls
+//!    and to which [`syscalls::raw::set_syscall_gate`] redirects the
+//!    suite's raw ones), shared-library text, the vdso, and a short list
+//!    of numbers the dispatcher must issue inline (`rt_sigreturn`, the
+//!    clone family, the exits).
 //!    Everything else — in particular a syscall instruction in
 //!    application text executed while the selector illegitimately
 //!    reads ALLOW — traps with `SIGSYS`/`SYS_SECCOMP`, which
@@ -25,7 +26,7 @@
 //! The kernel checks SUD *before* seccomp on syscall entry, so the
 //! backstop is invisible in the common case: a BLOCKed syscall raises
 //! the SUD `SIGSYS` and the filter never runs; an ALLOWed dispatcher
-//! re-issue enters from the gate page and passes the IP allowlist.
+//! re-issue leaves from the gate and passes the IP allowlist.
 //!
 //! Like engine init, hardening *degrades* rather than fails:
 //! full (pkey + backstop) → backstop only (no MPK hardware, as on most
@@ -33,7 +34,7 @@
 //! rung; `engine::health()` surfaces it.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use syscalls::{nr, Errno, SyscallArgs};
 
@@ -85,32 +86,6 @@ const NR_ALLOWLIST: &[u32] = &[
 /// the cap guards the `u8` BPF jump offsets with a wide margin.
 const MAX_RANGES: usize = 32;
 
-/// Gate-page stub: `(nr, a1..a6)` per the SysV integer convention in,
-/// syscall return out. See [`syscalls::raw::GateFn`].
-///
-/// ```text
-/// mov rax, rdi        ; nr
-/// mov rdi, rsi        ; a1
-/// mov rsi, rdx        ; a2
-/// mov rdx, rcx        ; a3
-/// mov r10, r8         ; a4
-/// mov r8,  r9         ; a5
-/// mov r9,  [rsp+8]    ; a6 (7th integer argument, on the stack)
-/// syscall
-/// ret
-/// ```
-const GATE_STUB: &[u8] = &[
-    0x48, 0x89, 0xf8, // mov rax, rdi
-    0x48, 0x89, 0xf7, // mov rdi, rsi
-    0x48, 0x89, 0xd6, // mov rsi, rdx
-    0x48, 0x89, 0xca, // mov rdx, rcx
-    0x4d, 0x89, 0xc2, // mov r10, r8
-    0x4d, 0x89, 0xc8, // mov r8, r9
-    0x4c, 0x8b, 0x4c, 0x24, 0x08, // mov r9, [rsp+8]
-    0x0f, 0x05, // syscall
-    0xc3, // ret
-];
-
 /// What [`on_bypass`] does with a blocked escape attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BypassPolicy {
@@ -148,8 +123,6 @@ static POLICY: AtomicU8 = AtomicU8::new(0);
 /// Escape attempts the backstop caught (kept out of the sharded
 /// counter block — its shards are exactly full; see `counters.rs`).
 static BYPASS_BLOCKED: AtomicU64 = AtomicU64::new(0);
-/// Gate-page address once mapped (for the filter's IP allowlist).
-static GATE_PAGE: AtomicUsize = AtomicUsize::new(0);
 
 /// One classic-BPF instruction.
 #[repr(C)]
@@ -191,48 +164,17 @@ pub fn prepare_pkey() -> io::Result<()> {
     Ok(())
 }
 
-/// Maps the gate page (RW → copy stub → RX) and returns its address.
-fn map_gate_page() -> io::Result<usize> {
-    const PAGE: u64 = 4096;
-    let addr = unsafe {
-        raw_internal::syscall(&SyscallArgs::new(
-            nr::MMAP,
-            [
-                0,
-                PAGE,
-                (libc::PROT_READ | libc::PROT_WRITE) as u64,
-                (libc::MAP_PRIVATE | libc::MAP_ANONYMOUS) as u64,
-                u64::MAX, // fd = -1
-                0,
-            ],
-        ))
-    };
-    if let Some(e) = Errno::from_ret(addr) {
-        return Err(io::Error::from_raw_os_error(e.as_i32()));
-    }
-    unsafe {
-        core::ptr::copy_nonoverlapping(GATE_STUB.as_ptr(), addr as *mut u8, GATE_STUB.len());
-        let r = raw_internal::syscall(&SyscallArgs::new(
-            nr::MPROTECT,
-            [addr, PAGE, (libc::PROT_READ | libc::PROT_EXEC) as u64, 0, 0, 0],
-        ));
-        if let Some(e) = Errno::from_ret(r) {
-            raw_internal::syscall(&SyscallArgs::new(nr::MUNMAP, [addr, PAGE, 0, 0, 0, 0]));
-            return Err(io::Error::from_raw_os_error(e.as_i32()));
-        }
-    }
-    Ok(addr as usize)
-}
-
-/// Collects the IP allowlist: the gate page, every file-backed
-/// executable mapping *except* the main executable, and the kernel's
+/// Collects the IP allowlist: the gate, every file-backed executable
+/// mapping *except* the main executable, and the kernel's
 /// `[vdso]`/`[vsyscall]` pages. The main executable is the exclusion
 /// that gives the backstop its teeth: that is where application (and
-/// attacker) syscall instructions live.
-fn exec_ranges(gate: usize) -> io::Result<Vec<(u64, u64)>> {
+/// attacker) syscall instructions live. The gate is named on its own
+/// because it lies in the main executable whenever the engine is linked
+/// into it; under the shim it lies in the shim's text, already admitted.
+fn exec_ranges(gate: std::ops::Range<usize>) -> io::Result<Vec<(u64, u64)>> {
     let exe = std::fs::read_link("/proc/self/exe")?;
     let maps = std::fs::read_to_string("/proc/self/maps")?;
-    let mut ranges: Vec<(u64, u64)> = vec![(gate as u64, gate as u64 + 4096)];
+    let mut ranges: Vec<(u64, u64)> = vec![(gate.start as u64, gate.end as u64)];
     for line in maps.lines() {
         let mut parts = line.split_whitespace();
         let (Some(span), Some(perms)) = (parts.next(), parts.next()) else {
@@ -268,12 +210,15 @@ fn exec_ranges(gate: usize) -> io::Result<Vec<(u64, u64)>> {
         split.push((lo, hi));
     }
     // Adjacent maps lines for one DSO (r-xp segments split by
-    // alignment) often touch; merging keeps the block count down.
+    // alignment) often touch, and the gate lies inside the shim's text;
+    // merging keeps the block count down.
     split.sort_unstable();
     let mut merged: Vec<(u64, u64)> = Vec::new();
     for (lo, hi) in split {
         match merged.last_mut() {
-            Some(last) if last.1 == lo && last.1 >> 32 == (hi - 1) >> 32 => last.1 = hi,
+            Some(last) if lo <= last.1 && last.0 >> 32 == (hi.max(last.1) - 1) >> 32 => {
+                last.1 = last.1.max(hi)
+            }
             _ => merged.push((lo, hi)),
         }
     }
@@ -322,17 +267,16 @@ fn build_filter(ranges: &[(u64, u64)]) -> Vec<SockFilter> {
     p
 }
 
-/// Arms the seccomp backstop: maps the gate page, reroutes the suite's
-/// raw syscalls through it, and installs the filter process-wide
-/// (`TSYNC`). Call **after** [`crate::init`] — the filter is
-/// irreversible, so every later legitimate syscall must already have
-/// an admitted path.
+/// Arms the seccomp backstop: redirects the suite's raw syscalls to the
+/// gate and installs the filter process-wide (`TSYNC`). Call **after**
+/// [`crate::init`] — the filter is irreversible, so every later
+/// legitimate syscall must already have an admitted path.
 ///
 /// # Errors
 ///
 /// `seccomp_install` seam injections, `prctl`/`seccomp` failures, or
-/// an oversized IP allowlist. On error the gate is disarmed again and
-/// the process is exactly as un-hardened as before the call.
+/// an oversized IP allowlist. On error the redirect is disarmed again
+/// and the process is exactly as un-hardened as before the call.
 pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
     if BACKSTOP_ACTIVE.load(Ordering::SeqCst) {
@@ -353,27 +297,11 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
 }
 
 fn arm_backstop_inner() -> io::Result<()> {
-    let gate = match GATE_PAGE.load(Ordering::SeqCst) {
-        0 => {
-            let g = map_gate_page()?;
-            // The gate's own `syscall` instruction executes with the
-            // selector at BLOCK whenever engine-internal code issues a
-            // raw syscall from non-dispatcher context. The resulting
-            // slow-path trip must emulate, never rewrite: a patched
-            // gate would send the dispatcher's passthrough back into
-            // the trampoline, recursing until the stack dies.
-            crate::blocklist::insert(g & !4095);
-            GATE_PAGE.store(g, Ordering::SeqCst);
-            g
-        }
-        g => g,
-    };
-
     let install = || -> io::Result<()> {
         if let Some(e) = faultinject::check(faultinject::Site::SeccompInstall) {
             return Err(io::Error::from_raw_os_error(e));
         }
-        let ranges = exec_ranges(gate)?;
+        let ranges = exec_ranges(zpoline::gate())?;
         let prog = build_filter(&ranges);
         let fprog = SockFprog {
             len: prog.len() as u16,
@@ -410,19 +338,10 @@ fn arm_backstop_inner() -> io::Result<()> {
         Ok(())
     };
 
-    // The entry stub's miss exit issues its syscall from zpoline's text,
-    // which the filter does not admit: withdraw it first, so that every
-    // thread, armed or not, is back on the full path — and through the
-    // gate — before the filter exists.
-    zpoline::set_miss_exit(None);
-    // Arm the gate *before* installing: the install syscalls themselves
-    // then already run through the soon-to-be-allowlisted page, and no
-    // window exists where a filtered syscall could issue from our text.
-    unsafe {
-        syscalls::raw::set_syscall_gate(core::mem::transmute::<usize, syscalls::raw::GateFn>(
-            gate,
-        ));
-    }
+    // Redirect `syscalls::raw` to the gate *before* installing: no
+    // window exists where another thread's raw syscall could issue from
+    // main-executable text under the filter.
+    unsafe { syscalls::raw::set_syscall_gate(zpoline::trampoline::lp_zpoline_gate_syscall) };
     match install() {
         Ok(()) => {
             BACKSTOP_ACTIVE.store(true, Ordering::SeqCst);
@@ -430,7 +349,6 @@ fn arm_backstop_inner() -> io::Result<()> {
         }
         Err(e) => {
             syscalls::raw::clear_syscall_gate();
-            zpoline::set_miss_exit(Some(&crate::fastpath::MISS_EXIT));
             Err(e)
         }
     }
@@ -536,14 +454,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_stub_is_position_independent_syscall() {
-        // Ends in syscall; ret — no relocations, no absolute addresses.
-        let n = GATE_STUB.len();
-        assert_eq!(&GATE_STUB[n - 3..], &[0x0f, 0x05, 0xc3]);
-        assert!(n <= 64, "stub must fit comfortably in one page");
-    }
-
-    #[test]
     fn filter_layout_is_consistent() {
         let ranges = [(0x7f00_0000_0000u64, 0x7f00_0000_4000u64), (0x1000, 0x2000)];
         let p = build_filter(&ranges);
@@ -573,8 +483,8 @@ mod tests {
     fn ranges_never_straddle_4gib() {
         // exec_ranges on the live process: every range must sit within
         // one 4 GiB aligned window and include the synthetic gate.
-        let ranges = exec_ranges(0xdead_0000).expect("maps parse");
-        assert!(ranges.iter().any(|&(lo, _)| lo == 0xdead_0000));
+        let ranges = exec_ranges(0xdead_0000..0xdead_0040).expect("maps parse");
+        assert!(ranges.iter().any(|&(lo, hi)| lo <= 0xdead_0000 && 0xdead_0040 <= hi));
         for &(lo, hi) in &ranges {
             assert!(lo < hi);
             assert_eq!(lo >> 32, (hi - 1) >> 32, "{lo:#x}-{hi:#x} straddles");
@@ -582,24 +492,38 @@ mod tests {
     }
 
     #[test]
-    fn main_executable_is_not_allowlisted() {
+    fn only_the_gate_of_the_main_executable_is_allowlisted() {
+        // The test binary links the engine: its text holds the gate.
         let exe = std::fs::read_link("/proc/self/exe").unwrap();
         let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
-        let mut exe_exec_start = None;
-        for line in maps.lines() {
-            if line.contains(exe.to_str().unwrap()) && line.contains("r-xp") {
-                let span = line.split_whitespace().next().unwrap();
-                let lo = u64::from_str_radix(span.split('-').next().unwrap(), 16).unwrap();
-                exe_exec_start = Some(lo);
-                break;
+        let exe_text: Vec<(u64, u64)> = maps
+            .lines()
+            .filter(|l| l.contains("r-xp") && l.ends_with(exe.to_str().unwrap()))
+            .map(|l| {
+                let (lo, hi) = l.split_whitespace().next().unwrap().split_once('-').unwrap();
+                (u64::from_str_radix(lo, 16).unwrap(), u64::from_str_radix(hi, 16).unwrap())
+            })
+            .collect();
+        let gate = zpoline::gate();
+        let (gate_lo, gate_hi) = (gate.start as u64, gate.end as u64);
+        assert!(
+            exe_text.iter().any(|&(lo, hi)| lo <= gate_lo && gate_hi <= hi),
+            "the gate lies in {exe_text:x?}"
+        );
+        let ranges = exec_ranges(gate).unwrap();
+        assert!(
+            ranges.iter().any(|&(lo, hi)| lo <= gate_lo && gate_hi <= hi),
+            "every byte of the gate"
+        );
+        for &(lo, hi) in &ranges {
+            for &(text_lo, text_hi) in &exe_text {
+                let (a, b) = (lo.max(text_lo), hi.min(text_hi));
+                assert!(
+                    a >= b || (gate_lo <= a && b <= gate_hi),
+                    "main executable text {a:#x}-{b:#x} must trap"
+                );
             }
         }
-        let exe_lo = exe_exec_start.expect("own text mapping present");
-        let ranges = exec_ranges(0x1000_0000).unwrap();
-        assert!(
-            !ranges.iter().any(|&(lo, hi)| lo <= exe_lo && exe_lo < hi),
-            "main executable text must trap"
-        );
     }
 
     #[test]

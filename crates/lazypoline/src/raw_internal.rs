@@ -7,7 +7,8 @@
 //! gate ([`zpoline::gate`]), the one `syscall` behind the entry stub,
 //! which the patcher never rewrites. The gate is also the allowed code
 //! range of every engine-backed enrolment outside hardened mode, so the
-//! kernel lets these syscalls through without reading the selector.
+//! kernel lets these syscalls through without reading the selector, and
+//! the one range of the main executable the hardened backstop admits.
 //!
 //! They are only ever called from dispatcher context, where the
 //! selector is ALLOW, or before SUD is enabled on the thread: their
@@ -17,21 +18,11 @@ use syscalls::SyscallArgs;
 
 /// Issues `call` from the gate. Never patched; see module docs.
 ///
-/// Under hardened mode the backstop filter only admits syscalls issued
-/// from allowlisted code, which the gate need not be — so once the
-/// hardened gate page is armed, delegate to [`syscalls::raw::syscall`],
-/// which routes through that page. The recursion hazard in the module
-/// docs does not apply there: the gate page is blocklisted, never a
-/// rewriting candidate.
-///
 /// # Safety
 ///
 /// Same contract as [`syscalls::raw::syscall`].
 #[inline(never)]
 pub(crate) unsafe fn syscall(call: &SyscallArgs) -> u64 {
-    if syscalls::raw::gate_armed() {
-        return syscalls::raw::syscall(*call);
-    }
     zpoline::gate_syscall(call)
 }
 

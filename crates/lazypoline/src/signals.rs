@@ -202,6 +202,13 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
     info: *mut libc::siginfo_t,
     ctx: *mut libc::c_void,
 ) {
+    // The kernel enters a handler with its default PKRU, which
+    // access-disables hardened mode's selector slab: both the read below
+    // and the kernel's SUD read on this handler's first syscall would
+    // fault. Restore the slab's steady state first.
+    if sud::pkey::slab_ready() {
+        sud::pkey::close_slab();
+    }
     counters::bump(&SIGNALS_WRAPPED);
     let prev_selector = sud::selector().as_byte();
     // A signal that arrives while the slow path emulates a syscall

@@ -120,8 +120,8 @@ pub(crate) fn leave_dispatch(block: &zpoline::ThreadBlock) {
 /// syscall nobody asked to see leaves from the entry stub, and a hit's
 /// selector stores and count go through the block. A thread whose
 /// selector is on the pkey slab is never armed — its selector takes a
-/// `WRPKRU` bracket to write, and its syscalls must come from the gate
-/// page.
+/// `WRPKRU` bracket to write, which the stub's plain store would fault
+/// on.
 pub(crate) fn arm_stub_exit() {
     let block = zpoline::thread_block();
     if sud::pkey::adopted_slot().is_null() {

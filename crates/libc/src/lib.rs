@@ -69,8 +69,10 @@ pub const F_DUPFD_CLOEXEC: c_int = 1030;
 
 pub const SIGKILL: c_int = 9;
 pub const SIGUSR1: c_int = 10;
+pub const SIGSEGV: c_int = 11;
 pub const SIGUSR2: c_int = 12;
 pub const SIGTERM: c_int = 15;
+pub const SIGCHLD: c_int = 17;
 pub const SIGSTOP: c_int = 19;
 pub const SIGSYS: c_int = 31;
 

@@ -261,7 +261,7 @@ impl Mechanism for NativeBackend {
                 let engine = lazypoline::init(lazypoline::Config::default())
                     .map_err(InstallError::Init)?;
                 // Ladder rung 2: the seccomp backstop — after init, so
-                // every legitimate syscall path (gate page, number
+                // every legitimate syscall path (the gate, number
                 // allowlist) exists before the irreversible filter.
                 let _ = lazypoline::harden::arm_backstop(cfg.harden_policy);
                 NativeKind::Engine {

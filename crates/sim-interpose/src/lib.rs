@@ -27,10 +27,8 @@
 
 pub mod layout;
 pub mod mechanism;
-pub mod security;
 pub mod stubs;
 pub mod traits;
 
 pub use mechanism::{Interposed, Mechanism, SetupError};
-pub use security::{run_attack, AttackOutcome, Protection};
 pub use traits::{mechanism_traits, Efficiency, Expressiveness, Traits};

@@ -380,6 +380,67 @@ mod tests {
             .unwrap()
     }
 
+    /// The application under attack (paper §VI): one honest `getpid`,
+    /// then the attacker — with `wrpkru`, first a write-disable mask of
+    /// 0 — a plain store of ALLOW to the selector, a hidden `getuid`,
+    /// BLOCK restored; then another honest `getpid`.
+    fn attack_program(wrpkru: bool) -> Vec<u8> {
+        let asm = Asm::new().mov_ri(Gpr::R0, sysno::GETPID).syscall();
+        let asm = if wrpkru { asm.mov_ri(Gpr::R9, 0).wrpkru(Gpr::R9) } else { asm };
+        asm.mov_ri(Gpr::R7, SELECTOR_ADDR)
+            .mov_ri(Gpr::R8, sysno::SELECTOR_ALLOW as u64)
+            .store_b(Gpr::R7, Gpr::R8, 0)
+            .mov_ri(Gpr::R0, sysno::GETUID)
+            .syscall()
+            .mov_ri(Gpr::R8, sysno::SELECTOR_BLOCK as u64)
+            .store_b(Gpr::R7, Gpr::R8, 0)
+            .mov_ri(Gpr::R0, sysno::GETPID)
+            .syscall()
+            .mov_ri(Gpr::R0, sysno::EXIT_GROUP)
+            .mov_ri(Gpr::R1, 0)
+            .syscall()
+            .assemble_at(LOAD_ADDR)
+            .expect("attack program assembles")
+    }
+
+    #[test]
+    fn plain_lazypoline_mechanism_attack_evades() {
+        // Unhardened lazypoline: the attack completes, and the hidden
+        // getuid is missing from the observed trace.
+        let mut ip =
+            Interposed::setup(Mechanism::Lazypoline { xstate: true }, &attack_program(false), true)
+                .unwrap();
+        assert_eq!(ip.run().unwrap(), 0);
+        let trace = ip.observed_trace();
+        assert!(trace.contains(&sysno::GETPID), "honest syscalls observed: {trace:?}");
+        assert!(!trace.contains(&sysno::GETUID), "hidden syscall should have evaded: {trace:?}");
+    }
+
+    #[test]
+    fn hardened_mechanism_pkey_fault_blocks_selector_overwrite() {
+        // Layer 1: the attacker's plain store to the MPK-keyed selector
+        // page faults ('p').
+        let mut ip =
+            Interposed::setup(Mechanism::LazypolineHardened, &attack_program(false), true)
+                .unwrap();
+        match ip.run() {
+            Err(SimError::Fault(sim_cpu::machine::Fault::Mem(
+                sim_cpu::mem::MemFault::Protection { access: 'p', addr },
+            ))) => assert_eq!(addr, SELECTOR_ADDR),
+            other => panic!("expected pkey fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hardened_mechanism_backstop_kills_a_wrpkru_attacker() {
+        // Layer 2: an attacker that clears the write-disable mask itself
+        // flips the selector, but its hidden syscall comes from
+        // application text and the backstop kills it.
+        let mut ip =
+            Interposed::setup(Mechanism::LazypolineHardened, &attack_program(true), true).unwrap();
+        assert_eq!(ip.run(), Err(SimError::SeccompKill));
+    }
+
     #[test]
     fn every_mechanism_runs_the_workload_correctly() {
         for mech in Mechanism::all() {

@@ -166,33 +166,34 @@ const SELECTOR_WRITE_ATTEMPTS: u32 = 3;
 /// recurse fatally, and a missing BLOCK store would silently stop
 /// interposition — so this seam degrades to *detected-and-repaired*,
 /// never to a lost write.
+///
+/// A selector on the protected slab is written, verified and repaired
+/// inside one `WRPKRU` open/close bracket: a signal handler starts with
+/// the kernel's default PKRU, which access-disables the slab, so even
+/// the verify read of a dropped store needs the bracket open.
 pub fn set_selector(d: Dispatch) {
     let adopted = pkey::adopted_slot();
-    let ptr = if adopted.is_null() {
-        SELECTOR.with(|c| c.as_ptr())
+    if adopted.is_null() {
+        store_verified(SELECTOR.with(|c| c.as_ptr()), d);
     } else {
-        adopted
-    };
+        pkey::open_slab();
+        store_verified(adopted, d);
+        pkey::close_slab();
+    }
+}
+
+/// [`set_selector`]'s write-verify loop on a writable byte.
+fn store_verified(ptr: *mut u8, d: Dispatch) {
     for _ in 0..SELECTOR_WRITE_ATTEMPTS {
         if faultinject::check(faultinject::Site::SelectorWrite).is_none() {
-            store_selector(ptr, adopted.is_null(), d);
+            unsafe { ptr.write_volatile(d.as_byte()) };
         }
         // Write-verify: a dropped store leaves a stale byte behind.
         if unsafe { ptr.read_volatile() } == d.as_byte() {
             return;
         }
     }
-    store_selector(ptr, adopted.is_null(), d);
-}
-
-/// One selector store: plain TLS write, or a `WRPKRU`-bracketed slab
-/// write when the thread's selector lives on the protected slab.
-fn store_selector(ptr: *mut u8, plain: bool, d: Dispatch) {
-    if plain {
-        unsafe { ptr.write_volatile(d.as_byte()) };
-    } else {
-        unsafe { pkey::protected_store(ptr, d.as_byte()) };
-    }
+    unsafe { ptr.write_volatile(d.as_byte()) };
 }
 
 /// Enables SUD on the calling thread with no allowlisted code range.

@@ -11,17 +11,18 @@
 //!    `call rax`, subsequent executions enter the trampoline instead —
 //!    which is precisely the behaviour the exhaustiveness tests assert.
 //!
-//! # The hardened-mode syscall gate
+//! # The hardened-mode redirect
 //!
 //! Hardened interposition installs a seccomp backstop filter that only
-//! admits syscalls whose instruction pointer lies in allowlisted code
-//! (libc, the dynamic loader, the vdso, and one dedicated *gate page*).
-//! The `syscall` instructions in this crate live in whatever object
-//! embeds it — typically the main binary — which the backstop
-//! deliberately does **not** allowlist. [`set_syscall_gate`] therefore
-//! redirects every invocation through the gate page's stub once armed;
-//! disarmed (the default, and every non-hardened configuration) the
-//! cost is one relaxed atomic load and a never-taken branch per call.
+//! admits syscalls whose instruction pointer lies in allowlisted code:
+//! shared-library text, the vdso, and the interposer's syscall gate
+//! (`zpoline::gate`). The `syscall` instructions in this crate live in
+//! whatever object embeds it — typically the main binary — which the
+//! backstop deliberately does **not** allowlist. [`set_syscall_gate`]
+//! therefore redirects every invocation to the gate's `syscall; ret`
+//! routine once armed; disarmed (the default, and every non-hardened
+//! configuration) the cost is one relaxed atomic load and a never-taken
+//! branch per call.
 //!
 //! # Safety
 //!
@@ -33,47 +34,55 @@ use crate::SyscallArgs;
 use core::arch::asm;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-/// Address of the hardened gate stub, or 0 when disarmed. The stub has
-/// the signature of [`GateFn`]: seven SysV integer arguments
-/// (`nr, a1..a6`), syscall return in `rax`.
+/// Address of the gate's `syscall; ret` routine, or 0 when disarmed.
 static SYSCALL_GATE: AtomicUsize = AtomicUsize::new(0);
 
-/// The gate stub's calling convention: `(nr, a1, a2, a3, a4, a5, a6)`.
-pub type GateFn = unsafe extern "C" fn(u64, u64, u64, u64, u64, u64, u64) -> u64;
+/// A `syscall; ret` routine, entered by `call` with a syscall's
+/// registers: `rax` = number, arguments in `rdi`, `rsi`, `rdx`, `r10`,
+/// `r8`, `r9`; result in `rax`, `rcx` and `r11` clobbered.
+pub type GateFn = unsafe extern "C" fn();
 
-/// Arms the syscall gate: every subsequent `syscallN` invocation from
-/// this crate is routed through `stub` instead of the local `syscall`
+/// Arms the redirect: every subsequent `syscallN` invocation from this
+/// crate calls `gate` instead of executing the local `syscall`
 /// instruction (see the module docs). One-way in practice — hardened
 /// mode never disarms a live seccomp backstop.
 ///
 /// # Safety
 ///
-/// `stub` must remain a valid [`GateFn`] for the rest of the process
+/// `gate` must remain a valid [`GateFn`] for the rest of the process
 /// lifetime.
-pub unsafe fn set_syscall_gate(stub: GateFn) {
-    SYSCALL_GATE.store(stub as usize, Ordering::Release);
+pub unsafe fn set_syscall_gate(gate: GateFn) {
+    SYSCALL_GATE.store(gate as usize, Ordering::Release);
 }
 
-/// Disarms the gate (only meaningful before a backstop filter is
+/// Disarms the redirect (only meaningful before a backstop filter is
 /// live — used on failed hardened installs).
 pub fn clear_syscall_gate() {
     SYSCALL_GATE.store(0, Ordering::Release);
 }
 
-/// Whether the hardened gate is armed.
-#[inline]
-pub fn gate_armed() -> bool {
-    SYSCALL_GATE.load(Ordering::Relaxed) != 0
-}
-
 #[inline]
 unsafe fn gated(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> Option<u64> {
-    let g = SYSCALL_GATE.load(Ordering::Relaxed);
-    if g == 0 {
+    let gate = SYSCALL_GATE.load(Ordering::Relaxed);
+    if gate == 0 {
         return None;
     }
-    let f: GateFn = core::mem::transmute(g);
-    Some(f(nr, a1, a2, a3, a4, a5, a6))
+    let ret;
+    // Not `nostack`: the `call` pushes its return address.
+    asm!(
+        "call {gate}",
+        gate = in(reg) gate,
+        inlateout("rax") nr => ret,
+        in("rdi") a1,
+        in("rsi") a2,
+        in("rdx") a3,
+        in("r10") a4,
+        in("r8") a5,
+        in("r9") a6,
+        out("rcx") _,
+        out("r11") _,
+    );
+    Some(ret)
 }
 
 /// Invokes a syscall with zero arguments.

@@ -69,9 +69,9 @@
 //! kernel preserves every other register and all extended state, and
 //! the stack below the `call rax` push is never written. Anything else
 //! — a hit, a number ≥ 512, an unarmed or zeroed block (a thread that
-//! never enrolled), a withdrawn `MissExit` (hardened mode: the seccomp
-//! backstop admits the gate page, not this text) — falls through to
-//! the full path, which remains the reference the tests compare with.
+//! never enrolled, or whose selector is on hardened mode's pkey slab),
+//! no published `MissExit` — falls through to the full path, which
+//! remains the reference the tests compare with.
 //!
 //! Initial-exec TLS is what lets two instructions reach the block, and
 //! it is sound wherever this crate is linked today: into an executable,
@@ -88,10 +88,12 @@
 //! Every `syscall` the engine's hot paths execute sits in this file's
 //! one `global_asm!` block: the miss exit's, and the one in the
 //! raw-syscall function behind the stub, which [`gate_syscall`] calls
-//! (lazypoline's dispatcher issues its own syscalls through it). The
-//! block's bytes, [`gate`], are the allowed code range lazypoline arms
-//! Syscall User Dispatch with. The kernel tests that range *before* it
-//! reads the selector byte, so a syscall from the gate costs no user
+//! (lazypoline's dispatcher issues its own syscalls through it, and
+//! hardened mode redirects `syscalls::raw` to it). The block's bytes,
+//! [`gate`], are the allowed code range a plain lazypoline engine arms
+//! Syscall User Dispatch with, and the one range of the main executable
+//! hardened mode's seccomp backstop admits. The kernel tests the SUD
+//! range *before* it reads the selector byte, so a syscall from the gate costs no user
 //! read of the selector, which on x86-64 is most of what SUD adds to a
 //! syscall the selector lets through. The kernel compares the address
 //! *after* the instruction, so the gate ends past the `ret` behind its
@@ -879,7 +881,9 @@ lp_zpoline_gate_end:
 extern "C" {
     /// The assembly entry stub (see module docs).
     pub fn lp_zpoline_entry();
-    fn lp_zpoline_gate_syscall();
+    /// The gate's raw-syscall function: `syscall; ret`, entered by
+    /// `call` with a syscall's registers (a [`syscalls::raw::GateFn`]).
+    pub fn lp_zpoline_gate_syscall();
     fn lp_zpoline_gate_end();
 }
 

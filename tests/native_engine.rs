@@ -56,7 +56,7 @@ fn scenario_engine_counts() {
 }
 
 fn scenario_signals() {
-    signals_under("lazypoline");
+    signals_under("lazypoline").detach();
 }
 
 /// The same under the pure slow path: every syscall is emulated inside
@@ -64,10 +64,43 @@ fn scenario_signals() {
 /// it (where `SIGSYS` is blocked), and the wrapper's `rt_sigreturn` is
 /// itself emulated there.
 fn scenario_signals_sud() {
-    signals_under("sud");
+    signals_under("sud").detach();
 }
 
-fn signals_under(base: &str) {
+/// The same under hardened mode, whose selector lives on the pkey slab:
+/// the kernel enters every handler with a PKRU that access-disables the
+/// slab, so the wrapper must restore the slab's steady state before it
+/// reads the selector or issues a syscall. Then a child's exit, which
+/// delivers `SIGCHLD` to a wrapped handler while the parent waits.
+fn scenario_signals_hardened() {
+    static CHILD_EXITS: AtomicU64 = AtomicU64::new(0);
+    extern "C" fn on_chld(_sig: libc::c_int) {
+        CHILD_EXITS.fetch_add(1, Ordering::SeqCst);
+    }
+
+    let mut active = signals_under("lazypoline-hardened");
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = on_chld as *const () as usize;
+        sa.sa_flags = libc::SA_RESTART;
+        assert_eq!(libc::sigaction(libc::SIGCHLD, &sa, std::ptr::null_mut()), 0);
+        let pid = libc::fork();
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            libc::_exit(0);
+        }
+        let mut status = 0;
+        assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+        assert_eq!(status, 0, "child status");
+    }
+    assert_eq!(CHILD_EXITS.load(Ordering::SeqCst), 1, "SIGCHLD handler runs");
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after SIGCHLD");
+    active.detach();
+}
+
+/// Installs `base`, runs five wrapped `SIGUSR1`s through it and returns
+/// the installation, still attached.
+fn signals_under(base: &str) -> mechanism::ActiveMechanism {
     static HANDLER_RAN: AtomicU64 = AtomicU64::new(0);
     static SEEN_KILL: AtomicU64 = AtomicU64::new(0);
 
@@ -88,7 +121,7 @@ fn signals_under(base: &str) {
         HANDLER_RAN.fetch_add(1, Ordering::SeqCst);
     }
 
-    let mut active = install(base, Box::new(Spy));
+    let active = install(base, Box::new(Spy));
 
     unsafe {
         // Register through libc (this rt_sigaction is itself
@@ -117,7 +150,7 @@ fn signals_under(base: &str) {
 
     // The raise() syscalls themselves were observed.
     assert!(SEEN_KILL.load(Ordering::SeqCst) >= 1);
-    active.detach();
+    active
 }
 
 /// An `execve` emulated inside the `SIGSYS` handler (`sud` always)
@@ -1098,11 +1131,12 @@ fn counted_site_mix(sites: &[SiteFn; 8]) -> MixRun {
 }
 
 /// Installs `mechanism` around [`OpenatOnly`] and runs the mix on sites
-/// already rewritten: every call is dispatched exactly once, the
-/// `openat`s reach the handler, and none leaves from the stub.
-fn assert_mix_stays_on_the_full_path(mechanism: &str) {
+/// already rewritten: every call is dispatched exactly once and the
+/// `openat`s reach the handler. Returns the run's stub exits, where the
+/// build counts them, and the installation, still attached.
+fn mix_under(mechanism: &str) -> (Option<u64>, mechanism::ActiveMechanism) {
     let reference = run_site_mix(&unsafe { mix_sites() });
-    let mut active = install(mechanism, Box::new(OpenatOnly));
+    let active = install(mechanism, Box::new(OpenatOnly));
     let sites = unsafe { mix_sites() };
     run_site_mix(&sites);
     let run = counted_site_mix(&sites);
@@ -1110,7 +1144,13 @@ fn assert_mix_stays_on_the_full_path(mechanism: &str) {
     // `/dev/zero` is opened through libc on the way: at least.
     assert!(run.dispatches >= run.rets.len() as u64, "{mechanism}: {} dispatches", run.dispatches);
     assert!(run.openats_handled >= 1, "{mechanism}");
-    if let Some(exits) = run.stub_exits {
+    (run.stub_exits, active)
+}
+
+/// [`mix_under`], and none of the dispatches leaves from the stub.
+fn assert_mix_stays_on_the_full_path(mechanism: &str) {
+    let (exits, mut active) = mix_under(mechanism);
+    if let Some(exits) = exits {
         assert_eq!(exits, 0, "{mechanism}: the stub issued syscalls itself");
     }
     active.detach();
@@ -1228,13 +1268,26 @@ fn signal_in_blocking_read(sites: &[SiteFn; 8]) -> [u64; 2] {
     results
 }
 
-/// Hardened threads never execute the stub's `syscall`: the seccomp
-/// backstop admits the gate page, not zpoline's text.
+/// At the pkey rungs a thread's selector is on the slab, its block is
+/// never armed, and every dispatch takes the full path. At
+/// `BackstopOnly` the block is armed, and a miss leaves from the stub
+/// (unless a fault site is armed), whose `syscall` lies in the gate the
+/// backstop admits. On every rung no dispatch trips the backstop.
 fn scenario_miss_exit_hardened() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
-    assert_mix_stays_on_the_full_path("lazypoline-hardened");
+    let (exits, mut active) = mix_under("lazypoline-hardened");
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    if let Some(exits) = exits {
+        let faults = faultinject::LP_FAULTS_ARMED.load(Ordering::Relaxed);
+        if selector_is_hardware_protected() || faults != 0 {
+            assert_eq!(exits, 0, "the stub issued syscalls itself");
+        } else {
+            assert!(zpoline::thread_block().armed(), "enrolment arms the block");
+            assert!(exits > 0, "no miss left from the stub");
+        }
+    }
     assert_eq!(lazypoline::harden::bypass_blocked(), 0, "a dispatch tripped the backstop");
+    active.detach();
 }
 
 /// While any fault site is armed every dispatch takes the path the
@@ -2761,13 +2814,19 @@ fn scenario_hook_stack_native() {
     active.detach();
 }
 
-// ——— hardened escape scenarios (ISSUE 7) ————————————————————————————
+// ——— hardened escape scenarios ————————————————————————————————————
 //
 // The attack: application code that learned the SUD selector's address
 // flips it to ALLOW and issues a syscall from its own text. Plain
-// lazypoline cannot see it (that is §VII's open residue); hardened
-// mode either kills the process or quarantines the syscall back
-// through the interposer, depending on `LP_HARDEN_POLICY`.
+// lazypoline cannot see it (that is §VII's open residue). Hardened mode
+// has two layers, and every scenario shows the ones its rung has:
+// - the pkey (`Full`, `PkeyOnly`): a direct store to the selector faults
+//   with `SEGV_PKUERR`. [`attack`] asserts that, then plays the attacker
+//   who gets past it by clearing PKRU with `wrpkru` itself;
+// - the backstop (`Full`, `BackstopOnly`): the syscall, issued from
+//   main-executable text, traps, and the process is killed or the
+//   syscall quarantined back through the interposer, per
+//   `LP_HARDEN_POLICY`.
 
 /// The attacker's own `syscall` instruction, in main-executable text —
 /// exactly where the backstop's IP allowlist has a deliberate hole.
@@ -2787,22 +2846,88 @@ fn attacker_syscall(nr: u64) -> i64 {
 }
 
 /// A direct store of ALLOW to the selector byte — no engine API, the
-/// attacker "leaked" the address. Only sound when the selector is not
-/// on a hardware-protected slab (the store itself would fault there,
-/// which is rung 1 doing its job; the simulator asserts that path).
+/// attacker "leaked" the address: `mov byte ptr [rdi], 0`, three bytes
+/// (`c6 07 00`), which [`assert_direct_store_faults`] steps over.
 fn flip_selector_to_allow() {
-    unsafe { sud::selector_ptr().write_volatile(0) };
+    unsafe {
+        std::arch::asm!(
+            "mov byte ptr [rdi], 0",
+            in("rdi") sud::selector_ptr(),
+            options(nostack, preserves_flags),
+        );
+    }
 }
 
-/// Whether the pkey layer would fault the direct write before the
-/// backstop ever sees a syscall. On MPK hosts the scenarios exit
-/// early: the write-fault path is asserted deterministically in
-/// `sim-interpose`'s security tests instead.
+/// What the pkey layer says when the direct store faults.
+const SEGV_PKUERR: i32 = 4;
+
+/// Whether the selector is on the pkey slab, so that the direct store
+/// faults before the backstop ever sees a syscall.
 fn selector_is_hardware_protected() -> bool {
     matches!(
         lazypoline::harden::level(),
         lazypoline::harden::HardenLevel::Full | lazypoline::harden::HardenLevel::PkeyOnly
     )
+}
+
+/// The pkey layer on its own: [`flip_selector_to_allow`] faults with
+/// `SEGV_PKUERR` at the selector's address, a handler steps over the
+/// store, and the selector still reads BLOCK.
+fn assert_direct_store_faults() {
+    static CODE: AtomicU64 = AtomicU64::new(0);
+    static ADDR: AtomicU64 = AtomicU64::new(0);
+    extern "C" fn on_segv(_sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut libc::c_void) {
+        unsafe {
+            CODE.store((*info).si_code as u64, Ordering::SeqCst);
+            // `si_addr`: the first field after the three ints and their
+            // padding.
+            ADDR.store(info.cast::<u64>().add(2).read(), Ordering::SeqCst);
+            let mut uc = sud::sigsys::UContext::from_ptr(ctx);
+            uc.set_rip(uc.rip() + 3);
+        }
+    }
+    let selector = sud::selector_ptr() as u64;
+    CODE.store(0, Ordering::SeqCst);
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = on_segv as *const () as usize;
+        sa.sa_flags = libc::SA_SIGINFO;
+        assert_eq!(libc::sigaction(libc::SIGSEGV, &sa, std::ptr::null_mut()), 0);
+        flip_selector_to_allow();
+        let dfl: libc::sigaction = std::mem::zeroed();
+        assert_eq!(libc::sigaction(libc::SIGSEGV, &dfl, std::ptr::null_mut()), 0);
+    }
+    assert_eq!(CODE.load(Ordering::SeqCst), SEGV_PKUERR as u64, "si_code of the direct store");
+    assert_eq!(ADDR.load(Ordering::SeqCst), selector, "si_addr of the direct store");
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "the selector after the fault");
+}
+
+/// Clears PKRU, opening every protection key for this thread: what an
+/// attacker who runs code does to the pkey layer.
+fn open_all_pkeys() {
+    unsafe {
+        std::arch::asm!(
+            "wrpkru",
+            in("eax") 0u32,
+            in("ecx") 0u32,
+            in("edx") 0u32,
+            options(nomem, nostack, preserves_flags),
+        );
+    }
+}
+
+/// The attack the rung calls for, returning what the attacker's `nr`
+/// returned (if it returns): at the pkey rungs the direct store must
+/// fault first, and the attacker then clears PKRU before it flips the
+/// selector. Nothing between the flip and the syscall may dispatch: a
+/// dispatch closes the slab again and restores BLOCK.
+fn attack(nr: u64) -> i64 {
+    if selector_is_hardware_protected() {
+        assert_direct_store_faults();
+        open_all_pkeys();
+    }
+    flip_selector_to_allow();
+    attacker_syscall(nr)
 }
 
 /// A host whose CPU lists `pku` reaches the top rung: hardened mode may
@@ -2847,18 +2972,19 @@ fn scenario_escape_quarantine() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
-    if selector_is_hardware_protected() {
-        println!("selector is pkey-protected; direct-write attack not applicable");
-        return;
-    }
     let my_pid = std::process::id();
-    flip_selector_to_allow();
-    let pid = attacker_syscall(syscalls::nr::GETPID);
+    let pid = attack(syscalls::nr::GETPID);
     // Quarantine: the trapped syscall was forced through the
     // interposer and still produced its result — observed, not free.
     assert_eq!(pid as u32, my_pid, "quarantined getpid result");
     let blocked = active.stats().bypass_blocked;
     assert!(blocked >= 1, "backstop must count the escape, got {blocked}");
+    println!("{:?}: bypass_blocked {blocked}", lazypoline::harden::level());
+    // The protection the attacker disturbed is back.
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after the quarantine");
+    if selector_is_hardware_protected() {
+        assert_direct_store_faults();
+    }
 }
 
 /// Hidden victim for `scenario_escape_kill`: dies by SIGKILL mid-attack
@@ -2867,15 +2993,8 @@ fn scenario_escape_quarantine() {
 fn scenario_escape_kill_victim() {
     let _active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
-    if selector_is_hardware_protected() {
-        // Signal the parent to skip: no clean way to demo the kill
-        // without the writable selector.
-        println!("SURVIVED pkey-protected");
-        std::process::exit(3);
-    }
     println!("ATTACK_IMMINENT");
-    flip_selector_to_allow();
-    attacker_syscall(syscalls::nr::GETPID);
+    attack(syscalls::nr::GETPID);
     // Unreachable under the (default) kill policy.
     println!("SURVIVED");
     std::process::exit(3);
@@ -2886,14 +3005,9 @@ fn scenario_escape_kill() {
     let out = Command::new(&exe)
         .env("LP_SCENARIO", "escape_kill_victim")
         .env_remove("LP_HARDEN_POLICY")
-        .env_remove("LAZYPOLINE_FAULTS")
         .output()
         .expect("spawn victim");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    if stdout.contains("pkey-protected") {
-        println!("victim skipped (pkey-protected selector)");
-        return;
-    }
     // Killed by SIGKILL (no exit code) or the exit_group(137) fallback.
     let code = out.status.code();
     assert!(
@@ -2903,15 +3017,12 @@ fn scenario_escape_kill() {
         "victim must die mid-attack: status {:?}, stdout:\n{stdout}",
         out.status,
     );
+    println!("victim: {}", out.status);
 }
 
 fn scenario_escape_fork_rearm() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let _active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
-    if selector_is_hardware_protected() {
-        println!("selector is pkey-protected; direct-write attack not applicable");
-        return;
-    }
     let pid = unsafe { libc::fork() };
     assert!(pid >= 0, "fork failed");
     if pid == 0 {
@@ -2919,11 +3030,11 @@ fn scenario_escape_fork_rearm() {
         // (via libc — `attacker_syscall` must stay unexecuted and
         // unpatched until the attack)...
         assert!(std::process::id() > 0);
-        // ...and the inherited filter still catches the escape.
-        flip_selector_to_allow();
-        let r = attacker_syscall(syscalls::nr::GETUID);
-        let caught = r >= 0 && lazypoline::harden::bypass_blocked() >= 1;
-        std::process::exit(if caught { 42 } else { 7 });
+        // ...and the inherited layers still catch the escape.
+        let caught = std::panic::catch_unwind(|| {
+            attack(syscalls::nr::GETUID) >= 0 && lazypoline::harden::bypass_blocked() >= 1
+        });
+        std::process::exit(if caught.unwrap_or(false) { 42 } else { 7 });
     }
     let mut status = 0;
     let r = unsafe { libc::waitpid(pid, &mut status, 0) };
@@ -3144,6 +3255,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("engine_counts", scenario_engine_counts),
     ("signals", scenario_signals),
     ("signals_sud", scenario_signals_sud),
+    ("signals_hardened", scenario_signals_hardened),
     ("exec_sigmask_sud", scenario_exec_sigmask_sud),
     ("exec_sigmask_lazypoline", scenario_exec_sigmask_lazypoline),
     ("sigprocmask_sud", scenario_sigprocmask_sud),
@@ -3195,6 +3307,24 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("sfip_escape_kill", scenario_sfip_escape_kill),
 ];
 
+/// The scenarios that install `lazypoline-hardened`, which the driver
+/// reruns under each of [`HARDENED_FAULTS`].
+const HARDENED_SCENARIOS: &[&str] = &[
+    "signals_hardened",
+    "miss_exit_hardened",
+    "gate_range_hardened",
+    "harden_full_on_pku",
+    "escape_quarantine",
+    "escape_kill",
+    "escape_fork_rearm",
+];
+
+const HARDENED_FAULTS: &[&str] = &[
+    "selector_write:every=2",
+    "selector_write:every=3",
+    "pkey_alloc:every=1",
+];
+
 /// Scenarios reachable via `LP_SCENARIO` but never driven directly —
 /// they end abnormally by design (e.g. killed mid-attack).
 const HIDDEN_SCENARIOS: &[(&str, fn())] = &[
@@ -3242,8 +3372,30 @@ fn main() {
             failed.push(*name);
         }
     }
+    // The hardened scenarios once more under each of these: a dropped
+    // selector store, and the pkey layer's absence (`BackstopOnly`).
+    for spec in HARDENED_FAULTS {
+        for name in HARDENED_SCENARIOS {
+            let status = Command::new(&exe)
+                .env("LP_SCENARIO", name)
+                .env("LAZYPOLINE_FAULTS", spec)
+                .status()
+                .expect("spawn scenario");
+            if status.success() {
+                println!("native_engine::{name} [{spec}] ... ok");
+            } else {
+                println!("native_engine::{name} [{spec}] ... FAILED ({status})");
+                failed.push(*name);
+            }
+        }
+    }
     if !failed.is_empty() {
         panic!("failed scenarios: {failed:?}");
     }
-    println!("native_engine: {} scenarios passed", SCENARIOS.len());
+    println!(
+        "native_engine: {} scenarios passed, {} hardened ones under {} fault specs",
+        SCENARIOS.len(),
+        HARDENED_SCENARIOS.len(),
+        HARDENED_FAULTS.len()
+    );
 }

@@ -415,6 +415,24 @@ fn fork_exec_tree() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A hardened shell takes its wrapped signals: a trapped `SIGUSR1`, and
+/// the `SIGCHLD` of a subshell. (The kernel enters a handler with a PKRU
+/// that access-disables the selector's slab; the wrapper must restore
+/// the slab's steady state first.)
+#[test]
+fn hardened_shell_takes_its_signals() {
+    let Some(so) = ready() else { return };
+    let script = r#"trap "echo got" USR1; kill -USR1 $$; ( : ); echo after"#;
+    let out = preloaded(&so, "/bin/sh")
+        .args(["-c", script])
+        .env("LP_MECHANISM", "lazypoline-hardened")
+        .output()
+        .unwrap();
+    let stderr = stderr_of(&out);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert_eq!(out.stdout, b"got\nafter\n", "{stderr}");
+}
+
 /// A fresh cache directory under `root`, for the shim to create.
 fn site_cache(root: &Path) -> PathBuf {
     let _ = std::fs::remove_dir_all(root);
