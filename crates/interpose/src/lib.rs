@@ -29,7 +29,6 @@ mod latency;
 mod policy;
 mod registry;
 mod remap;
-mod rewrite;
 mod stack;
 mod trace;
 
@@ -43,7 +42,6 @@ pub use registry::{
     widen_global_interest, HandlerGuard,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
-pub use rewrite::FdRedirectHandler;
 pub use stack::{hook_dispatches, HookId, HookStack};
 pub use trace::{format_syscall_line, TraceHandler, TraceSink};
 

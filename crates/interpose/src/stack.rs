@@ -382,11 +382,20 @@ mod tests {
 
     #[test]
     fn earlier_rewrites_visible_to_later() {
-        use crate::FdRedirectHandler;
+        /// Redirects `write`s to fd 1 to fd 7.
+        struct RedirectStdout;
+        impl SyscallHandler for RedirectStdout {
+            fn handle(&self, ev: &mut SyscallEvent) -> Action {
+                if ev.call.nr == nr::WRITE && ev.call.args[0] == 1 {
+                    ev.call.args[0] = 7;
+                }
+                Action::Passthrough
+            }
+        }
         // Redirect fd 1 → 7, then deny writes to fd ≥ 3: the redirected
         // call must be judged by its *rewritten* fd.
         let s = HookStack::new();
-        s.attach(Box::new(FdRedirectHandler::new(1, 7)), 0);
+        s.attach(Box::new(RedirectStdout), 0);
         s.attach(
             Box::new(
                 PolicyBuilder::allow_by_default()

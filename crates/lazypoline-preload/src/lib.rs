@@ -53,7 +53,7 @@ use interpose::{
 };
 use mechanism::{ActiveMechanism, EnvConfig, HandlerMode, InstallError, StatsSnapshot};
 use sitecache::SiteCache;
-use syscalls::nr;
+use syscalls::{nr, SyscallArgs};
 
 /// The installation, kept for the life of the process.
 static ACTIVE: AtomicPtr<ActiveMechanism> = AtomicPtr::new(std::ptr::null_mut());
@@ -81,12 +81,18 @@ impl SyscallHandler for UntilExit {
     fn handle(&self, event: &mut SyscallEvent) -> Action {
         let action = self.mode.handle(event);
         if event.call.nr == nr::EXIT_GROUP {
+            // Both leave from the gate: from a site of the shim's or
+            // libc's text they would take a SIGSYS on every run, warm
+            // or cold, since the site cache is written before them.
+            // SAFETY: getpid touches no memory.
+            let pid = unsafe { zpoline::gate_syscall(&SyscallArgs::nullary(nr::GETPID)) };
             // The pid first: a `vfork` child shares `ACTIVE` with its parent.
-            if self.pid == std::process::id() {
+            if u64::from(self.pid) == pid {
                 self.finish();
             }
             // SAFETY: the application's own call, from dispatch context.
-            unsafe { syscalls::raw::syscall1(nr::EXIT_GROUP, event.call.args[0]) };
+            let exit = SyscallArgs::new(nr::EXIT_GROUP, [event.call.args[0], 0, 0, 0, 0, 0]);
+            unsafe { zpoline::gate_syscall(&exit) };
         }
         action
     }

@@ -24,8 +24,8 @@
 //!   (a cold start) it is a `statx` and an `open`: no buffers, no look at
 //!   the mappings.
 //! * **Apply** ([`Proven::apply`]): right after the install, on the
-//!   engine's private path (selector at ALLOW), one patch window per
-//!   mapping.
+//!   engine's private path (`proven::privately`, the re-entry guard),
+//!   one patch window per mapping.
 //! * **Write** ([`SiteCache::write`]): when the window closes at
 //!   `exit_group`, from dispatch context, in the installing process
 //!   only, and only if this run rewrote a site its entry lacks — and,
@@ -49,7 +49,7 @@ use std::os::unix::ffi::OsStrExt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lazypoline::proven::{self, FileMapping, Maps, RegionPerms};
-use syscalls::{nr, raw, Errno};
+use syscalls::{nr, raw, Errno, SyscallArgs};
 
 /// The rows whose slow path batch-rewrites; the others neither read nor
 /// write the cache.
@@ -557,14 +557,13 @@ impl std::ops::DerefMut for ArenaMap {
 
 impl Drop for ArenaMap {
     fn drop(&mut self) {
+        // From the gate: this runs on the engine's private path, where
+        // a call from the shim's text would take a SIGSYS on every warm
+        // run to rewrite its site.
+        let len = std::mem::size_of::<Arena>() as u64;
+        let unmap = SyscallArgs::new(nr::MUNMAP, [self.0 as u64, len, 0, 0, 0, 0]);
         // SAFETY: unmapping the mapping `Arena::map` made.
-        unsafe {
-            raw::syscall2(
-                nr::MUNMAP,
-                self.0 as u64,
-                std::mem::size_of::<Arena>() as u64,
-            )
-        };
+        unsafe { zpoline::gate_syscall(&unmap) };
     }
 }
 

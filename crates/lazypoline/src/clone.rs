@@ -55,13 +55,12 @@ fn enable_sud_with_retry() -> bool {
 
 /// Re-enrolls the current task after the kernel cleared its SUD state.
 ///
-/// Called in fork children (from dispatcher context, selector ALLOW —
-/// the dispatcher exit path re-BLOCKs) and from the clone-child shim.
+/// Called in fork children, from dispatcher context: the child's
+/// selector reads BLOCK already, as the parent's did.
 pub(crate) fn reenroll_after_clone() {
-    // Hardened mode: the fresh task starts with its PKRU at the
-    // kernel's init value (slab writable) — close it before the first
-    // dispatch so the selector is protected again.
-    crate::harden::rearm_after_clone();
+    // Hardened mode: the fresh task's PKRU is whatever the parent held
+    // at clone time — close the slab so the selector is protected.
+    sud::pkey::close_slab_if_ready();
     if crate::tls::enrolled() {
         // After the bounded retry, ignore failure: the task degrades to
         // uninterposed rather than dying.
@@ -105,54 +104,28 @@ pub(crate) unsafe fn handle_clone(frame: &mut RawFrame) -> u64 {
     // pre-exec syscalls (including the execve itself).
     let enroll = flags & CLONE_SETTLS != 0
         || (flags & CLONE_VM != 0 && flags & CLONE_VFORK != 0);
-    let vm = flags & CLONE_VM != 0;
 
-    let (new_sp, _slots) = if enroll {
+    let new_sp = if enroll {
         // [new_sp] = shim, [new_sp+8] = app continuation.
         let sp = (child_stack - 16) as *mut u64;
         sp.write(lp_clone_child_shim as *const () as usize as u64);
         sp.add(1).write(frame.ret_addr);
-        (sp as u64, 2)
+        sp as u64
     } else {
         // [new_sp] = app continuation only.
         let sp = (child_stack - 8) as *mut u64;
         sp.write(frame.ret_addr);
-        (sp as u64, 1)
+        sp as u64
     };
 
-    if !vm {
-        // New stack without shared VM: the child gets a CoW copy, and
-        // both sides can safely run the generic path — but the child
-        // still must not unwind our frames, so use the asm path too.
-    }
-
-    clone_asm(frame.nr, flags, new_sp, frame.a3, frame.a4, frame.a5)
-}
-
-/// Issues `clone` such that the child immediately `ret`s into the
-/// seeded stack instead of resuming in Rust code.
-///
-/// The child executes exactly two instructions here (`test`, `jnz`
-/// fall-through, `ret`), abandoning this Rust frame — which is sound
-/// because nothing on it is ever observed again by the child.
-unsafe fn clone_asm(nr: u64, flags: u64, new_sp: u64, ptid: u64, ctid: u64, tls: u64) -> u64 {
-    let ret: u64;
-    core::arch::asm!(
-        "syscall",
-        "test rax, rax",
-        "jnz 2f",
-        "ret", // child: into shim or app continuation
-        "2:",
-        inlateout("rax") nr => ret,
-        in("rdi") flags,
-        in("rsi") new_sp,
-        in("rdx") ptid,
-        in("r10") ctid,
-        in("r8") tls,
-        out("rcx") _,
-        out("r11") _,
-    );
-    ret
+    // From the gate's `syscall; ret`: the parent returns to its caller,
+    // the child — on the seeded stack — `ret`s straight into the shim or
+    // the application's continuation, abandoning every Rust frame, which
+    // it never observes again.
+    raw_internal::syscall(&SyscallArgs::new(
+        frame.nr,
+        [flags, new_sp, frame.a3, frame.a4, frame.a5, 0],
+    ))
 }
 
 // Child-start shim: enrolls the fresh thread (its TLS block was just
@@ -203,11 +176,11 @@ unsafe extern "C" fn lp_clone_child_init() {
     if sud::pkey::slab_ready() {
         let _ = sud::adopt_protected_selector();
     }
-    crate::harden::rearm_after_clone();
+    sud::pkey::close_slab_if_ready();
     if enable_sud_with_retry() {
         // A fresh TLS block starts zeroed, i.e. on the full path.
         crate::tls::arm_stub_exit();
-        sud::set_selector(sud::Dispatch::Block);
+        crate::engine::block_selector();
     }
 }
 

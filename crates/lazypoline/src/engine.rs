@@ -157,7 +157,9 @@ engine_stats! {
     /// Syscall sites rewritten at load from the proven-site cache
     /// ([`crate::proven::apply_proven_sites`]), not by a `SIGSYS`.
     sites_from_cache: crate::proven::sites_from_cache(),
-    /// Syscalls that reached the dispatcher.
+    /// Application syscalls that reached the dispatcher or left from the
+    /// entry stub. The interposer's own — a handler's, made under the
+    /// re-entry guard — reach them too, and are not counted.
     dispatches: counters::get(&counters::DISPATCHES),
     /// Syscalls emulated in the handler because patching failed (the
     /// site or its page is unpatchable).
@@ -195,8 +197,9 @@ engine_stats! {
     /// Escape attempts the hardened-mode seccomp backstop caught
     /// (nonzero only under `lazypoline-hardened`).
     bypass_blocked: crate::harden::bypass_blocked(),
-    /// WRPKRU open/close pairs around protected-selector writes
-    /// (nonzero only with the pkey slab armed).
+    /// WRPKRU switches: the brackets of protected-selector writes
+    /// (enrolment, teardown) and the closes of the slab at the top of
+    /// signal handlers (nonzero only with the pkey slab armed).
     pkru_switches: sud::pkey::pkru_switch_count(),
 }
 
@@ -322,7 +325,7 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
         // Handlers registered before initialization go through the
         // wrapper protocol too (§IV-B(c)).
         signals::adopt_existing_handlers();
-        if let Err(e) = sud::sigsys::install_sigsys_handler(slowpath::sigsys_handler) {
+        if let Err(e) = slowpath::install() {
             sud_err = Some(e);
         }
     }
@@ -378,7 +381,8 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
 
 impl Engine {
     /// Enrolls the calling thread: enables SUD with this thread's
-    /// selector byte and arms it (selector = BLOCK).
+    /// selector byte and the gate as its allowed range, and sets the
+    /// selector to BLOCK — the one value it holds until teardown.
     ///
     /// # Errors
     ///
@@ -395,7 +399,7 @@ impl Engine {
         match enable_sud() {
             Ok(()) => {
                 tls::arm_stub_exit();
-                sud::set_selector(sud::Dispatch::Block);
+                block_selector();
                 Ok(())
             }
             Err(e) => {
@@ -434,26 +438,26 @@ impl Engine {
     }
 }
 
-/// Enables SUD on the calling thread. The one function every
-/// engine-backed enrolment goes through — the main thread
-/// ([`Engine::enroll_current_thread`]), clone children and fork
-/// children (`crate::clone`) — so that no task is armed with the gate
-/// on one path and without it on another.
-///
-/// Outside hardened mode the allowed code range is the gate
-/// ([`zpoline::gate`]): the engine's own syscalls leave from there, and
-/// the kernel lets them through without reading the selector. A
-/// hardened process keeps selector-only SUD: under the shim the gate
-/// is shared-library text, which the seccomp backstop admits, so a
-/// range would let a jump into it pass both layers.
+/// Enables SUD on the calling thread, with the gate ([`zpoline::gate`])
+/// as its allowed code range: every syscall of the engine leaves from
+/// there, and the kernel lets them through without reading the
+/// selector. The one function every engine-backed enrolment goes
+/// through — the main thread ([`Engine::enroll_current_thread`]), clone
+/// children and fork children (`crate::clone`) — so that no task is
+/// armed differently on one path than on another. It does not touch the
+/// selector: a fork child's reads BLOCK already, and the other two set it
+/// with [`block_selector`].
 pub(crate) fn enable_sud() -> io::Result<()> {
-    sud::set_selector(sud::Dispatch::Allow);
-    let gate = if crate::harden::attempted() {
-        0..0
-    } else {
-        zpoline::gate()
-    };
+    let gate = zpoline::gate();
     sud::enable_thread_with_allowlist(gate.start as u64, gate.len() as u64)
+}
+
+/// Sets the calling thread's selector to BLOCK: at enrolment, and where
+/// the backstop repairs a selector an attacker flipped
+/// (`harden::on_bypass`). With teardown's ALLOW the only selector
+/// writes the engine makes.
+pub(crate) fn block_selector() {
+    sud::set_selector(sud::Dispatch::Block);
 }
 
 impl Drop for Engine {

@@ -3,7 +3,6 @@
 //! fallback), exactly as the paper motivates in §IV-A(c).
 
 use interpose::SyscallEvent;
-use sud::Dispatch;
 use syscalls::{nr, Errno, SyscallArgs};
 use zpoline::RawFrame;
 
@@ -19,24 +18,26 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 
 /// The dispatcher registered with the zpoline trampoline.
 ///
-/// Protocol (paper §IV-A): flip the selector to ALLOW so the
-/// interposer's own syscalls bypass SUD, run the shared handler, then
-/// leave behind the selector the thread's block names
-/// ([`tls::leave_dispatch`]). Entered either directly from application
-/// code via a rewritten site (selector was BLOCK), from the slow
-/// path's re-execution (selector already ALLOW), or from a handler
-/// that itself reached a rewritten site (ALLOW, and it must stay so) —
-/// the exit rule is the same for all three, which is what makes
-/// selector-only SUD work.
+/// Protocol: run the shared handler under the re-entry guard, and issue
+/// every syscall from the gate ([`raw_internal::syscall`]), which SUD
+/// lets through whatever the selector reads. The selector is not
+/// touched: it reads BLOCK for the enrolled thread's whole life. Entered
+/// either directly from application code via a rewritten site, from the
+/// slow path's re-execution of a site it just rewrote, or from a
+/// handler that itself reached a rewritten site — a nested dispatch,
+/// which the guard turns into plain execution (below).
 ///
-/// A hit on an armed thread is one straight line: the count and both
-/// selector stores go through the thread's block (a plain `inc`, two
-/// byte stores), the interest word is read once, and the only calls
-/// are the handler's two and [`raw_internal::syscall`].
+/// A hit on an armed thread is one straight line: the count goes
+/// through the thread's block (a plain `inc`), the interest word is
+/// read once, and the only calls are the handler's two and
+/// [`raw_internal::syscall`]. A nested dispatch is not counted: it is
+/// the interposer's syscall, not the application's.
 pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64 {
     let block = zpoline::thread_block();
-    tls::count_dispatch(block);
-    tls::enter_dispatch(block);
+    let guarded = block.in_dispatch();
+    if !guarded {
+        tls::count_dispatch(block);
+    }
 
     let frame = &mut *frame;
 
@@ -47,23 +48,23 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
         do_rt_sigreturn(frame);
     }
 
-    // Execute raw — no event, no virtual call, no dispatch guard — when
-    // the installed handler declared no interest in this number (one
-    // relaxed load plus a bit test; the entry stub takes this exit by
-    // itself on threads whose block is armed, see `MISS_EXIT`), or when
-    // a handler re-entered the dispatcher, e.g. through a patched libc
-    // call. Syscalls the engine must emulate for correctness (signals,
-    // clones) go through `handle_syscall` regardless of interest.
-    let interested = interpose::global_interested(frame.nr);
-    let ret = if block.in_dispatch() || !(interested || needs_emulation(frame.nr)) {
-        raw_internal::syscall(&frame.syscall_args())
-    } else {
-        let was = block.set_in_dispatch(true);
-        let ret = handle_syscall(frame, interested);
-        block.set_in_dispatch(was);
-        ret
-    };
-    tls::leave_dispatch(block);
+    // Execute raw — no event, no virtual call — when the installed
+    // handler declared no interest in this number (one relaxed load plus
+    // a bit test; the entry stub takes this exit by itself on threads
+    // whose block is armed, see `MISS_EXIT`), or when a handler
+    // re-entered the dispatcher, e.g. through a libc call of its own.
+    // Syscalls the engine must emulate for correctness (signals, clones)
+    // go through `handle_syscall` regardless, under the guard too: a raw
+    // `clone` or `vfork` from the gate could not return to its caller,
+    // and a raw mask could block the `SIGSYS` the handler's next fresh
+    // site needs.
+    let interested = !guarded && interpose::global_interested(frame.nr);
+    if !(interested || needs_emulation(frame.nr)) {
+        return raw_internal::syscall(&frame.syscall_args());
+    }
+    let was = block.set_in_dispatch(true);
+    let ret = handle_syscall(frame, interested);
+    block.set_in_dispatch(was);
     ret
 }
 
@@ -105,13 +106,13 @@ pub(crate) fn needs_emulation(nr_: u64) -> bool {
 ///
 /// `interested` is [`interpose::global_interested`] of the frame's
 /// number, which each of the two callers — the dispatcher above and the
-/// slow path's in-handler emulation — reads exactly once; a call the
-/// handler did not ask for only gets the engine's own emulation.
+/// slow path's in-handler emulation — reads exactly once (and passes as
+/// `false` under the re-entry guard); a call the handler did not ask
+/// for only gets the engine's own emulation.
 ///
 /// # Safety
 ///
-/// `frame` must describe a syscall invocation from this thread, and
-/// the selector must be ALLOW.
+/// `frame` must describe a syscall invocation from this thread.
 #[inline]
 pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, interested: bool) -> u64 {
     if !interested {
@@ -165,11 +166,10 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
 /// `rt_sigreturn` cannot be issued from dispatcher context directly:
 /// the kernel reads the signal frame at the *current* `rsp`. Restore
 /// the application's `rsp` (where the frame lives) and issue the
-/// syscall there, with the selector at ALLOW so the instruction is
+/// syscall there, from the gate's restorer, so that the instruction is
 /// never itself dispatched (paper Fig. 3 step ③). Control continues at
-/// whatever context the signal frame describes — typically the
-/// sigreturn trampoline installed by the signal wrapper, which
-/// re-establishes the selector (step ④).
+/// whatever context the signal frame describes, with the selector as it
+/// was: BLOCK.
 unsafe fn do_rt_sigreturn(frame: &mut RawFrame) -> ! {
     rt_sigreturn_at((frame as *mut RawFrame as usize + FRAME_TO_APP_RSP) as u64)
 }
@@ -184,15 +184,7 @@ unsafe fn do_rt_sigreturn(frame: &mut RawFrame) -> ! {
 /// `app_rsp` must be the stack pointer of this thread at an
 /// `rt_sigreturn` instruction, i.e. just above a kernel signal frame.
 pub(crate) unsafe fn rt_sigreturn_at(app_rsp: u64) -> ! {
-    sud::set_selector(Dispatch::Allow);
-    core::arch::asm!(
-        "mov rsp, {0}",
-        "mov eax, 15", // rt_sigreturn
-        "syscall",
-        "ud2",
-        in(reg) app_rsp,
-        options(noreturn),
-    );
+    zpoline::gate_sigreturn(app_rsp)
 }
 
 /// Keeps `SIGSYS` unblockable: without the slow-path signal, a fresh

@@ -3,30 +3,30 @@
 //! Plain lazypoline's exhaustiveness rests on one writable byte: the
 //! SUD selector. Application code that guesses (or leaks) its address
 //! can flip it to ALLOW and issue syscalls the interposer never sees.
-//! Hardened mode (ISSUE 7, after the paper's §VII discussion of
-//! sandboxing) closes that hole with two independent layers:
+//! Hardened mode (after the paper's §VII discussion of sandboxing)
+//! closes that hole with two independent layers:
 //!
 //! 1. **Protected selector** — the selector byte moves onto an
-//!    MPK-protected slab ([`sud::pkey`]); the dispatcher opens the
-//!    write-disable bit only around its own selector writes (WRPKRU,
-//!    ~20 cycles), so a stray or malicious write from application code
-//!    faults instead of succeeding.
-//! 2. **Seccomp backstop** — a minimal BPF filter admits syscalls only
-//!    from allowlisted code: the interposer's syscall gate
-//!    ([`zpoline::gate`], from which the engine issues its own syscalls
-//!    and to which [`syscalls::raw::set_syscall_gate`] redirects the
-//!    suite's raw ones), shared-library text, the vdso, and a short list
-//!    of numbers the dispatcher must issue inline (`rt_sigreturn`, the
-//!    clone family, the exits).
+//!    MPK-protected slab ([`sud::pkey`]). The engine writes it at
+//!    enrolment and teardown only, each under a `WRPKRU` bracket, so a
+//!    stray or malicious write from application code faults instead of
+//!    succeeding, and no dispatch pays a bracket.
+//! 2. **Seccomp backstop** — a minimal BPF filter admits syscalls by
+//!    instruction pointer only: from the interposer's syscall gate
+//!    ([`zpoline::gate`], from which the engine issues every syscall of
+//!    its own — `rt_sigreturn` and `clone` included — and to which
+//!    [`arm_backstop`] redirects `syscalls::raw`), shared-library text
+//!    and the vdso.
 //!    Everything else — in particular a syscall instruction in
 //!    application text executed while the selector illegitimately
 //!    reads ALLOW — traps with `SIGSYS`/`SYS_SECCOMP`, which
 //!    [`on_bypass`] counts and answers per [`BypassPolicy`].
 //!
 //! The kernel checks SUD *before* seccomp on syscall entry, so the
-//! backstop is invisible in the common case: a BLOCKed syscall raises
-//! the SUD `SIGSYS` and the filter never runs; an ALLOWed dispatcher
-//! re-issue leaves from the gate and passes the IP allowlist.
+//! backstop is invisible in the common case: a syscall outside the gate
+//! meets the selector at BLOCK and raises the SUD `SIGSYS`, and the
+//! filter never runs; the engine's own leave from the gate and pass
+//! both.
 //!
 //! Like engine init, hardening *degrades* rather than fails:
 //! full (pkey + backstop) → backstop only (no MPK hardware, as on most
@@ -36,9 +36,10 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
+use sud::sigsys::UContext;
 use syscalls::{nr, Errno, SyscallArgs};
 
-use crate::raw_internal;
+use crate::{raw_internal, tls};
 
 /// `siginfo.si_code` for a seccomp `SECCOMP_RET_TRAP` delivery.
 pub const SYS_SECCOMP: libc::c_int = 1;
@@ -55,7 +56,6 @@ const SECCOMP_RET_TRAP: u32 = 0x0003_0000;
 const AUDIT_ARCH_X86_64: u32 = 0xc000_003e;
 
 // `struct seccomp_data` field offsets.
-const OFF_NR: u32 = 0;
 const OFF_ARCH: u32 = 4;
 const OFF_IP_LO: u32 = 8;
 const OFF_IP_HI: u32 = 12;
@@ -66,20 +66,6 @@ const BPF_JEQ_K: u16 = 0x15;
 const BPF_JGE_K: u16 = 0x35;
 const BPF_JGT_K: u16 = 0x25;
 const BPF_RET_K: u16 = 0x06;
-
-/// Syscall numbers admitted regardless of instruction pointer: the
-/// dispatcher must issue these from inline assembly in its own text
-/// (`do_rt_sigreturn`, `clone_asm`) where no gate detour is possible,
-/// and a task must always be able to die.
-const NR_ALLOWLIST: &[u32] = &[
-    nr::RT_SIGRETURN as u32,
-    nr::CLONE as u32,
-    nr::FORK as u32,
-    nr::VFORK as u32,
-    nr::EXIT as u32,
-    nr::EXIT_GROUP as u32,
-    nr::CLONE3 as u32,
-];
 
 /// IP-range blocks the filter can hold. `/proc/self/maps` of a typical
 /// dynamically linked test binary has ~10 executable file mappings;
@@ -156,10 +142,6 @@ pub fn prepare_pkey() -> io::Result<()> {
     HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
     sud::pkey::init_protected_slab()?;
     sud::adopt_protected_selector()?;
-    // The selector moved: the stub must not store to the old byte and
-    // issue a syscall under the new one. (Threads enrolled from here on
-    // find the slab ready and are never armed.)
-    zpoline::thread_block().disarm();
     PKEY_ACTIVE.store(sud::pkey::slab_hardware_protected(), Ordering::SeqCst);
     Ok(())
 }
@@ -233,27 +215,20 @@ fn exec_ranges(gate: std::ops::Range<usize>) -> io::Result<Vec<(u64, u64)>> {
 
 /// Builds the backstop program.
 ///
-/// Layout: arch check, number allowlist, then one five-instruction
-/// block per IP range (`ld ip_hi; jeq; ld ip_lo; jge lo; jgt hi-1`),
-/// falling through to `ret TRAP` with `ret ALLOW` last.
+/// Layout: arch check, then one five-instruction block per IP range
+/// (`ld ip_hi; jeq; ld ip_lo; jge lo; jgt hi-1`), falling through to
+/// `ret TRAP` with `ret ALLOW` last.
 fn build_filter(ranges: &[(u64, u64)]) -> Vec<SockFilter> {
-    let n_nums = NR_ALLOWLIST.len();
-    let n_blocks = ranges.len();
-    let trap_idx = 3 + n_nums + 5 * n_blocks;
+    let trap_idx = 2 + 5 * ranges.len();
     let allow_idx = trap_idx + 1;
     let mut p = Vec::with_capacity(allow_idx + 1);
 
     p.push(insn(BPF_LD_W_ABS, 0, 0, OFF_ARCH));
     p.push(insn(BPF_JEQ_K, 0, (trap_idx - 2) as u8, AUDIT_ARCH_X86_64));
-    p.push(insn(BPF_LD_W_ABS, 0, 0, OFF_NR));
-    for (i, &num) in NR_ALLOWLIST.iter().enumerate() {
-        let here = 3 + i;
-        p.push(insn(BPF_JEQ_K, (allow_idx - here - 1) as u8, 0, num));
-    }
     for (b, &(lo, hi)) in ranges.iter().enumerate() {
         // jf/jt offsets are relative to the *next* instruction; each
         // block's miss path lands on the next block (or the TRAP).
-        let base = 3 + n_nums + 5 * b;
+        let base = 2 + 5 * b;
         let next = base + 5;
         p.push(insn(BPF_LD_W_ABS, 0, 0, OFF_IP_HI));
         p.push(insn(BPF_JEQ_K, 0, (next - base - 2) as u8, (lo >> 32) as u32));
@@ -283,66 +258,16 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
         return Ok(());
     }
     POLICY.store(policy as u8, Ordering::SeqCst);
-
-    // Arm from dispatcher-like context: with the engine live the
-    // selector reads BLOCK here, and every syscall below would take
-    // the slow path — the raw ones from the gate, which a hardened
-    // thread's SUD has no range for, emulated one SIGSYS each, and the
-    // `/proc` reads through libc rewritten and dispatched to the
-    // handler. Parking the selector at ALLOW for the (single-threaded,
-    // self-inflicted) arming window keeps every arming syscall off the
-    // rewriter's radar and out of the handler's sight; BLOCK is
-    // restored on all exits.
-    crate::proven::privately(arm_backstop_inner)
-}
-
-fn arm_backstop_inner() -> io::Result<()> {
-    let install = || -> io::Result<()> {
-        if let Some(e) = faultinject::check(faultinject::Site::SeccompInstall) {
-            return Err(io::Error::from_raw_os_error(e));
-        }
-        let ranges = exec_ranges(zpoline::gate())?;
-        let prog = build_filter(&ranges);
-        let fprog = SockFprog {
-            len: prog.len() as u16,
-            filter: prog.as_ptr(),
-        };
-        unsafe {
-            let r = raw_internal::syscall(&SyscallArgs::new(
-                nr::PRCTL,
-                [PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0, 0],
-            ));
-            if let Some(e) = Errno::from_ret(r) {
-                return Err(io::Error::from_raw_os_error(e.as_i32()));
-            }
-            let r = raw_internal::syscall(&SyscallArgs::new(
-                nr::SECCOMP,
-                [
-                    SECCOMP_SET_MODE_FILTER,
-                    SECCOMP_FILTER_FLAG_TSYNC,
-                    &fprog as *const _ as u64,
-                    0,
-                    0,
-                    0,
-                ],
-            ));
-            if let Some(e) = Errno::from_ret(r) {
-                return Err(io::Error::from_raw_os_error(e.as_i32()));
-            }
-            if r != 0 {
-                // TSYNC refused: some thread already carries a
-                // conflicting filter.
-                return Err(io::Error::from_raw_os_error(libc::EPERM));
-            }
-        }
-        Ok(())
-    };
-
     // Redirect `syscalls::raw` to the gate *before* installing: no
     // window exists where another thread's raw syscall could issue from
-    // main-executable text under the filter.
+    // main-executable text under the filter (a thread SUD does not
+    // cover, like the recorder's drain thread).
+    // SAFETY: the gate's `syscall; ret` is this binary's text, for the
+    // life of the process.
     unsafe { syscalls::raw::set_syscall_gate(zpoline::trampoline::lp_zpoline_gate_syscall) };
-    match install() {
+    // The `/proc` reads below go through libc: on the engine's private
+    // path, no handler or layer sees them.
+    match crate::proven::privately(install_filter) {
         Ok(()) => {
             BACKSTOP_ACTIVE.store(true, Ordering::SeqCst);
             Ok(())
@@ -352,6 +277,47 @@ fn arm_backstop_inner() -> io::Result<()> {
             Err(e)
         }
     }
+}
+
+fn install_filter() -> io::Result<()> {
+    if let Some(e) = faultinject::check(faultinject::Site::SeccompInstall) {
+        return Err(io::Error::from_raw_os_error(e));
+    }
+    let ranges = exec_ranges(zpoline::gate())?;
+    let prog = build_filter(&ranges);
+    let fprog = SockFprog {
+        len: prog.len() as u16,
+        filter: prog.as_ptr(),
+    };
+    unsafe {
+        let r = raw_internal::syscall(&SyscallArgs::new(
+            nr::PRCTL,
+            [PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0, 0],
+        ));
+        if let Some(e) = Errno::from_ret(r) {
+            return Err(io::Error::from_raw_os_error(e.as_i32()));
+        }
+        let r = raw_internal::syscall(&SyscallArgs::new(
+            nr::SECCOMP,
+            [
+                SECCOMP_SET_MODE_FILTER,
+                SECCOMP_FILTER_FLAG_TSYNC,
+                &fprog as *const _ as u64,
+                0,
+                0,
+                0,
+            ],
+        ));
+        if let Some(e) = Errno::from_ret(r) {
+            return Err(io::Error::from_raw_os_error(e.as_i32()));
+        }
+        if r != 0 {
+            // TSYNC refused: some thread already carries a
+            // conflicting filter.
+            return Err(io::Error::from_raw_os_error(libc::EPERM));
+        }
+    }
+    Ok(())
 }
 
 /// The achieved hardening rung.
@@ -398,8 +364,14 @@ impl BypassPolicy {
     }
 }
 
-/// Answers a backstop trap from the `SIGSYS` handler: count it, repair
-/// the protection the attacker disturbed, then kill or quarantine.
+/// Answers a backstop trap from the `SIGSYS` handler: count it, then
+/// kill, or repair the protection the attacker disturbed and quarantine.
+///
+/// The repair is made in the context the thread resumes with: the
+/// selector goes back to BLOCK, as enrolment left it, and the `PKRU`
+/// that `sigreturn` restores gets the slab's write-disable bit back (the
+/// attacker cleared it to flip the selector). Both are safe here: every
+/// syscall of this handler leaves from the gate.
 ///
 /// Returns `true` when the caller should emulate the trapped syscall
 /// through the interposer (quarantine); under [`BypassPolicy::Kill`]
@@ -407,18 +379,19 @@ impl BypassPolicy {
 ///
 /// # Safety
 ///
-/// Signal-handler context only.
-pub(crate) unsafe fn on_bypass() -> bool {
+/// Signal-handler context only, with `uc` the interrupted context.
+pub(crate) unsafe fn on_bypass(uc: &mut UContext) -> bool {
     BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
-    // Whatever the attacker did to get here involved opening the
-    // selector slab; close it again. The selector byte itself must NOT
-    // be re-BLOCKed here — in handler context that would turn our own
-    // next syscall into a forced (fatal) nested SIGSYS. The quarantine
-    // emulation path re-arms it through the sigreturn trampoline,
-    // exactly like an ordinary slow-path trip.
-    sud::pkey::rearm_after_clone();
     match policy() {
-        BypassPolicy::Quarantine => true,
+        BypassPolicy::Quarantine => {
+            if tls::enrolled() {
+                crate::engine::block_selector();
+            }
+            if let Some(pkru) = uc.pkru_mut() {
+                *pkru = sud::pkey::closed(*pkru);
+            }
+            true
+        }
         BypassPolicy::Kill => {
             let pid = raw_internal::syscall(&SyscallArgs::nullary(nr::GETPID));
             raw_internal::syscall(&SyscallArgs::new(
@@ -433,22 +406,6 @@ pub(crate) unsafe fn on_bypass() -> bool {
     }
 }
 
-/// Whether hardening was requested in this process ([`prepare_pkey`]
-/// or [`arm_backstop`]), whatever rung it reached.
-pub(crate) fn attempted() -> bool {
-    HARDEN_ATTEMPTED.load(Ordering::SeqCst)
-}
-
-/// Re-arms hardening in a fresh task (fork/clone child): PKRU is
-/// per-thread and a new thread starts with the slab open, so close it
-/// before the first dispatch. The seccomp filter itself is inherited
-/// by the kernel — nothing to re-install.
-pub(crate) fn rearm_after_clone() {
-    if attempted() {
-        sud::pkey::rearm_after_clone();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,20 +414,22 @@ mod tests {
     fn filter_layout_is_consistent() {
         let ranges = [(0x7f00_0000_0000u64, 0x7f00_0000_4000u64), (0x1000, 0x2000)];
         let p = build_filter(&ranges);
-        assert_eq!(p.len(), 3 + NR_ALLOWLIST.len() + 5 * ranges.len() + 2);
+        assert_eq!(p.len(), 2 + 5 * ranges.len() + 2);
         // Last two instructions: TRAP then ALLOW.
         assert_eq!(p[p.len() - 2].k, SECCOMP_RET_TRAP);
         assert_eq!(p[p.len() - 1].k, SECCOMP_RET_ALLOW);
-        // Every number-allowlist jump lands exactly on the ALLOW.
         let allow_idx = p.len() - 1;
-        for (i, _) in NR_ALLOWLIST.iter().enumerate() {
-            let here = 3 + i;
-            assert_eq!(here + 1 + p[here].jt as usize, allow_idx);
-        }
+        // The number is never loaded: the filter admits by IP only.
+        assert!(
+            p.iter().all(|i| !(i.code == BPF_LD_W_ABS && i.k == 0)),
+            "seccomp_data.nr"
+        );
+        // A foreign arch traps.
+        assert_eq!(1 + 1 + p[1].jf as usize, allow_idx - 1);
         // Every range block's in-range path lands on the ALLOW and its
         // miss paths land on the next block (or the TRAP).
         for b in 0..ranges.len() {
-            let base = 3 + NR_ALLOWLIST.len() + 5 * b;
+            let base = 2 + 5 * b;
             let next = base + 5;
             assert_eq!(base + 1 + 1 + p[base + 1].jf as usize, next);
             assert_eq!(base + 3 + 1 + p[base + 3].jf as usize, next);

@@ -5,13 +5,14 @@
 //!
 //! * **Slow path** — Linux Syscall User Dispatch delivers `SIGSYS` for
 //!   every syscall executed while the per-thread selector byte reads
-//!   BLOCK. The handler rewrites the faulting `syscall` instruction to
+//!   BLOCK, which an enrolled thread's does from enrolment to teardown.
+//!   The handler rewrites the faulting `syscall` instruction to
 //!   `call rax` and resumes execution *at the rewritten instruction*,
-//!   which transfers straight into the fast path ("selector-only SUD",
-//!   §IV-A: one shared syscall-handling implementation). The one
-//!   allowlisted code range is the interposer's own syscall gate
-//!   ([`zpoline::gate`]), outside hardened mode: the kernel lets the
-//!   dispatcher's syscalls through without reading the selector.
+//!   which transfers straight into the fast path (§IV-A: one shared
+//!   syscall-handling implementation). The one allowlisted code range is
+//!   the interposer's own syscall gate ([`zpoline::gate`]): the kernel
+//!   lets every syscall the engine issues from there through without
+//!   reading the selector, so the engine never flips it.
 //! * **Fast path** — the zpoline trampoline at virtual address 0
 //!   catches the `call rax`, preserves the full register file (plus
 //!   SSE/AVX/x87 state, configurable), and invokes the dispatcher,

@@ -12,7 +12,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sud::Dispatch;
 pub use zpoline::{FileMapping, Maps, PatchError, RegionPerms};
 
 use crate::slowpath::{BATCH_REWRITING, LAZY_REWRITING};
@@ -36,19 +35,15 @@ pub fn patched_sites() -> impl Iterator<Item = usize> {
     zpoline::sitelog::logged_sites()
 }
 
-/// Runs `f` on the engine's private syscall path: with the calling
-/// thread's selector at ALLOW, so the syscalls `f` issues are never
-/// dispatched — no handler or layer sees them — and the sites they run
-/// from are never proved, so never rewritten. Nests.
+/// Runs `f` on the engine's private syscall path: under the re-entry
+/// guard a handler's own calls run under, so the syscalls `f` issues
+/// are executed and never shown to a handler or layer. Those from the
+/// engine's crates leave from the gate; a libc call from a site not yet
+/// rewritten takes its `SIGSYS` like any other, and is rewritten. Nests.
 pub fn privately<T>(f: impl FnOnce() -> T) -> T {
-    let blocked = sud::selector() == Dispatch::Block;
-    if blocked {
-        sud::set_selector(Dispatch::Allow);
-    }
+    let was = crate::tls::set_in_dispatch(true);
     let out = f();
-    if blocked {
-        sud::set_selector(Dispatch::Block);
-    }
+    crate::tls::set_in_dispatch(was);
     out
 }
 

@@ -4,15 +4,12 @@
 //! lazy rewriter could patch: if that instruction were ever rewritten
 //! to `call rax`, the dispatcher's passthrough would recurse into
 //! itself forever. So these functions issue their syscalls from the
-//! gate ([`zpoline::gate`]), the one `syscall` behind the entry stub,
+//! gate ([`zpoline::gate`]), the `syscall; ret` behind the entry stub,
 //! which the patcher never rewrites. The gate is also the allowed code
-//! range of every engine-backed enrolment outside hardened mode, so the
-//! kernel lets these syscalls through without reading the selector, and
-//! the one range of the main executable the hardened backstop admits.
-//!
-//! They are only ever called from dispatcher context, where the
-//! selector is ALLOW, or before SUD is enabled on the thread: their
-//! selector protocol is the same with and without the range.
+//! range of every engine-backed enrolment, so the kernel lets these
+//! syscalls through without reading the selector — which reads BLOCK —
+//! and the one range of the main executable the hardened backstop
+//! admits.
 
 use syscalls::SyscallArgs;
 

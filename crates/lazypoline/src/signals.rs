@@ -3,24 +3,22 @@
 //!
 //! Every application `rt_sigaction` is intercepted: the real kernel
 //! registration points at [`lp_signal_wrapper`], and the application's
-//! own disposition lives in a table. On delivery, the wrapper
+//! own disposition lives in a table. On delivery, the wrapper lifts the
+//! re-entry guard — the signal may have interrupted a handler, and the
+//! application handler's syscalls are the application's, to be
+//! interposed (Fig. 3 ②) — calls the recorded application handler as a
+//! function, puts the guard back and returns. The wrapper's return goes
+//! through the application's restorer; that `rt_sigreturn` is dispatched
+//! like any other syscall and issued from the gate's restorer
+//! (`crate::fastpath::rt_sigreturn_at`, Fig. 3 ③).
 //!
-//! 1. pushes the current selector value onto the per-thread
-//!    *sigreturn stack* and sets the selector to BLOCK, so syscalls
-//!    made by the application handler are interposed normally (①, ②);
-//! 2. invokes the recorded application handler;
-//! 3. redirects the interrupted context's `rip` to the *sigreturn
-//!    trampoline* before returning. The wrapper's own `rt_sigreturn`
-//!    travels through the interposer (slow path the first time, fast
-//!    path after), whose `rt_sigreturn` special case issues the real
-//!    sigreturn with the selector at ALLOW (③);
-//! 4. the kernel restores the interrupted context — whose `rip` now
-//!    points at the trampoline, which pops the saved selector, makes it
-//!    live again, and jumps to the original resume address (④).
-//!
-//! The trampoline is written to be completely transparent: it preserves
-//! every general-purpose register, `rflags`, and (subject to the
-//! configured [`zpoline::XstateMask`]) all extended state.
+//! The paper saves the selector on a per-thread sigreturn stack on
+//! delivery, sets BLOCK for the application handler and restores the
+//! saved value through a sigreturn trampoline once the kernel has
+//! restored the interrupted context (①, ④), because its selector reads
+//! ALLOW for the whole of every dispatch. Here it reads BLOCK from
+//! enrolment to teardown, in and out of handlers, so there is nothing to
+//! save, set or restore, and no trampoline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,8 +30,7 @@ use crate::{raw_internal, tls};
 
 pub(crate) const SIG_DFL: u64 = 0;
 pub(crate) const SIG_IGN: u64 = 1;
-#[cfg(test)]
-const SA_RESTORER: u64 = 0x0400_0000;
+pub(crate) const SA_RESTORER: u64 = 0x0400_0000;
 const SIGSYS_MASK_BIT: u64 = 1 << (libc::SIGSYS as u64 - 1);
 
 /// The kernel's `rt_sigaction` struct layout (differs from libc's!).
@@ -203,29 +200,21 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
     ctx: *mut libc::c_void,
 ) {
     // The kernel enters a handler with its default PKRU, which
-    // access-disables hardened mode's selector slab: both the read below
-    // and the kernel's SUD read on this handler's first syscall would
-    // fault. Restore the slab's steady state first.
-    if sud::pkey::slab_ready() {
-        sud::pkey::close_slab();
-    }
+    // access-disables hardened mode's selector slab: the kernel's read
+    // of the selector on the application handler's first syscall from
+    // outside the gate would fault. Restore the slab's steady state.
+    sud::pkey::close_slab_if_ready();
     counters::bump(&SIGNALS_WRAPPED);
-    let prev_selector = sud::selector().as_byte();
-    // A signal that arrives while the slow path emulates a syscall
-    // (`kill` to self, a child exiting under `wait4`) nests inside the
-    // `SIGSYS` handler, where `SIGSYS` is blocked: the application
-    // handler's first syscall — or this wrapper's own `rt_sigreturn` —
-    // would kill the process. Application handlers always run with
-    // `SIGSYS` deliverable; returning restores the interrupted mask.
-    sud::set_selector(sud::Dispatch::Allow);
+    // A signal that lands where `SIGSYS` is blocked (a `sigsuspend` or
+    // `ppoll` mask that names it, a child before its enrolment unblocks
+    // it) would turn the application handler's first fresh syscall site
+    // into a kill. Application handlers always run with `SIGSYS`
+    // deliverable; returning restores the interrupted mask.
     raw_internal::rt_sigprocmask(
         raw_internal::SIG_UNBLOCK,
         &SIGSYS_MASK_BIT,
         std::ptr::null_mut(),
     );
-    if tls::enrolled() {
-        sud::set_selector(sud::Dispatch::Block);
-    }
 
     let slot = APP_ACTIONS
         .get(sig as usize)
@@ -264,110 +253,6 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
         }
     }
     tls::set_in_dispatch(saved_guard);
-
-    // Redirect the resume point through the sigreturn trampoline so the
-    // selector becomes live again only after the kernel has restored
-    // the interrupted context (paper Fig. 3 ④). The app handler may
-    // have modified the context's rip — honour it by saving whatever is
-    // there *now*.
-    let mut uc = sud::sigsys::UContext::from_ptr(ctx);
-    if tls::push_sigreturn(prev_selector, uc.rip()) {
-        uc.set_rip(lp_sigreturn_tramp as *const () as usize as u64);
-    }
-    // else: sigreturn stack exhausted — leave the selector BLOCKed
-    // (safe: one extra slow-path trip at worst) and resume directly.
-}
-
-/// Rust side of the sigreturn trampoline: pops the `(selector, rip)`
-/// entry, restores the selector, and returns the resume address.
-unsafe extern "C" fn lp_sigreturn_pop() -> u64 {
-    match tls::pop_sigreturn() {
-        Some(e) => {
-            sud::set_selector(sud::Dispatch::from_byte(e.selector as u8));
-            e.rip
-        }
-        None => {
-            // Corrupted state: a trampoline resume with no matching
-            // push. Nothing sane to resume to — fail loudly.
-            let msg = b"lazypoline: sigreturn stack underflow\n";
-            raw_internal::syscall(&syscalls::SyscallArgs::new(
-                syscalls::nr::WRITE,
-                [2, msg.as_ptr() as u64, msg.len() as u64, 0, 0, 0],
-            ));
-            raw_internal::syscall(&syscalls::SyscallArgs::new(
-                syscalls::nr::EXIT_GROUP,
-                [117, 0, 0, 0, 0, 0],
-            ));
-            0
-        }
-    }
-}
-
-// The sigreturn trampoline (paper Fig. 3 step ④). Runs in application
-// context immediately after a kernel sigreturn; must be fully
-// transparent. Flag-mutating instructions are avoided outside the
-// pushfq/popfq window; extended state is preserved around the Rust
-// helper by the fast-path stub's own save/restore text (same mask).
-// Straight after a sigreturn the kernel has marked x87 in use, so this
-// takes the stub's x87-live case; its normaliser hands the thread back
-// with x87 marked initial again (when it is), and the application's
-// next syscall pays the cheap case.
-std::arch::global_asm!(
-    r#"
-    .text
-    .globl lp_sigreturn_tramp
-    .type lp_sigreturn_tramp, @function
-    .align 16
-lp_sigreturn_tramp:
-    lea rsp, [rsp - 128]          # skip the interrupted frame's red zone
-    push rbp
-    mov rbp, rsp
-    push rbx                      # [rbp-8]
-    lea rsp, [rsp - 8]            # [rbp-16] = resume-rip slot
-    push rax
-    push rcx
-    push rdx
-    push rsi
-    push rdi
-    push r8
-    push r9
-    push r10
-    push r11
-    pushfq                        # [rbp-96]; flags free to clobber below
-"#,
-    zpoline::xstate_save_asm!(),
-    r#"
-    and rsp, -16
-    call {pop}                    # rax = resume rip; selector restored
-    mov qword ptr [rbp - 16], rax
-"#,
-    zpoline::xstate_restore_asm!(),
-    r#"
-    lea rsp, [rbp - 96]
-    popfq
-    pop r11
-    pop r10
-    pop r9
-    pop r8
-    pop rdi
-    pop rsi
-    pop rdx
-    pop rcx
-    pop rax
-    lea rsp, [rsp + 8]
-    pop rbx
-    pop rbp
-    lea rsp, [rsp + 128]
-    jmp qword ptr [rsp - 152]     # resume-rip slot, now in dead stack
-    .size lp_sigreturn_tramp, . - lp_sigreturn_tramp
-"#,
-    // `sym`, not a name: nothing here is a dynamic symbol of the shim.
-    pop = sym lp_sigreturn_pop,
-    stub_globals = sym zpoline::trampoline::STUB_GLOBALS,
-);
-
-extern "C" {
-    pub(crate) fn lp_sigreturn_tramp();
 }
 
 #[cfg(test)]
@@ -415,57 +300,5 @@ mod tests {
         };
         slot.store(a);
         assert_eq!(slot.load(), a);
-    }
-
-    #[test]
-    fn sigreturn_tramp_restores_registers_and_selector() {
-        // Drive the trampoline directly (no kernel involved): push an
-        // entry whose rip is a label right after a jmp to the tramp,
-        // then verify registers and selector survive.
-        unsafe {
-            sud::set_selector(sud::Dispatch::Allow);
-            let resume: u64;
-            let r12_out: u64;
-            let r13_out: u64;
-            // The continuation address is taken with lea. (rbx cannot
-            // be an asm operand under LLVM, so the sentinels use
-            // r12/r13 — r12/r13 cross the trampoline untouched, and
-            // rbx preservation is covered by the fast-path stub tests.)
-            core::arch::asm!(
-                "lea rdi, [rip + 8f]",
-                // Aligned call frame for the Rust helper.
-                "push rbp",
-                "mov rbp, rsp",
-                "and rsp, -16",
-                "call {push_fn}",          // records (BLOCK, resume-rip)
-                "mov rsp, rbp",
-                "pop rbp",
-                "mov r12, 0x1111222233334444",
-                "mov r13, 0x5555666677778888",
-                "jmp {tramp}",
-                "8:",
-                push_fn = sym push_for_test,
-                tramp = sym lp_sigreturn_tramp,
-                out("rdi") _,
-                lateout("r12") r12_out,
-                lateout("r13") r13_out,
-                out("rax") resume,
-                out("rcx") _, out("rdx") _, out("rsi") _,
-                out("r8") _, out("r9") _, out("r10") _, out("r11") _,
-                out("r14") _, out("r15") _,
-            );
-            let _ = resume;
-            assert_eq!(r12_out, 0x1111_2222_3333_4444);
-            assert_eq!(r13_out, 0x5555_6666_7777_8888);
-            // The entry requested BLOCK; the tramp must have applied it.
-            assert_eq!(sud::selector(), sud::Dispatch::Block);
-            sud::set_selector(sud::Dispatch::Allow);
-        }
-    }
-
-    unsafe extern "C" fn push_for_test(rip: u64) {
-        // No assert here: panicking across `extern "C"` aborts. The
-        // outer test observes failure through the selector check.
-        let _ = tls::push_sigreturn(sud::Dispatch::Block.as_byte(), rip);
     }
 }

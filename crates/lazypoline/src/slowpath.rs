@@ -3,19 +3,24 @@
 //!
 //! On every dispatch the handler:
 //!
-//! 1. sets the selector to ALLOW (its own syscalls must not recurse),
-//! 2. rewrites the faulting `syscall` instruction to `call rax`
+//! 1. rewrites the faulting `syscall` instruction to `call rax`
 //!    ([`zpoline::patch_syscall_site`], under the rewrite spinlock),
-//! 3. rewinds the interrupted `rip` to the *rewritten* instruction and
-//!    sigreturns with the selector still at ALLOW ("selector-only
-//!    SUD"). Re-execution enters the fast path, which handles the
-//!    syscall and re-arms the selector on exit — giving the paper's
-//!    single shared handling implementation for both paths.
+//! 2. rewinds the interrupted `rip` to the *rewritten* instruction and
+//!    returns. Re-execution enters the fast path, which handles the
+//!    syscall — the paper's single shared handling implementation for
+//!    both paths.
+//!
+//! The selector stays at BLOCK throughout: every syscall the handler
+//! issues leaves from the gate ([`zpoline::gate`]), which SUD lets
+//! through by its range, and it returns through the gate's restorer
+//! ([`install`]). The paper's handler sets ALLOW first and returns with
+//! it ("selector-only SUD"), for its own syscalls and for the
+//! re-executed site; here the site's re-execution is a `call rax`, not
+//! a syscall.
 //!
 //! When the site is not rewritten, the syscall is emulated right here
-//! through the same shared [`crate::fastpath::handle_syscall`] logic,
-//! and the selector is re-armed through the sigreturn trampoline. The
-//! reasons are kept distinct (they answer different questions):
+//! through the same shared [`crate::fastpath::handle_syscall`] logic.
+//! The reasons are kept distinct (they answer different questions):
 //!
 //! * **rewriting disabled** — a configuration state (pure-SUD mode, or
 //!   the `Mode::SudOnly` degradation rung), counted as
@@ -28,14 +33,18 @@
 //!   protection that cannot be looked up (no `/proc`, no descriptor to
 //!   open it on), insert the page into the blocklist (also
 //!   `UNPATCHABLE_EMULATIONS`). A site in the gate (`zpoline::gate`,
-//!   the interposer's own `syscall`s, trapped only where SUD has no
-//!   range: hardened mode) always fails this way, with
-//!   `PatchError::InGate`, and is never blocklisted.
+//!   the interposer's own `syscall`s, which SUD never traps) would fail
+//!   this way, with `PatchError::InGate`, and is never blocklisted.
+//!
+//! A handler notified from an emulation runs inside this handler, and
+//! its own libc calls meet the selector at BLOCK: each traps again,
+//! nested (the handler is registered `SA_NODEFER`), and is executed
+//! under the re-entry guard without a second notification.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use sud::sigsys::{SigsysInfo, UContext};
-use sud::Dispatch;
 use syscalls::Errno;
 use zpoline::RawFrame;
 
@@ -93,8 +102,8 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
             // non-allowlisted code with the selector at ALLOW — a
             // bypass attempt. Kill never returns; quarantine asks us
             // to route the syscall through the interposer after all.
-            if crate::harden::on_bypass() {
-                let mut uc = UContext::from_ptr(ctx);
+            let mut uc = UContext::from_ptr(ctx);
+            if crate::harden::on_bypass(&mut uc) {
                 emulate_in_handler(&mut uc);
             }
             return;
@@ -106,7 +115,6 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
     }
 
     counters::bump(&SLOW_PATH_HITS);
-    sud::set_selector(Dispatch::Allow);
 
     let mut uc = UContext::from_ptr(ctx);
     let insn = si.syscall_insn_addr();
@@ -134,15 +142,40 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
     match emulate_reason {
         None => uc.set_rip(insn as u64),
         Some(reason) => {
-            counters::bump(match reason {
-                EmulationReason::RewritingDisabled => &DISABLED_MODE_EMULATIONS,
-                EmulationReason::Unpatchable => &UNPATCHABLE_EMULATIONS,
-            });
+            // Counted as the dispatches they stand in for: the
+            // application's, not the interposer's own.
+            if !zpoline::thread_block().in_dispatch() {
+                counters::bump(match reason {
+                    EmulationReason::RewritingDisabled => &DISABLED_MODE_EMULATIONS,
+                    EmulationReason::Unpatchable => &UNPATCHABLE_EMULATIONS,
+                });
+            }
             emulate_in_handler(&mut uc);
         }
     }
-    // Return with the selector at ALLOW; the kernel's sigreturn cannot
-    // recurse, and the fast path re-arms BLOCK on its way out.
+}
+
+const SA_NODEFER: u64 = 0x4000_0000;
+
+/// Registers [`sigsys_handler`] with the kernel: by a raw
+/// `rt_sigaction` from the gate, with `SA_NODEFER` — a handler's libc
+/// call made while the handler emulates nests one `SIGSYS` instead of
+/// meeting a blocked one, which would kill the process — and with the
+/// gate's restorer, whose `rt_sigreturn` SUD lets through by its range.
+pub(crate) fn install() -> io::Result<()> {
+    let act = signals::KernelSigaction {
+        handler: sigsys_handler as *const () as usize as u64,
+        flags: (libc::SA_SIGINFO | libc::SA_RESTART) as u64 | SA_NODEFER | signals::SA_RESTORER,
+        restorer: zpoline::sigreturn_restorer() as u64,
+        mask: 0,
+    };
+    // SAFETY: `act` is a valid kernel sigaction that outlives the call;
+    // no old action is asked for.
+    let r = unsafe { raw_internal::rt_sigaction(libc::SIGSYS, &act as *const _ as u64, 0) };
+    match Errno::from_ret(r) {
+        Some(e) => Err(io::Error::from_raw_os_error(e.as_i32())),
+        None => Ok(()),
+    }
 }
 
 /// One patch attempt honouring the batch-rewriting setting.
@@ -208,8 +241,7 @@ unsafe fn patch_with_retry(
 
 /// Emulates the intercepted syscall inside the handler through the
 /// shared dispatcher logic (paper §IV-A(c): one handling
-/// implementation), then re-arms the selector via the sigreturn
-/// trampoline.
+/// implementation).
 ///
 /// The `slowpath_emulate` fault seam fires *before* the handler is
 /// notified: an injected fault means the syscall never executed and the
@@ -219,17 +251,16 @@ unsafe fn patch_with_retry(
 /// ([`fastpath::needs_emulation`]: `rt_sigreturn`, signal-table and
 /// task-management plumbing) are exempt — the kernel cannot fail those
 /// with a transient errno, and pretending it can would corrupt signal
-/// frames rather than model any real fault.
+/// frames rather than model any real fault. So is a call made under the
+/// re-entry guard (a handler's own, nested here): it is executed, as
+/// the dispatcher executes one, without a notification.
 ///
-/// The calls that read or keep the thread's signal mask run under the
-/// interrupted context's, not the one in force here (this is `SIGSYS`'s
-/// handler: `SIGSYS` is blocked, and `sigreturn` discards whatever the
-/// mask becomes). `execve`/`execveat`: the mask survives into the new
-/// image — visible in its `SigBlk`, and fatal to it on its first
-/// dispatched syscall if it is itself interposed. `rt_sigprocmask`: the
-/// application means its own mask, so the call edits and reports that
-/// one, and the result goes into `uc_sigmask` for `sigreturn` to
-/// install. The handler's mask is put back once the call returns.
+/// The handler runs with the interrupted context's signal mask
+/// (`SA_NODEFER`, empty `sa_mask`), so an `execve` hands the new image
+/// the application's mask. What `sigreturn` discards is a change to the
+/// mask: an emulated `rt_sigprocmask` edits the mask in force here,
+/// which is then copied into `uc_sigmask` for `sigreturn` to install,
+/// and put back.
 unsafe fn emulate_in_handler(uc: &mut UContext) {
     let nr_ = uc.syscall_args().nr;
     if nr_ == syscalls::nr::RT_SIGRETURN {
@@ -237,7 +268,12 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         // restore is the one at the application's `rsp`, not ours.
         fastpath::rt_sigreturn_at(uc.rsp());
     }
-    let injected = if fastpath::needs_emulation(nr_) {
+    // A notified handler and a nested application signal handler run
+    // here with the kernel's default PKRU: restore the slab's steady
+    // state, under which the kernel can read a hardened selector.
+    sud::pkey::close_slab_if_ready();
+    let guarded = zpoline::thread_block().in_dispatch();
+    let injected = if guarded || fastpath::needs_emulation(nr_) {
         None
     } else {
         faultinject::check(faultinject::Site::SlowpathEmulate)
@@ -258,36 +294,18 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
             saved_rbp: 0,
             ret_addr: uc.rip(),
         };
+        let interested = !guarded && interpose::global_interested(nr_);
         let was = tls::set_in_dispatch(true);
-        let app_mask = matches!(
-            nr_,
-            syscalls::nr::EXECVE | syscalls::nr::EXECVEAT | syscalls::nr::RT_SIGPROCMASK
-        );
-        let mut handler_mask = 0u64;
-        if app_mask {
-            raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut handler_mask);
-        }
-        let ret = fastpath::handle_syscall(&mut frame, interpose::global_interested(nr_));
-        if app_mask {
+        let ret = fastpath::handle_syscall(&mut frame, interested);
+        if nr_ == syscalls::nr::RT_SIGPROCMASK {
             let mut left = 0u64;
-            raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, &handler_mask, &mut left);
+            raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut left);
             uc.set_sigmask(left);
         }
         tls::set_in_dispatch(was);
         ret
     };
     uc.set_rax(ret);
-    let restore = if tls::enrolled() {
-        Dispatch::Block
-    } else {
-        Dispatch::Allow
-    };
-    if tls::push_sigreturn(restore.as_byte(), uc.rip()) {
-        uc.set_rip(signals::lp_sigreturn_tramp as *const () as usize as u64);
-    }
-    // On overflow: resume directly with ALLOW; interposition of
-    // new sites on this thread pauses until the next wrapped
-    // event — safe degradation.
 }
 
 /// Delivers a non-SUD `SIGSYS` to the application handler recorded in
@@ -298,6 +316,9 @@ unsafe fn forward_foreign_sigsys(
     ctx: *mut libc::c_void,
 ) {
     if let Some(act) = signals::app_action(sig) {
+        // As in the signal wrapper: an application handler runs under
+        // the slab's steady PKRU.
+        sud::pkey::close_slab_if_ready();
         match act.handler {
             signals::SIG_DFL | signals::SIG_IGN => {}
             h if act.flags & libc::SA_SIGINFO as u64 != 0 => {

@@ -7,8 +7,12 @@
 //! twice over: syscall-user-dispatch enrollment is per-thread and
 //! inherited across `clone`, so a thread that exists before install is
 //! never enrolled — the drainer's own syscalls (the sink's
-//! `pwrite64`s) are neither interposed nor recorded, and it cannot
-//! deadlock against the engine it serves.
+//! `pwrite64`s) never take the slow path, and it cannot deadlock
+//! against the engine it serves. A site an enrolled thread had
+//! rewritten still dispatches whoever runs it, this thread included (its
+//! first `malloc`'s arena, a libc `futex` of its parking, its exit
+//! path): the recorder knows the thread by its `pthread_t`, named
+//! before the install, and takes no event from it.
 //!
 //! Each sweep claims what every ring holds, merges the rings by `tsc`
 //! (the cross-thread merge key) reading the records in place, and only
@@ -90,9 +94,9 @@ impl DrainHandle {
             *guard = None;
         }
         self.thread.thread().unpark();
-        self.thread
-            .join()
-            .map_err(|_| io::Error::other("drain thread panicked"))?
+        let writer = self.thread.join();
+        ring::set_drain_thread(0);
+        writer.map_err(|_| io::Error::other("drain thread panicked"))?
     }
 }
 
@@ -104,6 +108,7 @@ pub(crate) fn spawn(writer: TraceWriter<FileSink>) -> io::Result<DrainHandle> {
     let thread = std::thread::Builder::new()
         .name("lp-drain".into())
         .spawn(move || run(writer, &stop2))?;
+    ring::set_drain_thread(std::os::unix::thread::JoinHandleExt::as_pthread_t(&thread) as usize);
     if let Ok(mut guard) = DRAINER.lock() {
         *guard = Some(thread.thread().clone());
     }

@@ -243,9 +243,10 @@ enum Mode {
 /// and counted, never waited for.
 ///
 /// Create it *before* installing the [`RecordHandler`] — it clears
-/// stale ring contents, and the drain thread must be spawned before
-/// the mechanism installs so it is never enrolled in syscall
-/// interposition (its own spill syscalls stay out of the trace).
+/// stale ring contents, claims the opening thread's ring, and the drain
+/// thread must be spawned before the mechanism installs so it is never
+/// enrolled in syscall interposition (its own spill syscalls stay out
+/// of the trace).
 /// `finish` after the handler is uninstalled.
 pub struct Recorder {
     mode: Mode,
@@ -282,6 +283,12 @@ impl Recorder {
         // clean; drops up to now are not this session's drops.
         ring::drain_all(|_| {});
         let dropped_at_start = ring::total_dropped();
+        // The opening thread is the one about to install the mechanism,
+        // and records first: its ring's `mmap` and its `gettid` are made
+        // now, not inside its first dispatch, where each would take a
+        // SIGSYS to rewrite its site.
+        ring::claim_current_thread();
+        current_tid();
 
         // Uncalibrated until `finish` has a session's length to
         // measure over.

@@ -197,24 +197,34 @@ impl SpscRing {
         ring
     }
 
+    /// The slots and their capacity, mapped at [`configured_capacity`]
+    /// on first use (a producer-side call); `None` when `mmap` failed.
+    #[inline]
+    fn mapped(&self) -> Option<(usize, *mut EventRecord)> {
+        let slots = self.slots.load(Ordering::Relaxed);
+        if !slots.is_null() {
+            return Some((self.capacity.load(Ordering::Relaxed), slots));
+        }
+        let cap = configured_capacity();
+        let slots = map_slots(cap);
+        if slots.is_null() {
+            return None;
+        }
+        self.slots.store(slots, Ordering::Release);
+        self.capacity.store(cap, Ordering::Release);
+        Some((cap, slots))
+    }
+
     /// Appends `rec`; returns `false` (and counts the drop) when full.
     ///
     /// Producer side only. Allocator-free and async-signal-safe (the
     /// first push maps the slots through the raw `mmap` syscall).
     #[inline]
     pub fn push(&self, rec: EventRecord) -> bool {
-        let mut cap = self.capacity.load(Ordering::Relaxed);
-        let mut slots = self.slots.load(Ordering::Relaxed);
-        if slots.is_null() {
-            cap = configured_capacity();
-            slots = map_slots(cap);
-            if slots.is_null() {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            self.slots.store(slots, Ordering::Release);
-            self.capacity.store(cap, Ordering::Release);
-        }
+        let Some((cap, slots)) = self.mapped() else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
         let occupied = head.wrapping_sub(tail);
@@ -387,6 +397,18 @@ static POOL_EXHAUSTED_DROPS: AtomicU64 = AtomicU64::new(0);
 const UNASSIGNED: usize = usize::MAX;
 /// TLS sentinel: pool exhausted, this thread records nothing.
 const NO_RING: usize = usize::MAX - 1;
+/// TLS sentinel: the drain thread, whose own syscalls are never events.
+const DRAINER: usize = usize::MAX - 2;
+
+/// The running drain thread's `pthread_t`, 0 while none runs. Stored
+/// (Release) by the spawning thread before the mechanism installs, and
+/// loaded (Acquire) by a thread's first push, which an interposed
+/// syscall — so the install — precedes.
+static DRAIN_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+extern "C" {
+    fn pthread_self() -> usize;
+}
 
 thread_local! {
     /// This thread's ring index. Const-initialized so the first access
@@ -396,13 +418,34 @@ thread_local! {
 
 /// Appends `rec` to the calling thread's ring, claiming one from the
 /// pool on first use. Returns `false` when the event was dropped
-/// (ring full, or pool exhausted) — the drop is counted either way.
+/// (ring full, or pool exhausted) — the drop is counted either way — or
+/// when the calling thread is the drain thread, which records nothing
+/// and drops nothing.
 #[inline]
 pub fn push_current_thread(rec: EventRecord) -> bool {
-    let idx = RING_IDX.with(|c| {
+    let idx = current_ring_idx();
+    if idx >= DRAINER {
+        if idx == NO_RING {
+            POOL_EXHAUSTED_DROPS.fetch_add(1, Ordering::Relaxed);
+        }
+        return false;
+    }
+    RINGS[idx].push(rec)
+}
+
+/// The calling thread's ring index, claimed from the pool on first use,
+/// or one of the sentinels.
+#[inline]
+fn current_ring_idx() -> usize {
+    RING_IDX.with(|c| {
         let cached = c.get();
         if cached != UNASSIGNED {
             return cached;
+        }
+        // SAFETY: reads the calling thread's descriptor; async-signal-safe.
+        if unsafe { pthread_self() } == DRAIN_THREAD.load(Ordering::Acquire) {
+            c.set(DRAINER);
+            return DRAINER;
         }
         let claimed = NEXT_RING.fetch_add(1, Ordering::Relaxed);
         let idx = if claimed < MAX_RINGS {
@@ -412,12 +455,24 @@ pub fn push_current_thread(rec: EventRecord) -> bool {
         };
         c.set(idx);
         idx
-    });
-    if idx == NO_RING {
-        POOL_EXHAUSTED_DROPS.fetch_add(1, Ordering::Relaxed);
-        return false;
+    })
+}
+
+/// Claims the calling thread's ring and maps its slots now, as its
+/// first push would.
+pub(crate) fn claim_current_thread() {
+    let idx = current_ring_idx();
+    if idx < DRAINER {
+        let _ = RINGS[idx].mapped();
     }
-    RINGS[idx].push(rec)
+}
+
+/// Names the drain thread by its `pthread_t` (0: none): it claims no
+/// ring, so whatever syscall of its own reaches a recorder — through a
+/// site an interposed thread had rewritten, from its first instruction
+/// on — is not an event of the trace.
+pub(crate) fn set_drain_thread(thread: usize) {
+    DRAIN_THREAD.store(thread, Ordering::Release);
 }
 
 /// How many pool rings are currently claimed by threads.

@@ -21,8 +21,9 @@
 //! syscalls are exempted by flipping the selector to [`Dispatch::Allow`].
 //! [`enable_thread_with_allowlist`] also names a code range whose
 //! syscalls the kernel lets through before it reads the selector at
-//! all; lazypoline arms every plain (non-hardened) thread with its
-//! syscall gate as that range, and keeps the selector protocol as it is.
+//! all. lazypoline arms every thread with its syscall gate as that
+//! range, issues all of its own syscalls from there, and so never flips
+//! the selector: it writes BLOCK at enrolment and ALLOW at teardown.
 //!
 //! # Example
 //!
@@ -155,17 +156,19 @@ const SELECTOR_WRITE_ATTEMPTS: u32 = 3;
 /// Writes the calling thread's selector.
 ///
 /// This is the single-byte store that makes SUD "flexibly controllable"
-/// (paper §II-A): interposer code brackets its own syscalls with
-/// `set_selector(Allow)` / `set_selector(Block)`.
+/// (paper §II-A). The paper's interposer brackets its own syscalls with
+/// `set_selector(Allow)` / `set_selector(Block)`, as the `sud-raw` row
+/// does; lazypoline issues its own from an allowed code range instead
+/// and writes an enrolled thread's selector twice: BLOCK at enrolment,
+/// ALLOW at teardown.
 ///
 /// The write is verified by reading the byte back, and retried if the
 /// store was dropped (the `selector_write` fault seam models exactly
 /// that). After [`SELECTOR_WRITE_ATTEMPTS`] injected drops the store is
-/// issued unconditionally: the selector byte is the engine's lifeline —
-/// a missing ALLOW store would make the `SIGSYS` handler's own syscalls
-/// recurse fatally, and a missing BLOCK store would silently stop
-/// interposition — so this seam degrades to *detected-and-repaired*,
-/// never to a lost write.
+/// issued unconditionally: a missing BLOCK store would silently stop
+/// interposition, and a missing ALLOW store would leave a thread that
+/// lost SUD's range trapping its own syscalls — so this seam degrades to
+/// *detected-and-repaired*, never to a lost write.
 ///
 /// A selector on the protected slab is written, verified and repaired
 /// inside one `WRPKRU` open/close bracket: a signal handler starts with
@@ -223,9 +226,9 @@ pub fn enable_thread() -> io::Result<()> {
 ///
 /// The paper avoids any range (§IV-A: "we avoid excluding any code
 /// addresses from SUD interception"). lazypoline passes one, its
-/// syscall gate, on every thread of a plain (non-hardened) engine:
-/// the gate's instructions are the interposer's own, and the selector
-/// still governs every other `syscall` (DESIGN.md §2 and §11).
+/// syscall gate, on every thread: the gate's instructions are the
+/// interposer's own, and the selector still governs every other
+/// `syscall` (DESIGN.md §2 and §11).
 ///
 /// # Errors
 ///
@@ -236,19 +239,27 @@ pub fn enable_thread_with_allowlist(offset: u64, len: u64) -> io::Result<()> {
     if let Some(e) = faultinject::check(faultinject::Site::SudEnroll) {
         return Err(io::Error::from_raw_os_error(e));
     }
+    prctl_dispatch(PR_SYS_DISPATCH_ON, offset, len, selector_ptr() as u64)
+}
+
+/// `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` through `syscalls::raw`, so
+/// that it leaves from whatever gate that crate is redirected to.
+fn prctl_dispatch(mode: libc::c_ulong, offset: u64, len: u64, selector: u64) -> io::Result<()> {
+    // SAFETY: the kernel reads the selector byte at `selector`, which is
+    // this thread's for its lifetime (`selector_ptr`), or 0 to disable.
     let r = unsafe {
-        libc::prctl(
-            PR_SET_SYSCALL_USER_DISPATCH,
-            PR_SYS_DISPATCH_ON,
-            offset as libc::c_ulong,
-            len as libc::c_ulong,
-            selector_ptr() as libc::c_ulong,
+        syscalls::raw::syscall5(
+            syscalls::nr::PRCTL,
+            PR_SET_SYSCALL_USER_DISPATCH as u64,
+            mode,
+            offset,
+            len,
+            selector,
         )
     };
-    if r == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
+    match syscalls::Errno::from_ret(r) {
+        Some(e) => Err(io::Error::from_raw_os_error(e.as_i32())),
+        None => Ok(()),
     }
 }
 
@@ -258,20 +269,7 @@ pub fn enable_thread_with_allowlist(offset: u64, len: u64) -> io::Result<()> {
 ///
 /// Returns the `prctl` error on failure.
 pub fn disable_thread() -> io::Result<()> {
-    let r = unsafe {
-        libc::prctl(
-            PR_SET_SYSCALL_USER_DISPATCH,
-            PR_SYS_DISPATCH_OFF,
-            0,
-            0,
-            0,
-        )
-    };
-    if r == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
-    }
+    prctl_dispatch(PR_SYS_DISPATCH_OFF, 0, 0, 0)
 }
 
 /// Reports whether this kernel supports SUD, by probing `prctl` without

@@ -17,8 +17,8 @@
 //!   itself);
 //! * legitimate selector writes are bracketed by [`open_slab`] /
 //!   [`close_slab`] — a `WRPKRU` pair costing ~20 cycles each, no
-//!   syscall — so only the interposer's entry/exit boundary can flip
-//!   the byte;
+//!   syscall. lazypoline writes a thread's selector at enrolment
+//!   (BLOCK) and teardown (ALLOW) only, so no dispatch pays a bracket;
 //! * application code that executes `WRPKRU` itself can still open the
 //!   slab (MPK is not a security boundary against arbitrary code
 //!   execution); the seccomp backstop in `lazypoline::harden` exists
@@ -304,8 +304,8 @@ pub fn force_software_slab_for_testing() {
 fn set_slab_write(open: bool) {
     let pkey = SLAB_PKEY.load(Ordering::Relaxed);
     let (ad, wd) = (ad_bit(pkey), wd_bit(pkey));
-    let cleared = read_pkru(pkey) & !(ad | wd);
-    let target = if open { cleared } else { cleared | wd };
+    let now = read_pkru(pkey);
+    let target = if open { now & !(ad | wd) } else { closed(now) };
     for _ in 0..PKRU_SWITCH_ATTEMPTS {
         if faultinject::check(faultinject::Site::PkruSwitch).is_none() {
             write_pkru(pkey, target);
@@ -319,15 +319,26 @@ fn set_slab_write(open: bool) {
     PKRU_SWITCHES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Write-enables the slab for the calling thread (interposer boundary
-/// entry). ~20-cycle `WRPKRU`, no syscall; async-signal-safe.
+/// `pkru` with the slab key in its steady state, as [`close_slab`]
+/// writes it: write-disable set, access-disable clear, every other key
+/// as it was. `pkru` itself without a slab.
+pub fn closed(pkru: u32) -> u32 {
+    if !slab_ready() {
+        return pkru;
+    }
+    let pkey = SLAB_PKEY.load(Ordering::Relaxed);
+    (pkru & !ad_bit(pkey)) | wd_bit(pkey)
+}
+
+/// Write-enables the slab for the calling thread (a selector store's
+/// bracket). ~20-cycle `WRPKRU`, no syscall; async-signal-safe.
 #[inline]
 pub fn open_slab() {
     set_slab_write(true);
 }
 
-/// Write-disables the slab for the calling thread (interposer boundary
-/// exit — the steady state). Async-signal-safe.
+/// Write-disables the slab for the calling thread (the steady state).
+/// Async-signal-safe.
 #[inline]
 pub fn close_slab() {
     set_slab_write(false);
@@ -382,15 +393,16 @@ pub fn adopt_protected_selector(current: u8) -> io::Result<*mut u8> {
     Ok(ptr)
 }
 
-/// Re-asserts the steady protection state after `fork`/`clone`.
+/// Puts the calling thread's PKRU in the slab's steady state, when a
+/// slab exists. Async-signal-safe.
 ///
-/// The slab mapping and its pkey association survive both (VMA
-/// attributes), and PKRU is inherited per-thread — but the inherited
-/// value is whatever the parent held at clone time, which during
-/// engine-internal clone handling may be mid-bracket. One
-/// unconditional close makes the child's state deterministic before
-/// its first dispatch.
-pub fn rearm_after_clone() {
+/// Needed wherever the thread's PKRU is not one the engine left: a new
+/// task, whose PKRU is whatever the parent held at clone time, and every
+/// signal handler that runs code outside the gate — the kernel enters a
+/// handler with its default PKRU, which access-disables the slab, and
+/// the kernel's own read of the selector (on a syscall from outside the
+/// gate) honours PKRU too.
+pub fn close_slab_if_ready() {
     if slab_ready() {
         close_slab();
     }
@@ -473,7 +485,8 @@ mod tests {
     fn rearm_closes_the_slab() {
         force_software_slab_for_testing();
         open_slab();
-        rearm_after_clone();
+        close_slab_if_ready();
         assert_ne!(SHADOW_PKRU.with(Cell::get) & wd_bit(-1), 0);
+        assert_eq!(closed(0x5555_5554) & (ad_bit(-1) | wd_bit(-1)), wd_bit(-1));
     }
 }

@@ -50,6 +50,7 @@ pub use scanner::{
 };
 pub use sitelog::{FileMapping, Maps};
 pub use trampoline::{
-    gate, gate_syscall, set_dispatcher, set_miss_exit, set_xstate_mask, thread_block, DispatchFn,
-    MissExit, RawFrame, ThreadBlock, Trampoline, XstateMask,
+    gate, gate_sigreturn, gate_syscall, set_dispatcher, set_miss_exit, set_xstate_mask,
+    sigreturn_restorer, thread_block, DispatchFn, MissExit, RawFrame, ThreadBlock, Trampoline,
+    XstateMask,
 };

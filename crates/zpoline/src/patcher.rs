@@ -13,11 +13,11 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use syscalls::{nr, raw, Errno};
+use syscalls::{nr, Errno};
 
 use crate::disasm;
 use crate::sitelog::SITE_LOG;
-use crate::trampoline::Trampoline;
+use crate::trampoline::{raw, Trampoline};
 
 /// `syscall` encoding (`0f 05`).
 pub const SYSCALL_BYTES: [u8; 2] = [0x0f, 0x05];
@@ -78,8 +78,9 @@ impl std::error::Error for PatchError {}
 
 /// The rewrite spinlock (paper §IV-A(b)). A plain mutex could block in
 /// a signal handler; a spinlock cannot deadlock here because the
-/// critical section performs no syscall that could itself be dispatched
-/// (the SIGSYS handler runs with the selector at ALLOW).
+/// critical section performs no syscall that could itself be dispatched:
+/// every one it makes leaves from the gate ([`crate::gate`]), which SUD
+/// lets through whatever the selector reads.
 static PATCH_LOCK: AtomicBool = AtomicBool::new(false);
 
 pub(crate) struct SpinGuard;
@@ -686,7 +687,7 @@ mod tests {
             if pid == 0 {
                 const RLIMIT_NOFILE: u64 = 7;
                 let none = [0u64; 2]; // struct rlimit: cur, max
-                let ok = raw::syscall2(nr::SETRLIMIT, RLIMIT_NOFILE, none.as_ptr() as u64) == 0
+                let ok = syscalls::raw::syscall2(nr::SETRLIMIT, RLIMIT_NOFILE, none.as_ptr() as u64) == 0
                     && lookup_perms(text) == Err(Errno::EMFILE)
                     && region_perms(text).is_none()
                     && lookup_perms(0x3_0000) == Err(Errno::EMFILE);

@@ -329,12 +329,12 @@ mod tests {
         // SAFETY: the gate is this binary's text.
         let before = unsafe { std::slice::from_raw_parts(gate.start as *const u8, gate.len()) };
         let before = before.to_vec();
-        // The raw-syscall function's `syscall; ret` ends the gate, and
-        // the scan finds it and the miss exit's.
-        let last = gate.end - 3;
+        // The restorer's `syscall; ud2` ends the gate, and the scan
+        // finds it, the raw-syscall function's and the miss exit's.
+        let last = gate.end - 4;
         let sites = find_syscall_sites(gate.start, &before).sites;
         assert!(
-            sites.len() >= 2 && sites.contains(&last),
+            sites.len() >= 3 && sites.contains(&last),
             "{sites:x?} in {gate:x?}"
         );
         // In a forked child: a rewritten gate would send this process's

@@ -11,9 +11,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use syscalls::{nr, raw, Errno};
+use syscalls::{nr, Errno};
 
 use crate::patcher::{parse_hex, scan_maps_text, MapsFd, RegionPerms};
+use crate::trampoline::raw;
 
 /// Sites a [`SiteLog`] holds; later ones are counted, not kept.
 pub const SITE_LOG_CAPACITY: usize = 8192;

@@ -15,13 +15,14 @@
 //!         ▼
 //! lp_zpoline_entry (asm below), on rcx and r11 alone:
 //!       NR < 512, nobody interested in it, not one the dispatcher must
-//!       emulate, no fault site armed, this thread's block armed?
+//!       emulate, this thread's block armed?
 //!         │ yes: the miss exit                  │ no: label 90, the full path
 //!         ▼                                     ▼
-//!       selector ← ALLOW                      save registers → save live
-//!       bump the thread's dispatch slot       xstate → call the registered
-//!       syscall                               dispatcher → restore xstate →
-//!       selector ← the block's exit selector  restore registers
+//!       bump the thread's dispatch slot       save registers → save live
+//!         (unless a handler's own call)
+//!       syscall (in the gate)                 xstate → call the registered
+//!                                             dispatcher → restore xstate →
+//!                                             restore registers
 //!         ▼                                     ▼
 //!       ret   ; straight back to the instruction after the call site
 //! ```
@@ -47,31 +48,29 @@
 //! the stub reaches it "without spilling application registers"
 //! (§IV-A, §IV-B(a)). [`ThreadBlock`] is the start of that region here:
 //! one cache line of `%fs`-relative (initial-exec) TLS, declared next to
-//! the stub, holding the address of the thread's SUD selector byte, the
-//! thread's slot of the dispatch counter and whether the thread is that
-//! slot's only writer (it then counts with a plain `inc`, others with
-//! `lock inc`), the *exit selector* — the byte a dispatch that ends now
-//! must leave in the selector — and the enrolment and in-dispatch flags
-//! the exit selector is derived from. The dispatcher a *hit* reaches
-//! uses the same block for the same three stores
-//! ([`ThreadBlock::store_allow`], [`ThreadBlock::sole_writer_dispatches`],
-//! [`ThreadBlock::store_exit_selector`]), under the rule the stub
-//! follows: armed block, no fault-injection site armed.
+//! the stub, holding the thread's slot of the dispatch counter and
+//! whether the thread is that slot's only writer (it then counts with a
+//! plain `inc`, others with `lock inc`), and the enrolment and
+//! in-dispatch flags the dispatcher reads. The slot is also what arms
+//! the block: a thread with one leaves from the stub. The dispatcher a
+//! *hit* reaches counts in the same slot
+//! ([`ThreadBlock::sole_writer_dispatches`]). Neither path writes the
+//! thread's SUD selector: every `syscall` they execute lies in the gate
+//! (below), which the kernel lets through whatever the selector reads.
 //!
 //! With it, a syscall nobody asked to see never builds a frame. The
 //! dispatcher publishes a [`MissExit`] ([`set_miss_exit`]): the address
 //! of the interest words its own gate reads and a bitmap of the numbers
 //! it must handle whatever the interest. The stub tests both for `rax`
 //! using `rcx` and `r11` only — `syscall` clobbers exactly those two —
-//! and, when the thread's block is armed ([`ThreadBlock::arm`]) and no
-//! fault-injection site is, issues the `syscall` itself. Between entry
-//! and that instruction only `rcx`, `r11` and the flags change; the
-//! kernel preserves every other register and all extended state, and
-//! the stack below the `call rax` push is never written. Anything else
-//! — a hit, a number ≥ 512, an unarmed or zeroed block (a thread that
-//! never enrolled, or whose selector is on hardened mode's pkey slab),
-//! no published `MissExit` — falls through to the full path, which
-//! remains the reference the tests compare with.
+//! and, when the thread's block is armed ([`ThreadBlock::arm`]), issues
+//! the `syscall` itself. Between entry and that instruction only `rcx`,
+//! `r11` and the flags change; the kernel preserves every other
+//! register and all extended state, and the stack below the `call rax`
+//! push is never written. Anything else — a hit, a number ≥ 512, an
+//! unarmed or zeroed block (a thread that never enrolled), no published
+//! `MissExit` — falls through to the full path, which remains the
+//! reference the tests compare with.
 //!
 //! Initial-exec TLS is what lets two instructions reach the block, and
 //! it is sound wherever this crate is linked today: into an executable,
@@ -85,21 +84,23 @@
 //!
 //! # The gate
 //!
-//! Every `syscall` the engine's hot paths execute sits in this file's
-//! one `global_asm!` block: the miss exit's, and the one in the
-//! raw-syscall function behind the stub, which [`gate_syscall`] calls
-//! (lazypoline's dispatcher issues its own syscalls through it, and
-//! hardened mode redirects `syscalls::raw` to it). The block's bytes,
-//! [`gate`], are the allowed code range a plain lazypoline engine arms
-//! Syscall User Dispatch with, and the one range of the main executable
+//! Every `syscall` the engine executes sits in this file's one
+//! `global_asm!` block, [`gate`]: the miss exit's; the raw-syscall
+//! function behind the stub, which [`gate_syscall`] calls (lazypoline's
+//! dispatcher and SIGSYS handler issue their own syscalls through it —
+//! `clone` with a seeded child stack included, whose child `ret`s from
+//! it into that stack — and `syscalls::raw` is redirected to it); and
+//! the signal restorer, `mov eax, 15; syscall`, which the engine's
+//! SIGSYS handler returns through and [`gate_sigreturn`] jumps to. The
+//! block's bytes are the allowed code range lazypoline arms Syscall
+//! User Dispatch with, and the one range of the main executable
 //! hardened mode's seccomp backstop admits. The kernel tests the SUD
-//! range *before* it reads the selector byte, so a syscall from the gate costs no user
-//! read of the selector, which on x86-64 is most of what SUD adds to a
-//! syscall the selector lets through. The kernel compares the address
-//! *after* the instruction, so the gate ends past the `ret` behind its
-//! last `syscall`. The selector protocol does not change: a dispatch
-//! still stores ALLOW and then the exit selector, and any `syscall`
-//! outside the gate meets the selector as before.
+//! range *before* it reads the selector byte, so a syscall from the gate
+//! passes whatever the selector reads and costs no user read of it,
+//! which on x86-64 is most of what SUD adds to a syscall. That is what
+//! lets an enrolled thread's selector read BLOCK from enrolment to
+//! teardown. The kernel compares the address *after* the instruction,
+//! so the gate ends past the instruction behind its last `syscall`.
 //!
 //! Nothing in the gate is ever rewritten: the patcher skips every site
 //! in it ([`crate::patcher`]). A `call rax` there would send the miss
@@ -120,8 +121,7 @@
 //! reads with `xgetbv` (`ecx = 1`: `XCR0 & XINUSE`, the components not
 //! in their initial configuration). The text is
 //! [`xstate_save_asm!`](crate::xstate_save_asm) /
-//! [`xstate_restore_asm!`](crate::xstate_restore_asm), shared with
-//! lazypoline's sigreturn trampoline. Three cases:
+//! [`xstate_restore_asm!`](crate::xstate_restore_asm). Three cases:
 //!
 //! 1. **x87 in its initial configuration** (the rule in an x86-64
 //!    process). Entry stores `MXCSR` and `xmm0–15` with legacy-SSE
@@ -275,8 +275,7 @@ impl XstateMask {
 /// Everything process-global the entry stub reads, in one object so
 /// that the assembly names one symbol: passed to it as a `sym` operand
 /// and addressed `rip`-relative. (The per-thread part is
-/// `lp_thread_block`, TLS declared in the asm; the count of armed fault
-/// sites is `faultinject::LP_FAULTS_ARMED`.) Neither this nor any other
+/// `lp_thread_block`, TLS declared in the asm.) Neither this nor any other
 /// name the stub uses is a dynamic symbol: an application or a second
 /// preloaded object cannot interpose on the interposer's own state.
 ///
@@ -347,18 +346,11 @@ pub fn set_miss_exit(exit: Option<&'static MissExit>) {
 ///
 /// A zeroed block — every thread starts with one — is a thread that is
 /// not enrolled, not in a dispatch, and never leaves from the stub.
-/// The exit selector is derived state: every setter here recomputes it,
-/// which is why the fields are private.
 #[repr(C)]
 pub struct ThreadBlock {
-    /// Address of the thread's SUD selector byte; null = unarmed.
-    selector: Cell<*mut u8>,
-    /// The thread's slot of the dispatcher's dispatch counter.
+    /// The thread's slot of the dispatcher's dispatch counter; null =
+    /// unarmed.
     dispatches: Cell<*const AtomicU64>,
-    /// The byte a dispatch that ends now must leave in the selector:
-    /// BLOCK for an enrolled thread at top level, ALLOW inside a
-    /// handler or when not enrolled.
-    exit_selector: Cell<u8>,
     in_dispatch: Cell<bool>,
     enrolled: Cell<bool>,
     /// Whether other threads write `dispatches` too: they then all
@@ -367,10 +359,6 @@ pub struct ThreadBlock {
     /// Dispatches that left from the stub (debug builds count).
     stub_exits: Cell<u64>,
 }
-
-/// `SYSCALL_DISPATCH_FILTER_BLOCK` of `<linux/syscall_user_dispatch.h>`
-/// (ALLOW is 0, which the stub stores as a literal).
-const SELECTOR_BLOCK: u8 = 1;
 
 impl ThreadBlock {
     /// Whether this thread asked for interposition.
@@ -383,10 +371,11 @@ impl ThreadBlock {
     #[inline]
     pub fn set_enrolled(&self, v: bool) {
         self.enrolled.set(v);
-        self.derive_exit_selector();
     }
 
-    /// Whether the dispatcher is running handler code on this thread.
+    /// Whether the dispatcher is running handler code on this thread:
+    /// the re-entry guard, under which the thread's own syscalls are
+    /// executed and never shown to a handler.
     #[inline]
     pub fn in_dispatch(&self) -> bool {
         self.in_dispatch.get()
@@ -395,99 +384,36 @@ impl ThreadBlock {
     /// Sets the in-dispatch flag, returning the previous value.
     #[inline]
     pub fn set_in_dispatch(&self, v: bool) -> bool {
-        let was = self.in_dispatch.replace(v);
-        self.derive_exit_selector();
-        was
+        self.in_dispatch.replace(v)
     }
 
-    /// The selector byte a dispatch that ends now must leave behind.
-    #[inline]
-    pub fn exit_selector(&self) -> u8 {
-        self.exit_selector.get()
-    }
-
-    #[inline]
-    fn derive_exit_selector(&self) {
-        let block = self.enrolled.get() && !self.in_dispatch.get();
-        self.exit_selector.set(if block { SELECTOR_BLOCK } else { 0 });
-    }
-
-    /// Arms the block for this thread: the stub's miss exit, and the
-    /// plain selector stores and the count of a dispatcher that goes
-    /// through [`ThreadBlock::store_allow`] and friends.
+    /// Arms the block for this thread with its slot of the dispatch
+    /// counter: the stub's miss exit, and the dispatcher's plain count.
     ///
     /// # Safety
     ///
-    /// For as long as the block stays armed, `selector` must be the
-    /// byte the kernel polls for this thread's Syscall User Dispatch
-    /// (or, for a thread SUD is off for, any byte of its own), writable
-    /// by a plain store: the stub's `syscall` executes right after it
-    /// stores ALLOW there, and the stub's exit stores the exit selector
-    /// there. With `sole_writer`, no other thread may ever write
-    /// `dispatches` — this one increments it without `lock`.
+    /// With `sole_writer`, no other thread may ever write `dispatches` —
+    /// this one increments it without `lock`.
     #[inline]
-    pub unsafe fn arm(
-        &self,
-        selector: *mut u8,
-        dispatches: &'static AtomicU64,
-        sole_writer: bool,
-    ) {
-        self.dispatches.set(dispatches);
+    pub unsafe fn arm(&self, dispatches: &'static AtomicU64, sole_writer: bool) {
         self.dispatches_shared.set(!sole_writer);
-        // The selector is the key the stub tests: a signal handler that
-        // runs between the stores must not find it without the slot.
+        // The slot is the key the stub tests: a signal handler that runs
+        // between the stores must not find it with a stale flag.
         std::sync::atomic::compiler_fence(Ordering::SeqCst);
-        self.selector.set(selector);
+        self.dispatches.set(dispatches);
     }
 
     /// Sends this thread's dispatches back through the full path, and
-    /// its dispatcher's selector stores and count back to their slow
-    /// forms.
+    /// its dispatcher's count back to the counters' own way.
     #[inline]
     pub fn disarm(&self) {
-        self.selector.set(std::ptr::null_mut());
+        self.dispatches.set(std::ptr::null());
     }
 
     /// Whether [`ThreadBlock::arm`] took effect.
     #[inline]
     pub fn armed(&self) -> bool {
-        !self.selector.get().is_null()
-    }
-
-    /// The selector address, when one plain byte store through it is all
-    /// a selector write takes: the block is armed and no fault-injection
-    /// site is — the rule the stub's miss exit follows. (Armed seams see
-    /// every selector store, which means the caller's write-verify
-    /// path.)
-    #[inline]
-    fn plain_selector(&self) -> Option<*mut u8> {
-        let selector = self.selector.get();
-        (!selector.is_null() && faultinject::LP_FAULTS_ARMED.load(Ordering::Relaxed) == 0)
-            .then_some(selector)
-    }
-
-    /// Dispatcher entry: stores ALLOW in the selector. `false` when the
-    /// block cannot (see [`ThreadBlock::arm`]) and the caller must.
-    #[inline]
-    pub fn store_allow(&self) -> bool {
-        let Some(selector) = self.plain_selector() else {
-            return false;
-        };
-        // SAFETY: `arm`'s contract: this thread's selector byte.
-        unsafe { selector.write_volatile(0) };
-        true
-    }
-
-    /// Dispatcher exit: stores [`ThreadBlock::exit_selector`] in the
-    /// selector. `false` when the block cannot and the caller must.
-    #[inline]
-    pub fn store_exit_selector(&self) -> bool {
-        let Some(selector) = self.plain_selector() else {
-            return false;
-        };
-        // SAFETY: as in `store_allow`; the byte is ALLOW or BLOCK.
-        unsafe { selector.write_volatile(self.exit_selector.get()) };
-        true
+        !self.dispatches.get().is_null()
     }
 
     /// The slot [`ThreadBlock::arm`] was given for this thread's
@@ -499,7 +425,7 @@ impl ThreadBlock {
         if !self.armed() || self.dispatches_shared.get() {
             return None;
         }
-        // SAFETY: `arm` stored a `&'static` before it stored the selector.
+        // SAFETY: `arm` stored a `&'static`.
         Some(unsafe { &*self.dispatches.get() })
     }
 
@@ -594,9 +520,9 @@ fn cpu_has_xgetbv1() -> bool {
 /// Assembly text (Intel syntax) that saves the live part of the
 /// extended state the configured [`XstateMask`] names — the module docs
 /// of [`trampoline`](crate::trampoline) give the three cases. For
-/// `global_asm!` stubs that call into Rust from application context:
-/// the entry stub here and lazypoline's sigreturn trampoline. The
-/// including `global_asm!` passes the operand
+/// `global_asm!` stubs that call into Rust from application context,
+/// like the entry stub here. The including `global_asm!` passes the
+/// operand
 /// `stub_globals = sym zpoline::trampoline::STUB_GLOBALS`.
 ///
 /// Carves one 64-byte-aligned area of 4096 bytes below `rsp` and leaves
@@ -783,14 +709,12 @@ lp_zpoline_entry:
     mov rcx, qword ptr [r11 + {full_path} + rcx*8]
     bt rcx, rax
     jc 90f                        # the dispatcher emulates it
-    cmp qword ptr [rip + {faults_armed}], 0
-    jne 90f                       # armed seams see every selector write
     mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
-    mov r11, qword ptr fs:[rcx + {selector}]
+    mov r11, qword ptr fs:[rcx + {dispatches}]
     test r11, r11
     jz 90f                        # this thread's block is not armed
-    mov byte ptr [r11], 0         # selector = ALLOW
-    mov r11, qword ptr fs:[rcx + {dispatches}]
+    cmp byte ptr fs:[rcx + {in_dispatch}], 0
+    jne 81f                       # a handler's own call: not counted
     cmp byte ptr fs:[rcx + {dispatches_shared}], 0
     jne 80f
     inc qword ptr [r11]           # sole writer: one instruction, so a
@@ -800,12 +724,7 @@ lp_zpoline_entry:
     #[cfg(debug_assertions)]
     "inc qword ptr fs:[rcx + {stub_exits}]",
     r#"
-    syscall
-    # rax = result; rcx and r11 hold the kernel's leftovers.
-    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
-    mov r11, qword ptr fs:[rcx + {selector}]
-    movzx ecx, byte ptr fs:[rcx + {exit_selector}]
-    mov byte ptr [r11], cl
+    syscall                       # in the gate: SUD lets it through
     ret
 80: # Other threads count in the same slot.
     lock inc qword ptr [r11]
@@ -858,7 +777,18 @@ lp_zpoline_gate_syscall:
     syscall
     ret
     .size lp_zpoline_gate_syscall, . - lp_zpoline_gate_syscall
-    # The gate ends past the `ret`: the kernel tests the address after a
+
+    # The gate's signal restorer (module docs): `rt_sigreturn` with the
+    # signal frame at rsp.
+    .globl lp_zpoline_gate_sigreturn
+    .hidden lp_zpoline_gate_sigreturn
+    .type lp_zpoline_gate_sigreturn, @function
+lp_zpoline_gate_sigreturn:
+    mov eax, 15
+    syscall
+    ud2
+    .size lp_zpoline_gate_sigreturn, . - lp_zpoline_gate_sigreturn
+    # The gate ends past the `ud2`: the kernel tests the address after a
     # `syscall` against the range SUD is armed with.
     .globl lp_zpoline_gate_end
     .hidden lp_zpoline_gate_end
@@ -867,13 +797,11 @@ lp_zpoline_gate_end:
     stub_globals = sym STUB_GLOBALS,
     dispatch = const offset_of!(StubGlobals, dispatch),
     miss_exit = const offset_of!(StubGlobals, miss_exit),
-    faults_armed = sym faultinject::LP_FAULTS_ARMED,
     interest = const offset_of!(MissExit, interest),
     full_path = const offset_of!(MissExit, full_path),
-    selector = const offset_of!(ThreadBlock, selector),
     dispatches = const offset_of!(ThreadBlock, dispatches),
+    in_dispatch = const offset_of!(ThreadBlock, in_dispatch),
     dispatches_shared = const offset_of!(ThreadBlock, dispatches_shared),
-    exit_selector = const offset_of!(ThreadBlock, exit_selector),
     #[cfg(debug_assertions)]
     stub_exits = const offset_of!(ThreadBlock, stub_exits),
 );
@@ -884,14 +812,39 @@ extern "C" {
     /// The gate's raw-syscall function: `syscall; ret`, entered by
     /// `call` with a syscall's registers (a [`syscalls::raw::GateFn`]).
     pub fn lp_zpoline_gate_syscall();
+    fn lp_zpoline_gate_sigreturn();
     fn lp_zpoline_gate_end();
 }
 
 /// The gate (module docs): the bytes from the entry stub to just past
-/// the raw-syscall function behind it, which hold every `syscall` the
-/// stub and [`gate_syscall`] execute, and no other.
+/// the restorer behind it, which hold every `syscall` the stub,
+/// [`gate_syscall`] and [`gate_sigreturn`] execute, and no other.
 pub fn gate() -> std::ops::Range<usize> {
     lp_zpoline_entry as *const () as usize..lp_zpoline_gate_end as *const () as usize
+}
+
+/// The gate's signal restorer, `mov eax, 15; syscall`: an `sa_restorer`
+/// (`SA_RESTORER`) whose `rt_sigreturn` passes SUD by its range.
+pub fn sigreturn_restorer() -> usize {
+    lp_zpoline_gate_sigreturn as *const () as usize
+}
+
+/// Issues `rt_sigreturn` from the gate with the stack pointer at
+/// `frame_rsp`, where the kernel reads the signal frame to restore.
+///
+/// # Safety
+///
+/// `frame_rsp` must be this thread's stack pointer just above a kernel
+/// signal frame (what `rsp` was at an `rt_sigreturn` instruction). The
+/// current stack is abandoned.
+pub unsafe fn gate_sigreturn(frame_rsp: u64) -> ! {
+    std::arch::asm!(
+        "mov rsp, {rsp}",
+        "jmp {restorer}",
+        rsp = in(reg) frame_rsp,
+        restorer = sym lp_zpoline_gate_sigreturn,
+        options(noreturn),
+    );
 }
 
 /// Issues `call` from the gate's `syscall` instruction.
@@ -917,6 +870,29 @@ pub unsafe fn gate_syscall(call: &syscalls::SyscallArgs) -> u64 {
         out("r11") _,
     );
     ret
+}
+
+/// The arities of `syscalls::raw` this crate's patcher and site log
+/// use, issued from the gate instead: they run in lazypoline's SIGSYS
+/// handler with the rewrite lock held, where a syscall that met an
+/// enrolled thread's selector — BLOCK — would trap into a nested handler
+/// that waits for the same lock.
+pub(crate) mod raw {
+    use syscalls::SyscallArgs;
+
+    /// # Safety
+    ///
+    /// As [`syscalls::raw::syscall1`].
+    pub(crate) unsafe fn syscall1(nr: u64, a1: u64) -> u64 {
+        super::gate_syscall(&SyscallArgs::new(nr, [a1, 0, 0, 0, 0, 0]))
+    }
+
+    /// # Safety
+    ///
+    /// As [`syscalls::raw::syscall3`].
+    pub(crate) unsafe fn syscall3(nr: u64, a1: u64, a2: u64, a3: u64) -> u64 {
+        super::gate_syscall(&SyscallArgs::new(nr, [a1, a2, a3, 0, 0, 0]))
+    }
 }
 
 static TRAMPOLINE_INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -1260,19 +1236,15 @@ mod tests {
     }
 
     #[test]
-    fn block_starts_zeroed_and_derives_the_exit_selector() {
+    fn block_starts_zeroed_and_is_per_thread() {
         assert!(std::mem::size_of::<ThreadBlock>() <= 64);
         std::thread::spawn(|| {
             let block = thread_block();
             assert_eq!(block as *const ThreadBlock as usize % 64, 0);
             assert!(!block.armed() && !block.enrolled() && !block.in_dispatch());
-            assert_eq!(block.exit_selector(), 0);
             block.set_enrolled(true);
-            assert_eq!(block.exit_selector(), SELECTOR_BLOCK);
             assert!(!block.set_in_dispatch(true));
-            assert_eq!(block.exit_selector(), 0, "under a handler");
             assert!(block.set_in_dispatch(false));
-            assert_eq!(block.exit_selector(), SELECTOR_BLOCK);
             let other = std::thread::spawn(|| thread_block().enrolled()).join().unwrap();
             assert!(!other, "one block per thread");
         })
@@ -1304,48 +1276,43 @@ mod tests {
         // A thread of its own: a fresh block, and nobody else's armed.
         std::thread::spawn(move || {
             let block = thread_block();
-            let mut selector = 0xffu8;
             let stub_exits = || thread_block().stub_exits();
 
             assert_eq!(getpid(), 0x5eed, "nothing published");
             set_miss_exit(Some(&EXIT));
             assert_eq!(getpid(), 0x5eed, "block not armed");
-            // SAFETY: SUD is off for this thread; the byte is its own.
-            // The slot's sole writer first: the plain `inc`.
-            unsafe { block.arm(&mut selector, &DISPATCHES, true) };
+            // SAFETY: the slot's sole writer first: the plain `inc`.
+            unsafe { block.arm(&DISPATCHES, true) };
             let slot = block.sole_writer_dispatches().expect("armed as its sole writer");
             assert!(std::ptr::eq(slot, &DISPATCHES));
-            block.set_enrolled(true);
 
             let before = (DISPATCHES.load(Ordering::SeqCst), stub_exits());
             assert_eq!(getpid(), pid, "the stub's own syscall");
             assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 1);
             assert_eq!(stub_exits(), before.1 + cfg!(debug_assertions) as u64);
-            assert_eq!(unsafe { std::ptr::read_volatile(&selector) }, SELECTOR_BLOCK);
             block.set_in_dispatch(true);
-            assert_eq!(getpid(), pid);
-            assert_eq!(unsafe { std::ptr::read_volatile(&selector) }, 0, "under a handler");
+            assert_eq!(getpid(), pid, "under a handler");
             block.set_in_dispatch(false);
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 1, "a handler's own call");
 
             INTEREST[(nr::GETPID / 64) as usize].store(1 << (nr::GETPID % 64), Ordering::Relaxed);
             assert_eq!(getpid(), 0x5eed, "a handler is interested");
             INTEREST[(nr::GETPID / 64) as usize].store(0, Ordering::Relaxed);
             let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
             assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
+            // No seam sits between the stub and its `syscall`.
             faultinject::arm(faultinject::Site::PkruSwitch, faultinject::Schedule::Nth(1), None);
-            assert_eq!(getpid(), 0x5eed, "a fault site is armed");
+            assert_eq!(getpid(), pid, "a fault site is armed");
             faultinject::disarm(faultinject::Site::PkruSwitch);
-            assert_eq!(getpid(), pid);
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 2);
             // One of several writers of the slot: the `lock inc` arm.
-            unsafe { block.arm(&mut selector, &DISPATCHES, false) };
+            unsafe { block.arm(&DISPATCHES, false) };
             assert!(block.sole_writer_dispatches().is_none());
             assert_eq!(getpid(), pid);
             assert_eq!(stub_exits(), before.1 + 4 * cfg!(debug_assertions) as u64);
             block.disarm();
             assert_eq!(getpid(), 0x5eed, "disarmed");
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 4);
-            assert!(!block.store_allow());
+            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
         })
         .join()
         .unwrap();
@@ -1353,6 +1320,56 @@ mod tests {
         set_dispatcher(prev);
         let published = STUB_GLOBALS.miss_exit.load(Ordering::SeqCst);
         assert!(published.is_null(), "withdrawn with its dispatcher");
+    }
+
+    /// A signal handler registered with the gate's restorer returns
+    /// through it: the restorer lies in the gate, and its `rt_sigreturn`
+    /// restores the interrupted context.
+    #[test]
+    fn gate_restorer_returns_from_a_signal() {
+        static RAN: AtomicU64 = AtomicU64::new(0);
+        extern "C" fn on_usr2(_sig: libc::c_int) {
+            RAN.fetch_add(1, Ordering::SeqCst);
+        }
+        let restorer = sigreturn_restorer();
+        assert!(gate().contains(&restorer) && gate().contains(&(restorer + 7)));
+        // SAFETY: reading the restorer's own bytes.
+        let bytes = unsafe { *(restorer as *const [u8; 7]) };
+        assert_eq!(bytes, [0xb8, 15, 0, 0, 0, 0x0f, 0x05], "mov eax, 15; syscall");
+        const SA_RESTORER: u64 = 0x0400_0000;
+        // The kernel's `rt_sigaction` layout: handler, flags, restorer, mask.
+        let act = [on_usr2 as *const () as usize as u64, SA_RESTORER, restorer as u64, 0];
+        let mut old = [0u64; 4];
+        unsafe {
+            let call = |new: &[u64; 4], old: &mut [u64; 4]| {
+                syscalls::raw::syscall4(
+                    nr::RT_SIGACTION,
+                    libc::SIGUSR2 as u64,
+                    new.as_ptr() as u64,
+                    old.as_mut_ptr() as u64,
+                    8,
+                )
+            };
+            assert_eq!(call(&act, &mut old), 0);
+            let sentinel = 0x1234_5678_9abc_def0u64;
+            let r12: u64;
+            std::arch::asm!(
+                "mov r12, {s}",
+                "call {raise}",
+                s = in(reg) sentinel,
+                raise = sym raise_usr2,
+                lateout("r12") r12,
+                clobber_abi("C"),
+            );
+            assert_eq!(r12, sentinel, "a callee-saved register across the signal");
+            assert_eq!(call(&old, &mut [0; 4]), 0);
+        }
+        assert_eq!(RAN.load(Ordering::SeqCst), 1);
+    }
+
+    extern "C" fn raise_usr2() {
+        // SAFETY: the test registered a handler for it.
+        unsafe { libc::raise(libc::SIGUSR2) };
     }
 
     /// Loads a sentinel into xmm7, crosses the trampoline, reads it

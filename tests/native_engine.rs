@@ -772,8 +772,8 @@ unsafe fn xstate_cell_under(
     assert_eq!(c.red_out, c.red_in, "red zone, {cell}");
 
     // The stub's exit preserves by touching nothing, so there the mask
-    // is irrelevant. (A first execution also crosses the SIGSYS handler
-    // and its sigreturn trampoline, which preserve what the mask names.)
+    // is irrelevant. (A first execution also crosses the SIGSYS handler,
+    // whose sigreturn restores everything, and then the full path.)
     let untouched = miss && !sigsys;
     let rfbm = if untouched { 7 } else { mask.rfbm() };
     if canary.xgetbv1 && untouched {
@@ -894,8 +894,10 @@ fn scenario_xstate() {
     }
 
     // An application signal delivered in application code: the kernel's
-    // sigreturn marks x87 in use, the sigreturn trampoline must hand the
-    // thread back with the mark cleared — and the next dispatch holds.
+    // sigreturn marks x87 in use (its values initial), and the thread
+    // resumes with the mark. Its next full-path dispatch takes the stub's
+    // `xsave64` case, whose normaliser hands the thread back with the
+    // mark cleared — and the dispatches after it hold.
     static READY: AtomicU64 = AtomicU64::new(0);
     static HANDLED: AtomicU64 = AtomicU64::new(0);
     extern "C" fn on_usr1(_sig: libc::c_int) {
@@ -905,6 +907,7 @@ fn scenario_xstate() {
         fn pthread_self() -> usize;
         fn pthread_kill(thread: usize, sig: libc::c_int) -> libc::c_int;
     }
+    let ppid = std::os::unix::process::parent_id() as u64;
     unsafe {
         let mut sa: libc::sigaction = std::mem::zeroed();
         sa.sa_sigaction = on_usr1 as *const () as usize;
@@ -923,8 +926,9 @@ fn scenario_xstate() {
         while HANDLED.load(Ordering::SeqCst) == 0 {
             std::hint::spin_loop(); // no syscall: the signal lands here
         }
+        assert_eq!(std::os::unix::process::parent_id() as u64, ppid, "the dispatch after the signal");
         if detected.xgetbv1 {
-            assert_eq!(xinuse() & 1, 0, "sigreturn trampoline left x87 marked in use");
+            assert_eq!(xinuse() & 1, 0, "the dispatch after the signal left x87 marked in use");
         }
         for state in states.clone() {
             xstate_cell(site, detected, XstateMask::Avx, state, false, "after SIGUSR1");
@@ -970,7 +974,9 @@ unsafe fn syscall_site(page: *mut u8, slot: usize, nr: u64) -> SiteFn {
 }
 
 /// What a handler saw around a syscall of its own that it issued from
-/// an already rewritten site.
+/// an already rewritten site: the selector reads BLOCK throughout, and
+/// the call is executed under the re-entry guard, and not counted as a
+/// dispatch — it is the interposer's, not the application's.
 #[derive(Debug, PartialEq)]
 struct NestedCall {
     selector_on_entry: u8,
@@ -997,10 +1003,6 @@ impl SyscallHandler for CallsGetppid {
         let (on_entry, before, exits) = (selector(), lazypoline::stats(), stub_exits());
         let ret = site(0, 0, 0);
         let (after, now) = (selector(), lazypoline::stats());
-        // BLOCK here is the bug this scenario exists for; put ALLOW back
-        // so that it is reported below and not as a SIGSYS inside the
-        // dispatcher, which kills the process.
-        sud::set_selector(sud::Dispatch::Allow);
         NESTED_CALLS.lock().unwrap().push(NestedCall {
             selector_on_entry: on_entry,
             selector_after: after,
@@ -1032,23 +1034,22 @@ fn scenario_nested_miss() {
     let open_devnull = || {
         let fd = openat(AT_FDCWD, devnull.as_ptr() as u64, libc::O_RDONLY as u64);
         assert!((fd as i64) >= 0, "openat: {:?}", syscalls::Errno::from_ret(fd));
-        // The outer dispatch re-arms BLOCK, whatever went on inside it.
         assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after the outer dispatch");
         unsafe { libc::close(fd as i32) };
     };
     let nested = |from_stub: bool| NestedCall {
-        selector_on_entry: sud::SYSCALL_DISPATCH_FILTER_ALLOW,
-        selector_after: sud::SYSCALL_DISPATCH_FILTER_ALLOW,
+        selector_on_entry: sud::SYSCALL_DISPATCH_FILTER_BLOCK,
+        selector_after: sud::SYSCALL_DISPATCH_FILTER_BLOCK,
         ret: ppid,
         slow_path_hits: 0,
-        dispatches: 1,
+        dispatches: 0,
         stub_exits: stub_exits().map(|_| from_stub as u64),
     };
     // The nested call leaves from the entry stub...
     assert!(zpoline::thread_block().armed(), "enrolment arms the block");
     open_devnull();
     // ...and, with the block disarmed, from the dispatcher's own miss
-    // exit: the selector must stay ALLOW under the handler either way.
+    // exit: the selector reads BLOCK under the handler either way.
     zpoline::thread_block().disarm();
     open_devnull();
     // Taken out first: a failing assertion opens files for its
@@ -1145,15 +1146,6 @@ fn mix_under(mechanism: &str) -> (Option<u64>, mechanism::ActiveMechanism) {
     assert!(run.dispatches >= run.rets.len() as u64, "{mechanism}: {} dispatches", run.dispatches);
     assert!(run.openats_handled >= 1, "{mechanism}");
     (run.stub_exits, active)
-}
-
-/// [`mix_under`], and none of the dispatches leaves from the stub.
-fn assert_mix_stays_on_the_full_path(mechanism: &str) {
-    let (exits, mut active) = mix_under(mechanism);
-    if let Some(exits) = exits {
-        assert_eq!(exits, 0, "{mechanism}: the stub issued syscalls itself");
-    }
-    active.detach();
 }
 
 fn scenario_miss_exit() {
@@ -1268,34 +1260,33 @@ fn signal_in_blocking_read(sites: &[SiteFn; 8]) -> [u64; 2] {
     results
 }
 
-/// At the pkey rungs a thread's selector is on the slab, its block is
-/// never armed, and every dispatch takes the full path. At
-/// `BackstopOnly` the block is armed, and a miss leaves from the stub
-/// (unless a fault site is armed), whose `syscall` lies in the gate the
-/// backstop admits. On every rung no dispatch trips the backstop.
+/// On every rung the block is armed and a miss leaves from the stub,
+/// whose `syscall` lies in the gate: SUD lets it through by its range,
+/// the backstop by its IP, and no selector store — which at the pkey
+/// rungs would take a `WRPKRU` bracket — comes near it.
 fn scenario_miss_exit_hardened() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let (exits, mut active) = mix_under("lazypoline-hardened");
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    assert!(zpoline::thread_block().armed(), "enrolment arms the block");
     if let Some(exits) = exits {
-        let faults = faultinject::LP_FAULTS_ARMED.load(Ordering::Relaxed);
-        if selector_is_hardware_protected() || faults != 0 {
-            assert_eq!(exits, 0, "the stub issued syscalls itself");
-        } else {
-            assert!(zpoline::thread_block().armed(), "enrolment arms the block");
-            assert!(exits > 0, "no miss left from the stub");
-        }
+        assert!(exits > 0, "no miss left from the stub");
     }
     assert_eq!(lazypoline::harden::bypass_blocked(), 0, "a dispatch tripped the backstop");
     active.detach();
 }
 
-/// While any fault site is armed every dispatch takes the path the
-/// seams are on, so `selector_write` keeps its whole coverage.
+/// While a fault site is armed a miss still leaves from the stub: no
+/// seam sits between it and its `syscall`, now that it stores no
+/// selector.
 fn scenario_miss_exit_faults() {
     std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=1000000");
-    assert_mix_stays_on_the_full_path("lazypoline");
+    let (exits, mut active) = mix_under("lazypoline");
     assert!(faultinject::is_armed(faultinject::Site::SelectorWrite));
+    if let Some(exits) = exits {
+        assert!(exits > 0, "no miss left from the stub");
+    }
+    active.detach();
 }
 
 /// `getpid` from the gate's own `syscall` (`zpoline::gate_syscall`).
@@ -1363,8 +1354,10 @@ fn scenario_gate_range() {
     active.detach();
 }
 
-/// A hardened engine keeps selector-only SUD: the gate's syscall at
-/// BLOCK is intercepted, and emulated — the gate is never rewritten.
+/// A hardened engine arms SUD with the gate too, so on every rung the
+/// gate's syscall at BLOCK passes both layers unseen: SUD by the range,
+/// the backstop by the IP. This pins the residue DESIGN.md §6 states; a
+/// change that closes it has to flip these assertions.
 fn scenario_gate_range_hardened() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let _active = install(
@@ -1372,28 +1365,176 @@ fn scenario_gate_range_hardened() {
         Box::new(interpose::PassthroughHandler),
     );
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
-    assert_eq!(sud::selector(), sud::Dispatch::Block);
-    let pid = unsafe { libc::getpid() } as u64;
     let before = lazypoline::stats();
-    assert_eq!(gate_getpid(), pid);
+    assert_gate_range("hardened main thread");
     let after = lazypoline::stats();
-    assert_eq!(
-        after.slow_path_hits,
-        before.slow_path_hits + 1,
-        "the gate must trap"
-    );
-    assert_eq!(
-        after.unpatchable_emulations,
-        before.unpatchable_emulations + 1
-    );
-    assert_eq!(after.sites_patched, before.sites_patched);
-    assert_eq!(after.bypass_blocked, before.bypass_blocked);
-    let last = zpoline::gate().end - 3;
-    assert_eq!(
-        unsafe { *(last as *const [u8; 2]) },
-        [0x0f, 0x05],
-        "the gate was rewritten"
-    );
+    assert_eq!(after.bypass_blocked, before.bypass_blocked, "the backstop saw the gate");
+    assert_eq!(after.unpatchable_emulations, before.unpatchable_emulations);
+    for site in [
+        zpoline::trampoline::lp_zpoline_gate_syscall as *const () as usize,
+        zpoline::sigreturn_restorer() + 5,
+    ] {
+        assert_eq!(unsafe { *(site as *const [u8; 2]) }, [0x0f, 0x05], "the gate was rewritten");
+    }
+}
+
+// ——— the selector is written at enrolment only ————————————————————
+
+static SC_SELECTOR: AtomicU64 = AtomicU64::new(0xff);
+static SC_FRESH: AtomicU64 = AtomicU64::new(0);
+static SC_FRESH_RET: AtomicU64 = AtomicU64::new(0);
+static SC_RAISE: AtomicU64 = AtomicU64::new(0);
+static SC_PPIDS_SEEN: AtomicU64 = AtomicU64::new(0);
+static SC_PIDS_SEEN: AtomicU64 = AtomicU64::new(0);
+static SC_USR1: AtomicU64 = AtomicU64::new(0);
+
+/// Interested in `getuid`, the trigger, and in `getppid` and `getpid`,
+/// which it counts. On `getuid` it reads the selector, then — once each,
+/// when asked — calls a fresh site of its own and raises `SIGUSR1`.
+struct SelectorReader;
+
+impl SyscallHandler for SelectorReader {
+    fn handle(&self, ev: &mut SyscallEvent) -> Action {
+        match ev.call.nr {
+            syscalls::nr::GETPPID => {
+                SC_PPIDS_SEEN.fetch_add(1, Ordering::SeqCst);
+            }
+            syscalls::nr::GETPID => {
+                SC_PIDS_SEEN.fetch_add(1, Ordering::SeqCst);
+            }
+            syscalls::nr::GETUID => {
+                // A raw read: `sud::selector` panics on a byte that is
+                // neither value, and a panic here would be quarantined.
+                let selector = unsafe { sud::selector_ptr().read_volatile() };
+                SC_SELECTOR.store(selector as u64, Ordering::SeqCst);
+                let fresh = SC_FRESH.swap(0, Ordering::SeqCst);
+                if fresh != 0 {
+                    // SAFETY: a `SiteFn` the task stored.
+                    let site = unsafe { std::mem::transmute::<usize, SiteFn>(fresh as usize) };
+                    SC_FRESH_RET.store(site(0, 0, 0), Ordering::SeqCst);
+                }
+                if SC_RAISE.swap(0, Ordering::SeqCst) != 0 {
+                    unsafe { libc::raise(libc::SIGUSR1) };
+                }
+            }
+            _ => {}
+        }
+        Action::Passthrough
+    }
+
+    fn interest(&self) -> interpose::InterestSet {
+        interpose::InterestSet::of(&[syscalls::nr::GETUID, syscalls::nr::GETPPID, syscalls::nr::GETPID])
+    }
+}
+
+/// The application's `SIGUSR1` handler: its `getpid` must reach the
+/// handler although the signal landed inside one.
+extern "C" fn sc_on_usr1(_sig: libc::c_int) {
+    let before = SC_PIDS_SEEN.load(Ordering::SeqCst);
+    let pid = unsafe { libc::getpid() } as u32;
+    let seen = SC_PIDS_SEEN.load(Ordering::SeqCst) - before;
+    SC_USR1.store(if pid == std::process::id() && seen == 1 { 1 } else { 2 }, Ordering::SeqCst);
+}
+
+/// The four checks on the calling task, each from a JIT page of its own
+/// (`sud_row`: every trigger is emulated in the SIGSYS handler).
+fn assert_selector_constant(task: &str, sud_row: bool) {
+    // SAFETY: getuid touches no memory.
+    let uid = unsafe { syscalls::raw::syscall0(syscalls::nr::GETUID) };
+    let ppid = std::os::unix::process::parent_id() as u64;
+    let block = sud::SYSCALL_DISPATCH_FILTER_BLOCK as u64;
+    unsafe {
+        let getuid = syscall_site(ret_filled_rwx_page(), 0, syscalls::nr::GETUID);
+        SC_SELECTOR.store(0xff, Ordering::SeqCst);
+        assert_eq!(getuid(0, 0, 0), uid, "{task}: first execution");
+        assert_eq!(SC_SELECTOR.load(Ordering::SeqCst), block, "{task}: the selector inside handle()");
+
+        // No dispatch takes a `WRPKRU`, on any rung.
+        let switches = sud::pkey::pkru_switch_count();
+        let dispatches = lazypoline::stats().dispatches;
+        for _ in 0..10_000 {
+            assert_eq!(getuid(0, 0, 0), uid);
+        }
+        assert_eq!(sud::pkey::pkru_switch_count(), switches, "{task}: pkru switches");
+        if !sud_row {
+            assert!(lazypoline::stats().dispatches >= dispatches + 10_000, "{task}: dispatches");
+        }
+        assert_eq!(SC_SELECTOR.load(Ordering::SeqCst), block, "{task}: the selector inside handle()");
+
+        // A handler's own call from a site never executed before: it
+        // traps (nested in the SIGSYS handler under the `sud` row), and
+        // is executed — raw result, no second notification.
+        let fresh = syscall_site(ret_filled_rwx_page(), 0, syscalls::nr::GETPPID);
+        SC_FRESH.store(fresh as usize as u64, Ordering::SeqCst);
+        let (seen, slow) = (SC_PPIDS_SEEN.load(Ordering::SeqCst), lazypoline::stats().slow_path_hits);
+        assert_eq!(getuid(0, 0, 0), uid);
+        assert_eq!(SC_FRESH.load(Ordering::SeqCst), 0, "{task}: handle() ran");
+        assert_eq!(SC_FRESH_RET.load(Ordering::SeqCst), ppid, "{task}: the handler's own getppid");
+        assert_eq!(SC_PPIDS_SEEN.load(Ordering::SeqCst), seen, "{task}: the handler saw its own call");
+        let trapped = lazypoline::stats().slow_path_hits - slow;
+        assert!(trapped > sud_row as u64, "{task}: {trapped} SIGSYS, the fresh site's missing");
+        // The same site, called by the application: dispatched.
+        assert_eq!(fresh(0, 0, 0), ppid);
+        assert_eq!(SC_PPIDS_SEEN.load(Ordering::SeqCst), seen + 1, "{task}: the application's getppid");
+
+        // A wrapped signal raised inside handle(): the application's
+        // handler runs interposed.
+        SC_USR1.store(0, Ordering::SeqCst);
+        SC_RAISE.store(1, Ordering::SeqCst);
+        assert_eq!(getuid(0, 0, 0), uid);
+        assert_eq!(SC_USR1.load(Ordering::SeqCst), 1, "{task}: SIGUSR1 inside handle()");
+    }
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "{task}: the selector");
+}
+
+/// Installs `base` around [`SelectorReader`] and runs the checks on the
+/// main thread, a spawned thread and a fork child; returns the
+/// installation, still attached.
+fn selector_constant_under(base: &str) -> mechanism::ActiveMechanism {
+    let active = install(base, Box::new(SelectorReader));
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = sc_on_usr1 as *const () as usize;
+        assert_eq!(libc::sigaction(libc::SIGUSR1, &sa, std::ptr::null_mut()), 0);
+    }
+    assert_selector_constant(&format!("{base}, main thread"), false);
+    let task = format!("{base}, thread");
+    std::thread::spawn(move || assert_selector_constant(&task, false)).join().unwrap();
+    unsafe {
+        let pid = libc::fork();
+        assert!(pid >= 0);
+        if pid == 0 {
+            let task = format!("{base}, fork child");
+            let ok = std::panic::catch_unwind(|| assert_selector_constant(&task, false)).is_ok();
+            libc::_exit(if ok { 0 } else { 1 });
+        }
+        let mut status = 0;
+        assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+        assert_eq!(status, 0, "{base}: fork child");
+    }
+    active
+}
+
+/// An enrolled thread's selector reads BLOCK from enrolment to teardown:
+/// inside handlers, across 10 000 dispatches, across a handler's own
+/// call from a fresh site and a signal raised in a handler — under
+/// `lazypoline`, and under `sud`, where the handler runs inside the
+/// SIGSYS handler.
+fn scenario_selector_constant() {
+    selector_constant_under("lazypoline").detach();
+    let mut active = install("sud", Box::new(SelectorReader));
+    assert_selector_constant("sud, main thread", true);
+    active.detach();
+}
+
+/// The same under `lazypoline-hardened`, on whatever rung the host (or
+/// the fault specs `main` reruns it under) allows: at the pkey rungs no
+/// dispatch pays a `WRPKRU`.
+fn scenario_selector_constant_hardened() {
+    let mut active = selector_constant_under("lazypoline-hardened");
+    assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    assert_eq!(lazypoline::harden::bypass_blocked(), 0, "a dispatch tripped the backstop");
+    active.detach();
 }
 
 fn scenario_rewrite_stress() {
@@ -1547,13 +1688,13 @@ fn scenario_hit_rewrite() {
     assert_eq!(faultinject::total_injected(), 0);
 }
 
-/// Again with every second selector store dropped: while a site is armed
-/// the hit path's two stores go through `sud::set_selector`'s seam and
-/// write-verify loop, not the block.
+/// Again with every selector store dropped (each is repaired after
+/// three drops): the hit path makes none, so all the seam sees across
+/// the body's dispatches are enrolment's BLOCK and teardown's ALLOW.
 fn scenario_hit_rewrite_faults() {
-    std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=2");
+    std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=1");
     hit_rewrite_body();
-    assert!(faultinject::injected(faultinject::Site::SelectorWrite) > 0);
+    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 2 * 3);
 }
 
 fn scenario_latency_histogram() {
@@ -2145,16 +2286,27 @@ fn scenario_fault_soak() {
     assert!(lazypoline::stats().patch_retries > 0, "retry path never exercised");
     faultinject::disarm(faultinject::Site::PatchMprotect);
 
-    // Phase 2: dropped selector writes — repaired transparently.
+    // Phase 2: dropped selector writes — repaired transparently. A
+    // dispatch makes none; a new thread's enrolment makes one, which is
+    // dropped and repaired, and the thread is interposed all the same.
     let base = counter.count(syscalls::nr::WRITE);
-    faultinject::arm_all(&faultinject::parse_spec("selector_write:every=7").unwrap());
+    faultinject::arm_all(&faultinject::parse_spec("selector_write:every=1").unwrap());
     let p = std::env::temp_dir().join(format!("lp-soak-sel-{}", std::process::id()));
     for _ in 0..50 {
         std::fs::write(&p, b"y").unwrap();
     }
+    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 0, "a dispatch wrote the selector");
+    let q = p.clone();
+    std::thread::spawn(move || {
+        for _ in 0..50 {
+            std::fs::write(&q, b"y").unwrap();
+        }
+    })
+    .join()
+    .unwrap();
     std::fs::remove_file(&p).unwrap();
     faultinject::disarm(faultinject::Site::SelectorWrite);
-    assert!(counter.count(syscalls::nr::WRITE) >= base + 50);
+    assert!(counter.count(syscalls::nr::WRITE) >= base + 100);
     assert!(faultinject::injected(faultinject::Site::SelectorWrite) > 0);
 
     // Phase 3: transient enrollment failure at thread creation — the
@@ -2188,9 +2340,10 @@ fn scenario_fault_soak() {
 }
 
 fn scenario_fault_soak_sudonly() {
-    // Pure-SUD hammer with emulation faults (EINTR) and dropped
-    // selector writes injected concurrently: every call either succeeds
-    // or observes a clean EINTR — never a wrong result, never a crash.
+    // Pure-SUD hammer with emulation faults (EINTR) injected and the
+    // selector seam armed concurrently: every call either succeeds or
+    // observes a clean EINTR — never a wrong result, never a crash — and
+    // the slow path writes no selector for the seam to drop.
     use std::sync::atomic::AtomicBool;
     static READY: AtomicU64 = AtomicU64::new(0);
     static START: AtomicBool = AtomicBool::new(false);
@@ -2274,8 +2427,8 @@ fn scenario_fault_soak_sudonly() {
         faultinject::injected(faultinject::Site::SlowpathEmulate),
         "every injected emulate fault must surface as exactly one EINTR"
     );
-    assert!(faultinject::injected(faultinject::Site::SelectorWrite) > 0);
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector repair failed");
+    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 0, "the slow path wrote the selector");
+    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector lost");
     engine.unenroll_current_thread();
 }
 
@@ -2371,10 +2524,17 @@ fn scenario_degraded_smoke() {
     interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
     let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
 
-    let tmp = std::env::temp_dir().join(format!("lp-degraded-{}", std::process::id()));
-    std::fs::write(&tmp, b"degraded").unwrap();
-    assert_eq!(std::fs::read(&tmp).unwrap(), b"degraded");
-    std::fs::remove_file(&tmp).unwrap();
+    // On this thread and on a spawned one, whose enrolment is another
+    // selector write.
+    let io = || {
+        let name = format!("lp-degraded-{}-{:?}", std::process::id(), std::thread::current().id());
+        let tmp = std::env::temp_dir().join(name);
+        std::fs::write(&tmp, b"degraded").unwrap();
+        assert_eq!(std::fs::read(&tmp).unwrap(), b"degraded");
+        std::fs::remove_file(&tmp).unwrap();
+    };
+    io();
+    std::thread::spawn(io).join().unwrap();
 
     let h = lazypoline::health();
     let expected = if spec.contains("trampoline_install") {
@@ -2385,10 +2545,13 @@ fn scenario_degraded_smoke() {
         lazypoline::Mode::Hybrid
     };
     assert_eq!(h.mode, expected, "spec={spec:?} health={h:?}");
-    if !spec.is_empty() {
-        assert!(h.faults_injected >= 1, "armed faults never fired: {h:?}");
-    }
     engine.unenroll_current_thread();
+    // By teardown — the selector is written at enrolment and teardown
+    // only — every seam the run reaches has been hit.
+    if !spec.is_empty() {
+        let injected = faultinject::total_injected();
+        assert!(injected >= 1, "armed faults never fired: {injected} injected, {h:?}");
+    }
 }
 
 // ——— mechanism-layer scenarios ——————————————————————————————————————
@@ -2948,7 +3111,9 @@ fn scenario_harden_full_on_pku() {
     let faults = lazypoline::faultinject::LP_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed);
     if pku && faults == 0 {
         assert_eq!(harden, lazypoline::harden::HardenLevel::Full);
-        assert!(active.stats().pkru_switches > 0, "{:?}", active.stats());
+        // Enrolment's bracket; no dispatch takes one.
+        assert!(lazypoline::stats().pkru_switches > 0, "{:?}", lazypoline::stats());
+        assert_eq!(active.stats().pkru_switches, 0, "{:?}", active.stats());
     } else {
         println!("pku: {pku}, fault sites armed: {faults}; reached {harden:?}");
     }
@@ -3270,6 +3435,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("miss_exit_faults", scenario_miss_exit_faults),
     ("gate_range", scenario_gate_range),
     ("gate_range_hardened", scenario_gate_range_hardened),
+    ("selector_constant", scenario_selector_constant),
+    ("selector_constant_hardened", scenario_selector_constant_hardened),
     ("rewrite_stress", scenario_rewrite_stress),
     ("policy_native", scenario_policy_native),
     ("post_rewrite", scenario_post_rewrite),
@@ -3313,6 +3480,7 @@ const HARDENED_SCENARIOS: &[&str] = &[
     "signals_hardened",
     "miss_exit_hardened",
     "gate_range_hardened",
+    "selector_constant_hardened",
     "harden_full_on_pku",
     "escape_quarantine",
     "escape_kill",
