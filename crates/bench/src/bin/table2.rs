@@ -133,24 +133,17 @@ fn print_table2(r: &MicroResults, hardened: Option<&micro::HardenedRow>) {
     }
     print!("{}", table.render());
     if let Some(h) = hardened {
-        // WRPKRU cost from this run: what the hardened row adds over
-        // plain lazypoline, spread over the switches each dispatch makes.
-        // An upper bound: the difference also carries the backstop's
-        // seccomp filter, which runs on every syscall.
-        let per_dispatch = h.stats.pkru_switches as f64 / h.stats.dispatches.max(1) as f64;
-        let added = h.measurement.cycles() - r.lazypoline.cycles();
+        // What the hardened row adds over plain lazypoline is the
+        // backstop: the seccomp filter runs on every syscall SUD lets
+        // through, the gate's included.
         println!(
-            "hardened row (child process): level {}, {} pkru switch(es) over {} dispatches \
-             ({per_dispatch:.2} per dispatch), {} bypass(es) blocked",
-            h.harden_level, h.stats.pkru_switches, h.stats.dispatches, h.stats.bypass_blocked
+            "hardened row (child process): level {}, {:+.0} cycles/call over lazypoline, \
+             {} bypass(es) blocked over {} dispatches",
+            h.harden_level,
+            h.measurement.cycles() - r.lazypoline.cycles(),
+            h.stats.bypass_blocked,
+            h.stats.dispatches
         );
-        if per_dispatch > 0.0 {
-            println!(
-                "WRPKRU: {added:+.0} cycles/call over lazypoline ÷ {per_dispatch:.2} switches \
-                 = ≤ {:.1} cycles per switch (the seccomp backstop's filter is in the difference too)",
-                added / per_dispatch
-            );
-        }
     }
     println!("\nbaseline: {base:.0} cycles/call; max relative stddev {max_sd:.2}%");
     if let Some(sfip_row) = &r.lazypoline_sfip {

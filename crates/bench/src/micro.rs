@@ -540,8 +540,8 @@ pub struct HardenedRow {
     /// Counter deltas for the measured window, every counter the other
     /// rows carry.
     pub stats: mechanism::StatsSnapshot,
-    /// The degradation-ladder rung the child reached (`Full` with MPK
-    /// hardware, `BackstopOnly` without, etc.).
+    /// The degradation-ladder rung the child reached (`Full` when the
+    /// backstop arms, `Unprotected` when seccomp is refused).
     pub harden_level: String,
 }
 

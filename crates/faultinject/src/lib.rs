@@ -5,9 +5,7 @@
 //! This crate provides **named injection sites** threaded through those
 //! points (trampoline install, patcher `mprotect` windows, SUD
 //! enrollment, selector writes, slow-path emulation, and the hardened
-//! mode's `pkey_alloc` / seccomp-backstop install / `WRPKRU` switches)
-//! with
-//! **deterministic schedules** (fail the Nth hit, every Nth hit, or the
+//! mode's seccomp-backstop install) with **deterministic schedules** (fail the Nth hit, every Nth hit, or the
 //! first K hits), armable programmatically ([`arm`]) or from a spec
 //! string ([`parse_spec`]) — the `LAZYPOLINE_FAULTS` variable, which
 //! `lp-mechanism`'s `EnvConfig` parses and an engine-backed install
@@ -70,25 +68,14 @@ pub enum Site {
     /// errno to the application (modelling `EINTR`/`EAGAIN`/`ENOMEM`
     /// from a congested kernel).
     SlowpathEmulate,
-    /// `pkey_alloc(2)` for the hardened selector slab
-    /// (`sud::pkey::ProtectedSlab::new`). An injected hit models a host
-    /// with exhausted protection keys (or no MPK hardware at all), which
-    /// the hardened installer must survive by degrading to the seccomp
-    /// backstop alone.
-    PkeyAlloc,
     /// `seccomp(SECCOMP_SET_MODE_FILTER, …)` installation of the
     /// hardened backstop filter (`lazypoline::harden`). An injected hit
-    /// degrades hardened mode one more rung, down to plain lazypoline.
+    /// degrades hardened mode to `Unprotected`: plain lazypoline.
     SeccompInstall,
-    /// A `WRPKRU` permission switch at the interposer boundary. An
-    /// injected hit models one dropped PKRU update, which the
-    /// write-verify loop around the switch detects and repairs —
-    /// mirroring the `selector_write` seam one privilege level up.
-    PkruSwitch,
 }
 
 /// Number of distinct injection sites.
-pub const NUM_SITES: usize = 8;
+pub const NUM_SITES: usize = 6;
 
 /// Every site, in declaration order (index = internal slot).
 pub const ALL_SITES: [Site; NUM_SITES] = [
@@ -97,9 +84,7 @@ pub const ALL_SITES: [Site; NUM_SITES] = [
     Site::SudEnroll,
     Site::SelectorWrite,
     Site::SlowpathEmulate,
-    Site::PkeyAlloc,
     Site::SeccompInstall,
-    Site::PkruSwitch,
 ];
 
 impl Site {
@@ -110,9 +95,7 @@ impl Site {
             Site::SudEnroll => 2,
             Site::SelectorWrite => 3,
             Site::SlowpathEmulate => 4,
-            Site::PkeyAlloc => 5,
-            Site::SeccompInstall => 6,
-            Site::PkruSwitch => 7,
+            Site::SeccompInstall => 5,
         }
     }
 
@@ -124,9 +107,7 @@ impl Site {
             Site::SudEnroll => "sud_enroll",
             Site::SelectorWrite => "selector_write",
             Site::SlowpathEmulate => "slowpath_emulate",
-            Site::PkeyAlloc => "pkey_alloc",
             Site::SeccompInstall => "seccomp_install",
-            Site::PkruSwitch => "pkru_switch",
         }
     }
 
@@ -144,9 +125,7 @@ impl Site {
             Site::SudEnroll => ENOSYS,        // kernel < 5.11
             Site::SelectorWrite => EAGAIN,
             Site::SlowpathEmulate => EINTR,
-            Site::PkeyAlloc => ENOSPC,     // all 15 user keys taken
             Site::SeccompInstall => EACCES, // no_new_privs refused
-            Site::PkruSwitch => EAGAIN,
         }
     }
 }
@@ -223,9 +202,9 @@ impl SiteState {
 static SITES: [SiteState; NUM_SITES] = [const { SiteState::new() }; NUM_SITES];
 
 /// Count of currently armed sites. The disarmed fast path in [`check`]
-/// reads only this. No seam sits on a dispatch: the selector is written
-/// at enrolment and teardown only, through `sud::set_selector`, which
-/// consults the `selector_write` seam on every write.
+/// reads only this. No seam sits on a dispatch: the engine writes no
+/// selector, and `selector_write` is consulted by `sud::set_selector`
+/// alone, which only the selector-only SUD rows call.
 pub static LP_FAULTS_ARMED: AtomicUsize = AtomicUsize::new(0);
 
 /// Consults the seam at `site`: `None` means proceed normally (the
@@ -442,25 +421,22 @@ mod tests {
         assert_eq!(Site::PatchMprotect.default_errno(), EAGAIN);
         assert_eq!(Site::SudEnroll.default_errno(), ENOSYS);
         assert_eq!(Site::SlowpathEmulate.default_errno(), EINTR);
-        assert_eq!(Site::PkeyAlloc.default_errno(), ENOSPC);
         assert_eq!(Site::SeccompInstall.default_errno(), EACCES);
-        assert_eq!(Site::PkruSwitch.default_errno(), EAGAIN);
     }
 
     #[test]
     fn hardened_sites_parse_from_spec() {
         let _g = LOCK.lock().unwrap();
         disarm_all();
-        let faults =
-            parse_spec("pkey_alloc:first=1,seccomp_install:first=1:EINVAL,pkru_switch:nth=2").unwrap();
-        assert_eq!(faults.len(), 3);
+        let faults = parse_spec("seccomp_install:first=1:EINVAL").unwrap();
+        assert_eq!(faults.len(), 1);
         arm_all(&faults);
-        assert_eq!(check(Site::PkeyAlloc), Some(ENOSPC));
-        assert_eq!(check(Site::PkeyAlloc), None);
         assert_eq!(check(Site::SeccompInstall), Some(EINVAL));
-        assert_eq!(check(Site::PkruSwitch), None);
-        assert_eq!(check(Site::PkruSwitch), Some(EAGAIN));
+        assert_eq!(check(Site::SeccompInstall), None);
         disarm_all();
+        // Hardened mode has no other seam.
+        assert!(parse_spec("pkey_alloc:every=1").is_none());
+        assert!(parse_spec("pkru_switch:every=1").is_none());
     }
 
     #[test]

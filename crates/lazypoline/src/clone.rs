@@ -21,8 +21,9 @@
 //!
 //! Raw `clone` with a new stack but **without** `CLONE_SETTLS` gets a
 //! plain continuation (no enrollment): the child would share the
-//! parent's TLS, so enrolling it would alias the parent's selector
-//! byte. Such children run uninterposed until they enroll themselves —
+//! parent's TLS, so enrolling it would alias the parent's per-thread
+//! block (the enrolment flag, the re-entry guard, the dispatch-counter
+//! slot). Such children run uninterposed until they enroll themselves —
 //! a documented deviation (the C prototype maps a fresh `%gs` region
 //! instead).
 
@@ -55,12 +56,8 @@ fn enable_sud_with_retry() -> bool {
 
 /// Re-enrolls the current task after the kernel cleared its SUD state.
 ///
-/// Called in fork children, from dispatcher context: the child's
-/// selector reads BLOCK already, as the parent's did.
+/// Called in fork children, from dispatcher context.
 pub(crate) fn reenroll_after_clone() {
-    // Hardened mode: the fresh task's PKRU is whatever the parent held
-    // at clone time — close the slab so the selector is protected.
-    sud::pkey::close_slab_if_ready();
     if crate::tls::enrolled() {
         // After the bounded retry, ignore failure: the task degrades to
         // uninterposed rather than dying.
@@ -97,11 +94,11 @@ pub(crate) unsafe fn handle_clone(frame: &mut RawFrame) -> u64 {
     // application continuation without unwinding our Rust frames.
     //
     // Enrollment: a fresh TLS block (CLONE_SETTLS) always gets its own
-    // selector. A vfork-style child (CLONE_VM | CLONE_VFORK, the
+    // thread block. A vfork-style child (CLONE_VM | CLONE_VFORK, the
     // posix_spawn pattern) shares the parent's TLS, but the parent is
     // suspended until the child execs or exits, so briefly sharing the
-    // selector byte is safe — and necessary to interpose the child's
-    // pre-exec syscalls (including the execve itself).
+    // block is safe — and necessary to interpose the child's pre-exec
+    // syscalls (including the execve itself).
     let enroll = flags & CLONE_SETTLS != 0
         || (flags & CLONE_VM != 0 && flags & CLONE_VFORK != 0);
 
@@ -167,20 +164,12 @@ unsafe extern "C" fn lp_clone_child_init() {
     // — and, unlike a fork-like child, it never travels through a
     // sigreturn that would restore the pre-handler mask. A blocked
     // SIGSYS turns the first intercepted syscall into a straight kill,
-    // so unblock it unconditionally before arming the selector.
+    // so unblock it unconditionally before arming SUD.
     let sigsys_mask: u64 = 1 << (libc::SIGSYS as u64 - 1);
     raw_internal::rt_sigprocmask(raw_internal::SIG_UNBLOCK, &sigsys_mask, std::ptr::null_mut());
-    // Hardened mode: adopt a protected selector slot for this fresh
-    // thread (its own cache line on the pkey slab) and close the slab
-    // before arming, mirroring the parent's enrollment.
-    if sud::pkey::slab_ready() {
-        let _ = sud::adopt_protected_selector();
-    }
-    sud::pkey::close_slab_if_ready();
     if enable_sud_with_retry() {
         // A fresh TLS block starts zeroed, i.e. on the full path.
         crate::tls::arm_stub_exit();
-        crate::engine::block_selector();
     }
 }
 

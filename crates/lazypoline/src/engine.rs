@@ -23,10 +23,11 @@ use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
+use syscalls::{nr, SyscallArgs};
 use zpoline::{Trampoline, XstateMask};
 
 use crate::counters;
-use crate::{blocklist, fastpath, signals, slowpath, tls};
+use crate::{blocklist, fastpath, raw_internal, signals, slowpath, tls};
 
 /// Configuration for [`init`].
 #[derive(Clone, Copy, Debug)]
@@ -197,10 +198,6 @@ engine_stats! {
     /// Escape attempts the hardened-mode seccomp backstop caught
     /// (nonzero only under `lazypoline-hardened`).
     bypass_blocked: crate::harden::bypass_blocked(),
-    /// WRPKRU switches: the brackets of protected-selector writes
-    /// (enrolment, teardown) and the closes of the slab at the top of
-    /// signal handlers (nonzero only with the pkey slab armed).
-    pkru_switches: sud::pkey::pkru_switch_count(),
 }
 
 /// Robustness snapshot: the active degradation-ladder rung plus the
@@ -380,26 +377,18 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
 }
 
 impl Engine {
-    /// Enrolls the calling thread: enables SUD with this thread's
-    /// selector byte and the gate as its allowed range, and sets the
-    /// selector to BLOCK — the one value it holds until teardown.
+    /// Enrolls the calling thread: enables SUD with the gate as its
+    /// allowed range and no selector, so every other syscall of the
+    /// thread is dispatched until teardown.
     ///
     /// # Errors
     ///
     /// Returns the `prctl` failure; the thread is left un-enrolled.
     pub fn enroll_current_thread(&self) -> io::Result<()> {
-        // Hardened mode: give this thread a selector slot on the
-        // protected slab *before* the prctl, so the kernel records the
-        // protected address. A full slab falls back to the TLS byte —
-        // the thread is interposed, just not selector-hardened.
-        if sud::pkey::slab_ready() {
-            let _ = sud::adopt_protected_selector();
-        }
         tls::set_enrolled(true);
         match enable_sud() {
             Ok(()) => {
                 tls::arm_stub_exit();
-                block_selector();
                 Ok(())
             }
             Err(e) => {
@@ -409,12 +398,9 @@ impl Engine {
         }
     }
 
-    /// Un-enrolls the calling thread: new syscall sites on this thread
-    /// stop being discovered. Already-rewritten sites still dispatch.
+    /// Un-enrolls the calling thread ([`unenroll_current_thread`]).
     pub fn unenroll_current_thread(&self) {
-        tls::set_enrolled(false);
-        sud::set_selector(sud::Dispatch::Allow);
-        let _ = sud::disable_thread();
+        unenroll_current_thread();
     }
 
     /// Whether the calling thread is currently enrolled.
@@ -438,26 +424,35 @@ impl Engine {
     }
 }
 
+/// Un-enrolls the calling thread without an [`Engine`] handle: new
+/// syscall sites on this thread stop being discovered, and rewritten
+/// sites still dispatch. Async-signal-safe — one TLS store and one
+/// `prctl` — so a signal handler may call it (the macrobenchmark's
+/// `SIGUSR1` switch to rewriting alone).
+pub fn unenroll_current_thread() {
+    tls::set_enrolled(false);
+    // From the gate: on an enrolled thread the `prctl` would itself be
+    // dispatched from anywhere else.
+    // SAFETY: the `prctl` takes no pointer.
+    unsafe {
+        raw_internal::syscall(&SyscallArgs::new(
+            nr::PRCTL,
+            [sud::PR_SET_SYSCALL_USER_DISPATCH as u64, sud::PR_SYS_DISPATCH_OFF, 0, 0, 0, 0],
+        ));
+    }
+}
+
 /// Enables SUD on the calling thread, with the gate ([`zpoline::gate`])
-/// as its allowed code range: every syscall of the engine leaves from
-/// there, and the kernel lets them through without reading the
-/// selector. The one function every engine-backed enrolment goes
-/// through — the main thread ([`Engine::enroll_current_thread`]), clone
-/// children and fork children (`crate::clone`) — so that no task is
-/// armed differently on one path than on another. It does not touch the
-/// selector: a fork child's reads BLOCK already, and the other two set it
-/// with [`block_selector`].
+/// as its allowed code range and no selector: every syscall of the
+/// engine leaves from there, and every other one is dispatched. The one
+/// function every engine-backed enrolment goes through — the main
+/// thread ([`Engine::enroll_current_thread`]), clone children and fork
+/// children (`crate::clone`) — and the backstop's quarantine, which
+/// re-arms a thread an attacker turned SUD off on, so that no task is
+/// armed differently on one path than on another.
 pub(crate) fn enable_sud() -> io::Result<()> {
     let gate = zpoline::gate();
     sud::enable_thread_with_allowlist(gate.start as u64, gate.len() as u64)
-}
-
-/// Sets the calling thread's selector to BLOCK: at enrolment, and where
-/// the backstop repairs a selector an attacker flipped
-/// (`harden::on_bypass`). With teardown's ALLOW the only selector
-/// writes the engine makes.
-pub(crate) fn block_selector() {
-    sud::set_selector(sud::Dispatch::Block);
 }
 
 impl Drop for Engine {

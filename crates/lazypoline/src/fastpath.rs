@@ -20,8 +20,8 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 ///
 /// Protocol: run the shared handler under the re-entry guard, and issue
 /// every syscall from the gate ([`raw_internal::syscall`]), which SUD
-/// lets through whatever the selector reads. The selector is not
-/// touched: it reads BLOCK for the enrolled thread's whole life. Entered
+/// lets through: the enrolled thread's SUD has no selector to flip, and
+/// every other syscall of it is dispatched. Entered
 /// either directly from application code via a rewritten site, from the
 /// slow path's re-execution of a site it just rewrote, or from a
 /// handler that itself reached a rewritten site — a nested dispatch,
@@ -168,8 +168,7 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
 /// the application's `rsp` (where the frame lives) and issue the
 /// syscall there, from the gate's restorer, so that the instruction is
 /// never itself dispatched (paper Fig. 3 step ③). Control continues at
-/// whatever context the signal frame describes, with the selector as it
-/// was: BLOCK.
+/// whatever context the signal frame describes, interposed as before.
 unsafe fn do_rt_sigreturn(frame: &mut RawFrame) -> ! {
     rt_sigreturn_at((frame as *mut RawFrame as usize + FRAME_TO_APP_RSP) as u64)
 }

@@ -1,42 +1,34 @@
-//! Hardened interposition: the seccomp backstop behind the selector.
+//! Hardened interposition: the seccomp backstop behind SUD.
 //!
-//! Plain lazypoline's exhaustiveness rests on one writable byte: the
-//! SUD selector. Application code that guesses (or leaks) its address
-//! can flip it to ALLOW and issue syscalls the interposer never sees.
-//! Hardened mode (after the paper's §VII discussion of sandboxing)
-//! closes that hole with two independent layers:
-//!
-//! 1. **Protected selector** — the selector byte moves onto an
-//!    MPK-protected slab ([`sud::pkey`]). The engine writes it at
-//!    enrolment and teardown only, each under a `WRPKRU` bracket, so a
-//!    stray or malicious write from application code faults instead of
-//!    succeeding, and no dispatch pays a bracket.
-//! 2. **Seccomp backstop** — a minimal BPF filter admits syscalls by
-//!    instruction pointer only: from the interposer's syscall gate
-//!    ([`zpoline::gate`], from which the engine issues every syscall of
-//!    its own — `rt_sigreturn` and `clone` included — and to which
-//!    [`arm_backstop`] redirects `syscalls::raw`), shared-library text
-//!    and the vdso.
-//!    Everything else — in particular a syscall instruction in
-//!    application text executed while the selector illegitimately
-//!    reads ALLOW — traps with `SIGSYS`/`SYS_SECCOMP`, which
-//!    [`on_bypass`] counts and answers per [`BypassPolicy`].
+//! An enrolled thread's SUD is armed with no selector byte
+//! ([`crate::Engine::enroll_current_thread`]): no store to any address
+//! switches interposition off. What application code can still do is
+//! ask the kernel — `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)`, itself
+//! dispatched and executed like any other syscall — after which its
+//! syscalls reach the kernel unseen. Hardened mode (after the paper's
+//! §VII discussion of sandboxing) puts a **seccomp backstop** behind
+//! SUD: a minimal BPF filter that admits syscalls by instruction pointer
+//! only — from the interposer's syscall gate ([`zpoline::gate`], from
+//! which the engine issues every syscall of its own, `rt_sigreturn` and
+//! `clone` included, and to which [`arm_backstop`] redirects
+//! `syscalls::raw`), shared-library text and the vdso. Everything else
+//! — in particular a syscall instruction in application text executed
+//! after SUD was turned off — traps with `SIGSYS`/`SYS_SECCOMP`, which
+//! [`on_bypass`] counts and answers per [`BypassPolicy`].
 //!
 //! The kernel checks SUD *before* seccomp on syscall entry, so the
 //! backstop is invisible in the common case: a syscall outside the gate
-//! meets the selector at BLOCK and raises the SUD `SIGSYS`, and the
-//! filter never runs; the engine's own leave from the gate and pass
-//! both.
+//! raises the SUD `SIGSYS`, and the filter never runs; the engine's own
+//! leave from the gate and pass both.
 //!
-//! Like engine init, hardening *degrades* rather than fails:
-//! full (pkey + backstop) → backstop only (no MPK hardware, as on most
-//! CI) → plain lazypoline (seccomp unavailable). [`level`] reports the
-//! rung; `engine::health()` surfaces it.
+//! Like engine init, hardening *degrades* rather than fails: `Full`
+//! (the backstop armed) → `Unprotected` (seccomp unavailable: plain
+//! lazypoline). [`level`] reports the rung; `engine::health()` surfaces
+//! it.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
-use sud::sigsys::UContext;
 use syscalls::{nr, Errno, SyscallArgs};
 
 use crate::{raw_internal, tls};
@@ -79,7 +71,7 @@ pub enum BypassPolicy {
     /// sandbox answer (an escape attempt means the application is
     /// compromised).
     Kill,
-    /// Re-arm the protection and force the bypassed syscall back
+    /// Re-arm SUD on the thread and force the bypassed syscall back
     /// through the interposer — it executes, but observed. Useful for
     /// auditing deployments and for in-process regression tests.
     Quarantine,
@@ -90,19 +82,14 @@ pub enum BypassPolicy {
 pub enum HardenLevel {
     /// Hardening was never requested.
     Off,
-    /// Protected selector (MPK hardware) and seccomp backstop.
+    /// The seccomp backstop is armed.
     Full,
-    /// Protected selector only — the backstop install failed.
-    PkeyOnly,
-    /// Seccomp backstop only — no MPK hardware (`pkey_alloc` failed).
-    BackstopOnly,
-    /// Hardening was requested but neither layer could be armed; the
+    /// Hardening was requested but the backstop could not be armed; the
     /// engine runs as plain lazypoline.
     Unprotected,
 }
 
 static HARDEN_ATTEMPTED: AtomicBool = AtomicBool::new(false);
-static PKEY_ACTIVE: AtomicBool = AtomicBool::new(false);
 static BACKSTOP_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Encoded [`BypassPolicy`] (0 = Kill, 1 = Quarantine).
 static POLICY: AtomicU8 = AtomicU8::new(0);
@@ -128,22 +115,6 @@ struct SockFprog {
 
 const fn insn(code: u16, jt: u8, jf: u8, k: u32) -> SockFilter {
     SockFilter { code, jt, jf, k }
-}
-
-/// Arms the protected-selector layer: carve the MPK slab and move this
-/// thread's selector byte onto it. Call **before** [`crate::init`] so
-/// enrollment hands the kernel the protected address.
-///
-/// # Errors
-///
-/// Propagates `pkey_alloc`/`mmap` failure (`EINVAL` on hosts without
-/// MPK) — the caller records it and continues to the next rung.
-pub fn prepare_pkey() -> io::Result<()> {
-    HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
-    sud::pkey::init_protected_slab()?;
-    sud::adopt_protected_selector()?;
-    PKEY_ACTIVE.store(sud::pkey::slab_hardware_protected(), Ordering::SeqCst);
-    Ok(())
 }
 
 /// Collects the IP allowlist: the gate, every file-backed executable
@@ -322,14 +293,12 @@ fn install_filter() -> io::Result<()> {
 
 /// The achieved hardening rung.
 pub fn level() -> HardenLevel {
-    let pkey = PKEY_ACTIVE.load(Ordering::SeqCst);
-    let backstop = BACKSTOP_ACTIVE.load(Ordering::SeqCst);
-    match (pkey, backstop) {
-        (true, true) => HardenLevel::Full,
-        (true, false) => HardenLevel::PkeyOnly,
-        (false, true) => HardenLevel::BackstopOnly,
-        (false, false) if HARDEN_ATTEMPTED.load(Ordering::SeqCst) => HardenLevel::Unprotected,
-        _ => HardenLevel::Off,
+    if BACKSTOP_ACTIVE.load(Ordering::SeqCst) {
+        HardenLevel::Full
+    } else if HARDEN_ATTEMPTED.load(Ordering::SeqCst) {
+        HardenLevel::Unprotected
+    } else {
+        HardenLevel::Off
     }
 }
 
@@ -365,13 +334,13 @@ impl BypassPolicy {
 }
 
 /// Answers a backstop trap from the `SIGSYS` handler: count it, then
-/// kill, or repair the protection the attacker disturbed and quarantine.
+/// kill, or re-arm SUD and quarantine.
 ///
-/// The repair is made in the context the thread resumes with: the
-/// selector goes back to BLOCK, as enrolment left it, and the `PKRU`
-/// that `sigreturn` restores gets the slab's write-disable bit back (the
-/// attacker cleared it to flip the selector). Both are safe here: every
-/// syscall of this handler leaves from the gate.
+/// A trap means SUD did not see the syscall: the attacker turned it off
+/// on this thread. Quarantine re-arms an enrolled thread with the one
+/// enrolment function ([`crate::engine::enable_sud`]) — safe here, every
+/// syscall of this handler leaves from the gate — so the thread resumes
+/// interposed.
 ///
 /// Returns `true` when the caller should emulate the trapped syscall
 /// through the interposer (quarantine); under [`BypassPolicy::Kill`]
@@ -379,16 +348,13 @@ impl BypassPolicy {
 ///
 /// # Safety
 ///
-/// Signal-handler context only, with `uc` the interrupted context.
-pub(crate) unsafe fn on_bypass(uc: &mut UContext) -> bool {
+/// Signal-handler context only.
+pub(crate) unsafe fn on_bypass() -> bool {
     BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
     match policy() {
         BypassPolicy::Quarantine => {
             if tls::enrolled() {
-                crate::engine::block_selector();
-            }
-            if let Some(pkru) = uc.pkru_mut() {
-                *pkru = sud::pkey::closed(*pkru);
+                let _ = crate::engine::enable_sud();
             }
             true
         }

@@ -4,15 +4,14 @@
 //! The design (paper §III) combines two mechanisms:
 //!
 //! * **Slow path** — Linux Syscall User Dispatch delivers `SIGSYS` for
-//!   every syscall executed while the per-thread selector byte reads
-//!   BLOCK, which an enrolled thread's does from enrolment to teardown.
-//!   The handler rewrites the faulting `syscall` instruction to
-//!   `call rax` and resumes execution *at the rewritten instruction*,
-//!   which transfers straight into the fast path (§IV-A: one shared
-//!   syscall-handling implementation). The one allowlisted code range is
-//!   the interposer's own syscall gate ([`zpoline::gate`]): the kernel
-//!   lets every syscall the engine issues from there through without
-//!   reading the selector, so the engine never flips it.
+//!   every syscall an enrolled thread executes outside one allowlisted
+//!   code range, the interposer's own syscall gate ([`zpoline::gate`]),
+//!   from which the engine issues every syscall of its own. SUD is armed
+//!   with no selector byte, so nothing in the address space switches
+//!   interposition off. The handler rewrites the faulting `syscall`
+//!   instruction to `call rax` and resumes execution *at the rewritten
+//!   instruction*, which transfers straight into the fast path (§IV-A:
+//!   one shared syscall-handling implementation).
 //! * **Fast path** — the zpoline trampoline at virtual address 0
 //!   catches the `call rax`, preserves the full register file (plus
 //!   SSE/AVX/x87 state, configurable), and invokes the dispatcher,
@@ -60,7 +59,10 @@ mod signals;
 mod slowpath;
 mod tls;
 
-pub use engine::{health, init, mode, stats, Config, Engine, Health, InitError, Mode, Stats};
+pub use engine::{
+    health, init, mode, stats, unenroll_current_thread, Config, Engine, Health, InitError, Mode,
+    Stats,
+};
 pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};
 pub use zpoline::XstateMask;

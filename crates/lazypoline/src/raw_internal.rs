@@ -7,9 +7,8 @@
 //! gate ([`zpoline::gate`]), the `syscall; ret` behind the entry stub,
 //! which the patcher never rewrites. The gate is also the allowed code
 //! range of every engine-backed enrolment, so the kernel lets these
-//! syscalls through without reading the selector — which reads BLOCK —
-//! and the one range of the main executable the hardened backstop
-//! admits.
+//! syscalls through where it dispatches every other one, and the one
+//! range of the main executable the hardened backstop admits.
 
 use syscalls::SyscallArgs;
 

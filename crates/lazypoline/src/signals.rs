@@ -16,9 +16,9 @@
 //! delivery, sets BLOCK for the application handler and restores the
 //! saved value through a sigreturn trampoline once the kernel has
 //! restored the interrupted context (①, ④), because its selector reads
-//! ALLOW for the whole of every dispatch. Here it reads BLOCK from
-//! enrolment to teardown, in and out of handlers, so there is nothing to
-//! save, set or restore, and no trampoline.
+//! ALLOW for the whole of every dispatch. Here SUD is armed with no
+//! selector from enrolment to teardown, in and out of handlers, so
+//! there is nothing to save, set or restore, and no trampoline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -199,11 +199,6 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
     info: *mut libc::siginfo_t,
     ctx: *mut libc::c_void,
 ) {
-    // The kernel enters a handler with its default PKRU, which
-    // access-disables hardened mode's selector slab: the kernel's read
-    // of the selector on the application handler's first syscall from
-    // outside the gate would fault. Restore the slab's steady state.
-    sud::pkey::close_slab_if_ready();
     counters::bump(&SIGNALS_WRAPPED);
     // A signal that lands where `SIGSYS` is blocked (a `sigsuspend` or
     // `ppoll` mask that names it, a child before its enrolment unblocks

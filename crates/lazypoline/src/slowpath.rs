@@ -10,13 +10,12 @@
 //!    syscall — the paper's single shared handling implementation for
 //!    both paths.
 //!
-//! The selector stays at BLOCK throughout: every syscall the handler
-//! issues leaves from the gate ([`zpoline::gate`]), which SUD lets
-//! through by its range, and it returns through the gate's restorer
-//! ([`install`]). The paper's handler sets ALLOW first and returns with
-//! it ("selector-only SUD"), for its own syscalls and for the
-//! re-executed site; here the site's re-execution is a `call rax`, not
-//! a syscall.
+//! There is no selector to flip: every syscall the handler issues
+//! leaves from the gate ([`zpoline::gate`]), which SUD lets through by
+//! its range, and it returns through the gate's restorer ([`install`]).
+//! The paper's handler sets ALLOW first and returns with it
+//! ("selector-only SUD"), for its own syscalls and for the re-executed
+//! site; here the site's re-execution is a `call rax`, not a syscall.
 //!
 //! When the site is not rewritten, the syscall is emulated right here
 //! through the same shared [`crate::fastpath::handle_syscall`] logic.
@@ -37,7 +36,7 @@
 //!   this way, with `PatchError::InGate`, and is never blocklisted.
 //!
 //! A handler notified from an emulation runs inside this handler, and
-//! its own libc calls meet the selector at BLOCK: each traps again,
+//! its own libc calls lie outside the gate: each traps again,
 //! nested (the handler is registered `SA_NODEFER`), and is executed
 //! under the re-entry guard without a second notification.
 
@@ -99,12 +98,11 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
     if si.code != sud::SYS_USER_DISPATCH {
         if si.code == crate::harden::SYS_SECCOMP && crate::harden::backstop_armed() {
             // The hardened backstop caught a syscall from
-            // non-allowlisted code with the selector at ALLOW — a
+            // non-allowlisted code on a task SUD did not cover — a
             // bypass attempt. Kill never returns; quarantine asks us
             // to route the syscall through the interposer after all.
-            let mut uc = UContext::from_ptr(ctx);
-            if crate::harden::on_bypass(&mut uc) {
-                emulate_in_handler(&mut uc);
+            if crate::harden::on_bypass() {
+                emulate_in_handler(&mut UContext::from_ptr(ctx));
             }
             return;
         }
@@ -268,10 +266,6 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         // restore is the one at the application's `rsp`, not ours.
         fastpath::rt_sigreturn_at(uc.rsp());
     }
-    // A notified handler and a nested application signal handler run
-    // here with the kernel's default PKRU: restore the slab's steady
-    // state, under which the kernel can read a hardened selector.
-    sud::pkey::close_slab_if_ready();
     let guarded = zpoline::thread_block().in_dispatch();
     let injected = if guarded || fastpath::needs_emulation(nr_) {
         None
@@ -316,9 +310,6 @@ unsafe fn forward_foreign_sigsys(
     ctx: *mut libc::c_void,
 ) {
     if let Some(act) = signals::app_action(sig) {
-        // As in the signal wrapper: an application handler runs under
-        // the slab's steady PKRU.
-        sud::pkey::close_slab_if_ready();
         match act.handler {
             signals::SIG_DFL | signals::SIG_IGN => {}
             h if act.flags & libc::SA_SIGINFO as u64 != 0 => {

@@ -52,7 +52,7 @@ pub const KNOBS: [(&str, &str); 16] = [
     (MODE_ENV, "passthrough, trace or count"),
     (XSTATE_ENV, "avx, sse, x87 or none"),
     (STATS_ENV, "0 or 1"),
-    (FAULTS_ENV, "site:schedule[:ERRNO],… (lp-faultinject)"),
+    (FAULTS_ENV, "site:schedule[:ERRNO],… with site one of trampoline_install, patch_mprotect, sud_enroll, selector_write, slowpath_emulate, seccomp_install"),
     (HOOKS_ENV, "lib.so[:prio],…"),
     (HOOKS_WATCH_ENV, "0 or 1"),
     (TRACE_OUT_ENV, "a path; %p is the pid"),
@@ -439,5 +439,12 @@ mod tests {
             })
             .collect();
         assert_eq!(rows, KNOBS, "EXPERIMENTS.md's runtime-knob table differs from KNOBS");
+    }
+
+    #[test]
+    fn the_faults_knob_names_every_site() {
+        let accepts = KNOBS.iter().find(|k| k.0 == FAULTS_ENV).expect("a knob").1;
+        let sites: Vec<_> = faultinject::ALL_SITES.iter().map(|s| s.name()).collect();
+        assert!(accepts.ends_with(&sites.join(", ")), "{accepts}");
     }
 }

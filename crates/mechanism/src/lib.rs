@@ -27,7 +27,7 @@
 //! | `lazypoline-nox` | the hybrid without extended-state preservation |
 //! | `lazypoline` | the full hybrid (default) |
 //! | `lazypoline-nobatch` | the hybrid with page-granular batch rewriting off |
-//! | `lazypoline-hardened` | the hybrid with the pkey-protected selector and seccomp backstop (one-way per process; degrades gracefully without MPK) |
+//! | `lazypoline-hardened` | the hybrid with the seccomp backstop behind SUD (one-way per process; degrades to plain lazypoline without seccomp) |
 //!
 //! Simulated (run a guest program, see [`ActiveMechanism::run_program`]):
 //! `sim:baseline`, `sim:baseline-sud`, `sim:ptrace`, `sim:seccomp-bpf`,
@@ -114,7 +114,7 @@ pub trait Mechanism: Send + Sync {
     /// `cfg` as its configuration; the environment is not read.
     ///
     /// The returned guard owns teardown: dropping it restores the
-    /// previously installed handler, the thread's SUD selector, and
+    /// previously installed handler, the thread's SUD state, and
     /// (where changed) the xstate mask — see the crate docs for what
     /// native interposition cannot undo.
     fn install_with(
@@ -306,8 +306,9 @@ stats_snapshot! {
     /// Escape attempts the hardened backstop caught (nonzero only
     /// under `lazypoline-hardened` / `sim:lazypoline-hardened`).
     bypass_blocked,
-    /// WRPKRU open/close pairs around protected-selector writes
-    /// (nonzero only with the pkey layer armed).
+    /// Always 0: the engine arms SUD with no selector, so nothing
+    /// guards one with `WRPKRU`. Kept because existing readers (the
+    /// hardened row's wire format, CI's hardened check) name it.
     pkru_switches,
     /// Dynamically loaded hooks currently attached to the handler stack
     /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
@@ -560,15 +561,18 @@ pub const ENV_VAR: &str = "LP_MECHANISM";
 pub const DEFAULT_MECHANISM: &str = "lazypoline";
 
 /// Detaches the calling thread from SUD interposition without an
-/// [`ActiveMechanism`] handle: selector to ALLOW, then SUD off.
+/// [`ActiveMechanism`] handle: a selector-only row's selector to ALLOW,
+/// then [`lazypoline::unenroll_current_thread`], whose `prctl` turns SUD
+/// off from the engine's gate — from anywhere else an engine thread
+/// would dispatch it.
 ///
-/// Async-signal-safe (one store, one prctl) — this is the hook for
+/// Async-signal-safe (two stores, one prctl) — this is the hook for
 /// signal-driven detach protocols like the macrobenchmark's `SIGUSR1`
 /// switch to pure-zpoline operation, where the guard was deliberately
 /// leaked in a child process.
 pub fn detach_current_thread() {
     sud::set_selector(sud::Dispatch::Allow);
-    let _ = sud::disable_thread();
+    lazypoline::unenroll_current_thread();
 }
 
 #[cfg(test)]

@@ -54,10 +54,9 @@ enum NativeCfg {
         lazy_rewriting: bool,
         batch_rewriting: bool,
     },
-    /// The full hybrid plus the hardened layers: pkey-protected
-    /// selector (where MPK hardware exists) and the seccomp backstop
-    /// filter. **One-way per process**: the filter cannot be removed,
-    /// and the syscall gate stays armed after teardown.
+    /// The full hybrid plus the seccomp backstop filter. **One-way per
+    /// process**: the filter cannot be removed, and the syscall gate
+    /// stays armed after teardown.
     Hardened,
 }
 
@@ -185,9 +184,9 @@ impl Mechanism for NativeBackend {
                 sud::is_supported()
                     && (!lazy_rewriting || zpoline::Trampoline::environment_supported())
             }
-            // The hardened row needs the full hybrid; the hardening
-            // layers themselves degrade (no MPK → backstop only, no
-            // seccomp → plain lazypoline) rather than gate availability.
+            // The hardened row needs the full hybrid; the backstop
+            // itself degrades (no seccomp → plain lazypoline) rather
+            // than gate availability.
             NativeCfg::Hardened => {
                 sud::is_supported() && zpoline::Trampoline::environment_supported()
             }
@@ -254,15 +253,11 @@ impl Mechanism for NativeBackend {
                 }
             }
             NativeCfg::Hardened => {
-                // Ladder rung 1: protected selector — must precede
-                // init so enrollment hands the kernel the protected
-                // address. Failure (no MPK hardware) degrades.
-                let _ = lazypoline::harden::prepare_pkey();
                 let engine = lazypoline::init(lazypoline::Config::default())
                     .map_err(InstallError::Init)?;
-                // Ladder rung 2: the seccomp backstop — after init, so
-                // every legitimate syscall path (the gate, number
-                // allowlist) exists before the irreversible filter.
+                // The seccomp backstop — after init, so every legitimate
+                // syscall path (the gate) exists before the irreversible
+                // filter. Failure degrades to `Unprotected`.
                 let _ = lazypoline::harden::arm_backstop(cfg.harden_policy);
                 NativeKind::Engine {
                     engine,

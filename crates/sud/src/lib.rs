@@ -2,16 +2,16 @@
 //!
 //! SUD (paper §II-A, Fig. 1) is the kernel interface lazypoline uses as
 //! its exhaustive slow path: when enabled on a task, every `syscall`
-//! instruction executed while the userspace *selector byte* reads
-//! [`Dispatch::Block`] raises `SIGSYS` instead of entering the kernel's
-//! syscall table, unless the instruction lies in an allowlisted code
-//! range.
+//! instruction outside an allowlisted code range raises `SIGSYS`
+//! instead of entering the kernel's syscall table — unconditionally, or
+//! while a userspace *selector byte* reads [`Dispatch::Block`].
 //!
 //! This crate provides:
 //!
 //! * [`Dispatch`] and per-thread selector storage with an address that
 //!   is stable for the thread's lifetime ([`selector_ptr`]),
-//! * [`enable_thread`] / [`disable_thread`] / [`SudGuard`] — the
+//! * [`enable_thread`] / [`enable_thread_with_allowlist`] /
+//!   [`disable_thread`] / [`SudGuard`] — the
 //!   `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` plumbing,
 //! * [`sigsys`] — decoding of the `SIGSYS` `siginfo_t`/`ucontext_t`
 //!   delivered on an intercepted syscall.
@@ -19,11 +19,11 @@
 //! [`enable_thread`] is the paper's *selector-only* usage (§IV-A): no
 //! allowlisted code range (`offset = len = 0`), and interposer-originated
 //! syscalls are exempted by flipping the selector to [`Dispatch::Allow`].
-//! [`enable_thread_with_allowlist`] also names a code range whose
-//! syscalls the kernel lets through before it reads the selector at
-//! all. lazypoline arms every thread with its syscall gate as that
-//! range, issues all of its own syscalls from there, and so never flips
-//! the selector: it writes BLOCK at enrolment and ALLOW at teardown.
+//! [`enable_thread_with_allowlist`] names a code range and no selector:
+//! the kernel lets the range's syscalls through and dispatches every
+//! other one, with no byte anyone could flip. lazypoline arms every
+//! thread that way, with its syscall gate as the range, and issues all
+//! of its own syscalls from there.
 //!
 //! # Example
 //!
@@ -40,7 +40,6 @@
 
 #![deny(missing_docs)]
 
-pub mod pkey;
 pub mod sigsys;
 
 use std::cell::Cell;
@@ -110,43 +109,17 @@ thread_local! {
 
 /// Address of the calling thread's selector byte.
 ///
-/// Stable for the lifetime of the thread; this is the pointer handed to
-/// the kernel via `prctl`, which reads it on *every* syscall entry from
-/// this thread (the cost of that read is what Table II's
-/// "baseline with SUD enabled" row measures).
-///
-/// In hardened mode ([`adopt_protected_selector`]) the address points
-/// into the pkey-protected slab instead of plain TLS; callers that
-/// cached the pre-adoption pointer must re-issue the SUD `prctl`.
+/// Stable for the lifetime of the thread; this is the pointer
+/// [`enable_thread`] hands the kernel via `prctl`, which then reads it
+/// on *every* syscall entry from this thread (the cost of that read is
+/// what Table II's "baseline with SUD enabled" row measures).
 pub fn selector_ptr() -> *mut u8 {
-    let adopted = pkey::adopted_slot();
-    if adopted.is_null() {
-        SELECTOR.with(|c| c.as_ptr())
-    } else {
-        adopted
-    }
+    SELECTOR.with(|c| c.as_ptr())
 }
 
 /// Reads the calling thread's selector.
 pub fn selector() -> Dispatch {
     Dispatch::from_byte(unsafe { selector_ptr().read_volatile() })
-}
-
-/// Moves the calling thread's selector byte onto the pkey-protected
-/// slab (hardened mode), preserving its current value. From this point
-/// [`selector_ptr`] returns the slab slot and [`set_selector`] brackets
-/// each store with `WRPKRU` open/close switches. If the thread is
-/// already SUD-enrolled the caller must re-issue [`enable_thread`] (or
-/// the allowlist variant) so the kernel polls the new address.
-///
-/// # Errors
-///
-/// Propagates [`pkey::adopt_protected_selector`] failures (`ENOENT`
-/// when no slab was initialised, `ENOSPC` when the slab is full).
-pub fn adopt_protected_selector() -> io::Result<()> {
-    let current = unsafe { selector_ptr().read_volatile() };
-    pkey::adopt_protected_selector(current)?;
-    Ok(())
 }
 
 /// Bounded attempts in [`set_selector`]'s write-verify loop before the
@@ -155,38 +128,22 @@ const SELECTOR_WRITE_ATTEMPTS: u32 = 3;
 
 /// Writes the calling thread's selector.
 ///
-/// This is the single-byte store that makes SUD "flexibly controllable"
-/// (paper §II-A). The paper's interposer brackets its own syscalls with
-/// `set_selector(Allow)` / `set_selector(Block)`, as the `sud-raw` row
-/// does; lazypoline issues its own from an allowed code range instead
-/// and writes an enrolled thread's selector twice: BLOCK at enrolment,
-/// ALLOW at teardown.
+/// This is the single-byte store that makes selector-only SUD
+/// "flexibly controllable" (paper §II-A). The paper's interposer
+/// brackets its own syscalls with `set_selector(Allow)` /
+/// `set_selector(Block)`, as the `sud-raw` row does. lazypoline arms SUD
+/// without a selector ([`enable_thread_with_allowlist`]) and never
+/// writes one.
 ///
 /// The write is verified by reading the byte back, and retried if the
 /// store was dropped (the `selector_write` fault seam models exactly
 /// that). After [`SELECTOR_WRITE_ATTEMPTS`] injected drops the store is
 /// issued unconditionally: a missing BLOCK store would silently stop
-/// interposition, and a missing ALLOW store would leave a thread that
-/// lost SUD's range trapping its own syscalls — so this seam degrades to
+/// interposition, and a missing ALLOW store would leave the interposer
+/// trapping its own syscalls — so this seam degrades to
 /// *detected-and-repaired*, never to a lost write.
-///
-/// A selector on the protected slab is written, verified and repaired
-/// inside one `WRPKRU` open/close bracket: a signal handler starts with
-/// the kernel's default PKRU, which access-disables the slab, so even
-/// the verify read of a dropped store needs the bracket open.
 pub fn set_selector(d: Dispatch) {
-    let adopted = pkey::adopted_slot();
-    if adopted.is_null() {
-        store_verified(SELECTOR.with(|c| c.as_ptr()), d);
-    } else {
-        pkey::open_slab();
-        store_verified(adopted, d);
-        pkey::close_slab();
-    }
-}
-
-/// [`set_selector`]'s write-verify loop on a writable byte.
-fn store_verified(ptr: *mut u8, d: Dispatch) {
+    let ptr = selector_ptr();
     for _ in 0..SELECTOR_WRITE_ATTEMPTS {
         if faultinject::check(faultinject::Site::SelectorWrite).is_none() {
             unsafe { ptr.write_volatile(d.as_byte()) };
@@ -199,7 +156,8 @@ fn store_verified(ptr: *mut u8, d: Dispatch) {
     unsafe { ptr.write_volatile(d.as_byte()) };
 }
 
-/// Enables SUD on the calling thread with no allowlisted code range.
+/// Enables selector-only SUD on the calling thread: no allowlisted
+/// code range, and the thread's selector byte ([`selector_ptr`]).
 ///
 /// The selector starts at [`Dispatch::Allow`]; nothing is intercepted
 /// until [`set_selector`]`(Block)` is called. SUD state is per-task and
@@ -212,41 +170,46 @@ fn store_verified(ptr: *mut u8, d: Dispatch) {
 /// SUD support (callers are expected to degrade gracefully).
 pub fn enable_thread() -> io::Result<()> {
     set_selector(Dispatch::Allow);
-    enable_thread_with_allowlist(0, 0)
+    enable(0, 0, selector_ptr() as u64)
 }
 
-/// Enables SUD with an allowlisted code range `[offset, offset + len)`.
+/// Enables SUD with an allowlisted code range `[offset, offset + len)`
+/// and no selector.
 ///
 /// A syscall whose *following* instruction address (the `rip` the
-/// kernel sees) lies in the range never triggers dispatch, whatever the
-/// selector reads: so a range must end past the instruction after its
-/// last `syscall`. The kernel tests the range first and reads the
-/// selector byte only for syscalls outside it, which makes a syscall
-/// from the range cheaper than one the selector lets through.
+/// kernel sees) lies in the range never triggers dispatch: so a range
+/// must end past the instruction after its last `syscall`. Every other
+/// syscall is dispatched — the kernel treats a NULL selector as one
+/// stuck at BLOCK and reads no user memory — until SUD is disabled.
+/// Nothing in the thread's address space switches interposition off.
 ///
 /// The paper avoids any range (§IV-A: "we avoid excluding any code
 /// addresses from SUD interception"). lazypoline passes one, its
 /// syscall gate, on every thread: the gate's instructions are the
-/// interposer's own, and the selector still governs every other
-/// `syscall` (DESIGN.md §2 and §11).
+/// interposer's own (DESIGN.md §2 and §11).
 ///
 /// # Errors
 ///
 /// Returns the `prctl` error on failure.
 pub fn enable_thread_with_allowlist(offset: u64, len: u64) -> io::Result<()> {
+    enable(offset, len, 0)
+}
+
+/// `prctl(…, ON, offset, len, selector)` behind the enrolment fault seam.
+fn enable(offset: u64, len: u64, selector: u64) -> io::Result<()> {
     // Fault seam: models the prctl failing (kernel without SUD, or a
     // seccomp filter rejecting it) without needing such a kernel.
     if let Some(e) = faultinject::check(faultinject::Site::SudEnroll) {
         return Err(io::Error::from_raw_os_error(e));
     }
-    prctl_dispatch(PR_SYS_DISPATCH_ON, offset, len, selector_ptr() as u64)
+    prctl_dispatch(PR_SYS_DISPATCH_ON, offset, len, selector)
 }
 
 /// `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` through `syscalls::raw`, so
 /// that it leaves from whatever gate that crate is redirected to.
 fn prctl_dispatch(mode: libc::c_ulong, offset: u64, len: u64, selector: u64) -> io::Result<()> {
     // SAFETY: the kernel reads the selector byte at `selector`, which is
-    // this thread's for its lifetime (`selector_ptr`), or 0 to disable.
+    // this thread's for its lifetime (`selector_ptr`), or 0 for none.
     let r = unsafe {
         syscalls::raw::syscall5(
             syscalls::nr::PRCTL,

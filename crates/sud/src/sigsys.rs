@@ -147,47 +147,6 @@ impl UContext {
         unsafe { std::ptr::addr_of_mut!((*self.uc).uc_sigmask).cast::<u64>().write(mask) }
     }
 
-    /// The `PKRU` image `sigreturn` will restore, when the interrupted
-    /// context's saved extended state has room for one (an MPK host):
-    /// at the offset CPUID.(EAX=0DH, ECX=9):EBX reports in the frame's
-    /// XSAVE image (standard format), marked present in its `XSTATE_BV`
-    /// — a component marked absent restores its init value, 0, which is
-    /// what it then reads.
-    pub fn pkru_mut(&mut self) -> Option<&mut u32> {
-        // `struct _fpx_sw_bytes` in the FXSAVE area's reserved bytes.
-        const SW_BYTES: usize = 464;
-        const FP_XSTATE_MAGIC1: u32 = 0x4650_5853;
-        // SAFETY: `uc` is the kernel's signal frame (`from_ptr`), whose
-        // `fpregs` is null or a 64-byte-aligned FXSAVE area; the accesses
-        // past its 512 bytes happen only when the kernel's magic and the
-        // recorded `xstate_size` say they lie inside the image, which
-        // this context owns until `sigreturn`.
-        unsafe {
-            let fp = (*self.uc).uc_mcontext.fpregs.cast::<u8>();
-            if fp.is_null()
-                || fp.add(SW_BYTES).cast::<u32>().read_unaligned() != FP_XSTATE_MAGIC1
-            {
-                return None;
-            }
-            let xfeatures = fp.add(SW_BYTES + 8).cast::<u64>().read_unaligned();
-            let xstate_size = fp.add(SW_BYTES + 16).cast::<u32>().read_unaligned() as usize;
-            let offset = core::arch::x86_64::__cpuid_count(0xd, XFEATURE_PKRU).ebx as usize;
-            if xfeatures & (1 << XFEATURE_PKRU) == 0
-                || offset < XSAVE_HEADER
-                || offset + 4 > xstate_size
-            {
-                return None;
-            }
-            let pkru = &mut *fp.add(offset).cast::<u32>();
-            let xstate_bv = &mut *fp.add(XSAVE_HEADER).cast::<u64>();
-            if *xstate_bv & (1 << XFEATURE_PKRU) == 0 {
-                *pkru = 0;
-                *xstate_bv |= 1 << XFEATURE_PKRU;
-            }
-            Some(pkru)
-        }
-    }
-
     /// Extracts the full syscall invocation (number + 6 args) from the
     /// interrupted register image.
     pub fn syscall_args(&self) -> SyscallArgs {
@@ -204,11 +163,6 @@ impl UContext {
         )
     }
 }
-
-/// The XSAVE feature number of `PKRU`.
-const XFEATURE_PKRU: u32 = 9;
-/// Offset of the XSAVE header (`XSTATE_BV` first) in an XSAVE image.
-const XSAVE_HEADER: usize = 512;
 
 /// Signature of a raw `SA_SIGINFO` handler.
 pub type RawHandler = unsafe extern "C" fn(libc::c_int, *mut libc::siginfo_t, *mut c_void);

@@ -4,13 +4,13 @@
 //! crate's code. Two consequences matter for the interposition suite:
 //!
 //! 1. When Syscall User Dispatch is enabled with the selector set to
-//!    BLOCK, these invocations raise `SIGSYS` like any other. An
-//!    enrolled lazypoline thread's selector reads BLOCK from enrolment
-//!    to teardown, so the engine issues its own syscalls from its gate
-//!    (`zpoline::gate`), an allowed code range the kernel tests before
-//!    it reads the selector, and not from here; a call from here made
-//!    inside a handler is the handler's own, which the engine executes
-//!    under its re-entry guard.
+//!    BLOCK, or with no selector at all, these invocations raise
+//!    `SIGSYS` like any other. An enrolled lazypoline thread is armed
+//!    the second way from enrolment to teardown, so the engine issues
+//!    its own syscalls from its gate (`zpoline::gate`), the allowed code
+//!    range, and not from here; a call from here made inside a handler
+//!    is the handler's own, which the engine executes under its
+//!    re-entry guard.
 //! 2. Once the lazy rewriter has patched one of these sites to
 //!    `call rax`, subsequent executions enter the trampoline instead —
 //!    which is precisely the behaviour the exhaustiveness tests assert.

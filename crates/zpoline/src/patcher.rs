@@ -80,7 +80,7 @@ impl std::error::Error for PatchError {}
 /// a signal handler; a spinlock cannot deadlock here because the
 /// critical section performs no syscall that could itself be dispatched:
 /// every one it makes leaves from the gate ([`crate::gate`]), which SUD
-/// lets through whatever the selector reads.
+/// lets through.
 static PATCH_LOCK: AtomicBool = AtomicBool::new(false);
 
 pub(crate) struct SpinGuard;

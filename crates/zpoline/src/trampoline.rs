@@ -54,9 +54,9 @@
 //! in-dispatch flags the dispatcher reads. The slot is also what arms
 //! the block: a thread with one leaves from the stub. The dispatcher a
 //! *hit* reaches counts in the same slot
-//! ([`ThreadBlock::sole_writer_dispatches`]). Neither path writes the
-//! thread's SUD selector: every `syscall` they execute lies in the gate
-//! (below), which the kernel lets through whatever the selector reads.
+//! ([`ThreadBlock::sole_writer_dispatches`]). Neither path makes a
+//! syscall SUD would dispatch: every `syscall` they execute lies in the
+//! gate (below), the range the kernel lets through.
 //!
 //! With it, a syscall nobody asked to see never builds a frame. The
 //! dispatcher publishes a [`MissExit`] ([`set_miss_exit`]): the address
@@ -94,13 +94,12 @@
 //! SIGSYS handler returns through and [`gate_sigreturn`] jumps to. The
 //! block's bytes are the allowed code range lazypoline arms Syscall
 //! User Dispatch with, and the one range of the main executable
-//! hardened mode's seccomp backstop admits. The kernel tests the SUD
-//! range *before* it reads the selector byte, so a syscall from the gate
-//! passes whatever the selector reads and costs no user read of it,
-//! which on x86-64 is most of what SUD adds to a syscall. That is what
-//! lets an enrolled thread's selector read BLOCK from enrolment to
-//! teardown. The kernel compares the address *after* the instruction,
-//! so the gate ends past the instruction behind its last `syscall`.
+//! hardened mode's seccomp backstop admits. lazypoline arms SUD with
+//! that range and no selector byte: a syscall from the gate passes, and
+//! every other one is dispatched, with no user read of a selector on
+//! either (on x86-64 that read is most of what SUD adds to a syscall).
+//! The kernel compares the address *after* the instruction, so the gate
+//! ends past the instruction behind its last `syscall`.
 //!
 //! Nothing in the gate is ever rewritten: the patcher skips every site
 //! in it ([`crate::patcher`]). A `call rax` there would send the miss
@@ -874,9 +873,9 @@ pub unsafe fn gate_syscall(call: &syscalls::SyscallArgs) -> u64 {
 
 /// The arities of `syscalls::raw` this crate's patcher and site log
 /// use, issued from the gate instead: they run in lazypoline's SIGSYS
-/// handler with the rewrite lock held, where a syscall that met an
-/// enrolled thread's selector — BLOCK — would trap into a nested handler
-/// that waits for the same lock.
+/// handler with the rewrite lock held, where an enrolled thread's
+/// syscall from outside the gate would trap into a nested handler that
+/// waits for the same lock.
 pub(crate) mod raw {
     use syscalls::SyscallArgs;
 
@@ -1301,9 +1300,9 @@ mod tests {
             let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
             assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
             // No seam sits between the stub and its `syscall`.
-            faultinject::arm(faultinject::Site::PkruSwitch, faultinject::Schedule::Nth(1), None);
+            faultinject::arm(faultinject::Site::SelectorWrite, faultinject::Schedule::Nth(1), None);
             assert_eq!(getpid(), pid, "a fault site is armed");
-            faultinject::disarm(faultinject::Site::PkruSwitch);
+            faultinject::disarm(faultinject::Site::SelectorWrite);
             assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 2);
             // One of several writers of the slot: the `lock inc` arm.
             unsafe { block.arm(&DISPATCHES, false) };

@@ -67,11 +67,10 @@ fn scenario_signals_sud() {
     signals_under("sud").detach();
 }
 
-/// The same under hardened mode, whose selector lives on the pkey slab:
-/// the kernel enters every handler with a PKRU that access-disables the
-/// slab, so the wrapper must restore the slab's steady state before it
-/// reads the selector or issues a syscall. Then a child's exit, which
-/// delivers `SIGCHLD` to a wrapped handler while the parent waits.
+/// The same under hardened mode, whose backstop sees every syscall SUD
+/// lets through, the wrapper's and the restorer's included. Then a
+/// child's exit, which delivers `SIGCHLD` to a wrapped handler while the
+/// parent waits.
 fn scenario_signals_hardened() {
     static CHILD_EXITS: AtomicU64 = AtomicU64::new(0);
     extern "C" fn on_chld(_sig: libc::c_int) {
@@ -94,7 +93,7 @@ fn scenario_signals_hardened() {
         assert_eq!(status, 0, "child status");
     }
     assert_eq!(CHILD_EXITS.load(Ordering::SeqCst), 1, "SIGCHLD handler runs");
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after SIGCHLD");
+    assert_interposed("after SIGCHLD");
     active.detach();
 }
 
@@ -142,11 +141,10 @@ fn signals_under(base: &str) -> mechanism::ActiveMechanism {
         }
     }
     assert_eq!(HANDLER_RAN.load(Ordering::SeqCst), 5);
-    // After each delivery the selector must be live again: new syscall
-    // sites still get discovered.
     let pre = active.stats().signals_wrapped;
     assert!(pre >= 5, "wrapped {pre}");
-    assert!(sud::selector() == sud::Dispatch::Block, "selector lost");
+    // After the deliveries new syscall sites still get discovered.
+    assert_interposed(&format!("{base}, after the signals"));
 
     // The raise() syscalls themselves were observed.
     assert!(SEEN_KILL.load(Ordering::SeqCst) >= 1);
@@ -761,7 +759,6 @@ unsafe fn xstate_cell_under(
     let left_from_stub = stub_exits().map(|n| n - left_from_stub.expect("counted before"));
     let slow_path_hits = lazypoline::stats().slow_path_hits - slow_path_hits;
     assert_eq!(slow_path_hits, sigsys as u64, "SIGSYS trips, {cell}");
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector on return, {cell}");
     assert_eq!(left_from_stub.unwrap_or(miss as u64), miss as u64, "stub exits, {cell}");
 
     // General-purpose registers: all but rax/rcx/r11, under every mask;
@@ -952,6 +949,7 @@ fn scenario_xstate() {
         assert!(libc::WIFEXITED(status));
         assert_eq!(libc::WEXITSTATUS(status), 33, "canary failed in the fork child");
     }
+    assert_interposed("after the xstate cells");
     active.detach();
     assert!(active.stats().sites_patched >= 1);
 }
@@ -973,14 +971,28 @@ unsafe fn syscall_site(page: *mut u8, slot: usize, nr: u64) -> SiteFn {
     std::mem::transmute::<*mut u8, SiteFn>(page.add(64 * slot))
 }
 
+/// The calling thread is still interposed: a syscall from a site nothing
+/// has executed before takes the slow path. (An engine thread's SUD has
+/// no selector to read instead.)
+fn assert_interposed(task: &str) {
+    let pid = std::process::id() as u64;
+    unsafe {
+        let page = ret_filled_rwx_page();
+        let getpid = syscall_site(page, 0, syscalls::nr::GETPID);
+        let before = lazypoline::stats().slow_path_hits;
+        assert_eq!(getpid(0, 0, 0), pid, "{task}: getpid from a fresh site");
+        let after = lazypoline::stats().slow_path_hits;
+        assert!(after > before, "{task}: a fresh site took no SIGSYS");
+        libc::munmap(page.cast(), 4096);
+    }
+}
+
 /// What a handler saw around a syscall of its own that it issued from
-/// an already rewritten site: the selector reads BLOCK throughout, and
-/// the call is executed under the re-entry guard, and not counted as a
-/// dispatch — it is the interposer's, not the application's.
+/// an already rewritten site: the call is executed under the re-entry
+/// guard, and not counted as a dispatch — it is the interposer's, not
+/// the application's.
 #[derive(Debug, PartialEq)]
 struct NestedCall {
-    selector_on_entry: u8,
-    selector_after: u8,
     ret: u64,
     slow_path_hits: u64,
     dispatches: u64,
@@ -999,13 +1011,10 @@ impl SyscallHandler for CallsGetppid {
     fn handle(&self, _ev: &mut SyscallEvent) -> Action {
         // SAFETY: the scenario stored a `SiteFn` there before installing.
         let site = unsafe { std::mem::transmute::<usize, SiteFn>(NESTED_SITE.load(Ordering::SeqCst) as usize) };
-        let selector = || unsafe { sud::selector_ptr().read_volatile() };
-        let (on_entry, before, exits) = (selector(), lazypoline::stats(), stub_exits());
+        let (before, exits) = (lazypoline::stats(), stub_exits());
         let ret = site(0, 0, 0);
-        let (after, now) = (selector(), lazypoline::stats());
+        let now = lazypoline::stats();
         NESTED_CALLS.lock().unwrap().push(NestedCall {
-            selector_on_entry: on_entry,
-            selector_after: after,
             ret,
             slow_path_hits: now.slow_path_hits - before.slow_path_hits,
             dispatches: now.dispatches - before.dispatches,
@@ -1034,12 +1043,9 @@ fn scenario_nested_miss() {
     let open_devnull = || {
         let fd = openat(AT_FDCWD, devnull.as_ptr() as u64, libc::O_RDONLY as u64);
         assert!((fd as i64) >= 0, "openat: {:?}", syscalls::Errno::from_ret(fd));
-        assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after the outer dispatch");
         unsafe { libc::close(fd as i32) };
     };
     let nested = |from_stub: bool| NestedCall {
-        selector_on_entry: sud::SYSCALL_DISPATCH_FILTER_BLOCK,
-        selector_after: sud::SYSCALL_DISPATCH_FILTER_BLOCK,
         ret: ppid,
         slow_path_hits: 0,
         dispatches: 0,
@@ -1049,13 +1055,14 @@ fn scenario_nested_miss() {
     assert!(zpoline::thread_block().armed(), "enrolment arms the block");
     open_devnull();
     // ...and, with the block disarmed, from the dispatcher's own miss
-    // exit: the selector reads BLOCK under the handler either way.
+    // exit.
     zpoline::thread_block().disarm();
     open_devnull();
     // Taken out first: a failing assertion opens files for its
     // backtrace, and the handler must find the lock free.
     let calls = std::mem::take(&mut *NESTED_CALLS.lock().unwrap());
     assert_eq!(calls, [nested(true), nested(false)]);
+    assert_interposed("after the nested calls");
     active.detach();
 }
 
@@ -1242,8 +1249,8 @@ fn signal_in_blocking_read(sites: &[SiteFn; 8]) -> [u64; 2] {
         ENTERING_READ.store(1, Ordering::SeqCst);
         results[i] = read(fds[0] as u64, byte.as_mut_ptr() as u64, 1);
         let exits = stub_exits().map(|n| n - exits.expect("counted before"));
-        assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after the interrupted read");
         helper.join().expect("helper thread");
+        assert_interposed("after the interrupted read");
         assert_eq!(HANDLER_RAN.load(Ordering::SeqCst), pid, "the handler's getpid");
         assert_eq!(HANDLER_DISPATCHES.load(Ordering::SeqCst), 1, "the handler's getpid is dispatched");
         if let Some(exits) = exits {
@@ -1260,10 +1267,9 @@ fn signal_in_blocking_read(sites: &[SiteFn; 8]) -> [u64; 2] {
     results
 }
 
-/// On every rung the block is armed and a miss leaves from the stub,
-/// whose `syscall` lies in the gate: SUD lets it through by its range,
-/// the backstop by its IP, and no selector store — which at the pkey
-/// rungs would take a `WRPKRU` bracket — comes near it.
+/// Under hardened mode the block is armed and a miss leaves from the
+/// stub, whose `syscall` lies in the gate: SUD lets it through by its
+/// range, the backstop by its IP.
 fn scenario_miss_exit_hardened() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let (exits, mut active) = mix_under("lazypoline-hardened");
@@ -1277,8 +1283,7 @@ fn scenario_miss_exit_hardened() {
 }
 
 /// While a fault site is armed a miss still leaves from the stub: no
-/// seam sits between it and its `syscall`, now that it stores no
-/// selector.
+/// seam sits between it and its `syscall`.
 fn scenario_miss_exit_faults() {
     std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=1000000");
     let (exits, mut active) = mix_under("lazypoline");
@@ -1295,11 +1300,9 @@ fn gate_getpid() -> u64 {
     unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETPID)) }
 }
 
-/// On the calling task, with the selector at BLOCK: the gate's syscall
-/// passes SUD untrapped, and a fresh JIT-page site still takes its
-/// SIGSYS and is rewritten.
+/// On the calling task: the gate's syscall passes SUD untrapped, and a
+/// fresh JIT-page site still takes its SIGSYS and is rewritten.
 fn assert_gate_range(task: &str) {
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "{task}: selector");
     let pid = unsafe { libc::getpid() } as u64;
     let before = lazypoline::stats().slow_path_hits;
     assert_eq!(gate_getpid(), pid, "{task}: getpid from the gate");
@@ -1354,10 +1357,10 @@ fn scenario_gate_range() {
     active.detach();
 }
 
-/// A hardened engine arms SUD with the gate too, so on every rung the
-/// gate's syscall at BLOCK passes both layers unseen: SUD by the range,
-/// the backstop by the IP. This pins the residue DESIGN.md §6 states; a
-/// change that closes it has to flip these assertions.
+/// A hardened engine arms SUD with the gate too, so the gate's syscall
+/// passes both layers unseen: SUD by the range, the backstop by the IP.
+/// This pins a residue DESIGN.md §6 states; a change that closes it has
+/// to flip these assertions.
 fn scenario_gate_range_hardened() {
     std::env::set_var("LP_HARDEN_POLICY", "quarantine");
     let _active = install(
@@ -1378,9 +1381,8 @@ fn scenario_gate_range_hardened() {
     }
 }
 
-// ——— the selector is written at enrolment only ————————————————————
+// ——— interposed from enrolment to teardown ——————————————————————————
 
-static SC_SELECTOR: AtomicU64 = AtomicU64::new(0xff);
 static SC_FRESH: AtomicU64 = AtomicU64::new(0);
 static SC_FRESH_RET: AtomicU64 = AtomicU64::new(0);
 static SC_RAISE: AtomicU64 = AtomicU64::new(0);
@@ -1389,11 +1391,11 @@ static SC_PIDS_SEEN: AtomicU64 = AtomicU64::new(0);
 static SC_USR1: AtomicU64 = AtomicU64::new(0);
 
 /// Interested in `getuid`, the trigger, and in `getppid` and `getpid`,
-/// which it counts. On `getuid` it reads the selector, then — once each,
-/// when asked — calls a fresh site of its own and raises `SIGUSR1`.
-struct SelectorReader;
+/// which it counts. On `getuid` it — once each, when asked — calls a
+/// fresh site of its own and raises `SIGUSR1`.
+struct Trigger;
 
-impl SyscallHandler for SelectorReader {
+impl SyscallHandler for Trigger {
     fn handle(&self, ev: &mut SyscallEvent) -> Action {
         match ev.call.nr {
             syscalls::nr::GETPPID => {
@@ -1403,10 +1405,6 @@ impl SyscallHandler for SelectorReader {
                 SC_PIDS_SEEN.fetch_add(1, Ordering::SeqCst);
             }
             syscalls::nr::GETUID => {
-                // A raw read: `sud::selector` panics on a byte that is
-                // neither value, and a panic here would be quarantined.
-                let selector = unsafe { sud::selector_ptr().read_volatile() };
-                SC_SELECTOR.store(selector as u64, Ordering::SeqCst);
                 let fresh = SC_FRESH.swap(0, Ordering::SeqCst);
                 if fresh != 0 {
                     // SAFETY: a `SiteFn` the task stored.
@@ -1438,28 +1436,20 @@ extern "C" fn sc_on_usr1(_sig: libc::c_int) {
 
 /// The four checks on the calling task, each from a JIT page of its own
 /// (`sud_row`: every trigger is emulated in the SIGSYS handler).
-fn assert_selector_constant(task: &str, sud_row: bool) {
+fn assert_interposed_throughout(task: &str, sud_row: bool) {
     // SAFETY: getuid touches no memory.
     let uid = unsafe { syscalls::raw::syscall0(syscalls::nr::GETUID) };
     let ppid = std::os::unix::process::parent_id() as u64;
-    let block = sud::SYSCALL_DISPATCH_FILTER_BLOCK as u64;
     unsafe {
         let getuid = syscall_site(ret_filled_rwx_page(), 0, syscalls::nr::GETUID);
-        SC_SELECTOR.store(0xff, Ordering::SeqCst);
         assert_eq!(getuid(0, 0, 0), uid, "{task}: first execution");
-        assert_eq!(SC_SELECTOR.load(Ordering::SeqCst), block, "{task}: the selector inside handle()");
-
-        // No dispatch takes a `WRPKRU`, on any rung.
-        let switches = sud::pkey::pkru_switch_count();
         let dispatches = lazypoline::stats().dispatches;
         for _ in 0..10_000 {
             assert_eq!(getuid(0, 0, 0), uid);
         }
-        assert_eq!(sud::pkey::pkru_switch_count(), switches, "{task}: pkru switches");
         if !sud_row {
             assert!(lazypoline::stats().dispatches >= dispatches + 10_000, "{task}: dispatches");
         }
-        assert_eq!(SC_SELECTOR.load(Ordering::SeqCst), block, "{task}: the selector inside handle()");
 
         // A handler's own call from a site never executed before: it
         // traps (nested in the SIGSYS handler under the `sud` row), and
@@ -1484,28 +1474,28 @@ fn assert_selector_constant(task: &str, sud_row: bool) {
         assert_eq!(getuid(0, 0, 0), uid);
         assert_eq!(SC_USR1.load(Ordering::SeqCst), 1, "{task}: SIGUSR1 inside handle()");
     }
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "{task}: the selector");
+    assert_interposed(task);
 }
 
-/// Installs `base` around [`SelectorReader`] and runs the checks on the
-/// main thread, a spawned thread and a fork child; returns the
-/// installation, still attached.
-fn selector_constant_under(base: &str) -> mechanism::ActiveMechanism {
-    let active = install(base, Box::new(SelectorReader));
+/// Installs `base` around [`Trigger`] and runs the checks on the main
+/// thread, a spawned thread and a fork child; returns the installation,
+/// still attached.
+fn interposed_throughout_under(base: &str) -> mechanism::ActiveMechanism {
+    let active = install(base, Box::new(Trigger));
     unsafe {
         let mut sa: libc::sigaction = std::mem::zeroed();
         sa.sa_sigaction = sc_on_usr1 as *const () as usize;
         assert_eq!(libc::sigaction(libc::SIGUSR1, &sa, std::ptr::null_mut()), 0);
     }
-    assert_selector_constant(&format!("{base}, main thread"), false);
+    assert_interposed_throughout(&format!("{base}, main thread"), false);
     let task = format!("{base}, thread");
-    std::thread::spawn(move || assert_selector_constant(&task, false)).join().unwrap();
+    std::thread::spawn(move || assert_interposed_throughout(&task, false)).join().unwrap();
     unsafe {
         let pid = libc::fork();
         assert!(pid >= 0);
         if pid == 0 {
             let task = format!("{base}, fork child");
-            let ok = std::panic::catch_unwind(|| assert_selector_constant(&task, false)).is_ok();
+            let ok = std::panic::catch_unwind(|| assert_interposed_throughout(&task, false)).is_ok();
             libc::_exit(if ok { 0 } else { 1 });
         }
         let mut status = 0;
@@ -1515,23 +1505,20 @@ fn selector_constant_under(base: &str) -> mechanism::ActiveMechanism {
     active
 }
 
-/// An enrolled thread's selector reads BLOCK from enrolment to teardown:
-/// inside handlers, across 10 000 dispatches, across a handler's own
-/// call from a fresh site and a signal raised in a handler — under
-/// `lazypoline`, and under `sud`, where the handler runs inside the
-/// SIGSYS handler.
-fn scenario_selector_constant() {
-    selector_constant_under("lazypoline").detach();
-    let mut active = install("sud", Box::new(SelectorReader));
-    assert_selector_constant("sud, main thread", true);
+/// An enrolled thread stays interposed from enrolment to teardown:
+/// across 10 000 dispatches, a handler's own call from a fresh site and
+/// a signal raised in a handler — under `lazypoline`, and under `sud`,
+/// where the handler runs inside the SIGSYS handler.
+fn scenario_interposed_throughout() {
+    interposed_throughout_under("lazypoline").detach();
+    let mut active = install("sud", Box::new(Trigger));
+    assert_interposed_throughout("sud, main thread", true);
     active.detach();
 }
 
-/// The same under `lazypoline-hardened`, on whatever rung the host (or
-/// the fault specs `main` reruns it under) allows: at the pkey rungs no
-/// dispatch pays a `WRPKRU`.
-fn scenario_selector_constant_hardened() {
-    let mut active = selector_constant_under("lazypoline-hardened");
+/// The same under `lazypoline-hardened`: no dispatch trips the backstop.
+fn scenario_interposed_throughout_hardened() {
+    let mut active = interposed_throughout_under("lazypoline-hardened");
     assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
     assert_eq!(lazypoline::harden::bypass_blocked(), 0, "a dispatch tripped the backstop");
     active.detach();
@@ -1688,13 +1675,14 @@ fn scenario_hit_rewrite() {
     assert_eq!(faultinject::total_injected(), 0);
 }
 
-/// Again with every selector store dropped (each is repaired after
-/// three drops): the hit path makes none, so all the seam sees across
-/// the body's dispatches are enrolment's BLOCK and teardown's ALLOW.
+/// Again with every selector store dropped: the engine writes no
+/// selector — not on a hit, not at enrolment or teardown — so the seam
+/// never fires.
 fn scenario_hit_rewrite_faults() {
     std::env::set_var("LAZYPOLINE_FAULTS", "selector_write:every=1");
     hit_rewrite_body();
-    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 2 * 3);
+    assert!(faultinject::is_armed(faultinject::Site::SelectorWrite));
+    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 0);
 }
 
 fn scenario_latency_histogram() {
@@ -1787,7 +1775,7 @@ fn scenario_nested_signals() {
     }
     assert_eq!(OUTER.load(Ordering::SeqCst), 3);
     assert_eq!(INNER.load(Ordering::SeqCst), 3);
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector lost");
+    assert_interposed("after the nested signals");
     let wrapped = lazypoline::stats().signals_wrapped;
     assert!(wrapped >= 6, "wrapped {wrapped}");
     active.detach();
@@ -2286,9 +2274,8 @@ fn scenario_fault_soak() {
     assert!(lazypoline::stats().patch_retries > 0, "retry path never exercised");
     faultinject::disarm(faultinject::Site::PatchMprotect);
 
-    // Phase 2: dropped selector writes — repaired transparently. A
-    // dispatch makes none; a new thread's enrolment makes one, which is
-    // dropped and repaired, and the thread is interposed all the same.
+    // Phase 2: every selector store dropped — and none made. A dispatch
+    // writes no selector, and neither does a new thread's enrolment.
     let base = counter.count(syscalls::nr::WRITE);
     faultinject::arm_all(&faultinject::parse_spec("selector_write:every=1").unwrap());
     let p = std::env::temp_dir().join(format!("lp-soak-sel-{}", std::process::id()));
@@ -2307,7 +2294,7 @@ fn scenario_fault_soak() {
     std::fs::remove_file(&p).unwrap();
     faultinject::disarm(faultinject::Site::SelectorWrite);
     assert!(counter.count(syscalls::nr::WRITE) >= base + 100);
-    assert!(faultinject::injected(faultinject::Site::SelectorWrite) > 0);
+    assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 0, "an enrolment wrote the selector");
 
     // Phase 3: transient enrollment failure at thread creation — the
     // clone shim's bounded retry must still enroll the thread.
@@ -2428,7 +2415,7 @@ fn scenario_fault_soak_sudonly() {
         "every injected emulate fault must surface as exactly one EINTR"
     );
     assert_eq!(faultinject::injected(faultinject::Site::SelectorWrite), 0, "the slow path wrote the selector");
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector lost");
+    assert_interposed("after the soak");
     engine.unenroll_current_thread();
 }
 
@@ -2517,15 +2504,25 @@ fn scenario_fault_prescan_only() {
 fn scenario_degraded_smoke() {
     // Honors whatever LAZYPOLINE_FAULTS the harness (e.g. the CI fault
     // matrix) passed through: init must succeed — degraded if need be —
-    // and basic I/O must keep working. `init` reads no environment; the
-    // faults are armed here, as an engine-backed install arms them.
+    // and basic I/O must keep working. `seccomp_install` is a seam only
+    // hardened mode reaches, so such a spec installs that row (whose
+    // install arms the faults) and lands on `Unprotected`; any other is
+    // armed here, as an engine-backed install arms it, and drives
+    // `lazypoline::init` directly, which reads no environment.
     let spec = std::env::var("LAZYPOLINE_FAULTS").unwrap_or_default();
-    faultinject::arm_all(&faultinject::parse_spec(&spec).expect("the harness passes a well-formed spec"));
-    interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
-    let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
+    let hardened = spec.contains("seccomp_install");
+    let teardown: Box<dyn FnOnce()> = if hardened {
+        let mut active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+        Box::new(move || active.detach())
+    } else {
+        faultinject::arm_all(&faultinject::parse_spec(&spec).expect("the harness passes a well-formed spec"));
+        interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
+        let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
+        Box::new(move || engine.unenroll_current_thread())
+    };
 
     // On this thread and on a spawned one, whose enrolment is another
-    // selector write.
+    // `prctl`.
     let io = || {
         let name = format!("lp-degraded-{}-{:?}", std::process::id(), std::thread::current().id());
         let tmp = std::env::temp_dir().join(name);
@@ -2545,12 +2542,34 @@ fn scenario_degraded_smoke() {
         lazypoline::Mode::Hybrid
     };
     assert_eq!(h.mode, expected, "spec={spec:?} health={h:?}");
-    engine.unenroll_current_thread();
-    // By teardown — the selector is written at enrolment and teardown
-    // only — every seam the run reaches has been hit.
+    let harden = if hardened { lazypoline::HardenLevel::Unprotected } else { lazypoline::HardenLevel::Off };
+    assert_eq!(h.harden, harden, "spec={spec:?} health={h:?}");
+    teardown();
+    // By teardown every seam the run reaches has been hit.
     if !spec.is_empty() {
         let injected = faultinject::total_injected();
         assert!(injected >= 1, "armed faults never fired: {injected} injected, {h:?}");
+    }
+}
+
+/// Teardown's `prctl` leaves from the gate: on an enrolled thread it
+/// would be dispatched from anywhere else. Across an installation's
+/// teardown, and across the handle-free detach a signal handler makes,
+/// the process-wide slow-path and dispatch counts stay where they were.
+fn scenario_teardown_from_the_gate() {
+    for detach in [false, true] {
+        let active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+        let _ = std::fs::metadata("/tmp");
+        let before = lazypoline::stats();
+        if detach {
+            mechanism::detach_current_thread();
+        } else {
+            drop(active);
+        }
+        let after = lazypoline::stats();
+        let what = if detach { "detach_current_thread" } else { "the teardown" };
+        assert_eq!(after.slow_path_hits, before.slow_path_hits, "{what} trapped");
+        assert_eq!(after.dispatches, before.dispatches, "{what} was dispatched");
     }
 }
 
@@ -2979,22 +2998,20 @@ fn scenario_hook_stack_native() {
 
 // ——— hardened escape scenarios ————————————————————————————————————
 //
-// The attack: application code that learned the SUD selector's address
-// flips it to ALLOW and issues a syscall from its own text. Plain
-// lazypoline cannot see it (that is §VII's open residue). Hardened mode
-// has two layers, and every scenario shows the ones its rung has:
-// - the pkey (`Full`, `PkeyOnly`): a direct store to the selector faults
-//   with `SEGV_PKUERR`. [`attack`] asserts that, then plays the attacker
-//   who gets past it by clearing PKRU with `wrpkru` itself;
-// - the backstop (`Full`, `BackstopOnly`): the syscall, issued from
-//   main-executable text, traps, and the process is killed or the
-//   syscall quarantined back through the interposer, per
-//   `LP_HARDEN_POLICY`.
+// An engine thread's SUD has no selector: a store to any byte changes
+// nothing (`escape_plain`). The attack that remains asks the kernel: the
+// application's `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)` — dispatched
+// and executed like any other of its calls — then a syscall from its
+// own text. Plain lazypoline does not see that syscall (DESIGN.md §6).
+// Under `lazypoline-hardened` the seccomp backstop does: the syscall,
+// issued from main-executable text, traps, and the process is killed
+// or the syscall quarantined back through the interposer with SUD
+// re-armed, per `LP_HARDEN_POLICY`.
 
 /// The attacker's own `syscall` instruction, in main-executable text —
 /// exactly where the backstop's IP allowlist has a deliberate hole.
-/// Must never run while the selector is BLOCK (the slow path would
-/// lazily rewrite it and defang the attack).
+/// Must never run while SUD is on (the slow path would lazily rewrite
+/// it and defang the attack).
 #[inline(never)]
 fn attacker_syscall(nr: u64) -> i64 {
     let ret: i64;
@@ -3008,9 +3025,9 @@ fn attacker_syscall(nr: u64) -> i64 {
     ret
 }
 
-/// A direct store of ALLOW to the selector byte — no engine API, the
-/// attacker "leaked" the address: `mov byte ptr [rdi], 0`, three bytes
-/// (`c6 07 00`), which [`assert_direct_store_faults`] steps over.
+/// A direct store of ALLOW to the thread's selector byte — no engine
+/// API, the attacker "leaked" the address: what switched plain
+/// lazypoline off while SUD read a selector.
 fn flip_selector_to_allow() {
     unsafe {
         std::arch::asm!(
@@ -3021,114 +3038,44 @@ fn flip_selector_to_allow() {
     }
 }
 
-/// What the pkey layer says when the direct store faults.
-const SEGV_PKUERR: i32 = 4;
-
-/// Whether the selector is on the pkey slab, so that the direct store
-/// faults before the backstop ever sees a syscall.
-fn selector_is_hardware_protected() -> bool {
-    matches!(
-        lazypoline::harden::level(),
-        lazypoline::harden::HardenLevel::Full | lazypoline::harden::HardenLevel::PkeyOnly
-    )
-}
-
-/// The pkey layer on its own: [`flip_selector_to_allow`] faults with
-/// `SEGV_PKUERR` at the selector's address, a handler steps over the
-/// store, and the selector still reads BLOCK.
-fn assert_direct_store_faults() {
-    static CODE: AtomicU64 = AtomicU64::new(0);
-    static ADDR: AtomicU64 = AtomicU64::new(0);
-    extern "C" fn on_segv(_sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut libc::c_void) {
-        unsafe {
-            CODE.store((*info).si_code as u64, Ordering::SeqCst);
-            // `si_addr`: the first field after the three ints and their
-            // padding.
-            ADDR.store(info.cast::<u64>().add(2).read(), Ordering::SeqCst);
-            let mut uc = sud::sigsys::UContext::from_ptr(ctx);
-            uc.set_rip(uc.rip() + 3);
-        }
-    }
-    let selector = sud::selector_ptr() as u64;
-    CODE.store(0, Ordering::SeqCst);
-    unsafe {
-        let mut sa: libc::sigaction = std::mem::zeroed();
-        sa.sa_sigaction = on_segv as *const () as usize;
-        sa.sa_flags = libc::SA_SIGINFO;
-        assert_eq!(libc::sigaction(libc::SIGSEGV, &sa, std::ptr::null_mut()), 0);
-        flip_selector_to_allow();
-        let dfl: libc::sigaction = std::mem::zeroed();
-        assert_eq!(libc::sigaction(libc::SIGSEGV, &dfl, std::ptr::null_mut()), 0);
-    }
-    assert_eq!(CODE.load(Ordering::SeqCst), SEGV_PKUERR as u64, "si_code of the direct store");
-    assert_eq!(ADDR.load(Ordering::SeqCst), selector, "si_addr of the direct store");
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "the selector after the fault");
-}
-
-/// Clears PKRU, opening every protection key for this thread: what an
-/// attacker who runs code does to the pkey layer.
-fn open_all_pkeys() {
-    unsafe {
-        std::arch::asm!(
-            "wrpkru",
-            in("eax") 0u32,
-            in("ecx") 0u32,
-            in("edx") 0u32,
-            options(nomem, nostack, preserves_flags),
-        );
-    }
-}
-
-/// The attack the rung calls for, returning what the attacker's `nr`
-/// returned (if it returns): at the pkey rungs the direct store must
-/// fault first, and the attacker then clears PKRU before it flips the
-/// selector. Nothing between the flip and the syscall may dispatch: a
-/// dispatch closes the slab again and restores BLOCK.
+/// The attack: SUD off through libc's `prctl`, a site in shared-library
+/// text, then a syscall from the application's own text. Nothing in
+/// between may make a syscall.
 fn attack(nr: u64) -> i64 {
-    if selector_is_hardware_protected() {
-        assert_direct_store_faults();
-        open_all_pkeys();
-    }
-    flip_selector_to_allow();
+    // SAFETY: the `prctl` takes no pointer.
+    let off = unsafe {
+        libc::prctl(sud::PR_SET_SYSCALL_USER_DISPATCH, sud::PR_SYS_DISPATCH_OFF, 0, 0, 0)
+    };
+    assert_eq!(off, 0, "prctl(SUD OFF)");
     attacker_syscall(nr)
 }
 
-/// A host whose CPU lists `pku` reaches the top rung: hardened mode may
-/// not silently fall back to `BackstopOnly` there. (The pkey bracket
-/// must also work from the SIGSYS handler, where the kernel hands over
-/// a PKRU that access-disables every key but 0.)
-fn scenario_harden_full_on_pku() {
-    let pku = std::fs::read_to_string("/proc/cpuinfo").is_ok_and(|c| {
-        c.lines()
-            .filter(|l| l.starts_with("flags"))
-            .any(|l| l.split_whitespace().any(|f| f == "pku"))
-    });
+/// Hardened mode reaches `Full` whenever the backstop installs — on MPK
+/// hosts and others alike — and `Unprotected` when it cannot.
+fn scenario_harden_full() {
     let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
     let _ = std::fs::metadata("/tmp");
-    let harden = lazypoline::health().harden;
-    // Under a LAZYPOLINE_FAULTS cell (CI's fault matrix) a rung may fail
-    // on purpose: `pkey_alloc:every=1` lands on `BackstopOnly`.
-    let faults = lazypoline::faultinject::LP_FAULTS_ARMED.load(std::sync::atomic::Ordering::Relaxed);
-    if pku && faults == 0 {
-        assert_eq!(harden, lazypoline::harden::HardenLevel::Full);
-        // Enrolment's bracket; no dispatch takes one.
-        assert!(lazypoline::stats().pkru_switches > 0, "{:?}", lazypoline::stats());
-        assert_eq!(active.stats().pkru_switches, 0, "{:?}", active.stats());
+    let expected = if faultinject::injected(faultinject::Site::SeccompInstall) > 0 {
+        lazypoline::HardenLevel::Unprotected
     } else {
-        println!("pku: {pku}, fault sites armed: {faults}; reached {harden:?}");
-    }
+        lazypoline::HardenLevel::Full
+    };
+    assert_eq!(lazypoline::health().harden, expected);
+    assert_eq!(active.stats().pkru_switches, 0, "{:?}", active.stats());
 }
 
+/// A store of ALLOW to the selector byte no longer switches plain
+/// lazypoline off: the attacker's syscall from main-executable text is
+/// dispatched.
 fn scenario_escape_plain() {
     let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
-    let before = active.stats().dispatches;
+    let before = active.stats();
     flip_selector_to_allow();
     let uid = attacker_syscall(syscalls::nr::GETUID);
-    let after = active.stats().dispatches;
-    // The syscall executed for real and the dispatcher never saw it:
-    // this is the escape hardened mode exists to close.
-    assert!(uid >= 0, "bypassed getuid failed: {uid}");
-    assert_eq!(after, before, "plain engine must not observe the bypass");
+    let after = active.stats();
+    assert!(uid >= 0, "getuid failed: {uid}");
+    assert!(after.slow_path_hits > before.slow_path_hits, "the attacker's site took no SIGSYS");
+    assert!(after.dispatches > before.dispatches, "the attacker's getuid was not dispatched");
     assert_eq!(lazypoline::harden::bypass_blocked(), 0);
     active.detach();
 }
@@ -3145,11 +3092,8 @@ fn scenario_escape_quarantine() {
     let blocked = active.stats().bypass_blocked;
     assert!(blocked >= 1, "backstop must count the escape, got {blocked}");
     println!("{:?}: bypass_blocked {blocked}", lazypoline::harden::level());
-    // The protection the attacker disturbed is back.
-    assert_eq!(sud::selector(), sud::Dispatch::Block, "selector after the quarantine");
-    if selector_is_hardware_protected() {
-        assert_direct_store_faults();
-    }
+    // SUD is back on.
+    assert_interposed("after the quarantine");
 }
 
 /// Hidden victim for `scenario_escape_kill`: dies by SIGKILL mid-attack
@@ -3195,7 +3139,7 @@ fn scenario_escape_fork_rearm() {
         // (via libc — `attacker_syscall` must stay unexecuted and
         // unpatched until the attack)...
         assert!(std::process::id() > 0);
-        // ...and the inherited layers still catch the escape.
+        // ...and the inherited backstop still catches the escape.
         let caught = std::panic::catch_unwind(|| {
             attack(syscalls::nr::GETUID) >= 0 && lazypoline::harden::bypass_blocked() >= 1
         });
@@ -3435,8 +3379,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("miss_exit_faults", scenario_miss_exit_faults),
     ("gate_range", scenario_gate_range),
     ("gate_range_hardened", scenario_gate_range_hardened),
-    ("selector_constant", scenario_selector_constant),
-    ("selector_constant_hardened", scenario_selector_constant_hardened),
+    ("interposed_throughout", scenario_interposed_throughout),
+    ("interposed_throughout_hardened", scenario_interposed_throughout_hardened),
     ("rewrite_stress", scenario_rewrite_stress),
     ("policy_native", scenario_policy_native),
     ("post_rewrite", scenario_post_rewrite),
@@ -3457,12 +3401,13 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("panic_quarantine", scenario_panic_quarantine),
     ("fault_prescan_only", scenario_fault_prescan_only),
     ("degraded_smoke", scenario_degraded_smoke),
+    ("teardown_from_the_gate", scenario_teardown_from_the_gate),
     ("mechanism_differential", scenario_mechanism_differential),
     ("mechanism_smoke", scenario_mechanism_smoke),
     ("record_replay_native", scenario_record_replay_native),
     ("compose_record_sfip", scenario_compose_record_sfip),
     ("hook_stack_native", scenario_hook_stack_native),
-    ("harden_full_on_pku", scenario_harden_full_on_pku),
+    ("harden_full", scenario_harden_full),
     ("escape_plain", scenario_escape_plain),
     ("escape_quarantine", scenario_escape_quarantine),
     ("escape_kill", scenario_escape_kill),
@@ -3472,25 +3417,6 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("sfip_escape_count", scenario_sfip_escape_count),
     ("sfip_escape_quarantine", scenario_sfip_escape_quarantine),
     ("sfip_escape_kill", scenario_sfip_escape_kill),
-];
-
-/// The scenarios that install `lazypoline-hardened`, which the driver
-/// reruns under each of [`HARDENED_FAULTS`].
-const HARDENED_SCENARIOS: &[&str] = &[
-    "signals_hardened",
-    "miss_exit_hardened",
-    "gate_range_hardened",
-    "selector_constant_hardened",
-    "harden_full_on_pku",
-    "escape_quarantine",
-    "escape_kill",
-    "escape_fork_rearm",
-];
-
-const HARDENED_FAULTS: &[&str] = &[
-    "selector_write:every=2",
-    "selector_write:every=3",
-    "pkey_alloc:every=1",
 ];
 
 /// Scenarios reachable via `LP_SCENARIO` but never driven directly —
@@ -3540,30 +3466,8 @@ fn main() {
             failed.push(*name);
         }
     }
-    // The hardened scenarios once more under each of these: a dropped
-    // selector store, and the pkey layer's absence (`BackstopOnly`).
-    for spec in HARDENED_FAULTS {
-        for name in HARDENED_SCENARIOS {
-            let status = Command::new(&exe)
-                .env("LP_SCENARIO", name)
-                .env("LAZYPOLINE_FAULTS", spec)
-                .status()
-                .expect("spawn scenario");
-            if status.success() {
-                println!("native_engine::{name} [{spec}] ... ok");
-            } else {
-                println!("native_engine::{name} [{spec}] ... FAILED ({status})");
-                failed.push(*name);
-            }
-        }
-    }
     if !failed.is_empty() {
         panic!("failed scenarios: {failed:?}");
     }
-    println!(
-        "native_engine: {} scenarios passed, {} hardened ones under {} fault specs",
-        SCENARIOS.len(),
-        HARDENED_SCENARIOS.len(),
-        HARDENED_FAULTS.len()
-    );
+    println!("native_engine: {} scenarios passed", SCENARIOS.len());
 }

@@ -416,9 +416,7 @@ fn fork_exec_tree() {
 }
 
 /// A hardened shell takes its wrapped signals: a trapped `SIGUSR1`, and
-/// the `SIGCHLD` of a subshell. (The kernel enters a handler with a PKRU
-/// that access-disables the selector's slab; the wrapper must restore
-/// the slab's steady state first.)
+/// the `SIGCHLD` of a subshell.
 #[test]
 fn hardened_shell_takes_its_signals() {
     let Some(so) = ready() else { return };
