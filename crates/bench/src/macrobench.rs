@@ -27,7 +27,7 @@
 //!
 //! The sweep additionally runs [`RECORD_MECHANISM`]
 //! (`lazypoline+record`): full interposition with the flight recorder
-//! live and its drain thread encoding the LPTRACE2 trace while the
+//! live and its drain thread encoding the LPTRACE3 trace while the
 //! server serves — the cell that proves recording keeps up with server
 //! load without dropping events. The server child reports its
 //! installation's counters back over the control pipe before teardown

@@ -1,12 +1,15 @@
-//! Compact `LPTRACE2` record encoding.
+//! Compact record encoding: `LPTRACE3`, and `LPTRACE2` on request.
 //!
 //! LPTRACE1 spends a fixed 88 bytes per record; at production event
-//! rates the disk write becomes the recorder's bottleneck. LPTRACE2
-//! exploits what syscall streams actually look like — the same few
-//! (sysno, call-site) pairs repeat millions of times, timestamps are
-//! monotonic with small deltas, most argument registers are zero or
-//! small — to get the typical record down to a handful of bytes
-//! (~3–5× smaller end to end; see `DESIGN.md` §5).
+//! rates the disk write becomes the recorder's bottleneck. The varint
+//! generations exploit what syscall streams actually look like — the
+//! same few (sysno, call-site) pairs repeat millions of times,
+//! timestamps are monotonic with small deltas, and a site mostly
+//! repeats the arguments and result it had the last time. LPTRACE2
+//! (~15 B/event on `record_stream`'s mix) codes every record on its
+//! own; LPTRACE3 (~4 B/event there) codes a record's arguments and
+//! return value against the last record from the same site, and is
+//! what every recording writes (see `DESIGN.md` §5).
 //!
 //! # Record wire format (all varints LEB128, little-endian groups)
 //!
@@ -14,17 +17,24 @@
 //! |-------|----------|
 //! | key | varint: `0` = literal escape, then varint sysno + varint site; `k>0` = dictionary entry `k-1` |
 //! | tsc | zigzag varint of the **wrapping** delta from the previous record's tsc |
-//! | tid | zigzag varint of the delta from the previous record's tid |
-//! | args mask | one byte, bit *i* set ⇔ `args[i] != 0` |
-//! | args | varint of each `args[i]` whose mask bit is set |
-//! | ret | zigzag varint (returns are small positives or small `-errno`s) |
+//! | tid | v2 only: zigzag varint of the delta from the previous record's tid |
+//! | flags | one byte: bit *i* < 6 ⇔ `args[i]` differs from the reference; v3 only: bit 6 ⇔ ret differs, bit 7 ⇔ tid differs from the previous record's |
+//! | tid | v3, when flag 7 is set: zigzag varint of the delta from the previous record's tid |
+//! | args | varint of each `args[i]` whose flag is set; the others are the reference's |
+//! | ret | zigzag varint (returns are small positives or small `-errno`s); v3 writes it only when flag 6 is set |
+//!
+//! The *reference* of a v3 record is the args and ret of the last
+//! record with the same key, or all zero when the key joins the
+//! dictionary with this record or is a literal past [`DICT_CAP`]. v2
+//! pins it at zero (its flags are the nonzero-argument mask) and always
+//! writes tid and ret, so one encoder and one decoder serve both.
 //!
 //! The (sysno, site) dictionary is built **implicitly and identically**
 //! on both sides: each literal escape appends to the dictionary while
 //! it has room ([`DICT_CAP`]); once full, further new pairs stay
 //! literal forever. There is no table in the file and no
 //! synchronization to get wrong — the decoder replays exactly the
-//! inserts the encoder performed.
+//! inserts (and, in v3, the reference updates) the encoder performed.
 //!
 //! Records are self-delimiting, so the stream needs no count field:
 //! clean EOF at a record boundary is the end of the trace; EOF inside
@@ -37,7 +47,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::EventRecord;
-use crate::format::TraceError;
+use crate::format::{TraceError, VERSION2, VERSION3};
 
 /// Dictionary entries both sides will build before falling back to
 /// literal-only encoding. 2¹⁶ distinct (sysno, site) pairs is far past
@@ -45,14 +55,24 @@ use crate::format::TraceError;
 /// hundred sites).
 pub const DICT_CAP: usize = 1 << 16;
 
-/// Worst-case encoded size of one record: literal key (1 + 10 + 10) +
-/// tsc (10) + tid (5: a zigzagged 33-bit difference) + mask (1) + six
-/// args (60) + ret (10). The encoder writes into this much reserved
-/// room without further checks.
+/// Worst-case encoded size of one record, in either generation: literal
+/// key (1 + 10 + 10) + tsc (10) + tid (5: a zigzagged 33-bit
+/// difference) + flags (1) + six args (60) + ret (10). The encoder
+/// writes into this much reserved room without further checks.
 pub const MAX_ENCODED_SIZE: usize = 107;
 
 /// Slots in the encoder's direct-mapped front of its dictionary.
 const FRONT_SLOTS: usize = 256;
+
+/// v3 flag: the return value differs from the reference.
+const RET_CHANGED: u8 = 1 << 6;
+
+/// v3 flag: the tid differs from the previous record's.
+const TID_CHANGED: u8 = 1 << 7;
+
+/// A record's six args and its ret, in that order: what a v3 record is
+/// coded against.
+type Values = [u64; 7];
 
 // ——— varint primitives ——————————————————————————————————————————————
 
@@ -120,6 +140,17 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Whether `version` codes against references: [`VERSION3`] does,
+/// [`VERSION2`] does not. Any other generation is a caller's bug (the
+/// header reader rejects it before a decoder exists).
+fn against_references(version: u32) -> bool {
+    assert!(
+        version == VERSION2 || version == VERSION3,
+        "no varint codec for trace format generation {version}"
+    );
+    version == VERSION3
+}
+
 // ——— encoder ————————————————————————————————————————————————————————
 
 /// Hasher for the encoder's `(sysno, site)` key: one multiply per
@@ -149,8 +180,10 @@ impl Hasher for PairHasher {
     }
 }
 
-/// Streaming LPTRACE2 encoder: one per trace, records in trace order.
-pub struct Lp2Encoder {
+/// Streaming record encoder: one per trace, records in trace order.
+pub struct Encoder {
+    /// v3: code args and ret against `refs`; v2: against zero.
+    v3: bool,
     /// The authority: every pair the stream has given an index.
     dict: HashMap<(u64, u64), u64, BuildHasherDefault<PairHasher>>,
     /// Direct-mapped cache of `dict` entries, `(sysno, site, idx + 1)`
@@ -159,9 +192,14 @@ pub struct Lp2Encoder {
     /// not grow a preloaded program's heap: its `brk`s are part of the
     /// flow a recording captures.
     front: Vec<(u64, u64, u64)>,
+    /// v3: the reference of each dictionary index, in step with `dict`.
+    refs: Vec<Values>,
     prev_tsc: u64,
     prev_tid: u32,
 }
+
+/// The encoder's former name, kept for callers that still use it.
+pub type Lp2Encoder = Encoder;
 
 /// `front` slot of a pair: the top byte of the sum's multiply, which
 /// every bit of both words reaches (pairs with equal sums share a slot,
@@ -171,19 +209,28 @@ fn front_slot(sysno: u64, site: u64) -> usize {
     (site.wrapping_add(sysno).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize
 }
 
-impl Default for Lp2Encoder {
-    fn default() -> Lp2Encoder {
-        Lp2Encoder::new()
+impl Default for Encoder {
+    fn default() -> Encoder {
+        Encoder::new()
     }
 }
 
-impl Lp2Encoder {
-    /// An encoder with an empty dictionary and zero deltas — matches a
-    /// fresh [`Lp2Decoder`].
-    pub fn new() -> Lp2Encoder {
-        Lp2Encoder {
+impl Encoder {
+    /// An encoder of the generation every recording writes
+    /// ([`VERSION3`]), with an empty dictionary and zero deltas —
+    /// matches a fresh [`Decoder`].
+    pub fn new() -> Encoder {
+        Encoder::for_version(VERSION3)
+    }
+
+    /// A fresh encoder of format generation `version` ([`VERSION2`] or
+    /// [`VERSION3`]).
+    pub fn for_version(version: u32) -> Encoder {
+        Encoder {
+            v3: against_references(version),
             dict: HashMap::default(),
             front: Vec::new(),
+            refs: Vec::new(),
             prev_tsc: 0,
             prev_tid: 0,
         }
@@ -218,18 +265,45 @@ impl Lp2Encoder {
     /// Appends `rec`'s encoding to `out` and returns the encoded byte
     /// length.
     pub fn encode(&mut self, rec: &EventRecord, out: &mut Vec<u8>) -> usize {
+        if self.v3 {
+            self.encode_as::<true>(rec, out)
+        } else {
+            self.encode_as::<false>(rec, out)
+        }
+    }
+
+    /// [`encode`](Self::encode) at one generation, so that its
+    /// generation branches are settled at compile time.
+    #[inline(always)]
+    fn encode_as<const V3: bool>(&mut self, rec: &EventRecord, out: &mut Vec<u8>) -> usize {
         let key = self.key(rec.sysno, rec.site);
         let tsc_delta = zigzag(rec.tsc.wrapping_sub(self.prev_tsc) as i64);
         let tid_delta = zigzag(i64::from(rec.tid).wrapping_sub(i64::from(self.prev_tid)));
         self.prev_tsc = rec.tsc;
         self.prev_tid = rec.tid;
+        // Where this record's values become its key's reference: a known
+        // key's entry, or a new one when the key just joined `dict` (the
+        // only way `refs` falls behind it). v2 and literals past the
+        // cap keep none, and code against zero.
+        let slot = if !V3 {
+            None
+        } else if key != 0 {
+            Some(&mut self.refs[key as usize - 1])
+        } else if self.refs.len() < self.dict.len() {
+            self.refs.push([0; 7]);
+            self.refs.last_mut()
+        } else {
+            None
+        };
+        let reference = slot.as_deref().copied().unwrap_or([0; 7]);
         out.reserve(MAX_ENCODED_SIZE);
         let start = out.len();
         // SAFETY: `reserve` left at least MAX_ENCODED_SIZE writable bytes
         // past `start`, and no record encodes to more (the constant is
-        // the field-by-field worst case, which a unit test builds). Every
-        // byte below `p` is written before `set_len` exposes it.
-        unsafe {
+        // the field-by-field worst case, which a unit test builds for
+        // each generation). Every byte below `p` is written before
+        // `set_len` exposes it.
+        let n = unsafe {
             let base = out.as_mut_ptr().add(start);
             let mut p = put_varint_at(base, key);
             if key == 0 {
@@ -237,45 +311,78 @@ impl Lp2Encoder {
                 p = put_varint_at(p, rec.site);
             }
             p = put_varint_at(p, tsc_delta);
-            p = put_varint_at(p, tid_delta);
-            let mask_at = p;
+            if !V3 {
+                p = put_varint_at(p, tid_delta);
+            }
+            let flags_at = p;
             p = p.add(1);
-            let mut mask = 0u8;
+            let mut flags = 0u8;
+            if V3 && tid_delta != 0 {
+                flags |= TID_CHANGED;
+                p = put_varint_at(p, tid_delta);
+            }
             for (i, &a) in rec.args.iter().enumerate() {
-                if a != 0 {
-                    mask |= 1 << i;
+                if a != reference[i] {
+                    flags |= 1 << i;
                     p = put_varint_at(p, a);
                 }
             }
-            *mask_at = mask;
-            p = put_varint_at(p, zigzag(rec.ret as i64));
+            if !V3 || rec.ret != reference[6] {
+                if V3 {
+                    flags |= RET_CHANGED;
+                }
+                p = put_varint_at(p, zigzag(rec.ret as i64));
+            }
+            *flags_at = flags;
             let n = p.offset_from(base) as usize;
             out.set_len(start + n);
             n
+        };
+        if let Some(slot) = slot {
+            slot[..6].copy_from_slice(&rec.args);
+            slot[6] = rec.ret;
         }
+        n
     }
 }
 
 // ——— decoder ————————————————————————————————————————————————————————
 
-/// Streaming LPTRACE2 decoder — mirrors [`Lp2Encoder`]'s state machine
-/// (same implicit dictionary inserts, same delta bases).
-pub struct Lp2Decoder {
-    dict: Vec<(u64, u64)>,
+/// Streaming record decoder — mirrors [`Encoder`]'s state machine
+/// (same implicit dictionary inserts, same references, same delta
+/// bases).
+pub struct Decoder {
+    /// v3: read args and ret against each entry's reference.
+    v3: bool,
+    /// `(sysno, site, reference)` per dictionary index; v2 leaves every
+    /// reference at zero.
+    dict: Vec<(u64, u64, Values)>,
     prev_tsc: u64,
     prev_tid: u32,
 }
 
-impl Default for Lp2Decoder {
-    fn default() -> Lp2Decoder {
-        Lp2Decoder::new()
+/// The decoder's former name, kept for callers that still use it.
+pub type Lp2Decoder = Decoder;
+
+impl Default for Decoder {
+    fn default() -> Decoder {
+        Decoder::new()
     }
 }
 
-impl Lp2Decoder {
-    /// A decoder in the initial state (empty dictionary, zero deltas).
-    pub fn new() -> Lp2Decoder {
-        Lp2Decoder {
+impl Decoder {
+    /// A decoder of the generation every recording writes
+    /// ([`VERSION3`]), in the initial state (empty dictionary, zero
+    /// deltas).
+    pub fn new() -> Decoder {
+        Decoder::for_version(VERSION3)
+    }
+
+    /// A fresh decoder of format generation `version` ([`VERSION2`] or
+    /// [`VERSION3`]).
+    pub fn for_version(version: u32) -> Decoder {
+        Decoder {
+            v3: against_references(version),
             dict: Vec::new(),
             prev_tsc: 0,
             prev_tid: 0,
@@ -291,41 +398,80 @@ impl Lp2Decoder {
         buf: &[u8],
         pos: &mut usize,
     ) -> Result<Option<EventRecord>, TraceError> {
+        if self.v3 {
+            self.decode_as::<true>(buf, pos)
+        } else {
+            self.decode_as::<false>(buf, pos)
+        }
+    }
+
+    /// [`decode_next`](Self::decode_next) at one generation, so that its
+    /// generation branches are settled at compile time.
+    #[inline(always)]
+    fn decode_as<const V3: bool>(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<Option<EventRecord>, TraceError> {
         if *pos >= buf.len() {
             return Ok(None);
         }
-        let key = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
-        let (sysno, site) = if key == 0 {
-            let sysno = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
-            let site = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
-            if self.dict.len() < DICT_CAP {
-                self.dict.push((sysno, site));
-            }
-            (sysno, site)
+        let varint = |pos: &mut usize| get_varint(buf, pos).ok_or(TraceError::Truncated);
+        let key = varint(pos)?;
+        // The pair and its dictionary index; a literal past the cap has
+        // none, and is read against zero.
+        let (sysno, site, idx) = if key == 0 {
+            let sysno = varint(pos)?;
+            let site = varint(pos)?;
+            let idx = (self.dict.len() < DICT_CAP).then(|| {
+                self.dict.push((sysno, site, [0; 7]));
+                self.dict.len() - 1
+            });
+            (sysno, site, idx)
         } else {
-            *self
-                .dict
-                .get(key as usize - 1)
-                .ok_or(TraceError::Truncated)?
+            let idx = key as usize - 1;
+            let &(sysno, site, _) = self.dict.get(idx).ok_or(TraceError::Truncated)?;
+            (sysno, site, Some(idx))
         };
-        let tsc_delta = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
-        let tsc = self.prev_tsc.wrapping_add(unzigzag(tsc_delta) as u64);
-        self.prev_tsc = tsc;
-        let tid_delta = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
+        let mut values = match idx {
+            Some(i) if V3 => self.dict[i].2,
+            _ => [0; 7],
+        };
+        let tsc = self.prev_tsc.wrapping_add(unzigzag(varint(pos)?) as u64);
+        let byte = |pos: &mut usize| {
+            let b = *buf.get(*pos).ok_or(TraceError::Truncated)?;
+            *pos += 1;
+            Ok::<u8, TraceError>(b)
+        };
+        // v2 writes the tid before its mask and the ret always; v3's
+        // flags say which of the two follow.
+        let (flags, tid_delta) = if V3 {
+            let flags = byte(pos)?;
+            let tid_delta = if flags & TID_CHANGED != 0 { varint(pos)? } else { 0 };
+            (flags, tid_delta)
+        } else {
+            let tid_delta = varint(pos)?;
+            let mask = byte(pos)? & !(RET_CHANGED | TID_CHANGED);
+            (mask | RET_CHANGED, tid_delta)
+        };
         let tid = i64::from(self.prev_tid).wrapping_add(unzigzag(tid_delta)) as u32;
-        self.prev_tid = tid;
-        let mask = *buf.get(*pos).ok_or(TraceError::Truncated)?;
-        *pos += 1;
-        let mut args = [0u64; 6];
-        for (i, a) in args.iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                *a = get_varint(buf, pos).ok_or(TraceError::Truncated)?;
+        for (i, v) in values[..6].iter_mut().enumerate() {
+            if flags & (1 << i) != 0 {
+                *v = varint(pos)?;
             }
         }
-        let ret = unzigzag(get_varint(buf, pos).ok_or(TraceError::Truncated)?) as u64;
+        if flags & RET_CHANGED != 0 {
+            values[6] = unzigzag(varint(pos)?) as u64;
+        }
+        if let (true, Some(i)) = (V3, idx) {
+            self.dict[i].2 = values;
+        }
+        self.prev_tsc = tsc;
+        self.prev_tid = tid;
+        let [a0, a1, a2, a3, a4, a5, ret] = values;
         Ok(Some(EventRecord {
             sysno,
-            args,
+            args: [a0, a1, a2, a3, a4, a5],
             ret,
             tsc,
             site,
@@ -351,13 +497,20 @@ impl Lp2Decoder {
 mod tests {
     use super::*;
 
-    fn roundtrip(records: &[EventRecord]) -> Vec<EventRecord> {
-        let mut enc = Lp2Encoder::new();
+    const BOTH: [u32; 2] = [VERSION2, VERSION3];
+
+    fn encode_all(version: u32, records: &[EventRecord]) -> Vec<u8> {
+        let mut enc = Encoder::for_version(version);
         let mut bytes = Vec::new();
         for r in records {
             enc.encode(r, &mut bytes);
         }
-        Lp2Decoder::new().decode_all(&bytes, 0).unwrap()
+        bytes
+    }
+
+    fn roundtrip(version: u32, records: &[EventRecord]) -> Vec<EventRecord> {
+        let bytes = encode_all(version, records);
+        Decoder::for_version(version).decode_all(&bytes, 0).unwrap()
     }
 
     #[test]
@@ -389,18 +542,41 @@ mod tests {
                 tid: 100 + (i % 4) as u32,
             });
         }
-        let mut enc = Lp2Encoder::new();
-        let mut bytes = Vec::new();
-        for r in &records {
-            enc.encode(r, &mut bytes);
+        for version in BOTH {
+            let bytes = encode_all(version, &records);
+            assert_eq!(roundtrip(version, &records), records);
+            let fixed = records.len() * crate::event::RECORD_SIZE;
+            assert!(
+                bytes.len() * 3 <= fixed,
+                "v{version}: compression below 1/3 of LPTRACE1 on a typical stream: {} vs {fixed}",
+                bytes.len()
+            );
         }
-        assert_eq!(roundtrip(&records), records);
-        let fixed = records.len() * crate::event::RECORD_SIZE;
-        assert!(
-            bytes.len() * 3 <= fixed,
-            "compression below 1/3 of LPTRACE1 on a typical stream: {} vs {fixed}",
-            bytes.len()
-        );
+    }
+
+    /// Fixed args and ret per site, one thread, advancing timestamps:
+    /// `record_stream`'s shape. A v3 record is then key, tsc delta and
+    /// flags.
+    #[test]
+    fn mix_shaped_stream_codes_to_at_most_five_bytes_per_event() {
+        let records: Vec<EventRecord> = (0..10_000u64)
+            .map(|i| {
+                let sysno = [0, 1, 39, 257, 3, 5, 8, 9][(i * 7 % 8) as usize];
+                EventRecord {
+                    sysno,
+                    args: [3, 0x7ffd_0000_1000, 1, 0, 0, 0],
+                    ret: sysno % 4,
+                    tsc: 1_000_000 + 900 * i,
+                    site: 0x7f00_0000_0000 + 64 * sysno,
+                    tid: 4242,
+                }
+            })
+            .collect();
+        let v2 = encode_all(VERSION2, &records).len();
+        let v3 = encode_all(VERSION3, &records).len();
+        assert!(v3 <= 5 * records.len(), "v3: {v3} B for {} events", records.len());
+        assert!(v3 * 2 < v2, "v3 {v3} B against v2 {v2} B");
+        assert_eq!(roundtrip(VERSION3, &records), records);
     }
 
     #[test]
@@ -423,15 +599,23 @@ mod tests {
                 tid: 0,
             },
             EventRecord::ZERO,
+            EventRecord {
+                sysno: u64::MAX,
+                site: u64::MAX,
+                ..EventRecord::ZERO // every value back to zero at a known key
+            },
         ];
-        assert_eq!(roundtrip(&records), records);
+        for version in BOTH {
+            assert_eq!(roundtrip(version, &records), records, "v{version}");
+        }
     }
 
     #[test]
     fn worst_record_fills_max_encoded_size_exactly() {
         // Every field at its longest: a literal all-ones key, the tsc
-        // delta i64::MIN, the tid delta 0 → u32::MAX, six all-ones args
-        // and ret i64::MIN.
+        // delta i64::MIN, the tid delta 0 → u32::MAX (a changed tid),
+        // six all-ones args and ret i64::MIN (all changed against a new
+        // key's zero reference).
         let worst = EventRecord {
             sysno: u64::MAX,
             args: [u64::MAX; 6],
@@ -440,64 +624,78 @@ mod tests {
             site: u64::MAX,
             tid: u32::MAX,
         };
-        let mut bytes = Vec::new();
-        assert_eq!(
-            Lp2Encoder::new().encode(&worst, &mut bytes),
-            MAX_ENCODED_SIZE
-        );
-        assert_eq!(bytes.len(), MAX_ENCODED_SIZE);
-        assert_eq!(Lp2Decoder::new().decode_all(&bytes, 0).unwrap(), [worst]);
+        for version in BOTH {
+            let mut bytes = Vec::new();
+            assert_eq!(
+                Encoder::for_version(version).encode(&worst, &mut bytes),
+                MAX_ENCODED_SIZE,
+                "v{version}"
+            );
+            assert_eq!(bytes.len(), MAX_ENCODED_SIZE);
+            let decoded = Decoder::for_version(version).decode_all(&bytes, 0);
+            assert_eq!(decoded.unwrap(), [worst]);
+        }
     }
 
     #[test]
     fn dictionary_overflow_falls_back_to_literals() {
         // More distinct (sysno, site) pairs than DICT_CAP: the tail
-        // stays literal on both sides and still round-trips.
+        // stays literal on both sides and still round-trips, and so do
+        // repeats of a pair past the cap, coded against zero.
         let n = DICT_CAP + 50;
-        let records: Vec<EventRecord> = (0..n as u64)
+        let mut records: Vec<EventRecord> = (0..n as u64)
             .map(|i| EventRecord {
                 sysno: i,
                 site: i * 2,
+                args: [i; 6],
                 tsc: i * 100,
                 ..EventRecord::ZERO
             })
             .collect();
-        assert_eq!(roundtrip(&records), records);
+        records.extend_from_within(n - 100..);
+        for version in BOTH {
+            assert_eq!(roundtrip(version, &records), records, "v{version}");
+        }
     }
 
     #[test]
     fn truncation_inside_a_record_is_detected() {
-        let mut enc = Lp2Encoder::new();
-        let mut bytes = Vec::new();
-        enc.encode(
-            &EventRecord {
-                sysno: 1,
-                tsc: 500,
-                ..EventRecord::ZERO
-            },
-            &mut bytes,
-        );
-        let full = bytes.len();
-        // Every proper prefix (except empty = clean EOF) is truncated.
-        for cut in 1..full {
-            let mut dec = Lp2Decoder::new();
-            assert!(
-                matches!(dec.decode_all(&bytes[..cut], 0), Err(TraceError::Truncated)),
-                "cut at {cut} must be Truncated"
+        for version in BOTH {
+            let bytes = encode_all(
+                version,
+                &[EventRecord {
+                    sysno: 1,
+                    tsc: 500,
+                    ret: 7,
+                    tid: 3,
+                    ..EventRecord::ZERO
+                }],
             );
+            let full = bytes.len();
+            // Every proper prefix (except empty = clean EOF) is truncated.
+            for cut in 1..full {
+                let mut dec = Decoder::for_version(version);
+                assert!(
+                    matches!(dec.decode_all(&bytes[..cut], 0), Err(TraceError::Truncated)),
+                    "v{version}: cut at {cut} must be Truncated"
+                );
+            }
+            let mut dec = Decoder::for_version(version);
+            assert!(dec.decode_all(&bytes[..0], 0).unwrap().is_empty());
+            let mut dec = Decoder::for_version(version);
+            assert_eq!(dec.decode_all(&bytes, 0).unwrap().len(), 1);
         }
-        assert!(Lp2Decoder::new().decode_all(&bytes[..0], 0).unwrap().is_empty());
-        assert_eq!(Lp2Decoder::new().decode_all(&bytes, 0).unwrap().len(), 1);
     }
 
     #[test]
     fn bad_dictionary_reference_is_structured() {
         // key = 5 with an empty dictionary.
         let bytes = [5u8, 0, 0, 0, 0];
-        let mut dec = Lp2Decoder::new();
-        assert!(matches!(
-            dec.decode_all(&bytes, 0),
-            Err(TraceError::Truncated)
-        ));
+        for version in BOTH {
+            assert!(matches!(
+                Decoder::for_version(version).decode_all(&bytes, 0),
+                Err(TraceError::Truncated)
+            ));
+        }
     }
 }

@@ -3,27 +3,29 @@
 //!
 //! # Layout
 //!
-//! A trace is a 64-byte header followed by the record payload. Both
-//! format generations share the header layout; the magic carries the
-//! generation and selects the payload encoding:
+//! A trace is a 64-byte header followed by the record payload. All
+//! three format generations share the header layout; the magic carries
+//! the generation and selects the payload encoding:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0  | 8  | magic `"LPTRACE1"` or `"LPTRACE2"` |
-//! | 8  | 4  | format version (LE u32; 1 or 2, matching the magic) |
+//! | 0  | 8  | magic `"LPTRACE1"`, `"LPTRACE2"` or `"LPTRACE3"` |
+//! | 8  | 4  | format version (LE u32; 1, 2 or 3, matching the magic) |
 //! | 12 | 4  | architecture (ELF machine id; 62 = x86-64) |
 //! | 16 | 4  | page size of the recording host |
-//! | 20 | 4  | record size ([`RECORD_SIZE`] in v1; 0 in v2 — records are variable-length) |
+//! | 20 | 4  | record size ([`RECORD_SIZE`] in v1; 0 in v2 and v3 — records are variable-length) |
 //! | 24 | 8  | TSC frequency in Hz (0 = uncalibrated) |
 //! | 32 | 8  | events dropped by the overflow policy (patched at finalize) |
 //! | 40 | 24 | recording mechanism name, NUL-padded |
 //!
 //! The v1 payload is a flat array of [`RECORD_SIZE`]-byte
-//! [`EventRecord`]s (count implied by file size). The v2 payload is a
-//! self-delimiting [`codec`](crate::codec) varint stream — clean EOF
-//! at a record boundary ends the trace. Readers accept both
-//! generations transparently; the writer writes v2 only (LPTRACE1 is
-//! read-only: traces recorded before the migration keep working).
+//! [`EventRecord`]s (count implied by file size). The v2 and v3
+//! payloads are self-delimiting [`codec`](crate::codec) varint streams
+//! — clean EOF at a record boundary ends the trace; v3 codes each
+//! record's args and ret against the last record from its site. Readers
+//! accept all three generations transparently. Recordings write v3; the
+//! writer writes v2 only when its header asks for it, and LPTRACE1 is
+//! read-only (traces recorded before the migration keep working).
 //!
 //! Everything is little-endian. The header is written first with
 //! `events_dropped = 0` and patched in place (with the TSC frequency,
@@ -35,7 +37,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::codec::{Lp2Decoder, Lp2Encoder, MAX_ENCODED_SIZE};
+use crate::codec::{Decoder, Encoder, MAX_ENCODED_SIZE};
 use crate::event::{EventRecord, RECORD_SIZE};
 
 /// Trace file magic of the fixed-record generation.
@@ -44,11 +46,18 @@ pub const MAGIC: [u8; 8] = *b"LPTRACE1";
 /// Trace file magic of the compressed-varint generation.
 pub const MAGIC2: [u8; 8] = *b"LPTRACE2";
 
+/// Trace file magic of the generation that codes each record against
+/// the last one from its site.
+pub const MAGIC3: [u8; 8] = *b"LPTRACE3";
+
 /// The fixed-record format generation (read-only).
 pub const VERSION: u32 = 1;
 
-/// The compressed format generation — what every recording writes.
+/// The compressed format generation, written when a header asks for it.
 pub const VERSION2: u32 = 2;
+
+/// The per-site reference generation — what every recording writes.
+pub const VERSION3: u32 = 3;
 
 /// Header size in bytes.
 pub const HEADER_SIZE: usize = 64;
@@ -71,8 +80,8 @@ const MECHANISM_FIELD: usize = 24;
 /// The decoded trace header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Format generation: [`VERSION2`], or [`VERSION`] when read from
-    /// an LPTRACE1 trace.
+    /// Format generation: [`VERSION3`], or the generation of the trace
+    /// it was read from.
     pub version: u32,
     /// Architecture of the recording host ([`ARCH_X86_64`]).
     pub arch: u32,
@@ -92,7 +101,7 @@ impl TraceHeader {
     /// A fresh header for a recording on this host.
     pub fn new(source_mechanism: &str, tsc_hz: u64) -> TraceHeader {
         TraceHeader {
-            version: VERSION2,
+            version: VERSION3,
             arch: ARCH_X86_64,
             page_size: 4096,
             tsc_hz,
@@ -102,20 +111,22 @@ impl TraceHeader {
     }
 
     /// The same header re-stamped at format generation `version`
-    /// ([`VERSION`] or [`VERSION2`]).
+    /// ([`VERSION`], [`VERSION2`] or [`VERSION3`]).
     pub fn with_version(mut self, version: u32) -> TraceHeader {
         assert!(
-            version == VERSION || version == VERSION2,
+            magic_of(version).is_some(),
             "unknown trace format generation {version}"
         );
         self.version = version;
         self
     }
 
-    /// The v2 wire layout (record size 0: records are variable-length).
+    /// The wire layout of a varint generation (record size 0: records
+    /// are variable-length).
     fn encode(&self) -> [u8; HEADER_SIZE] {
         let mut out = [0u8; HEADER_SIZE];
-        out[0..8].copy_from_slice(&MAGIC2);
+        let magic = magic_of(self.version).expect("writers take known generations only");
+        out[0..8].copy_from_slice(&magic);
         out[8..12].copy_from_slice(&self.version.to_le_bytes());
         out[12..16].copy_from_slice(&self.arch.to_le_bytes());
         out[16..20].copy_from_slice(&self.page_size.to_le_bytes());
@@ -128,13 +139,10 @@ impl TraceHeader {
     }
 
     fn decode(buf: &[u8; HEADER_SIZE]) -> Result<TraceHeader, TraceError> {
-        let expected_version = if buf[0..8] == MAGIC {
-            VERSION
-        } else if buf[0..8] == MAGIC2 {
-            VERSION2
-        } else {
-            return Err(TraceError::BadMagic);
-        };
+        let expected_version = [VERSION, VERSION2, VERSION3]
+            .into_iter()
+            .find(|&v| magic_of(v).is_some_and(|m| buf[0..8] == m))
+            .ok_or(TraceError::BadMagic)?;
         let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
         let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let version = u32_at(8);
@@ -158,14 +166,24 @@ impl TraceHeader {
     }
 }
 
+/// The magic of format generation `version`, if it is one.
+fn magic_of(version: u32) -> Option<[u8; 8]> {
+    match version {
+        VERSION => Some(MAGIC),
+        VERSION2 => Some(MAGIC2),
+        VERSION3 => Some(MAGIC3),
+        _ => None,
+    }
+}
+
 /// Why a trace could not be read.
 #[derive(Debug)]
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with [`MAGIC`], [`MAGIC2`] or [`MAGIC3`].
     BadMagic,
-    /// The file's format version is not [`VERSION`].
+    /// The file's format version is not the one its magic names.
     BadVersion(u32),
     /// The header claims a record size other than [`RECORD_SIZE`].
     BadRecordSize(u32),
@@ -181,7 +199,7 @@ impl std::fmt::Display for TraceError {
             TraceError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace version {v} (this build reads {VERSION} and {VERSION2})"
+                    "unsupported trace version {v} (this build reads {VERSION}, {VERSION2} and {VERSION3})"
                 )
             }
             TraceError::BadRecordSize(s) => {
@@ -209,14 +227,15 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Streams records into the binary trace format: the v2 header, then
-/// the compressed [`codec`](crate::codec) stream.
+/// Streams records into the binary trace format: the header, then the
+/// compressed [`codec`](crate::codec) stream of the header's generation
+/// (v3, or v2 when the header asks for it).
 pub struct TraceWriter<W: Write + Seek> {
     out: W,
     events: u64,
     bytes: u64,
     tsc_hz: u64,
-    encoder: Lp2Encoder,
+    encoder: Encoder,
     /// Encoded records not yet written to `out`.
     scratch: Vec<u8>,
 }
@@ -227,10 +246,13 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// A v1 header (what reading an LPTRACE1 trace yields) is
     /// `InvalidInput`: that generation is read-only.
     pub fn new(mut out: W, header: &TraceHeader) -> io::Result<TraceWriter<W>> {
-        if header.version != VERSION2 {
+        if header.version != VERSION2 && header.version != VERSION3 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("trace format {} is read-only; writers emit {VERSION2}", header.version),
+                format!(
+                    "trace format {} is read-only; writers emit {VERSION3} (or {VERSION2})",
+                    header.version
+                ),
             ));
         }
         out.write_all(&header.encode())?;
@@ -239,7 +261,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             events: 0,
             bytes: HEADER_SIZE as u64,
             tsc_hz: header.tsc_hz,
-            encoder: Lp2Encoder::new(),
+            encoder: Encoder::for_version(header.version),
             scratch: Vec::with_capacity(BATCH_BYTES + MAX_ENCODED_SIZE),
         })
     }
@@ -306,13 +328,13 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<(TraceHeader, Vec<EventRecord>), 
     })?;
     let header = TraceHeader::decode(&hdr)?;
     let mut records = Vec::new();
-    if header.version == VERSION2 {
-        // v2 records are variable-length: pull the payload in and let
-        // the streaming decoder delimit (clean EOF at a boundary ends
-        // the trace; EOF inside a record is Truncated).
+    if header.version != VERSION {
+        // v2 and v3 records are variable-length: pull the payload in and
+        // let the streaming decoder delimit (clean EOF at a boundary
+        // ends the trace; EOF inside a record is Truncated).
         let mut payload = Vec::new();
         r.read_to_end(&mut payload).map_err(TraceError::Io)?;
-        records = Lp2Decoder::new().decode_all(&payload, 0)?;
+        records = Decoder::for_version(header.version).decode_all(&payload, 0)?;
     } else {
         let mut buf = [0u8; RECORD_SIZE];
         loop {
@@ -443,7 +465,7 @@ mod tests {
         assert_eq!(events, 5);
 
         let (h, recs) = read_trace(Cursor::new(cursor.into_inner())).unwrap();
-        assert_eq!(h.version, VERSION2, "new headers are stamped v2");
+        assert_eq!(h.version, VERSION3, "new headers are stamped v3");
         assert_eq!(h.events_dropped, 42, "finalize patches the header");
         assert_eq!(h.source_mechanism, "sim:lazypoline");
         assert_eq!(h.tsc_hz, 2_100_000_000);
@@ -498,6 +520,36 @@ mod tests {
         assert!(
             v2_bytes * 3 <= v1_bytes,
             "v2 at least 3x smaller here: {v2_bytes} vs {v1_bytes}"
+        );
+    }
+
+    /// A writer given a v2 header writes v2, and the same records at v3
+    /// (the default) come out smaller and read back the same.
+    #[test]
+    fn the_header_picks_the_generation_written() {
+        let write = |header: TraceHeader| {
+            let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
+            for i in 0..200 {
+                w.append(&EventRecord {
+                    tsc: 1000 * i,
+                    ..sample(i % 4)
+                })
+                .unwrap();
+            }
+            w.finalize(0).unwrap().0.into_inner()
+        };
+        let v2 = write(TraceHeader::new("x", 0).with_version(VERSION2));
+        let v3 = write(TraceHeader::new("x", 0));
+        assert_eq!((&v2[..8], &v3[..8]), (&MAGIC2[..], &MAGIC3[..]));
+        let (h2, r2) = read_trace(Cursor::new(&v2)).unwrap();
+        let (h3, r3) = read_trace(Cursor::new(&v3)).unwrap();
+        assert_eq!((h2.version, h3.version), (VERSION2, VERSION3));
+        assert_eq!(r2, r3);
+        assert!(
+            v3.len() * 2 < v2.len(),
+            "v3 {} B, v2 {} B",
+            v3.len(),
+            v2.len()
         );
     }
 

@@ -12,10 +12,12 @@
 //!    [`Recorder`] session spills the rings into a versioned binary
 //!    trace — by default a dedicated drain thread continuously sweeps
 //!    the rings into the trace file in the compressed
-//!    `LPTRACE2` encoding (delta tsc, varint args, dictionary
-//!    sysno/site), so producers keep up at full event rate with zero
-//!    drops; `LPTRACE1`'s fixed-size records are read-only, and both
-//!    generations read back transparently, with an strace-like
+//!    `LPTRACE3` encoding (delta tsc, dictionary sysno/site, varint
+//!    args and ret written only where they differ from the last record
+//!    from the same site), so producers keep up at full event rate with
+//!    zero drops; `LPTRACE2` is written on request, `LPTRACE1`'s
+//!    fixed-size records are read-only, and all three generations read
+//!    back transparently, with an strace-like
 //!    [`dump_trace`] rendering built on the shared
 //!    [`format_syscall_line`](interpose::format_syscall_line).
 //! 3. **Deterministic replay** ([`ReplayHandler`]): re-runs a workload
@@ -43,7 +45,7 @@ mod tsc;
 pub use event::{EventRecord, RECORD_SIZE};
 pub use format::{
     dump_trace, read_trace, read_trace_path, render_record, TraceError, TraceHeader, TraceWriter,
-    HEADER_SIZE, MAGIC, MAGIC2, VERSION, VERSION2,
+    HEADER_SIZE, MAGIC, MAGIC2, MAGIC3, VERSION, VERSION2, VERSION3,
 };
 pub use record::{
     events_dropped, events_recorded, events_spilled, DrainMode, RecordHandler, RecordSummary,

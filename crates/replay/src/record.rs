@@ -231,7 +231,7 @@ enum Mode {
 /// the file and the drain thread are the opener's, and the rings the
 /// child keeps pushing into are its private copy.
 ///
-/// Events reach the file one way: rings → `drain::sweep` → LPTRACE2
+/// Events reach the file one way: rings → `drain::sweep` → LPTRACE3
 /// encoder → `pwrite64` file sink. Under [`DrainMode::Async`] a
 /// dedicated drain thread sweeps continuously — at steady state
 /// producers never meet a full ring, so `events_dropped == 0`; under

@@ -6,7 +6,8 @@
 //! path:
 //!
 //! 1. **Learning pass** ([`Policy::learn`]): folds one or more recorded
-//!    `LPTRACE1`/`LPTRACE2` traces into a syscall-transition automaton —
+//!    traces (any generation, `LPTRACE1`–`LPTRACE3`) into a
+//!    syscall-transition automaton —
 //!    an N×N bitmatrix over sysno pairs (N = 512, one cache line per
 //!    row) plus optional per-sysno origin-site sets taken from the
 //!    trace's invocation sites. Transitions are folded **per thread**:

@@ -22,7 +22,7 @@
 //! The bitmatrix is row-major little-endian: row = previous sysno
 //! (8 words = 512 bits per row, one cache line), bit = next sysno.
 //! Each origin entry is `varint sysno, varint site-count, varint
-//! sites...` reusing the `LPTRACE2` codec. Everything little-endian.
+//! sites...` reusing the trace codec's varints. Everything little-endian.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -11,6 +11,9 @@
 //! lp-trace policy-dump /tmp/jit.sfip              # render a policy's transition automaton
 //! ```
 //!
+//! `record` writes LPTRACE3, the generation every recording writes;
+//! `replay`, `dump` and `learn` read LPTRACE1, LPTRACE2 and LPTRACE3.
+//!
 //! `record` runs a *fixed* workload so that `replay` of the same trace
 //! is deterministic: simulated mechanisms run the JIT guest program
 //! from the paper's exhaustiveness experiment (§V-A); native
@@ -27,7 +30,8 @@ fn usage() -> ExitCode {
          \x20      lp-trace replay <trace>\n\
          \x20      lp-trace dump [--stats] <trace>\n\
          \x20      lp-trace learn <trace>... <policy-out>\n\
-         \x20      lp-trace policy-dump <policy>"
+         \x20      lp-trace policy-dump <policy>\n\
+         record writes LPTRACE3; replay, dump and learn read LPTRACE1, 2 and 3"
     );
     ExitCode::from(2)
 }

@@ -4,6 +4,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 use lazypoline_suite::{hookabi, replay};
 
@@ -390,12 +391,12 @@ fn fork_exec_tree() {
     let reference = plain("/bin/sh").args(["-c", &script]).output().unwrap();
     assert!(reference.status.success() && reference.stdout.ends_with(b"\n64\n"));
     for name in ["lazypoline", "zpoline", "sud", "lazypoline+record"] {
-        let out = preloaded(&so, "/bin/sh")
+        let mut shell = preloaded(&so, "/bin/sh");
+        shell
             .args(["-c", &script])
             .env("LP_MECHANISM", name)
-            .env("LP_TRACE_OUT", root.join("tree.%p.lpt"))
-            .output()
-            .unwrap();
+            .env("LP_TRACE_OUT", root.join("tree.%p.lpt"));
+        let out = output_within(shell, SHELL_DEADLINE, name, &root);
         let stderr = stderr_of(&out);
         assert_eq!(out.status.code(), reference.status.code(), "{name}: {stderr}");
         assert_eq!(out.stdout, reference.stdout, "{name}: {stderr}");
@@ -413,6 +414,69 @@ fn fork_exec_tree() {
         assert!(!events.is_empty(), "{}", trace.display());
     }
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// How long one shell of [`fork_exec_tree`] may run; it takes well
+/// under a second.
+const SHELL_DEADLINE: Duration = Duration::from_secs(30);
+
+/// `cmd`'s output, its stdout and stderr going through files in `dir`.
+/// A process that outlives `deadline` is killed with its descendants,
+/// and the test fails naming `what` and showing each one's
+/// `/proc/<pid>/stat`: a hang is a failure with evidence, not a
+/// timeout of the whole run.
+fn output_within(mut cmd: Command, deadline: Duration, what: &str, dir: &Path) -> Output {
+    let (out, err) = (dir.join("stdout"), dir.join("stderr"));
+    let mut child = cmd
+        .stdout(std::fs::File::create(&out).unwrap())
+        .stderr(std::fs::File::create(&err).unwrap())
+        .spawn()
+        .unwrap();
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() > deadline {
+            let tree = process_tree(child.id());
+            let evidence: Vec<String> = tree
+                .iter()
+                .map(|pid| {
+                    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat"));
+                    format!("/proc/{pid}/stat: {}", stat.unwrap_or_else(|e| e.to_string()).trim())
+                })
+                .collect();
+            for &pid in &tree {
+                // SAFETY: `kill` takes no pointers; the pids are this
+                // test's child and its descendants.
+                unsafe { libc::kill(pid as libc::pid_t, libc::SIGKILL) };
+            }
+            let _ = child.wait();
+            panic!("{what}: still running after {deadline:?}, killed\n{}", evidence.join("\n"));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    Output {
+        status,
+        stdout: std::fs::read(&out).unwrap(),
+        stderr: std::fs::read(&err).unwrap(),
+    }
+}
+
+/// `pid` and its live descendants, parents first, as far as
+/// `/proc/<pid>/task/<tid>/children` tells.
+fn process_tree(pid: u32) -> Vec<u32> {
+    let mut tree = vec![pid];
+    let mut i = 0;
+    while let Some(&pid) = tree.get(i) {
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).into_iter().flatten();
+        for task in tasks.flatten() {
+            let children = std::fs::read_to_string(task.path().join("children")).unwrap_or_default();
+            tree.extend(children.split_whitespace().filter_map(|c| c.parse::<u32>().ok()));
+        }
+        i += 1;
+    }
+    tree
 }
 
 /// A hardened shell takes its wrapped signals: a trapped `SIGUSR1`, and

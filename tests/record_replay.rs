@@ -34,7 +34,7 @@ fn tracing_to(trace: &std::path::Path) -> EnvConfig {
 
 /// Records the fixed JIT workload under `sim:lazypoline+record` and
 /// returns the trace path (caller removes it). Recordings are
-/// LPTRACE2; tests that poke fixed byte offsets start from
+/// LPTRACE3; tests that poke fixed byte offsets start from
 /// [`jit_v1_fixture_copy`].
 fn record_jit_trace(tag: &str) -> PathBuf {
     let trace = temp_trace(tag);
@@ -65,6 +65,10 @@ fn jit_v1_fixture() -> PathBuf {
 
 fn jit_v2_fixture() -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jit_v2.lpt2")
+}
+
+fn jit_v3_fixture() -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jit_v3.lpt3")
 }
 
 /// A temp copy of the committed LPTRACE1 recording of the same JIT
@@ -285,13 +289,13 @@ fn drainer_sustains_multi_producer_load_with_zero_drops() {
     assert_eq!(summary.events, PRODUCED, "every produced event is spilled");
     assert!(
         summary.bytes * 2 < PRODUCED * replay::RECORD_SIZE as u64,
-        "LPTRACE2 beats the fixed layout: {} bytes for {PRODUCED} events",
+        "LPTRACE3 beats the fixed layout: {} bytes for {PRODUCED} events",
         summary.bytes
     );
 
     // The trace itself holds every event, decodable transparently.
     let (header, records) = replay::read_trace_path(&trace).unwrap();
-    assert_eq!(header.version, replay::VERSION2);
+    assert_eq!(header.version, replay::VERSION3);
     assert_eq!(records.len() as u64, PRODUCED);
     // The sweep's cross-ring sort keeps each ring's FIFO order: per
     // producer (`args[0]`) the `ret`s come back strictly ascending.
@@ -437,18 +441,56 @@ fn committed_lptrace2_fixture_decodes_and_replays() {
     assert_eq!(state.divergences(), 0);
 }
 
-/// The encoder still writes the committed fixture's payload: its
-/// records, decoded and encoded again, are the same bytes.
+/// The committed LPTRACE3 fixture, recorded from the same JIT workload
+/// as the v1 and v2 fixtures, decodes and replays.
 #[test]
-fn lptrace2_fixture_reencodes_byte_for_byte() {
-    let bytes = std::fs::read(jit_v2_fixture()).expect("fixture reads");
-    let (_, records) = replay::read_trace_path(&jit_v2_fixture()).expect("fixture decodes");
-    let mut encoder = replay::codec::Lp2Encoder::new();
+fn committed_lptrace3_fixture_decodes_and_replays() {
+    let _g = record_lock();
+    let fixture = jit_v3_fixture();
+    let (header, records) = replay::read_trace_path(&fixture).expect("fixture decodes");
+    assert_eq!(header.version, replay::VERSION3);
+    assert_eq!(header.source_mechanism, "sim:lazypoline");
+    let (_, v2_records) = replay::read_trace_path(&jit_v2_fixture()).expect("v2 fixture decodes");
+    let sysnos = |r: &[replay::EventRecord]| r.iter().map(|e| e.sysno).collect::<Vec<_>>();
+    assert_eq!(sysnos(&records), sysnos(&v2_records), "the same workload");
+
+    let name = format!("replay:{}", fixture.display());
+    let mut active = mechanism::by_name(&name)
+        .unwrap()
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("v3 fixture loads");
+    let out = active
+        .run_program(&sim_workloads::jit::build())
+        .expect("replay base is simulated");
+    assert_eq!(out.exit, 0);
+    let state = active.replay_state().expect("replay backend").clone();
+    assert_eq!(state.position(), state.len(), "whole fixture consumed");
+    assert_eq!(state.divergences(), 0);
+}
+
+/// The encoder still writes each committed fixture's payload at that
+/// fixture's generation: its records, decoded and encoded again, are
+/// the same bytes.
+fn reencodes_byte_for_byte(fixture: &std::path::Path, version: u32) {
+    let bytes = std::fs::read(fixture).expect("fixture reads");
+    let (header, records) = replay::read_trace_path(fixture).expect("fixture decodes");
+    assert_eq!(header.version, version);
+    let mut encoder = replay::codec::Encoder::for_version(version);
     let mut payload = Vec::new();
     for rec in &records {
         encoder.encode(rec, &mut payload);
     }
     assert_eq!(payload, bytes[HEADER_SIZE..]);
+}
+
+#[test]
+fn lptrace2_fixture_reencodes_byte_for_byte() {
+    reencodes_byte_for_byte(&jit_v2_fixture(), replay::VERSION2);
+}
+
+#[test]
+fn lptrace3_fixture_reencodes_byte_for_byte() {
+    reencodes_byte_for_byte(&jit_v3_fixture(), replay::VERSION3);
 }
 
 /// `LP_REPLAY_BASE` replaces the trace's own mechanism as the base a
