@@ -41,6 +41,25 @@
 //! ~4 ns an instruction against ~10.6 through the general decoder,
 //! libc's text in ~9.9 against ~19.6 (EXPERIMENTS.md, "A SIGSYS pays
 //! for the bytes it proves").
+//!
+//! # Two walks, one oracle
+//!
+//! [`sweep`] decodes every instruction in turn. It is the reference: the
+//! static scanner uses it, and so does lpbench's
+//! `zpoline.sweep_ns_per_page` row. [`walk`] is the slow path's. It
+//! yields what [`sweep`] yields, at the same offsets, except for
+//! one-byte instructions (one opcode byte, no ModRM, no immediate: an
+//! entry of 1 in the one-byte fast table). It steps over a run of those
+//! without decoding it. A JIT page's `ret`/`int3`/`nop` fill goes 16
+//! bytes at a time with SSE2, and any other one-byte instruction one
+//! byte at a time. Its oracle is [`sweep`] with the one-byte
+//! instructions filtered out, checked on arbitrary bytes, on
+//! compiler-shaped streams with runs of fill, and from every offset of
+//! live text. [`last_syscall_pair`] gives the slow path its bound, the
+//! last `0f 05` pair, with one vector scan from the end. On compiled
+//! text, runs of one-byte instructions are a fraction of a percent of
+//! the bytes, so there the walk decodes nearly all that the sweep does
+//! (EXPERIMENTS.md, "A SIGSYS decodes only what can hold a syscall").
 
 /// A decoded instruction (length + the properties the scanner needs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -629,6 +648,135 @@ impl Iterator for Sweep<'_> {
     }
 }
 
+/// The [`FAST_ONE`] entry of a *one-byte instruction*: one opcode byte,
+/// no ModRM, no immediate (`c3`, `cc`, `90`, `50`-`5f`, `f8`-`fd`, …).
+/// No prefix, REX or escape byte has it, so such a byte decodes as
+/// itself — length 1, known, not a syscall — whatever follows it.
+const ONE_BYTE_INSN: u8 = 1;
+
+/// Whether `byte` alone is a whole instruction (see [`ONE_BYTE_INSN`]).
+#[inline(always)]
+fn is_one_byte(byte: u8) -> bool {
+    FAST_ONE[byte as usize] == ONE_BYTE_INSN
+}
+
+/// [`sweep`] without its one-byte instructions: the same `(offset,
+/// Insn)` pairs, at the same offsets, for every other instruction. A run
+/// of one-byte instructions — the fill between a JIT page's stubs — is
+/// stepped over, not decoded: `ret`, `int3` and `nop` 16 at a time,
+/// other one-byte instructions one at a time by a table load.
+///
+/// The slow path's batch rewrite walks with this; [`sweep`] is its
+/// per-instruction reference and oracle (`tests/disasm_prop.rs`).
+pub fn walk(bytes: &[u8]) -> Walk<'_> {
+    Walk { bytes, pos: 0 }
+}
+
+/// Iterator returned by [`walk`].
+#[derive(Debug)]
+pub struct Walk<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = (usize, Insn);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, Insn)> {
+        let at = skip_one_byte_run(self.bytes, self.pos);
+        if at >= self.bytes.len() {
+            self.pos = at;
+            return None;
+        }
+        let insn = decode(&self.bytes[at..]);
+        self.pos = at + insn.len;
+        Some((at, insn))
+    }
+}
+
+/// The first offset from `pos` on that does not hold a one-byte
+/// instruction (`bytes.len()` if none does).
+#[inline]
+fn skip_one_byte_run(bytes: &[u8], mut pos: usize) -> usize {
+    // In compiled code the answer is nearly always `pos`, from the one
+    // table load `decode` makes next anyway.
+    while let Some(&byte) = bytes.get(pos) {
+        if !is_one_byte(byte) {
+            break;
+        }
+        pos += 1;
+        while let Some(chunk) = bytes.get(pos..).and_then(<[u8]>::first_chunk) {
+            let fill = common_fill_mask(chunk);
+            if fill != 0xffff {
+                // Up to the first byte that is not common fill.
+                pos += (!fill).trailing_zeros() as usize;
+                break;
+            }
+            // A constant step: the next load waits on no byte loaded.
+            pos += 16;
+        }
+    }
+    pos
+}
+
+/// Bit `i` set when `chunk[i]` is one of the common fill bytes — `c3`
+/// (`ret`), `cc` (`int3`), `90` (`nop`) — all one-byte instructions.
+#[inline(always)]
+fn common_fill_mask(chunk: &[u8; 16]) -> u32 {
+    eq_mask(chunk, 0xc3) | eq_mask(chunk, 0xcc) | eq_mask(chunk, 0x90)
+}
+
+/// Bit `i` set when `chunk[i] == byte`: one SSE2 compare. SSE2 is in
+/// the x86-64 baseline, so nothing is detected at run time (a `cpuid`
+/// in a VM costs more than the page).
+#[inline(always)]
+fn eq_mask(chunk: &[u8; 16], byte: u8) -> u32 {
+    use core::arch::x86_64::{_mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8};
+    // SAFETY: every x86-64 has SSE2; the load reads the 16 bytes of
+    // `chunk`, with no alignment required.
+    unsafe {
+        let v = _mm_loadu_si128(chunk.as_ptr().cast());
+        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8(byte as i8))) as u32
+    }
+}
+
+/// The offset of the last `0f 05` byte pair in `bytes` — the last place
+/// a `syscall` can end — found by one scan from the end, 64 pair
+/// positions a step. Equal to
+/// `bytes.windows(2).rposition(|p| p == [0x0f, 0x05])`.
+pub fn last_syscall_pair(bytes: &[u8]) -> Option<usize> {
+    // A step covers pair positions `at..at + 64`, which read one byte
+    // more; one without a `0f` needs no second look.
+    const STEP: usize = 64;
+    let Some(mut at) = bytes.len().checked_sub(STEP + 1) else {
+        return bytes.windows(2).rposition(|pair| pair == [0x0f, 0x05]);
+    };
+    loop {
+        let step = |from: usize| bytes[from..].first_chunk().expect("a step reads 65 bytes");
+        let opens = eq_mask64(step(at), 0x0f);
+        if opens != 0 {
+            let pairs = opens & eq_mask64(step(at + 1), 0x05);
+            if pairs != 0 {
+                return Some(at + 63 - pairs.leading_zeros() as usize);
+            }
+        }
+        if at == 0 {
+            return None;
+        }
+        // The last step overlaps the one before it, which held no pair.
+        at = at.saturating_sub(STEP);
+    }
+}
+
+/// [`eq_mask`] of 64 bytes.
+#[inline(always)]
+fn eq_mask64(bytes: &[u8; 64], byte: u8) -> u64 {
+    let (lanes, _) = bytes.as_chunks::<16>();
+    let lane = |i: usize| u64::from(eq_mask(&lanes[i], byte)) << (16 * i);
+    lane(0) | lane(1) | lane(2) | lane(3)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,6 +895,27 @@ mod tests {
         assert!(!decode(&[0x48]).known);
         assert!(!decode(&[0xe8, 0x01]).known); // call missing imm bytes
         assert!(!decode(&[]).known || decode(&[]).len == 1);
+    }
+
+    #[test]
+    fn one_byte_class_is_the_decoders() {
+        let alone = Insn::new(1, false);
+        let mut buf = [0u8; 16];
+        for byte in 0..=255u8 {
+            buf[0] = byte;
+            // Alone means alone after any next byte, at any length.
+            let decodes_alone = (0..=255u8).all(|next| {
+                buf[1] = next;
+                (1..=16).all(|len| decode_general(&buf[..len]) == alone)
+            });
+            assert_eq!(is_one_byte(byte), decodes_alone, "{byte:#04x}");
+        }
+        for byte in [0xc3, 0xcc, 0x90, 0x50, 0x5f, 0xf8, 0xfd] {
+            assert!(is_one_byte(byte), "{byte:#04x}");
+        }
+        for byte in [0x0f, 0x40, 0x48, 0x4f, 0x66, 0xf3, 0xc4, 0xc5, 0x62, 0xcd] {
+            assert!(!is_one_byte(byte), "{byte:#04x}");
+        }
     }
 
     #[test]

@@ -403,26 +403,24 @@ pub(crate) unsafe fn patch_window(
 unsafe fn sweep_after(anchor: usize, page_end: usize, note: impl Fn(usize) + Copy) -> usize {
     let tail = std::slice::from_raw_parts(anchor as *const u8, page_end - anchor);
     // Every site the sweep can report is a `0f 05` pair wholly on the
-    // page: the last such pair bounds the decode, and a page without one
-    // (most JIT pages) needs none. Trailing 64-byte blocks with no `0f`
-    // are ruled out by a fold that vectorizes (0.2 µs a page, not 2 µs).
-    // The anchor, now `call rax`, still decodes as 2 bytes.
-    let no_0f = |block: &&[u8]| !block.iter().fold(false, |hit, &b| hit | (b == 0x0f));
-    let clean = tail.rchunks(64).take_while(no_0f).count() * 64;
-    let dirty = &tail[..(tail.len().saturating_sub(clean) + 1).min(tail.len())];
-    let Some(last) = dirty.windows(2).rposition(|pair| pair == SYSCALL_BYTES) else {
+    // page, so the last such pair (one vector scan from the end) ends
+    // the walk, and a page without one (most JIT pages) needs none.
+    // Cutting the tail there changes no site: an instruction the cut
+    // shortens decodes as unknown and stops the walk, but it would have
+    // ended past the last pair, so neither it nor anything after it is
+    // a site. The anchor, now `call rax`, still decodes as 2 bytes.
+    let Some(last) = disasm::last_syscall_pair(tail) else {
         return 0;
     };
     let mut patched = 0usize;
-    for (off, insn) in disasm::sweep(tail) {
-        // Past the last candidate no instruction can end in one; at an
-        // unknown one synchronization can no longer be argued.
-        if off > last || !insn.known {
+    for (off, insn) in disasm::walk(&tail[..last + 2]) {
+        // At an unknown instruction synchronization can no longer be
+        // argued.
+        if !insn.known {
             break;
         }
-        let site = anchor + off + insn.len - 2;
-        if insn.is_syscall && site + 2 <= page_end {
-            patched += store_call_rax(site, note);
+        if insn.is_syscall {
+            patched += store_call_rax(anchor + off + insn.len - 2, note);
         }
     }
     patched
@@ -891,17 +889,40 @@ mod tests {
         }
     }
 
+    /// One-byte fills a JIT page's gaps are seeded with: the common
+    /// ones (`ret`, `int3`, `nop`) and a mix of the others (`push`/`pop`
+    /// and `clc`..`std`), whose runs the walk steps one byte at a time.
+    const FILLS: [&[u8]; 4] = [
+        &[0xc3],
+        &[0xcc],
+        &[0x90],
+        &[
+            0x50, 0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59, 0x5a, 0x5b, 0x5c, 0x5d,
+            0x5e, 0x5f, 0xf8, 0xf9, 0xfa, 0xfb, 0xfc, 0xfd, 0xc3,
+        ],
+    ];
+
+    /// A page of one-byte instructions drawn from `fill`.
+    fn filled_page(rng: &mut Rng, fill: &[u8]) -> [u8; 4096] {
+        let mut page = [0u8; 4096];
+        for b in page.iter_mut() {
+            *b = fill[rng.below(fill.len())];
+        }
+        page
+    }
+
     /// A seeded page and an anchor on it. Even seeds look like a JIT
-    /// page: `ret` fill, getpid stubs and `mov eax, 0x50f` decoys in
-    /// random 16-byte slots (so decoys land before, between and after
-    /// the real sites), sometimes an undecodable byte among them; the
-    /// anchor is any of the stubs. Odd seeds are bytes drawn from a
-    /// small alphabet that desynchronizes the sweep, around one pair.
-    fn seeded_page(seed: u64) -> ([u8; 4096], usize) {
+    /// page: gaps of one-byte `fill`, getpid stubs and `mov eax, 0x50f`
+    /// decoys in random 16-byte slots (so decoys land before, between
+    /// and after the real sites), sometimes an undecodable byte among
+    /// them; the anchor is any of the stubs. Odd seeds are bytes drawn
+    /// from a small alphabet that desynchronizes the sweep, around one
+    /// pair.
+    fn seeded_page(seed: u64, fill: &[u8]) -> ([u8; 4096], usize) {
         const STUB: [u8; 8] = [0xb8, 0x27, 0, 0, 0, 0x0f, 0x05, 0xc3];
         const DECOY: [u8; 5] = [0xb8, 0x0f, 0x05, 0x00, 0x00];
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-        let mut page = [0xc3u8; 4096];
+        let mut page = filled_page(&mut Rng(!seed), fill);
         if seed % 2 == 1 {
             const ALPHABET: [u8; 12] = [
                 0x0f, 0x05, 0xc3, 0x90, 0x48, 0xb8, 0xe8, 0x06, 0xff, 0xd0, 0x00, 0x66,
@@ -938,15 +959,31 @@ mod tests {
         if !trampoline_ready() {
             return;
         }
-        let mut cases: Vec<_> = (0..400).map(seeded_page).collect();
-        // The last pair of a page straddling two of the 64-byte blocks
-        // the candidate scan works in, the later one without any `0f`.
-        for block_end in [64, 1024, 4032] {
-            let mut page = [0xc3u8; 4096];
-            for site in [5, block_end - 1] {
-                page[site..site + 2].copy_from_slice(&SYSCALL_BYTES);
+        let mut cases: Vec<_> = (0..400).map(|seed| seeded_page(seed, FILLS[0])).collect();
+        for fill in &FILLS[1..] {
+            cases.extend((0..400).step_by(2).map(|seed| seeded_page(seed, fill)));
+        }
+        let mut rng = Rng(0x5eed);
+        for fill in FILLS {
+            // The last pair of a page straddling two 64-byte blocks, the
+            // later one without any `0f`.
+            for block_end in [64, 1024, 4032] {
+                let mut page = filled_page(&mut rng, fill);
+                for site in [5, block_end - 1] {
+                    page[site..site + 2].copy_from_slice(&SYSCALL_BYTES);
+                }
+                cases.push((page, 5));
             }
-            cases.push((page, 5));
+            // A run that ends `k` bytes before the page end, where a site
+            // starts, or (k = 1) a `0f` is the page's last byte.
+            for k in 1..=15 {
+                let mut page = filled_page(&mut rng, fill);
+                page[5..7].copy_from_slice(&SYSCALL_BYTES);
+                page[2000..2002].copy_from_slice(&SYSCALL_BYTES);
+                let end = (4096 - k + 2).min(4096);
+                page[4096 - k..end].copy_from_slice(&SYSCALL_BYTES[..end - (4096 - k)]);
+                cases.push((page, 5));
+            }
         }
         unsafe {
             let p = map_pages(1, RWX);

@@ -4,7 +4,7 @@
 //! ironclad even where its *identification* is best-effort.
 
 use proptest::prelude::*;
-use lp_zpoline::disasm::{decode, decode_general, sweep};
+use lp_zpoline::disasm::{decode, decode_general, last_syscall_pair, sweep, walk, Insn};
 
 proptest! {
     /// Arbitrary bytes never produce a zero-length decode (which would
@@ -269,5 +269,176 @@ fn libc_scan_is_the_same_through_either_decoder() {
             let sites = report.sites.len();
             assert!(sites > 100, "{sites} sites in {path}");
         }
+    }
+}
+
+// ---- `walk` (the slow path's) against `sweep` (its oracle) ----
+
+/// What `decode` says of a one-byte instruction.
+const ONE_BYTE: Insn = Insn {
+    len: 1,
+    known: true,
+    is_syscall: false,
+};
+
+/// Every byte that is a whole instruction by itself (the decoder's unit
+/// tests hold this to what follows it, too).
+fn one_byte_insns() -> Vec<u8> {
+    (0..=255u8)
+        .filter(|&b| decode_general(&[b]) == ONE_BYTE)
+        .collect()
+}
+
+/// The oracle: `sweep` with its one-byte instructions filtered out.
+fn sweep_without_one_byte_insns(bytes: &[u8]) -> impl Iterator<Item = (usize, Insn)> + '_ {
+    sweep(bytes).filter(|&(_, insn)| insn != ONE_BYTE)
+}
+
+/// Whether `walk` yields what the oracle does on `bytes`.
+fn walk_is_the_oracle(bytes: &[u8]) -> bool {
+    walk(bytes).eq(sweep_without_one_byte_insns(bytes))
+}
+
+/// A run of 1-40 copies of one one-byte instruction.
+fn one_byte_run() -> impl Strategy<Value = Vec<u8>> {
+    let class = one_byte_insns();
+    ((0..class.len()), 1usize..=40).prop_map(move |(i, n)| vec![class[i]; n])
+}
+
+proptest! {
+    #[test]
+    fn walk_is_the_sweep_without_one_byte_insns(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300)
+    ) {
+        let walked: Vec<_> = walk(&bytes).collect();
+        prop_assert_eq!(walked, sweep_without_one_byte_insns(&bytes).collect::<Vec<_>>());
+    }
+
+    /// Compiler-shaped streams with runs of fill among them: runs cross
+    /// 16-byte lanes, follow each other (mixed fill), and end anywhere,
+    /// the buffer's last 15 bytes included.
+    #[test]
+    fn walk_steps_over_runs_in_wellformed_streams(
+        parts in proptest::collection::vec(prop_oneof![wellformed_insn(), one_byte_run()], 1..24),
+        cut in 0usize..16
+    ) {
+        let mut bytes: Vec<u8> = parts.concat();
+        bytes.truncate(bytes.len().saturating_sub(cut));
+        let walked: Vec<_> = walk(&bytes).collect();
+        prop_assert_eq!(walked, sweep_without_one_byte_insns(&bytes).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn last_pair_scan_agrees_with_rposition(
+        bytes in proptest::collection::vec(prop_oneof![any::<u8>(), Just(0x0f), Just(0x05)], 0..200)
+    ) {
+        let expect = bytes.windows(2).rposition(|pair| pair == [0x0f, 0x05]);
+        prop_assert_eq!(last_syscall_pair(&bytes), expect);
+    }
+}
+
+/// Every one-byte instruction, in runs of 1-40 that start at each
+/// position of a 16-byte lane and end 0-17 bytes before the buffer's
+/// end, between instructions that are not one byte long.
+#[test]
+fn walk_steps_over_every_one_byte_run() {
+    const HEAD: [u8; 3] = [0x48, 0x89, 0xe5]; // mov rbp, rsp
+    const TAIL: [u8; 17] = [
+        0x0f, 0x05, 0xb8, 1, 0, 0, 0, 0xeb, 0x10, 0x48, 0x83, 0xec, 0x20, 0x8b, 0x45, 0xfc, 0xe8,
+    ];
+    let mut buf = Vec::new();
+    for byte in one_byte_insns() {
+        for run in 1..=40 {
+            for lead in 0..16 {
+                for tail in [0, 1, 2, 7, 14, 15, 16, 17] {
+                    buf.clear();
+                    buf.extend(HEAD.iter().cycle().take(lead));
+                    buf.extend(std::iter::repeat_n(byte, run));
+                    buf.extend_from_slice(&TAIL[..tail]);
+                    assert!(walk_is_the_oracle(&buf), "{buf:02x?}");
+                }
+            }
+        }
+    }
+}
+
+/// Compiler output, walked from *every* byte offset. A walk keeps
+/// nothing but its offset, so its first item from each start is every
+/// item of every walk; the same start cut to 0-23 bytes (by the offset)
+/// adds every way a buffer's end can cut a run.
+#[test]
+fn walk_agrees_at_every_offset_of_live_text() {
+    for (path, text) in live_texts() {
+        assert!(walk_is_the_oracle(text), "{path}: whole text");
+        for off in 0..text.len() {
+            for rest in [&text[off..], &text[off..text.len().min(off + off % 24)]] {
+                let (got, expect) = (walk(rest).next(), sweep_without_one_byte_insns(rest).next());
+                let end = rest.len().min(24);
+                assert_eq!(got, expect, "{path}+{off:#x}: {:02x?}", &rest[..end]);
+            }
+        }
+    }
+}
+
+/// A page whose next page is `PROT_NONE`, so a read past its end
+/// faults; `fill` writes its bytes.
+fn page_before_a_guard(fill: impl FnOnce(&mut [u8])) -> &'static mut [u8] {
+    // SAFETY: a fresh private mapping, never unmapped: the page lives
+    // as long as the test binary.
+    unsafe {
+        let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS;
+        let p = libc::mmap(std::ptr::null_mut(), 8192, libc::PROT_NONE, flags, -1, 0);
+        assert_ne!(p, libc::MAP_FAILED);
+        assert_eq!(
+            libc::mprotect(p, 4096, libc::PROT_READ | libc::PROT_WRITE),
+            0
+        );
+        let page = std::slice::from_raw_parts_mut(p as *mut u8, 4096);
+        fill(page);
+        page
+    }
+}
+
+/// The bound scan on every tail of a page the slow path can hand it —
+/// lengths 0-4096, ending at the page's edge — on pages with their last
+/// pair early, late, in the last two bytes, cut by the edge, or absent.
+#[test]
+fn last_pair_scan_agrees_at_every_page_edge_length() {
+    let pages = [
+        page_before_a_guard(|p| p.fill(0xc3)),
+        page_before_a_guard(|p| {
+            p.fill(0xc3);
+            p[100..102].copy_from_slice(&[0x0f, 0x05]);
+        }),
+        page_before_a_guard(|p| {
+            p.fill(0x0f);
+            p[4094..].copy_from_slice(&[0x0f, 0x05]);
+        }),
+        page_before_a_guard(|p| {
+            p.fill(0x05);
+            p[4095] = 0x0f;
+            p[2048] = 0x0f;
+        }),
+        page_before_a_guard(|p| {
+            for (i, b) in p.iter_mut().enumerate() {
+                *b = [0x0f, 0x05, 0xc3, 0x0f][(i * 7 + i / 13) % 4];
+            }
+        }),
+    ];
+    for (n, page) in pages.iter().enumerate() {
+        for len in 0..=4096 {
+            let tail = &page[4096 - len..];
+            let expect = tail.windows(2).rposition(|pair| pair == [0x0f, 0x05]);
+            assert_eq!(last_syscall_pair(tail), expect, "page {n}, length {len}");
+        }
+        // The walk stops at the edge, too.
+        assert!(walk_is_the_oracle(page), "page {n}");
+    }
+    // One pair, at every distance from the edge.
+    let page = page_before_a_guard(|p| p.fill(0xc3));
+    for at in 0..4095 {
+        page[at..at + 2].copy_from_slice(&[0x0f, 0x05]);
+        assert_eq!(last_syscall_pair(page), Some(at), "pair at {at}");
+        page[at..at + 2].copy_from_slice(&[0xc3, 0xc3]);
     }
 }

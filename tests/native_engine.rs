@@ -1822,8 +1822,17 @@ unsafe fn ret_filled_rwx_page() -> *mut u8 {
 /// `ret` so a linear sweep of the page stays synchronized. Returns the
 /// page base.
 unsafe fn emit_getpid_page(count: usize) -> *mut u8 {
+    emit_getpid_page_filled(count, &[0xc3])
+}
+
+/// [`emit_getpid_page`] with the gaps between the functions filled by
+/// cycling through `fill`, a list of one-byte instructions.
+unsafe fn emit_getpid_page_filled(count: usize, fill: &[u8]) -> *mut u8 {
     assert!(count * 64 <= 4096);
     let p = ret_filled_rwx_page();
+    for (i, &byte) in (0..4096).zip(fill.iter().cycle()) {
+        p.add(i).write(byte);
+    }
     for i in 0..count {
         syscall_site(p, i, syscalls::nr::GETPID);
     }
@@ -1835,27 +1844,50 @@ const JIT_SITES: usize = 8;
 fn scenario_batch_rewrite() {
     // Multi-site workload, batching on (the default): the FIRST site's
     // SIGSYS must patch every site on the page, so the remaining calls
-    // all enter through the fast path.
+    // all enter through the fast path. Once per one-byte fill the
+    // slow path's walk steps over: `ret`, `int3`, `nop`, and a mix of
+    // `push`/`pop` and `clc`..`std`.
+    const FILLS: [&[u8]; 4] = [
+        &[0xc3],
+        &[0xcc],
+        &[0x90],
+        &[
+            0x50, 0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59, 0x5a, 0x5b, 0x5c, 0x5d,
+            0x5e, 0x5f, 0xf8, 0xf9, 0xfa, 0xfb, 0xfc, 0xfd,
+        ],
+    ];
     let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
-    unsafe {
-        let p = emit_getpid_page(JIT_SITES);
-        // Resolve the expected pid *before* the measurement window:
-        // libc's own getpid syscall site would otherwise contribute
-        // its SIGSYS to the counters being asserted on.
-        let pid = std::process::id() as u64;
-        let before = lazypoline::stats();
-        for i in 0..JIT_SITES {
-            let f: extern "C" fn() -> u64 = std::mem::transmute(p.add(i * 64));
-            assert_eq!(f(), pid, "site {i}");
+    for fill in FILLS {
+        unsafe {
+            let p = emit_getpid_page_filled(JIT_SITES, fill);
+            // Resolve the expected pid *before* the measurement window:
+            // libc's own getpid syscall site would otherwise contribute
+            // its SIGSYS to the counters being asserted on.
+            let pid = std::process::id() as u64;
+            let before = lazypoline::stats();
+            for i in 0..JIT_SITES {
+                let f: extern "C" fn() -> u64 = std::mem::transmute(p.add(i * 64));
+                assert_eq!(f(), pid, "fill {fill:02x?}, site {i}");
+            }
+            let after = lazypoline::stats();
+            let slow = after.slow_path_hits - before.slow_path_hits;
+            let patched = after.sites_patched - before.sites_patched;
+            // One SIGSYS patched the whole page; every subsequent site was
+            // already `call rax` when first executed.
+            assert_eq!(
+                slow, 1,
+                "fill {fill:02x?}: batch did not amortize SIGSYS: {after:?}"
+            );
+            assert!(
+                patched >= JIT_SITES as u64,
+                "fill {fill:02x?}: page not swept: {after:?}"
+            );
+            for i in 0..JIT_SITES {
+                let site = std::slice::from_raw_parts(p.add(i * 64 + 5), 2);
+                assert_eq!(site, [0xff, 0xd0], "fill {fill:02x?}, site {i}");
+            }
+            libc::munmap(p as *mut _, 4096);
         }
-        let after = lazypoline::stats();
-        let slow = after.slow_path_hits - before.slow_path_hits;
-        let patched = after.sites_patched - before.sites_patched;
-        // One SIGSYS patched the whole page; every subsequent site was
-        // already `call rax` when first executed.
-        assert_eq!(slow, 1, "batch did not amortize SIGSYS: {after:?}");
-        assert!(patched >= JIT_SITES as u64, "page not swept: {after:?}");
-        libc::munmap(p as *mut _, 4096);
     }
     active.detach();
 }
