@@ -48,7 +48,7 @@
 use std::os::unix::ffi::OsStrExt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lazypoline::proven::{self, FileMapping, Maps, RegionPerms};
+use lazypoline::proven::{self, FileMapping, Mapping, Maps, RegionPerms};
 use syscalls::{nr, raw, Errno, SyscallArgs};
 
 /// The rows whose slow path batch-rewrites; the others neither read nor
@@ -95,7 +95,6 @@ static OBJECTS_APPLIED: AtomicUsize = AtomicUsize::new(0);
 const AT_FDCWD: u64 = -100i64 as u64;
 const AT_SYMLINK_NOFOLLOW: u64 = 0x100;
 const AT_EMPTY_PATH: u64 = 0x1000;
-const AT_EXECFN: u64 = 31;
 const O_WRONLY: u64 = 0o1;
 const O_CREAT: u64 = 0o100;
 const O_EXCL: u64 = 0o200;
@@ -106,10 +105,6 @@ const S_IFMT: u32 = 0o170000;
 const S_IFDIR: u32 = 0o040000;
 const S_IFREG: u32 = 0o100000;
 const S_IFLNK: u32 = 0o120000;
-
-extern "C" {
-    fn getauxval(kind: u64) -> u64;
-}
 
 /// A NUL-terminated path of at most `N - 1` bytes, in a fixed buffer.
 #[derive(Clone)]
@@ -360,7 +355,7 @@ impl SiteCache {
         // from. A name only: each record is checked against the mappings.
         // SAFETY: getauxval(3) reads the auxiliary vector; AT_EXECFN is
         // a NUL-terminated path (or 0, which statx refuses).
-        let program = statx(AT_FDCWD, unsafe { getauxval(AT_EXECFN) }, 0)
+        let program = statx(AT_FDCWD, unsafe { libc::getauxval(libc::AT_EXECFN) }, 0)
             .map_err(|_| "the program's file cannot be found")?;
         self.entry = entry_name(program.dev, program.ino);
         // A cold start ends here: no buffers, no look at the mappings.
@@ -661,6 +656,7 @@ impl Arena {
             if self.n_maps == MAX_MAPS {
                 return;
             }
+            let m = &m.map;
             let Some((obj, _)) = self.object(m.dev, m.inode) else {
                 return;
             };
@@ -714,7 +710,8 @@ impl Arena {
         }
         let map = &self.maps[o.map];
         let mut m = FileMapping::empty();
-        (m.start, m.end, m.offset, m.dev, m.inode) = (map.start, map.end, map.offset, o.dev, o.ino);
+        (m.map.start, m.map.end, m.map.offset) = (map.start, map.end, map.offset);
+        (m.map.dev, m.map.inode) = (o.dev, o.ino);
         let current = maps.describe(&mut m).ok().and_then(|()| key_of(&m));
         if current.is_none_or(|(current, _)| current[..] != *key) {
             return false;
@@ -779,14 +776,14 @@ impl Arena {
         let (mut i, mut n) = (0, 0);
         while i < self.n_sites {
             let site = self.sites[i];
-            if maps.file_at(site, &mut m) != Ok(true) || site + 2 > m.end {
+            if maps.file_at(site, &mut m) != Ok(true) || site + 2 > m.map.end {
                 // Anonymous (JIT) text: the rest of its page is, too.
                 i += self.sites[i..self.n_sites].partition_point(|&s| s <= site | 4095);
                 continue;
             }
-            let held = i..i + self.sites[i..self.n_sites].partition_point(|&s| s + 2 <= m.end);
+            let held = i..i + self.sites[i..self.n_sites].partition_point(|&s| s + 2 <= m.map.end);
             i = held.end;
-            let Some((obj, new)) = self.object(m.dev, m.inode) else {
+            let Some((obj, new)) = self.object(m.map.dev, m.map.inode) else {
                 continue;
             };
             let o = &mut self.objs[obj];
@@ -797,7 +794,7 @@ impl Arena {
                     None => o.uncached = true,
                 }
             }
-            o.uncached |= !cacheable(&m, own);
+            o.uncached |= !cacheable(&m.map, own);
             if o.uncached {
                 continue;
             }
@@ -805,7 +802,7 @@ impl Arena {
                 // SAFETY: the mapping holds both bytes and is readable
                 // (`cacheable`).
                 if unsafe { (site as *const [u8; 2]).read() } == CALL_RAX {
-                    self.offs[n] = (obj, m.offset + (site - m.start) as u64);
+                    self.offs[n] = (obj, m.map.offset + (site - m.map.start) as u64);
                     n += 1;
                 }
             }
@@ -1023,13 +1020,14 @@ fn open_entry(dir: &Fd, name: &Name) -> Option<(Fd, usize)> {
 /// path itself, so they are never cached.
 fn own_object(maps: &Maps) -> Option<ObjId> {
     let mut m = FileMapping::empty();
-    (maps.file_at(own_object as *const () as usize, &mut m) == Ok(true)).then_some((m.dev, m.inode))
+    let found = maps.file_at(own_object as *const () as usize, &mut m) == Ok(true);
+    found.then_some((m.map.dev, m.map.inode))
 }
 
 /// Whether sites of mapping `m` may be cached: not of the interposer's
 /// own object `own`, not mapped execute-only (its bytes could not be
 /// checked).
-fn cacheable(m: &FileMapping, own: Option<ObjId>) -> bool {
+fn cacheable(m: &Mapping, own: Option<ObjId>) -> bool {
     m.perms.read && own != Some((m.dev, m.inode))
 }
 
@@ -1039,7 +1037,7 @@ fn key_of(m: &FileMapping) -> Option<([u8; KEY_LEN], Time)> {
     let mut path = Path::new();
     path.push(m.path())?;
     let st = statx(AT_FDCWD, path.ptr(), 0).ok()?;
-    if st.mode & S_IFMT != S_IFREG || (st.dev, st.ino) != (m.dev, m.inode) {
+    if st.mode & S_IFMT != S_IFREG || (st.dev, st.ino) != (m.map.dev, m.map.inode) {
         return None;
     }
     let id = m.build_id();

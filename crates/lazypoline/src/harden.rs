@@ -117,40 +117,49 @@ const fn insn(code: u16, jt: u8, jf: u8, k: u32) -> SockFilter {
     SockFilter { code, jt, jf, k }
 }
 
+/// The kernel's `[vsyscall]` page, at a fixed address on x86-64. Calls
+/// into it are emulated with the IP there, so it is admitted whether or
+/// not the kernel maps it; `PROCMAP_QUERY` never reports it (it is no
+/// mapping of the process).
+const VSYSCALL: (u64, u64) = (0xffff_ffff_ff60_0000, 0xffff_ffff_ff60_1000);
+
 /// Collects the IP allowlist: the gate, every file-backed executable
-/// mapping *except* the main executable, and the kernel's
+/// mapping *except* those of the main executable, and the kernel's
 /// `[vdso]`/`[vsyscall]` pages. The main executable is the exclusion
 /// that gives the backstop its teeth: that is where application (and
 /// attacker) syscall instructions live. The gate is named on its own
 /// because it lies in the main executable whenever the engine is linked
 /// into it; under the shim it lies in the shim's text, already admitted.
+/// The main executable is the file that holds the program headers
+/// (`AT_PHDR`, which an explicit `ld.so <program>` points at the
+/// program), known by `(dev, inode)`: a path string is no identity
+/// (spaces, ` (deleted)`, memfds; DESIGN.md §6).
 fn exec_ranges(gate: std::ops::Range<usize>) -> io::Result<Vec<(u64, u64)>> {
-    let exe = std::fs::read_link("/proc/self/exe")?;
-    let maps = std::fs::read_to_string("/proc/self/maps")?;
-    let mut ranges: Vec<(u64, u64)> = vec![(gate.start as u64, gate.end as u64)];
-    for line in maps.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(span), Some(perms)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if !perms.contains('x') {
-            continue;
-        }
-        let path = line.split_whitespace().nth(5).unwrap_or("");
-        let allowed = (path.starts_with('/') && std::path::Path::new(path) != exe.as_path())
-            || path == "[vdso]"
-            || path == "[vsyscall]";
-        if !allowed {
-            continue;
-        }
-        let Some((lo, hi)) = span.split_once('-') else {
-            continue;
-        };
-        let (Ok(lo), Ok(hi)) = (u64::from_str_radix(lo, 16), u64::from_str_radix(hi, 16)) else {
-            continue;
-        };
-        ranges.push((lo, hi));
+    // SAFETY: getauxval(3) only reads the auxiliary vector.
+    let auxv = |kind| unsafe { libc::getauxval(kind) } as usize;
+    let maps = zpoline::Maps::open()?;
+    let exe = maps
+        .covering(auxv(libc::AT_PHDR))?
+        .filter(|m| m.inode != 0)
+        .ok_or_else(|| io::Error::other("AT_PHDR lies in no file mapping"))?;
+    let mut ranges = vec![(gate.start as u64, gate.end as u64), VSYSCALL];
+    // 0 when the kernel maps no vdso (page zero is the trampoline).
+    let vdso = auxv(libc::AT_SYSINFO_EHDR);
+    if let Some(vdso) = maps.covering(vdso)?.filter(|_| vdso != 0) {
+        ranges.push((vdso.start as u64, vdso.end as u64));
     }
+    maps.exec_files(|f| {
+        let m = &f.map;
+        if (m.dev, m.inode) != (exe.dev, exe.inode) {
+            ranges.push((m.start as u64, m.end as u64));
+        }
+    })?;
+    filter_blocks(ranges)
+}
+
+/// The ranges as the filter's blocks: none straddles a 4 GiB boundary,
+/// touching ones merged.
+fn filter_blocks(ranges: Vec<(u64, u64)>) -> io::Result<Vec<(u64, u64)>> {
     // The BPF range blocks compare the IP's halves separately, so a
     // block must not straddle a 4 GiB boundary — split any that do.
     let mut split = Vec::new();
@@ -236,7 +245,7 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     // SAFETY: the gate's `syscall; ret` is this binary's text, for the
     // life of the process.
     unsafe { syscalls::raw::set_syscall_gate(zpoline::trampoline::lp_zpoline_gate_syscall) };
-    // The `/proc` reads below go through libc: on the engine's private
+    // The allocations below go through libc: on the engine's private
     // path, no handler or layer sees them.
     match crate::proven::privately(install_filter) {
         Ok(()) => {
@@ -448,6 +457,54 @@ mod tests {
                     "main executable text {a:#x}-{b:#x} must trap"
                 );
             }
+        }
+    }
+
+    /// The allowlist, worked out the test's own way from the text of
+    /// `/proc/self/maps`: the main executable is the file that holds this
+    /// test's code, named by `(dev, inode)`.
+    #[test]
+    fn allowlist_equals_the_maps_text_oracle() {
+        let text = std::fs::read_to_string("/proc/self/maps").unwrap();
+        // (lo, hi, perms, dev, inode, name)
+        let lines: Vec<_> = text
+            .lines()
+            .map(|line| {
+                let mut f = line.splitn(6, ' ');
+                let mut next = || f.next().unwrap();
+                let (span, perms, _, dev, inode) = (next(), next(), next(), next(), next());
+                let name = f.next().unwrap_or("").trim_start();
+                let (lo, hi) = span.split_once('-').unwrap();
+                let hex = |s| u64::from_str_radix(s, 16).unwrap();
+                (hex(lo), hex(hi), perms, dev, inode, name)
+            })
+            .collect();
+        let here = allowlist_equals_the_maps_text_oracle as *const () as u64;
+        let exe = lines
+            .iter()
+            .find(|l| (l.0..l.1).contains(&here))
+            .map(|l| (l.3, l.4))
+            .unwrap();
+        let named = |name| lines.iter().find(|l| l.5 == name).map(|l| (l.0, l.1));
+        let (vdso, vsyscall) = (named("[vdso]"), named("[vsyscall]"));
+        assert!(vdso.is_some(), "{text}");
+        assert!(vsyscall.is_none_or(|v| v == VSYSCALL), "{text}");
+
+        let gate = zpoline::gate();
+        let mut oracle = vec![(gate.start as u64, gate.end as u64), VSYSCALL];
+        oracle.extend(
+            lines
+                .iter()
+                .filter(|l| l.2.as_bytes()[2] == b'x')
+                .filter(|l| {
+                    (l.4 != "0" && (l.3, l.4) != exe) || l.5 == "[vdso]" || l.5 == "[vsyscall]"
+                })
+                .map(|l| (l.0, l.1)),
+        );
+        let ranges = exec_ranges(gate).unwrap();
+        assert_eq!(ranges, filter_blocks(oracle).unwrap(), "{text}");
+        for (lo, hi) in [vdso.unwrap(), VSYSCALL] {
+            assert!(ranges.iter().any(|r| r.0 <= lo && hi <= r.1), "{lo:#x}-{hi:#x}");
         }
     }
 

@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use zpoline::{FileMapping, Maps, PatchError, RegionPerms};
+pub use zpoline::{FileMapping, Mapping, Maps, PatchError, RegionPerms};
 
 use crate::slowpath::{BATCH_REWRITING, LAZY_REWRITING};
 

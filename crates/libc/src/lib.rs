@@ -65,6 +65,12 @@ pub const O_RDONLY: c_int = 0;
 pub const O_CLOEXEC: c_int = 0x80000;
 pub const F_DUPFD_CLOEXEC: c_int = 1030;
 
+// ——— auxiliary vector ————————————————————————————————————————————————
+
+pub const AT_PHDR: c_ulong = 3;
+pub const AT_EXECFN: c_ulong = 31;
+pub const AT_SYSINFO_EHDR: c_ulong = 33;
+
 // ——— signals —————————————————————————————————————————————————————————
 
 pub const SIGKILL: c_int = 9;
@@ -278,6 +284,7 @@ extern "C" {
     pub fn close(fd: c_int) -> c_int;
     pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
     pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    pub fn getauxval(kind: c_ulong) -> c_ulong;
 
     pub fn mmap(
         addr: *mut c_void,

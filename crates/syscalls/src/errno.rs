@@ -125,6 +125,12 @@ impl Errno {
     }
 }
 
+impl From<Errno> for std::io::Error {
+    fn from(e: Errno) -> std::io::Error {
+        std::io::Error::from_raw_os_error(e.0)
+    }
+}
+
 impl fmt::Debug for Errno {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.const_name() {

@@ -12,7 +12,7 @@
 //! saves the live part of the extended state, and calls a registered
 //! dispatcher.
 //!
-//! Three pieces compose:
+//! The pieces:
 //!
 //! * [`trampoline`] — maps/installs the page-zero trampoline and owns
 //!   the asm entry stub, the per-thread block it reads, dispatcher
@@ -24,8 +24,10 @@
 //!   image, with the exact exhaustiveness caveats the paper describes
 //!   (§II-B): sites created *after* the scan are invisible, and byte
 //!   scanning cannot distinguish instructions from data,
-//! * [`sitelog`] — the addresses the slow path rewrote, and the file
-//!   each executable mapping came from: a site as `(object, offset)`.
+//! * [`sitelog`] — the addresses the slow path rewrote: with the file
+//!   each executable mapping came from, a site as `(object, offset)`,
+//! * [`maps`] — the one reader of the address space, for all of the
+//!   above and for lazypoline's hardened backstop.
 //!
 //! # Requirements
 //!
@@ -36,6 +38,7 @@
 #![deny(missing_docs)]
 
 pub mod disasm;
+pub mod maps;
 pub mod patcher;
 pub mod scanner;
 pub mod sitelog;
@@ -48,7 +51,7 @@ pub use patcher::{
 pub use scanner::{
     exec_regions, find_syscall_sites, rewrite_process, rewrite_range, rewrite_sites, ExecRegion,
 };
-pub use sitelog::{FileMapping, Maps};
+pub use maps::{FileMapping, Mapping, Maps};
 pub use trampoline::{
     gate, gate_sigreturn, gate_syscall, set_dispatcher, set_miss_exit, set_xstate_mask,
     sigreturn_restorer, thread_block, DispatchFn, MissExit, RawFrame, ThreadBlock, Trampoline,

@@ -16,6 +16,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use syscalls::{nr, Errno};
 
 use crate::disasm;
+pub use crate::maps::RegionPerms;
+use crate::maps::Maps;
 use crate::sitelog::SITE_LOG;
 use crate::trampoline::{raw, Trampoline};
 
@@ -103,75 +105,20 @@ impl Drop for SpinGuard {
     }
 }
 
-/// Page protection bits of a mapped region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RegionPerms {
-    /// Readable.
-    pub read: bool,
-    /// Writable.
-    pub write: bool,
-    /// Executable.
-    pub exec: bool,
-}
-
-impl RegionPerms {
-    /// As a `PROT_*` bitmask for `mprotect`.
-    pub fn prot(&self) -> i32 {
-        let mut p = 0;
-        if self.read {
-            p |= libc::PROT_READ;
-        }
-        if self.write {
-            p |= libc::PROT_WRITE;
-        }
-        if self.exec {
-            p |= libc::PROT_EXEC;
-        }
-        p
-    }
-}
-
-/// Looks up the protection of the mapping containing `addr` on a
-/// `/proc/self/maps` fd, with raw syscalls and stack buffers only (no
-/// allocation — safe inside a signal handler): one `PROCMAP_QUERY`
-/// where the kernel has it, else the text of the whole file. `None`
-/// when nothing is mapped there — or when the lookup itself failed,
-/// which `lookup_perms` (and [`PatchError::LookupFailed`]) tell apart.
+/// Looks up the protection of the mapping containing `addr`
+/// ([`Maps::covering`]: one `PROCMAP_QUERY` where the kernel has it, else
+/// the text of `/proc/self/maps`), with raw syscalls and stack buffers
+/// only (no allocation — safe inside a signal handler). `None` when
+/// nothing is mapped there — or when the lookup itself failed, which
+/// `lookup_perms` (and [`PatchError::LookupFailed`]) tell apart.
 pub fn region_perms(addr: usize) -> Option<RegionPerms> {
     lookup_perms(addr).ok().flatten()
 }
 
-/// How `/proc/self/maps` is opened, here and by [`crate::sitelog`].
-/// `O_CLOEXEC`: the SIGSYS handler opens it while the process's other
-/// threads keep running, and one of them may `execve` meanwhile — the
-/// new image must not inherit the descriptor.
-pub(crate) const MAPS_OPEN_FLAGS: i32 = libc::O_RDONLY | libc::O_CLOEXEC;
-
-/// An open `/proc/self/maps`, closed on drop (raw syscalls only).
-pub(crate) struct MapsFd(pub(crate) u64);
-
-impl MapsFd {
-    pub(crate) fn open() -> Result<MapsFd, Errno> {
-        let path = b"/proc/self/maps\0";
-        // SAFETY: open(2) with a NUL-terminated path; closed on drop.
-        let fd =
-            unsafe { raw::syscall3(nr::OPEN, path.as_ptr() as u64, MAPS_OPEN_FLAGS as u64, 0) };
-        Errno::result(fd).map(MapsFd)
-    }
-}
-
-impl Drop for MapsFd {
-    fn drop(&mut self) {
-        // SAFETY: closing the fd we opened.
-        unsafe { raw::syscall1(nr::CLOSE, self.0) };
-    }
-}
-
 /// [`region_perms`], with "could not look" (the errno of the `open` or
-/// `read`) kept apart from "nothing mapped" (`Ok(None)`).
+/// the lookup) kept apart from "nothing mapped" (`Ok(None)`).
 fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
-    let fd = MapsFd::open()?;
-    query_perms(fd.0, addr).or_else(|_| parse_perms(fd.0, addr))
+    Ok(Maps::open()?.covering(addr)?.map(|m| m.perms))
 }
 
 /// Whether a store to the page at `page` would succeed, asked of the
@@ -185,107 +132,6 @@ fn store_would_succeed(page: usize) -> bool {
     // SAFETY: advice on one page; nothing is written, mapped or unmapped.
     let r = unsafe { raw::syscall3(nr::MADVISE, page as u64, 4096, MADV_POPULATE_WRITE) };
     r == 0
-}
-
-/// Asks the kernel for the one VMA covering `addr` (`PROCMAP_QUERY`,
-/// Linux ≥ 6.11). `Ok(None)` is its `ENOENT`: nothing is mapped there;
-/// any other error (`ENOTTY` on older kernels) means "read the text".
-fn query_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
-    // _IOWR('f', 17, struct procmap_query); the struct is 13 u64 words:
-    // size, query_flags (0: the covering VMA, whatever its protection),
-    // query_addr in; vma_start, vma_end, vma_flags (1 r, 2 w, 4 x), …
-    // out. Name and build-id sizes stay 0, so neither is copied out.
-    const PROCMAP_QUERY: u64 = 0xc068_6611;
-    let mut q = [0u64; 13];
-    q[0] = std::mem::size_of_val(&q) as u64;
-    q[2] = addr as u64;
-    // SAFETY: the kernel reads and writes `q[0]` bytes of our buffer.
-    let r = unsafe { raw::syscall3(nr::IOCTL, fd, PROCMAP_QUERY, q.as_mut_ptr() as u64) };
-    match Errno::result(r) {
-        Ok(_) => Ok(Some(RegionPerms {
-            read: q[5] & 1 != 0,
-            write: q[5] & 2 != 0,
-            exec: q[5] & 4 != 0,
-        })),
-        Err(Errno::ENOENT) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Reads the maps fd as text until a line covers `addr`; `Ok(None)` at
-/// its end.
-fn parse_perms(fd: u64, addr: usize) -> Result<Option<RegionPerms>, Errno> {
-    // The longest prefix needed: "start-end perms".
-    scan_maps_text::<128, _>(fd, |line| parse_maps_line(line, addr))
-}
-
-/// Feeds the maps fd's lines to `f` until it returns `Some`; `Ok(None)`
-/// at the end of the file. A line that straddles two reads reaches `f`
-/// cut to its first `CARRY` bytes. Stack buffers only.
-pub(crate) fn scan_maps_text<const CARRY: usize, T>(
-    fd: u64,
-    mut f: impl FnMut(&[u8]) -> Option<T>,
-) -> Result<Option<T>, Errno> {
-    let mut buf = [0u8; 4096];
-    let mut carry = [0u8; CARRY];
-    let mut carry_len = 0usize;
-    loop {
-        // SAFETY: reading into our stack buffer.
-        let n = unsafe { raw::syscall3(nr::READ, fd, buf.as_mut_ptr() as u64, buf.len() as u64) };
-        let n = match Errno::result(n)? {
-            0 => return Ok(None),
-            n => n as usize,
-        };
-        let mut line_start = 0usize;
-        for i in 0..n {
-            if buf[i] == b'\n' {
-                let found = if carry_len > 0 {
-                    let take = (i - line_start).min(carry.len() - carry_len);
-                    carry[carry_len..carry_len + take]
-                        .copy_from_slice(&buf[line_start..line_start + take]);
-                    let total = carry_len + take;
-                    carry_len = 0;
-                    f(&carry[..total])
-                } else {
-                    f(&buf[line_start..i])
-                };
-                if found.is_some() {
-                    return Ok(found);
-                }
-                line_start = i + 1;
-            }
-        }
-        // Carry any partial tail line into the next read.
-        let tail = n - line_start;
-        let take = tail.min(carry.len() - carry_len);
-        carry[carry_len..carry_len + take].copy_from_slice(&buf[line_start..line_start + take]);
-        carry_len += take;
-    }
-}
-
-/// Parses one `/proc/self/maps` line; returns the perms if `addr` lies
-/// within the line's range.
-fn parse_maps_line(line: &[u8], addr: usize) -> Option<RegionPerms> {
-    // Format: 55d6a2a00000-55d6a2a21000 r-xp ...
-    let dash = line.iter().position(|&b| b == b'-')?;
-    let sp = line.iter().position(|&b| b == b' ')?;
-    if dash >= sp || sp + 3 >= line.len() {
-        return None;
-    }
-    let start = parse_hex(&line[..dash])?;
-    let end = parse_hex(&line[dash + 1..sp])?;
-    if addr < start || addr >= end {
-        return None;
-    }
-    Some(RegionPerms {
-        read: line[sp + 1] == b'r',
-        write: line[sp + 2] == b'w',
-        exec: line[sp + 3] == b'x',
-    })
-}
-
-pub(crate) fn parse_hex(s: &[u8]) -> Option<usize> {
-    usize::from_str_radix(std::str::from_utf8(s).ok()?, 16).ok()
 }
 
 /// Stores `call rax` over `site` if it still holds `syscall` and is not
@@ -523,26 +369,35 @@ unsafe fn patch_page(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::maps::{number, parse_line, OPEN_FLAGS};
 
     // The SIGSYS handler's maps fd never survives another thread's
     // `execve`.
-    const _: () = assert!(MAPS_OPEN_FLAGS & libc::O_CLOEXEC != 0);
+    const _: () = assert!(OPEN_FLAGS & libc::O_CLOEXEC != 0);
 
     #[test]
     fn maps_fd_is_close_on_exec() {
         const F_GETFD: i32 = 1;
         const FD_CLOEXEC: i32 = 1;
-        let fd = MapsFd::open().unwrap();
-        let flags = unsafe { libc::fcntl(fd.0 as i32, F_GETFD) };
+        let maps = Maps::open().unwrap();
+        let flags = unsafe { libc::fcntl(maps.fd as i32, F_GETFD) };
         assert_eq!(flags & FD_CLOEXEC, FD_CLOEXEC);
+    }
+
+    /// The protection of the line's mapping, if `addr` lies in it.
+    fn perms_at(line: &[u8], addr: usize) -> Option<RegionPerms> {
+        parse_line(line)
+            .map(|(m, _)| m)
+            .filter(|m| m.contains(addr))
+            .map(|m| m.perms)
     }
 
     #[test]
     fn parse_maps_line_hit_and_miss() {
         let line = b"7f0000000000-7f0000010000 r-xp 00000000 08:01 123 /lib/x.so";
-        let p = parse_maps_line(line, 0x7f0000000123).unwrap();
+        let p = perms_at(line, 0x7f0000000123).unwrap();
         assert_eq!(
             p,
             RegionPerms {
@@ -551,24 +406,33 @@ mod tests {
                 exec: true
             }
         );
-        assert!(parse_maps_line(line, 0x7f0000010000).is_none());
-        assert!(parse_maps_line(line, 0x6f0000000000).is_none());
+        assert!(perms_at(line, 0x7f0000010000).is_none());
+        assert!(perms_at(line, 0x6f0000000000).is_none());
     }
 
     #[test]
     fn parse_maps_line_rejects_garbage() {
-        assert!(parse_maps_line(b"", 0).is_none());
-        assert!(parse_maps_line(b"nonsense", 0).is_none());
-        assert!(parse_maps_line(b"zzzz-qqqq rwxp", 0).is_none());
+        assert!(parse_line(b"").is_none());
+        assert!(parse_line(b"nonsense").is_none());
+        assert!(parse_line(b"zzzz-qqqq rwxp").is_none());
+        assert!(parse_line(b"1000-2000 rwxp").is_none());
+        assert!(parse_line(b"2000-1000 rwxp 0 00:00 0").is_none());
+        assert!(parse_line(b"1000-2000 rwzp 0 00:00 0").is_none());
+        assert!(parse_line(b"+1000-2000 rwxp 0 00:00 0").is_none());
+        assert!(parse_line(b"1000-2000 rwxp 0 00:00 0").is_some());
     }
 
     #[test]
     fn parse_hex_cases() {
+        let parse_hex = |s: &[u8]| number(s, 16);
         assert_eq!(parse_hex(b"ff"), Some(255));
         assert_eq!(parse_hex(b"7f0000000000"), Some(0x7f0000000000));
         assert_eq!(parse_hex(b""), None);
         assert_eq!(parse_hex(b"xyz"), None);
+        assert_eq!(parse_hex(b"+ff"), None);
         assert_eq!(parse_hex(b"11112222333344445"), None); // > 16 digits
+        assert_eq!(number(b"18446744073709551615", 10), Some(u64::MAX));
+        assert_eq!(number(b"18446744073709551616", 10), None);
     }
 
     /// One anonymous private mapping of `pages` pages.
@@ -585,17 +449,10 @@ mod tests {
         Some(RegionPerms { read, write, exec })
     }
 
-    /// Runs `lookup` on a fresh `/proc/self/maps` fd.
-    fn on_maps_fd<T>(lookup: impl FnOnce(u64) -> T) -> T {
-        use std::os::fd::AsRawFd;
-        let maps = std::fs::File::open("/proc/self/maps").unwrap();
-        lookup(maps.as_raw_fd() as u64)
-    }
-
     /// Runs `check` on an address in each of five mappings — r-x text,
     /// rw- stack, rwx, `PROT_NONE`, just unmapped (at `gone`, which no
     /// two tests may share) — and what `/proc/self/maps` says of it.
-    fn on_five_mappings(gone: usize, check: impl Fn(usize, Option<RegionPerms>)) {
+    pub(crate) fn on_five_mappings(gone: usize, check: impl Fn(usize, Option<RegionPerms>)) {
         let local = 0u8;
         unsafe {
             let rwx = map_pages(1, RWX);
@@ -629,25 +486,14 @@ mod tests {
     #[test]
     fn procmap_query_and_text_parser_agree() {
         on_five_mappings(0x1_0000, |addr, expect| {
-            assert_eq!(
-                on_maps_fd(|fd| parse_perms(fd, addr)),
-                Ok(expect),
-                "text, {addr:#x}"
-            );
+            let text = std::fs::read("/proc/self/maps").unwrap();
+            let from_text = text
+                .split(|&b| b == b'\n')
+                .find_map(|line| perms_at(line, addr));
+            assert_eq!(from_text, expect, "text, {addr:#x}");
+            assert_eq!(lookup_perms(addr), Ok(expect), "lookup_perms, {addr:#x}");
             assert_eq!(region_perms(addr), expect, "region_perms, {addr:#x}");
-            match on_maps_fd(|fd| query_perms(fd, addr)) {
-                Ok(got) => assert_eq!(got, expect, "PROCMAP_QUERY, {addr:#x}"),
-                // Before Linux 6.11: region_perms just took the text.
-                Err(e) => assert_eq!(e, Errno::ENOTTY, "{addr:#x}"),
-            }
         });
-        // After a failed query the same fd still reads from its start.
-        let text = patch_syscall_site as *const () as usize;
-        let after_query = on_maps_fd(|fd| {
-            let _ = query_perms(fd, 0);
-            parse_perms(fd, text)
-        });
-        assert_eq!(after_query, Ok(perms(true, false, true)));
     }
 
     #[test]

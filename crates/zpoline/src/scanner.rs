@@ -16,6 +16,7 @@
 use std::io;
 
 use crate::disasm;
+use crate::maps::{self, Maps};
 use crate::patcher::{self, PatchError, RegionPerms};
 
 /// An executable mapping of the current process.
@@ -51,48 +52,21 @@ impl ExecRegion {
 ///
 /// Fails if `/proc/self/maps` cannot be read.
 pub fn exec_regions() -> io::Result<Vec<ExecRegion>> {
-    let maps = std::fs::read_to_string("/proc/self/maps")?;
+    let maps = Maps::open()?;
     let mut out = Vec::new();
-    for line in maps.lines() {
-        let mut fields = line.split_whitespace();
-        let range = fields.next().unwrap_or("");
-        let perms = fields.next().unwrap_or("");
-        let path = line
-            .splitn(6, char::is_whitespace)
-            .nth(5)
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        if !perms.contains('x') {
-            continue;
+    maps.walk(maps::EXECUTABLE, true, |f| {
+        let (m, path) = (&f.map, f.path());
+        // Page zero is the trampoline.
+        if m.start == 0 || matches!(path, b"[vdso]" | b"[vsyscall]" | b"[vvar]") {
+            return;
         }
-        if path == "[vdso]" || path == "[vsyscall]" || path == "[vvar]" {
-            continue;
-        }
-        let Some((s, e)) = range.split_once('-') else {
-            continue;
-        };
-        let (Ok(start), Ok(end)) = (
-            usize::from_str_radix(s, 16),
-            usize::from_str_radix(e, 16),
-        ) else {
-            continue;
-        };
-        if start == 0 {
-            continue; // the trampoline page
-        }
-        let perms = RegionPerms {
-            read: perms.contains('r'),
-            write: perms.contains('w'),
-            exec: true,
-        };
         out.push(ExecRegion {
-            start,
-            end,
-            perms,
-            path,
+            start: m.start,
+            end: m.end,
+            perms: m.perms,
+            path: String::from_utf8_lossy(path).into_owned(),
         });
-    }
+    })?;
     Ok(out)
 }
 

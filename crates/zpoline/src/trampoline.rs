@@ -118,9 +118,8 @@
 //!
 //! What a dispatch pays for depends on what is *live*, which the stub
 //! reads with `xgetbv` (`ecx = 1`: `XCR0 & XINUSE`, the components not
-//! in their initial configuration). The text is
-//! [`xstate_save_asm!`](crate::xstate_save_asm) /
-//! [`xstate_restore_asm!`](crate::xstate_restore_asm). Three cases:
+//! in their initial configuration). The text is `xstate_save_asm!` /
+//! `xstate_restore_asm!`. Three cases:
 //!
 //! 1. **x87 in its initial configuration** (the rule in an x86-64
 //!    process). Entry stores `MXCSR` and `xmm0–15` with legacy-SSE
@@ -277,12 +276,8 @@ impl XstateMask {
 /// `lp_thread_block`, TLS declared in the asm.) Neither this nor any other
 /// name the stub uses is a dynamic symbol: an application or a second
 /// preloaded object cannot interpose on the interposer's own state.
-///
-/// Public only because [`xstate_save_asm!`](crate::xstate_save_asm) and
-/// [`xstate_restore_asm!`](crate::xstate_restore_asm) expand in other
-/// crates, whose `global_asm!` must name it; the fields are private.
 #[repr(C, align(64))]
-pub struct StubGlobals {
+struct StubGlobals {
     /// The registered dispatcher (never 0 once installed).
     dispatch: AtomicUsize,
     /// The dispatcher's [`MissExit`], null while it has none.
@@ -300,17 +295,8 @@ pub struct StubGlobals {
 #[repr(C, align(64))]
 struct XsaveImage([u8; 576]);
 
-// The xstate macros spell these three offsets as literals: their text
-// expands where `offset_of!` on private fields cannot.
-const _: () = {
-    assert!(offset_of!(StubGlobals, xstate_mask) == 16);
-    assert!(offset_of!(StubGlobals, xgetbv1) == 17);
-    assert!(offset_of!(StubGlobals, xstate_init) == 64);
-};
-
 /// The one instance (see [`StubGlobals`]).
-#[doc(hidden)]
-pub static STUB_GLOBALS: StubGlobals = StubGlobals {
+static STUB_GLOBALS: StubGlobals = StubGlobals {
     dispatch: AtomicUsize::new(0),
     miss_exit: AtomicPtr::new(std::ptr::null_mut()),
     xstate_mask: AtomicU8::new(0b111),
@@ -521,8 +507,8 @@ fn cpu_has_xgetbv1() -> bool {
 /// of [`trampoline`](crate::trampoline) give the three cases. For
 /// `global_asm!` stubs that call into Rust from application context,
 /// like the entry stub here. The including `global_asm!` passes the
-/// operand
-/// `stub_globals = sym zpoline::trampoline::STUB_GLOBALS`.
+/// operands `stub_globals = sym STUB_GLOBALS` and the offsets
+/// `xstate_mask`, `xgetbv1` and `xstate_init` of [`StubGlobals`].
 ///
 /// Carves one 64-byte-aligned area of 4096 bytes below `rsp` and leaves
 /// its address in `rbx` (0, and `rsp` untouched, under
@@ -531,12 +517,11 @@ fn cpu_has_xgetbv1() -> bool {
 /// layout: the XSAVE image, or `xmm`/`ymm` `i` at `16*i`/`32*i`; at
 /// 1024 the mask at entry, at 1028 `XINUSE & mask` at entry (bit 0 set:
 /// the area holds an XSAVE image), at 1032 `MXCSR`.
-#[macro_export]
 macro_rules! xstate_save_asm {
     () => {
         r#"
     xor ebx, ebx
-    movzx eax, byte ptr [rip + {stub_globals} + 16]    # xstate_mask
+    movzx eax, byte ptr [rip + {stub_globals} + {xstate_mask}]
     test eax, eax
     jz 29f
     # 4096 bytes cover x87+SSE+AVX (832) with ample slack on every
@@ -546,7 +531,7 @@ macro_rules! xstate_save_asm {
     mov rbx, rsp
     mov esi, eax
     mov dword ptr [rbx + 1024], eax
-    cmp byte ptr [rip + {stub_globals} + 17], 0        # xgetbv1
+    cmp byte ptr [rip + {stub_globals} + {xgetbv1}], 0
     je 21f                        # eax = mask: bit 0 set, so xsave64
     mov ecx, 1
     xgetbv                        # eax = XCR0 & XINUSE
@@ -588,7 +573,7 @@ macro_rules! xstate_save_asm {
     .endr
     mov eax, esi                  # edx:eax = RFBM
     xsave64 [rbx]
-    cmp byte ptr [rip + {stub_globals} + 17], 0        # xgetbv1
+    cmp byte ptr [rip + {stub_globals} + {xgetbv1}], 0
     je 29f
     # Normaliser: x87 reads "in use" but byte-equal to its initial
     # configuration (every signal return leaves it so) — FCW 0x37f with
@@ -609,13 +594,11 @@ macro_rules! xstate_save_asm {
     };
 }
 
-/// Assembly text (Intel syntax) that undoes [`xstate_save_asm!`](crate::xstate_save_asm)
+/// Assembly text (Intel syntax) that undoes `xstate_save_asm!`
 /// from the record in the area `rbx` points to (nothing when `rbx` is
 /// 0): every component of the entry's mask is as it was on entry,
 /// `XINUSE` bits 0 and 2 included. Clobbers `rax`, `rcx`, `rdx`, `rsi`,
-/// `rdi` and the flags; leaves `rsp` alone. Takes the same
-/// `stub_globals` operand.
-#[macro_export]
+/// `rdi` and the flags; leaves `rsp` alone. Takes the same operands.
 macro_rules! xstate_restore_asm {
     () => {
         r#"
@@ -643,7 +626,7 @@ macro_rules! xstate_restore_asm {
     mov eax, 1                    # edx:eax = RFBM: x87 only
     xor edx, edx
     # xstate_init; XSTATE_BV[0] = 0: initial x87, XINUSE[0] = 0
-    xrstor64 [rip + {stub_globals} + 64]
+    xrstor64 [rip + {stub_globals} + {xstate_init}]
 31:
     test sil, 2
     jz 39f
@@ -794,6 +777,9 @@ lp_zpoline_gate_sigreturn:
 lp_zpoline_gate_end:
 "#,
     stub_globals = sym STUB_GLOBALS,
+    xstate_mask = const offset_of!(StubGlobals, xstate_mask),
+    xgetbv1 = const offset_of!(StubGlobals, xgetbv1),
+    xstate_init = const offset_of!(StubGlobals, xstate_init),
     dispatch = const offset_of!(StubGlobals, dispatch),
     miss_exit = const offset_of!(StubGlobals, miss_exit),
     interest = const offset_of!(MissExit, interest),
@@ -871,8 +857,8 @@ pub unsafe fn gate_syscall(call: &syscalls::SyscallArgs) -> u64 {
     ret
 }
 
-/// The arities of `syscalls::raw` this crate's patcher and site log
-/// use, issued from the gate instead: they run in lazypoline's SIGSYS
+/// The arities of `syscalls::raw` this crate's patcher and
+/// [`crate::maps`] use, issued from the gate instead: they run in lazypoline's SIGSYS
 /// handler with the rewrite lock held, where an enrolled thread's
 /// syscall from outside the gate would trap into a nested handler that
 /// waits for the same lock.

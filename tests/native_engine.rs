@@ -3143,22 +3143,62 @@ fn scenario_escape_kill_victim() {
 
 fn scenario_escape_kill() {
     let exe = std::env::current_exe().expect("self path");
-    let out = Command::new(&exe)
+    victim_dies(Command::new(&exe), "from its own path");
+}
+
+/// Runs `victim` as `escape_kill_victim` and asserts it died
+/// mid-attack: by SIGKILL (no exit code) or the exit_group(137)
+/// fallback.
+fn victim_dies(mut victim: Command, how: &str) {
+    let out = victim
         .env("LP_SCENARIO", "escape_kill_victim")
         .env_remove("LP_HARDEN_POLICY")
         .output()
         .expect("spawn victim");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Killed by SIGKILL (no exit code) or the exit_group(137) fallback.
     let code = out.status.code();
     assert!(
         (code.is_none() || code == Some(137))
             && stdout.contains("ATTACK_IMMINENT")
             && !stdout.contains("SURVIVED"),
-        "victim must die mid-attack: status {:?}, stdout:\n{stdout}",
+        "victim started {how} must die mid-attack: status {:?}, stdout:\n{stdout}",
         out.status,
     );
-    println!("victim: {}", out.status);
+    println!("victim started {how}: {}", out.status);
+}
+
+/// The kill victim started three ways in which no path string names the
+/// main executable: from a directory whose name holds a space, from a
+/// memfd (its mapping reads `/memfd:… (deleted)`), and through an
+/// explicit loader (`/proc/self/exe` is then the loader). The backstop
+/// must still leave the program's own text out of its allowlist.
+fn scenario_escape_kill_unnamed() {
+    let exe = std::env::current_exe().expect("self path");
+
+    let dir = std::env::temp_dir().join(format!("lp escape {}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("victim directory");
+    let spaced = dir.join("native engine");
+    std::fs::copy(&exe, &spaced).expect("copy of the victim");
+    victim_dies(Command::new(&spaced), "from a path with spaces");
+    std::fs::remove_dir_all(&dir).expect("remove the victim directory");
+
+    let name = b"native engine\0";
+    // SAFETY: memfd_create(2) with a NUL-terminated name.
+    let fd = unsafe { syscalls::raw::syscall2(syscalls::nr::MEMFD_CREATE, name.as_ptr() as u64, 0) };
+    assert!(syscalls::Errno::from_ret(fd).is_none(), "memfd_create");
+    let writable = format!("/proc/self/fd/{fd}");
+    std::fs::copy(&exe, &writable).expect("copy into the memfd");
+    // A file open for writing cannot be executed: run a read-only
+    // descriptor of it, with the writable one closed.
+    let readable = std::fs::File::open(&writable).expect("memfd, read-only");
+    unsafe { libc::close(fd as i32) };
+    let path = format!("/proc/self/fd/{}", std::os::fd::AsRawFd::as_raw_fd(&readable));
+    victim_dies(Command::new(path), "from a memfd");
+    drop(readable);
+
+    let mut loader = Command::new("/lib64/ld-linux-x86-64.so.2");
+    loader.arg(&exe);
+    victim_dies(loader, "through the loader");
 }
 
 fn scenario_escape_fork_rearm() {
@@ -3443,6 +3483,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("escape_plain", scenario_escape_plain),
     ("escape_quarantine", scenario_escape_quarantine),
     ("escape_kill", scenario_escape_kill),
+    ("escape_kill_unnamed", scenario_escape_kill_unnamed),
     ("escape_fork_rearm", scenario_escape_fork_rearm),
     ("sfip_native", scenario_sfip_native),
     ("sfip_escape_plain", scenario_sfip_escape_plain),
