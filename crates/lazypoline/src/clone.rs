@@ -56,12 +56,16 @@ fn enable_sud_with_retry() -> bool {
 
 /// Re-enrolls the current task after the kernel cleared its SUD state.
 ///
-/// Called in fork children, from dispatcher context.
+/// Called in fork children, from dispatcher context. A child that
+/// shares the parent's memory (`CLONE_VM` without a new stack) and fails
+/// to re-enroll would map unseen: the shadow stops vouching.
 pub(crate) fn reenroll_after_clone() {
     if crate::tls::enrolled() {
-        // After the bounded retry, ignore failure: the task degrades to
-        // uninterposed rather than dying.
-        let _ = enable_sud_with_retry();
+        // After the bounded retry, degrade to uninterposed rather than
+        // dying.
+        if !enable_sud_with_retry() {
+            zpoline::maps::shadow::distrust();
+        }
     }
 }
 
@@ -70,6 +74,9 @@ pub(crate) unsafe fn handle_fork(_frame: &mut RawFrame) -> u64 {
     // vfork → fork downgrade (see module docs).
     let ret = raw_internal::syscall(&SyscallArgs::nullary(nr::FORK));
     if ret == 0 {
+        // A rewrite lock another thread held at the fork is nobody's in
+        // the child.
+        zpoline::patcher::release_orphaned_lock();
         reenroll_after_clone();
     }
     ret
@@ -85,6 +92,11 @@ pub(crate) unsafe fn handle_clone(frame: &mut RawFrame) -> u64 {
         // shared stack with CLONE_VFORK semantics handled by caller).
         let ret = raw_internal::syscall(&frame.syscall_args());
         if ret == 0 {
+            if flags & CLONE_VM == 0 {
+                // A rewrite lock another thread held at the fork is
+                // nobody's in this copy of the address space.
+                zpoline::patcher::release_orphaned_lock();
+            }
             reenroll_after_clone();
         }
         return ret;
@@ -101,6 +113,10 @@ pub(crate) unsafe fn handle_clone(frame: &mut RawFrame) -> u64 {
     // syscalls (including the execve itself).
     let enroll = flags & CLONE_SETTLS != 0
         || (flags & CLONE_VM != 0 && flags & CLONE_VFORK != 0);
+    if flags & CLONE_VM != 0 && !enroll {
+        // A task in this address space the dispatcher will not see.
+        zpoline::maps::shadow::distrust();
+    }
 
     let new_sp = if enroll {
         // [new_sp] = shim, [new_sp+8] = app continuation.
@@ -170,6 +186,9 @@ unsafe extern "C" fn lp_clone_child_init() {
     if enable_sud_with_retry() {
         // A fresh TLS block starts zeroed, i.e. on the full path.
         crate::tls::arm_stub_exit();
+    } else {
+        // Unseen from here on, in the parent's address space.
+        zpoline::maps::shadow::distrust();
     }
 }
 

@@ -195,8 +195,9 @@ engine_stats! {
     /// Ring pushes that observed near-full (≥3/4) occupancy —
     /// backpressure the drain thread could not absorb.
     ring_near_full: replay::ring::total_near_full(),
-    /// Escape attempts the hardened-mode seccomp backstop caught
-    /// (nonzero only under `lazypoline-hardened`).
+    /// Escape attempts the hardened-mode seccomp backstop caught, and
+    /// the application's `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` calls
+    /// hardened mode refused (nonzero only under `lazypoline-hardened`).
     bypass_blocked: crate::harden::bypass_blocked(),
 }
 
@@ -296,7 +297,43 @@ pub fn init(config: Config) -> Result<Engine, InitError> {
         return Ok(engine);
     }
     engine.enroll_current_thread().map_err(InitError::Sud)?;
+    reset_shadow();
     Ok(engine)
+}
+
+/// Starts the shadow of the executable mappings afresh at an install
+/// ([`zpoline::maps::shadow::reset`]). It vouches only on the
+/// [`Mode::Hybrid`] rung — the only one that patches after the install —
+/// and only if the installing thread is the process's only one: every
+/// later thread then comes from a `clone` the dispatcher sees.
+fn reset_shadow() {
+    zpoline::maps::shadow::reset(mode() == Mode::Hybrid && thread_count() == Some(1));
+}
+
+/// The process's thread count: procfs gives `/proc/self/task` one link
+/// per thread on top of its own two. One `newfstatat` from the gate;
+/// `None` when it fails.
+fn thread_count() -> Option<u64> {
+    const AT_FDCWD: u64 = -100i64 as u64;
+    let path = b"/proc/self/task\0";
+    // `struct stat` is 144 bytes on x86-64, `st_nlink` its third word.
+    let mut stat = [0u64; 18];
+    // SAFETY: newfstatat(2) of a NUL-terminated path into a buffer of
+    // the kernel's `struct stat` size.
+    let r = unsafe {
+        raw_internal::syscall(&SyscallArgs::new(
+            nr::NEWFSTATAT,
+            [
+                AT_FDCWD,
+                path.as_ptr() as u64,
+                stat.as_mut_ptr() as u64,
+                0,
+                0,
+                0,
+            ],
+        ))
+    };
+    (r == 0).then(|| stat[2].saturating_sub(2))
 }
 
 /// First-call path: establish the process-global machinery and decide
@@ -373,6 +410,7 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
 
     store_mode(decided);
     INITIALIZED.store(true, Ordering::SeqCst);
+    reset_shadow();
     Ok(engine)
 }
 
@@ -426,11 +464,14 @@ impl Engine {
 
 /// Un-enrolls the calling thread without an [`Engine`] handle: new
 /// syscall sites on this thread stop being discovered, and rewritten
-/// sites still dispatch. Async-signal-safe — one TLS store and one
-/// `prctl` — so a signal handler may call it (the macrobenchmark's
-/// `SIGUSR1` switch to rewriting alone).
+/// sites still dispatch. Async-signal-safe — one TLS store, the
+/// shadow's reset (which clears nothing on a thread a signal found
+/// holding the rewrite lock) and one `prctl` — so a signal handler may
+/// call it (the macrobenchmark's `SIGUSR1` switch to rewriting alone).
 pub fn unenroll_current_thread() {
     tls::set_enrolled(false);
+    // From here on this thread's mapping calls may go unseen.
+    zpoline::maps::shadow::reset(false);
     // From the gate: on an enrolled thread the `prctl` would itself be
     // dispatched from anywhere else.
     // SAFETY: the `prctl` takes no pointer.

@@ -72,11 +72,14 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
 /// a syscall outside `full_path` whose bit in the interest words is
 /// clear — the `miss` above, taken before a frame exists.
 ///
-/// `full_path` is the set [`handle_syscall`] must always emulate
-/// itself, whatever the installed handler's interest: executing them
-/// raw would break signal transparency or thread/process bookkeeping.
-/// (`rt_sigreturn` is handled before the fast-out and listed for the
-/// stub's and the slow path's benefit.)
+/// `full_path` is the set [`handle_syscall`] must always see itself,
+/// whatever the installed handler's interest: the process-control calls
+/// it emulates ([`is_process_control`]), whose raw execution would
+/// break signal transparency or thread/process bookkeeping, and the
+/// calls the shadow of the executable mappings must see or stop
+/// vouching at ([`zpoline::maps::shadow`]). (`rt_sigreturn` is handled
+/// before the fast-out and listed for the stub's and the slow path's
+/// benefit.)
 pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
     full_path: interpose::InterestSet::of(&[
         nr::RT_SIGRETURN,
@@ -86,6 +89,17 @@ pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
         nr::CLONE3,
         nr::FORK,
         nr::VFORK,
+        nr::MMAP,
+        nr::MUNMAP,
+        nr::MPROTECT,
+        nr::PKEY_MPROTECT,
+        nr::MREMAP,
+        nr::REMAP_FILE_PAGES,
+        nr::BRK,
+        nr::SHMAT,
+        nr::SHMDT,
+        nr::PRCTL,
+        nr::USERFAULTFD,
     ])
     .words(),
     interest: interpose::interest_words(),
@@ -97,6 +111,22 @@ pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
 pub(crate) fn needs_emulation(nr_: u64) -> bool {
     nr_ < syscalls::MAX_SYSCALL_NR
         && MISS_EXIT.full_path[(nr_ / 64) as usize] & (1 << (nr_ % 64)) != 0
+}
+
+/// Whether `nr_` is one of the process-control calls the engine
+/// emulates: signal-table and task plumbing the kernel never fails with
+/// a transient errno.
+pub(crate) fn is_process_control(nr_: u64) -> bool {
+    matches!(
+        nr_,
+        nr::RT_SIGRETURN
+            | nr::RT_SIGACTION
+            | nr::RT_SIGPROCMASK
+            | nr::CLONE
+            | nr::CLONE3
+            | nr::FORK
+            | nr::VFORK
+    )
 }
 
 /// Shared syscall handling: notify the global handler, then execute
@@ -139,9 +169,11 @@ pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, interested: bool) -> u
 }
 
 /// Executes the frame's (possibly handler-rewritten) syscall: emulation
-/// for the process-control syscalls the paper calls out, raw execution
-/// for everything else. Result observation/rewriting (`post`) happens in
-/// the caller's shared sequence; for clone-like calls whose child
+/// for the process-control syscalls the paper calls out, execution
+/// through the shadow of the executable mappings for the calls that map
+/// or re-protect memory, raw execution for everything else. Result
+/// observation/rewriting (`post`) happens in the caller's shared
+/// sequence; for clone-like calls whose child
 /// resumed elsewhere, the dispatcher frame only ever returns in the
 /// parent, so the post hook runs there alone.
 ///
@@ -159,8 +191,42 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
         // other interposers).
         nr::CLONE3 => Errno::ENOSYS.as_ret(),
         nr::FORK | nr::VFORK => clone::handle_fork(frame),
+        nr::MMAP
+        | nr::MUNMAP
+        | nr::MPROTECT
+        | nr::PKEY_MPROTECT
+        | nr::MREMAP
+        | nr::REMAP_FILE_PAGES
+        | nr::BRK
+        | nr::SHMAT
+        | nr::SHMDT => zpoline::maps::shadow::execute(&frame.syscall_args(), |call| {
+            raw_internal::syscall(call)
+        }),
+        nr::PRCTL => handle_prctl(frame),
+        nr::USERFAULTFD => {
+            // A write-protecting `userfaultfd` refuses stores no
+            // `mprotect` forbade.
+            zpoline::maps::shadow::distrust();
+            raw_internal::syscall(&frame.syscall_args())
+        }
         _ => raw_internal::syscall(&frame.syscall_args()),
     }
+}
+
+/// The application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)`:
+/// refused under hardened mode ([`crate::harden::refuses_dispatch_change`]);
+/// otherwise executed, as the paper's trust model has it (DESIGN.md
+/// §11) — and from then on the dispatcher may not see this thread's
+/// mapping calls, so the shadow stops vouching. Any other `prctl` is
+/// executed.
+unsafe fn handle_prctl(frame: &mut RawFrame) -> u64 {
+    if frame.a1 == sud::PR_SET_SYSCALL_USER_DISPATCH as u64 {
+        if crate::harden::refuses_dispatch_change() {
+            return Errno::EPERM.as_ret();
+        }
+        zpoline::maps::shadow::distrust();
+    }
+    raw_internal::syscall(&frame.syscall_args())
 }
 
 /// `rt_sigreturn` cannot be issued from dispatcher context directly:
@@ -238,8 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn emulated_set_is_the_seven_process_control_calls() {
-        let emulated: Vec<u64> = (0..1024).filter(|&n| needs_emulation(n)).collect();
+    fn routed_set_is_process_control_and_the_mapping_calls() {
+        let routed: Vec<u64> = (0..1024).filter(|&n| needs_emulation(n)).collect();
         let mut want = vec![
             nr::RT_SIGRETURN,
             nr::RT_SIGACTION,
@@ -248,9 +314,25 @@ mod tests {
             nr::CLONE3,
             nr::FORK,
             nr::VFORK,
+            nr::MMAP,
+            nr::MUNMAP,
+            nr::MPROTECT,
+            nr::PKEY_MPROTECT,
+            nr::MREMAP,
+            nr::REMAP_FILE_PAGES,
+            nr::BRK,
+            nr::SHMAT,
+            nr::SHMDT,
+            nr::PRCTL,
+            nr::USERFAULTFD,
         ];
         want.sort_unstable();
-        assert_eq!(emulated, want);
+        assert_eq!(routed, want);
+        let emulated: Vec<u64> = routed
+            .into_iter()
+            .filter(|&n| is_process_control(n))
+            .collect();
+        assert_eq!(emulated.len(), 7, "{emulated:?}");
     }
 
     #[test]

@@ -322,6 +322,19 @@ pub fn bypass_blocked() -> u64 {
     BYPASS_BLOCKED.load(Ordering::SeqCst)
 }
 
+/// Whether the application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH,
+/// …)` is refused rather than executed: under hardened mode (whatever
+/// rung it reached), where it is the first step of an escape — SUD off,
+/// then a jump to any `syscall` the backstop admits. A refusal is
+/// counted with the escapes the backstop caught.
+pub(crate) fn refuses_dispatch_change() -> bool {
+    let refused = level() != HardenLevel::Off;
+    if refused {
+        BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+    }
+    refused
+}
+
 /// The active policy.
 pub fn policy() -> BypassPolicy {
     match POLICY.load(Ordering::SeqCst) {
@@ -360,6 +373,8 @@ impl BypassPolicy {
 /// Signal-handler context only.
 pub(crate) unsafe fn on_bypass() -> bool {
     BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+    // SUD was off on this thread: what it mapped meanwhile went unseen.
+    zpoline::maps::shadow::distrust();
     match policy() {
         BypassPolicy::Quarantine => {
             if tls::enrolled() {

@@ -27,6 +27,9 @@
 //! * **page blocklisted** — a previous patch attempt failed
 //!   persistently, so the page's `SIGSYS` trips skip straight to
 //!   emulation (counted as `UNPATCHABLE_EMULATIONS`);
+//! * **rewrite lock held** — a signal landed on a thread that takes or
+//!   holds the rewrite lock, and its handler ran a fresh site; the site
+//!   is rewritten on its next trap (also `UNPATCHABLE_EMULATIONS`);
 //! * **patch failed** — this attempt failed, after a bounded retry for
 //!   transient `mprotect` errors; persistent `mprotect` failures, and a
 //!   protection that cannot be looked up (no `/proc`, no descriptor to
@@ -120,6 +123,12 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
 
     let emulate_reason = if !LAZY_REWRITING.load(Ordering::Relaxed) {
         Some(EmulationReason::RewritingDisabled)
+    } else if zpoline::thread_block().holds_rewrite_lock() {
+        // A signal landed while this thread takes or holds the rewrite
+        // lock, and its handler ran a fresh site: waiting for the lock
+        // here would never end. Unpatchable for now; the site is
+        // rewritten on its next trap.
+        Some(EmulationReason::Unpatchable)
     } else if blocklist::contains(page) {
         // Negative cache hit: this page's mprotect window is known
         // broken — skip the lock + VMA lookup + doomed mprotect.
@@ -246,7 +255,7 @@ unsafe fn patch_with_retry(
 /// application sees the errno — exactly the contract of a real
 /// `EINTR`/`EAGAIN` from the kernel, and therefore not a lost
 /// interposition. The engine's *internal* emulations
-/// ([`fastpath::needs_emulation`]: `rt_sigreturn`, signal-table and
+/// ([`fastpath::is_process_control`]: `rt_sigreturn`, signal-table and
 /// task-management plumbing) are exempt — the kernel cannot fail those
 /// with a transient errno, and pretending it can would corrupt signal
 /// frames rather than model any real fault. So is a call made under the
@@ -267,7 +276,7 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         fastpath::rt_sigreturn_at(uc.rsp());
     }
     let guarded = zpoline::thread_block().in_dispatch();
-    let injected = if guarded || fastpath::needs_emulation(nr_) {
+    let injected = if guarded || fastpath::is_process_control(nr_) {
         None
     } else {
         faultinject::check(faultinject::Site::SlowpathEmulate)

@@ -237,6 +237,8 @@ pub struct cpuid_feature {
     pub active_array: [c_uint; 4],
 }
 
+/// Index of CPUID.(EAX=07H, ECX=0) for `__x86_get_cpuid_feature_leaf`.
+pub const CPUID_INDEX_7: c_uint = 1;
 /// Index of CPUID.(EAX=0DH, ECX=1) for `__x86_get_cpuid_feature_leaf`.
 pub const CPUID_INDEX_D_ECX_1: c_uint = 3;
 

@@ -189,6 +189,7 @@ syscall_table! {
     (203, SCHED_SETAFFINITY, "sched_setaffinity");
     (204, SCHED_GETAFFINITY, "sched_getaffinity");
     (213, EPOLL_CREATE, "epoll_create");
+    (216, REMAP_FILE_PAGES, "remap_file_pages");
     (217, GETDENTS64, "getdents64");
     (218, SET_TID_ADDRESS, "set_tid_address");
     (228, CLOCK_GETTIME, "clock_gettime");
@@ -231,6 +232,7 @@ syscall_table! {
     (318, GETRANDOM, "getrandom");
     (319, MEMFD_CREATE, "memfd_create");
     (322, EXECVEAT, "execveat");
+    (323, USERFAULTFD, "userfaultfd");
     (324, MEMBARRIER, "membarrier");
     (325, MLOCK2, "mlock2");
     (329, PKEY_MPROTECT, "pkey_mprotect");

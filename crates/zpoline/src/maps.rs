@@ -6,9 +6,13 @@
 //! optional name buffer; on older kernels one line parser,
 //! [`parse_line`], reads the text. Both report every field; callers
 //! pick. Raw syscalls from the gate and stack buffers only: the `SIGSYS`
-//! handler and code that runs before `main` use it.
+//! handler and code that runs before `main` use it. Its [`shadow`]
+//! answers the patch window first, from the mapping calls the
+//! dispatcher saw.
 
 use syscalls::{nr, Errno, SyscallArgs};
+
+pub mod shadow;
 
 use crate::trampoline::{gate_syscall, raw};
 

@@ -11,15 +11,15 @@
 //! mapping lookup uses raw syscalls into stack buffers.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU64, Ordering};
 
 use syscalls::{nr, Errno};
 
 use crate::disasm;
 pub use crate::maps::RegionPerms;
-use crate::maps::Maps;
+use crate::maps::{shadow, Mapping, Maps};
 use crate::sitelog::SITE_LOG;
-use crate::trampoline::{raw, Trampoline};
+use crate::trampoline::{raw, thread_block, Trampoline};
 
 /// `syscall` encoding (`0f 05`).
 pub const SYSCALL_BYTES: [u8; 2] = [0x0f, 0x05];
@@ -82,13 +82,22 @@ impl std::error::Error for PatchError {}
 /// a signal handler; a spinlock cannot deadlock here because the
 /// critical section performs no syscall that could itself be dispatched:
 /// every one it makes leaves from the gate ([`crate::gate`]), which SUD
-/// lets through.
+/// lets through. A signal can still land on a thread that holds it; the
+/// thread's block says so ([`ThreadBlock::holds_rewrite_lock`]), and
+/// code the signal runs must not take it then.
+///
+/// [`ThreadBlock::holds_rewrite_lock`]: crate::ThreadBlock::holds_rewrite_lock
 static PATCH_LOCK: AtomicBool = AtomicBool::new(false);
 
 pub(crate) struct SpinGuard;
 
 impl SpinGuard {
     pub(crate) fn lock() -> SpinGuard {
+        // Marked before the first try and cleared after the release: a
+        // signal that lands while this thread spins, holds or lets go
+        // finds the mark, so nothing on this thread ever waits for it.
+        thread_block().set_rewrite_lock(true);
+        compiler_fence(Ordering::SeqCst);
         while PATCH_LOCK
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_err()
@@ -102,7 +111,30 @@ impl SpinGuard {
 impl Drop for SpinGuard {
     fn drop(&mut self) {
         PATCH_LOCK.store(false, Ordering::Release);
+        compiler_fence(Ordering::SeqCst);
+        thread_block().set_rewrite_lock(false);
     }
+}
+
+/// In a fork child: releases the rewrite lock if a thread the child
+/// does not have held it at the `fork` — it would never let go — and
+/// stops the shadow ([`crate::maps::shadow`]) vouching, whose entries
+/// that thread may have been changing.
+pub fn release_orphaned_lock() {
+    if !thread_block().holds_rewrite_lock() && PATCH_LOCK.load(Ordering::Acquire) {
+        shadow::distrust();
+        PATCH_LOCK.store(false, Ordering::Release);
+    }
+}
+
+/// Probes and lookups the patch window asked the kernel for, process
+/// wide: what the shadow saves shows as this not moving.
+static KERNEL_QUERIES: AtomicU64 = AtomicU64::new(0);
+
+/// How many times the patch window asked the kernel about a page — a
+/// store probe or a mapping lookup — since the process started.
+pub fn kernel_queries() -> u64 {
+    KERNEL_QUERIES.load(Ordering::Relaxed)
 }
 
 /// Looks up the protection of the mapping containing `addr`
@@ -110,15 +142,16 @@ impl Drop for SpinGuard {
 /// the text of `/proc/self/maps`), with raw syscalls and stack buffers
 /// only (no allocation — safe inside a signal handler). `None` when
 /// nothing is mapped there — or when the lookup itself failed, which
-/// `lookup_perms` (and [`PatchError::LookupFailed`]) tell apart.
+/// `lookup` (and [`PatchError::LookupFailed`]) tell apart.
 pub fn region_perms(addr: usize) -> Option<RegionPerms> {
-    lookup_perms(addr).ok().flatten()
+    lookup(addr).ok().flatten().map(|m| m.perms)
 }
 
-/// [`region_perms`], with "could not look" (the errno of the `open` or
-/// the lookup) kept apart from "nothing mapped" (`Ok(None)`).
-fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
-    Ok(Maps::open()?.covering(addr)?.map(|m| m.perms))
+/// The mapping covering `addr`, with "could not look" (the errno of the
+/// `open` or the lookup) kept apart from "nothing mapped" (`Ok(None)`).
+fn lookup(addr: usize) -> Result<Option<Mapping>, Errno> {
+    KERNEL_QUERIES.fetch_add(1, Ordering::Relaxed);
+    Maps::open()?.covering(addr)
 }
 
 /// Whether a store to the page at `page` would succeed, asked of the
@@ -129,6 +162,7 @@ fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
 /// kernel without the advice), `ENOMEM` where nothing is mapped.
 fn store_would_succeed(page: usize) -> bool {
     const MADV_POPULATE_WRITE: u64 = 23;
+    KERNEL_QUERIES.fetch_add(1, Ordering::Relaxed);
     // SAFETY: advice on one page; nothing is written, mapped or unmapped.
     let r = unsafe { raw::syscall3(nr::MADVISE, page as u64, 4096, MADV_POPULATE_WRITE) };
     r == 0
@@ -165,7 +199,8 @@ fn in_gate(site: usize) -> bool {
 /// the caller knows it; then the window spans every page from the first
 /// site's to the last's, so a mapping's sites cost one `mprotect` pair,
 /// not one per page. Without it, the sites must start on one page (the
-/// last may straddle into the next) and the page is looked up.
+/// last may straddle into the next), and the shadow of the executable
+/// mappings ([`crate::maps::shadow`]) is asked before the kernel is.
 ///
 /// The writes happen under the global rewrite spinlock. A mapping that
 /// does not already take stores (an RWX JIT page does) is set
@@ -183,7 +218,7 @@ pub(crate) unsafe fn patch_window(
     if !Trampoline::is_installed() {
         return Err(PatchError::TrampolineMissing);
     }
-    let _guard = SpinGuard::lock();
+    let mut guard = SpinGuard::lock();
 
     let mut pending = false;
     for &site in sites {
@@ -203,19 +238,22 @@ pub(crate) unsafe fn patch_window(
     // Past one page, the probe and a looked-up mapping say nothing about
     // the rest.
     let straddles = len > 4096;
-    // A page that takes stores as it is — an RWX JIT page — needs no
-    // window, and no look at what the mapping is. `/proc` is opened only
-    // when a window has to be: its protection is what the window restores.
-    let window = if perms.is_none() && !straddles && store_would_succeed(page) {
-        None
-    } else {
-        let orig = match perms {
-            Some(perms) => perms,
-            None => lookup_perms(addr)
+    let needs_window =
+        |orig: RegionPerms| (!(orig.read && orig.write) || straddles).then_some(orig);
+    // What the dispatcher saw mapped there answers first. Else a page
+    // that takes stores as it is — an RWX JIT page — needs no window,
+    // and no look at what the mapping is; `/proc` is opened only when a
+    // window has to be: its protection is what the window restores.
+    let window = match perms.or_else(|| shadow::vouch(&mut guard, page, len)) {
+        Some(orig) => needs_window(orig),
+        None if !straddles && store_would_succeed(page) => None,
+        None => {
+            let found = lookup(addr)
                 .map_err(PatchError::LookupFailed)?
-                .ok_or(PatchError::UnmappedAddress)?,
-        };
-        (!(orig.read && orig.write) || straddles).then_some(orig)
+                .ok_or(PatchError::UnmappedAddress)?;
+            shadow::keep(&mut guard, &found);
+            needs_window(found.perms)
+        }
     };
     let protect = |prot: i32| {
         let r = raw::syscall3(nr::MPROTECT, page as u64, len as u64, prot as u64);
@@ -372,6 +410,11 @@ unsafe fn patch_page(
 pub(crate) mod tests {
     use super::*;
     use crate::maps::{number, parse_line, OPEN_FLAGS};
+
+    /// [`lookup`]'s protection.
+    fn lookup_perms(addr: usize) -> Result<Option<RegionPerms>, Errno> {
+        lookup(addr).map(|m| m.map(|m| m.perms))
+    }
 
     // The SIGSYS handler's maps fd never survives another thread's
     // `execve`.

@@ -343,6 +343,9 @@ pub struct ThreadBlock {
     dispatches_shared: Cell<bool>,
     /// Dispatches that left from the stub (debug builds count).
     stub_exits: Cell<u64>,
+    /// Set while this thread takes or holds the rewrite spinlock
+    /// (`patcher::SpinGuard`).
+    rewrite_lock: Cell<bool>,
 }
 
 impl ThreadBlock {
@@ -420,6 +423,19 @@ impl ThreadBlock {
     #[inline]
     pub fn stub_exits(&self) -> u64 {
         self.stub_exits.get()
+    }
+
+    /// Whether this thread takes or holds the rewrite spinlock: a signal
+    /// handler that runs on it then must not wait for the lock, which
+    /// would never be released.
+    #[inline]
+    pub fn holds_rewrite_lock(&self) -> bool {
+        self.rewrite_lock.get()
+    }
+
+    #[inline]
+    pub(crate) fn set_rewrite_lock(&self, v: bool) {
+        self.rewrite_lock.set(v);
     }
 }
 
@@ -1017,7 +1033,11 @@ impl Trampoline {
             stub.add(11).write(0xff);
             stub.add(12).write(0xe3);
 
-            if libc::mprotect(page, TRAMPOLINE_BYTES, libc::PROT_READ | libc::PROT_EXEC) != 0 {
+            // Execute-only: on a host with protection keys the kernel
+            // backs `PROT_EXEC` alone with its execute-only key, so a
+            // null-pointer read below 4096 faults again; elsewhere the
+            // page stays readable (x86 page tables cannot say otherwise).
+            if libc::mprotect(page, TRAMPOLINE_BYTES, libc::PROT_EXEC) != 0 {
                 return Err(io::Error::last_os_error());
             }
         }

@@ -1,10 +1,14 @@
 //! Property tests for the one parser of `/proc/self/maps` lines
 //! (`maps::parse_line`): bytes the kernel wrote, read in the `SIGSYS`
-//! handler on kernels without `PROCMAP_QUERY`.
+//! handler on kernels without `PROCMAP_QUERY`; and for the shadow of the
+//! executable mappings (`maps::shadow`), which the patch window believes
+//! over the kernel: whatever it vouches for is what `Maps::covering`
+//! says.
 
-use lp_zpoline::maps::{parse_line, Mapping};
+use lp_zpoline::maps::{parse_line, shadow, Mapping, Maps};
 use lp_zpoline::RegionPerms;
 use proptest::prelude::*;
+use syscalls::{nr, Errno, SyscallArgs};
 
 /// A line as the kernel renders it (`show_map_vma`): fixed fields, then
 /// the name padded to column 73.
@@ -36,8 +40,16 @@ fn render(m: &Mapping, name: &[u8]) -> Vec<u8> {
 fn name() -> impl Strategy<Value = Vec<u8>> {
     let word = || proptest::collection::vec(b'a'..=b'z', 1..12);
     prop_oneof![
-        (word(), word(), word())
-            .prop_map(|(a, b, c)| [&b"/tmp/"[..], &a, b" ", &b, b"/lib ", &c, b".so"].concat()),
+        (word(), word(), word()).prop_map(|(a, b, c)| [
+            &b"/tmp/"[..],
+            &a,
+            b" ",
+            &b,
+            b"/lib ",
+            &c,
+            b".so"
+        ]
+        .concat()),
         (word(), word()).prop_map(|(a, b)| [&b"/"[..], &a, b"/", &b, b" (deleted)"].concat()),
         prop_oneof![
             Just(b"[heap]".to_vec()),
@@ -125,5 +137,131 @@ proptest! {
     fn rendered_line_parses_back(m in mapping(), name in name()) {
         let line = render(&m, &name);
         prop_assert_eq!(parse_line(&line), Some((m, &name[..])));
+    }
+}
+
+/// Pages of the private arena the mapping calls below act on.
+const ARENA: usize = 16;
+const PAGE: usize = 4096;
+/// `PROT_NONE`, `r--`, `rw-`, `r-x`, `rwx`, `-wx`, `--x`.
+const PROTS: [u64; 7] = [0, 1, 3, 5, 7, 6, 4];
+const MAP_PRIVATE_ANONYMOUS: u64 = (libc::MAP_PRIVATE | libc::MAP_ANONYMOUS) as u64;
+const MREMAP_MAYMOVE: u64 = 1;
+const MREMAP_FIXED: u64 = 2;
+
+/// One mapping call: `(kind, page, pages, prot, to, flag)`, read by
+/// [`call`].
+type Op = (u8, usize, usize, usize, usize, bool);
+
+fn op() -> impl Strategy<Value = Op> {
+    (
+        0u8..4,
+        0..ARENA,
+        1..=ARENA,
+        0..PROTS.len(),
+        0..ARENA,
+        any::<bool>(),
+    )
+}
+
+/// The call `op` stands for, on the arena at `arena`: an `mmap` (fixed
+/// into the arena with `flag`, else anywhere), an `mprotect`, a
+/// `munmap`, or an `mremap` (moved to page `to` with `flag`, else
+/// resized in place). Every range stays in the arena.
+fn call(arena: usize, (kind, page, pages, prot, to, flag): Op) -> SyscallArgs {
+    let pages = pages.min(ARENA - page);
+    let (at, len, prot) = (
+        (arena + page * PAGE) as u64,
+        (pages * PAGE) as u64,
+        PROTS[prot],
+    );
+    match kind {
+        0 if flag => SyscallArgs::new(
+            nr::MMAP,
+            [
+                at,
+                len,
+                prot,
+                MAP_PRIVATE_ANONYMOUS | libc::MAP_FIXED as u64,
+                u64::MAX,
+                0,
+            ],
+        ),
+        0 => SyscallArgs::new(nr::MMAP, [0, len, prot, MAP_PRIVATE_ANONYMOUS, u64::MAX, 0]),
+        1 => SyscallArgs::new(nr::MPROTECT, [at, len, prot, 0, 0, 0]),
+        2 => SyscallArgs::new(nr::MUNMAP, [at, len, 0, 0, 0, 0]),
+        _ => {
+            let new_pages = pages.min(ARENA - to);
+            let new_len = (new_pages * PAGE) as u64;
+            if flag {
+                let dest = (arena + to * PAGE) as u64;
+                let flags = MREMAP_MAYMOVE | MREMAP_FIXED;
+                SyscallArgs::new(nr::MREMAP, [at, len, new_len, flags, dest, 0])
+            } else {
+                let in_place = (new_pages.min(ARENA - page) * PAGE) as u64;
+                SyscallArgs::new(nr::MREMAP, [at, len, in_place, 0, 0, 0])
+            }
+        }
+    }
+}
+
+/// The call, through the shadow as the dispatcher makes it.
+fn execute(call: &SyscallArgs) -> u64 {
+    // SAFETY: every call acts on the arena or maps fresh memory.
+    shadow::execute(call, |c| unsafe { syscalls::raw::syscall(*c) })
+}
+
+/// Every page of `[start, start + len)` the shadow vouches for has the
+/// protection `Maps::covering` reports; returns how many it vouched for.
+fn agrees(maps: &Maps, start: usize, len: usize) -> Result<usize, String> {
+    let mut vouched = 0;
+    for page in (start..start + len).step_by(PAGE) {
+        if let Some(perms) = shadow::perms(page) {
+            let kernel = maps.covering(page).map_err(|e| format!("covering: {e}"))?;
+            prop_assert_eq!(kernel.map(|m| m.perms), Some(perms), "page {:#x}", page);
+            vouched += 1;
+        }
+    }
+    Ok(vouched)
+}
+
+proptest! {
+    /// Random `mmap`, `mprotect`, `munmap` and `mremap` on a private
+    /// arena, each through the shadow as the dispatcher executes it:
+    /// after every step the shadow vouches only for what the kernel
+    /// says, and for every RWX `mmap` it just saw.
+    #[test]
+    fn the_shadow_agrees_with_the_kernel(ops in proptest::collection::vec(op(), 1..24)) {
+        let reserve = SyscallArgs::new(
+            nr::MMAP,
+            [0, (ARENA * PAGE) as u64, 0, MAP_PRIVATE_ANONYMOUS, u64::MAX, 0],
+        );
+        let arena = execute(&reserve);
+        prop_assert!(Errno::from_ret(arena).is_none(), "arena");
+        let arena = arena as usize;
+        shadow::reset(true);
+        let maps = Maps::open().map_err(|e| format!("open: {e}"))?;
+        let mut elsewhere = Vec::new();
+        for (step, &op) in ops.iter().enumerate() {
+            let c = call(arena, op);
+            let ret = execute(&c);
+            let ok = Errno::from_ret(ret).is_none();
+            if c.nr == nr::MMAP && ok {
+                if c.args[0] == 0 {
+                    elsewhere.push((ret as usize, c.args[1] as usize));
+                }
+                if c.args[2] == 7 {
+                    prop_assert!(shadow::perms(ret as usize).is_some(), "step {}: RWX mmap not noted", step);
+                }
+            }
+            agrees(&maps, arena, ARENA * PAGE).map_err(|e| format!("step {step}, {c:?}: {e}"))?;
+            for &(at, len) in &elsewhere {
+                agrees(&maps, at, len).map_err(|e| format!("step {step}, {c:?}: {e}"))?;
+            }
+        }
+        shadow::reset(false);
+        for (at, len) in elsewhere.into_iter().chain([(arena, ARENA * PAGE)]) {
+            execute(&SyscallArgs::new(nr::MUNMAP, [at as u64, len as u64, 0, 0, 0, 0]));
+        }
     }
 }

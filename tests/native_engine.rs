@@ -3070,18 +3070,83 @@ fn flip_selector_to_allow() {
     }
 }
 
-/// The attack: SUD off through libc's `prctl`, a site in shared-library
-/// text, then a syscall from the application's own text. Nothing in
-/// between may make a syscall.
+/// The attack: SUD off by a jump into the gate — hardened mode refuses
+/// the application's own `prctl` (`sud_prctl_refused_hardened`) — then a
+/// syscall from the application's own text. Nothing in between may make
+/// a syscall.
 fn attack(nr: u64) -> i64 {
+    let off = syscalls::SyscallArgs::new(
+        syscalls::nr::PRCTL,
+        [
+            sud::PR_SET_SYSCALL_USER_DISPATCH as u64,
+            sud::PR_SYS_DISPATCH_OFF,
+            0,
+            0,
+            0,
+            0,
+        ],
+    );
     // SAFETY: the `prctl` takes no pointer.
-    let off = unsafe {
-        libc::prctl(sud::PR_SET_SYSCALL_USER_DISPATCH, sud::PR_SYS_DISPATCH_OFF, 0, 0, 0)
-    };
-    assert_eq!(off, 0, "prctl(SUD OFF)");
+    let off = unsafe { zpoline::gate_syscall(&off) };
+    assert_eq!(off, 0, "prctl(SUD OFF) from the gate");
     attacker_syscall(nr)
 }
 
+/// The application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)`
+/// through libc.
+fn libc_sud_off() -> libc::c_int {
+    // SAFETY: the `prctl` takes no pointer.
+    unsafe {
+        libc::prctl(
+            sud::PR_SET_SYSCALL_USER_DISPATCH,
+            sud::PR_SYS_DISPATCH_OFF,
+            0,
+            0,
+            0,
+        )
+    }
+}
+
+/// Plain mode keeps the paper's trust model: the application's own
+/// `prctl(SUD, OFF)` executes, and the shadow of the executable
+/// mappings stops vouching — the thread's mapping calls may now go
+/// unseen.
+fn scenario_sud_prctl_plain() {
+    let _active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let page = ret_filled_rwx_page();
+        let rwx = Some(libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC);
+        let vouched = || zpoline::maps::shadow::perms(page as usize).map(|p| p.prot());
+        assert_eq!(vouched(), rwx, "the dispatched mmap was noted");
+        assert_eq!(libc_sud_off(), 0, "plain mode executes the prctl");
+        assert_eq!(vouched(), None, "the shadow still vouches after SUD OFF");
+        assert_eq!(lazypoline::harden::bypass_blocked(), 0);
+    }
+}
+
+/// Hardened mode refuses the application's own `prctl(SUD, …)`: `EPERM`,
+/// counted with the blocked escapes, and the thread is still dispatched.
+fn scenario_sud_prctl_refused_hardened() {
+    let active = install(
+        "lazypoline-hardened",
+        Box::new(interpose::PassthroughHandler),
+    );
+    let before = active.stats();
+    let off = libc_sud_off();
+    let errno = std::io::Error::last_os_error().raw_os_error();
+    let after = active.stats();
+    assert_eq!(
+        (off, errno),
+        (-1, Some(libc::EPERM)),
+        "prctl(SUD OFF) under hardened mode"
+    );
+    assert_eq!(after.bypass_blocked - before.bypass_blocked, 1, "{after:?}");
+    assert!(
+        after.dispatches > before.dispatches,
+        "the prctl was not dispatched"
+    );
+    assert_interposed("after the refused prctl");
+}
 /// Hardened mode reaches `Full` whenever the backstop installs — on MPK
 /// hosts and others alike — and `Unprotected` when it cannot.
 fn scenario_harden_full() {
@@ -3430,6 +3495,432 @@ fn scenario_sfip_escape_kill() {
     );
 }
 
+// ——— the shadow of the executable mappings —————————————————————————
+//
+// The dispatcher keeps a shadow of what it saw mapped executable
+// (`zpoline::maps::shadow`); the patch window asks it before the kernel.
+// `zpoline::patcher::kernel_queries` counts what the window still asks:
+// store probes and mapping lookups.
+
+fn kernel_queries() -> u64 {
+    zpoline::patcher::kernel_queries()
+}
+
+const RWX: libc::c_int = libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC;
+const RX: libc::c_int = libc::PROT_READ | libc::PROT_EXEC;
+
+/// Runs the getpid site at `site` (its first execution) and returns the
+/// patch window's kernel queries for it; the site must come back
+/// rewritten.
+unsafe fn queries_to_patch(site: *mut u8, task: &str) -> u64 {
+    let pid = std::process::id() as u64;
+    let f: extern "C" fn() -> u64 = std::mem::transmute(site);
+    let before = kernel_queries();
+    let got = f();
+    let queries = kernel_queries() - before;
+    assert_eq!(got, pid, "{task}");
+    assert_eq!(
+        std::slice::from_raw_parts(site.add(5), 2),
+        &[0xff, 0xd0],
+        "{task}: site not rewritten"
+    );
+    queries
+}
+
+/// [`queries_to_patch`] of a one-site RWX page mapped just now, through
+/// the dispatcher.
+fn queries_for_a_fresh_page(task: &str) -> u64 {
+    unsafe {
+        let page = emit_getpid_page(1);
+        let queries = queries_to_patch(page, task);
+        libc::munmap(page.cast(), 4096);
+        queries
+    }
+}
+
+/// The protection the kernel reports for the page at `p`.
+fn prot_of(p: *mut u8) -> Option<libc::c_int> {
+    zpoline::patcher::region_perms(p as usize).map(|r| r.prot())
+}
+
+/// An RWX page mapped after the install is rewritten with no kernel
+/// query: the dispatcher saw its `mmap`. A page mapped before the
+/// install is the control: the shadow never saw it, so its window asks.
+fn scenario_shadow_rwx_without_query() {
+    let early = unsafe { emit_getpid_page(1) };
+    let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    let before = active.stats();
+    let control = unsafe { queries_to_patch(early, "a page mapped before the install") };
+    assert!(
+        control > 0,
+        "the window asked nothing for a page the shadow never saw"
+    );
+    for i in 0..3 {
+        let queries = queries_for_a_fresh_page(&format!("fresh page {i}"));
+        assert_eq!(queries, 0, "fresh page {i}: the window asked the kernel");
+    }
+    let after = active.stats();
+    assert!(after.sites_patched - before.sites_patched >= 4, "{after:?}");
+    assert_eq!(
+        after.pages_blocklisted, before.pages_blocklisted,
+        "{after:?}"
+    );
+    active.detach();
+}
+
+/// A raw `clone(CLONE_VM | SIGCHLD)` from a fresh site in this
+/// executable's text: the child shares the address space, is not
+/// enrolled (no `CLONE_SETTLS`), and exits at once.
+fn raw_clone_vm_child() {
+    const CLONE_VM: u64 = 0x100;
+    const SIGCHLD: u64 = 17;
+    unsafe {
+        let stack = libc::mmap(
+            std::ptr::null_mut(),
+            64 * 1024,
+            libc::PROT_READ | libc::PROT_WRITE,
+            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_STACK,
+            -1,
+            0,
+        );
+        assert_ne!(stack, libc::MAP_FAILED);
+        let top = (stack as usize + 64 * 1024) & !15;
+        let pid: i64;
+        // The child resumes after the `syscall` on `top`, with rax = 0,
+        // and leaves by `exit` before it touches any memory.
+        std::arch::asm!(
+            "syscall",
+            "test rax, rax",
+            "jnz 2f",
+            "mov eax, 60",
+            "xor edi, edi",
+            "syscall",
+            "2:",
+            inlateout("rax") syscalls::nr::CLONE as i64 => pid,
+            in("rdi") CLONE_VM | SIGCHLD,
+            in("rsi") top,
+            in("rdx") 0,
+            in("r10") 0,
+            in("r8") 0,
+            out("rcx") _,
+            out("r11") _,
+        );
+        assert!(pid > 0, "clone: {pid}");
+        let mut status = 0;
+        assert_eq!(libc::waitpid(pid as i32, &mut status, 0), pid as i32);
+        assert!(
+            libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
+            "{status:#x}"
+        );
+        libc::munmap(stack, 64 * 1024);
+    }
+}
+
+/// Every condition under which the shadow must not vouch falls back to
+/// the probe and the lookup, and the page is still rewritten: a second
+/// thread alive at the install, a raw `CLONE_VM` child the engine does
+/// not enrol, and `userfaultfd`. Each case starts from a fresh install
+/// whose fresh page takes no query (the control).
+fn scenario_shadow_untrusted_probes() {
+    let handler = || Box::new(interpose::PassthroughHandler);
+
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let parked = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })
+    };
+    let active = install("lazypoline", handler());
+    assert!(queries_for_a_fresh_page("a second thread at install") > 0);
+    stop.store(true, Ordering::SeqCst);
+    parked.join().unwrap();
+    drop(active);
+
+    let active = install("lazypoline", handler());
+    assert_eq!(queries_for_a_fresh_page("the only thread"), 0);
+    raw_clone_vm_child();
+    assert!(queries_for_a_fresh_page("after a CLONE_VM child") > 0);
+    drop(active);
+
+    let active = install("lazypoline", handler());
+    assert_eq!(queries_for_a_fresh_page("the only thread, again"), 0);
+    unsafe {
+        let page = ret_filled_rwx_page();
+        let userfaultfd = syscall_site(page, 0, syscalls::nr::USERFAULTFD);
+        let fd = userfaultfd(libc::O_CLOEXEC as u64, 0, 0);
+        if syscalls::Errno::from_ret(fd).is_none() {
+            libc::close(fd as i32);
+        }
+        libc::munmap(page.cast(), 4096);
+    }
+    assert!(queries_for_a_fresh_page("after userfaultfd") > 0);
+    drop(active);
+}
+
+/// An RWX page `mprotect`ed to `r-x` through the dispatcher: its fresh
+/// sites get their window, and `r-x` comes back. The first page asks
+/// the kernel (the `mprotect` forgot the range); the second page of the
+/// mapping takes its window from the kept answer, with no query.
+fn scenario_shadow_mprotect_window() {
+    let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let p = libc::mmap(
+            std::ptr::null_mut(),
+            8192,
+            RWX,
+            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+            -1,
+            0,
+        ) as *mut u8;
+        assert_ne!(p.cast(), libc::MAP_FAILED);
+        std::ptr::write_bytes(p, 0xc3, 8192);
+        syscall_site(p, 0, syscalls::nr::GETPID);
+        syscall_site(p, 64, syscalls::nr::GETPID);
+        let vouched = |p: *mut u8| zpoline::maps::shadow::perms(p as usize).map(|r| r.prot());
+        assert_eq!(vouched(p), Some(RWX), "the dispatched mmap was noted");
+        // A shadow that kept the RWX range would have the window store
+        // into an r-x page: SIGSEGV in the SIGSYS handler.
+        assert_eq!(libc::mprotect(p.cast(), 8192, RX), 0);
+
+        let first = queries_to_patch(p, "first r-x page");
+        let second = queries_to_patch(p.add(4096), "second r-x page");
+        assert!(first > 0, "the window asked nothing for a forgotten range");
+        assert_eq!(second, 0, "the kept answer did not open the window");
+        assert_eq!((prot_of(p), prot_of(p.add(4096))), (Some(RX), Some(RX)));
+        libc::munmap(p.cast(), 8192);
+    }
+    active.detach();
+}
+
+/// A `MAP_FIXED` `mmap` replaces a noted RWX range with a private `r-x`
+/// mapping of a file holding a fresh site: the range is forgotten, and
+/// the page gets its window as in `shadow_mprotect_window`.
+fn scenario_shadow_map_fixed() {
+    let mut active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let mut code = [0xc3u8; 4096];
+        code[..8].copy_from_slice(&[0xb8, 0x27, 0, 0, 0, 0x0f, 0x05, 0xc3]);
+        let name = b"lp shadow\0";
+        let fd = syscalls::raw::syscall2(syscalls::nr::MEMFD_CREATE, name.as_ptr() as u64, 0);
+        assert!(syscalls::Errno::from_ret(fd).is_none(), "memfd_create");
+        assert_eq!(libc::write(fd as i32, code.as_ptr().cast(), 4096), 4096);
+
+        let p = emit_getpid_page(1);
+        assert_eq!(
+            zpoline::maps::shadow::perms(p as usize).map(|r| r.prot()),
+            Some(RWX)
+        );
+        let flags = libc::MAP_PRIVATE | libc::MAP_FIXED;
+        let q = libc::mmap(p.cast(), 4096, RX, flags, fd as i32, 0) as *mut u8;
+        assert_eq!(q, p, "MAP_FIXED");
+        libc::close(fd as i32);
+        // The RWX range kept would be a store into the r-x page.
+
+        assert!(queries_to_patch(p, "the file's r-x page") > 0);
+        assert_eq!(prot_of(p), Some(RX));
+        libc::munmap(p.cast(), 4096);
+    }
+    active.detach();
+}
+
+/// A `brk` that lowers the break empties the shadow, and so does `shmdt`.
+/// An `shmat` over a noted RWX page (`SHM_REMAP`) with a read-only
+/// segment empties it too: the page is then not writable, and its fresh
+/// site, whose window cannot open on a read-only segment, is emulated.
+fn scenario_shadow_brk_shm() {
+    const SHM_RDONLY: u64 = 0o10000;
+    const SHM_REMAP: u64 = 0o40000;
+    const SHM_EXEC: u64 = 0o100000;
+    const IPC_PRIVATE: u64 = 0;
+    const IPC_CREAT: u64 = 0o1000;
+    const IPC_RMID: u64 = 0;
+    use syscalls::nr;
+
+    let active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let calls = ret_filled_rwx_page();
+        let brk = syscall_site(calls, 0, nr::BRK);
+        let shmget = syscall_site(calls, 1, nr::SHMGET);
+        let shmat = syscall_site(calls, 2, nr::SHMAT);
+        let shmdt = syscall_site(calls, 3, nr::SHMDT);
+        let shmctl = syscall_site(calls, 4, nr::SHMCTL);
+        let noted = |p: *mut u8| zpoline::maps::shadow::perms(p as usize).is_some();
+
+        // Raise the break by two pages and give them back, with nothing
+        // allocated in between: the heap's own top is below `now`.
+        let p = emit_getpid_page(1);
+        let now = brk(0, 0, 0);
+        let raised = brk(now + 8192, 0, 0);
+        let still = noted(p);
+        let lowered = brk(now, 0, 0);
+        let emptied = !noted(p);
+        assert_eq!((raised, lowered), (now + 8192, now));
+        assert!(still, "raising the break emptied the shadow");
+        assert!(emptied, "lowering the break left the shadow vouching");
+
+        // A segment holding a fresh site, written through a first attach.
+        let id = shmget(IPC_PRIVATE, 4096, IPC_CREAT | 0o600);
+        assert!(syscalls::Errno::from_ret(id).is_none(), "shmget");
+        let rw = shmat(id, 0, 0) as *mut u8;
+        assert!(syscalls::Errno::from_ret(rw as u64).is_none(), "shmat");
+        std::ptr::write_bytes(rw, 0xc3, 4096);
+        syscall_site(rw, 0, nr::GETPID);
+
+        let p = emit_getpid_page(1);
+        assert!(noted(p));
+        assert_eq!(shmdt(rw as u64, 0, 0), 0);
+        assert!(!noted(p), "shmdt left the shadow vouching");
+
+        let p = emit_getpid_page(1);
+        assert!(noted(p));
+        let at = shmat(id, p as u64, SHM_RDONLY | SHM_EXEC | SHM_REMAP) as *mut u8;
+        assert_eq!(at, p, "shmat over the noted page");
+        // The RWX range kept would be a store into the read-only segment.
+        let before = active.stats();
+        let f: extern "C" fn() -> u64 = std::mem::transmute(p);
+        assert_eq!(f(), std::process::id() as u64);
+        let after = active.stats();
+        assert_eq!(
+            after.unpatchable_emulations - before.unpatchable_emulations,
+            1
+        );
+        assert_eq!(std::slice::from_raw_parts(p.add(5), 2), &[0x0f, 0x05]);
+        assert_eq!(shmdt(p as u64, 0, 0), 0);
+        assert_eq!(shmctl(id, IPC_RMID, 0), 0);
+        libc::munmap(calls.cast(), 4096);
+    }
+    drop(active);
+}
+
+/// A signal that lands while the thread's `SIGSYS` handler holds the
+/// rewrite lock, and whose handler runs a fresh site, must not wait for
+/// that lock: the site is emulated and rewritten on its next trap. A
+/// 50 µs `ITIMER_REAL` whose `SIGALRM` handler runs a fresh site each
+/// time, against a main loop that churns fresh one-site RWX pages, in a
+/// fork child a watchdog kills if it hangs.
+fn scenario_rewrite_lock_signal() {
+    const SIGALRM: libc::c_int = 14;
+    const ITIMER_REAL: u64 = 0;
+    const WNOHANG: libc::c_int = 1;
+    const POOL_PAGES: usize = 256;
+    const PAGES: usize = 100_000;
+    static POOL: AtomicU64 = AtomicU64::new(0);
+    static TAKEN: AtomicU64 = AtomicU64::new(0);
+
+    /// Runs the next never-executed site of the pool: the pages' sites
+    /// from the last slot down, so that no batch sweep reaches one first.
+    extern "C" fn on_alarm(_sig: libc::c_int) {
+        let n = TAKEN.fetch_add(1, Ordering::Relaxed) as usize;
+        if n < POOL_PAGES * 64 {
+            let site = POOL.load(Ordering::Relaxed) as usize + (n / 64) * 4096 + (63 - n % 64) * 64;
+            let f: extern "C" fn() -> u64 = unsafe { std::mem::transmute(site) };
+            f();
+        }
+    }
+
+    let child = unsafe { libc::fork() };
+    assert!(child >= 0, "fork");
+    if child == 0 {
+        let _active = install("lazypoline", Box::new(interpose::PassthroughHandler));
+        unsafe {
+            let pool = libc::mmap(
+                std::ptr::null_mut(),
+                POOL_PAGES * 4096,
+                RWX,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+                -1,
+                0,
+            ) as *mut u8;
+            assert_ne!(pool.cast(), libc::MAP_FAILED);
+            std::ptr::write_bytes(pool, 0xc3, POOL_PAGES * 4096);
+            for page in 0..POOL_PAGES {
+                for slot in 0..64 {
+                    syscall_site(pool.add(page * 4096), slot, syscalls::nr::GETPID);
+                }
+            }
+            POOL.store(pool as u64, Ordering::Relaxed);
+            let mut sa: libc::sigaction = std::mem::zeroed();
+            sa.sa_sigaction = on_alarm as *const () as usize;
+            sa.sa_flags = libc::SA_RESTART;
+            assert_eq!(libc::sigaction(SIGALRM, &sa, std::ptr::null_mut()), 0);
+            let every_50us = [0u64, 50, 0, 50]; // interval, then value: sec, usec
+            let off = [0u64; 4];
+            let setitimer = |t: &[u64; 4]| {
+                syscalls::raw::syscall3(syscalls::nr::SETITIMER, ITIMER_REAL, t.as_ptr() as u64, 0)
+            };
+            assert_eq!(setitimer(&every_50us), 0);
+            // Until the pool runs dry: later alarms run no fresh site.
+            let mut pages = 0;
+            while pages < PAGES && TAKEN.load(Ordering::Relaxed) < (POOL_PAGES * 64) as u64 {
+                let page = emit_getpid_page(1);
+                let f: extern "C" fn() -> u64 = std::mem::transmute(page);
+                f();
+                libc::munmap(page.cast(), 4096);
+                pages += 1;
+            }
+            setitimer(&off);
+            let taken = TAKEN.load(Ordering::Relaxed).min((POOL_PAGES * 64) as u64);
+            println!("{pages} pages churned, {taken} alarms ran a fresh site");
+            libc::_exit(if taken > 0 { 0 } else { 3 });
+        }
+    }
+    let mut status = 0;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let r = unsafe { libc::waitpid(child, &mut status, WNOHANG) };
+        if r == child {
+            break;
+        }
+        if std::time::Instant::now() > deadline {
+            unsafe { libc::kill(child, 9) };
+            unsafe { libc::waitpid(child, &mut status, 0) };
+            panic!("the churning child hung: a signal handler waits for the rewrite lock");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert!(
+        libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
+        "child status {status:#x}"
+    );
+}
+
+/// Page zero is execute-only: under each native base with a trampoline a
+/// read of address `0x10` faults, on hosts with protection keys (the
+/// kernel backs `PROT_EXEC` alone with one). Elsewhere x86 page tables
+/// cannot take the read away, and the scenario skips.
+fn scenario_page_zero_execute_only() {
+    // SAFETY: glibc returns a pointer to static data for every index.
+    let leaf7 = unsafe { *libc::__x86_get_cpuid_feature_leaf(libc::CPUID_INDEX_7) };
+    if leaf7.cpuid_array[2] & (1 << 4) == 0 {
+        println!("no protection keys (OSPKE clear): page zero stays readable; skipping");
+        return;
+    }
+    for base in [
+        "sud",
+        "zpoline",
+        "lazypoline-nox",
+        "lazypoline",
+        "lazypoline-nobatch",
+        "lazypoline-hardened",
+    ] {
+        let child = unsafe { libc::fork() };
+        assert!(child >= 0, "fork");
+        if child == 0 {
+            let _active = install(base, Box::new(interpose::PassthroughHandler));
+            let byte: u8;
+            // SAFETY: a read that faults (the point) or reads the sled.
+            unsafe { std::arch::asm!("mov {b}, byte ptr [0x10]", b = out(reg_byte) byte) };
+            println!("{base}: read {byte:#x} at 0x10");
+            unsafe { libc::_exit(0) };
+        }
+        let mut status = 0;
+        assert_eq!(unsafe { libc::waitpid(child, &mut status, 0) }, child);
+        assert_eq!(status & 0x7f, libc::SIGSEGV, "{base}: status {status:#x}");
+    }
+}
 // ——— harness ————————————————————————————————————————————————————————
 
 const SCENARIOS: &[(&str, fn())] = &[
@@ -3485,6 +3976,15 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("escape_kill", scenario_escape_kill),
     ("escape_kill_unnamed", scenario_escape_kill_unnamed),
     ("escape_fork_rearm", scenario_escape_fork_rearm),
+    ("sud_prctl_plain", scenario_sud_prctl_plain),
+    ("sud_prctl_refused_hardened", scenario_sud_prctl_refused_hardened),
+    ("shadow_rwx_without_query", scenario_shadow_rwx_without_query),
+    ("shadow_untrusted_probes", scenario_shadow_untrusted_probes),
+    ("shadow_mprotect_window", scenario_shadow_mprotect_window),
+    ("shadow_map_fixed", scenario_shadow_map_fixed),
+    ("shadow_brk_shm", scenario_shadow_brk_shm),
+    ("rewrite_lock_signal", scenario_rewrite_lock_signal),
+    ("page_zero_execute_only", scenario_page_zero_execute_only),
     ("sfip_native", scenario_sfip_native),
     ("sfip_escape_plain", scenario_sfip_escape_plain),
     ("sfip_escape_count", scenario_sfip_escape_count),
