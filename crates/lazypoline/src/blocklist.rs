@@ -2,11 +2,12 @@
 //!
 //! When a page's `mprotect` window keeps failing (hardened mapping,
 //! sealed memory, injected fault), re-attempting the rewrite on every
-//! `SIGSYS` to that page would pay the spinlock + `/proc/self/maps`
-//! walk + failed `mprotect` on every single trip. This table remembers
-//! such pages so the slow path goes straight to emulation — turning a
-//! persistent failure into the same steady-state cost as the pure-SUD
-//! configuration.
+//! `SIGSYS` to that page would pay the spinlock + a mapping lookup (a
+//! `PROCMAP_QUERY` ioctl, often answered from the shadow of the
+//! executable mappings instead) + failed `mprotect` on every single
+//! trip. This table remembers such pages so the slow path goes straight
+//! to emulation — turning a persistent failure into the same
+//! steady-state cost as the pure-SUD configuration.
 //!
 //! Constraints (the table is consulted and filled from the `SIGSYS`
 //! handler):

@@ -27,12 +27,12 @@
 //! | `lazypoline-nox` | the hybrid without extended-state preservation |
 //! | `lazypoline` | the full hybrid (default) |
 //! | `lazypoline-nobatch` | the hybrid with page-granular batch rewriting off |
-//! | `lazypoline-hardened` | the hybrid with the seccomp backstop behind SUD (one-way per process; degrades to plain lazypoline without seccomp) |
+//! | `lazypoline-hardened` | the hybrid with the seccomp backstop behind SUD (one-way per process; degrades to plain lazypoline without seccomp; native only, no `sim:` twin) |
 //!
 //! Simulated (run a guest program, see [`ActiveMechanism::run_program`]):
 //! `sim:baseline`, `sim:baseline-sud`, `sim:ptrace`, `sim:seccomp-bpf`,
 //! `sim:seccomp-user`, `sim:sud`, `sim:zpoline`, `sim:lazypoline-nox`,
-//! `sim:lazypoline`, `sim:lazypoline-hardened`.
+//! `sim:lazypoline`.
 //!
 //! # Composed names: `base(+layer)*`
 //!
@@ -304,7 +304,7 @@ stats_snapshot! {
     /// (nonzero only under `replay:<path>`).
     replay_divergences,
     /// Escape attempts the hardened backstop caught (nonzero only
-    /// under `lazypoline-hardened` / `sim:lazypoline-hardened`).
+    /// under `lazypoline-hardened`).
     bypass_blocked,
     /// Always 0: the engine arms SUD with no selector, so nothing
     /// guards one with `WRPKRU`. Kept because existing readers (the
@@ -601,12 +601,11 @@ mod tests {
             "sim:zpoline",
             "sim:lazypoline-nox",
             "sim:lazypoline",
-            "sim:lazypoline-hardened",
         ] {
             let m = by_name(name).unwrap_or_else(|| panic!("{name} not registered"));
             assert_eq!(m.name(), name);
         }
-        assert_eq!(names().len(), 19);
+        assert_eq!(names().len(), 18);
         assert!(by_name("ptrace").is_none(), "native ptrace is not a backend");
     }
 
@@ -624,16 +623,13 @@ mod tests {
         );
         let zp = by_name("zpoline").unwrap().traits();
         assert!(!zp.exhaustive, "rewriting alone misses JIT syscalls");
-        // The hardened rows keep lazypoline's winning profile, and the
-        // native and simulated variants agree.
+        // The hardened row keeps lazypoline's winning profile, and it
+        // is native only: the simulator models no backstop.
         let hard = by_name("lazypoline-hardened").unwrap().traits();
         assert_eq!(hard.expressiveness, Expressiveness::Full);
         assert!(hard.exhaustive);
         assert_eq!(hard.efficiency, Efficiency::High);
-        assert_eq!(
-            hard,
-            by_name("sim:lazypoline-hardened").unwrap().traits()
-        );
+        assert!(by_name(&["sim:", "lazypoline-hardened"].concat()).is_none());
     }
 
     #[test]
@@ -731,7 +727,7 @@ mod tests {
         assert_eq!(r.name(), "replay:/tmp/a+record");
         assert_eq!(
             names().len(),
-            19,
+            18,
             "composed names never join the static list"
         );
     }

@@ -67,9 +67,7 @@ const LAZYPOLINE_TRAITS: Traits = Traits {
     efficiency: Efficiency::High,
 };
 
-/// Shared by the native and simulated hardened rows (the traits
-/// equality test pairs them up).
-pub(crate) const HARDENED_TRAITS: Traits = Traits {
+const HARDENED_TRAITS: Traits = Traits {
     name: "lazypoline (hardened)",
     expressiveness: Expressiveness::Full,
     exhaustive: true,

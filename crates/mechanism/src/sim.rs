@@ -16,7 +16,7 @@ pub(crate) struct SimBackend {
     mech: sim_interpose::Mechanism,
 }
 
-pub(crate) static SIM_BACKENDS: [SimBackend; 10] = [
+pub(crate) static SIM_BACKENDS: [SimBackend; 9] = [
     SimBackend {
         key: "sim:baseline",
         mech: sim_interpose::Mechanism::Baseline,
@@ -52,10 +52,6 @@ pub(crate) static SIM_BACKENDS: [SimBackend; 10] = [
     SimBackend {
         key: "sim:lazypoline",
         mech: sim_interpose::Mechanism::Lazypoline { xstate: true },
-    },
-    SimBackend {
-        key: "sim:lazypoline-hardened",
-        mech: sim_interpose::Mechanism::LazypolineHardened,
     },
 ];
 

@@ -236,7 +236,6 @@ impl Asm {
         (xsave, 0x1a, "Appends `xsave [r]` (all 16 vector regs, 256 bytes).");
         (xrstor, 0x1b, "Appends `xrstor [r]`.");
         (jmp_reg, 0x1d, "Appends `jmp r` (indirect).");
-        (wrpkru, 0x22, "Appends `wrpkru r` (write-disable mask ← r).");
     }
 
     /// Appends `ret`.

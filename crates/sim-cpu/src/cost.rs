@@ -39,10 +39,6 @@ pub struct CostModel {
     /// User-mode share of a `syscall` instruction (the kernel adds its
     /// own entry/exit cost).
     pub syscall_user: u64,
-    /// Protection-key switch (`wrpkru`, ~20 cycles on real MPK
-    /// hardware — the cheapness that makes per-dispatch selector
-    /// protection viable, paper §VI).
-    pub wrpkru: u64,
 }
 
 impl Default for CostModel {
@@ -59,7 +55,6 @@ impl Default for CostModel {
             call: 4,
             ret: 4,
             syscall_user: 2,
-            wrpkru: 20,
         }
     }
 }
@@ -82,7 +77,6 @@ impl CostModel {
             Call(..) | CallReg(..) => self.call,
             Ret => self.ret,
             Syscall => self.syscall_user,
-            Wrpkru(..) => self.wrpkru,
         }
     }
 }

@@ -86,9 +86,6 @@ pub enum Op {
     JmpReg(Gpr),
     /// Stop the machine.
     Hlt,
-    /// Load the MPK write-disable mask from a GPR (`wrpkru`-style
-    /// user-mode protection-key switch; see `mem::Memory::set_pkru_wd`).
-    Wrpkru(Gpr),
 }
 
 /// A decoded instruction with its encoded length.
@@ -308,10 +305,6 @@ pub fn decode(bytes: &[u8]) -> Result<Insn, DecodeError> {
             len: 7,
         },
         0x1c => Insn { op: Op::Hlt, len: 1 },
-        0x22 => Insn {
-            op: Op::Wrpkru(gpr(b(1)?)?),
-            len: 2,
-        },
         other => return Err(DecodeError::InvalidOpcode(other)),
     };
     Ok(insn)
@@ -355,7 +348,6 @@ impl Op {
                 s
             }
             Xrstor(base) => s.with_gpr(base),
-            Wrpkru(r) => s.with_gpr(r),
         }
     }
 
@@ -365,7 +357,7 @@ impl Op {
         let s = RegSet::EMPTY;
         match *self {
             Nop | Hlt | Jmp(_) | Jz(_) | Jnz(_) | Jl(_) | JmpReg(_) | CmpRI(..) | CmpRR(..)
-            | Store(..) | StoreB(..) | StoreX(..) | Xsave(_) | Wrpkru(_) => s,
+            | Store(..) | StoreB(..) | StoreX(..) | Xsave(_) => s,
             // Kernel convention (mirrors x86-64): the return value lands
             // in r0; nothing else is architecturally clobbered.
             Syscall => s.with_gpr(Gpr::R0),

@@ -430,10 +430,6 @@ impl Machine {
                 }
                 self.rip = next;
             }
-            Wrpkru(r) => {
-                self.mem.set_pkru_wd(self.gpr[r.index()] as u16);
-                self.rip = next;
-            }
         }
         Ok(None)
     }

@@ -1,13 +1,4 @@
-//! Sparse paged memory with R/W/X permissions and MPK-style
-//! protection keys.
-//!
-//! Each page carries a 4-bit protection key (default 0); the memory
-//! holds a per-hart `PKRU`-like write-disable mask (one bit per key)
-//! toggled by the [`crate::insn::Op::Wrpkru`] instruction. A user
-//! store to a page whose key is write-disabled faults with access
-//! kind `'p'` — the simulated counterpart of an MPK `#PF` with
-//! `PKRU`-induced `WD`. Reads and fetches are never key-checked
-//! (write-disable-only model, matching the hardened selector slab).
+//! Sparse paged memory with R/W/X permissions.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,17 +89,12 @@ impl std::error::Error for MemFault {}
 struct Page {
     data: Box<[u8; PAGE_SIZE as usize]>,
     perms: Perms,
-    /// MPK protection key (0 = unkeyed; real hardware has 16).
-    pkey: u8,
 }
 
 /// Sparse paged memory.
 #[derive(Default)]
 pub struct Memory {
     pages: BTreeMap<u64, Page>,
-    /// Per-key write-disable mask (bit `k` set ⇒ user stores to pages
-    /// keyed `k` fault). The simulated analogue of PKRU's WD bits.
-    pkru_wd: u16,
 }
 
 impl fmt::Debug for Memory {
@@ -140,7 +126,6 @@ impl Memory {
                 Page {
                     data: Box::new([0; PAGE_SIZE as usize]),
                     perms,
-                    pkey: 0,
                 },
             );
         }
@@ -180,44 +165,6 @@ impl Memory {
         self.pages.get(&(addr & !(PAGE_SIZE - 1))).map(|p| p.perms)
     }
 
-    /// Tags the page-rounded range with protection key `key`
-    /// (`pkey_mprotect`). Keys above 15 are rejected like the real
-    /// syscall would reject an unallocated pkey.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any page in the range is unmapped.
-    pub fn set_pkey(&mut self, addr: u64, len: u64, key: u8) -> Result<(), MemFault> {
-        assert!(key < 16, "protection key {key} out of range");
-        let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            let pa = (addr & !(PAGE_SIZE - 1)) + i * PAGE_SIZE;
-            if !self.pages.contains_key(&pa) {
-                return Err(MemFault::Unmapped { addr: pa });
-            }
-        }
-        for i in 0..pages {
-            let pa = (addr & !(PAGE_SIZE - 1)) + i * PAGE_SIZE;
-            self.pages.get_mut(&pa).unwrap().pkey = key;
-        }
-        Ok(())
-    }
-
-    /// Protection key of the page containing `addr`, if mapped.
-    pub fn pkey_at(&self, addr: u64) -> Option<u8> {
-        self.pages.get(&(addr & !(PAGE_SIZE - 1))).map(|p| p.pkey)
-    }
-
-    /// Replaces the write-disable mask (the `wrpkru` effect).
-    pub fn set_pkru_wd(&mut self, mask: u16) {
-        self.pkru_wd = mask;
-    }
-
-    /// The current write-disable mask.
-    pub fn pkru_wd(&self) -> u16 {
-        self.pkru_wd
-    }
-
     /// Whether `addr` is mapped.
     pub fn is_mapped(&self, addr: u64) -> bool {
         self.perms_at(addr).is_some()
@@ -245,12 +192,6 @@ impl Memory {
                     addr: a,
                     access: kind,
                 });
-            }
-            // MPK check: a writable page whose key is write-disabled
-            // still faults on user stores ('p' distinguishes the pkey
-            // fault from an ordinary permission fault).
-            if kind == 'w' && self.pkru_wd >> page.pkey & 1 == 1 {
-                return Err(MemFault::Protection { addr: a, access: 'p' });
             }
             a = (a & !(PAGE_SIZE - 1)) + PAGE_SIZE;
         }
@@ -449,45 +390,5 @@ mod tests {
     #[should_panic(expected = "unaligned")]
     fn map_requires_alignment() {
         Memory::new().map(0x1001, 8, Perms::RW);
-    }
-
-    #[test]
-    fn pkey_write_disable_blocks_user_stores_only() {
-        let mut m = Memory::new();
-        m.map(0x1000, PAGE_SIZE, Perms::RW);
-        m.set_pkey(0x1000, PAGE_SIZE, 1).unwrap();
-        assert_eq!(m.pkey_at(0x1000), Some(1));
-
-        // Open: everything works.
-        m.write(0x1000, &[7]).unwrap();
-
-        // Closed: user stores fault with 'p'; reads and privileged
-        // stores are unaffected (write-disable-only model).
-        m.set_pkru_wd(1 << 1);
-        assert_eq!(
-            m.write(0x1000, &[8]),
-            Err(MemFault::Protection {
-                addr: 0x1000,
-                access: 'p'
-            })
-        );
-        let mut b = [0u8; 1];
-        m.read(0x1000, &mut b).unwrap();
-        assert_eq!(b[0], 7);
-        m.write_privileged(0x1000, &[9]).unwrap();
-
-        // Unkeyed pages never consult the mask.
-        m.map(0x3000, PAGE_SIZE, Perms::RW);
-        m.write(0x3000, &[1]).unwrap();
-
-        // Reopen restores writes.
-        m.set_pkru_wd(0);
-        m.write(0x1000, &[2]).unwrap();
-    }
-
-    #[test]
-    fn set_pkey_requires_mapped_range() {
-        let mut m = Memory::new();
-        assert!(m.set_pkey(0x1000, PAGE_SIZE, 1).is_err());
     }
 }

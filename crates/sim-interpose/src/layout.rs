@@ -25,14 +25,6 @@ pub const TRACE_ENTRIES_ADDR: u64 = DATA_BASE + 16;
 /// Maximum recorded entries (buffer capacity guard).
 pub const TRACE_CAP: u64 = 500;
 
-/// Protection key guarding the data page (selector + trace buffer) in
-/// the hardened mechanism. Key 0 is the unkeyed default, so the
-/// hardened setup tags the page with key 1.
-pub const SELECTOR_PKEY: u8 = 1;
-/// The write-disable mask that closes the selector's key — the value
-/// interposer stubs load with `wrpkru` on exit (and clear on entry).
-pub const SELECTOR_WD_MASK: u64 = 1 << SELECTOR_PKEY;
-
 /// Syscall-interest table: one byte per syscall number, nonzero when
 /// the interposer wants that syscall delivered to its recording logic.
 /// Byte-per-number (rather than a bitmap like the native

@@ -34,11 +34,6 @@ pub enum Mechanism {
         /// Preserve vector state in the fast path (paper §IV-B(b)).
         xstate: bool,
     },
-    /// Lazypoline plus the §VI hardening pair: the selector page is
-    /// MPK-keyed (stubs bracket their selector writes with `wrpkru`
-    /// windows) and a seccomp backstop kills any syscall issued from
-    /// outside the interposer's code while the selector is ALLOW.
-    LazypolineHardened,
 }
 
 impl Mechanism {
@@ -54,19 +49,17 @@ impl Mechanism {
             Mechanism::Zpoline => "zpoline",
             Mechanism::Lazypoline { xstate: true } => "lazypoline",
             Mechanism::Lazypoline { xstate: false } => "lazypoline (no xstate)",
-            Mechanism::LazypolineHardened => "lazypoline (hardened)",
         }
     }
 
     /// All mechanisms, in Table-II-like order.
-    pub fn all() -> [Mechanism; 10] {
+    pub fn all() -> [Mechanism; 9] {
         [
             Mechanism::Baseline,
             Mechanism::BaselineSudEnabled,
             Mechanism::Zpoline,
             Mechanism::Lazypoline { xstate: false },
             Mechanism::Lazypoline { xstate: true },
-            Mechanism::LazypolineHardened,
             Mechanism::Sud,
             Mechanism::SeccompUser,
             Mechanism::SeccompBpf,
@@ -223,7 +216,6 @@ impl Interposed {
                     xstate: false,
                     sud_aware: false,
                     interest: filtered,
-                    pkey: false,
                 });
                 install_code(&mut system, TRAMPOLINE_BASE, &page);
             }
@@ -233,10 +225,9 @@ impl Interposed {
                     xstate,
                     sud_aware: true,
                     interest: filtered,
-                    pkey: false,
                 });
                 install_code(&mut system, TRAMPOLINE_BASE, &page);
-                let handler = lazypoline_handler(false)
+                let handler = lazypoline_handler()
                     .assemble_at(HANDLER_BASE)
                     .map_err(asm_err)?;
                 install_code(&mut system, HANDLER_BASE, &handler);
@@ -249,46 +240,6 @@ impl Interposed {
                     allow_len: 0,
                 });
                 set_selector(&mut system, sysno::SELECTOR_BLOCK);
-            }
-            Mechanism::LazypolineHardened => {
-                // Lazypoline (xstate on, like the paper's headline
-                // configuration) with pkey-aware stubs…
-                let page = trampoline_page(StubConfig {
-                    trace,
-                    xstate: true,
-                    sud_aware: true,
-                    interest: filtered,
-                    pkey: true,
-                });
-                install_code(&mut system, TRAMPOLINE_BASE, &page);
-                let handler = lazypoline_handler(true)
-                    .assemble_at(HANDLER_BASE)
-                    .map_err(asm_err)?;
-                install_code(&mut system, HANDLER_BASE, &handler);
-                system.kernel.set_signal_handler(sysno::SIGSYS, HANDLER_BASE);
-                system.kernel.set_sud(SudConfig {
-                    enabled: true,
-                    selector_addr: SELECTOR_ADDR,
-                    allow_start: 0,
-                    allow_len: 0,
-                });
-                set_selector(&mut system, sysno::SELECTOR_BLOCK);
-                // …the selector page keyed and the window closed (the
-                // selector write above happens before the key arms)…
-                system
-                    .machine
-                    .mem
-                    .set_pkey(DATA_BASE, 4096, SELECTOR_PKEY)
-                    .expect("data page mapped");
-                system.machine.mem.set_pkru_wd(SELECTOR_WD_MASK as u16);
-                // …and the seccomp backstop: SUD runs first, so only
-                // syscalls issued while the selector is illegitimately
-                // ALLOW ever reach the filter — killed unless they come
-                // from the interposer's own pages.
-                system.kernel.install_seccomp(BpfProgram::kill_all_except_ip_range(
-                    TRAMPOLINE_BASE,
-                    HANDLER_BASE + HANDLER_LEN,
-                ));
             }
         }
 
@@ -381,13 +332,13 @@ mod tests {
     }
 
     /// The application under attack (paper §VI): one honest `getpid`,
-    /// then the attacker — with `wrpkru`, first a write-disable mask of
-    /// 0 — a plain store of ALLOW to the selector, a hidden `getuid`,
-    /// BLOCK restored; then another honest `getpid`.
-    fn attack_program(wrpkru: bool) -> Vec<u8> {
-        let asm = Asm::new().mov_ri(Gpr::R0, sysno::GETPID).syscall();
-        let asm = if wrpkru { asm.mov_ri(Gpr::R9, 0).wrpkru(Gpr::R9) } else { asm };
-        asm.mov_ri(Gpr::R7, SELECTOR_ADDR)
+    /// then the attacker — a plain store of ALLOW to the selector, a
+    /// hidden `getuid`, BLOCK restored; then another honest `getpid`.
+    fn attack_program() -> Vec<u8> {
+        Asm::new()
+            .mov_ri(Gpr::R0, sysno::GETPID)
+            .syscall()
+            .mov_ri(Gpr::R7, SELECTOR_ADDR)
             .mov_ri(Gpr::R8, sysno::SELECTOR_ALLOW as u64)
             .store_b(Gpr::R7, Gpr::R8, 0)
             .mov_ri(Gpr::R0, sysno::GETUID)
@@ -408,37 +359,12 @@ mod tests {
         // Unhardened lazypoline: the attack completes, and the hidden
         // getuid is missing from the observed trace.
         let mut ip =
-            Interposed::setup(Mechanism::Lazypoline { xstate: true }, &attack_program(false), true)
+            Interposed::setup(Mechanism::Lazypoline { xstate: true }, &attack_program(), true)
                 .unwrap();
         assert_eq!(ip.run().unwrap(), 0);
         let trace = ip.observed_trace();
         assert!(trace.contains(&sysno::GETPID), "honest syscalls observed: {trace:?}");
         assert!(!trace.contains(&sysno::GETUID), "hidden syscall should have evaded: {trace:?}");
-    }
-
-    #[test]
-    fn hardened_mechanism_pkey_fault_blocks_selector_overwrite() {
-        // Layer 1: the attacker's plain store to the MPK-keyed selector
-        // page faults ('p').
-        let mut ip =
-            Interposed::setup(Mechanism::LazypolineHardened, &attack_program(false), true)
-                .unwrap();
-        match ip.run() {
-            Err(SimError::Fault(sim_cpu::machine::Fault::Mem(
-                sim_cpu::mem::MemFault::Protection { access: 'p', addr },
-            ))) => assert_eq!(addr, SELECTOR_ADDR),
-            other => panic!("expected pkey fault, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hardened_mechanism_backstop_kills_a_wrpkru_attacker() {
-        // Layer 2: an attacker that clears the write-disable mask itself
-        // flips the selector, but its hidden syscall comes from
-        // application text and the backstop kills it.
-        let mut ip =
-            Interposed::setup(Mechanism::LazypolineHardened, &attack_program(true), true).unwrap();
-        assert_eq!(ip.run(), Err(SimError::SeccompKill));
     }
 
     #[test]

@@ -55,10 +55,6 @@ pub struct StubConfig {
     /// the recording fragment for uninterested numbers — the simulated
     /// counterpart of the native registry's interest bitmap.
     pub interest: bool,
-    /// Hardened mode: the data page is MPK-keyed; bracket the stub
-    /// body with `wrpkru` open/close so selector and trace writes land
-    /// inside the write window while application code stays locked out.
-    pub pkey: bool,
 }
 
 /// Appends the interest guard: jump to `{prefix}_int_skip` (which the
@@ -93,10 +89,6 @@ pub fn trampoline_stub(cfg: StubConfig) -> Asm {
             .sub_ri(Gpr::R7, 4096)
             .xsave(Gpr::R7);
     }
-    if cfg.pkey {
-        // Open the selector write window (~wrpkru, 20 cycles).
-        asm = asm.mov_ri(Gpr::R8, 0).wrpkru(Gpr::R8);
-    }
     if cfg.sud_aware {
         asm = asm
             .mov_ri(Gpr::R7, SELECTOR_ADDR)
@@ -118,10 +110,6 @@ pub fn trampoline_stub(cfg: StubConfig) -> Asm {
             .mov_ri(Gpr::R7, SELECTOR_ADDR)
             .mov_ri(Gpr::R8, sysno::SELECTOR_BLOCK as u64)
             .store_b(Gpr::R7, Gpr::R8, 0);
-    }
-    if cfg.pkey {
-        // Close the window: application stores to the selector fault.
-        asm = asm.mov_ri(Gpr::R8, SELECTOR_WD_MASK).wrpkru(Gpr::R8);
     }
     if cfg.xstate {
         asm = asm
@@ -208,18 +196,9 @@ pub fn emulating_handler(cfg: HandlerConfig) -> Asm {
 /// `rip` back at the now-rewritten instruction, and sigreturn with the
 /// selector at ALLOW — the paper's "selector-only SUD" (§IV-A). The
 /// re-executed site enters the fast path, which re-arms BLOCK.
-///
-/// `pkey` opens the selector write window at entry and closes it
-/// before sigreturn (hardened mode); the resumed fast-path stub opens
-/// its own window.
-pub fn lazypoline_handler(pkey: bool) -> Asm {
-    let asm = Asm::new().mov_rr(Gpr::R10, Gpr::R2); // frame
-    let asm = if pkey {
-        asm.mov_ri(Gpr::R8, 0).wrpkru(Gpr::R8)
-    } else {
-        asm
-    };
-    let asm = asm
+pub fn lazypoline_handler() -> Asm {
+    Asm::new()
+        .mov_rr(Gpr::R10, Gpr::R2) // frame
         // selector ← ALLOW: our own syscalls must not dispatch.
         .mov_ri(Gpr::R7, SELECTOR_ADDR)
         .mov_ri(Gpr::R8, sysno::SELECTOR_ALLOW as u64)
@@ -248,16 +227,9 @@ pub fn lazypoline_handler(pkey: bool) -> Asm {
         .mov_ri(Gpr::R3, 5)
         .syscall()
         // Resume at the rewritten instruction (fast-path entry).
-        .store(Gpr::R10, Gpr::R11, frame::RIP as i32);
-    let asm = if pkey {
-        // Close the window over the sigreturn; the fast-path stub at
-        // the resumed site opens its own.
-        asm.mov_ri(Gpr::R8, SELECTOR_WD_MASK).wrpkru(Gpr::R8)
-    } else {
-        asm
-    };
-    // Leave selector ALLOW; the fast path re-arms BLOCK on exit.
-    asm.mov_ri(Gpr::R0, sysno::RT_SIGRETURN)
+        .store(Gpr::R10, Gpr::R11, frame::RIP as i32)
+        // Leave selector ALLOW; the fast path re-arms BLOCK on exit.
+        .mov_ri(Gpr::R0, sysno::RT_SIGRETURN)
         .mov_rr(Gpr::R1, Gpr::R10)
         .syscall()
 }
@@ -286,31 +258,22 @@ mod tests {
             for xstate in [false, true] {
                 for sud_aware in [false, true] {
                     for interest in [false, true] {
-                        for pkey in [false, true] {
-                            let cfg = StubConfig {
-                                trace,
-                                xstate,
-                                sud_aware,
-                                interest,
-                                pkey,
-                            };
-                            let code = trampoline_stub(cfg).assemble_at(STUB_BASE).unwrap();
-                            // Fully decodable, ends in ret.
-                            let mut pos = 0;
-                            let mut last = None;
-                            let mut wrpkrus = 0;
-                            while pos < code.len() {
-                                let i = decode(&code[pos..]).unwrap();
-                                pos += i.len as usize;
-                                if matches!(i.op, Op::Wrpkru(_)) {
-                                    wrpkrus += 1;
-                                }
-                                last = Some(i.op);
-                            }
-                            assert_eq!(last, Some(Op::Ret), "{cfg:?}");
-                            // Window open + close, exactly when asked.
-                            assert_eq!(wrpkrus, if pkey { 2 } else { 0 }, "{cfg:?}");
+                        let cfg = StubConfig {
+                            trace,
+                            xstate,
+                            sud_aware,
+                            interest,
+                        };
+                        let code = trampoline_stub(cfg).assemble_at(STUB_BASE).unwrap();
+                        // Fully decodable, ends in ret.
+                        let mut pos = 0;
+                        let mut last = None;
+                        while pos < code.len() {
+                            let i = decode(&code[pos..]).unwrap();
+                            pos += i.len as usize;
+                            last = Some(i.op);
                         }
+                        assert_eq!(last, Some(Op::Ret), "{cfg:?}");
                     }
                 }
             }
@@ -346,10 +309,8 @@ mod tests {
             let code = emulating_handler(cfg).assemble_at(HANDLER_BASE).unwrap();
             assert!(!code.is_empty());
         }
-        for pkey in [false, true] {
-            let lp = lazypoline_handler(pkey).assemble_at(HANDLER_BASE).unwrap();
-            assert!(!lp.is_empty());
-        }
+        let lp = lazypoline_handler().assemble_at(HANDLER_BASE).unwrap();
+        assert!(!lp.is_empty());
     }
 
     #[test]

@@ -107,15 +107,6 @@ pub fn mechanism_traits(m: Mechanism) -> Traits {
             exhaustive: true,
             efficiency: Efficiency::High,
         },
-        // Hardening adds two wrpkru switches per dispatch and a BPF
-        // walk on interposer-issued syscalls — still no mode switch on
-        // the application fast path, so the efficiency class holds.
-        Mechanism::LazypolineHardened => Traits {
-            name: "lazypoline (hardened)",
-            expressiveness: Expressiveness::Full,
-            exhaustive: true,
-            efficiency: Efficiency::High,
-        },
     }
 }
 
@@ -136,12 +127,9 @@ mod tests {
             .map(|t| t.name)
             .collect();
         winners.dedup();
-        // The hardened variant keeps the winning profile: protection
-        // must not cost the Table-I sweet spot.
-        assert_eq!(
-            winners,
-            vec!["lazypoline (hybrid)", "lazypoline (hardened)"]
-        );
+        // Table I: the hybrid alone is fully expressive, exhaustive
+        // and efficient.
+        assert_eq!(winners, vec!["lazypoline (hybrid)"]);
     }
 
     #[test]

@@ -894,6 +894,17 @@ mod tests {
     }
 
     #[test]
+    fn seccomp_kill_ends_the_run() {
+        use crate::seccomp::BpfInsn;
+        let code = exit_group(Asm::new(), 0).assemble_at(LOAD_ADDR).unwrap();
+        let mut sys = System::new();
+        sys.kernel
+            .install_seccomp(BpfProgram::new(vec![BpfInsn::Ret(BpfAction::Kill)]).unwrap());
+        sys.load_program(&code).unwrap();
+        assert_eq!(sys.run(), Err(SimError::SeccompKill));
+    }
+
+    #[test]
     fn ptrace_charges_heavily() {
         let prog = |ptrace: bool| {
             let code = exit_group(

@@ -206,22 +206,6 @@ impl BpfProgram {
         .unwrap()
     }
 
-    /// The hardened-mode backstop: `Kill` every syscall whose
-    /// instruction pointer is outside `[start, end)` — the interposer's
-    /// own code. With SUD checked first (BLOCKed application syscalls
-    /// dispatch before the filter runs), only syscalls issued while the
-    /// selector is illegitimately ALLOW ever reach the kill rule.
-    pub fn kill_all_except_ip_range(start: u64, end: u64) -> BpfProgram {
-        BpfProgram::new(vec![
-            BpfInsn::LdIp,
-            BpfInsn::JgeK { k: start, jt: 0, jf: 2 },
-            BpfInsn::JgeK { k: end, jt: 1, jf: 0 },
-            BpfInsn::Ret(BpfAction::Allow),
-            BpfInsn::Ret(BpfAction::Kill),
-        ])
-        .unwrap()
-    }
-
     /// A deny-list filter: `Errno(EPERM)` for the listed numbers,
     /// allow otherwise.
     pub fn deny_numbers(numbers: &[u64]) -> BpfProgram {
@@ -266,14 +250,6 @@ mod tests {
         assert_eq!(p.run(&data(1, 0x0500)).0, BpfAction::Trap);
         assert_eq!(p.run(&data(1, 0x2000)).0, BpfAction::Trap);
         assert_eq!(p.run(&data(1, 0x1000)).0, BpfAction::Allow);
-    }
-
-    #[test]
-    fn kill_filter_spares_interposer_range() {
-        let p = BpfProgram::kill_all_except_ip_range(0x1000, 0x2000);
-        assert_eq!(p.run(&data(1, 0x1500)).0, BpfAction::Allow);
-        assert_eq!(p.run(&data(1, 0x0500)).0, BpfAction::Kill);
-        assert_eq!(p.run(&data(1, 0x2000)).0, BpfAction::Kill);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   (§II-B): sites created *after* the scan are invisible, and byte
 //!   scanning cannot distinguish instructions from data,
 //! * [`sitelog`] — the addresses the slow path rewrote: with the file
-//!   each executable mapping came from, a site as `(object, offset)`,
+//!   each executable mapping came from ([`Maps`]), a site as
+//!   `(object, offset)`,
 //! * [`maps`] — the one reader of the address space, for all of the
 //!   above and for lazypoline's hardened backstop.
 //!

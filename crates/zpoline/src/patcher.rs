@@ -561,6 +561,23 @@ pub(crate) mod tests {
         });
     }
 
+    /// Runs `child` in a fork child under a 10 s `alarm` (a child that
+    /// hangs, say spinning on a lock nobody lets go, dies of `SIGALRM`)
+    /// and returns the child's wait status: 0 when `child` said yes.
+    fn in_fork_child(child: impl FnOnce() -> bool) -> i32 {
+        unsafe {
+            let pid = libc::fork();
+            assert!(pid >= 0);
+            if pid == 0 {
+                syscalls::raw::syscall1(nr::ALARM, 10);
+                libc::_exit(if child() { 0 } else { 1 });
+            }
+            let mut status = 0;
+            assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+            status
+        }
+    }
+
     #[test]
     fn lookup_failure_is_not_an_unmapped_address() {
         // No descriptor left to open /proc/self/maps on: "could not
@@ -568,23 +585,55 @@ pub(crate) mod tests {
         // does for an address nothing is mapped at (ENOENT). Run in a
         // forked child: the limit must not starve the other tests.
         let text = patch_syscall_site as *const () as usize;
-        unsafe {
-            let pid = libc::fork();
-            assert!(pid >= 0);
-            if pid == 0 {
-                const RLIMIT_NOFILE: u64 = 7;
-                let none = [0u64; 2]; // struct rlimit: cur, max
-                let ok = syscalls::raw::syscall2(nr::SETRLIMIT, RLIMIT_NOFILE, none.as_ptr() as u64) == 0
-                    && lookup_perms(text) == Err(Errno::EMFILE)
-                    && region_perms(text).is_none()
-                    && lookup_perms(0x3_0000) == Err(Errno::EMFILE);
-                libc::_exit(if ok { 0 } else { 1 });
-            }
-            let mut status = 0;
-            assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
-            assert_eq!(status, 0, "child saw something other than EMFILE");
-        }
+        let status = in_fork_child(|| {
+            const RLIMIT_NOFILE: u64 = 7;
+            let none = [0u64; 2]; // struct rlimit: cur, max
+            // SAFETY: `setrlimit` reads the two-word array.
+            let r = unsafe {
+                syscalls::raw::syscall2(nr::SETRLIMIT, RLIMIT_NOFILE, none.as_ptr() as u64)
+            };
+            r == 0
+                && lookup_perms(text) == Err(Errno::EMFILE)
+                && region_perms(text).is_none()
+                && lookup_perms(0x3_0000) == Err(Errno::EMFILE)
+        });
+        assert_eq!(status, 0, "child saw something other than EMFILE");
         assert_eq!(lookup_perms(0x3_0000), Ok(None));
+    }
+
+    #[test]
+    fn release_orphaned_lock_frees_only_another_threads_lock() {
+        // Another thread holds the lock across the fork: the child
+        // does not have that thread, so it must free the lock to take
+        // it.
+        let held = std::sync::Barrier::new(2);
+        let forked = std::sync::Barrier::new(2);
+        let status = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = SpinGuard::lock();
+                held.wait();
+                forked.wait();
+            });
+            held.wait();
+            let status = in_fork_child(|| {
+                release_orphaned_lock();
+                drop(SpinGuard::lock());
+                true
+            });
+            forked.wait();
+            status
+        });
+        assert_eq!(status, 0, "child could not take an orphaned lock");
+
+        // The forking thread holds it: the child's copy of that thread
+        // still owns the lock, which stays taken.
+        let guard = SpinGuard::lock();
+        let status = in_fork_child(|| {
+            release_orphaned_lock();
+            PATCH_LOCK.load(Ordering::Acquire)
+        });
+        drop(guard);
+        assert_eq!(status, 0, "child freed a lock its own thread holds");
     }
 
     #[test]

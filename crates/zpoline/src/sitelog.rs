@@ -1,6 +1,6 @@
 //! Where patched sites live: a log of the addresses the slow path
-//! rewrote. [`Maps`] names the file each executable mapping was loaded
-//! from.
+//! rewrote. [`crate::Maps`] names the file each executable mapping was
+//! loaded from.
 //!
 //! An address means nothing to the next process; `(object, file
 //! offset)` does, as long as the object is byte-identical. The log is
@@ -8,8 +8,6 @@
 //! with an atomic cursor: no allocation, no lock.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-pub use crate::maps::{FileMapping, Maps, BUILD_ID_CAPACITY, PATH_CAPACITY};
 
 /// Sites a [`SiteLog`] holds; later ones are counted, not kept.
 pub const SITE_LOG_CAPACITY: usize = 8192;
