@@ -56,8 +56,8 @@ pub enum Site {
     /// The `mprotect` window that opens a code page for rewriting
     /// (`zpoline::patch_syscall_site` / `patch_page_sites`).
     PatchMprotect,
-    /// `prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, …)` enrollment
-    /// (`sud::enable_thread_with_allowlist`).
+    /// The engine's `prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, …)`
+    /// enrollment of a task (`lazypoline::engine::enable_sud`).
     SudEnroll,
     /// The per-thread SUD selector byte store (`sud::set_selector`).
     /// An injected hit models one dropped store, which the write-verify

@@ -468,19 +468,19 @@ impl Engine {
 /// shadow's reset (which clears nothing on a thread a signal found
 /// holding the rewrite lock) and one `prctl` — so a signal handler may
 /// call it (the macrobenchmark's `SIGUSR1` switch to rewriting alone).
+///
+/// Does nothing once the hardened backstop is armed: the filter admits
+/// the gate alone, so a thread with SUD off would die on its next libc
+/// syscall. Hardened mode is one-way per thread.
 pub fn unenroll_current_thread() {
+    if crate::harden::backstop_armed() {
+        return;
+    }
     tls::set_enrolled(false);
     // From here on this thread's mapping calls may go unseen.
     zpoline::maps::shadow::reset(false);
-    // From the gate: on an enrolled thread the `prctl` would itself be
-    // dispatched from anywhere else.
     // SAFETY: the `prctl` takes no pointer.
-    unsafe {
-        raw_internal::syscall(&SyscallArgs::new(
-            nr::PRCTL,
-            [sud::PR_SET_SYSCALL_USER_DISPATCH as u64, sud::PR_SYS_DISPATCH_OFF, 0, 0, 0, 0],
-        ));
-    }
+    unsafe { sud_prctl(sud::PR_SYS_DISPATCH_OFF, 0..0) };
 }
 
 /// Enables SUD on the calling thread, with the gate ([`zpoline::gate`])
@@ -490,10 +490,49 @@ pub fn unenroll_current_thread() {
 /// thread ([`Engine::enroll_current_thread`]), clone children and fork
 /// children (`crate::clone`) — and the backstop's quarantine, which
 /// re-arms a thread an attacker turned SUD off on, so that no task is
-/// armed differently on one path than on another.
+/// armed differently on one path than on another. Behind the
+/// `sud_enroll` fault seam.
+///
+/// A syscall whose *following* instruction address (the `rip` the
+/// kernel sees) lies in the range passes, so the gate ends past the
+/// instruction after its last `syscall`; every other one is dispatched —
+/// the kernel treats a null selector as one stuck at BLOCK and reads no
+/// user memory. The paper avoids any range (§IV-A); DESIGN.md §2 and
+/// §11 record the deviation.
 pub(crate) fn enable_sud() -> io::Result<()> {
-    let gate = zpoline::gate();
-    sud::enable_thread_with_allowlist(gate.start as u64, gate.len() as u64)
+    // Models the prctl failing (kernel without SUD, or a seccomp filter
+    // rejecting it) without needing such a kernel.
+    if let Some(e) = faultinject::check(faultinject::Site::SudEnroll) {
+        return Err(io::Error::from_raw_os_error(e));
+    }
+    // SAFETY: the `prctl` takes no pointer (selector 0: none).
+    let r = unsafe { sud_prctl(sud::PR_SYS_DISPATCH_ON, zpoline::gate()) };
+    match syscalls::Errno::from_ret(r) {
+        Some(e) => Err(io::Error::from_raw_os_error(e.as_i32())),
+        None => Ok(()),
+    }
+}
+
+/// `prctl(PR_SET_SYSCALL_USER_DISPATCH, mode, range, no selector)` from
+/// the gate. Anywhere else it would be dispatched on an enrolled thread,
+/// and trapped by the backstop on a filtered thread whose SUD is off (a
+/// fork child re-enrolling, a quarantined thread).
+///
+/// # Safety
+///
+/// Changes the calling thread's SUD state.
+unsafe fn sud_prctl(mode: u64, range: std::ops::Range<usize>) -> u64 {
+    raw_internal::syscall(&SyscallArgs::new(
+        nr::PRCTL,
+        [
+            sud::PR_SET_SYSCALL_USER_DISPATCH as u64,
+            mode,
+            range.start as u64,
+            range.len() as u64,
+            0,
+            0,
+        ],
+    ))
 }
 
 impl Drop for Engine {

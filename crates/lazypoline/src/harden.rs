@@ -3,28 +3,35 @@
 //! An enrolled thread's SUD is armed with no selector byte
 //! ([`crate::Engine::enroll_current_thread`]): no store to any address
 //! switches interposition off. What application code can still do is
-//! ask the kernel — `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)`, itself
-//! dispatched and executed like any other syscall — after which its
-//! syscalls reach the kernel unseen. Hardened mode (after the paper's
-//! §VII discussion of sandboxing) puts a **seccomp backstop** behind
+//! ask the kernel — `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)` — after
+//! which its syscalls reach the kernel unseen. Hardened mode (after the
+//! paper's §VII discussion of sandboxing) refuses that `prctl`
+//! (`refuses_dispatch_change`) and puts a **seccomp backstop** behind
 //! SUD: a minimal BPF filter that admits syscalls by instruction pointer
 //! only — from the interposer's syscall gate ([`zpoline::gate`], from
 //! which the engine issues every syscall of its own, `rt_sigreturn` and
-//! `clone` included, and to which [`arm_backstop`] redirects
-//! `syscalls::raw`), shared-library text and the vdso. Everything else
-//! — in particular a syscall instruction in application text executed
-//! after SUD was turned off — traps with `SIGSYS`/`SYS_SECCOMP`, which
-//! [`on_bypass`] counts and answers per [`BypassPolicy`].
+//! `clone` included), `[vdso]` and `[vsyscall]`. Everything else — a
+//! syscall instruction in the application's text or in any library's,
+//! executed after SUD was turned off — traps with
+//! `SIGSYS`/`SYS_SECCOMP`, which [`on_bypass`] counts and answers per
+//! [`BypassPolicy`].
 //!
-//! The kernel checks SUD *before* seccomp on syscall entry, so the
-//! backstop is invisible in the common case: a syscall outside the gate
-//! raises the SUD `SIGSYS`, and the filter never runs; the engine's own
-//! leave from the gate and pass both.
+//! The filter covers exactly the threads SUD covers: the enrolled
+//! thread that arms it, and every task it creates from then on, which
+//! inherit the filter and which the engine's `clone` path enrols. A
+//! thread that existed before [`arm_backstop`] is neither interposed nor
+//! filtered (the recorder's drain thread is one). The kernel checks SUD
+//! *before* seccomp on syscall entry, so on an enrolled thread the
+//! backstop is invisible: a syscall outside the gate raises the SUD
+//! `SIGSYS` and the filter never runs; the engine's own leave from the
+//! gate and pass both. Hardened mode is one-way per thread: once the
+//! backstop is armed, un-enrolment does nothing
+//! ([`crate::unenroll_current_thread`]).
 //!
 //! Like engine init, hardening *degrades* rather than fails: `Full`
-//! (the backstop armed) → `Unprotected` (seccomp unavailable: plain
-//! lazypoline). [`level`] reports the rung; `engine::health()` surfaces
-//! it.
+//! (the backstop armed) → `Unprotected` (seccomp unavailable, or the
+//! installing thread not enrolled: plain lazypoline). [`level`] reports
+//! the rung; `engine::health()` surfaces it.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -38,8 +45,6 @@ pub const SYS_SECCOMP: libc::c_int = 1;
 
 /// `seccomp(2)` operation: install a filter program.
 const SECCOMP_SET_MODE_FILTER: u64 = 1;
-/// Extend the filter to every thread of the process atomically.
-const SECCOMP_FILTER_FLAG_TSYNC: u64 = 1;
 /// `prctl` option: required before an unprivileged filter install.
 const PR_SET_NO_NEW_PRIVS: u64 = 38;
 
@@ -58,11 +63,6 @@ const BPF_JEQ_K: u16 = 0x15;
 const BPF_JGE_K: u16 = 0x35;
 const BPF_JGT_K: u16 = 0x25;
 const BPF_RET_K: u16 = 0x06;
-
-/// IP-range blocks the filter can hold. `/proc/self/maps` of a typical
-/// dynamically linked test binary has ~10 executable file mappings;
-/// the cap guards the `u8` BPF jump offsets with a wide margin.
-const MAX_RANGES: usize = 32;
 
 /// What [`on_bypass`] does with a blocked escape attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,74 +123,37 @@ const fn insn(code: u16, jt: u8, jf: u8, k: u32) -> SockFilter {
 /// mapping of the process).
 const VSYSCALL: (u64, u64) = (0xffff_ffff_ff60_0000, 0xffff_ffff_ff60_1000);
 
-/// Collects the IP allowlist: the gate, every file-backed executable
-/// mapping *except* those of the main executable, and the kernel's
-/// `[vdso]`/`[vsyscall]` pages. The main executable is the exclusion
-/// that gives the backstop its teeth: that is where application (and
-/// attacker) syscall instructions live. The gate is named on its own
-/// because it lies in the main executable whenever the engine is linked
-/// into it; under the shim it lies in the shim's text, already admitted.
-/// The main executable is the file that holds the program headers
-/// (`AT_PHDR`, which an explicit `ld.so <program>` points at the
-/// program), known by `(dev, inode)`: a path string is no identity
-/// (spaces, ` (deleted)`, memfds; DESIGN.md §6).
+/// The IP allowlist as the filter's blocks: the gate first, then the
+/// kernel's `[vsyscall]` page and the `[vdso]` mapping (found at
+/// `AT_SYSINFO_EHDR`). Every syscall an enrolled thread lets through SUD
+/// leaves from the gate, so no other text needs to be admitted.
 fn exec_ranges(gate: std::ops::Range<usize>) -> io::Result<Vec<(u64, u64)>> {
-    // SAFETY: getauxval(3) only reads the auxiliary vector.
-    let auxv = |kind| unsafe { libc::getauxval(kind) } as usize;
-    let maps = zpoline::Maps::open()?;
-    let exe = maps
-        .covering(auxv(libc::AT_PHDR))?
-        .filter(|m| m.inode != 0)
-        .ok_or_else(|| io::Error::other("AT_PHDR lies in no file mapping"))?;
     let mut ranges = vec![(gate.start as u64, gate.end as u64), VSYSCALL];
+    // SAFETY: getauxval(3) only reads the auxiliary vector.
+    let vdso = unsafe { libc::getauxval(libc::AT_SYSINFO_EHDR) } as usize;
     // 0 when the kernel maps no vdso (page zero is the trampoline).
-    let vdso = auxv(libc::AT_SYSINFO_EHDR);
-    if let Some(vdso) = maps.covering(vdso)?.filter(|_| vdso != 0) {
-        ranges.push((vdso.start as u64, vdso.end as u64));
-    }
-    maps.exec_files(|f| {
-        let m = &f.map;
-        if (m.dev, m.inode) != (exe.dev, exe.inode) {
+    if vdso != 0 {
+        if let Some(m) = zpoline::Maps::open()?.covering(vdso)? {
             ranges.push((m.start as u64, m.end as u64));
         }
-    })?;
-    filter_blocks(ranges)
+    }
+    Ok(filter_blocks(ranges))
 }
 
-/// The ranges as the filter's blocks: none straddles a 4 GiB boundary,
-/// touching ones merged.
-fn filter_blocks(ranges: Vec<(u64, u64)>) -> io::Result<Vec<(u64, u64)>> {
-    // The BPF range blocks compare the IP's halves separately, so a
-    // block must not straddle a 4 GiB boundary — split any that do.
-    let mut split = Vec::new();
+/// The ranges as the filter's blocks, in order: the BPF range blocks
+/// compare the IP's halves separately, so a range that straddles a
+/// 4 GiB boundary is split there.
+fn filter_blocks(ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    let mut blocks = Vec::with_capacity(ranges.len());
     for (mut lo, hi) in ranges {
         while lo >> 32 != (hi - 1) >> 32 {
             let edge = ((lo >> 32) + 1) << 32;
-            split.push((lo, edge));
+            blocks.push((lo, edge));
             lo = edge;
         }
-        split.push((lo, hi));
+        blocks.push((lo, hi));
     }
-    // Adjacent maps lines for one DSO (r-xp segments split by
-    // alignment) often touch, and the gate lies inside the shim's text;
-    // merging keeps the block count down.
-    split.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::new();
-    for (lo, hi) in split {
-        match merged.last_mut() {
-            Some(last) if lo <= last.1 && last.0 >> 32 == (hi.max(last.1) - 1) >> 32 => {
-                last.1 = last.1.max(hi)
-            }
-            _ => merged.push((lo, hi)),
-        }
-    }
-    if merged.len() > MAX_RANGES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{} executable ranges exceed filter capacity", merged.len()),
-        ));
-    }
-    Ok(merged)
+    blocks
 }
 
 /// Builds the backstop program.
@@ -222,41 +185,32 @@ fn build_filter(ranges: &[(u64, u64)]) -> Vec<SockFilter> {
     p
 }
 
-/// Arms the seccomp backstop: redirects the suite's raw syscalls to the
-/// gate and installs the filter process-wide (`TSYNC`). Call **after**
-/// [`crate::init`] — the filter is irreversible, so every later
-/// legitimate syscall must already have an admitted path.
+/// Arms the seccomp backstop on the calling thread, which every task
+/// it creates inherits. Call **after** [`crate::init`], on the thread it
+/// enrolled — the filter is irreversible, so every later legitimate
+/// syscall must already have an admitted path.
 ///
 /// # Errors
 ///
-/// `seccomp_install` seam injections, `prctl`/`seccomp` failures, or
-/// an oversized IP allowlist. On error the redirect is disarmed again
-/// and the process is exactly as un-hardened as before the call.
+/// The calling thread is not enrolled (the engine runs on
+/// [`crate::Mode::PrescanOnly`], or another thread called `init`: the
+/// filter would kill this thread's next libc syscall), `seccomp_install`
+/// seam injections, or `prctl`/`seccomp` failures. On error the process
+/// is exactly as un-hardened as before the call.
 pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
     if BACKSTOP_ACTIVE.load(Ordering::SeqCst) {
         return Ok(());
     }
+    if !tls::enrolled() {
+        return Err(io::Error::other("the installing thread is not enrolled"));
+    }
     POLICY.store(policy as u8, Ordering::SeqCst);
-    // Redirect `syscalls::raw` to the gate *before* installing: no
-    // window exists where another thread's raw syscall could issue from
-    // main-executable text under the filter (a thread SUD does not
-    // cover, like the recorder's drain thread).
-    // SAFETY: the gate's `syscall; ret` is this binary's text, for the
-    // life of the process.
-    unsafe { syscalls::raw::set_syscall_gate(zpoline::trampoline::lp_zpoline_gate_syscall) };
     // The allocations below go through libc: on the engine's private
     // path, no handler or layer sees them.
-    match crate::proven::privately(install_filter) {
-        Ok(()) => {
-            BACKSTOP_ACTIVE.store(true, Ordering::SeqCst);
-            Ok(())
-        }
-        Err(e) => {
-            syscalls::raw::clear_syscall_gate();
-            Err(e)
-        }
-    }
+    crate::proven::privately(install_filter)?;
+    BACKSTOP_ACTIVE.store(true, Ordering::SeqCst);
+    Ok(())
 }
 
 fn install_filter() -> io::Result<()> {
@@ -269,32 +223,17 @@ fn install_filter() -> io::Result<()> {
         len: prog.len() as u16,
         filter: prog.as_ptr(),
     };
-    unsafe {
-        let r = raw_internal::syscall(&SyscallArgs::new(
-            nr::PRCTL,
-            [PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0, 0],
-        ));
+    let fprog = &fprog as *const SockFprog as u64;
+    for (call, args) in [
+        (nr::PRCTL, [PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0, 0]),
+        // Flags 0: this thread only, and the tasks it creates.
+        (nr::SECCOMP, [SECCOMP_SET_MODE_FILTER, 0, fprog, 0, 0, 0]),
+    ] {
+        // SAFETY: `prctl` takes no pointer; `seccomp` reads `fprog`,
+        // which outlives the call.
+        let r = unsafe { raw_internal::syscall(&SyscallArgs::new(call, args)) };
         if let Some(e) = Errno::from_ret(r) {
             return Err(io::Error::from_raw_os_error(e.as_i32()));
-        }
-        let r = raw_internal::syscall(&SyscallArgs::new(
-            nr::SECCOMP,
-            [
-                SECCOMP_SET_MODE_FILTER,
-                SECCOMP_FILTER_FLAG_TSYNC,
-                &fprog as *const _ as u64,
-                0,
-                0,
-                0,
-            ],
-        ));
-        if let Some(e) = Errno::from_ret(r) {
-            return Err(io::Error::from_raw_os_error(e.as_i32()));
-        }
-        if r != 0 {
-            // TSYNC refused: some thread already carries a
-            // conflicting filter.
-            return Err(io::Error::from_raw_os_error(libc::EPERM));
         }
     }
     Ok(())
@@ -325,8 +264,8 @@ pub fn bypass_blocked() -> u64 {
 /// Whether the application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH,
 /// …)` is refused rather than executed: under hardened mode (whatever
 /// rung it reached), where it is the first step of an escape — SUD off,
-/// then a jump to any `syscall` the backstop admits. A refusal is
-/// counted with the escapes the backstop caught.
+/// then a `syscall` SUD no longer sees. A refusal is counted with the
+/// escapes the backstop caught.
 pub(crate) fn refuses_dispatch_change() -> bool {
     let refused = level() != HardenLevel::Off;
     if refused {
@@ -359,10 +298,12 @@ impl BypassPolicy {
 /// kill, or re-arm SUD and quarantine.
 ///
 /// A trap means SUD did not see the syscall: the attacker turned it off
-/// on this thread. Quarantine re-arms an enrolled thread with the one
-/// enrolment function ([`crate::engine::enable_sud`]) — safe here, every
-/// syscall of this handler leaves from the gate — so the thread resumes
-/// interposed.
+/// on this thread, or the task is one the engine never enrolled (a raw
+/// `clone` child). Quarantine re-arms an enrolled thread with the one
+/// enrolment function ([`crate::engine::enable_sud`]) — safe here, it
+/// and every other syscall of this handler leave from the gate — so the
+/// thread resumes interposed. Kill sends `SIGKILL` to `getpid()`: the
+/// whole process, or a raw `clone` child alone.
 ///
 /// Returns `true` when the caller should emulate the trapped syscall
 /// through the interposer (quarantine); under [`BypassPolicy::Kill`]
@@ -431,96 +372,88 @@ mod tests {
     #[test]
     fn ranges_never_straddle_4gib() {
         // exec_ranges on the live process: every range must sit within
-        // one 4 GiB aligned window and include the synthetic gate.
+        // one 4 GiB aligned window, and the synthetic gate comes first.
         let ranges = exec_ranges(0xdead_0000..0xdead_0040).expect("maps parse");
-        assert!(ranges.iter().any(|&(lo, hi)| lo <= 0xdead_0000 && 0xdead_0040 <= hi));
+        assert_eq!(ranges[0], (0xdead_0000, 0xdead_0040));
         for &(lo, hi) in &ranges {
             assert!(lo < hi);
             assert_eq!(lo >> 32, (hi - 1) >> 32, "{lo:#x}-{hi:#x} straddles");
         }
+        // A straddling range is split at the boundary, in place.
+        assert_eq!(
+            filter_blocks(vec![
+                (0x10, 0x20),
+                (0xffff_f000, 0x1_0000_1000),
+                (0x1000, 0x2000)
+            ]),
+            [
+                (0x10, 0x20),
+                (0xffff_f000, 0x1_0000_0000),
+                (0x1_0000_0000, 0x1_0000_1000),
+                (0x1000, 0x2000)
+            ],
+        );
     }
 
+    /// `/proc/self/maps`, the test's own way: `(lo, hi, perms, inode, name)`
+    /// per line.
+    fn maps_text() -> Vec<(u64, u64, String, String, String)> {
+        let text = std::fs::read_to_string("/proc/self/maps").unwrap();
+        text.lines()
+            .map(|line| {
+                let mut f = line.splitn(6, ' ');
+                let mut next = || f.next().unwrap().to_owned();
+                let (span, perms, _, _, inode) = (next(), next(), next(), next(), next());
+                let name = f.next().unwrap_or("").trim_start().to_owned();
+                let (lo, hi) = span.split_once('-').unwrap();
+                let hex = |s| u64::from_str_radix(s, 16).unwrap();
+                (hex(lo), hex(hi), perms, inode, name)
+            })
+            .collect()
+    }
+
+    /// No byte of any file-backed executable mapping is admitted outside
+    /// the gate: not the main executable's, not libc's, not `ld.so`'s.
     #[test]
     fn only_the_gate_of_the_main_executable_is_allowlisted() {
-        // The test binary links the engine: its text holds the gate.
-        let exe = std::fs::read_link("/proc/self/exe").unwrap();
-        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
-        let exe_text: Vec<(u64, u64)> = maps
-            .lines()
-            .filter(|l| l.contains("r-xp") && l.ends_with(exe.to_str().unwrap()))
-            .map(|l| {
-                let (lo, hi) = l.split_whitespace().next().unwrap().split_once('-').unwrap();
-                (u64::from_str_radix(lo, 16).unwrap(), u64::from_str_radix(hi, 16).unwrap())
-            })
+        let text: Vec<_> = maps_text()
+            .into_iter()
+            .filter(|l| l.2.as_bytes()[2] == b'x' && l.3 != "0")
             .collect();
+        for lib in ["/libc.so", "/ld-linux"] {
+            assert!(text.iter().any(|l| l.4.contains(lib)), "{lib} in {text:?}");
+        }
         let gate = zpoline::gate();
         let (gate_lo, gate_hi) = (gate.start as u64, gate.end as u64);
         assert!(
-            exe_text.iter().any(|&(lo, hi)| lo <= gate_lo && gate_hi <= hi),
-            "the gate lies in {exe_text:x?}"
+            text.iter().any(|l| l.0 <= gate_lo && gate_hi <= l.1),
+            "the test binary links the engine: its text holds the gate"
         );
         let ranges = exec_ranges(gate).unwrap();
-        assert!(
-            ranges.iter().any(|&(lo, hi)| lo <= gate_lo && gate_hi <= hi),
-            "every byte of the gate"
-        );
         for &(lo, hi) in &ranges {
-            for &(text_lo, text_hi) in &exe_text {
-                let (a, b) = (lo.max(text_lo), hi.min(text_hi));
+            for (text_lo, text_hi, _, _, name) in &text {
+                let (a, b) = (lo.max(*text_lo), hi.min(*text_hi));
                 assert!(
                     a >= b || (gate_lo <= a && b <= gate_hi),
-                    "main executable text {a:#x}-{b:#x} must trap"
+                    "{name} text {a:#x}-{b:#x} must trap"
                 );
             }
         }
     }
 
     /// The allowlist, worked out the test's own way from the text of
-    /// `/proc/self/maps`: the main executable is the file that holds this
-    /// test's code, named by `(dev, inode)`.
+    /// `/proc/self/maps`: the gate, the `[vdso]` line and `[vsyscall]`.
     #[test]
     fn allowlist_equals_the_maps_text_oracle() {
-        let text = std::fs::read_to_string("/proc/self/maps").unwrap();
-        // (lo, hi, perms, dev, inode, name)
-        let lines: Vec<_> = text
-            .lines()
-            .map(|line| {
-                let mut f = line.splitn(6, ' ');
-                let mut next = || f.next().unwrap();
-                let (span, perms, _, dev, inode) = (next(), next(), next(), next(), next());
-                let name = f.next().unwrap_or("").trim_start();
-                let (lo, hi) = span.split_once('-').unwrap();
-                let hex = |s| u64::from_str_radix(s, 16).unwrap();
-                (hex(lo), hex(hi), perms, dev, inode, name)
-            })
-            .collect();
-        let here = allowlist_equals_the_maps_text_oracle as *const () as u64;
-        let exe = lines
-            .iter()
-            .find(|l| (l.0..l.1).contains(&here))
-            .map(|l| (l.3, l.4))
-            .unwrap();
-        let named = |name| lines.iter().find(|l| l.5 == name).map(|l| (l.0, l.1));
+        let lines = maps_text();
+        let named = |name: &str| lines.iter().find(|l| l.4 == name).map(|l| (l.0, l.1));
         let (vdso, vsyscall) = (named("[vdso]"), named("[vsyscall]"));
-        assert!(vdso.is_some(), "{text}");
-        assert!(vsyscall.is_none_or(|v| v == VSYSCALL), "{text}");
+        assert!(vdso.is_some(), "{lines:?}");
+        assert!(vsyscall.is_none_or(|v| v == VSYSCALL), "{lines:?}");
 
         let gate = zpoline::gate();
-        let mut oracle = vec![(gate.start as u64, gate.end as u64), VSYSCALL];
-        oracle.extend(
-            lines
-                .iter()
-                .filter(|l| l.2.as_bytes()[2] == b'x')
-                .filter(|l| {
-                    (l.4 != "0" && (l.3, l.4) != exe) || l.5 == "[vdso]" || l.5 == "[vsyscall]"
-                })
-                .map(|l| (l.0, l.1)),
-        );
-        let ranges = exec_ranges(gate).unwrap();
-        assert_eq!(ranges, filter_blocks(oracle).unwrap(), "{text}");
-        for (lo, hi) in [vdso.unwrap(), VSYSCALL] {
-            assert!(ranges.iter().any(|r| r.0 <= lo && hi <= r.1), "{lo:#x}-{hi:#x}");
-        }
+        let oracle = vec![(gate.start as u64, gate.end as u64), VSYSCALL, vdso.unwrap()];
+        assert_eq!(exec_ranges(gate).unwrap(), filter_blocks(oracle), "{lines:?}");
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! There is no uninstall: dropping the [`Engine`] merely stops
 //! intercepting *new* sites on this thread; already-rewritten sites
 //! keep routing through the dispatcher (as passthrough when no handler
-//! decides otherwise).
+//! decides otherwise). Once the hardened backstop is armed
+//! ([`harden::arm_backstop`]) not even that: the thread stays enrolled.
 
 #![deny(missing_docs)]
 

@@ -8,7 +8,8 @@
 //! which the patcher never rewrites. The gate is also the allowed code
 //! range of every engine-backed enrolment, so the kernel lets these
 //! syscalls through where it dispatches every other one, and the one
-//! range of the main executable the hardened backstop admits.
+//! text the hardened backstop admits besides the kernel's `[vdso]` and
+//! `[vsyscall]`.
 
 use syscalls::SyscallArgs;
 

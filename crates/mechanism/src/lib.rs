@@ -57,7 +57,10 @@
 //! dropping an engine-backed [`ActiveMechanism`] unenrolls the thread
 //! and restores the handler/selector/xstate, but already-patched sites
 //! keep dispatching (to whatever handler is then installed — the guard
-//! restores the previous one). `sud-raw` owns the `SIGSYS` disposition
+//! restores the previous one). Under `lazypoline-hardened` with its
+//! backstop armed the thread stays enrolled: a thread with SUD off
+//! under a filter that admits the gate alone would die on its next libc
+//! syscall. `sud-raw` owns the `SIGSYS` disposition
 //! and must therefore be installed *before* any engine-backed backend
 //! in a process's lifetime.
 
@@ -490,7 +493,8 @@ impl ActiveMechanism {
     /// Stops interposing on the calling thread while keeping the
     /// handler and any rewritten sites in place: engine-backed natives
     /// unenroll from SUD (the `zpoline` backend's post-warmup switch to
-    /// pure rewriting), raw-SUD backends park the selector at ALLOW.
+    /// pure rewriting) unless a hardened backstop is armed, which makes
+    /// enrolment one-way; raw-SUD backends park the selector at ALLOW.
     /// No-op for `none` and simulated backends.
     pub fn detach(&mut self) {
         if let Inner::Native(n) = &mut self.inner {

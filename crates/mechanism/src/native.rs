@@ -253,9 +253,11 @@ impl Mechanism for NativeBackend {
             NativeCfg::Hardened => {
                 let engine = lazypoline::init(lazypoline::Config::default())
                     .map_err(InstallError::Init)?;
-                // The seccomp backstop — after init, so every legitimate
-                // syscall path (the gate) exists before the irreversible
-                // filter. Failure degrades to `Unprotected`.
+                // The seccomp backstop — after init, on the thread it
+                // enrolled, so every legitimate syscall path (the gate)
+                // exists before the irreversible filter. Failure (no
+                // seccomp, or `PrescanOnly`: nothing enrolled) degrades
+                // to `Unprotected`.
                 let _ = lazypoline::harden::arm_backstop(cfg.harden_policy);
                 NativeKind::Engine {
                     engine,

@@ -4,10 +4,13 @@
 //!
 //! The thread is spawned by [`Recorder`](crate::Recorder) **before**
 //! the interposition mechanism installs. That ordering is load-bearing
-//! twice over: syscall-user-dispatch enrollment is per-thread and
-//! inherited across `clone`, so a thread that exists before install is
-//! never enrolled — the drainer's own syscalls (the sink's
-//! `pwrite64`s) never take the slow path, and it cannot deadlock
+//! twice over: syscall-user-dispatch enrollment is per-thread (the
+//! kernel clears it on `fork` and `clone`; the engine enrols the tasks
+//! an enrolled thread creates), so a thread that predates the install
+//! is never enrolled — and, under hardened mode, never filtered, since
+//! the seccomp backstop is armed on the installing thread alone and
+//! reaches only the tasks it creates. The drainer's own syscalls (the
+//! sink's `pwrite64`s) never take the slow path, and it cannot deadlock
 //! against the engine it serves. A site an enrolled thread had
 //! rewritten still dispatches whoever runs it, this thread included (its
 //! first `malloc`'s arena, a libc `futex` of its parking, its exit

@@ -10,20 +10,21 @@
 //!
 //! * [`Dispatch`] and per-thread selector storage with an address that
 //!   is stable for the thread's lifetime ([`selector_ptr`]),
-//! * [`enable_thread`] / [`enable_thread_with_allowlist`] /
-//!   [`disable_thread`] / [`SudGuard`] — the
-//!   `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` plumbing,
+//! * [`enable_thread`] / [`disable_thread`] / [`SudGuard`] — the
+//!   `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` plumbing of selector-only
+//!   SUD,
 //! * [`sigsys`] — decoding of the `SIGSYS` `siginfo_t`/`ucontext_t`
 //!   delivered on an intercepted syscall.
 //!
 //! [`enable_thread`] is the paper's *selector-only* usage (§IV-A): no
 //! allowlisted code range (`offset = len = 0`), and interposer-originated
 //! syscalls are exempted by flipping the selector to [`Dispatch::Allow`].
-//! [`enable_thread_with_allowlist`] names a code range and no selector:
-//! the kernel lets the range's syscalls through and dispatches every
-//! other one, with no byte anyone could flip. lazypoline arms every
-//! thread that way, with its syscall gate as the range, and issues all
-//! of its own syscalls from there.
+//! The `sud-raw`/`sud-allow` rows and the benchmarks arm SUD this way.
+//! lazypoline does not use these functions: it names a code range and
+//! no selector — the kernel lets the range's syscalls through and
+//! dispatches every other one, with no byte anyone could flip — and
+//! issues that `prctl` from the range itself, its syscall gate
+//! (`lazypoline::engine::enable_sud`).
 //!
 //! # Example
 //!
@@ -132,8 +133,7 @@ const SELECTOR_WRITE_ATTEMPTS: u32 = 3;
 /// "flexibly controllable" (paper §II-A). The paper's interposer
 /// brackets its own syscalls with `set_selector(Allow)` /
 /// `set_selector(Block)`, as the `sud-raw` row does. lazypoline arms SUD
-/// without a selector ([`enable_thread_with_allowlist`]) and never
-/// writes one.
+/// without a selector and never writes one.
 ///
 /// The write is verified by reading the byte back, and retried if the
 /// store was dropped (the `selector_write` fault seam models exactly
@@ -170,44 +170,12 @@ pub fn set_selector(d: Dispatch) {
 /// SUD support (callers are expected to degrade gracefully).
 pub fn enable_thread() -> io::Result<()> {
     set_selector(Dispatch::Allow);
-    enable(0, 0, selector_ptr() as u64)
+    prctl_dispatch(PR_SYS_DISPATCH_ON, selector_ptr() as u64)
 }
 
-/// Enables SUD with an allowlisted code range `[offset, offset + len)`
-/// and no selector.
-///
-/// A syscall whose *following* instruction address (the `rip` the
-/// kernel sees) lies in the range never triggers dispatch: so a range
-/// must end past the instruction after its last `syscall`. Every other
-/// syscall is dispatched — the kernel treats a NULL selector as one
-/// stuck at BLOCK and reads no user memory — until SUD is disabled.
-/// Nothing in the thread's address space switches interposition off.
-///
-/// The paper avoids any range (§IV-A: "we avoid excluding any code
-/// addresses from SUD interception"). lazypoline passes one, its
-/// syscall gate, on every thread: the gate's instructions are the
-/// interposer's own (DESIGN.md §2 and §11).
-///
-/// # Errors
-///
-/// Returns the `prctl` error on failure.
-pub fn enable_thread_with_allowlist(offset: u64, len: u64) -> io::Result<()> {
-    enable(offset, len, 0)
-}
-
-/// `prctl(…, ON, offset, len, selector)` behind the enrolment fault seam.
-fn enable(offset: u64, len: u64, selector: u64) -> io::Result<()> {
-    // Fault seam: models the prctl failing (kernel without SUD, or a
-    // seccomp filter rejecting it) without needing such a kernel.
-    if let Some(e) = faultinject::check(faultinject::Site::SudEnroll) {
-        return Err(io::Error::from_raw_os_error(e));
-    }
-    prctl_dispatch(PR_SYS_DISPATCH_ON, offset, len, selector)
-}
-
-/// `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` through `syscalls::raw`, so
-/// that it leaves from whatever gate that crate is redirected to.
-fn prctl_dispatch(mode: libc::c_ulong, offset: u64, len: u64, selector: u64) -> io::Result<()> {
+/// `prctl(PR_SET_SYSCALL_USER_DISPATCH, mode, no range, selector)`
+/// through `syscalls::raw`.
+fn prctl_dispatch(mode: libc::c_ulong, selector: u64) -> io::Result<()> {
     // SAFETY: the kernel reads the selector byte at `selector`, which is
     // this thread's for its lifetime (`selector_ptr`), or 0 for none.
     let r = unsafe {
@@ -215,8 +183,8 @@ fn prctl_dispatch(mode: libc::c_ulong, offset: u64, len: u64, selector: u64) -> 
             syscalls::nr::PRCTL,
             PR_SET_SYSCALL_USER_DISPATCH as u64,
             mode,
-            offset,
-            len,
+            0,
+            0,
             selector,
         )
     };
@@ -232,7 +200,7 @@ fn prctl_dispatch(mode: libc::c_ulong, offset: u64, len: u64, selector: u64) -> 
 ///
 /// Returns the `prctl` error on failure.
 pub fn disable_thread() -> io::Result<()> {
-    prctl_dispatch(PR_SYS_DISPATCH_OFF, 0, 0, 0)
+    prctl_dispatch(PR_SYS_DISPATCH_OFF, 0)
 }
 
 /// Reports whether this kernel supports SUD, by probing `prctl` without

@@ -15,18 +15,10 @@
 //!    `call rax`, subsequent executions enter the trampoline instead —
 //!    which is precisely the behaviour the exhaustiveness tests assert.
 //!
-//! # The hardened-mode redirect
-//!
-//! Hardened interposition installs a seccomp backstop filter that only
-//! admits syscalls whose instruction pointer lies in allowlisted code:
-//! shared-library text, the vdso, and the interposer's syscall gate
-//! (`zpoline::gate`). The `syscall` instructions in this crate live in
-//! whatever object embeds it — typically the main binary — which the
-//! backstop deliberately does **not** allowlist. [`set_syscall_gate`]
-//! therefore redirects every invocation to the gate's `syscall; ret`
-//! routine once armed; disarmed (the default, and every non-hardened
-//! configuration) the cost is one relaxed atomic load and a never-taken
-//! branch per call.
+//! Hardened interposition needs nothing from this crate: its seccomp
+//! backstop admits the engine's gate and no other text, and filters
+//! only enrolled threads and the tasks they create, whose calls from
+//! here SUD dispatches before the filter sees them.
 //!
 //! # Safety
 //!
@@ -36,58 +28,6 @@
 
 use crate::SyscallArgs;
 use core::arch::asm;
-use core::sync::atomic::{AtomicUsize, Ordering};
-
-/// Address of the gate's `syscall; ret` routine, or 0 when disarmed.
-static SYSCALL_GATE: AtomicUsize = AtomicUsize::new(0);
-
-/// A `syscall; ret` routine, entered by `call` with a syscall's
-/// registers: `rax` = number, arguments in `rdi`, `rsi`, `rdx`, `r10`,
-/// `r8`, `r9`; result in `rax`, `rcx` and `r11` clobbered.
-pub type GateFn = unsafe extern "C" fn();
-
-/// Arms the redirect: every subsequent `syscallN` invocation from this
-/// crate calls `gate` instead of executing the local `syscall`
-/// instruction (see the module docs). One-way in practice — hardened
-/// mode never disarms a live seccomp backstop.
-///
-/// # Safety
-///
-/// `gate` must remain a valid [`GateFn`] for the rest of the process
-/// lifetime.
-pub unsafe fn set_syscall_gate(gate: GateFn) {
-    SYSCALL_GATE.store(gate as usize, Ordering::Release);
-}
-
-/// Disarms the redirect (only meaningful before a backstop filter is
-/// live — used on failed hardened installs).
-pub fn clear_syscall_gate() {
-    SYSCALL_GATE.store(0, Ordering::Release);
-}
-
-#[inline]
-unsafe fn gated(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> Option<u64> {
-    let gate = SYSCALL_GATE.load(Ordering::Relaxed);
-    if gate == 0 {
-        return None;
-    }
-    let ret;
-    // Not `nostack`: the `call` pushes its return address.
-    asm!(
-        "call {gate}",
-        gate = in(reg) gate,
-        inlateout("rax") nr => ret,
-        in("rdi") a1,
-        in("rsi") a2,
-        in("rdx") a3,
-        in("r10") a4,
-        in("r8") a5,
-        in("r9") a6,
-        out("rcx") _,
-        out("r11") _,
-    );
-    Some(ret)
-}
 
 /// Invokes a syscall with zero arguments.
 ///
@@ -96,9 +36,6 @@ unsafe fn gated(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall0(nr: u64) -> u64 {
-    if let Some(r) = gated(nr, 0, 0, 0, 0, 0, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -117,9 +54,6 @@ pub unsafe fn syscall0(nr: u64) -> u64 {
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall1(nr: u64, a1: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, 0, 0, 0, 0, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -139,9 +73,6 @@ pub unsafe fn syscall1(nr: u64, a1: u64) -> u64 {
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall2(nr: u64, a1: u64, a2: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, a2, 0, 0, 0, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -162,9 +93,6 @@ pub unsafe fn syscall2(nr: u64, a1: u64, a2: u64) -> u64 {
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall3(nr: u64, a1: u64, a2: u64, a3: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, a2, a3, 0, 0, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -186,9 +114,6 @@ pub unsafe fn syscall3(nr: u64, a1: u64, a2: u64, a3: u64) -> u64 {
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall4(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, a2, a3, a4, 0, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -211,9 +136,6 @@ pub unsafe fn syscall4(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64) -> u64 {
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall5(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, a2, a3, a4, a5, 0) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",
@@ -237,9 +159,6 @@ pub unsafe fn syscall5(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64) -> 
 /// See the [module docs](self).
 #[inline]
 pub unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> u64 {
-    if let Some(r) = gated(nr, a1, a2, a3, a4, a5, a6) {
-        return r;
-    }
     let ret;
     asm!(
         "syscall",

@@ -89,12 +89,12 @@
 //! function behind the stub, which [`gate_syscall`] calls (lazypoline's
 //! dispatcher and SIGSYS handler issue their own syscalls through it —
 //! `clone` with a seeded child stack included, whose child `ret`s from
-//! it into that stack — and `syscalls::raw` is redirected to it); and
-//! the signal restorer, `mov eax, 15; syscall`, which the engine's
-//! SIGSYS handler returns through and [`gate_sigreturn`] jumps to. The
-//! block's bytes are the allowed code range lazypoline arms Syscall
-//! User Dispatch with, and the one range of the main executable
-//! hardened mode's seccomp backstop admits. lazypoline arms SUD with
+//! it into that stack); and the signal restorer, `mov eax, 15; syscall`,
+//! which the engine's SIGSYS handler returns through and
+//! [`gate_sigreturn`] jumps to. The block's bytes are the allowed code
+//! range lazypoline arms Syscall User Dispatch with, and the one text
+//! hardened mode's seccomp backstop admits (besides the kernel's
+//! `[vdso]` and `[vsyscall]`). lazypoline arms SUD with
 //! that range and no selector byte: a syscall from the gate passes, and
 //! every other one is dispatched, with no user read of a selector on
 //! either (on x86-64 that read is most of what SUD adds to a syscall).
@@ -811,7 +811,8 @@ extern "C" {
     /// The assembly entry stub (see module docs).
     pub fn lp_zpoline_entry();
     /// The gate's raw-syscall function: `syscall; ret`, entered by
-    /// `call` with a syscall's registers (a [`syscalls::raw::GateFn`]).
+    /// `call` with a syscall's registers (`rax` = number, arguments in
+    /// `rdi`, `rsi`, `rdx`, `r10`, `r8`, `r9`; `rcx`, `r11` clobbered).
     pub fn lp_zpoline_gate_syscall();
     fn lp_zpoline_gate_sigreturn();
     fn lp_zpoline_gate_end();

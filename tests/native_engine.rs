@@ -3075,6 +3075,12 @@ fn flip_selector_to_allow() {
 /// syscall from the application's own text. Nothing in between may make
 /// a syscall.
 fn attack(nr: u64) -> i64 {
+    sud_off_from_gate();
+    attacker_syscall(nr)
+}
+
+/// The attack's first step: `prctl(SUD, OFF)` by a jump into the gate.
+fn sud_off_from_gate() {
     let off = syscalls::SyscallArgs::new(
         syscalls::nr::PRCTL,
         [
@@ -3089,7 +3095,6 @@ fn attack(nr: u64) -> i64 {
     // SAFETY: the `prctl` takes no pointer.
     let off = unsafe { zpoline::gate_syscall(&off) };
     assert_eq!(off, 0, "prctl(SUD OFF) from the gate");
-    attacker_syscall(nr)
 }
 
 /// The application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH, OFF)`
@@ -3291,6 +3296,136 @@ fn scenario_escape_fork_rearm() {
         42,
         "fork child must catch the escape"
     );
+}
+
+extern "C" {
+    /// glibc's `getppid`: `mov eax, 110; syscall; ret`.
+    fn getppid() -> libc::pid_t;
+}
+
+/// The `0f 05` of libc's `getppid`, checked never rewritten: nothing in
+/// a scenario calls it before its attack does.
+fn libc_getppid_site() -> *const [u8; 2] {
+    let f = getppid as *const u8;
+    // SAFETY: the wrapper's first bytes are mapped text.
+    let text = unsafe { std::slice::from_raw_parts(f, 16) };
+    let at = text
+        .windows(2)
+        .position(|w| w == [0x0f, 0x05])
+        .unwrap_or_else(|| panic!("no syscall in libc's getppid: {text:02x?}"));
+    f.wrapping_add(at).cast()
+}
+
+/// The parent's pid, asked from the gate: no site is run, so none is
+/// rewritten.
+fn ppid_from_gate() -> u64 {
+    // SAFETY: getppid touches no memory.
+    unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETPPID)) }
+}
+
+/// SUD off from the gate, then libc's own `getppid`, whose `0f 05` was
+/// never rewritten: the backstop admits the gate alone, so the syscall
+/// traps, is counted, and is quarantined back through the interposer.
+fn scenario_escape_libc() {
+    std::env::set_var("LP_HARDEN_POLICY", "quarantine");
+    let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+    assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    let site = libc_getppid_site();
+    assert_eq!(unsafe { *site }, [0x0f, 0x05], "libc's getppid was rewritten");
+    let ppid = ppid_from_gate();
+    let before = active.stats().bypass_blocked;
+    sud_off_from_gate();
+    // SAFETY: getppid touches no memory.
+    let got = unsafe { getppid() } as u64;
+    let after = active.stats().bypass_blocked;
+    assert_eq!(got, ppid, "quarantined getppid result");
+    assert_eq!(after - before, 1, "the backstop let libc's syscall through");
+    assert_interposed("after the quarantine");
+}
+
+/// A raw `clone(CLONE_VM | SIGCHLD)` child — one the engine does not
+/// enrol (no `CLONE_SETTLS`), which inherits the backstop — runs libc's
+/// never-rewritten `getppid` and would then leave by `exit(0)` from the
+/// gate. The kill policy takes the child alone: the parent lives on and
+/// sees it die by `SIGKILL`.
+fn scenario_escape_raw_clone() {
+    const CLONE_VM: u64 = 0x100;
+    const SIGCHLD: u64 = 17;
+    std::env::set_var("LP_HARDEN_POLICY", "kill");
+    let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+    assert!(lazypoline::harden::backstop_armed(), "backstop must arm");
+    let site = libc_getppid_site();
+    assert_eq!(unsafe { *site }, [0x0f, 0x05], "libc's getppid was rewritten");
+    let before = active.stats().bypass_blocked;
+    unsafe {
+        let stack = libc::mmap(
+            std::ptr::null_mut(),
+            64 * 1024,
+            libc::PROT_READ | libc::PROT_WRITE,
+            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_STACK,
+            -1,
+            0,
+        );
+        assert_ne!(stack, libc::MAP_FAILED);
+        let top = (stack as usize + 64 * 1024) & !15;
+        let pid: i64;
+        // The child resumes after the `syscall` on `top`, with rax = 0
+        // and no other register of this frame: the dispatcher's `clone`
+        // left from inside it. So the calls name their targets.
+        std::arch::asm!(
+            "syscall",
+            "test rax, rax",
+            "jnz 2f",
+            "call {getppid}",
+            "mov eax, 60",
+            "xor edi, edi",
+            "call {gate}",
+            "2:",
+            getppid = sym getppid,
+            gate = sym zpoline::trampoline::lp_zpoline_gate_syscall,
+            inlateout("rax") syscalls::nr::CLONE as i64 => pid,
+            in("rdi") CLONE_VM | SIGCHLD,
+            in("rsi") top,
+            in("rdx") 0,
+            in("r10") 0,
+            in("r8") 0,
+            out("rcx") _,
+            out("r11") _,
+        );
+        assert!(pid > 0, "clone: {pid}");
+        let mut status = 0;
+        assert_eq!(libc::waitpid(pid as i32, &mut status, 0), pid as i32);
+        assert!(
+            !libc::WIFEXITED(status) && status & 0x7f == libc::SIGKILL,
+            "the raw clone child ran libc's syscall: status {status:#x}"
+        );
+        libc::munmap(stack, 64 * 1024);
+    }
+    assert_eq!(active.stats().bypass_blocked - before, 1);
+    assert_interposed("the parent, after its child died");
+}
+
+/// Hardened mode on the `PrescanOnly` rung: SUD enrolment fails, so no
+/// thread is enrolled, and the backstop — which admits the gate alone —
+/// does not arm: libc's syscalls would die under it. File I/O still
+/// works.
+fn scenario_prescan_hardened() {
+    let cfg = mechanism::EnvConfig {
+        faults: faultinject::parse_spec("sud_enroll:every=1").unwrap(),
+        ..mechanism::EnvConfig::from_env().expect("the harness passes a valid environment")
+    };
+    let _active = mechanism::by_name("lazypoline-hardened")
+        .unwrap()
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+        .unwrap_or_else(|e| panic!("install lazypoline-hardened: {e}"));
+    let h = lazypoline::health();
+    assert_eq!(h.mode, lazypoline::Mode::PrescanOnly, "{h:?}");
+    assert_eq!(h.harden, lazypoline::HardenLevel::Unprotected, "{h:?}");
+    assert!(!lazypoline::harden::backstop_armed());
+    let tmp = std::env::temp_dir().join(format!("lp-prescan-hardened-{}", std::process::id()));
+    std::fs::write(&tmp, b"prescan").unwrap();
+    assert_eq!(std::fs::read(&tmp).unwrap(), b"prescan");
+    std::fs::remove_file(&tmp).unwrap();
 }
 
 // ——— syscall-flow-integrity (sfip) scenarios ————————————————————————
@@ -3976,6 +4111,9 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("escape_kill", scenario_escape_kill),
     ("escape_kill_unnamed", scenario_escape_kill_unnamed),
     ("escape_fork_rearm", scenario_escape_fork_rearm),
+    ("escape_libc", scenario_escape_libc),
+    ("escape_raw_clone", scenario_escape_raw_clone),
+    ("prescan_hardened", scenario_prescan_hardened),
     ("sud_prctl_plain", scenario_sud_prctl_plain),
     ("sud_prctl_refused_hardened", scenario_sud_prctl_refused_hardened),
     ("shadow_rwx_without_query", scenario_shadow_rwx_without_query),
