@@ -1,9 +1,12 @@
 //! Regenerates **Table I**: characteristics of popular non-intrusive
 //! syscall interposition solutions.
 //!
-//! The rows are derived from the simulated mechanisms' trait
-//! descriptions, which the sim-interpose test suite cross-checks
-//! against observable behaviour (trace completeness, cycle ordering).
+//! The rows are the simulated mechanisms' trait descriptions. The
+//! sim-interpose test suite checks expressiveness and exhaustiveness
+//! against observable behaviour (what each mechanism's interposer
+//! sees); the efficiency column is what `table2` measures natively for
+//! the same mechanisms (its `seccomp-bpf`, `seccomp-trap`,
+//! `seccomp-user`, `ptrace`, `SUD`, `zpoline` and `lazypoline` rows).
 
 use lp_bench::report::Table;
 use sim_interpose::{mechanism_traits, Mechanism};

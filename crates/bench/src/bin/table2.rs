@@ -14,6 +14,12 @@
 //! twelve bytes from its end, the rewriting rows are measured at
 //! `read`, `getpid` and `epoll_wait` (JSON rows carry `sysno`).
 //!
+//! Table I's other mechanisms are rows too, each in a child process of
+//! its own (`--child-row <label>`): `seccomp-bpf` (an allow-all filter),
+//! `seccomp-trap` (`SECCOMP_RET_TRAP` and a `SIGSYS` handler),
+//! `seccomp-user` (user notification, a supervisor thread) and `ptrace`
+//! (a forked tracer), beside the hardened row.
+//!
 //! Everything here needs SUD and a mappable page zero. What a dispatch
 //! costs per layer (interest hits and misses, hook stacks, the hook
 //! ABI) is lpbench's ledger (`lpbench --trace 1`).
@@ -53,14 +59,16 @@ fn with_stats(row: Json, stats: Option<&mechanism::StatsSnapshot>) -> Json {
 }
 
 /// One JSON row: a measurement at `sysno` against that number's
-/// baseline.
+/// baseline, with its per-run samples.
 fn row_json(m: &Measurement, sysno: u64, base: f64) -> Json {
+    let runs = m.cycles_per_call.iter().map(|&c| Json::Num(c)).collect();
     Json::obj()
         .field("name", Json::Str(m.name.into()))
         .field("sysno", Json::Int(sysno))
         .field("cycles_per_call", Json::Num(m.cycles()))
         .field("vs_baseline", Json::Num(m.cycles() / base))
         .field("stddev_pct", Json::Num(m.stddev_pct()))
+        .field("cycles_per_run", Json::Arr(runs))
 }
 
 fn write_json(bench: &str, root: Json) {
@@ -108,7 +116,7 @@ fn fig4_sled(r: &MicroResults) -> f64 {
         - (r.zpoline.cycles() - r.baseline.cycles())
 }
 
-fn print_table2(r: &MicroResults, hardened: Option<&micro::HardenedRow>) {
+fn print_table2(r: &MicroResults, children: &[micro::ChildRow]) {
     let base = r.baseline.cycles();
     println!(
         "Table II — microbenchmark overhead vs baseline (syscall 500 x {} iters, {} runs)\n",
@@ -116,7 +124,8 @@ fn print_table2(r: &MicroResults, hardened: Option<&micro::HardenedRow>) {
     );
     let mut table = Table::new(["Configuration", "measured", "paper", "cycles/call", "σ%"]);
     let mut max_sd = r.baseline.stddev_pct();
-    for m in r.rows().into_iter().chain(hardened.map(|h| &h.measurement)) {
+    let child_rows = children.iter().map(|c| &c.measurement);
+    for m in r.rows().into_iter().chain(child_rows) {
         let paper = PAPER
             .iter()
             .find(|(n, _)| *n == m.name)
@@ -132,17 +141,19 @@ fn print_table2(r: &MicroResults, hardened: Option<&micro::HardenedRow>) {
         max_sd = max_sd.max(m.stddev_pct());
     }
     print!("{}", table.render());
-    if let Some(h) = hardened {
+    for c in children {
+        let (Some(level), Some(stats)) = (&c.harden_level, &c.stats) else {
+            continue;
+        };
         // What the hardened row adds over plain lazypoline is the
         // backstop: the seccomp filter runs on every syscall SUD lets
         // through, the gate's included.
         println!(
-            "hardened row (child process): level {}, {:+.0} cycles/call over lazypoline, \
+            "hardened row (child process): level {level}, {:+.0} cycles/call over lazypoline, \
              {} bypass(es) blocked over {} dispatches",
-            h.harden_level,
-            h.measurement.cycles() - r.lazypoline.cycles(),
-            h.stats.bypass_blocked,
-            h.stats.dispatches
+            c.measurement.cycles() - r.lazypoline.cycles(),
+            stats.bypass_blocked,
+            stats.dispatches
         );
     }
     println!("\nbaseline: {base:.0} cycles/call; max relative stddev {max_sd:.2}%");
@@ -256,7 +267,7 @@ fn print_ablations(r: &MicroResults, batch: &micro::BatchAblation) {
 
 fn table2_json(
     r: &MicroResults,
-    hardened: Option<&micro::HardenedRow>,
+    children: &[micro::ChildRow],
     batch: &micro::BatchAblation,
 ) -> Json {
     let base = r.baseline.cycles();
@@ -266,12 +277,12 @@ fn table2_json(
         .chain(r.rows())
         .map(|m| with_stats(row_json(m, paper_sysno, base), r.snapshot_for(m.name)))
         .collect();
-    if let Some(h) = hardened {
-        rows.push(with_stats(
-            row_json(&h.measurement, paper_sysno, base)
-                .field("harden_level", Json::Str(h.harden_level.clone())),
-            Some(&h.stats),
-        ));
+    for c in children {
+        let mut row = row_json(&c.measurement, paper_sysno, base);
+        if let Some(level) = &c.harden_level {
+            row = row.field("harden_level", Json::Str(level.clone()));
+        }
+        rows.push(with_stats(row, c.stats.as_ref()));
     }
     for sled in &r.sled {
         let base = sled.baseline.cycles();
@@ -336,12 +347,13 @@ fn fig4_json(r: &MicroResults) -> Json {
 }
 
 fn main() {
-    // Child-process mode: measure only the hardened row and exit (the
-    // seccomp backstop is one-way per process — see `micro::HardenedRow`).
-    if std::env::args().any(|a| a == "--hardened-row") {
-        micro::hardened_child_main();
+    // Child-process mode: measure one row and exit (what it arms is
+    // one-way per process — see `micro::ChildRow`).
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(at) = args.iter().position(|a| a == "--child-row") {
+        micro::child_row_main(args.get(at + 1).map_or("", String::as_str));
     }
-    let json_mode = std::env::args().any(|a| a == "--json");
+    let json_mode = args.iter().any(|a| a == "--json");
     if !micro::environment_supported() {
         eprintln!(
             "skip: this host cannot run the native microbenchmark \
@@ -361,18 +373,18 @@ fn main() {
     }
 
     let results = micro::run_table2();
-    // The hardened row runs in a re-exec'd child so its one-way seccomp
-    // filter cannot leak into this process's remaining measurements.
-    let hardened = micro::run_hardened_row();
+    // Each child row runs in a re-exec'd child, so what it arms cannot
+    // leak into this process's remaining measurements.
+    let children = micro::run_child_rows();
     let batch = micro::run_batch_ablation();
 
-    print_table2(&results, hardened.as_ref());
+    print_table2(&results, &children);
     print_fig4(&results);
     print_ablations(&results, &batch);
 
     if json_mode {
         println!();
-        write_json("table2", table2_json(&results, hardened.as_ref(), &batch));
+        write_json("table2", table2_json(&results, &children, &batch));
         write_json("fig4", fig4_json(&results));
     }
 }

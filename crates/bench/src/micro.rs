@@ -43,6 +43,7 @@ use std::arch::asm;
 use std::arch::x86_64::_rdtsc;
 
 use mechanism::{EnvConfig, XstateMask};
+use syscalls::Errno;
 
 use crate::env_u64;
 use crate::report::{geomean, rel_stddev_pct};
@@ -529,89 +530,109 @@ fn run_sfip_row(
     Some(m)
 }
 
-/// The `lazypoline-hardened` Table II row, measured in a **child**
-/// process: the seccomp backstop is one-way per process, so installing
-/// it in the benchmark process would leave every later row (and the
-/// batch ablation) running under the kill filter.
+/// A Table II row measured in a **child** process of its own: what it
+/// arms is one-way per process (a seccomp filter, the hardened
+/// backstop) or needs a second process (a ptrace tracer), and would
+/// otherwise run under every later row of the session.
 #[derive(Clone, Debug)]
-pub struct HardenedRow {
-    /// Steady-state fast-path timing under the hardened configuration.
+pub struct ChildRow {
+    /// Steady-state timing of the row's loop.
     pub measurement: Measurement,
-    /// Counter deltas for the measured window, every counter the other
-    /// rows carry.
-    pub stats: mechanism::StatsSnapshot,
-    /// The degradation-ladder rung the child reached (`Full` when the
-    /// backstop arms, `Unprotected` when seccomp is refused).
-    pub harden_level: String,
+    /// The degradation-ladder rung the hardened row reached (`Full`
+    /// when the backstop arms, `Unprotected` when seccomp is refused).
+    /// `None` on the rows that install no `mechanism` backend.
+    pub harden_level: Option<String>,
+    /// The hardened row's counter deltas for the measured window, every
+    /// counter the other rows carry.
+    pub stats: Option<mechanism::StatsSnapshot>,
 }
 
 /// The hardened row's label in the table and the JSON.
 const HARDENED: &str = "lazypoline-hardened";
 
-/// Child-process entry for the hardened row: installs the
-/// `lazypoline-hardened` backend, measures [`loop_fast`] in steady
-/// state, and prints the wire format ([`render_hardened_output`]) to
-/// stdout. The parent re-execs this binary with `--hardened-row`.
-pub fn hardened_child_main() -> ! {
-    if !environment_supported() || mechanism::by_name(HARDENED).is_none() {
-        std::process::exit(2);
-    }
-    let iters = env_u64("LP_BENCH_ITERS", 200_000).max(1);
+/// Arms and measures a child row, given its iterations and runs: the
+/// wire format ([`render_child_output`]), or why the kernel refused it.
+type ChildRun = fn(u64, u64) -> Result<String, String>;
+
+/// The child rows, in the order the session runs them: each label, what
+/// `LP_BENCH_ITERS` is divided by for it (so that no row runs much
+/// longer than `SUD`), and what arms and measures it in the child.
+const CHILD_ROWS: [(&str, u64, ChildRun); 5] = [
+    (HARDENED, 1, hardened_row),
+    ("seccomp-bpf", 1, seccomp_bpf_row),
+    ("seccomp-trap", 10, seccomp_trap_row),
+    ("seccomp-user", 1_000, seccomp_user_row),
+    ("ptrace", 1_000, ptrace_row),
+];
+
+/// Child-process entry for the [`CHILD_ROWS`] row `label`: arms it,
+/// measures it and prints the wire format ([`render_child_output`]) to
+/// stdout. A row the kernel refuses prints a `skip:` line to stderr and
+/// exits 2. The parent re-execs this binary with `--child-row <label>`.
+pub fn child_row_main(label: &str) -> ! {
+    let &(_, divisor, run) = CHILD_ROWS
+        .iter()
+        .find(|(row, ..)| *row == label)
+        .unwrap_or_else(|| panic!("{label:?} is not a child row"));
+    let iters = (env_u64("LP_BENCH_ITERS", 200_000) / divisor).max(1);
     let runs = env_u64("LP_BENCH_RUNS", 10).max(1);
-    let row = RowSpec {
-        backend: HARDENED,
-        label: HARDENED,
-        ..FAST
-    };
-    let cfg = EnvConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
-    let (m, stats, _) = measure_row(&row, &cfg, PAPER_SYSNO, iters, runs);
-    let harden = format!("{:?}", lazypoline::health().harden);
-    print!(
-        "{}",
-        render_hardened_output(&m.cycles_per_call, &harden, &stats)
-    );
-    std::process::exit(0);
+    match run(iters, runs) {
+        Ok(text) => {
+            print!("{text}");
+            std::process::exit(0)
+        }
+        Err(why) => {
+            eprintln!("skip: {label} row ({why})");
+            std::process::exit(2)
+        }
+    }
 }
 
-/// The child's wire format: `cycles <f64>...`, `harden <rung>`, then
-/// the counters ([`crate::render_counters`]).
-fn render_hardened_output(
+/// Runs every [`CHILD_ROWS`] row, in order, by re-execing the current
+/// binary with `--child-row <label>` and parsing its stdout. A row whose
+/// child fails is left out, like any other unsupported configuration;
+/// a refused row has said why on stderr.
+pub fn run_child_rows() -> Vec<ChildRow> {
+    let Ok(exe) = std::env::current_exe() else {
+        return Vec::new();
+    };
+    let run = |&(label, ..): &(&'static str, u64, ChildRun)| {
+        let out = std::process::Command::new(&exe)
+            .args(["--child-row", label])
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .ok()?;
+        if !out.status.success() {
+            if out.status.code() != Some(2) {
+                eprintln!("skip: {label} row (child exited with {})", out.status);
+            }
+            return None;
+        }
+        parse_child_output(label, &String::from_utf8_lossy(&out.stdout))
+    };
+    CHILD_ROWS.iter().filter_map(run).collect()
+}
+
+/// The child's wire format: `cycles <f64>...`; the hardened row adds
+/// `harden <rung>` and its counters ([`crate::render_counters`]).
+fn render_child_output(
     cycles: &[f64],
-    harden: &str,
-    stats: &mechanism::StatsSnapshot,
+    hardened: Option<(&str, &mechanism::StatsSnapshot)>,
 ) -> String {
     let mut out = String::from("cycles");
     for c in cycles {
         out.push_str(&format!(" {c}"));
     }
-    out.push_str(&format!("\nharden {harden}\n"));
-    out + &crate::render_counters(stats)
-}
-
-/// Runs the hardened row by re-execing the current binary with
-/// `--hardened-row` and parsing its stdout. `None` when the child
-/// can't run the row (exit 2) or dies under its own backstop — the
-/// table simply omits the row, like any other unsupported
-/// configuration.
-pub fn run_hardened_row() -> Option<HardenedRow> {
-    let exe = std::env::current_exe().ok()?;
-    let out = std::process::Command::new(exe)
-        .arg("--hardened-row")
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        eprintln!(
-            "skip: hardened-row child exited with {} — {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr).trim()
-        );
-        return None;
+    out.push('\n');
+    if let Some((harden, stats)) = hardened {
+        out.push_str(&format!("harden {harden}\n"));
+        out += &crate::render_counters(stats);
     }
-    parse_hardened_output(&String::from_utf8_lossy(&out.stdout))
+    out
 }
 
-/// Parses [`render_hardened_output`]'s wire format.
-fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
+/// Parses [`render_child_output`]'s wire format.
+fn parse_child_output(label: &'static str, text: &str) -> Option<ChildRow> {
     let field = |key: &str| text.lines().find_map(|l| l.strip_prefix(key));
     let cycles: Vec<f64> = field("cycles ")?
         .split_whitespace()
@@ -620,19 +641,292 @@ fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
     if cycles.is_empty() {
         return None;
     }
-    let mut stats = mechanism::StatsSnapshot {
-        mechanism: HARDENED,
-        ..Default::default()
-    };
-    crate::parse_counters(text, &mut stats);
-    Some(HardenedRow {
+    let harden_level = field("harden ").map(str::to_string);
+    let stats = harden_level.as_ref().map(|_| {
+        let mut stats = mechanism::StatsSnapshot {
+            mechanism: label,
+            ..Default::default()
+        };
+        crate::parse_counters(text, &mut stats);
+        stats
+    });
+    Some(ChildRow {
         measurement: Measurement {
-            name: HARDENED,
+            name: label,
             cycles_per_call: cycles,
         },
+        harden_level,
         stats,
-        harden_level: field("harden ").unwrap_or_default().to_string(),
     })
+}
+
+/// The `lazypoline-hardened` row: the backend installed, [`loop_fast`]
+/// measured in steady state.
+fn hardened_row(iters: u64, runs: u64) -> Result<String, String> {
+    if !environment_supported() {
+        return Err("needs SUD and a mappable page zero".into());
+    }
+    let row = RowSpec {
+        backend: HARDENED,
+        label: HARDENED,
+        ..FAST
+    };
+    let cfg = EnvConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let (m, stats, _) = measure_row(&row, &cfg, PAPER_SYSNO, iters, runs);
+    let harden = format!("{:?}", lazypoline::health().harden);
+    let hardened = Some((harden.as_str(), &stats));
+    Ok(render_child_output(&m.cycles_per_call, hardened))
+}
+
+/// What every other child row measures once its mechanism is armed:
+/// one check that the paper's number still fails with `ENOSYS`, then
+/// [`loop_plain`] at it.
+fn timed(iters: u64, runs: u64) -> String {
+    // SAFETY: number 500 is no syscall; nothing is read or written.
+    let errno = Errno::from_ret(unsafe { syscalls::raw::syscall1(PAPER_SYSNO, u64::MAX) });
+    assert_eq!(errno, Some(Errno::ENOSYS), "number 500 under the row");
+    let m = measure("", loop_plain, PAPER_SYSNO, iters, runs);
+    render_child_output(&m.cycles_per_call, None)
+}
+
+/// A kernel call's result; `Err` says why when the kernel refuses the
+/// row (`EPERM`, `EACCES`, `ENOSYS`). Any other error is a bug.
+fn permitted(what: &str, ret: u64) -> Result<u64, String> {
+    match Errno::from_ret(ret) {
+        None => Ok(ret),
+        Some(e) if [Errno::EPERM, Errno::EACCES, Errno::ENOSYS].contains(&e) => {
+            Err(format!("{what}: {e}"))
+        }
+        Some(e) => panic!("{what}: {e}"),
+    }
+}
+
+/// `struct sock_filter`: one classic-BPF instruction.
+#[repr(C)]
+struct SockFilter {
+    code: u16,
+    jt: u8,
+    jf: u8,
+    k: u32,
+}
+
+/// `struct sock_fprog`.
+#[repr(C)]
+struct SockFprog {
+    len: u16,
+    filter: *const SockFilter,
+}
+
+const fn bpf(code: u16, jt: u8, jf: u8, k: u32) -> SockFilter {
+    SockFilter { code, jt, jf, k }
+}
+
+const BPF_LD_W_ABS: u16 = 0x20;
+const BPF_JEQ_K: u16 = 0x15;
+const BPF_RET_K: u16 = 0x06;
+const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
+const SECCOMP_RET_TRAP: u32 = 0x0003_0000;
+const SECCOMP_RET_USER_NOTIF: u32 = 0x7fc0_0000;
+
+/// `seccomp-bpf`: every call passes one instruction.
+const ALLOW_ALL: [SockFilter; 1] = [bpf(BPF_RET_K, 0, 0, SECCOMP_RET_ALLOW)];
+
+/// `seccomp-trap`: number 500 raises `SIGSYS`, everything else passes.
+const TRAP_500: [SockFilter; 4] = [
+    bpf(BPF_LD_W_ABS, 0, 0, 0), // seccomp_data.nr
+    bpf(BPF_JEQ_K, 0, 1, PAPER_SYSNO as u32),
+    bpf(BPF_RET_K, 0, 0, SECCOMP_RET_TRAP),
+    bpf(BPF_RET_K, 0, 0, SECCOMP_RET_ALLOW),
+];
+
+/// `seccomp-user`: number 500 waits for the supervisor, everything else
+/// passes.
+const NOTIFY_500: [SockFilter; 4] = [
+    bpf(BPF_LD_W_ABS, 0, 0, 0), // seccomp_data.nr
+    bpf(BPF_JEQ_K, 0, 1, PAPER_SYSNO as u32),
+    bpf(BPF_RET_K, 0, 0, SECCOMP_RET_USER_NOTIF),
+    bpf(BPF_RET_K, 0, 0, SECCOMP_RET_ALLOW),
+];
+
+/// Installs `filter` on the calling thread, and so on the threads it
+/// creates later, with `flags`; returns what `seccomp(2)` returns (the
+/// listener under `SECCOMP_FILTER_FLAG_NEW_LISTENER`).
+fn install_filter(filter: &[SockFilter], flags: u64) -> Result<u64, String> {
+    const PR_SET_NO_NEW_PRIVS: u64 = 38;
+    const SECCOMP_SET_MODE_FILTER: u64 = 1;
+    let prog = SockFprog {
+        len: filter.len() as u16,
+        filter: filter.as_ptr(),
+    };
+    // SAFETY: `prctl` takes no pointer; `seccomp` reads `prog` and the
+    // filter it points to, which outlive the call.
+    unsafe {
+        permitted(
+            "prctl(PR_SET_NO_NEW_PRIVS)",
+            syscalls::raw::syscall5(syscalls::nr::PRCTL, PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0),
+        )?;
+        permitted(
+            "seccomp",
+            syscalls::raw::syscall3(
+                syscalls::nr::SECCOMP,
+                SECCOMP_SET_MODE_FILTER,
+                flags,
+                &prog as *const SockFprog as u64,
+            ),
+        )
+    }
+}
+
+fn seccomp_bpf_row(iters: u64, runs: u64) -> Result<String, String> {
+    install_filter(&ALLOW_ALL, 0)?;
+    Ok(timed(iters, runs))
+}
+
+/// The `seccomp-trap` row's `SIGSYS` handler: answers the trapped call
+/// with `-ENOSYS`, as the kernel answers number 500.
+unsafe extern "C" fn answer_enosys(_: i32, _: *mut libc::siginfo_t, ctx: *mut libc::c_void) {
+    // SAFETY: `ctx` is the context the kernel passed this handler.
+    unsafe { sud::sigsys::UContext::from_ptr(ctx) }.set_rax(Errno::ENOSYS.as_ret());
+}
+
+fn seccomp_trap_row(iters: u64, runs: u64) -> Result<String, String> {
+    // SAFETY: the handler makes no syscall and touches only its context.
+    unsafe { sud::sigsys::install_sigsys_handler(answer_enosys) }
+        .unwrap_or_else(|e| panic!("sigaction(SIGSYS): {e}"));
+    install_filter(&TRAP_500, 0)?;
+    Ok(timed(iters, runs))
+}
+
+/// `struct seccomp_notif`; `data` is the call's `struct seccomp_data`.
+#[repr(C)]
+#[derive(Default)]
+struct SeccompNotif {
+    id: u64,
+    pid: u32,
+    flags: u32,
+    data: [u64; 8],
+}
+
+/// `struct seccomp_notif_resp`.
+#[repr(C)]
+struct SeccompNotifResp {
+    id: u64,
+    val: i64,
+    error: i32,
+    flags: u32,
+}
+
+fn seccomp_user_row(iters: u64, runs: u64) -> Result<String, String> {
+    const SECCOMP_FILTER_FLAG_NEW_LISTENER: u64 = 1 << 3;
+    const SECCOMP_IOCTL_NOTIF_RECV: u64 = 0xc050_2100;
+    const SECCOMP_IOCTL_NOTIF_SEND: u64 = 0xc018_2101;
+    let listener = install_filter(&NOTIFY_500, SECCOMP_FILTER_FLAG_NEW_LISTENER)?;
+    // The supervisor answers every notification with `-ENOSYS` until the
+    // process exits. It runs under the filter too, and never calls 500.
+    std::thread::spawn(move || loop {
+        // The kernel refuses a receive buffer that is not zeroed.
+        let mut req = SeccompNotif::default();
+        // SAFETY: the kernel writes `req`, which outlives the call.
+        let ret = unsafe {
+            syscalls::raw::syscall3(
+                syscalls::nr::IOCTL,
+                listener,
+                SECCOMP_IOCTL_NOTIF_RECV,
+                &mut req as *mut SeccompNotif as u64,
+            )
+        };
+        match Errno::from_ret(ret) {
+            None => {}
+            Some(Errno::EINTR) => continue,
+            Some(e) => {
+                // The measured thread would wait for an answer forever,
+                // and a panic here would end this thread alone.
+                eprintln!("seccomp-user supervisor: {e}");
+                std::process::exit(1);
+            }
+        }
+        let resp = SeccompNotifResp {
+            id: req.id,
+            val: 0,
+            error: -Errno::ENOSYS.as_i32(),
+            flags: 0,
+        };
+        // SAFETY: the kernel reads `resp`, which outlives the call. A
+        // caller that is gone (`ENOENT`) needs no answer.
+        unsafe {
+            syscalls::raw::syscall3(
+                syscalls::nr::IOCTL,
+                listener,
+                SECCOMP_IOCTL_NOTIF_SEND,
+                &resp as *const SeccompNotifResp as u64,
+            )
+        };
+    });
+    Ok(timed(iters, runs))
+}
+
+fn ptrace_row(iters: u64, runs: u64) -> Result<String, String> {
+    const PTRACE_TRACEME: u64 = 0;
+    // SAFETY: the child row's process is single-threaded here, so the
+    // fork child may run anything.
+    match unsafe { libc::fork() } {
+        -1 => panic!("fork: {}", std::io::Error::last_os_error()),
+        0 => {
+            // The tracee: stopped until its tracer has set the options,
+            // then timed under its syscall stops. It shares the row's
+            // stdout, so it prints the row itself.
+            // SAFETY: `PTRACE_TRACEME` takes no pointer.
+            permitted("ptrace(PTRACE_TRACEME)", unsafe {
+                syscalls::raw::syscall4(syscalls::nr::PTRACE, PTRACE_TRACEME, 0, 0, 0)
+            })?;
+            // SAFETY: stopping oneself touches no memory.
+            unsafe { libc::raise(libc::SIGSTOP) };
+            Ok(timed(iters, runs))
+        }
+        tracee => trace(tracee),
+    }
+}
+
+/// The `ptrace` row's tracer: resumes `tracee` to each syscall-entry and
+/// syscall-exit stop until it exits, then exits with its status.
+fn trace(tracee: libc::pid_t) -> ! {
+    const PTRACE_SYSCALL: u64 = 24;
+    const PTRACE_SETOPTIONS: u64 = 0x4200;
+    const PTRACE_O_TRACESYSGOOD: u64 = 1;
+    const PTRACE_O_EXITKILL: u64 = 1 << 20;
+    const SYSCALL_STOP: libc::c_int = 5 | 0x80; // SIGTRAP | 0x80
+    let ptrace = |request, data| {
+        // SAFETY: neither request reads or writes tracee memory.
+        let ret = unsafe {
+            syscalls::raw::syscall4(syscalls::nr::PTRACE, request, tracee as u64, 0, data)
+        };
+        if let Some(e) = Errno::from_ret(ret) {
+            panic!("ptrace({request}): {e}");
+        }
+    };
+    let mut status = 0;
+    loop {
+        // SAFETY: `status` outlives the call.
+        if unsafe { libc::waitpid(tracee, &mut status, 0) } < 0 {
+            panic!("waitpid: {}", std::io::Error::last_os_error());
+        }
+        if libc::WIFEXITED(status) {
+            std::process::exit(libc::WEXITSTATUS(status));
+        }
+        if status & 0xff != 0x7f {
+            // Killed by a signal, not stopped.
+            std::process::exit(128 + (status & 0x7f));
+        }
+        let signal = match (status >> 8) & 0xff {
+            libc::SIGSTOP => {
+                ptrace(PTRACE_SETOPTIONS, PTRACE_O_TRACESYSGOOD | PTRACE_O_EXITKILL);
+                0
+            }
+            SYSCALL_STOP => 0,
+            other => other as u64,
+        };
+        ptrace(PTRACE_SYSCALL, signal);
+    }
 }
 
 /// Counter deltas from executing a page of fresh syscall sites under
@@ -822,11 +1116,15 @@ mod tests {
         for (i, name) in names.into_iter().enumerate() {
             *stats.counter_mut(name).unwrap() = i as u64 + 1;
         }
-        let text = render_hardened_output(&[300.5, 310.25], "Full", &stats);
-        let row = parse_hardened_output(&text).expect("parses");
+        let text = render_child_output(&[300.5, 310.25], Some(("Full", &stats)));
+        let row = parse_child_output(HARDENED, &text).expect("parses");
         assert_eq!(row.measurement.cycles_per_call, [300.5, 310.25]);
-        assert_eq!(row.harden_level, "Full");
-        assert_eq!(row.stats, stats);
+        assert_eq!(row.harden_level.as_deref(), Some("Full"));
+        assert_eq!(row.stats, Some(stats));
+        // The other child rows send their samples alone.
+        let row = parse_child_output("ptrace", &render_child_output(&[9e4], None)).expect("parses");
+        assert_eq!(row.measurement.cycles_per_call, [9e4]);
+        assert_eq!((row.harden_level, row.stats), (None, None));
     }
 
     // The full session is exercised by the `table2` binary and the

@@ -716,6 +716,13 @@ impl Arena {
         if current.is_none_or(|(current, _)| current[..] != *key) {
             return false;
         }
+        self.stage_offsets(obj, at)
+    }
+
+    /// Stages every offset of the record at `at` in `file` as a site of
+    /// object `obj`, or none: `false` if one of them is not a `0f 05` in
+    /// an executable mapping of the object.
+    fn stage_offsets(&mut self, obj: usize, at: usize) -> bool {
         let (sites_before, groups_before) = (self.n_sites, self.n_groups);
         let (first, end) = (at + RECORD_HEADER, record_end(&self.file, at));
         let ok = (first..end).step_by(8).all(|i| {
@@ -735,7 +742,8 @@ impl Arena {
             .enumerate()
             .find_map(|(i, map)| {
                 let rel = usize::try_from(off.checked_sub(map.offset)?).ok()?;
-                (map.obj == obj && rel + 2 <= map.end - map.start).then_some((i, map.start + rel))
+                (map.obj == obj && rel.checked_add(2)? <= map.end - map.start)
+                    .then(|| (i, map.start + rel))
             });
         let Some((map, site)) = found else {
             return false;
@@ -1100,6 +1108,7 @@ fn write_file(dir: &Fd, name: &Name, bytes: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::os::unix::fs::PermissionsExt;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -1238,5 +1247,106 @@ mod tests {
         let mut foreign = good;
         foreign[0] = b'X';
         assert!(!well_formed(&foreign));
+    }
+
+    /// The object text the property below stages against: one
+    /// executable mapping of `TEXT_LEN` bytes, with `0f 05` at every
+    /// sixteenth byte and `nop`s between, and in the two bytes before
+    /// it (which are not the object's). Its file offset is 0 or
+    /// `TEXT_OFF`; offsets are drawn for `TEXT_OFF` and moved with it,
+    /// so at 0 those that were below the mapping wrap to the top.
+    const TEXT_OFF: u64 = 0x40;
+    const TEXT_LEN: usize = 256;
+
+    /// A record's offset: a planted `0f 05`, anywhere near the mapping,
+    /// or anything at all.
+    fn offset() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0..TEXT_LEN as u64 / 16).prop_map(|i| TEXT_OFF + 16 * i),
+            0..TEXT_OFF + 2 * TEXT_LEN as u64,
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        /// An entry is a file in `/tmp` that any process of the user can
+        /// write. Arbitrary and damaged ones are read whole or ignored:
+        /// no panic; a well-formed entry's records fill it exactly; and a
+        /// record is staged whole or not at all, never with a site whose
+        /// bytes do not read `0f 05` inside the object's mapping.
+        #[test]
+        fn damaged_entries_are_read_whole_or_ignored(
+            records in proptest::collection::vec(
+                (any::<u8>(), proptest::collection::vec(offset(), 0..6)),
+                0..5,
+            ),
+            damage in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..3),
+            cut in any::<u16>(),
+            file_off in prop_oneof![Just(0), Just(TEXT_OFF)],
+        ) {
+            let records: Vec<(u8, Vec<u64>)> = records
+                .into_iter()
+                .map(|(key, offs)| {
+                    let mut offs: Vec<u64> =
+                        offs.iter().map(|off| off.wrapping_sub(TEXT_OFF - file_off)).collect();
+                    offs.sort_unstable();
+                    offs.dedup();
+                    (key, offs)
+                })
+                .collect();
+            let borrowed: Vec<(u8, &[u64])> = records.iter().map(|(k, o)| (*k, &o[..])).collect();
+            let mut file = entry(&borrowed);
+            for (at, byte) in damage {
+                let at = at as usize % file.len();
+                file[at] = byte;
+            }
+            if cut.is_multiple_of(3) {
+                file.truncate(cut as usize % (file.len() + 1));
+            }
+
+            let mut bytes = vec![0x90u8; 2 + TEXT_LEN];
+            for at in (0..bytes.len()).step_by(16) {
+                bytes[at..at + 2].copy_from_slice(&SYSCALL);
+            }
+            let text = &bytes[2..];
+            let mut arena = Arena::map().expect("an arena");
+            let a = &mut *arena;
+            let start = text.as_ptr() as usize;
+            let perms = RegionPerms { read: true, write: false, exec: true };
+            a.maps[0] = Map { start, end: start + TEXT_LEN, offset: file_off, perms, obj: 0 };
+            (a.n_maps, a.n_objs) = (1, 1);
+            a.file[..file.len()].copy_from_slice(&file);
+            if !well_formed(&a.file[..file.len()]) {
+                return Ok(());
+            }
+
+            let (mut at, mut count) = (FILE_HEADER, 0);
+            while at < file.len() {
+                let offs: Vec<u64> = (at + RECORD_HEADER..record_end(&a.file, at))
+                    .step_by(8)
+                    .map(|i| u64_at(&a.file, i))
+                    .collect();
+                let good = |&off: &u64| {
+                    off.checked_sub(file_off)
+                        .and_then(|rel| usize::try_from(rel).ok())
+                        .is_some_and(|rel| text.get(rel..rel.saturating_add(2)) == Some(&SYSCALL))
+                };
+                let before = a.n_sites;
+                let staged = a.stage_offsets(0, at);
+                prop_assert_eq!(staged, offs.iter().all(good), "record at {} of {:?}", at, offs);
+                let expect: Vec<usize> = if staged {
+                    offs.iter().map(|&off| start + (off - file_off) as usize).collect()
+                } else {
+                    Vec::new()
+                };
+                prop_assert_eq!(a.sites[before..a.n_sites].to_vec(), expect);
+                at = record_end(&a.file, at);
+                count += 1;
+            }
+            prop_assert_eq!(at, file.len(), "the records fill the entry");
+            prop_assert_eq!(count, u64_at(&file, MAGIC.len()));
+            let grouped: usize = a.groups[..a.n_groups].iter().map(|g| g.to - g.from).sum();
+            prop_assert_eq!(grouped, a.n_sites);
+        }
     }
 }

@@ -138,11 +138,7 @@ impl SimActive {
 
         self.dispatches += observed.len() as u64;
         self.slow_path_hits += ip.system.kernel.stats().sud_dispatches;
-        Ok(SimOutcome {
-            exit,
-            cycles: ip.cycles(),
-            observed,
-        })
+        Ok(SimOutcome { exit, observed })
     }
 
     /// Adds the guest counts accumulated so far (zero at install).

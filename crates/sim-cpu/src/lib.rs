@@ -1,10 +1,9 @@
 //! A deterministic simulated CPU for interposition experiments.
 //!
-//! Several of the paper's baselines cannot be measured faithfully on
-//! the host (ptrace needs a second process and scheduler control;
-//! Intel Pin is proprietary; seccomp filters cannot be uninstalled
-//! between benchmark configurations). This crate provides the
-//! substrate those experiments run on instead: a small machine with
+//! Some of the paper's experiments cannot run on the host: Intel Pin
+//! is proprietary (Table III), and no native engine keeps the
+//! selector the §VI attack targets. This crate provides the substrate
+//! those experiments run on instead: a small machine with
 //!
 //! * sixteen 64-bit general-purpose registers and sixteen 128-bit
 //!   vector registers ([`reg`]),
@@ -17,12 +16,14 @@
 //! * an assembler with labels ([`asm`]),
 //! * a linear-sweep disassembler with the same data-vs-code blindness
 //!   real static rewriters suffer ([`insn::sweep`]),
-//! * an execution engine with cycle accounting and per-instruction
-//!   register read/write tracing for the Pin-like analysis
-//!   ([`machine`], [`cost`]).
+//! * an execution engine with a retired-instruction count and
+//!   per-instruction register read/write tracing for the Pin-like
+//!   analysis ([`machine`]).
 //!
 //! The machine is single-ISA, little-endian, and completely
-//! deterministic: identical programs produce identical cycle counts.
+//! deterministic: identical programs retire identical instruction
+//! streams. It models no time: what each mechanism costs is measured
+//! natively (`table2`).
 //!
 //! # Example
 //!
@@ -46,14 +47,12 @@
 #![forbid(unsafe_code)]
 
 pub mod asm;
-pub mod cost;
 pub mod insn;
 pub mod machine;
 pub mod mem;
 pub mod reg;
 
 pub use asm::Asm;
-pub use cost::CostModel;
 pub use insn::{decode, sweep, Insn, Op};
 pub use machine::{Event, Fault, Machine};
 pub use mem::{Memory, Perms, PAGE_SIZE};

@@ -1,6 +1,5 @@
 //! The execution engine.
 
-use crate::cost::CostModel;
 use crate::insn::{decode, DecodeError, Op};
 use crate::mem::{MemFault, Memory, Perms};
 use crate::reg::{Gpr, RegSet, Xmm};
@@ -76,9 +75,7 @@ pub struct Machine {
     /// The machine's memory (public: the kernel manipulates it
     /// directly, e.g. to build signal frames).
     pub mem: Memory,
-    cycles: u64,
     retired: u64,
-    cost: CostModel,
     hook: Option<TraceHook>,
 }
 
@@ -86,8 +83,8 @@ impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Machine(rip={:#x}, cycles={}, retired={})",
-            self.rip, self.cycles, self.retired
+            "Machine(rip={:#x}, retired={})",
+            self.rip, self.retired
         )
     }
 }
@@ -108,16 +105,9 @@ impl Machine {
             zf: false,
             lf: false,
             mem: Memory::new(),
-            cycles: 0,
             retired: 0,
-            cost: CostModel::default(),
             hook: None,
         }
-    }
-
-    /// Replaces the cost model.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Attaches a per-instruction trace hook (replacing any previous).
@@ -184,19 +174,9 @@ impl Machine {
         self.rip = rip;
     }
 
-    /// Cycles consumed so far (user + kernel charges).
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired
-    }
-
-    /// Charges kernel-side cycles (syscall entry, signal delivery, …).
-    pub fn add_cycles(&mut self, cycles: u64) {
-        self.cycles += cycles;
     }
 
     /// The condition flags `(zero, less-than)` — saved/restored by the
@@ -263,7 +243,6 @@ impl Machine {
             });
         }
 
-        self.cycles += self.cost.of(&insn.op);
         self.retired += 1;
         let next = self.rip + insn.len;
 
@@ -670,10 +649,10 @@ mod tests {
         };
         let a = run_prog(prog());
         let b = run_prog(prog());
-        assert_eq!(a.cycles(), b.cycles());
+        // Five instructions, `hlt` included, and the same result.
         assert_eq!(a.retired(), 5);
-        // nop-class ×1 + alu ×1 + mem ×2 + hlt(nop) ×1
-        assert_eq!(a.cycles(), 1 + 1 + 3 + 3 + 1);
+        assert_eq!(b.retired(), a.retired());
+        assert_eq!((a.gpr(Gpr::R2), b.gpr(Gpr::R2)), (6, 6));
     }
 
     #[test]

@@ -58,13 +58,13 @@ fn run(ops: &[AluOp]) -> (Vec<u64>, u64) {
     assert_eq!(m.run_fuel(100_000).unwrap(), Event::Halt);
     (
         Gpr::ALL.iter().map(|&r| m.gpr(r)).collect(),
-        m.cycles(),
+        m.retired(),
     )
 }
 
 proptest! {
     /// The machine is deterministic: identical programs produce
-    /// identical register files and cycle counts.
+    /// identical register files and retired-instruction counts.
     #[test]
     fn execution_is_deterministic(ops in proptest::collection::vec(alu_op(), 1..64)) {
         let a = run(&ops);

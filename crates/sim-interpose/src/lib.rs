@@ -5,13 +5,14 @@
 //! configuration*, not as host-side shortcuts: the zpoline trampoline
 //! is a real nop sled in guest page 0, SUD handlers are guest programs
 //! that manipulate a guest selector byte, and the lazypoline slow path
-//! patches guest code bytes through guest `mprotect` calls — so cycle
-//! counts include everything the real mechanisms pay for.
+//! patches guest code bytes through guest `mprotect` calls — so the
+//! instructions a guest retires include everything the real mechanisms
+//! execute. What they cost is measured natively (`table2`).
 //!
 //! | Mechanism | Kernel config | Guest code installed |
 //! |---|---|---|
 //! | `Baseline` | — | — |
-//! | `Ptrace` | tracer cost model on every syscall | — |
+//! | `Ptrace` | tracer logs every syscall | — |
 //! | `SeccompBpf` | allow-all cBPF filter | — |
 //! | `SeccompUser` | TRAP-unless-ip-in-handler filter | SIGSYS handler |
 //! | `Sud` | — (guest-equivalent prctl) | SIGSYS handler + selector |

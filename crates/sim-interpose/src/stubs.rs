@@ -4,7 +4,7 @@
 //! only `r0`, so anything else a stub touches is saved and restored —
 //! the simulated counterpart of the paper's §IV-B(b) ABI-compatibility
 //! discipline. Vector state is preserved via `xsave`/`xrstor` when the
-//! configuration asks for it, costing the model's 100-cycle charges.
+//! configuration asks for it.
 
 use sim_cpu::asm::Asm;
 use sim_cpu::reg::Gpr;

@@ -60,9 +60,12 @@ pub struct Traits {
     pub efficiency: Efficiency,
 }
 
-/// The characteristics of each mechanism — the paper's Table I,
-/// derivable (and derived, in the test suite) from the mechanisms'
-/// observable behaviour in this crate.
+/// The characteristics of each mechanism — the paper's Table I.
+/// Expressiveness and exhaustiveness are checked against the
+/// mechanisms' observable behaviour in this crate's tests; efficiency
+/// is what `table2` measures natively for the same mechanisms (its
+/// `seccomp-bpf`, `seccomp-trap`, `seccomp-user`, `ptrace`, `SUD`,
+/// `zpoline` and `lazypoline` rows).
 pub fn mechanism_traits(m: Mechanism) -> Traits {
     match m {
         Mechanism::Baseline | Mechanism::BaselineSudEnabled => Traits {

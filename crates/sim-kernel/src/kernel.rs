@@ -4,7 +4,6 @@ use sim_cpu::machine::{Event, Fault, Machine};
 use sim_cpu::mem::Perms;
 use sim_cpu::reg::{Gpr, Xmm};
 
-use crate::cost::KernelCost;
 use crate::fs::Fs;
 use crate::seccomp::{BpfAction, BpfProgram, SeccompData};
 use crate::sysno::{self, errno};
@@ -107,14 +106,11 @@ impl From<Fault> for SimError {
 /// The simulated kernel state.
 #[derive(Debug)]
 pub struct Kernel {
-    /// The cost table (public: benchmarks tweak it for ablations).
-    pub cost: KernelCost,
     /// The filesystem (public: tests pre-populate and inspect it).
     pub fs: Fs,
     sig_handlers: [u64; 65],
     sud: SudConfig,
     seccomp: Option<BpfProgram>,
-    seccomp_registry: Vec<BpfProgram>,
     ptrace: bool,
     /// Syscalls observed by the attached ptrace tracer (number only —
     /// the tracer sees everything, which is what makes ptrace
@@ -133,15 +129,13 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// A fresh kernel with default costs and an empty filesystem.
+    /// A fresh kernel with an empty filesystem.
     pub fn new() -> Kernel {
         Kernel {
-            cost: KernelCost::default(),
             fs: Fs::new(),
             sig_handlers: [0; 65],
             sud: SudConfig::default(),
             seccomp: None,
-            seccomp_registry: Vec::new(),
             ptrace: false,
             ptrace_log: Vec::new(),
             exit: None,
@@ -151,22 +145,14 @@ impl Kernel {
         }
     }
 
-    /// Enables the ptrace syscall-tracing cost model (a tracer is
-    /// attached; every tracee syscall incurs entry+exit stops).
+    /// Attaches a ptrace tracer in syscall-tracing mode: from now on
+    /// the tracer logs every tracee syscall ([`Kernel::ptrace_log`]).
     pub fn set_ptrace(&mut self, enabled: bool) {
         self.ptrace = enabled;
     }
 
-    /// Pre-registers a seccomp program; the guest installs it by
-    /// calling `seccomp(handle)`.
-    pub fn register_seccomp(&mut self, prog: BpfProgram) -> u64 {
-        self.seccomp_registry.push(prog);
-        (self.seccomp_registry.len() - 1) as u64
-    }
-
-    /// Host-side shortcut: installs a filter directly (most benchmarks
-    /// configure seccomp before the guest starts, like a launcher
-    /// process would).
+    /// Installs a filter before the guest starts, as a launcher process
+    /// would (the guest has no `seccomp` call).
     pub fn install_seccomp(&mut self, prog: BpfProgram) {
         self.seccomp = Some(prog);
     }
@@ -206,13 +192,11 @@ impl Kernel {
     /// failures are delivered to the guest as `-errno`.
     pub fn on_syscall(&mut self, m: &mut Machine) -> Result<(), SimError> {
         self.stats.syscalls += 1;
-        m.add_cycles(self.cost.entry);
         let (nr, args) = m.syscall_args();
         let insn_addr = m.rip() - 2;
 
         // — Syscall User Dispatch (paper Fig. 1) —
         if self.sud.enabled && nr != sysno::RT_SIGRETURN {
-            m.add_cycles(self.cost.sud_check);
             let mut sel = [0u8; 1];
             m.mem
                 .read_privileged(self.sud.selector_addr, &mut sel)
@@ -239,13 +223,10 @@ impl Kernel {
                 instruction_pointer: m.rip(),
                 args,
             };
-            let (action, executed) = prog.run(&data);
-            m.add_cycles(executed * self.cost.seccomp_insn);
-            match action {
+            match prog.run(&data).0 {
                 BpfAction::Allow => {}
                 BpfAction::Errno(e) => {
                     m.set_syscall_ret(errno::ret(e as u64));
-                    m.add_cycles(self.cost.exit);
                     return Ok(());
                 }
                 BpfAction::Trap => {
@@ -257,23 +238,18 @@ impl Kernel {
             }
         }
 
-        // — ptrace (cost model: entry + exit stop, tracer work) —
+        // — ptrace: the tracer sees the call at its entry stop —
         if self.ptrace {
-            m.add_cycles(self.cost.ptrace_per_syscall());
             self.ptrace_log.push(nr);
         }
 
         // — dispatch —
         self.stats.dispatched += 1;
-        m.add_cycles(self.cost.dispatch);
         if nr == sysno::RT_SIGRETURN {
-            self.do_sigreturn(m, args[0])?;
-            m.add_cycles(self.cost.exit);
-            return Ok(());
+            return self.do_sigreturn(m, args[0]);
         }
         let ret = self.dispatch(m, nr, args)?;
         m.set_syscall_ret(ret);
-        m.add_cycles(self.cost.exit);
         Ok(())
     }
 
@@ -291,7 +267,6 @@ impl Kernel {
             return Err(SimError::UnhandledSignal { sig });
         }
         self.stats.signals_delivered += 1;
-        m.add_cycles(self.cost.signal_deliver);
 
         let sp = m.gpr(Gpr::SP);
         let base = (sp - frame::SIZE - 128) & !15;
@@ -341,7 +316,6 @@ impl Kernel {
     /// *as currently stored*, honouring handler modifications.
     fn do_sigreturn(&mut self, m: &mut Machine, base: u64) -> Result<(), SimError> {
         self.stats.sigreturns += 1;
-        m.add_cycles(self.cost.sigreturn);
         let read64 = |mem: &sim_cpu::mem::Memory, off: u64| -> Result<u64, Fault> {
             let mut b = [0u8; 8];
             mem.read_privileged(base + off, &mut b).map_err(Fault::Mem)?;
@@ -533,13 +507,6 @@ impl Kernel {
                     errno::ret(errno::EINVAL)
                 }
             }
-            sysno::SECCOMP => match self.seccomp_registry.get(args[0] as usize) {
-                Some(p) => {
-                    self.seccomp = Some(p.clone());
-                    0
-                }
-                None => errno::ret(errno::EINVAL),
-            },
             sysno::GETPID | sysno::GETTID | sysno::SET_TID_ADDRESS => 1000,
             sysno::GETUID => 0,
             sysno::SET_ROBUST_LIST => 0,
@@ -560,13 +527,13 @@ impl Kernel {
                 }
             }
             sysno::CLOCK_GETTIME => {
-                if m.mem.write_u64(args[1], m.cycles()).is_err() {
+                if m.mem.write_u64(args[1], m.retired()).is_err() {
                     errno::ret(errno::EFAULT)
                 } else {
                     0
                 }
             }
-            sysno::TIME => m.cycles() >> 10,
+            sysno::TIME => m.retired() >> 10,
             sysno::EXIT | sysno::EXIT_GROUP => {
                 self.exit = Some(args[0] as i64);
                 0
@@ -653,11 +620,6 @@ impl System {
     /// Captured stdout as UTF-8 (lossy).
     pub fn stdout(&self) -> String {
         String::from_utf8_lossy(&self.kernel.fs.stdout).into_owned()
-    }
-
-    /// Total cycles consumed.
-    pub fn cycles(&self) -> u64 {
-        self.machine.cycles()
     }
 }
 
@@ -902,26 +864,6 @@ mod tests {
             .install_seccomp(BpfProgram::new(vec![BpfInsn::Ret(BpfAction::Kill)]).unwrap());
         sys.load_program(&code).unwrap();
         assert_eq!(sys.run(), Err(SimError::SeccompKill));
-    }
-
-    #[test]
-    fn ptrace_charges_heavily() {
-        let prog = |ptrace: bool| {
-            let code = exit_group(
-                Asm::new().mov_ri(Gpr::R0, sysno::GETPID).syscall(),
-                0,
-            )
-            .assemble_at(LOAD_ADDR)
-            .unwrap();
-            let mut sys = System::new();
-            sys.kernel.set_ptrace(ptrace);
-            sys.load_program(&code).unwrap();
-            sys.run().unwrap();
-            sys.cycles()
-        };
-        let base = prog(false);
-        let traced = prog(true);
-        assert!(traced > base + 15_000, "base {base}, traced {traced}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The simulated kernel: syscall dispatch, SUD, seccomp, ptrace
-//! accounting, signals, and an in-memory filesystem.
+//! The simulated kernel: syscall dispatch, SUD, seccomp, a ptrace
+//! tracer's log, signals, and an in-memory filesystem.
 //!
 //! Together with [`sim_cpu`], this forms the substrate on which the
-//! paper's kernel-interface baselines are reproduced deterministically.
+//! paper's kernel-interface mechanisms are reproduced deterministically:
+//! what each one observes and executes, not what it costs (`table2`
+//! measures that natively).
 //! The model is **single-task**: one guest program per [`System`].
 //! That covers every simulated experiment in the suite
 //! (microbenchmarks, coreutils for the Table III analysis, the JIT
@@ -11,11 +13,11 @@
 //! where the real kernel provides it.
 //!
 //! The kernel entry path mirrors the paper's Figure 1: on every
-//! `SYSCALL` event the kernel charges its entry cost, then consults —
-//! in order — the ptrace model, the installed seccomp filter, and
-//! Syscall User Dispatch (reading the guest selector byte from guest
-//! memory, exactly like the real implementation reads userspace), and
-//! only then dispatches to the syscall table.
+//! `SYSCALL` event the kernel consults — in order — Syscall User
+//! Dispatch (reading the guest selector byte from guest memory,
+//! exactly like the real implementation reads userspace), the
+//! installed seccomp filter and the ptrace tracer, and only then
+//! dispatches to the syscall table.
 //!
 //! # Example
 //!
@@ -40,13 +42,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cost;
 pub mod fs;
 pub mod kernel;
 pub mod seccomp;
 pub mod sysno;
 
-pub use cost::KernelCost;
 pub use fs::Fs;
 pub use kernel::{Kernel, KernelStats, SimError, SudConfig, System};
 pub use seccomp::{BpfAction, BpfInsn, BpfProgram};

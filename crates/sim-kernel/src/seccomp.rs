@@ -117,16 +117,6 @@ impl BpfProgram {
             match insn {
                 BpfInsn::JeqK { jt, jf, .. } | BpfInsn::JgeK { jt, jf, .. } => {
                     for d in [jt, jf] {
-                        if at + 1 + *d as usize > insns.len()
-                            && at + 1 + *d as usize > insns.len()
-                        {
-                            return Err(BpfError::JumpOutOfRange { at });
-                        }
-                        if at + 1 + *d as usize >= insns.len()
-                            && !matches!(insns.last(), Some(BpfInsn::Ret(_)))
-                        {
-                            // Covered by terminator check below.
-                        }
                         if at + 1 + *d as usize > insns.len() - 1 {
                             return Err(BpfError::JumpOutOfRange { at });
                         }
@@ -142,8 +132,7 @@ impl BpfProgram {
         Ok(BpfProgram { insns })
     }
 
-    /// Number of instructions (the cost driver: the kernel charges per
-    /// executed instruction).
+    /// Number of instructions.
     pub fn len(&self) -> usize {
         self.insns.len()
     }
@@ -154,7 +143,7 @@ impl BpfProgram {
     }
 
     /// Runs the filter; returns the verdict and the number of
-    /// instructions executed (for cycle accounting).
+    /// instructions executed.
     pub fn run(&self, data: &SeccompData) -> (BpfAction, u64) {
         let mut a: u64 = 0;
         let mut pc = 0usize;
@@ -289,6 +278,16 @@ mod tests {
             ]),
             Err(BpfError::JumpOutOfRange { at: 0 })
         ));
+        // A jump may land on the last instruction, and not one past it.
+        let jump_by = |jt: u8| {
+            BpfProgram::new(vec![
+                BpfInsn::JeqK { k: 0, jt, jf: 0 },
+                BpfInsn::Ret(BpfAction::Trap),
+                BpfInsn::Ret(BpfAction::Allow),
+            ])
+        };
+        assert!(jump_by(1).is_ok());
+        assert_eq!(jump_by(2), Err(BpfError::JumpOutOfRange { at: 0 }));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub const GETUID: u64 = 102;
 pub const PRCTL: u64 = 157;
 /// `gettid()`.
 pub const GETTID: u64 = 186;
-/// `time()` — virtual time derived from the cycle counter.
+/// `time()` — virtual time derived from the retired-instruction count.
 pub const TIME: u64 = 201;
 /// `set_tid_address(ptr)`.
 pub const SET_TID_ADDRESS: u64 = 218;

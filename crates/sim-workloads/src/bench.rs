@@ -26,67 +26,6 @@ pub fn microbench(iters: u64) -> Vec<u8> {
         .expect("microbench assembles")
 }
 
-/// A server-like request loop: per iteration `open`/`read`/`write`/
-/// `close` on a file of the given name — the syscall mix of one
-/// static-content HTTP request, for the simulated macro comparison.
-pub fn server_loop(iters: u64, chunks_per_request: u64) -> Vec<u8> {
-    let asm = Asm::new()
-        .jmp("main")
-        .label("fname")
-        .raw(b"content")
-        .label("main")
-        // scratch buffer
-        .mov_ri(Gpr::R0, sysno::MMAP)
-        .mov_ri(Gpr::R1, 0xb000)
-        .mov_ri(Gpr::R2, 4096)
-        .mov_ri(Gpr::R3, 3)
-        .mov_ri(Gpr::R4, 0x10)
-        .syscall()
-        .mov_ri(Gpr::R11, iters)
-        .label("req")
-        // open("content")
-        .mov_ri(Gpr::R0, sysno::OPEN)
-        .mov_ri_label(Gpr::R1, "fname")
-        .mov_ri(Gpr::R2, 7)
-        .mov_ri(Gpr::R3, 0)
-        .syscall()
-        .mov_rr(Gpr::R13, Gpr::R0)
-        .mov_ri(Gpr::R12, chunks_per_request)
-        .label("chunk")
-        // read(fd, buf, 512)
-        .mov_ri(Gpr::R0, sysno::READ)
-        .mov_rr(Gpr::R1, Gpr::R13)
-        .mov_ri(Gpr::R2, 0xb000)
-        .mov_ri(Gpr::R3, 512)
-        .syscall()
-        // write(1, buf, n)
-        .mov_rr(Gpr::R3, Gpr::R0)
-        .mov_ri(Gpr::R0, sysno::WRITE)
-        .mov_ri(Gpr::R1, 1)
-        .mov_ri(Gpr::R2, 0xb000)
-        .syscall()
-        .sub_ri(Gpr::R12, 1)
-        .cmp_ri(Gpr::R12, 0)
-        .jnz("chunk")
-        // close(fd)
-        .mov_ri(Gpr::R0, sysno::CLOSE)
-        .mov_rr(Gpr::R1, Gpr::R13)
-        .syscall()
-        .sub_ri(Gpr::R11, 1)
-        .cmp_ri(Gpr::R11, 0)
-        .jnz("req");
-    exit_group(asm, 0)
-        .assemble_at(sim_kernel::kernel::LOAD_ADDR)
-        .expect("server loop assembles")
-}
-
-/// Seeds the file the server loop serves, `chunks × 512` bytes.
-pub fn prepare_server_fs(kernel: &mut sim_kernel::Kernel, chunks: u64) {
-    kernel
-        .fs
-        .put_file("content", vec![0x5a; (chunks * 512) as usize]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,28 +42,13 @@ mod tests {
 
     #[test]
     fn microbench_scales_linearly() {
-        let cycles = |iters| {
+        let retired = |iters| {
             let mut sys = System::new();
             sys.load_program(&microbench(iters)).unwrap();
             sys.run().unwrap();
-            sys.cycles()
+            sys.machine.retired()
         };
-        let c10 = cycles(10);
-        let c100 = cycles(100);
-        let per = (c100 - c10) / 90;
-        // Per-iteration cost ≈ bare round trip + loop overhead.
-        assert!((280..350).contains(&per), "per-iter {per}");
-    }
-
-    #[test]
-    fn server_loop_serves_requests() {
-        let mut sys = System::new();
-        prepare_server_fs(&mut sys.kernel, 4);
-        sys.load_program(&server_loop(3, 4)).unwrap();
-        assert_eq!(sys.run().unwrap(), 0);
-        // 3 requests × 4 chunks × 512 bytes on stdout.
-        assert_eq!(sys.kernel.fs.stdout.len(), 3 * 4 * 512);
-        // syscalls: mmap + 3×(open + 4×(read+write) + close) + exit.
-        assert_eq!(sys.kernel.stats().syscalls, 1 + 3 * (1 + 8 + 1) + 1);
+        // One iteration is `mov`, `syscall`, `sub`, `cmp`, `jnz`.
+        assert_eq!(retired(100) - retired(10), 90 * 5);
     }
 }

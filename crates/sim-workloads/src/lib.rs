@@ -13,8 +13,7 @@
 //!   programs linked against either libc flavour.
 //! * [`jit`] — a tcc-like workload that emits a fresh `SYSCALL` at
 //!   runtime (paper §V-A's exhaustiveness experiment).
-//! * [`mod@bench`] — the syscall-500 microbenchmark loop (Table II) and a
-//!   server-like request loop.
+//! * [`mod@bench`] — the syscall-500 microbenchmark loop (Table II).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,5 +1,7 @@
 //! Integration tests over the simulation stack: the paper's simulated
-//! experiments must reproduce, with calibration tolerances.
+//! experiments must reproduce. The simulator models what a mechanism
+//! observes and executes, not what it costs: work is counted in
+//! retired guest instructions.
 
 use sim_cpu::asm::Asm;
 use sim_cpu::reg::Gpr;
@@ -7,10 +9,10 @@ use sim_interpose::{Interposed, Mechanism};
 use sim_kernel::sysno;
 use sim_workloads::{bench, coreutils, jit, LibcFlavor, COREUTILS};
 
-fn cycles(mechanism: Mechanism, program: &[u8]) -> f64 {
+fn retired(mechanism: Mechanism, program: &[u8]) -> u64 {
     let mut ip = Interposed::setup(mechanism, program, false).expect("setup");
     ip.run().expect("run");
-    ip.cycles() as f64
+    ip.system.machine.retired()
 }
 
 #[test]
@@ -40,35 +42,15 @@ fn exhaustiveness_three_way_comparison() {
 }
 
 #[test]
-fn table2_ratios_within_tolerance() {
-    let program = bench::microbench(2000);
-    let base = cycles(Mechanism::Baseline, &program);
-    let ratio = |mech| cycles(mech, &program) / base;
-
-    let sud_enabled = ratio(Mechanism::BaselineSudEnabled);
-    let zp = ratio(Mechanism::Zpoline);
-    let lp_nox = ratio(Mechanism::Lazypoline { xstate: false });
-    let lp = ratio(Mechanism::Lazypoline { xstate: true });
-    let sud = ratio(Mechanism::Sud);
-    let pt = ratio(Mechanism::Ptrace);
-
-    // Paper Table II: 1.42x / ~1.2x / 1.66x / 2.38x / 20.8x.
-    assert!((1.30..1.55).contains(&sud_enabled), "SUD-enabled {sud_enabled}");
-    assert!((1.05..1.40).contains(&zp), "zpoline {zp}");
-    assert!((1.45..1.90).contains(&lp_nox), "lazypoline-nox {lp_nox}");
-    assert!((2.00..2.80).contains(&lp), "lazypoline {lp}");
-    assert!((15.0..28.0).contains(&sud), "SUD {sud}");
-    assert!(pt > 40.0, "ptrace {pt}");
-    // Strict ordering.
-    assert!(1.0 < zp && zp < lp_nox && lp_nox < lp && lp < sud && sud < pt);
-}
-
-#[test]
 fn seccomp_bpf_is_cheap_but_blind() {
+    // The filter runs in the kernel: the guest executes exactly what
+    // it executes uninterposed. What that costs is `table2`'s
+    // `seccomp-bpf` row.
     let program = bench::microbench(1000);
-    let base = cycles(Mechanism::Baseline, &program);
-    let bpf = cycles(Mechanism::SeccompBpf, &program) / base;
-    assert!(bpf < 1.15, "seccomp-bpf overhead {bpf}");
+    assert_eq!(
+        retired(Mechanism::SeccompBpf, &program),
+        retired(Mechanism::Baseline, &program)
+    );
     let mut ip = Interposed::setup(Mechanism::SeccompBpf, &program, true).unwrap();
     ip.run().unwrap();
     assert!(ip.observed_trace().is_empty(), "cBPF cannot observe");
@@ -78,7 +60,8 @@ fn seccomp_bpf_is_cheap_but_blind() {
 fn sled_position_effect() {
     // zpoline's `call r0` lands at address = syscall number: low
     // numbers walk the whole sled. The paper picks 500 to minimize
-    // this; verify the effect exists (a real property of the design).
+    // this; verify the effect exists (a real property of the design):
+    // every sled byte passed is one more instruction retired.
     let mk = |nr: u64| {
         Asm::new()
             .mov_ri(Gpr::R11, 500)
@@ -95,8 +78,8 @@ fn sled_position_effect() {
             .unwrap()
     };
     // getpid (39, long sled walk) vs 500 (sled tail).
-    let low = cycles(Mechanism::Zpoline, &mk(sysno::GETPID));
-    let high = cycles(Mechanism::Zpoline, &mk(500));
+    let low = retired(Mechanism::Zpoline, &mk(sysno::GETPID));
+    let high = retired(Mechanism::Zpoline, &mk(500));
     assert!(low > high, "sled effect missing: {low} <= {high}");
 }
 
