@@ -369,6 +369,56 @@ mod tests {
         }
     }
 
+    /// The kernel's seccomp action cache (`seccomp_is_const_allow` in
+    /// `kernel/seccomp.c`) emulates a filter once per syscall number and
+    /// arch, knowing only `nr` and `arch`; a number whose path returns
+    /// `RET_ALLOW` without loading anything else skips the filter from
+    /// then on, from any IP. Walk the backstop the same way: no number
+    /// of either arch the cache checks may reach the ALLOW.
+    #[test]
+    fn the_action_cache_admits_no_number() {
+        const AUDIT_ARCH_I386: u32 = 0x4000_0003;
+        const OFF_NR: u32 = 0;
+        /// `Some(true)` for a constant path to `RET_ALLOW`, `Some(false)`
+        /// for a constant path to anything else, `None` where the path
+        /// loads a field the cache does not know.
+        fn const_allow(p: &[SockFilter], nr: u32, arch: u32) -> Option<bool> {
+            let (mut pc, mut a) = (0, 0);
+            loop {
+                let i = p[pc];
+                pc += 1;
+                let taken = match (i.code, i.k) {
+                    (BPF_LD_W_ABS, OFF_NR) => {
+                        a = nr;
+                        continue;
+                    }
+                    (BPF_LD_W_ABS, OFF_ARCH) => {
+                        a = arch;
+                        continue;
+                    }
+                    (BPF_LD_W_ABS, _) => return None,
+                    (BPF_RET_K, k) => return Some(k == SECCOMP_RET_ALLOW),
+                    (BPF_JEQ_K, k) => a == k,
+                    (BPF_JGE_K, k) => a >= k,
+                    (BPF_JGT_K, k) => a > k,
+                    (code, _) => panic!("the walk does not know opcode {code:#x}"),
+                };
+                pc += usize::from(if taken { i.jt } else { i.jf });
+            }
+        }
+        let gate = zpoline::gate();
+        for ranges in [
+            exec_ranges(gate).unwrap(),
+            filter_blocks(vec![(0x1000, 0x2000), (0xffff_f000, 0x1_0000_1000)]),
+        ] {
+            let p = build_filter(&ranges);
+            for nr in 0..1024 {
+                assert_eq!(const_allow(&p, nr, AUDIT_ARCH_X86_64), None, "x86-64 {nr}");
+                assert_eq!(const_allow(&p, nr, AUDIT_ARCH_I386), Some(false), "i386 {nr}");
+            }
+        }
+    }
+
     #[test]
     fn ranges_never_straddle_4gib() {
         // exec_ranges on the live process: every range must sit within

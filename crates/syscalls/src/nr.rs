@@ -241,6 +241,9 @@ syscall_table! {
     (332, STATX, "statx");
     (334, RSEQ, "rseq");
     (424, PIDFD_SEND_SIGNAL, "pidfd_send_signal");
+    (425, IO_URING_SETUP, "io_uring_setup");
+    (426, IO_URING_ENTER, "io_uring_enter");
+    (427, IO_URING_REGISTER, "io_uring_register");
     (435, CLONE3, "clone3");
     (439, FACCESSAT2, "faccessat2");
     (441, EPOLL_PWAIT2, "epoll_pwait2");
@@ -261,6 +264,9 @@ mod tests {
         assert_eq!(RT_SIGRETURN, 15);
         assert_eq!(PRCTL, 157);
         assert_eq!(GETRANDOM, 318);
+        assert_eq!(IO_URING_SETUP, 425);
+        assert_eq!(IO_URING_ENTER, 426);
+        assert_eq!(IO_URING_REGISTER, 427);
     }
 
     #[test]
