@@ -1,6 +1,6 @@
 //! The interposer API shared by every interposition mechanism in the
 //! suite (native lazypoline, native zpoline, SUD-only, and the
-//! simulated mechanisms).
+//! simulated hybrid).
 //!
 //! An interposer implements [`SyscallHandler`]; the mechanism invokes
 //! [`SyscallHandler::handle`] for every intercepted syscall and acts on

@@ -22,7 +22,7 @@
 //!
 //! **One failure rule, no silent fallback:** a malformed value of any
 //! runtime variable, a row that cannot interpose a preloaded process
-//! (`sim:*` runs guest programs; `sud-raw` disarms after one syscall
+//! (`sim:lazypoline` runs guest programs; `sud-raw` disarms after one syscall
 //! and relies on its caller to re-arm) or any install error prints one
 //! `lazypoline-preload: disabled (<why>)` line and the application runs
 //! uninterposed. Nothing is ever half-installed. The proven-site cache

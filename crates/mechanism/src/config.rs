@@ -310,7 +310,7 @@ mod tests {
         let accepted = [
             (ENV_VAR, "sud", EnvConfig { mechanism: "sud", ..d() }),
             (ENV_VAR, "lazypoline+record+sfip", EnvConfig { mechanism: "lazypoline+record+sfip", ..d() }),
-            (ENV_VAR, "sim:ptrace", EnvConfig { mechanism: "sim:ptrace", ..d() }),
+            (ENV_VAR, "sim:lazypoline", EnvConfig { mechanism: "sim:lazypoline", ..d() }),
             (ENV_VAR, "replay:/t.lpt", EnvConfig { mechanism: "replay:/t.lpt", ..d() }),
             (MODE_ENV, "passthrough", d()),
             (MODE_ENV, "trace", EnvConfig { mode: HandlerMode::Trace, ..d() }),

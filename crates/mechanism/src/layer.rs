@@ -17,11 +17,10 @@ use std::sync::{Arc, Mutex};
 
 use interpose::SyscallHandler;
 use replay::{RecordHandler, ReplayHandler};
-use sim_interpose::Traits;
 
 use crate::{
-    hooks, record_replay, sfip, static_by_name, ActiveMechanism, ConfigError, EnvConfig,
-    InstallError, Mechanism, StatsSnapshot,
+    hooks, record_replay, sfip, static_by_name, traits, ActiveMechanism, ConfigError, EnvConfig,
+    InstallError, Mechanism, StatsSnapshot, Traits,
 };
 
 /// A handler layer a name can stack onto a base. Closed: nothing
@@ -181,7 +180,7 @@ impl Mechanism for Composed {
     fn traits(&self) -> Traits {
         match &self.base {
             Base::Static(m) => m.traits(),
-            Base::Replay(_) => record_replay::REPLAY_TRAITS,
+            Base::Replay(_) => traits::REPLAY,
         }
     }
 

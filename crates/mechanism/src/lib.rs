@@ -1,6 +1,6 @@
 //! The mechanism layer: every interposition backend in the suite —
-//! native engine configurations, raw SUD, and the simulated mechanisms
-//! — behind one trait, one string-keyed registry, and one
+//! native engine configurations, raw SUD, and the simulated hybrid —
+//! behind one trait, one string-keyed registry, and one
 //! install/teardown/stats lifecycle.
 //!
 //! The paper's claim is comparative (Table I/II line lazypoline up
@@ -11,7 +11,9 @@
 //! [`SyscallHandler`], and read a uniform [`StatsSnapshot`] from the
 //! returned [`ActiveMechanism`] guard. Adding a backend is a one-file
 //! change here; the micro/macro benchmarks, examples, and tests pick it
-//! up by name.
+//! up by name. Each row's Table I characteristics are data here too:
+//! [`TABLE_I`] holds the paper's six rows, and every backend's
+//! [`Mechanism::traits`] is one of them.
 //!
 //! # Registered names
 //!
@@ -30,9 +32,8 @@
 //! | `lazypoline-hardened` | the hybrid with the seccomp backstop behind SUD (one-way per process; degrades to plain lazypoline without seccomp; native only, no `sim:` twin) |
 //!
 //! Simulated (run a guest program, see [`ActiveMechanism::run_program`]):
-//! `sim:baseline`, `sim:baseline-sud`, `sim:ptrace`, `sim:seccomp-bpf`,
-//! `sim:seccomp-user`, `sim:sud`, `sim:zpoline`, `sim:lazypoline-nox`,
-//! `sim:lazypoline`.
+//! `sim:lazypoline`, the hybrid with xstate preservation. Every other
+//! mechanism of Tables I and II is a native row or a `table2` child.
 //!
 //! # Composed names: `base(+layer)*`
 //!
@@ -73,6 +74,7 @@ mod native;
 mod record_replay;
 mod sfip;
 mod sim;
+mod traits;
 
 pub use config::{
     ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, REPLAY_BASE_ENV,
@@ -81,22 +83,22 @@ pub use config::{
 use interpose::SyscallHandler;
 use layer::LayerGuard;
 pub use replay;
-pub use sim_interpose::{Efficiency, Expressiveness, Traits};
+pub use traits::{Efficiency, Expressiveness, Traits, TABLE_I};
 pub use zpoline::XstateMask;
 
 /// An interposition backend: something that can wrap a
 /// [`SyscallHandler`] around this process (native) or a guest program
 /// (simulated).
 pub trait Mechanism: Send + Sync {
-    /// The registry key (`lazypoline`, `sud`, `sim:ptrace`, …).
+    /// The registry key (`lazypoline`, `sud`, `sim:lazypoline`, …).
     fn name(&self) -> &'static str;
 
-    /// The mechanism's Table I row: expressiveness, exhaustiveness,
-    /// efficiency class.
+    /// The mechanism's Table I row ([`TABLE_I`]): expressiveness,
+    /// exhaustiveness, efficiency class.
     fn traits(&self) -> Traits;
 
     /// Whether this backend can be installed on this host (kernel SUD
-    /// support, `vm.mmap_min_addr = 0`, …). Simulated backends are
+    /// support, `vm.mmap_min_addr = 0`, …). `sim:lazypoline` is
     /// always available.
     fn is_available(&self) -> bool;
 
@@ -178,7 +180,7 @@ pub enum RunError {
     /// The backend is native; it interposes this process, not guest
     /// programs.
     NotSimulated,
-    /// The simulator rejected the mechanism/program combination.
+    /// The simulator could not set the hybrid up around the program.
     Setup(sim_interpose::SetupError),
     /// The guest faulted or was killed.
     Sim(sim_kernel::kernel::SimError),
@@ -218,7 +220,7 @@ macro_rules! stats_snapshot {
         ///   `dispatches` counting the slow path's emulations too;
         /// - `sud-raw`: each `SIGSYS` trip as both a dispatch and a
         ///   slow-path hit;
-        /// - simulated backends: the sim kernel's counters (observed
+        /// - `sim:lazypoline`: the sim kernel's counters (observed
         ///   syscalls → `dispatches`, SUD/SIGSYS deliveries →
         ///   `slow_path_hits`).
         ///
@@ -336,8 +338,7 @@ stats_snapshot! {
 pub struct SimOutcome {
     /// The guest's exit status.
     pub exit: i64,
-    /// Syscall numbers the mechanism observed, in order (empty for
-    /// mechanisms that cannot observe, e.g. `sim:seccomp-bpf`).
+    /// Syscall numbers the interposer observed, in order.
     pub observed: Vec<u64>,
 }
 
@@ -493,7 +494,7 @@ impl ActiveMechanism {
     /// unenroll from SUD (the `zpoline` backend's post-warmup switch to
     /// pure rewriting) unless a hardened backstop is armed, which makes
     /// enrolment one-way; raw-SUD backends park the selector at ALLOW.
-    /// No-op for `none` and simulated backends.
+    /// No-op for `none` and `sim:lazypoline`.
     pub fn detach(&mut self) {
         if let Inner::Native(n) = &mut self.inner {
             n.detach();
@@ -511,8 +512,8 @@ impl ActiveMechanism {
         }
     }
 
-    /// Runs a guest program under a simulated mechanism, replaying the
-    /// mechanism's observations through the installed handler (same
+    /// Runs a guest program under `sim:lazypoline`, replaying the
+    /// interposer's observations through the installed handler (same
     /// event/post shape as the native dispatchers) and accumulating
     /// [`StatsSnapshot`] counters. Errors with [`RunError::NotSimulated`]
     /// on native backends.
@@ -533,7 +534,7 @@ pub fn all() -> impl Iterator<Item = &'static dyn Mechanism> {
     native::NATIVE_BACKENDS
         .iter()
         .map(|b| b as &dyn Mechanism)
-        .chain(sim::SIM_BACKENDS.iter().map(|b| b as &dyn Mechanism))
+        .chain(std::iter::once(&sim::SIM_BACKEND as &dyn Mechanism))
 }
 
 /// Every registered backend name, native first.
@@ -583,7 +584,7 @@ mod tests {
 
     #[test]
     fn registry_covers_every_table_row() {
-        // Table II native rows + every simulated mechanism, by name.
+        // Table II native rows + the simulated hybrid, by name.
         for name in [
             "none",
             "sud-allow",
@@ -594,20 +595,12 @@ mod tests {
             "lazypoline",
             "lazypoline-nobatch",
             "lazypoline-hardened",
-            "sim:baseline",
-            "sim:baseline-sud",
-            "sim:ptrace",
-            "sim:seccomp-bpf",
-            "sim:seccomp-user",
-            "sim:sud",
-            "sim:zpoline",
-            "sim:lazypoline-nox",
             "sim:lazypoline",
         ] {
             let m = by_name(name).unwrap_or_else(|| panic!("{name} not registered"));
             assert_eq!(m.name(), name);
         }
-        assert_eq!(names().len(), 18);
+        assert_eq!(names().len(), 10);
         assert!(by_name("ptrace").is_none(), "native ptrace is not a backend");
     }
 
@@ -619,10 +612,6 @@ mod tests {
         assert_eq!(lp.efficiency, Efficiency::High);
         // Native and simulated rows of the same mechanism agree.
         assert_eq!(lp, by_name("sim:lazypoline").unwrap().traits());
-        assert_eq!(
-            by_name("sud").unwrap().traits(),
-            by_name("sim:sud").unwrap().traits()
-        );
         let zp = by_name("zpoline").unwrap().traits();
         assert!(!zp.exhaustive, "rewriting alone misses JIT syscalls");
         // The hardened row keeps lazypoline's winning profile, and it
@@ -632,6 +621,31 @@ mod tests {
         assert!(hard.exhaustive);
         assert_eq!(hard.efficiency, Efficiency::High);
         assert!(by_name(&["sim:", "lazypoline-hardened"].concat()).is_none());
+    }
+
+    #[test]
+    fn one_simulated_row_and_the_removed_names_are_config_errors() {
+        let sim: Vec<_> = names().into_iter().filter(|n| n.starts_with("sim:")).collect();
+        assert_eq!(sim, ["sim:lazypoline"]);
+        // The simulated rows that native rows and `table2` children
+        // replaced: selecting one is a configuration error that lists
+        // the row that is left.
+        for row in [
+            "baseline",
+            "baseline-sud",
+            "ptrace",
+            "seccomp-bpf",
+            "seccomp-user",
+            "sud",
+            "zpoline",
+            "lazypoline-nox",
+        ] {
+            let name = format!("sim:{row}");
+            let err = EnvConfig::from_lookup(|v| (v == ENV_VAR).then(|| name.clone()))
+                .expect_err("a removed row is not a base");
+            assert_eq!(err.var, ENV_VAR, "{name}");
+            assert!(err.to_string().contains("sim:lazypoline"), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -703,7 +717,7 @@ mod tests {
             ("lazypoline+record+sfip", "lazypoline"),
             ("lazypoline-hardened+hooks+sfip", "lazypoline-hardened"),
             ("sim:lazypoline+hooks+sfip", "sim:lazypoline"),
-            ("sim:ptrace+sfip+hooks+record", "sim:ptrace"),
+            ("sim:lazypoline+sfip+hooks+record", "sim:lazypoline"),
         ] {
             let m = by_name(name).unwrap_or_else(|| panic!("{name} must parse"));
             assert_eq!(m.name(), name);
@@ -729,7 +743,7 @@ mod tests {
         assert_eq!(r.name(), "replay:/tmp/a+record");
         assert_eq!(
             names().len(),
-            18,
+            10,
             "composed names never join the static list"
         );
     }

@@ -6,10 +6,10 @@ use std::sync::OnceLock;
 
 use interpose::SyscallHandler;
 use lazypoline::faultinject::{self, Fault};
-use sim_interpose::{Efficiency, Expressiveness, Traits};
 use zpoline::XstateMask;
 
-use crate::{ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, StatsSnapshot};
+use crate::traits::{BASELINE, LAZYPOLINE, SUD, ZPOLINE};
+use crate::{ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, StatsSnapshot, Traits};
 
 /// Arms `LAZYPOLINE_FAULTS` once per process, at the first
 /// engine-backed install, before anything of it runs: re-arming would
@@ -60,49 +60,21 @@ enum NativeCfg {
     Hardened,
 }
 
-const LAZYPOLINE_TRAITS: Traits = Traits {
-    name: "lazypoline (hybrid)",
-    expressiveness: Expressiveness::Full,
-    exhaustive: true,
-    efficiency: Efficiency::High,
-};
-
-const HARDENED_TRAITS: Traits = Traits {
-    name: "lazypoline (hardened)",
-    expressiveness: Expressiveness::Full,
-    exhaustive: true,
-    efficiency: Efficiency::High,
-};
-
-const SUD_TRAITS: Traits = Traits {
-    name: "SUD",
-    expressiveness: Expressiveness::Full,
-    exhaustive: true,
-    efficiency: Efficiency::Moderate,
-};
-
-const BASELINE_TRAITS: Traits = Traits {
-    name: "baseline",
-    expressiveness: Expressiveness::None,
-    exhaustive: false,
-    efficiency: Efficiency::High,
-};
-
 pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
     NativeBackend {
         key: "none",
         cfg: NativeCfg::Nothing,
-        traits: BASELINE_TRAITS,
+        traits: BASELINE,
     },
     NativeBackend {
         key: "sud-allow",
         cfg: NativeCfg::SudAllow,
-        traits: BASELINE_TRAITS,
+        traits: BASELINE,
     },
     NativeBackend {
         key: "sud-raw",
         cfg: NativeCfg::RawSud,
-        traits: SUD_TRAITS,
+        traits: SUD,
     },
     NativeBackend {
         key: "sud",
@@ -111,7 +83,7 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
             lazy_rewriting: false,
             batch_rewriting: true,
         },
-        traits: SUD_TRAITS,
+        traits: SUD,
     },
     NativeBackend {
         key: "zpoline",
@@ -120,12 +92,7 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
             lazy_rewriting: true,
             batch_rewriting: true,
         },
-        traits: Traits {
-            name: "binary rewriting (zpoline)",
-            expressiveness: Expressiveness::Full,
-            exhaustive: false,
-            efficiency: Efficiency::High,
-        },
+        traits: ZPOLINE,
     },
     NativeBackend {
         key: "lazypoline-nox",
@@ -134,7 +101,7 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
             lazy_rewriting: true,
             batch_rewriting: true,
         },
-        traits: LAZYPOLINE_TRAITS,
+        traits: LAZYPOLINE,
     },
     NativeBackend {
         key: "lazypoline",
@@ -143,7 +110,7 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
             lazy_rewriting: true,
             batch_rewriting: true,
         },
-        traits: LAZYPOLINE_TRAITS,
+        traits: LAZYPOLINE,
     },
     NativeBackend {
         key: "lazypoline-nobatch",
@@ -152,12 +119,12 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
             lazy_rewriting: true,
             batch_rewriting: false,
         },
-        traits: LAZYPOLINE_TRAITS,
+        traits: LAZYPOLINE,
     },
     NativeBackend {
         key: "lazypoline-hardened",
         cfg: NativeCfg::Hardened,
-        traits: HARDENED_TRAITS,
+        traits: LAZYPOLINE,
     },
 ];
 

@@ -8,7 +8,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use replay::{Recorder, ReplayState};
-use sim_interpose::{Efficiency, Expressiveness, Traits};
 
 use crate::{static_by_name, ConfigError, EnvConfig, InstallError, Mechanism, REPLAY_BASE_ENV};
 
@@ -31,14 +30,6 @@ pub(crate) fn open_session(
         .map(Some)
         .map_err(InstallError::Io)
 }
-
-/// Table I row of a `replay:<path>` backend.
-pub(crate) const REPLAY_TRAITS: Traits = Traits {
-    name: "deterministic replay",
-    expressiveness: Expressiveness::Full,
-    exhaustive: true,
-    efficiency: Efficiency::High,
-};
 
 /// The `replay:<path>` base: loads the trace and picks the static row
 /// to re-execute under.

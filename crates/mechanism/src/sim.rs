@@ -1,67 +1,28 @@
-//! Simulated backends: the `sim:*` registry rows, bridging
-//! `sim-interpose`'s mechanism models into the same trait the native
+//! The simulated backend: the `sim:lazypoline` registry row, bridging
+//! `sim-interpose`'s hybrid into the same trait the native
 //! configurations implement.
 
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
-use sim_interpose::{mechanism_traits, Interposed, Traits};
+use sim_interpose::Interposed;
 
+use crate::traits::LAZYPOLINE;
 use crate::{
     ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, RunError, SimOutcome,
-    StatsSnapshot,
+    StatsSnapshot, Traits,
 };
 
-/// One registry row: a name bound to a simulated mechanism model.
-pub(crate) struct SimBackend {
-    key: &'static str,
-    mech: sim_interpose::Mechanism,
-}
+/// The one simulated registry row.
+pub(crate) struct SimBackend;
 
-pub(crate) static SIM_BACKENDS: [SimBackend; 9] = [
-    SimBackend {
-        key: "sim:baseline",
-        mech: sim_interpose::Mechanism::Baseline,
-    },
-    SimBackend {
-        key: "sim:baseline-sud",
-        mech: sim_interpose::Mechanism::BaselineSudEnabled,
-    },
-    SimBackend {
-        key: "sim:ptrace",
-        mech: sim_interpose::Mechanism::Ptrace,
-    },
-    SimBackend {
-        key: "sim:seccomp-bpf",
-        mech: sim_interpose::Mechanism::SeccompBpf,
-    },
-    SimBackend {
-        key: "sim:seccomp-user",
-        mech: sim_interpose::Mechanism::SeccompUser,
-    },
-    SimBackend {
-        key: "sim:sud",
-        mech: sim_interpose::Mechanism::Sud,
-    },
-    SimBackend {
-        key: "sim:zpoline",
-        mech: sim_interpose::Mechanism::Zpoline,
-    },
-    SimBackend {
-        key: "sim:lazypoline-nox",
-        mech: sim_interpose::Mechanism::Lazypoline { xstate: false },
-    },
-    SimBackend {
-        key: "sim:lazypoline",
-        mech: sim_interpose::Mechanism::Lazypoline { xstate: true },
-    },
-];
+pub(crate) static SIM_BACKEND: SimBackend = SimBackend;
 
 impl Mechanism for SimBackend {
     fn name(&self) -> &'static str {
-        self.key
+        "sim:lazypoline"
     }
 
     fn traits(&self) -> Traits {
-        mechanism_traits(self.mech)
+        LAZYPOLINE
     }
 
     fn is_available(&self) -> bool {
@@ -74,8 +35,8 @@ impl Mechanism for SimBackend {
         _cfg: &EnvConfig,
     ) -> Result<ActiveMechanism, InstallError> {
         Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Sim(SimActive::new(self.mech, handler)),
+            self.name(),
+            Inner::Sim(SimActive::new(handler)),
         ))
     }
 }
@@ -83,19 +44,14 @@ impl Mechanism for SimBackend {
 /// Live simulated installation: the handler plus counters accumulated
 /// across [`ActiveMechanism::run_program`] calls.
 pub(crate) struct SimActive {
-    mech: sim_interpose::Mechanism,
     handler: Box<dyn SyscallHandler>,
     dispatches: u64,
     slow_path_hits: u64,
 }
 
 impl SimActive {
-    pub(crate) fn new(
-        mech: sim_interpose::Mechanism,
-        handler: Box<dyn SyscallHandler>,
-    ) -> SimActive {
+    pub(crate) fn new(handler: Box<dyn SyscallHandler>) -> SimActive {
         SimActive {
-            mech,
             handler,
             dispatches: 0,
             slow_path_hits: 0,
@@ -104,8 +60,8 @@ impl SimActive {
 
     pub(crate) fn run(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
         // The handler's interest set plays the role the registry's
-        // cached words play natively: observation-capable mechanisms
-        // filter delivery to the declared numbers.
+        // cached words play natively: the fast path filters delivery to
+        // the declared numbers.
         let interest = self.handler.interest();
         let nrs: Vec<u64>;
         let filter = if interest == InterestSet::all() {
@@ -116,20 +72,15 @@ impl SimActive {
                 .collect();
             Some(nrs.as_slice())
         };
-        let mut ip = Interposed::setup_filtered(self.mech, program, true, filter)
-            .map_err(RunError::Setup)?;
+        let mut ip =
+            Interposed::setup_filtered(program, true, filter).map_err(RunError::Setup)?;
         let exit = ip.run().map_err(RunError::Sim)?;
         let observed = ip.observed_trace();
 
-        // Replay the mechanism's observations through the handler with
-        // the same event/post shape the native dispatchers use. (The
-        // sim records numbers, not full argument images, so events are
-        // nullary; `ptrace` logs kernel-side and ignores the filter, so
-        // re-check interest here for uniform delivery semantics.)
+        // Replay the observations through the handler with the same
+        // event/post shape the native dispatchers use. (The sim records
+        // numbers, not full argument images, so events are nullary.)
         for &nr in &observed {
-            if !interest.contains(nr) {
-                continue;
-            }
             let mut ev = SyscallEvent::new(syscalls::SyscallArgs::nullary(nr));
             if let Action::Passthrough = self.handler.handle(&mut ev) {
                 self.handler.post(&ev, 0);

@@ -1,4 +1,4 @@
-//! Guest memory layout shared by all mechanisms.
+//! The hybrid's guest memory layout.
 
 /// The trampoline page (virtual address 0, like zpoline).
 pub const TRAMPOLINE_BASE: u64 = 0;
@@ -10,9 +10,6 @@ pub const STUB_BASE: u64 = TRAMPOLINE_BASE + SLED_LEN;
 
 /// SIGSYS-handler code page.
 pub const HANDLER_BASE: u64 = 0x8000;
-/// Handler page length (also the SUD allowlist length in the classic
-/// deployment).
-pub const HANDLER_LEN: u64 = 0x1000;
 
 /// Runtime data page.
 pub const DATA_BASE: u64 = 0x9000;

@@ -1,27 +1,25 @@
-//! The paper's interposition mechanisms, implemented over the
-//! simulator.
+//! The lazypoline hybrid, implemented over the simulator.
 //!
-//! Each [`Mechanism`] is realized as *guest code + kernel
-//! configuration*, not as host-side shortcuts: the zpoline trampoline
-//! is a real nop sled in guest page 0, SUD handlers are guest programs
-//! that manipulate a guest selector byte, and the lazypoline slow path
-//! patches guest code bytes through guest `mprotect` calls — so the
-//! instructions a guest retires include everything the real mechanisms
-//! execute. What they cost is measured natively (`table2`).
+//! The hybrid is realized as *guest code + kernel configuration*, not
+//! as host-side shortcuts: the trampoline is a real nop sled in guest
+//! page 0, the slow path is a guest SIGSYS handler that patches guest
+//! code bytes through guest `mprotect` calls, and the selector is a
+//! guest byte the kernel reads on every syscall — so the instructions
+//! a guest retires include everything the real mechanism executes.
+//! What it costs is measured natively (`table2`), as is every other
+//! mechanism of Table I.
 //!
-//! | Mechanism | Kernel config | Guest code installed |
-//! |---|---|---|
-//! | `Baseline` | — | — |
-//! | `Ptrace` | tracer logs every syscall | — |
-//! | `SeccompBpf` | allow-all cBPF filter | — |
-//! | `SeccompUser` | TRAP-unless-ip-in-handler filter | SIGSYS handler |
-//! | `Sud` | — (guest-equivalent prctl) | SIGSYS handler + selector |
-//! | `Zpoline` | — | trampoline; app code statically rewritten |
-//! | `Lazypoline` | — | trampoline + SUD + lazy-rewriting handler |
+//! | Kernel config | Guest code installed |
+//! |---|---|
+//! | selector-only SUD, no allowlisted range | trampoline (xstate-preserving) + lazy-rewriting SIGSYS handler |
 //!
-//! [`Interposed::observed_trace`] returns the syscalls the mechanism's
-//! interposer actually saw, which is what the exhaustiveness
-//! experiment (paper §V-A) compares across mechanisms.
+//! It is the one mechanism the simulator keeps, for what native code
+//! cannot do: stage the §VI attack on the paper's selector design (no
+//! native engine has a selector any more), and run guest programs
+//! deterministically under the `sim:lazypoline` registry row (the
+//! record/replay and SFIP traces).
+//! [`Interposed::observed_trace`] returns the syscalls the interposer
+//! actually saw.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +27,5 @@
 pub mod layout;
 pub mod mechanism;
 pub mod stubs;
-pub mod traits;
 
-pub use mechanism::{Interposed, Mechanism, SetupError};
-pub use traits::{mechanism_traits, Efficiency, Expressiveness, Traits};
+pub use mechanism::{Interposed, SetupError};

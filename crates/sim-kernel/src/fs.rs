@@ -25,8 +25,15 @@ pub mod flags {
 
 #[derive(Clone, Debug)]
 enum FdKind {
-    File { name: String, pos: usize, mode: OpenMode },
-    Dir { names: Vec<String>, pos: usize },
+    File {
+        name: String,
+        pos: usize,
+        mode: OpenMode,
+    },
+    Dir {
+        names: Vec<String>,
+        pos: usize,
+    },
     Stdout,
     Stderr,
 }
@@ -158,10 +165,7 @@ impl Fs {
                 mode,
             } => {
                 if mode != OpenMode::Write {
-                    (
-                        None,
-                        FdKind::File { name, pos, mode },
-                    )
+                    (None, FdKind::File { name, pos, mode })
                 } else {
                     let f = self.files.get_mut(&name).unwrap();
                     if f.len() < pos + data.len() {
@@ -169,14 +173,7 @@ impl Fs {
                     }
                     f[pos..pos + data.len()].copy_from_slice(data);
                     pos += data.len();
-                    (
-                        Some(data.len()),
-                        FdKind::File {
-                            name,
-                            pos,
-                            mode,
-                        },
-                    )
+                    (Some(data.len()), FdKind::File { name, pos, mode })
                 }
             }
             d @ FdKind::Dir { .. } => (None, d),

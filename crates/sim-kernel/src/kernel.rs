@@ -5,7 +5,6 @@ use sim_cpu::mem::Perms;
 use sim_cpu::reg::{Gpr, Xmm};
 
 use crate::fs::Fs;
-use crate::seccomp::{BpfAction, BpfProgram, SeccompData};
 use crate::sysno::{self, errno};
 
 /// Guest-visible signal-frame layout (offsets in bytes from the frame
@@ -56,8 +55,6 @@ pub struct KernelStats {
     pub dispatched: u64,
     /// SIGSYS deliveries caused by SUD.
     pub sud_dispatches: u64,
-    /// SIGSYS deliveries caused by seccomp TRAP.
-    pub seccomp_traps: u64,
     /// Total signal frames built.
     pub signals_delivered: u64,
     /// rt_sigreturns processed.
@@ -80,8 +77,6 @@ pub enum SimError {
         /// The illegal byte.
         value: u8,
     },
-    /// A seccomp filter returned KILL.
-    SeccompKill,
 }
 
 impl std::fmt::Display for SimError {
@@ -90,7 +85,6 @@ impl std::fmt::Display for SimError {
             SimError::Fault(x) => write!(f, "cpu fault: {x}"),
             SimError::UnhandledSignal { sig } => write!(f, "unhandled signal {sig}"),
             SimError::BadSelector { value } => write!(f, "illegal SUD selector {value}"),
-            SimError::SeccompKill => write!(f, "killed by seccomp filter"),
         }
     }
 }
@@ -110,12 +104,6 @@ pub struct Kernel {
     pub fs: Fs,
     sig_handlers: [u64; 65],
     sud: SudConfig,
-    seccomp: Option<BpfProgram>,
-    ptrace: bool,
-    /// Syscalls observed by the attached ptrace tracer (number only —
-    /// the tracer sees everything, which is what makes ptrace
-    /// exhaustive in Table I).
-    pub ptrace_log: Vec<u64>,
     exit: Option<i64>,
     rng: u64,
     mmap_cursor: u64,
@@ -135,26 +123,11 @@ impl Kernel {
             fs: Fs::new(),
             sig_handlers: [0; 65],
             sud: SudConfig::default(),
-            seccomp: None,
-            ptrace: false,
-            ptrace_log: Vec::new(),
             exit: None,
             rng: 0x243f_6a88_85a3_08d3,
             mmap_cursor: 0x7000_0000,
             stats: KernelStats::default(),
         }
-    }
-
-    /// Attaches a ptrace tracer in syscall-tracing mode: from now on
-    /// the tracer logs every tracee syscall ([`Kernel::ptrace_log`]).
-    pub fn set_ptrace(&mut self, enabled: bool) {
-        self.ptrace = enabled;
-    }
-
-    /// Installs a filter before the guest starts, as a launcher process
-    /// would (the guest has no `seccomp` call).
-    pub fn install_seccomp(&mut self, prog: BpfProgram) {
-        self.seccomp = Some(prog);
     }
 
     /// Current SUD configuration (tests/benches).
@@ -214,33 +187,6 @@ impl Kernel {
                 }
                 bad => return Err(SimError::BadSelector { value: bad }),
             }
-        }
-
-        // — seccomp —
-        if let Some(prog) = self.seccomp.clone() {
-            let data = SeccompData {
-                nr,
-                instruction_pointer: m.rip(),
-                args,
-            };
-            match prog.run(&data).0 {
-                BpfAction::Allow => {}
-                BpfAction::Errno(e) => {
-                    m.set_syscall_ret(errno::ret(e as u64));
-                    return Ok(());
-                }
-                BpfAction::Trap => {
-                    self.stats.seccomp_traps += 1;
-                    self.deliver_signal(m, sysno::SIGSYS, nr, m.rip())?;
-                    return Ok(());
-                }
-                BpfAction::Kill => return Err(SimError::SeccompKill),
-            }
-        }
-
-        // — ptrace: the tracer sees the call at its entry stop —
-        if self.ptrace {
-            self.ptrace_log.push(nr);
         }
 
         // — dispatch —
@@ -318,7 +264,8 @@ impl Kernel {
         self.stats.sigreturns += 1;
         let read64 = |mem: &sim_cpu::mem::Memory, off: u64| -> Result<u64, Fault> {
             let mut b = [0u8; 8];
-            mem.read_privileged(base + off, &mut b).map_err(Fault::Mem)?;
+            mem.read_privileged(base + off, &mut b)
+                .map_err(Fault::Mem)?;
             Ok(u64::from_le_bytes(b))
         };
         for (i, r) in Gpr::ALL.iter().enumerate() {
@@ -818,52 +765,6 @@ mod tests {
         sys.load_program(&code).unwrap();
         sys.machine.mem.map(0x9000, 4096, Perms::RW);
         assert_eq!(sys.run(), Err(SimError::BadSelector { value: 7 }));
-    }
-
-    #[test]
-    fn seccomp_errno_and_trap() {
-        // Errno path.
-        let main = Asm::new()
-            .mov_ri(Gpr::R0, sysno::GETPID)
-            .syscall()
-            .mov_rr(Gpr::R10, Gpr::R0);
-        let code = exit_group(main, 0).assemble_at(LOAD_ADDR).unwrap();
-        let mut sys = System::new();
-        sys.kernel
-            .install_seccomp(BpfProgram::deny_numbers(&[sysno::GETPID]));
-        sys.load_program(&code).unwrap();
-        assert_eq!(sys.run().unwrap(), 0);
-        assert_eq!(
-            errno::from_ret(sys.machine.gpr(Gpr::R10)),
-            Some(errno::EPERM)
-        );
-
-        // Trap path with no handler kills.
-        let code2 = exit_group(
-            Asm::new().mov_ri(Gpr::R0, sysno::GETPID).syscall(),
-            0,
-        )
-        .assemble_at(LOAD_ADDR)
-        .unwrap();
-        let mut sys = System::new();
-        sys.kernel
-            .install_seccomp(BpfProgram::trap_all_except_ip_range(0, 0));
-        sys.load_program(&code2).unwrap();
-        assert_eq!(
-            sys.run(),
-            Err(SimError::UnhandledSignal { sig: sysno::SIGSYS })
-        );
-    }
-
-    #[test]
-    fn seccomp_kill_ends_the_run() {
-        use crate::seccomp::BpfInsn;
-        let code = exit_group(Asm::new(), 0).assemble_at(LOAD_ADDR).unwrap();
-        let mut sys = System::new();
-        sys.kernel
-            .install_seccomp(BpfProgram::new(vec![BpfInsn::Ret(BpfAction::Kill)]).unwrap());
-        sys.load_program(&code).unwrap();
-        assert_eq!(sys.run(), Err(SimError::SeccompKill));
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The simulated kernel: syscall dispatch, SUD, seccomp, a ptrace
-//! tracer's log, signals, and an in-memory filesystem.
+//! The simulated kernel: syscall dispatch, SUD, signals, and an
+//! in-memory filesystem.
 //!
 //! Together with [`sim_cpu`], this forms the substrate on which the
 //! paper's kernel-interface mechanisms are reproduced deterministically:
 //! what each one observes and executes, not what it costs (`table2`
-//! measures that natively).
+//! measures that natively). seccomp and ptrace are not modelled: their
+//! rows of Tables I and II are native.
 //! The model is **single-task**: one guest program per [`System`].
 //! That covers every simulated experiment in the suite
 //! (microbenchmarks, coreutils for the Table III analysis, the JIT
@@ -15,9 +16,8 @@
 //! The kernel entry path mirrors the paper's Figure 1: on every
 //! `SYSCALL` event the kernel consults — in order — Syscall User
 //! Dispatch (reading the guest selector byte from guest memory,
-//! exactly like the real implementation reads userspace), the
-//! installed seccomp filter and the ptrace tracer, and only then
-//! dispatches to the syscall table.
+//! exactly like the real implementation reads userspace), and only
+//! then dispatches to the syscall table.
 //!
 //! # Example
 //!
@@ -44,9 +44,7 @@
 
 pub mod fs;
 pub mod kernel;
-pub mod seccomp;
 pub mod sysno;
 
 pub use fs::Fs;
 pub use kernel::{Kernel, KernelStats, SimError, SudConfig, System};
-pub use seccomp::{BpfAction, BpfInsn, BpfProgram};

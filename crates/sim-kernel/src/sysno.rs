@@ -51,8 +51,6 @@ pub const EXIT_GROUP: u64 = 231;
 pub const UNLINK: u64 = 263;
 /// `set_robust_list(ptr, len)`.
 pub const SET_ROBUST_LIST: u64 = 273;
-/// `seccomp(prog_handle)` — installs a registered filter program.
-pub const SECCOMP: u64 = 317;
 /// `getrandom(buf, len)`.
 pub const GETRANDOM: u64 = 318;
 /// `rename(old_ptr, old_len, new_ptr2?)` — simplified two-path call.
@@ -136,7 +134,6 @@ pub fn name(nr: u64) -> Option<&'static str> {
         EXIT_GROUP => "exit_group",
         UNLINK => "unlink",
         SET_ROBUST_LIST => "set_robust_list",
-        SECCOMP => "seccomp",
         GETRANDOM => "getrandom",
         RENAME => "rename",
         MKDIR => "mkdir",

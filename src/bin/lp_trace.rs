@@ -15,7 +15,7 @@
 //! `replay`, `dump` and `learn` read LPTRACE1, LPTRACE2 and LPTRACE3.
 //!
 //! `record` runs a *fixed* workload so that `replay` of the same trace
-//! is deterministic: simulated mechanisms run the JIT guest program
+//! is deterministic: `sim:lazypoline` runs the JIT guest program
 //! from the paper's exhaustiveness experiment (§V-A); native
 //! mechanisms run a small in-process file-system workload (replay of a
 //! native trace is best-effort — ambient runtime syscalls diverge, and

@@ -1,5 +1,5 @@
 //! End-to-end record → replay → divergence-detection over the
-//! simulated mechanisms, plus flight-recorder accounting under
+//! simulated hybrid, plus flight-recorder accounting under
 //! concurrency.
 //!
 //! The flight-recorder rings and the recorder session are
@@ -526,8 +526,8 @@ fn record_composes_with_any_sim_mechanism_and_counts_in_stats() {
     let _g = record_lock();
     // No LP_TRACE_OUT: flight-recorder-only mode (rings + counters, no
     // file).
-    let backend = mechanism::by_name("sim:zpoline+record").expect("+record composes");
-    assert_eq!(backend.name(), "sim:zpoline+record");
+    let backend = mechanism::by_name("sim:lazypoline+record").expect("+record composes");
+    assert_eq!(backend.name(), "sim:lazypoline+record");
     let mut active = backend
         .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
         .unwrap();
@@ -535,7 +535,7 @@ fn record_composes_with_any_sim_mechanism_and_counts_in_stats() {
         .run_program(&sim_workloads::bench::microbench(64))
         .expect("guest runs");
     let stats = active.stats();
-    assert_eq!(stats.mechanism, "sim:zpoline+record");
+    assert_eq!(stats.mechanism, "sim:lazypoline+record");
     assert!(
         stats.events_recorded + stats.events_dropped >= out.observed.len() as u64,
         "recorder saw at least the delivered events"

@@ -1,4 +1,4 @@
-//! End-to-end syscall-flow-integrity over the simulated mechanisms:
+//! End-to-end syscall-flow-integrity over the simulated hybrid:
 //! record a workload, learn its transition automaton, enforce it in
 //! the fast path, and demonstrate the escape plain interposition
 //! misses.

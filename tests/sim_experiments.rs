@@ -1,67 +1,27 @@
 //! Integration tests over the simulation stack: the paper's simulated
-//! experiments must reproduce. The simulator models what a mechanism
-//! observes and executes, not what it costs: work is counted in
-//! retired guest instructions.
+//! experiments must reproduce. The simulator runs one mechanism, the
+//! hybrid, and models what it observes and executes, not what it
+//! costs: work is counted in retired guest instructions.
 
 use sim_cpu::asm::Asm;
 use sim_cpu::reg::Gpr;
-use sim_interpose::{Interposed, Mechanism};
-use sim_kernel::sysno;
-use sim_workloads::{bench, coreutils, jit, LibcFlavor, COREUTILS};
+use sim_interpose::Interposed;
+use sim_kernel::{sysno, System};
+use sim_workloads::{coreutils, LibcFlavor, COREUTILS};
 
-fn retired(mechanism: Mechanism, program: &[u8]) -> u64 {
-    let mut ip = Interposed::setup(mechanism, program, false).expect("setup");
+fn retired(program: &[u8]) -> u64 {
+    let mut ip = Interposed::setup(program, false).expect("setup");
     ip.run().expect("run");
     ip.system.machine.retired()
 }
 
 #[test]
-fn exhaustiveness_three_way_comparison() {
-    // Paper §V-A: lazypoline's trace must equal SUD's (including the
-    // JIT getpid); zpoline's must miss exactly the JIT one.
-    let program = jit::build();
-    let trace = |mech| {
-        let mut ip = Interposed::setup(mech, &program, true).expect("setup");
-        ip.run().expect("run");
-        ip.observed_trace()
-    };
-    let sud = trace(Mechanism::Sud);
-    let lazypoline = trace(Mechanism::Lazypoline { xstate: true });
-    let zpoline = trace(Mechanism::Zpoline);
-
-    assert_eq!(sud, lazypoline, "lazypoline must match SUD exactly");
-    let getpids = |t: &[u64]| t.iter().filter(|&&n| n == sysno::GETPID).count();
-    assert_eq!(getpids(&sud), 2);
-    assert_eq!(getpids(&zpoline), 1, "zpoline misses the JIT syscall");
-    // zpoline's trace is a strict subsequence of SUD's.
-    let mut it = sud.iter();
-    assert!(
-        zpoline.iter().all(|nr| it.any(|s| s == nr)),
-        "zpoline trace must be a subsequence: {zpoline:?} vs {sud:?}"
-    );
-}
-
-#[test]
-fn seccomp_bpf_is_cheap_but_blind() {
-    // The filter runs in the kernel: the guest executes exactly what
-    // it executes uninterposed. What that costs is `table2`'s
-    // `seccomp-bpf` row.
-    let program = bench::microbench(1000);
-    assert_eq!(
-        retired(Mechanism::SeccompBpf, &program),
-        retired(Mechanism::Baseline, &program)
-    );
-    let mut ip = Interposed::setup(Mechanism::SeccompBpf, &program, true).unwrap();
-    ip.run().unwrap();
-    assert!(ip.observed_trace().is_empty(), "cBPF cannot observe");
-}
-
-#[test]
 fn sled_position_effect() {
-    // zpoline's `call r0` lands at address = syscall number: low
-    // numbers walk the whole sled. The paper picks 500 to minimize
+    // A rewritten site's `call r0` lands at address = syscall number:
+    // low numbers walk the whole sled. The paper picks 500 to minimize
     // this; verify the effect exists (a real property of the design):
-    // every sled byte passed is one more instruction retired.
+    // every sled byte passed is one more instruction retired. The slow
+    // path rewrites the site and resumes at it, so every trip walks it.
     let mk = |nr: u64| {
         Asm::new()
             .mov_ri(Gpr::R11, 500)
@@ -78,8 +38,8 @@ fn sled_position_effect() {
             .unwrap()
     };
     // getpid (39, long sled walk) vs 500 (sled tail).
-    let low = retired(Mechanism::Zpoline, &mk(sysno::GETPID));
-    let high = retired(Mechanism::Zpoline, &mk(500));
+    let low = retired(&mk(sysno::GETPID));
+    let high = retired(&mk(500));
     assert!(low > high, "sled effect missing: {low} <= {high}");
 }
 
@@ -104,20 +64,18 @@ fn coreutils_behave_identically_under_lazypoline() {
     // Functional transparency: every utility produces the same
     // filesystem effects and stdout with and without interposition.
     for util in COREUTILS {
-        let run = |mech| {
-            let program = coreutils::build(util, LibcFlavor::V1Ubuntu2004);
-            let mut ip = Interposed::setup(mech, &program, false).expect("setup");
-            coreutils::prepare_fs(&mut ip.system.kernel);
-            let exit = ip.run().unwrap_or_else(|e| panic!("{}: {e}", util.name));
+        let program = coreutils::build(util, LibcFlavor::V1Ubuntu2004);
+        let run = |system: &mut System| {
+            coreutils::prepare_fs(&mut system.kernel);
+            let exit = system.run().unwrap_or_else(|e| panic!("{}: {e}", util.name));
             assert_eq!(exit, 0);
-            (
-                ip.system.stdout(),
-                ip.system.kernel.fs.names(),
-                ip.system.kernel.fs.mode("f"),
-            )
+            (system.stdout(), system.kernel.fs.names(), system.kernel.fs.mode("f"))
         };
-        let native = run(Mechanism::Baseline);
-        let interposed = run(Mechanism::Lazypoline { xstate: true });
+        let mut bare = System::new();
+        bare.load_program(&program).expect("load");
+        let native = run(&mut bare);
+        let mut ip = Interposed::setup(&program, false).expect("setup");
+        let interposed = run(&mut ip.system);
         assert_eq!(native, interposed, "{} diverged", util.name);
     }
 }
@@ -142,8 +100,7 @@ fn lazypoline_slow_path_hits_scale_with_sites_not_calls() {
         .syscall() // site 4
         .assemble_at(sim_kernel::kernel::LOAD_ADDR)
         .unwrap();
-    let mut ip = Interposed::setup(Mechanism::Lazypoline { xstate: false }, &program, false)
-        .unwrap();
+    let mut ip = Interposed::setup(&program, false).unwrap();
     ip.run().unwrap();
     let st = ip.system.kernel.stats();
     assert_eq!(st.sud_dispatches, 4, "one slow trip per site: {st:?}");
@@ -151,22 +108,11 @@ fn lazypoline_slow_path_hits_scale_with_sites_not_calls() {
 }
 
 #[test]
-fn sud_mechanism_dispatches_every_call() {
-    let program = bench::microbench(50);
-    let mut ip = Interposed::setup(Mechanism::Sud, &program, false).unwrap();
-    ip.run().unwrap();
-    let st = ip.system.kernel.stats();
-    // 50 microbench syscalls dispatched via SIGSYS (exit_group too).
-    assert_eq!(st.sud_dispatches, 51, "{st:?}");
-}
-
-#[test]
 fn mechanism_registry_runs_sim_backends_by_name() {
-    // Cross-mechanism differential through the registry: one fixed
-    // workload (3 getpids + exit_group), every `sim:*` backend
-    // constructed purely by name, identical observable results. The
-    // backends differ only in observation capability — exactly the
-    // Table I expressiveness split.
+    // The simulated row, constructed purely by name, delivers what its
+    // interposer observes to the installed handler: one fixed workload
+    // (3 getpids + exit_group) runs correctly and every getpid reaches
+    // the handler.
     use interpose::{Action, SyscallEvent, SyscallHandler};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -194,76 +140,29 @@ fn mechanism_registry_runs_sim_backends_by_name() {
         }
     }
 
-    let observing = [
-        "sim:ptrace",
-        "sim:seccomp-user",
-        "sim:sud",
-        "sim:zpoline",
-        "sim:lazypoline-nox",
-        "sim:lazypoline",
-    ];
-    let blind = ["sim:baseline", "sim:baseline-sud", "sim:seccomp-bpf"];
-    for (names, expect_seen) in [(&observing[..], true), (&blind[..], false)] {
-        for &name in names {
-            SEEN.store(0, Ordering::SeqCst);
-            let backend =
-                mechanism::by_name(name).unwrap_or_else(|| panic!("{name} unregistered"));
-            assert!(backend.is_available(), "{name}");
-            let mut active = backend.install(Box::new(Spy)).expect("install");
-            let outcome = active
-                .run_program(&program)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            // 1. The application-observable result is identical under
-            //    every mechanism.
-            assert_eq!(outcome.exit, 0, "{name}: exit status diverged");
-            // 2. Observation matches the mechanism's contract.
-            let seen = SEEN.load(Ordering::SeqCst);
-            let getpids = outcome
-                .observed
-                .iter()
-                .filter(|&&n| n == sysno::GETPID)
-                .count();
-            if expect_seen {
-                assert_eq!(seen, 3, "{name}: handler saw {seen} getpids");
-                assert_eq!(getpids, 3, "{name}: trace has {getpids} getpids");
-                assert!(active.stats().dispatches >= 4, "{name}: {:?}", active.stats());
-            } else {
-                assert_eq!(seen, 0, "{name}: blind mechanism delivered events");
-                assert!(
-                    outcome.observed.is_empty(),
-                    "{name}: unexpectedly observed {:?}",
-                    outcome.observed
-                );
-            }
-        }
-    }
+    let name = "sim:lazypoline";
+    let backend = mechanism::by_name(name).unwrap_or_else(|| panic!("{name} unregistered"));
+    assert!(backend.is_available(), "{name}");
+    let mut active = backend.install(Box::new(Spy)).expect("install");
+    let outcome = active.run_program(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(outcome.exit, 0, "{name}: exit status");
+    let seen = SEEN.load(Ordering::SeqCst);
+    let getpids = outcome.observed.iter().filter(|&&n| n == sysno::GETPID).count();
+    assert_eq!(seen, 3, "{name}: handler saw {seen} getpids");
+    assert_eq!(getpids, 3, "{name}: trace has {getpids} getpids");
+    assert!(active.stats().dispatches >= 4, "{name}: {:?}", active.stats());
 }
 
 #[test]
 fn lp_mechanism_env_selects_sim_backends() {
-    // Every simulated mechanism is registered by name...
-    for name in [
-        "sim:baseline",
-        "sim:baseline-sud",
-        "sim:ptrace",
-        "sim:seccomp-bpf",
-        "sim:seccomp-user",
-        "sim:sud",
-        "sim:zpoline",
-        "sim:lazypoline-nox",
-        "sim:lazypoline",
-    ] {
-        assert!(
-            mechanism::names().contains(&name),
-            "{name} missing from the registry"
-        );
-    }
-    // ...and LP_MECHANISM selects one.
+    // The simulated row is registered by name, and LP_MECHANISM
+    // selects it.
+    assert!(mechanism::names().contains(&"sim:lazypoline"));
     let select = |name: &str| {
         mechanism::EnvConfig::from_lookup(|var| (var == mechanism::ENV_VAR).then(|| name.to_string()))
     };
-    let picked = select("sim:seccomp-user").expect("selection by name");
-    assert_eq!(picked.mechanism, "sim:seccomp-user");
+    let picked = select("sim:lazypoline+record").expect("selection by name");
+    assert_eq!(picked.mechanism, "sim:lazypoline+record");
     let err = select("sim:definitely-not-registered").expect_err("an unknown name is an error");
     assert_eq!(err.var, mechanism::ENV_VAR);
     assert!(err.to_string().contains("base(+layer)*"), "{err}");
