@@ -4,8 +4,9 @@
 //! testable if its real failure points can be made to fail on demand.
 //! This crate provides **named injection sites** threaded through those
 //! points (trampoline install, patcher `mprotect` windows, SUD
-//! enrollment, selector writes, slow-path emulation, and the hardened
-//! mode's seccomp-backstop install) with **deterministic schedules** (fail the Nth hit, every Nth hit, or the
+//! enrollment, selector writes, slow-path emulation, the hardened
+//! mode's seccomp-backstop install, and a panic in the `LD_PRELOAD`
+//! shim's mode handler) with **deterministic schedules** (fail the Nth hit, every Nth hit, or the
 //! first K hits), armable programmatically ([`arm`]) or from a spec
 //! string ([`parse_spec`]) — the `LAZYPOLINE_FAULTS` variable, which
 //! `lp-mechanism`'s `EnvConfig` parses and an engine-backed install
@@ -72,10 +73,15 @@ pub enum Site {
     /// hardened backstop filter (`lazypoline::harden`). An injected hit
     /// degrades hardened mode to `Unprotected`: plain lazypoline.
     SeccompInstall,
+    /// The `LD_PRELOAD` shim's mode handler, once per dispatch: an
+    /// injected hit makes it panic, which the handler registry's
+    /// `catch_unwind` turns into a quarantine (the syscall passes
+    /// through). The errno is not used.
+    HandlerPanic,
 }
 
 /// Number of distinct injection sites.
-pub const NUM_SITES: usize = 6;
+pub const NUM_SITES: usize = 7;
 
 /// Every site, in declaration order (index = internal slot).
 pub const ALL_SITES: [Site; NUM_SITES] = [
@@ -85,6 +91,7 @@ pub const ALL_SITES: [Site; NUM_SITES] = [
     Site::SelectorWrite,
     Site::SlowpathEmulate,
     Site::SeccompInstall,
+    Site::HandlerPanic,
 ];
 
 impl Site {
@@ -96,6 +103,7 @@ impl Site {
             Site::SelectorWrite => 3,
             Site::SlowpathEmulate => 4,
             Site::SeccompInstall => 5,
+            Site::HandlerPanic => 6,
         }
     }
 
@@ -108,6 +116,7 @@ impl Site {
             Site::SelectorWrite => "selector_write",
             Site::SlowpathEmulate => "slowpath_emulate",
             Site::SeccompInstall => "seccomp_install",
+            Site::HandlerPanic => "handler_panic",
         }
     }
 
@@ -126,6 +135,7 @@ impl Site {
             Site::SelectorWrite => EAGAIN,
             Site::SlowpathEmulate => EINTR,
             Site::SeccompInstall => EACCES, // no_new_privs refused
+            Site::HandlerPanic => EFAULT,   // unused: the seam panics
         }
     }
 }

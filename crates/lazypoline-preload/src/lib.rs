@@ -42,6 +42,7 @@
 //! interposed but own no trace and print no dump; `lazypoline-hardened`
 //! does not survive `execve` (its seccomp filter does). DESIGN.md §4, §11.
 
+mod ledger;
 pub mod sitecache;
 
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -51,6 +52,8 @@ use interpose::{
     Action, CountHandler, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler,
     TraceHandler, TraceSink,
 };
+use lazypoline::faultinject;
+use ledger::Stage;
 use mechanism::{ActiveMechanism, EnvConfig, HandlerMode, InstallError, StatsSnapshot};
 use sitecache::SiteCache;
 use syscalls::{nr, SyscallArgs};
@@ -79,6 +82,9 @@ struct UntilExit {
 
 impl SyscallHandler for UntilExit {
     fn handle(&self, event: &mut SyscallEvent) -> Action {
+        if faultinject::check(faultinject::Site::HandlerPanic).is_some() {
+            panic!("handler_panic injected at {}", event.call.nr);
+        }
         let action = self.mode.handle(event);
         if event.call.nr == nr::EXIT_GROUP {
             // Both leave from the gate: from a site of the shim's or
@@ -115,9 +121,13 @@ impl UntilExit {
         if let Some(Err(e)) = active.finish_recording() {
             eprintln!("lazypoline-preload: trace not finished ({e})");
         }
-        let stats = active.stats();
-        self.cache.write(stats.slow_path_hits);
+        let trips = active.stats().slow_path_hits;
+        ledger::start();
+        self.cache.write(trips);
+        ledger::lap(Stage::ExitWrite);
         if let Some(fd) = self.stats_fd {
+            // After the write: a trip the write itself takes shows here.
+            let stats = active.stats();
             let cache = self.cache.status(stats.sites_from_cache);
             let out = render_dump(&stats, &cache, self.counter.as_ref());
             // SAFETY: writing an owned buffer to our private fd.
@@ -129,6 +139,7 @@ impl UntilExit {
 /// Reads the configuration, builds the mode handler, resolves the
 /// mechanism, installs.
 fn arm() -> Result<ActiveMechanism, String> {
+    ledger::start();
     let cfg = EnvConfig::from_env().map_err(|e| InstallError::from(e).to_string())?;
     let mut counter = None;
     let mode: Box<dyn SyscallHandler> = match cfg.mode {
@@ -143,8 +154,10 @@ fn arm() -> Result<ActiveMechanism, String> {
     if name.starts_with("sim:") || name.split('+').next() == Some("sud-raw") {
         return Err(format!("{name} cannot interpose a preloaded process"));
     }
+    ledger::lap(Stage::Config);
     let mechanism = mechanism::by_name(&name)
         .ok_or_else(|| format!("unknown mechanism {name:?}"))?;
+    ledger::lap(Stage::ByName);
     // The shim's own syscalls come before the install: after it, this
     // thread's syscalls are the application's flow to every layer.
     let pid = std::process::id();
@@ -152,6 +165,7 @@ fn arm() -> Result<ActiveMechanism, String> {
         .stats
         // SAFETY: duplicating our own stderr; on failure keep fd 2.
         .then(|| unsafe { libc::fcntl(2, libc::F_DUPFD_CLOEXEC, 700) }.max(2));
+    ledger::lap(Stage::Config);
     let (cache, proven) = SiteCache::open(&name, cfg.site_cache.as_deref());
     let cache = CACHE.get_or_init(|| cache);
     let handler = UntilExit { mode, pid, counter, stats_fd, cache };
@@ -160,9 +174,11 @@ fn arm() -> Result<ActiveMechanism, String> {
         stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
         e.to_string()
     })?;
+    ledger::lap(Stage::Install);
     if let Some(proven) = proven {
         proven.apply();
     }
+    ledger::lap(Stage::Apply);
     if let Some(mask) = cfg.xstate {
         active.set_xstate(mask);
     }
@@ -211,6 +227,7 @@ fn render_dump(s: &StatsSnapshot, cache: &str, counter: Option<&CountHandler>) -
         line("sfip_mode", &s.sfip_mode);
     }
     line("site cache", &cache);
+    ledger::render(&mut out);
     if let Some(counter) = counter {
         out.push_str("-- top syscalls --\n");
         for (nr, count) in counter.top().into_iter().take(15) {
@@ -260,6 +277,22 @@ mod tests {
         assert_eq!(field("hooks_loaded"), Some(1), "{dump}");
         assert_eq!(field("hook_dispatches"), None, "zero counters stay out");
         assert!(!dump.contains("top syscalls"));
+        // The ledger's rows follow, in µs; none shares a counter's label.
+        let ledger = dump
+            .split_once("-- start-up ledger (us) --\n")
+            .expect("a ledger")
+            .1;
+        let rows: Vec<&str> = ledger
+            .lines()
+            .map(|l| l.split(" :").next().unwrap().trim())
+            .collect();
+        assert_eq!(rows.first(), Some(&"configuration"), "{dump}");
+        assert_eq!(rows.last(), Some(&"exit write"), "{dump}");
+        assert_eq!(rows.len(), 10, "{dump}");
+        assert!(
+            ledger.lines().all(|l| l[27..].parse::<f64>().is_ok()),
+            "{dump}"
+        );
         assert!(
             dump.contains("\nsite cache               : off (LP_SITE_CACHE=off)\n"),
             "{dump}"

@@ -28,7 +28,8 @@
 //!   one patch window per mapping.
 //! * **Write** ([`SiteCache::write`]): when the window closes at
 //!   `exit_group`, from dispatch context, in the installing process
-//!   only, and only if this run rewrote a site its entry lacks — and,
+//!   only, with every syscall from the gate (so the write proves no site
+//!   of its own), and only if this run rewrote a site its entry lacks — and,
 //!   for a program with no entry yet, only if it took at least
 //!   [`MIN_TRIPS`] `SIGSYS`: fewer cost less than a warm read. The union
 //!   with what is on disk goes to a temp file, then `rename`. A logged
@@ -49,7 +50,9 @@ use std::os::unix::ffi::OsStrExt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lazypoline::proven::{self, FileMapping, Mapping, Maps, RegionPerms};
-use syscalls::{nr, raw, Errno, SyscallArgs};
+
+use crate::ledger::{self, Stage};
+use syscalls::{nr, Errno, SyscallArgs};
 
 /// The rows whose slow path batch-rewrites; the others neither read nor
 /// write the cache.
@@ -160,24 +163,40 @@ impl<const N: usize> CPath<N> {
     }
 }
 
+/// Every syscall the cache makes, issued from the gate
+/// ([`zpoline::gate_syscall`]): the write and the arena's `munmap` run in
+/// dispatch context after the install, where a call from the shim's own
+/// text would take a `SIGSYS` on every run to prove its site — and a
+/// program with fewer than [`MIN_TRIPS`] trips of its own would never
+/// get an entry.
+///
+/// # Safety
+///
+/// As [`syscalls::raw::syscall`]: `args` must be valid for `nr`.
+unsafe fn syscall<const N: usize>(nr: u64, args: [u64; N]) -> u64 {
+    let mut all = [0; 6];
+    all[..N].copy_from_slice(&args);
+    zpoline::gate_syscall(&SyscallArgs::new(nr, all))
+}
+
 /// A descriptor, closed on drop.
 struct Fd(u64);
 
 impl Drop for Fd {
     fn drop(&mut self) {
         // SAFETY: closing a descriptor we opened.
-        unsafe { raw::syscall1(nr::CLOSE, self.0) };
+        unsafe { syscall(nr::CLOSE, [self.0]) };
     }
 }
 
 fn openat(dir: u64, path: u64, flags: u64, mode: u64) -> Result<Fd, Errno> {
     // SAFETY: `path` points at a NUL-terminated buffer the caller owns.
-    Errno::result(unsafe { raw::syscall4(nr::OPENAT, dir, path, flags | O_CLOEXEC, mode) }).map(Fd)
+    Errno::result(unsafe { syscall(nr::OPENAT, [dir, path, flags | O_CLOEXEC, mode]) }).map(Fd)
 }
 
 fn unlinkat(dir: &Fd, name: u64) {
     // SAFETY: a NUL-terminated name relative to `dir`.
-    unsafe { raw::syscall3(nr::UNLINKAT, dir.0, name, 0) };
+    unsafe { syscall(nr::UNLINKAT, [dir.0, name, 0]) };
 }
 
 /// A file time: seconds, nanoseconds.
@@ -199,13 +218,9 @@ fn statx(dir: u64, path: u64, flags: u64) -> Result<Stat, Errno> {
     let mut b = [0u64; 32];
     // SAFETY: the kernel writes 256 bytes of `struct statx` into `b`.
     let r = unsafe {
-        raw::syscall5(
+        syscall(
             nr::STATX,
-            dir,
-            path,
-            flags,
-            STATX_BASIC_STATS,
-            b.as_mut_ptr() as u64,
+            [dir, path, flags, STATX_BASIC_STATS, b.as_mut_ptr() as u64],
         )
     };
     Errno::result(r)?;
@@ -226,22 +241,19 @@ fn fstat(fd: &Fd) -> Result<Stat, Errno> {
     statx(fd.0, c"".as_ptr() as u64, AT_EMPTY_PATH)
 }
 
+/// The effective uid now: a program may drop privileges between the
+/// read and the write.
 fn geteuid() -> u32 {
     // SAFETY: no arguments, cannot fail.
-    unsafe { raw::syscall0(nr::GETEUID) as u32 }
+    unsafe { syscall(nr::GETEUID, []) as u32 }
 }
 
 /// The wall clock as file times read it: coarse, so a file changed from
 /// now on has a ctime no earlier than this.
 fn coarse_now() -> Time {
     const CLOCK_REALTIME_COARSE: i32 = 5;
-    extern "C" {
-        fn clock_gettime(clock: i32, ts: *mut [i64; 2]) -> i32;
-    }
-    let mut ts = [0i64; 2];
-    // SAFETY: clock_gettime(3) writes one timespec (the vDSO; no syscall).
-    unsafe { clock_gettime(CLOCK_REALTIME_COARSE, &mut ts) };
-    (ts[0], ts[1] as u32)
+    let [s, ns] = crate::ledger::clock(CLOCK_REALTIME_COARSE);
+    (s, ns as u32)
 }
 
 /// Ours and not writable by anyone else: the one rule for the directory
@@ -310,7 +322,7 @@ impl SiteCache {
             Err(Errno::ENOENT) if !create => return Ok(None),
             Err(Errno::ENOENT) => {
                 // SAFETY: mkdir(2) with a NUL-terminated path.
-                unsafe { raw::syscall2(nr::MKDIR, self.dir.ptr(), 0o700) };
+                unsafe { syscall(nr::MKDIR, [self.dir.ptr(), 0o700]) };
                 open()
             }
             opened => opened,
@@ -358,21 +370,25 @@ impl SiteCache {
         let program = statx(AT_FDCWD, unsafe { libc::getauxval(libc::AT_EXECFN) }, 0)
             .map_err(|_| "the program's file cannot be found")?;
         self.entry = entry_name(program.dev, program.ino);
+        let dir = self.open_dir(false)?;
+        let entry = dir.as_ref().and_then(|dir| open_entry(dir, &self.entry));
+        ledger::lap(Stage::Open);
         // A cold start ends here: no buffers, no look at the mappings.
-        let Some(dir) = self.open_dir(false)? else {
-            return Ok(None);
-        };
-        let Some((fd, len)) = open_entry(&dir, &self.entry) else {
+        let (Some(dir), Some((fd, len))) = (dir, entry) else {
             return Ok(None);
         };
         let maps = Maps::open().map_err(|_| "/proc/self/maps cannot be read")?;
+        ledger::lap(Stage::MapsOpen);
         let mut arena = Arena::map().ok_or("no memory")?;
         let a = &mut *arena;
-        if !a.read_file(&fd, len) {
+        let read = a.read_file(&fd, len);
+        ledger::lap(Stage::Read);
+        if !read {
             // Malformed: the next write replaces it.
             return Ok(None);
         }
         a.walk(&maps);
+        ledger::lap(Stage::Walk);
         let (mut kept, mut records, mut dropped) = (FILE_HEADER, 0u64, false);
         let mut at = FILE_HEADER;
         while at < len {
@@ -396,6 +412,7 @@ impl SiteCache {
                 write_file(&dir, &self.entry, &a.file[..kept]);
             }
         }
+        ledger::lap(Stage::Staging);
         Ok((a.n_groups > 0).then_some(Proven { arena }))
     }
 
@@ -552,13 +569,9 @@ impl std::ops::DerefMut for ArenaMap {
 
 impl Drop for ArenaMap {
     fn drop(&mut self) {
-        // From the gate: this runs on the engine's private path, where
-        // a call from the shim's text would take a SIGSYS on every warm
-        // run to rewrite its site.
         let len = std::mem::size_of::<Arena>() as u64;
-        let unmap = SyscallArgs::new(nr::MUNMAP, [self.0 as u64, len, 0, 0, 0, 0]);
         // SAFETY: unmapping the mapping `Arena::map` made.
-        unsafe { zpoline::gate_syscall(&unmap) };
+        unsafe { syscall(nr::MUNMAP, [self.0 as u64, len]) };
     }
 }
 
@@ -619,7 +632,7 @@ impl Arena {
         let prot = (libc::PROT_READ | libc::PROT_WRITE) as u64;
         let flags = (libc::MAP_PRIVATE | libc::MAP_ANONYMOUS) as u64 | MAP_NORESERVE;
         // SAFETY: a fresh anonymous mapping, unmapped on drop.
-        let p = unsafe { raw::syscall6(nr::MMAP, 0, len, prot, flags, u64::MAX, 0) };
+        let p = unsafe { syscall(nr::MMAP, [0, len, prot, flags, u64::MAX, 0]) };
         Errno::result(p).ok().map(|p| ArenaMap(p as *mut Arena))
     }
 
@@ -679,8 +692,7 @@ impl Arena {
         while got < len {
             let buf = &mut self.file[got..len];
             // SAFETY: reading into our own buffer.
-            let r =
-                unsafe { raw::syscall3(nr::READ, fd.0, buf.as_mut_ptr() as u64, buf.len() as u64) };
+            let r = unsafe { syscall(nr::READ, [fd.0, buf.as_mut_ptr() as u64, buf.len() as u64]) };
             match Errno::result(r) {
                 Ok(0) | Err(_) => return false,
                 Ok(r) => got += r as usize,
@@ -949,11 +961,9 @@ fn list(dir: &Fd, buf: &mut [u8], mut f: impl FnMut(&[u8])) {
     loop {
         // SAFETY: the kernel fills our buffer with `linux_dirent64`s.
         let r = unsafe {
-            raw::syscall3(
+            syscall(
                 nr::GETDENTS64,
-                dir.0,
-                buf.as_mut_ptr() as u64,
-                buf.len() as u64,
+                [dir.0, buf.as_mut_ptr() as u64, buf.len() as u64],
             )
         };
         let len = match Errno::result(r) {
@@ -1073,7 +1083,8 @@ fn write_file(dir: &Fd, name: &Name, bytes: &[u8]) {
     let mut tmp = name.clone();
     let named = tmp
         .push(b".")
-        .and_then(|t| t.push_num(std::process::id().into(), 10))
+        // SAFETY: getpid touches no memory.
+        .and_then(|t| t.push_num(unsafe { syscall(nr::GETPID, []) }, 10))
         .and_then(|t| t.push(b".tmp"));
     if named.is_none() {
         return;
@@ -1090,7 +1101,7 @@ fn write_file(dir: &Fd, name: &Name, bytes: &[u8]) {
     while done < bytes.len() {
         let rest = &bytes[done..];
         // SAFETY: writing our own buffer to a descriptor we opened.
-        let r = unsafe { raw::syscall3(nr::WRITE, fd.0, rest.as_ptr() as u64, rest.len() as u64) };
+        let r = unsafe { syscall(nr::WRITE, [fd.0, rest.as_ptr() as u64, rest.len() as u64]) };
         match Errno::result(r) {
             Ok(n) if n > 0 => done += n as usize,
             _ => break,
@@ -1099,7 +1110,7 @@ fn write_file(dir: &Fd, name: &Name, bytes: &[u8]) {
     drop(fd);
     if done == bytes.len() {
         // SAFETY: NUL-terminated names relative to our dir fd.
-        unsafe { raw::syscall4(nr::RENAMEAT, dir.0, tmp.ptr(), dir.0, name.ptr()) };
+        unsafe { syscall(nr::RENAMEAT, [dir.0, tmp.ptr(), dir.0, name.ptr()]) };
     } else {
         unlinkat(dir, tmp.ptr());
     }
@@ -1166,7 +1177,7 @@ mod tests {
         let mut path = Path::new();
         path.push(theirs.to_str().unwrap().as_bytes()).unwrap();
         // SAFETY: chown(2) on a NUL-terminated path; only root may.
-        if unsafe { raw::syscall3(nr::CHOWN, path.ptr(), 12345, 12345) } == 0 {
+        if unsafe { syscall(nr::CHOWN, [path.ptr(), 12345, 12345]) } == 0 {
             assert_eq!(refused(&theirs), Some("owned by another user"));
         } else {
             eprintln!("not root: no directory of another uid to refuse");

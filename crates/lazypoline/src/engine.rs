@@ -27,6 +27,7 @@ use syscalls::{nr, SyscallArgs};
 use zpoline::{Trampoline, XstateMask};
 
 use crate::counters;
+use crate::faultinject::Site;
 use crate::{blocklist, fastpath, raw_internal, signals, slowpath, tls};
 
 /// Configuration for [`init`].
@@ -67,12 +68,13 @@ impl Default for Config {
 /// un-interposed but otherwise intact when any of these is returned.
 #[derive(Debug)]
 pub enum InitError {
-    /// Page zero could not be mapped (usually `vm.mmap_min_addr > 0`).
-    /// Only returned when SUD *also* failed — a trampoline failure
-    /// alone degrades to [`Mode::SudOnly`].
+    /// Page zero could not be mapped (usually `vm.mmap_min_addr > 0`)
+    /// and [`init_strict`] was asked to rewrite: under [`init`] a
+    /// trampoline failure alone degrades to [`Mode::SudOnly`].
     Trampoline(io::Error),
     /// `prctl(PR_SET_SYSCALL_USER_DISPATCH)` failed (kernel < 5.11 or
-    /// seccomp-filtered) on a later thread's enrollment.
+    /// seccomp-filtered) on a later thread's enrollment, or the host
+    /// refused it under [`init_strict`].
     Sud(io::Error),
     /// Installing the `SIGSYS` disposition failed.
     Sigaction(io::Error),
@@ -278,10 +280,32 @@ pub struct Engine {
 /// # Ok::<(), lazypoline::InitError>(())
 /// ```
 pub fn init(config: Config) -> Result<Engine, InitError> {
+    init_with(config, false)
+}
+
+/// [`init`] for a caller that named what it wants: a rung the *host*
+/// cannot provide is an error, not a degradation — SUD always, and the
+/// trampoline when `config.lazy_rewriting` is set. A rung a fault seam
+/// failed still degrades, so the ladder stays testable. The mechanism
+/// layer's rows install this way: `lazypoline` does not come up as
+/// [`Mode::SudOnly`] where `vm.mmap_min_addr > 0`, nor `sud` as static
+/// libc rewriting on a kernel without SUD. It asks no more of the host
+/// than [`init`] does: the failed attempt is the answer.
+///
+/// # Errors
+///
+/// As [`init`], plus [`InitError::Trampoline`] or [`InitError::Sud`]
+/// for the rung the host lacks. SUD is not left enabled and nothing is
+/// rewritten.
+pub fn init_strict(config: Config) -> Result<Engine, InitError> {
+    init_with(config, true)
+}
+
+fn init_with(config: Config, strict: bool) -> Result<Engine, InitError> {
     crate::slowpath::BATCH_REWRITING.store(config.batch_rewriting, Ordering::SeqCst);
 
     if !INITIALIZED.load(Ordering::SeqCst) {
-        return init_process_global(config);
+        return init_process_global(config, strict);
     }
 
     // Re-initialization (another thread, or a redundant call): adjust
@@ -337,17 +361,23 @@ fn thread_count() -> Option<u64> {
 }
 
 /// First-call path: establish the process-global machinery and decide
-/// the degradation-ladder rung.
-fn init_process_global(config: Config) -> Result<Engine, InitError> {
+/// the degradation-ladder rung. `strict`: see [`init_strict`].
+fn init_process_global(config: Config, strict: bool) -> Result<Engine, InitError> {
     crate::slowpath::LAZY_REWRITING.store(config.lazy_rewriting, Ordering::SeqCst);
     zpoline::set_xstate_mask(config.xstate);
+    // A failure the host made, not a seam: the seam counted nothing.
+    let by_host = |site: Site, before: u64| faultinject::injected(site) == before;
 
     // Rung 1: the trampoline. Failure is survivable (→ SudOnly).
+    let seam = faultinject::injected(Site::TrampolineInstall);
     let tramp_err = match Trampoline::install() {
         Ok(_) => {
             zpoline::set_dispatcher(fastpath::lazypoline_dispatch);
             zpoline::set_miss_exit(Some(&fastpath::MISS_EXIT));
             None
+        }
+        Err(e) if strict && config.lazy_rewriting && by_host(Site::TrampolineInstall, seam) => {
+            return Err(InitError::Trampoline(e));
         }
         Err(e) => Some(e),
     };
@@ -364,9 +394,16 @@ fn init_process_global(config: Config) -> Result<Engine, InitError> {
         }
     }
     let engine = Engine { _private: () };
+    let seam = faultinject::injected(Site::SudEnroll);
     if sud_err.is_none() {
         if let Err(e) = engine.enroll_current_thread() {
             sud_err = Some(e);
+        }
+    }
+    if strict && by_host(Site::SudEnroll, seam) {
+        if let Some(e) = sud_err.take() {
+            // Nothing decided yet: the prescan has not rewritten libc.
+            return Err(InitError::Sud(e));
         }
     }
 

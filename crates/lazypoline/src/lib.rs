@@ -61,8 +61,8 @@ mod slowpath;
 mod tls;
 
 pub use engine::{
-    health, init, mode, stats, unenroll_current_thread, Config, Engine, Health, InitError, Mode,
-    Stats,
+    health, init, init_strict, mode, stats, unenroll_current_thread, Config, Engine, Health,
+    InitError, Mode, Stats,
 };
 pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};

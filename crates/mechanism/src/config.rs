@@ -52,7 +52,7 @@ pub const KNOBS: [(&str, &str); 16] = [
     (MODE_ENV, "passthrough, trace or count"),
     (XSTATE_ENV, "avx, sse, x87 or none"),
     (STATS_ENV, "0 or 1"),
-    (FAULTS_ENV, "site:schedule[:ERRNO],… with site one of trampoline_install, patch_mprotect, sud_enroll, selector_write, slowpath_emulate, seccomp_install"),
+    (FAULTS_ENV, "site:schedule[:ERRNO],… with site one of trampoline_install, patch_mprotect, sud_enroll, selector_write, slowpath_emulate, seccomp_install, handler_panic"),
     (HOOKS_ENV, "lib.so[:prio],…"),
     (HOOKS_WATCH_ENV, "0 or 1"),
     (TRACE_OUT_ENV, "a path; %p is the pid"),

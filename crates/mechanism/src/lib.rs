@@ -98,8 +98,13 @@ pub trait Mechanism: Send + Sync {
     fn traits(&self) -> Traits;
 
     /// Whether this backend can be installed on this host (kernel SUD
-    /// support, `vm.mmap_min_addr = 0`, …). `sim:lazypoline` is
-    /// always available.
+    /// support, `vm.mmap_min_addr = 0`, …), by probing: for listing rows
+    /// and for callers that skip. [`install_with`] does not ask; it
+    /// tries, and refuses a row the host cannot carry in the same terms
+    /// (a rung a fault seam failed degrades along the engine's ladder,
+    /// DESIGN.md §3). `sim:lazypoline` is always available.
+    ///
+    /// [`install_with`]: Mechanism::install_with
     fn is_available(&self) -> bool;
 
     /// Activates the mechanism with `handler` as the interposer,

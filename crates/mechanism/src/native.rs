@@ -163,11 +163,12 @@ impl Mechanism for NativeBackend {
         handler: Box<dyn SyscallHandler>,
         cfg: &EnvConfig,
     ) -> Result<ActiveMechanism, InstallError> {
-        if !self.is_available() {
-            return Err(InstallError::Unsupported(
-                "needs Syscall User Dispatch and/or vm.mmap_min_addr = 0",
-            ));
-        }
+        // No availability probe: `is_available` costs a `prctl` pair and
+        // a map and unmap of page zero, and what follows does both for
+        // real. An engine row installs with `init_strict`, so a rung the
+        // host lacks refuses the row as the probe did, while a rung a
+        // fault seam failed degrades along the ladder; the SUD-only rows
+        // fail at their `prctl`.
         if matches!(self.cfg, NativeCfg::Engine { .. } | NativeCfg::Hardened) {
             arm_faults(&cfg.faults)?;
         }
@@ -206,20 +207,20 @@ impl Mechanism for NativeBackend {
                 lazy_rewriting,
                 batch_rewriting,
             } => {
-                let engine = lazypoline::init(lazypoline::Config {
+                let engine = lazypoline::init_strict(lazypoline::Config {
                     xstate,
                     lazy_rewriting,
                     batch_rewriting,
                 })
-                .map_err(InstallError::Init)?;
+                .map_err(refused)?;
                 NativeKind::Engine {
                     engine,
                     restore_xstate: xstate != XstateMask::Avx,
                 }
             }
             NativeCfg::Hardened => {
-                let engine = lazypoline::init(lazypoline::Config::default())
-                    .map_err(InstallError::Init)?;
+                let engine =
+                    lazypoline::init_strict(lazypoline::Config::default()).map_err(refused)?;
                 // The seccomp backstop — after init, on the thread it
                 // enrolled, so every legitimate syscall path (the gate)
                 // exists before the irreversible filter. Failure (no
@@ -239,6 +240,17 @@ impl Mechanism for NativeBackend {
                 _guard: guard,
             })),
         ))
+    }
+}
+
+/// An engine row's install error: the rung the host lacks refuses the
+/// row, in the words the availability probe used.
+fn refused(e: lazypoline::InitError) -> InstallError {
+    match e {
+        lazypoline::InitError::Trampoline(_) | lazypoline::InitError::Sud(_) => {
+            InstallError::Unsupported("needs Syscall User Dispatch and/or vm.mmap_min_addr = 0")
+        }
+        e => InstallError::Init(e),
     }
 }
 

@@ -3569,6 +3569,114 @@ fn scenario_prescan_hardened() {
     std::fs::remove_file(&tmp).unwrap();
 }
 
+/// Every engine row on a host that lacks one rung — page zero or SUD,
+/// taken away by a seccomp filter as `vm.mmap_min_addr > 0` or an old
+/// kernel would — and under the fault seam that models the same loss.
+/// The host's refusal refuses a row that needs the rung (the parent of
+/// this check probed before installing); the seam's degrades it along
+/// the ladder. One forked child per case: the rung is decided once per
+/// process.
+fn scenario_row_refusals() {
+    const REFUSED: i32 = 2;
+    let rung = |m: lazypoline::Mode| 10 + m as i32;
+    // mmap(0, …, MAP_FIXED, …) fails with EPERM, as under
+    // `vm.mmap_min_addr > 0`; every other mmap passes.
+    let no_page_zero = {
+        let insn = |code, jt, jf, k| SockFilter { code, jt, jf, k };
+        vec![
+            insn(0x20, 0, 0, 0),
+            insn(0x15, 0, 7, syscalls::nr::MMAP as u32),
+            insn(0x20, 0, 0, 16),
+            insn(0x15, 0, 5, 0),
+            insn(0x20, 0, 0, 20),
+            insn(0x15, 0, 3, 0),
+            insn(0x20, 0, 0, 40),
+            insn(0x45, 0, 1, libc::MAP_FIXED as u32),
+            insn(0x06, 0, 0, SECCOMP_RET_ERRNO | libc::EPERM as u32),
+            insn(0x06, 0, 0, 0x7fff_0000),
+        ]
+    };
+    let no_sud = seccomp_by_number(
+        &[syscalls::nr::PRCTL],
+        SECCOMP_RET_ERRNO | libc::EINVAL as u32,
+    );
+    let base = mechanism::EnvConfig::from_env().expect("the harness passes a valid environment");
+    for row in [
+        "sud",
+        "zpoline",
+        "lazypoline-nox",
+        "lazypoline",
+        "lazypoline-nobatch",
+        "lazypoline-hardened",
+    ] {
+        let rewrites = row != "sud";
+        let cases: [(&str, Option<&[SockFilter]>, &str, i32); 4] = [
+            (
+                "host without page zero",
+                Some(&no_page_zero),
+                "",
+                if rewrites {
+                    REFUSED
+                } else {
+                    rung(lazypoline::Mode::SudOnly)
+                },
+            ),
+            (
+                "trampoline_install seam",
+                None,
+                "trampoline_install:every=1",
+                rung(lazypoline::Mode::SudOnly),
+            ),
+            ("host without SUD", Some(&no_sud), "", REFUSED),
+            (
+                "sud_enroll seam",
+                None,
+                "sud_enroll:every=1",
+                rung(lazypoline::Mode::PrescanOnly),
+            ),
+        ];
+        for (case, filter, faults, expected) in cases {
+            let cfg = mechanism::EnvConfig {
+                faults: faultinject::parse_spec(faults).unwrap(),
+                ..base.clone()
+            };
+            unsafe {
+                let pid = libc::fork();
+                assert!(pid >= 0, "fork failed");
+                if pid == 0 {
+                    if let Some(f) = filter {
+                        arm_seccomp(f);
+                    }
+                    let code = match mechanism::by_name(row)
+                        .unwrap()
+                        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+                    {
+                        Ok(active) => {
+                            let code = rung(lazypoline::mode());
+                            std::mem::forget(active);
+                            code
+                        }
+                        Err(mechanism::InstallError::Unsupported(_)) => REFUSED,
+                        Err(_) => 3,
+                    };
+                    libc::_exit(code);
+                }
+                let mut status = 0;
+                assert_eq!(libc::waitpid(pid, &mut status, 0), pid);
+                assert!(
+                    libc::WIFEXITED(status),
+                    "{row} on a {case}: status {status:#x}"
+                );
+                assert_eq!(
+                    libc::WEXITSTATUS(status),
+                    expected,
+                    "{row} on a {case} (2 refused, 3 failed otherwise, 11–13 Hybrid/SudOnly/PrescanOnly)"
+                );
+            }
+        }
+    }
+}
+
 // ——— syscall-flow-integrity (sfip) scenarios ————————————————————————
 
 /// The nr asm_nosys() issues — never used by this process otherwise,
@@ -4256,6 +4364,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("escape_libc", scenario_escape_libc),
     ("escape_raw_clone", scenario_escape_raw_clone),
     ("prescan_hardened", scenario_prescan_hardened),
+    ("row_refusals", scenario_row_refusals),
     ("sud_prctl_plain", scenario_sud_prctl_plain),
     ("sud_prctl_refused_hardened", scenario_sud_prctl_refused_hardened),
     ("shadow_rwx_without_query", scenario_shadow_rwx_without_query),

@@ -651,24 +651,40 @@ fn site_cache_warm_run() {
 }
 
 /// A program that takes fewer SIGSYS than a warm read costs gets no
-/// entry: `/bin/true` (one trip) leaves not even the directory behind.
+/// entry: `/bin/true` (one trip) leaves not even the directory behind,
+/// and writes nothing into an empty one. It takes that one trip and no
+/// more: the dump is rendered after the exit write, whose syscalls leave
+/// from the gate (from the shim's own text they would take three more:
+/// the directory's `openat` and `statx`, `geteuid`).
 #[test]
 fn site_cache_skips_programs_too_short_to_gain() {
     let Some(so) = ready() else { return };
     let root = std::env::temp_dir().join(format!("lp-preload-short-{}", std::process::id()));
     let cache = site_cache(&root);
-    let out = preloaded(&so, "/bin/true")
-        .env("LP_SITE_CACHE", &cache)
-        .env("LAZYPOLINE_STATS", "1")
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let dump = stderr_of(&out);
-    assert!(
-        (1..4).contains(&dump_field(&dump, "slow-path (SIGSYS) trips")),
-        "{dump}"
-    );
+    let run = |what: &str| {
+        let out = preloaded(&so, "/bin/true")
+            .env("LP_SITE_CACHE", &cache)
+            .env("LAZYPOLINE_STATS", "1")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{what}: {out:?}");
+        let dump = stderr_of(&out);
+        assert_eq!(
+            dump_field(&dump, "slow-path (SIGSYS) trips"),
+            1,
+            "{what}: {dump}"
+        );
+    };
+    run("no directory");
     assert!(!cache.exists(), "{:?}", cache_entries(&cache));
+    std::fs::create_dir(&cache).unwrap();
+    std::fs::set_permissions(&cache, std::os::unix::fs::PermissionsExt::from_mode(0o700)).unwrap();
+    run("an empty directory");
+    assert!(
+        cache_entries(&cache).is_empty(),
+        "{:?}",
+        cache_entries(&cache)
+    );
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -1001,18 +1017,107 @@ fn shim_exports_none_of_its_stub_symbols() {
         eprintln!("skipping: liblazypoline_preload.so not built");
         return;
     };
-    let out = match Command::new("nm").args(["-D", "--defined-only"]).arg(&so).output() {
-        Ok(out) if out.status.success() => out,
-        _ => {
-            eprintln!("skipping: no usable `nm`");
-            return;
-        }
-    };
-    let defined = String::from_utf8_lossy(&out.stdout);
-    let leaked: Vec<&str> = defined
-        .lines()
-        .filter_map(|l| l.split_whitespace().last())
+    let (_, exported) = dynamic_section(&std::fs::read(&so).unwrap());
+    let leaked: Vec<&String> = exported
+        .iter()
         .filter(|name| name.starts_with("LP_") || name.starts_with("lp_"))
         .collect();
     assert!(leaked.is_empty(), "{} exports {leaked:?}", so.display());
+}
+
+/// A panic in the shim's own mode handler (`handler_panic`, a
+/// `LAZYPOLINE_FAULTS` site) is caught by the handler registry inside
+/// the cdylib — by the shim's private, static unwinder — and quarantines
+/// the handler: the program runs on, uninterposed, with its own output.
+#[test]
+fn a_panicking_mode_handler_is_quarantined() {
+    let Some(so) = ready() else { return };
+    let reference = plain("/bin/echo").args(["one", "two"]).output().unwrap();
+    let out = preloaded(&so, "/bin/echo")
+        .args(["one", "two"])
+        .env("LAZYPOLINE_FAULTS", "handler_panic:nth=3")
+        .output()
+        .unwrap();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(out.stdout, reference.stdout, "{stderr}");
+    assert!(
+        stderr.contains("interpose: handler panicked; quarantined (syscalls pass through)\n"),
+        "{stderr}"
+    );
+}
+
+/// What the shim asks the loader for: `libc` and the loader itself. The
+/// unwinder is linked in (`libgcc_eh.a`) and none of its symbols is
+/// exported. Read from the ELF file itself, no `readelf` needed.
+#[test]
+fn shim_needs_only_libc_and_the_loader() {
+    let Some(so) = preload_so() else {
+        eprintln!("skipping: liblazypoline_preload.so not built");
+        return;
+    };
+    let elf = std::fs::read(&so).unwrap();
+    let (needed, exported) = dynamic_section(&elf);
+    let mut needed: Vec<&str> = needed.iter().map(String::as_str).collect();
+    needed.sort_unstable();
+    assert_eq!(
+        needed,
+        ["ld-linux-x86-64.so.2", "libc.so.6"],
+        "{}",
+        so.display()
+    );
+    let unwinder: Vec<&String> = exported
+        .iter()
+        .filter(|s| s.starts_with("_Unwind_"))
+        .collect();
+    assert!(unwinder.is_empty(), "{} exports {unwinder:?}", so.display());
+}
+
+/// The `DT_NEEDED` names and the defined global or weak dynamic symbols
+/// of a little-endian ELF64 file.
+fn dynamic_section(elf: &[u8]) -> (Vec<String>, Vec<String>) {
+    const SHT_DYNAMIC: u32 = 6;
+    const SHT_DYNSYM: u32 = 11;
+    const DT_NEEDED: u64 = 1;
+    assert_eq!(&elf[..5], b"\x7fELF\x02", "an ELF64 file");
+    let u16_at = |at: usize| u16::from_le_bytes(elf[at..at + 2].try_into().unwrap()) as usize;
+    let u32_at = |at: usize| u32::from_le_bytes(elf[at..at + 4].try_into().unwrap());
+    let (shoff, shentsize, shnum) = (u64_at(elf, 0x28) as usize, u16_at(0x3a), u16_at(0x3c));
+    // A section header: type at 4, file offset at 24, size at 32,
+    // linked section at 40.
+    let section = |i: usize| shoff + i * shentsize;
+    let body = |sh: usize| {
+        let (at, size) = (u64_at(elf, sh + 24) as usize, u64_at(elf, sh + 32) as usize);
+        &elf[at..at + size]
+    };
+    let string = |sh: usize, at: usize| {
+        let strtab = body(section(u32_at(sh + 40) as usize));
+        let s = &strtab[at..];
+        String::from_utf8_lossy(&s[..s.iter().position(|&b| b == 0).unwrap()]).into_owned()
+    };
+    let (mut needed, mut exported) = (Vec::new(), Vec::new());
+    for sh in (0..shnum).map(section) {
+        match u32_at(sh + 4) {
+            SHT_DYNAMIC => {
+                for entry in body(sh).chunks_exact(16) {
+                    if u64_at(entry, 0) == DT_NEEDED {
+                        needed.push(string(sh, u64_at(entry, 8) as usize));
+                    }
+                }
+            }
+            SHT_DYNSYM => {
+                // Name (4), info (1), other (1), section index (2), …
+                for sym in body(sh).chunks_exact(24) {
+                    let bind = sym[4] >> 4;
+                    let defined = u16::from_le_bytes([sym[6], sym[7]]) != 0;
+                    if defined && (bind == 1 || bind == 2) {
+                        let name = u32::from_le_bytes(sym[..4].try_into().unwrap());
+                        exported.push(string(sh, name as usize));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    (needed, exported)
 }
