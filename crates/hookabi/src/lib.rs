@@ -559,6 +559,7 @@ mod tests {
         assert_eq!(h.name(), "testhook");
         assert_eq!(h.priority(), 3);
         assert!(h.interest().is_all());
+        assert!(!h.leaves_fp_env(), "foreign code declares nothing");
 
         let mut ev = SyscallEvent::new(SyscallArgs::nullary(nr::EXECVE));
         assert_eq!(h.handle(&mut ev), Action::Fail(Errno::EPERM));

@@ -113,6 +113,10 @@ impl SyscallHandler for CountHandler {
     fn name(&self) -> &str {
         "count"
     }
+
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

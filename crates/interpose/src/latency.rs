@@ -122,6 +122,10 @@ impl SyscallHandler for LatencyHandler {
     fn name(&self) -> &str {
         "latency"
     }
+
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

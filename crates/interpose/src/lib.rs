@@ -140,6 +140,28 @@ pub trait SyscallHandler: Send + Sync {
         InterestSet::all()
     }
 
+    /// Whether `handle` and `post` leave the x87 unit and `MXCSR` as
+    /// they found them: they execute no x87 or MMX instruction and never
+    /// change `MXCSR`, its sticky exception flags included — so no
+    /// floating-point arithmetic, and no FFI or asm that does any. The
+    /// vector registers are not part of the promise: the mechanisms save
+    /// those whatever this says.
+    ///
+    /// A `true` lets lazypoline's entry stub skip restoring x87 and
+    /// `MXCSR` after a dispatch that called this handler (the "declared
+    /// exit", `zpoline::trampoline`'s "ABI fidelity" docs); a wrong
+    /// `true` leaks the handler's floating-point state into the
+    /// application. Read once, at registration, like
+    /// [`SyscallHandler::interest`]. Default: `false`. The stock handlers
+    /// of this crate declare it and a wrapper returns what it wraps. A
+    /// [`HookStack`] keeps the default whatever its entries say: an
+    /// entry that does not declare it (a loaded hook) may join the stack
+    /// after the registry read the bit, installed or nested in another
+    /// handler.
+    fn leaves_fp_env(&self) -> bool {
+        false
+    }
+
     /// Identity hook for runtime-mutable handlers. [`HookStack`] is the
     /// only implementor: it uses this to recognise itself as the
     /// installed global handler, so mutations of *detached* stacks
@@ -163,6 +185,10 @@ impl SyscallHandler for PassthroughHandler {
     fn name(&self) -> &str {
         "passthrough"
     }
+
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +211,34 @@ mod tests {
             assert_eq!(h.handle(&mut ev), Action::Passthrough);
         }
         assert_eq!(h.name(), "passthrough");
+    }
+
+    #[test]
+    fn the_stock_handlers_declare_they_leave_the_fp_env_alone() {
+        let stock: [Box<dyn SyscallHandler>; 6] = [
+            Box::new(PassthroughHandler),
+            Box::new(CountHandler::new()),
+            Box::new(TraceHandler::with_sink(TraceSink::Null)),
+            Box::new(LatencyHandler::new()),
+            Box::new(PolicyBuilder::allow_by_default().build()),
+            Box::new(PathRemapHandler::new()),
+        ];
+        for h in &stock {
+            assert!(h.leaves_fp_env(), "{}", h.name());
+        }
+
+        // Unsaid means no; a stack says no whatever it holds.
+        struct Silent;
+        impl SyscallHandler for Silent {
+            fn handle(&self, _event: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+        }
+        assert!(!Silent.leaves_fp_env());
+        let stack = HookStack::new();
+        assert!(!stack.leaves_fp_env());
+        stack.attach(Box::new(PassthroughHandler), 0);
+        assert!(!stack.leaves_fp_env());
     }
 
     #[test]

@@ -177,6 +177,10 @@ impl SyscallHandler for PolicyHandler {
         "policy"
     }
 
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
+
     fn interest(&self) -> InterestSet {
         self.interest
     }

@@ -29,7 +29,15 @@ use syscalls::SyscallArgs;
 
 use crate::{Action, SyscallEvent, SyscallHandler};
 
-static GLOBAL: AtomicPtr<Box<dyn SyscallHandler>> = AtomicPtr::new(std::ptr::null_mut());
+/// The installed handler and what the registry read of it once, in one
+/// leaked box: a dispatch reads the declaration of the handler it calls.
+struct Installed {
+    handler: Box<dyn SyscallHandler>,
+    /// [`SyscallHandler::leaves_fp_env`], read at registration.
+    leaves_fp_env: bool,
+}
+
+static GLOBAL: AtomicPtr<Installed> = AtomicPtr::new(std::ptr::null_mut());
 
 /// The installed handler's [`InterestSet`], cached as raw words so the
 /// hot path pays one relaxed load and a bit test instead of a virtual
@@ -65,8 +73,8 @@ pub const fn interest_words() -> &'static [AtomicU64; 8] {
 }
 
 /// Installs `handler` as the process-global interposer, replacing any
-/// previous one, and caches its [`SyscallHandler::interest`] set for
-/// the mechanisms' fast paths.
+/// previous one, and caches its [`SyscallHandler::interest`] set and its
+/// [`SyscallHandler::leaves_fp_env`] for the mechanisms' fast paths.
 ///
 /// The handler is intentionally leaked: intercepted syscalls can occur
 /// on any thread at any time once code has been rewritten, so there is
@@ -74,7 +82,8 @@ pub const fn interest_words() -> &'static [AtomicU64; 8] {
 /// are expected to be installed once, near startup.)
 pub fn set_global_handler(handler: Box<dyn SyscallHandler>) {
     let interest = handler.interest();
-    let thin = Box::into_raw(Box::new(handler));
+    let leaves_fp_env = handler.leaves_fp_env();
+    let thin = Box::into_raw(Box::new(Installed { handler, leaves_fp_env }));
     GLOBAL.store(thin, Ordering::SeqCst);
     for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
         cache.store(word, Ordering::Relaxed);
@@ -105,7 +114,7 @@ pub fn install_handler(handler: Box<dyn SyscallHandler>) -> HandlerGuard {
 /// [`install_handler`].
 #[must_use = "dropping the guard immediately restores the previous handler"]
 pub struct HandlerGuard {
-    prev: *mut Box<dyn SyscallHandler>,
+    prev: *mut Installed,
 }
 
 impl Drop for HandlerGuard {
@@ -118,7 +127,7 @@ impl Drop for HandlerGuard {
         } else {
             // SAFETY: set_global_handler leaked the previous box, so
             // the pointee is still valid (handlers live for 'static).
-            let interest = unsafe { (*self.prev).interest() };
+            let interest = unsafe { (*self.prev).handler.interest() };
             GLOBAL.store(self.prev, Ordering::SeqCst);
             for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
                 cache.store(word, Ordering::Relaxed);
@@ -207,14 +216,14 @@ pub fn global_interested(nr: u64) -> bool {
 /// Returns the registered handler, if any.
 #[inline]
 pub fn global_handler() -> Option<&'static dyn SyscallHandler> {
-    let p = GLOBAL.load(Ordering::Acquire);
-    if p.is_null() {
-        None
-    } else {
-        // SAFETY: set_global_handler leaks the box, so the pointee is
-        // valid for 'static.
-        Some(unsafe { (*p).as_ref() })
-    }
+    installed().map(|i| &*i.handler)
+}
+
+#[inline]
+fn installed() -> Option<&'static Installed> {
+    // SAFETY: null, or set_global_handler's leaked box, valid for
+    // 'static.
+    unsafe { GLOBAL.load(Ordering::Acquire).as_ref() }
 }
 
 /// The per-syscall decision sequence behind the interest gate, in one
@@ -234,41 +243,48 @@ pub fn global_handler() -> Option<&'static dyn SyscallHandler> {
 /// A mechanism that has already tested the interest set itself (the
 /// lazypoline dispatcher: once, for its own raw exit) enters here;
 /// everything else goes through [`interpose_syscall`].
+///
+/// Returns the result and whether the pass left x87 and `MXCSR` alone,
+/// as far as the registry knows: the [`SyscallHandler::leaves_fp_env`]
+/// cached with the handler it called, `true` when it called none (only
+/// `execute` ran), `false` once a panic or a quarantine was seen.
 #[inline]
-pub fn interpose_event<F>(event: &mut SyscallEvent, execute: F) -> u64
+pub fn interpose_event<F>(event: &mut SyscallEvent, execute: F) -> (u64, bool)
 where
     F: FnOnce(&SyscallArgs) -> u64,
 {
-    let handler = match global_handler() {
-        Some(h) if !QUARANTINED.load(Ordering::Relaxed) => h,
-        _ => return execute(&event.call),
+    let installed = match installed() {
+        Some(i) if !QUARANTINED.load(Ordering::Relaxed) => i,
+        _ => return (execute(&event.call), true),
     };
+    let handler = &*installed.handler;
     // AssertUnwindSafe: on panic the handler is never called again
     // (quarantine), so broken invariants are unobservable.
     let action = match panic::catch_unwind(AssertUnwindSafe(|| handler.handle(event))) {
         Ok(action) => action,
         Err(_) => {
             quarantine_global();
-            return execute(&event.call);
+            return (execute(&event.call), false);
         }
     };
-    match action {
+    let ret = match action {
         Action::Passthrough => {
             let ret = execute(&event.call);
             if QUARANTINED.load(Ordering::Relaxed) {
-                return ret;
+                return (ret, false);
             }
             match panic::catch_unwind(AssertUnwindSafe(|| handler.post(event, ret))) {
                 Ok(r) => r,
                 Err(_) => {
                     quarantine_global();
-                    ret
+                    return (ret, false);
                 }
             }
         }
         Action::Return(v) => v,
         Action::Fail(e) => e.as_ret(),
-    }
+    };
+    (ret, installed.leaves_fp_env)
 }
 
 /// The complete per-syscall decision sequence every mechanism runs: the
@@ -295,7 +311,7 @@ where
         return execute(call);
     }
     let mut event = SyscallEvent::with_site(call, site);
-    interpose_event(&mut event, |decided| execute(*decided))
+    interpose_event(&mut event, |decided| execute(*decided)).0
 }
 
 #[cfg(test)]
@@ -474,6 +490,34 @@ mod tests {
         let loose = crate::HookStack::new();
         loose.attach(Box::new(PassthroughHandler), 0);
         assert!(!global_interested(syscalls::nr::GETPID));
+        set_global_handler(Box::new(PassthroughHandler));
+    }
+
+    #[test]
+    fn a_pass_reports_the_declaration_of_the_handler_it_called() {
+        let _g = REGISTRY_LOCK.lock().unwrap();
+        let prev_hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        let run = |nr| interpose_event(&mut SyscallEvent::new(SyscallArgs::nullary(nr)), |c| c.nr);
+
+        set_global_handler(Box::new(PassthroughHandler));
+        assert_eq!(run(syscalls::nr::WRITE), (syscalls::nr::WRITE, true));
+        // Cached with the handler, not read again: the box holds both.
+        assert!(installed().unwrap().leaves_fp_env);
+        {
+            let _undeclared = install_handler(Box::new(OnlyOpenat));
+            assert_eq!(run(syscalls::nr::OPENAT), (syscalls::nr::OPENAT, false));
+        }
+        let restored = run(syscalls::nr::OPENAT);
+        assert_eq!(restored, (syscalls::nr::OPENAT, true), "restored with its bit");
+
+        // A panic in the middle of the pass: never declared.
+        set_global_handler(Box::new(PanicsOnGetpid));
+        assert_eq!(run(syscalls::nr::GETPID), (syscalls::nr::GETPID, false));
+        // Quarantined: only `execute` runs.
+        assert_eq!(run(syscalls::nr::GETPID), (syscalls::nr::GETPID, true));
+
+        panic::set_hook(prev_hook);
         set_global_handler(Box::new(PassthroughHandler));
     }
 

@@ -145,6 +145,10 @@ impl SyscallHandler for PathRemapHandler {
         "path-remap"
     }
 
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
+
     /// Exactly the path-carrying syscalls [`Self::path_arg_index`]
     /// recognizes; an empty rule table never needs a call at all.
     fn interest(&self) -> InterestSet {

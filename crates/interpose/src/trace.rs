@@ -155,6 +155,10 @@ impl SyscallHandler for TraceHandler {
     fn name(&self) -> &str {
         "trace"
     }
+
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -105,6 +105,12 @@ impl SyscallHandler for UntilExit {
     fn interest(&self) -> InterestSet {
         self.mode.interest().union(&InterestSet::of(&[nr::EXIT_GROUP]))
     }
+    /// What the mode handler declares. The one call `handle` adds work
+    /// to, `exit_group`, renders the dump with floating-point arithmetic
+    /// but never returns to the stub's exit.
+    fn leaves_fp_env(&self) -> bool {
+        self.mode.leaves_fp_env()
+    }
 }
 
 impl UntilExit {
@@ -121,9 +127,11 @@ impl UntilExit {
         if let Some(Err(e)) = active.finish_recording() {
             eprintln!("lazypoline-preload: trace not finished ({e})");
         }
-        let trips = active.stats().slow_path_hits;
+        // The engine's counter, not a snapshot of every counter: every
+        // row the shim arms and that dispatches is engine-backed, and
+        // nothing trips before the install.
         ledger::start();
-        self.cache.write(trips);
+        self.cache.write(lazypoline::slow_path_hits());
         ledger::lap(Stage::ExitWrite);
         if let Some(fd) = self.stats_fd {
             // After the write: a trip the write itself takes shows here.
@@ -251,6 +259,28 @@ mod tests {
         // The static must survive to link time with the right type.
         let f: unsafe extern "C" fn() = PRELOAD_CTOR;
         assert_eq!(f as usize, preload_ctor as *const () as usize);
+    }
+
+    #[test]
+    fn the_mode_handler_declares_for_the_window() {
+        struct Undeclared;
+        impl SyscallHandler for Undeclared {
+            fn handle(&self, _event: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+        }
+        let cache: &'static SiteCache = Box::leak(Box::new(SiteCache::open("test", None).0));
+        let until_exit = |mode: Box<dyn SyscallHandler>| UntilExit {
+            mode,
+            pid: 0,
+            counter: None,
+            stats_fd: None,
+            cache,
+        };
+        assert!(until_exit(Box::new(PassthroughHandler)).leaves_fp_env());
+        assert!(until_exit(Box::new(CountHandler::new())).leaves_fp_env());
+        assert!(until_exit(Box::new(TraceHandler::with_sink(TraceSink::Null))).leaves_fp_env());
+        assert!(!until_exit(Box::new(Undeclared)).leaves_fp_env());
     }
 
     #[test]

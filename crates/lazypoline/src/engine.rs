@@ -152,9 +152,15 @@ macro_rules! engine_stats {
     };
 }
 
+/// [`Stats::slow_path_hits`] alone: one counter's shards summed, where
+/// [`stats`] reads every counter of the engine and the recorder.
+pub fn slow_path_hits() -> u64 {
+    counters::get(&counters::SLOW_PATH_HITS)
+}
+
 engine_stats! {
     /// `SIGSYS` deliveries (slow-path trips).
-    slow_path_hits: counters::get(&counters::SLOW_PATH_HITS),
+    slow_path_hits: slow_path_hits(),
     /// Syscall sites rewritten to `call rax` by the slow path.
     sites_patched: counters::get(&counters::SITES_PATCHED),
     /// Syscall sites rewritten at load from the proven-site cache

@@ -32,6 +32,13 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 /// read once, and the only calls are the handler's two and
 /// [`raw_internal::syscall`]. A nested dispatch is not counted: it is
 /// the interposer's syscall, not the application's.
+///
+/// Its last store is the thread block's declaration for the stub's exit
+/// ([`zpoline::ThreadBlock::set_leaves_fp_env`]): `true` after the raw
+/// and emulation paths, which do no floating-point work, what the
+/// registry cached for the handler it called after a hit, and `false`
+/// after a panic or a quarantine. It comes after everything that may
+/// dispatch again, so no nested exit takes it.
 pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64 {
     let block = zpoline::thread_block();
     let guarded = block.in_dispatch();
@@ -60,11 +67,14 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
     // site needs.
     let interested = !guarded && interpose::global_interested(frame.nr);
     if !(interested || needs_emulation(frame.nr)) {
-        return raw_internal::syscall(&frame.syscall_args());
+        let ret = raw_internal::syscall(&frame.syscall_args());
+        block.set_leaves_fp_env(true);
+        return ret;
     }
     let was = block.set_in_dispatch(true);
-    let ret = handle_syscall(frame, interested);
+    let (ret, leaves_fp_env) = handle_syscall(frame, interested);
     block.set_in_dispatch(was);
+    block.set_leaves_fp_env(leaves_fp_env);
     ret
 }
 
@@ -140,13 +150,17 @@ pub(crate) fn is_process_control(nr_: u64) -> bool {
 /// `false` under the re-entry guard); a call the handler did not ask
 /// for only gets the engine's own emulation.
 ///
+/// Returns the result and whether x87 and `MXCSR` are as the call found
+/// them ([`interpose::interpose_event`]'s answer; `true` for the
+/// engine's own emulation).
+///
 /// # Safety
 ///
 /// `frame` must describe a syscall invocation from this thread.
 #[inline]
-pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, interested: bool) -> u64 {
+pub(crate) unsafe fn handle_syscall(frame: &mut RawFrame, interested: bool) -> (u64, bool) {
     if !interested {
-        return execute_frame(frame);
+        return (execute_frame(frame), true);
     }
     // The decision sequence itself — dispatch, passthrough execution,
     // post hook — is not written here: it is `interpose::interpose_event`,
@@ -276,9 +290,17 @@ unsafe fn handle_sigprocmask(frame: &mut RawFrame) -> u64 {
 mod tests {
     use super::*;
 
+    /// The registry is process-global: tests that install a handler
+    /// hold this.
+    static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_registry() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// As both callers do: the interest gate read once, then the frame.
     unsafe fn handle_gated(frame: &mut RawFrame) -> u64 {
-        handle_syscall(frame, interpose::global_interested(frame.nr))
+        handle_syscall(frame, interpose::global_interested(frame.nr)).0
     }
 
     fn mk_frame(nr: u64, args: [u64; 6]) -> RawFrame {
@@ -401,6 +423,7 @@ mod tests {
         }
         // The guard restores whatever handler (and interest cache) was
         // installed before this test, instead of leaking Only499.
+        let _registry = lock_registry();
         let _guard = interpose::install_handler(Box::new(Only499));
 
         // getpid is outside the interest set: the handler must be
@@ -419,6 +442,58 @@ mod tests {
         let mut f = mk_frame(nr::CLONE3, [0; 6]);
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(Errno::from_ret(ret), Some(Errno::ENOSYS));
+    }
+
+    #[test]
+    fn the_dispatcher_declares_what_the_handler_it_called_declared() {
+        use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
+
+        /// Declares, and keeps its word except on 499, where it panics.
+        struct PanicsOn499;
+        impl SyscallHandler for PanicsOn499 {
+            fn handle(&self, ev: &mut SyscallEvent) -> Action {
+                assert_ne!(ev.call.nr, 499, "policy bug");
+                Action::Passthrough
+            }
+            fn leaves_fp_env(&self) -> bool {
+                true
+            }
+        }
+        /// Declares nothing; wants 499 alone.
+        struct Undeclared;
+        impl SyscallHandler for Undeclared {
+            fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+            fn interest(&self) -> InterestSet {
+                InterestSet::of(&[499])
+            }
+        }
+
+        // What the stub's exit reads, taken as the exit takes it.
+        let block = zpoline::thread_block();
+        let declared = |nr| unsafe {
+            lazypoline_dispatch(&mut mk_frame(nr, [0; 6]));
+            let declared = block.leaves_fp_env();
+            block.set_leaves_fp_env(false);
+            declared
+        };
+        let _registry = lock_registry();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        {
+            let _guard = interpose::install_handler(Box::new(Undeclared));
+            assert!(!declared(499), "a hit crosses the handler");
+            assert!(declared(nr::GETPID), "a miss runs raw");
+            assert!(declared(nr::CLONE3), "the engine's emulation");
+        }
+        {
+            let _guard = interpose::install_handler(Box::new(PanicsOn499));
+            assert!(declared(nr::GETPID), "a hit crosses a declared handler");
+            assert!(!declared(499), "the dispatch that quarantined it");
+            assert!(declared(499), "quarantined: the call runs raw");
+        }
+        std::panic::set_hook(prev_hook);
     }
 
     #[test]

@@ -299,7 +299,9 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         };
         let interested = !guarded && interpose::global_interested(nr_);
         let was = tls::set_in_dispatch(true);
-        let ret = fastpath::handle_syscall(&mut frame, interested);
+        // No declaration to make: the signal return puts back all of the
+        // floating-point state, whatever the handler did to it.
+        let (ret, _) = fastpath::handle_syscall(&mut frame, interested);
         if nr_ == syscalls::nr::RT_SIGPROCMASK {
             let mut left = 0u64;
             raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut left);

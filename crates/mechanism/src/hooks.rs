@@ -65,6 +65,9 @@ impl SyscallHandler for SharedHook {
     fn interest(&self) -> InterestSet {
         self.0.interest()
     }
+    fn leaves_fp_env(&self) -> bool {
+        self.0.leaves_fp_env()
+    }
 }
 
 /// Loads every hook named by `LP_HOOKS` (a bad library is a typed

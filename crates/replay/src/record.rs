@@ -151,6 +151,12 @@ impl SyscallHandler for RecordHandler {
         "record"
     }
 
+    /// What the inner handler declares: recording itself is integer
+    /// work on a ring slot.
+    fn leaves_fp_env(&self) -> bool {
+        self.inner.as_ref().is_none_or(|inner| inner.leaves_fp_env())
+    }
+
     fn interest(&self) -> InterestSet {
         // Recording wants *everything*, regardless of what the inner
         // handler is interested in — a trace with holes cannot replay.
@@ -434,6 +440,19 @@ mod tests {
         assert_eq!(events_recorded(), before, "handle alone records nothing");
         assert_eq!(h.post(&ev, 777), 777);
         assert_eq!(events_recorded(), before + 1);
+    }
+
+    #[test]
+    fn declares_what_it_wraps() {
+        struct Undeclared;
+        impl SyscallHandler for Undeclared {
+            fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+        }
+        assert!(RecordHandler::passthrough().leaves_fp_env());
+        assert!(RecordHandler::wrapping(Box::new(interpose::PassthroughHandler)).leaves_fp_env());
+        assert!(!RecordHandler::wrapping(Box::new(Undeclared)).leaves_fp_env());
     }
 
     #[test]

@@ -281,6 +281,12 @@ impl SyscallHandler for ReplayHandler {
     fn name(&self) -> &str {
         "replay"
     }
+
+    /// What the observer declares: matching against the trace is
+    /// integer work.
+    fn leaves_fp_env(&self) -> bool {
+        self.observer.as_ref().is_none_or(|obs| obs.leaves_fp_env())
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +325,22 @@ mod tests {
     fn drive(h: &ReplayHandler, sysno: u64) -> Action {
         let mut ev = SyscallEvent::new(SyscallArgs::nullary(sysno));
         h.handle(&mut ev)
+    }
+
+    #[test]
+    fn declares_what_it_observes_with() {
+        struct Undeclared;
+        impl SyscallHandler for Undeclared {
+            fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+        }
+        let state = state_of(&[]);
+        assert!(ReplayHandler::new(Arc::clone(&state)).leaves_fp_env());
+        let counted = ReplayHandler::new(Arc::clone(&state))
+            .observing(Box::new(interpose::CountHandler::new()));
+        assert!(counted.leaves_fp_env());
+        assert!(!ReplayHandler::new(state).observing(Box::new(Undeclared)).leaves_fp_env());
     }
 
     #[test]

@@ -192,6 +192,11 @@ impl SyscallHandler for SfipHandler {
         "sfip"
     }
 
+    /// What the inner handler declares: the check is integer work.
+    fn leaves_fp_env(&self) -> bool {
+        self.inner.leaves_fp_env()
+    }
+
     fn interest(&self) -> InterestSet {
         // Every syscall must be observed: a gap in the chain would
         // manufacture transitions the automaton never saw.
@@ -300,6 +305,22 @@ mod tests {
 
     fn ev(nr: u64) -> SyscallEvent {
         SyscallEvent::new(SyscallArgs::nullary(nr))
+    }
+
+    #[test]
+    fn declares_what_it_wraps() {
+        struct Undeclared;
+        impl SyscallHandler for Undeclared {
+            fn handle(&self, _ev: &mut SyscallEvent) -> interpose::Action {
+                interpose::Action::Passthrough
+            }
+        }
+        let wrap = |inner: Box<dyn SyscallHandler>| {
+            SfipHandler::new(Arc::new(Policy::empty("test")), ViolationAction::Count, false, inner)
+        };
+        assert!(wrap(Box::new(PassthroughHandler)).leaves_fp_env());
+        assert!(wrap(Box::new(CountHandler::new())).leaves_fp_env());
+        assert!(!wrap(Box::new(Undeclared)).leaves_fp_env());
     }
 
     #[test]

@@ -112,9 +112,14 @@
 //! exactly, and — when an [`XstateMask`] is set — the x87/SSE/AVX state
 //! the mask names across the dispatcher, since compilers freely keep
 //! live values in `xmm` registers across syscalls (the paper's Listing 1
-//! shows glibc's pthread initialization doing exactly that). No handler
-//! declares what it touches: a Rust handler, a `dlopen`ed hook or
-//! glibc's vector string functions use `xmm`/`ymm` unannounced.
+//! shows glibc's pthread initialization doing exactly that). The vector
+//! registers are saved whatever the dispatcher says: a Rust handler, a
+//! `dlopen`ed hook or glibc's vector string functions use `xmm`/`ymm`
+//! unannounced. x87 and `MXCSR` are another matter: code that does no
+//! floating-point arithmetic leaves them alone, and a dispatcher may say
+//! so for the dispatch it is returning from
+//! ([`ThreadBlock::set_leaves_fp_env`]; lazypoline's does when the
+//! handler it called declares `SyscallHandler::leaves_fp_env`).
 //!
 //! What a dispatch pays for depends on what is *live*, which the stub
 //! reads with `xgetbv` (`ecx = 1`: `XCR0 & XINUSE`, the components not
@@ -137,6 +142,17 @@
 //!    now → `vzeroupper`; then the registers and `MXCSR` come back as
 //!    stored. Restoring "initial" is exact because initial is what
 //!    entry observed.
+//!
+//!    **The declared exit.** When the dispatcher declared x87 and
+//!    `MXCSR` untouched, exit skips the second `xgetbv(1)`, the x87
+//!    re-initialisation and `ldmxcsr` (EXPERIMENTS.md measures them)
+//!    and, where the entry's mask names AVX and
+//!    recorded the uppers clean, executes `vzeroupper` without asking
+//!    whether they are dirty; the `xmm`/`ymm` moves are the same. What
+//!    it gives up: a signal that returns in the middle of the dispatch
+//!    leaves `XINUSE[0] = 1` (the values initial), as after a signal
+//!    the application takes un-interposed, and the thread's next
+//!    dispatch takes case 2, whose normaliser clears it.
 //! 2. **x87 live on entry** → `xsave64`/`xrstor64` under the mask, as
 //!    the C prototype does on every dispatch, plus a *normaliser*. (So
 //!    does an entry with `ZMM_Hi256` live, `XINUSE[6]`, under a mask
@@ -155,6 +171,14 @@
 //! 3. **No `xgetbv(1)`** (CPUID.(EAX=0DH,ECX=1):EAX bit 2 clear, read
 //!    once in [`Trampoline::install`]) → case 2 without the normaliser
 //!    on every dispatch: the C prototype's stub.
+//!
+//! The declaration is a byte of the thread's block, which the stub reads
+//! and clears after every call of the dispatcher, whatever the case: a
+//! dispatcher that never sets it (zpoline's passthrough, any other
+//! [`DispatchFn`]) gets case 1's exit as above, and a nested dispatch —
+//! a signal handler's syscall landing between the dispatcher's store
+//! and the stub's read — takes the byte with it, which leaves the outer
+//! exit the undeclared one.
 //!
 //! The mask ([`XstateMask`]) bounds all three; `None` skips everything.
 //! Exit restores under the mask *recorded at entry*, so a mask changed
@@ -346,6 +370,11 @@ pub struct ThreadBlock {
     /// Set while this thread takes or holds the rewrite spinlock
     /// (`patcher::SpinGuard`).
     rewrite_lock: Cell<bool>,
+    /// The dispatcher's declaration for the dispatch it returns from
+    /// ([`ThreadBlock::set_leaves_fp_env`]); the stub clears it.
+    leaves_fp_env: Cell<bool>,
+    /// Full-path exits that found the declaration (debug builds count).
+    declared_exits: Cell<u64>,
 }
 
 impl ThreadBlock {
@@ -436,6 +465,32 @@ impl ThreadBlock {
     #[inline]
     pub(crate) fn set_rewrite_lock(&self, v: bool) {
         self.rewrite_lock.set(v);
+    }
+
+    /// Declares, for the dispatch the calling dispatcher is about to
+    /// return from, whether everything it ran since the stub called it
+    /// left x87 and `MXCSR` as it found them: no x87 or MMX instruction,
+    /// no change of `MXCSR`, sticky exception flags included. The stub's
+    /// exit then restores neither (module docs, "The declared exit"). A
+    /// dispatcher sets it last, after anything that may dispatch again;
+    /// the stub clears it on every exit.
+    #[inline]
+    pub fn set_leaves_fp_env(&self, v: bool) {
+        self.leaves_fp_env.set(v);
+    }
+
+    /// The declaration set and not yet taken by the stub's exit.
+    #[inline]
+    pub fn leaves_fp_env(&self) -> bool {
+        self.leaves_fp_env.get()
+    }
+
+    /// Full-path exits of this thread that found the declaration set.
+    /// Counted in builds with debug assertions only, like
+    /// [`ThreadBlock::stub_exits`]; always 0 otherwise.
+    #[inline]
+    pub fn declared_exits(&self) -> u64 {
+        self.declared_exits.get()
     }
 }
 
@@ -613,7 +668,9 @@ macro_rules! xstate_save_asm {
 /// Assembly text (Intel syntax) that undoes `xstate_save_asm!`
 /// from the record in the area `rbx` points to (nothing when `rbx` is
 /// 0): every component of the entry's mask is as it was on entry,
-/// `XINUSE` bits 0 and 2 included. Clobbers `rax`, `rcx`, `rdx`, `rsi`,
+/// `XINUSE` bits 0 and 2 included. With `edx` non-zero — the dispatcher
+/// declared x87 and `MXCSR` untouched — case 1 restores the vector
+/// registers alone (module docs). Clobbers `rax`, `rcx`, `rdx`, `rsi`,
 /// `rdi` and the flags; leaves `rsp` alone. Takes the same operands.
 macro_rules! xstate_restore_asm {
     () => {
@@ -627,6 +684,8 @@ macro_rules! xstate_restore_asm {
     mov edi, dword ptr [rbx + 1028]
     test dil, 1
     jnz 34f
+    test edx, edx
+    jnz 35f                       # declared: x87 and MXCSR untouched
     mov ecx, 1
     xgetbv
     and eax, esi
@@ -649,6 +708,7 @@ macro_rules! xstate_restore_asm {
     ldmxcsr dword ptr [rbx + 1032]
     test dil, 4
     jnz 33f
+32:
     .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
     movaps xmm\i, xmmword ptr [rbx + 16*\i]
     .endr
@@ -662,6 +722,19 @@ macro_rules! xstate_restore_asm {
     mov eax, esi                  # edx:eax = RFBM
     xor edx, edx
     xrstor64 [rbx]
+    jmp 39f
+35:
+    # The declared exit: the vector registers only. Uppers the entry
+    # recorded clean under a mask naming AVX are cleaned again, dirty
+    # or not; under Sse or X87 the uppers are not the stub's to touch.
+    test sil, 2
+    jz 39f                        # mask X87: nothing was saved
+    test dil, 4
+    jnz 33b                       # uppers live on entry: ymm moves
+    test sil, 4
+    jz 32b
+    vzeroupper
+    jmp 32b
 39:
 "#
     };
@@ -748,7 +821,14 @@ lp_zpoline_entry:
     and rsp, -16                  # C ABI alignment for the call
     call qword ptr [rip + {stub_globals} + {dispatch}]   # rax = syscall result
     mov qword ptr [rbp], rax      # stash result in frame.nr slot
+    # The dispatcher's declaration (module docs), taken: read, then
+    # cleared, so that no later exit finds it.
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    movzx edx, byte ptr fs:[rcx + {leaves_fp_env}]
+    mov byte ptr fs:[rcx + {leaves_fp_env}], 0
 "#,
+    #[cfg(debug_assertions)]
+    "add qword ptr fs:[rcx + {declared_exits}], rdx",
     xstate_restore_asm!(),
     r#"
     mov rax, qword ptr [rbp]      # reload result
@@ -803,8 +883,11 @@ lp_zpoline_gate_end:
     dispatches = const offset_of!(ThreadBlock, dispatches),
     in_dispatch = const offset_of!(ThreadBlock, in_dispatch),
     dispatches_shared = const offset_of!(ThreadBlock, dispatches_shared),
+    leaves_fp_env = const offset_of!(ThreadBlock, leaves_fp_env),
     #[cfg(debug_assertions)]
     stub_exits = const offset_of!(ThreadBlock, stub_exits),
+    #[cfg(debug_assertions)]
+    declared_exits = const offset_of!(ThreadBlock, declared_exits),
 );
 
 extern "C" {
@@ -1548,6 +1631,114 @@ mod tests {
         xmm7_across_trampoline();
         clobbering_dispatcher_is_invisible();
         STUB_GLOBALS.xgetbv1.store(detected, Ordering::Relaxed);
+    }
+
+    /// What [`declaring_dispatch`] declares, and whether it dirties the
+    /// `ymm` uppers (hosts with AVX).
+    static DECLARE: AtomicBool = AtomicBool::new(false);
+    static DIRTY_UPPERS: AtomicBool = AtomicBool::new(false);
+
+    /// Says what [`DECLARE`] says and breaks the promise where a
+    /// crossing can see it: junk in `xmm7` (all of `ymm7` with
+    /// [`DIRTY_UPPERS`]), MXCSR rounding toward zero.
+    unsafe extern "C" fn declaring_dispatch(frame: *mut RawFrame) -> u64 {
+        static ROUND_TO_ZERO: u32 = 0x7f80;
+        if DIRTY_UPPERS.load(Ordering::Relaxed) {
+            std::arch::asm!("vpcmpeqd ymm7, ymm7, ymm7", out("ymm7") _);
+        } else {
+            std::arch::asm!("pcmpeqd xmm7, xmm7", out("xmm7") _);
+        }
+        std::arch::asm!("ldmxcsr [{rz}]", rz = in(reg) &ROUND_TO_ZERO);
+        let ret = syscalls::raw::syscall((*frame).syscall_args());
+        thread_block().set_leaves_fp_env(DECLARE.load(Ordering::Relaxed));
+        ret
+    }
+
+    /// Crosses the trampoline from x87 initial and `ymm` uppers clean,
+    /// with a sentinel in `xmm7` and MXCSR rounding up; returns `xmm7`,
+    /// MXCSR and `XINUSE` (0 without `xgetbv(1)`) after.
+    fn cross_declaring() -> (u64, u32, u32) {
+        let (xmm7_in, mxcsr_in) = (0xdead_beef_cafe_f00d_u64, 0x5f80_u32);
+        let xmm7_out: u64;
+        let (mut mxcsr_out, mut mxcsr_caller, mut inuse) = (0u32, 0u32, 0u32);
+        let xgetbv1 = cpu_has_xgetbv1() as u32;
+        unsafe {
+            std::arch::asm!(
+                "stmxcsr [{caller}]",
+                "mov eax, 1",
+                "xor edx, edx",
+                "xrstor64 [{init}]",      // x87 initial, XINUSE[0] = 0
+                "movq xmm7, {xmm7_in}",
+                "ldmxcsr [{mxcsr_in}]",
+                "mov eax, 39",            // getpid
+                "call rax",
+                "stmxcsr [{mxcsr_out}]",
+                "movq {xmm7_out}, xmm7",
+                "test {xgetbv1:e}, {xgetbv1:e}",
+                "jz 2f",
+                "mov ecx, 1",
+                "xgetbv",
+                "mov dword ptr [{inuse}], eax",
+                "2:",
+                "ldmxcsr [{caller}]",
+                caller = in(reg) &mut mxcsr_caller,
+                init = in(reg) &STUB_GLOBALS.xstate_init,
+                xmm7_in = in(reg) xmm7_in,
+                xmm7_out = out(reg) xmm7_out,
+                mxcsr_in = in(reg) &mxcsr_in,
+                mxcsr_out = in(reg) &mut mxcsr_out,
+                xgetbv1 = in(reg) xgetbv1,
+                inuse = in(reg) &mut inuse,
+                out("rax") _, out("rcx") _, out("rdx") _, out("r11") _,
+                out("xmm7") _,
+            );
+        }
+        (xmm7_out, mxcsr_out, inuse)
+    }
+
+    #[test]
+    fn declared_exit_restores_the_vector_registers_alone() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
+            return;
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        let prev = set_dispatcher(declaring_dispatch).expect("install registers one");
+        let case1 = STUB_GLOBALS.xgetbv1.load(Ordering::Relaxed) != 0;
+        let avx = std::arch::is_x86_feature_detected!("avx");
+        for mask in [XstateMask::None, XstateMask::Sse, XstateMask::Avx] {
+            set_xstate_mask(mask);
+            // Undeclared after declared too: the exit took the byte.
+            for declare in [false, true, false] {
+                DECLARE.store(declare, Ordering::Relaxed);
+                let cell = format!("{mask:?}, declared: {declare}");
+                let (xmm7, mxcsr, _) = cross_declaring();
+                assert!(!thread_block().leaves_fp_env(), "the exit clears the byte, {cell}");
+                if mask == XstateMask::None {
+                    assert_eq!((xmm7, mxcsr), (u64::MAX, 0x7f80), "nothing restored, {cell}");
+                    continue;
+                }
+                assert_eq!(xmm7, 0xdead_beef_cafe_f00d, "xmm7, {cell}");
+                // Only case 1 has a declared exit; case 3 (no xgetbv(1))
+                // is xrstor64 from the entry's image.
+                let skipped = declare && case1;
+                assert_eq!(mxcsr, if skipped { 0x7f80 } else { 0x5f80 }, "MXCSR, {cell}");
+            }
+        }
+        if avx && case1 {
+            // Uppers clean on entry, dirtied by the dispatcher: under
+            // `Avx` the declared exit cleans them again without asking.
+            DIRTY_UPPERS.store(true, Ordering::Relaxed);
+            DECLARE.store(true, Ordering::Relaxed);
+            let (xmm7, _, inuse) = cross_declaring();
+            assert_eq!(xmm7, 0xdead_beef_cafe_f00d);
+            assert_eq!(inuse & 4, 0, "ymm uppers left dirty");
+            DIRTY_UPPERS.store(false, Ordering::Relaxed);
+            DECLARE.store(false, Ordering::Relaxed);
+        }
+        set_xstate_mask(XstateMask::Avx);
+        set_dispatcher(prev);
     }
 
     #[test]

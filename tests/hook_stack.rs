@@ -86,6 +86,8 @@ fn loaded_hook_dispatches_and_exports_its_count() {
     let hook = hooks.pop().unwrap();
     assert_eq!(hook.name(), "hook_count");
     assert_eq!(hook.priority(), 10, "descriptor priority");
+    // Foreign code declares nothing about its floating-point use.
+    assert!(!hook.leaves_fp_env());
 
     // Read the library's exported counter through dlsym, like an
     // external observer would: dlopen of the same path returns the
@@ -109,6 +111,7 @@ fn loaded_hook_dispatches_and_exports_its_count() {
     let before_exported = total();
     let before_global = interpose::hook_dispatches();
 
+    assert!(!stack.leaves_fp_env(), "a stack holding a loaded hook declares nothing");
     let guard = install_handler(Box::new(stack));
     for i in 0..25u64 {
         assert_eq!(dispatch(nr::GETPID, 4000 + i), 4000 + i);

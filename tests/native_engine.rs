@@ -11,7 +11,7 @@ use std::process::Command;
 
 use interpose::{Action, CountHandler, PolicyBuilder, SyscallEvent, SyscallHandler};
 use lazypoline::Config;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn environment_ready() -> bool {
     zpoline::Trampoline::environment_supported() && sud::is_supported()
@@ -590,6 +590,14 @@ enum Clobber {
 
 static XSTATE_CLOBBER: AtomicU64 = AtomicU64::new(Clobber::Nothing as u64);
 
+/// Whether the stack behind the stub declares `leaves_fp_env` (and
+/// clobbers nothing). Its cells then carry a sticky exception flag in the
+/// application's MXCSR, check x87 and MXCSR under every mask — the
+/// declaration is all that keeps them where no mask does — and live `ymm`
+/// uppers under `Sse` and `X87` too, which the declared exit must not
+/// `vzeroupper`; and every full-path exit must be the declared one.
+static XSTATE_DECLARED: AtomicBool = AtomicBool::new(false);
+
 /// A handler nobody vetted: on `getpid` it overwrites the vector
 /// registers as [`XSTATE_CLOBBER`] says, pushes a value on the x87
 /// stack, drops FCW to single precision and MXCSR to round-to-zero —
@@ -711,7 +719,13 @@ unsafe fn xstate_cell(
     sigsys: bool,
     what: &str,
 ) {
-    let clobber = if state.zmm_live { Clobber::Sse } else { canary.clobber() };
+    let clobber = if XSTATE_DECLARED.load(Ordering::Relaxed) {
+        Clobber::Nothing
+    } else if state.zmm_live {
+        Clobber::Sse
+    } else {
+        canary.clobber()
+    };
     xstate_cell_under(site, canary, clobber, mask, state, sigsys, what)
 }
 
@@ -719,6 +733,12 @@ unsafe fn xstate_cell(
 /// miss exit, where the build counts them.
 fn stub_exits() -> Option<u64> {
     cfg!(debug_assertions).then(|| zpoline::thread_block().stub_exits())
+}
+
+/// Full-path exits of the calling thread that found the dispatcher's
+/// declaration, where the build counts them.
+fn declared_exits() -> Option<u64> {
+    cfg!(debug_assertions).then(|| zpoline::thread_block().declared_exits())
 }
 
 unsafe fn xstate_cell_under(
@@ -730,7 +750,11 @@ unsafe fn xstate_cell_under(
     sigsys: bool,
     what: &str,
 ) {
-    let cell = format!("mask {mask:?}, {}, {what}, {clobber:?} clobbered, {canary:?}", state.name);
+    let declared = XSTATE_DECLARED.load(Ordering::Relaxed);
+    let cell = format!(
+        "mask {mask:?}, {}, {what}, {clobber:?} clobbered, declared: {declared}, {canary:?}",
+        state.name
+    );
     // While nobody is interested in `getpid` the dispatch must leave
     // from the entry stub, and only then.
     let miss = !interpose::global_interested(syscalls::nr::GETPID);
@@ -743,8 +767,11 @@ unsafe fn xstate_cell_under(
     c.k_in = 0xa53c;
     c.red_in = std::array::from_fn(|i| 0x0ed0_0ed0_0ed0_0ed0 + i as u64);
     c.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
-    c.mxcsr_in = 0x5f80; // round up: neither the default nor the handler's
-    c.fcw_in = 0x0b7f; // round up, extended precision: likewise
+    // Round up: neither the default nor the handler's. Behind a declared
+    // stack, with the divide-by-zero flag set, which an exit that loaded
+    // any other value would drop.
+    c.mxcsr_in = 0x5f80 | if declared { 0x04 } else { 0 };
+    c.fcw_in = 0x0b7f; // round up, extended precision: neither the default nor the handler's
     c.avx = canary.avx as u32;
     c.xgetbv1 = canary.xgetbv1 as u32;
     c.uppers_live = state.uppers_live as u32;
@@ -754,12 +781,18 @@ unsafe fn xstate_cell_under(
     assert!(canary.avx512f || !state.zmm_live, "{cell}");
 
     XSTATE_CLOBBER.store(clobber as u64, Ordering::Relaxed);
-    let (slow_path_hits, left_from_stub) = (lazypoline::stats().slow_path_hits, stub_exits());
+    let slow_path_hits = lazypoline::stats().slow_path_hits;
+    let (left_from_stub, declared_before) = (stub_exits(), declared_exits());
     site(&mut *c);
     let left_from_stub = stub_exits().map(|n| n - left_from_stub.expect("counted before"));
+    let declared_exited = declared_exits().map(|n| n - declared_before.expect("counted before"));
     let slow_path_hits = lazypoline::stats().slow_path_hits - slow_path_hits;
     assert_eq!(slow_path_hits, sigsys as u64, "SIGSYS trips, {cell}");
     assert_eq!(left_from_stub.unwrap_or(miss as u64), miss as u64, "stub exits, {cell}");
+    // A hit is one full-path dispatch (a first execution's SIGSYS resumes
+    // at the rewritten site), whose exit is the declared one or not.
+    let want = (declared && !miss) as u64;
+    assert_eq!(declared_exited.unwrap_or(want), want, "declared exits, {cell}");
 
     // General-purpose registers: all but rax/rcx/r11, under every mask;
     // so the red zone below the slot `call rax` pushes into.
@@ -790,19 +823,22 @@ unsafe fn xstate_cell_under(
         let named = (rfbm & (4 | x87_mark)) as u32 | 0x40;
         assert_eq!(c.inuse_after & named, c.inuse_before & named, "XINUSE, {cell}");
     }
-    if rfbm & 1 != 0 {
+    if rfbm & 1 != 0 || declared {
         assert_eq!(c.fx_after[..24], c.fx_before[..24], "x87 environment, {cell}");
         assert_eq!(c.fx_after[32..160], c.fx_before[32..160], "ST0-7, {cell}");
     }
-    if rfbm & 2 != 0 {
+    if rfbm & 2 != 0 || declared {
         assert_eq!(c.fx_after[24..28], c.fx_before[24..28], "MXCSR, {cell}");
         assert_eq!(c.fx_after[24..28], c.mxcsr_in.to_le_bytes(), "MXCSR, {cell}");
     }
+    // Under `Sse` and `X87` neither the stub nor a declared stack touches
+    // the uppers.
+    let uppers_kept = rfbm & 4 != 0 || declared && rfbm != 0;
     for (i, (got, want)) in c.vec_out.iter().zip(&c.vec_in).enumerate() {
         if rfbm & 2 != 0 {
             assert_eq!(got[..16], want[..16], "xmm{i}, {cell}");
         }
-        if rfbm & 4 != 0 && canary.avx {
+        if uppers_kept && canary.avx {
             let uppers = if state.uppers_live { want[16..].to_vec() } else { vec![0; 16] };
             assert_eq!(got[16..], uppers, "ymm{i} upper half, {cell}");
         }
@@ -829,12 +865,28 @@ fn xinuse() -> u32 {
 }
 
 fn scenario_xstate() {
+    xstate_canary("lazypoline", Box::new(XstateClobber));
+}
+
+/// The canary behind stacks that declare `leaves_fp_env`, whose hits
+/// take the stub's declared exit.
+fn scenario_xstate_declared() {
+    XSTATE_DECLARED.store(true, Ordering::Relaxed);
+    xstate_canary("lazypoline", Box::new(interpose::PassthroughHandler));
+}
+
+fn scenario_xstate_declared_record() {
+    XSTATE_DECLARED.store(true, Ordering::Relaxed);
+    xstate_canary("lazypoline+record", Box::new(interpose::PassthroughHandler));
+}
+
+fn xstate_canary(name: &str, handler: Box<dyn SyscallHandler>) {
     use mechanism::XstateMask;
     let detected = Canary::detected();
     if !(detected.avx && detected.xgetbv1) {
         println!("xstate: {detected:?}, running the baseline cells only");
     }
-    let mut active = install("lazypoline", Box::new(XstateClobber));
+    let mut active = install(name, handler);
 
     // mask × entry state × {first execution: SIGSYS, then the stub;
     // the same site again: the stub alone} — with what every x86-64 host
@@ -855,7 +907,9 @@ fn scenario_xstate() {
                 }
             }
             if canary.avx512f {
-                for clobber in [Clobber::Nothing, Clobber::Sse] {
+                // A declared stack clobbers nothing.
+                let clobbers = if XSTATE_DECLARED.load(Ordering::Relaxed) { 1 } else { 2 };
+                for clobber in [Clobber::Nothing, Clobber::Sse].into_iter().take(clobbers) {
                     unsafe {
                         let site = fresh_xstate_cell_site();
                         xstate_cell_under(site, canary, clobber, mask, XSTATE_ZMM_STATE, true, "fresh site");
@@ -4320,6 +4374,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("fork", scenario_fork),
     ("sud_only", scenario_sud_only),
     ("xstate", scenario_xstate),
+    ("xstate_declared", scenario_xstate_declared),
+    ("xstate_declared_record", scenario_xstate_declared_record),
     ("nested_miss", scenario_nested_miss),
     ("miss_exit", scenario_miss_exit),
     ("miss_exit_hardened", scenario_miss_exit_hardened),
