@@ -7,10 +7,10 @@
 //! does not include the relevant getpid, since the syscall instruction
 //! from which it was invoked did not exist yet at load time."
 //!
-//! The paper JIT-compiles a C program with tcc. Here the window maps a
-//! fresh RWX page holding `mov eax, 39; syscall; ret` and calls it,
-//! which is the same situation: a `syscall` that no scan made before it
-//! could have seen. Each row runs in a child process of its own
+//! The paper JIT-compiles a C program with tcc. Here the window
+//! ([`lp_bench::guest::window`]) maps a fresh RWX page holding
+//! `mov eax, 39; syscall; ret` and calls it, which is the same
+//! situation: a `syscall` that no scan made before it could have seen. Each row runs in a child process of its own
 //! (`exhaustiveness --row <name>`), because an engine install is one-way
 //! per process. It runs the window once to warm up, then records it.
 //! The `zpoline` row detaches after the warm-up: what is left is pure
@@ -22,14 +22,9 @@ use std::process::{exit, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use interpose::{Action, SyscallEvent, SyscallHandler};
+use lp_bench::guest::{window, JIT_CALL, WINDOW};
 
 const ROWS: [&str; 3] = ["sud", "zpoline", "lazypoline"];
-
-/// What the window issues, in order.
-const WINDOW: [&str; 4] = ["getpid", "mmap", "getpid", "getpid"];
-
-/// The index in [`WINDOW`] of the call the runtime-emitted page makes.
-const JIT_CALL: usize = 2;
 
 /// While set, [`Spy`] appends each syscall number it is shown to
 /// [`TRACE`]: a fixed static array, so recording allocates nothing.
@@ -48,31 +43,6 @@ impl SyscallHandler for Spy {
             }
         }
         Action::Passthrough
-    }
-}
-
-/// libc `getpid`; a fresh RWX page holding `mov eax, 39; syscall; ret`,
-/// called once; libc `getpid` again.
-fn window() {
-    const GETPID_FN: [u8; 8] = [0xb8, 39, 0, 0, 0, 0x0f, 0x05, 0xc3];
-    // SAFETY: `getpid` takes nothing. The mapping is fresh, private and
-    // anonymous; the copy stays inside it, and the bytes are a whole
-    // function of the C ABI that clobbers only `rax`, `rcx` and `r11`.
-    unsafe {
-        let pid = libc::getpid();
-        let page = libc::mmap(
-            std::ptr::null_mut(),
-            4096,
-            libc::PROT_READ | libc::PROT_WRITE | libc::PROT_EXEC,
-            libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-            -1,
-            0,
-        );
-        assert_ne!(page, libc::MAP_FAILED, "an RWX page");
-        std::ptr::copy_nonoverlapping(GETPID_FN.as_ptr(), page.cast(), GETPID_FN.len());
-        let jit: extern "C" fn() -> u64 = std::mem::transmute(page);
-        assert_eq!(jit(), pid as u64);
-        assert_eq!(libc::getpid(), pid);
     }
 }
 

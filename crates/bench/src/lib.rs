@@ -7,6 +7,10 @@
 //!   forked server processes under each configuration, measured with
 //!   the open-loop load generator.
 //! * [`report`] — plain-text table formatting and statistics.
+//! * [`guest`] — the native guest: the §V-A window of a libc call, an
+//!   RWX page's runtime-emitted `syscall` and another libc call, which
+//!   `exhaustiveness`, `lp-trace` and the record/replay and SFIP tests
+//!   run.
 //!
 //! Iteration counts and durations are scaled down from the paper's
 //! (100M iterations, 30s × 10 runs) and overridable via environment
@@ -16,6 +20,7 @@
 
 #![deny(missing_docs)]
 
+pub mod guest;
 pub mod json;
 pub mod macrobench;
 pub mod micro;

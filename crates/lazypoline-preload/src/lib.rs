@@ -22,8 +22,8 @@
 //!
 //! **One failure rule, no silent fallback:** a malformed value of any
 //! runtime variable, a row that cannot interpose a preloaded process
-//! (`sim:lazypoline` runs guest programs; `sud-raw` disarms after one syscall
-//! and relies on its caller to re-arm) or any install error prints one
+//! (`sud-raw` disarms after one syscall and relies on its caller to
+//! re-arm) or any install error prints one
 //! `lazypoline-preload: disabled (<why>)` line and the application runs
 //! uninterposed. Nothing is ever half-installed. The proven-site cache
 //! is outside this rule: a directory that fails its checks means no
@@ -159,7 +159,7 @@ fn arm() -> Result<ActiveMechanism, String> {
     if !cfg.hooks.is_empty() && !name.split('+').any(|piece| piece == "hooks") {
         name.push_str("+hooks");
     }
-    if name.starts_with("sim:") || name.split('+').next() == Some("sud-raw") {
+    if name.split('+').next() == Some("sud-raw") {
         return Err(format!("{name} cannot interpose a preloaded process"));
     }
     ledger::lap(Stage::Config);

@@ -310,7 +310,7 @@ mod tests {
         let accepted = [
             (ENV_VAR, "sud", EnvConfig { mechanism: "sud", ..d() }),
             (ENV_VAR, "lazypoline+record+sfip", EnvConfig { mechanism: "lazypoline+record+sfip", ..d() }),
-            (ENV_VAR, "sim:lazypoline", EnvConfig { mechanism: "sim:lazypoline", ..d() }),
+            (ENV_VAR, "none+hooks", EnvConfig { mechanism: "none+hooks", ..d() }),
             (ENV_VAR, "replay:/t.lpt", EnvConfig { mechanism: "replay:/t.lpt", ..d() }),
             (MODE_ENV, "passthrough", d()),
             (MODE_ENV, "trace", EnvConfig { mode: HandlerMode::Trace, ..d() }),
@@ -342,7 +342,7 @@ mod tests {
             (ring::LP_RING_CAPACITY, "64", EnvConfig { ring_capacity: Some(64), ..d() }),
             (ring::LP_RING_CAPACITY, "4194304", EnvConfig { ring_capacity: Some(1 << 22), ..d() }),
             (REPLAY_BASE_ENV, "none", EnvConfig { replay_base: Some("none"), ..d() }),
-            (REPLAY_BASE_ENV, "sim:lazypoline", EnvConfig { replay_base: Some("sim:lazypoline"), ..d() }),
+            (REPLAY_BASE_ENV, "lazypoline-hardened", EnvConfig { replay_base: Some("lazypoline-hardened"), ..d() }),
             (::sfip::POLICY_ENV, "/p.sfip", EnvConfig { sfip_policy: path("/p.sfip"), ..d() }),
             (::sfip::ACTION_ENV, "kill", d()),
             (::sfip::ACTION_ENV, "quarantine", EnvConfig { sfip_action: ViolationAction::Quarantine, ..d() }),
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn an_unknown_mechanism_lists_the_valid_names() {
         let e = with(ENV_VAR, "no-such-mechanism").unwrap_err().to_string();
-        for piece in ["base(+layer)*", "replay:<trace-path>", "lazypoline", "sim:lazypoline", "record, hooks, sfip"] {
+        for piece in ["base(+layer)*", "replay:<trace-path>", "lazypoline-hardened", "record, hooks, sfip"] {
             assert!(e.contains(piece), "{piece}: {e}");
         }
         // Only LP_MECHANISM's error lists them.

@@ -112,15 +112,6 @@ impl LayerGuard {
             h.start_watcher();
         }
     }
-
-    /// Runs after each simulated guest run: a synchronous recorder
-    /// drains here, so rings never overflow across a multi-run session
-    /// (each sim run can observe more events than one ring holds).
-    pub(crate) fn after_run(&mut self) {
-        if let LayerGuard::Record(Some(session)) = self {
-            let _ = session.drain();
-        }
-    }
 }
 
 /// The base of a composed name.

@@ -9,7 +9,7 @@ use lazypoline::faultinject::{self, Fault};
 use zpoline::XstateMask;
 
 use crate::traits::{BASELINE, LAZYPOLINE, SUD, ZPOLINE};
-use crate::{ActiveMechanism, EnvConfig, InstallError, Inner, Mechanism, StatsSnapshot, Traits};
+use crate::{ActiveMechanism, EnvConfig, InstallError, Mechanism, StatsSnapshot, Traits};
 
 /// Arms `LAZYPOLINE_FAULTS` once per process, at the first
 /// engine-backed install, before anything of it runs: re-arming would
@@ -235,10 +235,10 @@ impl Mechanism for NativeBackend {
         };
         Ok(ActiveMechanism::new(
             self.key,
-            Inner::Native(Box::new(NativeActive {
+            Box::new(NativeActive {
                 kind,
                 _guard: guard,
-            })),
+            }),
         ))
     }
 }

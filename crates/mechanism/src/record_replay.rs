@@ -48,8 +48,7 @@ pub(crate) fn load_replay(
 }
 
 /// The base mechanism to re-execute under: `LP_REPLAY_BASE` if set,
-/// else the trace's own source mechanism, else the paper's subject
-/// (`lazypoline` / `sim:lazypoline` by source family).
+/// else the trace's own source mechanism, else the paper's subject.
 fn replay_base_for(source: &str, cfg: &EnvConfig) -> Result<&'static dyn Mechanism, InstallError> {
     if let Some(name) = cfg.replay_base {
         return static_by_name(name).ok_or_else(|| ConfigError::new(REPLAY_BASE_ENV, name).into());
@@ -57,10 +56,5 @@ fn replay_base_for(source: &str, cfg: &EnvConfig) -> Result<&'static dyn Mechani
     if let Some(m) = static_by_name(source) {
         return Ok(m);
     }
-    let fallback = if source.starts_with("sim:") {
-        "sim:lazypoline"
-    } else {
-        "lazypoline"
-    };
-    static_by_name(fallback).ok_or(InstallError::Unsupported("no replay base backend"))
+    static_by_name(crate::DEFAULT_MECHANISM).ok_or(InstallError::Unsupported("no replay base backend"))
 }

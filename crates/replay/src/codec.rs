@@ -1,8 +1,8 @@
 //! Compact record encoding: `LPTRACE3`, and `LPTRACE2` on request.
 //!
-//! LPTRACE1 spends a fixed 88 bytes per record; at production event
-//! rates the disk write becomes the recorder's bottleneck. The varint
-//! generations exploit what syscall streams actually look like — the
+//! A record is 88 bytes in memory; written out at that size, at
+//! production event rates the disk write would become the recorder's
+//! bottleneck. The varint generations exploit what syscall streams actually look like — the
 //! same few (sysno, call-site) pairs repeat millions of times,
 //! timestamps are monotonic with small deltas, and a site mostly
 //! repeats the arguments and result it had the last time. LPTRACE2
@@ -545,10 +545,10 @@ mod tests {
         for version in BOTH {
             let bytes = encode_all(version, &records);
             assert_eq!(roundtrip(version, &records), records);
-            let fixed = records.len() * crate::event::RECORD_SIZE;
+            let fixed = records.len() * std::mem::size_of::<EventRecord>();
             assert!(
                 bytes.len() * 3 <= fixed,
-                "v{version}: compression below 1/3 of LPTRACE1 on a typical stream: {} vs {fixed}",
+                "v{version}: compression below 1/3 of the records on a typical stream: {} vs {fixed}",
                 bytes.len()
             );
         }

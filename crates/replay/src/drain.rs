@@ -253,7 +253,7 @@ mod tests {
         sizes: &[usize],
         drain: impl Fn(&[SpscRing], &mut TraceWriter<Cursor<Vec<u8>>>) -> io::Result<usize>,
     ) -> Vec<u8> {
-        let header = TraceHeader::new("sim:lazypoline", 3_000_000_000);
+        let header = TraceHeader::new("lazypoline", 3_000_000_000);
         let mut writer = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         // Two rounds, so the second starts on rewound rings and on an
         // encoder that has seen the first.

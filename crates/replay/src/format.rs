@@ -3,29 +3,26 @@
 //!
 //! # Layout
 //!
-//! A trace is a 64-byte header followed by the record payload. All
-//! three format generations share the header layout; the magic carries
-//! the generation and selects the payload encoding:
+//! A trace is a 64-byte header followed by the record payload. Both
+//! format generations share the header layout; the magic carries the
+//! generation and selects the payload encoding:
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0  | 8  | magic `"LPTRACE1"`, `"LPTRACE2"` or `"LPTRACE3"` |
-//! | 8  | 4  | format version (LE u32; 1, 2 or 3, matching the magic) |
+//! | 0  | 8  | magic `"LPTRACE2"` or `"LPTRACE3"` |
+//! | 8  | 4  | format version (LE u32; 2 or 3, matching the magic) |
 //! | 12 | 4  | architecture (ELF machine id; 62 = x86-64) |
 //! | 16 | 4  | page size of the recording host |
-//! | 20 | 4  | record size ([`RECORD_SIZE`] in v1; 0 in v2 and v3 — records are variable-length) |
+//! | 20 | 4  | 0 (records are variable-length) |
 //! | 24 | 8  | TSC frequency in Hz (0 = uncalibrated) |
 //! | 32 | 8  | events dropped by the overflow policy (patched at finalize) |
 //! | 40 | 24 | recording mechanism name, NUL-padded |
 //!
-//! The v1 payload is a flat array of [`RECORD_SIZE`]-byte
-//! [`EventRecord`]s (count implied by file size). The v2 and v3
-//! payloads are self-delimiting [`codec`](crate::codec) varint streams
-//! — clean EOF at a record boundary ends the trace; v3 codes each
-//! record's args and ret against the last record from its site. Readers
-//! accept all three generations transparently. Recordings write v3; the
-//! writer writes v2 only when its header asks for it, and LPTRACE1 is
-//! read-only (traces recorded before the migration keep working).
+//! Both payloads are self-delimiting [`codec`](crate::codec) varint
+//! streams — clean EOF at a record boundary ends the trace; v3 codes
+//! each record's args and ret against the last record from its site.
+//! Readers accept both generations transparently. Recordings write v3;
+//! the writer writes v2 only when its header asks for it.
 //!
 //! Everything is little-endian. The header is written first with
 //! `events_dropped = 0` and patched in place (with the TSC frequency,
@@ -38,10 +35,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::codec::{Decoder, Encoder, MAX_ENCODED_SIZE};
-use crate::event::{EventRecord, RECORD_SIZE};
-
-/// Trace file magic of the fixed-record generation.
-pub const MAGIC: [u8; 8] = *b"LPTRACE1";
+use crate::event::EventRecord;
 
 /// Trace file magic of the compressed-varint generation.
 pub const MAGIC2: [u8; 8] = *b"LPTRACE2";
@@ -49,9 +43,6 @@ pub const MAGIC2: [u8; 8] = *b"LPTRACE2";
 /// Trace file magic of the generation that codes each record against
 /// the last one from its site.
 pub const MAGIC3: [u8; 8] = *b"LPTRACE3";
-
-/// The fixed-record format generation (read-only).
-pub const VERSION: u32 = 1;
 
 /// The compressed format generation, written when a header asks for it.
 pub const VERSION2: u32 = 2;
@@ -92,7 +83,7 @@ pub struct TraceHeader {
     /// Events the overflow policy dropped during recording.
     pub events_dropped: u64,
     /// Registry name of the mechanism the trace was recorded under
-    /// (e.g. `sim:lazypoline`) — replay uses it to pick its base
+    /// (e.g. `lazypoline`) — replay uses it to pick its base
     /// mechanism.
     pub source_mechanism: String,
 }
@@ -111,7 +102,7 @@ impl TraceHeader {
     }
 
     /// The same header re-stamped at format generation `version`
-    /// ([`VERSION`], [`VERSION2`] or [`VERSION3`]).
+    /// ([`VERSION2`] or [`VERSION3`]).
     pub fn with_version(mut self, version: u32) -> TraceHeader {
         assert!(
             magic_of(version).is_some(),
@@ -121,8 +112,7 @@ impl TraceHeader {
         self
     }
 
-    /// The wire layout of a varint generation (record size 0: records
-    /// are variable-length).
+    /// The wire layout (record size 0: records are variable-length).
     fn encode(&self) -> [u8; HEADER_SIZE] {
         let mut out = [0u8; HEADER_SIZE];
         let magic = magic_of(self.version).expect("writers take known generations only");
@@ -139,7 +129,7 @@ impl TraceHeader {
     }
 
     fn decode(buf: &[u8; HEADER_SIZE]) -> Result<TraceHeader, TraceError> {
-        let expected_version = [VERSION, VERSION2, VERSION3]
+        let expected_version = [VERSION2, VERSION3]
             .into_iter()
             .find(|&v| magic_of(v).is_some_and(|m| buf[0..8] == m))
             .ok_or(TraceError::BadMagic)?;
@@ -148,10 +138,6 @@ impl TraceHeader {
         let version = u32_at(8);
         if version != expected_version {
             return Err(TraceError::BadVersion(version));
-        }
-        let record_size = u32_at(20);
-        if version == VERSION && record_size as usize != RECORD_SIZE {
-            return Err(TraceError::BadRecordSize(record_size));
         }
         let name_field = &buf[40..40 + MECHANISM_FIELD];
         let end = name_field.iter().position(|&b| b == 0).unwrap_or(MECHANISM_FIELD);
@@ -169,7 +155,6 @@ impl TraceHeader {
 /// The magic of format generation `version`, if it is one.
 fn magic_of(version: u32) -> Option<[u8; 8]> {
     match version {
-        VERSION => Some(MAGIC),
         VERSION2 => Some(MAGIC2),
         VERSION3 => Some(MAGIC3),
         _ => None,
@@ -181,12 +166,10 @@ fn magic_of(version: u32) -> Option<[u8; 8]> {
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`], [`MAGIC2`] or [`MAGIC3`].
+    /// The file does not start with [`MAGIC2`] or [`MAGIC3`].
     BadMagic,
     /// The file's format version is not the one its magic names.
     BadVersion(u32),
-    /// The header claims a record size other than [`RECORD_SIZE`].
-    BadRecordSize(u32),
     /// The file ends mid-record (or mid-header).
     Truncated,
 }
@@ -199,11 +182,8 @@ impl std::fmt::Display for TraceError {
             TraceError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace version {v} (this build reads {VERSION}, {VERSION2} and {VERSION3})"
+                    "unsupported trace version {v} (this build reads {VERSION2} and {VERSION3})"
                 )
-            }
-            TraceError::BadRecordSize(s) => {
-                write!(f, "trace record size {s} != expected {RECORD_SIZE}")
             }
             TraceError::Truncated => write!(f, "trace truncated mid-record"),
         }
@@ -243,14 +223,13 @@ pub struct TraceWriter<W: Write + Seek> {
 impl<W: Write + Seek> TraceWriter<W> {
     /// Writes the header (with `events_dropped = 0`, patched later)
     /// and readies the writer for [`append`](TraceWriter::append).
-    /// A v1 header (what reading an LPTRACE1 trace yields) is
-    /// `InvalidInput`: that generation is read-only.
+    /// A header of any other generation is `InvalidInput`.
     pub fn new(mut out: W, header: &TraceHeader) -> io::Result<TraceWriter<W>> {
         if header.version != VERSION2 && header.version != VERSION3 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "trace format {} is read-only; writers emit {VERSION3} (or {VERSION2})",
+                    "trace format {} is not written; writers emit {VERSION3} (or {VERSION2})",
                     header.version
                 ),
             ));
@@ -327,45 +306,18 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<(TraceHeader, Vec<EventRecord>), 
         }
     })?;
     let header = TraceHeader::decode(&hdr)?;
-    let mut records = Vec::new();
-    if header.version != VERSION {
-        // v2 and v3 records are variable-length: pull the payload in and
-        // let the streaming decoder delimit (clean EOF at a boundary
-        // ends the trace; EOF inside a record is Truncated).
-        let mut payload = Vec::new();
-        r.read_to_end(&mut payload).map_err(TraceError::Io)?;
-        records = Decoder::for_version(header.version).decode_all(&payload, 0)?;
-    } else {
-        let mut buf = [0u8; RECORD_SIZE];
-        loop {
-            match read_full(&mut r, &mut buf)? {
-                0 => break,
-                RECORD_SIZE => records.push(EventRecord::decode(&buf)),
-                _ => return Err(TraceError::Truncated),
-            }
-        }
-    }
+    // Records are variable-length: pull the payload in and let the
+    // streaming decoder delimit (clean EOF at a boundary ends the trace;
+    // EOF inside a record is Truncated).
+    let mut payload = Vec::new();
+    r.read_to_end(&mut payload).map_err(TraceError::Io)?;
+    let records = Decoder::for_version(header.version).decode_all(&payload, 0)?;
     Ok((header, records))
 }
 
 /// Reads a complete trace from a file path.
 pub fn read_trace_path(path: &Path) -> Result<(TraceHeader, Vec<EventRecord>), TraceError> {
     read_trace(io::BufReader::new(File::open(path)?))
-}
-
-/// Reads as many bytes as available up to `buf.len()`, returning the
-/// count (0 = clean EOF; a short count = truncation).
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TraceError> {
-    let mut n = 0;
-    while n < buf.len() {
-        match r.read(&mut buf[n..]) {
-            Ok(0) => break,
-            Ok(k) => n += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(TraceError::Io(e)),
-        }
-    }
-    Ok(n)
 }
 
 /// Renders one record as an strace-like line into `buf`, returning the
@@ -451,12 +403,9 @@ mod tests {
         }
     }
 
-    /// The committed LPTRACE1 trace: the only v1 bytes left to read.
-    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/jit_v1.lpt");
-
     #[test]
     fn write_read_roundtrip_with_drop_patch() {
-        let header = TraceHeader::new("sim:lazypoline", 2_100_000_000);
+        let header = TraceHeader::new("lazypoline", 2_100_000_000);
         let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         for i in 0..5 {
             w.append(&sample(i)).unwrap();
@@ -467,7 +416,7 @@ mod tests {
         let (h, recs) = read_trace(Cursor::new(cursor.into_inner())).unwrap();
         assert_eq!(h.version, VERSION3, "new headers are stamped v3");
         assert_eq!(h.events_dropped, 42, "finalize patches the header");
-        assert_eq!(h.source_mechanism, "sim:lazypoline");
+        assert_eq!(h.source_mechanism, "lazypoline");
         assert_eq!(h.tsc_hz, 2_100_000_000);
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[3], sample(3));
@@ -501,7 +450,7 @@ mod tests {
 
     #[test]
     fn v2_write_read_roundtrip_is_transparent_and_smaller() {
-        let header = TraceHeader::new("sim:lazypoline", 2_100_000_000).with_version(VERSION2);
+        let header = TraceHeader::new("lazypoline", 2_100_000_000).with_version(VERSION2);
         let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         for i in 0..200 {
             w.append(&sample(i)).unwrap();
@@ -513,13 +462,13 @@ mod tests {
         let (h, recs) = read_trace(Cursor::new(cursor.into_inner())).unwrap();
         assert_eq!(h.version, VERSION2);
         assert_eq!(h.events_dropped, 7);
-        assert_eq!(h.source_mechanism, "sim:lazypoline");
+        assert_eq!(h.source_mechanism, "lazypoline");
         assert_eq!(recs.len(), 200);
         assert_eq!(recs[123], sample(123));
-        let v1_bytes = (HEADER_SIZE + 200 * RECORD_SIZE) as u64;
+        let raw_bytes = (HEADER_SIZE + 200 * std::mem::size_of::<EventRecord>()) as u64;
         assert!(
-            v2_bytes * 3 <= v1_bytes,
-            "v2 at least 3x smaller here: {v2_bytes} vs {v1_bytes}"
+            v2_bytes * 3 <= raw_bytes,
+            "v2 at least 3x smaller than the records here: {v2_bytes} vs {raw_bytes}"
         );
     }
 
@@ -601,29 +550,33 @@ mod tests {
 
     #[test]
     fn truncated_record_detected() {
-        let (h, recs) = read_trace(Cursor::new(V1_FIXTURE)).unwrap();
-        assert_eq!(h.version, VERSION);
-        assert_eq!(V1_FIXTURE.len(), HEADER_SIZE + recs.len() * RECORD_SIZE);
+        let mut w = TraceWriter::new(Cursor::new(Vec::new()), &TraceHeader::new("x", 0)).unwrap();
+        for i in 0..3 {
+            w.append(&sample(i)).unwrap();
+        }
+        let bytes = w.finalize(0).unwrap().0.into_inner();
+        assert_eq!(read_trace(Cursor::new(&bytes)).unwrap().1.len(), 3);
         assert!(matches!(
-            read_trace(Cursor::new(&V1_FIXTURE[..V1_FIXTURE.len() - 10])),
+            read_trace(Cursor::new(&bytes[..bytes.len() - 1])),
             Err(TraceError::Truncated)
         ));
     }
 
     #[test]
     fn writer_refuses_a_v1_header() {
-        let (v1, _) = read_trace(Cursor::new(V1_FIXTURE)).unwrap();
-        for header in [v1, TraceHeader::new("x", 0).with_version(VERSION)] {
-            let err = TraceWriter::new(Cursor::new(Vec::new()), &header)
-                .err()
-                .expect("LPTRACE1 is read-only");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        }
+        let v1 = TraceHeader {
+            version: 1,
+            ..TraceHeader::new("x", 0)
+        };
+        let err = TraceWriter::new(Cursor::new(Vec::new()), &v1)
+            .err()
+            .expect("no writer emits LPTRACE1");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn long_mechanism_name_is_clamped_not_fatal() {
-        let long = "sim:".repeat(20);
+        let long = "lazypoline+".repeat(4);
         let header = TraceHeader::new(&long, 0);
         let w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         let (cursor, _) = w.finalize(0).unwrap();

@@ -15,9 +15,8 @@
 //!    `LPTRACE3` encoding (delta tsc, dictionary sysno/site, varint
 //!    args and ret written only where they differ from the last record
 //!    from the same site), so producers keep up at full event rate with
-//!    zero drops; `LPTRACE2` is written on request, `LPTRACE1`'s
-//!    fixed-size records are read-only, and all three generations read
-//!    back transparently, with an strace-like
+//!    zero drops; `LPTRACE2` is written on request, and both
+//!    generations read back transparently, with an strace-like
 //!    [`dump_trace`] rendering built on the shared
 //!    [`format_syscall_line`](interpose::format_syscall_line).
 //! 3. **Deterministic replay** ([`ReplayHandler`]): re-runs a workload
@@ -42,16 +41,16 @@ pub mod ring;
 pub mod spill;
 mod tsc;
 
-pub use event::{EventRecord, RECORD_SIZE};
+pub use event::EventRecord;
 pub use format::{
     dump_trace, read_trace, read_trace_path, render_record, TraceError, TraceHeader, TraceWriter,
-    HEADER_SIZE, MAGIC, MAGIC2, MAGIC3, VERSION, VERSION2, VERSION3,
+    HEADER_SIZE, MAGIC2, MAGIC3, VERSION2, VERSION3,
 };
 pub use record::{
     events_dropped, events_recorded, events_spilled, DrainMode, RecordHandler, RecordSummary,
     Recorder, DRAIN_ENV,
 };
 pub use replay::{
-    is_nondeterministic, replay_divergences, Divergence, DivergenceKind, ReplayHandler,
-    ReplayState, NONDETERMINISTIC,
+    is_nondeterministic, replay_divergences, Divergence, DivergenceKind, ReplayFailure,
+    ReplayHandler, ReplayState, NONDETERMINISTIC,
 };

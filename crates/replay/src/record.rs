@@ -336,8 +336,16 @@ impl Recorder {
     /// patches the session's drop count into the header, closes the
     /// trace and renames it to the session's path. An error in a
     /// process that did not open the session.
-    pub fn finish(mut self) -> io::Result<RecordSummary> {
-        self.finish_inner()
+    pub fn finish(self) -> io::Result<RecordSummary> {
+        self.finish_by(std::process::id())
+    }
+
+    /// [`finish`](Self::finish), called by process `pid`. `finish` asks
+    /// libc for the pid, and a caller whose libc `getpid` site is
+    /// interposed by the recording would put that call into the trace
+    /// after its last one; such a caller reads the pid its own way.
+    pub fn finish_by(mut self, pid: u32) -> io::Result<RecordSummary> {
+        self.finish_inner(pid)
             .expect("finish on a live recorder always has a writer")
     }
 
@@ -358,8 +366,8 @@ impl Recorder {
         ))))
     }
 
-    fn finish_inner(&mut self) -> Option<io::Result<RecordSummary>> {
-        if std::process::id() != self.owner_pid {
+    fn finish_inner(&mut self, pid: u32) -> Option<io::Result<RecordSummary>> {
+        if pid != self.owner_pid {
             return self.disown();
         }
         let swept = match &mut self.mode {
@@ -407,7 +415,7 @@ impl Drop for Recorder {
     /// [`finish`](Recorder::finish): the trace on disk stays complete
     /// and the drop count gets patched, but errors are swallowed.
     fn drop(&mut self) {
-        let _ = self.finish_inner();
+        let _ = self.finish_inner(std::process::id());
     }
 }
 

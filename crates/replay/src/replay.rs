@@ -40,8 +40,6 @@ pub fn is_nondeterministic(sysno: u64) -> bool {
 pub enum DivergenceKind {
     /// The execution made a different syscall than the trace expected.
     Sysno,
-    /// Same syscall, different arguments (strict-args mode only).
-    Args,
     /// The execution made more syscalls than the trace holds.
     TraceExhausted,
 }
@@ -75,15 +73,6 @@ impl std::fmt::Display for Divergence {
                 name_of(actual.nr),
                 actual.nr,
             ),
-            DivergenceKind::Args => write!(
-                f,
-                "divergence at trace offset {}: {}({}) called with {:x?}, trace recorded {:x?}",
-                self.offset,
-                name_of(actual.nr),
-                actual.nr,
-                self.actual_args,
-                self.expected.as_ref().map_or([0; 6], |e| e.args),
-            ),
             DivergenceKind::TraceExhausted => write!(
                 f,
                 "divergence at trace offset {}: trace exhausted but execution made {}({})",
@@ -97,6 +86,39 @@ impl std::fmt::Display for Divergence {
 
 fn name_of(sysno: u64) -> &'static str {
     nr::name(sysno).unwrap_or("?")
+}
+
+/// Why a finished replay did not reproduce its trace.
+#[derive(Clone, Debug)]
+pub enum ReplayFailure {
+    /// The execution departed from the trace: the first departure, and
+    /// how many there were.
+    Diverged(Box<Divergence>, u64),
+    /// The execution ended with records of the trace left over: it
+    /// consumed `consumed` of `len`, and a call of `next_sysno` was due.
+    Unconsumed {
+        /// Records the execution consumed.
+        consumed: usize,
+        /// Records in the trace.
+        len: usize,
+        /// The syscall of the first record the execution never made.
+        next_sysno: u64,
+    },
+}
+
+impl std::fmt::Display for ReplayFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayFailure::Diverged(first, count) => {
+                write!(f, "{count} divergence(s); first: {first}")
+            }
+            ReplayFailure::Unconsumed { consumed, len, next_sysno } => write!(
+                f,
+                "execution ended after {consumed}/{len} trace records; next was {}({next_sysno})",
+                name_of(*next_sysno),
+            ),
+        }
+    }
 }
 
 /// Divergences observed by replay handlers (process lifetime) — folded
@@ -164,6 +186,24 @@ impl ReplayState {
         self.first.lock().unwrap().clone()
     }
 
+    /// The verdict once the execution is over: the number of records
+    /// replayed, if nothing diverged and every record was consumed. An
+    /// execution that stops short of its trace did not replay it.
+    pub fn verdict(&self) -> Result<usize, ReplayFailure> {
+        if let Some(first) = self.first_divergence() {
+            return Err(ReplayFailure::Diverged(Box::new(first), self.divergences()));
+        }
+        let consumed = self.position();
+        match self.records.get(consumed) {
+            None => Ok(consumed),
+            Some(next) => Err(ReplayFailure::Unconsumed {
+                consumed,
+                len: self.len(),
+                next_sysno: next.sysno,
+            }),
+        }
+    }
+
     fn diverge(&self, d: Divergence) {
         self.divergences.fetch_add(1, Ordering::Relaxed);
         REPLAY_DIVERGENCES.fetch_add(1, Ordering::Relaxed);
@@ -185,20 +225,16 @@ pub struct ReplayHandler {
     /// the replay matching overrides — the trace, not the observer,
     /// scripts the execution.
     observer: Option<Box<dyn SyscallHandler>>,
-    /// Also require recorded arguments to match, not just the syscall
-    /// number. Off by default: pointer arguments shift under ASLR, so
-    /// strict mode is only meaningful for ASLR-pinned or simulated
-    /// recordings.
-    strict_args: bool,
 }
 
 impl ReplayHandler {
-    /// Replays `state`, matching syscall numbers only.
+    /// Replays `state`, matching syscall numbers: arguments are not
+    /// compared, since pointer arguments move with the address-space
+    /// layout from one run to the next.
     pub fn new(state: Arc<ReplayState>) -> ReplayHandler {
         ReplayHandler {
             state,
             observer: None,
-            strict_args: false,
         }
     }
 
@@ -206,15 +242,6 @@ impl ReplayHandler {
     /// first (decision ignored), its `post` runs after passthroughs.
     pub fn observing(mut self, observer: Box<dyn SyscallHandler>) -> ReplayHandler {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Additionally requires argument equality, not just syscall-number
-    /// equality. Off by default: pointer arguments shift under ASLR, so
-    /// strict mode is only meaningful for ASLR-pinned or simulated
-    /// recordings.
-    pub fn strict(mut self) -> ReplayHandler {
-        self.strict_args = true;
         self
     }
 
@@ -248,16 +275,6 @@ impl SyscallHandler for ReplayHandler {
                 actual_sysno: event.call.nr,
                 actual_args: event.call.args,
                 kind: DivergenceKind::Sysno,
-            });
-            return Action::Passthrough;
-        }
-        if self.strict_args && rec.args != event.call.args {
-            self.state.diverge(Divergence {
-                offset: idx as u64,
-                expected: Some(*rec),
-                actual_sysno: event.call.nr,
-                actual_args: event.call.args,
-                kind: DivergenceKind::Args,
             });
             return Action::Passthrough;
         }
@@ -298,7 +315,7 @@ mod tests {
 
     fn state_of(records: &[EventRecord]) -> Arc<ReplayState> {
         // Build via the wire format so the load path is exercised.
-        let header = TraceHeader::new("sim:lazypoline", 0);
+        let header = TraceHeader::new("lazypoline", 0);
         let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         for r in records {
             w.append(r).unwrap();
@@ -382,20 +399,20 @@ mod tests {
     }
 
     #[test]
-    fn strict_args_flags_argument_drift() {
-        let recorded = EventRecord {
-            sysno: nr::WRITE,
-            args: [1, 0x5000, 10, 0, 0, 0],
-            ..EventRecord::ZERO
-        };
-        let h = ReplayHandler::new(state_of(&[recorded, recorded])).strict();
-        let mut ev = SyscallEvent::new(SyscallArgs::new(nr::WRITE, [1, 0x5000, 10, 0, 0, 0]));
-        assert_eq!(h.handle(&mut ev), Action::Passthrough);
-        assert_eq!(h.state().divergences(), 0);
-        let mut ev = SyscallEvent::new(SyscallArgs::new(nr::WRITE, [1, 0x6000, 10, 0, 0, 0]));
-        assert_eq!(h.handle(&mut ev), Action::Passthrough);
-        assert_eq!(h.state().divergences(), 1);
-        assert_eq!(h.state().first_divergence().unwrap().kind, DivergenceKind::Args);
+    fn a_replay_passes_only_if_it_consumed_the_whole_trace() {
+        let h = ReplayHandler::new(state_of(&[rec(nr::GETPID, 0), rec(nr::GETUID, 0)]));
+        assert_eq!(drive(&h, nr::GETPID), Action::Passthrough);
+        let short = h.state().verdict().expect_err("one record left");
+        assert!(
+            matches!(short, ReplayFailure::Unconsumed { consumed: 1, len: 2, next_sysno: nr::GETUID }),
+            "{short:?}"
+        );
+        assert!(short.to_string().contains("1/2 trace records; next was getuid"), "{short}");
+        assert_eq!(drive(&h, nr::GETUID), Action::Passthrough);
+        assert_eq!(h.state().verdict().unwrap(), 2);
+        // A divergence fails the replay whatever was consumed.
+        drive(&h, nr::WRITE);
+        assert!(matches!(h.state().verdict(), Err(ReplayFailure::Diverged(_, 1))));
     }
 
     #[test]

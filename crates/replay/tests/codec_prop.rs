@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use lp_replay::codec::{get_varint, put_varint, unzigzag, zigzag, Decoder, Encoder, DICT_CAP};
-use lp_replay::{EventRecord, TraceError, RECORD_SIZE, VERSION2, VERSION3};
+use lp_replay::{EventRecord, TraceError, VERSION2, VERSION3};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -293,7 +293,7 @@ proptest! {
     }
 
     /// Realistic streams (repeating sites, mostly-monotonic tsc) stay
-    /// well under the fixed LPTRACE1 record size on average.
+    /// well under a record's own 88 bytes on average.
     #[test]
     fn repetitive_streams_compress(n in 16u64..256) {
         let records: Vec<EventRecord> = (0..n)
@@ -310,7 +310,7 @@ proptest! {
             let (bytes, _) = encode_at(version, &records);
             let per_record = bytes.len() as f64 / n as f64;
             prop_assert!(
-                per_record * 3.0 <= RECORD_SIZE as f64,
+                per_record * 3.0 <= std::mem::size_of::<EventRecord>() as f64,
                 "v{}: expected >=3x compression, got {} B/record", version, per_record
             );
         }

@@ -6,7 +6,7 @@
 //! path:
 //!
 //! 1. **Learning pass** ([`Policy::learn`]): folds one or more recorded
-//!    traces (any generation, `LPTRACE1`–`LPTRACE3`) into a
+//!    traces (either generation, `LPTRACE2` or `LPTRACE3`) into a
 //!    syscall-transition automaton —
 //!    an N×N bitmatrix over sysno pairs (N = 512, one cache line per
 //!    row) plus optional per-sysno origin-site sets taken from the

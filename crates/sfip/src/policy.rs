@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn empty_trace_is_a_typed_error() {
         assert!(matches!(
-            Policy::learn(&[], "sim:lazypoline"),
+            Policy::learn(&[], "lazypoline"),
             Err(PolicyError::EmptyTrace)
         ));
     }
@@ -557,7 +557,7 @@ mod tests {
             rec(2, nr::OPEN),
             rec(2, nr::CLOSE),
         ];
-        let mut p = Policy::learn(&records, "sim:lazypoline").unwrap();
+        let mut p = Policy::learn(&records, "lazypoline").unwrap();
         p.insert_origin(nr::READ, 0x401000);
         p.insert_origin(nr::READ, 0x402000);
         let dir = std::env::temp_dir().join(format!("sfip-rt-{}", std::process::id()));
@@ -569,7 +569,7 @@ mod tests {
         assert_eq!(q.transitions(), p.transitions());
         assert_eq!(q.distinct_sysnos(), p.distinct_sysnos());
         assert_eq!(q.events_folded(), p.events_folded());
-        assert_eq!(q.source_mechanism(), "sim:lazypoline");
+        assert_eq!(q.source_mechanism(), "lazypoline");
         assert!(q.allows(nr::READ, nr::WRITE));
         assert!(!q.allows(nr::WRITE, nr::READ));
         assert!(q.allows_origin(nr::READ, 0x401000));

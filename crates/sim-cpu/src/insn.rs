@@ -398,24 +398,17 @@ pub fn sweep(bytes: &[u8]) -> impl Iterator<Item = (usize, Result<Insn, DecodeEr
     })
 }
 
-/// Finds the offsets of `SYSCALL` instructions at decoded boundaries —
-/// the static identification step of a zpoline-style rewriter, with
-/// its characteristic blindness to data bytes that happen to contain
-/// `0f 05` inside immediates.
-pub fn find_syscall_offsets(bytes: &[u8]) -> Vec<usize> {
-    sweep(bytes)
-        .filter_map(|(off, r)| match r {
-            Ok(Insn {
-                op: Op::Syscall, ..
-            }) => Some(off),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The offsets of `SYSCALL` instructions at decoded boundaries: the
+    /// static identification step of a zpoline-style rewriter.
+    fn syscall_offsets(bytes: &[u8]) -> Vec<usize> {
+        sweep(bytes)
+            .filter_map(|(off, r)| matches!(r, Ok(Insn { op: Op::Syscall, .. })).then_some(off))
+            .collect()
+    }
 
     #[test]
     fn fixed_encodings_match_x86() {
@@ -488,7 +481,7 @@ mod tests {
         code.extend_from_slice(&u64::from_le_bytes([0x0f, 0x05, 0, 0, 0, 0, 0, 0]).to_le_bytes());
         code.extend_from_slice(&[0x0f, 0x05]); // real syscall at 10
         code.push(0x1c); // hlt
-        assert_eq!(find_syscall_offsets(&code), vec![10]);
+        assert_eq!(syscall_offsets(&code), vec![10]);
     }
 
     #[test]
@@ -500,7 +493,7 @@ mod tests {
         let mut code = vec![0x01]; // looks like MovRI, consumes 9 more
         code.extend_from_slice(&[0x00; 7]);
         code.extend_from_slice(&[0x0f, 0x05]); // swallowed!
-        let found = find_syscall_offsets(&code);
+        let found = syscall_offsets(&code);
         assert!(found.is_empty(), "hazard did not manifest: {found:?}");
     }
 

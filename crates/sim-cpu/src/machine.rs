@@ -179,18 +179,6 @@ impl Machine {
         self.retired
     }
 
-    /// The condition flags `(zero, less-than)` — saved/restored by the
-    /// simulated kernel across signal delivery.
-    pub fn flags(&self) -> (bool, bool) {
-        (self.zf, self.lf)
-    }
-
-    /// Restores the condition flags.
-    pub fn set_flags(&mut self, zf: bool, lf: bool) {
-        self.zf = zf;
-        self.lf = lf;
-    }
-
     /// The pending syscall as `(number, args)` — valid when the last
     /// event was [`Event::Syscall`].
     pub fn syscall_args(&self) -> (u64, [u64; 6]) {

@@ -1,23 +1,10 @@
-//! The simulated kernel: syscall dispatch, SUD, signals, and an
-//! in-memory filesystem.
+//! The simulated kernel: syscall dispatch and an in-memory filesystem.
 //!
-//! Together with [`sim_cpu`], this forms the substrate on which the
-//! paper's kernel-interface mechanisms are reproduced deterministically:
-//! what each one observes and executes, not what it costs (`table2`
-//! measures that natively). seccomp and ptrace are not modelled: their
-//! rows of Tables I and II are native.
-//! The model is **single-task**: one guest program per [`System`].
-//! That covers every simulated experiment in the suite
-//! (microbenchmarks, coreutils for the Table III analysis, the JIT
-//! exhaustiveness workload); multi-process behaviour (`fork`, threads,
-//! `execve`) is exercised natively by the `lazypoline` crate instead,
-//! where the real kernel provides it.
-//!
-//! The kernel entry path mirrors the paper's Figure 1: on every
-//! `SYSCALL` event the kernel consults — in order — Syscall User
-//! Dispatch (reading the guest selector byte from guest memory,
-//! exactly like the real implementation reads userspace), and only
-//! then dispatches to the syscall table.
+//! Together with [`sim_cpu`], this runs the guest programs of Table
+//! III's analysis (`sim-pin`): coreutils over two old glibc flavours
+//! that this host cannot run. It models no interposition mechanism;
+//! every mechanism runs natively. The model is **single-task**: one
+//! guest program per [`System`].
 //!
 //! # Example
 //!
@@ -47,4 +34,4 @@ pub mod kernel;
 pub mod sysno;
 
 pub use fs::Fs;
-pub use kernel::{Kernel, KernelStats, SimError, SudConfig, System};
+pub use kernel::{Kernel, KernelStats, SimError, System};

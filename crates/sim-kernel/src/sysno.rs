@@ -21,10 +21,6 @@ pub const MMAP: u64 = 9;
 pub const MPROTECT: u64 = 10;
 /// `munmap(addr, len)`.
 pub const MUNMAP: u64 = 11;
-/// `rt_sigaction(sig, handler)` — simplified: handler address only.
-pub const RT_SIGACTION: u64 = 13;
-/// `rt_sigreturn(frame_addr)`.
-pub const RT_SIGRETURN: u64 = 15;
 /// `getpid()`.
 pub const GETPID: u64 = 39;
 /// `exit(code)`.
@@ -35,8 +31,6 @@ pub const GETDENTS: u64 = 78;
 pub const CHMOD: u64 = 90;
 /// `getuid()`.
 pub const GETUID: u64 = 102;
-/// `prctl(option, a2, a3, a4, a5)` — carries SUD configuration.
-pub const PRCTL: u64 = 157;
 /// `gettid()`.
 pub const GETTID: u64 = 186;
 /// `time()` — virtual time derived from the retired-instruction count.
@@ -59,23 +53,6 @@ pub const RENAME: u64 = 82;
 pub const MKDIR: u64 = 83;
 /// The paper's microbenchmark number: implemented by no kernel.
 pub const NONEXISTENT: u64 = 500;
-
-/// `prctl` option enabling/disabling Syscall User Dispatch.
-pub const PR_SET_SYSCALL_USER_DISPATCH: u64 = 59;
-/// SUD off.
-pub const PR_SYS_DISPATCH_OFF: u64 = 0;
-/// SUD on.
-pub const PR_SYS_DISPATCH_ON: u64 = 1;
-/// Selector byte value ALLOW.
-pub const SELECTOR_ALLOW: u8 = 0;
-/// Selector byte value BLOCK.
-pub const SELECTOR_BLOCK: u8 = 1;
-
-/// The SIGSYS signal number (only signal the suite's experiments use,
-/// plus SIGUSR1 for tests).
-pub const SIGSYS: u64 = 31;
-/// SIGUSR1 (tests).
-pub const SIGUSR1: u64 = 10;
 
 /// Error numbers (positive values; returns encode as `-errno`).
 pub mod errno {
@@ -119,14 +96,11 @@ pub fn name(nr: u64) -> Option<&'static str> {
         MMAP => "mmap",
         MPROTECT => "mprotect",
         MUNMAP => "munmap",
-        RT_SIGACTION => "rt_sigaction",
-        RT_SIGRETURN => "rt_sigreturn",
         GETPID => "getpid",
         EXIT => "exit",
         GETDENTS => "getdents",
         CHMOD => "chmod",
         GETUID => "getuid",
-        PRCTL => "prctl",
         GETTID => "gettid",
         TIME => "time",
         SET_TID_ADDRESS => "set_tid_address",
@@ -150,10 +124,7 @@ mod tests {
         assert_eq!(READ, 0);
         assert_eq!(WRITE, 1);
         assert_eq!(GETPID, 39);
-        assert_eq!(RT_SIGRETURN, 15);
-        assert_eq!(PRCTL, 157);
         assert_eq!(GETRANDOM, 318);
-        assert_eq!(PR_SET_SYSCALL_USER_DISPATCH, 59);
     }
 
     #[test]

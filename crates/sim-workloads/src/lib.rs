@@ -1,5 +1,4 @@
-//! Simulated userspace: libc flavours, coreutils, a JIT, and
-//! benchmark loops.
+//! Simulated userspace: libc flavours and coreutils.
 //!
 //! These are the guest programs the simulated experiments run:
 //!
@@ -11,16 +10,11 @@
 //!   `getrandom`.
 //! * [`coreutils`] — the ten utilities of Table III, as small guest
 //!   programs linked against either libc flavour.
-//! * [`jit`] — a tcc-like workload that emits a fresh `SYSCALL` at
-//!   runtime (paper §V-A's exhaustiveness experiment).
-//! * [`mod@bench`] — the syscall-500 microbenchmark loop (Table II).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod coreutils;
-pub mod jit;
 pub mod libc;
 
 pub use coreutils::{Coreutil, COREUTILS};

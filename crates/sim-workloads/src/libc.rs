@@ -138,7 +138,7 @@ mod tests {
             sys.machine.mem.read_u64(LIBC_DATA + 0x100).unwrap(),
             LIBC_DATA + 0x100
         );
-        assert!(sys.kernel.stats().dispatched >= 3);
+        assert!(sys.kernel.stats().syscalls >= 3);
     }
 
     #[test]

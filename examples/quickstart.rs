@@ -32,14 +32,6 @@ fn main() {
             return;
         }
     };
-    if backend.name().starts_with("sim:") {
-        eprintln!(
-            "skip: LP_MECHANISM={} is a simulated mechanism; this example runs natively \
-             (try LP_MECHANISM=lazypoline)",
-            backend.name()
-        );
-        return;
-    }
     if !backend.is_available() {
         eprintln!(
             "skip: {} unavailable here (needs Linux >= 5.11 SUD and/or vm.mmap_min_addr = 0)",

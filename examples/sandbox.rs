@@ -33,13 +33,6 @@ fn main() {
             return;
         }
     };
-    if backend.name().starts_with("sim:") {
-        eprintln!(
-            "skip: LP_MECHANISM={} is a simulated mechanism; this example runs natively",
-            backend.name()
-        );
-        return;
-    }
     if !enforcing(backend.name()) {
         eprintln!(
             "skip: LP_MECHANISM={} cannot enforce an exhaustive sandbox \

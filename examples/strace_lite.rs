@@ -1,4 +1,4 @@
-//! strace-lite: print every syscall of a workload, exhaustively.
+//! strace-lite: print every syscall of the native guest, exhaustively.
 //!
 //! This is the interposer configuration the paper's exhaustiveness
 //! experiment uses (§V-A) — but routed through the record/replay
@@ -6,12 +6,13 @@
 //! by the `<mechanism>+record` backend, then rendered with the shared
 //! `dump` path (`replay::dump_trace`, built on
 //! `interpose::format_syscall_line`). One recording doubles as both
-//! the strace-like text and a replayable artifact.
+//! the strace-like text and a replayable artifact. The workload is
+//! [`lp_bench::guest::window`]: libc `getpid`, an RWX page's
+//! runtime-emitted `getpid`, libc `getpid` again.
 //!
 //! ```sh
-//! cargo run --example strace_lite | head
+//! cargo run --example strace_lite
 //! LP_MECHANISM=sud cargo run --example strace_lite        # slow-path only
-//! LP_MECHANISM=sim:lazypoline cargo run --example strace_lite   # simulated guest
 //! ```
 
 fn main() {
@@ -47,17 +48,8 @@ fn main() {
         }
     };
 
-    // A small workload with a recognizable syscall mix.
-    if base.name().starts_with("sim:") {
-        let program = sim_workloads::jit::build();
-        let out = active.run_program(&program).expect("guest runs");
-        eprintln!("guest exit {} ({} syscalls observed)", out.exit, out.observed.len());
-    } else {
-        let cwd = std::env::current_dir().unwrap();
-        let entries = std::fs::read_dir(&cwd).unwrap().count();
-        eprintln!("pid {} sees {entries} entries in {}", std::process::id(), cwd.display());
-        active.detach();
-    }
+    lp_bench::guest::window();
+    active.detach();
 
     let stats = active.stats();
     let summary = active

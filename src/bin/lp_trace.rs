@@ -2,9 +2,9 @@
 //! subsystem.
 //!
 //! ```sh
-//! lp-trace record /tmp/jit.lpt                    # record the fixed JIT workload (sim:lazypoline)
-//! lp-trace record /tmp/jit.lpt lazypoline         # record a native workload instead
-//! lp-trace replay /tmp/jit.lpt                    # re-execute against the trace (exit 1 on divergence)
+//! lp-trace record /tmp/jit.lpt                    # record the guest under lazypoline
+//! lp-trace record /tmp/jit.lpt sud                # ... under another mechanism
+//! lp-trace replay /tmp/jit.lpt                    # re-execute against the trace (exit 1 unless it matches)
 //! lp-trace dump   /tmp/jit.lpt                    # render the trace strace-style
 //! lp-trace dump --stats /tmp/jit.lpt              # per-sysno counts + hottest transitions
 //! lp-trace learn  /tmp/jit.lpt /tmp/jit.sfip      # fold traces into an LPSFIP1 policy
@@ -12,26 +12,28 @@
 //! ```
 //!
 //! `record` writes LPTRACE3, the generation every recording writes;
-//! `replay`, `dump` and `learn` read LPTRACE1, LPTRACE2 and LPTRACE3.
+//! `replay`, `dump` and `learn` read LPTRACE2 and LPTRACE3.
 //!
-//! `record` runs a *fixed* workload so that `replay` of the same trace
-//! is deterministic: `sim:lazypoline` runs the JIT guest program
-//! from the paper's exhaustiveness experiment (§V-A); native
-//! mechanisms run a small in-process file-system workload (replay of a
-//! native trace is best-effort — ambient runtime syscalls diverge, and
-//! the exit status says so).
+//! `record` and `replay` run one fixed workload, the guest of the
+//! paper's exhaustiveness experiment (§V-A, [`lp_bench::guest`]): libc
+//! `getpid`, an RWX page's runtime-emitted `getpid`, libc `getpid`
+//! again. Nothing else runs between the install and the end of the
+//! session, so a trace holds exactly the guest's calls, and a replay
+//! passes only if it made each of them, in order, and consumed the
+//! whole trace. Under a `+sfip` layer `record` also prints the flow
+//! checks and violations.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lp-trace record [--strict-drops] <trace> [mechanism]   (default mechanism: sim:lazypoline)\n\
+        "usage: lp-trace record [--strict-drops] <trace> [mechanism]   (default mechanism: lazypoline)\n\
          \x20      lp-trace replay <trace>\n\
          \x20      lp-trace dump [--stats] <trace>\n\
          \x20      lp-trace learn <trace>... <policy-out>\n\
          \x20      lp-trace policy-dump <policy>\n\
-         record writes LPTRACE3; replay, dump and learn read LPTRACE1, 2 and 3"
+         record writes LPTRACE3; replay, dump and learn read LPTRACE2 and 3"
     );
     ExitCode::from(2)
 }
@@ -42,7 +44,7 @@ fn main() -> ExitCode {
     let stats = args.iter().any(|a| a == "--stats");
     args.retain(|a| a != "--strict-drops" && a != "--stats");
     match args.as_slice() {
-        [cmd, trace] if cmd == "record" => record(Path::new(trace), "sim:lazypoline", strict_drops),
+        [cmd, trace] if cmd == "record" => record(Path::new(trace), "lazypoline", strict_drops),
         [cmd, trace, mech] if cmd == "record" => record(Path::new(trace), mech, strict_drops),
         [cmd, trace] if cmd == "replay" => replay(trace),
         [cmd, trace] if cmd == "dump" && stats => dump_stats(Path::new(trace)),
@@ -60,15 +62,6 @@ fn sysname(nr: u64) -> String {
         Some(name) => format!("{name}({nr})"),
         None => format!("sys_{nr}"),
     }
-}
-
-/// The fixed native workload: a recognizable open/read/close + getpid
-/// mix, all through std so the syscalls are real.
-fn native_workload() {
-    let pid = std::process::id();
-    let bytes = std::fs::read("Cargo.toml").map(|b| b.len()).unwrap_or(0);
-    let entries = std::fs::read_dir(".").map(Iterator::count).unwrap_or(0);
-    eprintln!("workload: pid {pid}, Cargo.toml {bytes} bytes, {entries} dir entries");
 }
 
 fn record(trace: &Path, mech: &str, strict_drops: bool) -> ExitCode {
@@ -93,22 +86,14 @@ fn record(trace: &Path, mech: &str, strict_drops: bool) -> ExitCode {
         }
     };
 
-    if mech.starts_with("sim:") {
-        let program = sim_workloads::jit::build();
-        match active.run_program(&program) {
-            Ok(out) => eprintln!(
-                "guest exit {} after {} observed syscalls",
-                out.exit,
-                out.observed.len()
-            ),
-            Err(e) => {
-                eprintln!("error: guest run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        native_workload();
-        active.detach();
+    lp_bench::guest::window();
+    active.detach();
+    let stats = active.stats();
+    if !stats.sfip_mode.is_empty() {
+        println!(
+            "sfip ({}): {} checks, {} violations",
+            stats.sfip_mode, stats.sfip_checks, stats.sfip_violations
+        );
     }
 
     match active.finish_recording() {
@@ -167,36 +152,25 @@ fn replay(trace: &str) -> ExitCode {
         }
     };
     let state = std::sync::Arc::clone(active.replay_state().expect("replay backend"));
-    let source = state.header().source_mechanism.clone();
-
-    if source.starts_with("sim:") {
-        let program = sim_workloads::jit::build();
-        if let Err(e) = active.run_program(&program) {
-            eprintln!("error: guest run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        native_workload();
-        active.detach();
-    }
+    lp_bench::guest::window();
+    active.detach();
+    // Before the teardown, whose own calls are not the guest's.
+    let verdict = state.verdict();
     drop(active);
 
-    let consumed = state.position();
-    if let Some(d) = state.first_divergence() {
-        eprintln!(
-            "replay DIVERGED ({} divergences, {consumed}/{} trace records consumed)",
-            state.divergences(),
-            state.len()
-        );
-        eprintln!("first: {d}");
-        return ExitCode::FAILURE;
+    let source = &state.header().source_mechanism;
+    match verdict {
+        Ok(n) => {
+            println!(
+                "replayed {n}/{n} events from {trace} (recorded under {source}) with zero divergences"
+            );
+            ExitCode::SUCCESS
+        }
+        Err(failure) => {
+            eprintln!("replay FAILED: {failure}");
+            ExitCode::FAILURE
+        }
     }
-    println!(
-        "replayed {consumed}/{} events from {} (recorded under {source}) with zero divergences",
-        state.len(),
-        trace
-    );
-    ExitCode::SUCCESS
 }
 
 fn dump(trace: &Path) -> ExitCode {

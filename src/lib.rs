@@ -16,7 +16,6 @@ pub use syscalls;
 pub use zpoline;
 
 pub use sim_cpu;
-pub use sim_interpose;
 pub use sim_kernel;
 pub use sim_pin;
 pub use sim_workloads;

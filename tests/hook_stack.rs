@@ -228,7 +228,7 @@ fn watcher_hot_reloads_hooks_racing_live_dispatch() {
     std::env::set_var(mechanism::HOOKS_ENV, tmp.display().to_string());
     std::env::set_var(mechanism::HOOKS_WATCH_ENV, "1");
     let counter = CountHandler::new();
-    let active = mechanism::by_name("sim:lazypoline+hooks")
+    let active = mechanism::by_name("none+hooks")
         .expect("+hooks name parses")
         .install(Box::new(counter.clone()))
         .expect("hooks install");

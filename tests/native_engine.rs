@@ -11,6 +11,7 @@ use std::process::Command;
 
 use interpose::{Action, CountHandler, PolicyBuilder, SyscallEvent, SyscallHandler};
 use lazypoline::Config;
+use lp_bench::guest;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn environment_ready() -> bool {
@@ -2806,24 +2807,6 @@ fn scenario_mechanism_smoke() {
         }
         scratch.0 = Some(path);
     }
-    if backend.name().starts_with("sim:") {
-        // Simulated backend: drive a canned program through the same
-        // trait instead of this process's syscalls.
-        let mut active = backend
-            .install(Box::new(interpose::PassthroughHandler))
-            .expect("sim install");
-        let outcome = active
-            .run_program(&sim_workloads::bench::microbench(50))
-            .expect("sim run");
-        assert_eq!(outcome.exit, 0, "{}: bad exit", active.mechanism_name());
-        assert_layers_ran(&active.stats());
-        println!(
-            "mechanism {}: simulated, {} syscalls observed",
-            active.mechanism_name(),
-            outcome.observed.len()
-        );
-        return;
-    }
     if !backend.is_available() {
         println!("mechanism {}: unavailable on this host, skipping", backend.name());
         return;
@@ -2855,66 +2838,49 @@ fn scenario_mechanism_smoke() {
     );
 }
 
+/// The guest's syscall names, in the order `records` holds them.
+fn sysnames(records: &[replay::EventRecord]) -> Vec<&'static str> {
+    records.iter().map(|r| syscalls::nr::name(r.sysno).unwrap_or("?")).collect()
+}
+
 fn scenario_record_replay_native() {
-    // Smoke the flight recorder against the real engine: record this
-    // process's own syscalls into a trace, then re-install against the
-    // trace in replay mode. Native replay is best-effort (ambient
-    // runtime syscalls diverge), so the assertion is structural: both
-    // phases install, run, and tear down without panicking, and the
-    // recorded trace is well-formed with nonzero events.
+    // Record the guest under the real engine, then replay it in the
+    // same process: the trace holds the guest's calls and nothing else
+    // (the recorder's own finish is not in it), and the replay makes
+    // each of them and consumes the whole trace.
     let trace = std::env::temp_dir().join(format!("lp-rr-native-{}.lpt", std::process::id()));
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    let backend = mechanism::by_name("lazypoline+record").expect("+record composes natively");
-    let mut active = backend
-        .install(Box::new(interpose::PassthroughHandler))
+    let cfg = mechanism::EnvConfig {
+        trace_out: Some(trace.clone()),
+        ..mechanism::EnvConfig::default()
+    };
+    let mut active = mechanism::by_name("lazypoline+record")
+        .expect("+record composes natively")
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
         .expect("native record install");
-    let pid = std::process::id() as u64;
-    for _ in 0..10 {
-        assert_eq!(asm_getpid(), pid);
-    }
-    let probe = std::env::temp_dir().join(format!("lp-rr-probe-{}", std::process::id()));
-    std::fs::write(&probe, b"recorded").unwrap();
-    assert_eq!(std::fs::read(&probe).unwrap(), b"recorded");
-    std::fs::remove_file(&probe).unwrap();
+    guest::window();
     active.detach();
     let stats = active.stats();
     let summary = active
         .finish_recording()
         .expect("trace session active")
         .expect("trace finishes");
-    std::env::remove_var("LP_TRACE_OUT");
-    assert!(summary.events > 0, "recorded nothing");
-    assert!(stats.events_recorded > 0, "stats missed the recorder");
-
-    // The trace is well-formed and attributes its source mechanism.
+    drop(active);
+    assert_eq!(stats.events_recorded, summary.events, "stats missed the recorder");
     let (header, records) = replay::read_trace_path(&trace).expect("recorded trace parses");
     assert_eq!(header.source_mechanism, "lazypoline");
-    assert_eq!(records.len() as u64, summary.events);
-    assert!(
-        records.iter().any(|r| r.sysno == syscalls::nr::GETPID),
-        "the getpid loop must appear in the trace"
-    );
+    assert_eq!(sysnames(&records), guest::WINDOW);
 
-    // Replay smoke: the backend installs from the trace and tears down;
-    // divergence counting is exercised but not asserted to be zero.
     let name = format!("replay:{}", trace.display());
     let mut active = mechanism::by_name(&name)
         .expect("replay name parses")
         .install(Box::new(interpose::PassthroughHandler))
         .expect("native replay install");
-    for _ in 0..3 {
-        asm_getpid();
-    }
+    guest::window();
     active.detach();
     let state = active.replay_state().expect("replay backend").clone();
-    println!(
-        "record/replay native: {} events recorded, replay consumed {}/{} ({} divergences)",
-        summary.events,
-        state.position(),
-        state.len(),
-        state.divergences()
-    );
+    let verdict = state.verdict();
     drop(active);
+    assert_eq!(verdict.unwrap_or_else(|e| panic!("{e}")), guest::WINDOW.len());
     std::fs::remove_file(&trace).unwrap();
 }
 
@@ -3359,6 +3325,25 @@ fn scenario_harden_full() {
     };
     assert_eq!(lazypoline::health().harden, expected);
     assert_eq!(active.stats().pkru_switches, 0, "{:?}", active.stats());
+}
+
+/// The paper's §VI attack on SUD's selector, against the real kernel:
+/// under classic selector-only SUD (`sud-raw`), a store of ALLOW to the
+/// thread's selector byte lets the attacker's `getuid` run unseen.
+/// `escape_plain` makes the same store and call under `lazypoline`,
+/// which arms SUD with no selector, and the call is dispatched.
+fn scenario_escape_selector() {
+    let active = install("sud-raw", Box::new(interpose::PassthroughHandler));
+    // Without the store the call is dispatched (which parks the
+    // selector at ALLOW: the row is one-shot per arming).
+    let uid = attacker_syscall(syscalls::nr::GETUID);
+    assert!(uid >= 0, "getuid failed: {uid}");
+    let seen = active.stats().dispatches;
+    assert_eq!(seen, 1, "the armed selector dispatched the getuid");
+    sud::set_selector(sud::Dispatch::Block);
+    flip_selector_to_allow();
+    assert_eq!(attacker_syscall(syscalls::nr::GETUID), uid);
+    assert_eq!(active.stats().dispatches, seen, "the handler saw the attacker's getuid");
 }
 
 /// A store of ALLOW to the selector byte no longer switches plain
@@ -3838,6 +3823,61 @@ fn scenario_sfip_native() {
             stats.sfip_violations
         );
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The guest's flow, learned from a recording of it, enforced on it and
+/// on its escape variant ([`guest::escape`]: the RWX page issues
+/// `getuid`). Plain lazypoline runs the escape like any other call; the
+/// learned automaton flags `mmap → getuid` and `getuid → getpid`.
+fn scenario_sfip_guest() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("lp-sfip-guest-{}.lpt", std::process::id()));
+    let cfg = mechanism::EnvConfig {
+        trace_out: Some(trace.clone()),
+        ..mechanism::EnvConfig::default()
+    };
+    let mut rec = mechanism::by_name("lazypoline+record")
+        .expect("+record composes natively")
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+        .expect("native record install");
+    guest::window();
+    rec.detach();
+    rec.finish_recording()
+        .expect("a trace session is active")
+        .expect("trace finishes");
+    drop(rec);
+    let (header, records) = replay::read_trace_path(&trace).expect("trace decodes");
+    std::fs::remove_file(&trace).unwrap();
+    assert_eq!(sysnames(&records), guest::WINDOW);
+    let policy = sfip::Policy::learn(&records, &header.source_mechanism).expect("the guest learns");
+    let path = dir.join(format!("lp-sfip-guest-{}.sfip", std::process::id()));
+    policy.save(&path).expect("policy saves");
+
+    let run = |name: &str, action: sfip::ViolationAction, body: fn()| {
+        let cfg = mechanism::EnvConfig {
+            sfip_policy: Some(path.clone()),
+            sfip_action: action,
+            ..mechanism::EnvConfig::default()
+        };
+        let mut active = mechanism::by_name(name)
+            .expect("name parses")
+            .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+            .unwrap_or_else(|e| panic!("install {name}: {e}"));
+        body();
+        active.detach();
+        active.stats()
+    };
+    use sfip::ViolationAction::{Count, Quarantine};
+    let clean = run("lazypoline+sfip", Count, guest::window);
+    assert_eq!((clean.sfip_checks, clean.sfip_violations), (4, 0), "{clean:?}");
+    let plain = run("lazypoline", Count, guest::escape);
+    assert_eq!((plain.dispatches, plain.sfip_checks), (4, 0), "{plain:?}");
+    let counted = run("lazypoline+sfip", Count, guest::escape);
+    assert_eq!((counted.sfip_checks, counted.sfip_violations), (4, 2), "{counted:?}");
+    // Quarantine stops checking at the first violation, the getuid.
+    let frozen = run("lazypoline+sfip", Quarantine, guest::escape);
+    assert_eq!((frozen.sfip_checks, frozen.sfip_violations), (3, 1), "{frozen:?}");
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -4412,6 +4452,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("compose_record_sfip", scenario_compose_record_sfip),
     ("hook_stack_native", scenario_hook_stack_native),
     ("harden_full", scenario_harden_full),
+    ("escape_selector", scenario_escape_selector),
     ("escape_plain", scenario_escape_plain),
     ("escape_quarantine", scenario_escape_quarantine),
     ("escape_kill", scenario_escape_kill),
@@ -4431,6 +4472,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("rewrite_lock_signal", scenario_rewrite_lock_signal),
     ("page_zero_execute_only", scenario_page_zero_execute_only),
     ("sfip_native", scenario_sfip_native),
+    ("sfip_guest", scenario_sfip_guest),
     ("sfip_escape_plain", scenario_sfip_escape_plain),
     ("sfip_escape_count", scenario_sfip_escape_count),
     ("sfip_escape_quarantine", scenario_sfip_escape_quarantine),

@@ -40,7 +40,7 @@ fn ready() -> Option<PathBuf> {
 }
 
 /// `program` with an environment built from nothing: the CI matrices
-/// export `LP_MECHANISM=sud`, `LP_MECHANISM=sim:lazypoline` and
+/// export `LP_MECHANISM=sud`, `LP_MECHANISM=lazypoline+hooks` and
 /// `LAZYPOLINE_FAULTS=…` to the whole `cargo test`, and every test here
 /// asserts one configuration — the one it sets itself.
 fn plain(program: &str) -> Command {
@@ -957,7 +957,7 @@ fn bad_configuration_runs_uninterposed() {
     let reference = plain("/bin/ls").arg("/").output().unwrap();
     for (var, value, why) in [
         ("LP_MECHANISM", "lazypoline+nope", "LP_MECHANISM"),
-        ("LP_MECHANISM", "sim:lazypoline", "cannot interpose a preloaded process"),
+        ("LP_MECHANISM", "sim:lazypoline", "bad configuration: LP_MECHANISM=\"sim:lazypoline\""),
         ("LP_MECHANISM", "sud-raw", "cannot interpose a preloaded process"),
         ("LP_MECHANISM", "lazypoline+sfip", "sfip policy failed"),
         ("LP_HOOKS", "/nonexistent.so", "hook loading failed"),

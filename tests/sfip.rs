@@ -1,18 +1,22 @@
-//! End-to-end syscall-flow-integrity over the simulated hybrid:
-//! record a workload, learn its transition automaton, enforce it in
-//! the fast path, and demonstrate the escape plain interposition
-//! misses.
+//! End-to-end syscall-flow-integrity over the native guest
+//! (`lp_bench::guest`): record it, learn its transition automaton, and
+//! enforce it in the fast path. The guest runs in `lp-trace` processes
+//! of their own (a native install is one-way per process); the escape
+//! variant, which `lp-trace` does not run, is the `sfip_guest` scenario
+//! of `tests/native_engine.rs`.
 //!
 //! The recorder session and the global sfip counters are process-wide,
 //! so every test here serializes behind one lock. Each install is
 //! configured through `install_with`, never the environment.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
+use std::process::Output;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lazypoline_suite::{interpose, mechanism, replay, sfip, sim_kernel, sim_workloads};
+use lazypoline_suite::{interpose, mechanism, replay, sfip};
 use mechanism::{ActiveMechanism, EnvConfig, InstallError};
-use sim_kernel::sysno;
+use syscalls::nr;
 
 static SFIP_LOCK: Mutex<()> = Mutex::new(());
 
@@ -40,109 +44,65 @@ fn enforcing(policy: &Path, action: sfip::ViolationAction) -> EnvConfig {
     }
 }
 
-/// Records the fixed JIT workload under `sim:lazypoline+record` and
-/// returns its decoded records (the learner's input).
-fn record_jit(tag: &str) -> Vec<replay::EventRecord> {
+/// Whether this host runs `lazypoline` (SUD and a mappable page zero);
+/// the tests that run the guest say so and pass where it does not.
+fn native() -> bool {
+    let ok = mechanism::by_name("lazypoline").is_some_and(|m| m.is_available());
+    if !ok {
+        eprintln!("skip: lazypoline needs SUD and a mappable page zero");
+    }
+    ok
+}
+
+/// `lp-trace record <trace> <mechanism>` in a process of its own, with
+/// `env` set and no ambient configuration of the layers.
+fn record_under(mechanism: &str, trace: &Path, env: &[(&str, &OsStr)]) -> String {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_lp-trace"));
+    cmd.arg("record").arg(trace).arg(mechanism);
+    for var in ["LAZYPOLINE_FAULTS", "LP_TRACE_OUT", sfip::POLICY_ENV, sfip::ACTION_ENV] {
+        cmd.env_remove(var);
+    }
+    cmd.envs(env.iter().copied());
+    let out: Output = cmd.output().expect("lp-trace runs");
+    let text = format!(
+        "{}\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.status.success(), "{text}");
+    text
+}
+
+/// Records the guest under `lazypoline` and returns its decoded
+/// records (the learner's input).
+fn record_guest(tag: &str) -> Vec<replay::EventRecord> {
     let trace = temp(tag, "lpt");
-    let cfg = EnvConfig {
-        trace_out: Some(trace.clone()),
-        ..EnvConfig::default()
-    };
-    let mut active = install("sim:lazypoline+record", &cfg).expect("sim backends always install");
-    let out = active
-        .run_program(&sim_workloads::jit::build())
-        .expect("guest runs");
-    assert_eq!(out.exit, 0);
-    active
-        .finish_recording()
-        .expect("a trace session is active")
-        .expect("trace finishes");
+    record_under("lazypoline", &trace, &[]);
     let (_, records) = replay::read_trace_path(&trace).expect("trace decodes");
     std::fs::remove_file(&trace).unwrap();
     records
 }
 
-/// Learns the JIT automaton, saves it, and installs
-/// `sim:lazypoline+sfip` against it with the given action.
-fn install_sfip_jit(tag: &str, action: sfip::ViolationAction) -> (ActiveMechanism, PathBuf) {
-    let records = record_jit(tag);
-    let policy = sfip::Policy::learn(&records, "sim:lazypoline").expect("jit trace learns");
-    let path = temp(tag, "sfip");
-    policy.save(&path).expect("policy saves");
-    let active = install("sim:lazypoline+sfip", &enforcing(&path, action))
-        .expect("a learned policy installs");
-    (active, path)
-}
-
 #[test]
 fn learned_policy_is_clean_on_its_own_workload() {
-    let _g = sfip_lock();
-    let (mut active, path) = install_sfip_jit("clean", sfip::ViolationAction::Count);
-    let out = active
-        .run_program(&sim_workloads::jit::build())
-        .expect("guest runs under enforcement");
-    assert_eq!(out.exit, 0);
-    let stats = active.stats();
-    assert_eq!(stats.mechanism, "sim:lazypoline+sfip");
-    assert_eq!(stats.sfip_mode, "count");
-    assert_eq!(
-        stats.sfip_checks,
-        out.observed.len() as u64,
-        "every interposed syscall was flow-checked"
+    if !native() {
+        return;
+    }
+    let records = record_guest("clean");
+    let policy = sfip::Policy::learn(&records, "lazypoline").expect("the guest learns");
+    let path = temp("clean", "sfip");
+    policy.save(&path).expect("policy saves");
+    let trace = temp("clean_enforced", "lpt");
+    let out = record_under(
+        "lazypoline+sfip",
+        &trace,
+        &[(sfip::POLICY_ENV, path.as_os_str()), (sfip::ACTION_ENV, OsStr::new("count"))],
     );
-    assert_eq!(
-        stats.sfip_violations, 0,
-        "the learned workload replays inside its own automaton"
-    );
-    drop(active);
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn escape_passes_plain_lazypoline_but_sfip_counts_it() {
-    let _g = sfip_lock();
-
-    // Plain interposition fails open: the exploited JIT page's getuid
-    // is just another syscall — same exit, nothing flagged.
-    let mut plain = install("sim:lazypoline", &EnvConfig::default()).unwrap();
-    let out = plain
-        .run_program(&sim_workloads::jit::build_escape())
-        .expect("escape runs");
-    assert_eq!(out.exit, 0, "plain lazypoline executes the exploit");
-    assert_eq!(plain.stats().sfip_checks, 0, "no flow checking at all");
-    drop(plain);
-
-    // Under the automaton learned from the *benign* run, the exploit's
-    // two off-policy transitions (mmap→getuid, getuid→getpid) are both
-    // counted; count mode still lets the program finish.
-    let (mut active, path) = install_sfip_jit("escape", sfip::ViolationAction::Count);
-    let out = active
-        .run_program(&sim_workloads::jit::build_escape())
-        .expect("count mode does not block");
-    assert_eq!(out.exit, 0);
-    let stats = active.stats();
-    assert_eq!(stats.sfip_checks, 4);
-    assert_eq!(stats.sfip_violations, 2, "mmap→getuid and getuid→getpid");
-    drop(active);
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn quarantine_freezes_checking_after_first_violation() {
-    let _g = sfip_lock();
-    let (mut active, path) = install_sfip_jit("quarantine", sfip::ViolationAction::Quarantine);
-    let out = active
-        .run_program(&sim_workloads::jit::build_escape())
-        .expect("quarantine disables and passes through");
-    assert_eq!(out.exit, 0, "execution continues unchecked");
-    let stats = active.stats();
-    assert_eq!(stats.sfip_mode, "quarantine");
-    assert_eq!(stats.sfip_violations, 1, "exactly the first violation");
-    assert_eq!(
-        stats.sfip_checks, 2,
-        "mmap and the violating getuid; checking stops there"
-    );
-    drop(active);
+    // Every interposed syscall was flow-checked, and the learned
+    // workload runs inside its own automaton.
+    assert!(out.contains("sfip (count): 4 checks, 0 violations"), "{out}");
+    std::fs::remove_file(&trace).unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -156,10 +116,10 @@ fn interleaved_threads_do_not_contaminate_each_other() {
     // any global last-syscall: A alternates read↔write, B alternates
     // getpid↔exit_group. A shared last would see read→getpid etc.
     let mut policy = sfip::Policy::empty("test");
-    policy.insert(sysno::READ, sysno::WRITE);
-    policy.insert(sysno::WRITE, sysno::READ);
-    policy.insert(sysno::GETPID, sysno::EXIT_GROUP);
-    policy.insert(sysno::EXIT_GROUP, sysno::GETPID);
+    policy.insert(nr::READ, nr::WRITE);
+    policy.insert(nr::WRITE, nr::READ);
+    policy.insert(nr::GETPID, nr::EXIT_GROUP);
+    policy.insert(nr::EXIT_GROUP, nr::GETPID);
     let handler = Arc::new(sfip::SfipHandler::new(
         Arc::new(policy),
         sfip::ViolationAction::Count,
@@ -170,17 +130,13 @@ fn interleaved_threads_do_not_contaminate_each_other() {
     let violations_before = sfip::violations();
     let barrier = Arc::new(std::sync::Barrier::new(2));
     std::thread::scope(|s| {
-        for chain in [
-            [sysno::READ, sysno::WRITE],
-            [sysno::GETPID, sysno::EXIT_GROUP],
-        ] {
+        for chain in [[nr::READ, nr::WRITE], [nr::GETPID, nr::EXIT_GROUP]] {
             let handler = Arc::clone(&handler);
             let barrier = Arc::clone(&barrier);
             s.spawn(move || {
                 barrier.wait();
                 for i in 0..2_000u64 {
-                    let nr = chain[(i % 2) as usize];
-                    let mut ev = SyscallEvent::new(SyscallArgs::nullary(nr));
+                    let mut ev = SyscallEvent::new(SyscallArgs::nullary(chain[(i % 2) as usize]));
                     handler.handle(&mut ev);
                 }
             });
@@ -199,21 +155,22 @@ fn committed_fixture_learns_the_jit_automaton() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/jit_v2.lpt2");
     let (header, records) = replay::read_trace_path(&fixture).expect("fixture decodes");
     let policy = sfip::Policy::learn(&records, &header.source_mechanism).expect("fixture learns");
-    assert_eq!(policy.source_mechanism(), "sim:lazypoline");
-    assert!(policy.allows(sysno::MMAP, sysno::GETPID));
-    assert!(policy.allows(sysno::GETPID, sysno::GETPID));
-    assert!(policy.allows(sysno::GETPID, sysno::EXIT_GROUP));
+    assert_eq!(policy.source_mechanism(), header.source_mechanism);
+    assert!(policy.allows(nr::MMAP, nr::GETPID));
+    assert!(policy.allows(nr::GETPID, nr::GETPID));
+    assert!(policy.allows(nr::GETPID, nr::EXIT_GROUP));
     assert!(
-        !policy.allows(sysno::MMAP, sysno::GETUID),
+        !policy.allows(nr::MMAP, nr::GETUID),
         "the exploit transition is not in the fixture's automaton"
     );
-    assert!(!policy.allows(sysno::GETUID, sysno::GETPID));
+    assert!(!policy.allows(nr::GETUID, nr::GETPID));
 }
 
 #[test]
 fn sfip_install_errors_are_typed() {
     let _g = sfip_lock();
-    let name = "sim:lazypoline+sfip";
+    // Each fails before the base arms.
+    let name = "lazypoline+sfip";
 
     // No policy path at all.
     match install(name, &EnvConfig::default()) {
@@ -251,38 +208,24 @@ fn allow_all(tag: &str) -> (PathBuf, EnvConfig) {
 
 #[test]
 fn record_and_sfip_compose_in_one_install() {
-    let _g = sfip_lock();
-    let (policy, cfg) = allow_all("compose");
+    if !native() {
+        return;
+    }
+    let (policy, _) = allow_all("compose");
     let trace = temp("compose", "lpt");
-    let cfg = EnvConfig {
-        trace_out: Some(trace.clone()),
-        ..cfg
-    };
-    let mut active = install("sim:lazypoline+record+sfip", &cfg).expect("both layers install");
-    let out = active
-        .run_program(&sim_workloads::jit::build())
-        .expect("guest runs");
-    assert_eq!(out.exit, 0);
-    let observed = out.observed.len() as u64;
-
-    // Audit what you enforce: one snapshot carries both layers' counts.
-    let stats = active.stats();
-    assert_eq!(stats.mechanism, "sim:lazypoline+record+sfip");
-    assert_eq!(stats.sfip_mode, "count");
-    assert_eq!(stats.sfip_checks, observed);
-    assert_eq!(stats.sfip_violations, 0);
-    assert_eq!(stats.events_recorded, observed);
-    let summary = active
-        .finish_recording()
-        .expect("the record layer holds a trace session")
-        .expect("trace finishes");
-    assert_eq!(summary.events, observed);
-    drop(active);
-
+    let out = record_under(
+        "lazypoline+sfip",
+        &trace,
+        &[(sfip::POLICY_ENV, policy.as_os_str()), (sfip::ACTION_ENV, OsStr::new("count"))],
+    );
+    // Audit what you enforce: the guest's four calls, each checked and
+    // each recorded.
+    assert!(out.contains("sfip (count): 4 checks, 0 violations"), "{out}");
+    assert!(out.contains("recorded 4 events (0 dropped"), "{out}");
     // The header names the static base, so `replay:` can resolve it.
     let (header, records) = replay::read_trace_path(&trace).expect("trace decodes");
-    assert_eq!(header.source_mechanism, "sim:lazypoline");
-    assert_eq!(records.len() as u64, observed);
+    assert_eq!(header.source_mechanism, "lazypoline");
+    assert_eq!(records.len(), 4);
     std::fs::remove_file(&trace).unwrap();
     std::fs::remove_file(&policy).unwrap();
 }
@@ -302,13 +245,14 @@ fn written_layer_order_is_event_flow() {
             .entries();
         entries.contains(&(handler.to_string(), 0))
     };
+    // `none` arms nothing, so the stacks install in this process.
     // hooks outside sfip: the stack dispatches into the SFIP wrapper,
     // which hides the caller's handler from it.
-    assert!(anchored("sim:lazypoline+hooks+sfip", "sfip"));
-    assert!(!anchored("sim:lazypoline+hooks+sfip", "count"));
+    assert!(anchored("none+hooks+sfip", "sfip"));
+    assert!(!anchored("none+hooks+sfip", "count"));
     // sfip outside hooks: the stack holds the caller's handler itself.
-    assert!(anchored("sim:lazypoline+sfip+hooks", "count"));
-    assert!(!anchored("sim:lazypoline+sfip+hooks", "sfip"));
+    assert!(anchored("none+sfip+hooks", "count"));
+    assert!(!anchored("none+sfip+hooks", "sfip"));
     std::fs::remove_file(&policy).unwrap();
 }
 
@@ -322,7 +266,7 @@ fn failing_second_layer_leaves_no_recorder_behind() {
     };
     // Whichever side of the recorder the failing layer is written on:
     // the trace only opens once every layer's payload has validated.
-    for name in ["sim:lazypoline+record+sfip", "sim:lazypoline+sfip+record"] {
+    for name in ["lazypoline+record+sfip", "lazypoline+sfip+record"] {
         match install(name, &cfg) {
             Err(InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
             Err(other) => panic!("{name}: expected NoPolicyPath, got {other}"),
@@ -331,7 +275,7 @@ fn failing_second_layer_leaves_no_recorder_behind() {
         assert!(!trace.exists(), "{name}: no trace file was created");
     }
     // No session is left active: the next recording opens normally.
-    let session = replay::Recorder::to_path(&trace, "sim:lazypoline")
+    let session = replay::Recorder::to_path(&trace, "lazypoline")
         .expect("no recorder session was left behind");
     session.finish().expect("trace finishes");
     std::fs::remove_file(&trace).unwrap();
@@ -339,9 +283,11 @@ fn failing_second_layer_leaves_no_recorder_behind() {
 
 #[test]
 fn policy_roundtrips_through_the_on_disk_format() {
-    let _g = sfip_lock();
-    let records = record_jit("roundtrip");
-    let policy = sfip::Policy::learn(&records, "sim:lazypoline").unwrap();
+    if !native() {
+        return;
+    }
+    let records = record_guest("roundtrip");
+    let policy = sfip::Policy::learn(&records, "lazypoline").unwrap();
     let path = temp("roundtrip", "sfip");
     policy.save(&path).unwrap();
     let loaded = sfip::Policy::load(&path).unwrap();
@@ -349,7 +295,7 @@ fn policy_roundtrips_through_the_on_disk_format() {
     assert_eq!(loaded.distinct_sysnos(), policy.distinct_sysnos());
     assert_eq!(loaded.events_folded(), policy.events_folded());
     assert_eq!(loaded.source_mechanism(), policy.source_mechanism());
-    for from in [sysno::MMAP, sysno::GETPID, sysno::GETUID, sysno::READ] {
+    for from in [nr::MMAP, nr::GETPID, nr::GETUID, nr::READ] {
         for to in 0..512u64 {
             assert_eq!(loaded.allows(from, to), policy.allows(from, to));
         }

@@ -1,47 +1,8 @@
-//! Integration tests over the simulation stack: the paper's simulated
-//! experiments must reproduce. The simulator runs one mechanism, the
-//! hybrid, and models what it observes and executes, not what it
-//! costs: work is counted in retired guest instructions.
+//! Table III over the simulation stack: the paper's extended-state
+//! analysis of coreutils on glibc 2.31 and 2.39, which this host cannot
+//! run natively.
 
-use sim_cpu::asm::Asm;
-use sim_cpu::reg::Gpr;
-use sim_interpose::Interposed;
-use sim_kernel::{sysno, System};
-use sim_workloads::{coreutils, LibcFlavor, COREUTILS};
-
-fn retired(program: &[u8]) -> u64 {
-    let mut ip = Interposed::setup(program, false).expect("setup");
-    ip.run().expect("run");
-    ip.system.machine.retired()
-}
-
-#[test]
-fn sled_position_effect() {
-    // A rewritten site's `call r0` lands at address = syscall number:
-    // low numbers walk the whole sled. The paper picks 500 to minimize
-    // this; verify the effect exists (a real property of the design):
-    // every sled byte passed is one more instruction retired. The slow
-    // path rewrites the site and resumes at it, so every trip walks it.
-    let mk = |nr: u64| {
-        Asm::new()
-            .mov_ri(Gpr::R11, 500)
-            .label("loop")
-            .mov_ri(Gpr::R0, nr)
-            .syscall()
-            .sub_ri(Gpr::R11, 1)
-            .cmp_ri(Gpr::R11, 0)
-            .jnz("loop")
-            .mov_ri(Gpr::R0, sysno::EXIT_GROUP)
-            .mov_ri(Gpr::R1, 0)
-            .syscall()
-            .assemble_at(sim_kernel::kernel::LOAD_ADDR)
-            .unwrap()
-    };
-    // getpid (39, long sled walk) vs 500 (sled tail).
-    let low = retired(&mk(sysno::GETPID));
-    let high = retired(&mk(500));
-    assert!(low > high, "sled effect missing: {low} <= {high}");
-}
+use sim_workloads::{LibcFlavor, COREUTILS};
 
 #[test]
 fn table3_full_matrix() {
@@ -57,114 +18,4 @@ fn table3_full_matrix() {
         let clear = sim_pin::analyze_coreutil(util, LibcFlavor::V3ClearLinux).unwrap();
         assert!(clear.extended_state_affected(), "{} on Clear", util.name);
     }
-}
-
-#[test]
-fn coreutils_behave_identically_under_lazypoline() {
-    // Functional transparency: every utility produces the same
-    // filesystem effects and stdout with and without interposition.
-    for util in COREUTILS {
-        let program = coreutils::build(util, LibcFlavor::V1Ubuntu2004);
-        let run = |system: &mut System| {
-            coreutils::prepare_fs(&mut system.kernel);
-            let exit = system.run().unwrap_or_else(|e| panic!("{}: {e}", util.name));
-            assert_eq!(exit, 0);
-            (system.stdout(), system.kernel.fs.names(), system.kernel.fs.mode("f"))
-        };
-        let mut bare = System::new();
-        bare.load_program(&program).expect("load");
-        let native = run(&mut bare);
-        let mut ip = Interposed::setup(&program, false).expect("setup");
-        let interposed = run(&mut ip.system);
-        assert_eq!(native, interposed, "{} diverged", util.name);
-    }
-}
-
-#[test]
-fn lazypoline_slow_path_hits_scale_with_sites_not_calls() {
-    // 3 sites × many executions each: exactly 3+1 SIGSYS trips.
-    let program = Asm::new()
-        .mov_ri(Gpr::R11, 100)
-        .label("loop")
-        .mov_ri(Gpr::R0, sysno::GETPID)
-        .syscall() // site 1
-        .mov_ri(Gpr::R0, sysno::GETUID)
-        .syscall() // site 2
-        .mov_ri(Gpr::R0, sysno::GETTID)
-        .syscall() // site 3
-        .sub_ri(Gpr::R11, 1)
-        .cmp_ri(Gpr::R11, 0)
-        .jnz("loop")
-        .mov_ri(Gpr::R0, sysno::EXIT_GROUP)
-        .mov_ri(Gpr::R1, 0)
-        .syscall() // site 4
-        .assemble_at(sim_kernel::kernel::LOAD_ADDR)
-        .unwrap();
-    let mut ip = Interposed::setup(&program, false).unwrap();
-    ip.run().unwrap();
-    let st = ip.system.kernel.stats();
-    assert_eq!(st.sud_dispatches, 4, "one slow trip per site: {st:?}");
-    assert!(st.syscalls as i64 >= 300);
-}
-
-#[test]
-fn mechanism_registry_runs_sim_backends_by_name() {
-    // The simulated row, constructed purely by name, delivers what its
-    // interposer observes to the installed handler: one fixed workload
-    // (3 getpids + exit_group) runs correctly and every getpid reaches
-    // the handler.
-    use interpose::{Action, SyscallEvent, SyscallHandler};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let program = Asm::new()
-        .mov_ri(Gpr::R0, sysno::GETPID)
-        .syscall()
-        .mov_ri(Gpr::R0, sysno::GETPID)
-        .syscall()
-        .mov_ri(Gpr::R0, sysno::GETPID)
-        .syscall()
-        .mov_ri(Gpr::R0, sysno::EXIT_GROUP)
-        .mov_ri(Gpr::R1, 0)
-        .syscall()
-        .assemble_at(sim_kernel::kernel::LOAD_ADDR)
-        .unwrap();
-
-    static SEEN: AtomicU64 = AtomicU64::new(0);
-    struct Spy;
-    impl SyscallHandler for Spy {
-        fn handle(&self, ev: &mut SyscallEvent) -> Action {
-            if ev.call.nr == sysno::GETPID {
-                SEEN.fetch_add(1, Ordering::SeqCst);
-            }
-            Action::Passthrough
-        }
-    }
-
-    let name = "sim:lazypoline";
-    let backend = mechanism::by_name(name).unwrap_or_else(|| panic!("{name} unregistered"));
-    assert!(backend.is_available(), "{name}");
-    let mut active = backend.install(Box::new(Spy)).expect("install");
-    let outcome = active.run_program(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(outcome.exit, 0, "{name}: exit status");
-    let seen = SEEN.load(Ordering::SeqCst);
-    let getpids = outcome.observed.iter().filter(|&&n| n == sysno::GETPID).count();
-    assert_eq!(seen, 3, "{name}: handler saw {seen} getpids");
-    assert_eq!(getpids, 3, "{name}: trace has {getpids} getpids");
-    assert!(active.stats().dispatches >= 4, "{name}: {:?}", active.stats());
-}
-
-#[test]
-fn lp_mechanism_env_selects_sim_backends() {
-    // The simulated row is registered by name, and LP_MECHANISM
-    // selects it.
-    assert!(mechanism::names().contains(&"sim:lazypoline"));
-    let select = |name: &str| {
-        mechanism::EnvConfig::from_lookup(|var| (var == mechanism::ENV_VAR).then(|| name.to_string()))
-    };
-    let picked = select("sim:lazypoline+record").expect("selection by name");
-    assert_eq!(picked.mechanism, "sim:lazypoline+record");
-    let err = select("sim:definitely-not-registered").expect_err("an unknown name is an error");
-    assert_eq!(err.var, mechanism::ENV_VAR);
-    assert!(err.to_string().contains("base(+layer)*"), "{err}");
-    assert!(err.to_string().contains("sim:lazypoline"), "{err}");
 }
