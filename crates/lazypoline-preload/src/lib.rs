@@ -177,7 +177,7 @@ fn arm() -> Result<ActiveMechanism, String> {
     let (cache, proven) = SiteCache::open(&name, cfg.site_cache.as_deref());
     let cache = CACHE.get_or_init(|| cache);
     let handler = UntilExit { mode, pid, counter, stats_fd, cache };
-    let mut active = mechanism.install_with(Box::new(handler), &cfg).map_err(|e| {
+    let active = mechanism.install_with(Box::new(handler), &cfg).map_err(|e| {
         // SAFETY: closing the descriptor duplicated above.
         stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
         e.to_string()
@@ -187,9 +187,6 @@ fn arm() -> Result<ActiveMechanism, String> {
         proven.apply();
     }
     ledger::lap(Stage::Apply);
-    if let Some(mask) = cfg.xstate {
-        active.set_xstate(mask);
-    }
     Ok(active)
 }
 

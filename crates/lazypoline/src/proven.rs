@@ -47,6 +47,13 @@ pub fn privately<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Puts the calling thread on the private path of [`privately`] for
+/// the rest of its life, its exit path included: for a helper thread
+/// (a recorder's drain thread) whose syscalls no handler may see.
+pub fn private_thread() {
+    crate::tls::set_in_dispatch(true);
+}
+
 /// Rewrites `sites` (ascending, all in one mapping of protection
 /// `perms`) in one patch window ([`zpoline::rewrite_sites`]),
 /// [`privately`]. Returns how many it rewrote, counted as

@@ -9,7 +9,7 @@
 //! malformed value, whatever layers the name carries — a typo never
 //! waits for the sibling variable that would make it matter.
 //!
-//! [`KNOBS`] lists the sixteen variables; EXPERIMENTS.md's runtime-knob
+//! [`KNOBS`] lists the fourteen variables; EXPERIMENTS.md's runtime-knob
 //! table carries the same names and accepted values, and a unit test
 //! holds the two equal.
 
@@ -20,9 +20,8 @@ use ::sfip::ViolationAction;
 use lazypoline::faultinject::{self, Fault};
 use lazypoline::BypassPolicy;
 use replay::{ring, DrainMode};
-use zpoline::XstateMask;
 
-use crate::{by_name, names, static_by_name, DEFAULT_MECHANISM, ENV_VAR};
+use crate::{by_name, names, DEFAULT_MECHANISM, ENV_VAR};
 #[cfg(doc)]
 use crate::{InstallError, Mechanism};
 
@@ -34,11 +33,8 @@ pub const HOOKS_WATCH_ENV: &str = "LP_HOOKS_WATCH";
 /// --log-file` convention), so a process tree that inherits one value
 /// leaves one trace each (see [`replay::Recorder`]).
 pub const TRACE_OUT_ENV: &str = "LP_TRACE_OUT";
-/// `LP_REPLAY_BASE`.
-pub const REPLAY_BASE_ENV: &str = "LP_REPLAY_BASE";
 
 const MODE_ENV: &str = "LAZYPOLINE_MODE";
-const XSTATE_ENV: &str = "LAZYPOLINE_XSTATE";
 const STATS_ENV: &str = "LAZYPOLINE_STATS";
 const FAULTS_ENV: &str = "LAZYPOLINE_FAULTS";
 const HARDEN_POLICY_ENV: &str = "LP_HARDEN_POLICY";
@@ -47,10 +43,9 @@ const SITE_CACHE_ENV: &str = "LP_SITE_CACHE";
 /// Every runtime variable and what it accepts (as [`ConfigError`]
 /// prints it), in [`EnvConfig`]'s field order. A path takes any bytes;
 /// every other value must be UTF-8.
-pub const KNOBS: [(&str, &str); 16] = [
+pub const KNOBS: [(&str, &str); 14] = [
     (ENV_VAR, "a registered name: base(+layer)* or replay:<trace-path>"),
     (MODE_ENV, "passthrough, trace or count"),
-    (XSTATE_ENV, "avx, sse, x87 or none"),
     (STATS_ENV, "0 or 1"),
     (FAULTS_ENV, "site:schedule[:ERRNO],… with site one of trampoline_install, patch_mprotect, sud_enroll, selector_write, slowpath_emulate, seccomp_install, handler_panic"),
     (HOOKS_ENV, "lib.so[:prio],…"),
@@ -58,7 +53,6 @@ pub const KNOBS: [(&str, &str); 16] = [
     (TRACE_OUT_ENV, "a path; %p is the pid"),
     (replay::DRAIN_ENV, "async or sync"),
     (ring::LP_RING_CAPACITY, "a power of two in [64, 4194304]"),
-    (REPLAY_BASE_ENV, "a static registry name"),
     (::sfip::POLICY_ENV, "a path to an LPSFIP1 policy"),
     (::sfip::ACTION_ENV, "kill, quarantine or count"),
     (::sfip::ORIGINS_ENV, "0 or 1"),
@@ -123,8 +117,6 @@ pub struct EnvConfig {
     pub mechanism: &'static str,
     /// `LAZYPOLINE_MODE`.
     pub mode: HandlerMode,
-    /// `LAZYPOLINE_XSTATE`; `None` keeps the base's mask.
-    pub xstate: Option<XstateMask>,
     /// `LAZYPOLINE_STATS`.
     pub stats: bool,
     /// `LAZYPOLINE_FAULTS`: armed by the process's first engine-backed
@@ -140,8 +132,6 @@ pub struct EnvConfig {
     pub drain: DrainMode,
     /// `LP_RING_CAPACITY`; `None` keeps the current capacity.
     pub ring_capacity: Option<usize>,
-    /// `LP_REPLAY_BASE`: a static registry key.
-    pub replay_base: Option<&'static str>,
     /// `LP_SFIP_POLICY`.
     pub sfip_policy: Option<PathBuf>,
     /// `LP_SFIP_POLICY_ACTION`.
@@ -180,13 +170,6 @@ impl EnvConfig {
                 "count" => Some(HandlerMode::Count),
                 _ => None,
             })?,
-            xstate: field(f, XSTATE_ENV, None, |v| match v {
-                "avx" => Some(Some(XstateMask::Avx)),
-                "sse" => Some(Some(XstateMask::Sse)),
-                "x87" => Some(Some(XstateMask::X87)),
-                "none" => Some(Some(XstateMask::None)),
-                _ => None,
-            })?,
             stats: field(f, STATS_ENV, false, switch)?,
             faults: field(f, FAULTS_ENV, Vec::new(), faultinject::parse_spec)?,
             hooks: field(f, HOOKS_ENV, String::new(), |v| {
@@ -199,7 +182,6 @@ impl EnvConfig {
                 let capacity = v.parse().ok()?;
                 ring::validate(capacity).then_some(Some(capacity))
             })?,
-            replay_base: field(f, REPLAY_BASE_ENV, None, |v| static_by_name(v).map(|m| Some(m.name())))?,
             sfip_policy: os_field(f, ::sfip::POLICY_ENV, None, path)?,
             sfip_action: field(f, ::sfip::ACTION_ENV, ViolationAction::Kill, ViolationAction::from_name)?,
             sfip_origins: field(f, ::sfip::ORIGINS_ENV, false, switch)?,
@@ -282,7 +264,6 @@ mod tests {
             EnvConfig {
                 mechanism: "lazypoline",
                 mode: HandlerMode::Passthrough,
-                xstate: None,
                 stats: false,
                 faults: Vec::new(),
                 hooks: String::new(),
@@ -290,7 +271,6 @@ mod tests {
                 trace_out: None,
                 drain: DrainMode::Async,
                 ring_capacity: None,
-                replay_base: None,
                 sfip_policy: None,
                 sfip_action: ViolationAction::Kill,
                 sfip_origins: false,
@@ -315,10 +295,6 @@ mod tests {
             (MODE_ENV, "passthrough", d()),
             (MODE_ENV, "trace", EnvConfig { mode: HandlerMode::Trace, ..d() }),
             (MODE_ENV, "count", EnvConfig { mode: HandlerMode::Count, ..d() }),
-            (XSTATE_ENV, "avx", EnvConfig { xstate: Some(XstateMask::Avx), ..d() }),
-            (XSTATE_ENV, "sse", EnvConfig { xstate: Some(XstateMask::Sse), ..d() }),
-            (XSTATE_ENV, "x87", EnvConfig { xstate: Some(XstateMask::X87), ..d() }),
-            (XSTATE_ENV, "none", EnvConfig { xstate: Some(XstateMask::None), ..d() }),
             (STATS_ENV, "0", d()),
             (STATS_ENV, "1", EnvConfig { stats: true, ..d() }),
             (
@@ -341,8 +317,6 @@ mod tests {
             (replay::DRAIN_ENV, "sync", EnvConfig { drain: DrainMode::Sync, ..d() }),
             (ring::LP_RING_CAPACITY, "64", EnvConfig { ring_capacity: Some(64), ..d() }),
             (ring::LP_RING_CAPACITY, "4194304", EnvConfig { ring_capacity: Some(1 << 22), ..d() }),
-            (REPLAY_BASE_ENV, "none", EnvConfig { replay_base: Some("none"), ..d() }),
-            (REPLAY_BASE_ENV, "lazypoline-hardened", EnvConfig { replay_base: Some("lazypoline-hardened"), ..d() }),
             (::sfip::POLICY_ENV, "/p.sfip", EnvConfig { sfip_policy: path("/p.sfip"), ..d() }),
             (::sfip::ACTION_ENV, "kill", d()),
             (::sfip::ACTION_ENV, "quarantine", EnvConfig { sfip_action: ViolationAction::Quarantine, ..d() }),
@@ -360,7 +334,6 @@ mod tests {
         let typos = [
             (ENV_VAR, "lazypoline+nope"),
             (MODE_ENV, "cuont"),
-            (XSTATE_ENV, "axv"),
             (STATS_ENV, "yes"),
             (FAULTS_ENV, "patch_mprotect:evry=3"),
             (HOOKS_ENV, "hook_count,"),
@@ -369,8 +342,6 @@ mod tests {
             (ring::LP_RING_CAPACITY, "1000"),
             (ring::LP_RING_CAPACITY, "abc"),
             (ring::LP_RING_CAPACITY, "8388608"),
-            (REPLAY_BASE_ENV, "no-such-backend"),
-            (REPLAY_BASE_ENV, "lazypoline+record"),
             (::sfip::ACTION_ENV, "cuont"),
             (::sfip::ORIGINS_ENV, "on"),
             (HARDEN_POLICY_ENV, "qaurantine"),

@@ -81,6 +81,19 @@ pub(crate) enum LayerGuard {
     Sfip(::sfip::ViolationAction),
 }
 
+impl Drop for LayerGuard {
+    /// A `+record` session nobody finished finishes here, best-effort,
+    /// on the engine's private path (as in
+    /// [`ActiveMechanism::finish_recording`]).
+    fn drop(&mut self) {
+        if let LayerGuard::Record(session) = self {
+            if let Some(session) = session.take() {
+                lazypoline::proven::privately(|| drop(session));
+            }
+        }
+    }
+}
+
 impl LayerGuard {
     /// Sets the snapshot fields that are not deltas: the `+hooks`
     /// gauge and the `+sfip` action. (Every counter is already in the
@@ -199,7 +212,7 @@ impl Mechanism for Composed {
         let base = match &self.base {
             Base::Static(m) => *m,
             Base::Replay(path) => {
-                let (base, state) = record_replay::load_replay(path, cfg)?;
+                let (base, state) = record_replay::load_replay(path)?;
                 handler = Box::new(ReplayHandler::new(Arc::clone(&state)).observing(handler));
                 guards.push(LayerGuard::Replay(state));
                 base

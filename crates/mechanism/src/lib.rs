@@ -73,8 +73,7 @@ mod sfip;
 mod traits;
 
 pub use config::{
-    ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, REPLAY_BASE_ENV,
-    TRACE_OUT_ENV,
+    ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, TRACE_OUT_ENV,
 };
 use interpose::SyscallHandler;
 use layer::LayerGuard;
@@ -425,7 +424,10 @@ impl ActiveMechanism {
     /// The trace ends with the application's last call: the session's
     /// owner check reads the pid from the engine's gate, because libc's
     /// `getpid` site may be rewritten, and a rewritten site dispatches
-    /// into the recorder even after [`detach`](Self::detach).
+    /// into the installed stack even after [`detach`](Self::detach).
+    /// For the same reason the finish itself (its `munmap`s, the
+    /// allocator's `madvise`) runs on the engine's private path, so no
+    /// layer sees the recorder's own syscalls.
     pub fn finish_recording(&mut self) -> Option<std::io::Result<replay::RecordSummary>> {
         let session = self.layers.iter_mut().find_map(|g| match g {
             LayerGuard::Record(session) => session.take(),
@@ -433,7 +435,7 @@ impl ActiveMechanism {
         })?;
         // SAFETY: `getpid` touches no memory.
         let pid = unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETPID)) };
-        Some(session.finish_by(pid as u32))
+        Some(lazypoline::proven::privately(|| session.finish_by(pid as u32)))
     }
 
     /// The first divergence a `replay:<path>` backend observed, if any.
@@ -489,8 +491,8 @@ pub fn by_name(name: &str) -> Option<&'static dyn Mechanism> {
     static_by_name(name).or_else(|| layer::composed_by_name(name))
 }
 
-/// Static-registry lookup only: what a composed name's base, a trace
-/// header's source mechanism, and `LP_REPLAY_BASE` resolve through.
+/// Static-registry lookup only: what a composed name's base and a
+/// trace header's source mechanism resolve through.
 pub(crate) fn static_by_name(name: &str) -> Option<&'static dyn Mechanism> {
     all().find(|m| m.name() == name)
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use replay::{Recorder, ReplayState};
 
-use crate::{static_by_name, ConfigError, EnvConfig, InstallError, Mechanism, REPLAY_BASE_ENV};
+use crate::{static_by_name, EnvConfig, InstallError, Mechanism};
 
 /// The `+record` layer's trace session, if `LP_TRACE_OUT` names a
 /// file, drained as `LP_DRAIN` says. Its header names the *static*
@@ -26,6 +26,10 @@ pub(crate) fn open_session(
     while let Some(at) = path.windows(2).position(|w| w == b"%p") {
         path.splice(at..at + 2, std::process::id().to_string().into_bytes());
     }
+    // The drainer's syscalls (its first `malloc`'s arena, its exit
+    // path) leave through sites the application's threads rewrote: keep
+    // them from every layer, not only the recorder.
+    replay::on_drain_thread_start(lazypoline::proven::private_thread);
     Recorder::open(Path::new(OsStr::from_bytes(&path)), base_name, cfg.drain)
         .map(Some)
         .map_err(InstallError::Io)
@@ -35,10 +39,9 @@ pub(crate) fn open_session(
 /// to re-execute under.
 pub(crate) fn load_replay(
     path: &Path,
-    cfg: &EnvConfig,
 ) -> Result<(&'static dyn Mechanism, Arc<ReplayState>), InstallError> {
     let state = ReplayState::load(path).map_err(|e| InstallError::Io(e.into()))?;
-    let base = replay_base_for(&state.header().source_mechanism, cfg)?;
+    let base = replay_base_for(&state.header().source_mechanism)?;
     if !base.is_available() {
         return Err(InstallError::Unsupported(
             "replay base mechanism unavailable on this host",
@@ -47,14 +50,10 @@ pub(crate) fn load_replay(
     Ok((base, state))
 }
 
-/// The base mechanism to re-execute under: `LP_REPLAY_BASE` if set,
-/// else the trace's own source mechanism, else the paper's subject.
-fn replay_base_for(source: &str, cfg: &EnvConfig) -> Result<&'static dyn Mechanism, InstallError> {
-    if let Some(name) = cfg.replay_base {
-        return static_by_name(name).ok_or_else(|| ConfigError::new(REPLAY_BASE_ENV, name).into());
-    }
-    if let Some(m) = static_by_name(source) {
-        return Ok(m);
-    }
-    static_by_name(crate::DEFAULT_MECHANISM).ok_or(InstallError::Unsupported("no replay base backend"))
+/// The base mechanism to re-execute under: the trace's own source
+/// mechanism, else the paper's subject.
+fn replay_base_for(source: &str) -> Result<&'static dyn Mechanism, InstallError> {
+    static_by_name(source)
+        .or_else(|| static_by_name(crate::DEFAULT_MECHANISM))
+        .ok_or(InstallError::Unsupported("no replay base backend"))
 }

@@ -15,7 +15,10 @@
 //! rewritten still dispatches whoever runs it, this thread included (its
 //! first `malloc`'s arena, a libc `futex` of its parking, its exit
 //! path): the recorder knows the thread by its `pthread_t`, named
-//! before the install, and takes no event from it.
+//! before the install, and takes no event from it. Other layers do not:
+//! an engine that can hide a thread's syscalls from every handler
+//! passes that switch to [`on_drain_thread_start`], and the thread
+//! throws it before its first sweep.
 //!
 //! Each sweep claims what every ring holds, merges the rings by `tsc`
 //! (the cross-thread merge key) reading the records in place, and only
@@ -31,7 +34,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{self, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,6 +68,18 @@ static PARKED: AtomicBool = AtomicBool::new(false);
 /// The running drain thread's handle, for producer-side wakes (one
 /// recorder session, hence one drainer, exists at a time).
 static DRAINER: Mutex<Option<std::thread::Thread>> = Mutex::new(None);
+
+/// What every drain thread runs first, once set.
+static THREAD_START: OnceLock<fn()> = OnceLock::new();
+
+/// Has every drain thread spawned from now on call `start` first: the
+/// engine's switch that puts the calling thread on its private path
+/// for the rest of its life, so that no layer (an sfip automaton
+/// above the recorder, say) sees the drainer's own syscalls, its exit
+/// path's included. The first call wins.
+pub fn on_drain_thread_start(start: fn()) {
+    let _ = THREAD_START.set(start);
+}
 
 /// Unparks the drain thread if it is parking. Called from the
 /// producer hot path (possibly signal context), so it must not block:
@@ -103,15 +118,26 @@ impl DrainHandle {
     }
 }
 
-/// Spawns the drain thread around `writer`. Call before the
+/// Spawns the drain thread around `writer` and returns once it runs
+/// (past its start-up and its [`on_drain_thread_start`] switch), so a
+/// late-scheduled start-up cannot meet the mechanism. Call before the
 /// interposition mechanism installs (see module docs).
 pub(crate) fn spawn(writer: TraceWriter<FileSink>) -> io::Result<DrainHandle> {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
+    let started = Arc::new(Barrier::new(2));
+    let started2 = Arc::clone(&started);
     let thread = std::thread::Builder::new()
         .name("lp-drain".into())
-        .spawn(move || run(writer, &stop2))?;
+        .spawn(move || {
+            if let Some(start) = THREAD_START.get() {
+                start();
+            }
+            started2.wait();
+            run(writer, &stop2)
+        })?;
     ring::set_drain_thread(std::os::unix::thread::JoinHandleExt::as_pthread_t(&thread) as usize);
+    started.wait();
     if let Ok(mut guard) = DRAINER.lock() {
         *guard = Some(thread.thread().clone());
     }

@@ -41,6 +41,7 @@ pub mod ring;
 pub mod spill;
 mod tsc;
 
+pub use drain::on_drain_thread_start;
 pub use event::EventRecord;
 pub use format::{
     dump_trace, read_trace, read_trace_path, render_record, TraceError, TraceHeader, TraceWriter,

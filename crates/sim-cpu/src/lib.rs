@@ -1,45 +1,41 @@
-//! A deterministic simulated CPU for interposition experiments.
+//! A deterministic simulated CPU for Table III's register-preservation
+//! study.
 //!
-//! Some of the paper's experiments cannot run on the host: Intel Pin
-//! is proprietary (Table III), and no native engine keeps the
-//! selector the §VI attack targets. This crate provides the substrate
-//! those experiments run on instead: a small machine with
+//! Table III comes from an Intel Pin study of coreutils on glibc 2.31
+//! and 2.39, which this host cannot run; `sim-pin` reruns that study
+//! over this machine and `sim-kernel`. It keeps only what those guest
+//! programs execute:
 //!
 //! * sixteen 64-bit general-purpose registers and sixteen 128-bit
 //!   vector registers ([`reg`]),
-//! * paged memory with R/W/X permissions ([`mem`]),
-//! * a **variable-length ISA** ([`insn`]) that deliberately shares the
-//!   two encodings the rewriting trick depends on with x86-64: the
-//!   2-byte `SYSCALL` (`0f 05`) and 2-byte `CALL r0` (`ff d0`) — so a
-//!   zpoline-style rewriter works (and mis-disassembles!) exactly as
-//!   on real hardware,
+//! * sparse paged memory, where an access to an unmapped address
+//!   faults ([`mem`]),
+//! * a variable-length ISA of nine operations whose `SYSCALL` keeps
+//!   its x86-64 encoding, `0f 05` ([`insn`]),
 //! * an assembler with labels ([`asm`]),
-//! * a linear-sweep disassembler with the same data-vs-code blindness
-//!   real static rewriters suffer ([`insn::sweep`]),
-//! * an execution engine with a retired-instruction count and
-//!   per-instruction register read/write tracing for the Pin-like
-//!   analysis ([`machine`]).
+//! * an execution engine with a retired-instruction count, a fuel
+//!   guard, and per-instruction register read/write tracing for the
+//!   Pin-like analysis ([`machine`]).
 //!
-//! The machine is single-ISA, little-endian, and completely
-//! deterministic: identical programs retire identical instruction
-//! streams. It models no time: what each mechanism costs is measured
-//! natively (`table2`).
+//! The machine is little-endian and completely deterministic:
+//! identical programs retire identical instruction streams. It models
+//! no time and no interposition mechanism; those run natively.
 //!
 //! # Example
 //!
 //! ```rust
 //! use lp_sim_cpu::asm::Asm;
-//! use lp_sim_cpu::machine::{Event, Machine};
+//! use lp_sim_cpu::machine::Machine;
 //! use lp_sim_cpu::reg::Gpr;
 //!
 //! let code = Asm::new()
-//!     .mov_ri(Gpr::R0, 39) // "getpid"
+//!     .mov_ri(Gpr::R0, 218) // "set_tid_address"
 //!     .syscall()
-//!     .hlt()
 //!     .assemble()?;
 //! let mut m = Machine::new();
 //! m.load_code(0x1000, &code)?;
-//! assert!(matches!(m.run()?, Event::Syscall));
+//! m.run_fuel(100)?; // stops at the syscall
+//! assert_eq!(m.syscall_args().0, 218);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -51,9 +47,3 @@ pub mod insn;
 pub mod machine;
 pub mod mem;
 pub mod reg;
-
-pub use asm::Asm;
-pub use insn::{decode, sweep, Insn, Op};
-pub use machine::{Event, Fault, Machine};
-pub use mem::{Memory, Perms, PAGE_SIZE};
-pub use reg::{Gpr, RegSet, Xmm};

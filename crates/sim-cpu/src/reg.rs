@@ -6,10 +6,7 @@ use std::fmt;
 ///
 /// Conventions (mirroring the x86-64 syscall ABI shape):
 /// * `R0` — syscall number and return value ("rax"),
-/// * `R1..=R6` — syscall arguments,
-/// * `R15` — stack pointer,
-/// * the `CALL reg` fast-path trick requires the syscall number
-///   register to be the callable one, exactly like `call rax`.
+/// * `R1..=R6` — syscall arguments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Gpr {
     /// r0 — syscall number / return value ("rax").
@@ -26,23 +23,23 @@ pub enum Gpr {
     R5,
     /// r6 — sixth syscall argument.
     R6,
-    /// r7 — caller-saved scratch.
+    /// r7 — scratch.
     R7,
-    /// r8 — caller-saved scratch.
+    /// r8 — scratch.
     R8,
-    /// r9 — caller-saved scratch.
+    /// r9 — scratch.
     R9,
-    /// r10 — callee-saved.
+    /// r10 — scratch.
     R10,
-    /// r11 — callee-saved.
+    /// r11 — scratch.
     R11,
-    /// r12 — callee-saved.
+    /// r12 — scratch.
     R12,
-    /// r13 — callee-saved.
+    /// r13 — scratch.
     R13,
-    /// r14 — frame/scratch.
+    /// r14 — scratch.
     R14,
-    /// r15 — stack pointer.
+    /// r15 — scratch.
     R15,
 }
 
@@ -66,9 +63,6 @@ impl Gpr {
         Gpr::R14,
         Gpr::R15,
     ];
-
-    /// The stack pointer register.
-    pub const SP: Gpr = Gpr::R15;
 
     /// Numeric index (0..16).
     pub fn index(self) -> usize {
@@ -142,11 +136,6 @@ impl RegSet {
         self.0 & (1 << (16 + x.index())) != 0
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// Iterates all members as (is_vector, index) pairs.
     pub fn iter(self) -> impl Iterator<Item = (bool, usize)> {
         (0..32).filter_map(move |bit| {
@@ -188,7 +177,6 @@ mod tests {
             assert_eq!(r.index(), i);
             assert_eq!(Gpr::from_index(i), *r);
         }
-        assert_eq!(Gpr::SP, Gpr::R15);
     }
 
     #[test]
@@ -198,8 +186,7 @@ mod tests {
         assert!(!s.has_gpr(Gpr::R4));
         assert!(s.has_xmm(Xmm(7)));
         assert!(!s.has_xmm(Xmm(8)));
-        assert!(!s.is_empty());
-        assert!(RegSet::EMPTY.is_empty());
+        assert_ne!(s, RegSet::EMPTY);
     }
 
     #[test]

@@ -1,26 +1,16 @@
 //! A tiny in-memory filesystem for the simulated workloads.
 //!
-//! Just enough for the coreutils programs of Table III and the server
-//! loops: flat namespace, byte-array files, directory listing, a
-//! deterministic random source, and captured stdout/stderr.
+//! Just enough for the coreutils programs of Table III: flat
+//! namespace, byte-array files, directory listing, and captured
+//! stdout/stderr.
 
 use std::collections::BTreeMap;
 
-/// Open-file modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpenMode {
-    /// Read-only.
+enum OpenMode {
     Read,
-    /// Write (created/truncated).
+    /// Created/truncated.
     Write,
-}
-
-/// `open` flag bits used by guest programs.
-pub mod flags {
-    /// Read-only open.
-    pub const O_RDONLY: u64 = 0;
-    /// Write open (create + truncate).
-    pub const O_WRONLY: u64 = 1;
 }
 
 #[derive(Clone, Debug)]
@@ -74,11 +64,6 @@ impl Fs {
         self.modes.get(name).copied()
     }
 
-    /// Lists all file names.
-    pub fn names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
-    }
-
     fn alloc_fd(&mut self, kind: FdKind) -> u64 {
         for (i, slot) in self.fds.iter_mut().enumerate().skip(3) {
             if slot.is_none() {
@@ -93,7 +78,7 @@ impl Fs {
     /// `open`; returns fd or `None` (ENOENT on read of missing file).
     pub fn open(&mut self, name: &str, write: bool) -> Option<u64> {
         if name == "." {
-            let names = self.names();
+            let names = self.files.keys().cloned().collect();
             return Some(self.alloc_fd(FdKind::Dir { names, pos: 0 }));
         }
         if write {
@@ -203,11 +188,6 @@ impl Fs {
         }
     }
 
-    /// File size for `stat`.
-    pub fn size(&self, name: &str) -> Option<u64> {
-        self.files.get(name).map(|f| f.len() as u64)
-    }
-
     /// `unlink`.
     pub fn unlink(&mut self, name: &str) -> bool {
         self.files.remove(name).is_some()
@@ -314,13 +294,5 @@ mod tests {
         assert!(!fs.unlink("y"));
         assert!(!fs.rename("y", "z"));
         assert!(!fs.chmod("y", 0o600));
-    }
-
-    #[test]
-    fn stat_size() {
-        let mut fs = Fs::new();
-        fs.put_file("f", vec![0; 123]);
-        assert_eq!(fs.size("f"), Some(123));
-        assert_eq!(fs.size("g"), None);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Together with [`sim_cpu`], this runs the guest programs of Table
 //! III's analysis (`sim-pin`): coreutils over two old glibc flavours
-//! that this host cannot run. It models no interposition mechanism;
+//! that this host cannot run. It serves the fourteen syscalls those
+//! programs make ([`sysno`]) and models no interposition mechanism;
 //! every mechanism runs natively. The model is **single-task**: one
 //! guest program per [`System`].
 //!
@@ -13,7 +14,7 @@
 //! use lp_sim_kernel::{sysno, System};
 //!
 //! let prog = Asm::new()
-//!     .mov_ri(Gpr::R0, sysno::GETPID)
+//!     .mov_ri(Gpr::R0, sysno::SET_TID_ADDRESS)
 //!     .syscall()
 //!     .mov_ri(Gpr::R0, sysno::EXIT_GROUP)
 //!     .mov_ri(Gpr::R1, 0)
@@ -33,5 +34,4 @@ pub mod fs;
 pub mod kernel;
 pub mod sysno;
 
-pub use fs::Fs;
-pub use kernel::{Kernel, KernelStats, SimError, System};
+pub use kernel::{Kernel, System};

@@ -1,9 +1,7 @@
 //! Simulated syscall numbers and error codes.
 //!
-//! The number space mirrors x86-64 Linux so that guest programs,
-//! traces, and the trampoline's nop-sled sizing carry over unchanged —
-//! including the paper's benchmark syscall 500, which does not exist
-//! here either.
+//! The number space mirrors x86-64 Linux. These are the fourteen calls
+//! Table III's guest programs make; any other number returns `ENOSYS`.
 
 /// `read(fd, buf, len)`.
 pub const READ: u64 = 0;
@@ -13,32 +11,19 @@ pub const WRITE: u64 = 1;
 pub const OPEN: u64 = 2;
 /// `close(fd)`.
 pub const CLOSE: u64 = 3;
-/// `stat(path_ptr, path_len, out_ptr)` — writes the file size (u64).
-pub const STAT: u64 = 4;
-/// `mmap(addr, len, prot, flags)`.
+/// `mmap(addr, len)`: maps at `addr` (rounded down to a page), as with
+/// `MAP_FIXED`.
 pub const MMAP: u64 = 9;
-/// `mprotect(addr, len, prot)`.
-pub const MPROTECT: u64 = 10;
-/// `munmap(addr, len)`.
-pub const MUNMAP: u64 = 11;
-/// `getpid()`.
-pub const GETPID: u64 = 39;
-/// `exit(code)`.
-pub const EXIT: u64 = 60;
 /// `getdents(fd, buf, len)` — simplified directory listing.
 pub const GETDENTS: u64 = 78;
+/// `rename(old_ptr, old_len, new_ptr, new_len)`.
+pub const RENAME: u64 = 82;
+/// `mkdir(path_ptr, path_len)`.
+pub const MKDIR: u64 = 83;
 /// `chmod(path_ptr, path_len, mode)`.
 pub const CHMOD: u64 = 90;
-/// `getuid()`.
-pub const GETUID: u64 = 102;
-/// `gettid()`.
-pub const GETTID: u64 = 186;
-/// `time()` — virtual time derived from the retired-instruction count.
-pub const TIME: u64 = 201;
 /// `set_tid_address(ptr)`.
 pub const SET_TID_ADDRESS: u64 = 218;
-/// `clock_gettime(clk, out_ptr)`.
-pub const CLOCK_GETTIME: u64 = 228;
 /// `exit_group(code)`.
 pub const EXIT_GROUP: u64 = 231;
 /// `unlink(path_ptr, path_len)`.
@@ -47,12 +32,6 @@ pub const UNLINK: u64 = 263;
 pub const SET_ROBUST_LIST: u64 = 273;
 /// `getrandom(buf, len)`.
 pub const GETRANDOM: u64 = 318;
-/// `rename(old_ptr, old_len, new_ptr2?)` — simplified two-path call.
-pub const RENAME: u64 = 82;
-/// `mkdir(path_ptr, path_len)`.
-pub const MKDIR: u64 = 83;
-/// The paper's microbenchmark number: implemented by no kernel.
-pub const NONEXISTENT: u64 = 500;
 
 /// Error numbers (positive values; returns encode as `-errno`).
 pub mod errno {
@@ -60,8 +39,6 @@ pub mod errno {
     pub const ENOENT: u64 = 2;
     /// Bad file descriptor.
     pub const EBADF: u64 = 9;
-    /// Permission/operation error.
-    pub const EPERM: u64 = 1;
     /// Bad address.
     pub const EFAULT: u64 = 14;
     /// Invalid argument.
@@ -85,36 +62,6 @@ pub mod errno {
     }
 }
 
-/// Canonical name of a simulated syscall number.
-pub fn name(nr: u64) -> Option<&'static str> {
-    Some(match nr {
-        READ => "read",
-        WRITE => "write",
-        OPEN => "open",
-        CLOSE => "close",
-        STAT => "stat",
-        MMAP => "mmap",
-        MPROTECT => "mprotect",
-        MUNMAP => "munmap",
-        GETPID => "getpid",
-        EXIT => "exit",
-        GETDENTS => "getdents",
-        CHMOD => "chmod",
-        GETUID => "getuid",
-        GETTID => "gettid",
-        TIME => "time",
-        SET_TID_ADDRESS => "set_tid_address",
-        CLOCK_GETTIME => "clock_gettime",
-        EXIT_GROUP => "exit_group",
-        UNLINK => "unlink",
-        SET_ROBUST_LIST => "set_robust_list",
-        GETRANDOM => "getrandom",
-        RENAME => "rename",
-        MKDIR => "mkdir",
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +70,7 @@ mod tests {
     fn numbers_mirror_x86_64() {
         assert_eq!(READ, 0);
         assert_eq!(WRITE, 1);
-        assert_eq!(GETPID, 39);
+        assert_eq!(SET_TID_ADDRESS, 218);
         assert_eq!(GETRANDOM, 318);
     }
 
@@ -132,11 +79,5 @@ mod tests {
         assert_eq!(errno::from_ret(errno::ret(errno::ENOSYS)), Some(38));
         assert_eq!(errno::from_ret(0), None);
         assert_eq!(errno::from_ret(12345), None);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(name(WRITE), Some("write"));
-        assert_eq!(name(NONEXISTENT), None);
     }
 }

@@ -26,8 +26,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sim_cpu::insn::Op;
-use sim_cpu::machine::TraceRecord;
-use sim_kernel::{SimError, System};
+use sim_cpu::machine::{Fault, TraceRecord};
+use sim_kernel::System;
 
 /// One write→syscall→read occurrence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,14 +88,12 @@ struct RegWindow {
 struct AnalysisState {
     gpr: [RegWindow; 16],
     xmm: [RegWindow; 16],
-    findings: Vec<Finding>,
-    syscalls: u64,
-    instructions: u64,
+    report: PinReport,
 }
 
 impl AnalysisState {
     fn on_insn(&mut self, t: &TraceRecord) {
-        self.instructions += 1;
+        self.report.instructions += 1;
 
         // Reads first: a read that happens on this instruction sees
         // the register state from *before* any write it also performs
@@ -113,8 +111,8 @@ impl AnalysisState {
                     read_rip: t.rip,
                     syscall_rip: w.syscall_rip,
                 };
-                if !self.findings.contains(&finding) {
-                    self.findings.push(finding);
+                if !self.report.findings.contains(&finding) {
+                    self.report.findings.push(finding);
                 }
                 // One finding per write-window.
                 w.crossed_syscall = false;
@@ -122,7 +120,7 @@ impl AnalysisState {
         }
 
         if t.op == Op::Syscall {
-            self.syscalls += 1;
+            self.report.syscalls += 1;
             for w in self.gpr.iter_mut().chain(self.xmm.iter_mut()) {
                 if w.written && !w.crossed_syscall {
                     w.crossed_syscall = true;
@@ -150,7 +148,7 @@ impl AnalysisState {
 /// # Errors
 ///
 /// Propagates guest failures.
-pub fn analyze<F>(program: &[u8], prepare: F) -> Result<PinReport, SimError>
+pub fn analyze<F>(program: &[u8], prepare: F) -> Result<PinReport, Fault>
 where
     F: FnOnce(&mut System),
 {
@@ -165,16 +163,10 @@ where
         .set_trace_hook(Box::new(move |t| hook_state.borrow_mut().on_insn(t)));
 
     system.run()?;
-    system.machine.clear_trace_hook();
+    drop(system);
 
-    let state = Rc::try_unwrap(state)
-        .unwrap_or_else(|_| unreachable!("hook dropped with machine"))
-        .into_inner();
-    Ok(PinReport {
-        findings: state.findings,
-        syscalls: state.syscalls,
-        instructions: state.instructions,
-    })
+    let state = Rc::try_unwrap(state).unwrap_or_else(|_| unreachable!("hook dropped with machine"));
+    Ok(state.into_inner().report)
 }
 
 /// Convenience: analyzes one Table III cell (utility × libc flavour).
@@ -185,7 +177,7 @@ where
 pub fn analyze_coreutil(
     util: sim_workloads::Coreutil,
     flavor: sim_workloads::LibcFlavor,
-) -> Result<PinReport, SimError> {
+) -> Result<PinReport, Fault> {
     let program = sim_workloads::coreutils::build(util, flavor);
     analyze(&program, |sys| {
         sim_workloads::coreutils::prepare_fs(&mut sys.kernel)
@@ -208,17 +200,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Maps the page the programs below store to.
+    fn map_data(sys: &mut System) {
+        sys.machine.mem.map(0xb000, 4096);
+    }
+
     #[test]
     fn clean_program_has_no_vector_findings() {
         // Writes and reads xmm with no syscall in between.
         let prog = exit(
             Asm::new()
+                .mov_ri(Gpr::R12, 0xb000)
                 .mov_xi(Xmm(2), 7)
-                .mov_rx(Gpr::R9, Xmm(2))
-                .mov_ri(Gpr::R0, sysno::GETPID)
+                .store_x(Gpr::R12, Xmm(2), 0)
+                .mov_ri(Gpr::R0, sysno::SET_TID_ADDRESS)
                 .syscall(),
         );
-        let r = analyze(&prog, |_| {}).unwrap();
+        let r = analyze(&prog, map_data).unwrap();
         assert!(!r.extended_state_affected(), "{:?}", r.findings);
         assert_eq!(r.syscalls, 2);
     }
@@ -231,19 +229,14 @@ mod tests {
             Asm::new()
                 .mov_ri(Gpr::R12, 0xb000)
                 .mov_xr(Xmm(0), Gpr::R12)
-                .mov_ri(Gpr::R0, sysno::GETPID)
+                .mov_ri(Gpr::R0, sysno::SET_TID_ADDRESS)
                 .syscall()
-                .mov_ri(Gpr::R0, sysno::GETUID)
+                .mov_ri(Gpr::R0, sysno::SET_ROBUST_LIST)
                 .syscall()
                 .mov_ri(Gpr::R9, sysno::MMAP) // unrelated noise
                 .store_x(Gpr::R12, Xmm(0), 0), // ← the expecting read
         );
-        let r = analyze(&prog, |sys| {
-            sys.machine
-                .mem
-                .map(0xb000, 4096, sim_cpu::mem::Perms::RW)
-        })
-        .unwrap();
+        let r = analyze(&prog, map_data).unwrap();
         assert!(r.extended_state_affected());
         assert_eq!(r.affected_vector_regs(), vec![0]);
         // The finding points at the first intervening syscall.
@@ -257,15 +250,12 @@ mod tests {
         // r0 is clobbered, so this must not count.
         let prog = exit(
             Asm::new()
-                .mov_ri(Gpr::R0, sysno::GETPID)
+                .mov_ri(Gpr::R0, sysno::SET_TID_ADDRESS)
                 .syscall()
                 .mov_rr(Gpr::R9, Gpr::R0),
         );
         let r = analyze(&prog, |_| {}).unwrap();
-        assert!(r
-            .findings
-            .iter()
-            .all(|f| f.vector || f.reg != 0));
+        assert!(r.findings.iter().all(|f| f.vector || f.reg != 0));
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         let prog = exit(
             Asm::new()
                 .mov_ri(Gpr::R12, 5)
-                .mov_ri(Gpr::R0, sysno::GETPID)
+                .mov_ri(Gpr::R0, sysno::SET_TID_ADDRESS)
                 .syscall()
                 .mov_rr(Gpr::R9, Gpr::R12),
         );

@@ -22,21 +22,20 @@ pub struct Coreutil {
 /// paper's Ubuntu 20.04 column: ls, mkdir, mv, cp are affected there;
 /// pwd, chmod, rm, touch, cat, clear are not.
 pub const COREUTILS: [Coreutil; 10] = [
-    Coreutil { name: "ls", threaded: true },
-    Coreutil { name: "pwd", threaded: false },
-    Coreutil { name: "chmod", threaded: false },
-    Coreutil { name: "mkdir", threaded: true },
-    Coreutil { name: "mv", threaded: true },
-    Coreutil { name: "cp", threaded: true },
-    Coreutil { name: "rm", threaded: false },
-    Coreutil { name: "touch", threaded: false },
-    Coreutil { name: "cat", threaded: false },
-    Coreutil { name: "clear", threaded: false },
+    util("ls", true),
+    util("pwd", false),
+    util("chmod", false),
+    util("mkdir", true),
+    util("mv", true),
+    util("cp", true),
+    util("rm", false),
+    util("touch", false),
+    util("cat", false),
+    util("clear", false),
 ];
 
-/// Looks up a utility by name.
-pub fn by_name(name: &str) -> Option<Coreutil> {
-    COREUTILS.iter().copied().find(|c| c.name == name)
+const fn util(name: &'static str, threaded: bool) -> Coreutil {
+    Coreutil { name, threaded }
 }
 
 /// Seeds the filesystem every utility expects: an input file `a` and a
@@ -221,7 +220,7 @@ mod tests {
     use sim_kernel::System;
 
     fn run(name: &str, flavor: LibcFlavor) -> System {
-        let util = by_name(name).unwrap();
+        let util = *COREUTILS.iter().find(|c| c.name == name).unwrap();
         let code = build(util, flavor);
         let mut sys = System::new();
         prepare_fs(&mut sys.kernel);
@@ -257,10 +256,7 @@ mod tests {
     #[test]
     fn cp_copies() {
         let sys = run("cp", LibcFlavor::V1Ubuntu2004);
-        assert_eq!(
-            sys.kernel.fs.file("b").unwrap(),
-            b"the quick brown fox\n"
-        );
+        assert_eq!(sys.kernel.fs.file("b").unwrap(), b"the quick brown fox\n");
     }
 
     #[test]

@@ -148,10 +148,10 @@ fn xstate_none_mode_still_works_for_coreutils() {
     let Some(so) = ready() else { return };
     // Table III says coreutils on glibc *can* expect xmm preservation;
     // whether `cat` on this host's libc does is build-dependent — this
-    // asserts only that the no-xstate configuration is functional.
+    // asserts only that the no-xstate row is functional.
     let out = preloaded(&so, "/bin/cat")
         .arg("/proc/self/cmdline")
-        .env("LAZYPOLINE_XSTATE", "none")
+        .env("LP_MECHANISM", "lazypoline-nox")
         .output()
         .expect("run cat");
     assert!(out.status.success(), "{out:?}");
@@ -962,7 +962,6 @@ fn bad_configuration_runs_uninterposed() {
         ("LP_MECHANISM", "lazypoline+sfip", "sfip policy failed"),
         ("LP_HOOKS", "/nonexistent.so", "hook loading failed"),
         ("LAZYPOLINE_MODE", "cuont", "LAZYPOLINE_MODE"),
-        ("LAZYPOLINE_XSTATE", "axv", "LAZYPOLINE_XSTATE"),
         ("LAZYPOLINE_STATS", "yes", "LAZYPOLINE_STATS"),
         ("LAZYPOLINE_FAULTS", "patch_mprotect:evry=3", "LAZYPOLINE_FAULTS"),
         ("LP_HARDEN_POLICY", "qaurantine", "LP_HARDEN_POLICY"),
@@ -972,7 +971,6 @@ fn bad_configuration_runs_uninterposed() {
         ("LP_RING_CAPACITY", "1000", "LP_RING_CAPACITY"),
         ("LP_RING_CAPACITY", "abc", "LP_RING_CAPACITY"),
         ("LP_DRAIN", "asnyc", "LP_DRAIN"),
-        ("LP_REPLAY_BASE", "no-such-backend", "LP_REPLAY_BASE"),
     ] {
         let out = preloaded(&so, "/bin/ls")
             .arg("/")

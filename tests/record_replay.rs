@@ -53,7 +53,6 @@ fn lp_trace<S: AsRef<OsStr>>(args: &[S]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_lp-trace"))
         .args(args)
         .env_remove("LAZYPOLINE_FAULTS")
-        .env_remove("LP_REPLAY_BASE")
         .env_remove("LP_TRACE_OUT")
         .output()
         .expect("lp-trace runs")
@@ -460,35 +459,6 @@ fn lptrace2_fixture_reencodes_byte_for_byte() {
 #[test]
 fn lptrace3_fixture_reencodes_byte_for_byte() {
     reencodes_byte_for_byte(&jit_v3_fixture(), replay::VERSION3);
-}
-
-/// `LP_REPLAY_BASE` replaces the trace's own mechanism as the base a
-/// replay installs under. The fixture, recorded under `lazypoline`,
-/// replayed under the `none` row installs an engine-less base, which
-/// only the override explains; a name no row answers to fails to parse.
-#[test]
-fn replay_base_env_overrides_the_traces_mechanism() {
-    // The install replaces the process's handler for its lifetime.
-    let _g = record_lock();
-    let name = format!("replay:{}", jit_v3_fixture().display());
-    let replay = mechanism::by_name(&name).unwrap();
-
-    let base = |value: &str| {
-        let lookup = |var: &str| (var == mechanism::REPLAY_BASE_ENV).then(|| value.to_string());
-        EnvConfig::from_lookup(lookup)
-    };
-    let cfg = base("none").expect("a static row parses");
-    let mut active = replay
-        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
-        .expect("the override names an installable row");
-    assert!(
-        !active.set_xstate(mechanism::XstateMask::Sse),
-        "the base is `none`, which has no engine, not the trace's lazypoline"
-    );
-    assert_eq!(active.replay_state().expect("replay backend").len(), WINDOW.len());
-    drop(active);
-    let unknown = base("no-such-backend").expect_err("a name no row answers to");
-    assert_eq!(unknown.var, mechanism::REPLAY_BASE_ENV);
 }
 
 /// Flight-recorder-only mode (no trace file): events that reach the

@@ -107,6 +107,32 @@ fn learned_policy_is_clean_on_its_own_workload() {
 }
 
 #[test]
+fn recorder_finish_is_not_flow_checked() {
+    if !native() {
+        return;
+    }
+    let records = record_guest("finish");
+    let policy = sfip::Policy::learn(&records, "lazypoline").expect("the guest learns");
+    let path = temp("finish", "sfip");
+    policy.save(&path).expect("policy saves");
+    // The session's finish (`munmap`, the allocator's `madvise`) leaves
+    // through libc sites the guest rewrote; the policy never saw them.
+    for action in ["count", "kill"] {
+        let trace = temp(&format!("finish_{action}"), "lpt");
+        let out = record_under(
+            "lazypoline+sfip",
+            &trace,
+            &[(sfip::POLICY_ENV, path.as_os_str()), (sfip::ACTION_ENV, OsStr::new(action))],
+        );
+        assert!(!out.contains("flow violation"), "{action}: {out}");
+        let (_, events) = replay::read_trace_path(&trace).expect("the trace is finished");
+        assert_eq!(events.len(), 4, "{action}: {out}");
+        std::fs::remove_file(&trace).unwrap();
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn interleaved_threads_do_not_contaminate_each_other() {
     use interpose::{SyscallEvent, SyscallHandler};
     use syscalls::SyscallArgs;
