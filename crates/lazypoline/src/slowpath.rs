@@ -6,16 +6,31 @@
 //! 1. rewrites the faulting `syscall` instruction to `call rax`
 //!    ([`zpoline::patch_syscall_site`], under the rewrite spinlock),
 //! 2. rewinds the interrupted `rip` to the *rewritten* instruction and
-//!    returns. Re-execution enters the fast path, which handles the
-//!    syscall — the paper's single shared handling implementation for
-//!    both paths.
+//!    resumes in user space ([`zpoline::resume_context`]): the frame's
+//!    extended state, GPRs, flags and `rip`, put back without
+//!    `rt_sigreturn`. Re-execution enters the fast path, which handles
+//!    the syscall — the paper's single shared handling implementation
+//!    for both paths.
 //!
 //! There is no selector to flip: every syscall the handler issues
 //! leaves from the gate ([`zpoline::gate`]), which SUD lets through by
-//! its range, and it returns through the gate's restorer ([`install`]).
-//! The paper's handler sets ALLOW first and returns with it
-//! ("selector-only SUD"), for its own syscalls and for the re-executed
-//! site; here the site's re-execution is a `call rax`, not a syscall.
+//! its range, and the resume issues none. The paper's handler sets
+//! ALLOW first and `sigreturn`s with it ("selector-only SUD"), for its
+//! own syscalls and for the re-executed site; here the site's
+//! re-execution is a `call rax`, not a syscall.
+//!
+//! The handler is registered `SA_NODEFER` with an empty `sa_mask`
+//! ([`install`]) and the patch path changes neither the signal mask nor
+//! the alternate stack, so the resume has nothing else to restore. The
+//! kernel's return, through the gate's restorer, is still taken:
+//!
+//! * after every emulation below — the emulated `rt_sigprocmask` edits
+//!   `uc_sigmask`, which only the kernel installs together with the
+//!   return;
+//! * for a frame the resume cannot honour
+//!   ([`sud::sigsys::UContext::resumable`]): no `xsave` image (its magic
+//!   words missing), `TF` set, a `cs` other than the 64-bit user
+//!   selector, or a user shadow stack active.
 //!
 //! When the site is not rewritten, the syscall is emulated right here
 //! through the same shared [`crate::fastpath::handle_syscall`] logic.
@@ -147,7 +162,16 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
     };
 
     match emulate_reason {
-        None => uc.set_rip(insn as u64),
+        None => {
+            uc.set_rip(insn as u64);
+            if uc.resumable() {
+                // SAFETY: the kernel's frame for this handler, checked;
+                // the patch path left the mask and the alternate stack
+                // as it found them, and nothing on this stack needs
+                // dropping.
+                zpoline::resume_context(uc.as_ptr());
+            }
+        }
         Some(reason) => {
             // Counted as the dispatches they stand in for: the
             // application's, not the interposer's own.

@@ -73,6 +73,7 @@ pub const AT_SYSINFO_EHDR: c_ulong = 33;
 
 // ——— signals —————————————————————————————————————————————————————————
 
+pub const SIGILL: c_int = 4;
 pub const SIGKILL: c_int = 9;
 pub const SIGUSR1: c_int = 10;
 pub const SIGSEGV: c_int = 11;
@@ -146,6 +147,7 @@ pub const REG_RCX: c_int = 14;
 pub const REG_RSP: c_int = 15;
 pub const REG_RIP: c_int = 16;
 pub const REG_EFL: c_int = 17;
+pub const REG_CSGSFS: c_int = 18;
 
 #[repr(C)]
 #[derive(Clone, Copy)]

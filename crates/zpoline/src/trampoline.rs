@@ -105,6 +105,34 @@
 //! in it ([`crate::patcher`]). A `call rax` there would send the miss
 //! exit, or the dispatcher's own syscalls, back into the stub.
 //!
+//! # The resume
+//!
+//! The restorer's twin, and the one way out of the interposer that is
+//! not a syscall: [`resume_context`] puts a signal frame's interrupted
+//! context back in user space, where the restorer asks the kernel to.
+//! lazypoline's SIGSYS handler takes it after a rewrite. It is
+//! assembled behind the gate's end, outside the range, because it
+//! issues no syscall. Five steps, in this order:
+//!
+//! 1. `xrstor64` of the frame's `xsave` image with RFBM = the
+//!    `xfeatures` the kernel wrote beside it: the components the
+//!    kernel's own sigreturn restores (x87, `MXCSR`, `xmm`/`ymm`,
+//!    `zmm` and `k`, PKRU);
+//! 2. copy the fifteen GPRs other than `rsp`, then `rflags` and `rip`,
+//!    into a 136-byte image at `[rsp − 264, rsp − 128)` of the
+//!    interrupted `rsp`: inside the dead signal frame, under the red
+//!    zone. After the `xrstor64`, which reads what the image may
+//!    overwrite;
+//! 3. point `rsp` at the image;
+//! 4. `pop` the fifteen, then `popfq`;
+//! 5. `ret 128`, to `rip` with `rsp` where it was.
+//!
+//! From step 3 on, everything still to be read lies at or above `rsp`,
+//! so a signal that lands there builds its frame below the image. What
+//! the kernel's return does besides — install `uc_sigmask`, restore the
+//! alternate stack, refuse a frame it cannot honour — the caller must
+//! have no need of ([`resume_context`]).
+//!
 //! # ABI fidelity (paper §IV-B(b))
 //!
 //! On x86-64 Linux, `syscall` clobbers only `rax` (return value), `rcx`
@@ -375,6 +403,9 @@ pub struct ThreadBlock {
     leaves_fp_env: Cell<bool>,
     /// Full-path exits that found the declaration (debug builds count).
     declared_exits: Cell<u64>,
+    /// Signal frames put back by [`resume_context`] (debug builds
+    /// count).
+    resumes: Cell<u64>,
 }
 
 impl ThreadBlock {
@@ -491,6 +522,14 @@ impl ThreadBlock {
     #[inline]
     pub fn declared_exits(&self) -> u64 {
         self.declared_exits.get()
+    }
+
+    /// Signal frames of this thread that [`resume_context`] put back.
+    /// Counted in builds with debug assertions only, like
+    /// [`ThreadBlock::stub_exits`]; always 0 otherwise.
+    #[inline]
+    pub fn resumes(&self) -> u64 {
+        self.resumes.get()
     }
 }
 
@@ -871,6 +910,47 @@ lp_zpoline_gate_sigreturn:
     .globl lp_zpoline_gate_end
     .hidden lp_zpoline_gate_end
 lp_zpoline_gate_end:
+
+    # The resume (module docs): the interrupted context of the signal
+    # frame whose `ucontext_t` is at rdi, put back without a syscall.
+    .globl lp_zpoline_resume
+    .hidden lp_zpoline_resume
+    .type lp_zpoline_resume, @function
+lp_zpoline_resume:
+    mov rsi, qword ptr [rdi + {uc_fpregs}]
+    mov eax, dword ptr [rsi + {sw_xfeatures}]
+    mov edx, dword ptr [rsi + {sw_xfeatures} + 4]
+    xrstor64 [rsi]                # 1. RFBM = the frame's xfeatures
+    lea rsi, [rdi + {uc_gregs}]
+    mov rdx, qword ptr [rsi + {greg_rsp}]
+    sub rdx, 264                  # 2. the image, under the red zone
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14
+    mov rax, qword ptr [rsi + 8*\i]   # gregs keep r8 … rcx in pop order
+    mov qword ptr [rdx + 8*\i], rax
+    .endr
+    mov rax, qword ptr [rsi + {greg_efl}]
+    mov qword ptr [rdx + 120], rax
+    mov rax, qword ptr [rsi + {greg_rip}]
+    mov qword ptr [rdx + 128], rax
+    mov rsp, rdx                  # 3.
+    pop r8                        # 4.
+    pop r9
+    pop r10
+    pop r11
+    pop r12
+    pop r13
+    pop r14
+    pop r15
+    pop rdi
+    pop rsi
+    pop rbp
+    pop rbx
+    pop rdx
+    pop rax
+    pop rcx
+    popfq
+    ret 128                       # 5. to rip, past the red zone
+    .size lp_zpoline_resume, . - lp_zpoline_resume
 "#,
     stub_globals = sym STUB_GLOBALS,
     xstate_mask = const offset_of!(StubGlobals, xstate_mask),
@@ -888,7 +968,33 @@ lp_zpoline_gate_end:
     stub_exits = const offset_of!(ThreadBlock, stub_exits),
     #[cfg(debug_assertions)]
     declared_exits = const offset_of!(ThreadBlock, declared_exits),
+    uc_fpregs = const offset_of!(libc::ucontext_t, uc_mcontext.fpregs),
+    uc_gregs = const offset_of!(libc::ucontext_t, uc_mcontext.gregs),
+    greg_rsp = const 8 * libc::REG_RSP,
+    greg_rip = const 8 * libc::REG_RIP,
+    greg_efl = const 8 * libc::REG_EFL,
+    sw_xfeatures = const SW_XFEATURES,
 );
+
+// The resume pops `gregs[0..15]` in order: r8 … r15, rdi, rsi, rbp,
+// rbx, rdx, rax, rcx.
+const _: () = assert!(
+    libc::REG_R8 == 0
+        && libc::REG_R15 == 7
+        && libc::REG_RDI == 8
+        && libc::REG_RSI == 9
+        && libc::REG_RBP == 10
+        && libc::REG_RBX == 11
+        && libc::REG_RDX == 12
+        && libc::REG_RAX == 13
+        && libc::REG_RCX == 14
+        && libc::REG_RSP == 15
+);
+
+/// Offset of `fx_sw.xfeatures` in a signal frame's `xsave` image: the
+/// software-reserved bytes of the legacy area start at 464, with the
+/// first magic word and the extended size before it.
+const SW_XFEATURES: usize = 472;
 
 extern "C" {
     /// The assembly entry stub (see module docs).
@@ -899,6 +1005,7 @@ extern "C" {
     pub fn lp_zpoline_gate_syscall();
     fn lp_zpoline_gate_sigreturn();
     fn lp_zpoline_gate_end();
+    fn lp_zpoline_resume();
 }
 
 /// The gate (module docs): the bytes from the entry stub to just past
@@ -928,6 +1035,38 @@ pub unsafe fn gate_sigreturn(frame_rsp: u64) -> ! {
         "jmp {restorer}",
         rsp = in(reg) frame_rsp,
         restorer = sym lp_zpoline_gate_sigreturn,
+        options(noreturn),
+    );
+}
+
+/// Resumes the interrupted context of the signal frame whose
+/// `ucontext_t` is at `uc`, in user space (module docs, "The resume"):
+/// the extended state as the frame's `xfeatures` name it, the GPRs, the
+/// flags and `rip` — what `rt_sigreturn` restores, without the kernel
+/// and without a syscall.
+///
+/// # Safety
+///
+/// `uc` must be the `ucontext_t` the kernel passed to the signal
+/// handler running on this thread, with an `xsave` image the kernel
+/// wrote (both magic words), its `gregs` below the interrupted
+/// `rsp − 264`, `TF` clear, the 64-bit user `cs`, and no user shadow
+/// stack active: `sud::sigsys::UContext::resumable` checks all of that.
+/// The handler must run with the interrupted context's signal mask and
+/// alternate stack, which nothing here restores. Its stack, and every
+/// value on it, is abandoned.
+pub unsafe fn resume_context(uc: *const libc::ucontext_t) -> ! {
+    #[cfg(debug_assertions)]
+    {
+        let block = thread_block();
+        block.resumes.set(block.resumes.get() + 1);
+    }
+    // SAFETY: the caller vouches for the frame (above); the routine
+    // leaves this function's stack for the interrupted context's.
+    std::arch::asm!(
+        "jmp {resume}",
+        resume = sym lp_zpoline_resume,
+        in("rdi") uc,
         options(noreturn),
     );
 }
@@ -1459,6 +1598,188 @@ mod tests {
     extern "C" fn raise_usr2() {
         // SAFETY: the test registered a handler for it.
         unsafe { libc::raise(libc::SIGUSR2) };
+    }
+
+    /// What [`lp_resume_probe`] is given and observes.
+    #[repr(C)]
+    struct ResumeProbe {
+        /// r8 … r15, rdi, rsi, rbp, rbx, rdx, rax, rcx: `gregs` order.
+        gpr_in: [u64; 15],
+        flags_in: u64,
+        /// Then the flags, stored with them.
+        gpr_out: [u64; 15],
+        flags_out: u64,
+        rsp_before: u64,
+        rsp_after: u64,
+        xmm_in: [u8; 16],
+        xmm_out: [u8; 16],
+        mxcsr_in: u32,
+        mxcsr_out: u32,
+        mxcsr_caller: u32,
+        fcw_in: u16,
+        fcw_out: u16,
+        fcw_caller: u16,
+    }
+
+    // Every GPR but rsp, the flags, xmm7, the x87 control word and
+    // MXCSR in a known state at a `ud2`, whose SIGILL handler steps
+    // over it and resumes. SysV: rdi = &mut ResumeProbe.
+    std::arch::global_asm!(
+        r#"
+        .text
+        .globl lp_resume_probe
+        .hidden lp_resume_probe
+        .type lp_resume_probe, @function
+    lp_resume_probe:
+        push rbp
+        push rbx
+        push r12
+        push r13
+        push r14
+        push r15
+        push rdi                      # [rsp] = probe
+        fnstcw word ptr [rdi + {fcw_caller}]
+        stmxcsr dword ptr [rdi + {mxcsr_caller}]
+        fldcw word ptr [rdi + {fcw_in}]
+        ldmxcsr dword ptr [rdi + {mxcsr_in}]
+        movdqu xmm7, xmmword ptr [rdi + {xmm_in}]
+        mov qword ptr [rdi + {rsp_before}], rsp
+        push qword ptr [rdi + {flags_in}]
+        mov r8, qword ptr [rdi + {gpr_in} + 0]
+        mov r9, qword ptr [rdi + {gpr_in} + 8]
+        mov r10, qword ptr [rdi + {gpr_in} + 16]
+        mov r11, qword ptr [rdi + {gpr_in} + 24]
+        mov r12, qword ptr [rdi + {gpr_in} + 32]
+        mov r13, qword ptr [rdi + {gpr_in} + 40]
+        mov r14, qword ptr [rdi + {gpr_in} + 48]
+        mov r15, qword ptr [rdi + {gpr_in} + 56]
+        mov rsi, qword ptr [rdi + {gpr_in} + 72]
+        mov rbp, qword ptr [rdi + {gpr_in} + 80]
+        mov rbx, qword ptr [rdi + {gpr_in} + 88]
+        mov rdx, qword ptr [rdi + {gpr_in} + 96]
+        mov rax, qword ptr [rdi + {gpr_in} + 104]
+        mov rcx, qword ptr [rdi + {gpr_in} + 112]
+        popfq
+        mov rdi, qword ptr [rdi + {gpr_in} + 64]
+        ud2
+        pushfq
+        push rcx
+        push rax
+        push rdx
+        push rbx
+        push rbp
+        push rsi
+        push rdi
+        push r15
+        push r14
+        push r13
+        push r12
+        push r11
+        push r10
+        push r9
+        push r8
+        cld
+        mov rdi, qword ptr [rsp + 128]
+        lea rax, [rsp + 128]
+        mov qword ptr [rdi + {rsp_after}], rax
+        .irp k,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+        mov rax, qword ptr [rsp + 8*\k]
+        mov qword ptr [rdi + {gpr_out} + 8*\k], rax
+        .endr
+        fnstcw word ptr [rdi + {fcw_out}]
+        stmxcsr dword ptr [rdi + {mxcsr_out}]
+        movdqu xmmword ptr [rdi + {xmm_out}], xmm7
+        fldcw word ptr [rdi + {fcw_caller}]
+        ldmxcsr dword ptr [rdi + {mxcsr_caller}]
+        add rsp, 136
+        pop r15
+        pop r14
+        pop r13
+        pop r12
+        pop rbx
+        pop rbp
+        ret
+        .size lp_resume_probe, . - lp_resume_probe
+    "#,
+        gpr_in = const offset_of!(ResumeProbe, gpr_in),
+        gpr_out = const offset_of!(ResumeProbe, gpr_out),
+        rsp_before = const offset_of!(ResumeProbe, rsp_before),
+        rsp_after = const offset_of!(ResumeProbe, rsp_after),
+        flags_in = const offset_of!(ResumeProbe, flags_in),
+        xmm_in = const offset_of!(ResumeProbe, xmm_in),
+        xmm_out = const offset_of!(ResumeProbe, xmm_out),
+        mxcsr_in = const offset_of!(ResumeProbe, mxcsr_in),
+        mxcsr_out = const offset_of!(ResumeProbe, mxcsr_out),
+        mxcsr_caller = const offset_of!(ResumeProbe, mxcsr_caller),
+        fcw_in = const offset_of!(ResumeProbe, fcw_in),
+        fcw_out = const offset_of!(ResumeProbe, fcw_out),
+        fcw_caller = const offset_of!(ResumeProbe, fcw_caller),
+    );
+
+    extern "C" {
+        fn lp_resume_probe(probe: *mut ResumeProbe);
+    }
+
+    /// Steps over the `ud2` and resumes in user space.
+    unsafe extern "C" fn resume_past_ud2(
+        _sig: libc::c_int,
+        _info: *mut libc::siginfo_t,
+        ctx: *mut libc::c_void,
+    ) {
+        let uc = ctx as *mut libc::ucontext_t;
+        (*uc).uc_mcontext.gregs[libc::REG_RIP as usize] += 2;
+        resume_context(uc);
+    }
+
+    /// The resume puts back what the kernel's sigreturn would: every
+    /// GPR, every flag the application may set, and the extended state
+    /// (the handler starts from the initial one), with `rsp` where it
+    /// was — from a frame the kernel built for a `SIGILL` at a `ud2`,
+    /// where no syscall has clobbered `rcx` and `r11`.
+    #[test]
+    fn resume_puts_back_the_interrupted_context() {
+        const SA_SIGINFO: u64 = 4;
+        const SA_NODEFER: u64 = 0x4000_0000;
+        const SA_RESTORER: u64 = 0x0400_0000;
+        // The kernel's `rt_sigaction` layout: handler, flags, restorer,
+        // mask. An empty mask and `SA_NODEFER`: the handler runs with
+        // the interrupted context's mask, as the resume requires.
+        let act = [
+            resume_past_ud2 as *const () as usize as u64,
+            SA_SIGINFO | SA_NODEFER | SA_RESTORER,
+            sigreturn_restorer() as u64,
+            0,
+        ];
+        let call = |new: &[u64; 4], old: &mut [u64; 4]| unsafe {
+            syscalls::raw::syscall4(
+                nr::RT_SIGACTION,
+                libc::SIGILL as u64,
+                new.as_ptr() as u64,
+                old.as_mut_ptr() as u64,
+                8,
+            )
+        };
+        let mut old = [0u64; 4];
+        assert_eq!(call(&act, &mut old), 0);
+        // SAFETY: all-integer fields.
+        let mut p: ResumeProbe = unsafe { std::mem::zeroed() };
+        p.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
+        // CF, PF, AF, ZF, SF, DF, OF and ID.
+        p.flags_in = 0x0020_0000 | 0x0800 | 0x0400 | 0x80 | 0x40 | 0x10 | 0x04 | 0x01 | 0x202;
+        p.xmm_in = std::array::from_fn(|b| 0xa0 + b as u8);
+        p.mxcsr_in = 0x1f80 | 0x20; // the precision flag, sticky
+        p.fcw_in = 0x0b7f;
+        let resumed = thread_block().resumes();
+        // SAFETY: the probe restores what it changes.
+        unsafe { lp_resume_probe(&mut p) };
+        assert_eq!(call(&old, &mut [0; 4]), 0);
+        assert_eq!(thread_block().resumes(), resumed + cfg!(debug_assertions) as u64);
+        assert_eq!(p.gpr_out, p.gpr_in, "GPRs");
+        assert_eq!(p.flags_out, p.flags_in, "rflags");
+        assert_eq!(p.rsp_after, p.rsp_before, "rsp");
+        assert_eq!(p.xmm_out, p.xmm_in, "xmm7");
+        assert_eq!(p.mxcsr_out, p.mxcsr_in, "MXCSR");
+        assert_eq!(p.fcw_out, p.fcw_in, "x87 control word");
     }
 
     /// Loads a sentinel into xmm7, crosses the trampoline, reads it

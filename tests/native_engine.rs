@@ -294,11 +294,14 @@ fn scenario_sud_only() {
     // lazy_rewriting = false: a pure SUD interposer. Everything still
     // works, nothing is patched.
     let mut active = install("sud", Box::new(interpose::PassthroughHandler));
+    let resumed = resumes();
     let tmp = std::env::temp_dir().join(format!("lp-sudonly-{}", std::process::id()));
     std::fs::write(&tmp, b"pure sud").unwrap();
     assert_eq!(std::fs::read(&tmp).unwrap(), b"pure sud");
     std::fs::remove_file(&tmp).unwrap();
     active.detach();
+    // Every trip emulates, and returns through the kernel.
+    assert_eq!(resumes(), resumed, "resumes");
     let stats = active.stats();
     assert_eq!(stats.sites_patched, 0, "{stats:?}");
     // Disabled rewriting is a *configuration* state, counted apart from
@@ -1007,6 +1010,301 @@ fn xstate_canary(name: &str, handler: Box<dyn SyscallHandler>) {
     assert_interposed("after the xstate cells");
     active.detach();
     assert!(active.stats().sites_patched >= 1);
+}
+
+// ——— the slow path's resume ————————————————————————————————————————
+
+/// Everything one execution of [`lp_resume_cell`] is given and observes.
+/// The routine addresses the fields through `offset_of!`.
+#[repr(C, align(64))]
+struct ResumeCell {
+    /// `zmm16-31`, when `avx512`.
+    zmm_in: [[u8; 64]; 16],
+    zmm_out: [[u8; 64]; 16],
+    /// r8 … r15, rdi, rsi, rbp, rbx, rdx, rax, rcx: the order a signal
+    /// frame's `gregs` keep them in. `rax` in is the syscall's number.
+    gpr_in: [u64; 15],
+    gpr_out: [u64; 15],
+    flags_in: u64,
+    flags_out: u64,
+    rsp_before: u64,
+    rsp_after: u64,
+    /// `k0-7`, when `avx512`.
+    k_in: [u16; 8],
+    k_out: [u16; 8],
+    /// PKRU, when `pku`; the caller's is put back.
+    pkru_in: u32,
+    pkru_out: u32,
+    pkru_caller: u32,
+    mxcsr_in: u32,
+    mxcsr_out: u32,
+    mxcsr_caller: u32,
+    fcw_in: u16,
+    fcw_out: u16,
+    fcw_caller: u16,
+    avx512: u32,
+    pku: u32,
+}
+
+// One interposed syscall with every register the kernel preserves in a
+// known state. Position-independent and self-contained, so that a copy
+// on a fresh page is a fresh syscall site. SysV: rdi = &mut ResumeCell.
+std::arch::global_asm!(
+    r#"
+    .text
+    .globl lp_resume_cell
+    .globl lp_resume_cell_end
+    .type lp_resume_cell, @function
+lp_resume_cell:
+    push rbp
+    push rbx
+    push r12
+    push r13
+    push r14
+    push r15
+    push rdi                      # [rsp] = cell, across the syscall
+    mov r12, rdi
+    fnstcw word ptr [r12 + {fcw_caller}]
+    stmxcsr dword ptr [r12 + {mxcsr_caller}]
+    fldcw word ptr [r12 + {fcw_in}]
+    ldmxcsr dword ptr [r12 + {mxcsr_in}]
+    cmp dword ptr [r12 + {avx512}], 0
+    je 1f
+    .irp i,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31
+    vmovdqu64 zmm\i, zmmword ptr [r12 + {zmm_in} + 64*(\i-16)]
+    .endr
+    .irp i,0,1,2,3,4,5,6,7
+    kmovw k\i, word ptr [r12 + {k_in} + 2*\i]
+    .endr
+1:
+    cmp dword ptr [r12 + {pku}], 0
+    je 2f
+    xor ecx, ecx
+    rdpkru
+    mov dword ptr [r12 + {pkru_caller}], eax
+    mov eax, dword ptr [r12 + {pkru_in}]
+    xor ecx, ecx
+    xor edx, edx
+    wrpkru
+2:
+    mov qword ptr [r12 + {rsp_before}], rsp
+    push qword ptr [r12 + {flags_in}]
+    mov r8, qword ptr [r12 + {gpr_in} + 0]
+    mov r9, qword ptr [r12 + {gpr_in} + 8]
+    mov r10, qword ptr [r12 + {gpr_in} + 16]
+    mov r11, qword ptr [r12 + {gpr_in} + 24]
+    mov r13, qword ptr [r12 + {gpr_in} + 40]
+    mov r14, qword ptr [r12 + {gpr_in} + 48]
+    mov r15, qword ptr [r12 + {gpr_in} + 56]
+    mov rdi, qword ptr [r12 + {gpr_in} + 64]
+    mov rsi, qword ptr [r12 + {gpr_in} + 72]
+    mov rbp, qword ptr [r12 + {gpr_in} + 80]
+    mov rbx, qword ptr [r12 + {gpr_in} + 88]
+    mov rdx, qword ptr [r12 + {gpr_in} + 96]
+    mov rax, qword ptr [r12 + {gpr_in} + 104]
+    mov rcx, qword ptr [r12 + {gpr_in} + 112]
+    popfq
+    mov r12, qword ptr [r12 + {gpr_in} + 32]
+    syscall
+    pushfq
+    push rcx
+    push rax
+    push rdx
+    push rbx
+    push rbp
+    push rsi
+    push rdi
+    push r15
+    push r14
+    push r13
+    push r12
+    push r11
+    push r10
+    push r9
+    push r8
+    mov r12, qword ptr [rsp + 128]
+    lea rax, [rsp + 128]
+    mov qword ptr [r12 + {rsp_after}], rax
+    .irp k,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14
+    mov rax, qword ptr [rsp + 8*\k]
+    mov qword ptr [r12 + {gpr_out} + 8*\k], rax
+    .endr
+    mov rax, qword ptr [rsp + 120]
+    mov qword ptr [r12 + {flags_out}], rax
+    fnstcw word ptr [r12 + {fcw_out}]
+    stmxcsr dword ptr [r12 + {mxcsr_out}]
+    cmp dword ptr [r12 + {avx512}], 0
+    je 3f
+    .irp i,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31
+    vmovdqu64 zmmword ptr [r12 + {zmm_out} + 64*(\i-16)], zmm\i
+    .endr
+    .irp i,0,1,2,3,4,5,6,7
+    kmovw word ptr [r12 + {k_out} + 2*\i], k\i
+    .endr
+3:
+    cmp dword ptr [r12 + {pku}], 0
+    je 4f
+    xor ecx, ecx
+    rdpkru
+    mov dword ptr [r12 + {pkru_out}], eax
+    mov eax, dword ptr [r12 + {pkru_caller}]
+    xor ecx, ecx
+    xor edx, edx
+    wrpkru
+4:
+    # Hand the thread back to Rust as Rust expects it.
+    fnclex
+    fldcw word ptr [r12 + {fcw_caller}]
+    ldmxcsr dword ptr [r12 + {mxcsr_caller}]
+    add rsp, 136
+    pop r15
+    pop r14
+    pop r13
+    pop r12
+    pop rbx
+    pop rbp
+    ret
+lp_resume_cell_end:
+    .size lp_resume_cell, . - lp_resume_cell
+"#,
+    zmm_in = const std::mem::offset_of!(ResumeCell, zmm_in),
+    zmm_out = const std::mem::offset_of!(ResumeCell, zmm_out),
+    gpr_in = const std::mem::offset_of!(ResumeCell, gpr_in),
+    gpr_out = const std::mem::offset_of!(ResumeCell, gpr_out),
+    flags_in = const std::mem::offset_of!(ResumeCell, flags_in),
+    flags_out = const std::mem::offset_of!(ResumeCell, flags_out),
+    rsp_before = const std::mem::offset_of!(ResumeCell, rsp_before),
+    rsp_after = const std::mem::offset_of!(ResumeCell, rsp_after),
+    k_in = const std::mem::offset_of!(ResumeCell, k_in),
+    k_out = const std::mem::offset_of!(ResumeCell, k_out),
+    pkru_in = const std::mem::offset_of!(ResumeCell, pkru_in),
+    pkru_out = const std::mem::offset_of!(ResumeCell, pkru_out),
+    pkru_caller = const std::mem::offset_of!(ResumeCell, pkru_caller),
+    mxcsr_in = const std::mem::offset_of!(ResumeCell, mxcsr_in),
+    mxcsr_out = const std::mem::offset_of!(ResumeCell, mxcsr_out),
+    mxcsr_caller = const std::mem::offset_of!(ResumeCell, mxcsr_caller),
+    fcw_in = const std::mem::offset_of!(ResumeCell, fcw_in),
+    fcw_out = const std::mem::offset_of!(ResumeCell, fcw_out),
+    fcw_caller = const std::mem::offset_of!(ResumeCell, fcw_caller),
+    avx512 = const std::mem::offset_of!(ResumeCell, avx512),
+    pku = const std::mem::offset_of!(ResumeCell, pku),
+);
+
+extern "C" {
+    fn lp_resume_cell(cell: *mut ResumeCell);
+    static lp_resume_cell_end: u8;
+}
+
+type ResumeCellFn = unsafe extern "C" fn(*mut ResumeCell);
+
+/// A copy of [`lp_resume_cell`] on a page of its own: a syscall site
+/// nothing has executed yet.
+unsafe fn fresh_resume_cell_site() -> ResumeCellFn {
+    let start = lp_resume_cell as *const () as *const u8;
+    let len = (&raw const lp_resume_cell_end).offset_from(start);
+    let page = ret_filled_rwx_page();
+    std::ptr::copy_nonoverlapping(start, page, len as usize);
+    std::mem::transmute::<*mut u8, ResumeCellFn>(page)
+}
+
+/// Signal frames the calling thread's SIGSYS handler put back in user
+/// space, where the build counts them.
+fn resumes() -> Option<u64> {
+    cfg!(debug_assertions).then(|| zpoline::thread_block().resumes())
+}
+
+/// The flags a cell enters its syscall with: CF, PF, ZF, SF and OF set,
+/// and ID, which no instruction of the interposer writes.
+const RESUME_FLAGS_IN: u64 = 0x0020_0000 | 0x0800 | 0x80 | 0x40 | 0x04 | 0x01 | 0x202;
+
+/// Runs one cell at `site`; `sigsys` is whether this execution should
+/// be the site's first, and so the one the slow path resumes.
+///
+/// `zmm16-31` and `k0-7` are checked only when the syscall is a miss:
+/// a hit's dispatcher may use them (glibc's EVEX string functions
+/// write `ymm16` and up), and no mask names them (DESIGN.md §2), so
+/// there they are not the resume's to answer for.
+unsafe fn resume_cell(site: ResumeCellFn, row: &str, sigsys: bool) {
+    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+    let pku = core::arch::x86_64::__cpuid_count(7, 0).ecx & (1 << 4) != 0; // OSPKE
+    let miss = !interpose::global_interested(syscalls::nr::GETPID);
+    let cell_name =
+        format!("{row}, first execution: {sigsys}, miss: {miss}, avx512f: {avx512}, pku: {pku}");
+    let mut c: Box<ResumeCell> = Box::new(std::mem::zeroed());
+    c.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
+    c.gpr_in[13] = syscalls::nr::GETPID;
+    c.flags_in = RESUME_FLAGS_IN;
+    c.fcw_in = 0x0b7f; // round up, extended precision
+    c.mxcsr_in = 0x1f80 | 0x20; // the precision flag, sticky
+    for (i, z) in c.zmm_in.iter_mut().enumerate() {
+        *z = std::array::from_fn(|b| (0x40 * (i % 4) + b) as u8 ^ (i as u8 * 0x11));
+    }
+    c.k_in = std::array::from_fn(|i| (0x1111 * (i as u16 + 1)) ^ 0x8421);
+    c.pkru_in = 0;
+    c.avx512 = avx512 as u32;
+    c.pku = pku as u32;
+
+    let hits = lazypoline::stats().slow_path_hits;
+    let resumed = resumes();
+    site(&mut *c);
+    let resumed = resumes().map(|n| n - resumed.expect("counted before"));
+    let hits = lazypoline::stats().slow_path_hits - hits;
+    assert_eq!(hits, sigsys as u64, "SIGSYS trips, {cell_name}");
+    assert_eq!(resumed.unwrap_or(sigsys as u64), sigsys as u64, "resumes, {cell_name}");
+
+    // rax holds the result; rcx and r11 are the stub's (DESIGN.md §11),
+    // every other GPR its pattern.
+    assert_eq!(c.gpr_out[13], std::process::id() as u64, "rax, {cell_name}");
+    for i in (0..15).filter(|&i| ![3, 13, 14].contains(&i)) {
+        assert_eq!(c.gpr_out[i], c.gpr_in[i], "gregs[{i}], {cell_name}");
+    }
+    assert_eq!(c.rsp_after, c.rsp_before, "rsp, {cell_name}");
+    // The arithmetic flags are the stub's too; ID comes back.
+    assert_eq!(c.flags_out & 0x0020_0000, c.flags_in & 0x0020_0000, "ID, {cell_name}");
+    assert_eq!(c.fcw_out, c.fcw_in, "x87 control word, {cell_name}");
+    assert_eq!(c.mxcsr_out, c.mxcsr_in, "MXCSR, {cell_name}");
+    if avx512 && miss {
+        for (i, (got, want)) in c.zmm_out.iter().zip(&c.zmm_in).enumerate() {
+            assert_eq!(got, want, "zmm{}, {cell_name}", i + 16);
+        }
+        assert_eq!(c.k_out, c.k_in, "k0-7, {cell_name}");
+    }
+    if pku {
+        assert_eq!(c.pkru_out, c.pkru_in, "PKRU, {cell_name}");
+    }
+}
+
+/// A fresh site's first execution takes one SIGSYS, whose handler
+/// rewrites it and resumes in user space: every register the kernel
+/// preserves comes back, and so it does when the site runs again. Once
+/// as a hit, once while nobody is interested in `getpid` (the stub's
+/// miss exit, which touches nothing).
+fn resume_registers_under(row: &str) {
+    let mut active = install(row, Box::new(interpose::PassthroughHandler));
+    for narrow in [false, true] {
+        let _narrow = narrow.then(|| interpose::install_handler(Box::new(OpenatOnly)));
+        for _ in 0..3 {
+            unsafe {
+                let site = fresh_resume_cell_site();
+                resume_cell(site, row, true);
+                resume_cell(site, row, false);
+            }
+        }
+    }
+    assert_interposed("after the resume cells");
+    active.detach();
+}
+
+fn scenario_resume_registers() {
+    resume_registers_under("lazypoline");
+}
+
+fn scenario_resume_registers_nox() {
+    resume_registers_under("lazypoline-nox");
+}
+
+fn scenario_resume_registers_hardened() {
+    resume_registers_under("lazypoline-hardened");
 }
 
 // ——— the entry stub's miss exit ————————————————————————————————————
@@ -2056,6 +2354,7 @@ fn scenario_fault_unpatchable_page() {
             None, // default EAGAIN: transient, so the retry loop engages
         );
         let before = lazypoline::health();
+        let resumed = resumes();
         let r0 = f0();
         let mid = lazypoline::health();
         let mut rs = [0u64; 5];
@@ -2063,10 +2362,13 @@ fn scenario_fault_unpatchable_page() {
             *r = f0();
         }
         let after = lazypoline::health();
+        let resumed = resumes().map(|n| n - resumed.expect("counted before"));
         faultinject::disarm(faultinject::Site::PatchMprotect);
 
         // (Asserting only now: format!/panic machinery may syscall.)
         assert_eq!(r0, pid, "emulation returned the wrong result");
+        // Emulations return through the kernel, never the resume.
+        assert_eq!(resumed.unwrap_or(0), 0, "resumes");
         for (i, r) in rs.iter().enumerate() {
             assert_eq!(*r, pid, "blocklisted call {i}");
         }
@@ -2105,10 +2407,14 @@ fn scenario_fault_unpatchable_page() {
         assert_eq!(s1.unpatchable_emulations - s0.unpatchable_emulations, 1);
         assert_eq!(s1.sites_patched, s0.sites_patched);
 
-        // A fresh page is unaffected and patches normally.
+        // A fresh page is unaffected and patches normally, and its one
+        // SIGSYS resumes in user space.
         let q = emit_getpid_page(1);
         let g: extern "C" fn() -> u64 = std::mem::transmute(q);
+        let resumed = resumes();
         assert_eq!(g(), pid);
+        let resumed = resumes().map(|n| n - resumed.expect("counted before"));
+        assert_eq!(resumed.unwrap_or(1), 1, "resumes");
         let s2 = lazypoline::stats();
         assert!(s2.sites_patched > s1.sites_patched, "{s2:?}");
         libc::munmap(q as *mut _, 4096);
@@ -4416,6 +4722,9 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("xstate", scenario_xstate),
     ("xstate_declared", scenario_xstate_declared),
     ("xstate_declared_record", scenario_xstate_declared_record),
+    ("resume_registers", scenario_resume_registers),
+    ("resume_registers_nox", scenario_resume_registers_nox),
+    ("resume_registers_hardened", scenario_resume_registers_hardened),
     ("nested_miss", scenario_nested_miss),
     ("miss_exit", scenario_miss_exit),
     ("miss_exit_hardened", scenario_miss_exit_hardened),
