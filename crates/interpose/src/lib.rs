@@ -30,6 +30,7 @@ mod policy;
 mod registry;
 mod remap;
 mod stack;
+mod stats;
 mod trace;
 
 pub use count::CountHandler;
@@ -43,6 +44,7 @@ pub use registry::{
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
 pub use stack::{hook_dispatches, HookId, HookStack};
+pub use stats::StatsSnapshot;
 pub use trace::{format_syscall_line, TraceHandler, TraceSink};
 
 use syscalls::{Errno, SyscallArgs};

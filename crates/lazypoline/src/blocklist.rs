@@ -73,14 +73,6 @@ pub(crate) fn insert(page: usize) -> bool {
     false
 }
 
-/// Number of blocklisted pages.
-pub(crate) fn len() -> usize {
-    PAGES
-        .iter()
-        .take_while(|s| s.load(Ordering::Acquire) != 0)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,9 +94,6 @@ mod tests {
     fn zero_is_never_inserted() {
         assert!(!insert(0));
         assert!(!contains(0));
-        // len() only counts claimed slots (and tests run concurrently,
-        // so just bound it).
-        assert!(len() <= CAPACITY);
     }
 
     #[test]

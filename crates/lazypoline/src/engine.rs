@@ -23,12 +23,13 @@ use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
+use interpose::StatsSnapshot;
 use syscalls::{nr, SyscallArgs};
 use zpoline::{Trampoline, XstateMask};
 
 use crate::counters;
 use crate::faultinject::Site;
-use crate::{blocklist, fastpath, raw_internal, signals, slowpath, tls};
+use crate::{fastpath, raw_internal, signals, slowpath, tls};
 
 /// Configuration for [`init`].
 #[derive(Clone, Copy, Debug)]
@@ -122,108 +123,42 @@ pub enum Mode {
     PrescanOnly,
 }
 
-/// Declares [`Stats`], [`Stats::counters`] and [`stats`] from one list
-/// of `field: source` entries. The field names are the mechanism
-/// layer's `StatsSnapshot` names, so a reader copies every counter by
-/// name instead of naming the fields again.
-macro_rules! engine_stats {
-    ($($(#[$doc:meta])* $field:ident: $read:expr,)*) => {
-        /// Event counters since process start.
-        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct Stats {
-            $($(#[$doc])* pub $field: u64,)*
-        }
-
-        impl Stats {
-            /// Every counter as `(field name, value)`, in declaration
-            /// order.
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$((stringify!($field), self.$field),)*].into_iter()
-            }
-        }
-
-        /// Engine-wide event counters (also available without a handle —
-        /// e.g. from benchmark reporting code).
-        pub fn stats() -> Stats {
-            Stats {
-                $($field: $read,)*
-            }
-        }
-    };
+/// The engine's own event counters since process start, in the one
+/// counter struct: the other layers' counters stay 0 (their owners
+/// report them; `mechanism` reads each once). Also available without a
+/// handle — e.g. from benchmark reporting code.
+pub fn stats() -> StatsSnapshot {
+    StatsSnapshot {
+        slow_path_hits: slow_path_hits(),
+        sites_patched: counters::get(&counters::SITES_PATCHED),
+        sites_from_cache: crate::proven::sites_from_cache(),
+        dispatches: counters::get(&counters::DISPATCHES),
+        unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
+        disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
+        signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
+        patch_retries: counters::get(&counters::PATCH_RETRIES),
+        pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
+        bypass_blocked: crate::harden::bypass_blocked(),
+        ..StatsSnapshot::default()
+    }
 }
 
-/// [`Stats::slow_path_hits`] alone: one counter's shards summed, where
-/// [`stats`] reads every counter of the engine and the recorder.
+/// `stats().slow_path_hits` alone: one counter's shards summed.
 pub fn slow_path_hits() -> u64 {
     counters::get(&counters::SLOW_PATH_HITS)
 }
 
-engine_stats! {
-    /// `SIGSYS` deliveries (slow-path trips).
-    slow_path_hits: slow_path_hits(),
-    /// Syscall sites rewritten to `call rax` by the slow path.
-    sites_patched: counters::get(&counters::SITES_PATCHED),
-    /// Syscall sites rewritten at load from the proven-site cache
-    /// ([`crate::proven::apply_proven_sites`]), not by a `SIGSYS`.
-    sites_from_cache: crate::proven::sites_from_cache(),
-    /// Application syscalls that reached the dispatcher or left from the
-    /// entry stub. The interposer's own — a handler's, made under the
-    /// re-entry guard — reach them too, and are not counted.
-    dispatches: counters::get(&counters::DISPATCHES),
-    /// Syscalls emulated in the handler because patching failed (the
-    /// site or its page is unpatchable).
-    unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
-    /// Syscalls emulated in the handler because lazy rewriting is
-    /// disabled (pure-SUD configuration or [`Mode::SudOnly`]) — a
-    /// configuration state, not a failure.
-    disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
-    /// Application signal deliveries routed through the wrapper.
-    signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
-    /// Patch re-attempts after transient `mprotect` failures.
-    patch_retries: counters::get(&counters::PATCH_RETRIES),
-    /// Pages inserted into the unpatchable-page blocklist.
-    pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
-    /// Interposer handlers quarantined after panicking.
-    quarantined_handlers: interpose::quarantined_handlers(),
-    // Recorder counters live in lp-replay (its rings own the drop
-    // accounting); the engine folds them in so `health()` and the
-    // benches report one uniform counter set.
-    /// Syscall events captured into the flight-recorder rings (nonzero
-    /// only while a `record` interposer runs).
-    events_recorded: replay::events_recorded(),
-    /// Syscall events the flight recorder dropped to its overflow
-    /// policy (full ring or exhausted ring pool).
-    events_dropped: replay::events_dropped(),
-    /// Divergences replay handlers detected between an execution and
-    /// its trace.
-    replay_divergences: replay::replay_divergences(),
-    /// Records the drain path moved from the rings into a trace file
-    /// (async drain-thread sweeps and synchronous drains).
-    events_spilled: replay::events_spilled(),
-    /// Ring pushes that observed near-full (≥3/4) occupancy —
-    /// backpressure the drain thread could not absorb.
-    ring_near_full: replay::ring::total_near_full(),
-    /// Escape attempts the hardened-mode seccomp backstop caught, and
-    /// the application's `prctl(PR_SET_SYSCALL_USER_DISPATCH, …)` calls
-    /// hardened mode refused (nonzero only under `lazypoline-hardened`).
-    bypass_blocked: crate::harden::bypass_blocked(),
-}
-
-/// Robustness snapshot: the active degradation-ladder rung plus the
-/// counters that describe how the engine has been coping.
+/// Robustness snapshot: what [`stats`] does not carry — the active
+/// degradation-ladder rung, the hardening rung and the faults injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Health {
     /// The rung of the degradation ladder the engine runs on.
     pub mode: Mode,
-    /// Pages in the unpatchable-page blocklist.
-    pub patch_blocklist_pages: u64,
     /// Faults injected by the `faultinject` seams (0 in production).
     pub faults_injected: u64,
     /// The hardening rung achieved ([`crate::harden::level`];
     /// `HardenLevel::Off` unless hardened install was attempted).
     pub harden: crate::harden::HardenLevel,
-    /// The full counter set ([`stats`]).
-    pub stats: Stats,
 }
 
 static INITIALIZED: AtomicBool = AtomicBool::new(false);
@@ -493,16 +428,6 @@ impl Engine {
     pub fn is_initialized() -> bool {
         INITIALIZED.load(Ordering::SeqCst)
     }
-
-    /// Engine-wide event counters.
-    pub fn stats(&self) -> Stats {
-        stats()
-    }
-
-    /// Robustness snapshot (mode + degradation counters).
-    pub fn health(&self) -> Health {
-        health()
-    }
 }
 
 /// Un-enrolls the calling thread without an [`Engine`] handle: new
@@ -586,15 +511,12 @@ impl Drop for Engine {
     }
 }
 
-/// Robustness snapshot (also available without a handle): the active
-/// [`Mode`] plus the counters describing degradations taken so far.
+/// Robustness snapshot (also available without a handle).
 pub fn health() -> Health {
     Health {
         mode: mode(),
-        patch_blocklist_pages: blocklist::len() as u64,
         faults_injected: faultinject::total_injected(),
         harden: crate::harden::level(),
-        stats: stats(),
     }
 }
 
@@ -629,9 +551,10 @@ mod tests {
         // process); the health snapshot must still be readable, and
         // agree with itself. Sibling tests bump the counters meanwhile,
         // so a second read is compared as "no counter went backwards".
-        let h = health();
-        assert!(h.patch_blocklist_pages <= crate::blocklist::CAPACITY as u64);
-        for ((name, before), (_, after)) in h.stats.counters().zip(stats().counters()) {
+        let first = stats();
+        assert_eq!(health().mode, Mode::Uninitialized);
+        assert!(first.pages_blocklisted <= crate::blocklist::CAPACITY as u64);
+        for ((name, before), (_, after)) in first.counters().zip(stats().counters()) {
             assert!(after >= before, "{name}: {before} -> {after}");
         }
     }

@@ -29,10 +29,10 @@
 //! use interpose::CountHandler;
 //!
 //! interpose::set_global_handler(Box::new(CountHandler::new()));
-//! let engine = init(Config::default())?;
+//! let _engine = init(Config::default())?;
 //! // Every syscall on this thread is now interposed, forever.
 //! std::fs::read_to_string("/etc/hostname").ok();
-//! println!("interposed {} syscalls", engine.stats().dispatches);
+//! println!("interposed {} syscalls", lazypoline::stats().dispatches);
 //! # Ok::<(), lazypoline::InitError>(())
 //! ```
 //!
@@ -62,7 +62,7 @@ mod tls;
 
 pub use engine::{
     health, init, init_strict, mode, slow_path_hits, stats, unenroll_current_thread, Config,
-    Engine, Health, InitError, Mode, Stats,
+    Engine, Health, InitError, Mode,
 };
 pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};
@@ -74,7 +74,6 @@ mod tests {
     fn public_types_are_send_sync_debug() {
         fn assert_traits<T: std::fmt::Debug + Send + Sync>() {}
         assert_traits::<super::Config>();
-        assert_traits::<super::Stats>();
         assert_traits::<super::InitError>();
         assert_traits::<super::Health>();
         assert_traits::<super::Mode>();

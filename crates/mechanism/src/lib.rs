@@ -75,6 +75,7 @@ mod traits;
 pub use config::{
     ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, TRACE_OUT_ENV,
 };
+pub use interpose::StatsSnapshot;
 use interpose::SyscallHandler;
 use layer::LayerGuard;
 pub use replay;
@@ -173,138 +174,6 @@ impl From<ConfigError> for InstallError {
     }
 }
 
-/// Declares [`StatsSnapshot`], [`StatsSnapshot::counters`] and
-/// [`StatsSnapshot::since`] from one field list, so a new counter is one
-/// line here and every emitter that iterates `counters()` — and every
-/// delta — picks it up.
-macro_rules! stats_snapshot {
-    ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// Uniform per-installation statistics, reported as **deltas since
-        /// install** so drivers can attribute counts to one measurement phase.
-        ///
-        /// Every backend computes them the same way: one baseline of its
-        /// process-cumulative totals, read once the base has armed, and
-        /// [`since`](Self::since) that baseline at every read — so all
-        /// layers count over the same window. Which totals a base reports:
-        ///
-        /// - every base: `quarantined_handlers`, the recorder/replay
-        ///   counters (`events_*`, `ring_near_full`, `replay_divergences`),
-        ///   `hook_dispatches`, `hook_reloads`, `sfip_checks` and
-        ///   `sfip_violations`;
-        /// - engine-backed natives: also every engine counter, with
-        ///   `dispatches` counting the slow path's emulations too;
-        /// - `sud-raw`: each `SIGSYS` trip as both a dispatch and a
-        ///   slow-path hit.
-        ///
-        /// Everything else stays 0. `hooks_loaded` (a gauge) and
-        /// `sfip_mode` are not deltas: their layers set them.
-        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct StatsSnapshot {
-            /// Registry key of the mechanism that produced this snapshot.
-            pub mechanism: &'static str,
-            $($(#[$doc])* pub $field: u64,)*
-            /// The `+sfip` violation action (`kill`|`quarantine`|`count`;
-            /// empty without that layer).
-            pub sfip_mode: &'static str,
-        }
-
-        impl StatsSnapshot {
-            /// Every numeric counter as `(field name, value)`, in
-            /// declaration order — what report and JSON emitters iterate
-            /// instead of naming the fields again.
-            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$((stringify!($field), self.$field),)*].into_iter()
-            }
-
-            /// The counter [`counters`](Self::counters) names `name`,
-            /// for readers that parse counters back by name.
-            pub fn counter_mut(&mut self, name: &str) -> Option<&mut u64> {
-                match name {
-                    $(stringify!($field) => Some(&mut self.$field),)*
-                    _ => None,
-                }
-            }
-
-            /// Every counter minus `base`'s (saturating at 0); the
-            /// labels are this snapshot's.
-            pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($field: self.$field.saturating_sub(base.$field),)*
-                    ..*self
-                }
-            }
-        }
-    };
-}
-
-stats_snapshot! {
-    /// Syscalls that reached the mechanism's dispatcher.
-    dispatches,
-    /// Slow-path (`SIGSYS`) trips.
-    slow_path_hits,
-    /// Syscall sites rewritten to `call rax` by the slow path.
-    sites_patched,
-    /// Syscall sites rewritten at load from the proven-site cache, with
-    /// no `SIGSYS` (nonzero only under the `LD_PRELOAD` shim).
-    sites_from_cache,
-    /// Syscalls emulated because their site is unpatchable.
-    unpatchable_emulations,
-    /// Syscalls emulated because lazy rewriting is off.
-    disabled_mode_emulations,
-    /// Application signal deliveries routed through the wrapper.
-    signals_wrapped,
-    /// Patch re-attempts after transient `mprotect` failures.
-    patch_retries,
-    /// Pages inserted into the unpatchable-page blocklist.
-    pages_blocklisted,
-    /// Interposer handlers quarantined after panicking.
-    quarantined_handlers,
-    /// Syscall events the flight recorder captured (nonzero only under
-    /// a `+record` layer or a manually installed recorder).
-    events_recorded,
-    /// Syscall events the flight recorder dropped to its overflow
-    /// policy.
-    events_dropped,
-    /// Records the drain path spilled from the rings into a trace file
-    /// (async drain-thread sweeps and synchronous drains).
-    events_spilled,
-    /// Always 0: a flight-recorder ring keeps the capacity it was
-    /// claimed with. Kept because existing readers (lpbench) name it.
-    ring_grows,
-    /// Ring pushes that observed near-full (≥3/4) occupancy —
-    /// recorder backpressure short of an actual drop.
-    ring_near_full,
-    /// Always 0: the recorder never yields the producer. Kept because
-    /// existing readers (lpbench) name it.
-    drain_yields,
-    /// Divergences replay detected between the execution and its trace
-    /// (nonzero only under `replay:<path>`).
-    replay_divergences,
-    /// Escape attempts the hardened backstop caught (nonzero only
-    /// under `lazypoline-hardened`).
-    bypass_blocked,
-    /// Always 0: the engine arms SUD with no selector, so nothing
-    /// guards one with `WRPKRU`. Kept because existing readers (the
-    /// hardened row's wire format, CI's hardened check) name it.
-    pkru_switches,
-    /// Dynamically loaded hooks currently attached to the handler stack
-    /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
-    hooks_loaded,
-    /// Syscall events dispatched into dynamically loaded hooks since
-    /// install (one count per hook per event that reaches it).
-    hook_dispatches,
-    /// Hook libraries reloaded by the `LP_HOOKS_WATCH` mtime watcher
-    /// since install (nonzero only under `+hooks` with the watcher
-    /// enabled).
-    hook_reloads,
-    /// Syscall-flow transition checks performed since install (nonzero
-    /// only under a `+sfip` layer).
-    sfip_checks,
-    /// Syscall-flow violations observed since install (nonzero only
-    /// under a `+sfip` layer).
-    sfip_violations,
-}
-
 /// A live installation: handler registered, mechanism armed.
 ///
 /// Teardown runs on drop, and its order is load-bearing: each `+hooks`
@@ -326,28 +195,32 @@ pub struct ActiveMechanism {
     layers: Vec<LayerGuard>,
 }
 
-/// The process-cumulative counters in `inner`'s reporting scope (see
-/// [`StatsSnapshot`]).
+/// The process-cumulative counters in `inner`'s reporting scope, each
+/// read once from its owner, over the base's section
+/// ([`native::NativeActive::section`]: the engine's counters for
+/// engine-backed rows, each `SIGSYS` trip as a dispatch and a slow-path
+/// hit for `sud-raw`, nothing otherwise). The registry's, the
+/// recorder's and the layers' counters are every base's: any base can
+/// carry the layers.
 fn totals(inner: &native::NativeActive) -> StatsSnapshot {
-    let engine = lazypoline::stats();
-    // Registry-level, not engine-level, so every base reports them:
-    // the raw-SUD handler dispatches through the same registry, and
-    // any base can carry the layers.
-    let mut s = StatsSnapshot {
-        quarantined_handlers: engine.quarantined_handlers,
-        events_recorded: engine.events_recorded,
-        events_dropped: engine.events_dropped,
-        events_spilled: engine.events_spilled,
-        ring_near_full: engine.ring_near_full,
-        replay_divergences: engine.replay_divergences,
+    let base = inner.section();
+    StatsSnapshot {
+        // The engine counts trampoline entries; its slow-path
+        // emulations notify the handler without entering the
+        // trampoline. A snapshot reports every handler-visible dispatch.
+        dispatches: base.dispatches + base.disabled_mode_emulations + base.unpatchable_emulations,
+        quarantined_handlers: interpose::quarantined_handlers(),
+        events_recorded: replay::events_recorded(),
+        events_dropped: replay::events_dropped(),
+        events_spilled: replay::events_spilled(),
+        ring_near_full: replay::ring::total_near_full(),
+        replay_divergences: replay::replay_divergences(),
         hook_dispatches: interpose::hook_dispatches(),
         hook_reloads: hooks::hook_reloads(),
         sfip_checks: ::sfip::checks(),
         sfip_violations: ::sfip::violations(),
-        ..StatsSnapshot::default()
-    };
-    inner.add_totals(&mut s, &engine);
-    s
+        ..base
+    }
 }
 
 impl Drop for ActiveMechanism {
@@ -436,12 +309,6 @@ impl ActiveMechanism {
         // SAFETY: `getpid` touches no memory.
         let pid = unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETPID)) };
         Some(lazypoline::proven::privately(|| session.finish_by(pid as u32)))
-    }
-
-    /// The first divergence a `replay:<path>` backend observed, if any.
-    /// `None` for other backends or while the replay is on-script.
-    pub fn replay_divergence(&self) -> Option<replay::Divergence> {
-        self.replay_state()?.first_divergence()
     }
 
     /// The shared replay progress state of a `replay:<path>` backend
@@ -731,11 +598,43 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_counter_is_a_snapshot_counter() {
-        let mut s = StatsSnapshot::default();
-        for (name, _) in lazypoline::stats().counters() {
-            assert!(s.counter_mut(name).is_some(), "{name} has no StatsSnapshot counter");
-        }
+    fn counters_keep_their_names_and_order() {
+        // The `LAZYPOLINE_STATS` dump, `table2 --json`'s
+        // `mechanism_stats`, the child-row wire and the shim's labels
+        // all derive from this order.
+        let names: Vec<_> = StatsSnapshot::default()
+            .counters()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "dispatches",
+                "slow_path_hits",
+                "sites_patched",
+                "sites_from_cache",
+                "unpatchable_emulations",
+                "disabled_mode_emulations",
+                "signals_wrapped",
+                "patch_retries",
+                "pages_blocklisted",
+                "quarantined_handlers",
+                "events_recorded",
+                "events_dropped",
+                "events_spilled",
+                "ring_grows",
+                "ring_near_full",
+                "drain_yields",
+                "replay_divergences",
+                "bypass_blocked",
+                "pkru_switches",
+                "hooks_loaded",
+                "hook_dispatches",
+                "hook_reloads",
+                "sfip_checks",
+                "sfip_violations",
+            ]
+        );
     }
 
     #[test]

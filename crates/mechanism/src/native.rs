@@ -273,26 +273,21 @@ pub(crate) struct NativeActive {
 }
 
 impl NativeActive {
-    /// Adds this base's own process-cumulative counters to the ones
-    /// every base reports (see [`StatsSnapshot`]).
-    pub(crate) fn add_totals(&self, s: &mut StatsSnapshot, engine: &lazypoline::Stats) {
+    /// This base's own process-cumulative counters (see [`totals`]).
+    ///
+    /// [`totals`]: crate::totals
+    pub(crate) fn section(&self) -> StatsSnapshot {
         match self.kind {
-            NativeKind::Nothing | NativeKind::SudAllow => {}
+            NativeKind::Nothing | NativeKind::SudAllow => StatsSnapshot::default(),
             NativeKind::RawSud { .. } => {
-                s.dispatches = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
-                s.slow_path_hits = s.dispatches;
-            }
-            NativeKind::Engine { .. } => {
-                for (name, value) in engine.counters() {
-                    *s.counter_mut(name).expect("engine counters are snapshot counters") = value;
+                let trips = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
+                StatsSnapshot {
+                    dispatches: trips,
+                    slow_path_hits: trips,
+                    ..StatsSnapshot::default()
                 }
-                // The engine counts trampoline entries in `dispatches`;
-                // slow-path *emulations* (rewriting disabled, or an
-                // unpatchable page) notify the handler without entering
-                // the trampoline. The snapshot reports every
-                // handler-visible dispatch, whichever path carried it.
-                s.dispatches += s.disabled_mode_emulations + s.unpatchable_emulations;
             }
+            NativeKind::Engine { .. } => lazypoline::stats(),
         }
     }
 

@@ -2315,11 +2315,11 @@ fn scenario_fault_sud_only() {
     std::fs::remove_file(&tmp).unwrap();
 
     engine.unenroll_current_thread();
-    let h = lazypoline::health();
+    let (h, s) = (lazypoline::health(), lazypoline::stats());
     assert_eq!(h.mode, lazypoline::Mode::SudOnly);
     assert!(h.faults_injected >= 1, "{h:?}");
-    assert_eq!(h.stats.sites_patched, 0, "SudOnly must never rewrite: {h:?}");
-    assert!(h.stats.disabled_mode_emulations >= 20, "{h:?}");
+    assert_eq!(s.sites_patched, 0, "SudOnly must never rewrite: {s:?}");
+    assert!(s.disabled_mode_emulations >= 20, "{s:?}");
     assert!(
         counter.count(syscalls::nr::GETPID) >= 20,
         "lost interpositions in SudOnly: {}",
@@ -2346,22 +2346,22 @@ fn scenario_fault_unpatchable_page() {
         let f1: extern "C" fn() -> u64 = std::mem::transmute(p.add(64));
         // Warm the snapshot path so the armed window below performs no
         // syscalls besides the JIT sites under test.
-        let _ = lazypoline::health();
+        let _ = (lazypoline::health(), lazypoline::stats());
 
         faultinject::arm(
             faultinject::Site::PatchMprotect,
             faultinject::Schedule::EveryNth(1),
             None, // default EAGAIN: transient, so the retry loop engages
         );
-        let before = lazypoline::health();
+        let before = (lazypoline::health(), lazypoline::stats());
         let resumed = resumes();
         let r0 = f0();
-        let mid = lazypoline::health();
+        let mid = (lazypoline::health(), lazypoline::stats());
         let mut rs = [0u64; 5];
         for r in rs.iter_mut() {
             *r = f0();
         }
-        let after = lazypoline::health();
+        let after = (lazypoline::health(), lazypoline::stats());
         let resumed = resumes().map(|n| n - resumed.expect("counted before"));
         faultinject::disarm(faultinject::Site::PatchMprotect);
 
@@ -2374,27 +2374,26 @@ fn scenario_fault_unpatchable_page() {
         }
         // Exactly one retry burst: initial attempt + PATCH_RETRY_LIMIT
         // retries, then the page was blocklisted.
-        assert_eq!(mid.stats.patch_retries - before.stats.patch_retries, 3, "{mid:?}");
+        assert_eq!(mid.1.patch_retries - before.1.patch_retries, 3, "{mid:?}");
         assert_eq!(
-            mid.stats.pages_blocklisted - before.stats.pages_blocklisted,
+            mid.1.pages_blocklisted - before.1.pages_blocklisted,
             1,
             "{mid:?}"
         );
-        assert_eq!(mid.patch_blocklist_pages - before.patch_blocklist_pages, 1);
         assert_eq!(
-            mid.stats.unpatchable_emulations - before.stats.unpatchable_emulations,
+            mid.1.unpatchable_emulations - before.1.unpatchable_emulations,
             1
         );
-        assert_eq!(mid.faults_injected - before.faults_injected, 4);
+        assert_eq!(mid.0.faults_injected - before.0.faults_injected, 4);
         // The five follow-up trips short-circuited on the blocklist: no
         // further patch attempts, no further retries.
-        assert_eq!(after.stats.patch_retries, mid.stats.patch_retries, "{after:?}");
-        assert_eq!(after.faults_injected, mid.faults_injected, "{after:?}");
+        assert_eq!(after.1.patch_retries, mid.1.patch_retries, "{after:?}");
+        assert_eq!(after.0.faults_injected, mid.0.faults_injected, "{after:?}");
         assert_eq!(
-            after.stats.unpatchable_emulations - mid.stats.unpatchable_emulations,
+            after.1.unpatchable_emulations - mid.1.unpatchable_emulations,
             5
         );
-        assert_eq!(after.stats.pages_blocklisted, mid.stats.pages_blocklisted);
+        assert_eq!(after.1.pages_blocklisted, mid.1.pages_blocklisted);
         // The site's bytes were never rewritten.
         assert_eq!(*p.add(5), 0x0f, "syscall opcode gone");
         assert_eq!(*p.add(6), 0x05, "syscall opcode gone");
@@ -2716,7 +2715,7 @@ fn scenario_fault_soak() {
     engine.unenroll_current_thread();
     let h = lazypoline::health();
     assert!(h.faults_injected >= 3, "{h:?}");
-    assert_eq!(h.stats.quarantined_handlers, 0, "{h:?}");
+    assert_eq!(interpose::quarantined_handlers(), 0);
 }
 
 fn scenario_fault_soak_sudonly() {
@@ -2844,8 +2843,7 @@ fn scenario_panic_quarantine() {
         3,
         "handler kept running after its panic"
     );
-    let h = lazypoline::health();
-    assert_eq!(h.stats.quarantined_handlers, 1, "{h:?}");
+    assert_eq!(interpose::quarantined_handlers(), 1);
 
     // Installing a fresh handler lifts the quarantine.
     let counter = CountHandler::new();
@@ -2857,7 +2855,7 @@ fn scenario_panic_quarantine() {
         counter.count(syscalls::nr::GETPID) >= 5,
         "interposition not revived after quarantine"
     );
-    assert_eq!(lazypoline::health().stats.quarantined_handlers, 1);
+    assert_eq!(interpose::quarantined_handlers(), 1);
     engine.unenroll_current_thread();
 }
 
@@ -2883,11 +2881,11 @@ fn scenario_fault_prescan_only() {
     assert_eq!(std::fs::read(&tmp).unwrap(), b"prescan");
     std::fs::remove_file(&tmp).unwrap();
 
-    let h = lazypoline::health();
+    let (h, s) = (lazypoline::health(), lazypoline::stats());
     assert_eq!(h.mode, lazypoline::Mode::PrescanOnly);
     assert!(h.faults_injected >= 1, "{h:?}");
-    assert_eq!(h.stats.slow_path_hits, 0, "SIGSYS fired without SUD: {h:?}");
-    assert!(h.stats.sites_patched >= 1, "prescan rewrote nothing: {h:?}");
+    assert_eq!(s.slow_path_hits, 0, "SIGSYS fired without SUD: {s:?}");
+    assert!(s.sites_patched >= 1, "prescan rewrote nothing: {s:?}");
     assert!(
         counter.count(syscalls::nr::WRITE) >= 1,
         "prescanned libc write not interposed"

@@ -217,6 +217,11 @@ fn multi_thread_recording_accounts_for_every_event() {
 
     // The spawned threads claim fresh rings, at this capacity.
     assert!(replay::ring::configure(1024));
+    // `none` arms nothing: the installation only counts.
+    let active = mechanism::by_name("none")
+        .unwrap()
+        .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
+        .unwrap();
     let before_recorded = replay::events_recorded();
     let before_dropped = replay::events_dropped();
 
@@ -245,12 +250,15 @@ fn multi_thread_recording_accounts_for_every_event() {
     assert!(recorded > 0, "rings accepted events");
     assert!(dropped > 0, "overflow policy engaged under pressure");
 
-    // Folded uniformly into the engine's counter sets.
-    let stats = lazypoline_suite::lazypoline::stats();
-    assert!(stats.events_recorded >= recorded);
-    assert!(stats.events_dropped >= dropped);
-    let health = lazypoline_suite::lazypoline::health();
-    assert_eq!(health.stats.events_recorded, stats.events_recorded);
+    // The installation's snapshot reads the recorder, its owner; the
+    // engine reports only its own counters.
+    let stats = active.stats();
+    assert_eq!(
+        (stats.events_recorded, stats.events_dropped),
+        (recorded, dropped)
+    );
+    assert_eq!(lazypoline_suite::lazypoline::stats().events_recorded, 0);
+    drop(active);
 
     // Leave the rings empty for whichever test records next.
     replay::ring::drain_all(|_| {});
