@@ -1,50 +1,25 @@
-//! Regenerates **Table III**: ten coreutils evaluated with the
-//! Pin-like register-preservation analysis on two simulated
-//! distributions.
-//!
-//! ✓ = the program expected an extended-state (vector) register to be
-//! preserved across at least one syscall; ✗ = no such expectation
-//! observed.
+//! Regenerates **Table III**: the paper's cells
+//! (`lp_bench::table3::TABLE_III`; `v` = the program expected a vector
+//! register preserved across a syscall, `x` = no such expectation),
+//! then the native section: host programs under the LD_PRELOAD shim
+//! with `hook_poison`, diffed against bare. The shim and the hook
+//! library are looked up next to this binary (`cargo build --release`
+//! puts all three in `target/release/`).
 
-use lp_bench::report::Table;
-use sim_pin::analyze_coreutil;
-use sim_workloads::{LibcFlavor, COREUTILS};
+use lp_bench::table3;
 
 fn main() {
-    println!("Table III — extended-state preservation expectations (Pin-like analysis)\n");
-    let flavors = [LibcFlavor::V1Ubuntu2004, LibcFlavor::V3ClearLinux];
-    let mut table = Table::new(["Coreutils", flavors[0].distro(), flavors[1].distro()]);
-    let mut affected_counts = [0usize; 2];
-    for util in COREUTILS {
-        let mut cells = vec![util.name.to_string()];
-        for (i, flavor) in flavors.iter().enumerate() {
-            let report = analyze_coreutil(util, *flavor)
-                .unwrap_or_else(|e| panic!("{}: {e}", util.name));
-            let affected = report.extended_state_affected();
-            if affected {
-                affected_counts[i] += 1;
-                let regs: Vec<String> = report
-                    .affected_vector_regs()
-                    .into_iter()
-                    .map(|r| format!("x{r}"))
-                    .collect();
-                cells.push(format!("v ({})", regs.join(",")));
-            } else {
-                cells.push("x".to_string());
-            }
-        }
-        table.row(cells);
+    println!("{}", table3::render_paper());
+    let so = std::env::current_exe()
+        .expect("this binary's own path")
+        .with_file_name("liblazypoline_preload.so");
+    let hook = hookabi::resolve_library("hook_poison");
+    if !(lp_bench::micro::environment_supported() && so.exists() && hook.exists()) {
+        println!("Native section skipped: it needs SUD, page zero, and the shim and libhook_poison.so next to this binary");
+        return;
     }
-    print!("{}", table.render());
-    println!(
-        "\naffected: {}/10 on {}, {}/10 on {}",
-        affected_counts[0],
-        flavors[0].distro(),
-        affected_counts[1],
-        flavors[1].distro()
-    );
-    println!(
-        "(paper: 40% affected on Ubuntu 20.04 via the pthread-init xmm issue (Listing 1);\n\
-         all programs affected on Clear Linux via ptmalloc_init + getrandom)"
-    );
+    let dir = std::env::temp_dir().join(format!("lp-table3-{}", std::process::id()));
+    let native = table3::write_inputs(&dir).and_then(|()| table3::render_native(&so, &hook, &dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    print!("{}", native.expect("native section"));
 }

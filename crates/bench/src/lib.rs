@@ -11,6 +11,8 @@
 //!   RWX page's runtime-emitted `syscall` and another libc call, which
 //!   `exhaustiveness`, `lp-trace` and the record/replay and SFIP tests
 //!   run.
+//! * [`table3`] — Table III: the paper's cells as data, and the native
+//!   poison run of host programs.
 //!
 //! Iteration counts and durations are scaled down from the paper's
 //! (100M iterations, 30s × 10 runs) and overridable via environment
@@ -25,6 +27,7 @@ pub mod json;
 pub mod macrobench;
 pub mod micro;
 pub mod report;
+pub mod table3;
 
 /// Reads a `u64` knob from the environment with a default; panics on a
 /// value that does not parse, which must not run another benchmark.

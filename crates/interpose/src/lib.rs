@@ -1,6 +1,5 @@
 //! The interposer API shared by every interposition mechanism in the
-//! suite (native lazypoline, native zpoline, SUD-only, and the
-//! simulated hybrid).
+//! suite (lazypoline, zpoline, SUD-only).
 //!
 //! An interposer implements [`SyscallHandler`]; the mechanism invokes
 //! [`SyscallHandler::handle`] for every intercepted syscall and acts on

@@ -89,7 +89,8 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
 /// calls the shadow of the executable mappings must see or stop
 /// vouching at ([`zpoline::maps::shadow`]). (`rt_sigreturn` is handled
 /// before the fast-out and listed for the stub's and the slow path's
-/// benefit.)
+/// benefit.) So are `execve` and `execveat`, which hardened mode
+/// refuses ([`crate::harden::refuses_exec`]): a miss would exec.
 pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
     full_path: interpose::InterestSet::of(&[
         nr::RT_SIGRETURN,
@@ -110,6 +111,8 @@ pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
         nr::SHMDT,
         nr::PRCTL,
         nr::USERFAULTFD,
+        nr::EXECVE,
+        nr::EXECVEAT,
     ])
     .words(),
     interest: interpose::interest_words(),
@@ -217,6 +220,7 @@ unsafe fn execute_frame(frame: &mut RawFrame) -> u64 {
             raw_internal::syscall(call)
         }),
         nr::PRCTL => handle_prctl(frame),
+        nr::EXECVE | nr::EXECVEAT if crate::harden::refuses_exec() => Errno::EACCES.as_ret(),
         nr::USERFAULTFD => {
             // A write-protecting `userfaultfd` refuses stores no
             // `mprotect` forbade.
@@ -347,6 +351,8 @@ mod tests {
             nr::SHMDT,
             nr::PRCTL,
             nr::USERFAULTFD,
+            nr::EXECVE,
+            nr::EXECVEAT,
         ];
         want.sort_unstable();
         assert_eq!(routed, want);

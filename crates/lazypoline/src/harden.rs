@@ -274,6 +274,19 @@ pub(crate) fn refuses_dispatch_change() -> bool {
     refused
 }
 
+/// Whether the application's `execve`/`execveat` is refused with
+/// `EACCES`: once the backstop is armed. The filter survives the exec
+/// and admits only this image's gate, so the new image would die of
+/// `SIGSYS` at `ld.so`'s first syscall (DESIGN.md §6). A refusal is
+/// counted with the escapes the backstop caught.
+pub(crate) fn refuses_exec() -> bool {
+    let refused = backstop_armed();
+    if refused {
+        BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+    }
+    refused
+}
+
 /// The active policy.
 pub fn policy() -> BypassPolicy {
     match POLICY.load(Ordering::SeqCst) {

@@ -7,9 +7,6 @@ use std::fmt;
 /// number plus its six argument registers (`rdi, rsi, rdx, r10, r8, r9`
 /// in the x86-64 kernel calling convention).
 ///
-/// Both the native interposers and the simulated kernel use this type,
-/// so handlers written against it work in either world.
-///
 /// ```rust
 /// use lp_syscalls::{nr, SyscallArgs};
 ///

@@ -14,8 +14,3 @@ pub use sfip;
 pub use sud;
 pub use syscalls;
 pub use zpoline;
-
-pub use sim_cpu;
-pub use sim_kernel;
-pub use sim_pin;
-pub use sim_workloads;

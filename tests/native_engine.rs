@@ -1032,6 +1032,9 @@ struct ResumeCell {
     /// `k0-7`, when `avx512`.
     k_in: [u16; 8],
     k_out: [u16; 8],
+    /// `xmm0-15`.
+    xmm_in: [[u8; 16]; 16],
+    xmm_out: [[u8; 16]; 16],
     /// PKRU, when `pku`; the caller's is put back.
     pkru_in: u32,
     pkru_out: u32,
@@ -1077,6 +1080,9 @@ lp_resume_cell:
     kmovw k\i, word ptr [r12 + {k_in} + 2*\i]
     .endr
 1:
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movdqu xmm\i, xmmword ptr [r12 + {xmm_in} + 16*\i]
+    .endr
     cmp dword ptr [r12 + {pku}], 0
     je 2f
     xor ecx, ecx
@@ -1133,6 +1139,9 @@ lp_resume_cell:
     mov qword ptr [r12 + {flags_out}], rax
     fnstcw word ptr [r12 + {fcw_out}]
     stmxcsr dword ptr [r12 + {mxcsr_out}]
+    .irp i,0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15
+    movdqu xmmword ptr [r12 + {xmm_out} + 16*\i], xmm\i
+    .endr
     cmp dword ptr [r12 + {avx512}], 0
     je 3f
     .irp i,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31
@@ -1177,6 +1186,8 @@ lp_resume_cell_end:
     rsp_after = const std::mem::offset_of!(ResumeCell, rsp_after),
     k_in = const std::mem::offset_of!(ResumeCell, k_in),
     k_out = const std::mem::offset_of!(ResumeCell, k_out),
+    xmm_in = const std::mem::offset_of!(ResumeCell, xmm_in),
+    xmm_out = const std::mem::offset_of!(ResumeCell, xmm_out),
     pkru_in = const std::mem::offset_of!(ResumeCell, pkru_in),
     pkru_out = const std::mem::offset_of!(ResumeCell, pkru_out),
     pkru_caller = const std::mem::offset_of!(ResumeCell, pkru_caller),
@@ -1225,24 +1236,11 @@ const RESUME_FLAGS_IN: u64 = 0x0020_0000 | 0x0800 | 0x80 | 0x40 | 0x04 | 0x01 | 
 /// write `ymm16` and up), and no mask names them (DESIGN.md §2), so
 /// there they are not the resume's to answer for.
 unsafe fn resume_cell(site: ResumeCellFn, row: &str, sigsys: bool) {
-    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-    let pku = core::arch::x86_64::__cpuid_count(7, 0).ecx & (1 << 4) != 0; // OSPKE
+    let mut c = loaded_resume_cell();
+    let (avx512, pku) = (c.avx512 != 0, c.pku != 0);
     let miss = !interpose::global_interested(syscalls::nr::GETPID);
     let cell_name =
         format!("{row}, first execution: {sigsys}, miss: {miss}, avx512f: {avx512}, pku: {pku}");
-    let mut c: Box<ResumeCell> = Box::new(std::mem::zeroed());
-    c.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
-    c.gpr_in[13] = syscalls::nr::GETPID;
-    c.flags_in = RESUME_FLAGS_IN;
-    c.fcw_in = 0x0b7f; // round up, extended precision
-    c.mxcsr_in = 0x1f80 | 0x20; // the precision flag, sticky
-    for (i, z) in c.zmm_in.iter_mut().enumerate() {
-        *z = std::array::from_fn(|b| (0x40 * (i % 4) + b) as u8 ^ (i as u8 * 0x11));
-    }
-    c.k_in = std::array::from_fn(|i| (0x1111 * (i as u16 + 1)) ^ 0x8421);
-    c.pkru_in = 0;
-    c.avx512 = avx512 as u32;
-    c.pku = pku as u32;
 
     let hits = lazypoline::stats().slow_path_hits;
     let resumed = resumes();
@@ -1272,6 +1270,29 @@ unsafe fn resume_cell(site: ResumeCellFn, row: &str, sigsys: bool) {
     if pku {
         assert_eq!(c.pkru_out, c.pkru_in, "PKRU, {cell_name}");
     }
+}
+
+/// A cell whose every input register holds a pattern of its own, for
+/// the host's AVX-512 and PKU.
+fn loaded_resume_cell() -> Box<ResumeCell> {
+    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+    let pku = core::arch::x86_64::__cpuid_count(7, 0).ecx & (1 << 4) != 0; // OSPKE
+    // SAFETY: every field is an integer or an array of them.
+    let mut c: Box<ResumeCell> = Box::new(unsafe { std::mem::zeroed() });
+    c.gpr_in = std::array::from_fn(|i| 0x0101_0101_0101_0101 * (i as u64 + 1));
+    c.gpr_in[13] = syscalls::nr::GETPID;
+    c.flags_in = RESUME_FLAGS_IN;
+    c.fcw_in = 0x0b7f; // round up, extended precision
+    c.mxcsr_in = 0x1f80 | 0x20; // the precision flag, sticky
+    for (i, z) in c.zmm_in.iter_mut().enumerate() {
+        *z = std::array::from_fn(|b| (0x40 * (i % 4) + b) as u8 ^ (i as u8 * 0x11));
+    }
+    c.k_in = std::array::from_fn(|i| (0x1111 * (i as u16 + 1)) ^ 0x8421);
+    c.xmm_in = std::array::from_fn(|i| std::array::from_fn(|b| (0x10 * i + b) as u8 ^ 0xa5));
+    c.pkru_in = 0;
+    c.avx512 = avx512 as u32;
+    c.pku = pku as u32;
+    c
 }
 
 /// A fresh site's first execution takes one SIGSYS, whose handler
@@ -1305,6 +1326,79 @@ fn scenario_resume_registers_nox() {
 
 fn scenario_resume_registers_hardened() {
     resume_registers_under("lazypoline-hardened");
+}
+
+// ——— the poison hook ————————————————————————————————————————————————
+
+/// The quadword `examples/hook_poison` writes into every vector register.
+const POISON: u64 = 0x4c50_504f_4953_4f4e;
+/// The `MXCSR` it leaves (this host's `MXCSR_MASK` keeps every bit).
+const POISON_MXCSR: u32 = 0xffbf;
+/// The x87 control word it leaves.
+const POISON_FCW: u16 = 0x0c7f;
+
+/// `row` with `hook_poison` loaded, running [`lp_resume_cell`] on a
+/// fresh page twice. Both executions are hits: the first one's `SIGSYS`
+/// rewrites the site and resumes at it. What comes back is what the
+/// row's mask preserves. Under the default mask `xmm0-15`, `MXCSR` and
+/// the x87 control word survive. Under `-nox` none of the `xmm`
+/// registers does, `MXCSR` and the control word read the canary, and so
+/// do `xmm8-15`; the dispatch that runs after the hook's `handle` uses
+/// some of the low ones itself. `zmm16-31` and `k0-7` read the canary
+/// under both: no mask names them (DESIGN.md §2).
+fn poison_registers_under(row: &str, preserved: bool) {
+    let hook = hookabi::resolve_library("hook_poison");
+    assert!(hook.is_absolute(), "build the hook cdylibs first (cargo build --release)");
+    let cfg = mechanism::EnvConfig {
+        hooks: hook.to_str().unwrap().into(),
+        ..mechanism::EnvConfig::from_env().expect("the harness passes a valid environment")
+    };
+    let mut active = mechanism::by_name(row)
+        .unwrap_or_else(|| panic!("unknown mechanism {row}"))
+        .install_with(Box::new(interpose::PassthroughHandler), &cfg)
+        .unwrap_or_else(|e| panic!("install {row}: {e}"));
+    assert_eq!(active.stats().hooks_loaded, 1, "{row}");
+    let canary = |n: usize| -> Vec<u8> { POISON.to_le_bytes().repeat(n) };
+    // SAFETY: the site is a copy of `lp_resume_cell`, which takes a cell.
+    unsafe {
+        let site = fresh_resume_cell_site();
+        for sigsys in [true, false] {
+            let mut c = loaded_resume_cell();
+            let hits = lazypoline::stats().slow_path_hits;
+            site(&mut *c);
+            assert_eq!(lazypoline::stats().slow_path_hits - hits, sigsys as u64, "{row}");
+            let cell = format!("{row}, first execution: {sigsys}");
+            assert_eq!(c.gpr_out[13], std::process::id() as u64, "rax, {cell}");
+            for (i, (got, want)) in c.xmm_out.iter().zip(&c.xmm_in).enumerate() {
+                assert_eq!(got == want, preserved, "xmm{i} kept, {cell}");
+                if !preserved && i >= 8 {
+                    assert_eq!(got.to_vec(), canary(2), "xmm{i}, {cell}");
+                }
+            }
+            let (mxcsr, fcw) = if preserved {
+                (c.mxcsr_in, c.fcw_in)
+            } else {
+                (POISON_MXCSR, POISON_FCW)
+            };
+            assert_eq!(c.mxcsr_out, mxcsr, "MXCSR, {cell}");
+            assert_eq!(c.fcw_out, fcw, "x87 control word, {cell}");
+            if c.avx512 != 0 {
+                for (i, got) in c.zmm_out.iter().enumerate() {
+                    assert_eq!(got.to_vec(), canary(8), "zmm{}, {cell}", i + 16);
+                }
+                assert_eq!(c.k_out, [POISON as u16; 8], "k0-7, {cell}");
+            }
+        }
+    }
+    active.detach();
+}
+
+fn scenario_poison_registers() {
+    poison_registers_under("lazypoline+hooks", true);
+}
+
+fn scenario_poison_registers_nox() {
+    poison_registers_under("lazypoline-nox+hooks", false);
 }
 
 // ——— the entry stub's miss exit ————————————————————————————————————
@@ -4723,6 +4817,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("resume_registers", scenario_resume_registers),
     ("resume_registers_nox", scenario_resume_registers_nox),
     ("resume_registers_hardened", scenario_resume_registers_hardened),
+    ("poison_registers", scenario_poison_registers),
+    ("poison_registers_nox", scenario_poison_registers_nox),
     ("nested_miss", scenario_nested_miss),
     ("miss_exit", scenario_miss_exit),
     ("miss_exit_hardened", scenario_miss_exit_hardened),

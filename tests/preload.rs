@@ -13,7 +13,9 @@ fn preload_so() -> Option<PathBuf> {
     // this test binary. `cargo test` links the shim as an rlib only, so
     // a debug test binary falls back to the cdylib `cargo build
     // --release` (tier-1's first half) left in the sibling profile, as
-    // `hookabi::resolve_library` does for the hook libraries.
+    // `hookabi::resolve_library` does for the hook libraries. Of two, the
+    // newer: `cargo test` does not refresh `target/debug`'s copy, so an
+    // old `cargo build` would leave the suite testing a stale shim.
     let mut dir = std::env::current_exe().ok()?;
     dir.pop(); // test binary name
     if dir.ends_with("deps") {
@@ -22,7 +24,9 @@ fn preload_so() -> Option<PathBuf> {
     [dir.clone(), dir.with_file_name("release")]
         .into_iter()
         .map(|d| d.join("liblazypoline_preload.so"))
-        .find(|so| so.exists())
+        .filter_map(|so| Some((std::fs::metadata(&so).ok()?.modified().ok()?, so)))
+        .max()
+        .map(|(_, so)| so)
 }
 
 /// The shim to preload, or `None` (with the reason printed) when this
@@ -493,6 +497,92 @@ fn hardened_shell_takes_its_signals() {
     let stderr = stderr_of(&out);
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert_eq!(out.stdout, b"got\nafter\n", "{stderr}");
+}
+
+/// Under `lazypoline-hardened` with the backstop armed, `execve` and
+/// `execveat` fail with `EACCES` and are counted in `bypass_blocked`:
+/// the filter outlives the exec and admits only the old image's gate,
+/// so the new image died of `SIGSYS` at `ld.so`'s first syscall (the
+/// shell exited 159). DESIGN.md §6 says why the row refuses the exec.
+#[test]
+fn hardened_exec_is_refused_and_counted() {
+    let Some(so) = ready() else { return };
+    // The shell forks and its child execs; `exec` execs in the process
+    // whose dump is printed.
+    for (script, blocked) in [("/bin/true", 0), ("exec /bin/true", 1)] {
+        let out = preloaded(&so, "/bin/sh")
+            .args(["-c", script])
+            .env("LP_MECHANISM", "lazypoline-hardened")
+            .env("LAZYPOLINE_STATS", "1")
+            .output()
+            .unwrap();
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(126), "{script}: {:?}: {stderr}", out.status);
+        assert!(stderr.contains("Permission denied"), "{script}: {stderr}");
+        assert_eq!(dump_field(&stderr, "bypass_blocked"), blocked, "{script}: {stderr}");
+    }
+
+    // `fexecve` is glibc's `execveat(fd, "", …, AT_EMPTY_PATH)`.
+    if !Path::new("/usr/bin/python3").exists() {
+        eprintln!("skipping the execveat half: no /usr/bin/python3");
+        return;
+    }
+    let script = "import os\ntry:\n    os.execve(os.open('/bin/true', os.O_RDONLY), ['true'], {})\n\
+                  except PermissionError:\n    print('refused')";
+    let out = preloaded(&so, "/usr/bin/python3")
+        .args(["-c", script])
+        .env("LP_MECHANISM", "lazypoline-hardened")
+        .output()
+        .unwrap();
+    let stderr = stderr_of(&out);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert_eq!(out.stdout, b"refused\n", "{stderr}");
+}
+
+/// Host programs under `lazypoline+hooks` with `hook_poison`, which
+/// overwrites every vector and floating-point register on every
+/// dispatch: the default mask puts back everything they read, so their
+/// output and exit status are the bare run's (Table III's native
+/// section; EXPERIMENTS.md).
+#[test]
+fn poison_under_the_default_mask_changes_no_output() {
+    let Some(so) = ready() else { return };
+    let hook = hookabi::resolve_library("hook_poison");
+    if !hook.is_absolute() {
+        eprintln!("skipping: libhook_poison.so not built (cargo build --release)");
+        return;
+    }
+    let (root, dir) = scratch("poison");
+    let lines = root.join("lines.txt");
+    let text: String = (0..20_000u64)
+        .map(|i| format!("{:x}\n", i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        .collect();
+    std::fs::write(&lines, text).unwrap();
+    let lines = lines.to_str().unwrap();
+    for argv in [
+        vec!["ls", "-l", &dir],
+        vec!["sort", lines],
+        vec!["sha256sum", lines],
+        vec!["gzip", "-c", lines],
+    ] {
+        let Some(program) = lp_bench::table3::find_program(argv[0]) else {
+            eprintln!("skipping {}: not installed", argv[0]);
+            continue;
+        };
+        let bare = plain(program.to_str().unwrap()).args(&argv[1..]).output().unwrap();
+        let out = preloaded(&so, program.to_str().unwrap())
+            .args(&argv[1..])
+            .env("LP_MECHANISM", "lazypoline+hooks")
+            .env("LP_HOOKS", &hook)
+            .env("LAZYPOLINE_STATS", "1")
+            .output()
+            .unwrap();
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), bare.status.code(), "{argv:?}: {stderr}");
+        assert_eq!(out.stdout, bare.stdout, "{argv:?}: {stderr}");
+        assert!(dump_field(&stderr, "hook_dispatches") > 0, "{argv:?}: the hook ran\n{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(root);
 }
 
 /// A fresh cache directory under `root`, for the shim to create.

@@ -1,285 +1,12 @@
-//! Table III over the simulation stack: the paper's extended-state
-//! analysis of coreutils on glibc 2.31 and 2.39, which this host cannot
-//! run natively.
-
-use sim_pin::PinReport;
-use sim_workloads::LibcFlavor::{V1Ubuntu2004 as V1, V3ClearLinux as V3};
-use sim_workloads::{LibcFlavor, COREUTILS};
-
-/// Every cell's full report: `(utility, flavour, syscalls,
-/// instructions, findings)`. A finding reads `r12@10088<10066`: GPR 12
-/// (`x` for a vector register) read at 0x10088, written before the
-/// syscall at 0x10066. Any change to the guest programs' encoding or to
-/// the analysis moves an address or a count here.
-const REPORTS: [(&str, LibcFlavor, u64, u64, &str); 20] = [
-    (
-        "ls",
-        V1,
-        12,
-        68,
-        concat!(
-            "r2@10066<10043 r3@10066<10043 r4@10066<10043 r3@10086<10066 ",
-            "r4@10086<10066 r12@10088<10066 x0@10088<10066 r4@100eb<100c1 ",
-            "r4@10111<100eb r4@1013f<10111 r13@100fa<10111 r4@10111<1013f ",
-            "r13@10150<10111 r2@10153<10111 r3@10153<10111 r4@10153<10111 ",
-            "r2@10169<10153 r3@10169<10153 r4@10169<10153",
-        ),
-    ),
-    (
-        "ls",
-        V3,
-        12,
-        68,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100f2<100c8 ",
-            "r4@10118<100f2 r4@10146<10118 r13@10101<10118 r4@10118<10146 ",
-            "r13@10157<10118 r2@1015a<10118 r3@1015a<10118 r4@1015a<10118 ",
-            "r2@10170<1015a r3@10170<1015a r4@10170<1015a",
-        ),
-    ),
-    (
-        "pwd",
-        V1,
-        4,
-        18,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r4@10083<10059 ",
-            "r2@10099<10083 r3@10099<10083 r4@10099<10083",
-        ),
-    ),
-    (
-        "pwd",
-        V3,
-        5,
-        25,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100be<10094 ",
-            "r2@100d4<100be r3@100d4<100be r4@100d4<100be",
-        ),
-    ),
-    (
-        "chmod",
-        V1,
-        4,
-        18,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r4@10083<10059 ",
-            "r2@10099<10083 r3@10099<10083 r4@10099<10083",
-        ),
-    ),
-    (
-        "chmod",
-        V3,
-        5,
-        25,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100be<10094 ",
-            "r2@100d4<100be r3@100d4<100be r4@100d4<100be",
-        ),
-    ),
-    (
-        "mkdir",
-        V1,
-        5,
-        24,
-        concat!(
-            "r2@10066<10043 r3@10066<10043 r4@10066<10043 r3@10086<10066 ",
-            "r4@10086<10066 r12@10088<10066 x0@10088<10066 r3@100ad<10086 ",
-            "r4@100ad<10086 r2@100c3<100ad r3@100c3<100ad r4@100c3<100ad",
-        ),
-    ),
-    (
-        "mkdir",
-        V3,
-        5,
-        24,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r3@100b4<10094 ",
-            "r4@100b4<10094 r2@100ca<100b4 r3@100ca<100b4 r4@100ca<100b4",
-        ),
-    ),
-    (
-        "mv",
-        V1,
-        5,
-        26,
-        concat!(
-            "r2@10066<10043 r3@10066<10043 r4@10066<10043 r3@10086<10066 ",
-            "r4@10086<10066 r12@10088<10066 x0@10088<10066 r2@100d7<100c1 ",
-            "r3@100d7<100c1 r4@100d7<100c1",
-        ),
-    ),
-    (
-        "mv",
-        V3,
-        5,
-        26,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r2@100de<100c8 ",
-            "r3@100de<100c8 r4@100de<100c8",
-        ),
-    ),
-    (
-        "cp",
-        V1,
-        11,
-        55,
-        concat!(
-            "r2@10066<10043 r3@10066<10043 r4@10066<10043 r3@10086<10066 ",
-            "r4@10086<10066 r12@10088<10066 x0@10088<10066 r4@100eb<100c1 ",
-            "r4@10111<100eb r13@10120<10111 r2@10123<10111 r3@10123<10111 ",
-            "r4@10123<10111 r4@1014d<10123 r14@10169<10123 r4@1016c<1014d ",
-            "r13@10178<1016c r2@1017b<1016c r3@1017b<1016c r4@1017b<1016c ",
-            "r2@10191<1017b r3@10191<1017b r4@10191<1017b",
-        ),
-    ),
-    (
-        "cp",
-        V3,
-        11,
-        55,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100f2<100c8 ",
-            "r4@10118<100f2 r13@10127<10118 r2@1012a<10118 r3@1012a<10118 ",
-            "r4@1012a<10118 r4@10154<1012a r14@10170<1012a r4@10173<10154 ",
-            "r13@1017f<10173 r2@10182<10173 r3@10182<10173 r4@10182<10173 ",
-            "r2@10198<10182 r3@10198<10182 r4@10198<10182",
-        ),
-    ),
-    (
-        "rm",
-        V1,
-        4,
-        17,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r3@10079<10059 ",
-            "r4@10079<10059 r2@1008f<10079 r3@1008f<10079 r4@1008f<10079",
-        ),
-    ),
-    (
-        "rm",
-        V3,
-        5,
-        24,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r3@100b4<10094 ",
-            "r4@100b4<10094 r2@100ca<100b4 r3@100ca<100b4 r4@100ca<100b4",
-        ),
-    ),
-    (
-        "touch",
-        V1,
-        5,
-        22,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r4@10083<10059 ",
-            "r2@10095<10083 r3@10095<10083 r4@10095<10083 r2@100ab<10095 ",
-            "r3@100ab<10095 r4@100ab<10095",
-        ),
-    ),
-    (
-        "touch",
-        V3,
-        6,
-        29,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100be<10094 ",
-            "r2@100d0<100be r3@100d0<100be r4@100d0<100be r2@100e6<100d0 ",
-            "r3@100e6<100d0 r4@100e6<100d0",
-        ),
-    ),
-    (
-        "cat",
-        V1,
-        13,
-        74,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r4@100b7<1008d ",
-            "r4@100dd<100b7 r4@1010b<100dd r13@100c6<100dd r4@100dd<1010b ",
-            "r13@1011c<100dd r2@1011f<100dd r3@1011f<100dd r4@1011f<100dd ",
-            "r2@10135<1011f r3@10135<1011f r4@10135<1011f",
-        ),
-    ),
-    (
-        "cat",
-        V3,
-        14,
-        81,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100f2<100c8 ",
-            "r4@10118<100f2 r4@10146<10118 r13@10101<10118 r4@10118<10146 ",
-            "r13@10157<10118 r2@1015a<10118 r3@1015a<10118 r4@1015a<10118 ",
-            "r2@10170<1015a r3@10170<1015a r4@10170<1015a",
-        ),
-    ),
-    (
-        "clear",
-        V1,
-        4,
-        18,
-        concat!(
-            "r2@10059<10043 r3@10059<10043 r4@10059<10043 r4@10083<10059 ",
-            "r2@10099<10083 r3@10099<10083 r4@10099<10083",
-        ),
-    ),
-    (
-        "clear",
-        V3,
-        5,
-        25,
-        concat!(
-            "r3@10077<10043 r4@10077<10043 r12@10079<10077 x1@10079<10077 ",
-            "r2@10094<10077 r3@10094<10077 r4@10094<10077 r4@100be<10094 ",
-            "r2@100d4<100be r3@100d4<100be r4@100d4<100be",
-        ),
-    ),
-];
-
-fn render(report: &PinReport) -> String {
-    let findings: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| {
-            let kind = if f.vector { 'x' } else { 'r' };
-            format!("{kind}{}@{:x}<{:x}", f.reg, f.read_rip, f.syscall_rip)
-        })
-        .collect();
-    findings.join(" ")
-}
+//! Table III's paper section is data (`lp_bench::table3::TABLE_III`):
+//! its rendering is, byte for byte, what `table3` printed while the
+//! cells were computed by a simulator (`fixtures/table3_paper.txt`, kept
+//! from that output).
 
 #[test]
 fn table3_full_matrix() {
-    let expect_ubuntu = ["ls", "mkdir", "mv", "cp"];
-    let cells = COREUTILS.iter().flat_map(|u| [(u, V1), (u, V3)]);
-    for ((util, flavor), expected) in cells.zip(REPORTS) {
-        let (name, row_flavor, syscalls, instructions, findings) = expected;
-        assert_eq!((util.name, flavor), (name, row_flavor));
-        let report = sim_pin::analyze_coreutil(*util, flavor).unwrap();
-        let affected = flavor == V3 || expect_ubuntu.contains(&name);
-        assert_eq!(
-            report.extended_state_affected(),
-            affected,
-            "{name} on {}",
-            flavor.distro()
-        );
-        assert_eq!(
-            (
-                report.syscalls,
-                report.instructions,
-                render(&report).as_str()
-            ),
-            (syscalls, instructions, findings),
-            "{name} on {}",
-            flavor.distro()
-        );
-    }
+    assert_eq!(
+        lp_bench::table3::render_paper(),
+        include_str!("fixtures/table3_paper.txt")
+    );
 }
