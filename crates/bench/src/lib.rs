@@ -98,4 +98,33 @@ mod tests {
         parse_counters(&format!("port junk\n{}", render_counters(&sent)), &mut got);
         assert_eq!(got, sent);
     }
+
+    /// The coreutils a [`table3::DISTROS`] column marks, with the
+    /// register each keeps live across a syscall.
+    fn affected(column: usize) -> Vec<(&'static str, u8)> {
+        table3::TABLE_III
+            .iter()
+            .filter_map(|(util, cells)| cells[column].map(|reg| (*util, reg)))
+            .collect()
+    }
+
+    #[test]
+    fn table_three_ubuntu_column() {
+        // The paper's 40%: the four threaded utilities, each through
+        // Listing 1's xmm0.
+        assert_eq!(table3::DISTROS[0], "Ubuntu 20.04");
+        assert_eq!(
+            affected(0),
+            [("ls", 0), ("mkdir", 0), ("mv", 0), ("cp", 0)]
+        );
+    }
+
+    #[test]
+    fn table_three_clear_linux_column() {
+        // Every utility, through ptmalloc_init's xmm1 across getrandom.
+        assert_eq!(table3::DISTROS[1], "Clear Linux");
+        let column = affected(1);
+        assert_eq!(column.len(), table3::TABLE_III.len());
+        assert!(column.iter().all(|&(_, reg)| reg == 1), "{column:?}");
+    }
 }

@@ -64,11 +64,18 @@ extern "C" {
 }
 
 // x87, MXCSR and xmm0-15 through one fxsave/fxrstor of the live image,
-// then the wider registers over the xmm ones. SysV: edi = level.
+// then the wider registers over the xmm ones. SysV: edi = level. Both
+// symbols are global so any object of the crate links to them, and
+// hidden so the library exports neither; `lp_poison_end` bounds the code
+// for `tests/machine_prop.rs`.
 std::arch::global_asm!(
     r#"
     .text
     .p2align 4
+    .globl lp_poison
+    .hidden lp_poison
+    .globl lp_poison_end
+    .hidden lp_poison_end
     .type lp_poison, @function
 lp_poison:
     push rbp
@@ -112,6 +119,7 @@ lp_poison:
     mov rsp, rbp
     pop rbp
     ret
+lp_poison_end:
     .size lp_poison, . - lp_poison
 "#,
     fcw = const FCW_CANARY,
@@ -131,3 +139,83 @@ pub static lp_hook_v1: LpHookV1 = LpHookV1 {
     handle: Some(handle),
     post: None,
 };
+
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
+#[cfg(test)]
+mod tests {
+    use super::support::{across_dispatch, x87_stack, Held, Seen, OUT_UNTOUCHED};
+    use super::*;
+
+    fn dispatch(held: &Held) -> Seen {
+        init();
+        across_dispatch(&lp_hook_v1, LEVEL.load(Ordering::Relaxed), held)
+    }
+
+    #[test]
+    fn listing_one_pattern_is_detected() {
+        // The paper's Listing 1 shape: xmm0 written before a syscall and
+        // read after it. With nothing to restore it, the read sees the
+        // canary, and so does code that relies on MXCSR or the x87
+        // control word.
+        let seen = dispatch(&Held::default());
+        assert_eq!(seen.xmm0, [CANARY; 2]);
+        assert_eq!(seen.mxcsr, MXCSR_CANARY);
+        assert_eq!(seen.fcw, FCW_CANARY);
+    }
+
+    #[test]
+    fn clean_program_has_no_vector_findings() {
+        // A program that loads every register it reads after the
+        // dispatch computes as it would without it: the poison leaves no
+        // exception unmasked and the x87 stack as deep as it was, so
+        // two more pushes neither trap nor overflow into NaN.
+        for x87_depth in 0..=6 {
+            let seen = dispatch(&Held {
+                x87_depth,
+                ..Held::default()
+            });
+            assert_eq!(seen.x87_sum, 2, "depth {x87_depth}");
+            assert_eq!(
+                x87_stack(&seen.fxsave[1]),
+                x87_stack(&seen.fxsave[0]),
+                "depth {x87_depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn syscall_result_read_is_not_a_finding() {
+        // The hook passes every call on and writes no result, so what a
+        // program reads in rax after the syscall is the kernel's answer.
+        let seen = dispatch(&Held::default());
+        assert_eq!(seen.ret, LP_HOOK_CALL_NEXT);
+        assert_eq!(seen.out, OUT_UNTOUCHED);
+        assert_eq!(lp_hook_v1.interest_words, [u64::MAX; 8]);
+    }
+
+    #[test]
+    fn gpr_windows_are_tracked_too() {
+        // Callee-saved GPRs held across the dispatch read back: the
+        // poison reaches only the vector and floating-point state.
+        let held = Held::default();
+        let seen = dispatch(&held);
+        assert_eq!(seen.gprs, held.gprs);
+    }
+
+    #[test]
+    fn wide_registers_are_poisoned_where_the_host_has_them() {
+        let seen = dispatch(&Held::default());
+        let level = LEVEL.load(Ordering::Relaxed);
+        if level >= 1 {
+            assert_eq!(seen.ymm0_hi, [CANARY; 2]);
+        }
+        if level >= 2 {
+            assert_eq!(seen.zmm31, [CANARY; 8]);
+            let k = if level == 3 { CANARY } else { CANARY & 0xffff };
+            assert_eq!(seen.k7, k);
+        }
+    }
+}
