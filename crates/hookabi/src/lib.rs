@@ -267,12 +267,14 @@ pub fn resolve_library(library: &str) -> PathBuf {
 
 /// Walks up from `start` (four levels) looking for the bare `library`
 /// name where cargo puts workspace cdylib artifacts relative to test
-/// and bench binaries: the directory itself and its `deps/`. Only a
-/// `debug/` profile directory also falls back to its sibling
-/// `release/`: a test binary in `target/debug/deps/` finds its own
-/// profile's artifact first, else the one `cargo build --release`
-/// emitted (`cargo test` builds the hook crates' test harnesses, not
-/// their `.so`). A release binary never picks up an unoptimised
+/// and bench binaries: the directory itself and its `deps/`. A `debug/`
+/// profile directory on the way also offers its sibling `release/`'s
+/// copy, the one `cargo build --release` emitted (`cargo test` builds
+/// the hook crates' test harnesses, not their `.so`), and of the
+/// profile's own copy and that one the newer wins: `cargo test` never
+/// refreshes `target/debug/`'s, so an old `cargo build` would otherwise
+/// leave a debug test binary loading a stale hook. A tie goes to the
+/// profile's own. A release binary never picks up an unoptimised
 /// `target/debug/` hook.
 fn resolve_from(start: &Path, library: &str) -> Option<PathBuf> {
     let file = if library.ends_with(".so") {
@@ -280,14 +282,20 @@ fn resolve_from(start: &Path, library: &str) -> Option<PathBuf> {
     } else {
         format!("lib{library}.so")
     };
-    start.ancestors().take(4).find_map(|d| {
-        let release = d.ends_with("debug").then(|| d.with_file_name("release"));
-        [Some(d.to_path_buf()), Some(d.join("deps")), release]
-            .into_iter()
-            .flatten()
-            .map(|dir| dir.join(&file))
-            .find(|probe| probe.exists())
-    })
+    let levels = || start.ancestors().take(4);
+    let own = levels()
+        .flat_map(|d| [d.to_path_buf(), d.join("deps")])
+        .map(|dir| dir.join(&file))
+        .find(|probe| probe.exists());
+    let release = levels()
+        .filter(|d| d.ends_with("debug"))
+        .map(|d| d.with_file_name("release").join(&file))
+        .find(|probe| probe.exists());
+    let modified = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
+    match (own, release) {
+        (Some(own), Some(release)) if modified(&release) > modified(&own) => Some(release),
+        (own, release) => own.or(release),
+    }
 }
 
 fn last_dlerror() -> String {
@@ -686,8 +694,9 @@ mod tests {
             "sibling profile dir is probed"
         );
         assert_eq!(resolve_from(&deps, "hook_y"), None);
-        // The running profile's own artifact wins over the sibling's,
-        // and a release binary never falls back to a debug artifact.
+        // The running profile's own artifact wins over the sibling's
+        // it is not older than, and a release binary never falls back
+        // to a debug artifact.
         std::fs::write(target.join("debug/libhook_x.so"), b"").unwrap();
         std::fs::write(target.join("debug/libhook_y.so"), b"").unwrap();
         assert_eq!(
@@ -695,6 +704,60 @@ mod tests {
             Some(target.join("debug/libhook_x.so"))
         );
         assert_eq!(resolve_from(&release.join("deps"), "hook_y"), None);
+        std::fs::remove_dir_all(&target).unwrap();
+    }
+
+    /// Of a debug copy and a release copy, a debug binary takes the
+    /// newer, wherever in the walk the debug copy sits; a release binary
+    /// still never takes a debug copy, however new.
+    #[test]
+    fn resolve_takes_the_newer_of_the_two_profiles() {
+        let target = std::env::temp_dir().join(format!("lp_resolve_newer_{}", std::process::id()));
+        let (debug, release) = (target.join("debug"), target.join("release"));
+        std::fs::create_dir_all(debug.join("deps")).unwrap();
+        std::fs::create_dir_all(release.join("deps")).unwrap();
+        let at = |path: PathBuf, secs: u64| {
+            let f = std::fs::File::create(&path).unwrap();
+            f.set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(secs))
+                .unwrap();
+            path
+        };
+        let deps = debug.join("deps");
+        let newer_release = at(release.join("libhook_a.so"), 2_000_000_000);
+        at(deps.join("libhook_a.so"), 1_000_000_000);
+        assert_eq!(
+            resolve_from(&deps, "hook_a"),
+            Some(newer_release),
+            "stale debug copy in deps/"
+        );
+        let newer_release = at(release.join("libhook_b.so"), 2_000_000_000);
+        at(debug.join("libhook_b.so"), 1_000_000_000);
+        assert_eq!(
+            resolve_from(&deps, "hook_b"),
+            Some(newer_release),
+            "stale debug copy"
+        );
+        at(release.join("libhook_c.so"), 1_000_000_000);
+        let newer_debug = at(debug.join("libhook_c.so"), 2_000_000_000);
+        assert_eq!(
+            resolve_from(&deps, "hook_c"),
+            Some(newer_debug),
+            "fresh debug copy"
+        );
+        let release_deps = release.join("deps");
+        at(debug.join("libhook_d.so"), 2_000_000_000);
+        assert_eq!(
+            resolve_from(&release_deps, "hook_d"),
+            None,
+            "a release binary"
+        );
+        let own = at(release.join("libhook_e.so"), 1_000_000_000);
+        at(debug.join("libhook_e.so"), 2_000_000_000);
+        assert_eq!(
+            resolve_from(&release_deps, "hook_e"),
+            Some(own),
+            "a release binary"
+        );
         std::fs::remove_dir_all(&target).unwrap();
     }
 

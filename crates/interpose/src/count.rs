@@ -62,20 +62,9 @@ impl CountHandler {
     }
 
     /// `(nr, count)` pairs for every number seen at least once,
-    /// descending by count.
+    /// descending by count ([`busiest`]).
     pub fn top(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self
-            .counts
-            .per_nr
-            .iter()
-            .enumerate()
-            .filter_map(|(nr, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then_some((nr as u64, n))
-            })
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        busiest(self.counts.per_nr.iter().map(|c| c.load(Ordering::Relaxed)))
     }
 
     /// Resets every counter to zero.
@@ -85,6 +74,14 @@ impl CountHandler {
         }
         self.counts.other.store(0, Ordering::Relaxed);
     }
+}
+
+/// `(nr, count)` for every nonzero entry of `counts`, a table indexed by
+/// syscall number: descending by count, ties in ascending number.
+pub fn busiest(counts: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = (0..).zip(counts).filter(|&(_, n)| n > 0).collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v
 }
 
 impl Default for CountHandler {

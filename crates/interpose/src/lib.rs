@@ -32,7 +32,7 @@ mod stack;
 mod stats;
 mod trace;
 
-pub use count::CountHandler;
+pub use count::{busiest, CountHandler};
 pub use interest::InterestSet;
 pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};

@@ -54,9 +54,11 @@ macro_rules! stats_snapshot {
 }
 
 stats_snapshot! {
-    /// Syscalls that reached the mechanism's dispatcher. The engine
-    /// counts the application's only: a handler's own, made under the
-    /// re-entry guard, are not counted.
+    /// Syscalls that reached the mechanism's dispatcher: through the
+    /// trampoline, or emulated in the `SIGSYS` handler (the two
+    /// `*_emulations` counters below are those). The engine counts the
+    /// application's only: a handler's own, made under the re-entry
+    /// guard, are not counted.
     dispatches,
     /// Slow-path (`SIGSYS`) trips.
     slow_path_hits,

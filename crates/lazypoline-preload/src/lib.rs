@@ -49,8 +49,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::OnceLock;
 
 use interpose::{
-    Action, CountHandler, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler,
-    TraceHandler, TraceSink,
+    Action, InterestSet, PassthroughHandler, SyscallEvent, SyscallHandler, TraceHandler, TraceSink,
 };
 use lazypoline::faultinject;
 use ledger::Stage;
@@ -66,14 +65,32 @@ static ACTIVE: AtomicPtr<ActiveMechanism> = AtomicPtr::new(std::ptr::null_mut())
 /// heap.
 static CACHE: OnceLock<SiteCache> = OnceLock::new();
 
+/// `count` mode's handler: asks for nothing, so every call it would
+/// have counted leaves from the entry stub's miss exit, which counts it
+/// by number in the engine's dispatch rows. The dump's top-syscalls
+/// table reads those ([`lazypoline::dispatches_by_number`]).
+struct CountMode;
+
+impl SyscallHandler for CountMode {
+    fn handle(&self, _event: &mut SyscallEvent) -> Action {
+        Action::Passthrough
+    }
+    fn interest(&self) -> InterestSet {
+        InterestSet::none()
+    }
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
+}
+
 /// The mode handler (none of the three has a `post`) plus what the end
 /// of the window needs.
 struct UntilExit {
     mode: Box<dyn SyscallHandler>,
     /// The process that installed; fork children finish nothing.
     pid: u32,
-    /// A clone of the `count` mode handler, for the top-syscalls table.
-    counter: Option<CountHandler>,
+    /// `count` mode: the dump ends with the top-syscalls table.
+    count: bool,
     /// `LAZYPOLINE_STATS=1`: a private dup of stderr taken at init —
     /// coreutils close fd 2 in an `atexit` handler, long before the end.
     stats_fd: Option<libc::c_int>,
@@ -137,7 +154,8 @@ impl UntilExit {
             // After the write: a trip the write itself takes shows here.
             let stats = active.stats();
             let cache = self.cache.status(stats.sites_from_cache);
-            let out = render_dump(&stats, &cache, self.counter.as_ref());
+            let table = self.count.then(lazypoline::dispatches_by_number);
+            let out = render_dump(&stats, &cache, table.as_ref().map(|t| &t[..]));
             // SAFETY: writing an owned buffer to our private fd.
             unsafe { libc::write(fd, out.as_ptr() as *const libc::c_void, out.len()) };
         }
@@ -149,12 +167,12 @@ impl UntilExit {
 fn arm() -> Result<ActiveMechanism, String> {
     ledger::start();
     let cfg = EnvConfig::from_env().map_err(|e| InstallError::from(e).to_string())?;
-    let mut counter = None;
     let mode: Box<dyn SyscallHandler> = match cfg.mode {
         HandlerMode::Passthrough => Box::new(PassthroughHandler),
         HandlerMode::Trace => Box::new(TraceHandler::with_sink(TraceSink::Stderr)),
-        HandlerMode::Count => Box::new(counter.insert(CountHandler::new()).clone()),
+        HandlerMode::Count => Box::new(CountMode),
     };
+    let count = cfg.mode == HandlerMode::Count;
     let mut name = cfg.mechanism.to_string();
     if !cfg.hooks.is_empty() && !name.split('+').any(|piece| piece == "hooks") {
         name.push_str("+hooks");
@@ -176,7 +194,7 @@ fn arm() -> Result<ActiveMechanism, String> {
     ledger::lap(Stage::Config);
     let (cache, proven) = SiteCache::open(&name, cfg.site_cache.as_deref());
     let cache = CACHE.get_or_init(|| cache);
-    let handler = UntilExit { mode, pid, counter, stats_fd, cache };
+    let handler = UntilExit { mode, pid, count, stats_fd, cache };
     let active = mechanism.install_with(Box::new(handler), &cfg).map_err(|e| {
         // SAFETY: closing the descriptor duplicated above.
         stats_fd.filter(|&fd| fd != 2).map(|fd| unsafe { libc::close(fd) });
@@ -214,7 +232,10 @@ const LABELLED: [(&str, &str); 6] = [
     ("pages_blocklisted", "pages blocklisted"),
 ];
 
-fn render_dump(s: &StatsSnapshot, cache: &str, counter: Option<&CountHandler>) -> String {
+/// The dump: the counters, the site cache's line, the start-up ledger,
+/// and in `count` mode the 15 busiest numbers of `table` (dispatches by
+/// number), busiest first, ties by number.
+fn render_dump(s: &StatsSnapshot, cache: &str, table: Option<&[u64]>) -> String {
     let mut out = String::from("-- lazypoline stats --\n");
     let mut line = |label: &str, value: &dyn std::fmt::Display| {
         out.push_str(&format!("{label:<25}: {value}\n"));
@@ -233,9 +254,9 @@ fn render_dump(s: &StatsSnapshot, cache: &str, counter: Option<&CountHandler>) -
     }
     line("site cache", &cache);
     ledger::render(&mut out);
-    if let Some(counter) = counter {
+    if let Some(table) = table {
         out.push_str("-- top syscalls --\n");
-        for (nr, count) in counter.top().into_iter().take(15) {
+        for (nr, count) in interpose::busiest(table.iter().copied()).into_iter().take(15) {
             let name = nr::name(nr).map_or_else(|| format!("syscall_{nr}"), str::to_string);
             out.push_str(&format!("{count:>10}  {name}\n"));
         }
@@ -270,14 +291,52 @@ mod tests {
         let until_exit = |mode: Box<dyn SyscallHandler>| UntilExit {
             mode,
             pid: 0,
-            counter: None,
+            count: false,
             stats_fd: None,
             cache,
         };
         assert!(until_exit(Box::new(PassthroughHandler)).leaves_fp_env());
-        assert!(until_exit(Box::new(CountHandler::new())).leaves_fp_env());
+        assert!(until_exit(Box::new(CountMode)).leaves_fp_env());
         assert!(until_exit(Box::new(TraceHandler::with_sink(TraceSink::Null))).leaves_fp_env());
         assert!(!until_exit(Box::new(Undeclared)).leaves_fp_env());
+    }
+
+    /// Count mode's table: the 15 busiest numbers, busiest first, ties
+    /// by number, zeros never; the counters above it are untouched.
+    #[test]
+    fn top_syscalls_come_from_the_table() {
+        let mut table = [0u64; 512];
+        for (nr, count) in (0..20).zip(1..) {
+            table[nr] = count;
+        }
+        table[nr::STATX as usize] = 65;
+        table[nr::LGETXATTR as usize] = 65;
+        table[nr::GETXATTR as usize] = 66;
+        let s = StatsSnapshot {
+            dispatches: 7,
+            ..StatsSnapshot::default()
+        };
+        let dump = render_dump(&s, "off", Some(&table));
+        let rows: Vec<&str> = dump
+            .split_once("-- top syscalls --\n")
+            .expect("a table")
+            .1
+            .lines()
+            .collect();
+        assert_eq!(rows.len(), 15, "{dump}");
+        assert_eq!(
+            rows[..3],
+            [
+                "        66  getxattr",
+                "        65  lgetxattr",
+                "        65  statx"
+            ]
+        );
+        assert_eq!(rows[3], format!("        20  {}", nr::name(19).unwrap()));
+        assert_eq!(rows[14], format!("         9  {}", nr::name(8).unwrap()));
+        assert!(dump.contains("dispatcher invocations   : 7\n"), "{dump}");
+        let empty = render_dump(&s, "off", Some(&[0; 512]));
+        assert!(empty.ends_with("-- top syscalls --\n"), "{empty}");
     }
 
     #[test]

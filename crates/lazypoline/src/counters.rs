@@ -29,10 +29,28 @@
 //!   shares one of the remaining shards round-robin and keeps
 //!   `lock inc`; some lines are contended again — never lost counts.
 //! * **API shape**: `Stats` aggregates on read; totals are exact once
-//!   writers quiesce.
+//!   writers quiesce. A reader sums only the shards some thread has
+//!   claimed (`NEXT_TICKET`): the others are zero, and reading them
+//!   would make their pages resident for nothing.
+//!
+//! Two arrays share the thread→shard assignment. [`Shard`] holds the
+//! eight event counters below in one cache line. [`Row`] holds the
+//! dispatch count *by syscall number*: one page per shard, slot `nr`
+//! for each number the entry stub's sled has (below 512), and it is
+//! what a thread's `zpoline::ThreadBlock` is armed with — the stub's
+//! miss exit counts a call with `inc qword ptr [row + rax*8]`, the
+//! dispatcher and the `SIGSYS` handler's emulations in the same slot.
+//! A number ≥ 512 is counted in the
+//! shard's [`DISPATCHES`] slot instead, the overflow bucket. The
+//! engine's dispatch total is the rows plus that bucket, and the table
+//! by number is the rows summed ([`dispatch_table`]). A thread that
+//! never counts leaves its page untouched, so of the rows' 256 KiB of
+//! `.bss` only the pages of counting threads become resident.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use zpoline::DispatchRow;
 
 /// One engine event stream, identified by its slot index within a
 /// shard. The statics below are the only instances.
@@ -42,8 +60,8 @@ pub(crate) struct Counter(usize);
 pub(crate) static SLOW_PATH_HITS: Counter = Counter(0);
 /// Syscall sites rewritten to `call rax`.
 pub(crate) static SITES_PATCHED: Counter = Counter(1);
-/// Syscalls that reached the dispatcher (fast path + re-executed slow
-/// path + emulated-unpatchable).
+/// Dispatches of a number ≥ 512, which has no slot in a [`Row`]: the
+/// rows' overflow bucket ([`bump_dispatch`]).
 pub(crate) static DISPATCHES: Counter = Counter(2);
 /// Syscalls emulated directly in the SIGSYS handler because the site
 /// could not be patched.
@@ -63,7 +81,8 @@ pub(crate) static DISABLED_MODE_EMULATIONS: Counter = Counter(7);
 
 // Exactly 8 counters: one cache line per shard (the layout unit test
 // asserts this). A 9th counter would double every shard — split a new
-// event stream into a second shard array instead.
+// event stream into an array of its own instead, as the dispatch rows
+// are.
 const NUM_COUNTERS: usize = 8;
 const NUM_SHARDS: usize = 64;
 /// Shards with one writer each (module docs). Half: a process with up
@@ -83,6 +102,18 @@ static SHARDS: [Shard; NUM_SHARDS] = [const {
         slots: [const { AtomicU64::new(0) }; NUM_COUNTERS],
     }
 }; NUM_SHARDS];
+
+/// Slots in a [`Row`]: one per syscall number the stub's sled has.
+const ROW_LEN: usize = syscalls::MAX_SYSCALL_NR as usize;
+
+/// One thread's dispatch counts by syscall number (module docs): a
+/// page of its own, so two threads' rows never false-share and a
+/// counting thread makes one page resident.
+#[repr(C, align(4096))]
+struct Row(DispatchRow);
+
+static ROWS: [Row; NUM_SHARDS] =
+    [const { Row([const { AtomicU64::new(0) }; ROW_LEN]) }; NUM_SHARDS];
 
 /// The next thread's ticket: below [`OWNED_SHARDS`] it is the index of
 /// the shard the thread owns.
@@ -118,12 +149,20 @@ fn shard_index() -> usize {
 }
 
 /// The calling thread's slot of `counter` and whether this thread is
-/// its only writer — what the thread's `zpoline::ThreadBlock` is armed
-/// with, for the stub's and the dispatcher's count.
+/// its only writer.
 #[inline]
 pub(crate) fn slot(counter: &Counter) -> (&'static AtomicU64, bool) {
     let idx = shard_index();
     (&SHARDS[idx].slots[counter.0], idx < OWNED_SHARDS)
+}
+
+/// The calling thread's dispatch row and whether this thread is its
+/// only writer — what the thread's `zpoline::ThreadBlock` is armed
+/// with, for the stub's and the dispatcher's count.
+#[inline]
+pub(crate) fn row() -> (&'static DispatchRow, bool) {
+    let idx = shard_index();
+    (&ROWS[idx].0, idx < OWNED_SHARDS)
 }
 
 /// Adds one to a [`slot`] of the calling thread. `sole_writer` must be
@@ -154,6 +193,19 @@ pub(crate) fn bump(counter: &Counter) {
     bump_slot(slot, sole_writer);
 }
 
+/// Counts one dispatch of number `nr` on the calling thread's shard: in
+/// its row, or in the overflow bucket for a number the row has no slot
+/// for.
+#[inline]
+pub(crate) fn bump_dispatch(nr: u64) {
+    let idx = shard_index();
+    let slot = match ROWS[idx].0.get(nr as usize) {
+        Some(slot) => slot,
+        None => &SHARDS[idx].slots[DISPATCHES.0],
+    };
+    bump_slot(slot, idx < OWNED_SHARDS);
+}
+
 /// Adds `n` to `counter` on the calling thread's shard (bulk events,
 /// e.g. a static prescan reporting how many sites it rewrote). Rare, so
 /// it keeps the locked form on every shard; one instruction either way.
@@ -162,13 +214,41 @@ pub(crate) fn add(counter: &Counter, n: u64) {
     slot(counter).0.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Sums `counter` across all shards. Exact once writers quiesce;
-/// during concurrent bumping it is a momentary snapshot.
+/// How many shards some thread has claimed: the first that many. A
+/// shard is claimed before anything is counted in it.
+fn claimed() -> usize {
+    NEXT_TICKET.load(Ordering::Relaxed).min(NUM_SHARDS)
+}
+
+/// Sums `counter` across the claimed shards. Exact once writers
+/// quiesce; during concurrent bumping it is a momentary snapshot.
 pub(crate) fn get(counter: &Counter) -> u64 {
-    SHARDS
+    SHARDS[..claimed()]
         .iter()
         .map(|s| s.slots[counter.0].load(Ordering::Relaxed))
         .sum()
+}
+
+/// Dispatches by syscall number (entry `nr`), summed across the claimed
+/// shards' rows. Numbers ≥ 512 are in the overflow bucket alone.
+pub(crate) fn dispatch_table() -> [u64; ROW_LEN] {
+    let mut table = [0; ROW_LEN];
+    for row in &ROWS[..claimed()] {
+        for (sum, slot) in table.iter_mut().zip(&row.0) {
+            *sum += slot.load(Ordering::Relaxed);
+        }
+    }
+    table
+}
+
+/// Every dispatch: the claimed rows' slots plus the overflow bucket.
+pub(crate) fn dispatches() -> u64 {
+    let rows: u64 = ROWS[..claimed()]
+        .iter()
+        .flat_map(|row| &row.0)
+        .map(|slot| slot.load(Ordering::Relaxed))
+        .sum();
+    rows + get(&DISPATCHES)
 }
 
 #[cfg(test)]
@@ -203,31 +283,61 @@ mod tests {
     }
 
     /// More threads than shards, all alive at once: the late ones share
-    /// (`lock inc`), the early ones own (`inc`), and nothing is lost.
+    /// (`lock inc`), the early ones own (`inc`), and nothing is lost —
+    /// neither in a counter nor in a slot of the dispatch rows.
     #[test]
     fn more_threads_than_shards_sum_exactly() {
         const THREADS: usize = 100;
-        let before = get(&PATCH_RETRIES);
+        // Numbers no other test of this binary dispatches.
+        const NRS: [u64; 2] = [ROW_LEN as u64 - 1, ROW_LEN as u64 - 2];
+        let before = (
+            get(&PATCH_RETRIES),
+            NRS.map(|nr| dispatch_table()[nr as usize]),
+        );
         let start = std::sync::Barrier::new(THREADS);
         let sole_writers: usize = std::thread::scope(|s| {
             let threads: Vec<_> = (0..THREADS)
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        for _ in 0..1000 {
+                        for i in 0..1000 {
                             bump(&PATCH_RETRIES);
+                            bump_dispatch(NRS[i % 2]);
                         }
+                        assert_eq!(row().1, slot(&PATCH_RETRIES).1);
                         slot(&PATCH_RETRIES).1 as usize
                     })
                 })
                 .collect();
             threads.into_iter().map(|t| t.join().unwrap()).sum()
         });
-        assert_eq!(get(&PATCH_RETRIES), before + THREADS as u64 * 1000);
+        assert_eq!(get(&PATCH_RETRIES), before.0 + THREADS as u64 * 1000);
+        let table = dispatch_table();
+        for (nr, was) in NRS.into_iter().zip(before.1) {
+            assert_eq!(table[nr as usize], was + THREADS as u64 * 500, "slot {nr}");
+        }
         assert!(
             sole_writers <= OWNED_SHARDS,
             "{sole_writers} threads own a shard"
         );
+    }
+
+    #[test]
+    fn numbers_past_the_row_land_in_the_overflow_bucket() {
+        // No other test of this binary dispatches these numbers, but
+        // they may dispatch others meanwhile.
+        let last = ROW_LEN as u64 - 3;
+        let (was, bucket, total) = (
+            dispatch_table()[last as usize],
+            get(&DISPATCHES),
+            dispatches(),
+        );
+        bump_dispatch(last);
+        bump_dispatch(ROW_LEN as u64);
+        bump_dispatch(u64::MAX);
+        assert_eq!(dispatch_table()[last as usize], was + 1);
+        assert_eq!(get(&DISPATCHES), bucket + 2);
+        assert!(dispatches() >= total + 3);
     }
 
     /// The sole writer's plain `inc` against a signal handler, on the
@@ -290,6 +400,26 @@ mod tests {
     fn shard_layout_is_cache_line_sized() {
         assert_eq!(std::mem::align_of::<Shard>(), 64);
         assert_eq!(std::mem::size_of::<Shard>(), 64);
+    }
+
+    /// A row is one page, page-aligned: the stub indexes it by number,
+    /// and a thread's counts dirty its own page and no other.
+    #[test]
+    fn row_layout_is_one_page() {
+        assert_eq!(std::mem::align_of::<Row>(), 4096);
+        assert_eq!(std::mem::size_of::<Row>(), 4096);
+        assert_eq!(std::mem::size_of::<DispatchRow>(), ROW_LEN * 8);
+        assert_eq!(row().0.as_ptr() as usize % 4096, 0);
+        assert_eq!(ROWS.as_ptr() as usize % 4096, 0);
+    }
+
+    /// A reader sums the claimed shards only, and every shard a thread
+    /// counts in is claimed.
+    #[test]
+    fn readers_stop_at_the_claimed_shards() {
+        let idx = shard_index();
+        assert!(idx < claimed(), "{idx} of {}", claimed());
+        assert!(claimed() <= NUM_SHARDS);
     }
 
     #[test]

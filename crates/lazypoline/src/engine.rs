@@ -132,7 +132,7 @@ pub fn stats() -> StatsSnapshot {
         slow_path_hits: slow_path_hits(),
         sites_patched: counters::get(&counters::SITES_PATCHED),
         sites_from_cache: crate::proven::sites_from_cache(),
-        dispatches: counters::get(&counters::DISPATCHES),
+        dispatches: counters::dispatches(),
         unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
         disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
         signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
@@ -141,6 +141,16 @@ pub fn stats() -> StatsSnapshot {
         bypass_blocked: crate::harden::bypass_blocked(),
         ..StatsSnapshot::default()
     }
+}
+
+/// `stats().dispatches` by syscall number: entry `nr` counts the
+/// dispatches of number `nr` since process start — the calls a handler
+/// could see, whether they left from the entry stub, the dispatcher or
+/// the `SIGSYS` handler's emulation. Numbers ≥ 512 appear in
+/// `stats().dispatches` alone. Reads only the counter rows of threads
+/// that have counted.
+pub fn dispatches_by_number() -> [u64; syscalls::MAX_SYSCALL_NR as usize] {
+    counters::dispatch_table()
 }
 
 /// `stats().slow_path_hits` alone: one counter's shards summed.

@@ -28,9 +28,9 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 /// which the guard turns into plain execution (below).
 ///
 /// A hit on an armed thread is one straight line: the count goes
-/// through the thread's block (a plain `inc`), the interest word is
-/// read once, and the only calls are the handler's two and
-/// [`raw_internal::syscall`]. A nested dispatch is not counted: it is
+/// through the thread's block (a plain `inc` in the slot of the call's
+/// number), the interest word is read once, and the only calls are the
+/// handler's two and [`raw_internal::syscall`]. A nested dispatch is not counted: it is
 /// the interposer's syscall, not the application's.
 ///
 /// Its last store is the thread block's declaration for the stub's exit
@@ -42,11 +42,10 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64 {
     let block = zpoline::thread_block();
     let guarded = block.in_dispatch();
-    if !guarded {
-        tls::count_dispatch(block);
-    }
-
     let frame = &mut *frame;
+    if !guarded {
+        tls::count_dispatch(block, frame.nr);
+    }
 
     // rt_sigreturn must take its special path even when re-entered
     // (the wrapper's own return travels through here while the

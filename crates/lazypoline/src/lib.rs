@@ -61,8 +61,8 @@ mod slowpath;
 mod tls;
 
 pub use engine::{
-    health, init, init_strict, mode, slow_path_hits, stats, unenroll_current_thread, Config,
-    Engine, Health, InitError, Mode,
+    dispatches_by_number, health, init, init_strict, mode, slow_path_hits, stats,
+    unenroll_current_thread, Config, Engine, Health, InitError, Mode,
 };
 pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};

@@ -173,9 +173,10 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
             }
         }
         Some(reason) => {
-            // Counted as the dispatches they stand in for: the
-            // application's, not the interposer's own.
+            // Counted as the dispatches they stand in for, by number:
+            // the application's, not the interposer's own.
             if !zpoline::thread_block().in_dispatch() {
+                counters::bump_dispatch(uc.syscall_args().nr);
                 counters::bump(match reason {
                     EmulationReason::RewritingDisabled => &DISABLED_MODE_EMULATIONS,
                     EmulationReason::Unpatchable => &UNPATCHABLE_EMULATIONS,

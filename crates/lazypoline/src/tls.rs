@@ -5,7 +5,7 @@
 //! register (§IV-A, §IV-B(a)). Here that region is
 //! [`zpoline::ThreadBlock`], a cache line of initial-exec TLS declared
 //! next to the stub: the two flags below live in it (with the
-//! dispatch-counter slot that arms it), because the stub must read them
+//! dispatch-counter row that arms it), because the stub must read them
 //! and a Rust `thread_local!` is something no assembly can name.
 //!
 //! None of it is a SUD selector: an enrolled thread's SUD has none.
@@ -34,30 +34,39 @@ pub(crate) fn set_in_dispatch(v: bool) -> bool {
     zpoline::thread_block().set_in_dispatch(v)
 }
 
-/// Counts one dispatch of this thread: with a plain `inc` when its block
-/// is armed with a slot it is the sole writer of. Anything else — a
-/// thread that shares its shard, an unarmed block — goes the counters'
-/// own way (their thread-local finds the same slot), out of line.
+/// Counts one dispatch of number `nr` on this thread: with a plain `inc`
+/// in the slot of `nr` when its block is armed with a row it is the sole
+/// writer of. Anything else — a thread that shares its shard, an unarmed
+/// block, a number past the row — goes the counters' own way (their
+/// thread-local finds the same row), out of line.
 #[inline]
-pub(crate) fn count_dispatch(block: &zpoline::ThreadBlock) {
+pub(crate) fn count_dispatch(block: &zpoline::ThreadBlock, nr: u64) {
     #[cold]
-    fn by_shard() {
-        counters::bump(&counters::DISPATCHES);
+    fn by_shard(nr: u64) {
+        counters::bump_dispatch(nr);
     }
-    match block.sole_writer_dispatches() {
+    match block
+        .sole_writer_dispatches()
+        .and_then(|row| row.get(nr as usize))
+    {
         Some(slot) => counters::bump_slot(slot, true),
-        None => by_shard(),
+        None => by_shard(nr),
     }
 }
 
-/// Arms the calling thread's block with its dispatch-counter slot, at
+/// Arms the calling thread's block with its dispatch-counter row, at
 /// enrolment: from here on a syscall nobody asked to see leaves from the
-/// entry stub, and a hit counts through the block.
+/// entry stub, counted in the slot of its number, and a hit counts
+/// through the block.
 pub(crate) fn arm_stub_exit() {
-    let (dispatches, sole_writer) = counters::slot(&counters::DISPATCHES);
-    // SAFETY: the slot is this thread's own, and `sole_writer` is what
+    let (row, sole_writer) = counters::row();
+    // Faults the row's page in by a write: a reader's sum before the
+    // thread's first count would map the zero page there, and that
+    // count would then fault a second time.
+    row[0].fetch_add(0, std::sync::atomic::Ordering::Relaxed);
+    // SAFETY: the row is this thread's own, and `sole_writer` is what
     // the counters say of it.
-    unsafe { zpoline::thread_block().arm(dispatches, sole_writer) };
+    unsafe { zpoline::thread_block().arm(row, sole_writer) };
 }
 
 #[cfg(test)]
@@ -84,16 +93,22 @@ mod tests {
 
     #[test]
     fn arming_gives_the_block_this_threads_dispatch_slot() {
+        // A number no other test of this binary dispatches.
+        const NR: u64 = syscalls::MAX_SYSCALL_NR - 4;
         let block = zpoline::thread_block();
         assert!(!block.armed(), "a thread starts with a zeroed block");
         arm_stub_exit();
         assert!(block.armed());
-        let before = counters::get(&counters::DISPATCHES);
-        count_dispatch(block);
+        // Other tests' threads may have taken every owned shard.
+        let (row, sole_writer) = counters::row();
+        let given = block.sole_writer_dispatches().map(|r| r as *const _);
+        assert_eq!(given, sole_writer.then_some(row as *const _));
+        let before = counters::dispatch_table()[NR as usize];
+        count_dispatch(block, NR);
         block.disarm();
         assert!(!block.armed());
-        count_dispatch(block);
-        assert!(counters::get(&counters::DISPATCHES) >= before + 2);
+        count_dispatch(block, NR);
+        assert_eq!(counters::dispatch_table()[NR as usize], before + 2);
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub enum HandlerMode {
     Passthrough,
     /// Every syscall is printed to stderr.
     Trace,
-    /// Every syscall is counted; the dump lists the top numbers.
+    /// Every syscall is counted, by the engine's dispatch rows: the
+    /// handler asks for none, and the dump lists the top numbers.
     Count,
 }
 

@@ -205,10 +205,6 @@ pub struct ActiveMechanism {
 fn totals(inner: &native::NativeActive) -> StatsSnapshot {
     let base = inner.section();
     StatsSnapshot {
-        // The engine counts trampoline entries; its slow-path
-        // emulations notify the handler without entering the
-        // trampoline. A snapshot reports every handler-visible dispatch.
-        dispatches: base.dispatches + base.disabled_mode_emulations + base.unpatchable_emulations,
         quarantined_handlers: interpose::quarantined_handlers(),
         events_recorded: replay::events_recorded(),
         events_dropped: replay::events_dropped(),

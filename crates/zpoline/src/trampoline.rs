@@ -18,7 +18,7 @@
 //!       emulate, this thread's block armed?
 //!         │ yes: the miss exit                  │ no: label 90, the full path
 //!         ▼                                     ▼
-//!       bump the thread's dispatch slot       save registers → save live
+//!       bump slot NR of the thread's row      save registers → save live
 //!         (unless a handler's own call)
 //!       syscall (in the gate)                 xstate → call the registered
 //!                                             dispatcher → restore xstate →
@@ -48,12 +48,13 @@
 //! the stub reaches it "without spilling application registers"
 //! (§IV-A, §IV-B(a)). [`ThreadBlock`] is the start of that region here:
 //! one cache line of `%fs`-relative (initial-exec) TLS, declared next to
-//! the stub, holding the thread's slot of the dispatch counter and
-//! whether the thread is that slot's only writer (it then counts with a
-//! plain `inc`, others with `lock inc`), and the enrolment and
-//! in-dispatch flags the dispatcher reads. The slot is also what arms
-//! the block: a thread with one leaves from the stub. The dispatcher a
-//! *hit* reaches counts in the same slot
+//! the stub, holding the thread's row of the dispatch counter (a
+//! [`DispatchRow`]: one slot per syscall number) and whether the thread
+//! is that row's only writer (it then counts with a plain `inc`, others
+//! with `lock inc`), and the enrolment and in-dispatch flags the
+//! dispatcher reads. The row is also what arms the block: a thread with
+//! one leaves from the stub, counting the call in slot `rax`. The
+//! dispatcher a *hit* reaches counts in the same row
 //! ([`ThreadBlock::sole_writer_dispatches`]). Neither path makes a
 //! syscall SUD would dispatch: every `syscall` they execute lies in the
 //! gate (below), the range the kernel lets through.
@@ -379,15 +380,21 @@ pub fn set_miss_exit(exit: Option<&'static MissExit>) {
     STUB_GLOBALS.miss_exit.store(p, Ordering::Release);
 }
 
+/// A thread's dispatch counts by syscall number: what
+/// [`ThreadBlock::arm`] takes. The stub's miss exit counts number `nr`
+/// in slot `nr`; every number it takes is below the sled's length,
+/// which is this row's.
+pub type DispatchRow = [AtomicU64; SLED_LEN];
+
 /// Per-thread interposition state the entry stub reads (module docs).
 ///
 /// A zeroed block — every thread starts with one — is a thread that is
 /// not enrolled, not in a dispatch, and never leaves from the stub.
 #[repr(C)]
 pub struct ThreadBlock {
-    /// The thread's slot of the dispatcher's dispatch counter; null =
+    /// The thread's row of the dispatcher's dispatch counter; null =
     /// unarmed.
-    dispatches: Cell<*const AtomicU64>,
+    dispatches: Cell<*const DispatchRow>,
     in_dispatch: Cell<bool>,
     enrolled: Cell<bool>,
     /// Whether other threads write `dispatches` too: they then all
@@ -435,17 +442,18 @@ impl ThreadBlock {
         self.in_dispatch.replace(v)
     }
 
-    /// Arms the block for this thread with its slot of the dispatch
-    /// counter: the stub's miss exit, and the dispatcher's plain count.
+    /// Arms the block for this thread with its row of the dispatch
+    /// counter: the stub's miss exit, which counts a call in the slot
+    /// of its number, and the dispatcher's plain count.
     ///
     /// # Safety
     ///
-    /// With `sole_writer`, no other thread may ever write `dispatches` —
-    /// this one increments it without `lock`.
+    /// With `sole_writer`, no other thread may ever write a slot of
+    /// `dispatches` — this one increments them without `lock`.
     #[inline]
-    pub unsafe fn arm(&self, dispatches: &'static AtomicU64, sole_writer: bool) {
+    pub unsafe fn arm(&self, dispatches: &'static DispatchRow, sole_writer: bool) {
         self.dispatches_shared.set(!sole_writer);
-        // The slot is the key the stub tests: a signal handler that runs
+        // The row is the key the stub tests: a signal handler that runs
         // between the stores must not find it with a stale flag.
         std::sync::atomic::compiler_fence(Ordering::SeqCst);
         self.dispatches.set(dispatches);
@@ -464,12 +472,12 @@ impl ThreadBlock {
         !self.dispatches.get().is_null()
     }
 
-    /// The slot [`ThreadBlock::arm`] was given for this thread's
-    /// dispatch count, when the block is armed and this thread is the
-    /// slot's sole writer: the dispatcher may then count in it with a
-    /// plain `inc`, as the stub does.
+    /// The row [`ThreadBlock::arm`] was given for this thread's
+    /// dispatch counts, when the block is armed and this thread is the
+    /// row's sole writer: the dispatcher may then count a call in the
+    /// slot of its number with a plain `inc`, as the stub does.
     #[inline]
-    pub fn sole_writer_dispatches(&self) -> Option<&'static AtomicU64> {
+    pub fn sole_writer_dispatches(&self) -> Option<&'static DispatchRow> {
         if !self.armed() || self.dispatches_shared.get() {
             return None;
         }
@@ -827,7 +835,7 @@ lp_zpoline_entry:
     jne 81f                       # a handler's own call: not counted
     cmp byte ptr fs:[rcx + {dispatches_shared}], 0
     jne 80f
-    inc qword ptr [r11]           # sole writer: one instruction, so a
+    inc qword ptr [r11 + rax*8]   # sole writer: one instruction, so a
                                   # signal handler's bump cannot split it
 81:
 "#,
@@ -836,8 +844,8 @@ lp_zpoline_entry:
     r#"
     syscall                       # in the gate: SUD lets it through
     ret
-80: # Other threads count in the same slot.
-    lock inc qword ptr [r11]
+80: # Other threads count in the same row.
+    lock inc qword ptr [r11 + rax*8]
     jmp 81b
 
 90: # The full path.
@@ -1494,7 +1502,7 @@ mod tests {
             full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
             interest: &INTEREST,
         };
-        static DISPATCHES: AtomicU64 = AtomicU64::new(0);
+        static DISPATCHES: DispatchRow = [const { AtomicU64::new(0) }; SLED_LEN];
         let _globals = lock_globals();
         Trampoline::install().unwrap();
         let prev = set_dispatcher(recording_dispatch).expect("install registers one");
@@ -1509,19 +1517,30 @@ mod tests {
             assert_eq!(getpid(), 0x5eed, "nothing published");
             set_miss_exit(Some(&EXIT));
             assert_eq!(getpid(), 0x5eed, "block not armed");
-            // SAFETY: the slot's sole writer first: the plain `inc`.
+            // SAFETY: the row's sole writer first: the plain `inc`.
             unsafe { block.arm(&DISPATCHES, true) };
-            let slot = block.sole_writer_dispatches().expect("armed as its sole writer");
-            assert!(std::ptr::eq(slot, &DISPATCHES));
+            let row = block
+                .sole_writer_dispatches()
+                .expect("armed as its sole writer");
+            assert!(std::ptr::eq(row, &DISPATCHES));
+            // The stub counts in the slot of the number it issues, and
+            // in no other.
+            let counted = || DISPATCHES[nr::GETPID as usize].load(Ordering::SeqCst);
+            let total = || {
+                DISPATCHES
+                    .iter()
+                    .map(|s| s.load(Ordering::SeqCst))
+                    .sum::<u64>()
+            };
 
-            let before = (DISPATCHES.load(Ordering::SeqCst), stub_exits());
+            let before = (counted(), stub_exits());
             assert_eq!(getpid(), pid, "the stub's own syscall");
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 1);
+            assert_eq!(counted(), before.0 + 1);
             assert_eq!(stub_exits(), before.1 + cfg!(debug_assertions) as u64);
             block.set_in_dispatch(true);
             assert_eq!(getpid(), pid, "under a handler");
             block.set_in_dispatch(false);
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 1, "a handler's own call");
+            assert_eq!(counted(), before.0 + 1, "a handler's own call");
 
             INTEREST[(nr::GETPID / 64) as usize].store(1 << (nr::GETPID % 64), Ordering::Relaxed);
             assert_eq!(getpid(), 0x5eed, "a handler is interested");
@@ -1532,15 +1551,16 @@ mod tests {
             faultinject::arm(faultinject::Site::SelectorWrite, faultinject::Schedule::Nth(1), None);
             assert_eq!(getpid(), pid, "a fault site is armed");
             faultinject::disarm(faultinject::Site::SelectorWrite);
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 2);
-            // One of several writers of the slot: the `lock inc` arm.
+            assert_eq!(counted(), before.0 + 2);
+            // One of several writers of the row: the `lock inc` arm.
             unsafe { block.arm(&DISPATCHES, false) };
             assert!(block.sole_writer_dispatches().is_none());
             assert_eq!(getpid(), pid);
             assert_eq!(stub_exits(), before.1 + 4 * cfg!(debug_assertions) as u64);
             block.disarm();
             assert_eq!(getpid(), 0x5eed, "disarmed");
-            assert_eq!(DISPATCHES.load(Ordering::SeqCst), before.0 + 3);
+            assert_eq!(counted(), before.0 + 3);
+            assert_eq!(total(), counted(), "getpid's slot alone");
         })
         .join()
         .unwrap();

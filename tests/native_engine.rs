@@ -1513,6 +1513,60 @@ fn scenario_nested_miss() {
     active.detach();
 }
 
+/// Asks for nothing, as the shim's `count` mode does: every call
+/// leaves from the entry stub, counted in the slot of its number.
+struct AsksForNothing;
+
+impl SyscallHandler for AsksForNothing {
+    fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+        Action::Passthrough
+    }
+
+    fn interest(&self) -> interpose::InterestSet {
+        interpose::InterestSet::none()
+    }
+}
+
+fn scenario_counts_by_number() {
+    const N: u64 = 1000;
+    let ppid = std::os::unix::process::parent_id() as u64;
+    let getppid = unsafe { syscall_site(ret_filled_rwx_page(), 0, syscalls::nr::GETPPID) };
+    let mut active = install("lazypoline", Box::new(AsksForNothing));
+    assert_eq!(getppid(0, 0, 0), ppid, "first execution: rewritten");
+    assert!(zpoline::thread_block().armed(), "enrolment arms the block");
+
+    let slot = syscalls::nr::GETPPID as usize;
+    let (table, total, exits) = (
+        lazypoline::dispatches_by_number(),
+        lazypoline::stats().dispatches,
+        stub_exits(),
+    );
+    for _ in 0..N {
+        assert_eq!(getppid(0, 0, 0), ppid);
+    }
+    let (now, now_total) = (
+        lazypoline::dispatches_by_number(),
+        lazypoline::stats().dispatches,
+    );
+    assert_eq!(now[slot] - table[slot], N, "getppid's row");
+    assert_eq!(now_total - total, N, "dispatches");
+    let others: u64 = (0..now.len())
+        .filter(|&nr| nr != slot)
+        .map(|nr| now[nr] - table[nr])
+        .sum();
+    assert_eq!(others, 0, "no other number's row moved");
+    if let Some(exits) = exits {
+        assert_eq!(
+            stub_exits(),
+            Some(exits + N),
+            "every call left from the stub"
+        );
+    }
+    // No number past the table was issued here: the rows are the total.
+    assert_eq!(now.iter().sum::<u64>(), now_total);
+    active.detach();
+}
+
 /// A fixed sequence over eight sites — the numbers of lpbench's mix,
 /// with calls that fail among them — issued from `sites`; returns every
 /// raw return value (which carries the errno) in order.
@@ -4821,6 +4875,7 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("poison_registers_nox", scenario_poison_registers_nox),
     ("nested_miss", scenario_nested_miss),
     ("miss_exit", scenario_miss_exit),
+    ("counts_by_number", scenario_counts_by_number),
     ("miss_exit_hardened", scenario_miss_exit_hardened),
     ("miss_exit_faults", scenario_miss_exit_faults),
     ("gate_range", scenario_gate_range),

@@ -385,6 +385,58 @@ fn every_native_base_runs_ls() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Count mode's table comes from the engine's dispatch rows on every
+/// base the shim arms: the calls that leave from the entry stub, from
+/// the dispatcher and from the `SIGSYS` handler's emulation (all of
+/// them, under `sud`) are counted by number, and the rows add up to
+/// the dispatcher invocations.
+#[test]
+fn count_table_sums_to_the_dispatches_on_every_base() {
+    let Some(so) = ready() else { return };
+    let (root, dir) = scratch("count");
+    let reference = plain("/bin/ls").args(["-l", &dir]).output().unwrap();
+    for base in [
+        "sud",
+        "zpoline",
+        "lazypoline-nox",
+        "lazypoline",
+        "lazypoline-hardened",
+    ] {
+        let out = preloaded(&so, "/bin/ls")
+            .args(["-l", &dir])
+            .env("LP_MECHANISM", base)
+            .env("LAZYPOLINE_MODE", "count")
+            .env("LAZYPOLINE_STATS", "1")
+            .output()
+            .unwrap();
+        let stderr = stderr_of(&out);
+        assert_eq!(out.stdout, reference.stdout, "{base}: {stderr}");
+        let (_, table) = stderr
+            .split_once("-- top syscalls --\n")
+            .unwrap_or_else(|| panic!("{base}: no table\n{stderr}"));
+        let rows: Vec<(u64, &str)> = table
+            .lines()
+            .map(|l| {
+                let (count, name) = l.trim_start().split_once("  ").expect("count  name");
+                (count.parse().expect("a count"), name)
+            })
+            .collect();
+        let row = |name: &str| rows.iter().find(|r| r.1 == name).map_or(0, |r| r.0);
+        let total: u64 = rows.iter().map(|r| r.0).sum();
+        assert_eq!(
+            total,
+            dump_field(&stderr, "dispatcher invocations"),
+            "{base}: {stderr}"
+        );
+        assert!(
+            row("statx") >= 64 && row("lgetxattr") >= 64,
+            "{base}: {stderr}"
+        );
+        assert_eq!(row("exit_group"), 1, "{base}: {stderr}");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// A process tree: the shell forks, its children `execve`, and every
 /// preloaded image arms the same configuration again.
 #[test]
