@@ -38,8 +38,8 @@ pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};
 pub use registry::{
     global_handler, global_interested, install_handler, interest_words, interpose_event,
-    interpose_syscall, quarantined_handlers, refresh_global_interest, set_global_handler,
-    widen_global_interest, HandlerGuard,
+    interpose_syscall, left_alone_words, quarantined_handlers, refresh_global_interest,
+    set_global_handler, widen_global_interest, HandlerGuard,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
 pub use stack::{hook_dispatches, HookId, HookStack};
@@ -163,6 +163,23 @@ pub trait SyscallHandler: Send + Sync {
         false
     }
 
+    /// The numbers whose calls this handler leaves alone: `handle`
+    /// answers `Passthrough` and touches neither the event nor anything
+    /// else, and `post` returns the result as it came. A mechanism may
+    /// then serve such a call without calling the handler at all.
+    ///
+    /// A recorder answers with what the handler it wraps leaves alone:
+    /// the numbers it only records. lazypoline's entry stub serves those
+    /// by itself on a thread that holds a record window, appending the
+    /// record the recorder would have written (the record exit,
+    /// `zpoline::trampoline`'s module docs). Read at registration, like
+    /// [`SyscallHandler::interest`]. Default: none. A [`HookStack`]
+    /// keeps the default: an entry that wants to see a call may join it
+    /// after the registry read the set.
+    fn leaves_alone(&self) -> InterestSet {
+        InterestSet::none()
+    }
+
     /// Identity hook for runtime-mutable handlers. [`HookStack`] is the
     /// only implementor: it uses this to recognise itself as the
     /// installed global handler, so mutations of *detached* stacks
@@ -189,6 +206,10 @@ impl SyscallHandler for PassthroughHandler {
 
     fn leaves_fp_env(&self) -> bool {
         true
+    }
+
+    fn leaves_alone(&self) -> InterestSet {
+        InterestSet::all()
     }
 }
 

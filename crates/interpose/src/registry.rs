@@ -64,12 +64,37 @@ static INTEREST_WORDS: [AtomicU64; 8] = [
     AtomicU64::new(u64::MAX),
 ];
 
+/// The installed handler's [`SyscallHandler::leaves_alone`] set, cached
+/// as raw words beside the interest words and stored with them: zero
+/// when no handler is registered and while one is quarantined. A stale
+/// word during a swap errs as the interest words do; a widening clears
+/// the numbers it adds before any handler that wants them is live.
+static LEFT_ALONE_WORDS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
+
 /// The interest cache itself, for a mechanism whose gate is not Rust
 /// (zpoline's entry stub tests these words before it builds a frame):
 /// bit `nr % 64` of word `nr / 64`, exactly what [`global_interested`]
 /// reads, so there is no copy to keep coherent.
 pub const fn interest_words() -> &'static [AtomicU64; 8] {
     &INTEREST_WORDS
+}
+
+/// The cached [`SyscallHandler::leaves_alone`] set, in the layout of
+/// [`interest_words`]: what zpoline's entry stub reads as the numbers
+/// the installed stack only records.
+pub const fn left_alone_words() -> &'static [AtomicU64; 8] {
+    &LEFT_ALONE_WORDS
+}
+
+/// Stores both caches, word by word: a reader in the middle sees a mix
+/// of the old and new handler's sets, as the interest words document.
+fn store_caches(interest: &crate::InterestSet, left_alone: &crate::InterestSet) {
+    for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
+        cache.store(word, Ordering::Relaxed);
+    }
+    for (cache, word) in LEFT_ALONE_WORDS.iter().zip(left_alone.words()) {
+        cache.store(word, Ordering::Relaxed);
+    }
 }
 
 /// Installs `handler` as the process-global interposer, replacing any
@@ -81,13 +106,11 @@ pub const fn interest_words() -> &'static [AtomicU64; 8] {
 /// no safe point to drop it. (A replaced handler leaks too — handlers
 /// are expected to be installed once, near startup.)
 pub fn set_global_handler(handler: Box<dyn SyscallHandler>) {
-    let interest = handler.interest();
+    let (interest, left_alone) = (handler.interest(), handler.leaves_alone());
     let leaves_fp_env = handler.leaves_fp_env();
     let thin = Box::into_raw(Box::new(Installed { handler, leaves_fp_env }));
     GLOBAL.store(thin, Ordering::SeqCst);
-    for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
-        cache.store(word, Ordering::Relaxed);
-    }
+    store_caches(&interest, &left_alone);
     // A fresh handler starts trusted: lift any standing quarantine
     // *after* the interest cache is valid, so no window exists where a
     // quarantined-then-revived handler sees a zeroed set.
@@ -121,17 +144,13 @@ impl Drop for HandlerGuard {
     fn drop(&mut self) {
         if self.prev.is_null() {
             GLOBAL.store(std::ptr::null_mut(), Ordering::SeqCst);
-            for cache in &INTEREST_WORDS {
-                cache.store(u64::MAX, Ordering::Relaxed);
-            }
+            store_caches(&crate::InterestSet::all(), &crate::InterestSet::none());
         } else {
             // SAFETY: set_global_handler leaked the previous box, so
             // the pointee is still valid (handlers live for 'static).
-            let interest = unsafe { (*self.prev).handler.interest() };
+            let prev = unsafe { &(*self.prev).handler };
             GLOBAL.store(self.prev, Ordering::SeqCst);
-            for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
-                cache.store(word, Ordering::Relaxed);
-            }
+            store_caches(&prev.interest(), &prev.leaves_alone());
         }
         QUARANTINED.store(false, Ordering::SeqCst);
     }
@@ -146,12 +165,9 @@ impl Drop for HandlerGuard {
 /// `stack` module docs for the ordering protocol (widen before swap on
 /// attach, swap before narrow on detach).
 pub fn refresh_global_interest() {
-    let interest = match global_handler() {
-        Some(h) => h.interest(),
-        None => crate::InterestSet::all(),
-    };
-    for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
-        cache.store(word, Ordering::Relaxed);
+    match global_handler() {
+        Some(h) => store_caches(&h.interest(), &h.leaves_alone()),
+        None => store_caches(&crate::InterestSet::all(), &crate::InterestSet::none()),
     }
 }
 
@@ -160,7 +176,12 @@ pub fn refresh_global_interest() {
 /// state is published: a brief over-wide cache only delivers extra
 /// syscalls (benign by the interest contract), whereas a brief
 /// under-wide one would drop syscalls a live hook asked for.
+///
+/// A number it adds is no longer left alone: it leaves that cache first.
 pub fn widen_global_interest(extra: &crate::InterestSet) {
+    for (cache, word) in LEFT_ALONE_WORDS.iter().zip(extra.words()) {
+        cache.fetch_and(!word, Ordering::Relaxed);
+    }
     for (cache, word) in INTEREST_WORDS.iter().zip(extra.words()) {
         cache.fetch_or(word, Ordering::Relaxed);
     }
@@ -189,9 +210,7 @@ fn quarantine_global() {
         return; // racing panics: already quarantined
     }
     QUARANTINE_EVENTS.fetch_add(1, Ordering::Relaxed);
-    for cache in &INTEREST_WORDS {
-        cache.store(0, Ordering::Relaxed);
-    }
+    store_caches(&crate::InterestSet::none(), &crate::InterestSet::none());
     let msg = b"interpose: handler panicked; quarantined (syscalls pass through)\n";
     unsafe {
         libc::write(2, msg.as_ptr().cast(), msg.len());

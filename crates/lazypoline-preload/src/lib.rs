@@ -128,6 +128,17 @@ impl SyscallHandler for UntilExit {
     fn leaves_fp_env(&self) -> bool {
         self.mode.leaves_fp_env()
     }
+    /// What the mode handler leaves alone but `exit_group`, which ends
+    /// the window here — and nothing while the `handler_panic` fault,
+    /// which `handle` injects, is armed.
+    fn leaves_alone(&self) -> InterestSet {
+        if faultinject::is_armed(faultinject::Site::HandlerPanic) {
+            return InterestSet::none();
+        }
+        let mut set = self.mode.leaves_alone();
+        set.remove(nr::EXIT_GROUP);
+        set
+    }
 }
 
 impl UntilExit {

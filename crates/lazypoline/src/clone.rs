@@ -58,8 +58,12 @@ fn enable_sud_with_retry() -> bool {
 ///
 /// Called in fork children, from dispatcher context. A child that
 /// shares the parent's memory (`CLONE_VM` without a new stack) and fails
-/// to re-enroll would map unseen: the shadow stops vouching.
+/// to re-enroll would map unseen: the shadow stops vouching. The child's
+/// block forgets the parent's tid and record window
+/// ([`zpoline::ThreadBlock::forget_record`]): both recorder writers
+/// then stamp the child's own tid, into the child's copy of the ring.
 pub(crate) fn reenroll_after_clone() {
+    zpoline::thread_block().forget_record();
     if crate::tls::enrolled() {
         // After the bounded retry, degrade to uninterposed rather than
         // dying.

@@ -79,7 +79,10 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
 
 /// What this dispatcher lets zpoline's entry stub do without it: issue
 /// a syscall outside `full_path` whose bit in the interest words is
-/// clear — the `miss` above, taken before a frame exists.
+/// clear — the `miss` above, taken before a frame exists — and, on a
+/// thread with a record window, one the installed stack only records
+/// (`record_only`, what the handler declares it leaves alone), whose
+/// record the stub appends as the recorder would.
 ///
 /// `full_path` is the set [`handle_syscall`] must always see itself,
 /// whatever the installed handler's interest: the process-control calls
@@ -115,6 +118,7 @@ pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
     ])
     .words(),
     interest: interpose::interest_words(),
+    record_only: interpose::left_alone_words(),
 };
 
 /// Whether `nr_` is in [`MISS_EXIT`]'s `full_path`: one table for this

@@ -56,6 +56,7 @@ impl Layer {
                         Err(ConfigError::new(replay::ring::LP_RING_CAPACITY, c))?;
                     }
                 }
+                record_replay::link_thread_blocks();
                 (
                     Box::new(RecordHandler::wrapping(handler)),
                     LayerGuard::Record(None),
@@ -84,9 +85,11 @@ pub(crate) enum LayerGuard {
 impl Drop for LayerGuard {
     /// A `+record` session nobody finished finishes here, best-effort,
     /// on the engine's private path (as in
-    /// [`ActiveMechanism::finish_recording`]).
+    /// [`ActiveMechanism::finish_recording`]); the record windows close,
+    /// so that no entry stub keeps recording for a recorder that is gone.
     fn drop(&mut self) {
         if let LayerGuard::Record(session) = self {
+            replay::ring::close_windows();
             if let Some(session) = session.take() {
                 lazypoline::proven::privately(|| drop(session));
             }

@@ -6,8 +6,11 @@
 ///
 /// Fixed-size and `Copy` so the hot path can store it into a
 /// pre-allocated ring slot with a plain memcpy — no allocation, no
-/// pointers, safe from signal-handler context.
+/// pointers, safe from signal-handler context. `#[repr(C)]`: zpoline's
+/// entry stub writes ring slots in this layout too
+/// (`zpoline::trampoline::record`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct EventRecord {
     /// The syscall number, post-rewrite (what actually executed).
     pub sysno: u64,

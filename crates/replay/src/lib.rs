@@ -48,8 +48,8 @@ pub use format::{
     HEADER_SIZE, MAGIC2, MAGIC3, VERSION2, VERSION3,
 };
 pub use record::{
-    events_dropped, events_recorded, events_spilled, DrainMode, RecordHandler, RecordSummary,
-    Recorder, DRAIN_ENV,
+    events_dropped, events_recorded, events_spilled, record_call, DrainMode, RecordHandler,
+    RecordSummary, Recorder, DRAIN_ENV,
 };
 pub use replay::{
     is_nondeterministic, replay_divergences, Divergence, DivergenceKind, ReplayFailure,

@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
+use syscalls::SyscallArgs;
 
 use crate::drain;
 use crate::event::EventRecord;
@@ -68,8 +69,14 @@ thread_local! {
     static CACHED_TID: Cell<u32> = const { Cell::new(0) };
 }
 
+/// The calling thread's kernel tid: the engine's, where one keeps it
+/// (the entry stub stamps that one too, and a fork child's is its own),
+/// else a per-thread cache.
 #[inline]
 fn current_tid() -> u32 {
+    if let Some(tid) = ring::link().map(|link| (link.tid)()).filter(|&tid| tid != 0) {
+        return tid;
+    }
     CACHED_TID.with(|c| {
         let cached = c.get();
         if cached != 0 {
@@ -113,15 +120,23 @@ impl RecordHandler {
 
     #[inline]
     fn record(&self, event: &SyscallEvent, ret: u64) {
-        ring::push_current_thread(EventRecord {
-            sysno: event.call.nr,
-            args: event.call.args,
-            ret,
-            tsc: tsc::now(),
-            site: event.site as u64,
-            tid: current_tid(),
-        });
+        record_call(&event.call, ret, event.site as u64);
     }
+}
+
+/// Records one executed call into the calling thread's ring, as a
+/// [`RecordHandler`] does: stamped now, with the thread's tid. Returns
+/// `false` when the event was dropped (and counted).
+#[inline]
+pub fn record_call(call: &SyscallArgs, ret: u64, site: u64) -> bool {
+    ring::push_current_thread(EventRecord {
+        sysno: call.nr,
+        args: call.args,
+        ret,
+        tsc: tsc::now(),
+        site,
+        tid: current_tid(),
+    })
 }
 
 impl SyscallHandler for RecordHandler {
@@ -155,6 +170,12 @@ impl SyscallHandler for RecordHandler {
     /// work on a ring slot.
     fn leaves_fp_env(&self) -> bool {
         self.inner.as_ref().is_none_or(|inner| inner.leaves_fp_env())
+    }
+
+    /// What the inner handler leaves alone: the numbers this recorder
+    /// only records, which the entry stub can record by itself.
+    fn leaves_alone(&self) -> InterestSet {
+        self.inner.as_ref().map_or(InterestSet::all(), |inner| inner.leaves_alone())
     }
 
     fn interest(&self) -> InterestSet {

@@ -6,9 +6,44 @@
 //! recording thread therefore owns one single-producer/single-consumer
 //! ring from a fixed pool of 64 ring *headers*: the producer is that
 //! thread alone, the consumer is the (single) drainer. Slot storage is
-//! `mmap`ed directly (a raw syscall — async-signal-safe, no `malloc`)
-//! when a thread claims its ring, at the capacity configured then
-//! ([`configure`] / [`LP_RING_CAPACITY`]), and never changes size.
+//! `mmap`ed directly (a raw syscall, no `malloc`) when a thread claims
+//! its ring, at the capacity configured then ([`configure`] /
+//! [`LP_RING_CAPACITY`]), and never changes size.
+//!
+//! # One producer protocol
+//!
+//! "The producer is that thread alone" includes its signal handlers: a
+//! handler whose calls are recorded can land anywhere in another append
+//! of the same thread, and a ring has two writers on that thread — the
+//! push below, and zpoline's entry stub, whose record exit appends
+//! through the ring's cursor inside the *record window* the push last
+//! opened (`zpoline::trampoline`'s "The record exit"). Both follow one
+//! protocol, on the cursor:
+//!
+//! 1. **Enter**: raise `nest`, the thread's appends in flight.
+//! 2. **Claim**: read `claim`, check the room (the push: the ring's
+//!    capacity, rewinding an empty ring; the stub: the window, on a
+//!    ring not drained empty), and move `claim` on with one `cmpxchg`
+//!    against what was read. A signal's append in between moves it
+//!    first and the claim starts over, so each append owns its index.
+//! 3. **Write** the record into the index's slot.
+//! 4. **Commit**: an append with others in flight under it only lowers
+//!    `nest`. The outermost publishes `head = claim` — every index
+//!    claimed so far is written by then, its own and those of the
+//!    appends that nested in it and have returned — lowers `nest` to 0,
+//!    and looks at `claim` again, publishing once more if an append
+//!    claimed between its read and the store.
+//!
+//! So the drain never reads a slot before it is written, and every
+//! observed call is either in the trace or in a drop counter. Only
+//! the push rewinds, drops, counts near-full and wakes the drain; it
+//! closes the record window first and, when it is outermost, opens the
+//! next behind its record. What the protocol cannot survive is an
+//! append abandoned half-way: a handler that `longjmp`s out of a signal
+//! that landed inside one leaves `nest` raised, and the thread's ring
+//! publishes nothing more. Within a ring, records are in claim order,
+//! which is `tsc` order except where an append nested in another's few
+//! instructions.
 //!
 //! The default capacity is large (131 072 records, ≈ 11 MiB) because it
 //! costs *address space*, not memory: the mapping is `MAP_NORESERVE`,
@@ -26,7 +61,8 @@
 //! the `recorded + dropped == observed` invariant.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::sync::atomic::{compiler_fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use crate::event::EventRecord;
 
@@ -132,29 +168,34 @@ fn unmap_slots(ptr: *mut EventRecord, capacity: usize) {
 /// # Contract
 ///
 /// `push` may be called from **one** thread at a time (the owning
-/// producer); `drain` from one thread at a time (the drainer). The two
-/// sides may run concurrently. The static pool upholds this by
-/// assigning each ring to at most one producer thread for the process
-/// lifetime and serializing drains behind the recorder session.
+/// producer) — and from its signal handlers, in the middle of another
+/// append of the same thread (module docs, "One producer protocol");
+/// `drain` from one thread at a time (the drainer). The two sides may
+/// run concurrently. The static pool upholds this by assigning each
+/// ring to at most one producer thread for the process lifetime and
+/// serializing drains behind the recorder session.
 ///
 /// # Rewind protocol
 ///
 /// `slots` and `capacity` are written once, when the ring is mapped,
 /// before the first record is published. Record `i` lives in slot
 /// `(i - base) & (capacity - 1)`. Only the producer ever moves `base`,
-/// and only while it observes the ring **empty** (`head == tail`): it
-/// sets `base = head`, publishing it before the `Release` store of
-/// `head` that makes the ring non-empty again. The consumer reads
-/// `base` only after an `Acquire` load of `head` showed the ring
-/// non-empty, and before it publishes `tail`; a non-empty ring's `base`
-/// never changes, so the consumer always computes the slots its
-/// records were written to. Empty is the only safe point: all of
-/// `[tail, head)` was pushed under one `base` (a rewind at record `i`
-/// needs `tail == i`), so masked indexing with monotonic head/tail
-/// stays correct across rewinds.
+/// and only while it observes the ring **empty** with nothing claimed
+/// (`claim == tail`): it sets `base` to that index, before its claim
+/// and so before the `Release` store of `head` that makes the ring
+/// non-empty again. Any append that finds the ring so rewinds to the
+/// same index, so an append and a signal's append nested in it agree.
+/// The consumer reads `base` only after an `Acquire` load of `head`
+/// showed the ring non-empty, and before it publishes `tail`; a
+/// non-empty ring's `base` never changes, so the consumer always
+/// computes the slots its records were written to. Empty is the only
+/// safe point: all of `[tail, head)` was pushed under one `base` (a
+/// rewind at record `i` needs `tail == i`), so masked indexing with
+/// monotonic head/tail stays correct across rewinds.
+#[repr(C)]
 pub struct SpscRing {
-    /// Next write index (monotonic; see "Rewind protocol" for the slot).
-    head: AtomicUsize,
+    /// The producer's side, which the entry stub writes through too.
+    cursor: Cursor,
     /// Next read index (monotonic).
     tail: AtomicUsize,
     /// Events dropped because the ring was full (or unmappable).
@@ -165,9 +206,49 @@ pub struct SpscRing {
     slots: AtomicPtr<EventRecord>,
     /// Power-of-two slot count (0 until mapped).
     capacity: AtomicUsize,
-    /// `head` as of the last push at empty: the index held by slot 0.
+    /// `claim` as of the last rewind: the index held by slot 0.
     base: AtomicUsize,
 }
+
+/// A ring's producer side (module docs, "One producer protocol"):
+/// written by the owning thread alone — its pushes and the entry
+/// stub's record exit, which reaches it through the thread's block
+/// (`zpoline::trampoline::record` holds these offsets; the mechanism
+/// crate pins them to [`CURSOR_OFFSETS`]) — and, for `head`, read by
+/// the drain.
+#[repr(C)]
+struct Cursor {
+    /// The next index to hand out.
+    claim: AtomicUsize,
+    /// The record window's end: the stub claims only below it (0:
+    /// closed).
+    limit: AtomicUsize,
+    /// Slot address of index `i` inside the window, `bias + i * 88`.
+    bias: AtomicUsize,
+    /// Next write index the consumer may read up to (monotonic): every
+    /// record below it is written.
+    head: AtomicUsize,
+    /// Appends of the owning thread in flight: more than one means a
+    /// signal's append nested in another.
+    nest: AtomicUsize,
+}
+
+/// Offsets in a ring's cursor, in the order `zpoline::trampoline::record`
+/// names them: claim, limit, bias, head, nest — and the ring's `tail`,
+/// right behind. The cursor starts the ring, so its address is the
+/// ring's.
+pub const CURSOR_OFFSETS: [usize; 6] = [
+    std::mem::offset_of!(Cursor, claim),
+    std::mem::offset_of!(Cursor, limit),
+    std::mem::offset_of!(Cursor, bias),
+    std::mem::offset_of!(Cursor, head),
+    std::mem::offset_of!(Cursor, nest),
+    std::mem::offset_of!(SpscRing, tail),
+];
+
+/// Most records one record window holds: the stub returns to the push
+/// at least this often, so an empty ring still rewinds.
+const WINDOW: usize = 256;
 
 impl SpscRing {
     /// An empty, unmapped ring. `const` so the pool lives in a static;
@@ -175,7 +256,13 @@ impl SpscRing {
     #[allow(clippy::new_without_default)]
     pub const fn new() -> SpscRing {
         SpscRing {
-            head: AtomicUsize::new(0),
+            cursor: Cursor {
+                claim: AtomicUsize::new(0),
+                limit: AtomicUsize::new(0),
+                bias: AtomicUsize::new(0),
+                head: AtomicUsize::new(0),
+                nest: AtomicUsize::new(0),
+            },
             tail: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
             near_full: AtomicU64::new(0),
@@ -217,43 +304,137 @@ impl SpscRing {
 
     /// Appends `rec`; returns `false` (and counts the drop) when full.
     ///
-    /// Producer side only. Allocator-free and async-signal-safe (the
-    /// first push maps the slots through the raw `mmap` syscall).
+    /// Producer side only: the owning thread, or a signal handler that
+    /// interrupted it anywhere, another push or a record-exit append
+    /// included. Allocator-free and lock-free (the first push maps the
+    /// slots through the raw `mmap` syscall).
+    ///
+    /// The push closes the record window first and, unless it is
+    /// nested in another append, opens a new one behind its record.
     #[inline]
     pub fn push(&self, rec: EventRecord) -> bool {
+        let c = &self.cursor;
+        let nest = c.nest.load(Ordering::Relaxed);
+        c.nest.store(nest + 1, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+        c.limit.store(0, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+        let pushed = self.claim_and_write(rec);
+        if nest == 0 {
+            self.open_window();
+        }
+        self.commit();
+        pushed
+    }
+
+    /// Claims the next index and writes `rec` to its slot, or counts a
+    /// drop. A signal's append that claims in between makes the claim
+    /// fail and start over.
+    #[inline]
+    fn claim_and_write(&self, rec: EventRecord) -> bool {
         let Some((cap, slots)) = self.mapped() else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         };
-        let head = self.head.load(Ordering::Relaxed);
+        let c = &self.cursor;
+        loop {
+            let claim = c.claim.load(Ordering::Relaxed);
+            let tail = self.tail.load(Ordering::Acquire);
+            let occupied = claim.wrapping_sub(tail);
+            if occupied >= cap {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                crate::drain::wake_if_parked();
+                return false;
+            }
+            let base = if occupied == 0 {
+                // Rewind: a drained ring starts over at slot 0, so it
+                // only ever touches as many slots as it has been behind.
+                self.base.store(claim, Ordering::Release);
+                claim
+            } else {
+                self.base.load(Ordering::Relaxed)
+            };
+            compiler_fence(Ordering::SeqCst);
+            if !claim_next(&c.claim, claim) {
+                continue;
+            }
+            // SAFETY: index `claim` is outside `[tail, head)`, so the
+            // consumer is not reading its slot, and this append alone
+            // claimed it.
+            unsafe {
+                *slots.add(claim.wrapping_sub(base) & (cap - 1)) = rec;
+            }
+            if (occupied + 1) * NEAR_FULL_DEN >= cap * NEAR_FULL_NUM {
+                self.near_full.fetch_add(1, Ordering::Relaxed);
+                // A parked drainer must not ride out its timeout against
+                // a 3/4-full ring: this is the backpressure signal.
+                crate::drain::wake_if_parked();
+            }
+            return true;
+        }
+    }
+
+    /// Opens the record window behind the last claim: at most
+    /// [`WINDOW`] records, none past the end of the slot array (so
+    /// `bias` addresses them all), and none a push would count as
+    /// near-full, which the stub does not do.
+    fn open_window(&self) {
+        let (cap, slots) = (
+            self.capacity.load(Ordering::Relaxed),
+            self.slots.load(Ordering::Relaxed),
+        );
+        if slots.is_null() {
+            return;
+        }
+        let c = &self.cursor;
+        let claim = c.claim.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
-        let occupied = head.wrapping_sub(tail);
-        if occupied >= cap {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            crate::drain::wake_if_parked();
-            return false;
+        let slot = claim.wrapping_sub(self.base.load(Ordering::Relaxed)) & (cap - 1);
+        // The first index whose push leaves the ring 3/4 full.
+        let near_full = tail.wrapping_add((cap * NEAR_FULL_NUM).div_ceil(NEAR_FULL_DEN) - 1);
+        let before_near_full = near_full.wrapping_sub(claim) as isize;
+        if before_near_full <= 0 {
+            return;
         }
-        let mut base = self.base.load(Ordering::Relaxed);
-        if occupied == 0 {
-            // Rewind: a drained ring starts over at slot 0, so it only
-            // ever touches as many slots as it has been behind.
-            base = head;
-            self.base.store(base, Ordering::Release);
+        let room = (cap - slot).min(WINDOW).min(before_near_full as usize);
+        let record = std::mem::size_of::<EventRecord>();
+        let bias = (slots as usize + slot * record).wrapping_sub(claim.wrapping_mul(record));
+        c.bias.store(bias, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+        c.limit.store(claim.wrapping_add(room), Ordering::Release);
+    }
+
+    /// Ends an append: one nested in another leaves the publishing to
+    /// it; the outermost publishes every index claimed so far, then
+    /// looks again after lowering the count, for a signal's append that
+    /// claimed in between (whose record is written by then).
+    #[inline]
+    fn commit(&self) {
+        let c = &self.cursor;
+        let nest = c.nest.load(Ordering::Relaxed);
+        if nest > 1 {
+            c.nest.store(nest - 1, Ordering::Relaxed);
+            return;
         }
-        // SAFETY: record `head` is outside `[tail, head)` so the
-        // consumer is not reading its slot; this thread is the only
-        // producer.
-        unsafe {
-            *slots.add(head.wrapping_sub(base) & (cap - 1)) = rec;
+        loop {
+            let claimed = c.claim.load(Ordering::Relaxed);
+            compiler_fence(Ordering::SeqCst);
+            c.head.store(claimed, Ordering::Release);
+            compiler_fence(Ordering::SeqCst);
+            c.nest.store(0, Ordering::Relaxed);
+            compiler_fence(Ordering::SeqCst);
+            if c.claim.load(Ordering::Relaxed) == claimed {
+                return;
+            }
+            c.nest.store(1, Ordering::Relaxed);
+            compiler_fence(Ordering::SeqCst);
         }
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        if (occupied + 1) * NEAR_FULL_DEN >= cap * NEAR_FULL_NUM {
-            self.near_full.fetch_add(1, Ordering::Relaxed);
-            // A parked drainer must not ride out its timeout against a
-            // 3/4-full ring: this is the backpressure signal.
-            crate::drain::wake_if_parked();
-        }
-        true
+    }
+
+    /// Closes the record window; the next push that is not nested in
+    /// another append opens a new one.
+    fn close_window(&self) {
+        self.cursor.limit.store(0, Ordering::Release);
     }
 
     /// Claims everything currently buffered for the consumer, or `None`
@@ -261,7 +442,7 @@ impl SpscRing {
     /// the ring — and the ring cannot rewind — until [`Span::release`].
     pub(crate) fn span(&self) -> Option<Span<'_>> {
         let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
+        let head = self.cursor.head.load(Ordering::Acquire);
         if head == tail {
             return None;
         }
@@ -295,7 +476,8 @@ impl SpscRing {
     /// at empty rewinds to slot 0 first). Racy snapshot.
     pub fn write_slot(&self) -> usize {
         let cap = self.capacity.load(Ordering::Acquire);
-        self.head
+        self.cursor
+            .head
             .load(Ordering::Acquire)
             .wrapping_sub(self.base.load(Ordering::Acquire))
             & cap.wrapping_sub(1)
@@ -303,7 +485,8 @@ impl SpscRing {
 
     /// Records currently buffered (racy snapshot).
     pub fn len(&self) -> usize {
-        self.head
+        self.cursor
+            .head
             .load(Ordering::Acquire)
             .wrapping_sub(self.tail.load(Ordering::Acquire))
     }
@@ -381,6 +564,38 @@ impl Drop for SpscRing {
     }
 }
 
+/// Moves `claim` from `seen` to the next index, unless an append
+/// nested in this one — a signal handler's, on the same thread — moved
+/// it first. Only the owning thread writes `claim`, so a plain
+/// `cmpxchg`, one instruction no signal can split, is enough: no `lock`.
+#[inline]
+fn claim_next(claim: &AtomicUsize, seen: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let moved: u8;
+        // SAFETY: `claim` is a live, aligned word; `cmpxchg` compares it
+        // with rax and stores the new index when they are equal.
+        unsafe {
+            std::arch::asm!(
+                "cmpxchg qword ptr [{claim}], {next}",
+                "setnz {moved}",
+                claim = in(reg) claim.as_ptr(),
+                next = in(reg) seen.wrapping_add(1),
+                moved = out(reg_byte) moved,
+                inout("rax") seen => _,
+                options(nostack),
+            );
+        }
+        moved == 0
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        claim
+            .compare_exchange(seen, seen.wrapping_add(1), Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+    }
+}
+
 // ——— the static pool ———————————————————————————————————————————————
 
 static RINGS: [SpscRing; MAX_RINGS] = [const { SpscRing::new() }; MAX_RINGS];
@@ -416,11 +631,39 @@ thread_local! {
     static RING_IDX: Cell<usize> = const { Cell::new(UNASSIGNED) };
 }
 
+/// How the recorder reaches the per-thread state of the engine that
+/// interposes the thread ([`on_thread_link`]).
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadLink {
+    /// The calling thread's kernel tid as the engine keeps it (0: it
+    /// keeps none); both writers of a ring stamp this one.
+    pub tid: fn() -> u32,
+    /// Hands the calling thread's engine the address of its ring's
+    /// cursor ([`CURSOR_OFFSETS`]), whose record window the entry stub
+    /// appends through.
+    pub window: fn(usize),
+}
+
+static LINK: OnceLock<ThreadLink> = OnceLock::new();
+
+/// Has every push into a thread's pool ring hand that thread's engine
+/// the ring's cursor, and every recorded event take its tid from the
+/// engine. The first call wins.
+pub fn on_thread_link(link: ThreadLink) {
+    let _ = LINK.set(link);
+}
+
+/// The registered [`ThreadLink`], if any.
+pub(crate) fn link() -> Option<&'static ThreadLink> {
+    LINK.get()
+}
+
 /// Appends `rec` to the calling thread's ring, claiming one from the
-/// pool on first use. Returns `false` when the event was dropped
-/// (ring full, or pool exhausted) — the drop is counted either way — or
-/// when the calling thread is the drain thread, which records nothing
-/// and drops nothing.
+/// pool on first use, and hands the thread's engine the ring's record
+/// window ([`on_thread_link`]). Returns `false` when the event was
+/// dropped (ring full, or pool exhausted) — the drop is counted either
+/// way — or when the calling thread is the drain thread, which records
+/// nothing and drops nothing.
 #[inline]
 pub fn push_current_thread(rec: EventRecord) -> bool {
     let idx = current_ring_idx();
@@ -430,7 +673,18 @@ pub fn push_current_thread(rec: EventRecord) -> bool {
         }
         return false;
     }
-    RINGS[idx].push(rec)
+    let ring = &RINGS[idx];
+    let pushed = ring.push(rec);
+    if let Some(link) = LINK.get() {
+        (link.window)(ring as *const SpscRing as usize);
+    }
+    pushed
+}
+
+/// Closes every pool ring's record window: from here on each thread's
+/// calls reach its recorder's push until that push opens a new one.
+pub fn close_windows() {
+    claimed().iter().for_each(SpscRing::close_window);
 }
 
 /// The calling thread's ring index, claimed from the pool on first use,
@@ -490,7 +744,7 @@ pub(crate) fn claimed() -> &'static [SpscRing] {
 pub(crate) fn total_pushed() -> u64 {
     claimed()
         .iter()
-        .map(|r| r.head.load(Ordering::Relaxed) as u64)
+        .map(|r| r.cursor.head.load(Ordering::Relaxed) as u64)
         .sum()
 }
 

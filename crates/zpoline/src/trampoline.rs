@@ -14,16 +14,21 @@
 //! 0x200: movabs r11, lp_zpoline_entry ; jmp r11
 //!         ▼
 //! lp_zpoline_entry (asm below), on rcx and r11 alone:
-//!       NR < 512, nobody interested in it, not one the dispatcher must
-//!       emulate, this thread's block armed?
-//!         │ yes: the miss exit                  │ no: label 90, the full path
-//!         ▼                                     ▼
-//!       bump slot NR of the thread's row      save registers → save live
-//!         (unless a handler's own call)
-//!       syscall (in the gate)                 xstate → call the registered
-//!                                             dispatcher → restore xstate →
-//!                                             restore registers
-//!         ▼                                     ▼
+//!       NR < 512, not one the dispatcher must emulate, this thread's
+//!       block armed, and nobody interested in it ─────────────┐
+//!         │ interested: the stack only records it, the      │ the miss exit
+//!         │ thread's record window has room?                ▼
+//!         │   │ yes: the record exit     │ no             bump slot NR of
+//!         │   ▼                          │                the thread's row
+//!         │ bump slot NR; syscall;       │                syscall (in the gate)
+//!         │ claim an index in the        │                  │
+//!         │ window; write the record;    ▼                  │
+//!         │ publish it          label 90, the full path:    │
+//!         │   │                 save registers → save live  │
+//!         │   │                 xstate → call the registered│
+//!         │   │                 dispatcher → restore xstate │
+//!         │   │                 → restore registers         │
+//!         ▼   ▼                          ▼                  ▼
 //!       ret   ; straight back to the instruction after the call site
 //! ```
 //!
@@ -51,8 +56,9 @@
 //! the stub, holding the thread's row of the dispatch counter (a
 //! [`DispatchRow`]: one slot per syscall number) and whether the thread
 //! is that row's only writer (it then counts with a plain `inc`, others
-//! with `lock inc`), and the enrolment and in-dispatch flags the
-//! dispatcher reads. The row is also what arms the block: a thread with
+//! with `lock inc`), the enrolment and in-dispatch flags the
+//! dispatcher reads, and the record window and tid of the record exit
+//! (below). The row is also what arms the block: a thread with
 //! one leaves from the stub, counting the call in slot `rax`. The
 //! dispatcher a *hit* reaches counts in the same row
 //! ([`ThreadBlock::sole_writer_dispatches`]). Neither path makes a
@@ -72,6 +78,44 @@
 //! unarmed or zeroed block (a thread that never enrolled), no published
 //! `MissExit` — falls through to the full path, which remains the
 //! reference the tests compare with.
+//!
+//! # The record exit
+//!
+//! Under a flight recorder most hits are calls the stack only records:
+//! the dispatcher would execute them and append one record to the
+//! thread's ring. The third word table of the [`MissExit`],
+//! `record_only` (what the installed handler declares it leaves alone,
+//! `SyscallHandler::leaves_alone`), names them, and on a thread whose
+//! block holds a *record window* the stub serves them itself, with no
+//! frame, no xstate and no Rust: it counts the call in the thread's row
+//! as the miss exit does, issues it from the gate and appends its
+//! record — number, arguments, result, `rdtsc`, the `call rax` return
+//! address and the block's tid — to the slot its claim names
+//! ([`record`] holds the layouts). The window is the producer cursor of
+//! the thread's ring, which the recorder's push hands to the block
+//! ([`ThreadBlock::set_record_window`]): the next index to claim, the
+//! end of the indices the stub may claim, the address of their slots
+//! and the published head. The push alone opens a window, rewinds the
+//! ring, drops, counts backpressure and wakes the drain thread; a
+//! window ends before the ring would be 3/4 full, at the end of the slot
+//! array and after at most a few hundred records, and a call that finds
+//! no room, or the ring drained empty, goes to the full path, where the
+//! push rewinds and opens the next window.
+//!
+//! The stub claims after its syscall, so an append is a few dozen
+//! instructions, and both writers follow one producer protocol
+//! (`replay::ring`'s module docs): a count of the thread's appends in
+//! flight goes up first; the claim is one `cmpxchg` on the cursor (no
+//! `lock`: only the owning thread and its signal handlers write it), so
+//! a signal handler's append that lands in the middle claims the next
+//! index; and the append that is outermost publishes everything claimed
+//! once its own record is written, looking again after it lowers the
+//! count. A signal that lands between the stub's syscall and its claim
+//! can use the window up, or close it with a push of its own: the stub
+//! then hands the call, executed, to the recorder's push on a frame and
+//! saved xstate as the full path's ([`set_record_late`]) — the rare
+//! exit, whose `call` sits behind `lp_zpoline_record_late`, outside the
+//! record exit's text.
 //!
 //! Initial-exec TLS is what lets two instructions reach the block, and
 //! it is sound wherever this crate is linked today: into an executable,
@@ -231,8 +275,10 @@
 //! The `call rax` push itself overwrites the top 8 bytes of the
 //! System-V red zone — an inherent property of the zpoline technique
 //! that the prototype shares. The full path protects the *rest* of the
-//! red zone by moving `rsp` down 128 bytes before its own pushes; the
-//! miss exit never moves `rsp` and writes nothing below it.
+//! red zone by moving `rsp` down 128 bytes before its own pushes, and
+//! so does the record exit before it keeps the number, the result and
+//! `rdx` across its `syscall` and `rdtsc`; the miss exit never moves
+//! `rsp` and writes nothing below it.
 
 use std::cell::Cell;
 use std::io;
@@ -333,6 +379,9 @@ impl XstateMask {
 struct StubGlobals {
     /// The registered dispatcher (never 0 once installed).
     dispatch: AtomicUsize,
+    /// The recorder's push for a call the record exit executed but
+    /// found no room for ([`set_record_late`]).
+    record_late: AtomicUsize,
     /// The dispatcher's [`MissExit`], null while it has none.
     miss_exit: AtomicPtr<MissExit>,
     /// The XSAVE RFBM (0 = preserve no xstate).
@@ -351,6 +400,7 @@ struct XsaveImage([u8; 576]);
 /// The one instance (see [`StubGlobals`]).
 static STUB_GLOBALS: StubGlobals = StubGlobals {
     dispatch: AtomicUsize::new(0),
+    record_late: AtomicUsize::new(0),
     miss_exit: AtomicPtr::new(std::ptr::null_mut()),
     xstate_mask: AtomicU8::new(0b111),
     xgetbv1: AtomicU8::new(0),
@@ -358,8 +408,9 @@ static STUB_GLOBALS: StubGlobals = StubGlobals {
 };
 
 /// What a dispatcher publishes ([`set_miss_exit`]) so that the entry
-/// stub can issue, by itself, the syscalls the dispatcher would only
-/// pass through. Bit `nr % 64` of word `nr / 64` in both tables.
+/// stub can serve, by itself, the syscalls the dispatcher would only
+/// pass through or record. Bit `nr % 64` of word `nr / 64` in all
+/// three tables.
 #[repr(C)]
 pub struct MissExit {
     /// Numbers the dispatcher handles whatever the interest in them.
@@ -368,6 +419,11 @@ pub struct MissExit {
     /// handler swap, a widening or a quarantine reaches the stub by the
     /// same stores.
     pub interest: &'static [AtomicU64; 8],
+    /// Numbers the installed stack leaves alone but for recording them:
+    /// on a thread with a record window the stub appends their record
+    /// itself (the record exit, module docs). Stored with the interest
+    /// words, by the same installs, swaps, widenings and quarantines.
+    pub record_only: &'static [AtomicU64; 8],
 }
 
 /// Publishes (or, with `None`, withdraws) the dispatcher's
@@ -378,6 +434,21 @@ pub fn set_miss_exit(exit: Option<&'static MissExit>) {
     // Release: the tables are read-only statics, but a reader that sees
     // the pointer must see them as initialised.
     STUB_GLOBALS.miss_exit.store(p, Ordering::Release);
+}
+
+/// What the record exit calls, with the call's frame and result, when
+/// it executed a call and then found no room in its window: a signal's
+/// append used the window up, or the drain emptied the ring, which only
+/// the recorder's push rewinds. Runs in application context, on a frame
+/// and with the extended state saved as the full path's; it must make
+/// no syscall but under the re-entry guard, and not unwind.
+pub type RecordLateFn = unsafe extern "C" fn(frame: *const RawFrame, ret: u64);
+
+/// Registers the record exit's [`RecordLateFn`]. A thread takes the
+/// record exit only once the recorder's push has given its block a
+/// window, and whatever gives the windows registers this first.
+pub fn set_record_late(f: RecordLateFn) {
+    STUB_GLOBALS.record_late.store(f as usize, Ordering::Release);
 }
 
 /// A thread's dispatch counts by syscall number: what
@@ -413,7 +484,17 @@ pub struct ThreadBlock {
     /// Signal frames put back by [`resume_context`] (debug builds
     /// count).
     resumes: Cell<u64>,
+    /// The producer cursor of this thread's flight-recorder ring, which
+    /// the record exit appends through ([`ThreadBlock::set_record_window`]);
+    /// 0 = none.
+    record_window: Cell<usize>,
+    /// This thread's kernel tid as recorded events carry it; 0 until
+    /// [`ThreadBlock::tid`] first asks.
+    tid: Cell<u32>,
 }
+
+// The asm reserves one cache line per thread.
+const _: () = assert!(std::mem::size_of::<ThreadBlock>() <= 64);
 
 impl ThreadBlock {
     /// Whether this thread asked for interposition.
@@ -539,6 +620,75 @@ impl ThreadBlock {
     pub fn resumes(&self) -> u64 {
         self.resumes.get()
     }
+
+    /// Gives the record exit the producer cursor of this thread's
+    /// flight-recorder ring, laid out as [`record`] says (module docs,
+    /// "The record exit"); 0 withdraws it. The recorder's push calls
+    /// this; the stub appends only inside the window the cursor holds.
+    #[inline]
+    pub fn set_record_window(&self, cursor: usize) {
+        self.record_window.set(cursor);
+    }
+
+    /// This thread's kernel tid, the one both recorder writers stamp
+    /// on its events: asked from the gate once, then read from here.
+    #[inline]
+    pub fn tid(&self) -> u32 {
+        match self.tid.get() {
+            0 => {
+                // SAFETY: gettid takes no arguments and cannot fail.
+                let tid = unsafe { gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETTID)) } as u32;
+                self.tid.set(tid);
+                tid
+            }
+            tid => tid,
+        }
+    }
+
+    /// Forgets the tid and the record window: a fork child's tid is its
+    /// own, and so is the copy of the ring its block pointed into, which
+    /// its first recorded call hands back through the recorder's push.
+    #[inline]
+    pub fn forget_record(&self) {
+        self.record_window.set(0);
+        self.tid.set(0);
+    }
+}
+
+/// The two layouts the record exit writes through: an event record in a
+/// ring slot (`replay::EventRecord`, `#[repr(C)]`) and a ring's producer
+/// cursor. The recorder owns both; this crate cannot name it, so the
+/// crate that names both sides pins these offsets to them at compile
+/// time.
+pub mod record {
+    /// Bytes per slot.
+    pub const SLOT_SIZE: usize = 88;
+    /// The syscall number.
+    pub const SYSNO: usize = 0;
+    /// The six arguments, in register order.
+    pub const ARGS: usize = 8;
+    /// The return value.
+    pub const RET: usize = 56;
+    /// The `rdtsc` stamp.
+    pub const TSC: usize = 64;
+    /// The call site: the `call rax` return address.
+    pub const SITE: usize = 72;
+    /// The kernel tid (4 bytes).
+    pub const TID: usize = 80;
+
+    /// The next index to claim.
+    pub const CLAIM: usize = 0;
+    /// The record window's end: the stub claims only below it.
+    pub const LIMIT: usize = 8;
+    /// Slot address of index `i` inside the window: `bias + i * SLOT_SIZE`.
+    pub const BIAS: usize = 16;
+    /// The published index the drain reads.
+    pub const HEAD: usize = 24;
+    /// Appends in flight on the owning thread.
+    pub const NEST: usize = 32;
+    /// The consumer's next read index, right behind the cursor: the
+    /// stub leaves an empty ring to the push, which rewinds it.
+    pub const TAIL: usize = 40;
 }
 
 /// The calling thread's [`ThreadBlock`].
@@ -787,6 +937,37 @@ macro_rules! xstate_restore_asm {
     };
 }
 
+/// Assembly text (Intel syntax) that ends an append through the ring
+/// cursor in `r11` (module docs, "The record exit"), then jumps to
+/// `$done`: an append nested in another leaves the publishing to it;
+/// the outermost publishes every index claimed so far, lowers the count
+/// and looks again, for a signal's append that claimed in between.
+/// Clobbers `rcx` and the flags.
+macro_rules! record_commit_asm {
+    ($done:literal) => {
+        concat!(
+            r#"
+    cmp qword ptr [r11 + {nest}], 1
+    je 2f
+    dec qword ptr [r11 + {nest}]
+    jmp "#,
+            $done,
+            r#"
+2:
+    mov rcx, qword ptr [r11 + {claim}]
+    mov qword ptr [r11 + {head}], rcx
+    mov qword ptr [r11 + {nest}], 0
+    cmp rcx, qword ptr [r11 + {claim}]
+    je "#,
+            $done,
+            r#"
+    mov qword ptr [r11 + {nest}], 1
+    jmp 2b
+"#
+        )
+    };
+}
+
 std::arch::global_asm!(
     r#"
     # One cache line of initial-exec TLS per thread: the ThreadBlock.
@@ -821,7 +1002,7 @@ lp_zpoline_entry:
     add rcx, qword ptr [r11 + {interest}]
     mov rcx, qword ptr [rcx]      # interest word nr / 64
     bt rcx, rax                   # bit nr % 64: a register bt wraps
-    jc 90f                        # a handler wants it (hits leave here)
+    jc 50f                        # a handler wants it (hits leave here)
     mov ecx, eax
     shr ecx, 6
     mov rcx, qword ptr [r11 + {full_path} + rcx*8]
@@ -848,6 +1029,149 @@ lp_zpoline_entry:
     lock inc qword ptr [r11 + rax*8]
     jmp 81b
 
+    # The record exit (module docs): a hit whose handler only records
+    # it. r11 = the MissExit.
+    .globl lp_zpoline_record_exit
+    .hidden lp_zpoline_record_exit
+lp_zpoline_record_exit:
+50:
+    mov ecx, eax
+    shr ecx, 6
+    shl ecx, 3
+    add rcx, qword ptr [r11 + {record_only}]
+    mov rcx, qword ptr [rcx]
+    bt rcx, rax
+    jnc 90f                       # the handler wants to see it
+    mov ecx, eax
+    shr ecx, 6
+    mov rcx, qword ptr [r11 + {full_path} + rcx*8]
+    bt rcx, rax
+    jc 90f                        # the dispatcher emulates it
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    cmp qword ptr fs:[rcx + {dispatches}], 0
+    je 90f                        # this thread's block is not armed
+    cmp byte ptr fs:[rcx + {in_dispatch}], 0
+    jne 81b                       # a handler's own call: executed alone
+    cmp byte ptr fs:[rcx + {dispatches_shared}], 0
+    jne 90f                       # a shared row counts with a lock
+    mov r11, qword ptr fs:[rcx + {record_window}]
+    test r11, r11
+    jz 90f                        # no window: the recorder's push gives one
+    mov rcx, qword ptr [r11 + {claim}]
+    cmp rcx, qword ptr [r11 + {tail}]
+    je 90f                        # drained: the push rewinds an empty ring
+    cmp rcx, qword ptr [r11 + {limit}]
+    jae 90f                       # the window is used up or closed
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    mov r11, qword ptr fs:[rcx + {dispatches}]
+    inc qword ptr [r11 + rax*8]   # the sole writer's count, as a miss
+"#,
+    #[cfg(debug_assertions)]
+    "inc qword ptr fs:[rcx + {stub_exits}]",
+    r#"
+    lea rsp, [rsp - 128]          # under the red zone, as the full path
+    push rax                      # nr
+    syscall                       # in the gate, like the miss exit's
+    push rax                      # ret
+    push rdx                      # a3; the site is at [rsp + 152]
+    mov r11, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    mov r11, qword ptr fs:[r11 + {record_window}]
+    test r11, r11
+    jz 58f                        # a signal's fork child forgot it
+    inc qword ptr [r11 + {nest}]  # an append in flight: the count a
+                                  # signal's append nests under
+51: # Claim the next index, inside the window, on a ring not drained.
+    mov rax, qword ptr [r11 + {claim}]
+    cmp rax, qword ptr [r11 + {tail}]
+    je 57f
+    lea rcx, [rax + 1]
+    cmp rcx, qword ptr [r11 + {limit}]
+    ja 57f
+    cmpxchg qword ptr [r11 + {claim}], rcx
+    jne 51b                       # a signal's append claimed first
+    imul rax, rax, {slot_size}
+    add rax, qword ptr [r11 + {bias}]   # rax = the slot
+    mov rcx, qword ptr [rsp + 16]
+    mov qword ptr [rax + {sysno}], rcx
+    mov qword ptr [rax + {args}], rdi
+    mov qword ptr [rax + {args} + 8], rsi
+    mov rcx, qword ptr [rsp]
+    mov qword ptr [rax + {args} + 16], rcx
+    mov qword ptr [rax + {args} + 24], r10
+    mov qword ptr [rax + {args} + 32], r8
+    mov qword ptr [rax + {args} + 40], r9
+    mov rcx, qword ptr [rsp + 8]
+    mov qword ptr [rax + {ret}], rcx
+    mov rcx, qword ptr [rsp + 152]
+    mov qword ptr [rax + {site}], rcx   # the `call rax` return address
+    mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
+    mov ecx, dword ptr fs:[rcx + {tid}]
+    mov dword ptr [rax + {slot_tid}], ecx
+    mov rcx, rax
+    rdtsc
+    shl rdx, 32
+    or rax, rdx
+    mov qword ptr [rcx + {tsc}], rax
+"#,
+    record_commit_asm!("52f"),
+    r#"
+52:
+    pop rdx
+    pop rax
+    lea rsp, [rsp + 136]
+    ret
+    # No room after all — a signal's append used the window up, or the
+    # drain emptied the ring: the recorder's push records the call.
+    .globl lp_zpoline_record_late
+    .hidden lp_zpoline_record_late
+lp_zpoline_record_late:
+57:
+"#,
+    record_commit_asm!("58f"),
+    r#"
+58:
+    pop rdx
+    pop rax                       # [rsp] = nr, the site at [rsp + 136]
+    push rax                      # ret, above the frame
+    push qword ptr [rsp + 144]    # frame.ret_addr = the site
+    push rbp
+    push rbx
+    push r9
+    push r8
+    push r10
+    push rdx
+    push rsi
+    push rdi
+    push qword ptr [rsp + 80]     # frame.nr
+    mov rbp, rsp                  # rbp = &RawFrame; [rbp + 80] = ret
+"#,
+    xstate_save_asm!(),
+    r#"
+    mov rdi, rbp
+    mov rsi, qword ptr [rbp + 80]
+    and rsp, -16
+    call qword ptr [rip + {stub_globals} + {record_late}]
+    xor edx, edx                  # nothing declared: the full exit
+"#,
+    xstate_restore_asm!(),
+    r#"
+    lea rsp, [rbp + 8]
+    pop rdi
+    pop rsi
+    pop rdx
+    pop r10
+    pop r8
+    pop r9
+    pop rbx
+    pop rbp
+    add rsp, 8                    # frame.ret_addr
+    pop rax                       # ret
+    lea rsp, [rsp + 136]          # nr and the red zone
+    ret
+
+    .globl lp_zpoline_full_path
+    .hidden lp_zpoline_full_path
+lp_zpoline_full_path:
 90: # The full path.
     sub rsp, 128                  # protect the rest of the red zone
     push qword ptr [rsp + 128]    # frame.ret_addr
@@ -965,6 +1289,7 @@ lp_zpoline_resume:
     xgetbv1 = const offset_of!(StubGlobals, xgetbv1),
     xstate_init = const offset_of!(StubGlobals, xstate_init),
     dispatch = const offset_of!(StubGlobals, dispatch),
+    record_late = const offset_of!(StubGlobals, record_late),
     miss_exit = const offset_of!(StubGlobals, miss_exit),
     interest = const offset_of!(MissExit, interest),
     full_path = const offset_of!(MissExit, full_path),
@@ -972,6 +1297,22 @@ lp_zpoline_resume:
     in_dispatch = const offset_of!(ThreadBlock, in_dispatch),
     dispatches_shared = const offset_of!(ThreadBlock, dispatches_shared),
     leaves_fp_env = const offset_of!(ThreadBlock, leaves_fp_env),
+    record_only = const offset_of!(MissExit, record_only),
+    record_window = const offset_of!(ThreadBlock, record_window),
+    tid = const offset_of!(ThreadBlock, tid),
+    slot_size = const record::SLOT_SIZE,
+    sysno = const record::SYSNO,
+    args = const record::ARGS,
+    ret = const record::RET,
+    tsc = const record::TSC,
+    site = const record::SITE,
+    slot_tid = const record::TID,
+    claim = const record::CLAIM,
+    limit = const record::LIMIT,
+    bias = const record::BIAS,
+    head = const record::HEAD,
+    nest = const record::NEST,
+    tail = const record::TAIL,
     #[cfg(debug_assertions)]
     stub_exits = const offset_of!(ThreadBlock, stub_exits),
     #[cfg(debug_assertions)]
@@ -1497,10 +1838,12 @@ mod tests {
             return;
         }
         static INTEREST: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
+        static NOTHING: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
         static EXIT: MissExit = MissExit {
             // getuid stands in for a call the dispatcher emulates.
             full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
             interest: &INTEREST,
+            record_only: &NOTHING,
         };
         static DISPATCHES: DispatchRow = [const { AtomicU64::new(0) }; SLED_LEN];
         let _globals = lock_globals();
@@ -1568,6 +1911,104 @@ mod tests {
         set_dispatcher(prev);
         let published = STUB_GLOBALS.miss_exit.load(Ordering::SeqCst);
         assert!(published.is_null(), "withdrawn with its dispatcher");
+    }
+
+    /// The record exit against a dispatcher that would answer
+    /// differently, on a cursor and slots laid out as [`record`] says:
+    /// it appends inside the window alone, and publishes what it wrote.
+    #[test]
+    fn record_exit_appends_inside_its_window_only() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
+            return;
+        }
+        static ALL: [AtomicU64; 8] = [const { AtomicU64::new(u64::MAX) }; 8];
+        static RECORD_ONLY: [AtomicU64; 8] = [const { AtomicU64::new(u64::MAX) }; 8];
+        static EXIT: MissExit = MissExit {
+            full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
+            interest: &ALL,
+            record_only: &RECORD_ONLY,
+        };
+        static DISPATCHES: DispatchRow = [const { AtomicU64::new(0) }; SLED_LEN];
+        static LATE: AtomicU64 = AtomicU64::new(0);
+        unsafe extern "C" fn late(_frame: *const RawFrame, _ret: u64) {
+            LATE.fetch_add(1, Ordering::SeqCst);
+        }
+        let _globals = lock_globals();
+        Trampoline::install().unwrap();
+        set_record_late(late);
+        let prev = set_dispatcher(recording_dispatch).expect("install registers one");
+        let pid = unsafe { libc::getpid() } as u64;
+        let args = [11, 22, 33, 44, 55, 66];
+        let getpid = move || call_via_trampoline(syscalls::SyscallArgs::new(nr::GETPID, args));
+
+        std::thread::spawn(move || {
+            // claim, limit, bias, head, nest, tail; three slots of 11
+            // words.
+            let cursor: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
+            const WORDS: usize = record::SLOT_SIZE / 8;
+            let slots: [AtomicU64; 3 * WORDS] = [const { AtomicU64::new(0) }; 3 * WORDS];
+            let word = |slot: usize, offset: usize| slots[slot * WORDS + offset / 8].load(Ordering::SeqCst);
+            let field = |i: usize| cursor[i].load(Ordering::SeqCst);
+            let block = thread_block();
+            set_miss_exit(Some(&EXIT));
+            // SAFETY: the row's sole writer.
+            unsafe { block.arm(&DISPATCHES, true) };
+            assert_eq!(getpid(), 0x5eed, "no window");
+
+            // A window of two, from index 5 on, handed over (as the
+            // recorder's push does) once the block knows its tid.
+            let want_tid = block.tid() as u64;
+            cursor[0].store(5, Ordering::SeqCst);
+            cursor[1].store(7, Ordering::SeqCst);
+            let bias = (slots.as_ptr() as u64).wrapping_sub(5 * record::SLOT_SIZE as u64);
+            cursor[2].store(bias, Ordering::SeqCst);
+            cursor[3].store(5, Ordering::SeqCst);
+            block.set_record_window(cursor.as_ptr() as usize);
+            let (counted, exits) = (DISPATCHES[nr::GETPID as usize].load(Ordering::SeqCst), block.stub_exits());
+            assert_eq!(getpid(), pid, "the record exit");
+            assert_eq!(getpid(), pid, "the record exit again");
+            assert_eq!([field(0), field(3), field(4)], [7, 7, 0], "claimed, published, none in flight");
+            for slot in 0..2 {
+                assert_eq!(word(slot, record::SYSNO), nr::GETPID);
+                let written: Vec<u64> = (0..6).map(|a| word(slot, record::ARGS + 8 * a)).collect();
+                assert_eq!(written, args);
+                assert_eq!(word(slot, record::RET), pid);
+                assert_ne!(word(slot, record::TSC), 0);
+                assert_ne!(word(slot, record::SITE), 0);
+                assert_eq!(word(slot, record::SITE), word(0, record::SITE), "one call site");
+                assert_eq!(word(slot, record::TID) & 0xffff_ffff, want_tid);
+            }
+            assert!(word(0, record::TSC) <= word(1, record::TSC));
+            assert_eq!(DISPATCHES[nr::GETPID as usize].load(Ordering::SeqCst), counted + 2);
+            assert_eq!(block.stub_exits(), exits + 2 * cfg!(debug_assertions) as u64);
+
+            assert_eq!(getpid(), 0x5eed, "the window is used up");
+            assert!((0..WORDS).all(|w| word(2, 8 * w) == 0), "nothing past the window");
+            cursor[1].store(8, Ordering::SeqCst);
+            cursor[5].store(7, Ordering::SeqCst);
+            assert_eq!(getpid(), 0x5eed, "the ring is empty: the push rewinds it");
+            cursor[5].store(0, Ordering::SeqCst);
+            block.set_in_dispatch(true);
+            assert_eq!(getpid(), pid, "a handler's own call: executed alone");
+            block.set_in_dispatch(false);
+            RECORD_ONLY[0].store(0, Ordering::SeqCst);
+            assert_eq!(getpid(), 0x5eed, "a number the stack does not only record");
+            RECORD_ONLY[0].store(u64::MAX, Ordering::SeqCst);
+            let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
+            assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
+            unsafe { block.arm(&DISPATCHES, false) };
+            assert_eq!(getpid(), 0x5eed, "a shared row");
+            assert_eq!([field(0), field(3), field(4)], [7, 7, 0], "none of them appended");
+            assert_eq!(DISPATCHES[nr::GETPID as usize].load(Ordering::SeqCst), counted + 2);
+            assert_eq!(LATE.load(Ordering::SeqCst), 0, "every call found its room");
+            block.disarm();
+            block.set_record_window(0);
+        })
+        .join()
+        .unwrap();
+
+        set_dispatcher(prev);
     }
 
     /// A signal handler registered with the gate's restorer returns

@@ -879,9 +879,25 @@ fn scenario_xstate_declared() {
     xstate_canary("lazypoline", Box::new(interpose::PassthroughHandler));
 }
 
+/// Declares `leaves_fp_env` and leaves nothing alone: a recorder over it
+/// sends every hit through the full path, to the declared exit. (Over
+/// `PassthroughHandler` the hits leave from the record exit instead,
+/// which `record_registers` checks.)
+struct DeclaresFpEnv;
+
+impl SyscallHandler for DeclaresFpEnv {
+    fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+        Action::Passthrough
+    }
+
+    fn leaves_fp_env(&self) -> bool {
+        true
+    }
+}
+
 fn scenario_xstate_declared_record() {
     XSTATE_DECLARED.store(true, Ordering::Relaxed);
-    xstate_canary("lazypoline+record", Box::new(interpose::PassthroughHandler));
+    xstate_canary("lazypoline+record", Box::new(DeclaresFpEnv));
 }
 
 fn xstate_canary(name: &str, handler: Box<dyn SyscallHandler>) {
@@ -1326,6 +1342,325 @@ fn scenario_resume_registers_nox() {
 
 fn scenario_resume_registers_hardened() {
     resume_registers_under("lazypoline-hardened");
+}
+
+// ——— the record exit ————————————————————————————————————————————————
+
+/// Declares nothing: a recorder over it takes every call through the
+/// full path and the recorder's push, the writer the record exit is
+/// compared with.
+struct DeclaresNothing;
+
+impl SyscallHandler for DeclaresNothing {
+    fn handle(&self, _ev: &mut SyscallEvent) -> Action {
+        Action::Passthrough
+    }
+}
+
+/// Swaps the installed stack for a recorder over [`DeclaresNothing`]:
+/// the same recording, through the full path.
+fn full_path_recorder() -> interpose::HandlerGuard {
+    interpose::install_handler(Box::new(replay::RecordHandler::wrapping(Box::new(DeclaresNothing))))
+}
+
+/// The calling thread's kernel tid, from the gate.
+fn gettid() -> u32 {
+    // SAFETY: gettid touches no memory.
+    unsafe { zpoline::gate_syscall(&syscalls::SyscallArgs::nullary(syscalls::nr::GETTID)) as u32 }
+}
+
+/// A call on the engine's full path (`rt_sigprocmask` is one it always
+/// emulates), whose recorded push opens a fresh record window.
+fn open_record_window() {
+    let none = 0u64;
+    // SAFETY: blocks nothing; the set outlives the call.
+    unsafe {
+        syscalls::raw::syscall4(syscalls::nr::RT_SIGPROCMASK, 0, &none as *const u64 as u64, 0, 8);
+    }
+}
+
+/// Every record in the rings from code in `page`, in ring order.
+fn drain_page(page: *const u8) -> Vec<replay::EventRecord> {
+    let range = page as u64..page as u64 + 4096;
+    let mut out = Vec::new();
+    replay::ring::drain_all(|r| {
+        if range.contains(&r.site) {
+            out.push(r);
+        }
+    });
+    out
+}
+
+const SIGALRM: libc::c_int = 14;
+static STORM_GETPPID: AtomicU64 = AtomicU64::new(0);
+static STORM_SIGNALS: AtomicU64 = AtomicU64::new(0);
+
+extern "C" fn storm_on_alarm(_sig: libc::c_int) {
+    // SAFETY: a `SiteFn` stored before the timer started.
+    let getppid = unsafe { std::mem::transmute::<usize, SiteFn>(STORM_GETPPID.load(Ordering::SeqCst) as usize) };
+    getppid(0, 0, 0);
+    STORM_SIGNALS.fetch_add(1, Ordering::SeqCst);
+}
+
+/// `setitimer(ITIMER_REAL)` every `us` microseconds (0: off).
+fn alarm_every(us: u64) {
+    let timer = [0, us, 0, us]; // it_interval, it_value: (sec, usec)
+    // SAFETY: the timer value outlives the call; no old value asked for.
+    let r = unsafe { syscalls::raw::syscall3(syscalls::nr::SETITIMER, 0, timer.as_ptr() as u64, 0) };
+    assert_eq!(r, 0, "setitimer");
+}
+
+/// `calls` recorded `getpid`s from one site while a 37 µs `SIGALRM`
+/// calls `getppid` from another, the rings drained every 4 096 calls:
+/// every call of both is in the rings, and nothing was dropped. Returns
+/// the stub exits the loop took, where the build counts them.
+fn record_storm(writer: &str, calls: u64) -> Option<u64> {
+    let page = unsafe { ret_filled_rwx_page() };
+    let (getpid, getppid) = unsafe {
+        (syscall_site(page, 0, syscalls::nr::GETPID), syscall_site(page, 1, syscalls::nr::GETPPID))
+    };
+    getpid(0, 0, 0); // first executions: rewritten
+    getppid(0, 0, 0);
+    STORM_GETPPID.store(getppid as usize as u64, Ordering::SeqCst);
+    STORM_SIGNALS.store(0, Ordering::SeqCst);
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = storm_on_alarm as *const () as usize;
+        sa.sa_flags = libc::SA_RESTART;
+        assert_eq!(libc::sigaction(SIGALRM, &sa, std::ptr::null_mut()), 0);
+    }
+    drain_page(page);
+    let dropped = replay::events_dropped();
+    let mut by_number = [0u64; 2];
+    let mut tally = |r: replay::EventRecord| {
+        if (page as u64..page as u64 + 4096).contains(&r.site) {
+            by_number[usize::from(r.sysno == syscalls::nr::GETPPID)] += 1;
+        }
+    };
+    alarm_every(37);
+    let exits = stub_exits();
+    for i in 0..calls {
+        getpid(0, 0, 0);
+        if i % 4096 == 4095 {
+            replay::ring::drain_all(&mut tally);
+        }
+    }
+    let exits = stub_exits().map(|n| n - exits.expect("counted before"));
+    alarm_every(0);
+    replay::ring::drain_all(&mut tally);
+    let signals = STORM_SIGNALS.load(Ordering::SeqCst);
+    assert!(signals >= 100, "{writer}: only {signals} signals landed");
+    assert_eq!(by_number, [calls, signals], "{writer}: recorded getpid, getppid");
+    assert_eq!(replay::events_dropped() - dropped, 0, "{writer}: dropped");
+    println!("record_signal_storm, {writer}: {calls} calls, {signals} signals, all recorded");
+    exits
+}
+
+/// A signal's recorded call that lands anywhere in another append gets
+/// a slot of its own, through either writer: `recorded + dropped ==
+/// observed`, exactly, with nothing dropped.
+fn scenario_record_signal_storm() {
+    let mut active = install("lazypoline+record", Box::new(interpose::PassthroughHandler));
+    const CALLS: u64 = 1_000_000;
+    if let Some(exits) = record_storm("the record exit", CALLS) {
+        assert!(exits >= CALLS * 9 / 10, "{exits} of {CALLS} calls left from the stub");
+    }
+    let full_path = full_path_recorder();
+    if let Some(exits) = record_storm("the full path", CALLS / 4) {
+        assert_eq!(exits, 0, "a recorder over a handler that declares nothing");
+    }
+    drop(full_path);
+    active.detach();
+}
+
+/// Records a few `getpid`s from `page`'s first site and returns their
+/// tids; the first goes through the recorder's push (a fresh thread or
+/// a fork child has no window), the rest through the record exit.
+fn recorded_tids(page: *mut u8) -> Vec<u32> {
+    let getpid = unsafe { syscall_site(page, 0, syscalls::nr::GETPID) };
+    drain_page(page);
+    for _ in 0..8 {
+        getpid(0, 0, 0);
+    }
+    drain_page(page).iter().map(|r| r.tid).collect()
+}
+
+/// A fork child and a new thread stamp their own tid, through both
+/// writers: the child's block forgets the parent's.
+fn scenario_record_fork_tid() {
+    let mut active = install("lazypoline+record", Box::new(interpose::PassthroughHandler));
+    let page = unsafe { ret_filled_rwx_page() };
+    let parent = recorded_tids(page);
+    assert_eq!(parent, [gettid(); 8], "the parent");
+    let pid = unsafe { libc::fork() };
+    assert!(pid >= 0, "fork");
+    if pid == 0 {
+        let tids = recorded_tids(page);
+        let code = if tids == [gettid(); 8] { 0 } else { 1 };
+        if code != 0 {
+            eprintln!("fork child {}: recorded tids {tids:?}", gettid());
+        }
+        unsafe { libc::_exit(code) };
+    }
+    let mut status = 0;
+    unsafe { libc::waitpid(pid, &mut status, 0) };
+    assert!(libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0, "the fork child's tids");
+    let page = page as usize;
+    let (thread, tids) = std::thread::spawn(move || (gettid(), recorded_tids(page as *mut u8)))
+        .join()
+        .expect("thread");
+    assert_ne!(thread, gettid());
+    assert_eq!(tids, [thread; 8], "a new thread");
+    active.detach();
+}
+
+/// A recorded hit that leaves from the stub changes no register the
+/// kernel preserves, and its record holds the cell's call.
+fn record_registers_under(row: &str) {
+    let mut active = install(row, Box::new(interpose::PassthroughHandler));
+    let tid = gettid();
+    for _ in 0..3 {
+        unsafe {
+            let site = fresh_resume_cell_site();
+            let page = (site as usize & !4095) as *mut u8;
+            let mut c = loaded_resume_cell();
+            site(&mut *c); // first execution: the slow path
+            drain_page(page);
+            for _ in 0..3 {
+                open_record_window();
+                let exits = stub_exits();
+                let mut c = loaded_resume_cell();
+                site(&mut *c);
+                let exits = stub_exits().map(|n| n - exits.expect("counted before"));
+                let cell = format!("{row}, avx512f: {}, pku: {}", c.avx512 != 0, c.pku != 0);
+                assert_eq!(exits.unwrap_or(1), 1, "stub exits, {cell}");
+                assert_eq!(c.gpr_out[13], std::process::id() as u64, "rax, {cell}");
+                for i in (0..15).filter(|&i| ![3, 13, 14].contains(&i)) {
+                    assert_eq!(c.gpr_out[i], c.gpr_in[i], "gregs[{i}], {cell}");
+                }
+                assert_eq!(c.rsp_after, c.rsp_before, "rsp, {cell}");
+                assert_eq!(c.flags_out & 0x0020_0000, c.flags_in & 0x0020_0000, "ID, {cell}");
+                assert_eq!(c.xmm_out, c.xmm_in, "xmm0-15, {cell}");
+                if c.avx512 != 0 {
+                    for (i, (got, want)) in c.zmm_out.iter().zip(&c.zmm_in).enumerate() {
+                        assert_eq!(got, want, "zmm{}, {cell}", i + 16);
+                    }
+                    assert_eq!(c.k_out, c.k_in, "k0-7, {cell}");
+                }
+                assert_eq!(c.fcw_out, c.fcw_in, "x87 control word, {cell}");
+                assert_eq!(c.mxcsr_out, c.mxcsr_in, "MXCSR, {cell}");
+                let records = drain_page(page);
+                let [r] = records[..] else {
+                    panic!("{} records of one call, {cell}", records.len());
+                };
+                let g = &c.gpr_in;
+                assert_eq!(r.sysno, syscalls::nr::GETPID, "{cell}");
+                assert_eq!(r.args, [g[8], g[9], g[12], g[2], g[0], g[1]], "args, {cell}");
+                assert_eq!(r.ret, std::process::id() as u64, "ret, {cell}");
+                assert_eq!(r.tid, tid, "tid, {cell}");
+                // The site: right behind the rewritten `call rax`.
+                assert_eq!(*((r.site - 2) as *const [u8; 2]), [0xff, 0xd0], "site, {cell}");
+            }
+        }
+    }
+    assert_interposed("after the recorded cells");
+    active.detach();
+}
+
+fn scenario_record_registers() {
+    record_registers_under("lazypoline+record");
+}
+
+fn scenario_record_registers_hardened() {
+    record_registers_under("lazypoline-hardened+record");
+}
+
+/// A record as the two writers must agree on it: `(nr, args, ret, site,
+/// tid)`.
+type Recorded = (u64, [u64; 6], u64, u64, u32);
+
+/// One pass of the site mix, recorded: the records from its page, what
+/// `events_recorded`, `dispatches` and the stub exits moved by, and
+/// what each number's dispatch row moved by.
+fn recorded_site_mix(sites: &[SiteFn; 8]) -> (Vec<Recorded>, [u64; 3], Vec<u64>) {
+    let page = (sites[0] as usize & !4095) as *const u8;
+    drain_page(page);
+    let before = (replay::events_recorded(), lazypoline::stats().dispatches, stub_exits());
+    let rows = lazypoline::dispatches_by_number();
+    run_site_mix(sites);
+    let moved = [
+        replay::events_recorded() - before.0,
+        lazypoline::stats().dispatches - before.1,
+        stub_exits().map_or(0, |n| n - before.2.expect("counted before")),
+    ];
+    let rows = lazypoline::dispatches_by_number().iter().zip(rows).map(|(n, b)| n - b).collect();
+    let records = drain_page(page).iter().map(|r| (r.sysno, r.args, r.ret, r.site, r.tid)).collect();
+    (records, moved, rows)
+}
+
+/// Pushes 200 `getppid`s, each with its index as first argument, into
+/// a fresh thread's 64-slot ring that nothing drains: returns the drops
+/// and near-full pushes they added and the indices the ring holds.
+fn overrun_small_ring(page: usize) -> (u64, u64, Vec<u64>) {
+    std::thread::spawn(move || {
+        let getppid = unsafe { std::mem::transmute::<usize, SiteFn>(page + 64) };
+        let (dropped, near_full) = (replay::events_dropped(), replay::ring::total_near_full());
+        for i in 0..200 {
+            getppid(i, 0, 0);
+        }
+        let moved = (
+            replay::events_dropped() - dropped,
+            replay::ring::total_near_full() - near_full,
+        );
+        let held = drain_page(page as *const u8).iter().map(|r| r.args[0]).collect();
+        (moved.0, moved.1, held)
+    })
+    .join()
+    .expect("overrun thread")
+}
+
+/// The record exit and the recorder's push write the same records and
+/// move the same counters, and agree on what a full ring drops.
+fn scenario_record_writers_agree() {
+    let mut active = install("lazypoline+record", Box::new(interpose::PassthroughHandler));
+    let sites = unsafe { mix_sites() };
+    run_site_mix(&sites); // first executions
+    let (from_stub, stub_moved, stub_rows) = recorded_site_mix(&sites);
+    let full_path = full_path_recorder();
+    let (from_rust, rust_moved, rust_rows) = recorded_site_mix(&sites);
+    drop(full_path);
+    assert!(!from_stub.is_empty());
+    assert_eq!(from_stub, from_rust, "(nr, args, ret, site, tid)");
+    assert_eq!(stub_moved[..2], rust_moved[..2], "events_recorded, dispatches");
+    assert_eq!(stub_rows, rust_rows, "dispatches by number");
+    if cfg!(debug_assertions) {
+        assert!(stub_moved[2] * 10 >= stub_moved[1] * 9, "stub exits {stub_moved:?}");
+        assert_eq!(rust_moved[2], 0, "stub exits of the full path");
+    }
+
+    // 200 calls into 64 slots, nothing drained.
+    let page = unsafe { ret_filled_rwx_page() };
+    let getppid = unsafe { syscall_site(page, 1, syscalls::nr::GETPPID) };
+    getppid(0, 0, 0); // first execution: rewritten
+    // A thread first, so that both measured ones start alike, on the
+    // stack it leaves in libc's cache.
+    overrun_small_ring(page as usize);
+    drain_page(page);
+    assert!(replay::ring::configure(64));
+    let stub = overrun_small_ring(page as usize);
+    let full_path = full_path_recorder();
+    let rust = overrun_small_ring(page as usize);
+    drop(full_path);
+    assert!(replay::ring::configure(replay::ring::DEFAULT_RING_CAPACITY));
+    assert_eq!(stub, rust, "(dropped, near-full, held)");
+    // The thread's start-up calls take the first few slots; the ring
+    // holds the first calls of the 200 that fit, in order, and drops the
+    // rest. Pushes that leave 48..=64 of 64 slots taken count near-full.
+    let held = stub.2.len() as u64;
+    assert!(held > 48, "{held} calls held");
+    assert_eq!(stub.2, (0..held).collect::<Vec<u64>>(), "the first calls, in order");
+    assert_eq!((stub.0, stub.1), (200 - held, 17), "(dropped, near-full)");
+    active.detach();
 }
 
 // ——— the poison hook ————————————————————————————————————————————————
@@ -4876,6 +5211,11 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("nested_miss", scenario_nested_miss),
     ("miss_exit", scenario_miss_exit),
     ("counts_by_number", scenario_counts_by_number),
+    ("record_signal_storm", scenario_record_signal_storm),
+    ("record_fork_tid", scenario_record_fork_tid),
+    ("record_registers", scenario_record_registers),
+    ("record_registers_hardened", scenario_record_registers_hardened),
+    ("record_writers_agree", scenario_record_writers_agree),
     ("miss_exit_hardened", scenario_miss_exit_hardened),
     ("miss_exit_faults", scenario_miss_exit_faults),
     ("gate_range", scenario_gate_range),
