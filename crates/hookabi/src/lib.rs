@@ -3,7 +3,7 @@
 //! Interposers compiled into the binary implement
 //! [`SyscallHandler`](interpose::SyscallHandler) directly; this crate
 //! is the bridge for interposers shipped as **shared objects** and
-//! attached to a live process (`LP_HOOKS=libfoo.so:prio,...`) — the
+//! loaded at install (`LP_HOOKS=libfoo.so:prio,...`) — the
 //! zpoline `ZPOLINE_HOOK=` ops story, but versioned, stackable, and
 //! quarantined.
 //!
@@ -39,10 +39,13 @@
 //! descriptors (same runtime — tests, embedders) may still unwind
 //! directly; shipped hook libraries must not rely on that.
 //!
-//! Loaded libraries are **never `dlclose`d**: a detached hook can still
-//! be mid-invocation on another thread (detach is asynchronous, see
-//! `interpose::HookStack`), so its code must stay mapped for the life
-//! of the process — the same leak-by-design as the handler registry.
+//! A hook's `fini` runs at teardown ([`LoadedHook::run_fini`]), once
+//! the mechanism has restored the handler it replaced. Loaded libraries
+//! are still **never `dlclose`d**: a dispatch on another thread that
+//! read the stack's handler just before the restore can still be inside
+//! the hook, and a rewritten site can fire at any time, so hook code
+//! stays mapped for the life of the process — the same leak-by-design
+//! as the handler registry, which never frees an installed stack.
 
 #![deny(missing_docs)]
 
@@ -425,13 +428,8 @@ impl LoadedHook {
         self.priority
     }
 
-    /// Where the hook came from (library path or descriptor origin).
-    pub fn origin(&self) -> &str {
-        &self.origin
-    }
-
     /// Runs the descriptor's `fini`, if any. Called by the mechanism
-    /// layer after detaching the hook from the stack.
+    /// layer at teardown, after the base restored the previous handler.
     pub fn run_fini(&self) {
         if let Some(fini) = self.desc.fini {
             fini();

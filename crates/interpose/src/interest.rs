@@ -92,6 +92,16 @@ impl InterestSet {
         InterestSet { bits }
     }
 
+    /// The numbers in both sets (what a [`HookStack`](crate::HookStack)'s
+    /// entries all leave alone).
+    pub fn intersection(&self, other: &InterestSet) -> InterestSet {
+        let mut bits = [0u64; WORDS];
+        for (i, b) in bits.iter_mut().enumerate() {
+            *b = self.bits[i] & other.bits[i];
+        }
+        InterestSet { bits }
+    }
+
     /// `true` if no in-range number is a member.
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
@@ -185,6 +195,8 @@ mod tests {
         assert_eq!(u.len(), 3);
         assert!(a.union(&InterestSet::all()).is_all());
         assert_eq!(a.union(&InterestSet::none()), a);
+        assert_eq!(a.intersection(&b), InterestSet::of(&[100]));
+        assert_eq!(a.intersection(&InterestSet::all()), a);
     }
 
     #[test]

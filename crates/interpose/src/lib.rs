@@ -21,6 +21,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod count;
 mod interest;
@@ -38,11 +39,10 @@ pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};
 pub use registry::{
     global_handler, global_interested, install_handler, interest_words, interpose_event,
-    interpose_syscall, left_alone_words, quarantined_handlers, refresh_global_interest,
-    set_global_handler, widen_global_interest, HandlerGuard,
+    interpose_syscall, left_alone_words, quarantined_handlers, set_global_handler, HandlerGuard,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
-pub use stack::{hook_dispatches, HookId, HookStack};
+pub use stack::{hook_dispatches, HookStack};
 pub use stats::StatsSnapshot;
 pub use trace::{format_syscall_line, TraceHandler, TraceSink};
 
@@ -154,11 +154,8 @@ pub trait SyscallHandler: Send + Sync {
     /// `true` leaks the handler's floating-point state into the
     /// application. Read once, at registration, like
     /// [`SyscallHandler::interest`]. Default: `false`. The stock handlers
-    /// of this crate declare it and a wrapper returns what it wraps. A
-    /// [`HookStack`] keeps the default whatever its entries say: an
-    /// entry that does not declare it (a loaded hook) may join the stack
-    /// after the registry read the bit, installed or nested in another
-    /// handler.
+    /// of this crate declare it, and a wrapper — a [`HookStack`]
+    /// included — declares it when everything it wraps does.
     fn leaves_fp_env(&self) -> bool {
         false
     }
@@ -174,19 +171,9 @@ pub trait SyscallHandler: Send + Sync {
     /// record the recorder would have written (the record exit,
     /// `zpoline::trampoline`'s module docs). Read at registration, like
     /// [`SyscallHandler::interest`]. Default: none. A [`HookStack`]
-    /// keeps the default: an entry that wants to see a call may join it
-    /// after the registry read the set.
+    /// leaves alone what every entry leaves alone.
     fn leaves_alone(&self) -> InterestSet {
         InterestSet::none()
-    }
-
-    /// Identity hook for runtime-mutable handlers. [`HookStack`] is the
-    /// only implementor: it uses this to recognise itself as the
-    /// installed global handler, so mutations of *detached* stacks
-    /// never touch the global interest cache. Ordinary handlers keep
-    /// the `None` default.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
     }
 }
 
@@ -249,7 +236,7 @@ mod tests {
             assert!(h.leaves_fp_env(), "{}", h.name());
         }
 
-        // Unsaid means no; a stack says no whatever it holds.
+        // Unsaid means no; a stack says what all its entries say.
         struct Silent;
         impl SyscallHandler for Silent {
             fn handle(&self, _event: &mut SyscallEvent) -> Action {
@@ -257,10 +244,15 @@ mod tests {
             }
         }
         assert!(!Silent.leaves_fp_env());
-        let stack = HookStack::new();
-        assert!(!stack.leaves_fp_env());
-        stack.attach(Box::new(PassthroughHandler), 0);
-        assert!(!stack.leaves_fp_env());
+        assert!(HookStack::new().leaves_fp_env(), "an empty stack declares it");
+        let declaring = HookStack::new();
+        declaring.attach(Box::new(PassthroughHandler), 0);
+        declaring.attach_dynamic(Box::new(CountHandler::new()), 5);
+        assert!(declaring.leaves_fp_env());
+        let mixed = HookStack::new();
+        mixed.attach(Box::new(PassthroughHandler), 0);
+        mixed.attach(Box::new(Silent), 1);
+        assert!(!mixed.leaves_fp_env(), "one undeclared entry says no");
     }
 
     #[test]

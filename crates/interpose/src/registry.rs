@@ -67,8 +67,7 @@ static INTEREST_WORDS: [AtomicU64; 8] = [
 /// The installed handler's [`SyscallHandler::leaves_alone`] set, cached
 /// as raw words beside the interest words and stored with them: zero
 /// when no handler is registered and while one is quarantined. A stale
-/// word during a swap errs as the interest words do; a widening clears
-/// the numbers it adds before any handler that wants them is live.
+/// word during a swap errs as the interest words do.
 static LEFT_ALONE_WORDS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 
 /// The interest cache itself, for a mechanism whose gate is not Rust
@@ -156,37 +155,6 @@ impl Drop for HandlerGuard {
     }
 }
 
-/// Recomputes the interest cache from the currently installed handler
-/// (all-ones when none is installed, matching the registry default).
-///
-/// Runtime-mutable handlers — a [`HookStack`](crate::HookStack) whose
-/// entry list changed — call this after publishing their new state so
-/// the mechanisms' fast-path filter tracks the mutation. See the
-/// `stack` module docs for the ordering protocol (widen before swap on
-/// attach, swap before narrow on detach).
-pub fn refresh_global_interest() {
-    match global_handler() {
-        Some(h) => store_caches(&h.interest(), &h.leaves_alone()),
-        None => store_caches(&crate::InterestSet::all(), &crate::InterestSet::none()),
-    }
-}
-
-/// Widens the interest cache by OR-ing in `extra` without ever
-/// narrowing it. Used on the attach path *before* the new hook-stack
-/// state is published: a brief over-wide cache only delivers extra
-/// syscalls (benign by the interest contract), whereas a brief
-/// under-wide one would drop syscalls a live hook asked for.
-///
-/// A number it adds is no longer left alone: it leaves that cache first.
-pub fn widen_global_interest(extra: &crate::InterestSet) {
-    for (cache, word) in LEFT_ALONE_WORDS.iter().zip(extra.words()) {
-        cache.fetch_and(!word, Ordering::Relaxed);
-    }
-    for (cache, word) in INTEREST_WORDS.iter().zip(extra.words()) {
-        cache.fetch_or(word, Ordering::Relaxed);
-    }
-}
-
 /// Whether the installed handler is quarantined after panicking.
 static QUARANTINED: AtomicBool = AtomicBool::new(false);
 
@@ -212,6 +180,8 @@ fn quarantine_global() {
     QUARANTINE_EVENTS.fetch_add(1, Ordering::Relaxed);
     store_caches(&crate::InterestSet::none(), &crate::InterestSet::none());
     let msg = b"interpose: handler panicked; quarantined (syscalls pass through)\n";
+    // SAFETY: a raw write of a static buffer to stderr; it touches no
+    // memory of ours but the buffer it reads.
     unsafe {
         libc::write(2, msg.as_ptr().cast(), msg.len());
     }
@@ -481,35 +451,50 @@ mod tests {
         assert_eq!(global_handler().unwrap().name(), "passthrough");
     }
 
+    /// Installing a stack and restoring what it replaced (LIFO) leave
+    /// the caches equal to what the installed stack declared at install.
     #[test]
     fn installed_stack_mutations_track_interest_cache() {
         let _g = REGISTRY_LOCK.lock().unwrap();
+        set_global_handler(Box::new(PassthroughHandler));
         let stack = crate::HookStack::new();
-        let guard = install_handler(Box::new(stack.clone()));
-        // Empty stack: nothing is interesting.
-        assert!(!global_interested(syscalls::nr::GETPID));
-
-        let narrow = stack.attach(Box::new(OnlyOpenat), 0);
+        stack.attach(Box::new(OnlyOpenat), 0);
+        let guard = install_handler(Box::new(stack));
         assert!(global_interested(syscalls::nr::OPENAT));
         assert!(!global_interested(syscalls::nr::GETPID));
-
-        let wide = stack.attach_dynamic(Box::new(PassthroughHandler), 1);
-        assert!(global_interested(syscalls::nr::GETPID), "widened on attach");
-
-        assert!(stack.detach(wide));
-        assert!(!global_interested(syscalls::nr::GETPID), "narrowed on detach");
-        assert!(global_interested(syscalls::nr::OPENAT), "survivor keeps its set");
-
-        assert!(stack.detach(narrow));
-        assert!(!global_interested(syscalls::nr::OPENAT));
-        drop(guard);
-
-        // A *detached* stack's mutations must not touch the cache.
-        set_global_handler(Box::new(OnlyOpenat));
-        let loose = crate::HookStack::new();
-        loose.attach(Box::new(PassthroughHandler), 0);
+        assert!(!installed().unwrap().leaves_fp_env, "an undeclared entry");
+        {
+            // Nested (LIFO): an empty stack wants nothing and leaves
+            // everything alone.
+            let _empty = install_handler(Box::new(crate::HookStack::new()));
+            assert!(!global_interested(syscalls::nr::OPENAT));
+            assert!(installed().unwrap().leaves_fp_env);
+            assert_eq!(left_alone_words()[0].load(Ordering::Relaxed), u64::MAX);
+        }
+        assert!(global_interested(syscalls::nr::OPENAT));
         assert!(!global_interested(syscalls::nr::GETPID));
-        set_global_handler(Box::new(PassthroughHandler));
+        assert_eq!(left_alone_words()[0].load(Ordering::Relaxed), 0);
+        drop(guard);
+        assert!(global_interested(syscalls::nr::GETPID));
+        assert_eq!(global_handler().unwrap().name(), "passthrough");
+    }
+
+    #[test]
+    fn an_attach_after_install_is_refused() {
+        let _g = REGISTRY_LOCK.lock().unwrap();
+        let prev_hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        let stack = crate::HookStack::new();
+        stack.attach(Box::new(OnlyOpenat), 0);
+        let guard = install_handler(Box::new(stack.clone()));
+        let late = panic::catch_unwind(AssertUnwindSafe(|| {
+            stack.attach(Box::new(PassthroughHandler), 1)
+        }));
+        panic::set_hook(prev_hook);
+        assert!(late.is_err(), "the installed stack took a late entry");
+        assert_eq!(stack.len(), 1);
+        assert!(!global_interested(syscalls::nr::GETPID), "the cache never widened");
+        drop(guard);
     }
 
     #[test]

@@ -195,6 +195,7 @@ mod tests {
         assert_eq!(h.handle(&mut e), Action::Passthrough);
         assert_ne!(e.call.args[1], p.as_ptr() as u64, "pointer not swapped");
         // The substituted pointer reads back the replacement.
+        // SAFETY: the handler's NUL-terminated thread-local buffer.
         let got = unsafe { std::ffi::CStr::from_ptr(e.call.args[1] as *const i8) };
         assert_eq!(got.to_str().unwrap(), "/tmp/other");
     }

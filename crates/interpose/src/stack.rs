@@ -1,16 +1,14 @@
-//! Priority-ordered, runtime-mutable handler stacks.
+//! Priority-ordered handler stacks, built once.
 //!
-//! [`HookStack`] is the suite's one handler-composition primitive: a
-//! stack that can be **attached to and detached from while syscalls are
-//! in flight**. A build-once chain is the same stack with every entry
-//! attached at priority 0 before it is installed. Dispatch is lock-free:
-//! the stack's entry list lives behind one `AtomicPtr` to an immutable
-//! snapshot, so the hot path pays a single acquire load — mutations
-//! build a new snapshot off to the side and swap it in (RCU style).
-//! Replaced snapshots are intentionally leaked: a dispatch racing the
-//! swap may still hold the old pointer, and — like the registry's
-//! leaked handler boxes — there is no safe point to free them once
-//! rewritten code sites can fire on any thread.
+//! [`HookStack`] is the suite's one handler-composition primitive. Its
+//! entries are attached while it is built; the first read of the stack
+//! — a declaration ([`SyscallHandler::interest`],
+//! [`SyscallHandler::leaves_fp_env`], [`SyscallHandler::leaves_alone`]),
+//! a dispatch or a report — seals them, and an [`attach`] after that
+//! panics. Installing a stack reads its declarations, so a stack is
+//! sealed before any mechanism dispatches into it, and what it declares
+//! can never go stale. A dispatch reads the sealed entry list with one
+//! acquire load; the lock only guards building.
 //!
 //! # `call_next` semantics
 //!
@@ -23,39 +21,20 @@
 //! the redirected fd). `post` hooks run in the same order, folding the
 //! return value top to bottom.
 //!
-//! # Interest recomputation protocol
+//! # Declarations
 //!
-//! When a stack is installed as the process-global handler, the
-//! engine's fast path filters syscalls through the *cached* interest
-//! words (see [`global_interested`](crate::global_interested)) — so
-//! every mutation must keep that cache consistent with the entry list
-//! or a hook silently misses syscalls it asked for. The invariant:
-//! **delivering an extra syscall is benign, dropping one is not** (the
-//! interest set is an optimization, not a contract). Hence:
+//! A stack declares what its entries declare, like every wrapper: its
+//! interest is the union of theirs, it leaves the floating-point
+//! environment alone when every entry does, and it leaves alone the
+//! numbers every entry leaves alone. An empty stack wants nothing and
+//! leaves everything alone.
 //!
-//! - **Attach widens before the swap.** The cache is OR-ed with the new
-//!   union *first*, then the snapshot pointer is published, then the
-//!   cache is recomputed exactly. If the order were reversed, a syscall
-//!   arriving between swap and recompute could be filtered out even
-//!   though the new hook's entry is already live.
-//! - **Detach swaps before narrowing.** The snapshot without the hook
-//!   is published first; only then is the cache recomputed (narrowed).
-//!   Narrowing first would filter syscalls away from a hook still
-//!   visible to concurrent dispatches.
-//!
-//! Batch-rewrite gating needs no extra step: rewritten call sites
-//! funnel into the same `interpose_syscall` decision sequence, which
-//! consults the refreshed cache on every fault.
+//! [`attach`]: HookStack::attach
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::registry;
 use crate::{Action, InterestSet, SyscallEvent, SyscallHandler};
-
-/// Identifies one attached hook for later [`HookStack::detach`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct HookId(u64);
 
 /// Process-wide count of dynamically-loaded hook invocations (entries
 /// attached via [`HookStack::attach_dynamic`]); surfaced as
@@ -72,44 +51,34 @@ pub fn hook_dispatches() -> u64 {
 struct Entry {
     handler: Box<dyn SyscallHandler>,
     priority: i32,
-    seq: u64,
-    id: HookId,
     /// Loaded at runtime (counts toward `hooks_loaded`/`hook_dispatches`)
     /// rather than compiled in.
     dynamic: bool,
 }
 
-/// One immutable snapshot of the stack: the ordered entry list plus its
-/// precomputed interest union. Never mutated after publication.
-struct Snapshot {
-    entries: Vec<Arc<Entry>>,
+/// The sealed stack: the ordered entries and what they declare, read
+/// once.
+struct Sealed {
+    entries: Box<[Entry]>,
     interest: InterestSet,
-}
-
-impl Snapshot {
-    fn empty() -> Snapshot {
-        Snapshot {
-            entries: Vec::new(),
-            interest: InterestSet::none(),
-        }
-    }
+    leaves_fp_env: bool,
+    leaves_alone: InterestSet,
 }
 
 struct Shared {
-    /// Current snapshot; hot path does one acquire load. Old snapshots
-    /// leak (see module docs).
-    state: AtomicPtr<Snapshot>,
-    /// Serializes mutations only — never touched on dispatch.
-    mutate: Mutex<()>,
-    next_seq: AtomicU64,
+    /// The entries while the stack is built, in dispatch order; the
+    /// first read takes them into `sealed` under this lock, so an
+    /// `attach` either lands before the seal or finds `None`.
+    building: Mutex<Option<Vec<Entry>>>,
+    sealed: OnceLock<Sealed>,
 }
 
-/// A runtime-mutable, priority-ordered stack of [`SyscallHandler`]s.
+/// A priority-ordered stack of [`SyscallHandler`]s whose entries are
+/// fixed before it is used (module docs).
 ///
 /// `Clone` is shallow: clones share the same stack, so one clone can be
 /// installed as the global handler (via `Box<HookStack>`) while another
-/// keeps attach/detach access. See the module docs for dispatch and
-/// mutation semantics.
+/// keeps reporting on it.
 #[derive(Clone)]
 pub struct HookStack {
     shared: Arc<Shared>,
@@ -120,128 +89,92 @@ impl HookStack {
     pub fn new() -> HookStack {
         HookStack {
             shared: Arc::new(Shared {
-                state: AtomicPtr::new(Box::into_raw(Box::new(Snapshot::empty()))),
-                mutate: Mutex::new(()),
-                next_seq: AtomicU64::new(0),
+                building: Mutex::new(Some(Vec::new())),
+                sealed: OnceLock::new(),
             }),
         }
     }
 
-    fn snapshot(&self) -> &Snapshot {
-        // SAFETY: snapshots are published via Box::into_raw and never
-        // freed, so the pointee outlives every reader.
-        unsafe { &*self.shared.state.load(Ordering::Acquire) }
+    /// The sealed stack, sealing it on the first call.
+    #[inline]
+    fn sealed(&self) -> &Sealed {
+        self.shared.sealed.get_or_init(|| {
+            let entries = self
+                .shared
+                .building
+                .lock()
+                .unwrap()
+                .take()
+                .expect("sealed once");
+            let (mut interest, mut leaves_alone) = (InterestSet::none(), InterestSet::all());
+            for e in &entries {
+                interest = interest.union(&e.handler.interest());
+                leaves_alone = leaves_alone.intersection(&e.handler.leaves_alone());
+            }
+            Sealed {
+                interest,
+                leaves_alone,
+                leaves_fp_env: entries.iter().all(|e| e.handler.leaves_fp_env()),
+                entries: entries.into_boxed_slice(),
+            }
+        })
     }
 
-    /// Whether this stack (through any clone) is the installed
-    /// process-global handler, and mutations must therefore keep the
-    /// global interest cache in sync. Detached stacks — including
-    /// chains under construction and stacks nested inside another
-    /// handler — skip the cache entirely; their interest is read once
-    /// at whatever point they *are* installed.
-    fn is_installed(&self) -> bool {
-        registry::global_handler()
-            .and_then(|h| h.as_any())
-            .and_then(|a| a.downcast_ref::<HookStack>())
-            .is_some_and(|s| Arc::ptr_eq(&s.shared, &self.shared))
-    }
-
-    fn attach_entry(&self, handler: Box<dyn SyscallHandler>, priority: i32, dynamic: bool) -> HookId {
-        let _m = self.shared.mutate.lock().unwrap();
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        let id = HookId(seq);
-        let cur = self.snapshot();
-        let mut entries = cur.entries.clone();
-        entries.push(Arc::new(Entry {
-            handler,
-            priority,
-            seq,
-            id,
-            dynamic,
-        }));
-        entries.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
-        let interest = entries
-            .iter()
-            .fold(InterestSet::none(), |acc, e| acc.union(&e.handler.interest()));
-        let next = Box::into_raw(Box::new(Snapshot { entries, interest }));
-        if self.is_installed() {
-            // Widen-before-swap (module docs): after this point the
-            // cache already admits everything the new entry wants, so
-            // no syscall arriving between the swap and the exact
-            // recompute is filtered.
-            registry::widen_global_interest(&interest);
-            self.shared.state.store(next, Ordering::Release);
-            registry::refresh_global_interest();
-        } else {
-            self.shared.state.store(next, Ordering::Release);
-        }
-        id
+    fn attach_entry(&self, handler: Box<dyn SyscallHandler>, priority: i32, dynamic: bool) {
+        let mut building = self.shared.building.lock().unwrap();
+        let Some(entries) = building.as_mut() else {
+            drop(building);
+            panic!(
+                "HookStack::attach of {:?} after the stack was read: its entries are fixed",
+                handler.name()
+            );
+        };
+        let at = entries.partition_point(|e| e.priority >= priority);
+        entries.insert(
+            at,
+            Entry {
+                handler,
+                priority,
+                dynamic,
+            },
+        );
     }
 
     /// Attaches a compiled-in handler at `priority` (higher runs
-    /// earlier; ties run in attach order). Safe while dispatches are in
-    /// flight on other threads.
-    pub fn attach(&self, handler: Box<dyn SyscallHandler>, priority: i32) -> HookId {
+    /// earlier; ties run in attach order).
+    ///
+    /// # Panics
+    ///
+    /// If the stack was already read (module docs).
+    pub fn attach(&self, handler: Box<dyn SyscallHandler>, priority: i32) {
         self.attach_entry(handler, priority, false)
     }
 
     /// Attaches a dynamically-loaded hook (same semantics as
     /// [`HookStack::attach`], but the entry counts toward
     /// `hooks_loaded` and its invocations toward [`hook_dispatches`]).
-    pub fn attach_dynamic(&self, handler: Box<dyn SyscallHandler>, priority: i32) -> HookId {
+    pub fn attach_dynamic(&self, handler: Box<dyn SyscallHandler>, priority: i32) {
         self.attach_entry(handler, priority, true)
     }
 
-    /// Detaches the hook identified by `id`; returns `false` if it was
-    /// already gone. Detach is asynchronous with respect to concurrent
-    /// dispatches: one that already loaded the old snapshot may invoke
-    /// the hook a final time, so hook code must stay valid (loaded
-    /// libraries are never `dlclose`d).
-    pub fn detach(&self, id: HookId) -> bool {
-        let _m = self.shared.mutate.lock().unwrap();
-        let cur = self.snapshot();
-        if !cur.entries.iter().any(|e| e.id == id) {
-            return false;
-        }
-        let entries: Vec<Arc<Entry>> = cur
-            .entries
-            .iter()
-            .filter(|e| e.id != id)
-            .cloned()
-            .collect();
-        let interest = entries
-            .iter()
-            .fold(InterestSet::none(), |acc, e| acc.union(&e.handler.interest()));
-        let next = Box::into_raw(Box::new(Snapshot { entries, interest }));
-        // Swap-before-narrow (module docs): the cache keeps admitting
-        // the detached hook's syscalls until the snapshot without it is
-        // the one every dispatch sees.
-        self.shared.state.store(next, Ordering::Release);
-        if self.is_installed() {
-            registry::refresh_global_interest();
-        }
-        true
-    }
-
-    /// Number of attached entries.
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        self.snapshot().entries.len()
+        self.sealed().entries.len()
     }
 
     /// Whether the stack has no entries.
     pub fn is_empty(&self) -> bool {
-        self.snapshot().entries.is_empty()
+        self.sealed().entries.is_empty()
     }
 
-    /// Number of dynamically-loaded entries currently attached — the
-    /// `hooks_loaded` gauge.
+    /// Number of dynamically-loaded entries — the `hooks_loaded` gauge.
     pub fn dynamic_len(&self) -> usize {
-        self.snapshot().entries.iter().filter(|e| e.dynamic).count()
+        self.sealed().entries.iter().filter(|e| e.dynamic).count()
     }
 
     /// `(name, priority)` per entry in dispatch order, for reports.
     pub fn entries(&self) -> Vec<(String, i32)> {
-        self.snapshot()
+        self.sealed()
             .entries
             .iter()
             .map(|e| (e.handler.name().to_string(), e.priority))
@@ -257,7 +190,7 @@ impl Default for HookStack {
 
 impl std::fmt::Debug for HookStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
+        let s = self.sealed();
         write!(
             f,
             "HookStack(len={}, dynamic={}, interest={})",
@@ -270,7 +203,7 @@ impl std::fmt::Debug for HookStack {
 
 impl SyscallHandler for HookStack {
     fn handle(&self, event: &mut SyscallEvent) -> Action {
-        for e in &self.snapshot().entries {
+        for e in &self.sealed().entries {
             if e.dynamic {
                 HOOK_DISPATCHES.fetch_add(1, Ordering::Relaxed);
             }
@@ -283,7 +216,7 @@ impl SyscallHandler for HookStack {
     }
 
     fn post(&self, event: &SyscallEvent, ret: u64) -> u64 {
-        self.snapshot()
+        self.sealed()
             .entries
             .iter()
             .fold(ret, |acc, e| e.handler.post(event, acc))
@@ -294,11 +227,15 @@ impl SyscallHandler for HookStack {
     }
 
     fn interest(&self) -> InterestSet {
-        self.snapshot().interest
+        self.sealed().interest
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn leaves_fp_env(&self) -> bool {
+        self.sealed().leaves_fp_env
+    }
+
+    fn leaves_alone(&self) -> InterestSet {
+        self.sealed().leaves_alone
     }
 }
 
@@ -410,24 +347,39 @@ mod tests {
     }
 
     #[test]
-    fn attach_detach_update_interest_and_len() {
+    fn declarations_are_what_every_entry_declares() {
+        struct LeavesAlone(InterestSet);
+        impl SyscallHandler for LeavesAlone {
+            fn handle(&self, _: &mut SyscallEvent) -> Action {
+                Action::Passthrough
+            }
+            fn interest(&self) -> InterestSet {
+                InterestSet::none()
+            }
+            fn leaves_alone(&self) -> InterestSet {
+                self.0
+            }
+        }
+        let empty = HookStack::new();
+        assert!(empty.leaves_alone().is_all() && empty.leaves_fp_env());
+
         let s = HookStack::new();
-        let a = s.attach(
-            Box::new(PolicyBuilder::allow_by_default().deny(nr::EXECVE).build()),
+        s.attach(
+            Box::new(LeavesAlone(InterestSet::of(&[
+                nr::READ,
+                nr::WRITE,
+                nr::GETPID,
+            ]))),
             0,
         );
-        assert!(s.interest().contains(nr::EXECVE));
-        assert!(!s.interest().contains(nr::READ));
-        let b = s.attach_dynamic(Box::new(CountHandler::new()), 1);
-        assert!(s.interest().is_all());
-        assert_eq!((s.len(), s.dynamic_len()), (2, 1));
-
-        assert!(s.detach(b));
-        assert!(!s.detach(b), "double detach reports gone");
-        assert_eq!((s.len(), s.dynamic_len()), (1, 0));
-        assert!(!s.interest().contains(nr::READ), "interest narrowed back");
-        assert!(s.detach(a));
-        assert!(s.is_empty());
+        s.attach_dynamic(
+            Box::new(LeavesAlone(InterestSet::of(&[nr::WRITE, nr::GETPID]))),
+            3,
+        );
+        s.attach(Box::new(LeavesAlone(InterestSet::all())), -1);
+        assert_eq!(s.leaves_alone(), InterestSet::of(&[nr::WRITE, nr::GETPID]));
+        assert!(s.interest().is_empty());
+        assert_eq!((s.len(), s.dynamic_len()), (3, 1));
     }
 
     #[test]
@@ -447,7 +399,10 @@ mod tests {
         let other = s.clone();
         s.attach(Box::new(CountHandler::new()), 0);
         assert_eq!(other.len(), 1);
-        assert_eq!(format!("{other:?}"), "HookStack(len=1, dynamic=0, interest=512)");
+        assert_eq!(
+            format!("{other:?}"),
+            "HookStack(len=1, dynamic=0, interest=512)"
+        );
     }
 
     #[test]

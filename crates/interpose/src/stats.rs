@@ -109,16 +109,12 @@ stats_snapshot! {
     /// guards one with `WRPKRU`. Kept because existing readers (the
     /// hardened row's wire format, CI's hardened check) name it.
     pkru_switches,
-    /// Dynamically loaded hooks currently attached to the handler stack
+    /// Dynamically loaded hooks in the handler stack
     /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
     hooks_loaded,
     /// Syscall events dispatched into dynamically loaded hooks since
     /// install (one count per hook per event that reaches it).
     hook_dispatches,
-    /// Hook libraries reloaded by the `LP_HOOKS_WATCH` mtime watcher
-    /// since install (nonzero only under `+hooks` with the watcher
-    /// enabled).
-    hook_reloads,
     /// Syscall-flow transition checks performed since install (nonzero
     /// only under a `+sfip` layer).
     sfip_checks,

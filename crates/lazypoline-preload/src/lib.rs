@@ -68,7 +68,8 @@ static CACHE: OnceLock<SiteCache> = OnceLock::new();
 /// `count` mode's handler: asks for nothing, so every call it would
 /// have counted leaves from the entry stub's miss exit, which counts it
 /// by number in the engine's dispatch rows. The dump's top-syscalls
-/// table reads those ([`lazypoline::dispatches_by_number`]).
+/// table reads those ([`lazypoline::dispatches_by_number`]). It leaves
+/// every call alone, so under `+record` they take the record exit.
 struct CountMode;
 
 impl SyscallHandler for CountMode {
@@ -80,6 +81,9 @@ impl SyscallHandler for CountMode {
     }
     fn leaves_fp_env(&self) -> bool {
         true
+    }
+    fn leaves_alone(&self) -> InterestSet {
+        InterestSet::all()
     }
 }
 
@@ -310,6 +314,14 @@ mod tests {
         assert!(until_exit(Box::new(CountMode)).leaves_fp_env());
         assert!(until_exit(Box::new(TraceHandler::with_sink(TraceSink::Null))).leaves_fp_env());
         assert!(!until_exit(Box::new(Undeclared)).leaves_fp_env());
+
+        // What the window leaves alone: every number below 512 but
+        // `exit_group`, the same over count mode as over passthrough.
+        let mut window = InterestSet::all();
+        window.remove(nr::EXIT_GROUP);
+        assert_eq!(until_exit(Box::new(PassthroughHandler)).leaves_alone(), window);
+        assert_eq!(until_exit(Box::new(CountMode)).leaves_alone(), window);
+        assert!(until_exit(Box::new(Undeclared)).leaves_alone().is_empty());
     }
 
     /// Count mode's table: the 15 busiest numbers, busiest first, ties

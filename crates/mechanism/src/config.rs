@@ -9,7 +9,7 @@
 //! malformed value, whatever layers the name carries — a typo never
 //! waits for the sibling variable that would make it matter.
 //!
-//! [`KNOBS`] lists the fourteen variables; EXPERIMENTS.md's runtime-knob
+//! [`KNOBS`] lists the thirteen variables; EXPERIMENTS.md's runtime-knob
 //! table carries the same names and accepted values, and a unit test
 //! holds the two equal.
 
@@ -27,8 +27,6 @@ use crate::{InstallError, Mechanism};
 
 /// `LP_HOOKS` ([`KNOBS`] describes every variable).
 pub const HOOKS_ENV: &str = "LP_HOOKS";
-/// `LP_HOOKS_WATCH`.
-pub const HOOKS_WATCH_ENV: &str = "LP_HOOKS_WATCH";
 /// `LP_TRACE_OUT`: a literal `%p` in it is the pid (the `valgrind
 /// --log-file` convention), so a process tree that inherits one value
 /// leaves one trace each (see [`replay::Recorder`]).
@@ -43,13 +41,12 @@ const SITE_CACHE_ENV: &str = "LP_SITE_CACHE";
 /// Every runtime variable and what it accepts (as [`ConfigError`]
 /// prints it), in [`EnvConfig`]'s field order. A path takes any bytes;
 /// every other value must be UTF-8.
-pub const KNOBS: [(&str, &str); 14] = [
+pub const KNOBS: [(&str, &str); 13] = [
     (ENV_VAR, "a registered name: base(+layer)* or replay:<trace-path>"),
     (MODE_ENV, "passthrough, trace or count"),
     (STATS_ENV, "0 or 1"),
     (FAULTS_ENV, "site:schedule[:ERRNO],… with site one of trampoline_install, patch_mprotect, sud_enroll, selector_write, slowpath_emulate, seccomp_install, handler_panic"),
     (HOOKS_ENV, "lib.so[:prio],…"),
-    (HOOKS_WATCH_ENV, "0 or 1"),
     (TRACE_OUT_ENV, "a path; %p is the pid"),
     (replay::DRAIN_ENV, "async or sync"),
     (ring::LP_RING_CAPACITY, "a power of two in [64, 4194304]"),
@@ -125,8 +122,6 @@ pub struct EnvConfig {
     pub faults: Vec<Fault>,
     /// `LP_HOOKS`: a `hookabi::parse_specs` spec.
     pub hooks: String,
-    /// `LP_HOOKS_WATCH`.
-    pub hooks_watch: bool,
     /// `LP_TRACE_OUT`.
     pub trace_out: Option<PathBuf>,
     /// `LP_DRAIN`.
@@ -176,7 +171,6 @@ impl EnvConfig {
             hooks: field(f, HOOKS_ENV, String::new(), |v| {
                 hookabi::parse_specs(v).ok().map(|_| v.to_string())
             })?,
-            hooks_watch: field(f, HOOKS_WATCH_ENV, false, switch)?,
             trace_out: os_field(f, TRACE_OUT_ENV, None, path)?,
             drain: field(f, replay::DRAIN_ENV, DrainMode::Async, DrainMode::from_name)?,
             ring_capacity: field(f, ring::LP_RING_CAPACITY, None, |v| {
@@ -268,7 +262,6 @@ mod tests {
                 stats: false,
                 faults: Vec::new(),
                 hooks: String::new(),
-                hooks_watch: false,
                 trace_out: None,
                 drain: DrainMode::Async,
                 ring_capacity: None,
@@ -310,8 +303,6 @@ mod tests {
                 },
             ),
             (HOOKS_ENV, "hook_count:20,hook_openat", EnvConfig { hooks: "hook_count:20,hook_openat".into(), ..d() }),
-            (HOOKS_WATCH_ENV, "0", d()),
-            (HOOKS_WATCH_ENV, "1", EnvConfig { hooks_watch: true, ..d() }),
             // A path has no typo: any value names one.
             (TRACE_OUT_ENV, "/tmp/t.%p.lpt", EnvConfig { trace_out: path("/tmp/t.%p.lpt"), ..d() }),
             (replay::DRAIN_ENV, "async", d()),
@@ -338,7 +329,6 @@ mod tests {
             (STATS_ENV, "yes"),
             (FAULTS_ENV, "patch_mprotect:evry=3"),
             (HOOKS_ENV, "hook_count,"),
-            (HOOKS_WATCH_ENV, "yes"),
             (replay::DRAIN_ENV, "asnyc"),
             (ring::LP_RING_CAPACITY, "1000"),
             (ring::LP_RING_CAPACITY, "abc"),

@@ -8,8 +8,8 @@
 //! the same instance.
 //!
 //! Each layer's payload code stays in its own module — the recorder
-//! session and replay state in `record_replay`, `hookabi` loading and
-//! the mtime watcher in `hooks`, policy loading in `sfip`; this module
+//! session and replay state in `record_replay`, `hookabi` loading in
+//! `hooks`, policy loading in `sfip`; this module
 //! only sequences them.
 
 use std::path::PathBuf;
@@ -76,7 +76,7 @@ pub(crate) enum LayerGuard {
     Record(Option<replay::Recorder>),
     /// `replay:<path>`: the shared replay progress state.
     Replay(Arc<replay::ReplayState>),
-    /// `+hooks`: the stack, its loaded hooks and their watcher.
+    /// `+hooks`: the stack and its loaded hooks.
     Hooks(hooks::HooksGuard),
     /// `+sfip`: the violation action.
     Sfip(::sfip::ViolationAction),
@@ -119,14 +119,6 @@ impl LayerGuard {
             *session = record_replay::open_session(base_name, cfg)?;
         }
         Ok(())
-    }
-
-    /// Runs right after the base armed: what must not predate it (the
-    /// `+hooks` watcher thread).
-    fn armed(&mut self) {
-        if let LayerGuard::Hooks(h) = self {
-            h.start_watcher();
-        }
     }
 }
 
@@ -232,9 +224,6 @@ impl Mechanism for Composed {
         let mut active = base.install_with(handler, cfg)?;
         active.name = self.key;
         active.layers = guards;
-        for guard in &mut active.layers {
-            guard.armed();
-        }
         Ok(active)
     }
 }

@@ -40,7 +40,7 @@
 //! |-------|---------|
 //! | `base` | any static row, or `replay:<trace-path>` (deterministic replay of a recorded trace; the path is the whole remainder, so it takes no layers) |
 //! | `+record` | the flight recorder around the handler (`LP_TRACE_OUT=<path>` also drains the rings into a trace file) |
-//! | `+hooks` | a runtime [`interpose::HookStack`] as the handler: what is below it at priority 0, plus every `lp_hook_v1` library named by `LP_HOOKS` |
+//! | `+hooks` | an [`interpose::HookStack`] as the handler: what is below it at priority 0, plus every `lp_hook_v1` library named by `LP_HOOKS` |
 //! | `+sfip` | syscall-flow-integrity enforcement of the learned `LPSFIP1` policy named by `LP_SFIP_POLICY` |
 //!
 //! Each layer appears at most once. Written order is event flow, left
@@ -63,6 +63,7 @@
 //! in a process's lifetime.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod config;
 mod hooks;
@@ -72,9 +73,7 @@ mod record_replay;
 mod sfip;
 mod traits;
 
-pub use config::{
-    ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, HOOKS_WATCH_ENV, KNOBS, TRACE_OUT_ENV,
-};
+pub use config::{ConfigError, EnvConfig, HandlerMode, HOOKS_ENV, KNOBS, TRACE_OUT_ENV};
 pub use interpose::StatsSnapshot;
 use interpose::SyscallHandler;
 use layer::LayerGuard;
@@ -176,12 +175,11 @@ impl From<ConfigError> for InstallError {
 
 /// A live installation: handler registered, mechanism armed.
 ///
-/// Teardown runs on drop, and its order is load-bearing: each `+hooks`
-/// layer goes first (its watcher thread stops, then its hooks detach
-/// and `fini` while the base still holds the stack installed); then the
-/// base disarms (mechanism first, then handler restoration), so its
-/// last events land in the rings; only then do the remaining layer
-/// guards drop, which is where a `+record` session's final drain runs.
+/// Teardown runs on drop, in field order: the base disarms (mechanism
+/// first, then handler restoration), so its last events land in the
+/// rings; then each layer guard drops, which is where a `+record`
+/// session's final drain runs and a `+hooks` layer's hooks run their
+/// `fini`, with nothing dispatching into them any more.
 #[must_use = "dropping the guard immediately tears the mechanism down"]
 pub struct ActiveMechanism {
     name: &'static str,
@@ -212,16 +210,9 @@ fn totals(inner: &native::NativeActive) -> StatsSnapshot {
         ring_near_full: replay::ring::total_near_full(),
         replay_divergences: replay::replay_divergences(),
         hook_dispatches: interpose::hook_dispatches(),
-        hook_reloads: hooks::hook_reloads(),
         sfip_checks: ::sfip::checks(),
         sfip_violations: ::sfip::violations(),
         ..base
-    }
-}
-
-impl Drop for ActiveMechanism {
-    fn drop(&mut self) {
-        self.layers.retain(|g| !matches!(g, LayerGuard::Hooks(_)));
     }
 }
 
@@ -234,13 +225,6 @@ impl ActiveMechanism {
             inner,
             layers: Vec::new(),
         }
-    }
-
-    fn hooks(&self) -> Option<&hooks::HooksGuard> {
-        self.layers.iter().find_map(|g| match g {
-            LayerGuard::Hooks(h) => Some(h),
-            _ => None,
-        })
     }
 
     /// The registry key of the installed mechanism.
@@ -260,28 +244,13 @@ impl ActiveMechanism {
         s
     }
 
-    /// The runtime hook stack of a `+hooks` layer — a clone shares
-    /// state with the installed handler, so attaching/detaching through
-    /// it mutates live dispatch. `None` without that layer.
+    /// The hook stack of a `+hooks` layer, sealed: a clone of the
+    /// installed handler, for reports. `None` without that layer.
     pub fn hook_stack(&self) -> Option<&interpose::HookStack> {
-        self.hooks().map(hooks::HooksGuard::stack)
-    }
-
-    /// The dynamically loaded hooks of a `+hooks` layer:
-    /// `(id, name, priority)` per hook, in load order. Empty without
-    /// that layer.
-    pub fn loaded_hooks(&self) -> Vec<(interpose::HookId, String, i32)> {
-        self.hooks()
-            .map(hooks::HooksGuard::loaded)
-            .unwrap_or_default()
-    }
-
-    /// Detaches one dynamically loaded hook mid-flight: removes it from
-    /// the stack (narrowing the interest cache after the swap) and runs
-    /// its `fini`. Returns `false` if the id is unknown or already
-    /// detached, or there is no `+hooks` layer.
-    pub fn detach_hook(&mut self, id: interpose::HookId) -> bool {
-        self.hooks().is_some_and(|h| h.detach_hook(id))
+        self.layers.iter().find_map(|g| match g {
+            LayerGuard::Hooks(h) => Some(h.stack()),
+            _ => None,
+        })
     }
 
     /// Ends a `+record` layer's trace session early, returning the
@@ -483,14 +452,12 @@ mod tests {
         assert_eq!(s.hook_dispatches, 0);
         let stack = active.hook_stack().expect("+hooks exposes its stack");
         assert_eq!(stack.len(), 1, "compiled-in handler only");
-        assert!(active.loaded_hooks().is_empty());
         // Non-hooks backends expose no stack.
         let plain = by_name("none")
             .unwrap()
             .install_with(Box::new(interpose::PassthroughHandler), &EnvConfig::default())
             .unwrap();
         assert!(plain.hook_stack().is_none());
-        assert!(plain.loaded_hooks().is_empty());
     }
 
     #[test]
@@ -575,7 +542,7 @@ mod tests {
         let base = StatsSnapshot {
             dispatches: 5,
             sfip_checks: 5,
-            hook_reloads: 9,
+            hook_dispatches: 9,
             ..StatsSnapshot::default()
         };
         let now = StatsSnapshot {
@@ -583,13 +550,13 @@ mod tests {
             sfip_mode: "count",
             dispatches: 12,
             sfip_checks: 12,
-            hook_reloads: 3,
+            hook_dispatches: 3,
             ..StatsSnapshot::default()
         };
         let d = now.since(&base);
         assert_eq!((d.mechanism, d.sfip_mode), ("x", "count"));
         assert_eq!((d.dispatches, d.sfip_checks), (7, 7));
-        assert_eq!(d.hook_reloads, 0, "saturates, never wraps");
+        assert_eq!(d.hook_dispatches, 0, "saturates, never wraps");
         assert_eq!(d.counters().map(|(_, v)| v).sum::<u64>(), 14);
     }
 
@@ -626,7 +593,6 @@ mod tests {
                 "pkru_switches",
                 "hooks_loaded",
                 "hook_dispatches",
-                "hook_reloads",
                 "sfip_checks",
                 "sfip_violations",
             ]

@@ -196,6 +196,7 @@ impl Mechanism for NativeBackend {
                 let old = unsafe { sud::sigsys::install_sigsys_handler(raw_sud_handler) }
                     .map_err(InstallError::Io)?;
                 if let Err(e) = sud::enable_thread() {
+                    // SAFETY: restoring the disposition just replaced.
                     unsafe { libc::sigaction(libc::SIGSYS, &old, std::ptr::null_mut()) };
                     return Err(InstallError::Io(e));
                 }

@@ -1,6 +1,5 @@
-//! Integration tests for the runtime hook stack: loading `lp_hook_v1`
-//! cdylibs, every load failure mode, panic quarantine for loaded hooks,
-//! and attach/detach racing a dispatch-heavy workload.
+//! Integration tests for the hook stack: loading `lp_hook_v1` cdylibs,
+//! every load failure mode, and panic quarantine for loaded hooks.
 //!
 //! The example hook libraries under `examples/hook_*` are workspace
 //! default-members, so `target/<profile>/libhook_*.so` exists by the
@@ -10,15 +9,13 @@
 //! dispatch sequence (`interpose_syscall`) directly, which is the same
 //! decision path the engines run.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use lazypoline_suite::hookabi::{self, HookLoadError, HookSpec, LoadedHook, LP_HOOK_ABI_V1};
-use lazypoline_suite::mechanism;
 use lazypoline_suite::interpose::{
-    self, global_interested, install_handler, interpose_syscall, quarantined_handlers,
-    CountHandler, HookStack, SyscallHandler,
+    self, install_handler, interpose_syscall, quarantined_handlers, CountHandler, HookStack,
+    SyscallHandler,
 };
 use lazypoline_suite::syscalls::{nr, SyscallArgs};
 use proptest::collection::vec;
@@ -156,142 +153,6 @@ fn loaded_hook_panic_is_quarantined_not_fatal() {
     assert_eq!(counter.count(nr::GETPID), 1, "quarantined: handler skipped");
     assert_eq!(quarantined_handlers(), before + 1);
     drop(guard);
-}
-
-#[test]
-fn attach_detach_races_dispatch_heavy_workload() {
-    let _g = REGISTRY_LOCK.lock().unwrap();
-
-    const THREADS: usize = 3;
-    const CALLS: u64 = 4000;
-    const CHURNS: usize = 300;
-
-    let stack = HookStack::new();
-    let counter = CountHandler::new();
-    stack.attach(Box::new(counter.clone()), 0);
-    let churner = stack.clone();
-    let guard = install_handler(Box::new(stack));
-
-    static STOP: AtomicU64 = AtomicU64::new(0);
-    STOP.store(0, Ordering::SeqCst);
-
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            s.spawn(|| {
-                for i in 0..CALLS {
-                    assert_eq!(dispatch(nr::GETPID, i), i);
-                }
-                STOP.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Churn: repeatedly attach a freshly-loaded hook above and
-        // below the compiled-in handler, then detach it, while the
-        // workload threads hammer the dispatch path.
-        let mut churns = 0;
-        while STOP.load(Ordering::SeqCst) < THREADS as u64 || churns < CHURNS {
-            let mut hooks = hookabi::load_from_spec("hook_noop").unwrap();
-            let id = churner.attach_dynamic(Box::new(hooks.pop().unwrap()), {
-                if churns % 2 == 0 {
-                    100
-                } else {
-                    -100
-                }
-            });
-            assert!(global_interested(nr::GETPID), "mid-churn interest");
-            assert!(churner.detach(id));
-            churns += 1;
-            if churns >= CHURNS * 10 {
-                break; // safety valve; workload threads are done soon
-            }
-        }
-        assert!(churns >= CHURNS, "churner must actually race the workload");
-    });
-
-    // Detach narrows by recomputation, never below the surviving
-    // handlers' union: the compiled-in counter (interest: all) must
-    // have seen every single dispatch.
-    assert_eq!(counter.count(nr::GETPID), THREADS as u64 * CALLS);
-    assert!(global_interested(nr::GETPID));
-    drop(guard);
-}
-
-#[test]
-fn watcher_hot_reloads_hooks_racing_live_dispatch() {
-    let _g = REGISTRY_LOCK.lock().unwrap();
-
-    // A private copy of the hook library, so bumping it can't perturb
-    // the shared build artifact other tests load.
-    let orig = hookabi::resolve_library("hook_count");
-    let tmp = std::env::temp_dir().join(format!("lp_watch_hook_{}.so", std::process::id()));
-    std::fs::copy(&orig, &tmp).unwrap();
-
-    std::env::set_var(mechanism::HOOKS_ENV, tmp.display().to_string());
-    std::env::set_var(mechanism::HOOKS_WATCH_ENV, "1");
-    let counter = CountHandler::new();
-    let active = mechanism::by_name("none+hooks")
-        .expect("+hooks name parses")
-        .install(Box::new(counter.clone()))
-        .expect("hooks install");
-    std::env::remove_var(mechanism::HOOKS_ENV);
-    std::env::remove_var(mechanism::HOOKS_WATCH_ENV);
-
-    let stack = active.hook_stack().expect("+hooks exposes the stack").clone();
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = AtomicU64::new(0);
-
-    std::thread::scope(|s| {
-        // Dispatch-heavy workload threads hammer the stack the whole
-        // time the watcher is swapping the hook out from under them.
-        for _ in 0..3 {
-            let stack = stack.clone();
-            let stop = Arc::clone(&stop);
-            let total = &total;
-            s.spawn(move || {
-                let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let mut ev =
-                        interpose::SyscallEvent::new(SyscallArgs::nullary(nr::GETPID));
-                    stack.handle(&mut ev);
-                    n += 1;
-                }
-                total.fetch_add(n, Ordering::SeqCst);
-            });
-        }
-        // Churn: atomically replace the library (rename-over — the
-        // watcher never sees a half-written file) until it has been
-        // hot-reloaded a few times mid-dispatch.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while active.stats().hook_reloads < 3 && Instant::now() < deadline {
-            let staging = tmp.with_extension("staging");
-            std::fs::copy(&orig, &staging).unwrap();
-            std::fs::rename(&staging, &tmp).unwrap();
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        stop.store(true, Ordering::SeqCst);
-    });
-
-    let stats = active.stats();
-    assert!(
-        stats.hook_reloads >= 1,
-        "LP_HOOKS_WATCH never reloaded the changed library: {stats:?}"
-    );
-    assert_eq!(stats.hooks_loaded, 1, "reload swaps, never duplicates");
-    assert_eq!(
-        active.loaded_hooks().len(),
-        1,
-        "the watched-hook ledger tracks the swap"
-    );
-    // The reload window may hide the *dynamic* hook from a few events,
-    // but the compiled-in handler at priority 0 must miss nothing.
-    let dispatched = total.load(Ordering::SeqCst);
-    assert!(dispatched > 0, "workload threads never ran");
-    assert_eq!(
-        counter.count(nr::GETPID),
-        dispatched,
-        "dispatches lost across hot reloads"
-    );
-    drop(active);
-    std::fs::remove_file(&tmp).unwrap();
 }
 
 #[test]

@@ -1107,7 +1107,6 @@ fn bad_configuration_runs_uninterposed() {
         ("LAZYPOLINE_STATS", "yes", "LAZYPOLINE_STATS"),
         ("LAZYPOLINE_FAULTS", "patch_mprotect:evry=3", "LAZYPOLINE_FAULTS"),
         ("LP_HARDEN_POLICY", "qaurantine", "LP_HARDEN_POLICY"),
-        ("LP_HOOKS_WATCH", "yes", "LP_HOOKS_WATCH"),
         ("LP_SFIP_ORIGINS", "on", "LP_SFIP_ORIGINS"),
         ("LP_SFIP_POLICY_ACTION", "cuont", "LP_SFIP_POLICY_ACTION"),
         ("LP_RING_CAPACITY", "1000", "LP_RING_CAPACITY"),
