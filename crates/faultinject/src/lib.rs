@@ -358,14 +358,14 @@ pub fn parse_spec(spec: &str) -> Option<Vec<Fault>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
     // The registry is process-global; serialize tests that arm sites.
     static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disarmed_is_silent() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         for site in ALL_SITES {
             assert_eq!(check(site), None);
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn nth_schedule_fires_once() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         arm(Site::TrampolineInstall, Schedule::Nth(3), Some(EINVAL));
         let fired: Vec<bool> = (0..6)
@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn every_nth_schedule_repeats() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         arm(Site::PatchMprotect, Schedule::EveryNth(2), None);
         let fired: Vec<bool> = (0..6).map(|_| check(Site::PatchMprotect).is_some()).collect();
@@ -401,7 +401,7 @@ mod tests {
 
     #[test]
     fn first_k_schedule_fails_prefix() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         let before = injected(Site::SlowpathEmulate);
         arm(Site::SlowpathEmulate, Schedule::FirstK(2), None);
@@ -414,7 +414,7 @@ mod tests {
 
     #[test]
     fn rearm_resets_hits_but_keeps_injected() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         arm(Site::SudEnroll, Schedule::Nth(1), Some(EACCES));
         assert_eq!(check(Site::SudEnroll), Some(EACCES));
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn hardened_sites_parse_from_spec() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         let faults = parse_spec("seccomp_install:first=1:EINVAL").unwrap();
         assert_eq!(faults.len(), 1);
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn spec_parsing_arms_sites() {
-        let _g = LOCK.lock().unwrap();
+        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         let faults = parse_spec("trampoline_install:first=1,patch_mprotect:every=3:ENOMEM").unwrap();
         assert_eq!(faults.len(), 2);

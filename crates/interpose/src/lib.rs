@@ -38,8 +38,8 @@ pub use interest::InterestSet;
 pub use latency::{LatencyHandler, LATENCY_BUCKETS};
 pub use policy::{PolicyBuilder, PolicyHandler};
 pub use registry::{
-    global_handler, global_interested, install_handler, interest_words, interpose_event,
-    interpose_syscall, left_alone_words, quarantined_handlers, set_global_handler, HandlerGuard,
+    exit, exit_byte, global_handler, global_interested, install_handler, interpose_event,
+    interpose_syscall, quarantined_handlers, set_global_handler, set_routed, HandlerGuard, EXITS,
 };
 pub use remap::{PathRemapHandler, MAX_PATH};
 pub use stack::{hook_dispatches, HookStack};
@@ -131,7 +131,7 @@ pub trait SyscallHandler: Send + Sync {
     /// The syscall numbers this handler wants delivered.
     ///
     /// Mechanisms consult this **once at registration time** (the set
-    /// is cached next to the handler pointer) and skip the handler —
+    /// is stored in the registry's exit table) and skip the handler —
     /// no event construction, no virtual call, no post hook — for
     /// numbers outside it. Handlers that inspect everything keep the
     /// default; handlers scoped to specific syscalls (policies,

@@ -16,14 +16,14 @@
 //! would take the whole process down for a bug in *policy* code.
 //! [`interpose_event`] therefore runs both `handle` and `post` under
 //! [`std::panic::catch_unwind`]; the first panic **quarantines**
-//! the handler — it is atomically disabled, its interest cache is
-//! zeroed (so the fast path stops even consulting it), the event is
+//! the handler — it is atomically disabled, its exit bytes keep only
+//! `ROUTED` (so the fast path stops even consulting it), the event is
 //! counted, and the intercepted syscall passes through unmodified.
 //! Installing a handler via [`set_global_handler`] lifts the
 //! quarantine.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, Ordering};
 
 use syscalls::SyscallArgs;
 
@@ -39,66 +39,94 @@ struct Installed {
 
 static GLOBAL: AtomicPtr<Installed> = AtomicPtr::new(std::ptr::null_mut());
 
-/// The installed handler's [`InterestSet`], cached as raw words so the
-/// hot path pays one relaxed load and a bit test instead of a virtual
-/// `interest()` call per syscall. All-ones when no handler is
+/// The bits of an exit byte ([`EXITS`]).
+pub mod exit {
+    /// In the handler's `interest()`: the bit `global_interested` reads.
+    pub const WANTED: u8 = 1 << 0;
+    /// In `interest() ∩ leaves_alone()`: the stack only records it.
+    pub const RECORDED_ONLY: u8 = 1 << 1;
+    /// Seen by the mechanism whatever the interest (`set_routed`).
+    pub const ROUTED: u8 = 1 << 2;
+}
+
+/// One exit byte per syscall number ([`exit`]'s bits), read instead of
+/// the handler's declarations: `WANTED` everywhere while no handler is
 /// registered (an unfiltered mechanism must still reach
 /// [`interpose_event`], which handles the null case).
 ///
-/// The words are updated one at a time after the handler pointer is
+/// The bytes are rebuilt one at a time after the handler pointer is
 /// stored, so a concurrent reader can observe a mix of the old and new
-/// sets. That race is benign by construction: the stale words err only
-/// toward *delivering* a syscall the new handler did not ask for (which
-/// every handler must tolerate — the set is an optimization, not a
-/// contract), or toward filtering one the *old* handler did not want.
-/// Handlers are expected to be installed once, near startup, before the
-/// threads they filter for exist.
-static INTEREST_WORDS: [AtomicU64; 8] = [
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-    AtomicU64::new(u64::MAX),
-];
+/// handler's bytes. That race is benign by construction: a stale byte
+/// errs only toward *delivering* a syscall the new handler did not ask
+/// for (which every handler must tolerate — the table is an
+/// optimization, not a contract), or toward filtering one the *old*
+/// handler did not want. Handlers are expected to be installed once,
+/// near startup, before the threads they filter for exist. A rebuild
+/// never clears `ROUTED`. A mechanism whose gate is not Rust reads it
+/// directly (zpoline's entry stub reads byte `nr` before it builds a
+/// frame): exactly what [`exit_byte`] reads, so there is no copy to keep
+/// coherent.
+pub static EXITS: [AtomicU8; 512] = [const { AtomicU8::new(exit::WANTED) }; 512];
 
-/// The installed handler's [`SyscallHandler::leaves_alone`] set, cached
-/// as raw words beside the interest words and stored with them: zero
-/// when no handler is registered and while one is quarantined. A stale
-/// word during a swap errs as the interest words do.
-static LEFT_ALONE_WORDS: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
-
-/// The interest cache itself, for a mechanism whose gate is not Rust
-/// (zpoline's entry stub tests these words before it builds a frame):
-/// bit `nr % 64` of word `nr / 64`, exactly what [`global_interested`]
-/// reads, so there is no copy to keep coherent.
-pub const fn interest_words() -> &'static [AtomicU64; 8] {
-    &INTEREST_WORDS
+/// The exit byte of `nr`, one relaxed load; `WANTED` past the table
+/// (≥ 512), as `InterestSet::contains` answers there.
+#[inline]
+pub fn exit_byte(nr: u64) -> u8 {
+    EXITS.get(nr as usize).map_or(exit::WANTED, |byte| byte.load(Ordering::Relaxed))
 }
 
-/// The cached [`SyscallHandler::leaves_alone`] set, in the layout of
-/// [`interest_words`]: what zpoline's entry stub reads as the numbers
-/// the installed stack only records.
-pub const fn left_alone_words() -> &'static [AtomicU64; 8] {
-    &LEFT_ALONE_WORDS
+/// The numbers [`set_routed`] registered, as `InterestSet` words.
+static ROUTED_SET: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
+
+/// Marks `routed` `ROUTED` for good: the numbers a mechanism must see
+/// whatever the handler's interest. A mechanism registers its set once,
+/// before it publishes [`EXITS`]; every later rebuild keeps the bit.
+pub fn set_routed(routed: &crate::InterestSet) {
+    for (word, bits) in ROUTED_SET.iter().zip(routed.words()) {
+        word.fetch_or(bits, Ordering::Relaxed);
+    }
+    keep_routed();
 }
 
-/// Stores both caches, word by word: a reader in the middle sees a mix
-/// of the old and new handler's sets, as the interest words document.
-fn store_caches(interest: &crate::InterestSet, left_alone: &crate::InterestSet) {
-    for (cache, word) in INTEREST_WORDS.iter().zip(interest.words()) {
-        cache.store(word, Ordering::Relaxed);
+/// ORs `ROUTED` into the byte of every registered number. The fence
+/// orders a rebuild's stores against a `set_routed` that overlaps it:
+/// either the rebuild's `keep_routed` reads the new set, or the
+/// `set_routed`'s reads the rebuild's bytes; both OR the bit in.
+fn keep_routed() {
+    std::sync::atomic::fence(Ordering::SeqCst);
+    for (bytes, word) in EXITS.chunks(64).zip(&ROUTED_SET) {
+        let mut routed = word.load(Ordering::Relaxed);
+        while routed != 0 {
+            bytes[routed.trailing_zeros() as usize].fetch_or(exit::ROUTED, Ordering::Relaxed);
+            routed &= routed - 1;
+        }
     }
-    for (cache, word) in LEFT_ALONE_WORDS.iter().zip(left_alone.words()) {
-        cache.store(word, Ordering::Relaxed);
+}
+
+/// Rebuilds the table for a handler that wants `interest` and leaves
+/// `left_alone` alone, byte by byte (a reader in the middle sees a mix,
+/// as [`EXITS`] documents). A registered number's byte keeps `ROUTED`
+/// throughout.
+fn store_exits(interest: &crate::InterestSet, left_alone: &crate::InterestSet) {
+    let recorded_only = interest.intersection(left_alone).words();
+    let words = interest.words().into_iter().zip(recorded_only).zip(&ROUTED_SET);
+    for (bytes, ((mut wanted, mut only), routed)) in EXITS.chunks(64).zip(words) {
+        let mut routed = routed.load(Ordering::Relaxed);
+        for byte in bytes {
+            let bit = |word: u64, value: u8| (word & 1) as u8 * value;
+            let exit = bit(wanted, exit::WANTED)
+                | bit(only, exit::RECORDED_ONLY)
+                | bit(routed, exit::ROUTED);
+            byte.store(exit, Ordering::Relaxed);
+            (wanted, only, routed) = (wanted >> 1, only >> 1, routed >> 1);
+        }
     }
+    keep_routed();
 }
 
 /// Installs `handler` as the process-global interposer, replacing any
-/// previous one, and caches its [`SyscallHandler::interest`] set and its
-/// [`SyscallHandler::leaves_fp_env`] for the mechanisms' fast paths.
+/// previous one, and stores its declarations (`interest`, `leaves_alone`,
+/// [`SyscallHandler::leaves_fp_env`]) for the mechanisms' fast paths.
 ///
 /// The handler is intentionally leaked: intercepted syscalls can occur
 /// on any thread at any time once code has been rewritten, so there is
@@ -109,16 +137,16 @@ pub fn set_global_handler(handler: Box<dyn SyscallHandler>) {
     let leaves_fp_env = handler.leaves_fp_env();
     let thin = Box::into_raw(Box::new(Installed { handler, leaves_fp_env }));
     GLOBAL.store(thin, Ordering::SeqCst);
-    store_caches(&interest, &left_alone);
+    store_exits(&interest, &left_alone);
     // A fresh handler starts trusted: lift any standing quarantine
-    // *after* the interest cache is valid, so no window exists where a
+    // *after* the exit table is valid, so no window exists where a
     // quarantined-then-revived handler sees a zeroed set.
     QUARANTINED.store(false, Ordering::SeqCst);
 }
 
 /// Installs `handler` like [`set_global_handler`] and returns a guard
-/// that restores the *previously* installed handler — pointer, interest
-/// cache, and a lifted quarantine — when dropped.
+/// that restores the *previously* installed handler — pointer, exit
+/// bytes, and a lifted quarantine — when dropped.
 ///
 /// This is the registration entry point for scoped installations
 /// (benchmark phases, tests, `ActiveMechanism` guards): unlike a bare
@@ -143,13 +171,13 @@ impl Drop for HandlerGuard {
     fn drop(&mut self) {
         if self.prev.is_null() {
             GLOBAL.store(std::ptr::null_mut(), Ordering::SeqCst);
-            store_caches(&crate::InterestSet::all(), &crate::InterestSet::none());
+            store_exits(&crate::InterestSet::all(), &crate::InterestSet::none());
         } else {
             // SAFETY: set_global_handler leaked the previous box, so
             // the pointee is still valid (handlers live for 'static).
             let prev = unsafe { &(*self.prev).handler };
             GLOBAL.store(self.prev, Ordering::SeqCst);
-            store_caches(&prev.interest(), &prev.leaves_alone());
+            store_exits(&prev.interest(), &prev.leaves_alone());
         }
         QUARANTINED.store(false, Ordering::SeqCst);
     }
@@ -168,17 +196,17 @@ pub fn quarantined_handlers() -> u64 {
 }
 
 /// Disables the installed handler after it panicked: first caller wins,
-/// counts the event, zeroes the interest cache (the fast path stops
-/// consulting the handler entirely), and writes a one-line note to
-/// stderr with a raw `write` (no allocation, no locks — this can run
-/// inside the `SIGSYS` handler).
+/// counts the event, clears every exit byte but its `ROUTED` (the fast
+/// path stops consulting the handler entirely), and writes a one-line
+/// note to stderr with a raw `write` (no allocation, no locks — this
+/// can run inside the `SIGSYS` handler).
 #[cold]
 fn quarantine_global() {
     if QUARANTINED.swap(true, Ordering::SeqCst) {
         return; // racing panics: already quarantined
     }
     QUARANTINE_EVENTS.fetch_add(1, Ordering::Relaxed);
-    store_caches(&crate::InterestSet::none(), &crate::InterestSet::none());
+    store_exits(&crate::InterestSet::none(), &crate::InterestSet::none());
     let msg = b"interpose: handler panicked; quarantined (syscalls pass through)\n";
     // SAFETY: a raw write of a static buffer to stderr; it touches no
     // memory of ours but the buffer it reads.
@@ -187,19 +215,12 @@ fn quarantine_global() {
     }
 }
 
-/// Tests the cached interest set: should the mechanism deliver syscall
-/// `nr` to the handler, or fall straight through to the raw syscall?
-///
-/// Out-of-range numbers (≥ 512) always report interesting, mirroring
-/// [`InterestSet::contains`]. Costs one relaxed atomic load and a bit
-/// test — cheap enough for every dispatch.
+/// Tests `nr`'s exit byte for `WANTED`: should the mechanism deliver
+/// syscall `nr` to the handler, or fall straight through to the raw
+/// syscall? Out-of-range numbers (≥ 512) always report interesting.
 #[inline]
 pub fn global_interested(nr: u64) -> bool {
-    if nr >= syscalls::MAX_SYSCALL_NR {
-        return true;
-    }
-    let word = INTEREST_WORDS[(nr / 64) as usize].load(Ordering::Relaxed);
-    word & (1u64 << (nr % 64)) != 0
+    exit_byte(nr) & exit::WANTED != 0
 }
 
 /// Returns the registered handler, if any.
@@ -307,7 +328,7 @@ where
 mod tests {
     use super::*;
     use crate::{InterestSet, PassthroughHandler};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// The two halves [`interpose_event`] fused, as they were when each
     /// was a public function that loaded the handler and the quarantine
@@ -344,7 +365,18 @@ mod tests {
 
     // The registry is process-global; serialize the tests that install
     // handlers so they don't observe each other's installs mid-assert.
+    // A test that fails while holding it reports its own verdict: the
+    // others take the poisoned guard.
     static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_registry() -> MutexGuard<'static, ()> {
+        REGISTRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What the table says of `nr` besides `ROUTED`.
+    fn declared(nr: u64) -> u8 {
+        exit_byte(nr) & !exit::ROUTED
+    }
 
     #[test]
     fn unregistered_defaults_to_passthrough() {
@@ -356,7 +388,7 @@ mod tests {
 
     #[test]
     fn register_and_dispatch() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         set_global_handler(Box::new(PassthroughHandler));
         assert!(global_handler().is_some());
         assert_eq!(global_handler().unwrap().name(), "passthrough");
@@ -376,7 +408,7 @@ mod tests {
 
     #[test]
     fn interest_cache_tracks_installed_handler() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         set_global_handler(Box::new(OnlyOpenat));
         assert!(global_interested(syscalls::nr::OPENAT));
         assert!(!global_interested(syscalls::nr::GETPID));
@@ -401,7 +433,7 @@ mod tests {
 
     #[test]
     fn panicking_handler_is_quarantined_not_fatal() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         // Keep the expected panic's backtrace out of the test output.
         let prev_hook = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
@@ -414,7 +446,7 @@ mod tests {
         // The panic is contained; the event passes through.
         assert_eq!(dispatch_global(&mut ev), Action::Passthrough);
         assert_eq!(quarantined_handlers(), before + 1);
-        // Quarantine zeroes the interest cache and mutes the handler.
+        // Quarantine clears the exit bytes and mutes the handler.
         assert!(!global_interested(syscalls::nr::GETPID));
         assert_eq!(dispatch_global(&mut ev), Action::Passthrough);
         assert_eq!(quarantined_handlers(), before + 1, "second hit must not re-count");
@@ -433,7 +465,7 @@ mod tests {
 
     #[test]
     fn handler_guard_restores_previous_handler_and_interest() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         set_global_handler(Box::new(PassthroughHandler));
         {
             let _guard = install_handler(Box::new(OnlyOpenat));
@@ -452,10 +484,11 @@ mod tests {
     }
 
     /// Installing a stack and restoring what it replaced (LIFO) leave
-    /// the caches equal to what the installed stack declared at install.
+    /// the exit bytes equal to what the installed stack declared at
+    /// install.
     #[test]
     fn installed_stack_mutations_track_interest_cache() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         set_global_handler(Box::new(PassthroughHandler));
         let stack = crate::HookStack::new();
         stack.attach(Box::new(OnlyOpenat), 0);
@@ -469,19 +502,96 @@ mod tests {
             let _empty = install_handler(Box::new(crate::HookStack::new()));
             assert!(!global_interested(syscalls::nr::OPENAT));
             assert!(installed().unwrap().leaves_fp_env);
-            assert_eq!(left_alone_words()[0].load(Ordering::Relaxed), u64::MAX);
+            // Left alone, but not wanted: nothing is recorded only.
+            assert!((0..64).all(|nr| declared(nr) == 0));
         }
         assert!(global_interested(syscalls::nr::OPENAT));
         assert!(!global_interested(syscalls::nr::GETPID));
-        assert_eq!(left_alone_words()[0].load(Ordering::Relaxed), 0);
+        assert_eq!(declared(syscalls::nr::OPENAT), exit::WANTED, "wanted, not only recorded");
         drop(guard);
         assert!(global_interested(syscalls::nr::GETPID));
         assert_eq!(global_handler().unwrap().name(), "passthrough");
     }
 
+    /// Wants openat, getpid and write; leaves getpid and read alone.
+    struct RecordsGetpid;
+    impl SyscallHandler for RecordsGetpid {
+        fn handle(&self, _event: &mut SyscallEvent) -> Action {
+            Action::Passthrough
+        }
+        fn interest(&self) -> InterestSet {
+            use syscalls::nr::{GETPID, OPENAT, WRITE};
+            InterestSet::of(&[OPENAT, GETPID, WRITE])
+        }
+        fn leaves_alone(&self) -> InterestSet {
+            InterestSet::of(&[syscalls::nr::GETPID, syscalls::nr::READ])
+        }
+    }
+
+    /// All 512 bytes after each way the table is rebuilt, against an
+    /// oracle written from the declarations and the routed set.
+    #[test]
+    fn every_exit_byte_follows_the_declarations_and_the_routed_set() {
+        let _g = lock_registry();
+        let prev_hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        use syscalls::nr::{CLONE, GETPID, MMAP, OPENAT};
+        let routed = InterestSet::of(&[CLONE, MMAP, OPENAT, GETPID, 511]);
+        set_routed(&routed);
+        let check = |what: &str, interest: InterestSet, left_alone: InterestSet| {
+            for (nr, byte) in EXITS.iter().enumerate() {
+                let nr = nr as u64;
+                let mut want = 0;
+                if interest.contains(nr) {
+                    want |= exit::WANTED;
+                    if left_alone.contains(nr) {
+                        want |= exit::RECORDED_ONLY;
+                    }
+                }
+                if routed.contains(nr) {
+                    want |= exit::ROUTED;
+                }
+                assert_eq!(byte.load(Ordering::Relaxed), want, "{what}: byte {nr}");
+            }
+            assert_eq!(exit_byte(syscalls::MAX_SYSCALL_NR), exit::WANTED, "{what}: past the table");
+        };
+        let none = InterestSet::none;
+
+        // No handler: `WANTED` everywhere (the guard of a first install).
+        drop(HandlerGuard { prev: std::ptr::null_mut() });
+        check("no handler", InterestSet::all(), none());
+        let only_openat = install_handler(Box::new(OnlyOpenat));
+        check("OnlyOpenat", OnlyOpenat.interest(), none());
+        {
+            let _empty = install_handler(Box::new(crate::HookStack::new()));
+            check("an empty stack", none(), InterestSet::all());
+        }
+        check("OnlyOpenat restored", OnlyOpenat.interest(), none());
+        {
+            let _records = install_handler(Box::new(RecordsGetpid));
+            let (wants, leaves) = (RecordsGetpid.interest(), RecordsGetpid.leaves_alone());
+            check("a handler that leaves some alone", wants, leaves);
+            {
+                let _nested = install_handler(Box::new(OnlyOpenat));
+                check("nested", OnlyOpenat.interest(), none());
+            }
+            check("the nested guard's restore", wants, leaves);
+            set_global_handler(Box::new(PanicsOnGetpid));
+            interpose_syscall(SyscallArgs::nullary(GETPID), 0, |c| c.nr);
+            assert!(QUARANTINED.load(Ordering::Relaxed));
+            check("quarantined", none(), none());
+        }
+        check("a guard's restore lifts the quarantine", OnlyOpenat.interest(), none());
+        drop(only_openat);
+        check("no handler again", InterestSet::all(), none());
+
+        panic::set_hook(prev_hook);
+        set_global_handler(Box::new(PassthroughHandler));
+    }
+
     #[test]
     fn an_attach_after_install_is_refused() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         let prev_hook = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
         let stack = crate::HookStack::new();
@@ -499,7 +609,7 @@ mod tests {
 
     #[test]
     fn a_pass_reports_the_declaration_of_the_handler_it_called() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         let prev_hook = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
         let run = |nr| interpose_event(&mut SyscallEvent::new(SyscallArgs::nullary(nr)), |c| c.nr);
@@ -545,7 +655,7 @@ mod tests {
 
     #[test]
     fn interpose_syscall_matches_dispatch_global() {
-        let _g = REGISTRY_LOCK.lock().unwrap();
+        let _g = lock_registry();
         set_global_handler(Box::new(Scripted));
         // For each decision class, the shared sequence must agree with a
         // hand-run dispatch_global + post_global (the sequence it owns).

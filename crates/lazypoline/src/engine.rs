@@ -323,8 +323,13 @@ fn init_process_global(config: Config, strict: bool) -> Result<Engine, InitError
     let seam = faultinject::injected(Site::TrampolineInstall);
     let tramp_err = match Trampoline::install() {
         Ok(_) => {
+            // The stub's record exit is interpose's wanted, recorded-only byte.
+            const _: () = assert!(
+                zpoline::RECORD_EXIT == interpose::exit::WANTED | interpose::exit::RECORDED_ONLY
+            );
+            interpose::set_routed(&fastpath::ROUTED);
             zpoline::set_dispatcher(fastpath::lazypoline_dispatch);
-            zpoline::set_miss_exit(Some(&fastpath::MISS_EXIT));
+            zpoline::set_exits(Some(&interpose::EXITS));
             None
         }
         Err(e) if strict && config.lazy_rewriting && by_host(Site::TrampolineInstall, seam) => {

@@ -2,7 +2,7 @@
 //! the fast path (trampoline) and the slow path (SIGSYS emulation
 //! fallback), exactly as the paper motivates in §IV-A(c).
 
-use interpose::SyscallEvent;
+use interpose::{exit, InterestSet, SyscallEvent};
 use syscalls::{nr, Errno, SyscallArgs};
 use zpoline::RawFrame;
 
@@ -29,7 +29,7 @@ pub(crate) const FRAME_TO_APP_RSP: usize = 216;
 ///
 /// A hit on an armed thread is one straight line: the count goes
 /// through the thread's block (a plain `inc` in the slot of the call's
-/// number), the interest word is read once, and the only calls are the
+/// number), the exit byte is read once, and the only calls are the
 /// handler's two and [`raw_internal::syscall`]. A nested dispatch is not counted: it is
 /// the interposer's syscall, not the application's.
 ///
@@ -55,17 +55,18 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
     }
 
     // Execute raw — no event, no virtual call — when the installed
-    // handler declared no interest in this number (one relaxed load plus
-    // a bit test; the entry stub takes this exit by itself on threads
-    // whose block is armed, see `MISS_EXIT`), or when a handler
+    // handler declared no interest in this number (one relaxed load of
+    // its byte in `interpose::EXITS`; the entry stub takes this exit by
+    // itself on threads whose block is armed), or when a handler
     // re-entered the dispatcher, e.g. through a libc call of its own.
     // Syscalls the engine must emulate for correctness (signals, clones)
-    // go through `handle_syscall` regardless, under the guard too: a raw
-    // `clone` or `vfork` from the gate could not return to its caller,
-    // and a raw mask could block the `SIGSYS` the handler's next fresh
-    // site needs.
-    let interested = !guarded && interpose::global_interested(frame.nr);
-    if !(interested || needs_emulation(frame.nr)) {
+    // are `ROUTED` and go through `handle_syscall` regardless, under the
+    // guard too: a raw `clone` or `vfork` from the gate could not return
+    // to its caller, and a raw mask could block the `SIGSYS` the
+    // handler's next fresh site needs.
+    let byte = interpose::exit_byte(frame.nr);
+    let interested = !guarded && byte & exit::WANTED != 0;
+    if !interested && byte & exit::ROUTED == 0 {
         let ret = raw_internal::syscall(&frame.syscall_args());
         block.set_leaves_fp_env(true);
         return ret;
@@ -77,56 +78,46 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
     ret
 }
 
-/// What this dispatcher lets zpoline's entry stub do without it: issue
-/// a syscall outside `full_path` whose bit in the interest words is
-/// clear — the `miss` above, taken before a frame exists — and, on a
-/// thread with a record window, one the installed stack only records
-/// (`record_only`, what the handler declares it leaves alone), whose
-/// record the stub appends as the recorder would.
-///
-/// `full_path` is the set [`handle_syscall`] must always see itself,
-/// whatever the installed handler's interest: the process-control calls
-/// it emulates ([`is_process_control`]), whose raw execution would
-/// break signal transparency or thread/process bookkeeping, and the
-/// calls the shadow of the executable mappings must see or stop
-/// vouching at ([`zpoline::maps::shadow`]). (`rt_sigreturn` is handled
-/// before the fast-out and listed for the stub's and the slow path's
-/// benefit.) So are `execve` and `execveat`, which hardened mode
-/// refuses ([`crate::harden::refuses_exec`]): a miss would exec.
-pub(crate) static MISS_EXIT: zpoline::MissExit = zpoline::MissExit {
-    full_path: interpose::InterestSet::of(&[
-        nr::RT_SIGRETURN,
-        nr::RT_SIGACTION,
-        nr::RT_SIGPROCMASK,
-        nr::CLONE,
-        nr::CLONE3,
-        nr::FORK,
-        nr::VFORK,
-        nr::MMAP,
-        nr::MUNMAP,
-        nr::MPROTECT,
-        nr::PKEY_MPROTECT,
-        nr::MREMAP,
-        nr::REMAP_FILE_PAGES,
-        nr::BRK,
-        nr::SHMAT,
-        nr::SHMDT,
-        nr::PRCTL,
-        nr::USERFAULTFD,
-        nr::EXECVE,
-        nr::EXECVEAT,
-    ])
-    .words(),
-    interest: interpose::interest_words(),
-    record_only: interpose::left_alone_words(),
-};
+/// The numbers [`handle_syscall`] must always see itself, whatever the
+/// installed handler's interest, registered as `ROUTED` in the exit table
+/// ([`interpose::set_routed`]) before the engine publishes it: zpoline's
+/// entry stub takes neither its miss exit nor its record exit for them.
+/// They are the process-control calls the engine emulates
+/// ([`is_process_control`]), whose raw execution would break signal
+/// transparency or thread/process bookkeeping, and the calls the shadow
+/// of the executable mappings must see or stop vouching at
+/// ([`zpoline::maps::shadow`]). (`rt_sigreturn` is handled before the
+/// fast-out and listed for the stub's and the slow path's benefit.) So
+/// are `execve` and `execveat`, which hardened mode refuses
+/// ([`crate::harden::refuses_exec`]): a miss would exec.
+pub(crate) const ROUTED: InterestSet = InterestSet::of(&[
+    nr::RT_SIGRETURN,
+    nr::RT_SIGACTION,
+    nr::RT_SIGPROCMASK,
+    nr::CLONE,
+    nr::CLONE3,
+    nr::FORK,
+    nr::VFORK,
+    nr::MMAP,
+    nr::MUNMAP,
+    nr::MPROTECT,
+    nr::PKEY_MPROTECT,
+    nr::MREMAP,
+    nr::REMAP_FILE_PAGES,
+    nr::BRK,
+    nr::SHMAT,
+    nr::SHMDT,
+    nr::PRCTL,
+    nr::USERFAULTFD,
+    nr::EXECVE,
+    nr::EXECVEAT,
+]);
 
-/// Whether `nr_` is in [`MISS_EXIT`]'s `full_path`: one table for this
-/// test and the stub's.
+/// Whether `nr_` is in [`ROUTED`], for a number a handler rewrote (the
+/// table answers for the number a call arrived with).
 #[inline]
 pub(crate) fn needs_emulation(nr_: u64) -> bool {
-    nr_ < syscalls::MAX_SYSCALL_NR
-        && MISS_EXIT.full_path[(nr_ / 64) as usize] & (1 << (nr_ % 64)) != 0
+    nr_ < syscalls::MAX_SYSCALL_NR && ROUTED.contains(nr_)
 }
 
 /// Whether `nr_` is one of the process-control calls the engine
@@ -150,9 +141,9 @@ pub(crate) fn is_process_control(nr_: u64) -> bool {
 /// calls out: `rt_sigreturn`, `rt_sigaction`, `clone`, `fork`,
 /// `vfork`, plus `rt_sigprocmask` to keep `SIGSYS` deliverable).
 ///
-/// `interested` is [`interpose::global_interested`] of the frame's
-/// number, which each of the two callers — the dispatcher above and the
-/// slow path's in-handler emulation — reads exactly once (and passes as
+/// `interested` is the `WANTED` bit of the frame's number's exit byte,
+/// which each of the two callers — the dispatcher above and the slow
+/// path's in-handler emulation — reads exactly once (and passes as
 /// `false` under the re-entry guard); a call the handler did not ask
 /// for only gets the engine's own emulation.
 ///
@@ -302,6 +293,8 @@ mod tests {
     static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn lock_registry() -> std::sync::MutexGuard<'static, ()> {
+        // As the engine's init does before it publishes the table.
+        interpose::set_routed(&ROUTED);
         REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -430,7 +423,7 @@ mod tests {
                 InterestSet::of(&[499])
             }
         }
-        // The guard restores whatever handler (and interest cache) was
+        // The guard restores whatever handler (and exit bytes) was
         // installed before this test, instead of leaking Only499.
         let _registry = lock_registry();
         let _guard = interpose::install_handler(Box::new(Only499));

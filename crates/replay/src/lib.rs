@@ -30,6 +30,7 @@
 //! `lp-trace` binary is the command-line front end.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 mod drain;

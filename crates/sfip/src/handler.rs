@@ -208,6 +208,8 @@ impl SyscallHandler for SfipHandler {
 /// engine's bypass policy uses: `SIGKILL` first (unblockable), then
 /// `exit_group(137)` in case the kill is somehow swallowed.
 fn kill_process() -> ! {
+    // SAFETY: getpid, kill and exit_group take no pointers; the process
+    // ends here by design.
     unsafe {
         let pid = raw::syscall0(nr::GETPID);
         raw::syscall2(nr::KILL, pid, libc::SIGKILL as u64);
@@ -235,6 +237,8 @@ fn report_violation(prev: u64, nr: u64, site: u64, action: &'static str) {
     line.push(b" action=");
     line.push(action.as_bytes());
     line.push(b"\n");
+    // SAFETY: a raw write to stderr of the first `line.len` bytes of
+    // `line.buf`, which `LineBuf` keeps within the buffer.
     unsafe {
         libc::write(
             2,
@@ -296,7 +300,7 @@ impl LineBuf {
 mod tests {
     use super::*;
     use interpose::{CountHandler, PassthroughHandler};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
     use syscalls::SyscallArgs;
 
     /// The check/violation counters are process-global; tests that
@@ -325,7 +329,7 @@ mod tests {
 
     #[test]
     fn count_mode_counts_and_keeps_enforcing() {
-        let _g = COUNTER_LOCK.lock().unwrap();
+        let _g = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = Policy::empty("test");
         p.insert(nr::READ, nr::WRITE);
         p.insert(nr::WRITE, nr::READ);
@@ -352,7 +356,7 @@ mod tests {
 
     #[test]
     fn quarantine_disables_after_first_violation() {
-        let _g = COUNTER_LOCK.lock().unwrap();
+        let _g = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = Policy::empty("test");
         p.insert(nr::READ, nr::READ);
         let h = SfipHandler::new(
@@ -375,7 +379,7 @@ mod tests {
 
     #[test]
     fn inner_handler_runs_and_out_of_range_skips_checks() {
-        let _g = COUNTER_LOCK.lock().unwrap();
+        let _g = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let counter = CountHandler::new();
         let h = SfipHandler::new(
             Arc::new(Policy::empty("test")),
@@ -396,7 +400,7 @@ mod tests {
 
     #[test]
     fn fresh_handler_does_not_inherit_thread_state() {
-        let _g = COUNTER_LOCK.lock().unwrap();
+        let _g = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = Policy::empty("test");
         p.insert(nr::READ, nr::READ);
         let mk = || {
@@ -425,7 +429,7 @@ mod tests {
 
     #[test]
     fn origin_enforcement_flags_unknown_sites() {
-        let _g = COUNTER_LOCK.lock().unwrap();
+        let _g = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = Policy::empty("test");
         p.insert(nr::READ, nr::READ);
         p.insert_origin(nr::READ, 0x4000);

@@ -33,6 +33,7 @@
 //! end.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod handler;
 mod policy;

@@ -54,7 +54,7 @@ pub use scanner::{
 };
 pub use maps::{FileMapping, Mapping, Maps};
 pub use trampoline::{
-    gate, gate_sigreturn, gate_syscall, resume_context, set_dispatcher, set_miss_exit, set_record_late,
-    set_xstate_mask, sigreturn_restorer, thread_block, DispatchFn, DispatchRow, MissExit, RawFrame,
-    RecordLateFn, ThreadBlock, Trampoline, XstateMask,
+    gate, gate_sigreturn, gate_syscall, resume_context, set_dispatcher, set_exits, set_record_late,
+    set_xstate_mask, sigreturn_restorer, thread_block, DispatchFn, DispatchRow, ExitTable, RawFrame,
+    RecordLateFn, ThreadBlock, Trampoline, XstateMask, RECORD_EXIT,
 };

@@ -14,10 +14,10 @@
 //! 0x200: movabs r11, lp_zpoline_entry ; jmp r11
 //!         ▼
 //! lp_zpoline_entry (asm below), on rcx and r11 alone:
-//!       NR < 512, not one the dispatcher must emulate, this thread's
-//!       block armed, and nobody interested in it ─────────────┐
-//!         │ interested: the stack only records it, the      │ the miss exit
-//!         │ thread's record window has room?                ▼
+//!       NR < 512, exit byte NR is 0 (nobody interested, not one
+//!       the dispatcher must see), this thread's block armed ──┐
+//!         │ byte is RECORD_EXIT (the stack only records it) │ the miss exit
+//!         │ and the thread's record window has room?        ▼
 //!         │   │ yes: the record exit     │ no             bump slot NR of
 //!         │   ▼                          │                the thread's row
 //!         │ bump slot NR; syscall;       │                syscall (in the gate)
@@ -66,26 +66,27 @@
 //! gate (below), the range the kernel lets through.
 //!
 //! With it, a syscall nobody asked to see never builds a frame. The
-//! dispatcher publishes a [`MissExit`] ([`set_miss_exit`]): the address
-//! of the interest words its own gate reads and a bitmap of the numbers
-//! it must handle whatever the interest. The stub tests both for `rax`
-//! using `rcx` and `r11` only — `syscall` clobbers exactly those two —
-//! and, when the thread's block is armed ([`ThreadBlock::arm`]), issues
-//! the `syscall` itself. Between entry and that instruction only `rcx`,
-//! `r11` and the flags change; the kernel preserves every other
-//! register and all extended state, and the stack below the `call rax`
-//! push is never written. Anything else — a hit, a number ≥ 512, an
-//! unarmed or zeroed block (a thread that never enrolled), no published
-//! `MissExit` — falls through to the full path, which remains the
-//! reference the tests compare with.
+//! dispatcher publishes an [`ExitTable`] ([`set_exits`]): one byte per
+//! number, the same bytes its own gate reads, which say whether a
+//! handler wants the number, only records it, or the dispatcher must
+//! see it whatever the interest. The stub loads byte `rax` into `rcx` —
+//! `syscall` clobbers exactly `rcx` and `r11`, and it uses no other
+//! register — and, when the byte is 0 and the thread's block is armed
+//! ([`ThreadBlock::arm`]), issues the `syscall` itself. Between entry
+//! and that instruction only `rcx`, `r11` and the flags change; the
+//! kernel preserves every other register and all extended state, and
+//! the stack below the `call rax` push is never written. Anything else
+//! — a hit, a number ≥ 512, an unarmed or zeroed block (a thread that
+//! never enrolled), no published table — falls through to the full
+//! path, which remains the reference the tests compare with.
 //!
 //! # The record exit
 //!
 //! Under a flight recorder most hits are calls the stack only records:
 //! the dispatcher would execute them and append one record to the
-//! thread's ring. The third word table of the [`MissExit`],
-//! `record_only` (what the installed handler declares it leaves alone,
-//! `SyscallHandler::leaves_alone`), names them, and on a thread whose
+//! thread's ring. Their exit byte is [`RECORD_EXIT`] (wanted, and left
+//! alone by the installed handler, `SyscallHandler::leaves_alone`, and
+//! not one the dispatcher must see), and on a thread whose
 //! block holds a *record window* the stub serves them itself, with no
 //! frame, no xstate and no Rust: it counts the call in the thread's row
 //! as the miss exit does, issues it from the gate and appends its
@@ -382,8 +383,8 @@ struct StubGlobals {
     /// The recorder's push for a call the record exit executed but
     /// found no room for ([`set_record_late`]).
     record_late: AtomicUsize,
-    /// The dispatcher's [`MissExit`], null while it has none.
-    miss_exit: AtomicPtr<MissExit>,
+    /// The dispatcher's [`ExitTable`], null while it has none.
+    exits: AtomicPtr<ExitTable>,
     /// The XSAVE RFBM (0 = preserve no xstate).
     xstate_mask: AtomicU8,
     /// Non-zero once [`Trampoline::install`] has seen CPUID report
@@ -401,39 +402,31 @@ struct XsaveImage([u8; 576]);
 static STUB_GLOBALS: StubGlobals = StubGlobals {
     dispatch: AtomicUsize::new(0),
     record_late: AtomicUsize::new(0),
-    miss_exit: AtomicPtr::new(std::ptr::null_mut()),
+    exits: AtomicPtr::new(std::ptr::null_mut()),
     xstate_mask: AtomicU8::new(0b111),
     xgetbv1: AtomicU8::new(0),
     xstate_init: XsaveImage([0; 576]),
 };
 
-/// What a dispatcher publishes ([`set_miss_exit`]) so that the entry
-/// stub can serve, by itself, the syscalls the dispatcher would only
-/// pass through or record. Bit `nr % 64` of word `nr / 64` in all
-/// three tables.
-#[repr(C)]
-pub struct MissExit {
-    /// Numbers the dispatcher handles whatever the interest in them.
-    pub full_path: [u64; 8],
-    /// The words the dispatcher's own interest gate reads, so that a
-    /// handler swap, a widening or a quarantine reaches the stub by the
-    /// same stores.
-    pub interest: &'static [AtomicU64; 8],
-    /// Numbers the installed stack leaves alone but for recording them:
-    /// on a thread with a record window the stub appends their record
-    /// itself (the record exit, module docs). Stored with the interest
-    /// words, by the same installs, swaps, widenings and quarantines.
-    pub record_only: &'static [AtomicU64; 8],
-}
+/// What a dispatcher publishes ([`set_exits`]) so that the entry stub
+/// can serve, by itself, the syscalls the dispatcher would only pass
+/// through or record: one exit byte per syscall number. `0` is the miss
+/// exit, [`RECORD_EXIT`] the record exit, and any other value the full
+/// path.
+pub type ExitTable = [AtomicU8; SLED_LEN];
+
+/// The exit byte of a number the installed stack wants but only records
+/// (the record exit, module docs).
+pub const RECORD_EXIT: u8 = 0b011;
 
 /// Publishes (or, with `None`, withdraws) the dispatcher's
-/// [`MissExit`]. Takes effect for subsequent trampoline entries on all
+/// [`ExitTable`]. Takes effect for subsequent trampoline entries on all
 /// threads whose [`ThreadBlock`] is armed.
-pub fn set_miss_exit(exit: Option<&'static MissExit>) {
-    let p = exit.map_or(std::ptr::null_mut(), |e| e as *const MissExit as *mut MissExit);
-    // Release: the tables are read-only statics, but a reader that sees
-    // the pointer must see them as initialised.
-    STUB_GLOBALS.miss_exit.store(p, Ordering::Release);
+pub fn set_exits(table: Option<&'static ExitTable>) {
+    let p = table.map_or(std::ptr::null_mut(), |t| t as *const ExitTable as *mut ExitTable);
+    // Release: a reader that sees the pointer must see the table as
+    // initialised.
+    STUB_GLOBALS.exits.store(p, Ordering::Release);
 }
 
 /// What the record exit calls, with the call's frame and result, when
@@ -723,11 +716,11 @@ unsafe extern "C" fn passthrough_dispatch(frame: *mut RawFrame) -> u64 {
 }
 
 /// Registers the dispatcher invoked for every rewritten syscall site,
-/// returning the previous one (if any). A [`MissExit`] belongs to the
+/// returning the previous one (if any). An [`ExitTable`] belongs to the
 /// dispatcher that published it, so this withdraws the current one: the
 /// new dispatcher sees every call until it publishes its own.
 pub fn set_dispatcher(f: DispatchFn) -> Option<DispatchFn> {
-    set_miss_exit(None);
+    set_exits(None);
     // Release publishes the dispatcher's code and any state it closes
     // over before the pointer becomes visible; Acquire pairs with a
     // concurrent swap so the returned previous pointer is safe to call.
@@ -992,22 +985,13 @@ lp_zpoline_entry:
     # they are free; nothing else may change before it is known that
     # this path is taken to its end.
     cmp rax, 512
-    jae 90f                       # outside the tables: always interesting
-    mov r11, qword ptr [rip + {stub_globals} + {miss_exit}]
+    jae 90f                       # outside the table: always interesting
+    mov r11, qword ptr [rip + {stub_globals} + {exits}]
     test r11, r11
     jz 90f                        # no dispatcher published one
-    mov ecx, eax
-    shr ecx, 6
-    shl ecx, 3
-    add rcx, qword ptr [r11 + {interest}]
-    mov rcx, qword ptr [rcx]      # interest word nr / 64
-    bt rcx, rax                   # bit nr % 64: a register bt wraps
-    jc 50f                        # a handler wants it (hits leave here)
-    mov ecx, eax
-    shr ecx, 6
-    mov rcx, qword ptr [r11 + {full_path} + rcx*8]
-    bt rcx, rax
-    jc 90f                        # the dispatcher emulates it
+    movzx ecx, byte ptr [r11 + rax]   # the exit byte of nr
+    test ecx, ecx
+    jnz 50f                       # not a miss (hits leave here)
     mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
     mov r11, qword ptr fs:[rcx + {dispatches}]
     test r11, r11
@@ -1030,23 +1014,13 @@ lp_zpoline_entry:
     jmp 81b
 
     # The record exit (module docs): a hit whose handler only records
-    # it. r11 = the MissExit.
+    # it. ecx = the exit byte.
     .globl lp_zpoline_record_exit
     .hidden lp_zpoline_record_exit
 lp_zpoline_record_exit:
 50:
-    mov ecx, eax
-    shr ecx, 6
-    shl ecx, 3
-    add rcx, qword ptr [r11 + {record_only}]
-    mov rcx, qword ptr [rcx]
-    bt rcx, rax
-    jnc 90f                       # the handler wants to see it
-    mov ecx, eax
-    shr ecx, 6
-    mov rcx, qword ptr [r11 + {full_path} + rcx*8]
-    bt rcx, rax
-    jc 90f                        # the dispatcher emulates it
+    cmp ecx, {record_exit}
+    jne 90f                       # the handler or the dispatcher sees it
     mov rcx, qword ptr [rip + lp_thread_block@GOTTPOFF]
     cmp qword ptr fs:[rcx + {dispatches}], 0
     je 90f                        # this thread's block is not armed
@@ -1290,14 +1264,12 @@ lp_zpoline_resume:
     xstate_init = const offset_of!(StubGlobals, xstate_init),
     dispatch = const offset_of!(StubGlobals, dispatch),
     record_late = const offset_of!(StubGlobals, record_late),
-    miss_exit = const offset_of!(StubGlobals, miss_exit),
-    interest = const offset_of!(MissExit, interest),
-    full_path = const offset_of!(MissExit, full_path),
+    exits = const offset_of!(StubGlobals, exits),
+    record_exit = const RECORD_EXIT,
     dispatches = const offset_of!(ThreadBlock, dispatches),
     in_dispatch = const offset_of!(ThreadBlock, in_dispatch),
     dispatches_shared = const offset_of!(ThreadBlock, dispatches_shared),
     leaves_fp_env = const offset_of!(ThreadBlock, leaves_fp_env),
-    record_only = const offset_of!(MissExit, record_only),
     record_window = const offset_of!(ThreadBlock, record_window),
     tid = const offset_of!(ThreadBlock, tid),
     slot_size = const record::SLOT_SIZE,
@@ -1685,6 +1657,11 @@ mod tests {
 
     static SEEN_NR: AtomicU64 = AtomicU64::new(0);
 
+    /// Exit bytes as `interpose::exit` spells them: a number a handler
+    /// wants, and one the dispatcher must see whatever the interest.
+    const WANTED: u8 = 0b001;
+    const ROUTED: u8 = 0b100;
+
     /// The dispatcher, the mask and the `xgetbv(1)` byte are process
     /// globals; tests that set one hold this while they depend on it.
     static GLOBALS: Mutex<()> = Mutex::new(());
@@ -1698,6 +1675,9 @@ mod tests {
         syscalls::raw::syscall((*frame).syscall_args())
     }
 
+    /// Never inlined: every call goes through one `call rax` site,
+    /// which the record exit's test reads back as the record's site.
+    #[inline(never)]
     fn call_via_trampoline(args: syscalls::SyscallArgs) -> u64 {
         // Simulate an already-rewritten site: `call rax` with rax = nr.
         let ret: u64;
@@ -1837,14 +1817,9 @@ mod tests {
             eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
             return;
         }
-        static INTEREST: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
-        static NOTHING: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
-        static EXIT: MissExit = MissExit {
-            // getuid stands in for a call the dispatcher emulates.
-            full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
-            interest: &INTEREST,
-            record_only: &NOTHING,
-        };
+        static EXITS: ExitTable = [const { AtomicU8::new(0) }; SLED_LEN];
+        // getuid stands in for a call the dispatcher emulates.
+        EXITS[nr::GETUID as usize].store(ROUTED, Ordering::Relaxed);
         static DISPATCHES: DispatchRow = [const { AtomicU64::new(0) }; SLED_LEN];
         let _globals = lock_globals();
         Trampoline::install().unwrap();
@@ -1858,7 +1833,7 @@ mod tests {
             let stub_exits = || thread_block().stub_exits();
 
             assert_eq!(getpid(), 0x5eed, "nothing published");
-            set_miss_exit(Some(&EXIT));
+            set_exits(Some(&EXITS));
             assert_eq!(getpid(), 0x5eed, "block not armed");
             // SAFETY: the row's sole writer first: the plain `inc`.
             unsafe { block.arm(&DISPATCHES, true) };
@@ -1885,9 +1860,14 @@ mod tests {
             block.set_in_dispatch(false);
             assert_eq!(counted(), before.0 + 1, "a handler's own call");
 
-            INTEREST[(nr::GETPID / 64) as usize].store(1 << (nr::GETPID % 64), Ordering::Relaxed);
+            let getpid_exit = &EXITS[nr::GETPID as usize];
+            getpid_exit.store(WANTED, Ordering::Relaxed);
             assert_eq!(getpid(), 0x5eed, "a handler is interested");
-            INTEREST[(nr::GETPID / 64) as usize].store(0, Ordering::Relaxed);
+            for byte in 1..=u8::MAX {
+                getpid_exit.store(byte, Ordering::Relaxed);
+                assert_eq!(getpid(), 0x5eed, "byte {byte}: no window, so the full path");
+            }
+            getpid_exit.store(0, Ordering::Relaxed);
             let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
             assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
             // No seam sits between the stub and its `syscall`.
@@ -1909,7 +1889,7 @@ mod tests {
         .unwrap();
 
         set_dispatcher(prev);
-        let published = STUB_GLOBALS.miss_exit.load(Ordering::SeqCst);
+        let published = STUB_GLOBALS.exits.load(Ordering::SeqCst);
         assert!(published.is_null(), "withdrawn with its dispatcher");
     }
 
@@ -1922,13 +1902,9 @@ mod tests {
             eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
             return;
         }
-        static ALL: [AtomicU64; 8] = [const { AtomicU64::new(u64::MAX) }; 8];
-        static RECORD_ONLY: [AtomicU64; 8] = [const { AtomicU64::new(u64::MAX) }; 8];
-        static EXIT: MissExit = MissExit {
-            full_path: [0, 1 << (nr::GETUID - 64), 0, 0, 0, 0, 0, 0],
-            interest: &ALL,
-            record_only: &RECORD_ONLY,
-        };
+        static EXITS: ExitTable = [const { AtomicU8::new(RECORD_EXIT) }; SLED_LEN];
+        // Record-only, but the dispatcher emulates it.
+        EXITS[nr::GETUID as usize].store(RECORD_EXIT | ROUTED, Ordering::Relaxed);
         static DISPATCHES: DispatchRow = [const { AtomicU64::new(0) }; SLED_LEN];
         static LATE: AtomicU64 = AtomicU64::new(0);
         unsafe extern "C" fn late(_frame: *const RawFrame, _ret: u64) {
@@ -1951,7 +1927,7 @@ mod tests {
             let word = |slot: usize, offset: usize| slots[slot * WORDS + offset / 8].load(Ordering::SeqCst);
             let field = |i: usize| cursor[i].load(Ordering::SeqCst);
             let block = thread_block();
-            set_miss_exit(Some(&EXIT));
+            set_exits(Some(&EXITS));
             // SAFETY: the row's sole writer.
             unsafe { block.arm(&DISPATCHES, true) };
             assert_eq!(getpid(), 0x5eed, "no window");
@@ -1992,9 +1968,9 @@ mod tests {
             block.set_in_dispatch(true);
             assert_eq!(getpid(), pid, "a handler's own call: executed alone");
             block.set_in_dispatch(false);
-            RECORD_ONLY[0].store(0, Ordering::SeqCst);
+            EXITS[nr::GETPID as usize].store(WANTED, Ordering::SeqCst);
             assert_eq!(getpid(), 0x5eed, "a number the stack does not only record");
-            RECORD_ONLY[0].store(u64::MAX, Ordering::SeqCst);
+            EXITS[nr::GETPID as usize].store(RECORD_EXIT, Ordering::SeqCst);
             let getuid = call_via_trampoline(syscalls::SyscallArgs::nullary(nr::GETUID));
             assert_eq!(getuid, 0x5eed, "the dispatcher emulates it");
             unsafe { block.arm(&DISPATCHES, false) };

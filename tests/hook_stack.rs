@@ -10,7 +10,7 @@
 //! decision path the engines run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use lazypoline_suite::hookabi::{self, HookLoadError, HookSpec, LoadedHook, LP_HOOK_ABI_V1};
 use lazypoline_suite::interpose::{
@@ -77,7 +77,7 @@ fn load_failure_modes_are_typed_errors() {
 
 #[test]
 fn loaded_hook_dispatches_and_exports_its_count() {
-    let _g = REGISTRY_LOCK.lock().unwrap();
+    let _g = REGISTRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
     let mut hooks = hookabi::load_from_spec("hook_count").unwrap();
     let hook = hooks.pop().unwrap();
@@ -126,7 +126,7 @@ fn loaded_hook_dispatches_and_exports_its_count() {
 
 #[test]
 fn loaded_hook_panic_is_quarantined_not_fatal() {
-    let _g = REGISTRY_LOCK.lock().unwrap();
+    let _g = REGISTRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
 
     let mut hooks = hookabi::load_from_spec("hook_panic").unwrap();
     let hook: LoadedHook = hooks.pop().unwrap();
