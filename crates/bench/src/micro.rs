@@ -12,7 +12,7 @@
 //! measured beside the paper's, each against the same number
 //! uninterposed. One generic driver
 //! measures every row: each Table II configuration is a *named backend*
-//! in the `mechanism` registry ([`TABLE2_PLAN`]), installed around a
+//! in the `mechanism` registry (`TABLE2_PLAN`), installed around a
 //! passthrough handler, measured, and torn down — no per-mechanism
 //! engine-state sequencing lives here.
 //!
@@ -565,8 +565,8 @@ const CHILD_ROWS: [(&str, u64, ChildRun); 5] = [
     ("ptrace", 1_000, ptrace_row),
 ];
 
-/// Child-process entry for the [`CHILD_ROWS`] row `label`: arms it,
-/// measures it and prints the wire format ([`render_child_output`]) to
+/// Child-process entry for the `CHILD_ROWS` row `label`: arms it,
+/// measures it and prints the wire format (`render_child_output`) to
 /// stdout. A row the kernel refuses prints a `skip:` line to stderr and
 /// exits 2. The parent re-execs this binary with `--child-row <label>`.
 pub fn child_row_main(label: &str) -> ! {
@@ -588,7 +588,7 @@ pub fn child_row_main(label: &str) -> ! {
     }
 }
 
-/// Runs every [`CHILD_ROWS`] row, in order, by re-execing the current
+/// Runs every `CHILD_ROWS` row, in order, by re-execing the current
 /// binary with `--child-row <label>` and parsing its stdout. A row whose
 /// child fails is left out, like any other unsupported configuration;
 /// a refused row has said why on stderr.

@@ -19,7 +19,7 @@
 //! relaxed atomic (the count of armed sites); when it is zero — the
 //! production state — the function returns immediately without touching
 //! any per-site state. This keeps the fast-path overhead at a single
-//! uncontended load, the same budget the engine's sharded counters pay.
+//! uncontended load.
 //!
 //! # Async-signal-safety
 //!

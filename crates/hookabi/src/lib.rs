@@ -1,7 +1,7 @@
 //! The `lp_hook_v1` loadable-hook ABI and its `dlopen` loader.
 //!
 //! Interposers compiled into the binary implement
-//! [`SyscallHandler`](interpose::SyscallHandler) directly; this crate
+//! [`SyscallHandler`] directly; this crate
 //! is the bridge for interposers shipped as **shared objects** and
 //! loaded at install (`LP_HOOKS=libfoo.so:prio,...`) — the
 //! zpoline `ZPOLINE_HOOK=` ops story, but versioned, stackable, and
@@ -255,7 +255,7 @@ pub fn parse_specs(spec: &str) -> Result<Vec<HookSpec>, HookLoadError> {
 /// Anything containing `/` is used verbatim. A bare name is tried as
 /// `lib<name>.so` (and as-is, for names already shaped like a
 /// filename) next to the running executable and in its ancestor
-/// directories — see [`resolve_from`]. If nothing is found the bare
+/// directories — see `resolve_from`. If nothing is found the bare
 /// name is returned unchanged, letting `dlopen` run its normal
 /// `LD_LIBRARY_PATH` search (and produce the error if that fails too).
 pub fn resolve_library(library: &str) -> PathBuf {
@@ -315,7 +315,7 @@ fn last_dlerror() -> String {
 }
 
 /// A loaded, validated hook, adapted to the
-/// [`SyscallHandler`](interpose::SyscallHandler) trait so it can sit in
+/// [`SyscallHandler`] trait so it can sit in
 /// a `HookStack` next to compiled-in handlers.
 pub struct LoadedHook {
     desc: &'static LpHookV1,

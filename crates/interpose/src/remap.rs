@@ -149,7 +149,7 @@ impl SyscallHandler for PathRemapHandler {
         true
     }
 
-    /// Exactly the path-carrying syscalls [`Self::path_arg_index`]
+    /// Exactly the path-carrying syscalls `Self::path_arg_index`
     /// recognizes; an empty rule table never needs a call at all.
     fn interest(&self) -> InterestSet {
         if self.rules.is_empty() {

@@ -15,7 +15,7 @@
 //! process rewrote `0f 05` to `ff d0`: `SIGSYS`-proved anchors and the
 //! sites the batch sweep verified forward from them.
 //!
-//! * **Read** ([`SiteCache::open`]): in the constructor, before the
+//! * **Read** (`SiteCache::open`): in the constructor, before the
 //!   install, so no layer sees it. A record applies only if its key is
 //!   the mapped file's and every one of its offsets reads `0f 05` in an
 //!   executable mapping of the object; a record that fails either is
@@ -23,10 +23,10 @@
 //!   Buffers are `mmap`ed, never the application's heap. With no entry
 //!   (a cold start) it is a `statx` and an `open`: no buffers, no look at
 //!   the mappings.
-//! * **Apply** ([`Proven::apply`]): right after the install, on the
+//! * **Apply** (`Proven::apply`): right after the install, on the
 //!   engine's private path (`proven::privately`, the re-entry guard),
 //!   one patch window per mapping.
-//! * **Write** ([`SiteCache::write`]): when the window closes at
+//! * **Write** (`SiteCache::write`): when the window closes at
 //!   `exit_group`, from dispatch context, in the installing process
 //!   only, with every syscall from the gate (so the write proves no site
 //!   of its own), and only if this run rewrote a site its entry lacks — and,
@@ -1258,6 +1258,107 @@ mod tests {
         let mut foreign = good;
         foreign[0] = b'X';
         assert!(!well_formed(&foreign));
+    }
+
+    /// The key check against a real file: a record keyed by `key_of` of
+    /// a `PROT_READ | PROT_EXEC` mapping of a temp file stages its sites;
+    /// the same record with any one key field changed stages nothing,
+    /// and so does the first record once the file has been rewritten.
+    #[test]
+    fn a_record_stages_only_under_the_mapped_files_key() {
+        const LEN: usize = 4096;
+        const SITES: [u64; 2] = [0x10, 0x100];
+        let dir = scratch("key");
+        let path = dir.join("object");
+        let mut bytes = vec![0x90u8; LEN];
+        for off in SITES {
+            bytes[off as usize..off as usize + 2].copy_from_slice(&SYSCALL);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let prot = libc::PROT_READ | libc::PROT_EXEC;
+        // SAFETY: a fresh private mapping of a file this test owns,
+        // unmapped at the end.
+        let text = unsafe {
+            use std::os::fd::AsRawFd;
+            libc::mmap(
+                std::ptr::null_mut(),
+                LEN,
+                prot,
+                libc::MAP_PRIVATE,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if text == libc::MAP_FAILED {
+            eprintln!(
+                "skipped: {} refuses an executable mapping ({})",
+                dir.display(),
+                std::io::Error::last_os_error()
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+            return;
+        }
+        let start = text as usize;
+
+        let key = |maps: &Maps| {
+            let mut m = FileMapping::empty();
+            assert_eq!(maps.file_at(start, &mut m), Ok(true));
+            maps.describe(&mut m).unwrap();
+            key_of(&m).expect("the path still names the mapped file").0
+        };
+        // Stages one record of `SITES` under `key`: whether it is kept,
+        // and the sites staged.
+        let stage = |key: &[u8; KEY_LEN]| {
+            let maps = Maps::open().unwrap();
+            let mut arena = Arena::map().expect("an arena");
+            let a = &mut *arena;
+            a.walk(&maps);
+            let mut record = key.to_vec();
+            record.extend((SITES.len() as u64).to_le_bytes());
+            for off in SITES {
+                record.extend(off.to_le_bytes());
+            }
+            a.file[FILE_HEADER..FILE_HEADER + record.len()].copy_from_slice(&record);
+            let kept = a.stage_record(&maps, FILE_HEADER);
+            (kept, a.sites[..a.n_sites].to_vec())
+        };
+
+        let good = key(&Maps::open().unwrap());
+        let sites: Vec<usize> = SITES.iter().map(|&off| start + off as usize).collect();
+        assert_eq!(stage(&good), (true, sites.clone()));
+        // The object named by the key's device and inode is not mapped
+        // here: the record is another object's, kept and not staged.
+        for (field, at) in [("dev major", 0), ("dev minor", 4), ("inode", 8)] {
+            let mut other = good;
+            other[at] ^= 1;
+            assert_eq!(stage(&other), (true, vec![]), "{field}");
+        }
+        // The object is mapped here and its key differs: dropped.
+        for (field, at) in [
+            ("size", 16),
+            ("mtime", 24),
+            ("mtime ns", 32),
+            ("build-id length", 36),
+            ("build-id", 40),
+        ] {
+            let mut other = good;
+            other[at] ^= 1;
+            assert_eq!(stage(&other), (false, vec![]), "{field}");
+        }
+
+        // The same bytes, written again past a tick of the coarse clock
+        // the kernel stamps mtime from.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::fs::write(&path, &bytes).unwrap();
+        let rewritten = key(&Maps::open().unwrap());
+        assert_ne!(rewritten, good, "a rewrite changes the mtime");
+        assert_eq!(stage(&good), (false, vec![]), "keyed before the rewrite");
+        assert_eq!(stage(&rewritten), (true, sites));
+
+        // SAFETY: the mapping made above; nothing refers to it now.
+        assert_eq!(unsafe { libc::munmap(text, LEN) }, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The object text the property below stages against: one

@@ -64,7 +64,7 @@ fn enable_sud_with_retry() -> bool {
 /// then stamp the child's own tid, into the child's copy of the ring.
 pub(crate) fn reenroll_after_clone() {
     zpoline::thread_block().forget_record();
-    if crate::tls::enrolled() {
+    if zpoline::thread_block().enrolled() {
         // After the bounded retry, degrade to uninterposed rather than
         // dying.
         if !enable_sud_with_retry() {
@@ -176,8 +176,9 @@ unsafe extern "C" fn lp_clone_child_init() {
     // guard; clear it, or every child syscall would take the raw
     // passthrough path. (Safe: the parent is suspended until the child
     // execs or exits, and restores its own guard on dispatcher exit.)
-    crate::tls::set_in_dispatch(false);
-    crate::tls::set_enrolled(true);
+    let block = zpoline::thread_block();
+    block.set_in_dispatch(false);
+    block.set_enrolled(true);
     // The clone may have been emulated *inside the SIGSYS handler*
     // (pure-SUD configuration, or the SudOnly degradation rung), in
     // which case this child inherited a signal mask with SIGSYS blocked
@@ -189,7 +190,7 @@ unsafe extern "C" fn lp_clone_child_init() {
     raw_internal::rt_sigprocmask(raw_internal::SIG_UNBLOCK, &sigsys_mask, std::ptr::null_mut());
     if enable_sud_with_retry() {
         // A fresh TLS block starts zeroed, i.e. on the full path.
-        crate::tls::arm_stub_exit();
+        crate::counters::arm_stub_exit();
     } else {
         // Unseen from here on, in the parent's address space.
         zpoline::maps::shadow::distrust();
@@ -211,6 +212,9 @@ mod tests {
         // Exercise handle_fork end-to-end: child exits immediately,
         // parent waits. (No SUD active in this unit test; the re-enroll
         // path is a no-op because the thread is not enrolled.)
+        // SAFETY: a fork from a zeroed frame: the child shares nothing
+        // with the parent and leaves by `_exit` before it returns into
+        // the test harness; the parent reaps it.
         unsafe {
             let mut frame = RawFrame {
                 nr: nr::FORK,
@@ -252,6 +256,10 @@ mod tests {
             std::hint::unreachable_unchecked()
         }
 
+        // SAFETY: the child runs `child_body` alone, on a fresh stack
+        // that is never unmapped, touches only a static atomic and leaves
+        // with a thread `exit`; without `CLONE_SETTLS` it never reaches
+        // the shim, so it does not touch the parent's TLS.
         unsafe {
             let stack = libc::mmap(
                 std::ptr::null_mut(),

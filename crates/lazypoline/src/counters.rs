@@ -1,107 +1,56 @@
-//! Engine-wide event counters (exposed via [`crate::Stats`]).
+//! The engine's dispatch counter: one row of counts by syscall number
+//! per thread (exposed through [`crate::stats`] and
+//! [`crate::dispatches_by_number`]).
 //!
-//! Counters are *sharded per thread*: every thread bumps its own
-//! cache-line-sized slot, and readers aggregate across slots. The
-//! first design (one global `AtomicU64` per counter) put every
-//! dispatching thread's `lock xadd` on the same cache line — on the
-//! fast path that contended line was charged once per syscall, which
-//! is exactly the kind of overhead the paper's design works to
-//! eliminate. Shards made that a local, uncontended RMW; *owning* a
-//! shard makes it a plain one: the dispatch count is the one store on
-//! the fast path that needed a `lock`, and a locked RMW waits for
-//! every store in front of it — the register frame the stub has just
-//! pushed.
+//! A dispatch is counted on every interposed syscall, most of them by
+//! the entry stub's miss exit, so the count is the one store on the
+//! fast path: a shared `AtomicU64` there put every dispatching thread's
+//! `lock xadd` on one cache line, and a locked RMW also waits for every
+//! store in front of it — the register frame the stub has just pushed.
+//! So each thread counts in a [`Row`] of its own: one page, slot `nr`
+//! for each number the stub's sled has (below 512), and it is what the
+//! thread's `zpoline::ThreadBlock` is armed with ([`arm_stub_exit`]) —
+//! the stub's miss exit counts a call with `inc qword ptr [row + rax*8]`,
+//! the dispatcher ([`count_dispatch`]) and the `SIGSYS` handler's
+//! emulations ([`bump_dispatch`]) in the same slot. A number ≥ 512 is
+//! counted in [`OVERFLOW`]. The engine's other event counters are
+//! bumped once per `SIGSYS` or signal delivery, where a `lock xadd` is
+//! noise, so each is one `AtomicU64` kept by the code that bumps it.
 //!
 //! Constraints honoured here:
 //!
-//! * **Async-signal-safe**: `bump` runs inside the `SIGSYS` handler
-//!   and the signal wrapper. Shard storage is a static array (no
-//!   allocation, ever) and the thread→shard assignment uses a
-//!   const-initialized TLS cell (plain TLS read, no lazy init
-//!   machinery).
-//! * **Fixed memory, nothing freed**: 64 shards regardless of thread
-//!   count. The first [`OWNED_SHARDS`] threads to count anything each
-//!   own a shard for the life of the process — it is never handed on,
-//!   so what a finished thread counted stays where readers sum it — and
+//! * **Async-signal-safe**: the rows are a static array (no allocation,
+//!   ever), and the thread→row assignment is a const-initialized TLS
+//!   cell (plain TLS read, no lazy init machinery).
+//! * **Fixed memory, nothing freed**: 64 rows regardless of thread
+//!   count. The first [`OWNED_ROWS`] threads to count anything each own
+//!   a row for the life of the process — it is never handed on, so what
+//!   a finished thread counted stays where readers sum it — and
 //!   increment it with a single plain `inc`: one instruction, so a
-//!   signal handler bumping the same counter on the same thread lands
-//!   before or after it, never in the middle. Every later thread
-//!   shares one of the remaining shards round-robin and keeps
-//!   `lock inc`; some lines are contended again — never lost counts.
-//! * **API shape**: `Stats` aggregates on read; totals are exact once
-//!   writers quiesce. A reader sums only the shards some thread has
-//!   claimed (`NEXT_TICKET`): the others are zero, and reading them
-//!   would make their pages resident for nothing.
-//!
-//! Two arrays share the thread→shard assignment. [`Shard`] holds the
-//! eight event counters below in one cache line. [`Row`] holds the
-//! dispatch count *by syscall number*: one page per shard, slot `nr`
-//! for each number the entry stub's sled has (below 512), and it is
-//! what a thread's `zpoline::ThreadBlock` is armed with — the stub's
-//! miss exit counts a call with `inc qword ptr [row + rax*8]`, the
-//! dispatcher and the `SIGSYS` handler's emulations in the same slot.
-//! A number ≥ 512 is counted in the
-//! shard's [`DISPATCHES`] slot instead, the overflow bucket. The
-//! engine's dispatch total is the rows plus that bucket, and the table
-//! by number is the rows summed ([`dispatch_table`]). A thread that
-//! never counts leaves its page untouched, so of the rows' 256 KiB of
-//! `.bss` only the pages of counting threads become resident.
+//!   signal handler counting in the same slot on the same thread lands
+//!   before or after it, never in the middle. Every later thread shares
+//!   one of the remaining rows round-robin and keeps `lock inc`; some
+//!   lines are contended again — never lost counts.
+//! * **Readers sum on read**: totals are exact once writers quiesce. A
+//!   reader sums only the rows some thread has claimed (`NEXT_TICKET`):
+//!   the others are zero, and reading them would make their pages
+//!   resident for nothing. Of the rows' 256 KiB of `.bss` only the pages
+//!   of counting threads become resident.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use zpoline::DispatchRow;
 
-/// One engine event stream, identified by its slot index within a
-/// shard. The statics below are the only instances.
-pub(crate) struct Counter(usize);
-
-/// Slow-path (`SIGSYS`) deliveries.
-pub(crate) static SLOW_PATH_HITS: Counter = Counter(0);
-/// Syscall sites rewritten to `call rax`.
-pub(crate) static SITES_PATCHED: Counter = Counter(1);
 /// Dispatches of a number ≥ 512, which has no slot in a [`Row`]: the
 /// rows' overflow bucket ([`bump_dispatch`]).
-pub(crate) static DISPATCHES: Counter = Counter(2);
-/// Syscalls emulated directly in the SIGSYS handler because the site
-/// could not be patched.
-pub(crate) static UNPATCHABLE_EMULATIONS: Counter = Counter(3);
-/// Application signal-handler invocations routed through the wrapper.
-pub(crate) static SIGNALS_WRAPPED: Counter = Counter(4);
-/// Retries of a patch attempt after a transient `mprotect` failure
-/// (`EAGAIN`/`ENOMEM`) in the slow path.
-pub(crate) static PATCH_RETRIES: Counter = Counter(5);
-/// Pages inserted into the unpatchable-page blocklist after persistent
-/// patch failure.
-pub(crate) static PAGES_BLOCKLISTED: Counter = Counter(6);
-/// Syscalls emulated in the handler because lazy rewriting is disabled
-/// (pure-SUD configuration or `Mode::SudOnly` degradation) — a config
-/// state, distinct from [`UNPATCHABLE_EMULATIONS`] failures.
-pub(crate) static DISABLED_MODE_EMULATIONS: Counter = Counter(7);
+static OVERFLOW: AtomicU64 = AtomicU64::new(0);
 
-// Exactly 8 counters: one cache line per shard (the layout unit test
-// asserts this). A 9th counter would double every shard — split a new
-// event stream into an array of its own instead, as the dispatch rows
-// are.
-const NUM_COUNTERS: usize = 8;
-const NUM_SHARDS: usize = 64;
-/// Shards with one writer each (module docs). Half: a process with up
-/// to 32 threads over its lifetime never pays a `lock`, and one that
-/// churns through thousands still spreads them over 32 lines.
-const OWNED_SHARDS: usize = NUM_SHARDS / 2;
-
-/// One thread's slots for all the counters, padded to a cache line so
-/// two threads' shards never false-share.
-#[repr(align(64))]
-struct Shard {
-    slots: [AtomicU64; NUM_COUNTERS],
-}
-
-static SHARDS: [Shard; NUM_SHARDS] = [const {
-    Shard {
-        slots: [const { AtomicU64::new(0) }; NUM_COUNTERS],
-    }
-}; NUM_SHARDS];
+const NUM_ROWS: usize = 64;
+/// Rows with one writer each (module docs). Half: a process with up to
+/// 32 threads over its lifetime never pays a `lock`, and one that
+/// churns through thousands still spreads them over 32 pages.
+const OWNED_ROWS: usize = NUM_ROWS / 2;
 
 /// Slots in a [`Row`]: one per syscall number the stub's sled has.
 const ROW_LEN: usize = syscalls::MAX_SYSCALL_NR as usize;
@@ -112,64 +61,55 @@ const ROW_LEN: usize = syscalls::MAX_SYSCALL_NR as usize;
 #[repr(C, align(4096))]
 struct Row(DispatchRow);
 
-static ROWS: [Row; NUM_SHARDS] =
-    [const { Row([const { AtomicU64::new(0) }; ROW_LEN]) }; NUM_SHARDS];
+static ROWS: [Row; NUM_ROWS] = [const { Row([const { AtomicU64::new(0) }; ROW_LEN]) }; NUM_ROWS];
 
-/// The next thread's ticket: below [`OWNED_SHARDS`] it is the index of
-/// the shard the thread owns.
+/// The next thread's ticket: below [`OWNED_ROWS`] it is the index of
+/// the row the thread owns.
 static NEXT_TICKET: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's shard index; `usize::MAX` = not yet assigned.
+    /// This thread's row index; `usize::MAX` = not yet assigned.
     /// Const-initialized so the first access — possibly from a signal
     /// handler — performs no lazy initialization.
-    static SHARD_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
+    static ROW_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 #[inline]
-fn shard_index() -> usize {
-    SHARD_IDX.with(|c| {
+fn row_index() -> usize {
+    ROW_IDX.with(|c| {
         let cached = c.get();
         if cached != usize::MAX {
             return cached;
         }
         // A signal interrupting between the fetch_add and the set draws
         // a ticket of its own and this thread ends up with the earlier
-        // one: at worst an owned shard nobody writes again — its counts
-        // still sum, and no shard ever has two owners.
+        // one: at worst an owned row nobody writes again — its counts
+        // still sum, and no row ever has two owners.
         let ticket = NEXT_TICKET.fetch_add(1, Ordering::Relaxed);
-        let idx = if ticket < OWNED_SHARDS {
+        let idx = if ticket < OWNED_ROWS {
             ticket
         } else {
-            OWNED_SHARDS + (ticket - OWNED_SHARDS) % (NUM_SHARDS - OWNED_SHARDS)
+            OWNED_ROWS + (ticket - OWNED_ROWS) % (NUM_ROWS - OWNED_ROWS)
         };
         c.set(idx);
         idx
     })
 }
 
-/// The calling thread's slot of `counter` and whether this thread is
-/// its only writer.
-#[inline]
-pub(crate) fn slot(counter: &Counter) -> (&'static AtomicU64, bool) {
-    let idx = shard_index();
-    (&SHARDS[idx].slots[counter.0], idx < OWNED_SHARDS)
-}
-
 /// The calling thread's dispatch row and whether this thread is its
 /// only writer — what the thread's `zpoline::ThreadBlock` is armed
 /// with, for the stub's and the dispatcher's count.
 #[inline]
-pub(crate) fn row() -> (&'static DispatchRow, bool) {
-    let idx = shard_index();
-    (&ROWS[idx].0, idx < OWNED_SHARDS)
+fn row() -> (&'static DispatchRow, bool) {
+    let idx = row_index();
+    (&ROWS[idx].0, idx < OWNED_ROWS)
 }
 
-/// Adds one to a [`slot`] of the calling thread. `sole_writer` must be
-/// what `slot` returned with it: the plain `inc` is exact only while no
-/// other thread writes the slot.
+/// Adds one to a slot of the calling thread's row. `sole_writer` must
+/// be what [`row`] returned with it: the plain `inc` is exact only while
+/// no other thread writes the slot.
 #[inline]
-pub(crate) fn bump_slot(slot: &AtomicU64, sole_writer: bool) {
+fn bump_slot(slot: &AtomicU64, sole_writer: bool) {
     if sole_writer {
         // SAFETY: a valid, aligned u64 that lives forever. Not a load
         // and a store in Rust: a signal between the two would lose the
@@ -186,51 +126,62 @@ pub(crate) fn bump_slot(slot: &AtomicU64, sole_writer: bool) {
     }
 }
 
-/// Adds one to `counter` on the calling thread's shard.
-#[inline]
-pub(crate) fn bump(counter: &Counter) {
-    let (slot, sole_writer) = slot(counter);
-    bump_slot(slot, sole_writer);
-}
-
-/// Counts one dispatch of number `nr` on the calling thread's shard: in
-/// its row, or in the overflow bucket for a number the row has no slot
-/// for.
+/// Counts one dispatch of number `nr` on the calling thread: in its
+/// row, or in the overflow bucket for a number the row has no slot for.
 #[inline]
 pub(crate) fn bump_dispatch(nr: u64) {
-    let idx = shard_index();
-    let slot = match ROWS[idx].0.get(nr as usize) {
-        Some(slot) => slot,
-        None => &SHARDS[idx].slots[DISPATCHES.0],
-    };
-    bump_slot(slot, idx < OWNED_SHARDS);
+    let idx = row_index();
+    match ROWS[idx].0.get(nr as usize) {
+        Some(slot) => bump_slot(slot, idx < OWNED_ROWS),
+        None => {
+            OVERFLOW.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
-/// Adds `n` to `counter` on the calling thread's shard (bulk events,
-/// e.g. a static prescan reporting how many sites it rewrote). Rare, so
-/// it keeps the locked form on every shard; one instruction either way.
+/// Counts one dispatch of number `nr` on this thread: with a plain `inc`
+/// in the slot of `nr` when its block is armed with a row it is the sole
+/// writer of. Anything else — a thread that shares its row, an unarmed
+/// block, a number past the row — goes through [`bump_dispatch`] (its
+/// thread-local finds the same row), out of line.
 #[inline]
-pub(crate) fn add(counter: &Counter, n: u64) {
-    slot(counter).0.fetch_add(n, Ordering::Relaxed);
+pub(crate) fn count_dispatch(block: &zpoline::ThreadBlock, nr: u64) {
+    #[cold]
+    fn by_row_index(nr: u64) {
+        bump_dispatch(nr);
+    }
+    match block
+        .sole_writer_dispatches()
+        .and_then(|row| row.get(nr as usize))
+    {
+        Some(slot) => bump_slot(slot, true),
+        None => by_row_index(nr),
+    }
 }
 
-/// How many shards some thread has claimed: the first that many. A
-/// shard is claimed before anything is counted in it.
+/// Arms the calling thread's block with its dispatch row, at enrolment:
+/// from here on a syscall nobody asked to see leaves from the entry
+/// stub, counted in the slot of its number, and a hit counts through
+/// the block.
+pub(crate) fn arm_stub_exit() {
+    let (row, sole_writer) = row();
+    // Faults the row's page in by a write: a reader's sum before the
+    // thread's first count would map the zero page there, and that
+    // count would then fault a second time.
+    row[0].fetch_add(0, Ordering::Relaxed);
+    // SAFETY: the row is this thread's own, and `sole_writer` is what
+    // `row` says of it.
+    unsafe { zpoline::thread_block().arm(row, sole_writer) };
+}
+
+/// How many rows some thread has claimed: the first that many. A row
+/// is claimed before anything is counted in it.
 fn claimed() -> usize {
-    NEXT_TICKET.load(Ordering::Relaxed).min(NUM_SHARDS)
-}
-
-/// Sums `counter` across the claimed shards. Exact once writers
-/// quiesce; during concurrent bumping it is a momentary snapshot.
-pub(crate) fn get(counter: &Counter) -> u64 {
-    SHARDS[..claimed()]
-        .iter()
-        .map(|s| s.slots[counter.0].load(Ordering::Relaxed))
-        .sum()
+    NEXT_TICKET.load(Ordering::Relaxed).min(NUM_ROWS)
 }
 
 /// Dispatches by syscall number (entry `nr`), summed across the claimed
-/// shards' rows. Numbers ≥ 512 are in the overflow bucket alone.
+/// rows. Numbers ≥ 512 are in the overflow bucket alone.
 pub(crate) fn dispatch_table() -> [u64; ROW_LEN] {
     let mut table = [0; ROW_LEN];
     for row in &ROWS[..claimed()] {
@@ -248,52 +199,22 @@ pub(crate) fn dispatches() -> u64 {
         .flat_map(|row| &row.0)
         .map(|slot| slot.load(Ordering::Relaxed))
         .sum();
-    rows + get(&DISPATCHES)
+    rows + OVERFLOW.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn bump_and_get() {
-        // Tests share the process-global counters, so assert on deltas.
-        let before = get(&SIGNALS_WRAPPED);
-        bump(&SIGNALS_WRAPPED);
-        bump(&SIGNALS_WRAPPED);
-        assert_eq!(get(&SIGNALS_WRAPPED), before + 2);
-    }
-
-    #[test]
-    fn shards_aggregate_across_threads() {
-        let before = get(&UNPATCHABLE_EMULATIONS);
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..1000 {
-                        bump(&UNPATCHABLE_EMULATIONS);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(get(&UNPATCHABLE_EMULATIONS), before + 8 * 1000);
-    }
-
-    /// More threads than shards, all alive at once: the late ones share
-    /// (`lock inc`), the early ones own (`inc`), and nothing is lost —
-    /// neither in a counter nor in a slot of the dispatch rows.
+    /// More threads than rows, all alive at once: the late ones share
+    /// (`lock inc`), the early ones own (`inc`), and no slot of the
+    /// dispatch rows loses a count.
     #[test]
     fn more_threads_than_shards_sum_exactly() {
         const THREADS: usize = 100;
         // Numbers no other test of this binary dispatches.
         const NRS: [u64; 2] = [ROW_LEN as u64 - 1, ROW_LEN as u64 - 2];
-        let before = (
-            get(&PATCH_RETRIES),
-            NRS.map(|nr| dispatch_table()[nr as usize]),
-        );
+        let before = NRS.map(|nr| dispatch_table()[nr as usize]);
         let start = std::sync::Barrier::new(THREADS);
         let sole_writers: usize = std::thread::scope(|s| {
             let threads: Vec<_> = (0..THREADS)
@@ -301,24 +222,21 @@ mod tests {
                     s.spawn(|| {
                         start.wait();
                         for i in 0..1000 {
-                            bump(&PATCH_RETRIES);
                             bump_dispatch(NRS[i % 2]);
                         }
-                        assert_eq!(row().1, slot(&PATCH_RETRIES).1);
-                        slot(&PATCH_RETRIES).1 as usize
+                        row().1 as usize
                     })
                 })
                 .collect();
             threads.into_iter().map(|t| t.join().unwrap()).sum()
         });
-        assert_eq!(get(&PATCH_RETRIES), before.0 + THREADS as u64 * 1000);
         let table = dispatch_table();
-        for (nr, was) in NRS.into_iter().zip(before.1) {
+        for (nr, was) in NRS.into_iter().zip(before) {
             assert_eq!(table[nr as usize], was + THREADS as u64 * 500, "slot {nr}");
         }
         assert!(
-            sole_writers <= OWNED_SHARDS,
-            "{sole_writers} threads own a shard"
+            sole_writers <= OWNED_ROWS,
+            "{sole_writers} threads own a row"
         );
     }
 
@@ -329,15 +247,35 @@ mod tests {
         let last = ROW_LEN as u64 - 3;
         let (was, bucket, total) = (
             dispatch_table()[last as usize],
-            get(&DISPATCHES),
+            OVERFLOW.load(Ordering::Relaxed),
             dispatches(),
         );
         bump_dispatch(last);
         bump_dispatch(ROW_LEN as u64);
         bump_dispatch(u64::MAX);
         assert_eq!(dispatch_table()[last as usize], was + 1);
-        assert_eq!(get(&DISPATCHES), bucket + 2);
+        assert_eq!(OVERFLOW.load(Ordering::Relaxed), bucket + 2);
         assert!(dispatches() >= total + 3);
+    }
+
+    #[test]
+    fn arming_gives_the_block_this_threads_dispatch_slot() {
+        // A number no other test of this binary dispatches.
+        const NR: u64 = syscalls::MAX_SYSCALL_NR - 4;
+        let block = zpoline::thread_block();
+        assert!(!block.armed(), "a thread starts with a zeroed block");
+        arm_stub_exit();
+        assert!(block.armed());
+        // Other tests' threads may have taken every owned row.
+        let (row, sole_writer) = row();
+        let given = block.sole_writer_dispatches().map(|r| r as *const _);
+        assert_eq!(given, sole_writer.then_some(row as *const _));
+        let before = dispatch_table()[NR as usize];
+        count_dispatch(block, NR);
+        block.disarm();
+        assert!(!block.armed());
+        count_dispatch(block, NR);
+        assert_eq!(dispatch_table()[NR as usize], before + 2);
     }
 
     /// The sole writer's plain `inc` against a signal handler, on the
@@ -353,9 +291,13 @@ mod tests {
         const BUMPS: u64 = 2_000_000;
         const SIGNALS: u64 = 200;
 
+        // SAFETY: all zeroes is a valid `sigaction` (no flags, empty mask).
         let mut act: libc::sigaction = unsafe { std::mem::zeroed() };
         act.sa_sigaction = bumping_handler as *const () as usize;
+        // SAFETY: as above.
         let mut old: libc::sigaction = unsafe { std::mem::zeroed() };
+        // SAFETY: an async-signal-safe handler for a signal nothing else
+        // in this binary uses; the old action is put back below.
         assert_eq!(unsafe { libc::sigaction(libc::SIGUSR2, &act, &mut old) }, 0);
 
         let (tid_tx, tid_rx) = std::sync::mpsc::channel();
@@ -363,6 +305,7 @@ mod tests {
             s.spawn(|| {
                 let gettid = syscalls::SyscallArgs::nullary(syscalls::nr::GETTID);
                 tid_tx
+                    // SAFETY: gettid takes no arguments.
                     .send(unsafe { syscalls::raw::syscall(gettid) })
                     .unwrap();
                 // Keep counting until every signal has landed in the loop.
@@ -377,12 +320,15 @@ mod tests {
                 );
             });
             let tid = tid_rx.recv().unwrap();
+            // SAFETY: getpid(2) has no preconditions.
             let pid = unsafe { libc::getpid() } as u64;
             for sent in 1..=SIGNALS {
                 let tgkill = syscalls::SyscallArgs::new(
                     syscalls::nr::TGKILL,
                     [pid, tid, libc::SIGUSR2 as u64, 0, 0, 0],
                 );
+                // SAFETY: a signal the handler above takes, to a thread
+                // of this process that is alive until the scope ends.
                 assert_eq!(unsafe { syscalls::raw::syscall(tgkill) }, 0);
                 // One at a time: pending standard signals coalesce.
                 while HANDLED.load(Ordering::Relaxed) < sent {
@@ -391,15 +337,10 @@ mod tests {
             }
         });
         assert_eq!(
+            // SAFETY: puts back the action saved above.
             unsafe { libc::sigaction(libc::SIGUSR2, &old, std::ptr::null_mut()) },
             0
         );
-    }
-
-    #[test]
-    fn shard_layout_is_cache_line_sized() {
-        assert_eq!(std::mem::align_of::<Shard>(), 64);
-        assert_eq!(std::mem::size_of::<Shard>(), 64);
     }
 
     /// A row is one page, page-aligned: the stub indexes it by number,
@@ -413,20 +354,20 @@ mod tests {
         assert_eq!(ROWS.as_ptr() as usize % 4096, 0);
     }
 
-    /// A reader sums the claimed shards only, and every shard a thread
+    /// A reader sums the claimed rows only, and every row a thread
     /// counts in is claimed.
     #[test]
     fn readers_stop_at_the_claimed_shards() {
-        let idx = shard_index();
+        let idx = row_index();
         assert!(idx < claimed(), "{idx} of {}", claimed());
-        assert!(claimed() <= NUM_SHARDS);
+        assert!(claimed() <= NUM_ROWS);
     }
 
     #[test]
     fn thread_shard_is_stable_within_a_thread() {
-        let a = shard_index();
-        let b = shard_index();
+        let a = row_index();
+        let b = row_index();
         assert_eq!(a, b);
-        assert!(a < NUM_SHARDS);
+        assert!(a < NUM_ROWS);
     }
 }

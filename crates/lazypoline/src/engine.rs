@@ -21,15 +21,14 @@
 
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use interpose::StatsSnapshot;
 use syscalls::{nr, SyscallArgs};
 use zpoline::{Trampoline, XstateMask};
 
-use crate::counters;
 use crate::faultinject::Site;
-use crate::{fastpath, raw_internal, signals, slowpath, tls};
+use crate::{counters, fastpath, raw_internal, signals, slowpath};
 
 /// Configuration for [`init`].
 #[derive(Clone, Copy, Debug)]
@@ -128,16 +127,17 @@ pub enum Mode {
 /// report them; `mechanism` reads each once). Also available without a
 /// handle — e.g. from benchmark reporting code.
 pub fn stats() -> StatsSnapshot {
+    let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
     StatsSnapshot {
         slow_path_hits: slow_path_hits(),
-        sites_patched: counters::get(&counters::SITES_PATCHED),
-        sites_from_cache: crate::proven::sites_from_cache(),
+        sites_patched: read(&slowpath::SITES_PATCHED),
+        sites_from_cache: read(&crate::proven::SITES_FROM_CACHE),
         dispatches: counters::dispatches(),
-        unpatchable_emulations: counters::get(&counters::UNPATCHABLE_EMULATIONS),
-        disabled_mode_emulations: counters::get(&counters::DISABLED_MODE_EMULATIONS),
-        signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
-        patch_retries: counters::get(&counters::PATCH_RETRIES),
-        pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
+        unpatchable_emulations: read(&slowpath::UNPATCHABLE_EMULATIONS),
+        disabled_mode_emulations: read(&slowpath::DISABLED_MODE_EMULATIONS),
+        signals_wrapped: read(&signals::SIGNALS_WRAPPED),
+        patch_retries: read(&slowpath::PATCH_RETRIES),
+        pages_blocklisted: read(&slowpath::PAGES_BLOCKLISTED),
         bypass_blocked: crate::harden::bypass_blocked(),
         ..StatsSnapshot::default()
     }
@@ -153,9 +153,9 @@ pub fn dispatches_by_number() -> [u64; syscalls::MAX_SYSCALL_NR as usize] {
     counters::dispatch_table()
 }
 
-/// `stats().slow_path_hits` alone: one counter's shards summed.
+/// `stats().slow_path_hits` alone.
 pub fn slow_path_hits() -> u64 {
-    counters::get(&counters::SLOW_PATH_HITS)
+    slowpath::SLOW_PATH_HITS.load(Ordering::Relaxed)
 }
 
 /// Robustness snapshot: what [`stats`] does not carry — the active
@@ -340,15 +340,12 @@ fn init_process_global(config: Config, strict: bool) -> Result<Engine, InitError
 
     // Rung 2: SUD — handler disposition plus this thread's enrollment.
     // Failure is survivable when the trampoline stands (→ PrescanOnly).
-    let mut sud_err = None;
-    unsafe {
-        // Handlers registered before initialization go through the
-        // wrapper protocol too (§IV-B(c)).
-        signals::adopt_existing_handlers();
-        if let Err(e) = slowpath::install() {
-            sud_err = Some(e);
-        }
-    }
+    // Handlers registered before initialization go through the wrapper
+    // protocol too (§IV-B(c)).
+    // SAFETY: each wrapped handler's table slot is stored before the
+    // kernel registration that points at the wrapper, which reads it.
+    unsafe { signals::adopt_existing_handlers() };
+    let mut sud_err = slowpath::install().err();
     let engine = Engine { _private: () };
     let seam = faultinject::injected(Site::SudEnroll);
     if sud_err.is_none() {
@@ -383,7 +380,7 @@ fn init_process_global(config: Config, strict: bool) -> Result<Engine, InitError
             // The prescan is the only way any syscall gets interposed on
             // this rung. SUD failed, so this thread is not enrolled and
             // the scan's own syscalls cannot reach the slow path.
-            debug_assert!(!tls::enrolled());
+            debug_assert!(!zpoline::thread_block().enrolled());
             // libc only: it carries the syscall sites of every
             // dynamically-linked binary, and its instruction stream is
             // the one the zpoline lineage has long rewritten statically.
@@ -391,10 +388,12 @@ fn init_process_global(config: Config, strict: bool) -> Result<Engine, InitError
             // documented exhaustiveness sacrifice of this rung. Errors
             // are non-fatal: a partial rewrite still interposes what it
             // reached.
-            if let Ok((patched, _unknown)) =
-                unsafe { zpoline::rewrite_process(|r| r.path.contains("libc")) }
-            {
-                counters::add(&counters::SITES_PATCHED, patched as u64);
+            // SAFETY: this rung has the trampoline, with the dispatcher,
+            // which handles every syscall, registered; the sweep is kept
+            // to libc, the object the zpoline lineage rewrites this way.
+            let rewritten = unsafe { zpoline::rewrite_process(|r| r.path.contains("libc")) };
+            if let Ok((patched, _unknown)) = rewritten {
+                slowpath::SITES_PATCHED.fetch_add(patched as u64, Ordering::Relaxed);
             }
         }
         Mode::Hybrid => {}
@@ -416,14 +415,15 @@ impl Engine {
     ///
     /// Returns the `prctl` failure; the thread is left un-enrolled.
     pub fn enroll_current_thread(&self) -> io::Result<()> {
-        tls::set_enrolled(true);
+        let block = zpoline::thread_block();
+        block.set_enrolled(true);
         match enable_sud() {
             Ok(()) => {
-                tls::arm_stub_exit();
+                counters::arm_stub_exit();
                 Ok(())
             }
             Err(e) => {
-                tls::set_enrolled(false);
+                block.set_enrolled(false);
                 Err(e)
             }
         }
@@ -436,7 +436,7 @@ impl Engine {
 
     /// Whether the calling thread is currently enrolled.
     pub fn is_enrolled(&self) -> bool {
-        tls::enrolled()
+        zpoline::thread_block().enrolled()
     }
 
     /// Whether the process-global machinery is live.
@@ -459,7 +459,7 @@ pub fn unenroll_current_thread() {
     if crate::harden::backstop_armed() {
         return;
     }
-    tls::set_enrolled(false);
+    zpoline::thread_block().set_enrolled(false);
     // From here on this thread's mapping calls may go unseen.
     zpoline::maps::shadow::reset(false);
     // SAFETY: the `prctl` takes no pointer.
@@ -520,7 +520,7 @@ unsafe fn sud_prctl(mode: u64, range: std::ops::Range<usize>) -> u64 {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if tls::enrolled() {
+        if zpoline::thread_block().enrolled() {
             self.unenroll_current_thread();
         }
     }

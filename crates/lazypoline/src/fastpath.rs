@@ -6,7 +6,7 @@ use interpose::{exit, InterestSet, SyscallEvent};
 use syscalls::{nr, Errno, SyscallArgs};
 use zpoline::RawFrame;
 
-use crate::{clone, raw_internal, signals, tls};
+use crate::{clone, counters, raw_internal, signals};
 
 /// Byte offset from the `RawFrame` pointer to the application's `rsp`
 /// at the moment the (rewritten) syscall instruction executed.
@@ -44,7 +44,7 @@ pub(crate) unsafe extern "C" fn lazypoline_dispatch(frame: *mut RawFrame) -> u64
     let guarded = block.in_dispatch();
     let frame = &mut *frame;
     if !guarded {
-        tls::count_dispatch(block, frame.nr);
+        counters::count_dispatch(block, frame.nr);
     }
 
     // rt_sigreturn must take its special path even when re-entered
@@ -321,6 +321,7 @@ mod tests {
     #[test]
     fn plain_syscall_passes_through() {
         let mut f = mk_frame(nr::GETPID, [0; 6]);
+        // SAFETY: a getpid of this thread's, which takes no arguments.
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, std::process::id() as u64);
     }
@@ -374,12 +375,16 @@ mod tests {
     #[test]
     fn clone3_is_refused() {
         let mut f = mk_frame(nr::CLONE3, [0; 6]);
+        // SAFETY: the engine refuses `clone3` without executing it.
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(Errno::from_ret(ret), Some(Errno::ENOSYS));
     }
 
     #[test]
     fn sigprocmask_cannot_block_sigsys() {
+        // SAFETY: `rt_sigprocmask` calls of this thread's, each with
+        // pointers to live locals of the kernel's 8-byte mask size; the
+        // last one puts the empty mask the test thread started with back.
         unsafe {
             let sigsys_bit = 1u64 << (libc::SIGSYS - 1);
             let want: u64 = sigsys_bit | (1 << (libc::SIGUSR1 - 1));
@@ -431,17 +436,20 @@ mod tests {
         // getpid is outside the interest set: the handler must be
         // bypassed (no 0xDEAD) while the syscall itself still executes.
         let mut f = mk_frame(nr::GETPID, [0; 6]);
+        // SAFETY: as in `plain_syscall_passes_through`.
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, std::process::id() as u64);
 
         // 499 is inside the set: the handler decides.
         let mut f = mk_frame(499, [0; 6]);
+        // SAFETY: the handler answers 499 itself; nothing executes.
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(ret, 0xDEAD);
 
         // Emulated syscalls never bypass their emulation: clone3 is
         // refused by the engine even though the handler is indifferent.
         let mut f = mk_frame(nr::CLONE3, [0; 6]);
+        // SAFETY: as in `clone3_is_refused`.
         let ret = unsafe { handle_gated(&mut f) };
         assert_eq!(Errno::from_ret(ret), Some(Errno::ENOSYS));
     }
@@ -474,6 +482,9 @@ mod tests {
 
         // What the stub's exit reads, taken as the exit takes it.
         let block = zpoline::thread_block();
+        // SAFETY: argument-less frames of this thread's: a hit on 499
+        // (the handler decides, or panics and is quarantined, and the
+        // kernel answers `ENOSYS`), a raw getpid, the refused `clone3`.
         let declared = |nr| unsafe {
             lazypoline_dispatch(&mut mk_frame(nr, [0; 6]));
             let declared = block.leaves_fp_env();
@@ -523,6 +534,9 @@ mod tests {
         for mask in [XstateMask::None, XstateMask::Avx] {
             zpoline::set_xstate_mask(mask);
             let site_rsp: usize;
+            // SAFETY: enters the installed trampoline as a rewritten
+            // site does, with every register the stub may change named
+            // as clobbered; `report_rsp` executes nothing.
             unsafe {
                 // An already-rewritten site: `call rax` with rax = nr.
                 core::arch::asm!(

@@ -13,7 +13,7 @@
 //! `clone` included), `[vdso]` and `[vsyscall]`. Everything else — a
 //! syscall instruction in the application's text or in any library's,
 //! executed after SUD was turned off — traps with
-//! `SIGSYS`/`SYS_SECCOMP`, which [`on_bypass`] counts and answers per
+//! `SIGSYS`/`SYS_SECCOMP`, which `on_bypass` counts and answers per
 //! [`BypassPolicy`].
 //!
 //! The filter covers exactly the threads SUD covers: the enrolled
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use syscalls::{nr, Errno, SyscallArgs};
 
-use crate::{raw_internal, tls};
+use crate::raw_internal;
 
 /// `siginfo.si_code` for a seccomp `SECCOMP_RET_TRAP` delivery.
 pub const SYS_SECCOMP: libc::c_int = 1;
@@ -64,7 +64,7 @@ const BPF_JGE_K: u16 = 0x35;
 const BPF_JGT_K: u16 = 0x25;
 const BPF_RET_K: u16 = 0x06;
 
-/// What [`on_bypass`] does with a blocked escape attempt.
+/// What `on_bypass` does with a blocked escape attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BypassPolicy {
     /// Kill the whole process with `SIGKILL` — the paper-faithful
@@ -93,8 +93,7 @@ static HARDEN_ATTEMPTED: AtomicBool = AtomicBool::new(false);
 static BACKSTOP_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Encoded [`BypassPolicy`] (0 = Kill, 1 = Quarantine).
 static POLICY: AtomicU8 = AtomicU8::new(0);
-/// Escape attempts the backstop caught (kept out of the sharded
-/// counter block — its shards are exactly full; see `counters.rs`).
+/// Escape attempts the backstop caught.
 static BYPASS_BLOCKED: AtomicU64 = AtomicU64::new(0);
 
 /// One classic-BPF instruction.
@@ -202,7 +201,7 @@ pub fn arm_backstop(policy: BypassPolicy) -> io::Result<()> {
     if BACKSTOP_ACTIVE.load(Ordering::SeqCst) {
         return Ok(());
     }
-    if !tls::enrolled() {
+    if !zpoline::thread_block().enrolled() {
         return Err(io::Error::other("the installing thread is not enrolled"));
     }
     POLICY.store(policy as u8, Ordering::SeqCst);
@@ -258,7 +257,7 @@ pub fn backstop_armed() -> bool {
 
 /// Escape attempts the backstop caught.
 pub fn bypass_blocked() -> u64 {
-    BYPASS_BLOCKED.load(Ordering::SeqCst)
+    BYPASS_BLOCKED.load(Ordering::Relaxed)
 }
 
 /// Whether the application's own `prctl(PR_SET_SYSCALL_USER_DISPATCH,
@@ -269,7 +268,7 @@ pub fn bypass_blocked() -> u64 {
 pub(crate) fn refuses_dispatch_change() -> bool {
     let refused = level() != HardenLevel::Off;
     if refused {
-        BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+        BYPASS_BLOCKED.fetch_add(1, Ordering::Relaxed);
     }
     refused
 }
@@ -282,7 +281,7 @@ pub(crate) fn refuses_dispatch_change() -> bool {
 pub(crate) fn refuses_exec() -> bool {
     let refused = backstop_armed();
     if refused {
-        BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+        BYPASS_BLOCKED.fetch_add(1, Ordering::Relaxed);
     }
     refused
 }
@@ -326,12 +325,12 @@ impl BypassPolicy {
 ///
 /// Signal-handler context only.
 pub(crate) unsafe fn on_bypass() -> bool {
-    BYPASS_BLOCKED.fetch_add(1, Ordering::SeqCst);
+    BYPASS_BLOCKED.fetch_add(1, Ordering::Relaxed);
     // SUD was off on this thread: what it mapped meanwhile went unseen.
     zpoline::maps::shadow::distrust();
     match policy() {
         BypassPolicy::Quarantine => {
-            if tls::enrolled() {
+            if zpoline::thread_block().enrolled() {
                 let _ = crate::engine::enable_sud();
             }
             true

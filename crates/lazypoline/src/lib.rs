@@ -47,6 +47,7 @@
 //! ([`harden::arm_backstop`]) not even that: the thread stays enrolled.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod blocklist;
 mod clone;
@@ -58,7 +59,6 @@ pub mod proven;
 mod raw_internal;
 mod signals;
 mod slowpath;
-mod tls;
 
 pub use engine::{
     dispatches_by_number, health, init, init_strict, mode, slow_path_hits, stats,

@@ -17,11 +17,7 @@ pub use zpoline::{FileMapping, Mapping, Maps, PatchError, RegionPerms};
 use crate::slowpath::{BATCH_REWRITING, LAZY_REWRITING};
 
 /// Sites rewritten by [`apply_proven_sites`].
-static SITES_FROM_CACHE: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn sites_from_cache() -> u64 {
-    SITES_FROM_CACHE.load(Ordering::Relaxed)
-}
+pub(crate) static SITES_FROM_CACHE: AtomicU64 = AtomicU64::new(0);
 
 /// From now on the slow path logs every site it rewrites (batch
 /// rewriting only), at the cost of one relaxed load per `SIGSYS`.
@@ -41,9 +37,10 @@ pub fn patched_sites() -> impl Iterator<Item = usize> {
 /// engine's crates leave from the gate; a libc call from a site not yet
 /// rewritten takes its `SIGSYS` like any other, and is rewritten. Nests.
 pub fn privately<T>(f: impl FnOnce() -> T) -> T {
-    let was = crate::tls::set_in_dispatch(true);
+    let block = zpoline::thread_block();
+    let was = block.set_in_dispatch(true);
     let out = f();
-    crate::tls::set_in_dispatch(was);
+    block.set_in_dispatch(was);
     out
 }
 
@@ -51,7 +48,7 @@ pub fn privately<T>(f: impl FnOnce() -> T) -> T {
 /// the rest of its life, its exit path included: for a helper thread
 /// (a recorder's drain thread) whose syscalls no handler may see.
 pub fn private_thread() {
-    crate::tls::set_in_dispatch(true);
+    zpoline::thread_block().set_in_dispatch(true);
 }
 
 /// Rewrites `sites` (ascending, all in one mapping of protection

@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn internal_syscall_works() {
+        // SAFETY: getpid takes no arguments.
         let pid = unsafe { syscall(&SyscallArgs::nullary(nr::GETPID)) };
         assert_eq!(pid, std::process::id() as u64);
     }
@@ -68,6 +69,8 @@ mod tests {
     fn rt_sigaction_query() {
         // Query SIGUSR1 disposition without changing it.
         let mut old = [0u64; 4];
+        // SAFETY: no new action; the old one is written into a buffer
+        // of the kernel's sigaction size.
         let r = unsafe { rt_sigaction(libc::SIGUSR1, 0, old.as_mut_ptr() as u64) };
         assert_eq!(Errno::from_ret(r), None);
     }

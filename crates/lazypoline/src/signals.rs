@@ -25,8 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use syscalls::Errno;
 use zpoline::RawFrame;
 
-use crate::counters::{self, SIGNALS_WRAPPED};
-use crate::{raw_internal, tls};
+use crate::raw_internal;
+
+/// Application signal-handler invocations routed through the wrapper.
+pub(crate) static SIGNALS_WRAPPED: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) const SIG_DFL: u64 = 0;
 pub(crate) const SIG_IGN: u64 = 1;
@@ -199,7 +201,7 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
     info: *mut libc::siginfo_t,
     ctx: *mut libc::c_void,
 ) {
-    counters::bump(&SIGNALS_WRAPPED);
+    SIGNALS_WRAPPED.fetch_add(1, Ordering::Relaxed);
     // A signal that lands where `SIGSYS` is blocked (a `sigsuspend` or
     // `ppoll` mask that names it, a child before its enrolment unblocks
     // it) would turn the application handler's first fresh syscall site
@@ -231,7 +233,8 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
 
     // Run the application handler with the dispatch guard lifted: its
     // syscalls are *application* syscalls and must be interposed.
-    let saved_guard = tls::set_in_dispatch(false);
+    let block = zpoline::thread_block();
+    let saved_guard = block.set_in_dispatch(false);
     match slot.handler {
         SIG_DFL | SIG_IGN => {
             // Raced with a concurrent re-registration; default-action
@@ -247,7 +250,7 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
             f(sig);
         }
     }
-    tls::set_in_dispatch(saved_guard);
+    block.set_in_dispatch(saved_guard);
 }
 
 #[cfg(test)]

@@ -59,17 +59,32 @@
 //! under the re-entry guard without a second notification.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sud::sigsys::{SigsysInfo, UContext};
 use syscalls::Errno;
 use zpoline::RawFrame;
 
-use crate::counters::{
-    self, DISABLED_MODE_EMULATIONS, PAGES_BLOCKLISTED, PATCH_RETRIES, SITES_PATCHED,
-    SLOW_PATH_HITS, UNPATCHABLE_EMULATIONS,
-};
-use crate::{blocklist, fastpath, raw_internal, signals, tls};
+use crate::{blocklist, counters, fastpath, raw_internal, signals};
+
+/// Slow-path (`SIGSYS`) deliveries.
+pub(crate) static SLOW_PATH_HITS: AtomicU64 = AtomicU64::new(0);
+/// Syscall sites rewritten to `call rax`: here, and by the static
+/// prescan of `Mode::PrescanOnly`.
+pub(crate) static SITES_PATCHED: AtomicU64 = AtomicU64::new(0);
+/// Syscalls emulated in the handler because the site could not be
+/// patched.
+pub(crate) static UNPATCHABLE_EMULATIONS: AtomicU64 = AtomicU64::new(0);
+/// Syscalls emulated in the handler because lazy rewriting is disabled
+/// (pure-SUD configuration or `Mode::SudOnly` degradation) — a config
+/// state, distinct from [`UNPATCHABLE_EMULATIONS`] failures.
+pub(crate) static DISABLED_MODE_EMULATIONS: AtomicU64 = AtomicU64::new(0);
+/// Retries of a patch attempt after a transient `mprotect` failure
+/// (`EAGAIN`/`ENOMEM`).
+pub(crate) static PATCH_RETRIES: AtomicU64 = AtomicU64::new(0);
+/// Pages inserted into the unpatchable-page blocklist after persistent
+/// patch failure.
+pub(crate) static PAGES_BLOCKLISTED: AtomicU64 = AtomicU64::new(0);
 
 /// When false, the slow path never rewrites: every dispatched syscall
 /// is emulated in the handler, which turns the engine into a pure
@@ -91,15 +106,6 @@ pub(crate) static BATCH_REWRITING: AtomicBool = AtomicBool::new(true);
 /// (`EAGAIN`/`ENOMEM`). Plain capped re-attempts — no sleeping in a
 /// signal handler.
 const PATCH_RETRY_LIMIT: u32 = 3;
-
-/// Why the faulting site is being emulated instead of rewritten.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EmulationReason {
-    /// Lazy rewriting is off — a configuration state, not a failure.
-    RewritingDisabled,
-    /// The page is blocklisted or this patch attempt failed.
-    Unpatchable,
-}
 
 /// The process-wide `SIGSYS` handler.
 ///
@@ -130,38 +136,40 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
         return;
     }
 
-    counters::bump(&SLOW_PATH_HITS);
+    SLOW_PATH_HITS.fetch_add(1, Ordering::Relaxed);
 
     let mut uc = UContext::from_ptr(ctx);
     let insn = si.syscall_insn_addr();
     let page = insn & !4095;
 
-    let emulate_reason = if !LAZY_REWRITING.load(Ordering::Relaxed) {
-        Some(EmulationReason::RewritingDisabled)
+    // Why the site is emulated instead of rewritten, as the counter the
+    // emulation is counted in; `None`: it was rewritten.
+    let emulated_as = if !LAZY_REWRITING.load(Ordering::Relaxed) {
+        Some(&DISABLED_MODE_EMULATIONS)
     } else if zpoline::thread_block().holds_rewrite_lock() {
         // A signal landed while this thread takes or holds the rewrite
         // lock, and its handler ran a fresh site: waiting for the lock
         // here would never end. Unpatchable for now; the site is
         // rewritten on its next trap.
-        Some(EmulationReason::Unpatchable)
+        Some(&UNPATCHABLE_EMULATIONS)
     } else if blocklist::contains(page) {
         // Negative cache hit: this page's mprotect window is known
         // broken — skip the lock + VMA lookup + doomed mprotect.
-        Some(EmulationReason::Unpatchable)
+        Some(&UNPATCHABLE_EMULATIONS)
     } else {
         match patch_with_retry(insn, page) {
             Ok(zpoline::PatchOutcome::Patched) => {
-                counters::bump(&SITES_PATCHED);
+                SITES_PATCHED.fetch_add(1, Ordering::Relaxed);
                 None
             }
             // Another thread raced us; re-execute through the fast
             // path all the same.
             Ok(zpoline::PatchOutcome::AlreadyPatched) => None,
-            Err(_) => Some(EmulationReason::Unpatchable),
+            Err(_) => Some(&UNPATCHABLE_EMULATIONS),
         }
     };
 
-    match emulate_reason {
+    match emulated_as {
         None => {
             uc.set_rip(insn as u64);
             if uc.resumable() {
@@ -172,15 +180,12 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
                 zpoline::resume_context(uc.as_ptr());
             }
         }
-        Some(reason) => {
+        Some(emulations) => {
             // Counted as the dispatches they stand in for, by number:
             // the application's, not the interposer's own.
             if !zpoline::thread_block().in_dispatch() {
                 counters::bump_dispatch(uc.syscall_args().nr);
-                counters::bump(match reason {
-                    EmulationReason::RewritingDisabled => &DISABLED_MODE_EMULATIONS,
-                    EmulationReason::Unpatchable => &UNPATCHABLE_EMULATIONS,
-                });
+                emulations.fetch_add(1, Ordering::Relaxed);
             }
             emulate_in_handler(&mut uc);
         }
@@ -224,7 +229,7 @@ unsafe fn patch_once(insn: usize) -> Result<zpoline::PatchOutcome, zpoline::Patc
             zpoline::patch_page_sites(insn)
         };
         batch.map(|batch| {
-            counters::add(&SITES_PATCHED, batch.extra_patched as u64);
+            SITES_PATCHED.fetch_add(batch.extra_patched as u64, Ordering::Relaxed);
             batch.site
         })
     } else {
@@ -247,7 +252,7 @@ unsafe fn patch_with_retry(
             Err(zpoline::PatchError::MprotectFailed(e))
                 if e == Errno::EAGAIN || e == Errno::ENOMEM =>
             {
-                counters::bump(&PATCH_RETRIES);
+                PATCH_RETRIES.fetch_add(1, Ordering::Relaxed);
                 retries += 1;
                 std::hint::spin_loop();
                 result = patch_once(insn);
@@ -265,7 +270,7 @@ unsafe fn patch_with_retry(
         // — unmapped address, foreign bytes — are not page properties,
         // so they are not cached.)
         if blocklist::insert(page) {
-            counters::bump(&PAGES_BLOCKLISTED);
+            PAGES_BLOCKLISTED.fetch_add(1, Ordering::Relaxed);
         }
     }
     result
@@ -300,7 +305,8 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
         // restore is the one at the application's `rsp`, not ours.
         fastpath::rt_sigreturn_at(uc.rsp());
     }
-    let guarded = zpoline::thread_block().in_dispatch();
+    let block = zpoline::thread_block();
+    let guarded = block.in_dispatch();
     let injected = if guarded || fastpath::is_process_control(nr_) {
         None
     } else {
@@ -323,7 +329,7 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
             ret_addr: uc.rip(),
         };
         let interested = !guarded && interpose::global_interested(nr_);
-        let was = tls::set_in_dispatch(true);
+        let was = block.set_in_dispatch(true);
         // No declaration to make: the signal return puts back all of the
         // floating-point state, whatever the handler did to it.
         let (ret, _) = fastpath::handle_syscall(&mut frame, interested);
@@ -332,7 +338,7 @@ unsafe fn emulate_in_handler(uc: &mut UContext) {
             raw_internal::rt_sigprocmask(raw_internal::SIG_SETMASK, uc.sigmask(), &mut left);
             uc.set_sigmask(left);
         }
-        tls::set_in_dispatch(was);
+        block.set_in_dispatch(was);
         ret
     };
     uc.set_rax(ret);

@@ -38,7 +38,7 @@
 //!
 //! Records are self-delimiting, so the stream needs no count field:
 //! clean EOF at a record boundary is the end of the trace; EOF inside
-//! a record is [`TraceError::Truncated`](crate::TraceError::Truncated).
+//! a record is [`TraceError::Truncated`].
 //!
 //! Encoding runs on the drain thread (never the interposer hot path),
 //! so it may allocate freely.

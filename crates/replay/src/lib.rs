@@ -8,7 +8,7 @@
 //!    [`SyscallHandler`](interpose::SyscallHandler) that mirrors every
 //!    intercepted syscall into lock-free per-thread SPSC rings
 //!    (drop-and-count on overflow; never perturbs the application).
-//! 2. **Trace format** ([`format`], [`codec`], [`spill`]): a
+//! 2. **Trace format** ([`format`](mod@format), [`codec`], [`spill`]): a
 //!    [`Recorder`] session spills the rings into a versioned binary
 //!    trace — by default a dedicated drain thread continuously sweeps
 //!    the rings into the trace file in the compressed

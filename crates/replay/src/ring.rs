@@ -72,7 +72,7 @@ use crate::event::EventRecord;
 /// resident.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 17;
 
-/// Rings in the pool — matches the engine counter shard count. Headers
+/// Rings in the pool — as many as the engine has dispatch rows. Headers
 /// are tiny; the slot arrays are mapped on claim.
 const MAX_RINGS: usize = 64;
 

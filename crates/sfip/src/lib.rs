@@ -20,7 +20,7 @@
 //! 3. **Enforcement** ([`SfipHandler`]): a
 //!    [`SyscallHandler`](interpose::SyscallHandler) wrapper whose fast
 //!    path is one per-thread last-sysno load plus one bitmatrix bit
-//!    test. Violations follow the [`Action`] ladder: `kill` (raw
+//!    test. Violations follow the [`ViolationAction`] ladder: `kill` (raw
 //!    `SIGKILL` + `exit_group(137)`, mirroring the hardened engine's
 //!    bypass policy), `quarantine` (disable enforcement, keep passing
 //!    through — like hook panic quarantine), or `count` (audit mode:

@@ -137,7 +137,7 @@ const SELECTOR_WRITE_ATTEMPTS: u32 = 3;
 ///
 /// The write is verified by reading the byte back, and retried if the
 /// store was dropped (the `selector_write` fault seam models exactly
-/// that). After [`SELECTOR_WRITE_ATTEMPTS`] injected drops the store is
+/// that). After `SELECTOR_WRITE_ATTEMPTS` injected drops the store is
 /// issued unconditionally: a missing BLOCK store would silently stop
 /// interposition, and a missing ALLOW store would leave the interposer
 /// trapping its own syscalls — so this seam degrades to

@@ -8,9 +8,9 @@
 //! [`execute`]: it forgets the range the call may change *before* the
 //! call runs, and notes a writable, executable range the call made
 //! *after* it succeeded — a JIT's RWX page, which then takes its patch
-//! with no syscall at all. The patch window asks [`vouch`] first, and
+//! with no syscall at all. The patch window asks `vouch` first, and
 //! keeps the answers it had to look up for a page that takes no stores
-//! ([`keep`]): the next such page of that mapping gets its window
+//! (`keep`): the next such page of that mapping gets its window
 //! without a query.
 //!
 //! A wrong "writable" is a `SIGSEGV` inside the `SIGSYS` handler, so an

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Sites a [`SiteLog`] holds; later ones are counted, not kept.
+/// Sites the log holds; later ones are counted, not kept.
 pub const SITE_LOG_CAPACITY: usize = 8192;
 
 /// Addresses of rewritten sites, appended from any thread or signal

@@ -1800,10 +1800,15 @@ mod tests {
             assert_eq!(block as *const ThreadBlock as usize % 64, 0);
             assert!(!block.armed() && !block.enrolled() && !block.in_dispatch());
             block.set_enrolled(true);
-            assert!(!block.set_in_dispatch(true));
+            assert!(block.enrolled());
+            assert!(!block.set_in_dispatch(true), "set returns the old value");
+            assert!(block.in_dispatch());
             assert!(block.set_in_dispatch(false));
+            assert!(!block.in_dispatch());
             let other = std::thread::spawn(|| thread_block().enrolled()).join().unwrap();
             assert!(!other, "one block per thread");
+            block.set_enrolled(false);
+            assert!(!block.enrolled());
         })
         .join()
         .unwrap();
