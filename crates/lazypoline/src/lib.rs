@@ -68,6 +68,47 @@ pub use faultinject;
 pub use harden::{BypassPolicy, HardenLevel};
 pub use zpoline::XstateMask;
 
+/// The per-thread flags the engine keeps in its thread block: every
+/// caller reads and sets them through `zpoline::thread_block()`.
+#[cfg(test)]
+mod tls {
+    mod tests {
+        fn enrolled() -> bool {
+            zpoline::thread_block().enrolled()
+        }
+
+        fn set_enrolled(v: bool) {
+            zpoline::thread_block().set_enrolled(v)
+        }
+
+        #[test]
+        fn enrollment_flag_roundtrip() {
+            assert!(!enrolled());
+            set_enrolled(true);
+            assert!(enrolled());
+            set_enrolled(false);
+        }
+
+        #[test]
+        fn dispatch_guard_replace_semantics() {
+            let block = zpoline::thread_block();
+            assert!(!block.in_dispatch());
+            assert!(!block.set_in_dispatch(true));
+            assert!(block.in_dispatch());
+            assert!(block.set_in_dispatch(false));
+            assert!(!block.in_dispatch());
+        }
+
+        #[test]
+        fn tls_is_per_thread() {
+            set_enrolled(true);
+            let other = std::thread::spawn(enrolled).join().unwrap();
+            assert!(!other);
+            set_enrolled(false);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
